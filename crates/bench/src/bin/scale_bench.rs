@@ -108,4 +108,9 @@ fn main() {
     json.push_str(&rungs_json.join(",\n"));
     json.push_str("\n  ]\n}\n");
     m3d_bench::emit(&args, "BENCH_scale.json", &json);
+    let manifest = m3d_bench::json::parse(&json).expect("the manifest just written parses");
+    println!(
+        "README \"Running at scale\" table:\n{}",
+        m3d_bench::scale_table_markdown(&manifest)
+    );
 }

@@ -86,9 +86,54 @@ pub fn emit(args: &BenchArgs, name: &str, content: &str) {
     eprintln!("[saved {}]", path.display());
 }
 
+/// The README's "Running at scale" table, rendered from a
+/// `BENCH_scale.json` manifest. `scale_bench` prints it after every
+/// ladder run and a unit test holds the README to the committed
+/// manifest, so the two cannot drift apart.
+///
+/// # Panics
+///
+/// Panics if the manifest lacks a field `scale_bench` always writes.
+#[must_use]
+pub fn scale_table_markdown(manifest: &json::Value) -> String {
+    let mut out = String::from(
+        "| rung | cells | full-flow wall | throughput | peak heap |\n|---|---|---|---|---|\n",
+    );
+    let rungs = manifest.get("rungs").and_then(json::Value::as_arr);
+    for rung in rungs.expect("manifest has rungs") {
+        let num = |key: &str| rung.get(key).and_then(json::Value::as_f64).expect(key);
+        let name = rung
+            .get("name")
+            .and_then(json::Value::as_str)
+            .expect("name");
+        let cells = num("cells") as u64;
+        out.push_str(&format!(
+            "| `{name}` | {} {:03} | {:.1} s | ~{:.0} k cells/s | {:.0} MiB |\n",
+            cells / 1000,
+            cells % 1000,
+            num("flow_s"),
+            num("flow_cells_per_sec") / 1e3,
+            num("peak_heap_bytes") / (1024.0 * 1024.0),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn readme_scale_table_is_the_committed_manifest() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let manifest = fs::read_to_string(format!("{root}/results/BENCH_scale.json")).unwrap();
+        let readme = fs::read_to_string(format!("{root}/README.md")).unwrap();
+        let table = scale_table_markdown(&json::parse(&manifest).unwrap());
+        assert!(
+            readme.contains(&table),
+            "README \"Running at scale\" is stale; paste this table:\n{table}"
+        );
+    }
 
     #[test]
     fn defaults_are_sane() {

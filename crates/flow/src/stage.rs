@@ -95,6 +95,33 @@ pub struct FlowState {
 }
 
 impl FlowState {
+    /// The state every run of `config` at `period_ns` starts from: a
+    /// database forked off `base`, and `pseudo` when the caller has one.
+    fn new(
+        base: &BaseDesign,
+        pseudo: Option<&PseudoCheckpoint>,
+        config: Config,
+        period_ns: f64,
+        options: &FlowOptions,
+    ) -> FlowState {
+        FlowState {
+            config,
+            period_ns,
+            db: DesignDb::from_shared(
+                base.netlist.clone(),
+                config.stack_for(&options.tech),
+                period_ns,
+            )
+            .with_tech(options.tech),
+            pseudo: pseudo.cloned(),
+            timing_assignment: None,
+            eco: None,
+            reoptimize: true,
+            sizing_changed: 0,
+            timer: Timer::new(),
+        }
+    }
+
     /// The configuration being implemented.
     #[must_use]
     pub fn config(&self) -> Config {
@@ -193,8 +220,10 @@ fn netlist_fingerprint(netlist: &Netlist) -> String {
 /// Publishes a persistent [`Timer`]'s lifetime counters: the propagation
 /// work (deterministic — dirty sets depend only on the edit sequence)
 /// as counters, the scheduling-dependent arc-cache tallies as
-/// performance-only entries, per shard and in total.
-pub(crate) fn record_timer(obs: &Obs, timer: &Timer) {
+/// performance-only entries, per shard and in total. Lifetime counters
+/// must be booked exactly once, so this is called where a timer retires:
+/// before a pass boundary replaces it and at the end of the run.
+fn record_timer(obs: &Obs, timer: &Timer) {
     if !obs.is_enabled() {
         return;
     }
@@ -374,27 +403,13 @@ pub fn run_from_base(
         obs.label_set("input/config", &config.to_string());
         obs.perf_add("threads_resolved", m3d_par::resolve(options.threads) as u64);
     }
-    let mut state = FlowState {
-        config,
-        period_ns: period,
-        db: DesignDb::from_shared(
-            base.netlist.clone(),
-            config.stack_for(&options.tech),
-            period,
-        )
-        .with_tech(options.tech),
-        pseudo: pseudo.cloned(),
-        timing_assignment: None,
-        eco: None,
-        reoptimize: true,
-        sizing_changed: 0,
-        timer: Timer::new(),
-    };
+    let mut state = FlowState::new(base, pseudo, config, period, options);
     if config.is_3d() {
         run_3d(&mut state, options, &run_span)?;
     } else {
         run_2d(&mut state, options, &run_span)?;
     }
+    record_timer(&obs, &state.timer);
     drop(run_span);
     Implementation::from_state(&state, options)
 }
@@ -406,36 +421,47 @@ pub fn run_from_base(
 /// 3-D pipeline: pseudo-3-D + partitioning, one finish pass, then the
 /// repartitioning ECO loop for the enhanced heterogeneous flow.
 fn run_3d(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
+    finish_3d(state, options, run_span)?;
+    if eco_enabled(state, options) {
+        run_eco(state, options, run_span)?;
+    }
+    Ok(())
+}
+
+/// Whether the repartitioning ECO follows the main finish pass.
+fn eco_enabled(state: &FlowState, options: &FlowOptions) -> bool {
+    state.config.is_heterogeneous() && options.enable_repartition
+}
+
+/// Pseudo-3-D + partitioning and the main finish pass, up to sign-off.
+fn finish_3d(
+    state: &mut FlowState,
+    options: &FlowOptions,
+    run_span: &Span,
+) -> Result<(), FlowError> {
     run_stages(state, options, run_span, &[&PseudoThreeD, &Partition])?;
     // When the repartitioning ECO will run, defer sizing until after it:
     // critical cells should first be *moved* to the fast tier; only the
     // residue is then upsized (this preserves the heterogeneous area win).
-    let eco_enabled = state.config.is_heterogeneous() && options.enable_repartition;
-    state.reoptimize = !eco_enabled;
-    {
-        let finish_span = run_span.child("finish3d");
-        state.timer = Timer::new();
-        run_stages(
-            state,
-            options,
-            &finish_span,
-            &[
-                &TierLegalize,
-                &Route,
-                &Cts,
-                &Size {
-                    timing_rounds: 4,
-                    power_rounds: 3,
-                    power_margin: 0.15,
-                },
-                &SignOff,
-            ],
-        )?;
-    }
-    if eco_enabled {
-        run_eco(state, options, run_span)?;
-    }
-    Ok(())
+    state.reoptimize = !eco_enabled(state, options);
+    let finish_span = run_span.child("finish3d");
+    state.timer = Timer::new();
+    run_stages(
+        state,
+        options,
+        &finish_span,
+        &[
+            &TierLegalize,
+            &Route,
+            &Cts,
+            &Size {
+                timing_rounds: 4,
+                power_rounds: 3,
+                power_margin: 0.15,
+            },
+            &SignOff,
+        ],
+    )
 }
 
 /// The 2-D flow with one re-implementation pass when sizing grew the
@@ -479,7 +505,6 @@ fn run_2d(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Resu
 /// critical paths through the slow tier; repeat until timing is met or
 /// the ECO stops moving cells.
 fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
-    let obs = &options.obs;
     let eco_span = run_span.child("eco");
     let initial = state
         .db
@@ -496,60 +521,7 @@ fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Res
     };
     for _outer in 0..3 {
         let round_span = eco_span.child("round");
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let placement = state
-            .db
-            .placement_arc()
-            .ok_or(missing("eco", "placement"))?;
-        let routing = state.db.routing_arc().ok_or(missing("eco", "routing"))?;
-        let clock_tree = state
-            .db
-            .clock_tree_arc()
-            .ok_or(missing("eco", "clock tree"))?;
-        let areas = cell_areas(&netlist, &stack, state.db.tiers());
-        let fast = stack.fast_tier();
-        let (parasitics, eco_px) =
-            try_extract_parasitics_with_stats(&netlist, &placement, &stack, Some(&routing))?;
-        record_extract(obs, &eco_px);
-        let clock_template = clock_spec(state.period_ns, Some(&clock_tree));
-        let mut tiers_work = state.db.tiers().to_vec();
-        // One persistent timer per ECO round, fed by the move journal:
-        // every candidate batch (and every undo carry, which restores
-        // already-cached arcs) re-propagates only the cone of the
-        // reported cells — no full-design diff scan per probe.
-        let mut timer = Timer::new();
-        let outcome = repartition_eco_with(
-            &mut tiers_work,
-            &areas,
-            fast,
-            &EcoConfig::default(),
-            |t, moved| {
-                let edits: Vec<TimingEdit> =
-                    moved.iter().map(|&c| TimingEdit::SwapTier(c)).collect();
-                let ctx = timing_context(&netlist, &stack, t, &parasitics, clock_template.clone());
-                let result = timer.update_journaled(&ctx, &edits);
-                let paths = worst_paths(&ctx, &result, EcoConfig::default().n0);
-                EcoTimingView {
-                    wns: result.wns,
-                    tns: result.tns,
-                    critical_paths: paths
-                        .iter()
-                        .map(|p| p.stages.iter().map(|s| (s.cell, s.cell_delay_ns)).collect())
-                        .collect(),
-                }
-            },
-        );
-        record_timer(obs, &timer);
-        if obs.is_enabled() {
-            obs.counter_add("eco/iterations", outcome.iterations as u64);
-            obs.counter_add("eco/cells_moved", outcome.cells_moved as u64);
-        }
-        state.db.set_tiers(tiers_work);
-        let journal = state.db.take_journal();
-        if obs.is_enabled() && !journal.is_empty() {
-            obs.counter_add("db/journal/eco", journal.len() as u64);
-        }
+        let outcome = eco_round(state, &options.obs)?;
         total.iterations += outcome.iterations;
         total.cells_moved += outcome.cells_moved;
         total.rounds_undone += outcome.rounds_undone;
@@ -571,6 +543,66 @@ fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Res
     }
     state.eco = Some(total);
     Ok(())
+}
+
+/// One run of Algorithm 1 on the pass's own sign-off artifacts: the
+/// database's parasitics (extraction reads topology, placement and
+/// routing, none of which changed since the [`Route`] stage wrote them)
+/// and the live [`Timer`], which [`SignOff`] left at exactly this
+/// design. The first evaluate is therefore an empty-journal update and
+/// every candidate batch (and every undo carry, which restores
+/// already-cached arcs) re-propagates only the cone of the reported
+/// cells. Writes the resulting tier assignment back.
+///
+/// A run that ends on an undone batch leaves the timer one carry behind
+/// the restored tiers; nothing reads it again — the caller either stops
+/// (no cell moved) or re-finishes, which starts a fresh timer.
+fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> {
+    let netlist = state.db.netlist_arc();
+    let stack = state.db.stack_arc();
+    let parasitics = state
+        .db
+        .parasitics_arc()
+        .ok_or(missing("eco", "parasitics"))?;
+    let clock_tree = state
+        .db
+        .clock_tree_arc()
+        .ok_or(missing("eco", "clock tree"))?;
+    let areas = cell_areas(&netlist, &stack, state.db.tiers());
+    let clock_template = clock_spec(state.period_ns, Some(&clock_tree));
+    let mut tiers_work = state.db.tiers().to_vec();
+    let config = EcoConfig::default();
+    let timer = &mut state.timer;
+    let outcome = repartition_eco_with(
+        &mut tiers_work,
+        &areas,
+        stack.fast_tier(),
+        &config,
+        |t, moved| {
+            let edits: Vec<TimingEdit> = moved.iter().map(|&c| TimingEdit::SwapTier(c)).collect();
+            let ctx = timing_context(&netlist, &stack, t, &parasitics, clock_template.clone());
+            let result = timer.update_journaled(&ctx, &edits);
+            let paths = worst_paths(&ctx, &result, config.n0);
+            EcoTimingView {
+                wns: result.wns,
+                tns: result.tns,
+                critical_paths: paths
+                    .iter()
+                    .map(|p| p.stages.iter().map(|s| (s.cell, s.cell_delay_ns)).collect())
+                    .collect(),
+            }
+        },
+    );
+    if obs.is_enabled() {
+        obs.counter_add("eco/iterations", outcome.iterations as u64);
+        obs.counter_add("eco/cells_moved", outcome.cells_moved as u64);
+    }
+    state.db.set_tiers(tiers_work);
+    let journal = state.db.take_journal();
+    if obs.is_enabled() && !journal.is_empty() {
+        obs.counter_add("db/journal/eco", journal.len() as u64);
+    }
+    Ok(outcome)
 }
 
 /// Incremental ECO placement + re-sign-off: moved cells keep their (x, y)
@@ -599,6 +631,7 @@ fn refinish(state: &mut FlowState, options: &FlowOptions, parent: &Span) -> Resu
     }
     placement.clamp_to_die();
     state.db.set_placement(placement);
+    record_timer(&options.obs, &state.timer);
     state.timer = Timer::new();
     state.reoptimize = true;
     run_stages(
@@ -1048,7 +1081,6 @@ impl Stage for SignOff {
             ),
             &[],
         );
-        record_timer(&options.obs, &state.timer);
         let sta = if options.tech.corners.is_typical_only() {
             sta
         } else {
@@ -1149,4 +1181,97 @@ fn worst_corner_sta(
         }
     }
     CornerResults::new(results).into_worst().1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use m3d_netgen::Benchmark;
+    use m3d_netlist::NetId;
+
+    /// Asserts that the pass's live timer and the database's parasitics
+    /// are what a cold start from the database's other artifacts gives:
+    /// re-extracted parasitics and a fresh `analyze`, bit for bit.
+    fn assert_live_timing_is_cold_timing(state: &FlowState, when: &str) {
+        let db = &state.db;
+        let netlist = db.netlist_arc();
+        let stack = db.stack_arc();
+        let placement = db.placement_arc().expect("placement");
+        let routing = db.routing_arc().expect("routing");
+        let clock_tree = db.clock_tree_arc().expect("clock tree");
+        let kept = db.parasitics_arc().expect("parasitics");
+        let (fresh, _) =
+            try_extract_parasitics_with_stats(&netlist, &placement, &stack, Some(&routing))
+                .expect("extract");
+        for k in 0..netlist.net_count() {
+            let (a, b) = (
+                kept.net(NetId::from_index(k)),
+                fresh.net(NetId::from_index(k)),
+            );
+            assert_eq!(
+                (a.wire_cap_ff.to_bits(), a.wire_delay_ns.to_bits()),
+                (b.wire_cap_ff.to_bits(), b.wire_delay_ns.to_bits()),
+                "{when}: net {k} parasitics"
+            );
+        }
+        let cold = run_sta(
+            &netlist,
+            &stack,
+            db.tiers(),
+            &fresh,
+            state.period_ns,
+            Some(&clock_tree),
+        );
+        let live = state.timer.result().expect("sign-off ran on this timer");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (name, a, b) in [
+            ("arrival", &live.arrival, &cold.arrival),
+            ("slew", &live.slew, &cold.slew),
+            ("required", &live.required, &cold.required),
+            ("slack", &live.slack, &cold.slack),
+            ("endpoint_slack", &live.endpoint_slack, &cold.endpoint_slack),
+        ] {
+            assert_eq!(bits(a), bits(b), "{when}: {name}");
+        }
+        assert_eq!(live.wns.to_bits(), cold.wns.to_bits(), "{when}: wns");
+        assert_eq!(live.tns.to_bits(), cold.tns.to_bits(), "{when}: tns");
+        assert_eq!(
+            live.critical_endpoints, cold.critical_endpoints,
+            "{when}: endpoints"
+        );
+        assert_eq!(live.worst_input, cold.worst_input, "{when}: worst input");
+    }
+
+    #[test]
+    fn eco_enters_every_round_on_cold_equal_timer_and_parasitics() {
+        let mut options = FlowOptions::default();
+        options.placer_mut().iterations = 8;
+        // Rounds entered after a re-finish whose sizing changed cells.
+        let mut resized_reentries = 0;
+        for (bench, ghz) in [
+            (Benchmark::Ldpc, 2.5),
+            (Benchmark::Netcard, 2.5),
+            (Benchmark::Cpu, 1.0),
+            (Benchmark::Aes, 1.0),
+        ] {
+            let netlist = bench.generate(0.1, 7);
+            let base = prepare_base(&netlist, &options).expect("base");
+            let mut state = FlowState::new(&base, None, Config::Hetero3d, 1.0 / ghz, &options);
+            let span = options.obs.span("test");
+            finish_3d(&mut state, &options, &span).expect("finish pass");
+            for round in 1..=3 {
+                let when = format!("{bench:?} round {round}");
+                assert_live_timing_is_cold_timing(&state, &when);
+                if round > 1 && state.sizing_changed > 0 {
+                    resized_reentries += 1;
+                }
+                let outcome = eco_round(&mut state, &options.obs).expect("eco round");
+                if outcome.cells_moved == 0 {
+                    break;
+                }
+                refinish(&mut state, &options, &span).expect("re-finish");
+            }
+        }
+        assert!(resized_reentries > 0, "no round re-entered after sizing");
+    }
 }

@@ -1,6 +1,6 @@
 use crate::floorplan::Floorplan;
 use crate::placement::Placement;
-use m3d_geom::Rect;
+use m3d_geom::{Point, Rect};
 use m3d_netlist::{CellClass, Netlist};
 use m3d_tech::{Tier, TierStack};
 
@@ -129,13 +129,7 @@ pub fn legalize_with_stats(
     stack: &TierStack,
     tiers: &[Tier],
 ) -> (Placement, LegalStats) {
-    let mut out = placement.clone();
-    for tier in Tier::BOTH {
-        legalize_tier(netlist, &mut out, fp, stack, tiers, tier);
-        if !stack.is_3d() {
-            break;
-        }
-    }
+    let out = legalize_tiers(netlist, placement, fp, stack, tiers, find_slot);
     let mut stats = LegalStats::default();
     for (id, c) in netlist.cells() {
         if c.fixed || !c.class.is_gate() {
@@ -150,6 +144,30 @@ pub fn legalize_with_stats(
     (out, stats)
 }
 
+/// Row search used by the sweep: `(rows, desired, width, ideal_row, lo,
+/// hi)` → `(row, slot, left edge)` of the cheapest slot in rows `lo..=hi`.
+/// A parameter only so the tests can run the whole sweep on the
+/// exhaustive reference search.
+type SlotSearch = fn(&[Row], Point, f64, usize, usize, usize) -> Option<(usize, usize, f64)>;
+
+fn legalize_tiers(
+    netlist: &Netlist,
+    placement: &Placement,
+    fp: &Floorplan,
+    stack: &TierStack,
+    tiers: &[Tier],
+    search: SlotSearch,
+) -> Placement {
+    let mut out = placement.clone();
+    for tier in Tier::BOTH {
+        legalize_tier(netlist, &mut out, fp, stack, tiers, tier, search);
+        if !stack.is_3d() {
+            break;
+        }
+    }
+    out
+}
+
 struct Row {
     y_center: f64,
     /// Sorted, disjoint free x-intervals (die minus keepouts minus already
@@ -157,35 +175,144 @@ struct Row {
     /// frontier — means a slot skipped for one cell stays available for a
     /// later one, so rows only reject a cell when they are genuinely full.
     free: Vec<(f64, f64)>,
+    /// `widest_upto[i]`: width of the widest interval among `free[..=i]`.
+    /// Free space only ever shrinks, so a cell wider than this has no
+    /// slot at or left of `i` — the sweep runs left to right, which makes
+    /// that side of a row the packed one.
+    widest_upto: Vec<f64>,
+}
+
+impl Row {
+    fn new(y_center: f64, free: Vec<(f64, f64)>) -> Row {
+        let mut row = Row {
+            y_center,
+            free,
+            widest_upto: Vec::new(),
+        };
+        row.reindex(0);
+        row
+    }
+
+    /// Rebuilds `widest_upto` from interval `from` on, after an edit of
+    /// `free` at that position.
+    fn reindex(&mut self, from: usize) {
+        self.widest_upto.truncate(from);
+        let mut widest = from.checked_sub(1).map_or(0.0, |i| self.widest_upto[i]);
+        for &(s, e) in &self.free[from..] {
+            widest = widest.max(e - s);
+            self.widest_upto.push(widest);
+        }
+    }
 }
 
 /// Best slot for a cell of `width` wanting its center at `desired_x`:
-/// `(interval index, left edge, x-displacement)`. Scans outward from the
-/// interval containing `desired_x`; displacement grows monotonically with
-/// distance on each side, so the first fitting interval per side is that
-/// side's optimum.
-fn best_slot(free: &[(f64, f64)], desired_x: f64, width: f64) -> Option<(usize, f64, f64)> {
-    let p = free.partition_point(|&(s, _)| s <= desired_x);
-    let mut best: Option<(usize, f64, f64)> = None;
-    for i in (0..p).rev() {
+/// `(interval index, left edge, x-displacement)`. Displacement grows with
+/// distance on each side of `desired_x`, so the first fitting interval
+/// per side is that side's optimum; the nearer of the two wins, the left
+/// one on a tie.
+///
+/// Three cuts keep the walks short, and none can drop a winner:
+///
+/// * `max_dx` is the largest displacement the caller can still use. A
+///   walk stops at the first interval whose near edge is already farther
+///   than that from `desired_x`: a cell placed there sits another half
+///   width out, so it loses by `width / 2` — orders of magnitude above
+///   rounding error, hence never a tie — and every later interval on
+///   that side is farther still.
+/// * The right side is walked first (the sweep fills rows left to right,
+///   so that is the open side) and its fit bounds the left walk the same
+///   way.
+/// * `widest_upto` ends the left walk where nothing at or left of it is
+///   wide enough, and skips a row with no wide-enough interval at all.
+///
+/// With `max_dx = ∞` the result is that of two exhaustive walks.
+fn best_slot(row: &Row, desired_x: f64, width: f64, max_dx: f64) -> Option<(usize, f64, f64)> {
+    let free = &row.free;
+    debug_assert_eq!(row.widest_upto.len(), free.len(), "stale row index");
+    if row.widest_upto.last().is_none_or(|&widest| widest < width) {
+        return None;
+    }
+    let fit = |i: usize| {
         let (s, e) = free[i];
-        if e - s >= width {
+        (e - s >= width).then(|| {
             let x = (desired_x - width * 0.5).clamp(s, e - width);
-            best = Some((i, x, (x + width * 0.5 - desired_x).abs()));
+            (i, x, (x + width * 0.5 - desired_x).abs())
+        })
+    };
+    let p = free.partition_point(|&(s, _)| s <= desired_x);
+    let mut bound = max_dx;
+    let mut right = None;
+    for (i, &(s, _)) in free.iter().enumerate().skip(p) {
+        if s - desired_x > bound {
+            break;
+        }
+        if let Some(slot) = fit(i) {
+            bound = bound.min(slot.2);
+            right = Some(slot);
             break;
         }
     }
-    for (i, &(s, e)) in free.iter().enumerate().skip(p) {
-        if e - s >= width {
-            let x = (desired_x - width * 0.5).clamp(s, e - width);
-            let dx = (x + width * 0.5 - desired_x).abs();
-            if best.is_none_or(|(_, _, b)| dx < b) {
-                best = Some((i, x, dx));
+    for i in (0..p).rev() {
+        if row.widest_upto[i] < width || desired_x - free[i].1 > bound {
+            break;
+        }
+        if let Some(slot) = fit(i) {
+            if right.is_none_or(|(_, _, dx_r)| slot.2 <= dx_r) {
+                return Some(slot);
             }
             break;
         }
     }
-    best
+    right
+}
+
+/// Cheapest slot (cost = `dx + dy`) for a cell in rows `lo..=hi`, ties to
+/// the lowest row index: `(row, slot, left edge)`.
+///
+/// Rows are visited outward from `ideal_row`, alternating below/above.
+/// Row centers ascend with the row index and `ideal_row` is the row
+/// nearest `desired.y`, so `dy` never shrinks walking away on either
+/// side; a row's cost is at least its `dy`, so once `dy` exceeds the
+/// incumbent's cost that whole side is closed. Within a row only
+/// `cost − dy` of x-displacement can still win or tie, which bounds
+/// [`best_slot`]'s walks. Both cuts drop only strictly worse candidates,
+/// so the winner — and with the explicit index tie-break, the one among
+/// equal costs — is the one an ascending scan of every row would pick.
+fn find_slot(
+    rows: &[Row],
+    desired: Point,
+    width: f64,
+    ideal_row: usize,
+    lo: usize,
+    hi: usize,
+) -> Option<(usize, usize, f64)> {
+    // (row, slot, x, cost) of the incumbent.
+    let mut best: Option<(usize, usize, f64, f64)> = None;
+    // Probes row `r`; `false` once rows this far out cannot win.
+    let mut probe = |r: usize| {
+        let row = &rows[r];
+        let dy = (row.y_center - desired.y).abs();
+        let budget = best.map_or(f64::INFINITY, |(_, _, _, c)| c);
+        if dy > budget {
+            return false;
+        }
+        if let Some((slot, x, dx)) = best_slot(row, desired.x, width, budget - dy) {
+            let cost = dx + dy;
+            if best.is_none_or(|(br, _, _, c)| cost < c || (cost == c && r < br)) {
+                best = Some((r, slot, x, cost));
+            }
+        }
+        true
+    };
+    probe(ideal_row);
+    let (mut below, mut above) = (true, true);
+    let mut d = 1;
+    while below || above {
+        below = below && ideal_row >= lo + d && probe(ideal_row - d);
+        above = above && ideal_row + d <= hi && probe(ideal_row + d);
+        d += 1;
+    }
+    best.map(|(r, slot, x, _)| (r, slot, x))
 }
 
 /// Carves `[x, x + width)` out of `row.free[slot]`, keeping the interval
@@ -202,6 +329,7 @@ fn occupy(row: &mut Row, slot: usize, x: f64, width: f64) {
     if e - (x + width) > eps {
         row.free.insert(at, (x + width, e));
     }
+    row.reindex(slot);
 }
 
 fn legalize_tier(
@@ -211,6 +339,7 @@ fn legalize_tier(
     stack: &TierStack,
     tiers: &[Tier],
     tier: Tier,
+    search: SlotSearch,
 ) {
     let lib = stack.library(tier);
     let row_h = lib.cell_height_um;
@@ -239,10 +368,7 @@ fn legalize_tier(
             if x < die.urx() {
                 free.push((x, die.urx()));
             }
-            Row {
-                y_center: y0 + row_h * 0.5,
-                free,
-            }
+            Row::new(y0 + row_h * 0.5, free)
         })
         .collect();
 
@@ -274,28 +400,12 @@ fn legalize_tier(
             .clamp(0, n_rows as isize - 1) as usize;
         let lo = ideal_row.saturating_sub(search_span);
         let hi = (ideal_row + search_span).min(n_rows - 1);
-        let mut best: Option<(usize, usize, f64, f64)> = None; // (row, slot, x, cost)
-        let consider = |range: std::ops::Range<usize>,
-                        best: &mut Option<(usize, usize, f64, f64)>| {
-            for r in range {
-                let row = &rows[r];
-                let dy = (row.y_center - desired.y).abs();
-                if let Some((slot, x, dx)) = best_slot(&row.free, desired.x, width) {
-                    let cost = dx + dy;
-                    if best.is_none_or(|(_, _, _, c)| cost < c) {
-                        *best = Some((r, slot, x, cost));
-                    }
-                }
-            }
-        };
-        consider(lo..hi + 1, &mut best);
-        if best.is_none() {
-            // Every nearby row is full; widen to the whole die.
-            consider(0..n_rows, &mut best);
-        }
+        // Nearby rows first; when every one of them is full, the whole die.
+        let best = search(&rows, desired, width, ideal_row, lo, hi)
+            .or_else(|| search(&rows, desired, width, ideal_row, 0, n_rows - 1));
         match best {
-            Some((r, slot, x, _)) => {
-                placement.positions[idx] = m3d_geom::Point::new(x + width * 0.5, rows[r].y_center);
+            Some((r, slot, x)) => {
+                placement.positions[idx] = Point::new(x + width * 0.5, rows[r].y_center);
                 occupy(&mut rows[r], slot, x, width);
             }
             None => {
@@ -318,13 +428,13 @@ fn legalize_tier(
                     // ideal row.
                     let x = (desired.x - width * 0.5).clamp(die.llx(), die.urx() - width);
                     placement.positions[idx] =
-                        m3d_geom::Point::new(x + width * 0.5, rows[ideal_row].y_center);
+                        Point::new(x + width * 0.5, rows[ideal_row].y_center);
                 } else {
                     let (s, _) = rows[r].free[slot];
                     let x = s.min(die.urx() - width).max(die.llx());
-                    placement.positions[idx] =
-                        m3d_geom::Point::new(x + width * 0.5, rows[r].y_center);
+                    placement.positions[idx] = Point::new(x + width * 0.5, rows[r].y_center);
                     rows[r].free.remove(slot);
+                    rows[r].reindex(slot);
                 }
             }
         }
@@ -335,7 +445,10 @@ fn legalize_tier(
 mod tests {
     use super::*;
     use crate::global::{global_place, PlacerConfig};
+    use crate::legality::check_legality;
+    use m3d_netlist::CellId;
     use m3d_tech::Library;
+    use proptest::prelude::*;
 
     fn legal_setup(
         bench: m3d_netgen::Benchmark,
@@ -357,96 +470,26 @@ mod tests {
         (n, tiers, fp, legal)
     }
 
-    fn check_no_overlaps(
-        n: &Netlist,
-        tiers: &[Tier],
-        stack: &TierStack,
-        p: &Placement,
-        tier: Tier,
-    ) {
-        let lib = stack.library(tier);
-        let mut rects: Vec<Rect> = Vec::new();
-        for (id, c) in n.cells() {
-            if !c.class.is_gate() || c.fixed || tiers[id.index()] != tier {
-                continue;
-            }
-            let (kind, drive) = (c.class.gate_kind().unwrap(), c.class.gate_drive().unwrap());
-            let m = lib.cell(kind, drive).unwrap();
-            let pos = p.positions[id.index()];
-            rects.push(Rect::new(
-                pos.x - m.width_um * 0.5 + 1e-6,
-                pos.y - m.height_um * 0.5 + 1e-6,
-                pos.x + m.width_um * 0.5 - 1e-6,
-                pos.y + m.height_um * 0.5 - 1e-6,
-            ));
-        }
-        // Sort by y then x; only same-row neighbors can overlap.
-        rects.sort_by(|a, b| {
-            (a.lly(), a.llx())
-                .partial_cmp(&(b.lly(), b.llx()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for w in rects.windows(2) {
-            assert!(
-                !w[0].intersects(&w[1]),
-                "overlap between {} and {}",
-                w[0],
-                w[1]
-            );
-        }
-    }
-
     #[test]
     fn two_d_legalization_is_overlap_free() {
         let stack = TierStack::two_d(Library::twelve_track());
-        let (n, tiers, _fp, legal) = legal_setup(m3d_netgen::Benchmark::Aes, stack.clone(), false);
-        check_no_overlaps(&n, &tiers, &stack, &legal, Tier::Bottom);
+        let (n, tiers, fp, legal) = legal_setup(m3d_netgen::Benchmark::Aes, stack.clone(), false);
+        assert_eq!(check_legality(&n, &legal, &fp, &stack, &tiers), Ok(()));
     }
 
     #[test]
     fn hetero_legalization_respects_both_row_heights() {
         let stack = TierStack::heterogeneous();
         let (n, tiers, fp, legal) = legal_setup(m3d_netgen::Benchmark::Aes, stack.clone(), true);
-        check_no_overlaps(&n, &tiers, &stack, &legal, Tier::Bottom);
-        check_no_overlaps(&n, &tiers, &stack, &legal, Tier::Top);
-        // Row pitch check: every top-tier gate sits at a 9T row center.
-        let row_h = stack.library(Tier::Top).cell_height_um;
-        for (id, c) in n.cells() {
-            if c.class.is_gate() && !c.fixed && tiers[id.index()] == Tier::Top {
-                let y = legal.positions[id.index()].y - fp.die.lly();
-                let frac = (y / row_h) - (y / row_h).floor();
-                assert!(
-                    (frac - 0.5).abs() < 1e-6,
-                    "cell off-row at y={y}, frac {frac}"
-                );
-            }
-        }
+        assert_eq!(check_legality(&n, &legal, &fp, &stack, &tiers), Ok(()));
     }
 
     #[test]
     fn legalization_keeps_cells_out_of_macros() {
         let stack = TierStack::two_d(Library::twelve_track());
         let (n, tiers, fp, legal) = legal_setup(m3d_netgen::Benchmark::Cpu, stack.clone(), false);
-        let keepouts = fp.keepouts(Tier::Bottom);
-        assert!(!keepouts.is_empty());
-        let lib = stack.library(Tier::Bottom);
-        for (id, c) in n.cells() {
-            if !c.class.is_gate() || c.fixed || tiers[id.index()] != Tier::Bottom {
-                continue;
-            }
-            let (kind, drive) = (c.class.gate_kind().unwrap(), c.class.gate_drive().unwrap());
-            let m = lib.cell(kind, drive).unwrap();
-            let pos = legal.positions[id.index()];
-            let r = Rect::new(
-                pos.x - m.width_um * 0.5 + 1e-6,
-                pos.y - m.height_um * 0.5 + 1e-6,
-                pos.x + m.width_um * 0.5 - 1e-6,
-                pos.y + m.height_um * 0.5 - 1e-6,
-            );
-            for k in &keepouts {
-                assert!(!r.intersects(k), "cell {id:?} inside macro keepout");
-            }
-        }
+        assert!(!fp.keepouts(Tier::Bottom).is_empty());
+        assert_eq!(check_legality(&n, &legal, &fp, &stack, &tiers), Ok(()));
     }
 
     fn try_setup() -> (Netlist, Vec<Tier>, Floorplan, Placement, TierStack) {
@@ -494,7 +537,7 @@ mod tests {
             .find(|(_, c)| !c.fixed && c.class.is_gate())
             .map(|(id, _)| id.index())
             .expect("benchmark has movable gates");
-        p.positions[victim] = m3d_geom::Point::new(f64::NAN, 1.0);
+        p.positions[victim] = Point::new(f64::NAN, 1.0);
         let err = try_legalize_with_stats(&n, &p, &fp, &stack, &tiers).unwrap_err();
         assert_eq!(err, LegalizeError::NonFinitePosition { cell: victim });
     }
@@ -531,5 +574,140 @@ mod tests {
             after < 2.0 * before + 100.0,
             "legalization blew up wirelength: {before} -> {after}"
         );
+    }
+
+    /// The search the pruned one must reproduce: both walks of a row run
+    /// until they find a fit or leave the row, and every row of `lo..=hi`
+    /// is scanned in ascending order, a later row winning only when
+    /// strictly cheaper.
+    fn find_slot_exhaustive(
+        rows: &[Row],
+        desired: Point,
+        width: f64,
+        _ideal_row: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Option<(usize, usize, f64)> {
+        let mut best: Option<(usize, usize, f64, f64)> = None;
+        for (r, row) in rows.iter().enumerate().take(hi + 1).skip(lo) {
+            let free = &row.free;
+            let dy = (row.y_center - desired.y).abs();
+            let p = free.partition_point(|&(s, _)| s <= desired.x);
+            let place = |i: usize| {
+                let (s, e) = free[i];
+                let x = (desired.x - width * 0.5).clamp(s, e - width);
+                (i, x, (x + width * 0.5 - desired.x).abs())
+            };
+            let fits = |i: &usize| free[*i].1 - free[*i].0 >= width;
+            let mut slot = (0..p).rev().find(fits).map(place);
+            if let Some(right) = (p..free.len()).find(fits).map(place) {
+                if slot.is_none_or(|(_, _, dx)| right.2 < dx) {
+                    slot = Some(right);
+                }
+            }
+            if let Some((i, x, dx)) = slot {
+                let cost = dx + dy;
+                if best.is_none_or(|(_, _, _, c)| cost < c) {
+                    best = Some((r, i, x, cost));
+                }
+            }
+        }
+        best.map(|(r, i, x, _)| (r, i, x))
+    }
+
+    /// A legalizer input of the drawn shape. Tall dies have more rows
+    /// than the search window; a die smaller than its cells cannot hold
+    /// them; a small `spread` clumps the cells, which fills the rows
+    /// around the clump and forces the search outward; `snapped` cells
+    /// start exactly on a row boundary, equally far from two rows.
+    fn random_input(
+        seed: u64,
+        (hetero, with_macros): (bool, bool),
+        (die_width, die_height): (f64, f64),
+        spread: f64,
+        keepouts: &[(f64, f64, f64, f64, bool)],
+        coords: &[(f64, f64, bool)],
+    ) -> (Netlist, Vec<Tier>, Floorplan, TierStack, Placement) {
+        let bench = if with_macros {
+            m3d_netgen::Benchmark::Cpu
+        } else {
+            m3d_netgen::Benchmark::Aes
+        };
+        let n = bench.generate(0.02, seed);
+        let stack = if hetero {
+            TierStack::heterogeneous()
+        } else {
+            TierStack::two_d(Library::twelve_track())
+        };
+        let tiers: Vec<Tier> = (0..n.cell_count())
+            .map(|i| {
+                if hetero && (i as u64 ^ seed).is_multiple_of(3) {
+                    Tier::Top
+                } else {
+                    Tier::Bottom
+                }
+            })
+            .collect();
+        let mut fp = Floorplan::new(&n, &stack, &tiers, 0.65);
+        fp.die = Rect::new(0.0, 0.0, die_width, die_height);
+        fp.macros.retain(|(_, _, r)| fp.die.contains_rect(r));
+        for &(x, y, w, h, top) in keepouts {
+            let (llx, lly) = (x * die_width, y * die_height);
+            let tier = if top && hetero {
+                Tier::Top
+            } else {
+                Tier::Bottom
+            };
+            let rect = Rect::new(llx, lly, llx + w * die_width, lly + h * die_height);
+            fp.macros.push((CellId::from_index(0), tier, rect));
+        }
+        let mut p = Placement::centered(&n, fp.die);
+        for (i, q) in p.positions.iter_mut().enumerate() {
+            // Coordinates in -0.1..1.1 of the die (some start outside),
+            // squeezed toward the die center by `spread`.
+            let (u, v, snapped) = coords[i % coords.len()];
+            let (u, v) = (0.5 + (u - 0.5) * spread, 0.5 + (v - 0.5) * spread);
+            let pitch = stack.library(tiers[i]).cell_height_um;
+            let y = v * die_height;
+            let y = if snapped {
+                (y / pitch).round() * pitch
+            } else {
+                y
+            };
+            *q = Point::new(u * die_width, y);
+        }
+        (n, tiers, fp, stack, p)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pruned_search_matches_exhaustive_scan(
+            seed in 0u64..1000,
+            kind in (0u8..2, 0u8..2).prop_map(|(h, m)| (h == 1, m == 1)),
+            die in (3.0..40.0f64, 8.0..200.0f64),
+            spread in 0.02..1.0f64,
+            keepouts in prop::collection::vec(
+                (0.0..0.9f64, 0.0..0.9f64, 0.02..0.4f64, 0.02..0.4f64, 0u8..2)
+                    .prop_map(|(x, y, w, h, t)| (x, y, w, h, t == 1)),
+                0..4,
+            ),
+            coords in prop::collection::vec(
+                (-0.1..1.1f64, -0.1..1.1f64, 0u8..4).prop_map(|(u, v, s)| (u, v, s == 0)),
+                50..400,
+            ),
+        ) {
+            let (n, tiers, fp, stack, p) = random_input(seed, kind, die, spread, &keepouts, &coords);
+            let pruned = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot);
+            let reference = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot_exhaustive);
+            for (i, (a, b)) in pruned.positions.iter().zip(&reference.positions).enumerate() {
+                prop_assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits()),
+                    "cell {} at {} vs {}", i, a, b
+                );
+            }
+        }
     }
 }

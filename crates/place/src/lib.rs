@@ -11,6 +11,8 @@
 //! * [`legalize`] — Tetris row legalization per tier, honoring each tier's
 //!   row height (9-track rows are 25 % shorter than 12-track rows) and
 //!   macro keep-outs,
+//! * [`check_legality`] — an independent oracle for what legalization
+//!   promises (in die, on row, out of keep-outs, no overlaps),
 //! * [`Placement`] — positions plus wirelength/overlap queries.
 //!
 //! # Examples
@@ -33,6 +35,7 @@
 mod floorplan;
 mod global;
 mod legal;
+mod legality;
 mod placement;
 
 pub use floorplan::Floorplan;
@@ -40,4 +43,5 @@ pub use global::{global_place, refine_place, PlacerConfig};
 pub use legal::{
     legalize, legalize_with_stats, try_legalize_with_stats, LegalStats, LegalizeError,
 };
+pub use legality::{check_legality, LegalityViolation};
 pub use placement::Placement;

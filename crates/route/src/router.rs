@@ -1,5 +1,5 @@
 use m3d_geom::Point;
-use m3d_netlist::{NetId, Netlist};
+use m3d_netlist::{CellId, NetId, Netlist};
 use m3d_place::Placement;
 use m3d_tech::{Tier, TierStack};
 
@@ -62,7 +62,8 @@ impl RoutingResult {
     }
 }
 
-/// Edge-capacity grid: horizontal and vertical demand per bin edge.
+/// Edge-capacity grid: horizontal and vertical demand per bin edge, and
+/// the congestion cost `(1 + demand/cap)^k` each demand implies.
 struct Grid {
     nx: usize,
     ny: usize,
@@ -76,19 +77,34 @@ struct Grid {
     v_demand: Vec<f64>,
     h_cap: f64,
     v_cap: f64,
+    /// Congestion-cost exponent `k`.
+    k: f64,
+    /// Cost of crossing each horizontal edge at its current demand. Every
+    /// routed tree edge prices two to four candidate paths but commits
+    /// one, so the `powf` is paid when [`Grid::add_h`] moves an edge's
+    /// demand, not each time a candidate looks at it.
+    h_cost: Vec<f64>,
+    /// Likewise per vertical edge, refreshed by [`Grid::add_v`].
+    v_cost: Vec<f64>,
+}
+
+/// Congestion cost of an edge carrying demand `d` against capacity `cap`.
+fn edge_cost(d: f64, cap: f64, k: f64) -> f64 {
+    (1.0 + d / cap).powf(k)
 }
 
 impl Grid {
-    fn new(placement: &Placement, stack: &TierStack, bins: usize) -> Self {
+    fn new(placement: &Placement, stack: &TierStack, config: &RouteConfig) -> Self {
         let die = placement.die;
-        let nx = bins.max(2);
-        let ny = bins.max(2);
+        let nx = config.bins.max(2);
+        let ny = config.bins.max(2);
         let bin_w = die.width() / nx as f64;
         let bin_h = die.height() / ny as f64;
         // Capacity in tracks per edge; both tiers contribute in 3-D.
         let tiers = if stack.is_3d() { 2.0 } else { 1.0 };
-        let h_cap = stack.metal.edge_capacity(bin_h, true) as f64 * tiers;
-        let v_cap = stack.metal.edge_capacity(bin_w, false) as f64 * tiers;
+        let h_cap = (stack.metal.edge_capacity(bin_h, true) as f64 * tiers).max(1.0);
+        let v_cap = (stack.metal.edge_capacity(bin_w, false) as f64 * tiers).max(1.0);
+        let k = config.congestion_exponent;
         Grid {
             nx,
             ny,
@@ -98,8 +114,11 @@ impl Grid {
             lly: die.lly(),
             h_demand: vec![0.0; (nx - 1) * ny],
             v_demand: vec![0.0; nx * (ny - 1)],
-            h_cap: h_cap.max(1.0),
-            v_cap: v_cap.max(1.0),
+            h_cap,
+            v_cap,
+            k,
+            h_cost: vec![edge_cost(0.0, h_cap, k); (nx - 1) * ny],
+            v_cost: vec![edge_cost(0.0, v_cap, k); nx * (ny - 1)],
         }
     }
 
@@ -119,23 +138,13 @@ impl Grid {
         y * self.nx + x
     }
 
-    /// Congestion cost of stepping horizontally from bin (x,y) to (x+1,y).
-    fn h_cost(&self, x: usize, y: usize, k: f64) -> f64 {
-        let d = self.h_demand[self.h_edge(x, y)];
-        (1.0 + d / self.h_cap).powf(k)
-    }
-
-    fn v_cost(&self, x: usize, y: usize, k: f64) -> f64 {
-        let d = self.v_demand[self.v_edge(x, y)];
-        (1.0 + d / self.v_cap).powf(k)
-    }
-
     /// Adds demand along a horizontal run at row `y` from `x0` to `x1`.
     fn add_h(&mut self, y: usize, x0: usize, x1: usize) {
         let (a, b) = (x0.min(x1), x0.max(x1));
         for x in a..b {
             let e = self.h_edge(x, y);
             self.h_demand[e] += 1.0;
+            self.h_cost[e] = edge_cost(self.h_demand[e], self.h_cap, self.k);
         }
     }
 
@@ -144,18 +153,21 @@ impl Grid {
         for y in a..b {
             let e = self.v_edge(x, y);
             self.v_demand[e] += 1.0;
+            self.v_cost[e] = edge_cost(self.v_demand[e], self.v_cap, self.k);
         }
     }
 
     /// Cost of a horizontal run (for comparing L orientations).
-    fn h_run_cost(&self, y: usize, x0: usize, x1: usize, k: f64) -> f64 {
+    fn h_run_cost(&self, y: usize, x0: usize, x1: usize) -> f64 {
         let (a, b) = (x0.min(x1), x0.max(x1));
-        (a..b).map(|x| self.h_cost(x, y, k)).sum()
+        self.h_cost[self.h_edge(a, y)..self.h_edge(b, y)]
+            .iter()
+            .sum()
     }
 
-    fn v_run_cost(&self, x: usize, y0: usize, y1: usize, k: f64) -> f64 {
+    fn v_run_cost(&self, x: usize, y0: usize, y1: usize) -> f64 {
         let (a, b) = (y0.min(y1), y0.max(y1));
-        (a..b).map(|y| self.v_cost(x, y, k)).sum()
+        (a..b).map(|y| self.v_cost[self.v_edge(x, y)]).sum()
     }
 }
 
@@ -174,8 +186,18 @@ pub fn global_route(
     stack: &TierStack,
     config: &RouteConfig,
 ) -> RoutingResult {
-    let mut grid = Grid::new(placement, stack, config.bins);
-    let k = config.congestion_exponent;
+    route_on_grid(netlist, placement, tiers, stack, config).0
+}
+
+/// [`global_route`], also handing back the final congestion grid.
+fn route_on_grid(
+    netlist: &Netlist,
+    placement: &Placement,
+    tiers: &[Tier],
+    stack: &TierStack,
+    config: &RouteConfig,
+) -> (RoutingResult, Grid) {
+    let mut grid = Grid::new(placement, stack, config);
     let mut nets = vec![RoutedNet::default(); netlist.net_count()];
 
     let candidates: Vec<NetId> = netlist
@@ -194,9 +216,14 @@ pub fn global_route(
     // Order: short nets first (they have the least flexibility). The sort
     // keys are computed in parallel; the stable index sort below yields the
     // same permutation as sorting the ids directly.
-    let hpwl = m3d_par::par_map(workers, &candidates, |_, &id| {
-        placement.net_hpwl(netlist, id)
-    });
+    let hpwl = m3d_par::par_ranges(workers, candidates.len(), |range| {
+        let mut pins = Vec::new();
+        candidates[range]
+            .iter()
+            .map(|&id| placement.net_hpwl_with(netlist, id, &mut pins))
+            .collect::<Vec<f64>>()
+    })
+    .concat();
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| {
         hpwl[a]
@@ -204,31 +231,48 @@ pub fn global_route(
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    // Phase 1 (parallel): per-net topology — pin positions, Prim tree, MIV
-    // count. None of it depends on congestion, so every net's plan can be
-    // built concurrently.
-    let plans: Vec<NetPlan> = m3d_par::par_map(workers, &order, |_, &ix| {
-        plan_net(netlist, placement, tiers, candidates[ix])
+    // Phase 1 (parallel): per-net topology — Prim tree and MIV count. None
+    // of it depends on congestion, so every net's plan can be built
+    // concurrently. Each chunk of `order` plans into one flat edge array
+    // through one set of scratch buffers, reused across its nets.
+    let chunks = m3d_par::par_ranges(workers, order.len(), |range| {
+        let mut chunk = PlanChunk::default();
+        let mut scratch = PlanScratch::default();
+        for &ix in &order[range] {
+            plan_net(
+                netlist,
+                placement,
+                tiers,
+                candidates[ix],
+                &mut scratch,
+                &mut chunk,
+            );
+        }
+        chunk
     });
 
     // Phase 2 (sequential): commit each plan to the shared congestion grid
     // in HPWL order — demand evolution defines the result, so this order is
     // the contract.
-    for plan in &plans {
-        nets[plan.net.index()] = route_plan(&mut grid, plan, k, false);
+    for chunk in &chunks {
+        for plan in &chunk.nets {
+            nets[plan.net.index()] = route_plan(&mut grid, plan, chunk.tree(plan), false);
+        }
     }
 
     // Second pass: reroute congested nets with Z-shape exploration. The
     // tree is congestion-independent, so the phase-1 plan is reused.
-    for plan in &plans {
-        if nets[plan.net.index()].congested {
-            nets[plan.net.index()] = route_plan(&mut grid, plan, k, true);
+    for chunk in &chunks {
+        for plan in &chunk.nets {
+            if nets[plan.net.index()].congested {
+                nets[plan.net.index()] = route_plan(&mut grid, plan, chunk.tree(plan), true);
+            }
         }
     }
 
     let total_wirelength_um = nets.iter().map(|n| n.length_um).sum();
     // Folded in HPWL (commit) order, matching the other totals.
-    let prim_wirelength_um = plans.iter().map(|p| p.prim_um).sum();
+    let prim_wirelength_um = chunks.iter().flat_map(|c| &c.nets).map(|p| p.prim_um).sum();
     let total_mivs = nets.iter().map(|n| n.mivs as usize).sum();
     let mut max_congestion = 0.0_f64;
     let mut overflow_edges = 0usize;
@@ -251,56 +295,91 @@ pub fn global_route(
         }
     }
 
-    RoutingResult {
+    let result = RoutingResult {
         nets,
         total_wirelength_um,
         prim_wirelength_um,
         total_mivs,
         max_congestion,
         overflow_edges,
-    }
+    };
+    (result, grid)
 }
 
-/// Congestion-independent routing plan for one net: pin positions, Prim
-/// spanning-tree edges and the MIV count those edges imply. Building a
-/// plan is pure per-net work, which is what lets `global_route` fan the
-/// planning phase out across threads.
+/// Congestion-independent routing plan for one net: where its Prim
+/// spanning-tree edges sit in the chunk's flat edge array, and the MIV
+/// count those edges imply. Building a plan is pure per-net work, which is
+/// what lets `global_route` fan the planning phase out across threads.
 struct NetPlan {
     net: NetId,
-    pts: Vec<Point>,
-    edges: Vec<(usize, usize)>,
+    /// This net's slice of [`PlanChunk::edges`].
+    edges: std::ops::Range<usize>,
     mivs: u32,
     /// Manhattan length of the tree edges (pre-detour lower bound), µm.
     prim_um: f64,
 }
 
-fn plan_net(netlist: &Netlist, placement: &Placement, tiers: &[Tier], net_id: NetId) -> NetPlan {
-    let net = netlist.net(net_id);
-    let cells: Vec<_> = net.cells().collect();
-    let pts: Vec<Point> = cells
-        .iter()
-        .map(|c| placement.positions[c.index()])
-        .collect();
-    let n = pts.len();
-    if n < 2 {
-        return NetPlan {
-            net: net_id,
-            pts,
-            edges: Vec::new(),
-            mivs: 0,
-            prim_um: 0.0,
-        };
+/// The plans of one contiguous slice of the routing order.
+#[derive(Default)]
+struct PlanChunk {
+    nets: Vec<NetPlan>,
+    /// Tree edges of every net in `nets`, back to back, as endpoint pairs.
+    edges: Vec<(Point, Point)>,
+}
+
+impl PlanChunk {
+    /// The tree edges of `plan` (which must be one of `self.nets`).
+    fn tree(&self, plan: &NetPlan) -> &[(Point, Point)] {
+        &self.edges[plan.edges.clone()]
     }
+}
+
+/// Per-chunk Prim working set, cleared and refilled for every net.
+#[derive(Default)]
+struct PlanScratch {
+    cells: Vec<CellId>,
+    pts: Vec<Point>,
+    in_tree: Vec<bool>,
+    dist: Vec<f64>,
+    parent: Vec<usize>,
+}
+/// Plans `net_id` onto the end of `chunk`.
+fn plan_net(
+    netlist: &Netlist,
+    placement: &Placement,
+    tiers: &[Tier],
+    net_id: NetId,
+    scratch: &mut PlanScratch,
+    chunk: &mut PlanChunk,
+) {
+    let PlanScratch {
+        cells,
+        pts,
+        in_tree,
+        dist,
+        parent,
+    } = scratch;
+    cells.clear();
+    cells.extend(netlist.net(net_id).cells());
+    placement.net_pins_into(netlist, net_id, pts);
+    let n = pts.len();
+    let first_edge = chunk.edges.len();
+    let mut mivs = 0;
+    let mut prim_um = 0.0;
 
     // Prim spanning tree from the driver (index 0).
-    let mut in_tree = vec![false; n];
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![0usize; n];
-    in_tree[0] = true;
+    in_tree.clear();
+    in_tree.resize(n, false);
+    dist.clear();
+    dist.resize(n, f64::INFINITY);
+    parent.clear();
+    parent.resize(n, 0);
+    if n > 0 {
+        in_tree[0] = true;
+    }
     for i in 1..n {
         dist[i] = pts[i].manhattan(pts[0]);
     }
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n - 1);
     for _ in 1..n {
         let mut best = usize::MAX;
         let mut bd = f64::INFINITY;
@@ -314,7 +393,12 @@ fn plan_net(netlist: &Netlist, placement: &Placement, tiers: &[Tier], net_id: Ne
             break;
         }
         in_tree[best] = true;
-        edges.push((parent[best], best));
+        let from = parent[best];
+        chunk.edges.push((pts[from], pts[best]));
+        if tiers[cells[from].index()] != tiers[cells[best].index()] {
+            mivs += 1;
+        }
+        prim_um += pts[from].manhattan(pts[best]);
         for i in 0..n {
             if !in_tree[i] {
                 let d = pts[i].manhattan(pts[best]);
@@ -325,28 +409,21 @@ fn plan_net(netlist: &Netlist, placement: &Placement, tiers: &[Tier], net_id: Ne
             }
         }
     }
-
-    let mivs = edges
-        .iter()
-        .filter(|&&(a, b)| tiers[cells[a].index()] != tiers[cells[b].index()])
-        .count() as u32;
-    let prim_um = edges.iter().map(|&(a, b)| pts[a].manhattan(pts[b])).sum();
-    NetPlan {
+    chunk.nets.push(NetPlan {
         net: net_id,
-        pts,
-        edges,
+        edges: first_edge..chunk.edges.len(),
         mivs,
         prim_um,
-    }
+    });
 }
 
 /// Commits one plan to the congestion grid, routing each tree edge as the
 /// cheaper L (or Z when `try_z`) under the grid's current demand.
-fn route_plan(grid: &mut Grid, plan: &NetPlan, k: f64, try_z: bool) -> RoutedNet {
+fn route_plan(grid: &mut Grid, plan: &NetPlan, tree: &[(Point, Point)], try_z: bool) -> RoutedNet {
     let mut length = 0.0;
     let mut congested = false;
-    for &(a, b) in &plan.edges {
-        length += route_edge(grid, plan.pts[a], plan.pts[b], k, try_z, &mut congested);
+    for &(pa, pb) in tree {
+        length += route_edge(grid, pa, pb, try_z, &mut congested);
     }
     RoutedNet {
         length_um: length,
@@ -358,38 +435,24 @@ fn route_plan(grid: &mut Grid, plan: &NetPlan, k: f64, try_z: bool) -> RoutedNet
 /// Routes one 2-pin edge as the cheaper L (or, when `try_z`, the best of
 /// the Ls and a midpoint Z in each orientation). Returns the wirelength
 /// and updates demand.
-fn route_edge(
-    grid: &mut Grid,
-    pa: Point,
-    pb: Point,
-    k: f64,
-    try_z: bool,
-    congested: &mut bool,
-) -> f64 {
+fn route_edge(grid: &mut Grid, pa: Point, pb: Point, try_z: bool, congested: &mut bool) -> f64 {
     let (ax, ay) = grid.bin_of(pa);
     let (bx, by) = grid.bin_of(pb);
     let manhattan = pa.manhattan(pb);
 
-    // Candidate bend sequences expressed as (corner1, corner2) bins.
-    let mut candidates: Vec<(usize, usize)> = vec![
-        (grid.h_edge_dummy(bx, ay)), // L via (bx, ay)
-        (grid.h_edge_dummy(ax, by)), // L via (ax, by)
-    ];
-    if try_z {
-        let mx = ax.midpoint_bin(bx);
-        let my = ay.midpoint_bin(by);
-        candidates.push(grid.h_edge_dummy(mx, ay)); // Z with horizontal first
-        candidates.push(grid.h_edge_dummy(ax, my)); // Z with vertical first
-    }
+    // Candidate corner bins: the two Ls, then a midpoint Z with the
+    // horizontal run first and one with the vertical run first.
+    let candidates = [(bx, ay), (ax, by), ((ax + bx) / 2, ay), (ax, (ay + by) / 2)];
+    let candidates = &candidates[..if try_z { 4 } else { 2 }];
 
     // Evaluate each candidate: path = a -> c -> b with axis-aligned runs.
     let mut best_cost = f64::INFINITY;
-    let mut best: (usize, usize) = candidates[0];
-    for &(cx, cy) in &candidates {
-        let cost = grid.h_run_cost(ay, ax, cx, k)
-            + grid.v_run_cost(cx, ay, cy, k)
-            + grid.h_run_cost(cy, cx, bx, k)
-            + grid.v_run_cost(bx, cy, by, k);
+    let mut best = candidates[0];
+    for &(cx, cy) in candidates {
+        let cost = grid.h_run_cost(ay, ax, cx)
+            + grid.v_run_cost(cx, ay, cy)
+            + grid.h_run_cost(cy, cx, bx)
+            + grid.v_run_cost(bx, cy, by);
         if cost < best_cost {
             best_cost = cost;
             best = (cx, cy);
@@ -416,24 +479,6 @@ fn route_edge(
     );
     let routed = pa.manhattan(corner) + corner.manhattan(pb);
     routed.max(manhattan)
-}
-
-/// Tiny helpers keeping the candidate list readable.
-trait MidBin {
-    fn midpoint_bin(self, other: usize) -> usize;
-}
-
-impl MidBin for usize {
-    fn midpoint_bin(self, other: usize) -> usize {
-        (self + other) / 2
-    }
-}
-
-impl Grid {
-    /// Packs a corner-bin candidate (kept as a method for symmetry).
-    fn h_edge_dummy(&self, x: usize, y: usize) -> (usize, usize) {
-        (x.min(self.nx - 1), y.min(self.ny - 1))
-    }
 }
 
 #[cfg(test)]
@@ -510,5 +555,60 @@ mod tests {
         let b = global_route(&n, &p, &tiers, &stack, &RouteConfig::default());
         assert_eq!(a.total_wirelength_um, b.total_wirelength_um);
         assert_eq!(a.total_mivs, b.total_mivs);
+    }
+
+    /// FNV-1a over every field of a result, floats by their bits.
+    fn result_hash(r: &RoutingResult) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        for n in &r.nets {
+            mix(n.length_um.to_bits());
+            mix(u64::from(n.mivs));
+            mix(u64::from(n.congested));
+        }
+        mix(r.total_wirelength_um.to_bits());
+        mix(r.prim_wirelength_um.to_bits());
+        mix(r.total_mivs as u64);
+        mix(r.max_congestion.to_bits());
+        mix(r.overflow_edges as u64);
+        h
+    }
+
+    #[test]
+    fn netcard_routing_matches_golden_and_memoised_costs_are_current() {
+        let n = m3d_netgen::Benchmark::Netcard.generate(0.1, 11);
+        let stack = TierStack::heterogeneous();
+        let tiers: Vec<Tier> = (0..n.cell_count())
+            .map(|i| {
+                if i.is_multiple_of(3) {
+                    Tier::Top
+                } else {
+                    Tier::Bottom
+                }
+            })
+            .collect();
+        let fp = Floorplan::new(&n, &stack, &tiers, 0.7);
+        let p = global_place(&n, &fp, &PlacerConfig::default());
+        let config = RouteConfig::default();
+        let (r, grid) = route_on_grid(&n, &p, &tiers, &stack, &config);
+
+        // Captured from the router as it was before edge costs were
+        // memoised and plans flattened: `powf` per probed edge, one set of
+        // `Vec`s per net. Large enough for the parallel planning path and
+        // congested enough for the Z-shape pass.
+        assert_eq!(result_hash(&r), 0x030f_5432_81c0_49c1);
+        assert!(r.nets.iter().any(|net| net.congested));
+        assert!(r.total_mivs > 0);
+
+        let k = config.congestion_exponent;
+        for (demand, cost, cap) in [
+            (&grid.h_demand, &grid.h_cost, grid.h_cap),
+            (&grid.v_demand, &grid.v_cost, grid.v_cap),
+        ] {
+            assert!(demand.iter().any(|&d| d > 0.0));
+            for (&d, &c) in demand.iter().zip(cost) {
+                assert_eq!(c.to_bits(), (1.0 + d / cap).powf(k).to_bits());
+            }
+        }
     }
 }

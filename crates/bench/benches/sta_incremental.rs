@@ -1,5 +1,6 @@
-//! Full re-analyze vs incremental `Timer` update under the flow's edit
-//! vocabulary, on the AES and CPU netlists, plus an fmax-ladder
+//! Full re-analyze vs journaled incremental `Timer` update (explicit
+//! `TimingEdit` lists through `Timer::update_journaled`, the path the
+//! flow runs), on the AES and CPU netlists, plus an fmax-ladder
 //! micro-bench (the period sweep is the incremental engine's best case:
 //! no forward arc is ever re-propagated).
 //!
@@ -10,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, Netlist};
-use hetero3d::sta::{analyze, ClockSpec, Parasitics, StaResult, Timer, TimingContext};
+use hetero3d::sta::{analyze, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit};
 use hetero3d::tech::{Drive, Tier, TierStack};
 use std::time::Instant;
 
@@ -84,13 +85,13 @@ fn bench_design(c: &mut Criterion, mut d: Design) -> (f64, f64, u64, u64) {
 
     // Incremental update per edit through a persistent Timer.
     let mut timer = Timer::new();
-    let _ = timer.update(&ctx(&d, 1.0)); // prime: the one full build
+    let _ = timer.update_journaled(&ctx(&d, 1.0), &[]); // prime: the one full build
     let mut step = 1usize;
     c.bench_function(&format!("sta_incremental_{name}"), |b| {
         b.iter(|| {
-            toggle_drive(&mut d, step);
+            let edit = TimingEdit::ResizeCell(toggle_drive(&mut d, step));
             step += 1;
-            std::hint::black_box(timer.update(&ctx(&d, 1.0)).wns)
+            std::hint::black_box(timer.update_journaled(&ctx(&d, 1.0), &[edit]).wns)
         })
     });
 
@@ -104,11 +105,11 @@ fn bench_design(c: &mut Criterion, mut d: Design) -> (f64, f64, u64, u64) {
     }
     let full = t0.elapsed().as_secs_f64() / reps as f64;
     let mut timer = Timer::new();
-    let _ = timer.update(&ctx(&d, 1.0));
+    let _ = timer.update_journaled(&ctx(&d, 1.0), &[]);
     let t0 = Instant::now();
     for s in 0..reps {
-        toggle_drive(&mut d, s);
-        sink += timer.update(&ctx(&d, 1.0)).wns;
+        let edit = TimingEdit::ResizeCell(toggle_drive(&mut d, s));
+        sink += timer.update_journaled(&ctx(&d, 1.0), &[edit]).wns;
     }
     let incr = t0.elapsed().as_secs_f64() / reps as f64;
     std::hint::black_box(sink);
@@ -129,14 +130,15 @@ fn bench_fmax_ladder(c: &mut Criterion, d: &Design) -> (f64, f64) {
     });
 
     let mut timer = Timer::new();
-    let _ = timer.update(&ctx(d, 1.0));
+    let _ = timer.update_journaled(&ctx(d, 1.0), &[]);
     c.bench_function("fmax_ladder_incremental", |b| {
         b.iter(|| {
             let s: f64 = LADDER
                 .iter()
                 .map(|m| {
-                    timer.set_period(m * 1.0);
-                    timer.update(&ctx(d, m * 1.0)).wns
+                    timer
+                        .update_journaled(&ctx(d, m * 1.0), &[TimingEdit::Period])
+                        .wns
                 })
                 .sum();
             std::hint::black_box(s)
@@ -152,11 +154,13 @@ fn bench_fmax_ladder(c: &mut Criterion, d: &Design) -> (f64, f64) {
     }
     let full = t0.elapsed().as_secs_f64() / reps as f64;
     let mut timer = Timer::new();
-    let _ = timer.update(&ctx(d, 1.0));
+    let _ = timer.update_journaled(&ctx(d, 1.0), &[]);
     let t0 = Instant::now();
     for _ in 0..reps {
         for m in LADDER {
-            sink += timer.update(&ctx(d, m * 1.0)).wns;
+            sink += timer
+                .update_journaled(&ctx(d, m * 1.0), &[TimingEdit::Period])
+                .wns;
         }
     }
     let incr = t0.elapsed().as_secs_f64() / reps as f64;
@@ -202,7 +206,7 @@ fn bench_sta_incremental(c: &mut Criterion) {
 fn sanity_result() -> StaResult {
     let d = design("aes", Benchmark::Aes, 0.05);
     let mut timer = Timer::new();
-    let incr = timer.update(&ctx(&d, 1.0));
+    let incr = timer.update_journaled(&ctx(&d, 1.0), &[]);
     let cold = analyze(&ctx(&d, 1.0));
     assert_eq!(incr.wns.to_bits(), cold.wns.to_bits(), "bench sanity: wns");
     assert_eq!(incr.tns.to_bits(), cold.tns.to_bits(), "bench sanity: tns");

@@ -266,11 +266,11 @@ const CONN_P99_RATIO_CEILING: f64 = 1.5;
 /// connections and still trip the check.
 const CONN_P99_ABS_SLACK_MS: f64 = 5.0;
 
-/// Floor on owned-vs-borrowed request-decode churn: the borrowed path
-/// allocates only the parse tree (no per-field `String`s), so it must
-/// stay well below the owned tree's churn. Measured ~1.4x; a drop to
-/// ~1.0x means the zero-copy path regressed into per-field allocation.
-const DECODE_CHURN_RATIO_FLOOR: f64 = 1.2;
+/// Headroom over the baseline's per-request decode churn. The decoder
+/// allocates only the parse tree's vectors, a deterministic byte count;
+/// the slack absorbs a toolchain's container-growth policy, while a
+/// regression into per-field `String`s costs ~40 % and trips the check.
+const DECODE_CHURN_SLACK: f64 = 1.05;
 
 /// Ceiling on the fairness phase's interactive p99 ratio: probe
 /// latency on a second connection while a 64-point sweep streams, over
@@ -352,28 +352,22 @@ fn gate_serve(gate: &mut Gate, fresh: &Value, baseline: &Value) {
         warm_pseudo == Some(0),
         &format!("BENCH_serve.warm_pseudo3d_runs: {warm_pseudo:?} == Some(0) after restart"),
     );
-    // Zero-copy decode economics: the borrowed request-decode path must
-    // churn strictly — and substantially — less than the owned tree.
-    let owned = fresh
-        .get("decode_churn_owned_bytes")
-        .and_then(Value::as_u64);
-    let borrowed = fresh
+    // Zero-copy decode economics: request decode allocates no more than
+    // the committed baseline did.
+    let churn = fresh
         .get("decode_churn_borrowed_bytes")
-        .and_then(Value::as_u64);
-    gate.check(
-        owned.zip(borrowed).is_some_and(|(o, b)| b < o),
-        &format!(
-            "BENCH_serve: borrowed decode churn {borrowed:?} B < owned {owned:?} B per request"
-        ),
-    );
-    let churn_ratio = fresh
-        .get("decode_churn_ratio")
+        .and_then(Value::as_f64);
+    let churn_ceiling = baseline
+        .get("decode_churn_borrowed_bytes")
         .and_then(Value::as_f64)
-        .unwrap_or(f64::NEG_INFINITY);
+        .map(|b| b * DECODE_CHURN_SLACK);
     gate.check(
-        churn_ratio >= DECODE_CHURN_RATIO_FLOOR,
+        churn
+            .zip(churn_ceiling)
+            .is_some_and(|(c, ceiling)| c <= ceiling),
         &format!(
-            "BENCH_serve.decode_churn_ratio: {churn_ratio} >= floor {DECODE_CHURN_RATIO_FLOOR}"
+            "BENCH_serve.decode_churn_borrowed_bytes: {churn:?} B per request <= ceiling \
+             {churn_ceiling:?} (baseline x {DECODE_CHURN_SLACK})"
         ),
     );
     // Connection scaling over the event-driven TCP front: served

@@ -33,11 +33,11 @@
 //! rendered responses match byte for byte).
 //!
 //! A **decode-churn** phase installs [`CountingAlloc`] and replays the
-//! workload's own wire lines through both request-decode paths: the
-//! legacy owned tree (`parse` + `FromJson`, every object key and string
-//! a fresh `String`) versus the borrowed zero-copy path the TCP front
-//! actually runs ([`m3d_serve::decode_request`]). The per-decode churn
-//! of each lands in `decode_churn_*_bytes`; the gate floors the ratio.
+//! workload's own wire lines through the request-decode path the TCP
+//! front runs ([`m3d_serve::decode_request`]: a parse tree borrowing
+//! from the line, no per-field `String`). The bytes allocated per decode
+//! land in `decode_churn_borrowed_bytes`; the gate holds them under the
+//! committed baseline.
 //!
 //! A **connection-scaling** phase exercises the event-driven TCP front
 //! end to end: at one and four workers it serves the workload over a
@@ -117,7 +117,7 @@ const CONN_SAMPLES: usize = 120;
 const CONN_WARMUP: usize = 5;
 
 /// Rounds of the decode-churn loop (each round decodes every workload
-/// line once on each path).
+/// line once).
 const CHURN_ROUNDS: u64 = 64;
 
 /// The workload: every command kind, every key, with repeats. Each key
@@ -216,37 +216,19 @@ fn run_workload(requests: &[FlowRequest], workers: usize, store: Option<Arc<Stor
     }
 }
 
-/// Per-decode allocation churn of the owned versus borrowed request
-/// decode, over the workload's own wire lines. Runs single-threaded
-/// before any server exists, so the process allocator counters see only
-/// this loop; still a wall-adjacent measurement, so the gate checks the
-/// ratio against a floor rather than the bytes against the baseline.
-fn decode_churn(requests: &[FlowRequest]) -> (u64, u64) {
-    use hetero3d::json::{parse, Cur, FromJson};
+/// Bytes allocated per request decode, over the workload's own wire
+/// lines. Runs single-threaded before any server exists, so the process
+/// allocator counters see only this loop.
+fn decode_churn(requests: &[FlowRequest]) -> u64 {
     let lines: Vec<String> = requests.iter().map(m3d_serve::encode_line).collect();
-    let decodes = CHURN_ROUNDS * lines.len() as u64;
-    let owned = {
-        let start = alloc::total_allocated_bytes();
-        for _ in 0..CHURN_ROUNDS {
-            for line in &lines {
-                let doc = parse(line.trim()).expect("workload line parses");
-                let req = FlowRequest::from_json(Cur::root(&doc)).expect("workload line decodes");
-                assert!(req.id < requests.len() as u64);
-            }
+    let start = alloc::total_allocated_bytes();
+    for _ in 0..CHURN_ROUNDS {
+        for line in &lines {
+            let req = m3d_serve::decode_request(line.trim()).expect("workload line decodes");
+            assert!(req.id < requests.len() as u64);
         }
-        alloc::total_allocated_bytes() - start
-    };
-    let borrowed = {
-        let start = alloc::total_allocated_bytes();
-        for _ in 0..CHURN_ROUNDS {
-            for line in &lines {
-                let req = m3d_serve::decode_request(line.trim()).expect("workload line decodes");
-                assert!(req.id < requests.len() as u64);
-            }
-        }
-        alloc::total_allocated_bytes() - start
-    };
-    (owned / decodes, borrowed / decodes)
+    }
+    (alloc::total_allocated_bytes() - start) / (CHURN_ROUNDS * lines.len() as u64)
 }
 
 struct ConnScale {
@@ -692,12 +674,7 @@ fn main() {
 
     // Decode-churn first: single-threaded, before any worker pool or
     // reactor thread can contribute allocator traffic.
-    let (churn_owned, churn_borrowed) = decode_churn(&requests);
-    assert!(
-        churn_borrowed < churn_owned,
-        "borrowed decode ({churn_borrowed} B) must churn strictly less than owned ({churn_owned} B)"
-    );
-    let churn_ratio = churn_owned as f64 / churn_borrowed.max(1) as f64;
+    let churn_borrowed = decode_churn(&requests);
 
     // Cold baseline for the reuse story: the same workload with a
     // cache too small to ever hit (every request rebuilds its session).
@@ -835,9 +812,7 @@ fn main() {
     let _ = writeln!(json, "  \"warm_store_hits\": {},", warm.stats.store_hits);
     let _ = writeln!(json, "  \"warm_pseudo3d_runs\": {},", warm.pseudo3d_runs);
     let _ = writeln!(json, "  \"warm_identical_to_cold\": {warm_identical},");
-    let _ = writeln!(json, "  \"decode_churn_owned_bytes\": {churn_owned},");
     let _ = writeln!(json, "  \"decode_churn_borrowed_bytes\": {churn_borrowed},");
-    let _ = writeln!(json, "  \"decode_churn_ratio\": {churn_ratio:.2},");
     let _ = writeln!(json, "  \"conn_idle_connections\": {IDLE_CONNS},");
     let _ = writeln!(json, "  \"conn_samples\": {CONN_SAMPLES},");
     let _ = writeln!(
@@ -923,8 +898,8 @@ fn main() {
         warm.wall_ms,
     );
     println!(
-        "serve_bench: decode churn {churn_owned} B owned vs {churn_borrowed} B borrowed \
-         per request ({churn_ratio:.1}x); {IDLE_CONNS} idle conns moved probe p99 \
+        "serve_bench: decode churn {churn_borrowed} B per request; \
+         {IDLE_CONNS} idle conns moved probe p99 \
          {:.2} -> {:.2} ms at 1 worker ({:.2}x) and {:.2} -> {:.2} ms at 4 ({:.2}x)",
         conn_1w.p99_idle_free_ms,
         conn_1w.p99_with_idle_ms,

@@ -2,9 +2,10 @@
 //!
 //! Drives a fixed edit script (resizes, tier swaps, parasitics bumps and
 //! an fmax-ladder period sweep) through both a cold `analyze` per edit
-//! and a persistent incremental `Timer`, asserting **bit-identical**
-//! results at every step, then records wall-clock and propagated-arc
-//! numbers to `results/BENCH_sta.json`.
+//! and a persistent incremental `Timer` fed the matching `TimingEdit`
+//! list through `Timer::update_journaled` — the path the flow runs —
+//! asserting **bit-identical** results at every step, then records
+//! wall-clock and propagated-arc numbers to `results/BENCH_sta.json`.
 //!
 //! Usage: `sta_incr [--scale <f64>|tiny] [--seed <u64>] [--out <dir>]`.
 //! `--scale tiny` is the CI smoke setting. Thread count follows
@@ -13,7 +14,7 @@
 
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId};
-use hetero3d::sta::{analyze, ClockSpec, Parasitics, StaResult, Timer, TimingContext};
+use hetero3d::sta::{analyze, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit};
 use hetero3d::tech::{Drive, Tier, TierStack};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -68,6 +69,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
         .collect();
 
     // The edit script: a deterministic mix of the flow's edit vocabulary.
+    // Each step returns the journal entry the timer is fed for it.
     let edits = 24usize;
     let apply = |netlist: &mut hetero3d::netlist::Netlist,
                  tiers: &mut Vec<Tier>,
@@ -78,20 +80,24 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
                 let g = gates[step * 131 % gates.len()];
                 let d = netlist.cell(g).class.gate_drive().expect("gate");
                 netlist.set_drive(g, d.upsized().unwrap_or(Drive::X1));
+                TimingEdit::ResizeCell(g)
             }
             1 => {
                 let g = gates[step * 61 % gates.len()];
                 tiers[g.index()] = tiers[g.index()].other();
+                TimingEdit::SwapTier(g)
             }
             2 => {
                 let k = NetId::from_index(step * 17 % netlist.net_count());
                 parasitics.net_mut(k).wire_delay_ns += 0.002;
                 parasitics.net_mut(k).wire_cap_ff += 1.0;
+                TimingEdit::NetModel(k)
             }
             _ => {
                 let g = gates[step * 97 % gates.len()];
                 let d = netlist.cell(g).class.gate_drive().expect("gate");
                 netlist.set_drive(g, d.downsized().unwrap_or(Drive::X8));
+                TimingEdit::ResizeCell(g)
             }
         }
     };
@@ -100,7 +106,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
     let mut cold_results = Vec::with_capacity(edits);
     let t0 = Instant::now();
     for step in 0..edits {
-        apply(&mut netlist, &mut tiers, &mut parasitics, step);
+        let _ = apply(&mut netlist, &mut tiers, &mut parasitics, step);
         let ctx = TimingContext {
             netlist: &netlist,
             stack: &stack,
@@ -123,7 +129,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
     let mut timer = Timer::new();
     let t0 = Instant::now();
     for (step, cold) in cold_results.iter().enumerate() {
-        apply(&mut netlist, &mut tiers, &mut parasitics, step);
+        let edit = apply(&mut netlist, &mut tiers, &mut parasitics, step);
         let ctx = TimingContext {
             netlist: &netlist,
             stack: &stack,
@@ -131,7 +137,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
             parasitics: &parasitics,
             clock: ClockSpec::with_period(1.0),
         };
-        let incr = timer.update(&ctx);
+        let incr = timer.update_journaled(&ctx, &[edit]);
         assert_bit_identical(&incr, cold, &format!("{name} step {step}"));
     }
     let t_incr = t0.elapsed().as_secs_f64();
@@ -154,12 +160,11 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
     }
     let ladder_full = t0.elapsed().as_secs_f64();
     let mut timer = Timer::new();
-    let _ = timer.update(&ctx(1.0));
+    let _ = timer.update_journaled(&ctx(1.0), &[]);
     let forward_before = timer.stats().forward_evals;
     let t0 = Instant::now();
     for (i, m) in LADDER.iter().enumerate() {
-        timer.set_period(*m);
-        let incr = timer.update(&ctx(*m));
+        let incr = timer.update_journaled(&ctx(*m), &[TimingEdit::Period]);
         assert_bit_identical(&incr, &cold_ladder[i], &format!("{name} rung {i}"));
     }
     let ladder_incr = t0.elapsed().as_secs_f64();

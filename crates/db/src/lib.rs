@@ -16,9 +16,9 @@
 //!   changed".** Every mutation goes through a journaling method and
 //!   appends a typed [`DesignEdit`] record. Downstream consumers read the
 //!   journal instead of diffing state: the incremental STA `Timer` takes
-//!   [`Journal::timing_edits`] directly (skipping its O(cells + nets)
-//!   signature scans), and the flow's observability layer counts journal
-//!   traffic per pipeline stage.
+//!   [`Journal::timing_edits`] as its only description of what changed,
+//!   and the flow's observability layer counts journal traffic per
+//!   pipeline stage.
 //! * **Fine-grained edits replay.** Edits that carry `from`/`to` values
 //!   ([`DesignEdit::is_fine_grained`]) can be re-applied to a fork via
 //!   [`DesignDb::replay`], reproducing the journaled state bit for bit —
@@ -247,8 +247,8 @@ impl Journal {
     }
 
     /// The timing-engine view of the journal: one notification per edit
-    /// that affects timing, in journal order. Feed this to
-    /// `Timer::update_journaled` to skip the engine's signature diffing.
+    /// that affects timing, in journal order — the complete edit list
+    /// `Timer::update_journaled` asks for.
     #[must_use]
     pub fn timing_edits(&self) -> Vec<TimingEdit> {
         self.edits

@@ -10,6 +10,7 @@
 //! and the wire layer — surfaces these errors instead of panicking.
 
 use crate::config::Config;
+use m3d_json::DecodeError;
 use m3d_netlist::ValidateNetlistError;
 use m3d_place::LegalizeError;
 use m3d_route::ExtractError;
@@ -40,17 +41,10 @@ pub enum FlowError {
     /// A comparison job's implementation never arrived (the parallel
     /// fan-out returned fewer results than configurations).
     MissingImplementation(Config),
-    /// A Pareto sweep's frequency grid was malformed: non-finite or
-    /// non-positive bounds, an inverted range, or a step count outside
-    /// `1..=MAX_PARETO_STEPS`.
-    InvalidSweep {
-        /// Lower frequency bound, GHz.
-        freq_min_ghz: f64,
-        /// Upper frequency bound, GHz.
-        freq_max_ghz: f64,
-        /// Requested grid size.
-        freq_steps: usize,
-    },
+    /// A `pareto` or `sweep` grid failed
+    /// [`SweepSpec::validate`](crate::SweepSpec::validate): the
+    /// validator's verdict — which member, and what was expected there.
+    InvalidSweep(DecodeError),
 }
 
 impl fmt::Display for FlowError {
@@ -74,19 +68,7 @@ impl fmt::Display for FlowError {
             FlowError::MissingImplementation(config) => {
                 write!(f, "no implementation was produced for {config}")
             }
-            FlowError::InvalidSweep {
-                freq_min_ghz,
-                freq_max_ghz,
-                freq_steps,
-            } => {
-                write!(
-                    f,
-                    "invalid pareto sweep: {freq_steps} steps over \
-                     [{freq_min_ghz}, {freq_max_ghz}] GHz (bounds must be \
-                     positive and finite with max >= min, steps in 1..={})",
-                    crate::pareto::MAX_PARETO_STEPS
-                )
-            }
+            FlowError::InvalidSweep(e) => write!(f, "invalid sweep grid: {e}"),
         }
     }
 }
@@ -137,5 +119,10 @@ mod tests {
         assert!(e.to_string().contains("route") && e.to_string().contains("placement"));
         let e = FlowError::MissingImplementation(Config::Hetero3d);
         assert!(e.to_string().contains("Hetero"));
+        let e = FlowError::InvalidSweep(DecodeError::new("command/configs", "a non-empty list"));
+        assert_eq!(
+            e.to_string(),
+            "invalid sweep grid: command/configs: expected a non-empty list"
+        );
     }
 }

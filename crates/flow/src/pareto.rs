@@ -5,23 +5,19 @@
 //! frequency grid under every technology scenario — each stacking style
 //! the configuration supports, signed off at each process corner — and
 //! marks the points no other point dominates on (total power, effective
-//! delay, die cost). The sweep is built for reuse: every scenario
-//! computes its pseudo-3-D checkpoint exactly once and all of that
-//! scenario's frequency rungs fork it, so `flow/pseudo3d_runs` equals
-//! the number of distinct 3-D scenarios regardless of grid size. All
-//! fan-out goes through [`m3d_par::par_invoke`], whose input-order
-//! results make the frontier bit-identical at any thread count.
+//! delay, die cost). It owns only the projection and the fold: the grid
+//! is a [`SweepSpec`] and the fan-out is the sweep executor's
+//! ([`crate::sweep`]), which computes every scenario's pseudo-3-D
+//! checkpoint exactly once — `flow/pseudo3d_runs` equals the number of
+//! distinct 3-D scenarios regardless of grid size — and returns points
+//! in input order, so the frontier is bit-identical at any thread count.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::stage::{pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
+use crate::stage::BaseDesign;
+use crate::sweep::{run_grid, SweepSpec};
 use m3d_cost::CostModel;
-use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
-
-/// Largest accepted frequency-grid size. The sweep fans out
-/// `scenarios × steps` full implementations; a cap keeps a single
-/// malformed request from occupying the worker pool indefinitely.
-pub const MAX_PARETO_STEPS: usize = 64;
+use m3d_tech::{Corner, StackingStyle};
 
 /// One swept design point: a technology scenario implemented at one
 /// target frequency, with the metrics the frontier is computed over.
@@ -84,9 +80,9 @@ fn dominates(a: &ParetoPoint, b: &ParetoPoint) -> bool {
 }
 
 /// Marks `on_frontier` over the whole point set (O(n²), n ≤ a few
-/// hundred). Exposed for the wire layer, which re-derives nothing: the
-/// flags travel with the points.
-pub(crate) fn mark_frontier(points: &mut [ParetoPoint]) {
+/// hundred). The wire layer re-derives nothing: the flags travel with
+/// the points.
+fn mark_frontier(points: &mut [ParetoPoint]) {
     for i in 0..points.len() {
         let dominated = points
             .iter()
@@ -96,66 +92,35 @@ pub(crate) fn mark_frontier(points: &mut [ParetoPoint]) {
     }
 }
 
-/// The scenarios a configuration is swept under: every stacking style
-/// for a 3-D configuration, monolithic only for 2-D (a 2-D die has no
-/// inter-tier interface, so the styles would produce identical points).
-pub(crate) fn scenario_axis(config: Config) -> Vec<(StackingStyle, Corner)> {
-    let styles: &[StackingStyle] = if config.is_3d() {
-        &StackingStyle::ALL
-    } else {
-        &[StackingStyle::Monolithic]
-    };
-    let mut scenarios = Vec::with_capacity(styles.len() * Corner::ALL.len());
-    for &style in styles {
-        for &corner in &Corner::ALL {
-            scenarios.push((style, corner));
-        }
-    }
-    scenarios
-}
-
-/// The evenly spaced frequency grid, ascending. `steps == 1` collapses
-/// to the lower bound.
-pub(crate) fn frequency_grid(freq_min_ghz: f64, freq_max_ghz: f64, steps: usize) -> Vec<f64> {
-    if steps == 1 {
-        return vec![freq_min_ghz];
-    }
-    (0..steps)
-        .map(|i| freq_min_ghz + (freq_max_ghz - freq_min_ghz) * i as f64 / (steps - 1) as f64)
-        .collect()
-}
-
-fn validate_sweep(
+/// The grid a Pareto request sweeps: one configuration under every
+/// stacking style it supports (monolithic only for 2-D — a 2-D die has
+/// no inter-tier interface, so the styles would produce identical
+/// points) signed off at every corner.
+pub(crate) fn pareto_spec(
+    config: Config,
     freq_min_ghz: f64,
     freq_max_ghz: f64,
     freq_steps: usize,
-) -> Result<(), FlowError> {
-    let bounds_ok = freq_min_ghz.is_finite()
-        && freq_max_ghz.is_finite()
-        && freq_min_ghz > 0.0
-        && freq_max_ghz >= freq_min_ghz;
-    if !bounds_ok || freq_steps == 0 || freq_steps > MAX_PARETO_STEPS {
-        return Err(FlowError::InvalidSweep {
-            freq_min_ghz,
-            freq_max_ghz,
-            freq_steps,
-        });
+) -> SweepSpec {
+    let stacking = if config.is_3d() {
+        StackingStyle::ALL.to_vec()
+    } else {
+        vec![StackingStyle::Monolithic]
+    };
+    SweepSpec {
+        configs: vec![config],
+        stacking,
+        corners: Corner::ALL.to_vec(),
+        freq_min_ghz,
+        freq_max_ghz,
+        freq_steps,
     }
-    Ok(())
 }
 
 /// Sweeps `config` over stacking × corner × frequency off an
-/// already-prepared base and returns the marked point set.
-///
-/// Structure: each scenario forks the caller's options under a
-/// `pareto/<scenario>` telemetry scope with its own [`TechContext`]
-/// (single-corner sign-off — the scenario *is* the corner). For 3-D
-/// configurations the per-scenario pseudo checkpoints are computed
-/// concurrently, one per scenario; then all `scenarios × steps` runs
-/// fan out across the worker pool, every run of a scenario forking its
-/// checkpoint. Results come back in input order, so the point list —
-/// and the frontier computed from it — is independent of the thread
-/// count.
+/// already-prepared base and returns the marked point set: scenarios in
+/// `StackingStyle::ALL` × `Corner::ALL` order, frequencies ascending
+/// within each.
 ///
 /// # Errors
 ///
@@ -170,62 +135,12 @@ pub fn pareto_from_base(
     options: &FlowOptions,
     cost: &CostModel,
 ) -> Result<ParetoSummary, FlowError> {
-    validate_sweep(freq_min_ghz, freq_max_ghz, freq_steps)?;
-    let obs = &options.obs;
-    let sweep_span = obs.span("pareto");
-    let scenarios = scenario_axis(config);
-    let scenario_options: Vec<FlowOptions> = scenarios
-        .iter()
-        .map(|&(style, corner)| {
-            let tech = TechContext {
-                stacking: style,
-                corners: CornerSet::single(corner),
-            };
-            let mut o = options.fork_for(&format!("pareto/{style}-{corner}"));
-            o.tech = tech;
-            o
-        })
-        .collect();
-
-    // One pseudo-3-D checkpoint per scenario, computed concurrently.
-    // Checkpoints are paired with the options fingerprint that minted
-    // them (the store's cache-pairing discipline), and each scenario
-    // has its own fingerprint — so the sweep computes exactly one
-    // checkpoint per distinct 3-D scenario, never one per grid point.
-    let pseudos: Vec<Option<PseudoCheckpoint>> = if config.is_3d() {
-        let computed = m3d_par::par_invoke(
-            options.threads,
-            scenario_options
-                .iter()
-                .map(|o| move || pseudo_checkpoint(base, o))
-                .collect(),
-        );
-        let mut out = Vec::with_capacity(computed.len());
-        for c in computed {
-            out.push(Some(c?));
-        }
-        out
-    } else {
-        vec![None; scenarios.len()]
-    };
-
-    let freqs = frequency_grid(freq_min_ghz, freq_max_ghz, freq_steps);
-    let mut jobs = Vec::with_capacity(scenarios.len() * freqs.len());
-    for (scenario_options, pseudo) in scenario_options.iter().zip(&pseudos) {
-        for &f in &freqs {
-            jobs.push(move || run_from_base(base, pseudo.as_ref(), config, f, scenario_options));
-        }
-    }
-    let results = m3d_par::par_invoke(options.threads, jobs);
-
-    let mut points = Vec::with_capacity(results.len());
-    for (k, result) in results.into_iter().enumerate() {
-        let imp = result?;
-        let (style, corner) = scenarios[k / freqs.len()];
+    let spec = pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps);
+    let mut points = run_grid(base, &spec, options, "pareto", |point, imp| {
         let ppac = imp.ppac(cost);
-        points.push(ParetoPoint {
-            stacking: style,
-            corner,
+        ParetoPoint {
+            stacking: point.stacking,
+            corner: point.corner,
             frequency_ghz: imp.frequency_ghz,
             total_power_mw: ppac.total_power_mw,
             effective_delay_ns: ppac.effective_delay_ns,
@@ -235,15 +150,13 @@ pub fn pareto_from_base(
             wns_ns: ppac.wns_ns,
             timing_met: imp.sta.timing_met(options.wns_tolerance),
             on_frontier: false,
-        });
-    }
+        }
+    })?;
     mark_frontier(&mut points);
-    obs.counter_add("pareto/points", points.len() as u64);
-    obs.counter_add(
+    options.obs.counter_add(
         "pareto/frontier",
         points.iter().filter(|p| p.on_frontier).count() as u64,
     );
-    drop(sweep_span);
     Ok(ParetoSummary { config, points })
 }
 
@@ -283,43 +196,14 @@ mod tests {
 
     #[test]
     fn two_d_configs_sweep_only_the_monolithic_style() {
-        let s2 = scenario_axis(Config::TwoD12T);
-        assert_eq!(s2.len(), Corner::ALL.len());
-        assert!(s2.iter().all(|&(s, _)| s == StackingStyle::Monolithic));
-        let s3 = scenario_axis(Config::Hetero3d);
-        assert_eq!(s3.len(), StackingStyle::ALL.len() * Corner::ALL.len());
-    }
-
-    #[test]
-    fn frequency_grid_is_even_and_inclusive() {
-        assert_eq!(frequency_grid(0.8, 1.2, 1), vec![0.8]);
-        let g = frequency_grid(0.8, 1.2, 5);
-        assert_eq!(g.len(), 5);
-        assert_eq!(g[0], 0.8);
-        assert_eq!(g[4], 1.2);
-        assert!(g.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn malformed_sweeps_are_rejected() {
-        let bad = [
-            (0.0, 1.0, 4),
-            (-1.0, 1.0, 4),
-            (f64::NAN, 1.0, 4),
-            (1.0, f64::INFINITY, 4),
-            (1.2, 0.8, 4),
-            (0.8, 1.2, 0),
-            (0.8, 1.2, MAX_PARETO_STEPS + 1),
-        ];
-        for (lo, hi, steps) in bad {
-            assert!(
-                matches!(
-                    validate_sweep(lo, hi, steps),
-                    Err(FlowError::InvalidSweep { .. })
-                ),
-                "({lo}, {hi}, {steps}) must be rejected"
-            );
-        }
-        assert!(validate_sweep(1.0, 1.0, 1).is_ok());
+        let s2 = pareto_spec(Config::TwoD12T, 0.8, 1.2, 3);
+        assert_eq!(s2.stacking, [StackingStyle::Monolithic]);
+        assert_eq!(s2.scenarios().len(), Corner::ALL.len());
+        let s3 = pareto_spec(Config::Hetero3d, 0.8, 1.2, 3);
+        assert_eq!(
+            s3.scenarios().len(),
+            StackingStyle::ALL.len() * Corner::ALL.len()
+        );
+        assert_eq!(s3.point_count(), s3.scenarios().len() * 3);
     }
 }

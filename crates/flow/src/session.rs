@@ -256,10 +256,11 @@ impl FlowSession {
     /// Sweeps `config` over stacking style × sign-off corner ×
     /// frequency and returns the power–performance–cost frontier.
     ///
-    /// Scenario runs fork the session's base; the per-scenario pseudo
-    /// checkpoints are computed inside the sweep (one per distinct 3-D
-    /// scenario — they carry scenario-specific fingerprints, so the
-    /// session's own typical-monolithic checkpoint is not reused).
+    /// Runs on the sweep executor: scenario runs fork the session's
+    /// base, and the per-scenario pseudo checkpoints are computed inside
+    /// it (one per distinct 3-D scenario — they carry scenario-specific
+    /// fingerprints, so the session's own typical-monolithic checkpoint
+    /// is not reused).
     ///
     /// # Errors
     ///
@@ -474,6 +475,116 @@ mod tests {
             };
             assert_eq!(point, &ppac, "sweep point must equal the v1 single-shot");
         }
+    }
+
+    #[test]
+    fn malformed_grids_report_the_validators_verdict_for_both_commands() {
+        use crate::sweep::{SweepSpec, MAX_PARETO_STEPS, MAX_SWEEP_POINTS};
+        use m3d_tech::{Corner, StackingStyle};
+
+        let n = Benchmark::Aes.generate(0.012, 31);
+        let session = FlowSession::builder(&n)
+            .options(quick_options())
+            .build()
+            .unwrap();
+        let verdict = |command: FlowCommand| match session.execute(&command) {
+            Err(FlowError::InvalidSweep(e)) => (e.path, e.expected),
+            other => panic!("expected InvalidSweep, got {other:?}"),
+        };
+        let good = SweepSpec {
+            configs: vec![Config::TwoD12T],
+            stacking: vec![StackingStyle::Monolithic],
+            corners: vec![Corner::Typical],
+            freq_min_ghz: 0.9,
+            freq_max_ghz: 1.1,
+            freq_steps: 2,
+        };
+        let axis = "a non-empty list without duplicates".to_string();
+        let bounds = "positive finite bounds with freq_max_ghz >= freq_min_ghz".to_string();
+        let steps = format!("an integer in 1..={MAX_PARETO_STEPS}");
+        let sweep_cases: [(SweepSpec, &str, String); 6] = [
+            (
+                SweepSpec {
+                    configs: vec![],
+                    ..good.clone()
+                },
+                "command/configs",
+                axis.clone(),
+            ),
+            (
+                SweepSpec {
+                    stacking: vec![StackingStyle::Monolithic; 2],
+                    ..good.clone()
+                },
+                "command/stacking",
+                axis.clone(),
+            ),
+            (
+                SweepSpec {
+                    corners: vec![Corner::Fast, Corner::Fast],
+                    ..good.clone()
+                },
+                "command/corners",
+                axis,
+            ),
+            (
+                SweepSpec {
+                    freq_max_ghz: 0.5,
+                    ..good.clone()
+                },
+                "command/freq_min_ghz",
+                bounds.clone(),
+            ),
+            (
+                SweepSpec {
+                    freq_steps: 0,
+                    ..good.clone()
+                },
+                "command/freq_steps",
+                steps.clone(),
+            ),
+            (
+                SweepSpec {
+                    configs: Config::ALL.to_vec(),
+                    stacking: StackingStyle::ALL.to_vec(),
+                    corners: Corner::ALL.to_vec(),
+                    freq_steps: MAX_PARETO_STEPS,
+                    ..good
+                },
+                "command",
+                format!("a sweep of at most {MAX_SWEEP_POINTS} points"),
+            ),
+        ];
+        for (spec, path, expected) in sweep_cases {
+            assert_eq!(
+                verdict(FlowCommand::Sweep { spec }),
+                (path.to_string(), expected)
+            );
+        }
+        // A Pareto request owns only its frequency grid (its axes are
+        // derived, and 6 scenarios × 64 steps stay under the point cap).
+        for (lo, hi, n_steps, path, expected) in [
+            (0.0, 1.0, 4, "command/freq_min_ghz", &bounds),
+            (f64::NAN, 1.0, 4, "command/freq_min_ghz", &bounds),
+            (1.2, 0.8, 4, "command/freq_min_ghz", &bounds),
+            (0.8, 1.2, 0, "command/freq_steps", &steps),
+            (0.8, 1.2, MAX_PARETO_STEPS + 1, "command/freq_steps", &steps),
+        ] {
+            let command = FlowCommand::Pareto {
+                config: Config::Hetero3d,
+                freq_min_ghz: lo,
+                freq_max_ghz: hi,
+                freq_steps: n_steps,
+            };
+            assert_eq!(verdict(command), (path.to_string(), expected.clone()));
+        }
+        let err = session
+            .pareto(Config::TwoD9T, 0.8, 1.2, 0, &CostModel::default())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("invalid sweep grid: command/freq_steps: expected {steps}")
+        );
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! A [`SweepSpec`] is the wire description of a grid a client wants
 //! explored. Its defining property is that the grid **decomposes**: every
 //! point is exactly equivalent to one v1 `run_flow` request whose options
-//! carry the point's technology scenario (the same folding the Pareto
-//! sweep performs internally). The flow service exploits that to fan a
-//! sweep out across its worker pool as individually schedulable jobs —
-//! each point hitting the shared checkpoint cache under its scenario's
-//! cache key — and [`sweep_from_base`] is the in-process mirror used by
-//! [`crate::FlowSession::execute`], bit-identical to running the
-//! decomposed points one by one.
+//! carry the point's technology scenario. The flow service exploits that
+//! to fan a sweep out across its worker pool as individually schedulable
+//! jobs — each point hitting the shared checkpoint cache under its
+//! scenario's cache key — and [`sweep_from_base`] is the in-process
+//! mirror used by [`crate::FlowSession::execute`], bit-identical to
+//! running the decomposed points one by one.
+//!
+//! This module owns the grid: [`SweepSpec::validate`] is the one grid
+//! validator and `run_grid` the one stacking × corner × frequency
+//! fan-out. [`crate::pareto_from_base`] is a client of both — it builds
+//! the spec for one configuration, runs the executor with its own
+//! per-point projection and folds the frontier.
 //!
 //! Point order is deterministic and scenario-major: stacking styles in
 //! spec order, corners within a style, configurations within a corner,
@@ -22,12 +27,17 @@
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::pareto::{frequency_grid, MAX_PARETO_STEPS};
+use crate::flow::Implementation;
 use crate::stage::{pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
 use crate::wire::PpacSummary;
 use m3d_cost::CostModel;
 use m3d_json::DecodeError;
 use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
+
+/// Largest accepted frequency-grid size, for sweeps and Pareto requests
+/// alike: a grid fans out `scenarios × steps` full implementations per
+/// configuration.
+pub const MAX_PARETO_STEPS: usize = 64;
 
 /// Largest accepted sweep size in grid points. A sweep fans out one full
 /// implementation per point; the cap keeps a single request from
@@ -78,6 +88,17 @@ impl SweepPoint {
             corners: CornerSet::single(self.corner),
         }
     }
+}
+
+/// The evenly spaced frequency grid, ascending. `steps == 1` collapses
+/// to the lower bound.
+fn frequency_grid(freq_min_ghz: f64, freq_max_ghz: f64, steps: usize) -> Vec<f64> {
+    if steps == 1 {
+        return vec![freq_min_ghz];
+    }
+    (0..steps)
+        .map(|i| freq_min_ghz + (freq_max_ghz - freq_min_ghz) * i as f64 / (steps - 1) as f64)
+        .collect()
 }
 
 fn has_duplicates<T: PartialEq>(items: &[T]) -> bool {
@@ -196,17 +217,97 @@ impl SweepSpec {
     }
 }
 
-/// Executes a whole sweep off an already-prepared base and returns one
-/// PPAC roll-up per grid point, in point order.
+/// The one grid executor: implements every point of `spec` off an
+/// already-prepared base and returns `project(point, implementation)` per
+/// grid point, in point order.
 ///
-/// Structure mirrors [`crate::pareto_from_base`]: each scenario forks the
-/// caller's options under a `sweep/<scenario>` telemetry scope with its
-/// own [`TechContext`], the per-scenario pseudo-3-D checkpoints are
-/// computed concurrently (only when the config axis contains a 3-D
-/// configuration), and all points fan out through
-/// [`m3d_par::par_invoke`], whose input-order results make the point list
-/// bit-identical at any thread count — and bit-identical to executing the
-/// decomposed v1 single-shot requests one by one.
+/// Each scenario forks the caller's options under a `<scope>/<scenario>`
+/// telemetry scope with its own [`TechContext`] (single-corner sign-off
+/// — the scenario *is* the corner). The per-scenario pseudo-3-D
+/// checkpoints are computed concurrently, one per scenario and only when
+/// the config axis contains a 3-D configuration: checkpoints belong to
+/// the scenario options that minted them (the store's cache-pairing
+/// discipline), so a grid computes one per distinct scenario, never one
+/// per point. Then all points fan out through [`m3d_par::par_invoke`],
+/// each projected and dropped inside its job; input-order results make
+/// the point list bit-identical at any thread count.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidSweep`] with the validator's verdict for a
+/// malformed grid and propagates the first failure of any checkpoint or
+/// point run.
+pub(crate) fn run_grid<T: Send>(
+    base: &BaseDesign,
+    spec: &SweepSpec,
+    options: &FlowOptions,
+    scope: &str,
+    project: impl Fn(&SweepPoint, &Implementation) -> T + Sync,
+) -> Result<Vec<T>, FlowError> {
+    spec.validate().map_err(FlowError::InvalidSweep)?;
+    let obs = &options.obs;
+    let _span = obs.span(scope);
+    let scenario_options: Vec<FlowOptions> = spec
+        .scenarios()
+        .iter()
+        .map(|&(style, corner)| {
+            let mut o = options.fork_for(&format!("{scope}/{style}-{corner}"));
+            o.tech = TechContext {
+                stacking: style,
+                corners: CornerSet::single(corner),
+            };
+            o
+        })
+        .collect();
+
+    let needs_pseudo = spec.configs.iter().any(|c| c.is_3d());
+    let pseudos: Vec<Option<PseudoCheckpoint>> = if needs_pseudo {
+        m3d_par::par_invoke(
+            options.threads,
+            scenario_options
+                .iter()
+                .map(|o| move || pseudo_checkpoint(base, o).map(Some))
+                .collect(),
+        )
+        .into_iter()
+        .collect::<Result<_, _>>()?
+    } else {
+        vec![None; scenario_options.len()]
+    };
+
+    // Points are scenario-major, so a point's scenario is its index
+    // divided by the points per scenario.
+    let points = spec.points();
+    let per_scenario = spec.configs.len() * spec.freq_steps;
+    let project = &project;
+    let jobs = points
+        .iter()
+        .map(|point| {
+            let scenario = point.index / per_scenario;
+            let scenario_options = &scenario_options[scenario];
+            let pseudo = pseudos[scenario].as_ref().filter(|_| point.config.is_3d());
+            move || {
+                run_from_base(
+                    base,
+                    pseudo,
+                    point.config,
+                    point.frequency_ghz,
+                    scenario_options,
+                )
+                .map(|imp| project(point, &imp))
+            }
+        })
+        .collect();
+    let projected = m3d_par::par_invoke(options.threads, jobs)
+        .into_iter()
+        .collect::<Result<Vec<T>, _>>()?;
+    obs.counter_add(&format!("{scope}/points"), projected.len() as u64);
+    Ok(projected)
+}
+
+/// Executes a whole sweep off an already-prepared base and returns one
+/// PPAC roll-up per grid point, in point order — bit-identical to
+/// executing the decomposed v1 single-shot requests one by one.
 ///
 /// # Errors
 ///
@@ -218,73 +319,9 @@ pub fn sweep_from_base(
     options: &FlowOptions,
     cost: &CostModel,
 ) -> Result<Vec<PpacSummary>, FlowError> {
-    if spec.validate().is_err() {
-        return Err(FlowError::InvalidSweep {
-            freq_min_ghz: spec.freq_min_ghz,
-            freq_max_ghz: spec.freq_max_ghz,
-            freq_steps: spec.freq_steps,
-        });
-    }
-    let obs = &options.obs;
-    let sweep_span = obs.span("sweep");
-    let scenarios = spec.scenarios();
-    let scenario_options: Vec<FlowOptions> = scenarios
-        .iter()
-        .map(|&(style, corner)| {
-            let mut o = options.fork_for(&format!("sweep/{style}-{corner}"));
-            o.tech = TechContext {
-                stacking: style,
-                corners: CornerSet::single(corner),
-            };
-            o
-        })
-        .collect();
-
-    // One pseudo-3-D checkpoint per scenario, computed concurrently —
-    // the same cache-pairing discipline as the Pareto sweep: checkpoints
-    // belong to the scenario options that minted them.
-    let needs_pseudo = spec.configs.iter().any(|c| c.is_3d());
-    let pseudos: Vec<Option<PseudoCheckpoint>> = if needs_pseudo {
-        let computed = m3d_par::par_invoke(
-            options.threads,
-            scenario_options
-                .iter()
-                .map(|o| move || pseudo_checkpoint(base, o))
-                .collect(),
-        );
-        let mut out = Vec::with_capacity(computed.len());
-        for c in computed {
-            out.push(Some(c?));
-        }
-        out
-    } else {
-        vec![None; scenarios.len()]
-    };
-
-    let freqs = spec.frequencies();
-    let mut jobs = Vec::with_capacity(spec.point_count());
-    for (scenario_options, pseudo) in scenario_options.iter().zip(&pseudos) {
-        for &config in &spec.configs {
-            let pseudo = if config.is_3d() {
-                pseudo.as_ref()
-            } else {
-                None
-            };
-            for &f in &freqs {
-                jobs.push(move || run_from_base(base, pseudo, config, f, scenario_options));
-            }
-        }
-    }
-    let results = m3d_par::par_invoke(options.threads, jobs);
-
-    let mut points = Vec::with_capacity(results.len());
-    for result in results {
-        let imp = result?;
-        points.push(PpacSummary::from(&imp.ppac(cost)));
-    }
-    obs.counter_add("sweep/points", points.len() as u64);
-    drop(sweep_span);
-    Ok(points)
+    run_grid(base, spec, options, "sweep", |_, imp| {
+        PpacSummary::from(&imp.ppac(cost))
+    })
 }
 
 #[cfg(test)]
@@ -329,6 +366,16 @@ mod tests {
                 (StackingStyle::F2fHybridBond, Corner::Slow),
             ]
         );
+    }
+
+    #[test]
+    fn frequency_grid_is_even_and_inclusive() {
+        assert_eq!(frequency_grid(0.8, 1.2, 1), vec![0.8]);
+        let g = frequency_grid(0.8, 1.2, 5);
+        assert_eq!(g.len(), 5);
+        assert_eq!(g[0], 0.8);
+        assert_eq!(g[4], 1.2);
+        assert!(g.windows(2).all(|w| w[1] > w[0]));
     }
 
     #[test]

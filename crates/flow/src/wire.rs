@@ -12,11 +12,10 @@
 
 use crate::compare::Comparison;
 use crate::config::{Config, FlowOptions};
-use crate::pareto::{ParetoPoint, ParetoSummary, MAX_PARETO_STEPS};
+use crate::pareto::{pareto_spec, ParetoPoint, ParetoSummary};
 use crate::ppac::{DeltaRow, Ppac};
 use crate::sweep::SweepSpec;
-use m3d_json::borrow;
-use m3d_json::{Cur, DecodeError, FromJson, FromJsonBorrowed, Obj, ToJson, Value};
+use m3d_json::{Cur, DecodeError, FromJson, Obj, ToJson, Value};
 use m3d_netgen::Benchmark;
 use m3d_netlist::Netlist;
 use m3d_tech::{Corner, CornerSet, Drive, StackingStyle, TechContext};
@@ -24,219 +23,142 @@ use m3d_tech::{Corner, CornerSet, Drive, StackingStyle, TechContext};
 // ---------------------------------------------------------------------
 // leaf enums
 // ---------------------------------------------------------------------
-//
-// Each enum has one name table shared by three surfaces: the writer,
-// the owned decoder, and the borrowed (zero-copy) decoder the service
-// uses on request lines.
 
-fn config_wire_name(c: Config) -> &'static str {
-    match c {
-        Config::TwoD9T => "2d9t",
-        Config::TwoD12T => "2d12t",
-        Config::ThreeD9T => "3d9t",
-        Config::ThreeD12T => "3d12t",
-        Config::Hetero3d => "hetero3d",
+/// The wire spelling of one leaf enum: a single `(variant, name)` table
+/// drives the writer, the reader and the reader's "expected (a|b|c)"
+/// message, so the three cannot drift apart.
+struct WireNames<T: 'static> {
+    /// What the reader says it expected, e.g. `a drive`.
+    what: &'static str,
+    table: &'static [(T, &'static str)],
+}
+
+impl<T: Copy + PartialEq> WireNames<T> {
+    fn name(&self, variant: T) -> &'static str {
+        self.table
+            .iter()
+            .find(|(v, _)| *v == variant)
+            .map(|(_, name)| *name)
+            .expect("every variant has a row in its wire-name table")
+    }
+
+    fn decode(&self, cur: &Cur<'_, '_>) -> Result<T, DecodeError> {
+        let name = cur.str()?;
+        self.table
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|(v, _)| *v)
+            .ok_or_else(|| {
+                let names: Vec<&str> = self.table.iter().map(|(_, n)| *n).collect();
+                cur.err(format!("{} ({})", self.what, names.join("|")))
+            })
     }
 }
 
-fn config_from_name(name: &str) -> Option<Config> {
-    match name {
-        "2d9t" => Some(Config::TwoD9T),
-        "2d12t" => Some(Config::TwoD12T),
-        "3d9t" => Some(Config::ThreeD9T),
-        "3d12t" => Some(Config::ThreeD12T),
-        "hetero3d" => Some(Config::Hetero3d),
-        _ => None,
-    }
-}
+const CONFIGS: WireNames<Config> = WireNames {
+    what: "a configuration",
+    table: &[
+        (Config::TwoD9T, "2d9t"),
+        (Config::TwoD12T, "2d12t"),
+        (Config::ThreeD9T, "3d9t"),
+        (Config::ThreeD12T, "3d12t"),
+        (Config::Hetero3d, "hetero3d"),
+    ],
+};
 
-const CONFIG_EXPECTED: &str = "a configuration (2d9t|2d12t|3d9t|3d12t|hetero3d)";
+const DRIVES: WireNames<Drive> = WireNames {
+    what: "a drive",
+    table: &[
+        (Drive::X1, "x1"),
+        (Drive::X2, "x2"),
+        (Drive::X4, "x4"),
+        (Drive::X8, "x8"),
+        (Drive::X16, "x16"),
+    ],
+};
 
-fn config_from_wire(cur: &Cur<'_>) -> Result<Config, DecodeError> {
-    config_from_name(cur.str()?).ok_or_else(|| DecodeError::new(cur.path(), CONFIG_EXPECTED))
-}
+const STACKINGS: WireNames<StackingStyle> = WireNames {
+    what: "a stacking style",
+    table: &[
+        (StackingStyle::Monolithic, "monolithic"),
+        (StackingStyle::F2fHybridBond, "f2f"),
+    ],
+};
 
-fn config_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Config, DecodeError> {
-    config_from_name(cur.str()?).ok_or_else(|| cur.err(CONFIG_EXPECTED))
-}
-
-impl ToJson for Config {
-    fn to_json(&self) -> Value {
-        Value::Str(config_wire_name(*self).to_string())
-    }
-}
-
-impl FromJson for Config {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
-        config_from_wire(&cur)
-    }
-}
-
-fn drive_wire_name(d: Drive) -> &'static str {
-    match d {
-        Drive::X1 => "x1",
-        Drive::X2 => "x2",
-        Drive::X4 => "x4",
-        Drive::X8 => "x8",
-        Drive::X16 => "x16",
-    }
-}
-
-fn drive_from_name(name: &str) -> Option<Drive> {
-    match name {
-        "x1" => Some(Drive::X1),
-        "x2" => Some(Drive::X2),
-        "x4" => Some(Drive::X4),
-        "x8" => Some(Drive::X8),
-        "x16" => Some(Drive::X16),
-        _ => None,
-    }
-}
-
-const DRIVE_EXPECTED: &str = "a drive (x1|x2|x4|x8|x16)";
-
-fn drive_from_wire(cur: &Cur<'_>) -> Result<Drive, DecodeError> {
-    drive_from_name(cur.str()?).ok_or_else(|| DecodeError::new(cur.path(), DRIVE_EXPECTED))
-}
-
-fn drive_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Drive, DecodeError> {
-    drive_from_name(cur.str()?).ok_or_else(|| cur.err(DRIVE_EXPECTED))
-}
-
-fn stacking_wire_name(s: StackingStyle) -> &'static str {
-    match s {
-        StackingStyle::Monolithic => "monolithic",
-        StackingStyle::F2fHybridBond => "f2f",
-    }
-}
-
-fn stacking_from_name(name: &str) -> Option<StackingStyle> {
-    match name {
-        "monolithic" => Some(StackingStyle::Monolithic),
-        "f2f" => Some(StackingStyle::F2fHybridBond),
-        _ => None,
-    }
-}
-
-const STACKING_EXPECTED: &str = "a stacking style (monolithic|f2f)";
-
-fn stacking_from_wire(cur: &Cur<'_>) -> Result<StackingStyle, DecodeError> {
-    stacking_from_name(cur.str()?).ok_or_else(|| DecodeError::new(cur.path(), STACKING_EXPECTED))
-}
-
-fn stacking_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<StackingStyle, DecodeError> {
-    stacking_from_name(cur.str()?).ok_or_else(|| cur.err(STACKING_EXPECTED))
-}
-
-fn corner_wire_name(c: Corner) -> &'static str {
-    match c {
-        Corner::Slow => "slow",
-        Corner::Typical => "typical",
-        Corner::Fast => "fast",
-    }
-}
-
-fn corner_from_name(name: &str) -> Option<Corner> {
-    match name {
-        "slow" => Some(Corner::Slow),
-        "typical" => Some(Corner::Typical),
-        "fast" => Some(Corner::Fast),
-        _ => None,
-    }
-}
-
-const CORNER_EXPECTED: &str = "a corner (slow|typical|fast)";
-
-fn corner_from_wire(cur: &Cur<'_>) -> Result<Corner, DecodeError> {
-    corner_from_name(cur.str()?).ok_or_else(|| DecodeError::new(cur.path(), CORNER_EXPECTED))
-}
-
-fn corner_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Corner, DecodeError> {
-    corner_from_name(cur.str()?).ok_or_else(|| cur.err(CORNER_EXPECTED))
-}
+const CORNERS: WireNames<Corner> = WireNames {
+    what: "a corner",
+    table: &[
+        (Corner::Slow, "slow"),
+        (Corner::Typical, "typical"),
+        (Corner::Fast, "fast"),
+    ],
+};
 
 /// A corner *set* collapses to one word: the two multi-corner modes plus
 /// the single-corner scenarios ([`CornerSet::single`] normalizes
 /// `Single(Typical)` to `Typical`, so the mapping is a bijection).
-fn corner_set_wire_name(s: CornerSet) -> &'static str {
-    match s {
-        CornerSet::Typical => "typical",
-        CornerSet::Worst => "worst",
-        CornerSet::Single(c) => corner_wire_name(c),
+const CORNER_SETS: WireNames<CornerSet> = WireNames {
+    what: "a corner set",
+    table: &[
+        (CornerSet::Typical, "typical"),
+        (CornerSet::Worst, "worst"),
+        (CornerSet::Single(Corner::Slow), "slow"),
+        (CornerSet::Single(Corner::Fast), "fast"),
+    ],
+};
+
+const BENCHMARKS: WireNames<Benchmark> = WireNames {
+    what: "a benchmark",
+    table: &[
+        (Benchmark::Aes, "aes"),
+        (Benchmark::Ldpc, "ldpc"),
+        (Benchmark::Netcard, "netcard"),
+        (Benchmark::Cpu, "cpu"),
+    ],
+};
+
+impl ToJson for Config {
+    fn to_json(&self) -> Value {
+        Value::from(CONFIGS.name(*self))
     }
 }
 
-fn corner_set_from_name(name: &str) -> Option<CornerSet> {
-    match name {
-        "typical" => Some(CornerSet::Typical),
-        "worst" => Some(CornerSet::Worst),
-        "slow" => Some(CornerSet::Single(Corner::Slow)),
-        "fast" => Some(CornerSet::Single(Corner::Fast)),
-        _ => None,
+impl FromJson for Config {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
+        CONFIGS.decode(cur)
     }
-}
-
-const CORNER_SET_EXPECTED: &str = "a corner set (typical|worst|slow|fast)";
-
-fn corner_set_from_wire(cur: &Cur<'_>) -> Result<CornerSet, DecodeError> {
-    corner_set_from_name(cur.str()?)
-        .ok_or_else(|| DecodeError::new(cur.path(), CORNER_SET_EXPECTED))
-}
-
-fn corner_set_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<CornerSet, DecodeError> {
-    corner_set_from_name(cur.str()?).ok_or_else(|| cur.err(CORNER_SET_EXPECTED))
 }
 
 // `TechContext` lives in `m3d_tech` and the JSON traits in `m3d_json`,
 // so the orphan rule forces free functions here instead of trait impls.
 fn tech_to_json(tech: &TechContext) -> Value {
+    let corners = match tech.corners {
+        CornerSet::Single(corner) => CornerSet::single(corner),
+        set => set,
+    };
     Obj::new()
-        .put("stacking", stacking_wire_name(tech.stacking))
-        .put("corners", corner_set_wire_name(tech.corners))
+        .put("stacking", STACKINGS.name(tech.stacking))
+        .put("corners", CORNER_SETS.name(corners))
         .build()
 }
 
-fn tech_from_wire(cur: &Cur<'_>) -> Result<TechContext, DecodeError> {
+fn tech_from_json(cur: &Cur<'_, '_>) -> Result<TechContext, DecodeError> {
     Ok(TechContext {
-        stacking: stacking_from_wire(&cur.get("stacking")?)?,
-        corners: corner_set_from_wire(&cur.get("corners")?)?,
+        stacking: STACKINGS.decode(&cur.get("stacking")?)?,
+        corners: CORNER_SETS.decode(&cur.get("corners")?)?,
     })
 }
 
-fn tech_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<TechContext, DecodeError> {
-    Ok(TechContext {
-        stacking: stacking_from_borrowed(&cur.get("stacking")?)?,
-        corners: corner_set_from_borrowed(&cur.get("corners")?)?,
-    })
-}
-
-fn benchmark_wire_name(b: Benchmark) -> &'static str {
-    match b {
-        Benchmark::Aes => "aes",
-        Benchmark::Ldpc => "ldpc",
-        Benchmark::Netcard => "netcard",
-        Benchmark::Cpu => "cpu",
-    }
-}
-
-fn benchmark_from_name(name: &str) -> Option<Benchmark> {
-    match name {
-        "aes" => Some(Benchmark::Aes),
-        "ldpc" => Some(Benchmark::Ldpc),
-        "netcard" => Some(Benchmark::Netcard),
-        "cpu" => Some(Benchmark::Cpu),
-        _ => None,
-    }
-}
-
-const BENCHMARK_EXPECTED: &str = "a benchmark (aes|ldpc|netcard|cpu)";
-
-fn benchmark_from_wire(cur: &Cur<'_>) -> Result<Benchmark, DecodeError> {
-    benchmark_from_name(cur.str()?).ok_or_else(|| DecodeError::new(cur.path(), BENCHMARK_EXPECTED))
-}
-
-fn benchmark_from_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Benchmark, DecodeError> {
-    benchmark_from_name(cur.str()?).ok_or_else(|| cur.err(BENCHMARK_EXPECTED))
+/// Decodes the array member `key` element by element; element errors
+/// carry `key[index]` paths.
+fn list<T>(
+    cur: &Cur<'_, '_>,
+    key: &str,
+    item: impl Fn(&Cur<'_, '_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let member = cur.get(key)?;
+    let items = member.arr()?;
+    items.iter().map(item).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -321,7 +243,7 @@ impl NetlistSpec {
 impl ToJson for NetlistSpec {
     fn to_json(&self) -> Value {
         Obj::new()
-            .put("benchmark", benchmark_wire_name(self.benchmark))
+            .put("benchmark", BENCHMARKS.name(self.benchmark))
             .put("scale", self.scale)
             .put("seed", self.seed)
             .build()
@@ -329,19 +251,9 @@ impl ToJson for NetlistSpec {
 }
 
 impl FromJson for NetlistSpec {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(NetlistSpec {
-            benchmark: benchmark_from_wire(&cur.get("benchmark")?)?,
-            scale: cur.get("scale")?.f64()?,
-            seed: cur.get("seed")?.u64()?,
-        })
-    }
-}
-
-impl FromJsonBorrowed for NetlistSpec {
-    fn from_json_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Self, DecodeError> {
-        Ok(NetlistSpec {
-            benchmark: benchmark_from_borrowed(&cur.get("benchmark")?)?,
+            benchmark: BENCHMARKS.decode(&cur.get("benchmark")?)?,
             scale: cur.get("scale")?.f64()?,
             seed: cur.get("seed")?.u64()?,
         })
@@ -377,7 +289,7 @@ pub enum FlowCommand {
         freq_min_ghz: f64,
         /// Upper frequency bound, GHz.
         freq_max_ghz: f64,
-        /// Grid size (1..=[`MAX_PARETO_STEPS`], endpoints inclusive).
+        /// Grid size (1..=[`crate::MAX_PARETO_STEPS`], endpoints inclusive).
         freq_steps: usize,
     },
     /// Sweep a design-space grid (protocol v2): the cross product of
@@ -400,29 +312,11 @@ impl FlowCommand {
     pub fn validate(&self) -> Result<(), DecodeError> {
         match self {
             FlowCommand::Pareto {
+                config,
                 freq_min_ghz,
                 freq_max_ghz,
                 freq_steps,
-                ..
-            } => {
-                let bounds_ok = freq_min_ghz.is_finite()
-                    && freq_max_ghz.is_finite()
-                    && *freq_min_ghz > 0.0
-                    && freq_max_ghz >= freq_min_ghz;
-                if !bounds_ok {
-                    return Err(DecodeError::new(
-                        "command/freq_min_ghz",
-                        "positive finite bounds with freq_max_ghz >= freq_min_ghz",
-                    ));
-                }
-                if !(1..=MAX_PARETO_STEPS).contains(freq_steps) {
-                    return Err(DecodeError::new(
-                        "command/freq_steps",
-                        format!("an integer in 1..={MAX_PARETO_STEPS}"),
-                    ));
-                }
-                Ok(())
-            }
+            } => pareto_spec(*config, *freq_min_ghz, *freq_max_ghz, *freq_steps).validate(),
             FlowCommand::Sweep { spec } => spec.validate(),
             _ => Ok(()),
         }
@@ -469,7 +363,7 @@ impl ToJson for FlowCommand {
                     Value::Arr(
                         spec.stacking
                             .iter()
-                            .map(|&s| Value::Str(stacking_wire_name(s).to_string()))
+                            .map(|&s| Value::from(STACKINGS.name(s)))
                             .collect(),
                     ),
                 )
@@ -478,7 +372,7 @@ impl ToJson for FlowCommand {
                     Value::Arr(
                         spec.corners
                             .iter()
-                            .map(|&c| Value::Str(corner_wire_name(c).to_string()))
+                            .map(|&c| Value::from(CORNERS.name(c)))
                             .collect(),
                     ),
                 )
@@ -491,106 +385,34 @@ impl ToJson for FlowCommand {
 }
 
 impl FromJson for FlowCommand {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let op = cur.get("op")?;
         match op.str()? {
             "run_flow" => Ok(FlowCommand::RunFlow {
-                config: config_from_wire(&cur.get("config")?)?,
+                config: Config::from_json(&cur.get("config")?)?,
                 frequency_ghz: cur.get("frequency_ghz")?.f64()?,
             }),
             "find_fmax" => Ok(FlowCommand::FindFmax {
-                config: config_from_wire(&cur.get("config")?)?,
+                config: Config::from_json(&cur.get("config")?)?,
                 start_ghz: cur.get("start_ghz")?.f64()?,
             }),
             "compare_configs" => Ok(FlowCommand::CompareConfigs),
             "pareto" => Ok(FlowCommand::Pareto {
-                config: config_from_wire(&cur.get("config")?)?,
+                config: Config::from_json(&cur.get("config")?)?,
                 freq_min_ghz: cur.get("freq_min_ghz")?.f64()?,
                 freq_max_ghz: cur.get("freq_max_ghz")?.f64()?,
                 freq_steps: cur.get("freq_steps")?.usize()?,
             }),
             "sweep" => Ok(FlowCommand::Sweep {
                 spec: SweepSpec {
-                    configs: cur
-                        .get("configs")?
-                        .arr()?
-                        .iter()
-                        .map(config_from_wire)
-                        .collect::<Result<_, _>>()?,
-                    stacking: cur
-                        .get("stacking")?
-                        .arr()?
-                        .iter()
-                        .map(stacking_from_wire)
-                        .collect::<Result<_, _>>()?,
-                    corners: cur
-                        .get("corners")?
-                        .arr()?
-                        .iter()
-                        .map(corner_from_wire)
-                        .collect::<Result<_, _>>()?,
+                    configs: list(cur, "configs", Config::from_json)?,
+                    stacking: list(cur, "stacking", |c| STACKINGS.decode(c))?,
+                    corners: list(cur, "corners", |c| CORNERS.decode(c))?,
                     freq_min_ghz: cur.get("freq_min_ghz")?.f64()?,
                     freq_max_ghz: cur.get("freq_max_ghz")?.f64()?,
                     freq_steps: cur.get("freq_steps")?.usize()?,
                 },
             }),
-            _ => Err(DecodeError::new(
-                op.path(),
-                "an op (run_flow|find_fmax|compare_configs|pareto|sweep)",
-            )),
-        }
-    }
-}
-
-impl FromJsonBorrowed for FlowCommand {
-    fn from_json_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Self, DecodeError> {
-        let op = cur.get("op")?;
-        match op.str()? {
-            "run_flow" => Ok(FlowCommand::RunFlow {
-                config: config_from_borrowed(&cur.get("config")?)?,
-                frequency_ghz: cur.get("frequency_ghz")?.f64()?,
-            }),
-            "find_fmax" => Ok(FlowCommand::FindFmax {
-                config: config_from_borrowed(&cur.get("config")?)?,
-                start_ghz: cur.get("start_ghz")?.f64()?,
-            }),
-            "compare_configs" => Ok(FlowCommand::CompareConfigs),
-            "pareto" => Ok(FlowCommand::Pareto {
-                config: config_from_borrowed(&cur.get("config")?)?,
-                freq_min_ghz: cur.get("freq_min_ghz")?.f64()?,
-                freq_max_ghz: cur.get("freq_max_ghz")?.f64()?,
-                freq_steps: cur.get("freq_steps")?.usize()?,
-            }),
-            "sweep" => {
-                let configs_cur = cur.get("configs")?;
-                let configs = configs_cur
-                    .arr()?
-                    .iter()
-                    .map(config_from_borrowed)
-                    .collect::<Result<_, _>>()?;
-                let stacking_cur = cur.get("stacking")?;
-                let stacking = stacking_cur
-                    .arr()?
-                    .iter()
-                    .map(stacking_from_borrowed)
-                    .collect::<Result<_, _>>()?;
-                let corners_cur = cur.get("corners")?;
-                let corners = corners_cur
-                    .arr()?
-                    .iter()
-                    .map(corner_from_borrowed)
-                    .collect::<Result<_, _>>()?;
-                Ok(FlowCommand::Sweep {
-                    spec: SweepSpec {
-                        configs,
-                        stacking,
-                        corners,
-                        freq_min_ghz: cur.get("freq_min_ghz")?.f64()?,
-                        freq_max_ghz: cur.get("freq_max_ghz")?.f64()?,
-                        freq_steps: cur.get("freq_steps")?.usize()?,
-                    },
-                })
-            }
             _ => Err(op.err("an op (run_flow|find_fmax|compare_configs|pareto|sweep)")),
         }
     }
@@ -691,35 +513,15 @@ impl FlowRequest {
     }
 }
 
-impl FromJson for FlowRequest {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
-        let request = FlowRequest {
-            id: cur.get("id")?.u64()?,
-            netlist: NetlistSpec::from_json(cur.get("netlist")?)?,
-            options: FlowOptions::from_json(cur.get("options")?)?,
-            command: FlowCommand::from_json(cur.get("command")?)?,
-            deadline_ms: cur.opt("deadline_ms").map(|d| d.u64()).transpose()?,
-            proto: match cur.opt("proto") {
-                None => Proto::V1,
-                Some(p) => proto_from_u64(p.u64()?)
-                    .ok_or_else(|| DecodeError::new(p.path(), PROTO_EXPECTED))?,
-            },
-        };
-        request.validate()?;
-        Ok(request)
-    }
-}
-
-/// The service's hot decode path: same shape, same validation, same
-/// errors as the owned impl, but every string comparison reads straight
+/// The service's hot decode path: every string comparison reads straight
 /// from the request buffer — no per-field allocation on success.
-impl FromJsonBorrowed for FlowRequest {
-    fn from_json_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Self, DecodeError> {
+impl FromJson for FlowRequest {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let request = FlowRequest {
             id: cur.get("id")?.u64()?,
-            netlist: NetlistSpec::from_json_borrowed(&cur.get("netlist")?)?,
-            options: FlowOptions::from_json_borrowed(&cur.get("options")?)?,
-            command: FlowCommand::from_json_borrowed(&cur.get("command")?)?,
+            netlist: NetlistSpec::from_json(&cur.get("netlist")?)?,
+            options: FlowOptions::from_json(&cur.get("options")?)?,
+            command: FlowCommand::from_json(&cur.get("command")?)?,
             deadline_ms: cur.opt("deadline_ms").map(|d| d.u64()).transpose()?,
             proto: match cur.opt("proto") {
                 None => Proto::V1,
@@ -856,8 +658,8 @@ impl ToJson for FlowOptions {
                 "cts",
                 Obj::new()
                     .put("max_fanout", self.cts.max_fanout)
-                    .put("fast_drive", drive_wire_name(self.cts.fast_drive))
-                    .put("slow_drive", drive_wire_name(self.cts.slow_drive))
+                    .put("fast_drive", DRIVES.name(self.cts.fast_drive))
+                    .put("slow_drive", DRIVES.name(self.cts.slow_drive))
                     .build(),
             )
             .put("timing_partition_cap", self.timing_partition_cap)
@@ -877,7 +679,7 @@ impl ToJson for FlowOptions {
 }
 
 impl FromJson for FlowOptions {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let mut out = FlowOptions {
             utilization: cur.get("utilization")?.f64()?,
             seed: cur.get("seed")?.u64()?,
@@ -909,54 +711,11 @@ impl FromJson for FlowOptions {
         let cts = cur.get("cts")?;
         *out.cts_mut() = m3d_cts::CtsConfig {
             max_fanout: cts.get("max_fanout")?.usize()?,
-            fast_drive: drive_from_wire(&cts.get("fast_drive")?)?,
-            slow_drive: drive_from_wire(&cts.get("slow_drive")?)?,
+            fast_drive: DRIVES.decode(&cts.get("fast_drive")?)?,
+            slow_drive: DRIVES.decode(&cts.get("slow_drive")?)?,
         };
         if let Some(tech) = cur.opt("tech") {
-            out.tech = tech_from_wire(&tech)?;
-        }
-        Ok(out)
-    }
-}
-
-impl FromJsonBorrowed for FlowOptions {
-    fn from_json_borrowed(cur: &borrow::Cur<'_, '_>) -> Result<Self, DecodeError> {
-        let mut out = FlowOptions {
-            utilization: cur.get("utilization")?.f64()?,
-            seed: cur.get("seed")?.u64()?,
-            timing_partition_cap: cur.get("timing_partition_cap")?.f64()?,
-            enable_timing_partition: cur.get("enable_timing_partition")?.bool()?,
-            enable_3d_cts: cur.get("enable_3d_cts")?.bool()?,
-            enable_repartition: cur.get("enable_repartition")?.bool()?,
-            input_activity: cur.get("input_activity")?.f64()?,
-            max_fanout: cur.get("max_fanout")?.usize()?,
-            partition_bins: cur.get("partition_bins")?.usize()?,
-            wns_tolerance: cur.get("wns_tolerance")?.f64()?,
-            threads: cur.get("threads")?.usize()?,
-            ..FlowOptions::default()
-        };
-        let placer = cur.get("placer")?;
-        *out.placer_mut() = m3d_place::PlacerConfig {
-            iterations: placer.get("iterations")?.usize()?,
-            relax_sweeps: placer.get("relax_sweeps")?.usize()?,
-            bins: placer.get("bins")?.usize()?,
-            target_fill: placer.get("target_fill")?.f64()?,
-            seed: placer.get("seed")?.u64()?,
-        };
-        let route = cur.get("route")?;
-        *out.route_mut() = m3d_route::RouteConfig {
-            bins: route.get("bins")?.usize()?,
-            congestion_exponent: route.get("congestion_exponent")?.f64()?,
-            overflow_threshold: route.get("overflow_threshold")?.f64()?,
-        };
-        let cts = cur.get("cts")?;
-        *out.cts_mut() = m3d_cts::CtsConfig {
-            max_fanout: cts.get("max_fanout")?.usize()?,
-            fast_drive: drive_from_borrowed(&cts.get("fast_drive")?)?,
-            slow_drive: drive_from_borrowed(&cts.get("slow_drive")?)?,
-        };
-        if let Some(tech) = cur.opt("tech") {
-            out.tech = tech_from_borrowed(&tech)?;
+            out.tech = tech_from_json(&tech)?;
         }
         Ok(out)
     }
@@ -1068,9 +827,9 @@ impl ToJson for PpacSummary {
 }
 
 impl FromJson for PpacSummary {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(PpacSummary {
-            config: config_from_wire(&cur.get("config")?)?,
+            config: Config::from_json(&cur.get("config")?)?,
             frequency_ghz: cur.get("frequency_ghz")?.f64()?,
             footprint_mm2: cur.get("footprint_mm2")?.f64()?,
             si_area_mm2: cur.get("si_area_mm2")?.f64()?,
@@ -1115,9 +874,9 @@ impl ToJson for DeltaRow {
 }
 
 impl FromJson for DeltaRow {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(DeltaRow {
-            config: config_from_wire(&cur.get("config")?)?,
+            config: Config::from_json(&cur.get("config")?)?,
             si_area: cur.get("si_area")?.f64()?,
             density: cur.get("density")?.f64()?,
             wirelength: cur.get("wirelength")?.f64()?,
@@ -1181,23 +940,13 @@ impl ToJson for ComparisonSummary {
 }
 
 impl FromJson for ComparisonSummary {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(ComparisonSummary {
             design: cur.get("design")?.str()?.to_string(),
             target_ghz: cur.get("target_ghz")?.f64()?,
-            hetero: PpacSummary::from_json(cur.get("hetero")?)?,
-            homogeneous: cur
-                .get("homogeneous")?
-                .arr()?
-                .into_iter()
-                .map(PpacSummary::from_json)
-                .collect::<Result<_, _>>()?,
-            deltas: cur
-                .get("deltas")?
-                .arr()?
-                .into_iter()
-                .map(DeltaRow::from_json)
-                .collect::<Result<_, _>>()?,
+            hetero: PpacSummary::from_json(&cur.get("hetero")?)?,
+            homogeneous: list(cur, "homogeneous", PpacSummary::from_json)?,
+            deltas: list(cur, "deltas", DeltaRow::from_json)?,
         })
     }
 }
@@ -1213,8 +962,8 @@ impl ToJson for Comparison {
 impl ToJson for ParetoPoint {
     fn to_json(&self) -> Value {
         Obj::new()
-            .put("stacking", stacking_wire_name(self.stacking))
-            .put("corner", corner_wire_name(self.corner))
+            .put("stacking", STACKINGS.name(self.stacking))
+            .put("corner", CORNERS.name(self.corner))
             .put("frequency_ghz", self.frequency_ghz)
             .put("total_power_mw", self.total_power_mw)
             .put("effective_delay_ns", self.effective_delay_ns)
@@ -1229,10 +978,10 @@ impl ToJson for ParetoPoint {
 }
 
 impl FromJson for ParetoPoint {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(ParetoPoint {
-            stacking: stacking_from_wire(&cur.get("stacking")?)?,
-            corner: corner_from_wire(&cur.get("corner")?)?,
+            stacking: STACKINGS.decode(&cur.get("stacking")?)?,
+            corner: CORNERS.decode(&cur.get("corner")?)?,
             frequency_ghz: cur.get("frequency_ghz")?.f64()?,
             total_power_mw: cur.get("total_power_mw")?.f64()?,
             effective_delay_ns: cur.get("effective_delay_ns")?.f64()?,
@@ -1259,15 +1008,10 @@ impl ToJson for ParetoSummary {
 }
 
 impl FromJson for ParetoSummary {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         Ok(ParetoSummary {
-            config: config_from_wire(&cur.get("config")?)?,
-            points: cur
-                .get("points")?
-                .arr()?
-                .into_iter()
-                .map(ParetoPoint::from_json)
-                .collect::<Result<_, _>>()?,
+            config: Config::from_json(&cur.get("config")?)?,
+            points: list(cur, "points", ParetoPoint::from_json)?,
         })
     }
 }
@@ -1368,34 +1112,26 @@ impl ToJson for FlowReport {
 }
 
 impl FromJson for FlowReport {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let kind = cur.get("kind")?;
         match kind.str()? {
             "run" => Ok(FlowReport::Run {
-                ppac: PpacSummary::from_json(cur.get("ppac")?)?,
+                ppac: PpacSummary::from_json(&cur.get("ppac")?)?,
             }),
             "fmax" => Ok(FlowReport::Fmax {
                 fmax_ghz: cur.get("fmax_ghz")?.f64()?,
-                ppac: PpacSummary::from_json(cur.get("ppac")?)?,
+                ppac: PpacSummary::from_json(&cur.get("ppac")?)?,
             }),
             "compare" => Ok(FlowReport::Compare {
-                comparison: ComparisonSummary::from_json(cur.get("comparison")?)?,
+                comparison: ComparisonSummary::from_json(&cur.get("comparison")?)?,
             }),
             "pareto" => Ok(FlowReport::Pareto {
-                summary: ParetoSummary::from_json(cur.get("summary")?)?,
+                summary: ParetoSummary::from_json(&cur.get("summary")?)?,
             }),
             "sweep" => Ok(FlowReport::Sweep {
-                points: cur
-                    .get("points")?
-                    .arr()?
-                    .into_iter()
-                    .map(PpacSummary::from_json)
-                    .collect::<Result<_, _>>()?,
+                points: list(cur, "points", PpacSummary::from_json)?,
             }),
-            _ => Err(DecodeError::new(
-                kind.path(),
-                "a kind (run|fmax|compare|pareto|sweep)",
-            )),
+            _ => Err(kind.err("a kind (run|fmax|compare|pareto|sweep)")),
         }
     }
 }
@@ -1403,13 +1139,20 @@ impl FromJson for FlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_json::parse;
+    use m3d_json::{decode, JsonError};
 
     fn roundtrip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) {
         let text = v.to_json().render();
-        let doc = parse(&text).expect("reparse");
-        let back = T::from_json(Cur::root(&doc)).expect("decode");
+        let back: T = decode(&text).expect("decode");
         assert_eq!(&back, v, "wire round-trip must be lossless: {text}");
+    }
+
+    /// The shape error `text` decodes to, as `(path, expected)`.
+    fn decode_error<T: FromJson + std::fmt::Debug>(text: &str) -> (String, String) {
+        match decode::<T>(text) {
+            Err(JsonError::Decode(e)) => (e.path, e.expected),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1497,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn tech_scenarios_round_trip_owned_and_borrowed() {
+    fn tech_scenarios_round_trip() {
         let scenarios = [
             TechContext::default(),
             TechContext {
@@ -1537,9 +1280,6 @@ mod tests {
                 proto: Proto::V1,
             };
             roundtrip(&req);
-            let text = req.to_json().render();
-            let borrowed: FlowRequest = m3d_json::decode_borrowed(&text).expect("borrowed");
-            assert_eq!(borrowed, req);
         }
     }
 
@@ -1578,53 +1318,72 @@ mod tests {
     }
 
     #[test]
-    fn bad_enum_values_name_their_path() {
-        let doc = parse(r#"{"op": "run_flow", "config": "4d", "frequency_ghz": 1.0}"#).unwrap();
-        let err = FlowCommand::from_json(Cur::root(&doc)).unwrap_err();
-        assert_eq!(err.path, "config");
+    fn every_variant_has_a_wire_name_that_decodes_back() {
+        fn covers<T: Copy + PartialEq + std::fmt::Debug>(names: &WireNames<T>, all: &[T]) {
+            for &variant in all {
+                let text = Value::from(names.name(variant)).render();
+                let doc = m3d_json::parse_borrowed(&text).expect("parse");
+                assert_eq!(names.decode(&Cur::root(&doc)), Ok(variant));
+            }
+        }
+        covers(&CONFIGS, &Config::ALL);
+        covers(&DRIVES, &Drive::ALL);
+        covers(&STACKINGS, &StackingStyle::ALL);
+        covers(&CORNERS, &Corner::ALL);
+        covers(&BENCHMARKS, &Benchmark::ALL);
+        covers(
+            &CORNER_SETS,
+            &[
+                CornerSet::Typical,
+                CornerSet::Worst,
+                CornerSet::single(Corner::Slow),
+                CornerSet::single(Corner::Fast),
+            ],
+        );
+        // The un-normalized spelling of the default set renders as the
+        // normalized one instead of missing the table.
+        let unnormalized = TechContext {
+            stacking: StackingStyle::F2fHybridBond,
+            corners: CornerSet::Single(Corner::Typical),
+        };
+        assert_eq!(
+            tech_to_json(&unnormalized).render(),
+            r#"{"stacking":"f2f","corners":"typical"}"#
+        );
     }
 
     #[test]
-    fn borrowed_request_decode_matches_owned() {
+    fn requests_round_trip() {
         let mut options = FlowOptions::pin3d_baseline();
         options.seed = 123;
         options.cts_mut().fast_drive = Drive::X8;
-        let requests = [
-            FlowRequest {
-                id: 7,
-                netlist: NetlistSpec {
-                    benchmark: Benchmark::Ldpc,
-                    scale: 0.013,
-                    seed: 11,
-                },
-                options,
-                command: FlowCommand::FindFmax {
-                    config: Config::Hetero3d,
-                    start_ghz: 1.1,
-                },
-                deadline_ms: Some(30_000),
-                proto: Proto::V1,
+        roundtrip(&FlowRequest {
+            id: 7,
+            netlist: NetlistSpec {
+                benchmark: Benchmark::Ldpc,
+                scale: 0.013,
+                seed: 11,
             },
-            FlowRequest {
-                id: u64::MAX >> 12,
-                netlist: NetlistSpec {
-                    benchmark: Benchmark::Cpu,
-                    scale: 1.0,
-                    seed: 0,
-                },
-                options: FlowOptions::default(),
-                command: FlowCommand::CompareConfigs,
-                deadline_ms: None,
-                proto: Proto::V1,
+            options,
+            command: FlowCommand::RunFlow {
+                config: Config::ThreeD9T,
+                frequency_ghz: 1.1,
             },
-        ];
-        for req in &requests {
-            let text = req.to_json().render();
-            let owned: FlowRequest = m3d_json::decode(&text).expect("owned decode");
-            let borrowed: FlowRequest = m3d_json::decode_borrowed(&text).expect("borrowed decode");
-            assert_eq!(&owned, req);
-            assert_eq!(borrowed, owned);
-        }
+            deadline_ms: Some(30_000),
+            proto: Proto::V1,
+        });
+        roundtrip(&FlowRequest {
+            id: u64::MAX >> 12,
+            netlist: NetlistSpec {
+                benchmark: Benchmark::Cpu,
+                scale: 1.0,
+                seed: 0,
+            },
+            options: FlowOptions::default(),
+            command: FlowCommand::CompareConfigs,
+            deadline_ms: None,
+            proto: Proto::V1,
+        });
     }
 
     fn sweep_request(proto: Proto) -> FlowRequest {
@@ -1652,13 +1411,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_sweep_requests_round_trip_owned_and_borrowed() {
+    fn v2_sweep_requests_round_trip() {
         let req = sweep_request(Proto::V2);
         roundtrip(&req);
         let text = req.to_json().render();
         assert!(text.contains("\"proto\":2"), "v2 marker missing: {text}");
-        let borrowed: FlowRequest = m3d_json::decode_borrowed(&text).expect("borrowed");
-        assert_eq!(borrowed, req);
     }
 
     #[test]
@@ -1686,16 +1443,10 @@ mod tests {
         let good = sweep_request(Proto::V2).to_json().render();
         let broken = good.replace("\"proto\":2", "\"proto\":7");
         assert_ne!(broken, good);
-        for err in [
-            m3d_json::decode::<FlowRequest>(&broken).unwrap_err(),
-            m3d_json::decode_borrowed::<FlowRequest>(&broken).unwrap_err(),
-        ] {
-            let m3d_json::JsonError::Decode(e) = err else {
-                panic!("expected a decode error")
-            };
-            assert_eq!(e.path, "proto");
-            assert!(e.expected.contains("protocol version"), "{e}");
-        }
+        assert_eq!(
+            decode_error::<FlowRequest>(&broken),
+            ("proto".into(), "a protocol version (1|2)".into())
+        );
     }
 
     #[test]
@@ -1703,11 +1454,12 @@ mod tests {
         let req = sweep_request(Proto::V1);
         let err = req.validate().unwrap_err();
         assert_eq!(err.path, "proto");
-        // The wire decoders enforce the same rule: a sweep without the
-        // version marker is rejected in both decode paths.
-        let text = req.to_json().render();
-        assert!(m3d_json::decode::<FlowRequest>(&text).is_err());
-        assert!(m3d_json::decode_borrowed::<FlowRequest>(&text).is_err());
+        // The wire decoder enforces the same rule: a sweep without the
+        // version marker is rejected.
+        assert_eq!(
+            decode_error::<FlowRequest>(&req.to_json().render()),
+            ("proto".into(), "protocol version 2 for op sweep".into())
+        );
     }
 
     #[test]
@@ -1715,13 +1467,22 @@ mod tests {
         let good = sweep_request(Proto::V2).to_json().render();
         let broken = good.replace("\"f2f\"", "\"w2w\"");
         assert_ne!(broken, good);
-        let owned_err = m3d_json::decode::<FlowRequest>(&broken).unwrap_err();
-        let borrowed_err = m3d_json::decode_borrowed::<FlowRequest>(&broken).unwrap_err();
-        assert_eq!(borrowed_err, owned_err);
-        let m3d_json::JsonError::Decode(e) = owned_err else {
-            panic!("expected a decode error")
-        };
-        assert_eq!(e.path, "command/stacking[1]");
+        assert_eq!(
+            decode_error::<FlowRequest>(&broken),
+            (
+                "command/stacking[1]".into(),
+                "a stacking style (monolithic|f2f)".into()
+            )
+        );
+        let broken = good.replace("\"slow\"", "\"cold\"");
+        assert_ne!(broken, good);
+        assert_eq!(
+            decode_error::<FlowRequest>(&broken),
+            (
+                "command/corners[1]".into(),
+                "a corner (slow|typical|fast)".into()
+            )
+        );
     }
 
     #[test]
@@ -1781,7 +1542,9 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_decode_reports_the_same_error_paths() {
+    fn decode_errors_name_their_path_and_expectation() {
+        let mut options = FlowOptions::default();
+        options.tech.corners = CornerSet::Worst;
         let base = FlowRequest {
             id: 1,
             netlist: NetlistSpec {
@@ -1789,7 +1552,7 @@ mod tests {
                 scale: 0.02,
                 seed: 5,
             },
-            options: FlowOptions::default(),
+            options,
             command: FlowCommand::RunFlow {
                 config: Config::TwoD9T,
                 frequency_ghz: 1.0,
@@ -1798,17 +1561,59 @@ mod tests {
             proto: Proto::V1,
         };
         let good = base.to_json().render();
-        for broken in [
-            good.replace("\"2d9t\"", "\"4d\""),
-            good.replace("\"aes\"", "\"des\""),
-            good.replace("\"x4\"", "\"x3\""),
-            good.replace("\"scale\":0.02", "\"scale\":1e9"),
-            good.replace("\"iterations\":18", "\"iterations\":\"twelve\""),
+        for (broken, path, expected) in [
+            (
+                good.replace("\"2d9t\"", "\"4d\""),
+                "command/config",
+                "a configuration (2d9t|2d12t|3d9t|3d12t|hetero3d)",
+            ),
+            (
+                good.replace("\"aes\"", "\"des\""),
+                "netlist/benchmark",
+                "a benchmark (aes|ldpc|netcard|cpu)",
+            ),
+            (
+                good.replace("\"fast_drive\":\"x4\"", "\"fast_drive\":\"x3\""),
+                "options/cts/fast_drive",
+                "a drive (x1|x2|x4|x8|x16)",
+            ),
+            (
+                good.replace("\"worst\"", "\"best\""),
+                "options/tech/corners",
+                "a corner set (typical|worst|slow|fast)",
+            ),
+            (
+                good.replace("\"run_flow\"", "\"walk_flow\""),
+                "command/op",
+                "an op (run_flow|find_fmax|compare_configs|pareto|sweep)",
+            ),
+            (
+                good.replace("\"scale\":0.02", "\"scale\":1e9"),
+                "netlist/scale",
+                "a finite scale in (0, 64]",
+            ),
+            (
+                good.replace("\"iterations\":18", "\"iterations\":\"twelve\""),
+                "options/placer/iterations",
+                "a non-negative integer below 2^53",
+            ),
+            (
+                good.replace("\"frequency_ghz\":1", "\"frequency\":1"),
+                "command",
+                "member `frequency_ghz`",
+            ),
+            (
+                good.replace("\"cts\":{", "\"cts\":7,\"was_cts\":{"),
+                "options/cts",
+                "an object",
+            ),
         ] {
             assert_ne!(broken, good, "replacement must have matched");
-            let owned_err = m3d_json::decode::<FlowRequest>(&broken).unwrap_err();
-            let borrowed_err = m3d_json::decode_borrowed::<FlowRequest>(&broken).unwrap_err();
-            assert_eq!(borrowed_err, owned_err, "input: {broken}");
+            assert_eq!(
+                decode_error::<FlowRequest>(&broken),
+                (path.into(), expected.into()),
+                "input: {broken}"
+            );
         }
     }
 }

@@ -8,17 +8,14 @@
 //! vectors: zero per-field `String`s. Escaped strings fall back to an
 //! owned `Cow` transparently.
 //!
-//! [`Cur`] is the matching cursor. Unlike the owned [`crate::Cur`],
-//! which carries its path as a `String` (one allocation per `get`), the
-//! borrowed cursor links to its parent on the stack and renders the
-//! path only when a decode actually fails — the success path touches
-//! the allocator not at all. The trade-off is lexical: a child cursor
-//! borrows its parent, so intermediate cursors must be `let`-bound
-//! rather than chained across statements. [`Cur::arr`] mirrors the
-//! owned cursor's array access and reports the same `key[index]`
-//! paths, so array-shaped requests decode with identical errors.
+//! [`Cur`] is the decoding cursor — the only one. It links to its parent
+//! on the stack and renders the path only when a decode actually fails —
+//! the success path touches the allocator not at all. The trade-off is
+//! lexical: a child cursor borrows its parent, so intermediate cursors
+//! must be `let`-bound rather than chained across statements.
+//! [`Cur::arr`] reports `key[index]` paths for array elements.
 
-use crate::{num_to_u64, DecodeError, JsonError};
+use crate::{num_to_u64, DecodeError};
 use std::borrow::Cow;
 
 /// A parsed JSON value borrowing string content from the input.
@@ -210,8 +207,7 @@ impl<'c, 'a> Cur<'c, 'a> {
         }
     }
 
-    /// Array elements, each with an indexed path segment — the borrowed
-    /// analogue of [`crate::Cur::arr`], reporting identical paths.
+    /// Array elements, each with an indexed path segment (`key[index]`).
     ///
     /// # Errors
     ///
@@ -277,28 +273,6 @@ impl<'c, 'a> Cur<'c, 'a> {
     }
 }
 
-/// Types that decode themselves from a borrowed cursor without
-/// allocating on the success path.
-pub trait FromJsonBorrowed: Sized {
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] naming the path of the first shape
-    /// mismatch.
-    fn from_json_borrowed(cur: &Cur<'_, '_>) -> Result<Self, DecodeError>;
-}
-
-/// Parses `text` with the borrowed parser and decodes it into `T` in
-/// one step — the zero-copy analogue of [`crate::decode`].
-///
-/// # Errors
-///
-/// Returns [`JsonError::Parse`] for malformed text and
-/// [`JsonError::Decode`] for well-formed JSON of the wrong shape.
-pub fn decode_borrowed<T: FromJsonBorrowed>(text: &str) -> Result<T, JsonError> {
-    let value = crate::parse_borrowed(text).map_err(JsonError::Parse)?;
-    T::from_json_borrowed(&Cur::root(&value)).map_err(JsonError::Decode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,15 +310,30 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_and_owned_parses_agree() {
+    fn into_owned_detaches_every_kind_of_value() {
         let src = r#"{
   "id": 42, "ok": true, "x": null, "ratio": 0.30000000000000004,
   "s": "plain", "esc": "a\"b\\cA😀",
   "arr": [1, "two", {"three": 3}]
 }"#;
-        let owned = crate::parse(src).expect("owned parse");
+        let expected = crate::Obj::new()
+            .put("id", 42u64)
+            .put("ok", true)
+            .put("x", crate::Value::Null)
+            .put("ratio", 0.1 + 0.2)
+            .put("s", "plain")
+            .put("esc", "a\"b\\cA😀")
+            .put(
+                "arr",
+                vec![
+                    crate::Value::Num(1.0),
+                    crate::Value::from("two"),
+                    crate::Obj::new().put("three", 3u64).build(),
+                ],
+            )
+            .build();
         let borrowed = parse_borrowed(src).expect("borrowed parse");
-        assert_eq!(borrowed.into_owned(), owned);
+        assert_eq!(borrowed.into_owned(), expected);
     }
 
     #[test]
@@ -373,44 +362,8 @@ mod tests {
         assert_eq!(items.len(), 3);
         let err = items[1].str().unwrap_err();
         assert_eq!(err.path, "command/configs[1]");
-        // Identical to the owned cursor's rendering of the same path.
-        let owned = crate::parse(src).expect("owned parse");
-        let owned_err = crate::Cur::root(&owned)
-            .get("command")
-            .and_then(|c| c.get("configs"))
-            .and_then(|c| Ok(c.arr()?[1].clone()))
-            .expect("cursor")
-            .str()
-            .unwrap_err();
-        assert_eq!(owned_err, err);
         let not_array = command.get("configs").expect("configs");
         let items = not_array.arr().expect("array");
         assert!(items[0].arr().is_err());
-    }
-
-    #[test]
-    fn decode_borrowed_mirrors_decode() {
-        struct Pair {
-            a: u64,
-            b: f64,
-        }
-        impl FromJsonBorrowed for Pair {
-            fn from_json_borrowed(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
-                Ok(Pair {
-                    a: cur.get("a")?.u64()?,
-                    b: cur.get("b")?.f64()?,
-                })
-            }
-        }
-        let ok: Pair = decode_borrowed(r#"{"a": 3, "b": 1.5}"#).expect("decode");
-        assert_eq!((ok.a, ok.b), (3, 1.5));
-        assert!(matches!(
-            decode_borrowed::<Pair>(r#"{"a": 3, "b": }"#),
-            Err(JsonError::Parse(_))
-        ));
-        assert!(matches!(
-            decode_borrowed::<Pair>(r#"{"a": 3}"#),
-            Err(JsonError::Decode(_))
-        ));
     }
 }

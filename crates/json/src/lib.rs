@@ -14,22 +14,21 @@
 //! are doubles on the wire), so [`Value::as_u64`] rejects anything
 //! larger instead of silently rounding it.
 //!
-//! Decoding structured types goes through [`Cur`], a cursor that carries
-//! its path from the document root, so shape errors ([`DecodeError`])
-//! name the offending member (`options/placer/iterations: expected u64`).
-//!
-//! There is one parser but two surfaces. [`parse_borrowed`] returns a
-//! [`borrow::Value`] whose strings point into the input buffer —
+//! There is one parser and one decoding cursor. [`parse_borrowed`] returns
+//! a [`borrow::Value`] whose strings point into the input buffer —
 //! escape-free strings (everything this workspace's writer emits) cost
-//! zero per-field allocations, and the matching [`borrow::Cur`] builds
-//! its error path only when a decode fails. [`parse`] is the owned
-//! surface the rest of the workspace speaks: it runs the same parser
-//! and detaches the tree with [`borrow::Value::into_owned`]. The flow
-//! service decodes request lines on the borrowed surface.
+//! zero per-field allocations — and [`Cur`] walks that tree, building its
+//! error path only when a decode fails, so shape errors ([`DecodeError`])
+//! name the offending member (`options/placer/iterations: expected u64`).
+//! [`FromJson`] is the one decode trait and [`decode`] the one
+//! text-to-type entry point; requests and responses alike go through
+//! them. [`parse`] runs the same parser and detaches the tree with
+//! [`borrow::Value::into_owned`] for callers that inspect or compare
+//! documents (the bench gate, manifests).
 
 pub mod borrow;
 
-pub use borrow::{decode_borrowed, FromJsonBorrowed};
+pub use borrow::Cur;
 
 use std::fmt;
 
@@ -300,159 +299,19 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A decoding cursor: a [`Value`] plus its path from the document root,
-/// so every typed accessor can report *where* the shape was wrong.
-#[derive(Debug, Clone)]
-pub struct Cur<'a> {
-    value: &'a Value,
-    path: String,
-}
-
-impl<'a> Cur<'a> {
-    /// A cursor at the document root.
-    #[must_use]
-    pub fn root(value: &'a Value) -> Cur<'a> {
-        Cur {
-            value,
-            path: String::new(),
-        }
-    }
-
-    #[must_use]
-    pub fn value(&self) -> &'a Value {
-        self.value
-    }
-
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    fn err(&self, expected: impl Into<String>) -> DecodeError {
-        DecodeError::new(&self.path, expected)
-    }
-
-    /// Required object member.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when `self` is not an object or the key
-    /// is absent.
-    pub fn get(&self, key: &str) -> Result<Cur<'a>, DecodeError> {
-        match self.value {
-            Value::Obj(_) => self.value.get(key).map_or_else(
-                || self.err(format!("member `{key}`")).into_result(),
-                |v| {
-                    Ok(Cur {
-                        value: v,
-                        path: join(&self.path, key),
-                    })
-                },
-            ),
-            _ => self.err("an object").into_result(),
-        }
-    }
-
-    /// Optional object member (`None` when absent or explicitly null).
-    #[must_use]
-    pub fn opt(&self, key: &str) -> Option<Cur<'a>> {
-        match self.value.get(key) {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(Cur {
-                value: v,
-                path: join(&self.path, key),
-            }),
-        }
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not a finite number
-    /// (NaN and ±∞ have no JSON spelling, so a hand-built non-finite
-    /// [`Value::Num`] is rejected here too).
-    pub fn f64(&self) -> Result<f64, DecodeError> {
-        self.value
-            .as_f64()
-            .filter(|v| v.is_finite())
-            .ok_or_else(|| self.err("a finite number"))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not a non-negative
-    /// integral number below 2^53 (the double-exact range).
-    pub fn u64(&self) -> Result<u64, DecodeError> {
-        self.value
-            .as_u64()
-            .ok_or_else(|| self.err("a non-negative integer below 2^53"))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not a non-negative
-    /// integral number that fits `usize`.
-    pub fn usize(&self) -> Result<usize, DecodeError> {
-        self.u64().map(|v| v as usize)
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not a string.
-    pub fn str(&self) -> Result<&'a str, DecodeError> {
-        self.value.as_str().ok_or_else(|| self.err("a string"))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not a boolean.
-    pub fn bool(&self) -> Result<bool, DecodeError> {
-        self.value.as_bool().ok_or_else(|| self.err("a boolean"))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when the value is not an array.
-    pub fn arr(&self) -> Result<Vec<Cur<'a>>, DecodeError> {
-        match self.value {
-            Value::Arr(items) => Ok(items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| Cur {
-                    value: v,
-                    path: format!("{}[{i}]", self.path),
-                })
-                .collect()),
-            _ => self.err("an array").into_result(),
-        }
-    }
-}
-
-impl DecodeError {
-    fn into_result<T>(self) -> Result<T, DecodeError> {
-        Err(self)
-    }
-}
-
-fn join(prefix: &str, key: &str) -> String {
-    if prefix.is_empty() {
-        key.to_string()
-    } else {
-        format!("{prefix}/{key}")
-    }
-}
-
 /// Types that render themselves as a JSON [`Value`].
 pub trait ToJson {
     fn to_json(&self) -> Value;
 }
 
-/// Types that decode themselves from a JSON cursor.
+/// Types that decode themselves from a JSON cursor, without allocating
+/// on the success path beyond what the decoded value itself owns.
 pub trait FromJson: Sized {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] naming the path of the first shape
     /// mismatch.
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError>;
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError>;
 }
 
 /// Everything that can go wrong turning text into a typed value: the
@@ -482,15 +341,16 @@ impl From<DecodeError> for JsonError {
     }
 }
 
-/// Parses `text` and decodes it into `T` in one step.
+/// Parses `text` on the borrowed surface and decodes it into `T` in one
+/// step.
 ///
 /// # Errors
 ///
 /// Returns [`JsonError::Parse`] for malformed text and
 /// [`JsonError::Decode`] for well-formed JSON of the wrong shape.
 pub fn decode<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    let value = parse(text).map_err(JsonError::Parse)?;
-    T::from_json(Cur::root(&value)).map_err(JsonError::Decode)
+    let value = parse_borrowed(text).map_err(JsonError::Parse)?;
+    T::from_json(&Cur::root(&value)).map_err(JsonError::Decode)
 }
 
 // ---------------------------------------------------------------------
@@ -863,7 +723,7 @@ mod tests {
         assert!(parse("-1e999").is_err());
         assert_eq!(parse("1e308").expect("parse").as_f64(), Some(1e308));
         // A hand-built non-finite Value is stopped at the cursor.
-        let inf = Value::Num(f64::INFINITY);
+        let inf = borrow::Value::Num(f64::INFINITY);
         let err = Cur::root(&inf).f64().unwrap_err();
         assert!(err.to_string().contains("finite"));
     }
@@ -877,25 +737,9 @@ mod tests {
         // 2^53 is where doubles stop distinguishing neighbors: the
         // echoed id could belong to a different request, so reject.
         assert_eq!(Value::Num(9_007_199_254_740_992.0).as_u64(), None);
-        let v = parse("9007199254740993").expect("parse");
+        let v = parse_borrowed("9007199254740993").expect("parse");
         assert_eq!(v.as_u64(), None);
         assert!(Cur::root(&v).u64().is_err());
-    }
-
-    #[test]
-    fn cursor_reports_paths_on_shape_errors() {
-        let v = parse(r#"{"options": {"placer": {"iterations": "twelve"}}}"#).expect("parse");
-        let root = Cur::root(&v);
-        let iter = root
-            .get("options")
-            .and_then(|o| o.get("placer"))
-            .and_then(|p| p.get("iterations"))
-            .expect("navigate");
-        let err = iter.u64().unwrap_err();
-        assert_eq!(err.path, "options/placer/iterations");
-        assert!(err.to_string().contains("non-negative integer"));
-        let missing = root.get("nope").unwrap_err();
-        assert!(missing.to_string().contains("`nope`"));
     }
 
     #[test]
@@ -905,7 +749,7 @@ mod tests {
             b: f64,
         }
         impl FromJson for Pair {
-            fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+            fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
                 Ok(Pair {
                     a: cur.get("a")?.u64()?,
                     b: cur.get("b")?.f64()?,

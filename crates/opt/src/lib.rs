@@ -51,8 +51,8 @@ pub fn resize_for_timing(
 
 /// A drive change applied between two `evaluate` calls: `(cell, from, to)`.
 /// Journal-aware callers (an incremental timer fed from a change journal)
-/// use the list to dirty exactly the touched cells; signature-diffing
-/// callers ignore it.
+/// use the list to dirty exactly the touched cells; callers that
+/// re-analyze from scratch ignore it.
 pub type DriveEdit = (CellId, Drive, Drive);
 
 /// [`resize_for_timing`] with an edit-aware evaluate: each call receives

@@ -20,10 +20,7 @@
 //! decodes either shape.
 
 use m3d_flow::{FlowReport, FlowRequest};
-use m3d_json::{
-    decode_borrowed, parse, parse_borrowed, Cur, DecodeError, FromJson, JsonError, Obj, ToJson,
-    Value,
-};
+use m3d_json::{decode, parse_borrowed, Cur, DecodeError, FromJson, JsonError, Obj, ToJson, Value};
 use std::fmt;
 
 /// Why the service rejected a request (the `kind` of a rejection).
@@ -56,17 +53,14 @@ impl RejectKind {
         }
     }
 
-    fn from_wire(cur: &Cur<'_>) -> Result<RejectKind, DecodeError> {
+    fn from_wire(cur: &Cur<'_, '_>) -> Result<RejectKind, DecodeError> {
         match cur.str()? {
             "protocol" => Ok(RejectKind::Protocol),
             "flow" => Ok(RejectKind::Flow),
             "overloaded" => Ok(RejectKind::Overloaded),
             "deadline" => Ok(RejectKind::Deadline),
             "shutdown" => Ok(RejectKind::Shutdown),
-            _ => Err(DecodeError::new(
-                cur.path(),
-                "a reject kind (protocol|flow|overloaded|deadline|shutdown)",
-            )),
+            _ => Err(cur.err("a reject kind (protocol|flow|overloaded|deadline|shutdown)")),
         }
     }
 }
@@ -166,20 +160,20 @@ impl ToJson for Response {
 }
 
 impl FromJson for Response {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let status = cur.get("status")?;
         match status.str()? {
             "ok" => Ok(Response::Ok {
                 id: cur.get("id")?.u64()?,
                 cache_hit: cur.get("cache_hit")?.bool()?,
-                report: Box::new(FlowReport::from_json(cur.get("report")?)?),
+                report: Box::new(FlowReport::from_json(&cur.get("report")?)?),
             }),
             "rejected" => Ok(Response::Rejected {
                 id: cur.opt("id").map(|c| c.u64()).transpose()?,
                 kind: RejectKind::from_wire(&cur.get("kind")?)?,
                 message: cur.get("message")?.str()?.to_string(),
             }),
-            _ => Err(DecodeError::new(status.path(), "a status (ok|rejected)")),
+            _ => Err(status.err("a status (ok|rejected)")),
         }
     }
 }
@@ -298,7 +292,7 @@ impl ToJson for StreamEvent {
 }
 
 impl FromJson for StreamEvent {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let id = cur.get("id")?.u64()?;
         let event = cur.get("event")?;
         match event.str()? {
@@ -310,7 +304,7 @@ impl FromJson for StreamEvent {
                 id,
                 index: cur.get("index")?.u64()?,
                 cache_hit: cur.get("cache_hit")?.bool()?,
-                report: Box::new(FlowReport::from_json(cur.get("report")?)?),
+                report: Box::new(FlowReport::from_json(&cur.get("report")?)?),
             }),
             "error" => Ok(StreamEvent::Error {
                 id,
@@ -323,10 +317,7 @@ impl FromJson for StreamEvent {
                 points: cur.get("points")?.u64()?,
                 errors: cur.get("errors")?.u64()?,
             }),
-            _ => Err(DecodeError::new(
-                event.path(),
-                "an event (progress|point|error|done)",
-            )),
+            _ => Err(event.err("an event (progress|point|error|done)")),
         }
     }
 }
@@ -362,7 +353,7 @@ impl ToJson for ServerMessage {
 }
 
 impl FromJson for ServerMessage {
-    fn from_json(cur: Cur<'_>) -> Result<Self, DecodeError> {
+    fn from_json(cur: &Cur<'_, '_>) -> Result<Self, DecodeError> {
         let status = cur.get("status")?;
         match status.str()? {
             "event" => Ok(ServerMessage::Event(StreamEvent::from_json(cur)?)),
@@ -403,7 +394,7 @@ impl std::error::Error for ProtocolError {}
 /// [`FlowRequest`]; decoding never panics. Errors (and only errors)
 /// allocate their path/message strings.
 pub fn decode_request(line: &str) -> Result<FlowRequest, ProtocolError> {
-    decode_borrowed(line).map_err(|e| match e {
+    decode(line).map_err(|e| match e {
         JsonError::Parse(msg) => ProtocolError::Parse(msg),
         JsonError::Decode(err) => ProtocolError::Decode(err),
     })
@@ -418,16 +409,14 @@ pub fn salvage_id(line: &str) -> Option<u64> {
         .and_then(|v| v.get("id")?.as_u64())
 }
 
-/// Decodes one response line — the client side of the wire. (Response
-/// decoding stays on the owned cursor: reports carry arrays, and the
-/// client's read path is not the hot one.)
+/// Decodes one response line — the client side of the wire, on the same
+/// cursor as [`decode_request`].
 ///
 /// # Errors
 ///
 /// Returns the parse or shape error as text.
 pub fn decode_response(line: &str) -> Result<Response, String> {
-    let doc = parse(line.trim())?;
-    Response::from_json(Cur::root(&doc)).map_err(|e| e.to_string())
+    decode_line(line)
 }
 
 /// Decodes one server line of either protocol shape: a v1 response or a
@@ -438,8 +427,16 @@ pub fn decode_response(line: &str) -> Result<Response, String> {
 ///
 /// Returns the parse or shape error as text.
 pub fn decode_message(line: &str) -> Result<ServerMessage, String> {
-    let doc = parse(line.trim())?;
-    ServerMessage::from_json(Cur::root(&doc)).map_err(|e| e.to_string())
+    decode_line(line)
+}
+
+/// Client-side line decode: errors flatten to the text a client prints
+/// (the parser's message, or `path: expected ...`).
+fn decode_line<T: FromJson>(line: &str) -> Result<T, String> {
+    decode(line.trim()).map_err(|e| match e {
+        JsonError::Parse(msg) => msg,
+        JsonError::Decode(err) => err.to_string(),
+    })
 }
 
 /// Renders one value as a protocol line (JSON + trailing newline).

@@ -5,9 +5,9 @@
 //! [`ProtocolError`].
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto, SweepSpec};
-use m3d_json::{parse, Cur, FromJson, ToJson};
+use m3d_json::ToJson;
 use m3d_netgen::Benchmark;
-use m3d_serve::protocol::{decode_request, salvage_id, ProtocolError};
+use m3d_serve::protocol::{decode_request, decode_response, salvage_id, ProtocolError};
 use m3d_tech::{Corner, Drive, StackingStyle};
 use proptest::prelude::*;
 
@@ -231,14 +231,25 @@ fn responses_round_trip_through_their_lines() {
     use m3d_serve::{RejectKind, Response};
     let rejected = Response::reject(Some(17), RejectKind::Overloaded, "queue full");
     let line = rejected.to_json().render();
-    let doc = parse(&line).expect("parse");
-    let back = Response::from_json(Cur::root(&doc)).expect("decode");
-    assert_eq!(back, rejected);
+    assert_eq!(decode_response(&line), Ok(rejected));
 
     let anonymous = Response::reject(None, RejectKind::Protocol, "not json");
     let line = anonymous.to_json().render();
-    let doc = parse(&line).expect("parse");
-    let back = Response::from_json(Cur::root(&doc)).expect("decode");
+    let back = decode_response(&line).expect("decode");
     assert_eq!(back, anonymous);
     assert_eq!(back.id(), None);
+
+    // Shape errors keep their `path: expected ...` text on the client side.
+    assert_eq!(
+        decode_response(&line.replace("\"protocol\"", "\"teapot\"")),
+        Err("kind: expected a reject kind (protocol|flow|overloaded|deadline|shutdown)".into())
+    );
+    assert_eq!(
+        decode_response(&line.replace("\"rejected\"", "\"maybe\"")),
+        Err("status: expected a status (ok|rejected)".into())
+    );
+    assert_eq!(
+        decode_response(&line.replace("\"message\"", "\"note\"")),
+        Err("document root: expected member `message`".into())
+    );
 }

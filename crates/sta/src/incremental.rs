@@ -4,8 +4,9 @@
 //! fmax ladder) call timing after every small batch of edits; a cold
 //! [`crate::analyze`] rebuilds the levelized graph and re-propagates every
 //! arc each time. [`Timer`] keeps the graph and all propagated arrays
-//! alive between calls, diffs the [`TimingContext`] against its snapshot
-//! on [`Timer::update`], and re-evaluates only:
+//! alive between calls. [`Timer::update_journaled`] — the one update
+//! path — takes the list of [`TimingEdit`]s since the previous call and
+//! re-evaluates only:
 //!
 //! * **forward** (arrival/slew) — the fan-out cone of cells whose master
 //!   changed (drive/tier) plus sinks of nets whose load or wire delay
@@ -26,24 +27,23 @@
 //! `forward_gate` / `required_of_net` / endpoint and launch evaluations),
 //! reading only already-finalized values; propagation stops when the
 //! recomputed bits equal the stored bits, at which point every transitive
-//! reader would also recompute identical bits by induction. The result of
-//! `update()` is therefore bit-identical to a cold `analyze` of the same
-//! context, at any thread count (dirty level slices reuse `m3d-par`'s
-//! fixed-decomposition chunking).
+//! reader would also recompute identical bits by induction. Given a
+//! complete edit list the result is therefore bit-identical to a cold
+//! `analyze` of the same context, at any thread count (dirty level
+//! slices reuse `m3d-par`'s fixed-decomposition chunking).
 //!
-//! **Structural edits** (rewired nets, inserted buffers, changed
-//! cell/net counts) change the levelization itself; the `Timer` detects
-//! them from a per-net connectivity fingerprint and falls back to a full
-//! rebuild — still through its arc cache, so even a rebuild after an ECO
-//! undo is mostly memoized lookups.
-//!
-//! The `Timer` diffs drives, tiers, parasitics, clock latencies, the
-//! period and net connectivity automatically — the edit notifications
-//! ([`Timer::resize_cell`], [`Timer::swap_tier`], [`Timer::rewire_net`],
-//! [`Timer::update_parasitics`], [`Timer::set_period`]) are conservative
-//! hints that force re-evaluation even where a fingerprint would miss it
-//! (they are cheap to over-use and never required for correctness in the
-//! flow's edit vocabulary).
+//! **What the journal must cover.** The timer does not diff the design:
+//! every drive, tier, net-model or clock-latency change since the last
+//! update must appear in the edit list, and anything that changes
+//! connectivity or cell/net counts (rewired nets, inserted buffers) as
+//! [`TimingEdit::Structural`], which rebuilds the levelization — still
+//! through the arc cache, so even a rebuild after an ECO undo is mostly
+//! memoized lookups. Over-reporting is harmless. Only O(1) facts are
+//! re-checked on every call: cell/net counts, the stack's identity, the
+//! period and the global clock constants. Completeness is the caller's
+//! contract (the flow generates the list from the `DesignDb` change
+//! journal); the property tests hold it against cold `analyze`, which
+//! stays the reference.
 
 use crate::cache::DelayCache;
 use crate::context::{ClockSpec, TimingContext};
@@ -52,7 +52,6 @@ use crate::engine::{
     levelize, net_load_ff, ArcMemo, Levels, StaResult,
 };
 use m3d_netlist::{CellClass, CellId, NetId, Netlist};
-use m3d_tech::{CellKind, Drive, Tier};
 
 /// Work counters of a [`Timer`], in units of "cell evaluations" (one
 /// forward, backward, endpoint or launch kernel call each). A cold pass
@@ -94,13 +93,10 @@ impl TimerStats {
 
 /// One timing-relevant design change, as reported by a change journal.
 ///
-/// This is the [`Timer`]'s trusted-notification vocabulary: where the
-/// hint methods ([`Timer::resize_cell`] and friends) are *conservative
-/// additions* to the engine's own signature diffing,
-/// [`Timer::update_journaled`] takes a complete edit list and **skips**
-/// the O(cells + nets) diff scans entirely. The caller (normally a
-/// `DesignDb` change journal) guarantees the list covers every change
-/// since the previous update.
+/// This is the [`Timer`]'s whole input vocabulary:
+/// [`Timer::update_journaled`] takes a complete edit list and scans
+/// nothing else. The caller (normally a `DesignDb` change journal)
+/// guarantees the list covers every change since the previous update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingEdit {
     /// `cell`'s drive strength changed.
@@ -115,14 +111,6 @@ pub enum TimingEdit {
     ClockLatency,
     /// The netlist structure changed (full rebuild).
     Structural,
-}
-
-/// What a journaled update still has to re-check itself (everything else
-/// is vouched for by the journal).
-#[derive(Debug, Clone, Copy)]
-struct JournalScope {
-    /// The journal reported a clock-latency edit; diff the latency vector.
-    latency: bool,
 }
 
 /// Fixed timing role of a cell (immutable once the structure is built).
@@ -174,12 +162,8 @@ struct State {
     net_count: usize,
     /// Indices of endpoint cells, ascending (the scalar-fold order).
     endpoint_cells: Vec<u32>,
-    // ---- input fingerprints -------------------------------------------
+    // ---- O(1) input fingerprints ---------------------------------------
     clock: ClockSpec,
-    gate_sig: Vec<Option<(CellKind, Drive)>>,
-    tier_sig: Vec<Tier>,
-    model_sig: Vec<crate::context::NetModel>,
-    net_sig: Vec<u64>,
     stack_addr: usize,
     // ---- propagated arrays --------------------------------------------
     net_load: Vec<f64>,
@@ -201,108 +185,30 @@ struct State {
     full_pass: u64,
 }
 
-/// Connectivity fingerprint of one net (driver + ordered sink pins +
-/// clock flag). Integer-only, so it is stable across thread counts and
-/// cheap enough to re-hash every update.
-fn net_signature(netlist: &Netlist, id: NetId) -> u64 {
-    const FNV: u64 = 0x0000_0100_0000_01B3;
-    let net = netlist.net(id);
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    h = (h ^ net.driver.map_or(u64::MAX, |p| {
-        (u64::from(p.cell.index() as u32) << 8) | u64::from(p.pin)
-    }))
-    .wrapping_mul(FNV);
-    h = (h ^ u64::from(net.is_clock)).wrapping_mul(FNV);
-    for sink in &net.sinks {
-        h = (h ^ ((u64::from(sink.cell.index() as u32) << 8) | u64::from(sink.pin)))
-            .wrapping_mul(FNV);
-    }
-    h
-}
-
-fn gate_signature(class: &CellClass) -> Option<(CellKind, Drive)> {
-    match class {
-        CellClass::Gate { kind, drive } => Some((*kind, *drive)),
-        _ => None,
-    }
-}
-
 /// A persistent incremental timing engine.
 ///
-/// Feed every evaluation through [`Timer::update`]; the first call (and
-/// any call after a structural edit) performs a full build, subsequent
-/// calls re-propagate only the dirty cones. Results are bit-identical to
-/// [`crate::analyze`] on the same context at any thread count.
+/// Feed every evaluation through [`Timer::update_journaled`]; the first
+/// call (and any call after a structural edit) performs a full build,
+/// subsequent calls re-propagate only the dirty cones. Results are
+/// bit-identical to [`crate::analyze`] on the same context at any thread
+/// count.
 ///
 /// One `Timer` tracks one design evolution: the netlist/stack/parasitics
-/// behind the contexts passed to `update` must describe the same design
-/// being edited in place (the flow's sizing and ECO loops do exactly
-/// this). Pointer-unstable callers lose performance (spurious rebuilds),
-/// never correctness.
+/// behind the contexts passed to it must describe the same design being
+/// edited in place (the flow's sizing and ECO loops do exactly this).
 #[derive(Default)]
 pub struct Timer {
     state: Option<State>,
     stats: TimerStats,
     cache: DelayCache,
-    pending_cells: Vec<CellId>,
-    pending_nets: Vec<NetId>,
-    pending_period: bool,
-    pending_structural: bool,
-    /// `Some` while an [`Timer::update_journaled`] call is in flight: the
-    /// pending sets are a *complete* description of the changes, so the
-    /// signature-diff scans are skipped.
-    journaled: Option<JournalScope>,
 }
 
 impl Timer {
-    /// A fresh timer; the first [`Timer::update`] performs the full build.
+    /// A fresh timer; the first [`Timer::update_journaled`] performs the
+    /// full build.
     #[must_use]
     pub fn new() -> Self {
         Timer::default()
-    }
-
-    /// Hint: `cell`'s drive strength changed (e.g. `Netlist::set_drive`).
-    pub fn resize_cell(&mut self, cell: CellId) {
-        self.pending_cells.push(cell);
-    }
-
-    /// Hint: `cell` moved to another tier (its library binding changed).
-    pub fn swap_tier(&mut self, cell: CellId) {
-        self.pending_cells.push(cell);
-    }
-
-    /// Hint: `net`'s parasitics changed.
-    pub fn update_parasitics(&mut self, net: NetId) {
-        self.pending_nets.push(net);
-    }
-
-    /// Hint: `net`'s pin membership changed. Structural — the next
-    /// [`Timer::update`] rebuilds the levelization (through the warm arc
-    /// cache).
-    pub fn rewire_net(&mut self, _net: NetId) {
-        self.pending_structural = true;
-    }
-
-    /// Hint: a buffer was inserted (new cells and nets). Structural, like
-    /// [`Timer::rewire_net`].
-    pub fn insert_buffer(&mut self) {
-        self.pending_structural = true;
-    }
-
-    /// Hint: the clock period changed. Dirties every endpoint RAT but no
-    /// forward arc (arrivals never read the period); the next update is a
-    /// backward-only re-propagation.
-    pub fn set_period(&mut self, _period_ns: f64) {
-        self.pending_period = true;
-    }
-
-    /// Drops all incremental state; the next update is a full build.
-    pub fn invalidate(&mut self) {
-        self.state = None;
-        self.pending_cells.clear();
-        self.pending_nets.clear();
-        self.pending_period = false;
-        self.pending_structural = false;
     }
 
     /// Work counters accumulated over the timer's lifetime.
@@ -330,57 +236,30 @@ impl Timer {
         self.state.as_ref().map(|s| &s.result)
     }
 
-    /// Brings the timing database up to date with `ctx` and returns the
-    /// result — bit-identical to `analyze(ctx)` at any thread count.
-    pub fn update(&mut self, ctx: &TimingContext<'_>) -> StaResult {
-        let rebuild = self.pending_structural || !self.matches_structure(ctx);
-        if rebuild {
-            self.rebuild(ctx);
-        } else {
-            self.incremental(ctx);
-        }
-        self.pending_cells.clear();
-        self.pending_nets.clear();
-        self.pending_period = false;
-        self.pending_structural = false;
-        self.state.as_ref().expect("state built").result.clone()
-    }
-
-    /// Journal-driven update: brings the timing database up to date with
-    /// `ctx` given a **complete** list of the changes since the previous
-    /// update, and returns the result — bit-identical to `analyze(ctx)`
-    /// at any thread count, exactly like [`Timer::update`].
+    /// Brings the timing database up to date with `ctx` given a
+    /// **complete** list of the changes since the previous update, and
+    /// returns the result — bit-identical to `analyze(ctx)` at any thread
+    /// count.
     ///
-    /// Unlike `update`, which re-derives the edit set by signature
-    /// diffing (O(cells + nets) scans per call), this trusts the journal:
-    /// only the listed cells/nets are re-fingerprinted, the per-net
-    /// connectivity scan is skipped, and the clock-latency vector is only
-    /// diffed when the journal says so. An empty `edits` list re-checks
-    /// nothing but the O(1) fields (counts, stack identity, period and
-    /// global clock constants — those stay checked because they are cheap
-    /// and their drift would otherwise corrupt results silently).
+    /// Only the listed cells and nets are re-seeded, and the
+    /// clock-latency vector is only diffed when the journal says so. An
+    /// empty `edits` list re-checks nothing but the O(1) fields (counts,
+    /// stack identity, period and global clock constants — those stay
+    /// checked because they are cheap and their drift would otherwise
+    /// corrupt results silently).
     ///
     /// The caller contract: every change to the netlist, tiers,
     /// parasitics or clock latencies since the last update appears in
     /// `edits` (duplicates and over-reporting are harmless). The flow
     /// upholds this by generating `edits` from the `DesignDb` change
-    /// journal. A violated contract loses the bit-identity guarantee;
-    /// when unsure, use [`Timer::update`].
+    /// journal. A violated contract loses the bit-identity guarantee.
     pub fn update_journaled(&mut self, ctx: &TimingContext<'_>, edits: &[TimingEdit]) -> StaResult {
-        let mut latency = false;
-        for edit in edits {
-            match *edit {
-                TimingEdit::ResizeCell(c) | TimingEdit::SwapTier(c) => self.pending_cells.push(c),
-                TimingEdit::NetModel(n) => self.pending_nets.push(n),
-                TimingEdit::Period => self.pending_period = true,
-                TimingEdit::ClockLatency => latency = true,
-                TimingEdit::Structural => self.pending_structural = true,
-            }
+        if edits.contains(&TimingEdit::Structural) || !self.matches_structure(ctx) {
+            self.rebuild(ctx);
+        } else {
+            self.incremental(ctx, edits);
         }
-        self.journaled = Some(JournalScope { latency });
-        let result = self.update(ctx);
-        self.journaled = None;
-        result
+        self.state.as_ref().expect("state built").result.clone()
     }
 
     /// `true` when the snapshot exists and the context has the same
@@ -401,17 +280,13 @@ impl Timer {
         {
             return false;
         }
-        if self.journaled.is_some() {
-            // The journal vouches for connectivity: absent a `Structural`
-            // edit (checked by the caller via `pending_structural`), the
-            // per-net fingerprint scan is guaranteed to find nothing.
-            return true;
-        }
-        (0..s.net_count).all(|k| s.net_sig[k] == net_signature(ctx.netlist, NetId::from_index(k)))
+        // The journal vouches for connectivity: absent a `Structural`
+        // edit (checked by the caller) the levelization is still valid.
+        true
     }
 
     /// Full build: levelize, cold-propagate (through the arc cache) and
-    /// snapshot every fingerprint.
+    /// snapshot the O(1) fingerprints.
     fn rebuild(&mut self, ctx: &TimingContext<'_>) {
         let netlist = ctx.netlist;
         let n = netlist.cell_count();
@@ -453,17 +328,6 @@ impl Timer {
             net_count: nets,
             endpoint_cells,
             clock: ctx.clock.clone(),
-            gate_sig: netlist
-                .cells()
-                .map(|(_, c)| gate_signature(&c.class))
-                .collect(),
-            tier_sig: ctx.tiers.to_vec(),
-            model_sig: (0..nets)
-                .map(|k| ctx.parasitics.net(NetId::from_index(k)))
-                .collect(),
-            net_sig: (0..nets)
-                .map(|k| net_signature(netlist, NetId::from_index(k)))
-                .collect(),
             stack_addr: std::ptr::from_ref(ctx.stack) as usize,
             net_load: pass.net_load,
             endpoint_rat: pass.endpoint_rat,
@@ -484,7 +348,7 @@ impl Timer {
     /// (loads → launch arrivals → forward by level → endpoints →
     /// backward by reverse level → launch required → scalar folds).
     #[allow(clippy::too_many_lines)]
-    fn incremental(&mut self, ctx: &TimingContext<'_>) {
+    fn incremental(&mut self, ctx: &TimingContext<'_>, edits: &[TimingEdit]) {
         let s = self.state.as_mut().expect("matches_structure checked");
         let netlist = ctx.netlist;
         let n = s.cell_count;
@@ -492,70 +356,36 @@ impl Timer {
         let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
         self.stats.incremental_updates += 1;
 
-        // ---- seed detection (journal, or auto-diff + explicit hints) ----
-        // In journaled mode the pending sets are complete, so the O(nets)
-        // model diff and the O(cells) master diff are skipped; only the
-        // journaled items re-fingerprint (keeping the signatures valid for
-        // a later non-journaled update). Journaled seeds dirty
-        // conservatively — both the load and the wire-delay cone of every
-        // reported net — which can only over-propagate, never change bits.
-        let journaled = self.journaled;
+        // ---- seeds, from the journal --------------------------------------
+        // Seeds dirty conservatively — both the load and the wire-delay
+        // cone of every reported net — which can only over-propagate,
+        // never change bits.
         let mut wire_delay_nets: Vec<u32> = Vec::new();
-        if journaled.is_none() {
-            for k in 0..s.net_count {
-                let id = NetId::from_index(k);
-                let new = ctx.parasitics.net(id);
-                let old = s.model_sig[k];
-                if new != old {
-                    s.model_sig[k] = new;
-                    if netlist.net(id).is_clock {
-                        continue; // clock-net parasitics are never read
-                    }
-                    if new.wire_cap_ff != old.wire_cap_ff {
+        let mut master_cells: Vec<u32> = Vec::new();
+        let mut latency_edit = false;
+        let mut period_edit = false;
+        for edit in edits {
+            match *edit {
+                TimingEdit::ResizeCell(c) | TimingEdit::SwapTier(c) => {
+                    master_cells.push(c.index() as u32);
+                }
+                TimingEdit::NetModel(id) => {
+                    let k = id.index();
+                    if !netlist.net(id).is_clock {
+                        // Clock-net parasitics are never read.
                         s.dirty_load[k] = true;
-                    }
-                    if new.wire_delay_ns != old.wire_delay_ns {
                         wire_delay_nets.push(k as u32);
                     }
                 }
-            }
-        }
-        for &id in &self.pending_nets {
-            let k = id.index();
-            s.model_sig[k] = ctx.parasitics.net(id);
-            if !netlist.net(id).is_clock {
-                s.dirty_load[k] = true;
-                if !wire_delay_nets.contains(&(k as u32)) {
-                    wire_delay_nets.push(k as u32);
-                }
-            }
-        }
-
-        let mut master_cells: Vec<u32> = Vec::new();
-        if journaled.is_none() {
-            for (id, cell) in netlist.cells() {
-                let i = id.index();
-                let sig = gate_signature(&cell.class);
-                let tier = ctx.tiers[i];
-                if s.gate_sig[i] != sig || s.tier_sig[i] != tier {
-                    s.gate_sig[i] = sig;
-                    s.tier_sig[i] = tier;
-                    master_cells.push(i as u32);
-                }
-            }
-        } else {
-            for &id in &self.pending_cells {
-                let i = id.index();
-                s.gate_sig[i] = gate_signature(&netlist.cell(id).class);
-                s.tier_sig[i] = ctx.tiers[i];
-            }
-        }
-        for &id in &self.pending_cells {
-            if !master_cells.contains(&(id.index() as u32)) {
-                master_cells.push(id.index() as u32);
+                TimingEdit::Period => period_edit = true,
+                TimingEdit::ClockLatency => latency_edit = true,
+                TimingEdit::Structural => unreachable!("structural edits rebuild"),
             }
         }
         master_cells.sort_unstable();
+        master_cells.dedup();
+        wire_delay_nets.sort_unstable();
+        wire_delay_nets.dedup();
 
         for &ci in &master_cells {
             let i = ci as usize;
@@ -588,9 +418,7 @@ impl Timer {
         }
 
         // Per-cell clock-latency edits (CTS refinements).
-        let check_latency = journaled.is_none_or(|j| j.latency);
-        let latency_changed = check_latency && s.clock.latency_ns != ctx.clock.latency_ns;
-        if latency_changed {
+        if latency_edit && s.clock.latency_ns != ctx.clock.latency_ns {
             for i in 0..n {
                 if matches!(s.roles[i], Role::Seq | Role::Mac)
                     && s.clock.latency(i) != ctx.clock.latency(i)
@@ -603,7 +431,7 @@ impl Timer {
         }
 
         // Period edit: every endpoint RAT moves, no arrival does.
-        if self.pending_period || s.clock.period_ns != ctx.clock.period_ns {
+        if period_edit || s.clock.period_ns != ctx.clock.period_ns {
             s.clock.period_ns = ctx.clock.period_ns;
             for &e in &s.endpoint_cells {
                 s.dirty_ep[e as usize] = true;
@@ -965,7 +793,7 @@ mod tests {
     use super::*;
     use crate::context::Parasitics;
     use crate::engine::analyze;
-    use m3d_tech::{Library, TierStack};
+    use m3d_tech::{CellKind, Drive, Library, Tier, TierStack};
 
     fn assert_bit_identical(a: &StaResult, b: &StaResult) {
         assert_eq!(a.wns.to_bits(), b.wns.to_bits(), "wns");
@@ -997,81 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_matches_cold_analyze_through_edits() {
-        let mut netlist = m3d_netgen::Benchmark::Aes.generate(0.02, 5);
-        let stack = TierStack::heterogeneous();
-        let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
-        let mut parasitics = Parasitics::zero_wire(&netlist);
-        let mut period = 1.0;
-        let mut timer = Timer::new();
-
-        let gates: Vec<CellId> = netlist
-            .cells()
-            .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
-            .map(|(id, _)| id)
-            .collect();
-
-        for step in 0..14 {
-            match step % 7 {
-                0 => {
-                    let g = gates[step * 37 % gates.len()];
-                    let d = netlist.cell(g).class.gate_drive().expect("gate");
-                    netlist.set_drive(g, d.upsized().unwrap_or(Drive::X1));
-                    timer.resize_cell(g);
-                }
-                1 => {
-                    let g = gates[step * 61 % gates.len()];
-                    tiers[g.index()] = match tiers[g.index()] {
-                        Tier::Bottom => Tier::Top,
-                        Tier::Top => Tier::Bottom,
-                    };
-                    timer.swap_tier(g);
-                }
-                2 => {
-                    period *= 0.93;
-                    timer.set_period(period);
-                }
-                3 => {
-                    let k = NetId::from_index(step * 13 % netlist.net_count());
-                    parasitics.net_mut(k).wire_delay_ns += 0.004;
-                    parasitics.net_mut(k).wire_cap_ff += 1.5;
-                    timer.update_parasitics(k);
-                }
-                // Also exercise the pure auto-diff path (no hints).
-                4 => {
-                    let g = gates[step * 17 % gates.len()];
-                    let d = netlist.cell(g).class.gate_drive().expect("gate");
-                    netlist.set_drive(g, d.downsized().unwrap_or(Drive::X8));
-                }
-                5 => {
-                    let k = NetId::from_index(step * 29 % netlist.net_count());
-                    parasitics.net_mut(k).wire_delay_ns += 0.002;
-                }
-                _ => period *= 1.04,
-            }
-            let ctx = TimingContext {
-                netlist: &netlist,
-                stack: &stack,
-                tiers: &tiers,
-                parasitics: &parasitics,
-                clock: ClockSpec::with_period(period),
-            };
-            let incr = timer.update(&ctx);
-            let cold = analyze(&ctx);
-            assert_bit_identical(&incr, &cold);
-        }
-        let stats = timer.stats();
-        assert_eq!(stats.full_rebuilds, 1, "only the first call builds");
-        assert_eq!(stats.incremental_updates, 13);
-        assert!(
-            stats.propagated_evals() < 14 * timer.full_pass_evals(),
-            "incremental must do less work than cold passes: {} vs {}",
-            stats.propagated_evals(),
-            14 * timer.full_pass_evals()
-        );
-    }
-
-    #[test]
     fn journaled_update_matches_cold_analyze_through_edits() {
         let mut netlist = m3d_netgen::Benchmark::Aes.generate(0.02, 5);
         let stack = TierStack::heterogeneous();
@@ -1086,8 +839,8 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
 
-        // Build once, then feed every edit through the journal interface:
-        // the Timer must never fall back to diff scans or rebuilds.
+        // Build once, then feed every edit through the journal: the
+        // Timer must never fall back to a rebuild.
         for step in 0..12 {
             let mut edits: Vec<TimingEdit> = Vec::new();
             match step % 4 {
@@ -1129,6 +882,12 @@ mod tests {
         let stats = timer.stats();
         assert_eq!(stats.full_rebuilds, 1, "journal must avoid rebuilds");
         assert_eq!(stats.incremental_updates, 11);
+        assert!(
+            stats.propagated_evals() < 12 * timer.full_pass_evals(),
+            "incremental must do less work than cold passes: {} vs {}",
+            stats.propagated_evals(),
+            12 * timer.full_pass_evals()
+        );
 
         // An empty journal is a pure re-confirmation: bit-identical result,
         // no propagation work at all.
@@ -1153,13 +912,16 @@ mod tests {
         let parasitics = Parasitics::zero_wire(&netlist);
         let mut timer = Timer::new();
         let run = |timer: &mut Timer, period: f64| {
-            timer.update(&TimingContext {
-                netlist: &netlist,
-                stack: &stack,
-                tiers: &tiers,
-                parasitics: &parasitics,
-                clock: ClockSpec::with_period(period),
-            })
+            timer.update_journaled(
+                &TimingContext {
+                    netlist: &netlist,
+                    stack: &stack,
+                    tiers: &tiers,
+                    parasitics: &parasitics,
+                    clock: ClockSpec::with_period(period),
+                },
+                &[TimingEdit::Period],
+            )
         };
         let _ = run(&mut timer, 1.0);
         let forward_after_build = timer.stats().forward_evals;
@@ -1191,19 +953,21 @@ mod tests {
         {
             let tiers = vec![Tier::Bottom; netlist.cell_count()];
             let parasitics = Parasitics::zero_wire(&netlist);
-            let _ = timer.update(&TimingContext {
-                netlist: &netlist,
-                stack: &stack,
-                tiers: &tiers,
-                parasitics: &parasitics,
-                clock: ClockSpec::with_period(1.0),
-            });
+            let _ = timer.update_journaled(
+                &TimingContext {
+                    netlist: &netlist,
+                    stack: &stack,
+                    tiers: &tiers,
+                    parasitics: &parasitics,
+                    clock: ClockSpec::with_period(1.0),
+                },
+                &[],
+            );
         }
         // Buffer insertion adds cells and nets.
         let mut positions = vec![m3d_geom::Point::ORIGIN; netlist.cell_count()];
         let inserted = m3d_opt_free_insert(&mut netlist, &mut positions);
         assert!(inserted > 0, "ldpc has high-fanout nets");
-        timer.insert_buffer();
         let tiers = vec![Tier::Bottom; netlist.cell_count()];
         let parasitics = Parasitics::zero_wire(&netlist);
         let ctx = TimingContext {
@@ -1213,7 +977,7 @@ mod tests {
             parasitics: &parasitics,
             clock: ClockSpec::with_period(1.0),
         };
-        let incr = timer.update(&ctx);
+        let incr = timer.update_journaled(&ctx, &[TimingEdit::Structural]);
         assert_bit_identical(&incr, &analyze(&ctx));
         assert_eq!(timer.stats().full_rebuilds, 2);
     }

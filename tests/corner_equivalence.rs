@@ -16,6 +16,8 @@
 //! * **Checkpoint economics** — a Pareto sweep runs the pseudo-3-D
 //!   stage exactly once per distinct 3-D scenario, regardless of the
 //!   frequency-grid size.
+//! * **One grid executor** — `pareto` equals a frontier fold over the
+//!   equivalent `sweep`, point for point and bit for bit.
 
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_run_flow, Config, FlowOptions, FlowSession, Implementation};
@@ -248,4 +250,96 @@ fn pareto_reuses_one_pseudo_checkpoint_per_scenario() {
         0,
         "a 2-D sweep has no pseudo-3-D stage"
     );
+}
+
+/// `pareto` is nothing but a frontier fold over the sweep executor's
+/// points: every `ParetoPoint` field equals — by bits — the matching
+/// point of the equivalent `sweep`, `timing_met` is the sign-off
+/// `StaResult`'s verdict for the decomposed single-shot run, the
+/// frontier flags match a dominance fold recomputed here from the sweep's
+/// own numbers, and both commands pay one pseudo-3-D run per scenario.
+#[test]
+fn pareto_is_a_frontier_fold_over_the_sweep_executor() {
+    use hetero3d::flow::{FlowCommand, FlowReport, PpacSummary, SweepSpec};
+
+    let netlist = Benchmark::Aes.generate(0.01, 7);
+    let cost = CostModel::default();
+    let dominates = |a: &PpacSummary, b: &PpacSummary| {
+        a.total_power_mw <= b.total_power_mw
+            && a.effective_delay_ns <= b.effective_delay_ns
+            && a.die_cost_uc <= b.die_cost_uc
+            && (a.total_power_mw < b.total_power_mw
+                || a.effective_delay_ns < b.effective_delay_ns
+                || a.die_cost_uc < b.die_cost_uc)
+    };
+    for config in [Config::Hetero3d, Config::TwoD12T] {
+        let stacking = if config.is_3d() {
+            StackingStyle::ALL.to_vec()
+        } else {
+            vec![StackingStyle::Monolithic]
+        };
+        let spec = SweepSpec {
+            configs: vec![config],
+            stacking,
+            corners: Corner::ALL.to_vec(),
+            freq_min_ghz: 0.9,
+            freq_max_ghz: 1.1,
+            freq_steps: 2,
+        };
+        let scenarios = if config.is_3d() {
+            spec.scenarios().len() as u64
+        } else {
+            0
+        };
+        for threads in [1usize, 4] {
+            let folded = pareto_session(&netlist, threads);
+            let summary = folded.pareto(config, 0.9, 1.1, 2, &cost).expect("pareto");
+            assert_eq!(pseudo3d_runs(&folded.options().obs), scenarios);
+
+            let sweep_session = pareto_session(&netlist, threads);
+            let FlowReport::Sweep { points: swept } = sweep_session
+                .execute(&FlowCommand::Sweep { spec: spec.clone() })
+                .expect("sweep")
+            else {
+                panic!("expected a sweep report")
+            };
+            assert_eq!(pseudo3d_runs(&sweep_session.options().obs), scenarios);
+
+            assert_eq!(summary.config, config);
+            assert_eq!(summary.points.len(), swept.len());
+            for ((point, grid), ppac) in summary.points.iter().zip(spec.points()).zip(&swept) {
+                let what = format!("{config} point {} threads {threads}", grid.index);
+                assert_eq!(point.stacking, grid.stacking, "{what}");
+                assert_eq!(point.corner, grid.corner, "{what}");
+                for (name, got, want) in [
+                    ("frequency_ghz", point.frequency_ghz, ppac.frequency_ghz),
+                    ("total_power_mw", point.total_power_mw, ppac.total_power_mw),
+                    (
+                        "effective_delay_ns",
+                        point.effective_delay_ns,
+                        ppac.effective_delay_ns,
+                    ),
+                    ("die_cost_uc", point.die_cost_uc, ppac.die_cost_uc),
+                    ("pdp_pj", point.pdp_pj, ppac.pdp_pj),
+                    ("ppc", point.ppc, ppac.ppc),
+                    ("wns_ns", point.wns_ns, ppac.wns_ns),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}: {name}");
+                }
+                let dominated = swept.iter().any(|other| dominates(other, ppac));
+                assert_eq!(point.on_frontier, !dominated, "{what}: on_frontier");
+
+                let options = quick_options(threads, grid.tech());
+                let tolerance = options.wns_tolerance;
+                let single = try_run_flow(&netlist, config, grid.frequency_ghz, &options)
+                    .expect("single-shot run");
+                assert_eq!(single.sta.wns.to_bits(), point.wns_ns.to_bits(), "{what}");
+                assert_eq!(
+                    point.timing_met,
+                    single.sta.timing_met(tolerance),
+                    "{what}: timing_met"
+                );
+            }
+        }
+    }
 }

@@ -2,15 +2,19 @@
 //!
 //! The contract under test: after ANY sequence of flow-vocabulary edits —
 //! drive resize, buffer insertion, tier swap, clock-period change, net
-//! parasitics update — [`m3d_sta::Timer::update`] returns a result
-//! **bit-identical** to a cold [`m3d_sta::analyze`] of the same context,
-//! at any thread count. Threads are a performance knob only.
+//! parasitics update — reported as [`TimingEdit`]s,
+//! [`Timer::update_journaled`] returns a result **bit-identical** to a
+//! cold [`analyze`] of the same context, at any thread count. Threads
+//! are a performance knob only; cold `analyze` is the reference that
+//! keeps the edit lists honest.
 
 use hetero3d::db::DesignDb;
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId, Netlist};
 use hetero3d::par;
-use hetero3d::sta::{analyze, ClockSpec, NetModel, Parasitics, StaResult, Timer, TimingContext};
+use hetero3d::sta::{
+    analyze, ClockSpec, NetModel, Parasitics, StaResult, Timer, TimingContext, TimingEdit,
+};
 use hetero3d::tech::{Drive, Tier, TierStack};
 use proptest::prelude::*;
 
@@ -50,119 +54,115 @@ fn assert_bit_identical(incr: &StaResult, cold: &StaResult, what: &str) {
     }
 }
 
-/// One randomized non-structural edit, decoded from `(op, index,
-/// magnitude)`. Structural edits (buffer insertion) are handled by the
-/// caller before the parasitics binding is (re)built.
-#[allow(clippy::too_many_arguments)]
-fn apply_edit(
-    op: u8,
-    index: usize,
-    mag: f64,
-    netlist: &mut Netlist,
-    tiers: &mut [Tier],
-    parasitics: &mut Parasitics,
-    period: &mut f64,
-    timer: &mut Timer,
-) {
-    let gates: Vec<CellId> = netlist
-        .cells()
-        .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
-        .map(|(id, _)| id)
-        .collect();
-    match op {
-        0 => {
-            let g = gates[index % gates.len()];
-            let d = netlist.cell(g).class.gate_drive().expect("gate");
-            netlist.set_drive(g, d.upsized().unwrap_or(Drive::X1));
-            timer.resize_cell(g);
-        }
-        1 => {
-            let g = gates[index % gates.len()];
-            let d = netlist.cell(g).class.gate_drive().expect("gate");
-            netlist.set_drive(g, d.downsized().unwrap_or(Drive::X8));
-            timer.resize_cell(g);
-        }
-        2 => {
-            let g = gates[index % gates.len()];
-            tiers[g.index()] = tiers[g.index()].other();
-            timer.swap_tier(g);
-        }
-        3 => {
-            *period = (*period * (0.85 + 0.3 * mag)).max(0.05);
-            timer.set_period(*period);
-        }
-        _ => {
-            let k = NetId::from_index(index % netlist.net_count());
-            parasitics.net_mut(k).wire_delay_ns += 0.006 * mag;
-            parasitics.net_mut(k).wire_cap_ff += 2.0 * mag;
-            timer.update_parasitics(k);
-        }
+/// Runs `script` at 1 and 4 threads (a performance knob only) and checks
+/// that the two result series agree bit for bit.
+fn at_1_and_4_threads(what: &str, script: impl Fn(usize) -> Vec<StaResult>) {
+    let runs = [1usize, 4].map(|threads| {
+        par::set_threads(threads);
+        script(threads)
+    });
+    par::set_threads(1);
+    for (step, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
+        assert_bit_identical(a, b, &format!("{what}: threads 1 vs 4, step {step}"));
     }
 }
 
-/// Runs one random edit script on a small AES netlist, checking that the
-/// incremental result matches a cold analyze bit-for-bit after every
-/// single edit.
-fn run_edit_script(edits: &[(u8, usize, f64)], seed: u64) {
-    let mut netlist = Benchmark::Aes.generate(0.015, seed);
-    let stack = TierStack::heterogeneous();
-    let mut positions = vec![hetero3d::geom::Point::ORIGIN; netlist.cell_count()];
-    let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
-    let mut period = 1.0;
-    let mut timer = Timer::new();
-
-    for (step, &(op, index, mag)) in edits.iter().enumerate() {
-        // Structural edits first: they grow the netlist, and every
-        // per-net/per-cell binding below must be sized to the result.
-        if op == 5 {
-            let inserted =
-                hetero3d::opt::insert_buffers(&mut netlist, &mut positions, 6 + index % 6);
-            tiers.resize(netlist.cell_count(), Tier::Bottom);
-            if !inserted.is_empty() {
-                timer.insert_buffer();
-            }
-        }
-        // Rebuild the wire models each step so the vector tracks the
-        // netlist when a buffer-insert edit grew it (the rebuild itself
-        // is one more parasitics edit the timer must absorb).
-        let mut parasitics = Parasitics::zero_wire(&netlist);
-        for k in 0..netlist.net_count() {
-            let id = NetId::from_index(k);
-            *parasitics.net_mut(id) = hetero3d::sta::NetModel {
-                wire_cap_ff: 0.5 + (k % 7) as f64,
-                wire_delay_ns: 0.001 * (k % 5) as f64,
-            };
-        }
-        if op != 5 {
-            apply_edit(
-                op,
-                index,
-                mag,
-                &mut netlist,
-                &mut tiers,
-                &mut parasitics,
-                &mut period,
-                &mut timer,
-            );
-        }
-        let ctx = TimingContext {
-            netlist: &netlist,
-            stack: &stack,
-            tiers: &tiers,
-            parasitics: &parasitics,
-            clock: ClockSpec::with_period(period),
+/// The deterministic wire models a (re)built netlist starts from.
+fn seeded_parasitics(netlist: &Netlist) -> Parasitics {
+    let mut parasitics = Parasitics::zero_wire(netlist);
+    for k in 0..netlist.net_count() {
+        *parasitics.net_mut(NetId::from_index(k)) = NetModel {
+            wire_cap_ff: 0.5 + (k % 7) as f64,
+            wire_delay_ns: 0.001 * (k % 5) as f64,
         };
-        let incr = timer.update(&ctx);
-        let cold = analyze(&ctx);
-        assert_bit_identical(&incr, &cold, &format!("step {step} op {op}"));
     }
+    parasitics
+}
+
+/// Runs one random edit script on a small AES netlist — every edit
+/// decoded from `(op, index, magnitude)` and reported to the timer as
+/// the matching [`TimingEdit`] — checking that the incremental result
+/// matches a cold analyze bit-for-bit after every single edit, at 1 and
+/// 4 threads, which must also agree with each other.
+fn run_edit_script(edits: &[(u8, usize, f64)], seed: u64) {
+    let stack = TierStack::heterogeneous();
+    at_1_and_4_threads("hand-journaled", |threads| {
+        let mut netlist = Benchmark::Aes.generate(0.015, seed);
+        let mut positions = vec![hetero3d::geom::Point::ORIGIN; netlist.cell_count()];
+        let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
+        let mut parasitics = seeded_parasitics(&netlist);
+        let mut period = 1.0;
+        let mut timer = Timer::new();
+        let mut results = Vec::new();
+
+        for (step, &(op, index, mag)) in edits.iter().enumerate() {
+            let gates: Vec<CellId> = netlist
+                .cells()
+                .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
+                .map(|(id, _)| id)
+                .collect();
+            let gate = gates[index % gates.len()];
+            let edit = match op {
+                0 | 1 => {
+                    let d = netlist.cell(gate).class.gate_drive().expect("gate");
+                    let to = if op == 0 {
+                        d.upsized().unwrap_or(Drive::X1)
+                    } else {
+                        d.downsized().unwrap_or(Drive::X8)
+                    };
+                    netlist.set_drive(gate, to);
+                    TimingEdit::ResizeCell(gate)
+                }
+                2 => {
+                    tiers[gate.index()] = tiers[gate.index()].other();
+                    TimingEdit::SwapTier(gate)
+                }
+                3 => {
+                    period = (period * (0.85 + 0.3 * mag)).max(0.05);
+                    TimingEdit::Period
+                }
+                4 => {
+                    let k = NetId::from_index(index % netlist.net_count());
+                    parasitics.net_mut(k).wire_delay_ns += 0.006 * mag;
+                    parasitics.net_mut(k).wire_cap_ff += 2.0 * mag;
+                    TimingEdit::NetModel(k)
+                }
+                // Buffer insertion grows the netlist: every per-net and
+                // per-cell binding is re-sized to the result, and the
+                // journal says so.
+                _ => {
+                    let _ =
+                        hetero3d::opt::insert_buffers(&mut netlist, &mut positions, 6 + index % 6);
+                    tiers.resize(netlist.cell_count(), Tier::Bottom);
+                    parasitics = seeded_parasitics(&netlist);
+                    TimingEdit::Structural
+                }
+            };
+            let ctx = TimingContext {
+                netlist: &netlist,
+                stack: &stack,
+                tiers: &tiers,
+                parasitics: &parasitics,
+                clock: ClockSpec::with_period(period),
+            };
+            let incr = timer.update_journaled(&ctx, &[edit]);
+            let cold = analyze(&ctx);
+            assert_bit_identical(
+                &incr,
+                &cold,
+                &format!("step {step} op {op} threads {threads}"),
+            );
+            results.push(incr);
+        }
+        results
+    });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Random edit scripts: resize up/down, tier swap, period change,
-    // parasitics update, buffer insertion.
+    // parasitics update, buffer insertion — each journaled by hand.
     #[test]
     fn timer_is_bit_identical_to_cold_analyze(
         edits in prop::collection::vec((0u8..6, 0usize..4096, 0.0..1.0f64), 1..10),
@@ -171,10 +171,10 @@ proptest! {
         run_edit_script(&edits, seed);
     }
 
-    // The journal-driven path: the same random edits recorded through the
-    // design database's journaling mutators, with the timer fed
-    // `Journal::timing_edits` instead of per-edit notifications. Checked
-    // against a cold analyze after every step, at 1 and 4 threads.
+    // The same kind of script recorded through the design database's
+    // journaling mutators, with the timer fed `Journal::timing_edits` —
+    // what the flow does. Checked against a cold analyze after every
+    // step, at 1 and 4 threads.
     #[test]
     fn journaled_timer_is_bit_identical_to_cold_analyze(
         edits in prop::collection::vec((0u8..4, 0usize..4096, 0.0..1.0f64), 1..10),
@@ -191,9 +191,7 @@ proptest! {
 fn run_journaled_script(edits: &[(u8, usize, f64)], seed: u64) {
     let netlist = Benchmark::Aes.generate(0.015, seed);
     let parasitics = Parasitics::zero_wire(&netlist);
-    let mut runs: Vec<Vec<StaResult>> = Vec::new();
-    for threads in [1usize, 4] {
-        par::set_threads(threads);
+    at_1_and_4_threads("db-journaled", |threads| {
         let mut db = DesignDb::new(netlist.clone(), TierStack::heterogeneous(), 1.0);
         db.set_parasitics(parasitics.clone());
         let _ = db.take_journal();
@@ -251,12 +249,8 @@ fn run_journaled_script(edits: &[(u8, usize, f64)], seed: u64) {
             );
             results.push(incr);
         }
-        runs.push(results);
-    }
-    par::set_threads(1);
-    for (step, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
-        assert_bit_identical(a, b, &format!("journaled threads 1 vs 4, step {step}"));
-    }
+        results
+    });
 }
 
 /// A large (above the parallel threshold) netlist driven through a fixed
@@ -280,32 +274,36 @@ fn timer_is_thread_count_invariant() {
         .map(|(id, _)| id)
         .collect();
 
-    let mut runs: Vec<Vec<StaResult>> = Vec::new();
-    for threads in [1usize, 4] {
-        par::set_threads(threads);
+    at_1_and_4_threads("large netlist", |threads| {
         let mut nl = netlist.clone();
         let mut tiers = base_tiers.clone();
         let mut period = 1.0;
         let mut timer = Timer::new();
         let mut results = Vec::new();
         for step in 0..8 {
-            match step % 4 {
+            let edit = match step % 4 {
                 0 => {
                     let g = gates[step * 97 % gates.len()];
                     let d = nl.cell(g).class.gate_drive().expect("gate");
                     nl.set_drive(g, d.upsized().unwrap_or(Drive::X1));
+                    TimingEdit::ResizeCell(g)
                 }
                 1 => {
                     let g = gates[step * 131 % gates.len()];
                     tiers[g.index()] = tiers[g.index()].other();
+                    TimingEdit::SwapTier(g)
                 }
-                2 => period *= 0.94,
+                2 => {
+                    period *= 0.94;
+                    TimingEdit::Period
+                }
                 _ => {
                     let g = gates[step * 61 % gates.len()];
                     let d = nl.cell(g).class.gate_drive().expect("gate");
                     nl.set_drive(g, d.downsized().unwrap_or(Drive::X8));
+                    TimingEdit::ResizeCell(g)
                 }
-            }
+            };
             let ctx = TimingContext {
                 netlist: &nl,
                 stack: &stack,
@@ -313,17 +311,13 @@ fn timer_is_thread_count_invariant() {
                 parasitics: &parasitics,
                 clock: ClockSpec::with_period(period),
             };
-            results.push(timer.update(&ctx));
+            results.push(timer.update_journaled(&ctx, &[edit]));
             if threads == 1 && step == 7 {
                 // Anchor the sequence to a cold pass once.
                 assert_bit_identical(results.last().unwrap(), &analyze(&ctx), "anchor");
             }
         }
         results.push(timer.result().expect("updated").clone());
-        runs.push(results);
-    }
-    par::set_threads(1);
-    for (step, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
-        assert_bit_identical(a, b, &format!("threads 1 vs 4, step {step}"));
-    }
+        results
+    });
 }

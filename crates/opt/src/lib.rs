@@ -4,9 +4,9 @@
 //! steps and that the paper's methodology leans on ("additional cell
 //! sizing and buffer insertion ... to overcome PPA degradation"):
 //!
-//! * [`resize_for_timing`] — upsizes gates with negative slack, iterating
-//!   while WNS improves,
-//! * [`resize_for_power`] — downsizes gates with comfortable slack,
+//! * [`resize_for_timing_with`] — upsizes gates with negative slack,
+//!   iterating while WNS improves,
+//! * [`resize_for_power_with`] — downsizes gates with comfortable slack,
 //!   verifying after each batch and rolling back batches that create
 //!   violations,
 //! * [`insert_buffers`] — splits high-fanout nets with buffer trees
@@ -34,33 +34,25 @@ pub struct ResizeOutcome {
     pub final_wns: f64,
 }
 
-/// Upsizes gates on violating paths until WNS stops improving.
-///
-/// Each round upsizes every gate whose cell criticality is below
-/// `slack_floor` (default callers use 0.0) by one drive step, then
-/// re-evaluates; rounds that do not improve WNS are rolled back and the
-/// loop stops.
-pub fn resize_for_timing(
-    netlist: &mut Netlist,
-    slack_floor: f64,
-    max_rounds: usize,
-    mut evaluate: impl FnMut(&Netlist) -> StaResult,
-) -> ResizeOutcome {
-    resize_for_timing_with(netlist, slack_floor, max_rounds, |nl, _| evaluate(nl))
-}
-
 /// A drive change applied between two `evaluate` calls: `(cell, from, to)`.
 /// Journal-aware callers (an incremental timer fed from a change journal)
 /// use the list to dirty exactly the touched cells; callers that
 /// re-analyze from scratch ignore it.
 pub type DriveEdit = (CellId, Drive, Drive);
 
-/// [`resize_for_timing`] with an edit-aware evaluate: each call receives
-/// the drive changes applied since the previous call (empty on the first
-/// call). Rolled-back batches are flushed through one extra `evaluate`
-/// carrying the undo edits, so a stateful evaluator never goes stale; that
-/// result is discarded (`evaluate` must be a pure function of the
-/// netlist, so the flush is bit-identical to the pre-batch result).
+/// Upsizes gates on violating paths until WNS stops improving.
+///
+/// Each round upsizes every gate whose cell criticality is below
+/// `slack_floor` (default callers use 0.0) by one drive step, then
+/// re-evaluates; rounds that do not improve WNS are rolled back and the
+/// loop stops.
+///
+/// Each `evaluate` call receives the drive changes applied since the
+/// previous call (empty on the first call). Rolled-back batches are
+/// flushed through one extra `evaluate` carrying the undo edits, so a
+/// stateful evaluator never goes stale; that result is discarded
+/// (`evaluate` must be a pure function of the netlist, so the flush is
+/// bit-identical to the pre-batch result).
 pub fn resize_for_timing_with(
     netlist: &mut Netlist,
     slack_floor: f64,
@@ -133,17 +125,8 @@ pub fn resize_for_timing_with(
 /// Downsizes gates whose slack exceeds `slack_margin`, in batches,
 /// verifying WNS does not degrade below `wns_floor` (typically the current
 /// WNS minus a small tolerance). Batches that violate are rolled back.
-pub fn resize_for_power(
-    netlist: &mut Netlist,
-    slack_margin: f64,
-    max_rounds: usize,
-    mut evaluate: impl FnMut(&Netlist) -> StaResult,
-) -> ResizeOutcome {
-    resize_for_power_with(netlist, slack_margin, max_rounds, |nl, _| evaluate(nl))
-}
-
-/// [`resize_for_power`] with an edit-aware evaluate; see
-/// [`resize_for_timing_with`] for the edit-list contract.
+///
+/// `evaluate` follows the edit-list contract of [`resize_for_timing_with`].
 pub fn resize_for_power_with(
     netlist: &mut Netlist,
     slack_margin: f64,
@@ -295,7 +278,7 @@ mod tests {
         let period = (10.0 - loose.wns) * 0.88;
         let before = evaluate(&n, period);
         assert!(before.wns < 0.0, "want a violating start: {}", before.wns);
-        let outcome = resize_for_timing(&mut n, 0.0, 4, |nl| evaluate(nl, period));
+        let outcome = resize_for_timing_with(&mut n, 0.0, 4, |nl, _| evaluate(nl, period));
         assert!(
             outcome.final_wns > outcome.initial_wns,
             "{} -> {}",
@@ -311,7 +294,7 @@ mod tests {
         let period = 2.0; // loose
         let before = evaluate(&n, period);
         assert!(before.wns > 0.0);
-        let outcome = resize_for_power(&mut n, 0.3, 3, |nl| evaluate(nl, period));
+        let outcome = resize_for_power_with(&mut n, 0.3, 3, |nl, _| evaluate(nl, period));
         let after = evaluate(&n, period);
         assert!(
             after.wns >= before.wns - 0.01,
@@ -336,7 +319,7 @@ mod tests {
         for id in &gates {
             n.set_drive(*id, Drive::X8);
         }
-        let outcome = resize_for_power(&mut n, 0.2, 5, |nl| evaluate(nl, 2.0));
+        let outcome = resize_for_power_with(&mut n, 0.2, 5, |nl, _| evaluate(nl, 2.0));
         assert!(outcome.cells_changed > gates.len() / 2);
     }
 

@@ -69,7 +69,7 @@ pub struct EcoOutcome {
     pub stop_reason: EcoStop,
 }
 
-/// Why [`repartition_eco`] terminated.
+/// Why [`repartition_eco_with`] terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcoStop {
     /// Area unbalance crossed `unbalance_th`.
@@ -93,25 +93,13 @@ pub enum EcoStop {
 /// iteration cap.
 ///
 /// `evaluate` runs timing under the given assignment; `areas` is per-cell
-/// area used for the unbalance bookkeeping.
-pub fn repartition_eco(
-    tiers: &mut [Tier],
-    areas: &[f64],
-    fast: Tier,
-    config: &EcoConfig,
-    mut evaluate: impl FnMut(&[Tier]) -> EcoTimingView,
-) -> EcoOutcome {
-    repartition_eco_with(tiers, areas, fast, config, |t, _| evaluate(t))
-}
-
-/// [`repartition_eco`] with an edit-aware evaluate: each call receives the
-/// cells whose tier changed since the previous call (empty on the first
-/// call), so a journal-fed incremental timer can dirty exactly those
-/// cells. An undone round's cells are *not* re-evaluated immediately (the
-/// algorithm proceeds straight to the next round, exactly as
-/// [`repartition_eco`] does); instead they are carried over and prepended
-/// to the next call's edit list, which keeps a stateful evaluator's view
-/// of the tier assignment complete.
+/// area used for the unbalance bookkeeping. Each `evaluate` call also
+/// receives the cells whose tier changed since the previous call (empty on
+/// the first call), so a journal-fed incremental timer can dirty exactly
+/// those cells. An undone round's cells are *not* re-evaluated immediately
+/// (the algorithm proceeds straight to the next round); instead they are
+/// carried over and prepended to the next call's edit list, which keeps a
+/// stateful evaluator's view of the tier assignment complete.
 pub fn repartition_eco_with(
     tiers: &mut [Tier],
     areas: &[f64],
@@ -241,7 +229,7 @@ mod tests {
     fn eco_moves_slow_cells_to_fast_die() {
         let mut tiers = vec![Tier::Top; 10];
         let areas = vec![1.0; 10];
-        let outcome = repartition_eco(
+        let outcome = repartition_eco_with(
             &mut tiers,
             &areas,
             Tier::Bottom,
@@ -250,7 +238,7 @@ mod tests {
                 d0: 0.9,
                 ..Default::default()
             },
-            |t| toy_eval(t, 15.0),
+            |t, _| toy_eval(t, 15.0),
         );
         assert!(outcome.cells_moved > 0);
         assert!(outcome.final_wns > outcome.initial_wns);
@@ -260,7 +248,7 @@ mod tests {
     fn eco_respects_unbalance_threshold() {
         let mut tiers = vec![Tier::Top; 10];
         let areas = vec![1.0; 10];
-        let outcome = repartition_eco(
+        let outcome = repartition_eco_with(
             &mut tiers,
             &areas,
             Tier::Bottom,
@@ -268,7 +256,7 @@ mod tests {
                 unbalance_th: 0.0, // any move unbalances -> immediate stop
                 ..Default::default()
             },
-            |t| toy_eval(t, 15.0),
+            |t, _| toy_eval(t, 15.0),
         );
         // The toy starts all-Top, already fully unbalanced.
         assert_eq!(outcome.stop_reason, EcoStop::Unbalanced);
@@ -279,7 +267,7 @@ mod tests {
     fn eco_converges_when_critical_cells_are_fast() {
         let mut tiers = vec![Tier::Bottom; 10];
         let areas = vec![1.0; 10];
-        let outcome = repartition_eco(
+        let outcome = repartition_eco_with(
             &mut tiers,
             &areas,
             Tier::Bottom,
@@ -287,7 +275,7 @@ mod tests {
                 unbalance_th: 1.1,
                 ..Default::default()
             },
-            |t| toy_eval(t, 15.0),
+            |t, _| toy_eval(t, 15.0),
         );
         assert_eq!(outcome.stop_reason, EcoStop::Converged);
         assert_eq!(outcome.cells_moved, 0);
@@ -343,7 +331,7 @@ mod tests {
         let areas = vec![1.0; 10];
         let initial = tiers.clone();
         let mut calls = 0;
-        let outcome = repartition_eco(
+        let outcome = repartition_eco_with(
             &mut tiers,
             &areas,
             Tier::Bottom,
@@ -353,7 +341,7 @@ mod tests {
                 max_iterations: 3,
                 ..Default::default()
             },
-            |t| {
+            |t, _| {
                 calls += 1;
                 let moved = t.iter().filter(|x| **x == Tier::Bottom).count();
                 EcoTimingView {

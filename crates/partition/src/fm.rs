@@ -70,21 +70,8 @@ pub fn min_cut(
 /// balance is enforced *per placement bin*, so the partition stays
 /// consistent with the pseudo-3-D placement (each bin contributes half its
 /// area to each tier and tier legalization barely perturbs the placement).
-#[allow(clippy::too_many_arguments)]
-pub fn bin_min_cut(
-    netlist: &Netlist,
-    positions: &[Point],
-    die: m3d_geom::Rect,
-    bins: usize,
-    areas: &[f64],
-    locked: &[bool],
-    tiers: &mut [Tier],
-    config: &PartitionConfig,
-) -> usize {
-    bin_min_cut_with_stats(netlist, positions, die, bins, areas, locked, tiers, config).0
-}
-
-/// [`bin_min_cut`] plus the [`FmStats`] counters of the run.
+///
+/// Returns the final cut size plus the [`FmStats`] counters of the run.
 #[allow(clippy::too_many_arguments)]
 pub fn bin_min_cut_with_stats(
     netlist: &Netlist,
@@ -627,7 +614,7 @@ mod tests {
             .map(|i| Point::new((i as f64 * 37.3) % 100.0, (i as f64 * 53.7) % 100.0))
             .collect();
         let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        let cut = bin_min_cut(
+        let (cut, _) = bin_min_cut_with_stats(
             &n,
             &positions,
             die,
@@ -671,7 +658,7 @@ mod tests {
             .map(|i| Point::new((i as f64 * 17.9) % 100.0, (i as f64 * 71.3) % 100.0))
             .collect();
         let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        bin_min_cut(
+        let _ = bin_min_cut_with_stats(
             &n,
             &positions,
             die,

@@ -10,7 +10,7 @@
 //!    cell-based coverage — not path sampling) and *lock* the most
 //!    critical 20–30 % of cell area onto the fast tier before min-cut
 //!    runs on the rest.
-//! 2. **Repartitioning ECO** ([`repartition_eco`], Section III-C /
+//! 2. **Repartitioning ECO** ([`repartition_eco_with`], Section III-C /
 //!    Algorithm 1): after placement and CTS, iteratively find cells that
 //!    are too slow for their tier on the critical paths and move them to
 //!    the fast die, with WNS/TNS guard rails and an area-unbalance stop.
@@ -34,10 +34,8 @@ mod eco;
 mod fm;
 mod timing;
 
-pub use eco::{
-    repartition_eco, repartition_eco_with, EcoConfig, EcoOutcome, EcoStop, EcoTimingView,
-};
-pub use fm::{bin_min_cut, bin_min_cut_with_stats, min_cut, FmStats, PartitionConfig};
+pub use eco::{repartition_eco_with, EcoConfig, EcoOutcome, EcoStop, EcoTimingView};
+pub use fm::{bin_min_cut_with_stats, min_cut, FmStats, PartitionConfig};
 pub use timing::{timing_driven_assignment, TimingAssignment};
 
 use m3d_netlist::Netlist;

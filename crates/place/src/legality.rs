@@ -1,6 +1,6 @@
 //! Placement legality oracle.
 //!
-//! An independent check of what [`crate::legalize`] promises, sharing no
+//! An independent check of what [`crate::try_legalize_with_stats`] promises, sharing no
 //! code with it: every movable gate sits inside the die, centered on a
 //! row of its own tier's pitch, clear of that tier's macro keep-outs and
 //! of every other gate on the tier. It reads only the inputs and the
@@ -130,7 +130,7 @@ pub fn check_legality(
 mod tests {
     use super::*;
     use crate::global::{global_place, PlacerConfig};
-    use crate::legal::legalize;
+    use crate::legal::try_legalize_with_stats;
     use m3d_netgen::Benchmark;
 
     /// A legalized heterogeneous placement with its inputs.
@@ -149,7 +149,7 @@ mod tests {
             ..PlacerConfig::default()
         };
         let global = global_place(&n, &fp, &config);
-        let legal = legalize(&n, &global, &fp, &stack, &tiers);
+        let (legal, _) = try_legalize_with_stats(&n, &global, &fp, &stack, &tiers).unwrap();
         (n, tiers, fp, stack, legal)
     }
 

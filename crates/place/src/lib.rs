@@ -8,7 +8,7 @@
 //! * [`global_place`] — connectivity-driven global placement: net-centroid
 //!   relaxation interleaved with bin-density spreading (a SimPL/FastPlace-
 //!   class heuristic, deterministic under a fixed seed),
-//! * [`legalize`] — Tetris row legalization per tier, honoring each tier's
+//! * [`try_legalize_with_stats`] — Tetris row legalization per tier, honoring each tier's
 //!   row height (9-track rows are 25 % shorter than 12-track rows) and
 //!   macro keep-outs,
 //! * [`check_legality`] — an independent oracle for what legalization
@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use m3d_netgen::Benchmark;
-//! use m3d_place::{global_place, legalize, Floorplan, PlacerConfig};
+//! use m3d_place::{global_place, try_legalize_with_stats, Floorplan, PlacerConfig};
 //! use m3d_tech::{Library, Tier, TierStack};
 //!
 //! let netlist = Benchmark::Aes.generate(0.02, 1);
@@ -28,7 +28,7 @@
 //! let fp = Floorplan::new(&netlist, &stack, &tiers, 0.7);
 //! let config = PlacerConfig::default();
 //! let placed = global_place(&netlist, &fp, &config);
-//! let legal = legalize(&netlist, &placed, &fp, &stack, &tiers);
+//! let (legal, _stats) = try_legalize_with_stats(&netlist, &placed, &fp, &stack, &tiers).unwrap();
 //! assert!(legal.hpwl(&netlist) > 0.0);
 //! ```
 
@@ -40,8 +40,6 @@ mod placement;
 
 pub use floorplan::Floorplan;
 pub use global::{global_place, refine_place, PlacerConfig};
-pub use legal::{
-    legalize, legalize_with_stats, try_legalize_with_stats, LegalStats, LegalizeError,
-};
+pub use legal::{try_legalize_with_stats, LegalStats, LegalizeError};
 pub use legality::{check_legality, LegalityViolation};
 pub use placement::Placement;

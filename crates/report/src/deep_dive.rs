@@ -2,7 +2,7 @@
 //! analyses of one implementation.
 
 use m3d_flow::Implementation;
-use m3d_route::extract_parasitics;
+use m3d_route::try_extract_parasitics_with_stats;
 use m3d_sta::{worst_paths, ClockSpec, TimingContext};
 use m3d_tech::Tier;
 
@@ -107,7 +107,9 @@ pub struct DeepDive {
 #[must_use]
 pub fn deep_dive(imp: &Implementation) -> DeepDive {
     let netlist = &imp.netlist;
-    let parasitics = extract_parasitics(netlist, &imp.placement, &imp.stack, Some(&imp.routing));
+    let (parasitics, _) =
+        try_extract_parasitics_with_stats(netlist, &imp.placement, &imp.stack, Some(&imp.routing))
+            .expect("an implementation's routing covers its netlist");
 
     // ---- memory interconnects ------------------------------------------
     let mut in_sq = 0.0;

@@ -185,8 +185,13 @@ pub fn render_overlays(imp: &Implementation, title: &str) -> String {
     }
 
     // Worst critical path (red polyline).
-    let parasitics =
-        m3d_route::extract_parasitics(&imp.netlist, &imp.placement, &imp.stack, Some(&imp.routing));
+    let (parasitics, _) = m3d_route::try_extract_parasitics_with_stats(
+        &imp.netlist,
+        &imp.placement,
+        &imp.stack,
+        Some(&imp.routing),
+    )
+    .expect("an implementation's routing covers its netlist");
     let mut clock = ClockSpec::with_period(1.0 / imp.frequency_ghz);
     clock.latency_ns = imp.clock_tree.sink_latency.clone();
     let lats = imp.clock_tree.latencies();

@@ -12,7 +12,7 @@
 //!   wire-dominant LDPC behave differently from AES),
 //! * MIV accounting — one inter-tier via per tier crossing of a net's
 //!   spanning topology (Table VI's `# MIVs` row),
-//! * [`extract_parasitics`] — per-net RC from routed (or estimated)
+//! * [`try_extract_parasitics_with_stats`] — per-net RC from routed (or estimated)
 //!   lengths, in the [`m3d_sta::Parasitics`] format the timing engine
 //!   consumes.
 //!
@@ -36,8 +36,5 @@
 mod extract;
 mod router;
 
-pub use extract::{
-    extract_parasitics, extract_parasitics_with_stats, try_extract_parasitics_with_stats,
-    ExtractError, ExtractStats,
-};
+pub use extract::{try_extract_parasitics_with_stats, ExtractError, ExtractStats};
 pub use router::{global_route, RouteConfig, RoutedNet, RoutingResult};

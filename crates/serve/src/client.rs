@@ -38,7 +38,8 @@ impl From<std::io::Error> for ClientError {
 /// One connection to a flow service. Requests may be pipelined with
 /// [`Client::send`] and collected with [`Client::recv`] (responses
 /// carry the request `id` for correlation), or issued one at a time
-/// with [`Client::call`].
+/// with [`Client::call`]. [`Client::send_raw`] / [`Client::recv_raw`]
+/// move undecoded lines — the router relays through them.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -52,6 +53,8 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Request/response lines are small and latency-bound.
+        stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -69,16 +72,34 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Sends one raw line verbatim (plus the newline). Exists so tests
-    /// and tools can probe the server's handling of malformed input.
+    /// Sends one raw line verbatim (plus the newline): the router's
+    /// relay path, and how tests and tools probe the server's handling
+    /// of malformed input.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write: with `TCP_NODELAY` set, two would be two segments.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())?;
         self.writer.flush()
+    }
+
+    /// Reads the next server line undecoded, newline included.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Closed`] on a clean EOF, [`ClientError::Io`] on a
+    /// socket failure.
+    pub fn recv_raw(&mut self) -> Result<String, ClientError> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(ClientError::Closed);
+        }
+        Ok(line)
     }
 
     /// Reads the next response line.
@@ -88,11 +109,7 @@ impl Client {
     /// [`ClientError::Closed`] on a clean EOF, [`ClientError::Io`] /
     /// [`ClientError::BadResponse`] otherwise.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Closed);
-        }
-        decode_response(&line).map_err(ClientError::BadResponse)
+        decode_response(&self.recv_raw()?).map_err(ClientError::BadResponse)
     }
 
     /// Reads the next server line as a [`ServerMessage`] — either a v1
@@ -104,11 +121,7 @@ impl Client {
     /// [`ClientError::Closed`] on a clean EOF, [`ClientError::Io`] /
     /// [`ClientError::BadResponse`] otherwise.
     pub fn recv_message(&mut self) -> Result<ServerMessage, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Closed);
-        }
-        decode_message(&line).map_err(ClientError::BadResponse)
+        decode_message(&self.recv_raw()?).map_err(ClientError::BadResponse)
     }
 
     /// Sends one request and blocks for one response.

@@ -4,22 +4,28 @@
 //! All I/O here is partial by design. [`Conn::fill`] reads at most a
 //! fixed budget per tick so one chatty connection cannot starve its
 //! shard; [`Conn::flush`] writes until the kernel pushes back. The
-//! framer ([`Conn::extract_lines`]) yields complete, trimmed, non-empty
-//! lines and leaves any partial tail buffered for the next readiness
-//! event. Lines longer than the configured cap, and lines that are not
-//! UTF-8, end the connection's read half — the caller decides what (if
-//! anything) to answer first.
+//! [`Framer`] yields complete, trimmed, non-empty lines and leaves any
+//! partial tail buffered for the next read. Lines longer than the cap,
+//! and lines that are not UTF-8, end the connection's read half — the
+//! caller decides what (if anything) to answer first. The router's
+//! client-facing loop frames with the same [`Framer`] and the same
+//! [`MAX_LINE_BYTES`], so a line means the same thing on every front.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 
+use crate::protocol::{RejectKind, Response};
 use crate::reactor::Interest;
 
 /// How many bytes one readiness event may pull off a socket before the
 /// shard moves on to the next connection. Level-triggered polling
 /// re-reports the fd while data remains, so fairness costs nothing.
 pub(crate) const READ_BUDGET: usize = 64 * 1024;
+
+/// The cap on one request line (1 MiB): the default of
+/// `TcpTuning::max_line_bytes`, and what the router's front enforces.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How the framer left the connection after a read pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,79 +38,43 @@ pub(crate) enum FrameEnd {
     BadUtf8,
 }
 
-#[derive(Debug)]
-pub(crate) struct Conn {
-    stream: TcpStream,
+impl FrameEnd {
+    /// What a front answers a framing violation with before it stops
+    /// reading: an over-long line gets one `protocol` rejection; a
+    /// non-UTF-8 stream ends the reader without a response.
+    pub fn rejection(self) -> Option<Response> {
+        match self {
+            FrameEnd::TooLong { limit } => Some(Response::reject(
+                None,
+                RejectKind::Protocol,
+                format!("request line exceeds {limit} bytes"),
+            )),
+            FrameEnd::Clean | FrameEnd::BadUtf8 => None,
+        }
+    }
+}
+
+/// The newline framer: inbound bytes in, complete lines out.
+#[derive(Debug, Default)]
+pub(crate) struct Framer {
     /// Unconsumed inbound bytes; complete lines are carved off the
     /// front, a partial line may remain at the tail.
     read_buf: Vec<u8>,
     /// Where the newline scan resumes (everything before it was already
     /// scanned without finding a delimiter).
     scan_from: usize,
-    /// Outbound bytes not yet accepted by the kernel.
-    write_buf: Vec<u8>,
-    /// Prefix of `write_buf` already written.
-    write_pos: usize,
-    /// Requests handed to the engine whose responses have not yet been
-    /// queued on this connection.
-    pub inflight: usize,
-    /// No more reads: peer EOF, framing violation, or server drain.
-    pub read_closed: bool,
-    /// Reads suspended by write backpressure (write_buf over the high
-    /// water mark).
-    pub paused: bool,
-    /// The interest currently registered with the poller.
-    pub registered: Interest,
 }
 
-impl Conn {
-    pub fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            scan_from: 0,
-            write_buf: Vec::new(),
-            write_pos: 0,
-            inflight: 0,
-            read_closed: false,
-            paused: false,
-            registered: Interest {
-                read: false,
-                write: false,
-            },
-        }
+impl Framer {
+    /// Appends freshly read bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.read_buf.extend_from_slice(bytes);
     }
 
-    pub fn fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
-    }
-
-    /// Reads up to [`READ_BUDGET`] bytes into the read buffer.
-    /// Returns `true` on EOF.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard socket errors (connection reset and the like);
-    /// `WouldBlock` just ends the pass.
-    pub fn fill(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 8 * 1024];
-        let mut taken = 0;
-        while taken < READ_BUDGET {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(true),
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    taken += n;
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(false)
+    /// Bytes buffered and not yet carved into lines.
+    #[cfg(test)]
+    pub fn buffered(&self) -> usize {
+        self.read_buf.len()
     }
 
     /// Carves every complete line out of the read buffer, passing each
@@ -152,6 +122,77 @@ impl Conn {
             self.scan_from = 0;
         }
         end
+    }
+}
+
+#[derive(Debug)]
+pub(crate) struct Conn {
+    stream: TcpStream,
+    /// Inbound bytes and the line framer over them.
+    pub read: Framer,
+    /// Outbound bytes not yet accepted by the kernel.
+    write_buf: Vec<u8>,
+    /// Prefix of `write_buf` already written.
+    write_pos: usize,
+    /// Requests handed to the engine whose responses have not yet been
+    /// queued on this connection.
+    pub inflight: usize,
+    /// No more reads: peer EOF, framing violation, or server drain.
+    pub read_closed: bool,
+    /// Reads suspended by write backpressure (write_buf over the high
+    /// water mark).
+    pub paused: bool,
+    /// The interest currently registered with the poller.
+    pub registered: Interest,
+}
+
+impl Conn {
+    pub fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            read: Framer::default(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            inflight: 0,
+            read_closed: false,
+            paused: false,
+            registered: Interest {
+                read: false,
+                write: false,
+            },
+        }
+    }
+
+    pub fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+
+    /// Reads up to [`READ_BUDGET`] bytes into the read buffer.
+    /// Returns `true` on EOF.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hard socket errors (connection reset and the like);
+    /// `WouldBlock` just ends the pass.
+    pub fn fill(&mut self) -> io::Result<bool> {
+        let mut chunk = [0u8; 8 * 1024];
+        let mut taken = 0;
+        while taken < READ_BUDGET {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Ok(true),
+                Ok(n) => {
+                    self.read.push(&chunk[..n]);
+                    taken += n;
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
     }
 
     /// Queues bytes for writing (no I/O; call [`Conn::flush`] after).
@@ -206,7 +247,9 @@ mod tests {
 
     fn collect_lines(conn: &mut Conn, max_line: usize) -> (Vec<String>, FrameEnd) {
         let mut lines = Vec::new();
-        let end = conn.extract_lines(max_line, &mut |l| lines.push(l.to_string()));
+        let end = conn
+            .read
+            .extract_lines(max_line, &mut |l| lines.push(l.to_string()));
         (lines, end)
     }
 
@@ -215,7 +258,7 @@ mod tests {
         let (mut client, mut conn) = pair();
         client.write_all(b"hel").expect("write");
         client.flush().unwrap();
-        while !conn.fill().unwrap() && conn.read_buf.is_empty() {}
+        while !conn.fill().unwrap() && conn.read.buffered() == 0 {}
         let (lines, end) = collect_lines(&mut conn, 1024);
         assert!(lines.is_empty());
         assert_eq!(end, FrameEnd::Clean);
@@ -223,7 +266,7 @@ mod tests {
         client.write_all(b"lo\nwor").expect("write");
         loop {
             conn.fill().unwrap();
-            if conn.read_buf.len() >= 9 {
+            if conn.read.buffered() >= 9 {
                 break;
             }
         }
@@ -250,7 +293,7 @@ mod tests {
             .expect("write");
         loop {
             conn.fill().unwrap();
-            if conn.read_buf.len() >= 18 {
+            if conn.read.buffered() >= 18 {
                 break;
             }
         }
@@ -268,21 +311,21 @@ mod tests {
         client.write_all(b"\n").expect("write");
         loop {
             conn.fill().unwrap();
-            if conn.read_buf.len() >= 65 {
+            if conn.read.buffered() >= 65 {
                 break;
             }
         }
         let (lines, end) = collect_lines(&mut conn, 16);
         assert!(lines.is_empty());
         assert_eq!(end, FrameEnd::TooLong { limit: 16 });
-        assert_eq!(conn.read_buf.len(), 0, "violating buffer is discarded");
+        assert_eq!(conn.read.buffered(), 0, "violating buffer is discarded");
 
         // A headless over-long partial (no newline yet) is also caught.
         let (mut client, mut conn) = pair();
         client.write_all(&[b'y'; 64]).expect("write");
         loop {
             conn.fill().unwrap();
-            if conn.read_buf.len() >= 64 {
+            if conn.read.buffered() >= 64 {
                 break;
             }
         }
@@ -297,7 +340,7 @@ mod tests {
         client.write_all(b"ok\n\xff\xfe\n").expect("write");
         loop {
             conn.fill().unwrap();
-            if conn.read_buf.len() >= 6 {
+            if conn.read.buffered() >= 6 {
                 break;
             }
         }

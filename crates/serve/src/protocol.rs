@@ -409,6 +409,14 @@ pub fn salvage_id(line: &str) -> Option<u64> {
         .and_then(|v| v.get("id")?.as_u64())
 }
 
+/// What a front does with one framed line: the decoded request, or the
+/// `protocol` rejection (carrying whatever `id` could be salvaged) a
+/// malformed line is answered with.
+pub(crate) fn decode_or_reject(line: &str) -> Result<FlowRequest, Response> {
+    decode_request(line)
+        .map_err(|e| Response::reject(salvage_id(line), RejectKind::Protocol, e.to_string()))
+}
+
 /// Decodes one response line — the client side of the wire, on the same
 /// cursor as [`decode_request`].
 ///

@@ -39,20 +39,31 @@
 //!   and an aggregate `done` — so a streaming client cannot tell a
 //!   routed sweep from a single-server one.
 //!
-//! # Health
+//! * **Framing is the server's**: client lines are cut by the framer a
+//!   direct server's shard uses, under the same 1 MiB cap — an oversize
+//!   line gets the same `protocol` rejection bytes, then a close.
 //!
-//! Backend connections are lazy and per-client-connection (pipelined
-//! requests stay ordered per backend). A failed call reconnects and
-//! retries once; a backend that stays down answers that request
-//! `overloaded` (or an `error` event for a sweep point) instead of
-//! hanging the client.
+//! # Threading and health
+//!
+//! One blocking thread per client connection, deliberately not a second
+//! reactor: a connection's requests are answered in order and each is a
+//! blocking call on a backend [`Client`], so the thread *is* the
+//! per-connection state machine (DESIGN §16 has the argument, and names
+//! `router.hop_ms` under many clients as what would reopen it). Backend
+//! connections are lazy and per-client-connection (pipelined requests
+//! stay ordered per backend). A failed call reconnects and retries
+//! once; a backend that stays down answers that request `overloaded`
+//! (or an `error` event for a sweep point) instead of hanging the
+//! client.
 
+use crate::client::{Client, ClientError};
+use crate::conn::{FrameEnd, Framer, MAX_LINE_BYTES};
 use crate::protocol::{
-    decode_request, decode_response, encode_line, salvage_id, RejectKind, Response, StreamEvent,
+    decode_or_reject, decode_response, encode_line, RejectKind, Response, StreamEvent,
 };
 use m3d_flow::{FlowCommand, FlowRequest};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -184,59 +195,28 @@ struct RouterStats {
     rejected_protocol: AtomicU64,
 }
 
-/// One lazily-opened, order-preserving connection to a backend.
-struct BackendConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl BackendConn {
-    fn connect(addr: SocketAddr) -> io::Result<BackendConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(BackendConn {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    /// One request line out, one response line back (both with their
-    /// newline). A clean backend EOF is an error: the call is retried
-    /// or answered unavailable by the caller.
-    fn call_line(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        if self.reader.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            ));
-        }
-        Ok(response)
-    }
-}
-
 /// The per-client-connection relay state: the ring plus this
-/// connection's private backend connections.
+/// connection's private, lazily-opened backend connections (one
+/// order-preserving [`Client`] per backend).
 struct Relay {
     ring: Ring,
     backends: Vec<SocketAddr>,
-    conns: HashMap<usize, BackendConn>,
+    conns: HashMap<usize, Client>,
     stats: Arc<RouterStats>,
 }
 
 impl Relay {
-    /// Calls `line` on backend `idx`: lazy connect, one reconnect-and-
-    /// retry on failure, `Err` once the backend stayed down.
+    /// Calls `line` (no newline) on backend `idx` and returns the
+    /// response line (with its newline): lazy connect, one reconnect-
+    /// and-retry on failure — a clean backend EOF included — and `Err`
+    /// once the backend stayed down.
     fn backend_call(&mut self, idx: usize, line: &str) -> Result<String, ()> {
         for attempt in 0..2 {
             if attempt > 0 {
                 self.stats.backend_retries.fetch_add(1, Ordering::Relaxed);
             }
             if !self.conns.contains_key(&idx) {
-                match BackendConn::connect(self.backends[idx]) {
+                match Client::connect(self.backends[idx]) {
                     Ok(conn) => {
                         self.conns.insert(idx, conn);
                     }
@@ -244,7 +224,11 @@ impl Relay {
                 }
             }
             if let Some(conn) = self.conns.get_mut(&idx) {
-                match conn.call_line(line) {
+                let called = conn
+                    .send_raw(line)
+                    .map_err(ClientError::from)
+                    .and_then(|()| conn.recv_raw());
+                match called {
                     Ok(response) => return Ok(response),
                     Err(_) => {
                         // Stale or broken pipe: drop it; the retry
@@ -286,8 +270,7 @@ impl Relay {
             .decompose_sweep()
             .expect("a validated sweep decomposes");
         let total = points.len() as u64;
-        out.write_all(encode_line(&StreamEvent::Progress { id, total }).as_bytes())?;
-        out.flush()?;
+        write_line(out, &encode_line(&StreamEvent::Progress { id, total }))?;
         let mut delivered = 0u64;
         let mut errors = 0u64;
         for (index, mut point) in points.into_iter().enumerate() {
@@ -298,61 +281,79 @@ impl Relay {
             point.id = index;
             self.stats.sweep_points.fetch_add(1, Ordering::Relaxed);
             let backend = self.ring.route(&route_key(&point));
-            let event = match self.backend_call(backend, &encode_line(&point)) {
+            let outcome = match self.backend_call(backend, encode_line(&point).trim_end()) {
                 Ok(response_line) => match decode_response(&response_line) {
                     Ok(Response::Ok {
                         cache_hit, report, ..
-                    }) => {
-                        delivered += 1;
-                        StreamEvent::Point {
-                            id,
-                            index,
-                            cache_hit,
-                            report,
-                        }
-                    }
-                    Ok(Response::Rejected { kind, message, .. }) => {
-                        errors += 1;
-                        StreamEvent::Error {
-                            id,
-                            index,
-                            kind,
-                            message,
-                        }
-                    }
-                    Err(e) => {
-                        errors += 1;
-                        StreamEvent::Error {
-                            id,
-                            index,
-                            kind: RejectKind::Protocol,
-                            message: format!("undecodable backend response: {e}"),
-                        }
-                    }
+                    }) => Ok((cache_hit, report)),
+                    Ok(Response::Rejected { kind, message, .. }) => Err((kind, message)),
+                    Err(e) => Err((
+                        RejectKind::Protocol,
+                        format!("undecodable backend response: {e}"),
+                    )),
                 },
-                Err(()) => {
+                Err(()) => Err((
+                    RejectKind::Overloaded,
+                    format!("backend shard {backend} is unavailable; retry later"),
+                )),
+            };
+            let event = match outcome {
+                Ok((cache_hit, report)) => {
+                    delivered += 1;
+                    StreamEvent::Point {
+                        id,
+                        index,
+                        cache_hit,
+                        report,
+                    }
+                }
+                Err((kind, message)) => {
                     errors += 1;
                     StreamEvent::Error {
                         id,
                         index,
-                        kind: RejectKind::Overloaded,
-                        message: format!("backend shard {backend} is unavailable; retry later"),
+                        kind,
+                        message,
                     }
                 }
             };
-            out.write_all(encode_line(&event).as_bytes())?;
-            out.flush()?;
+            write_line(out, &encode_line(&event))?;
         }
-        out.write_all(
-            encode_line(&StreamEvent::Done {
-                id,
-                points: delivered,
-                errors,
-            })
-            .as_bytes(),
-        )?;
-        out.flush()
+        let done = StreamEvent::Done {
+            id,
+            points: delivered,
+            errors,
+        };
+        write_line(out, &encode_line(&done))
     }
+
+    /// Answers one framed client line on `out`.
+    fn serve_line(&mut self, line: &str, out: &mut TcpStream) -> io::Result<()> {
+        let answer = match decode_or_reject(line) {
+            // Only a *valid* sweep streams. An invalid one (bad grid,
+            // wrong protocol version) relays verbatim so the backend
+            // answers the exact single-line rejection a direct
+            // connection would see.
+            Ok(request)
+                if matches!(request.command, FlowCommand::Sweep { .. })
+                    && request.validate().is_ok() =>
+            {
+                return self.relay_sweep(&request, out);
+            }
+            Ok(request) => self.relay_single(line, &request),
+            Err(rejection) => {
+                self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
+                encode_line(&rejection)
+            }
+        };
+        write_line(out, &answer)
+    }
+}
+
+/// Writes one rendered line to a client and flushes it.
+fn write_line(out: &mut TcpStream, line: &str) -> io::Result<()> {
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 /// The router front: a listener plus one relay thread per client
@@ -461,55 +462,41 @@ impl Router {
     }
 }
 
-/// One client connection's loop: frame lines, decode, relay.
+/// One client connection's loop: frame lines exactly as a direct
+/// server's shard does (same [`Framer`], same [`MAX_LINE_BYTES`]),
+/// decode, relay.
 fn serve_conn(stream: TcpStream, mut relay: Relay) {
     stream.set_nodelay(true).ok();
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok(mut read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
     let mut out = stream;
-    let mut line = String::new();
+    let mut framer = Framer::default();
+    let mut chunk = [0u8; 8 * 1024];
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+        match read_half.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => framer.push(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let written = match decode_request(&line) {
-            Ok(request) => {
-                // Only a *valid* sweep streams. An invalid one (bad
-                // grid, wrong protocol version) relays verbatim so the
-                // backend answers the exact single-line rejection a
-                // direct connection would see.
-                if matches!(request.command, FlowCommand::Sweep { .. })
-                    && request.validate().is_ok()
-                {
-                    relay.relay_sweep(&request, &mut out)
-                } else {
-                    let response = relay.relay_single(&line, &request);
-                    out.write_all(response.as_bytes())
-                        .and_then(|()| out.flush())
-                }
+        let mut lines: Vec<String> = Vec::new();
+        let end = framer.extract_lines(MAX_LINE_BYTES, &mut |line| lines.push(line.to_string()));
+        for line in &lines {
+            if relay.serve_line(line, &mut out).is_err() {
+                return;
             }
-            Err(e) => {
+        }
+        if end != FrameEnd::Clean {
+            // As on a direct connection: one rejection if the violation
+            // is owed one, then no more reads.
+            if let Some(rejection) = end.rejection() {
                 relay
                     .stats
                     .rejected_protocol
                     .fetch_add(1, Ordering::Relaxed);
-                let rejection = encode_line(&Response::reject(
-                    salvage_id(&line),
-                    RejectKind::Protocol,
-                    e.to_string(),
-                ));
-                out.write_all(rejection.as_bytes())
-                    .and_then(|()| out.flush())
+                let _ = write_line(&mut out, &encode_line(&rejection));
             }
-        };
-        if written.is_err() {
             return;
         }
     }

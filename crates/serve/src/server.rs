@@ -4,33 +4,39 @@
 //!
 //! # Life of a request
 //!
-//! 1. **Admission** ([`Server::enqueue`]): requests are first held to
-//!    the numeric bounds of [`FlowRequest::validate`] — an absurd
-//!    netlist scale or grid-sizing knob is rejected
+//! 1. **Admission**: every request — from [`Server::submit`],
+//!    [`Server::submit_stream`] or a TCP shard — enters through one
+//!    private `admit`, carrying the one route its lines will take. It is
+//!    first held to the numeric bounds of [`FlowRequest::validate`] — an
+//!    absurd netlist scale or grid-sizing knob is rejected
 //!    [`RejectKind::Protocol`] before it can reach a worker, even from
 //!    in-process callers. Then, under the queue lock, the request is
 //!    either queued or rejected — with [`RejectKind::Overloaded`] when
 //!    the queue is at `queue_depth` (explicit backpressure, never
 //!    silent blocking) or [`RejectKind::Shutdown`] once draining has
 //!    begun. Admission is the only place requests are dropped for
-//!    capacity.
+//!    capacity. A v2 sweep is admitted as its per-point v1 requests.
 //! 2. **Dequeue**: a worker pops the oldest job. A job whose deadline
 //!    elapsed while it sat in the queue is answered with
 //!    [`RejectKind::Deadline`] and never run — queue time is the thing
 //!    deadlines bound; execution, once started, always completes.
-//! 3. **Execution**: the worker materializes the request's netlist,
-//!    obtains the shared session from the [`SessionCache`], and runs
-//!    [`m3d_flow::FlowSession::execute`] — the same code path a direct library
-//!    caller uses, which is why service responses are bit-identical to
-//!    library calls at any worker count. Execution is wrapped in
-//!    `catch_unwind`: a panicking flow answers the request with a
-//!    [`RejectKind::Flow`] rejection and the worker survives, so one
-//!    pathological request can never shrink the pool.
-//! 4. **Reply**: the response goes back through the job's reply route —
-//!    an in-process [`Pending`] channel, or a message to the reactor
-//!    shard that owns the connection. Responses bound for a socket are
-//!    rendered to their wire line *on the worker thread*, so a shard's
-//!    event loop never serializes a large report.
+//! 3. **Execution**: one function runs every job, whole request or
+//!    sweep point: it materializes the netlist, obtains the shared
+//!    session from the [`SessionCache`], runs
+//!    [`m3d_flow::FlowSession::execute`] — the same code path a direct
+//!    library caller uses, which is why service responses are
+//!    bit-identical to library calls at any worker count — and writes
+//!    the session through to the store, all inside `catch_unwind`: a
+//!    panicking flow answers the request with a [`RejectKind::Flow`]
+//!    rejection and the worker survives, so one pathological request
+//!    can never shrink the pool. The two callers differ only in the
+//!    message they build and the counters they book (v1 vs `sweep_*`).
+//! 4. **Reply**: every line goes back through the job's one route — an
+//!    in-process [`ServerMessage`] channel ([`PendingStream`], which
+//!    [`Pending`] narrows to its terminal response), or a message to
+//!    the reactor shard that owns the connection. Lines bound for a
+//!    socket are rendered to their wire form *on the worker thread*, so
+//!    a shard's event loop never serializes a large report.
 //!
 //! # The TCP front
 //!
@@ -61,12 +67,12 @@
 //! thread-per-connection front, at thousands of connections.
 
 use crate::cache::SessionCache;
-use crate::conn::{Conn, FrameEnd};
+use crate::conn::{Conn, FrameEnd, MAX_LINE_BYTES};
 use crate::protocol::{
-    decode_request, encode_line, salvage_id, RejectKind, Response, ServerMessage, StreamEvent,
+    decode_or_reject, encode_line, RejectKind, Response, ServerMessage, StreamEvent,
 };
 use crate::reactor::{wake_pair, Event, Interest, Poller, ReactorKind, WakeReader, Waker};
-use m3d_flow::{FlowCommand, FlowRequest};
+use m3d_flow::{FlowCommand, FlowReport, FlowRequest};
 use m3d_obs::Obs;
 use m3d_store::Store;
 use std::collections::{HashMap, VecDeque};
@@ -149,7 +155,7 @@ impl Default for TcpTuning {
     fn default() -> TcpTuning {
         TcpTuning {
             shards: 2,
-            max_line_bytes: 1 << 20,
+            max_line_bytes: MAX_LINE_BYTES,
             write_high_water: 256 << 10,
             send_buffer_bytes: None,
             reactor: ReactorKind::Auto,
@@ -227,67 +233,40 @@ struct Stats {
     sweep_cancelled_points: AtomicU64,
 }
 
-/// Where a job's response goes: back to an in-process caller (single
-/// response or message stream), or to the reactor shard owning the
-/// connection it arrived on.
-enum ReplyTo {
-    Channel(Sender<Response>),
+/// Where a request's lines go: back to an in-process caller's message
+/// stream, or to the reactor shard owning the connection it arrived on.
+enum Route {
     Stream(Sender<ServerMessage>),
     Conn { shard: ShardHandle, conn: u64 },
 }
 
-impl ReplyTo {
-    fn send(&self, response: Response) {
+impl Route {
+    /// Ships one message. `last` marks the request's terminal line (its
+    /// single response, or a sweep's `done`) so the owning shard can
+    /// balance its in-flight accounting exactly once per request,
+    /// however many event lines precede it.
+    fn send(&self, message: ServerMessage, last: bool) {
         match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(response);
+            Route::Stream(tx) => {
+                let _ = tx.send(message);
             }
-            ReplyTo::Stream(tx) => {
-                let _ = tx.send(ServerMessage::Response(response));
-            }
-            ReplyTo::Conn { shard, conn } => {
+            Route::Conn { shard, conn } => {
                 // Render on this (worker or rejecting caller) thread:
-                // shard event loops never serialize reports. A single
-                // response is always its request's terminal line.
-                shard.reply(*conn, encode_line(&response), true);
-            }
-        }
-    }
-}
-
-/// Where a sweep's event stream goes. Split from [`ReplyTo`] because a
-/// plain response channel cannot carry a stream.
-enum EventRoute {
-    Stream(Sender<ServerMessage>),
-    Conn { shard: ShardHandle, conn: u64 },
-}
-
-impl EventRoute {
-    /// Ships one event. `last` marks the stream's terminal line so the
-    /// owning shard can balance its in-flight accounting exactly once
-    /// per request, however many event lines precede it.
-    fn send(&self, event: StreamEvent, last: bool) {
-        match self {
-            EventRoute::Stream(tx) => {
-                let _ = tx.send(ServerMessage::Event(event));
-            }
-            EventRoute::Conn { shard, conn } => {
-                shard.reply(*conn, encode_line(&event), last);
+                // shard event loops never serialize reports.
+                shard.reply(*conn, encode_line(&message), last);
             }
         }
     }
 
-    /// Answers a sweep that never started (admission rejection) with a
-    /// plain v1 rejection as its terminal line.
-    fn reject(&self, response: Response) {
-        match self {
-            EventRoute::Stream(tx) => {
-                let _ = tx.send(ServerMessage::Response(response));
-            }
-            EventRoute::Conn { shard, conn } => {
-                shard.reply(*conn, encode_line(&response), true);
-            }
-        }
+    /// Answers a request with its single response — also how a sweep
+    /// that never started (admission rejection) ends.
+    fn respond(&self, response: Response) {
+        self.send(ServerMessage::Response(response), true);
+    }
+
+    /// Ships one event of a sweep's stream.
+    fn event(&self, event: StreamEvent, last: bool) {
+        self.send(ServerMessage::Event(event), last);
     }
 }
 
@@ -298,7 +277,7 @@ impl EventRoute {
 struct SweepShared {
     id: u64,
     client: u64,
-    route: EventRoute,
+    route: Route,
     remaining: AtomicU64,
     delivered: AtomicU64,
     errors: AtomicU64,
@@ -311,7 +290,7 @@ impl SweepShared {
     fn finish_point(&self) -> bool {
         let remaining = self.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
         if remaining == 0 {
-            self.route.send(
+            self.route.event(
                 StreamEvent::Done {
                     id: self.id,
                     points: self.delivered.load(Ordering::Acquire),
@@ -360,7 +339,7 @@ enum ShardMsg {
 
 /// How a job answers: a whole request, or one point of a sweep.
 enum JobReply {
-    Single(ReplyTo),
+    Single(Route),
     SweepPoint {
         shared: Arc<SweepShared>,
         index: u64,
@@ -398,9 +377,10 @@ struct Inner {
     next_client: AtomicU64,
 }
 
-/// An in-process handle to one submitted request's eventual response.
+/// An in-process handle to one submitted request's eventual response:
+/// a [`PendingStream`] narrowed to its terminal [`Response`].
 pub struct Pending {
-    rx: Receiver<Response>,
+    stream: PendingStream,
 }
 
 impl Pending {
@@ -410,9 +390,10 @@ impl Pending {
     /// than a panic.
     #[must_use]
     pub fn wait(self) -> Response {
-        self.rx.recv().unwrap_or_else(|_| {
-            Response::reject(None, RejectKind::Shutdown, "worker dropped the request")
-        })
+        match self.stream.next() {
+            Some(ServerMessage::Response(response)) => response,
+            _ => Response::reject(None, RejectKind::Shutdown, "worker dropped the request"),
+        }
     }
 }
 
@@ -486,9 +467,20 @@ impl Server {
     /// response cannot carry a stream; use [`Server::submit_stream`].
     #[must_use]
     pub fn submit(&self, request: FlowRequest) -> Pending {
-        let (tx, rx) = channel();
-        self.enqueue(request, &tx);
-        Pending { rx }
+        let stream = if matches!(request.command, FlowCommand::Sweep { .. }) {
+            // A caller error, not a capacity condition.
+            self.note_rejected_protocol();
+            let (tx, rx) = channel();
+            Route::Stream(tx).respond(Response::reject(
+                Some(request.id),
+                RejectKind::Protocol,
+                "sweep responses are a stream; use submit_stream or a streaming TCP client",
+            ));
+            PendingStream { rx }
+        } else {
+            self.submit_stream(request)
+        };
+        Pending { stream }
     }
 
     /// Submits a request and streams back everything it produces: one
@@ -499,25 +491,21 @@ impl Server {
     pub fn submit_stream(&self, request: FlowRequest) -> PendingStream {
         let (tx, rx) = channel();
         let client = self.inner.next_client.fetch_add(1, Ordering::Relaxed);
-        self.enqueue_as(request, ReplyTo::Stream(tx), client);
+        self.admit(request, Route::Stream(tx), client);
         PendingStream { rx }
     }
 
-    /// Admits `request` or rejects it, answering through `reply`.
+    /// Admits `request` or rejects it, answering through `route`.
     /// Requests outside [`FlowRequest::validate`]'s numeric bounds are
     /// rejected `protocol` before touching the queue — workers only
     /// ever see inputs the flow can safely size buffers for. Capacity
     /// control runs under the queue lock, so the depth bound is exact.
-    pub fn enqueue(&self, request: FlowRequest, reply: &Sender<Response>) {
-        self.enqueue_as(request, ReplyTo::Channel(reply.clone()), 0);
-    }
-
-    fn enqueue_as(&self, request: FlowRequest, reply: ReplyTo, client: u64) {
+    fn admit(&self, request: FlowRequest, route: Route, client: u64) {
         let obs = &self.inner.config.obs;
         let id = request.id;
         if let Err(e) = request.validate() {
             self.note_rejected_protocol();
-            reply.send(Response::reject(
+            route.respond(Response::reject(
                 Some(id),
                 RejectKind::Protocol,
                 format!("request out of bounds: {e}"),
@@ -525,20 +513,20 @@ impl Server {
             return;
         }
         if matches!(request.command, FlowCommand::Sweep { .. }) {
-            self.enqueue_sweep(request, reply, client);
+            self.admit_sweep(request, route, client);
             return;
         }
         let verdict = {
             let mut state = self.inner.state.lock().expect("server queue poisoned");
             if !state.accepting {
-                Err((RejectKind::Shutdown, reply))
+                Err((RejectKind::Shutdown, route))
             } else if state.queue.len() >= self.inner.config.queue_depth {
-                Err((RejectKind::Overloaded, reply))
+                Err((RejectKind::Overloaded, route))
             } else {
                 state.queue.push_back(Job {
                     request,
                     enqueued: Instant::now(),
-                    reply: JobReply::Single(reply),
+                    reply: JobReply::Single(route),
                 });
                 obs.gauge_max("serve/queue_depth_peak", state.queue.len() as f64);
                 Ok(())
@@ -550,25 +538,30 @@ impl Server {
                 obs.perf_add("serve/accepted", 1);
                 self.inner.available.notify_one();
             }
-            Err((kind, reply)) => {
-                let (stat, message) = match kind {
-                    RejectKind::Overloaded => (
-                        &self.inner.stats.rejected_overloaded,
-                        format!(
-                            "queue is at capacity ({}); retry later",
-                            self.inner.config.queue_depth
-                        ),
-                    ),
-                    _ => (
-                        &self.inner.stats.rejected_shutdown,
-                        "server is draining; no new work accepted".to_string(),
-                    ),
-                };
-                stat.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add(&format!("serve/rejected_{kind}"), 1);
-                reply.send(Response::reject(Some(id), kind, message));
-            }
+            Err((kind, route)) => self.reject_capacity(&route, id, kind),
         }
+    }
+
+    /// Answers a request refused for capacity — `overloaded`, or
+    /// `shutdown` once draining — outside the queue lock.
+    fn reject_capacity(&self, route: &Route, id: u64, kind: RejectKind) {
+        let (stat, message) = match kind {
+            RejectKind::Overloaded => (
+                &self.inner.stats.rejected_overloaded,
+                format!(
+                    "queue is at capacity ({}); retry later",
+                    self.inner.config.queue_depth
+                ),
+            ),
+            _ => (
+                &self.inner.stats.rejected_shutdown,
+                "server is draining; no new work accepted".to_string(),
+            ),
+        };
+        stat.fetch_add(1, Ordering::Relaxed);
+        let obs = &self.inner.config.obs;
+        obs.perf_add(&format!("serve/rejected_{kind}"), 1);
+        route.respond(Response::reject(Some(id), kind, message));
     }
 
     /// Admits a validated v2 sweep: decomposes it into per-point v1
@@ -577,46 +570,21 @@ impl Server {
     /// most [`ServerConfig::sweep_inflight_cap`] points for this client
     /// — the rest wait in a per-client deferred list and are promoted
     /// one at a time as earlier points finish.
-    fn enqueue_sweep(&self, request: FlowRequest, reply: ReplyTo, client: u64) {
+    fn admit_sweep(&self, request: FlowRequest, route: Route, client: u64) {
         let obs = &self.inner.config.obs;
         let id = request.id;
-        if matches!(reply, ReplyTo::Channel(_)) {
-            // A single-response channel cannot carry a stream; this is
-            // a caller error, not a capacity condition.
-            self.note_rejected_protocol();
-            reply.send(Response::reject(
-                Some(id),
-                RejectKind::Protocol,
-                "sweep responses are a stream; use submit_stream or a streaming TCP client",
-            ));
-            return;
-        }
         // The request passed `validate`, so the (sweep) command's grid
         // is in bounds and decomposes.
         let points = request
             .decompose_sweep()
             .expect("a validated sweep decomposes");
-        let route = match reply {
-            ReplyTo::Stream(tx) => EventRoute::Stream(tx),
-            ReplyTo::Conn { shard, conn } => EventRoute::Conn { shard, conn },
-            ReplyTo::Channel(_) => unreachable!("rejected above"),
-        };
         let total = points.len() as u64;
         let cap = self.inner.config.sweep_inflight_cap.max(1) as u64;
         let deferred_count = {
             let mut guard = self.inner.state.lock().expect("server queue poisoned");
             if !guard.accepting {
                 drop(guard);
-                self.inner
-                    .stats
-                    .rejected_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/rejected_shutdown", 1);
-                route.reject(Response::reject(
-                    Some(id),
-                    RejectKind::Shutdown,
-                    "server is draining; no new work accepted",
-                ));
+                self.reject_capacity(&route, id, RejectKind::Shutdown);
                 return;
             }
             // Sweep points deliberately bypass `queue_depth`: the
@@ -643,7 +611,7 @@ impl Server {
             // to a worker: `progress` is always the stream's first line.
             shared
                 .route
-                .send(StreamEvent::Progress { id, total }, false);
+                .event(StreamEvent::Progress { id, total }, false);
             let now = Instant::now();
             let mut deferred = 0u64;
             for (index, point) in points.into_iter().enumerate() {
@@ -755,7 +723,7 @@ impl Server {
             reply,
         } = job;
         match reply {
-            JobReply::Single(reply) => self.process_single(request, enqueued, &reply),
+            JobReply::Single(route) => self.process_single(&request, enqueued, &route),
             JobReply::SweepPoint { shared, index } => {
                 self.process_sweep_point(&shared, index, &request, enqueued);
                 self.retire_sweep_point(&shared);
@@ -763,24 +731,24 @@ impl Server {
         }
     }
 
-    fn process_single(&self, request: FlowRequest, enqueued: Instant, reply: &ReplyTo) {
+    /// The one execute path, shared by single requests and sweep points:
+    /// the deadline check, then — behind the unwind barrier — the cache
+    /// lookup, [`m3d_flow::FlowSession::execute`] and the write-through
+    /// persist. `Err` carries the rejection kind (`deadline` or `flow`)
+    /// and its message; each caller maps the outcome onto its own
+    /// message type and books its own counters.
+    fn run_request(
+        &self,
+        request: &FlowRequest,
+        enqueued: Instant,
+    ) -> Result<(FlowReport, bool), (RejectKind, String)> {
         let obs = &self.inner.config.obs;
-        self.inner.stats.started.fetch_add(1, Ordering::Relaxed);
-        let _span = obs.span("serve/request");
-        let id = request.id;
         if let Some(deadline_ms) = request.deadline_ms {
             if enqueued.elapsed() > Duration::from_millis(deadline_ms) {
-                self.inner
-                    .stats
-                    .rejected_deadline
-                    .fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/rejected_deadline", 1);
-                reply.send(Response::reject(
-                    Some(id),
+                return Err((
                     RejectKind::Deadline,
                     format!("deadline of {deadline_ms} ms elapsed while queued"),
                 ));
-                return;
             }
         }
         // A panicking flow must cost the client one rejection, not the
@@ -812,45 +780,52 @@ impl Server {
             });
             (outcome, cache_hit)
         }));
-        let (outcome, cache_hit) = match executed {
-            Ok(pair) => pair,
+        match executed {
+            Ok((Ok(report), cache_hit)) => Ok((report, cache_hit)),
+            Ok((Err(e), _)) => Err((RejectKind::Flow, e.to_string())),
             Err(payload) => {
-                self.inner.stats.failed_flow.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/failed_flow", 1);
                 obs.perf_add("serve/panicked", 1);
-                reply.send(Response::reject(
-                    Some(id),
+                Err((
                     RejectKind::Flow,
                     format!("flow execution panicked: {}", panic_text(&payload)),
-                ));
-                return;
+                ))
             }
-        };
-        let response = match outcome {
-            Ok(report) => {
-                self.inner
-                    .stats
-                    .completed_ok
-                    .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn process_single(&self, request: &FlowRequest, enqueued: Instant, route: &Route) {
+        let obs = &self.inner.config.obs;
+        let stats = &self.inner.stats;
+        stats.started.fetch_add(1, Ordering::Relaxed);
+        let _span = obs.span("serve/request");
+        let id = request.id;
+        let response = match self.run_request(request, enqueued) {
+            Ok((report, cache_hit)) => {
+                stats.completed_ok.fetch_add(1, Ordering::Relaxed);
                 Response::Ok {
                     id,
                     cache_hit,
                     report: Box::new(report),
                 }
             }
-            Err(e) => {
-                self.inner.stats.failed_flow.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/failed_flow", 1);
-                Response::reject(Some(id), RejectKind::Flow, e.to_string())
+            Err((kind, message)) => {
+                if kind == RejectKind::Deadline {
+                    stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
+                    obs.perf_add("serve/rejected_deadline", 1);
+                } else {
+                    stats.failed_flow.fetch_add(1, Ordering::Relaxed);
+                    obs.perf_add("serve/failed_flow", 1);
+                }
+                Response::reject(Some(id), kind, message)
             }
         };
-        reply.send(response);
+        route.respond(response);
     }
 
-    /// Runs one sweep point through the exact v1 execution path (same
-    /// cache lookup, same [`m3d_flow::FlowSession::execute`]) and
-    /// streams its `point` or `error` event. Counted only in the
-    /// `sweep_*` stats — never in the v1 request counters.
+    /// Runs one sweep point through the exact v1 execution path
+    /// ([`Server::run_request`]) and streams its `point` or `error`
+    /// event. Counted only in the `sweep_*` stats — never in the v1
+    /// request counters.
     fn process_sweep_point(
         &self,
         shared: &Arc<SweepShared>,
@@ -868,87 +843,32 @@ impl Server {
             return;
         }
         let _span = obs.span("serve/sweep_point");
-        if let Some(deadline_ms) = request.deadline_ms {
-            if enqueued.elapsed() > Duration::from_millis(deadline_ms) {
-                stats.sweep_point_errors.fetch_add(1, Ordering::Relaxed);
-                shared.errors.fetch_add(1, Ordering::Release);
-                shared.route.send(
-                    StreamEvent::Error {
-                        id: shared.id,
-                        index,
-                        kind: RejectKind::Deadline,
-                        message: format!("deadline of {deadline_ms} ms elapsed while queued"),
-                    },
-                    false,
-                );
-                return;
-            }
-        }
-        let executed = catch_unwind(AssertUnwindSafe(|| {
-            let netlist = request.netlist.materialize();
-            let (session, cache_hit) = self.inner.cache.get_or_build(&netlist, &request.options);
-            obs.perf_add(
-                if cache_hit {
-                    "serve/cache_hit"
-                } else {
-                    "serve/cache_miss"
-                },
-                1,
-            );
-            let outcome = session.and_then(|s| {
-                let outcome = s.execute(&request.command);
-                if outcome.is_ok() {
-                    self.inner.cache.persist(&s);
-                }
-                outcome
-            });
-            (outcome, cache_hit)
-        }));
-        match executed {
-            Ok((Ok(report), cache_hit)) => {
+        let id = shared.id;
+        let event = match self.run_request(request, enqueued) {
+            Ok((report, cache_hit)) => {
                 stats.sweep_points.fetch_add(1, Ordering::Relaxed);
                 obs.perf_add("serve/sweep_points", 1);
                 shared.delivered.fetch_add(1, Ordering::Release);
-                shared.route.send(
-                    StreamEvent::Point {
-                        id: shared.id,
-                        index,
-                        cache_hit,
-                        report: Box::new(report),
-                    },
-                    false,
-                );
+                StreamEvent::Point {
+                    id,
+                    index,
+                    cache_hit,
+                    report: Box::new(report),
+                }
             }
-            Ok((Err(e), _)) => {
+            Err((kind, message)) => {
                 stats.sweep_point_errors.fetch_add(1, Ordering::Relaxed);
                 obs.perf_add("serve/sweep_point_errors", 1);
                 shared.errors.fetch_add(1, Ordering::Release);
-                shared.route.send(
-                    StreamEvent::Error {
-                        id: shared.id,
-                        index,
-                        kind: RejectKind::Flow,
-                        message: e.to_string(),
-                    },
-                    false,
-                );
+                StreamEvent::Error {
+                    id,
+                    index,
+                    kind,
+                    message,
+                }
             }
-            Err(payload) => {
-                stats.sweep_point_errors.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/sweep_point_errors", 1);
-                obs.perf_add("serve/panicked", 1);
-                shared.errors.fetch_add(1, Ordering::Release);
-                shared.route.send(
-                    StreamEvent::Error {
-                        id: shared.id,
-                        index,
-                        kind: RejectKind::Flow,
-                        message: format!("flow execution panicked: {}", panic_text(&payload)),
-                    },
-                    false,
-                );
-            }
-        }
+        };
+        shared.route.event(event, false);
     }
 
     /// Books one finished point: emits `done` (and unregisters the
@@ -1322,41 +1242,25 @@ impl Shard {
             }
         };
         let mut parsed: Vec<Result<FlowRequest, Response>> = Vec::new();
-        let end = conn.extract_lines(self.tuning.max_line_bytes, &mut |line| {
-            parsed.push(match decode_request(line) {
-                Ok(request) => Ok(request),
-                Err(e) => Err(Response::reject(
-                    salvage_id(line),
-                    RejectKind::Protocol,
-                    e.to_string(),
-                )),
+        let end = conn
+            .read
+            .extract_lines(self.tuning.max_line_bytes, &mut |line| {
+                parsed.push(decode_or_reject(line));
             });
-        });
-        if eof {
+        // A framing violation ends the reader like EOF does, after the
+        // one rejection an over-long line is owed.
+        if eof || end != FrameEnd::Clean {
             conn.read_closed = true;
         }
-        match end {
-            FrameEnd::Clean => {}
-            // Matches the old front: a non-UTF-8 stream ended the
-            // reader without a response.
-            FrameEnd::BadUtf8 => conn.read_closed = true,
-            FrameEnd::TooLong { limit } => {
-                conn.read_closed = true;
-                parsed.push(Err(Response::reject(
-                    None,
-                    RejectKind::Protocol,
-                    format!("request line exceeds {limit} bytes"),
-                )));
-            }
-        }
+        parsed.extend(end.rejection().map(Err));
         for item in parsed {
             match item {
                 Ok(request) => {
                     self.inflight += 1;
                     self.conns.get_mut(&token).expect("conn lookup").inflight += 1;
-                    self.server.enqueue_as(
+                    self.server.admit(
                         request,
-                        ReplyTo::Conn {
+                        Route::Conn {
                             shard: self.handle.clone(),
                             conn: token,
                         },

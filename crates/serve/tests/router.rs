@@ -296,6 +296,56 @@ fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
     assert_eq!(backend_stats.iter().map(|s| s.cache_misses).sum::<u64>(), 2);
 }
 
+/// A hostile peer on the router's front gets exactly what it would get
+/// from a direct server: a line past the 1 MiB cap is answered with the
+/// same `protocol` rejection bytes and the connection closes — the
+/// router must not buffer it without bound waiting for a newline — and
+/// the next connection is served as if nothing happened.
+#[test]
+fn an_oversize_line_is_rejected_like_a_direct_server_and_the_router_lives_on() {
+    // One byte past the cap and no newline: each front has read every
+    // byte sent by the time it can tell, so the close is a clean FIN.
+    let oversize = vec![b'x'; (1 << 20) + 1];
+    // Everything the peer hears until EOF (the read proves the close).
+    let transcript_of = |addr: SocketAddr| -> String {
+        use std::io::Read;
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("timeout");
+        stream.write_all(&oversize).expect("send");
+        let mut heard = String::new();
+        stream
+            .read_to_string(&mut heard)
+            .expect("a rejection line, then EOF");
+        heard
+    };
+
+    let direct_server = TcpServer::bind("127.0.0.1:0", server_config(1)).expect("bind");
+    let direct = transcript_of(direct_server.local_addr());
+    let (backends, router) = cluster(1);
+    let routed = transcript_of(router.local_addr());
+
+    assert_eq!(routed, direct, "the router must answer the direct bytes");
+    match decode_message(direct.trim_end()).expect("one decodable line") {
+        ServerMessage::Response(Response::Rejected { id, kind, message }) => {
+            assert_eq!((id, kind), (None, RejectKind::Protocol));
+            assert_eq!(message, "request line exceeds 1048576 bytes");
+        }
+        other => panic!("expected a protocol rejection, got {other:?}"),
+    }
+    assert_eq!(router.stats().rejected_protocol, 1);
+
+    // The next connection through the router is served, byte-identically.
+    let next = &workload_lines()[..1];
+    assert_eq!(
+        call_all(router.local_addr(), next),
+        call_all(direct_server.local_addr(), next)
+    );
+    let _ = direct_server.shutdown();
+    teardown(backends, router);
+}
+
 #[test]
 fn a_dead_backend_answers_overloaded_not_a_hang() {
     // Grab a port that refuses connections: bind, read the addr, drop.

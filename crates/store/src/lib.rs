@@ -25,9 +25,7 @@
 //!   as it is reported, so the next lookup of that key is a clean miss
 //!   and the caller rebuilds transparently.
 //!
-//! Two artifact kinds are stored: [`DesignDb`](m3d_db::DesignDb)
-//! snapshots ([`Store::put_db`]/[`Store::get_db`] — lossless under
-//! [`state_fingerprint`](m3d_db::DesignDb::state_fingerprint)) and
+//! One artifact kind is stored, the one the service reads back:
 //! [`SessionArtifact`]s ([`Store::put_session`]/[`Store::get_session`] —
 //! the buffered base netlist plus the pseudo-3-D checkpoint, which is
 //! what lets a restarted server answer its first repeat request without
@@ -52,5 +50,5 @@ mod store;
 
 pub use codec::{Reader, Writer};
 pub use error::{Corruption, DecodeError, StoreError};
-pub use record::{decode_db, encode_db, SessionArtifact, StackSpec};
+pub use record::{SessionArtifact, StackSpec};
 pub use store::{crc32, Store, StoreKey, StoreStats, FORMAT_VERSION};

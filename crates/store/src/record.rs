@@ -1,6 +1,5 @@
 //! Domain codecs: how netlists, placements, parasitics, technology
-//! stacks and the two store artifact kinds ([`encode_db`]/[`decode_db`]
-//! snapshots and [`SessionArtifact`] checkpoints) map onto the byte
+//! stacks and the [`SessionArtifact`] checkpoint map onto the byte
 //! format.
 //!
 //! Two rules govern every decoder here:
@@ -9,14 +8,13 @@
 //!    [`Reader::get_len`]'s remaining-bytes bound, so corrupted fields
 //!    cannot drive allocations.
 //! 2. **Validate before constructing** — every cross-reference a domain
-//!    type's accessors assume (pin slots ↔ net lists, `tiers.len() ==
-//!    cell_count`, one parasitic model per net) is checked here, so a
-//!    decoded value can never panic downstream constructors like
-//!    [`Parasitics::from_models`] or [`DesignDb::set_tiers`].
+//!    type's accessors assume (pin slots ↔ net lists, one position per
+//!    cell, one parasitic model per net) is checked here, so a decoded
+//!    value can never panic downstream constructors like
+//!    [`Parasitics::from_models`].
 
 use crate::codec::{Reader, Writer};
 use crate::error::{DecodeError, StoreError};
-use m3d_db::DesignDb;
 use m3d_flow::{BaseDesign, PseudoCheckpoint};
 use m3d_geom::{Point, Rect};
 use m3d_netlist::{Cell, CellClass, CellId, MacroSpec, Net, NetId, Netlist, PinRef};
@@ -105,24 +103,6 @@ fn drive_from_tag(tag: u8) -> Result<Drive, DecodeError> {
             })
         }
     })
-}
-
-fn tier_tag(tier: Tier) -> u8 {
-    match tier {
-        Tier::Bottom => 0,
-        Tier::Top => 1,
-    }
-}
-
-fn tier_from_tag(tag: u8) -> Result<Tier, DecodeError> {
-    match tag {
-        0 => Ok(Tier::Bottom),
-        1 => Ok(Tier::Top),
-        found => Err(DecodeError::InvalidTag {
-            what: "tier",
-            found,
-        }),
-    }
 }
 
 /// The five preset technology stacks the store can name on disk.
@@ -449,75 +429,8 @@ fn get_parasitics(r: &mut Reader<'_>, netlist: &Netlist) -> Result<Parasitics, D
     Ok(Parasitics::from_models(netlist, models))
 }
 
-fn get_tiers(r: &mut Reader<'_>, cell_count: usize) -> Result<Vec<Tier>, DecodeError> {
-    let tiers = r.get_seq(1, |r| tier_from_tag(r.get_u8()?))?;
-    if tiers.len() != cell_count {
-        return Err(DecodeError::Invalid(format!(
-            "tier assignment covers {} cells, netlist has {cell_count}",
-            tiers.len()
-        )));
-    }
-    Ok(tiers)
-}
-
 // ---------------------------------------------------------------------
-// artifact kind 1: design-database snapshot
-// ---------------------------------------------------------------------
-
-/// Encodes the fingerprint-bearing state of a [`DesignDb`]: netlist,
-/// technology stack (as a preset name), tier assignment, clock period,
-/// and — when present — placement and parasitics. This is exactly the
-/// state [`DesignDb::state_fingerprint`] hashes, so a decoded snapshot
-/// fingerprints identically to its source; derived artifacts outside the
-/// fingerprint (floorplan, routing, CTS, STA, power) are deliberately
-/// not persisted and are recomputed by the flow.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Unencodable`] when the database's stack is not
-/// one of the five presets.
-pub fn encode_db(db: &DesignDb) -> Result<Vec<u8>, StoreError> {
-    let spec = StackSpec::of(db.stack())?;
-    let mut w = Writer::new();
-    put_netlist(&mut w, db.netlist());
-    w.put_u8(spec.tag());
-    w.put_seq(db.tiers(), |w, t| w.put_u8(tier_tag(*t)));
-    w.put_f64(db.period_ns());
-    w.put_opt(db.placement_arc().as_deref(), put_placement);
-    w.put_opt(db.parasitics_arc().as_deref(), put_parasitics);
-    Ok(w.into_bytes())
-}
-
-/// Decodes a [`encode_db`] payload back into a fresh [`DesignDb`] (with
-/// an empty change journal).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for any malformed, truncated or
-/// inconsistent payload.
-pub fn decode_db(bytes: &[u8]) -> Result<DesignDb, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let netlist = get_netlist(&mut r)?;
-    let spec = StackSpec::from_tag(r.get_u8()?)?;
-    let tiers = get_tiers(&mut r, netlist.cell_count())?;
-    let period_ns = r.get_f64()?;
-    let placement = r.get_opt(|r| get_placement(r, netlist.cell_count()))?;
-    let parasitics = r.get_opt(|r| get_parasitics(r, &netlist))?;
-    r.finish()?;
-    let mut db = DesignDb::new(netlist, spec.build(), period_ns);
-    db.set_tiers(tiers);
-    if let Some(p) = placement {
-        db.set_placement(p);
-    }
-    if let Some(p) = parasitics {
-        db.set_parasitics(p);
-    }
-    let _ = db.take_journal();
-    Ok(db)
-}
-
-// ---------------------------------------------------------------------
-// artifact kind 2: session checkpoints
+// session checkpoints
 // ---------------------------------------------------------------------
 
 /// The persistent form of a flow session's computed prefix: the buffered

@@ -1,5 +1,5 @@
-//! The on-disk store: one file per `(key, kind)`, each a self-verifying
-//! record, committed atomically.
+//! The on-disk store: one file per key, each a self-verifying record,
+//! committed atomically.
 //!
 //! # Record envelope
 //!
@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     magic "M3DS"
 //! 4       1     format version (currently 1)
-//! 5       1     record kind (1 = db snapshot, 2 = session artifact)
+//! 5       1     record kind (2 = session artifact)
 //! 6       8     payload length, u64 LE
 //! 14      n     payload
 //! 14+n    4     CRC-32 (IEEE), u32 LE, over bytes [0, 14+n)
@@ -30,8 +30,7 @@
 //! key is a clean miss, so callers rebuild transparently.
 
 use crate::error::{Corruption, StoreError};
-use crate::record::{decode_db, encode_db, SessionArtifact};
-use m3d_db::DesignDb;
+use crate::record::SessionArtifact;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -43,7 +42,8 @@ pub const FORMAT_VERSION: u8 = 1;
 const HEADER_LEN: usize = 14;
 const TRAILER_LEN: usize = 4;
 
-const KIND_DB: u8 = 1;
+/// The one record kind. 1 is retired and must not be reused: stores
+/// written by older builds may still hold kind-1 files.
 const KIND_SESSION: u8 = 2;
 
 // ---------------------------------------------------------------------
@@ -127,24 +127,8 @@ impl StoreKey {
         })
     }
 
-    /// The netlist-fingerprint half.
-    #[must_use]
-    pub fn netlist_fp(&self) -> &str {
-        &self.netlist_fp
-    }
-
-    /// The options-fingerprint half.
-    #[must_use]
-    pub fn options_fp(&self) -> &str {
-        &self.options_fp
-    }
-
-    fn file_name(&self, kind: u8) -> String {
-        let ext = match kind {
-            KIND_DB => "db",
-            _ => "session",
-        };
-        format!("{}-{}.{ext}", self.netlist_fp, self.options_fp)
+    fn file_name(&self) -> String {
+        format!("{}-{}.session", self.netlist_fp, self.options_fp)
     }
 }
 
@@ -216,38 +200,6 @@ impl Store {
         }
     }
 
-    /// Persists a design-database snapshot under `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Unencodable`] for a non-preset technology
-    /// stack and [`StoreError::Io`] on filesystem failure.
-    pub fn put_db(&self, key: &StoreKey, db: &DesignDb) -> Result<(), StoreError> {
-        let payload = encode_db(db)?;
-        self.write_record(&key.file_name(KIND_DB), KIND_DB, &payload)
-    }
-
-    /// Loads the design-database snapshot under `key`, if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] (after evicting the record) when
-    /// the bytes fail any integrity check, [`StoreError::Io`] on
-    /// filesystem failure.
-    pub fn get_db(&self, key: &StoreKey) -> Result<Option<DesignDb>, StoreError> {
-        let name = key.file_name(KIND_DB);
-        let Some(payload) = self.read_record(&name, KIND_DB)? else {
-            return Ok(None);
-        };
-        match decode_db(&payload) {
-            Ok(db) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(db))
-            }
-            Err(e) => Err(self.evict(&name, Corruption::Payload(e))),
-        }
-    }
-
     /// Persists a session artifact under `key`.
     ///
     /// # Errors
@@ -260,7 +212,7 @@ impl Store {
         artifact: &SessionArtifact,
     ) -> Result<(), StoreError> {
         let payload = artifact.encode()?;
-        self.write_record(&key.file_name(KIND_SESSION), KIND_SESSION, &payload)
+        self.write_record(&key.file_name(), &payload)
     }
 
     /// Loads the session artifact under `key`, if present.
@@ -271,8 +223,8 @@ impl Store {
     /// the bytes fail any integrity check, [`StoreError::Io`] on
     /// filesystem failure.
     pub fn get_session(&self, key: &StoreKey) -> Result<Option<SessionArtifact>, StoreError> {
-        let name = key.file_name(KIND_SESSION);
-        let Some(payload) = self.read_record(&name, KIND_SESSION)? else {
+        let name = key.file_name();
+        let Some(payload) = self.read_record(&name)? else {
             return Ok(None);
         };
         match SessionArtifact::decode(&payload) {
@@ -286,11 +238,11 @@ impl Store {
 
     // ---- envelope ------------------------------------------------------
 
-    fn write_record(&self, name: &str, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
+    fn write_record(&self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
         let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
         record.extend_from_slice(&MAGIC);
         record.push(FORMAT_VERSION);
-        record.push(kind);
+        record.push(KIND_SESSION);
         record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         record.extend_from_slice(payload);
         let crc = crc32(&record);
@@ -329,7 +281,7 @@ impl Store {
 
     /// Reads and envelope-verifies a record, returning its payload.
     /// `Ok(None)` is a miss; corruption evicts the file and errors.
-    fn read_record(&self, name: &str, kind: u8) -> Result<Option<Vec<u8>>, StoreError> {
+    fn read_record(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
         let path = self.root.join(name);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -350,11 +302,11 @@ impl Store {
         if bytes[4] != FORMAT_VERSION {
             return Err(self.evict(name, Corruption::UnsupportedVersion { found: bytes[4] }));
         }
-        if bytes[5] != kind {
+        if bytes[5] != KIND_SESSION {
             return Err(self.evict(
                 name,
                 Corruption::WrongKind {
-                    expected: kind,
+                    expected: KIND_SESSION,
                     found: bytes[5],
                 },
             ));

@@ -1,20 +1,18 @@
-//! Lossless round-trip proof: arbitrary `DesignDb` snapshots built from
-//! the netgen benchmark families survive encode → disk → decode with an
-//! identical `state_fingerprint`, and concurrent handles sharing one
-//! directory never observe torn records.
+//! Lossless round-trip proof: session artifacts built from the netgen
+//! benchmark families survive encode → disk → decode bit-identically,
+//! and concurrent handles sharing one directory never observe torn
+//! records.
 
-use m3d_db::DesignDb;
-use m3d_flow::{prepare_base, pseudo_checkpoint, FlowOptions};
+use m3d_flow::{prepare_base, pseudo_checkpoint, BaseDesign, FlowOptions, PseudoCheckpoint};
 use m3d_geom::{Point, Rect};
 use m3d_netgen::Benchmark;
 use m3d_netlist::{NetId, Netlist};
 use m3d_place::Placement;
 use m3d_sta::{NetModel, Parasitics};
 use m3d_store::{SessionArtifact, StackSpec, Store, StoreKey};
-use m3d_tech::Tier;
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory. Rooted at `M3D_STORE_TEST_ROOT` when set
 /// (CI points this at an uploadable artifact dir) and the system temp
@@ -40,17 +38,10 @@ fn test_key(salt: u64) -> StoreKey {
     .expect("hex keys are valid")
 }
 
-/// Deterministically decorates a benchmark netlist into a full snapshot:
-/// tier assignment, period, placement and parasitics all derived from
-/// `salt` so every proptest case exercises different bit patterns.
-fn synth_db(netlist: Netlist, stack_ix: usize, salt: u64) -> DesignDb {
-    let spec = [
-        StackSpec::TwoD9,
-        StackSpec::TwoD12,
-        StackSpec::Homo3d9,
-        StackSpec::Homo3d12,
-        StackSpec::Hetero,
-    ][stack_ix % 5];
+/// Deterministically decorates a benchmark netlist into a session
+/// artifact: placement, parasitics and die all derived from `salt`, so
+/// different salts exercise different bit patterns.
+fn synth_artifact(netlist: Netlist, spec: StackSpec, salt: u64) -> SessionArtifact {
     let mut mix = salt | 1;
     let mut next = move || {
         // splitmix64: cheap, deterministic, full-period.
@@ -60,21 +51,9 @@ fn synth_db(netlist: Netlist, stack_ix: usize, salt: u64) -> DesignDb {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    let n_cells = netlist.cell_count();
-    let n_nets = netlist.net_count();
-    let tiers: Vec<Tier> = (0..n_cells)
-        .map(|_| {
-            if next() & 1 == 0 {
-                Tier::Bottom
-            } else {
-                Tier::Top
-            }
-        })
-        .collect();
-    let period = 0.5 + (next() % 1000) as f64 / 500.0;
     let die = Rect::new(0.0, 0.0, 80.0 + (next() % 64) as f64, 60.0);
     let placement = Placement {
-        positions: (0..n_cells)
+        positions: (0..netlist.cell_count())
             .map(|_| {
                 Point::new(
                     (next() % 10_000) as f64 / 125.0,
@@ -84,82 +63,24 @@ fn synth_db(netlist: Netlist, stack_ix: usize, salt: u64) -> DesignDb {
             .collect(),
         die,
     };
-    let models: Vec<NetModel> = (0..n_nets)
+    let models: Vec<NetModel> = (0..netlist.net_count())
         .map(|_| NetModel {
             wire_cap_ff: (next() % 100_000) as f64 / 1000.0,
             wire_delay_ns: (next() % 10_000) as f64 / 100_000.0,
         })
         .collect();
     let parasitics = Parasitics::from_models(&netlist, models);
-    let mut db = DesignDb::new(netlist, spec.build(), period);
-    db.set_tiers(tiers);
-    if !salt.is_multiple_of(3) {
-        db.set_placement(placement);
+    SessionArtifact {
+        base: BaseDesign {
+            netlist: Arc::new(netlist),
+        },
+        pseudo: Some(PseudoCheckpoint {
+            placement: Arc::new(placement),
+            parasitics: Arc::new(parasitics),
+            die,
+            stack: Arc::new(spec.build()),
+        }),
     }
-    if !salt.is_multiple_of(4) {
-        db.set_parasitics(parasitics);
-    }
-    let _ = db.take_journal();
-    db
-}
-
-fn assert_db_equal(a: &DesignDb, b: &DesignDb) {
-    assert_eq!(a.state_fingerprint(), b.state_fingerprint());
-    assert_eq!(a.netlist().name, b.netlist().name);
-    assert_eq!(a.netlist().cell_count(), b.netlist().cell_count());
-    assert_eq!(a.netlist().net_count(), b.netlist().net_count());
-    assert_eq!(a.netlist().clock(), b.netlist().clock());
-    assert_eq!(a.tiers(), b.tiers());
-    assert_eq!(a.period_ns().to_bits(), b.period_ns().to_bits());
-    assert_eq!(a.stack().is_3d(), b.stack().is_3d());
-    assert_eq!(a.stack().is_heterogeneous(), b.stack().is_heterogeneous());
-    for id in a.netlist().cell_ids() {
-        assert_eq!(a.netlist().cell(id), b.netlist().cell(id));
-    }
-    for id in a.netlist().net_ids() {
-        assert_eq!(a.netlist().net(id), b.netlist().net(id));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // Satellite 1: encode→decode of random snapshots is lossless and
-    // state_fingerprint-identical.
-    #[test]
-    fn db_snapshots_round_trip_losslessly(
-        bench_ix in 0usize..4,
-        stack_ix in 0usize..5,
-        scale in 0.004..0.012f64,
-        seed in 0u64..1_000_000,
-    ) {
-        let bench = [Benchmark::Aes, Benchmark::Ldpc, Benchmark::Netcard, Benchmark::Cpu][bench_ix];
-        let netlist = bench.generate(scale, seed % 97);
-        let db = synth_db(netlist, stack_ix, seed ^ 0xD6E8_FEB8_6659_FD93);
-        let payload = m3d_store::encode_db(&db).expect("preset stacks encode");
-        let back = m3d_store::decode_db(&payload).expect("own encoding decodes");
-        assert_db_equal(&db, &back);
-    }
-}
-
-#[test]
-fn db_snapshots_round_trip_through_disk() {
-    let dir = scratch_dir("db-rt");
-    let store = Store::open(&dir).unwrap();
-    let netlist = Benchmark::Cpu.generate(0.01, 5);
-    let db = synth_db(netlist, 4, 42);
-    let key = test_key(1);
-    assert!(store.get_db(&key).unwrap().is_none(), "fresh store misses");
-    store.put_db(&key, &db).unwrap();
-    let back = store.get_db(&key).unwrap().expect("hit after put");
-    assert_db_equal(&db, &back);
-    // A second handle over the same directory sees the same record.
-    let other = Store::open(&dir).unwrap();
-    let again = other.get_db(&key).unwrap().expect("shared dir hit");
-    assert_db_equal(&db, &again);
-    let stats = store.stats();
-    assert_eq!((stats.puts, stats.hits, stats.misses), (1, 1, 1));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -214,49 +135,50 @@ fn session_artifacts_round_trip_bit_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite 3: a reader racing writers over one directory gets either a
-/// miss or a complete, verified record — never a torn one. Two handles
-/// alternate between two distinct snapshots under one key while readers
-/// hammer it; every successful get must equal one of the two.
+/// A reader racing writers over one directory gets either a miss or a
+/// complete, verified record — never a torn one. Two handles alternate
+/// between two distinct artifacts under one key while readers hammer it;
+/// every successful get must re-encode to the bytes of one of the two.
 #[test]
 fn racing_handles_never_observe_torn_records() {
     let dir = scratch_dir("race");
-    let netlist_a = Benchmark::Aes.generate(0.008, 1);
-    let netlist_b = Benchmark::Ldpc.generate(0.008, 2);
-    let db_a = synth_db(netlist_a, 1, 11);
-    let db_b = synth_db(netlist_b, 4, 22);
-    let fp_a = db_a.state_fingerprint();
-    let fp_b = db_b.state_fingerprint();
+    let art_a = synth_artifact(Benchmark::Cpu.generate(0.008, 1), StackSpec::TwoD12, 11);
+    let art_b = synth_artifact(Benchmark::Ldpc.generate(0.008, 2), StackSpec::Hetero, 22);
+    let bytes_a = art_a.encode().unwrap();
+    let bytes_b = art_b.encode().unwrap();
     let key = test_key(3);
     // Seed the key so readers racing the first commit still see data.
-    Store::open(&dir).unwrap().put_db(&key, &db_a).unwrap();
+    Store::open(&dir)
+        .unwrap()
+        .put_session(&key, &art_a)
+        .unwrap();
 
     std::thread::scope(|scope| {
-        for snapshots in [[&db_a, &db_b], [&db_b, &db_a]] {
+        for artifacts in [[&art_a, &art_b], [&art_b, &art_a]] {
             let dir = &dir;
             let key = &key;
             scope.spawn(move || {
                 let store = Store::open(dir).unwrap();
                 for _ in 0..40 {
-                    for db in snapshots {
-                        store.put_db(key, db).unwrap();
+                    for artifact in artifacts {
+                        store.put_session(key, artifact).unwrap();
                     }
                 }
             });
         }
         for _ in 0..2 {
-            let dir = &dir;
-            let key = &key;
+            let (dir, key) = (&dir, &key);
+            let (bytes_a, bytes_b) = (&bytes_a, &bytes_b);
             scope.spawn(move || {
                 let store = Store::open(dir).unwrap();
                 let mut observed = 0u32;
                 for _ in 0..200 {
-                    match store.get_db(key) {
-                        Ok(Some(db)) => {
-                            let fp = db.state_fingerprint();
+                    match store.get_session(key) {
+                        Ok(Some(artifact)) => {
+                            let bytes = artifact.encode().unwrap();
                             assert!(
-                                fp == fp_a || fp == fp_b,
-                                "reader observed a record equal to neither snapshot"
+                                &bytes == bytes_a || &bytes == bytes_b,
+                                "reader observed a record equal to neither artifact"
                             );
                             observed += 1;
                         }

@@ -8,12 +8,18 @@
 //! damaged record is evicted as it is reported, so the following lookup
 //! is a clean miss and one `put` rebuilds the key bit-exactly.
 
-use m3d_db::DesignDb;
+use hetero3d::flow::{BaseDesign, PseudoCheckpoint};
+use hetero3d::geom::{Point, Rect};
+use hetero3d::place::Placement;
+use hetero3d::sta::{NetModel, Parasitics};
 use m3d_netlist::Netlist;
-use m3d_store::{crc32, StackSpec, Store, StoreError, StoreKey, FORMAT_VERSION};
-use m3d_tech::{CellKind, Drive, Tier};
+use m3d_store::{
+    crc32, Corruption, SessionArtifact, StackSpec, Store, StoreError, StoreKey, FORMAT_VERSION,
+};
+use m3d_tech::{CellKind, Drive};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory, rooted at `M3D_STORE_TEST_ROOT` when set
 /// (CI uploads that root as an artifact on failure). Not removed on
@@ -30,12 +36,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// A deliberately tiny snapshot — a valid four-cell inverter chain on
-/// the heterogeneous stack — so the *exhaustive* bit-flip sweep stays
+/// A deliberately tiny session artifact — the record kind the service
+/// spills and rehydrates: a valid four-cell inverter chain with its
+/// pseudo-3-D checkpoint — so the *exhaustive* bit-flip sweep stays
 /// cheap (the record is a few hundred bytes; every byte still goes
 /// through the same envelope and decoder paths as a full design, which
-/// the proptest suite in `crates/store` exercises at scale).
-fn small_db() -> DesignDb {
+/// `crates/store/tests` exercises at scale).
+fn small_artifact() -> SessionArtifact {
     let mut n = Netlist::new("fault-probe");
     let a = n.add_input("a");
     let g1 = n.add_gate("g1", CellKind::Inv, Drive::X1, 0);
@@ -47,13 +54,37 @@ fn small_db() -> DesignDb {
     n.connect(na, g1, 0);
     n.connect(n1, g2, 0);
     n.connect(n2, y, 0);
-    let tiers: Vec<Tier> = (0..n.cell_count())
-        .map(|i| if i % 2 == 0 { Tier::Bottom } else { Tier::Top })
+    let die = Rect::new(0.0, 0.0, 4.0, 2.0);
+    let placement = Placement {
+        positions: (0..n.cell_count())
+            .map(|i| Point::new(i as f64 + 0.5, 1.0))
+            .collect(),
+        die,
+    };
+    let models = (0..n.net_count())
+        .map(|k| NetModel {
+            wire_cap_ff: 0.5 + k as f64,
+            wire_delay_ns: 0.001 * (k + 1) as f64,
+        })
         .collect();
-    let mut db = DesignDb::new(n, StackSpec::Hetero.build(), 1.25);
-    db.set_tiers(tiers);
-    let _ = db.take_journal();
-    db
+    let parasitics = Parasitics::from_models(&n, models);
+    SessionArtifact {
+        base: BaseDesign {
+            netlist: Arc::new(n),
+        },
+        pseudo: Some(PseudoCheckpoint {
+            placement: Arc::new(placement),
+            parasitics: Arc::new(parasitics),
+            die,
+            stack: Arc::new(StackSpec::TwoD12.build()),
+        }),
+    }
+}
+
+/// An artifact's identity for these tests: its encoded payload, so "the
+/// exact snapshot" means every persisted bit.
+fn payload(artifact: &SessionArtifact) -> Vec<u8> {
+    artifact.encode().expect("preset stacks encode")
 }
 
 fn key() -> StoreKey {
@@ -75,30 +106,30 @@ fn record_path(dir: &Path) -> PathBuf {
     records.pop().unwrap()
 }
 
-/// Asserts one injected fault is handled per contract: `get_db` returns
-/// a typed corruption error (no panic), the record is gone, the next
-/// lookup is a clean miss, and a rebuild restores the original
-/// fingerprint.
-fn assert_fault_contained(store: &Store, original: &DesignDb, what: &str) {
-    match store.get_db(&key()) {
+/// Asserts one injected fault is handled per contract: `get_session`
+/// returns a typed corruption error (no panic), the record is gone, the
+/// next lookup is a clean miss, and a rebuild restores the original
+/// bytes.
+fn assert_fault_contained(store: &Store, original: &SessionArtifact, what: &str) {
+    match store.get_session(&key()) {
         Err(StoreError::Corrupt { .. }) => {}
         other => panic!("{what}: expected a typed corruption error, got {other:?}"),
     }
     assert!(
         store
-            .get_db(&key())
+            .get_session(&key())
             .expect("post-eviction lookup")
             .is_none(),
         "{what}: the evicted record must read as a clean miss"
     );
-    store.put_db(&key(), original).expect("rebuild");
+    store.put_session(&key(), original).expect("rebuild");
     let rebuilt = store
-        .get_db(&key())
+        .get_session(&key())
         .expect("rebuilt read")
         .expect("rebuilt hit");
     assert_eq!(
-        rebuilt.state_fingerprint(),
-        original.state_fingerprint(),
+        payload(&rebuilt),
+        payload(original),
         "{what}: rebuild must restore the exact snapshot"
     );
 }
@@ -107,8 +138,8 @@ fn assert_fault_contained(store: &Store, original: &DesignDb, what: &str) {
 fn every_single_bit_flip_is_detected_and_contained() {
     let dir = scratch_dir("bitflip");
     let store = Store::open(&dir).unwrap();
-    let db = small_db();
-    store.put_db(&key(), &db).unwrap();
+    let artifact = small_artifact();
+    store.put_session(&key(), &artifact).unwrap();
     let path = record_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -118,12 +149,15 @@ fn every_single_bit_flip_is_detected_and_contained() {
             let mut damaged = pristine.clone();
             damaged[byte] ^= 1 << bit;
             std::fs::write(&path, &damaged).unwrap();
-            match store.get_db(&key()) {
+            match store.get_session(&key()) {
                 Err(StoreError::Corrupt { .. }) => {}
                 other => panic!("flip byte {byte} bit {bit}: got {other:?}"),
             }
             assert!(
-                store.get_db(&key()).expect("miss after eviction").is_none(),
+                store
+                    .get_session(&key())
+                    .expect("miss after eviction")
+                    .is_none(),
                 "flip byte {byte} bit {bit}: eviction must leave a miss"
             );
             // Re-seed for the next flip.
@@ -134,8 +168,8 @@ fn every_single_bit_flip_is_detected_and_contained() {
     assert_eq!(faults, pristine.len() as u64 * 8);
     assert_eq!(store.stats().corrupt_evicted, faults);
     // The restored pristine bytes still verify and decode.
-    let back = store.get_db(&key()).unwrap().expect("pristine record");
-    assert_eq!(back.state_fingerprint(), db.state_fingerprint());
+    let back = store.get_session(&key()).unwrap().expect("pristine record");
+    assert_eq!(payload(&back), payload(&artifact));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -143,15 +177,15 @@ fn every_single_bit_flip_is_detected_and_contained() {
 fn truncation_at_every_eighth_boundary_is_contained() {
     let dir = scratch_dir("truncate");
     let store = Store::open(&dir).unwrap();
-    let db = small_db();
-    store.put_db(&key(), &db).unwrap();
+    let artifact = small_artifact();
+    store.put_session(&key(), &artifact).unwrap();
     let path = record_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
 
     for eighth in 0..8 {
         let cut = pristine.len() * eighth / 8;
         std::fs::write(&path, &pristine[..cut]).unwrap();
-        assert_fault_contained(&store, &db, &format!("truncated to {cut} bytes"));
+        assert_fault_contained(&store, &artifact, &format!("truncated to {cut} bytes"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -160,8 +194,8 @@ fn truncation_at_every_eighth_boundary_is_contained() {
 fn wrong_version_and_wrong_kind_are_rejected_with_valid_checksums() {
     let dir = scratch_dir("version");
     let store = Store::open(&dir).unwrap();
-    let db = small_db();
-    store.put_db(&key(), &db).unwrap();
+    let artifact = small_artifact();
+    store.put_session(&key(), &artifact).unwrap();
     let path = record_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -171,17 +205,23 @@ fn wrong_version_and_wrong_kind_are_rejected_with_valid_checksums() {
     future[4] = FORMAT_VERSION + 1;
     reseal(&mut future);
     std::fs::write(&path, &future).unwrap();
-    assert_fault_contained(&store, &db, "future format version");
+    assert_fault_contained(&store, &artifact, "future format version");
 
-    // A db record presented under the session file name: the kind byte
-    // must refuse it even though the envelope is self-consistent.
-    let session_path = path.with_extension("session");
-    std::fs::write(&session_path, &pristine).unwrap();
+    // A record of another kind (1, the retired db snapshot) under the
+    // session file name, CRC resealed: the kind byte must refuse it even
+    // though the envelope is self-consistent.
+    let mut other_kind = pristine.clone();
+    other_kind[5] = 1;
+    reseal(&mut other_kind);
+    std::fs::write(&path, &other_kind).unwrap();
     match store.get_session(&key()) {
-        Err(StoreError::Corrupt { .. }) => {}
-        other => panic!("kind mismatch: expected corruption, got {other:?}"),
+        Err(StoreError::Corrupt {
+            detail: Corruption::WrongKind { found: 1, .. },
+            ..
+        }) => {}
+        other => panic!("kind mismatch: expected a wrong-kind error, got {other:?}"),
     }
-    assert!(!session_path.exists(), "the mismatched record is evicted");
+    assert!(!path.exists(), "the mismatched record is evicted");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -189,8 +229,8 @@ fn wrong_version_and_wrong_kind_are_rejected_with_valid_checksums() {
 fn oversized_length_fields_never_allocate() {
     let dir = scratch_dir("lengths");
     let store = Store::open(&dir).unwrap();
-    let db = small_db();
-    store.put_db(&key(), &db).unwrap();
+    let artifact = small_artifact();
+    store.put_session(&key(), &artifact).unwrap();
     let path = record_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -201,7 +241,7 @@ fn oversized_length_fields_never_allocate() {
     huge[6..14].copy_from_slice(&u64::MAX.to_le_bytes());
     reseal(&mut huge);
     std::fs::write(&path, &huge).unwrap();
-    assert_fault_contained(&store, &db, "oversized envelope length");
+    assert_fault_contained(&store, &artifact, "oversized envelope length");
 
     // Payload-level: the first payload field is the netlist name's
     // length prefix. Claim u64::MAX with a resealed CRC — the decoder
@@ -212,7 +252,7 @@ fn oversized_length_fields_never_allocate() {
     lying[14..22].copy_from_slice(&u64::MAX.to_le_bytes());
     reseal(&mut lying);
     std::fs::write(&path, &lying).unwrap();
-    assert_fault_contained(&store, &db, "oversized payload length");
+    assert_fault_contained(&store, &artifact, "oversized payload length");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -220,26 +260,26 @@ fn oversized_length_fields_never_allocate() {
 fn torn_writes_and_stale_tmp_files_are_invisible_or_contained() {
     let dir = scratch_dir("torn");
     let store = Store::open(&dir).unwrap();
-    let db = small_db();
+    let artifact = small_artifact();
 
     // A stale tmp file from a crashed writer is never read: lookups
     // miss cleanly right past it.
-    std::fs::write(dir.join(".tmp-99999-0-junk.db"), b"half a record").unwrap();
-    assert!(store.get_db(&key()).unwrap().is_none());
+    std::fs::write(dir.join(".tmp-99999-0-junk.session"), b"half a record").unwrap();
+    assert!(store.get_session(&key()).unwrap().is_none());
 
     // A torn *final* file — as a non-atomic writer would leave — is
     // detected, evicted and rebuilt. (The store's own commit protocol
     // makes this unreachable; the simulation proves the reader would
     // survive it anyway.)
-    store.put_db(&key(), &db).unwrap();
+    store.put_session(&key(), &artifact).unwrap();
     let path = record_path(&dir);
     let pristine = std::fs::read(&path).unwrap();
     std::fs::write(&path, &pristine[..pristine.len() * 2 / 3]).unwrap();
-    assert_fault_contained(&store, &db, "torn final file");
+    assert_fault_contained(&store, &artifact, "torn final file");
 
     // An empty final file is the degenerate torn write.
     std::fs::write(&path, b"").unwrap();
-    assert_fault_contained(&store, &db, "empty final file");
+    assert_fault_contained(&store, &artifact, "empty final file");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

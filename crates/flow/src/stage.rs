@@ -218,11 +218,10 @@ fn netlist_fingerprint(netlist: &Netlist) -> String {
 }
 
 /// Publishes a persistent [`Timer`]'s lifetime counters: the propagation
-/// work (deterministic — dirty sets depend only on the edit sequence)
-/// as counters, the scheduling-dependent arc-cache tallies as
-/// performance-only entries, per shard and in total. Lifetime counters
-/// must be booked exactly once, so this is called where a timer retires:
-/// before a pass boundary replaces it and at the end of the run.
+/// work (deterministic — dirty sets depend only on the edit sequence).
+/// Lifetime counters must be booked exactly once, so this is called where
+/// a timer retires: before a pass boundary replaces it and at the end of
+/// the run.
 fn record_timer(obs: &Obs, timer: &Timer) {
     if !obs.is_enabled() {
         return;
@@ -237,13 +236,6 @@ fn record_timer(obs: &Obs, timer: &Timer) {
     obs.counter_add("sta/backward_evals", st.backward_evals);
     obs.counter_add("sta/launch_required_evals", st.launch_required_evals);
     obs.counter_add("sta/propagated_evals", st.propagated_evals());
-    let cache = timer.delay_cache();
-    obs.perf_add("sta/cache_hits", cache.hits());
-    obs.perf_add("sta/cache_misses", cache.misses());
-    for (i, (hits, misses)) in cache.shard_stats().into_iter().enumerate() {
-        obs.perf_add(&format!("sta/cache_shard{i:02}_hits"), hits);
-        obs.perf_add(&format!("sta/cache_shard{i:02}_misses"), misses);
-    }
 }
 
 /// Publishes a routing result's deterministic totals.

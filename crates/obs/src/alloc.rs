@@ -48,8 +48,13 @@ impl CountingAlloc {
     }
 }
 
-// SAFETY: defers every allocation to `System`; the bookkeeping is
-// side-effect-free atomic arithmetic.
+// SAFETY: `GlobalAlloc`'s contract is `System`'s, forwarded unchanged:
+// every method passes its caller's pointer, layout and size straight to
+// the `System` method of the same name and returns what that returned, so
+// a block is always freed or resized by the allocator that produced it,
+// with the layout it was produced for. The bookkeeping around the calls
+// is relaxed atomic arithmetic on statics — it cannot allocate, unwind or
+// touch the block.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

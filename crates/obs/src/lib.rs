@@ -14,9 +14,9 @@
 //!   `m3d_par::par_ranges`, whose chunking is independent of the worker
 //!   count).
 //! - **Performance-only**: span wall times, the thread count, and
-//!   anything recorded through [`Obs::perf_add`] (e.g. `DelayCache`
-//!   hit/miss tallies, which depend on scheduling). These are reported
-//!   but excluded from [`Manifest::deterministic_json`].
+//!   anything recorded through [`Obs::perf_add`] (e.g. the serve
+//!   layer's store hit/miss tallies, which depend on scheduling). These
+//!   are reported but excluded from [`Manifest::deterministic_json`].
 //!
 //! # Usage
 //!
@@ -25,6 +25,8 @@
 //! is attached. [`Obs::scope`] derives a handle whose keys share a
 //! prefix; concurrent flow branches (fmax ladder rungs, config sweeps)
 //! each scope themselves so they never write the same span path.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod alloc;
 

@@ -182,6 +182,22 @@ where
     out
 }
 
+/// Copies per-chunk results — what a [`par_ranges`] closure collecting a
+/// `Vec` per range returns, in chunk order — into the standing buffer
+/// they cover, so a repeated bulk pass reuses one allocation instead of
+/// concatenating into a fresh design-sized `Vec` every time.
+///
+/// # Panics
+///
+/// Panics if the chunks hold more items than `out`.
+pub fn store_chunks<T: Copy>(out: &mut [T], chunks: Vec<Vec<T>>) {
+    let mut w = 0;
+    for chunk in chunks {
+        out[w..w + chunk.len()].copy_from_slice(&chunk);
+        w += chunk.len();
+    }
+}
+
 /// Runs independent thunks concurrently, returning their results in call
 /// order. Used for the flow's coarse fan-out (one thunk per
 /// configuration / per fmax-ladder rung).

@@ -121,15 +121,7 @@ pub fn bin_min_cut_with_stats(
         bt[b][from.index()] -= areas[cell];
         bt[b][to.index()] += areas[cell];
     };
-    run_fm_with(
-        netlist,
-        areas,
-        locked,
-        tiers,
-        config.passes,
-        can_move,
-        on_move,
-    )
+    run_fm_with(netlist, locked, tiers, config.passes, can_move, on_move)
 }
 
 /// Seeds free cells into a random balanced split (locked cells untouched).
@@ -190,44 +182,320 @@ fn run_fm(
         ta[from.index()] -= areas[cell];
         ta[to.index()] += areas[cell];
     };
-    run_fm_with(netlist, areas, locked, tiers, passes, can_move, on_move).0
+    run_fm_with(netlist, locked, tiers, passes, can_move, on_move).0
 }
 
 /// Sentinel for "no node" in the flat gain-list links.
 const NIL: u32 = u32::MAX;
 
+/// The FM hypergraph, CSR in both directions: `net_off` / `net_cell` for
+/// net→cells (driver first, then sinks — `Net::cells` order; clock nets
+/// get empty slices) and `cell_net_off` / `cell_net` for cell→nets (by
+/// counting sort over the nets in index order, so a cell's nets ascend).
+/// Both orders are part of the deterministic gain-update order. Entries
+/// are *pins*: a cell on two pins of a net is listed twice in both
+/// directions, and side counts count it twice.
+struct Hypergraph {
+    net_off: Vec<u32>,
+    net_cell: Vec<u32>,
+    /// Per `net_cell` entry: how many pins its cell has on the net, on the
+    /// cell's first entry in the net's slice; zero on its later entries.
+    pin_mult: Vec<u8>,
+    cell_net_off: Vec<u32>,
+    cell_net: Vec<u32>,
+}
+
+impl Hypergraph {
+    fn build(netlist: &Netlist) -> Hypergraph {
+        let n = netlist.cell_count();
+        let net_count = netlist.net_count();
+        let mut net_off: Vec<u32> = Vec::with_capacity(net_count + 1);
+        net_off.push(0);
+        let mut pin_total = 0u32;
+        for (_, net) in netlist.nets() {
+            if !net.is_clock {
+                pin_total += net.degree() as u32;
+            }
+            net_off.push(pin_total);
+        }
+        let mut net_cell: Vec<u32> = vec![0; pin_total as usize];
+        let mut pin_mult: Vec<u8> = vec![0; pin_total as usize];
+        // `first_pin[c]` is c's first entry in the net being filled, valid
+        // while `seen_in[c]` names that net.
+        let mut seen_in: Vec<u32> = vec![u32::MAX; n];
+        let mut first_pin: Vec<u32> = vec![0; n];
+        for (id, net) in netlist.nets() {
+            if net.is_clock {
+                continue;
+            }
+            let k = id.index() as u32;
+            for (w, c) in (net_off[id.index()] as usize..).zip(net.cells()) {
+                let c = c.index();
+                net_cell[w] = c as u32;
+                if seen_in[c] != k {
+                    seen_in[c] = k;
+                    first_pin[c] = w as u32;
+                }
+                // A movable gate has a handful of pins; saturation can
+                // only be reached by a macro, which never moves.
+                let first = &mut pin_mult[first_pin[c] as usize];
+                *first = first.saturating_add(1);
+            }
+        }
+        let mut cell_net_off: Vec<u32> = vec![0; n + 1];
+        for &c in &net_cell {
+            cell_net_off[c as usize + 1] += 1;
+        }
+        for i in 0..n {
+            cell_net_off[i + 1] += cell_net_off[i];
+        }
+        let mut next_slot: Vec<u32> = cell_net_off[..n].to_vec();
+        let mut cell_net: Vec<u32> = vec![0; pin_total as usize];
+        for k in 0..net_count {
+            for &c in &net_cell[net_off[k] as usize..net_off[k + 1] as usize] {
+                cell_net[next_slot[c as usize] as usize] = k as u32;
+                next_slot[c as usize] += 1;
+            }
+        }
+        Hypergraph {
+            net_off,
+            net_cell,
+            pin_mult,
+            cell_net_off,
+            cell_net,
+        }
+    }
+
+    fn net_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.net_off[k] as usize..self.net_off[k + 1] as usize
+    }
+
+    fn net_of(&self, k: usize) -> &[u32] {
+        &self.net_cell[self.net_range(k)]
+    }
+
+    fn nets_of(&self, c: usize) -> &[u32] {
+        &self.cell_net[self.cell_net_off[c] as usize..self.cell_net_off[c + 1] as usize]
+    }
+
+    /// FM gain of moving `cell` to the other side: nets it would uncut
+    /// minus nets it would cut, per pin.
+    fn gain_of(&self, cell: usize, tiers: &[Tier], side_count: &[[i32; 2]]) -> i64 {
+        let from = tiers[cell].index();
+        let to = 1 - from;
+        let mut g = 0i64;
+        for &ni in self.nets_of(cell) {
+            let sc = side_count[ni as usize];
+            if sc[from] == 1 {
+                g += 1; // moving uncuts this net
+            }
+            if sc[to] == 0 {
+                g -= 1; // moving cuts this net
+            }
+        }
+        g
+    }
+}
+
+/// The classic gain *bucket-of-stacks* as one doubly-linked free list
+/// over per-gain heads (`head` / `prev` / `next` arrays — one node per
+/// cell, no per-bucket `Vec`s, no stale duplicates). Pushing a node to the
+/// front of its gain's list makes the front the most-recently-updated
+/// candidate, which is precisely the entry the old lazy stacks surfaced
+/// with `last()`.
+struct GainList {
+    /// Gains lie in `[-offset, +offset]`; bucket `b` holds gain `b - offset`.
+    offset: i64,
+    gains: Vec<i64>,
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    in_list: Vec<bool>,
+    /// No bucket above `top` is occupied.
+    top: i64,
+}
+
+impl GainList {
+    fn bucket(&self, c: usize) -> usize {
+        (self.gains[c] + self.offset) as usize
+    }
+
+    /// Takes `c` out of its gain's list (it must be in it).
+    fn unlink(&mut self, c: usize) {
+        let b = self.bucket(c);
+        let (p, nx) = (self.prev[c], self.next[c]);
+        if p != NIL {
+            self.next[p as usize] = nx;
+        } else {
+            self.head[b] = nx;
+        }
+        if nx != NIL {
+            self.prev[nx as usize] = p;
+        }
+        self.in_list[c] = false;
+    }
+
+    /// Puts `c` (not in any list) at the front of `gains[c]`'s list.
+    fn push_front(&mut self, c: usize) {
+        let b = self.bucket(c);
+        let h = self.head[b];
+        self.next[c] = h;
+        self.prev[c] = NIL;
+        if h != NIL {
+            self.prev[h as usize] = c as u32;
+        }
+        self.head[b] = c as u32;
+        self.in_list[c] = true;
+        self.top = self.top.max(b as i64);
+    }
+
+    /// Moves `c` to the front of gain `g`'s list — also when a balance
+    /// rejection had dropped it from the lists.
+    fn relink(&mut self, c: usize, g: i64) {
+        if self.in_list[c] {
+            self.unlink(c);
+        }
+        self.gains[c] = g;
+        self.push_front(c);
+    }
+}
+
+/// The step that follows each FM move: `(graph, tiers, free, side_count,
+/// list, c, from)` brings side counts and the free neighbours' gains up
+/// to date after cell `c` left side `from`.
+type UpdateGains = fn(&Hypergraph, &[Tier], &[bool], &mut [[i32; 2]], &mut GainList, usize, Tier);
+
+/// Brings side counts and neighbour gains up to date after `c` left side
+/// `from`, by the critical-net delta rule. Per pin of `c`, with `(f, t)`
+/// the net's side counts *before* the pin moves, a free neighbour's gain
+/// changes by, per pin of its own on the net,
+///
+/// * same side as `from`: `[f == 2] + [t == 0]` — it becomes the last cell
+///   on its side (moving it would now uncut the net), and the net was
+///   uncut so moving it no longer cuts it;
+/// * other side: `−[t == 1] − [f == 1]` — it is no longer alone on its
+///   side, and `c` has emptied the far side so moving it would cut again.
+///
+/// (`f ≥ 2` for a same-side and `t ≥ 1` for an other-side neighbour, which
+/// is why the full-recompute terms `[f == 1]` and `[t == 0]` drop out.) A
+/// net with none of the four conditions skips its pin loop. A neighbour
+/// listed on several pins of the net takes its whole change on its first
+/// entry (`pin_mult`) and none later — the order a full recompute relinks
+/// in — so nets are walked in the same net-then-pin order and the move
+/// sequence is bit-identical to recomputing every neighbour's gain.
+fn update_gains_by_delta(
+    graph: &Hypergraph,
+    tiers: &[Tier],
+    free: &[bool],
+    side_count: &mut [[i32; 2]],
+    list: &mut GainList,
+    c: usize,
+    from: Tier,
+) {
+    let (from_i, to_i) = (from.index(), from.other().index());
+    for &ni in graph.nets_of(c) {
+        let ni = ni as usize;
+        let sc = &mut side_count[ni];
+        let (f, t) = (sc[from_i], sc[to_i]);
+        sc[from_i] -= 1;
+        sc[to_i] += 1;
+        let same = i64::from(f == 2) + i64::from(t == 0);
+        let other = -i64::from(t == 1) - i64::from(f == 1);
+        if same == 0 && other == 0 {
+            continue;
+        }
+        for w in graph.net_range(ni) {
+            let nb = graph.net_cell[w] as usize;
+            let pins = i64::from(graph.pin_mult[w]);
+            if pins == 0 || !free[nb] {
+                continue;
+            }
+            let delta = pins * if tiers[nb] == from { same } else { other };
+            if delta != 0 {
+                list.relink(nb, list.gains[nb] + delta);
+            }
+        }
+    }
+}
+
+/// The reference [`update_gains_by_delta`] is tested against: every free
+/// neighbour's gain recomputed in full over all of its nets.
+#[cfg(test)]
+fn update_gains_by_recompute(
+    graph: &Hypergraph,
+    tiers: &[Tier],
+    free: &[bool],
+    side_count: &mut [[i32; 2]],
+    list: &mut GainList,
+    c: usize,
+    from: Tier,
+) {
+    for &ni in graph.nets_of(c) {
+        let ni = ni as usize;
+        side_count[ni][from.index()] -= 1;
+        side_count[ni][from.other().index()] += 1;
+        for &nb in graph.net_of(ni) {
+            let nb = nb as usize;
+            if !free[nb] {
+                continue;
+            }
+            let g = graph.gain_of(nb, tiers, side_count);
+            if g != list.gains[nb] {
+                list.relink(nb, g);
+            }
+        }
+    }
+}
+
+/// The FM engine with the production gain update.
+fn run_fm_with(
+    netlist: &Netlist,
+    locked: &[bool],
+    tiers: &mut [Tier],
+    passes: usize,
+    can_move: impl Fn(usize, Tier, Tier) -> bool,
+    on_move: impl Fn(usize, Tier, Tier),
+) -> (usize, FmStats) {
+    run_fm_engine(
+        netlist,
+        locked,
+        tiers,
+        passes,
+        can_move,
+        on_move,
+        update_gains_by_delta,
+    )
+}
+
 /// The FM engine: a flat doubly-linked gain list, tentative move
 /// sequence, best-prefix rollback; repeated for `passes` passes or until
-/// no pass improves.
+/// no pass improves. `update_gains` is [`update_gains_by_delta`]; it is a
+/// parameter so the tests can run the full-recompute reference through
+/// the same engine.
 ///
-/// Data layout is flat throughout: the hypergraph is CSR (`net_off` /
-/// `net_cell` for net→cells, `cell_net_off` / `cell_net` for cell→nets,
-/// both preserving the legacy `Vec<Vec<_>>` iteration order exactly), and
-/// the classic gain *bucket-of-stacks* is replaced by one doubly-linked
-/// free list over per-gain heads (`head` / `prev` / `next` arrays — one
-/// node per cell, no per-bucket `Vec`s, no stale duplicates). Pushing a
-/// node to the front of its gain's list makes the front the
-/// most-recently-updated candidate, which is precisely the entry the old
-/// lazy stacks surfaced with `last()` — so the move sequence, and with it
-/// every downstream bit, is unchanged.
-///
-/// All per-pass scratch (side counts, gains, pass locks, list links, the
-/// move journal) is allocated once and reset in place, so a pass costs no
-/// heap churn.
+/// Data layout is flat throughout ([`Hypergraph`], [`GainList`]), and all
+/// per-pass scratch (side counts, gains, pass locks, list links, the move
+/// journal) is allocated once and reset in place, so a pass costs no heap
+/// churn.
 ///
 /// The per-pass setup — side counts, initial gains, cut evaluation — is
 /// embarrassingly parallel and runs on `m3d_par` workers for large
 /// designs; each item's value is independent, so the scattered results
 /// are identical to the sequential loops. The move sequence itself stays
 /// sequential: it *defines* the deterministic order of the pass.
-fn run_fm_with(
+///
+/// Cuts are always a true recount (`cut_of`), never the running
+/// `cur_cut`: gains count a double-pinned cell's net once per pin, so the
+/// gain model can misjudge such nets, and the recount is what keeps the
+/// reported cut exact.
+fn run_fm_engine(
     netlist: &Netlist,
-    _areas: &[f64],
     locked: &[bool],
     tiers: &mut [Tier],
     passes: usize,
     can_move: impl Fn(usize, Tier, Tier) -> bool,
     on_move: impl Fn(usize, Tier, Tier),
+    update_gains: UpdateGains,
 ) -> (usize, FmStats) {
     let mut stats = FmStats::default();
     let n = netlist.cell_count();
@@ -241,50 +509,8 @@ fn run_fm_with(
         .map(|(id, c)| !locked[id.index()] && matches!(c.class, CellClass::Gate { .. }))
         .collect();
 
-    // ---- CSR hypergraph -------------------------------------------------
-    // Net k's member cells (driver first, then sinks — `Net::cells`
-    // order) are `net_cell[net_off[k] .. net_off[k + 1]]`; clock nets get
-    // empty slices, exactly like the legacy empty pin lists.
-    let mut net_off: Vec<u32> = Vec::with_capacity(net_count + 1);
-    net_off.push(0);
-    let mut pin_total = 0u32;
-    for (_, net) in netlist.nets() {
-        if !net.is_clock {
-            pin_total += net.degree() as u32;
-        }
-        net_off.push(pin_total);
-    }
-    let mut net_cell: Vec<u32> = vec![0; pin_total as usize];
-    for (id, net) in netlist.nets() {
-        if net.is_clock {
-            continue;
-        }
-        for (w, c) in (net_off[id.index()] as usize..).zip(net.cells()) {
-            net_cell[w] = c.index() as u32;
-        }
-    }
-    // Cell→incident nets by counting sort over the nets in index order —
-    // the same per-cell net sequence the legacy push loop built (net
-    // order is part of the deterministic gain-update order).
-    let mut cell_net_off: Vec<u32> = vec![0; n + 1];
-    for &c in &net_cell {
-        cell_net_off[c as usize + 1] += 1;
-    }
-    for i in 0..n {
-        cell_net_off[i + 1] += cell_net_off[i];
-    }
-    let mut next_slot: Vec<u32> = cell_net_off[..n].to_vec();
-    let mut cell_net: Vec<u32> = vec![0; pin_total as usize];
-    for k in 0..net_count {
-        for &c in &net_cell[net_off[k] as usize..net_off[k + 1] as usize] {
-            cell_net[next_slot[c as usize] as usize] = k as u32;
-            next_slot[c as usize] += 1;
-        }
-    }
-    drop(next_slot);
-
-    let net_of = |k: usize| &net_cell[net_off[k] as usize..net_off[k + 1] as usize];
-    let nets_of = |c: usize| &cell_net[cell_net_off[c] as usize..cell_net_off[c + 1] as usize];
+    let graph = Hypergraph::build(netlist);
+    let graph = &graph;
 
     let cut_of = |tiers: &[Tier]| -> usize {
         let is_cut = |pins: &[u32]| {
@@ -296,28 +522,38 @@ fn run_fm_with(
         };
         if parallel {
             m3d_par::par_ranges(threads, net_count, |r| {
-                r.filter(|&ni| is_cut(net_of(ni))).count()
+                r.filter(|&ni| is_cut(graph.net_of(ni))).count()
             })
             .into_iter()
             .sum()
         } else {
-            (0..net_count).filter(|&ni| is_cut(net_of(ni))).count()
+            (0..net_count)
+                .filter(|&ni| is_cut(graph.net_of(ni)))
+                .count()
         }
     };
 
-    let max_deg = (0..n).map(|c| nets_of(c).len()).max().unwrap_or(1).max(1) as i64;
+    let max_deg = (0..n)
+        .map(|c| graph.nets_of(c).len())
+        .max()
+        .unwrap_or(1)
+        .max(1) as i64;
     let mut best_cut = cut_of(tiers);
 
     // ---- per-pass scratch, allocated once -------------------------------
-    let offset = max_deg;
     let nbuckets = (2 * max_deg + 1) as usize;
     let mut side_count: Vec<[i32; 2]> = vec![[0, 0]; net_count];
-    let mut gains: Vec<i64> = vec![0; n];
-    let mut head: Vec<u32> = vec![NIL; nbuckets];
-    let mut prev: Vec<u32> = vec![NIL; n];
-    let mut next: Vec<u32> = vec![NIL; n];
-    let mut in_list: Vec<bool> = vec![false; n];
-    let mut locked_pass: Vec<bool> = vec![false; n];
+    let mut list = GainList {
+        offset: max_deg,
+        gains: vec![0; n],
+        head: vec![NIL; nbuckets],
+        prev: vec![NIL; n],
+        next: vec![NIL; n],
+        in_list: vec![false; n],
+        top: 0,
+    };
+    // Movable and not yet moved in this pass.
+    let mut free: Vec<bool> = vec![false; n];
     let mut moves: Vec<usize> = Vec::new();
 
     for _pass in 0..passes {
@@ -333,40 +569,20 @@ fn run_fm_with(
         if parallel {
             let tiers_ref = &*tiers;
             let chunks = m3d_par::par_ranges(threads, net_count, |r| {
-                r.map(|ni| side_count_of(net_of(ni), tiers_ref))
+                r.map(|ni| side_count_of(graph.net_of(ni), tiers_ref))
                     .collect::<Vec<[i32; 2]>>()
             });
-            let mut w = 0;
-            for chunk in chunks {
-                side_count[w..w + chunk.len()].copy_from_slice(&chunk);
-                w += chunk.len();
-            }
+            m3d_par::store_chunks(&mut side_count, chunks);
         } else {
             for (ni, sc) in side_count.iter_mut().enumerate() {
-                *sc = side_count_of(net_of(ni), tiers);
+                *sc = side_count_of(graph.net_of(ni), tiers);
             }
         }
 
         // Initial gains.
-        let gain_of = |cell: usize, tiers: &[Tier], side_count: &[[i32; 2]]| -> i64 {
-            let from = tiers[cell].index();
-            let to = 1 - from;
-            let mut g = 0i64;
-            for &ni in nets_of(cell) {
-                let sc = side_count[ni as usize];
-                if sc[from] == 1 {
-                    g += 1; // moving uncuts this net
-                }
-                if sc[to] == 0 {
-                    g -= 1; // moving cuts this net
-                }
-            }
-            g
-        };
-
         let initial_gain = |c: usize, tiers: &[Tier], side_count: &[[i32; 2]]| -> i64 {
             if movable[c] {
-                gain_of(c, tiers, side_count)
+                graph.gain_of(c, tiers, side_count)
             } else {
                 i64::MIN
             }
@@ -378,13 +594,9 @@ fn run_fm_with(
                 r.map(|c| initial_gain(c, tiers_ref, side_count_ref))
                     .collect::<Vec<i64>>()
             });
-            let mut w = 0;
-            for chunk in chunks {
-                gains[w..w + chunk.len()].copy_from_slice(&chunk);
-                w += chunk.len();
-            }
+            m3d_par::store_chunks(&mut list.gains, chunks);
         } else {
-            for (c, g) in gains.iter_mut().enumerate() {
+            for (c, g) in list.gains.iter_mut().enumerate() {
                 *g = initial_gain(c, tiers, &side_count);
             }
         }
@@ -392,106 +604,50 @@ fn run_fm_with(
         // Gain list: gains in [-max_deg, +max_deg]. Filling in ascending
         // cell index puts the highest index at each list's front — the
         // entry the legacy stacks exposed with `last()`.
-        head.fill(NIL);
-        in_list.copy_from_slice(&movable);
-        locked_pass.fill(false);
+        list.head.fill(NIL);
+        list.in_list.fill(false);
+        list.top = 0;
+        free.copy_from_slice(&movable);
         moves.clear();
-        for c in 0..n {
-            if movable[c] {
-                let b = (gains[c] + offset) as usize;
-                let h = head[b];
-                next[c] = h;
-                prev[c] = NIL;
-                if h != NIL {
-                    prev[h as usize] = c as u32;
-                }
-                head[b] = c as u32;
-            }
+        for (c, _) in movable.iter().enumerate().filter(|(_, &m)| m) {
+            list.push_front(c);
         }
-        let unlink = |head: &mut [u32], prev: &mut [u32], next: &mut [u32], b: usize, c: usize| {
-            let p = prev[c];
-            let nx = next[c];
-            if p != NIL {
-                next[p as usize] = nx;
-            } else {
-                head[b] = nx;
-            }
-            if nx != NIL {
-                prev[nx as usize] = p;
-            }
-        };
 
         let start_cut = cut_of(tiers);
         let mut cur_cut = start_cut as i64;
         let mut best_prefix_cut = cur_cut;
         let mut best_prefix_len = 0usize;
-        let mut top = nbuckets as i64 - 1;
 
         loop {
             // Find the highest-gain admissible cell. Lists hold no stale
             // entries (nodes move eagerly on every gain change), so the
             // scan only skips balance-rejected candidates.
             let mut chosen = None;
-            'outer: while top >= 0 {
-                while head[top as usize] != NIL {
-                    let c = head[top as usize] as usize;
+            'outer: while list.top >= 0 {
+                while list.head[list.top as usize] != NIL {
+                    let c = list.head[list.top as usize] as usize;
                     let from = tiers[c];
+                    // Either way `c` leaves the list: as the move, or —
+                    // not movable under balance right now — until another
+                    // move changes its gain.
+                    list.unlink(c);
                     if can_move(c, from, from.other()) {
                         chosen = Some(c);
                         break 'outer;
                     }
-                    // Not movable under balance right now: drop from the
-                    // list; it may come back after other moves.
-                    unlink(&mut head, &mut prev, &mut next, top as usize, c);
-                    in_list[c] = false;
                 }
-                top -= 1;
+                list.top -= 1;
             }
             let Some(c) = chosen else { break };
-            unlink(&mut head, &mut prev, &mut next, top as usize, c);
-            in_list[c] = false;
-            locked_pass[c] = true;
+            free[c] = false;
 
             let from = tiers[c];
             let to = from.other();
-            cur_cut -= gains[c];
+            cur_cut -= list.gains[c];
             tiers[c] = to;
             on_move(c, from, to);
             moves.push(c);
-
-            // Update side counts and neighbor gains.
-            for &ni in nets_of(c) {
-                let ni = ni as usize;
-                let sc = &mut side_count[ni];
-                sc[from.index()] -= 1;
-                sc[to.index()] += 1;
-                for &nb in net_of(ni) {
-                    let nb = nb as usize;
-                    if nb == c || !movable[nb] || locked_pass[nb] {
-                        continue;
-                    }
-                    let g = gain_of(nb, tiers, &side_count);
-                    if g != gains[nb] {
-                        if in_list[nb] {
-                            let old = (gains[nb] + offset) as usize;
-                            unlink(&mut head, &mut prev, &mut next, old, nb);
-                        }
-                        gains[nb] = g;
-                        let bucket = (g + offset) as usize;
-                        let h = head[bucket];
-                        next[nb] = h;
-                        prev[nb] = NIL;
-                        if h != NIL {
-                            prev[h as usize] = nb as u32;
-                        }
-                        head[bucket] = nb as u32;
-                        in_list[nb] = true;
-                        if (bucket as i64) > top {
-                            top = bucket as i64;
-                        }
-                    }
-                }
-            }
+            update_gains(graph, tiers, &free, &mut side_count, &mut list, c, from);
 
             if cur_cut < best_prefix_cut {
                 best_prefix_cut = cur_cut;
@@ -670,5 +826,147 @@ mod tests {
         );
         let u = crate::unbalance(&areas, &tiers);
         assert!(u < 0.3, "global unbalance {u}");
+    }
+
+    /// A random hypergraph over `gates` three-input gates (plus a macro
+    /// and two ports, which never move): every gate drives one net, and
+    /// each input pin picks a net at random — with probability
+    /// `repeat_pct` % the net on the gate's previous pin, so double- and
+    /// triple-pinned nets are common, and own-output feedback occurs.
+    fn random_hypergraph(seed: u64, gates: usize, repeat_pct: u32) -> Netlist {
+        use m3d_tech::{CellKind, Drive};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut n = Netlist::new("fm_random");
+        let mut nets = Vec::new();
+        let pi = n.add_input("pi");
+        nets.push(n.add_net("n_pi", pi, 0));
+        let spec = m3d_netlist::MacroSpec::sram(128);
+        let mac = n.add_macro("mac", spec, 4, 1, 0);
+        nets.push(n.add_net("n_mac", mac, 0));
+        let cells: Vec<_> = (0..gates)
+            .map(|i| n.add_gate(format!("g{i}"), CellKind::Nand3, Drive::X1, 0))
+            .collect();
+        for (i, &g) in cells.iter().enumerate() {
+            nets.push(n.add_net(format!("n{i}"), g, 0));
+        }
+        for &g in &cells {
+            let mut last = nets[rng.gen_range(0..nets.len())];
+            for pin in 0..3 {
+                if !rng.gen_bool(f64::from(repeat_pct) / 100.0) {
+                    last = nets[rng.gen_range(0..nets.len())];
+                }
+                n.connect(last, g, pin);
+            }
+        }
+        for pin in 0..4 {
+            n.connect(nets[rng.gen_range(0..nets.len())], mac, pin);
+        }
+        let po = n.add_output("po");
+        n.connect(nets[rng.gen_range(0..nets.len())], po, 0);
+        n
+    }
+
+    /// One bin-balanced FM run through `update_gains`, returning
+    /// everything observable: the move journal (every tentative move and
+    /// every rollback, as `on_move` saw them), the final tiers, the stats
+    /// and the cut.
+    fn journaled_run(
+        netlist: &Netlist,
+        locked: &[bool],
+        start: &[Tier],
+        bins: usize,
+        tol: f64,
+        update_gains: UpdateGains,
+    ) -> (Vec<(usize, Tier)>, Vec<Tier>, FmStats, usize) {
+        let mut tiers = start.to_vec();
+        let mut bin_tier = vec![[0.0_f64; 2]; bins];
+        for (c, t) in tiers.iter().enumerate() {
+            bin_tier[c % bins][t.index()] += 1.0;
+        }
+        let bin_tier = std::cell::RefCell::new(bin_tier);
+        let journal = std::cell::RefCell::new(Vec::new());
+        // Per-bin balance on unit areas, tight enough to reject moves.
+        let can_move = |c: usize, from: Tier, to: Tier| {
+            let mut bt = bin_tier.borrow()[c % bins];
+            bt[from.index()] -= 1.0;
+            bt[to.index()] += 1.0;
+            (bt[0] - bt[1]).abs() / (bt[0] + bt[1]).max(1.0) <= tol
+        };
+        let on_move = |c: usize, from: Tier, to: Tier| {
+            let mut bt = bin_tier.borrow_mut();
+            bt[c % bins][from.index()] -= 1.0;
+            bt[c % bins][to.index()] += 1.0;
+            journal.borrow_mut().push((c, to));
+        };
+        let (cut, stats) = run_fm_engine(
+            netlist,
+            locked,
+            &mut tiers,
+            4,
+            can_move,
+            on_move,
+            update_gains,
+        );
+        (journal.into_inner(), tiers, stats, cut)
+    }
+
+    // The delta rule against the full recompute it replaced: same move
+    // journal, tiers, stats and cut — on hypergraphs where up to half the
+    // pins repeat their gate's previous net, with locked cells and per-bin
+    // balance rejections, below and above the parallel threshold, at 1 and
+    // 4 threads.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn delta_gain_update_matches_full_recompute(
+            seed in 0u64..1_000_000,
+            (gates, big) in (8usize..200, 0u8..4),
+            repeat_pct in 0u32..50,
+            bins in 1usize..9,
+            tol in 0.05..0.6f64,
+        ) {
+            // One case in four sits above `m3d_par::PAR_THRESHOLD`.
+            let gates = if big == 0 { gates + 2100 } else { gates };
+            let netlist = random_hypergraph(seed, gates, repeat_pct);
+            let n = netlist.cell_count();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let locked: Vec<bool> = (0..n).map(|_| rng.gen_bool(1.0 / 6.0)).collect();
+            let start: Vec<Tier> = (0..n)
+                .map(|_| if rng.gen_bool(0.5) { Tier::Top } else { Tier::Bottom })
+                .collect();
+            let double_pinned = netlist
+                .nets()
+                .filter(|(_, net)| {
+                    let mut cells: Vec<_> = net.cells().collect();
+                    cells.sort_unstable();
+                    cells.windows(2).any(|w| w[0] == w[1])
+                })
+                .count();
+            proptest::prop_assert!(
+                double_pinned > 0 || repeat_pct < 25 || gates < 100,
+                "the generator must produce double-pinned nets"
+            );
+
+            m3d_par::set_threads(1);
+            let reference =
+                journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_recompute);
+            let delta_1t =
+                journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_delta);
+            m3d_par::set_threads(4);
+            let delta_4t =
+                journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_delta);
+            m3d_par::set_threads(0);
+            proptest::prop_assert_eq!(&delta_1t, &reference);
+            proptest::prop_assert_eq!(&delta_4t, &reference);
+            // The reported cut is a true recount whatever the gain model
+            // believed about double-pinned nets.
+            proptest::prop_assert_eq!(reference.3, cut_size(&netlist, &reference.1));
+            for c in 0..n {
+                if locked[c] {
+                    proptest::prop_assert_eq!(reference.1[c], start[c]);
+                }
+            }
+        }
     }
 }

@@ -173,6 +173,10 @@ fn place_loop(
     drop(next_slot);
     let nets_of = |c: usize| &inc_net[inc_off[c] as usize..inc_off[c + 1] as usize];
 
+    // Standing buffer of the relaxation sweeps: chunk results are copied
+    // into place, so a sweep makes no design-sized allocation.
+    let mut centroids = vec![Point::ORIGIN; net_count];
+
     for iter in 0..iterations {
         // --- net-centroid relaxation --------------------------------
         // Two deterministic parallel phases: (1) each net's centroid from
@@ -180,48 +184,53 @@ fn place_loop(
         // nets (fixed order) and damped move. No cross-item dependencies
         // in either phase.
         for _ in 0..config.relax_sweeps {
-            let snapshot = placement.positions.clone();
-            let snap = &snapshot;
-            let centroids: Vec<Point> = m3d_par::par_map_indices(eff_threads, net_count, |k| {
-                let pins = net_of(k);
-                if pins.is_empty() {
-                    return Point::ORIGIN;
-                }
-                let mut centroid = Point::ORIGIN;
-                let mut count = 0.0;
-                for &c in pins {
-                    centroid += snap[c as usize];
-                    count += 1.0;
-                }
-                centroid / count
+            let snap = &placement.positions;
+            let chunks = m3d_par::par_ranges(eff_threads, net_count, |nets| {
+                nets.map(|k| {
+                    let pins = net_of(k);
+                    if pins.is_empty() {
+                        return Point::ORIGIN;
+                    }
+                    let mut centroid = Point::ORIGIN;
+                    let mut count = 0.0;
+                    for &c in pins {
+                        centroid += snap[c as usize];
+                        count += 1.0;
+                    }
+                    centroid / count
+                })
+                .collect::<Vec<Point>>()
             });
+            m3d_par::store_chunks(&mut centroids, chunks);
             let centroids_ref = &centroids;
             let net_w_ref = &net_w;
             let fixed_ref = &fixed;
-            let moved: Vec<Option<Point>> = m3d_par::par_map_indices(eff_threads, n, |i| {
-                if fixed_ref[i] {
-                    return None;
-                }
-                let mut sum = Point::ORIGIN;
-                let mut weight = 0.0_f64;
-                for &ni in nets_of(i) {
-                    let ni = ni as usize;
-                    sum += centroids_ref[ni] * net_w_ref[ni];
-                    weight += net_w_ref[ni];
-                }
-                if weight == 0.0 {
-                    return None;
-                }
-                let target = sum / weight;
-                // Damped move toward the connectivity centroid.
-                let cur = snap[i];
-                Some(cur + (target - cur) * 0.7)
+            // Each cell's next position, all read from the snapshot before
+            // any is stored; fixed and unconnected cells stay.
+            let chunks = m3d_par::par_ranges(eff_threads, n, |cells| {
+                cells
+                    .map(|i| {
+                        let cur = snap[i];
+                        if fixed_ref[i] {
+                            return cur;
+                        }
+                        let mut sum = Point::ORIGIN;
+                        let mut weight = 0.0_f64;
+                        for &ni in nets_of(i) {
+                            let ni = ni as usize;
+                            sum += centroids_ref[ni] * net_w_ref[ni];
+                            weight += net_w_ref[ni];
+                        }
+                        if weight == 0.0 {
+                            return cur;
+                        }
+                        let target = sum / weight;
+                        // Damped move toward the connectivity centroid.
+                        cur + (target - cur) * 0.7
+                    })
+                    .collect::<Vec<Point>>()
             });
-            for (i, m) in moved.into_iter().enumerate() {
-                if let Some(p) = m {
-                    placement.positions[i] = p;
-                }
-            }
+            m3d_par::store_chunks(&mut placement.positions, chunks);
             placement.clamp_to_die();
         }
 

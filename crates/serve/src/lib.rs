@@ -66,6 +66,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cache;
 pub mod client;
 mod conn;

@@ -113,6 +113,10 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live, exclusively borrowed `RLimit` whose
+    // `#[repr(C)]` pair of `u64`s is `struct rlimit` on the 64-bit targets
+    // this crate builds for; the kernel writes within it and keeps no
+    // pointer past the call.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 0;
     }
@@ -124,6 +128,8 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         rlim_cur: target,
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: `new` is a live `RLimit` (same layout argument as above)
+    // that the kernel only reads for the duration of the call.
     if unsafe { setrlimit(RLIMIT_NOFILE, &new) } == 0 {
         target
     } else {
@@ -137,6 +143,9 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 /// pauses reads instead of buffering without a multi-megabyte exchange.
 pub fn set_send_buffer(stream: &TcpStream, bytes: usize) -> io::Result<()> {
     let val = bytes as c_int;
+    // SAFETY: the fd is borrowed from `stream`, which outlives the call,
+    // so it names an open socket; the value pointer and length describe
+    // the live local `val`, which the kernel copies before returning.
     let rc = unsafe {
         setsockopt(
             stream.as_raw_fd(),
@@ -168,12 +177,18 @@ pub(crate) struct Waker {
 impl Waker {
     pub fn wake(&self) {
         let byte = [1u8];
+        // SAFETY: `write_fd` is open — this `Waker` owns it and closes it
+        // only in `Drop` — and the buffer is one live byte, the length
+        // passed. The fd is nonblocking, so the call cannot park a thread.
         let _ = unsafe { write(self.write_fd, byte.as_ptr().cast(), 1) };
     }
 }
 
 impl Drop for Waker {
     fn drop(&mut self) {
+        // SAFETY: `write_fd` came from `pipe` in `wake_pair` and belongs
+        // to this `Waker` alone (the type is not `Clone`; sharing is by
+        // `Arc`), so it is closed exactly once, after its last use.
         let _ = unsafe { close(self.write_fd) };
     }
 }
@@ -195,6 +210,11 @@ impl WakeReader {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `read_fd` is open — owned by this `WakeReader`,
+            // closed only in `Drop` — and the pointer and length describe
+            // the live, exclusively borrowed `buf`; the kernel writes at
+            // most `buf.len()` bytes. Nonblocking, so an empty pipe
+            // returns instead of parking the shard.
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
             if n < buf.len() as isize {
                 break;
@@ -205,6 +225,9 @@ impl WakeReader {
 
 impl Drop for WakeReader {
     fn drop(&mut self) {
+        // SAFETY: `read_fd` came from `pipe` in `wake_pair` and belongs to
+        // this `WakeReader` alone (not `Clone`), so it is closed exactly
+        // once, after its last use.
         let _ = unsafe { close(self.read_fd) };
     }
 }
@@ -212,15 +235,23 @@ impl Drop for WakeReader {
 /// Creates a nonblocking self-pipe pair.
 pub(crate) fn wake_pair() -> io::Result<(Waker, WakeReader)> {
     let mut fds: [c_int; 2] = [0; 2];
+    // SAFETY: `fds` is a live array of exactly the two `c_int`s pipe(2)
+    // writes.
     if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
         return Err(last_err());
     }
     for fd in fds {
+        // SAFETY: `fd` was just returned by `pipe` and nothing has closed
+        // it; `F_GETFL` takes no pointer argument.
         let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-        if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
+        // SAFETY: same open `fd`; `F_SETFL` takes its flags by value.
+        let set = flags >= 0 && unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } >= 0;
+        if !set {
             let err = last_err();
-            let _ = unsafe { close(fds[0]) };
-            let _ = unsafe { close(fds[1]) };
+            // SAFETY: both fds are open and still unowned — no `Waker` or
+            // `WakeReader` wraps them on this path — so this is their one
+            // close and nothing uses them afterwards.
+            let _ = unsafe { (close(fds[0]), close(fds[1])) };
             return Err(err);
         }
     }
@@ -275,6 +306,8 @@ pub(crate) struct Epoll {
 #[cfg(target_os = "linux")]
 impl Epoll {
     fn new() -> io::Result<Epoll> {
+        // SAFETY: no pointer arguments; the returned fd is checked below
+        // and owned by the `Epoll` built from it.
         let epfd = unsafe { sys_epoll::epoll_create1(sys_epoll::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(last_err());
@@ -301,6 +334,10 @@ impl Epoll {
             events: Self::mask(interest),
             data: token,
         };
+        // SAFETY: `epfd` is open for as long as `self` lives (closed only
+        // in `Drop`); `ev` is a live `EpollEvent` in the kernel's layout,
+        // copied during the call. A stale `fd` is an `EBADF` error, not
+        // undefined behaviour.
         if unsafe { sys_epoll::epoll_ctl(self.epfd, op, fd, &mut ev) } == 0 {
             Ok(())
         } else {
@@ -310,6 +347,11 @@ impl Epoll {
 
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: c_int) -> io::Result<()> {
         loop {
+            // SAFETY: `epfd` is open (see `ctl`); the pointer and length
+            // describe the live, exclusively borrowed `self.buf`, whose
+            // element type has the kernel's `struct epoll_event` layout
+            // (packed on x86), and the kernel writes at most `maxevents`
+            // of them.
             let n = unsafe {
                 sys_epoll::epoll_wait(
                     self.epfd,
@@ -343,6 +385,8 @@ impl Epoll {
 #[cfg(target_os = "linux")]
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `epfd` came from `epoll_create1` and belongs to this
+        // `Epoll` alone, so it is closed exactly once, after its last use.
         let _ = unsafe { close(self.epfd) };
     }
 }
@@ -421,6 +465,10 @@ impl PollSet {
                 revents: 0,
             }));
         loop {
+            // SAFETY: the pointer and length describe the live, exclusively
+            // borrowed `self.scratch`, whose `#[repr(C)]` element is
+            // `struct pollfd`; the kernel writes only the `revents` of
+            // those `nfds` entries.
             let n = unsafe {
                 poll(
                     self.scratch.as_mut_ptr(),

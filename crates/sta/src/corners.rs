@@ -2,12 +2,10 @@
 //! worst-corner selection used for sign-off.
 //!
 //! A corner is, to the timing engine, simply a different library
-//! binding — the arc cache key deliberately has no corner dimension.
-//! Sharing one [`Timer`] across corners would therefore alias its
-//! `DelayCache`/arc-memo entries between libraries; the
-//! [`MultiCornerTimer`] instead owns one `Timer` per corner, sharding
-//! both caches per corner and preserving the incremental == cold
-//! bit-identity contract corner by corner.
+//! binding, and a [`Timer`]'s propagated arrays (arrivals, slews, stored
+//! arc delays) belong to the one binding they were computed under. The
+//! [`MultiCornerTimer`] therefore owns one `Timer` per corner, preserving
+//! the incremental == cold bit-identity contract corner by corner.
 
 use crate::context::TimingContext;
 use crate::engine::StaResult;

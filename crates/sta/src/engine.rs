@@ -1,4 +1,3 @@
-use crate::cache::DelayCache;
 use crate::context::TimingContext;
 use m3d_netlist::{CellClass, CellId, NetId, Netlist, Topology, NO_NET};
 
@@ -80,226 +79,200 @@ pub(crate) fn net_load_ff(ctx: &TimingContext<'_>, net: NetId) -> f64 {
     load
 }
 
-/// `(delay, output_slew)` of one arc, optionally memoized. The cache key
-/// is exact-bits, so the returned pair is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn arc_eval(
-    cache: Option<&DelayCache>,
-    ctx: &TimingContext<'_>,
-    cell_index: usize,
-    kind: m3d_tech::CellKind,
-    drive: m3d_tech::Drive,
-    master: &m3d_tech::MasterCell,
-    slew_ns: f64,
-    load_ff: f64,
-) -> (f64, f64) {
-    match cache {
-        Some(c) => c.arc(ctx.tier(cell_index), kind, drive, master, slew_ns, load_ff),
-        None => (
-            master.delay(slew_ns, load_ff),
-            master.output_slew(slew_ns, load_ff),
-        ),
-    }
-}
-
-/// Computes a gate's worst arrival, worst input pin and output slew from
-/// the (already final) arrivals/slews of its drivers. The gate is named
-/// by its position `k` in the level order, so its fanin arcs are one
-/// contiguous slice of the [`Levels`] arc arrays — no per-cell pin-list
-/// walk or driver lookup. Pure with respect to the gate: two calls with
-/// the same inputs return identical values, which is what makes the
-/// level-parallel forward pass deterministic (and lets the incremental
-/// engine re-evaluate any dirty gate in isolation). Arcs are stored in
-/// ascending pin order, so the `>` tie-break selects exactly the pin the
-/// legacy input-slot scan selected.
-pub(crate) fn forward_gate(
-    ctx: &TimingContext<'_>,
-    net_load: &[f64],
-    arrival: &[f64],
-    slew: &[f64],
-    levels: &Levels,
-    k: usize,
-    cache: Option<&DelayCache>,
-) -> (f64, u8, f64) {
-    let id = levels.cell_at(k);
-    let i = id.index();
-    let cell = ctx.netlist.cell(id);
-    let (kind, drive) = match &cell.class {
-        CellClass::Gate { kind, drive } => (*kind, *drive),
-        _ => unreachable!("combinational order yields gates"),
-    };
-    let master = ctx.library(i).cell(kind, drive);
-    let load = cell
-        .outputs
+/// Load on a cell's (first) output net, fF; zero when it drives nothing.
+fn output_load(cell: &m3d_netlist::Cell, net_load: &[f64]) -> f64 {
+    cell.outputs
         .first()
         .copied()
         .flatten()
-        .map_or(0.0, |net| net_load[net.index()]);
+        .map_or(0.0, |net| net_load[net.index()])
+}
 
-    let mut best_at = 0.0_f64;
-    let mut best_pin = u8::MAX;
-    let mut best_slew = ctx.clock.input_slew_ns;
-    let (pins, drivers, nets) = levels.arcs(k);
-    for a in 0..pins.len() {
-        let j = drivers[a] as usize;
-        let net = NetId::from_index(nets[a] as usize);
-        let wire = ctx.parasitics.net(net).wire_delay_ns;
-        let at_in = arrival[j] + wire;
-        let slew_in = slew[j];
-        let (arc_delay, out_slew) = match master {
-            Some(m) => arc_eval(cache, ctx, i, kind, drive, m, slew_in, load),
-            None => (0.0, slew_in),
+/// The finalized arrays one forward (arrival/slew) evaluation reads.
+pub(crate) struct Forward<'a, 'c> {
+    pub ctx: &'a TimingContext<'c>,
+    pub levels: &'a Levels,
+    pub net_load: &'a [f64],
+    pub arrival: &'a [f64],
+    pub slew: &'a [f64],
+}
+
+impl Forward<'_, '_> {
+    /// Computes a gate's worst arrival, worst input pin and output slew
+    /// from the (already final) arrivals/slews of its drivers, and stores
+    /// the delay of each fanin arc in `arc_delay` — the gate's own slice
+    /// of the [`Levels`]-ordered arc-delay array, which the backward pass
+    /// reads back instead of evaluating the arc a second time. The gate is
+    /// named by its position `k` in the level order, so its fanin arcs are
+    /// one contiguous slice of the [`Levels`] arc arrays — no per-cell
+    /// pin-list walk or driver lookup. Pure with respect to the gate: two
+    /// calls with the same inputs return (and store) identical values,
+    /// which is what makes the level-parallel forward pass deterministic
+    /// (and lets the incremental engine re-evaluate any dirty gate in
+    /// isolation). Arcs are stored in ascending pin order, so the `>`
+    /// tie-break selects exactly the pin the legacy input-slot scan
+    /// selected.
+    fn gate(&self, k: usize, arc_delay: &mut [f64]) -> (f64, u8, f64) {
+        let ctx = self.ctx;
+        let id = self.levels.cell_at(k);
+        let i = id.index();
+        let cell = ctx.netlist.cell(id);
+        let master = match &cell.class {
+            CellClass::Gate { kind, drive } => ctx.library(i).cell(*kind, *drive),
+            _ => unreachable!("combinational order yields gates"),
         };
-        let at_out = at_in + arc_delay;
-        if at_out > best_at || best_pin == u8::MAX {
-            best_at = at_out;
-            best_pin = pins[a];
-            best_slew = out_slew;
-        }
-    }
-    (best_at, best_pin, best_slew)
-}
+        let load = output_load(cell, self.net_load);
 
-/// Memoized backward arc delays, one slot per `(net, sink)` pair in CSR
-/// layout. An arc into a combinational sink depends only on the driver's
-/// slew, the sink's master/tier binding and the sink's output load; when
-/// none of those changed since the last backward evaluation of the net,
-/// [`required_of_net`] can fold the stored delays instead of re-deriving
-/// each one through the library tables (or the hash-keyed [`DelayCache`]).
-/// Stored values are outputs of the same pure `arc_eval` kernel, so the
-/// fold is bit-identical to a fresh evaluation — the memo is a pure
-/// speedup, never a rounding change. The period-only fmax ladder is the
-/// extreme case: every endpoint RAT moves but no arc does, so the whole
-/// backward cone replays from the memo.
-///
-/// The [`crate::Timer`] owns one of these and invalidates nets with the
-/// same seed rules that dirty the backward cone (driver slew changed →
-/// the driver's output nets; sink master/tier changed → the sink's input
-/// nets; a net's load changed → the driver-of-that-net's input nets).
-/// Wire delay is *not* part of a stored arc — it is read fresh on every
-/// fold — so parasitics wire edits need no invalidation.
-pub(crate) struct ArcMemo {
-    /// `net k`'s sink arcs live at `arcs[off[k] .. off[k + 1]]`.
-    off: Vec<u32>,
-    arcs: Vec<f64>,
-    valid: Vec<bool>,
-}
-
-impl ArcMemo {
-    pub(crate) fn new(netlist: &Netlist) -> ArcMemo {
-        let nets = netlist.net_count();
-        let mut off = Vec::with_capacity(nets + 1);
-        let mut total = 0u32;
-        off.push(0);
-        for (_, net) in netlist.nets() {
-            total += net.sinks.len() as u32;
-            off.push(total);
-        }
-        ArcMemo {
-            off,
-            arcs: vec![0.0; total as usize],
-            valid: vec![false; nets],
-        }
-    }
-
-    /// Drops net `k`'s stored arcs (the next fold re-derives and
-    /// re-captures them).
-    pub(crate) fn invalidate(&mut self, k: usize) {
-        self.valid[k] = false;
-    }
-
-    fn net_mut(&mut self, k: usize) -> (&mut [f64], &mut bool) {
-        let lo = self.off[k] as usize;
-        let hi = self.off[k + 1] as usize;
-        (&mut self.arcs[lo..hi], &mut self.valid[k])
-    }
-}
-
-/// Computes a cell's required time from the (already final) required times
-/// of its combinational sinks and the endpoint RATs. Shared by the
-/// level-parallel backward pass and the launch-cell pass. With a `memo`,
-/// valid nets fold their stored arc delays and invalid nets re-derive and
-/// re-capture them; either way the returned bits equal the memo-less call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn required_of_net(
-    ctx: &TimingContext<'_>,
-    net_load: &[f64],
-    slew_i: f64,
-    required: &[f64],
-    endpoint_rat: &[f64],
-    out_net: NetId,
-    cache: Option<&DelayCache>,
-    memo: Option<&mut ArcMemo>,
-) -> f64 {
-    let netlist = ctx.netlist;
-    let mut rat = f64::INFINITY;
-    let wire = ctx.parasitics.net(out_net).wire_delay_ns;
-    let sinks = &netlist.net(out_net).sinks;
-    if let Some(memo) = memo {
-        let (arcs, valid) = memo.net_mut(out_net.index());
-        if *valid {
-            // Replay: identical fold over identical arc bits.
-            for (si, sink) in sinks.iter().enumerate() {
-                let j = sink.cell.index();
-                let candidate = match &netlist.cell(sink.cell).class {
-                    CellClass::Gate { kind, .. } if !kind.is_sequential() => required[j] - arcs[si],
-                    _ => endpoint_rat[j],
-                };
-                rat = rat.min(candidate - wire);
+        let mut best_at = 0.0_f64;
+        let mut best_pin = u8::MAX;
+        let mut best_slew = ctx.clock.input_slew_ns;
+        let (pins, drivers, nets) = self.levels.arcs(k);
+        for a in 0..pins.len() {
+            let j = drivers[a] as usize;
+            let net = NetId::from_index(nets[a] as usize);
+            let wire = ctx.parasitics.net(net).wire_delay_ns;
+            let at_in = self.arrival[j] + wire;
+            let slew_in = self.slew[j];
+            let (delay, out_slew) = match master {
+                Some(m) => (m.delay(slew_in, load), m.output_slew(slew_in, load)),
+                None => (0.0, slew_in),
+            };
+            arc_delay[a] = delay;
+            let at_out = at_in + delay;
+            if at_out > best_at || best_pin == u8::MAX {
+                best_at = at_out;
+                best_pin = pins[a];
+                best_slew = out_slew;
             }
-            return rat;
         }
-        for (si, sink) in sinks.iter().enumerate() {
-            let j = sink.cell.index();
-            let sink_cell = netlist.cell(sink.cell);
-            let candidate = match &sink_cell.class {
-                CellClass::Gate { kind, drive } if !kind.is_sequential() => {
-                    let load = sink_cell
-                        .outputs
-                        .first()
-                        .copied()
-                        .flatten()
-                        .map_or(0.0, |net| net_load[net.index()]);
-                    let arc = match ctx.library(j).cell(*kind, *drive) {
-                        Some(m) => arc_eval(cache, ctx, j, *kind, *drive, m, slew_i, load).0,
-                        None => 0.0,
-                    };
-                    arcs[si] = arc;
-                    required[j] - arc
-                }
+        (best_at, best_pin, best_slew)
+    }
+
+    /// [`Forward::gate`] over the order positions `ks` — gates of one
+    /// level, ascending — returning each gate's `(arrival, worst pin,
+    /// slew)` and leaving its arc delays in `arc_delay` (the whole array).
+    /// With `threads`, chunks of `ks` evaluate concurrently into
+    /// chunk-local delay buffers that are copied into place afterwards;
+    /// every value is a pure function of the gate, so the result equals
+    /// the sequential loop's.
+    pub(crate) fn gates(
+        &self,
+        ks: &[usize],
+        arc_delay: &mut [f64],
+        threads: Option<usize>,
+    ) -> Vec<(f64, u8, f64)> {
+        let levels = self.levels;
+        let Some(threads) = threads else {
+            return ks
+                .iter()
+                .map(|&k| self.gate(k, &mut arc_delay[levels.arc_range(k)]))
+                .collect();
+        };
+        let chunks = m3d_par::par_ranges(threads, ks.len(), |range| {
+            let mut delays: Vec<f64> = Vec::new();
+            let points: Vec<(f64, u8, f64)> = ks[range]
+                .iter()
+                .map(|&k| {
+                    let lo = delays.len();
+                    delays.resize(lo + levels.arc_range(k).len(), 0.0);
+                    self.gate(k, &mut delays[lo..])
+                })
+                .collect();
+            (points, delays)
+        });
+        let mut out = Vec::with_capacity(ks.len());
+        let mut next_k = ks.iter();
+        for (points, delays) in chunks {
+            let mut lo = 0;
+            for &k in next_k.by_ref().take(points.len()) {
+                let own = levels.arc_range(k);
+                let hi = lo + own.len();
+                arc_delay[own].copy_from_slice(&delays[lo..hi]);
+                lo = hi;
+            }
+            out.extend(points);
+        }
+        out
+    }
+}
+
+/// The finalized arrays one backward (required-time) evaluation reads.
+/// Arc delays are the forward pass's stored state, so nothing here looks
+/// up a library table — except for a combinational sink on a clock net,
+/// which has no forward arc and is evaluated directly.
+pub(crate) struct Backward<'a, 'c> {
+    pub ctx: &'a TimingContext<'c>,
+    pub levels: &'a Levels,
+    pub net_load: &'a [f64],
+    pub arc_delay: &'a [f64],
+    pub slew: &'a [f64],
+    pub required: &'a [f64],
+    pub endpoint_rat: &'a [f64],
+}
+
+impl Backward<'_, '_> {
+    /// Required time at the driver of `out_net`, whose output slew is
+    /// `slew_i`: min over the net's sinks of the sink's own required time
+    /// (minus the arc through it, for combinational sinks) minus the wire.
+    fn net(&self, slew_i: f64, out_net: NetId) -> f64 {
+        let wire = self.ctx.parasitics.net(out_net).wire_delay_ns;
+        let (cells, slots) = self.levels.sinks(out_net);
+        let mut rat = f64::INFINITY;
+        for (&j, &slot) in cells.iter().zip(slots) {
+            let j = j as usize;
+            let candidate = match slot {
                 // Endpoint sinks (registers on D, macros, POs) carry their
                 // own RAT.
-                _ => endpoint_rat[j],
+                ENDPOINT_SINK => self.endpoint_rat[j],
+                UNTIMED_COMB_SINK => self.required[j] - self.untimed_arc(slew_i, j),
+                slot => self.required[j] - self.arc_delay[slot as usize],
             };
             rat = rat.min(candidate - wire);
         }
-        *valid = true;
-        return rat;
+        rat
     }
-    for sink in sinks {
-        let j = sink.cell.index();
-        let sink_cell = netlist.cell(sink.cell);
-        let candidate = match &sink_cell.class {
-            CellClass::Gate { kind, drive } if !kind.is_sequential() => {
-                let load = sink_cell
-                    .outputs
-                    .first()
-                    .copied()
-                    .flatten()
-                    .map_or(0.0, |net| net_load[net.index()]);
-                let arc = match ctx.library(j).cell(*kind, *drive) {
-                    Some(m) => arc_eval(cache, ctx, j, *kind, *drive, m, slew_i, load).0,
-                    None => 0.0,
-                };
-                required[j] - arc
-            }
-            // Endpoint sinks (registers on D, macros, POs) carry their
-            // own RAT.
-            _ => endpoint_rat[j],
+
+    /// Delay of the arc into combinational gate `j` from a driver with
+    /// slew `slew_i`, for the one case the forward pass never times: the
+    /// pin sits on a clock net.
+    fn untimed_arc(&self, slew_i: f64, j: usize) -> f64 {
+        let cell = self.ctx.netlist.cell(CellId::from_index(j));
+        let CellClass::Gate { kind, drive } = &cell.class else {
+            unreachable!("only combinational gates are untimed comb sinks");
         };
-        rat = rat.min(candidate - wire);
+        let load = output_load(cell, self.net_load);
+        self.ctx
+            .library(j)
+            .cell(*kind, *drive)
+            .map_or(0.0, |m| m.delay(slew_i, load))
     }
-    rat
+
+    /// Required time on a combinational gate's output, from its (already
+    /// final) sinks. `None` when the gate drives nothing.
+    pub(crate) fn gate(&self, id: CellId) -> Option<f64> {
+        let cell = self.ctx.netlist.cell(id);
+        let out_net = cell.outputs.first().copied().flatten()?;
+        Some(self.net(self.slew[id.index()], out_net))
+    }
+
+    /// Required time on a launch cell's output (register Q, macro outputs,
+    /// PIs): min over its non-clock fanout. `None` for non-launch cells.
+    pub(crate) fn launch(&self, i: usize) -> Option<f64> {
+        let cell = self.ctx.netlist.cell(CellId::from_index(i));
+        let is_launch = matches!(&cell.class, CellClass::PrimaryInput)
+            || cell.is_sequential()
+            || cell.class.is_macro();
+        if !is_launch {
+            return None;
+        }
+        let mut rat = f64::INFINITY;
+        for out_net in cell.output_nets() {
+            if !self.ctx.netlist.net(out_net).is_clock {
+                rat = rat.min(self.net(self.slew[i], out_net));
+            }
+        }
+        Some(rat)
+    }
 }
 
 /// Launch-side `(arrival, slew)` of a launch cell (primary input,
@@ -308,25 +281,19 @@ pub(crate) fn launch_point(
     ctx: &TimingContext<'_>,
     net_load: &[f64],
     id: CellId,
-    cache: Option<&DelayCache>,
 ) -> Option<(f64, f64)> {
     let i = id.index();
     let cell = ctx.netlist.cell(id);
     match &cell.class {
         CellClass::PrimaryInput => Some((ctx.clock.virtual_io_latency_ns, ctx.clock.input_slew_ns)),
         CellClass::Gate { kind, drive } if kind.is_sequential() => {
-            let lib = ctx.library(i);
-            let cell_master = lib.cell(*kind, *drive);
-            let (clk_q, out_slew) = match cell_master {
+            let (clk_q, out_slew) = match ctx.library(i).cell(*kind, *drive) {
                 Some(m) => {
-                    let load = cell
-                        .outputs
-                        .first()
-                        .copied()
-                        .flatten()
-                        .map_or(0.0, |net| net_load[net.index()]);
-                    let (delay, slew) = arc_eval(cache, ctx, i, *kind, *drive, m, 0.02, load);
-                    (m.clk_to_q_ns + delay * 0.3, slew)
+                    let load = output_load(cell, net_load);
+                    (
+                        m.clk_to_q_ns + m.delay(0.02, load) * 0.3,
+                        m.output_slew(0.02, load),
+                    )
                 }
                 None => (0.1, 0.05),
             };
@@ -392,73 +359,6 @@ pub(crate) fn endpoint_point(
     Some((rat, worst_at, is_po))
 }
 
-/// Required time on a combinational gate's output, from its (already
-/// final) sinks. `None` when the gate drives nothing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn backward_point(
-    ctx: &TimingContext<'_>,
-    net_load: &[f64],
-    slew: &[f64],
-    required: &[f64],
-    endpoint_rat: &[f64],
-    id: CellId,
-    cache: Option<&DelayCache>,
-    memo: Option<&mut ArcMemo>,
-) -> Option<f64> {
-    let cell = ctx.netlist.cell(id);
-    let out_net = cell.outputs.first().copied().flatten()?;
-    Some(required_of_net(
-        ctx,
-        net_load,
-        slew[id.index()],
-        required,
-        endpoint_rat,
-        out_net,
-        cache,
-        memo,
-    ))
-}
-
-/// Required time on a launch cell's output (register Q, macro outputs,
-/// PIs): min over its non-clock fanout. `None` for non-launch cells.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn launch_required(
-    ctx: &TimingContext<'_>,
-    net_load: &[f64],
-    slew_i: f64,
-    required: &[f64],
-    endpoint_rat: &[f64],
-    i: usize,
-    cache: Option<&DelayCache>,
-    mut memo: Option<&mut ArcMemo>,
-) -> Option<f64> {
-    let id = CellId::from_index(i);
-    let cell = ctx.netlist.cell(id);
-    let is_launch = matches!(&cell.class, CellClass::PrimaryInput)
-        || cell.is_sequential()
-        || cell.class.is_macro();
-    if !is_launch {
-        return None;
-    }
-    let mut rat = f64::INFINITY;
-    for out_net in cell.output_nets() {
-        if ctx.netlist.net(out_net).is_clock {
-            continue;
-        }
-        rat = rat.min(required_of_net(
-            ctx,
-            net_load,
-            slew_i,
-            required,
-            endpoint_rat,
-            out_net,
-            cache,
-            memo.as_deref_mut(),
-        ));
-    }
-    Some(rat)
-}
-
 /// Combinational gates grouped by logic depth: `level(g) = 1 + max` level
 /// over `g`'s combinational drivers (launch points are level 0). Gates
 /// within one level never feed each other, so a level can be evaluated
@@ -470,9 +370,16 @@ pub(crate) fn launch_required(
 /// delimits the levels, and the fanin timing arcs of `order[k]` — its
 /// non-clock, driven input pins, in ascending pin order — occupy the
 /// contiguous slice `arc_off[k]..arc_off[k+1]` of the parallel
-/// `arc_pin`/`arc_driver`/`arc_net` arrays. Forward and backward
-/// propagation sweep these dense slices instead of chasing per-cell pin
-/// `Vec`s and per-net driver lookups.
+/// `arc_pin`/`arc_driver`/`arc_net` arrays. Forward propagation sweeps
+/// these dense slices instead of chasing per-cell pin `Vec`s and per-net
+/// driver lookups.
+///
+/// The backward pass walks nets, not gates, so the same arcs are also
+/// indexed from the other end: `sink_cell`/`sink_arc` list every net's
+/// sinks in `Net::sinks` order, each with the slot of the forward arc on
+/// that pin (or [`ENDPOINT_SINK`] / [`UNTIMED_COMB_SINK`]). One
+/// arc-ordered `Vec<f64>` of delays, filled by the forward pass, is
+/// thereby readable from either direction.
 ///
 /// Built once per netlist structure; the incremental [`crate::Timer`]
 /// reuses it across edits (levelization is pure integer work, so it only
@@ -493,7 +400,20 @@ pub(crate) struct Levels {
     arc_driver: Vec<u32>,
     /// Net index, per arc.
     arc_net: Vec<u32>,
+    /// Sinks of `net n` are `sink_off[n] .. sink_off[n + 1]`.
+    sink_off: Vec<u32>,
+    /// Sink cell index, per (net, sink).
+    sink_cell: Vec<u32>,
+    /// Arc slot of the sink pin, per (net, sink), or one of the sentinels.
+    sink_arc: Vec<u32>,
 }
+
+/// [`Levels`] sink slot of an endpoint (register, macro, primary output):
+/// it has no arc, its required time is its own RAT.
+const ENDPOINT_SINK: u32 = u32::MAX;
+/// [`Levels`] sink slot of a combinational gate's pin the forward pass
+/// does not time — a pin on a clock net.
+const UNTIMED_COMB_SINK: u32 = u32::MAX - 1;
 
 impl Default for Levels {
     fn default() -> Self {
@@ -504,6 +424,9 @@ impl Default for Levels {
             arc_pin: Vec::new(),
             arc_driver: Vec::new(),
             arc_net: Vec::new(),
+            sink_off: vec![0],
+            sink_cell: Vec::new(),
+            sink_arc: Vec::new(),
         }
     }
 }
@@ -534,16 +457,32 @@ impl Levels {
         self.order[k]
     }
 
+    /// Total number of timing arcs (the length of an arc-delay array).
+    pub(crate) fn arc_count(&self) -> usize {
+        self.arc_pin.len()
+    }
+
+    /// The arc slots of the gate at order position `k`.
+    pub(crate) fn arc_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.arc_off[k] as usize..self.arc_off[k + 1] as usize
+    }
+
     /// The fanin arc slices `(pins, drivers, nets)` of the gate at order
     /// position `k`.
     pub(crate) fn arcs(&self, k: usize) -> (&[u8], &[u32], &[u32]) {
-        let lo = self.arc_off[k] as usize;
-        let hi = self.arc_off[k + 1] as usize;
+        let r = self.arc_range(k);
         (
-            &self.arc_pin[lo..hi],
-            &self.arc_driver[lo..hi],
-            &self.arc_net[lo..hi],
+            &self.arc_pin[r.clone()],
+            &self.arc_driver[r.clone()],
+            &self.arc_net[r],
         )
+    }
+
+    /// The sinks of `net` as `(cells, arc slots)`, in `Net::sinks` order.
+    pub(crate) fn sinks(&self, net: NetId) -> (&[u32], &[u32]) {
+        let n = net.index();
+        let r = self.sink_off[n] as usize..self.sink_off[n + 1] as usize;
+        (&self.sink_cell[r.clone()], &self.sink_arc[r])
     }
 }
 
@@ -572,10 +511,10 @@ pub(crate) fn levelize_topo(topo: &Topology) -> Levels {
             if raw == NO_NET {
                 continue;
             }
+            // A clock net carries no timing arc, but a gate fed from a
+            // gated clock must still sit above the gating cell: that
+            // cell's required time reads this gate's.
             let net = NetId::from_index(raw as usize);
-            if topo.is_clock(net) {
-                continue;
-            }
             let Some(drv) = topo.driver(net) else {
                 continue;
             };
@@ -630,6 +569,34 @@ pub(crate) fn levelize_topo(topo: &Topology) -> Levels {
         }
         arc_off.push(arc_pin.len() as u32);
     }
+    // The same arcs indexed by (net, sink): a combinational sink maps to
+    // the slot of the arc on that pin, found in its gate's (short) slice.
+    let mut position = vec![u32::MAX; n];
+    for (k, id) in order.iter().enumerate() {
+        position[id.index()] = k as u32;
+    }
+    let mut sink_off = Vec::with_capacity(topo.net_count() + 1);
+    let mut sink_cell = Vec::new();
+    let mut sink_arc = Vec::new();
+    sink_off.push(0u32);
+    for raw in 0..topo.net_count() {
+        let net = NetId::from_index(raw);
+        for (&cell, &pin) in topo.sink_cells(net).iter().zip(topo.sink_pins(net)) {
+            let k = position[cell as usize];
+            let slot = if k == u32::MAX {
+                ENDPOINT_SINK
+            } else {
+                let lo = arc_off[k as usize] as usize;
+                let hi = arc_off[k as usize + 1] as usize;
+                (lo..hi)
+                    .find(|&a| arc_pin[a] == pin && arc_net[a] as usize == raw)
+                    .map_or(UNTIMED_COMB_SINK, |a| a as u32)
+            };
+            sink_cell.push(cell);
+            sink_arc.push(slot);
+        }
+        sink_off.push(sink_cell.len() as u32);
+    }
     Levels {
         order,
         level_off,
@@ -637,6 +604,9 @@ pub(crate) fn levelize_topo(topo: &Topology) -> Levels {
         arc_pin,
         arc_driver,
         arc_net,
+        sink_off,
+        sink_cell,
+        sink_arc,
     }
 }
 
@@ -646,6 +616,8 @@ pub(crate) struct FullPass {
     pub result: StaResult,
     pub net_load: Vec<f64>,
     pub endpoint_rat: Vec<f64>,
+    /// Delay of every timing arc, in [`Levels`] arc order.
+    pub arc_delay: Vec<f64>,
 }
 
 /// Runs a full forward (arrival/slew) and backward (required) propagation.
@@ -659,17 +631,14 @@ pub(crate) struct FullPass {
 /// per gate, so the arrays are bit-identical to the sequential pass at
 /// any thread count; designs below `m3d_par::PAR_THRESHOLD` cells skip
 /// threading entirely.
-pub(crate) fn analyze_full(
-    ctx: &TimingContext<'_>,
-    levels: &Levels,
-    cache: Option<&DelayCache>,
-) -> FullPass {
+pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass {
     let netlist = ctx.netlist;
     let n = netlist.cell_count();
     let period = ctx.clock.period_ns;
     let threads = m3d_par::resolve(0);
     let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
 
+    let mut arc_delay = vec![0.0_f64; levels.arc_count()];
     let mut arrival = vec![0.0_f64; n];
     let mut slew = vec![ctx.clock.input_slew_ns; n];
     let mut required = vec![f64::INFINITY; n];
@@ -698,7 +667,7 @@ pub(crate) fn analyze_full(
 
     // ---- launch points -------------------------------------------------
     for (id, _) in netlist.cells() {
-        if let Some((at, out_slew)) = launch_point(ctx, &net_load, id, cache) {
+        if let Some((at, out_slew)) = launch_point(ctx, &net_load, id) {
             let i = id.index();
             arrival[i] = at;
             slew[i] = out_slew;
@@ -707,28 +676,21 @@ pub(crate) fn analyze_full(
 
     // ---- forward pass over combinational gates -------------------------
     for l in 0..levels.level_count() {
-        let range = levels.level_range(l);
-        let base = range.start;
-        let level = levels.level(l);
-        if parallel && level.len() >= 2 {
-            let results = m3d_par::par_map(threads, level, |li, _| {
-                forward_gate(ctx, &net_load, &arrival, &slew, levels, base + li, cache)
-            });
-            for (&id, (at, pin, out_slew)) in level.iter().zip(results) {
-                let i = id.index();
-                arrival[i] = at;
-                slew[i] = out_slew;
-                worst_input[i] = pin;
-            }
-        } else {
-            for (li, &id) in level.iter().enumerate() {
-                let (at, pin, out_slew) =
-                    forward_gate(ctx, &net_load, &arrival, &slew, levels, base + li, cache);
-                let i = id.index();
-                arrival[i] = at;
-                slew[i] = out_slew;
-                worst_input[i] = pin;
-            }
+        let ks: Vec<usize> = levels.level_range(l).collect();
+        let forward = Forward {
+            ctx,
+            levels,
+            net_load: &net_load,
+            arrival: &arrival,
+            slew: &slew,
+        };
+        let level_threads = (parallel && ks.len() >= 2).then_some(threads);
+        let results = forward.gates(&ks, &mut arc_delay, level_threads);
+        for (&id, (at, pin, out_slew)) in levels.level(l).iter().zip(results) {
+            let i = id.index();
+            arrival[i] = at;
+            slew[i] = out_slew;
+            worst_input[i] = pin;
         }
     }
 
@@ -787,61 +749,42 @@ pub(crate) fn analyze_full(
     // computations are independent and run concurrently.
     for l in (0..levels.level_count()).rev() {
         let level = levels.level(l);
-        if parallel && level.len() >= 2 {
-            let required_ref = &required;
-            let results = m3d_par::par_map(threads, level, |_, &id| {
-                backward_point(
-                    ctx,
-                    &net_load,
-                    &slew,
-                    required_ref,
-                    &endpoint_rat,
-                    id,
-                    cache,
-                    None,
-                )
-            });
-            for (&id, rat) in level.iter().zip(results) {
-                if let Some(rat) = rat {
-                    required[id.index()] = rat;
-                }
-            }
+        let backward = Backward {
+            ctx,
+            levels,
+            net_load: &net_load,
+            arc_delay: &arc_delay,
+            slew: &slew,
+            required: &required,
+            endpoint_rat: &endpoint_rat,
+        };
+        let results: Vec<Option<f64>> = if parallel && level.len() >= 2 {
+            m3d_par::par_map(threads, level, |_, &id| backward.gate(id))
         } else {
-            for &id in level {
-                if let Some(rat) = backward_point(
-                    ctx,
-                    &net_load,
-                    &slew,
-                    &required,
-                    &endpoint_rat,
-                    id,
-                    cache,
-                    None,
-                ) {
-                    required[id.index()] = rat;
-                }
+            level.iter().map(|&id| backward.gate(id)).collect()
+        };
+        for (&id, rat) in level.iter().zip(results) {
+            if let Some(rat) = rat {
+                required[id.index()] = rat;
             }
         }
     }
     // Launch cells (registers' Q, macros' outputs, PIs): required from
     // their fanout, same formula, so that their slack is also defined.
     // Independent per cell (they only read combinational required times).
-    let launch_eval = |i: usize| {
-        launch_required(
-            ctx,
-            &net_load,
-            slew[i],
-            &required,
-            &endpoint_rat,
-            i,
-            cache,
-            None,
-        )
+    let backward = Backward {
+        ctx,
+        levels,
+        net_load: &net_load,
+        arc_delay: &arc_delay,
+        slew: &slew,
+        required: &required,
+        endpoint_rat: &endpoint_rat,
     };
     let launch_req: Vec<Option<f64>> = if parallel {
-        m3d_par::par_map_indices(threads, n, launch_eval)
+        m3d_par::par_map_indices(threads, n, |i| backward.launch(i))
     } else {
-        (0..n).map(launch_eval).collect()
+        (0..n).map(|i| backward.launch(i)).collect()
     };
     for (i, rat) in launch_req.into_iter().enumerate() {
         if let Some(rat) = rat {
@@ -882,6 +825,7 @@ pub(crate) fn analyze_full(
         },
         net_load,
         endpoint_rat,
+        arc_delay,
     }
 }
 
@@ -891,7 +835,7 @@ pub(crate) fn analyze_full(
 /// bit-identical results at any thread count.
 #[must_use]
 pub fn analyze(ctx: &TimingContext<'_>) -> StaResult {
-    analyze_full(ctx, &levelize(ctx.netlist), None).result
+    analyze_full(ctx, &levelize(ctx.netlist)).result
 }
 
 #[cfg(test)]
@@ -1099,43 +1043,6 @@ mod tests {
         assert!(r.timing_met(0.0));
         let tight = run(&n, 0.01);
         assert!(!tight.timing_met(0.07));
-    }
-
-    #[test]
-    fn cached_analysis_is_bit_identical() {
-        // The delay cache must be results-invisible: a full pass through a
-        // warm cache returns the very bits of an uncached pass.
-        let n = m3d_netgen::Benchmark::Cpu.generate(0.02, 3);
-        let stack = TierStack::heterogeneous();
-        let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        for (i, t) in tiers.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                *t = Tier::Top;
-            }
-        }
-        let parasitics = Parasitics::zero_wire(&n);
-        let ctx = TimingContext {
-            netlist: &n,
-            stack: &stack,
-            tiers: &tiers,
-            parasitics: &parasitics,
-            clock: ClockSpec::with_period(1.0),
-        };
-        let levels = levelize(&n);
-        let cold = analyze_full(&ctx, &levels, None).result;
-        let cache = DelayCache::new();
-        let warm1 = analyze_full(&ctx, &levels, Some(&cache)).result;
-        let warm2 = analyze_full(&ctx, &levels, Some(&cache)).result;
-        assert!(cache.hits() > 0, "second pass must hit the cache");
-        for w in [&warm1, &warm2] {
-            assert_eq!(w.wns.to_bits(), cold.wns.to_bits());
-            assert_eq!(w.tns.to_bits(), cold.tns.to_bits());
-            for i in 0..n.cell_count() {
-                assert_eq!(w.arrival[i].to_bits(), cold.arrival[i].to_bits());
-                assert_eq!(w.slew[i].to_bits(), cold.slew[i].to_bits());
-                assert_eq!(w.required[i].to_bits(), cold.required[i].to_bits());
-            }
-        }
     }
 
     #[test]

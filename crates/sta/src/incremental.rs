@@ -18,13 +18,25 @@
 //! * **backward** (required) — the fan-in cone of changed endpoint RATs,
 //!   changed slews and changed sink arcs, walked in reverse level order.
 //!
+//! **Arc delays are forward state.** Evaluating a gate forward computes
+//! the delay of each of its fanin arcs; the evaluation stores them in one
+//! flat array (in levelization arc order) and the backward pass reads
+//! them back through a structural (net, sink) → arc map — it performs no
+//! table look-up of its own. An arc's delay is a function of its driver's
+//! slew, the gate's master/tier binding and the gate's output load, and
+//! the forward dirty rules above re-evaluate the gate whenever any of the
+//! three changes, so after the forward phase the array is current by
+//! construction: there is nothing to invalidate and no memo to miss. A
+//! period-only edit (the fmax ladder) re-evaluates no gate, so its whole
+//! backward cone is a min-fold over stored delays.
+//!
 //! Scalar folds (WNS/TNS/violations, the sorted endpoint list and the
 //! per-cell slack vector) are always re-run over all endpoints in fixed
 //! cell-index order — exactly the cold pass's operation sequence.
 //!
 //! **Bit-identity contract.** Every re-evaluated entry is produced by the
 //! same pure kernel the cold pass uses ([`crate::engine`]'s
-//! `forward_gate` / `required_of_net` / endpoint and launch evaluations),
+//! `Forward::gates` / `Backward::gate` / endpoint and launch evaluations),
 //! reading only already-finalized values; propagation stops when the
 //! recomputed bits equal the stored bits, at which point every transitive
 //! reader would also recompute identical bits by induction. Given a
@@ -36,20 +48,18 @@
 //! every drive, tier, net-model or clock-latency change since the last
 //! update must appear in the edit list, and anything that changes
 //! connectivity or cell/net counts (rewired nets, inserted buffers) as
-//! [`TimingEdit::Structural`], which rebuilds the levelization — still
-//! through the arc cache, so even a rebuild after an ECO undo is mostly
-//! memoized lookups. Over-reporting is harmless. Only O(1) facts are
+//! [`TimingEdit::Structural`], which rebuilds the levelization and
+//! re-propagates cold. Over-reporting is harmless. Only O(1) facts are
 //! re-checked on every call: cell/net counts, the stack's identity, the
 //! period and the global clock constants. Completeness is the caller's
 //! contract (the flow generates the list from the `DesignDb` change
 //! journal); the property tests hold it against cold `analyze`, which
 //! stays the reference.
 
-use crate::cache::DelayCache;
 use crate::context::{ClockSpec, TimingContext};
 use crate::engine::{
-    analyze_full, backward_point, endpoint_point, forward_gate, launch_point, launch_required,
-    levelize, net_load_ff, ArcMemo, Levels, StaResult,
+    analyze_full, endpoint_point, launch_point, levelize, net_load_ff, Backward, Forward, Levels,
+    StaResult,
 };
 use m3d_netlist::{CellClass, CellId, NetId, Netlist};
 
@@ -169,12 +179,9 @@ struct State {
     net_load: Vec<f64>,
     endpoint_rat: Vec<f64>,
     result: StaResult,
-    /// Memoized backward arc delays (see [`ArcMemo`]): captured lazily by
-    /// the sequential backward passes, invalidated by the seed phases
-    /// whenever a stored arc's inputs (driver slew, sink master/tier,
-    /// sink output load) change. Makes period-only updates — the fmax
-    /// ladder — a pure min-fold replay with zero table lookups.
-    arc_memo: ArcMemo,
+    /// Delay of every timing arc in `levels` arc order: written by each
+    /// forward gate evaluation, read by the backward phases.
+    arc_delay: Vec<f64>,
     // ---- dirty scratch (cleared after every update) --------------------
     dirty_fwd: Vec<bool>,
     dirty_bwd: Vec<bool>,
@@ -183,6 +190,21 @@ struct State {
     dirty_load: Vec<bool>,
     /// Pre-counted cost of one cold pass, in eval units.
     full_pass: u64,
+}
+
+impl State {
+    /// The backward kernels over the current arrays.
+    fn backward<'a, 'c>(&'a self, ctx: &'a TimingContext<'c>) -> Backward<'a, 'c> {
+        Backward {
+            ctx,
+            levels: &self.levels,
+            net_load: &self.net_load,
+            arc_delay: &self.arc_delay,
+            slew: &self.result.slew,
+            required: &self.result.required,
+            endpoint_rat: &self.endpoint_rat,
+        }
+    }
 }
 
 /// A persistent incremental timing engine.
@@ -200,7 +222,6 @@ struct State {
 pub struct Timer {
     state: Option<State>,
     stats: TimerStats,
-    cache: DelayCache,
 }
 
 impl Timer {
@@ -217,17 +238,23 @@ impl Timer {
         self.stats
     }
 
-    /// The shared NLDM arc cache (for hit/miss reporting).
-    #[must_use]
-    pub fn delay_cache(&self) -> &DelayCache {
-        &self.cache
-    }
-
     /// Cost of one cold pass in the units of [`TimerStats`], for speedup
     /// accounting. Zero before the first update.
     #[must_use]
     pub fn full_pass_evals(&self) -> u64 {
         self.state.as_ref().map_or(0, |s| s.full_pass)
+    }
+
+    /// Test seam for the independent-oracle suite's negative test: adds
+    /// `delta_ns` to one stored arc delay (slot taken modulo the arc
+    /// count) so the next backward evaluation reads a wrong value. No-op
+    /// before the first update or on an arc-less design.
+    #[doc(hidden)]
+    pub fn perturb_arc_delay_for_test(&mut self, slot: usize, delta_ns: f64) {
+        if let Some(s) = self.state.as_mut().filter(|s| !s.arc_delay.is_empty()) {
+            let slot = slot % s.arc_delay.len();
+            s.arc_delay[slot] += delta_ns;
+        }
     }
 
     /// The most recent result, if any update has run.
@@ -285,22 +312,14 @@ impl Timer {
         true
     }
 
-    /// Full build: levelize, cold-propagate (through the arc cache) and
-    /// snapshot the O(1) fingerprints.
+    /// Full build: levelize, cold-propagate and snapshot the O(1)
+    /// fingerprints.
     fn rebuild(&mut self, ctx: &TimingContext<'_>) {
         let netlist = ctx.netlist;
         let n = netlist.cell_count();
         let nets = netlist.net_count();
-        if self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.stack_addr != std::ptr::from_ref(ctx.stack) as usize)
-        {
-            // A different library binding invalidates memoized arcs.
-            self.cache.clear();
-        }
         let levels = levelize(netlist);
-        let pass = analyze_full(ctx, &levels, Some(&self.cache));
+        let pass = analyze_full(ctx, &levels);
 
         let roles: Vec<Role> = netlist.cells().map(|(_, c)| Role::of(&c.class)).collect();
         let endpoint_cells: Vec<u32> = roles
@@ -332,7 +351,7 @@ impl Timer {
             net_load: pass.net_load,
             endpoint_rat: pass.endpoint_rat,
             result: pass.result,
-            arc_memo: ArcMemo::new(netlist),
+            arc_delay: pass.arc_delay,
             dirty_fwd: vec![false; n],
             dirty_bwd: vec![false; n],
             dirty_ep: vec![false; n],
@@ -372,9 +391,15 @@ impl Timer {
                 TimingEdit::NetModel(id) => {
                     let k = id.index();
                     if !netlist.net(id).is_clock {
-                        // Clock-net parasitics are never read.
                         s.dirty_load[k] = true;
                         wire_delay_nets.push(k as u32);
+                    } else if let Some(drv) = netlist.net(id).driver {
+                        // Clock-net parasitics are never read — except the
+                        // wire delay, by the required time of a gating
+                        // cell that drives the net.
+                        if s.roles[drv.cell.index()] == Role::Comb {
+                            s.dirty_bwd[drv.cell.index()] = true;
+                        }
                     }
                 }
                 TimingEdit::Period => period_edit = true,
@@ -392,12 +417,11 @@ impl Timer {
             let id = CellId::from_index(i);
             match s.roles[i] {
                 // Changed delay tables: re-derive the gate's own arrival
-                // and the arcs into it (its fan-in's required times —
-                // whose memoized arcs read this gate's master).
+                // and the arcs into it (which its fan-in's required times
+                // read).
                 Role::Comb => {
                     s.dirty_fwd[i] = true;
-                    mark_fanin(netlist, &mut s.dirty_bwd, id);
-                    invalidate_input_arcs(netlist, &mut s.arc_memo, id);
+                    mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, id);
                 }
                 // Changed clk→Q and setup.
                 Role::Seq => {
@@ -457,13 +481,11 @@ impl Timer {
                 match s.roles[d] {
                     Role::Comb => {
                         s.dirty_fwd[d] = true;
-                        mark_fanin(netlist, &mut s.dirty_bwd, drv.cell);
-                        // Memoized arcs into the driver read this load.
-                        invalidate_input_arcs(netlist, &mut s.arc_memo, drv.cell);
+                        mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, drv.cell);
                     }
                     Role::Seq => {
                         s.dirty_launch[d] = true;
-                        mark_fanin(netlist, &mut s.dirty_bwd, drv.cell);
+                        mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, drv.cell);
                     }
                     _ => {}
                 }
@@ -495,7 +517,7 @@ impl Timer {
             }
             let id = CellId::from_index(i);
             self.stats.launch_evals += 1;
-            let Some((at, out_slew)) = launch_point(ctx, &s.net_load, id, Some(&self.cache)) else {
+            let Some((at, out_slew)) = launch_point(ctx, &s.net_load, id) else {
                 continue;
             };
             let at_changed = at.to_bits() != s.result.arrival[i].to_bits();
@@ -509,7 +531,6 @@ impl Timer {
             if slew_changed {
                 // The launch cell's own required time reads its slew.
                 s.dirty_bwd[i] = true;
-                invalidate_output_arcs(netlist, &mut s.arc_memo, id);
             }
         }
 
@@ -526,23 +547,15 @@ impl Timer {
                 continue;
             }
             self.stats.forward_evals += dirty.len() as u64;
-            let results: Vec<(f64, u8, f64)> = {
-                let arrival = &s.result.arrival;
-                let slew = &s.result.slew;
-                let net_load = &s.net_load;
-                let levels = &s.levels;
-                let cache = Some(&self.cache);
-                if parallel && dirty.len() >= INCR_PAR_MIN {
-                    m3d_par::par_map(threads, &dirty, |_, &k| {
-                        forward_gate(ctx, net_load, arrival, slew, levels, k, cache)
-                    })
-                } else {
-                    dirty
-                        .iter()
-                        .map(|&k| forward_gate(ctx, net_load, arrival, slew, levels, k, cache))
-                        .collect()
-                }
+            let forward = Forward {
+                ctx,
+                levels: &s.levels,
+                net_load: &s.net_load,
+                arrival: &s.result.arrival,
+                slew: &s.result.slew,
             };
+            let level_threads = (parallel && dirty.len() >= INCR_PAR_MIN).then_some(threads);
+            let results = forward.gates(&dirty, &mut s.arc_delay, level_threads);
             for (&k, (at, pin, out_slew)) in dirty.iter().zip(results) {
                 let id = s.levels.cell_at(k);
                 let i = id.index();
@@ -557,7 +570,6 @@ impl Timer {
                 mark_sinks(netlist, &s.roles, &mut s.dirty_fwd, &mut s.dirty_ep, id);
                 if slew_changed {
                     s.dirty_bwd[i] = true;
-                    invalidate_output_arcs(netlist, &mut s.arc_memo, id);
                 }
             }
         }
@@ -596,7 +608,7 @@ impl Timer {
                 }
                 if rat_changed {
                     // Fan-in required times read this endpoint's RAT.
-                    mark_fanin(netlist, &mut s.dirty_bwd, CellId::from_index(i));
+                    mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, CellId::from_index(i));
                 }
             }
         }
@@ -614,37 +626,11 @@ impl Timer {
                 continue;
             }
             self.stats.backward_evals += dirty.len() as u64;
-            let results: Vec<Option<f64>> = {
-                let required = &s.result.required;
-                let slew = &s.result.slew;
-                let net_load = &s.net_load;
-                let endpoint_rat = &s.endpoint_rat;
-                let cache = Some(&self.cache);
-                if parallel && dirty.len() >= INCR_PAR_MIN {
-                    // Workers share the memo read-only; nets whose memo is
-                    // stale re-derive through the arc cache instead of
-                    // capturing (a `&mut` per worker would race).
-                    m3d_par::par_map(threads, &dirty, |_, &id| {
-                        backward_point(ctx, net_load, slew, required, endpoint_rat, id, cache, None)
-                    })
-                } else {
-                    let memo = &mut s.arc_memo;
-                    dirty
-                        .iter()
-                        .map(|&id| {
-                            backward_point(
-                                ctx,
-                                net_load,
-                                slew,
-                                required,
-                                endpoint_rat,
-                                id,
-                                cache,
-                                Some(&mut *memo),
-                            )
-                        })
-                        .collect()
-                }
+            let backward = s.backward(ctx);
+            let results: Vec<Option<f64>> = if parallel && dirty.len() >= INCR_PAR_MIN {
+                m3d_par::par_map(threads, &dirty, |_, &id| backward.gate(id))
+            } else {
+                dirty.iter().map(|&id| backward.gate(id)).collect()
             };
             for (&id, rat) in dirty.iter().zip(results) {
                 let i = id.index();
@@ -653,7 +639,7 @@ impl Timer {
                     continue;
                 }
                 s.result.required[i] = rat;
-                mark_fanin(netlist, &mut s.dirty_bwd, id);
+                mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, id);
             }
         }
 
@@ -663,16 +649,7 @@ impl Timer {
                 continue;
             }
             self.stats.launch_required_evals += 1;
-            if let Some(rat) = launch_required(
-                ctx,
-                &s.net_load,
-                s.result.slew[i],
-                &s.result.required,
-                &s.endpoint_rat,
-                i,
-                Some(&self.cache),
-                Some(&mut s.arc_memo),
-            ) {
+            if let Some(rat) = s.backward(ctx).launch(i) {
                 s.result.required[i] = rat;
             }
         }
@@ -747,43 +724,21 @@ fn mark_sinks(
     }
 }
 
-/// Invalidates the memoized arcs of `id`'s non-clock input nets: their
-/// stored delays read `id`'s master binding and output load. Always
-/// paired with a `mark_fanin` on the same nets' drivers, so the next
-/// backward pass re-derives and re-captures them.
-fn invalidate_input_arcs(netlist: &Netlist, memo: &mut ArcMemo, id: CellId) {
-    for slot in &netlist.cell(id).inputs {
-        let Some(net) = slot else { continue };
-        if !netlist.net(*net).is_clock {
-            memo.invalidate(net.index());
-        }
-    }
-}
-
-/// Invalidates the memoized arcs of `id`'s non-clock output nets: their
-/// stored delays read `id`'s output slew.
-fn invalidate_output_arcs(netlist: &Netlist, memo: &mut ArcMemo, id: CellId) {
-    for net in netlist.cell(id).output_nets() {
-        if !netlist.net(net).is_clock {
-            memo.invalidate(net.index());
-        }
-    }
-}
-
-/// Marks the drivers of `id`'s non-clock input nets for backward
-/// re-evaluation (their required times read arcs into / the RAT of `id`).
-/// Drivers that are launch cells are picked up by the launch-required
-/// pass; the root clock net is skipped because launch required times
-/// never traverse clock nets.
-fn mark_fanin(netlist: &Netlist, dirty_bwd: &mut [bool], id: CellId) {
+/// Marks the drivers of `id`'s input nets for backward re-evaluation
+/// (their required times read arcs into / the RAT of `id`). Drivers that
+/// are launch cells are picked up by the launch-required pass; a clock
+/// net is skipped unless a combinational (gating) cell drives it, because
+/// launch required times never traverse clock nets.
+fn mark_fanin(netlist: &Netlist, roles: &[Role], dirty_bwd: &mut [bool], id: CellId) {
     let cell = netlist.cell(id);
     for slot in &cell.inputs {
         let Some(net) = slot else { continue };
-        if netlist.net(*net).is_clock {
+        let Some(drv) = netlist.net(*net).driver else {
             continue;
-        }
-        if let Some(drv) = netlist.net(*net).driver {
-            dirty_bwd[drv.cell.index()] = true;
+        };
+        let d = drv.cell.index();
+        if !netlist.net(*net).is_clock || roles[d] == Role::Comb {
+            dirty_bwd[d] = true;
         }
     }
 }

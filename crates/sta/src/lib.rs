@@ -16,8 +16,9 @@
 //!   breakdowns (Table VIII's critical-path anatomy),
 //! * [`Timer`] — a persistent incremental engine that re-propagates only
 //!   the dirty cones after edits (sizing, tier swaps, parasitics, period
-//!   sweeps), bit-identical to a cold [`analyze`] at any thread count,
-//!   sharing a per-arc NLDM memo ([`DelayCache`]) with the full pass.
+//!   sweeps), bit-identical to a cold [`analyze`] at any thread count.
+//!   Every arc's delay is evaluated once, by the forward pass, and kept
+//!   as forward state the backward pass reads — there is no memo layer.
 //!
 //! Delays come from the NLDM tables of the bound libraries; wire delays
 //! from per-net [`Parasitics`] (pre-route Steiner estimates or routed RC).
@@ -44,15 +45,12 @@
 //! assert!(result.wns <= result.tns.max(0.0) + 1e9); // both finite
 //! ```
 
-mod cache;
 mod context;
 mod corners;
 mod engine;
-pub mod fxhash;
 mod incremental;
 mod paths;
 
-pub use cache::DelayCache;
 pub use context::{ClockSpec, NetModel, Parasitics, TimingContext};
 pub use corners::{CornerResults, MultiCornerTimer};
 pub use engine::{analyze, StaResult};

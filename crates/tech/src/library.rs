@@ -1,7 +1,6 @@
 use crate::cell::{CellKind, Drive, MasterCell, TimingArc};
 use crate::device::{Corner, CornerParams, DeviceModel};
 use crate::lut::{log_axis, Lut2d};
-use std::collections::HashMap;
 
 /// Track height of a standard-cell library row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,8 +58,9 @@ pub struct Library {
     pub cell_height_um: f64,
     /// Placement site width in microns.
     pub site_width_um: f64,
+    /// Dense `[kind][drive]` table: `LIBRARY_KINDS` × `Drive::ALL` in
+    /// declaration order, so [`Library::cell`] is one multiply-add.
     cells: Vec<MasterCell>,
-    index: HashMap<(CellKind, Drive), usize>,
     model: DeviceModel,
 }
 
@@ -80,12 +80,10 @@ impl Library {
     pub fn from_corner(track: TrackHeight, params: CornerParams) -> Self {
         let model = DeviceModel::new(params.clone());
         let mut cells = Vec::new();
-        let mut index = HashMap::new();
         for kind in CellKind::LIBRARY_KINDS {
             for drive in Drive::ALL {
-                let cell = characterize(&model, &params, track, kind, drive);
-                index.insert((kind, drive), cells.len());
-                cells.push(cell);
+                assert_eq!(cells.len(), Library::slot(kind, drive));
+                cells.push(characterize(&model, &params, track, kind, drive));
             }
         }
         Library {
@@ -96,7 +94,6 @@ impl Library {
             cell_height_um: params.cell_height_um,
             site_width_um: params.site_width_um,
             cells,
-            index,
             model,
         }
     }
@@ -132,7 +129,13 @@ impl Library {
     /// Looks up a characterized cell, or `None` for `Macro`/unknown combos.
     #[must_use]
     pub fn cell(&self, kind: CellKind, drive: Drive) -> Option<&MasterCell> {
-        self.index.get(&(kind, drive)).map(|&i| &self.cells[i])
+        self.cells.get(Library::slot(kind, drive))
+    }
+
+    /// Position of `(kind, drive)` in the dense table. `Macro` is declared
+    /// after every library kind, so its slots fall past the table's end.
+    fn slot(kind: CellKind, drive: Drive) -> usize {
+        kind as usize * Drive::ALL.len() + drive as usize
     }
 
     /// Iterates over every characterized cell.
@@ -244,6 +247,7 @@ mod tests {
                 let cell = lib
                     .cell(kind, drive)
                     .unwrap_or_else(|| panic!("{kind} {drive}"));
+                assert_eq!((cell.kind, cell.drive), (kind, drive));
                 assert!(cell.area_um2 > 0.0);
                 assert!(cell.input_cap_ff > 0.0);
                 assert!(cell.leakage_uw > 0.0);

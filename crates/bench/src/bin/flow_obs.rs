@@ -7,8 +7,9 @@
 //! **byte-identical**, the observability half of the workspace's
 //! determinism contract. It then sweeps the 12-track 2-D configuration to
 //! fmax under a scoped handle, runs the five-way configuration comparison
-//! to measure checkpoint prefix reuse (the pseudo-3-D stage must run
-//! exactly once per comparison), and emits one combined JSON document
+//! to measure checkpoint reuse (per comparison the pseudo-3-D stage must
+//! run exactly once, and so must the fmax ladder's pre-sizing prefix —
+//! in the sweep as in the comparison), and emits one combined JSON document
 //! with the deterministic section, the wall-clock/perf sections of both
 //! runs, the fmax sweep manifest and the comparison manifest. The binary
 //! installs [`hetero3d::obs::CountingAlloc`], so each instrumented flow
@@ -23,7 +24,7 @@
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_compare_configs, try_find_fmax, try_run_flow, Config, FlowOptions};
 use hetero3d::netgen::Benchmark;
-use hetero3d::obs::{alloc, Manifest, Obs};
+use hetero3d::obs::{alloc, Obs};
 use std::fmt::Write as _;
 
 #[global_allocator]
@@ -62,20 +63,6 @@ fn push_nested(out: &mut String, key: &str, nested: &str, last: bool) {
     out.push_str(if last { "\n" } else { ",\n" });
 }
 
-/// Sums every counter whose path ends in `flow/pseudo3d_runs`, across
-/// all `cfg/<Config>` scopes. The checkpointing pipeline shares one
-/// pseudo-3-D snapshot across every 3-D configuration of a
-/// `compare_configs` run, so the sum must be exactly 1 — a value of 5
-/// means each config silently recomputed its own prefix.
-fn prefix_runs(manifest: &Manifest) -> u64 {
-    manifest
-        .counters
-        .iter()
-        .filter(|(k, _)| k == "flow/pseudo3d_runs" || k.ends_with("/flow/pseudo3d_runs"))
-        .map(|&(_, v)| v)
-        .sum()
-}
-
 fn main() {
     let mut args = m3d_bench::parse_args();
     if !std::env::args().any(|a| a == "--scale") {
@@ -108,17 +95,30 @@ fn main() {
     let (fmax_ghz, _) =
         try_find_fmax(&netlist, Config::TwoD12T, &fmax_options, 1.0).expect("fmax sweep");
     let fmax = fmax_options.obs.manifest();
+    assert_eq!(
+        fmax.counter_sum("flow/prefix_runs"),
+        1,
+        "the fmax ladder must build its pre-sizing prefix exactly once"
+    );
 
     // Prefix reuse: a five-config comparison must run the pseudo-3-D
-    // stage exactly once (all 3-D configs fork from one checkpoint).
+    // stage exactly once (all 3-D configs fork from one checkpoint) and
+    // build the fmax ladder's pre-sizing prefix exactly once (every rung
+    // forks it) — summed over every scope, so a run that silently
+    // recomputed its own shows up whatever prefix it booked under.
     let cmp_options = instrumented(&base, 0);
     let _ = try_compare_configs(&netlist, &cmp_options, &CostModel::default()).expect("comparison");
     let cmp = cmp_options.obs.manifest();
-    let prefix_reuse = prefix_runs(&cmp);
+    let prefix_reuse = cmp.counter_sum("flow/pseudo3d_runs");
     assert_eq!(
         prefix_reuse, 1,
         "compare_configs ran the pseudo-3-D stage {prefix_reuse} times; \
          the shared checkpoint should make it exactly 1"
+    );
+    assert_eq!(
+        cmp.counter_sum("flow/prefix_runs"),
+        1,
+        "compare_configs must build the fmax ladder's prefix exactly once"
     );
 
     let mut json = String::from("{\n");

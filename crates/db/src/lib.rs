@@ -698,9 +698,11 @@ impl DesignDb {
         self.journal.push(DesignEdit::ReplaceParasitics);
     }
 
-    /// Installs a sign-off timing result.
-    pub fn set_sta(&mut self, sta: StaResult) {
-        self.sta = Some(Arc::new(sta));
+    /// Installs a sign-off timing result — owned, or an already-shared
+    /// handle (one analysis can be the sign-off of several corner sets;
+    /// none of them copies it).
+    pub fn set_sta(&mut self, sta: impl Into<Arc<StaResult>>) {
+        self.sta = Some(sta.into());
         self.journal.push(DesignEdit::ReplaceSta);
     }
 

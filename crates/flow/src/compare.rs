@@ -47,11 +47,13 @@ fn take_implementation(
 ///
 /// This is the expensive entry point — a full run executes the flow seven
 /// or more times, but the shared prefixes are computed exactly once: one
-/// buffered base netlist feeds every run, and one pseudo-3-D checkpoint
+/// buffered base netlist feeds every run, one pseudo-3-D checkpoint
 /// feeds all three 3-D configurations (the `flow/pseudo3d_runs` counter
-/// records exactly 1). Independent configurations are implemented
-/// concurrently (`options.threads` workers); results are assembled back
-/// in Fig. 1 order, so the output is identical at any thread count.
+/// records exactly 1), and one pre-sizing prefix feeds the probe and
+/// every rung of the fmax ladder (`flow/prefix_runs` records exactly 1).
+/// Independent configurations are implemented concurrently
+/// (`options.threads` workers); results are assembled back in Fig. 1
+/// order, so the output is identical at any thread count.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::ppac::Ppac;
-use crate::stage::{run_from_base, BaseDesign, FlowState, PseudoCheckpoint};
+use crate::stage::{run_single, shared_prefix, BaseDesign, FlowState, Lane, PseudoCheckpoint};
 use m3d_cost::CostModel;
 use m3d_cts::ClockTree;
 use m3d_netlist::Netlist;
@@ -62,10 +62,12 @@ impl Implementation {
         Ppac::from_implementation(self, cost)
     }
 
-    /// Assembles the read-only view from a finished pipeline state,
-    /// sharing every artifact with the database (no copies).
+    /// Assembles the read-only view of `lane`'s sign-off over the
+    /// pipeline state as it stands, sharing every artifact with the
+    /// database (no copies).
     pub(crate) fn from_state(
         state: &FlowState,
+        lane: &Lane,
         options: &FlowOptions,
     ) -> Result<Implementation, FlowError> {
         fn need<T>(v: Option<T>, what: &'static str) -> Result<T, FlowError> {
@@ -77,7 +79,10 @@ impl Implementation {
         let db = state.db();
         Ok(Implementation {
             config: state.config(),
-            tech: options.tech,
+            tech: TechContext {
+                stacking: options.tech.stacking,
+                corners: lane.corners,
+            },
             frequency_ghz: 1.0 / state.period_ns(),
             netlist: db.netlist_arc(),
             stack: db.stack_arc(),
@@ -87,12 +92,101 @@ impl Implementation {
             global_placement: need(db.global_placement_arc(), "global placement")?,
             routing: need(db.routing_arc(), "routing")?,
             clock_tree: need(db.clock_tree_arc(), "clock tree")?,
-            sta: need(db.sta_arc(), "sign-off timing")?,
+            sta: need(lane.sta.clone(), "sign-off timing")?,
             power: need(db.power_arc(), "sign-off power")?,
             utilization: options.utilization,
-            eco: state.eco.clone(),
+            eco: lane.eco.clone(),
             timing_assignment: state.timing_assignment.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+impl Implementation {
+    /// Every result-bearing field by bits, named, for the suites that
+    /// hold a run forked off shared checkpoints equal to a cold one.
+    pub(crate) fn bits(&self) -> Vec<(&'static str, Vec<u64>)> {
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let xy = |p: &Placement| -> Vec<u64> {
+            p.positions
+                .iter()
+                .flat_map(|q| [q.x.to_bits(), q.y.to_bits()])
+                .collect()
+        };
+        let ids = |v: &[m3d_netlist::CellId]| v.iter().map(|c| c.index() as u64).collect();
+        let (sta, routing, tree) = (&self.sta, &self.routing, &self.clock_tree);
+        vec![
+            ("frequency", vec![self.frequency_ghz.to_bits()]),
+            (
+                "drives",
+                self.netlist
+                    .cells()
+                    .map(|(_, c)| c.class.gate_drive().map_or(u64::MAX, |d| d as u64))
+                    .collect(),
+            ),
+            ("tiers", self.tiers.iter().map(|&t| t as u64).collect()),
+            ("placement", xy(&self.placement)),
+            ("global placement", xy(&self.global_placement)),
+            (
+                "routing",
+                vec![
+                    routing.total_wirelength_um.to_bits(),
+                    routing.prim_wirelength_um.to_bits(),
+                    routing.max_congestion.to_bits(),
+                    routing.total_mivs as u64,
+                    routing.overflow_edges as u64,
+                ],
+            ),
+            (
+                "clock tree",
+                vec![
+                    tree.buffer_count() as u64,
+                    tree.wirelength_um.to_bits(),
+                    tree.switched_cap_ff.to_bits(),
+                ],
+            ),
+            ("clock latency", f(&tree.sink_latency)),
+            ("arrival", f(&sta.arrival)),
+            ("slew", f(&sta.slew)),
+            ("required", f(&sta.required)),
+            ("slack", f(&sta.slack)),
+            ("endpoint slack", f(&sta.endpoint_slack)),
+            ("wns, tns", vec![sta.wns.to_bits(), sta.tns.to_bits()]),
+            ("critical endpoints", ids(&sta.critical_endpoints)),
+            (
+                "worst input",
+                sta.worst_input.iter().map(|&p| u64::from(p)).collect(),
+            ),
+            (
+                "power",
+                f(&[
+                    self.power.switching_mw,
+                    self.power.internal_mw,
+                    self.power.leakage_mw,
+                    self.power.clock_mw,
+                ]),
+            ),
+            (
+                "eco",
+                self.eco.as_ref().map_or(Vec::new(), |e| {
+                    vec![
+                        e.iterations as u64,
+                        e.cells_moved as u64,
+                        e.rounds_undone as u64,
+                        e.initial_wns.to_bits(),
+                        e.final_wns.to_bits(),
+                        e.final_tns.to_bits(),
+                        e.stop_reason as u64,
+                    ]
+                }),
+            ),
+            (
+                "timing assignment",
+                self.timing_assignment
+                    .as_ref()
+                    .map_or(Vec::new(), |t| ids(&t.locked_cells)),
+            ),
+        ]
     }
 }
 
@@ -135,9 +229,12 @@ pub fn try_run_flow(
 const FMAX_LADDER: [f64; 5] = [1.18, 1.08, 1.0, 0.92, 0.85];
 
 /// [`try_find_fmax`] over an already-prepared base (and, for 3-D
-/// configurations, an already-computed pseudo checkpoint): the probe and
-/// every ladder rung fork from the same snapshots instead of redoing the
-/// shared prefix.
+/// configurations, an already-computed pseudo checkpoint): the
+/// pre-sizing prefix is built once, under `fmax/prefix`, and the probe,
+/// every ladder rung and the relaxed retry fork it — each still sizes,
+/// signs off and (Hetero-3D) repartitions on a timer of its own. Where
+/// partitioning itself reads the period there is no such prefix and
+/// every run implements the design from the checkpoints.
 pub(crate) fn fmax_from_base(
     base: &BaseDesign,
     pseudo: Option<&PseudoCheckpoint>,
@@ -145,13 +242,31 @@ pub(crate) fn fmax_from_base(
     options: &FlowOptions,
     start_ghz: f64,
 ) -> Result<(f64, Implementation), FlowError> {
-    let obs = &options.obs;
-    let fmax_span = obs.span("find_fmax");
+    let _span = options.obs.span("find_fmax");
+    let shared = shared_prefix(base, pseudo, config, &options.fork_for("fmax"))?;
+    fmax_ladder(options, start_ghz, |period_ns, options| {
+        run_single(
+            base,
+            pseudo,
+            config,
+            shared.as_ref(),
+            1.0 / period_ns,
+            options,
+        )
+    })
+}
+
+/// The fmax search itself, over any way of implementing one period:
+/// `run(period_ns, options)` under the rung's scoped options.
+fn fmax_ladder(
+    options: &FlowOptions,
+    start_ghz: f64,
+    run: impl Fn(f64, &FlowOptions) -> Result<Implementation, FlowError> + Sync,
+) -> Result<(f64, Implementation), FlowError> {
     let start_period = 1.0 / start_ghz.max(0.05);
     // Each concurrent branch gets its own key prefix, so manifests never
     // mix (or race on) entries from different rungs.
-    let probe_options = options.fork_for("fmax/probe");
-    let probe = run_from_base(base, pseudo, config, 1.0 / start_period, &probe_options)?;
+    let probe = run(start_period, &options.fork_for("fmax/probe"))?;
     let estimate = (start_period - probe.sta.wns * 0.85).max(0.02);
 
     let periods: Vec<f64> = FMAX_LADDER
@@ -161,12 +276,13 @@ pub(crate) fn fmax_from_base(
     let rung_options: Vec<FlowOptions> = (0..periods.len())
         .map(|i| options.fork_for(&format!("fmax/rung{i}")))
         .collect();
+    let run = &run;
     let rung_results = m3d_par::par_invoke(
         options.threads,
         periods
             .iter()
             .zip(&rung_options)
-            .map(|(&p, o)| move || run_from_base(base, pseudo, config, 1.0 / p, o))
+            .map(|(&p, o)| move || run(p, o))
             .collect(),
     );
     let mut rungs = Vec::with_capacity(rung_results.len());
@@ -185,17 +301,14 @@ pub(crate) fn fmax_from_base(
             best = Some(imp);
         }
     }
-    let best = best.cloned();
-    drop(fmax_span);
     match best {
-        Some(imp) => Ok((imp.frequency_ghz, imp)),
+        Some(imp) => Ok((imp.frequency_ghz, imp.clone())),
         None => {
             // Never met: take one more Newton step from the most relaxed
             // rung and report that attempt (mirrors the paper's "report
             // the most relaxed implementation" behaviour).
             let relaxed = (periods[0] - rungs[0].sta.wns * 0.85).max(0.02);
-            let relaxed_options = options.fork_for("fmax/relaxed");
-            let imp = run_from_base(base, pseudo, config, 1.0 / relaxed, &relaxed_options)?;
+            let imp = run(relaxed, &options.fork_for("fmax/relaxed"))?;
             Ok((1.0 / relaxed, imp))
         }
     }
@@ -205,12 +318,12 @@ pub(crate) fn fmax_from_base(
 /// configuration — the paper's criterion: WNS no worse than ~`tolerance ×
 /// period` (5–7 %).
 ///
-/// Structure: the base (and, for 3-D configurations, the pseudo-3-D
-/// checkpoint) is prepared once; one sequential probe run at `start_ghz`
-/// yields a Newton period estimate (`period - 0.85 × WNS`); a fixed
-/// ladder of candidate periods around that estimate is then implemented
-/// **concurrently** (`options.threads` workers), every rung forking from
-/// the same snapshots. The winner is the highest-frequency candidate that
+/// Structure: the base, the pseudo-3-D checkpoint (3-D configurations)
+/// and the configuration's pre-sizing prefix are prepared once; one
+/// sequential probe run at `start_ghz` yields a Newton period estimate
+/// (`period - 0.85 × WNS`); a fixed ladder of candidate periods around
+/// that estimate is then finished **concurrently** (`options.threads`
+/// workers), every rung forking from the same snapshots. The winner is the highest-frequency candidate that
 /// met timing, chosen by scanning candidates in ladder order — a rule
 /// that depends only on the (deterministic) per-candidate results, never
 /// on completion order.
@@ -235,7 +348,7 @@ pub fn try_find_fmax(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::{prepare_base, pseudo_checkpoint};
+    use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base};
     use m3d_netgen::Benchmark;
 
     fn quick_options() -> FlowOptions {
@@ -342,5 +455,52 @@ mod tests {
             forked.power.total_mw().to_bits()
         );
         assert_eq!(solo.placement.positions, forked.placement.positions);
+    }
+
+    #[test]
+    fn fmax_off_the_shared_prefix_is_the_cold_ladder() {
+        // The ladder over forks of one prefix against the same ladder
+        // with every candidate implemented from the checkpoints, on the
+        // four paper netlists; some searches must end in the never-met
+        // `relaxed` retry.
+        let mut relaxed = 0;
+        for bench in Benchmark::ALL {
+            let n = bench.generate(0.05, 7);
+            for (config, start_ghz) in [
+                (Config::TwoD12T, 1.0),
+                (Config::TwoD9T, 3.0),
+                (Config::ThreeD9T, 3.0),
+            ] {
+                let mut options = quick_options();
+                options.obs = m3d_obs::Obs::enabled();
+                let base = prepare_base(&n, &options).expect("base");
+                let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
+                let pseudo = Some(&pseudo).filter(|_| config.is_3d());
+                let (fmax, imp) =
+                    fmax_from_base(&base, pseudo, config, &options, start_ghz).expect("fmax");
+                let manifest = options.obs.manifest();
+                assert_eq!(manifest.counter("fmax/prefix/flow/prefix_runs"), Some(1));
+                assert!(manifest.span("fmax/prefix/run_flow").is_none());
+                let went_relaxed = manifest.span("fmax/relaxed/run_flow").is_some();
+                relaxed += usize::from(went_relaxed);
+                assert_eq!(
+                    manifest.counter_sum("flow/prefix_forks"),
+                    6 + u64::from(went_relaxed),
+                    "probe, five rungs, retry"
+                );
+
+                let cold_options = quick_options();
+                let (cold_fmax, cold) = fmax_ladder(&cold_options, start_ghz, |period_ns, o| {
+                    run_from_base(&base, pseudo, config, 1.0 / period_ns, o)
+                })
+                .expect("cold ladder");
+                let what = format!("{bench:?} {config} from {start_ghz} GHz");
+                assert_eq!(fmax.to_bits(), cold_fmax.to_bits(), "{what}: fmax");
+                for ((name, a), (_, b)) in imp.bits().iter().zip(cold.bits()) {
+                    assert_eq!(a, &b, "{what}: {name}");
+                }
+            }
+        }
+        assert!(relaxed > 0, "no search took the relaxed branch");
     }
 }

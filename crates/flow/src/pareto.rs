@@ -7,14 +7,14 @@
 //! marks the points no other point dominates on (total power, effective
 //! delay, die cost). It owns only the projection and the fold: the grid
 //! is a [`SweepSpec`] and the fan-out is the sweep executor's
-//! ([`crate::sweep`]), which computes every scenario's pseudo-3-D
-//! checkpoint exactly once — `flow/pseudo3d_runs` equals the number of
-//! distinct 3-D scenarios regardless of grid size — and returns points
-//! in input order, so the frontier is bit-identical at any thread count.
+//! ([`crate::sweep`]), which runs the pseudo-3-D stage at most once per
+//! grid, walks each `(stacking, frequency)` once for all its corners,
+//! and returns points in input order, so the frontier is bit-identical
+//! at any thread count.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::stage::BaseDesign;
+use crate::stage::{BaseDesign, PseudoCheckpoint};
 use crate::sweep::{run_grid, SweepSpec};
 use m3d_cost::CostModel;
 use m3d_tech::{Corner, StackingStyle};
@@ -117,26 +117,24 @@ pub(crate) fn pareto_spec(
     }
 }
 
-/// Sweeps `config` over stacking × corner × frequency off an
+/// Sweeps `spec` — a [`pareto_spec`], one configuration — off an
 /// already-prepared base and returns the marked point set: scenarios in
 /// `StackingStyle::ALL` × `Corner::ALL` order, frequencies ascending
-/// within each.
+/// within each. `pseudo` supplies the pseudo-3-D checkpoint if the grid
+/// turns out to need one.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::InvalidSweep`] for a malformed grid and
 /// propagates the first failure of any checkpoint or run.
-pub fn pareto_from_base(
+pub(crate) fn pareto_from_base(
     base: &BaseDesign,
-    config: Config,
-    freq_min_ghz: f64,
-    freq_max_ghz: f64,
-    freq_steps: usize,
+    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
+    spec: &SweepSpec,
     options: &FlowOptions,
     cost: &CostModel,
 ) -> Result<ParetoSummary, FlowError> {
-    let spec = pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps);
-    let mut points = run_grid(base, &spec, options, "pareto", |point, imp| {
+    let mut points = run_grid(base, pseudo, spec, options, "pareto", |point, imp| {
         let ppac = imp.ppac(cost);
         ParetoPoint {
             stacking: point.stacking,
@@ -157,7 +155,10 @@ pub fn pareto_from_base(
         "pareto/frontier",
         points.iter().filter(|p| p.on_frontier).count() as u64,
     );
-    Ok(ParetoSummary { config, points })
+    Ok(ParetoSummary {
+        config: spec.configs[0],
+        points,
+    })
 }
 
 #[cfg(test)]
@@ -198,12 +199,13 @@ mod tests {
     fn two_d_configs_sweep_only_the_monolithic_style() {
         let s2 = pareto_spec(Config::TwoD12T, 0.8, 1.2, 3);
         assert_eq!(s2.stacking, [StackingStyle::Monolithic]);
-        assert_eq!(s2.scenarios().len(), Corner::ALL.len());
+        assert_eq!(s2.corners, Corner::ALL);
         let s3 = pareto_spec(Config::Hetero3d, 0.8, 1.2, 3);
+        assert_eq!(s3.stacking, StackingStyle::ALL);
+        assert_eq!(s3.corners, Corner::ALL);
         assert_eq!(
-            s3.scenarios().len(),
-            StackingStyle::ALL.len() * Corner::ALL.len()
+            s3.point_count(),
+            StackingStyle::ALL.len() * Corner::ALL.len() * 3
         );
-        assert_eq!(s3.point_count(), s3.scenarios().len() * 3);
     }
 }

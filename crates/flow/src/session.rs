@@ -19,7 +19,7 @@ use crate::compare::{compare_from_base, Comparison};
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::{fmax_from_base, Implementation};
-use crate::pareto::{pareto_from_base, ParetoSummary};
+use crate::pareto::{pareto_from_base, pareto_spec, ParetoSummary};
 use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
 use crate::sweep::sweep_from_base;
 use crate::wire::{FlowCommand, FlowReport, PpacSummary};
@@ -256,11 +256,11 @@ impl FlowSession {
     /// Sweeps `config` over stacking style × sign-off corner ×
     /// frequency and returns the power–performance–cost frontier.
     ///
-    /// Runs on the sweep executor: scenario runs fork the session's
-    /// base, and the per-scenario pseudo checkpoints are computed inside
-    /// it (one per distinct 3-D scenario — they carry scenario-specific
-    /// fingerprints, so the session's own typical-monolithic checkpoint
-    /// is not reused).
+    /// Runs on the sweep executor off the session's base and its one
+    /// pseudo-3-D checkpoint (computed here if this is the session's
+    /// first 3-D command, reused otherwise — it reads nothing of the
+    /// scenario); prefixes shared along the grid's axes live only as
+    /// long as this call.
     ///
     /// # Errors
     ///
@@ -276,10 +276,8 @@ impl FlowSession {
     ) -> Result<ParetoSummary, FlowError> {
         pareto_from_base(
             &self.base,
-            config,
-            freq_min_ghz,
-            freq_max_ghz,
-            freq_steps,
+            || self.pseudo().cloned(),
+            &pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps),
             &self.options,
             cost,
         )
@@ -329,7 +327,13 @@ impl FlowSession {
                 Ok(FlowReport::Pareto { summary })
             }
             FlowCommand::Sweep { spec } => {
-                let points = sweep_from_base(&self.base, spec, &self.options, &cost)?;
+                let points = sweep_from_base(
+                    &self.base,
+                    || self.pseudo().cloned(),
+                    spec,
+                    &self.options,
+                    &cost,
+                )?;
                 Ok(FlowReport::Sweep { points })
             }
         }

@@ -11,18 +11,36 @@
 //! `db/journal/<stage>` counters, so the manifest records exactly how
 //! much state each stage touched.
 //!
-//! Two checkpoints make the expensive prefixes shareable:
+//! Three checkpoints make the expensive prefixes shareable, each holding
+//! what no later axis reads (DESIGN §12 has the stage × axis table):
 //!
 //! * [`BaseDesign`] — the validated, fanout-buffered netlist. Built once
 //!   by [`prepare_base`]; every configuration, fmax rung and comparison
 //!   job forks its database off this one `Arc`.
 //! * [`PseudoCheckpoint`] — the pseudo-3-D stage's output (flat placement
 //!   and parasitics on the halved footprint, in the canonical 12-track
-//!   technology). Period-independent, so [`pseudo_checkpoint`] computes
-//!   it once and every 3-D run forks from it; a run without one computes
-//!   its own through the [`PseudoThreeD`] stage. The `flow/pseudo3d_runs`
-//!   counter records each computation — the five-way comparison must show
-//!   exactly one.
+//!   technology). It reads neither the period nor the technology
+//!   scenario, so [`pseudo_checkpoint`] computes it once and every 3-D
+//!   run of the netlist forks from it; a run without one computes its
+//!   own through the [`PseudoThreeD`] stage. The `flow/pseudo3d_runs`
+//!   counter records each computation — a five-way comparison or a whole
+//!   Pareto grid must show exactly one.
+//! * `Prefix` — the pre-sizing prefix of one `(config, stacking)`: the
+//!   first pass up to the clock tree. No stage in it reads the clock
+//!   period (unless `partition_reads_period`, which empties it) or the
+//!   sign-off corners, so a command that runs one configuration at many
+//!   periods — the fmax ladder, a grid's frequency axis — builds it once
+//!   (`shared_prefix`) and forks it per run. Every run is
+//!   `finish(prefix, period, corner sets)`; a single-shot
+//!   [`run_from_base`] is the one-period case that builds a prefix and
+//!   consumes it. No prefix outlives the command that built it.
+//!
+//! The corner axis is a sign-off fan-out of one walk: `finish` takes a
+//! list of corner sets and yields one [`Implementation`] per set. The
+//! corners are read by [`SignOff`] and by the repartitioning ECO's stop
+//! test only, so the lanes share every stage and differ in *when they
+//! stop*: a lane whose stop test fires keeps the database as it stands
+//! and the walk goes on for the rest.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
@@ -41,10 +59,10 @@ use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Pl
 use m3d_power::{analyze_power, PowerConfig};
 use m3d_route::{global_route, try_extract_parasitics_with_stats, ExtractStats, RoutingResult};
 use m3d_sta::{
-    analyze, worst_paths, ClockSpec, CornerResults, MultiCornerTimer, Parasitics, StaResult, Timer,
-    TimingContext, TimingEdit,
+    analyze, worst_paths, ClockSpec, MultiCornerTimer, Parasitics, StaResult, Timer, TimingContext,
+    TimingEdit,
 };
-use m3d_tech::{Corner, Library, Tier, TierStack};
+use m3d_tech::{Corner, CornerSet, Library, Tier, TierStack};
 use std::sync::Arc;
 
 /// The flow's immutable starting point: the validated, fanout-buffered
@@ -71,19 +89,38 @@ pub struct PseudoCheckpoint {
     pub stack: Arc<TierStack>,
 }
 
+/// One sign-off the walk owes: a corner set, the result of its latest
+/// [`SignOff`] and — under the repartitioning ECO — its own outcome.
+/// Everything else about the design is the walk's. A lane is live until
+/// it retires; it then holds the database's artifacts as they stood (an
+/// O(1) copy-on-write snapshot) and the walk goes on for the rest.
+pub(crate) struct Lane {
+    pub(crate) corners: CornerSet,
+    pub(crate) sta: Option<Arc<StaResult>>,
+    pub(crate) eco: Option<EcoOutcome>,
+    retired: Option<Implementation>,
+}
+
+impl Lane {
+    fn is_live(&self) -> bool {
+        self.retired.is_none()
+    }
+}
+
 /// Mutable pipeline state threaded through the stages of one run.
 ///
 /// Owns the copy-on-write [`DesignDb`] plus the bits of context that are
 /// not design data: the persistent incremental [`Timer`] (reset at each
-/// pass boundary), the pseudo-3-D checkpoint and the per-pass control
-/// flags.
+/// pass boundary), the pseudo-3-D checkpoint, the sign-off lanes and the
+/// per-pass control flags.
 pub struct FlowState {
     pub(crate) config: Config,
     pub(crate) period_ns: f64,
     pub(crate) db: DesignDb,
     pub(crate) pseudo: Option<PseudoCheckpoint>,
     pub(crate) timing_assignment: Option<TimingAssignment>,
-    pub(crate) eco: Option<EcoOutcome>,
+    /// One lane per corner set the run signs off at (set by `finish`).
+    pub(crate) lanes: Vec<Lane>,
     /// Whether the [`Size`] stage should run in the current pass. The
     /// main 3-D finish pass defers sizing to the post-ECO re-finish when
     /// the repartitioning ECO is enabled (move first, size the residue).
@@ -95,8 +132,8 @@ pub struct FlowState {
 }
 
 impl FlowState {
-    /// The state every run of `config` at `period_ns` starts from: a
-    /// database forked off `base`, and `pseudo` when the caller has one.
+    /// The state every run of `config` starts from: a database forked
+    /// off `base` at `period_ns`, and `pseudo` when the caller has one.
     fn new(
         base: &BaseDesign,
         pseudo: Option<&PseudoCheckpoint>,
@@ -115,11 +152,28 @@ impl FlowState {
             .with_tech(options.tech),
             pseudo: pseudo.cloned(),
             timing_assignment: None,
-            eco: None,
+            lanes: Vec::new(),
             reoptimize: true,
             sizing_changed: 0,
             timer: Timer::new(),
         }
+    }
+
+    /// Retires every live lane `stop` holds for: the lane's
+    /// [`Implementation`] is assembled from the database as it stands
+    /// and the lane's own sign-off, and later stages pass it by.
+    fn retire(
+        &mut self,
+        options: &FlowOptions,
+        stop: impl Fn(&Lane) -> bool,
+    ) -> Result<(), FlowError> {
+        for i in 0..self.lanes.len() {
+            if self.lanes[i].is_live() && stop(&self.lanes[i]) {
+                let imp = Implementation::from_state(self, &self.lanes[i], options)?;
+                self.lanes[i].retired = Some(imp);
+            }
+        }
+        Ok(())
     }
 
     /// The configuration being implemented.
@@ -369,7 +423,8 @@ pub fn pseudo_checkpoint(
 }
 
 /// Implements `config` at `frequency_ghz`, forking off `base` (and off
-/// `pseudo`, when given, skipping the pseudo-3-D stage).
+/// `pseudo`, when given, skipping the pseudo-3-D stage) and signing off
+/// at `options.tech.corners`, on a prefix of its own.
 ///
 /// # Errors
 ///
@@ -382,11 +437,55 @@ pub fn run_from_base(
     frequency_ghz: f64,
     options: &FlowOptions,
 ) -> Result<Implementation, FlowError> {
+    run_single(base, pseudo, config, None, frequency_ghz, options)
+}
+
+/// The one-corner-set case of [`run_lanes`]: signs off at
+/// `options.tech.corners`.
+pub(crate) fn run_single(
+    base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
+    config: Config,
+    shared: Option<&Prefix>,
+    frequency_ghz: f64,
+    options: &FlowOptions,
+) -> Result<Implementation, FlowError> {
+    let corner_sets = [options.tech.corners];
+    let mut lanes = run_lanes(
+        base,
+        pseudo,
+        config,
+        shared,
+        frequency_ghz,
+        &corner_sets,
+        options,
+    )?;
+    lanes.pop().ok_or(missing("assemble", "implementation"))
+}
+
+/// One run of `config` at `frequency_ghz` under `options.tech.stacking`,
+/// signed off once per entry of `corner_sets` (the result order): forked
+/// off `shared` when the command built one, else on a prefix of its own,
+/// which it consumes. `options.tech.corners` is not read.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidFrequency`] for a non-positive or
+/// non-finite target and propagates any stage failure.
+pub(crate) fn run_lanes(
+    base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
+    config: Config,
+    shared: Option<&Prefix>,
+    frequency_ghz: f64,
+    corner_sets: &[CornerSet],
+    options: &FlowOptions,
+) -> Result<Vec<Implementation>, FlowError> {
     if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
         return Err(FlowError::InvalidFrequency { frequency_ghz });
     }
     let period = 1.0 / frequency_ghz;
-    let obs = options.obs.clone();
+    let obs = &options.obs;
     let run_span = obs.span("run_flow");
     if obs.is_enabled() {
         obs.label_set("input/netlist", &base.netlist.name);
@@ -395,29 +494,151 @@ pub fn run_from_base(
         obs.label_set("input/config", &config.to_string());
         obs.perf_add("threads_resolved", m3d_par::resolve(options.threads) as u64);
     }
-    let mut state = FlowState::new(base, pseudo, config, period, options);
-    if config.is_3d() {
-        run_3d(&mut state, options, &run_span)?;
-    } else {
-        run_2d(&mut state, options, &run_span)?;
-    }
-    record_timer(&obs, &state.timer);
-    drop(run_span);
-    Implementation::from_state(&state, options)
+    let prefix = match shared {
+        Some(prefix) => prefix.fork(options),
+        None => Prefix::build(base, pseudo, config, period, options, &run_span)?,
+    };
+    finish(prefix, period, corner_sets, options, &run_span)?
+        .lanes
+        .into_iter()
+        .map(|lane| lane.retired.ok_or(missing("assemble", "implementation")))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
 // pipeline drivers
 // ---------------------------------------------------------------------
 
-/// 3-D pipeline: pseudo-3-D + partitioning, one finish pass, then the
-/// repartitioning ECO loop for the enhanced heterogeneous flow.
-fn run_3d(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
-    finish_3d(state, options, run_span)?;
-    if eco_enabled(state, options) {
-        run_eco(state, options, run_span)?;
+/// Whether the [`Partition`] stage reads the clock period: only the
+/// heterogeneous flow's timing-driven locking does (it ranks cells by a
+/// pseudo-3-D STA at the target period, and ulp-level slack ties make
+/// that ranking period-unstable — EXPERIMENTS.md). The one predicate
+/// behind both the stage's branch and the prefix boundary.
+fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
+    config.is_heterogeneous() && options.enable_timing_partition
+}
+
+/// The pre-sizing prefix of one `(config, stacking)`: a [`FlowState`]
+/// stopped in front of the first stage that reads the clock period —
+/// [`Size`] after `(Partition →) TierLegalize → Route → Cts`, or
+/// [`Partition`] itself where [`partition_reads_period`].
+pub(crate) struct Prefix {
+    state: FlowState,
+    /// The first pass's span while the run that built the prefix is
+    /// still inside that pass: a run that consumes its own prefix keeps
+    /// one `impl2d`/`finish3d` span around the whole pass, a fork opens
+    /// its own.
+    pass: Option<Span>,
+}
+
+impl Prefix {
+    /// Runs the prefix stages of `config` under `root`, booking them on
+    /// `options.obs`. `period_ns` is what the database is born with; no
+    /// stage in here reads it (`prefix_does_not_read_the_period`).
+    fn build(
+        base: &BaseDesign,
+        pseudo: Option<&PseudoCheckpoint>,
+        config: Config,
+        period_ns: f64,
+        options: &FlowOptions,
+        root: &Span,
+    ) -> Result<Prefix, FlowError> {
+        let mut state = FlowState::new(base, pseudo, config, period_ns, options);
+        let pass = if partition_reads_period(config, options) {
+            None
+        } else {
+            Some(implement(&mut state, options, root)?)
+        };
+        Ok(Prefix { state, pass })
     }
-    Ok(())
+
+    /// An O(1) copy-on-write fork for one more [`finish`]: the database's
+    /// `Arc` handles, a fresh timer (no prefix stage touches it), no
+    /// open span. Books one `flow/prefix_forks` on the forking run.
+    fn fork(&self, options: &FlowOptions) -> Prefix {
+        options.obs.counter_add("flow/prefix_forks", 1);
+        let state = &self.state;
+        Prefix {
+            state: FlowState {
+                config: state.config,
+                period_ns: state.period_ns,
+                db: state.db.fork(),
+                pseudo: state.pseudo.clone(),
+                timing_assignment: state.timing_assignment.clone(),
+                lanes: Vec::new(),
+                reoptimize: true,
+                sizing_changed: 0,
+                timer: Timer::new(),
+            },
+            pass: None,
+        }
+    }
+}
+
+/// Builds the prefix a command's runs of `config` under
+/// `options.tech.stacking` will fork, booking the shared work once under
+/// `<scope>/prefix/…` — or `None` where [`partition_reads_period`]: the
+/// prefix would be empty, so each run builds (and consumes) its own.
+/// The database is born without a period: a prefix stage that read one
+/// would poison every number downstream.
+pub(crate) fn shared_prefix(
+    base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
+    config: Config,
+    options: &FlowOptions,
+) -> Result<Option<Prefix>, FlowError> {
+    if partition_reads_period(config, options) {
+        return Ok(None);
+    }
+    let root = options.obs.span("prefix");
+    let options = options.fork_for("prefix");
+    options.obs.counter_add("flow/prefix_runs", 1);
+    let mut prefix = Prefix::build(base, pseudo, config, f64::NAN, &options, &root)?;
+    // The pass span closes with the build, not with the command.
+    prefix.pass = None;
+    Ok(Some(prefix))
+}
+
+/// The first pass's span name.
+fn pass_name(config: Config) -> &'static str {
+    if config.is_3d() {
+        "finish3d"
+    } else {
+        "impl2d"
+    }
+}
+
+/// One implementation pass up to the clock tree — pseudo-3-D and
+/// partitioning under `root` for the 3-D configurations, then
+/// `TierLegalize → Route → Cts` under a fresh pass span, which is
+/// returned open for the sizing and sign-off that follow.
+fn implement(state: &mut FlowState, options: &FlowOptions, root: &Span) -> Result<Span, FlowError> {
+    if state.config.is_3d() {
+        run_stages(state, options, root, &[&PseudoThreeD, &Partition])?;
+    }
+    let pass = root.child(pass_name(state.config));
+    run_stages(state, options, &pass, &[&TierLegalize, &Route, &Cts])?;
+    Ok(pass)
+}
+
+/// Finishes `prefix` at `period_ns`: the rest of the first pass, then
+/// the repartitioning ECO for the enhanced heterogeneous flow. The state
+/// comes back with one retired lane — one [`Implementation`] — per entry
+/// of `corner_sets`, in that order.
+fn finish(
+    prefix: Prefix,
+    period_ns: f64,
+    corner_sets: &[CornerSet],
+    options: &FlowOptions,
+    root: &Span,
+) -> Result<FlowState, FlowError> {
+    let mut state = first_pass(prefix, period_ns, corner_sets, options, root)?;
+    if eco_enabled(&state, options) {
+        run_eco(&mut state, options, root)?;
+    }
+    record_timer(&options.obs, &state.timer);
+    state.retire(options, |_| true)?;
+    Ok(state)
 }
 
 /// Whether the repartitioning ECO follows the main finish pass.
@@ -425,115 +646,133 @@ fn eco_enabled(state: &FlowState, options: &FlowOptions) -> bool {
     state.config.is_heterogeneous() && options.enable_repartition
 }
 
-/// Pseudo-3-D + partitioning and the main finish pass, up to sign-off.
-fn finish_3d(
-    state: &mut FlowState,
+/// Takes `prefix` through its first sign-off at `period_ns`: whatever
+/// of [`implement`] the prefix stopped short of, sizing, and — for the
+/// 2-D flow — one re-implementation pass when sizing grew the design
+/// (the paper's 9-track "over-correction" effect).
+fn first_pass(
+    prefix: Prefix,
+    period_ns: f64,
+    corner_sets: &[CornerSet],
     options: &FlowOptions,
-    run_span: &Span,
-) -> Result<(), FlowError> {
-    run_stages(state, options, run_span, &[&PseudoThreeD, &Partition])?;
-    // When the repartitioning ECO will run, defer sizing until after it:
-    // critical cells should first be *moved* to the fast tier; only the
-    // residue is then upsized (this preserves the heterogeneous area win).
-    state.reoptimize = !eco_enabled(state, options);
-    let finish_span = run_span.child("finish3d");
-    state.timer = Timer::new();
-    run_stages(
-        state,
-        options,
-        &finish_span,
-        &[
-            &TierLegalize,
-            &Route,
-            &Cts,
-            &Size {
-                timing_rounds: 4,
-                power_rounds: 3,
-                power_margin: 0.15,
-            },
-            &SignOff,
-        ],
-    )
-}
-
-/// The 2-D flow with one re-implementation pass when sizing grew the
-/// design (the paper's 9-track "over-correction" effect).
-fn run_2d(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
-    let gate_count = state.db.netlist().gate_count();
-    state.reoptimize = true;
-    let mut pass = 0;
-    loop {
-        pass += 1;
-        let pass_span = run_span.child("impl2d");
-        state.timer = Timer::new();
-        run_stages(
-            state,
-            options,
-            &pass_span,
-            &[
-                &TierLegalize,
-                &Route,
-                &Cts,
-                &Size {
-                    timing_rounds: 4,
-                    power_rounds: 2,
-                    power_margin: 0.25,
-                },
-            ],
-        )?;
-        // Re-implement once if sizing moved a meaningful chunk of area;
-        // otherwise sign off this pass.
-        if pass == 1 && state.sizing_changed > gate_count / 20 {
-            record_timer(&options.obs, &state.timer);
-            continue;
+    root: &Span,
+) -> Result<FlowState, FlowError> {
+    let Prefix { mut state, pass } = prefix;
+    state.period_ns = period_ns;
+    state.db.set_period(period_ns);
+    // Setting the period is the fork's bookkeeping, not a stage's edit.
+    let _ = state.db.take_journal();
+    state.lanes = corner_sets
+        .iter()
+        .map(|&corners| Lane {
+            corners,
+            sta: None,
+            eco: None,
+            retired: None,
+        })
+        .collect();
+    let pass = match pass {
+        Some(pass) => pass,
+        None if partition_reads_period(state.config, options) => {
+            implement(&mut state, options, root)?
         }
-        run_stages(state, options, &pass_span, &[&SignOff])?;
-        return Ok(());
+        None => root.child(pass_name(state.config)),
+    };
+    if state.config.is_3d() {
+        // When the repartitioning ECO will run, defer sizing until after
+        // it: critical cells should first be *moved* to the fast tier;
+        // only the residue is then upsized (this preserves the
+        // heterogeneous area win).
+        state.reoptimize = !eco_enabled(&state, options);
+        let size = Size {
+            timing_rounds: 4,
+            power_rounds: 3,
+            power_margin: 0.15,
+        };
+        run_stages(&mut state, options, &pass, &[&size, &SignOff])?;
+        return Ok(state);
     }
+    let gate_count = state.db.netlist().gate_count();
+    let size = Size {
+        timing_rounds: 4,
+        power_rounds: 2,
+        power_margin: 0.25,
+    };
+    run_stages(&mut state, options, &pass, &[&size])?;
+    // Re-implement once if sizing moved a meaningful chunk of area;
+    // otherwise sign off this pass.
+    let pass = if state.sizing_changed > gate_count / 20 {
+        record_timer(&options.obs, &state.timer);
+        state.timer = Timer::new();
+        drop(pass);
+        let pass = implement(&mut state, options, root)?;
+        run_stages(&mut state, options, &pass, &[&size])?;
+        pass
+    } else {
+        pass
+    };
+    run_stages(&mut state, options, &pass, &[&SignOff])?;
+    Ok(state)
 }
 
 /// Repartitioning ECO outer loop: after each ECO round the design is
 /// incrementally re-finished (routing, CTS, sizing), which can expose new
 /// critical paths through the slow tier; repeat until timing is met or
 /// the ECO stops moving cells.
+///
+/// The rounds themselves read only the typical-corner timer; the stop
+/// test reads each lane's own sign-off, so lanes retire independently:
+/// one whose sign-off meets timing keeps the design of that round with
+/// its own [`EcoOutcome`], and the walk continues for the rest.
 fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
     let eco_span = run_span.child("eco");
-    let initial = state
-        .db
-        .sta_arc()
-        .ok_or(missing("eco", "sign-off timing"))?;
-    let mut total = EcoOutcome {
-        iterations: 0,
-        cells_moved: 0,
-        rounds_undone: 0,
-        initial_wns: initial.wns,
-        final_wns: initial.wns,
-        final_tns: initial.tns,
-        stop_reason: EcoStop::Converged,
-    };
+    for lane in &mut state.lanes {
+        let initial = lane
+            .sta
+            .as_deref()
+            .ok_or(missing("eco", "sign-off timing"))?;
+        lane.eco = Some(EcoOutcome {
+            iterations: 0,
+            cells_moved: 0,
+            rounds_undone: 0,
+            initial_wns: initial.wns,
+            final_wns: initial.wns,
+            final_tns: initial.tns,
+            stop_reason: EcoStop::Converged,
+        });
+    }
     for _outer in 0..3 {
         let round_span = eco_span.child("round");
         let outcome = eco_round(state, &options.obs)?;
-        total.iterations += outcome.iterations;
-        total.cells_moved += outcome.cells_moved;
-        total.rounds_undone += outcome.rounds_undone;
-        total.stop_reason = outcome.stop_reason;
         let moved = outcome.cells_moved;
         if moved > 0 {
             refinish(state, options, &round_span)?;
         }
-        let sta = state
-            .db
-            .sta_arc()
-            .ok_or(missing("eco", "sign-off timing"))?;
-        total.final_wns = sta.wns;
-        total.final_tns = sta.tns;
         drop(round_span);
-        if moved == 0 || sta.timing_met(options.wns_tolerance) {
+        for lane in state.lanes.iter_mut().filter(|lane| lane.is_live()) {
+            let (sta, total) = lane
+                .sta
+                .as_deref()
+                .zip(lane.eco.as_mut())
+                .ok_or(missing("eco", "sign-off timing"))?;
+            total.iterations += outcome.iterations;
+            total.cells_moved += outcome.cells_moved;
+            total.rounds_undone += outcome.rounds_undone;
+            total.stop_reason = outcome.stop_reason;
+            total.final_wns = sta.wns;
+            total.final_tns = sta.tns;
+        }
+        state.retire(options, |lane| {
+            moved == 0
+                || lane
+                    .sta
+                    .as_deref()
+                    .is_some_and(|sta| sta.timing_met(options.wns_tolerance))
+        })?;
+        if !state.lanes.iter().any(Lane::is_live) {
             break;
         }
     }
-    state.eco = Some(total);
     Ok(())
 }
 
@@ -760,54 +999,53 @@ impl Stage for Partition {
                 tiers[id.index()] = Tier::Bottom;
             }
         }
-        let timing_assignment =
-            if state.config.is_heterogeneous() && options.enable_timing_partition {
-                let pseudo_sta = {
-                    let _s = span.child("sta");
-                    run_sta(
-                        &netlist,
-                        &pseudo.stack,
-                        &tiers,
-                        &pseudo.parasitics,
-                        state.period_ns,
-                        None,
-                    )
-                };
-                let criticality: Vec<f64> = (0..n)
-                    .map(|i| pseudo_sta.cell_criticality(CellId::from_index(i)))
-                    .collect();
-                // Macros already occupy the fast/bottom tier; shrink the
-                // lockable budget so locked cells + macros still fit in the
-                // bottom's half of the shared outline (otherwise the footprint
-                // must grow and the heterogeneous area win evaporates).
-                let macro_total: f64 = netlist
-                    .cells()
-                    .filter(|(_, c)| c.class.is_macro())
-                    .map(|(id, _)| pseudo_areas[id.index()])
-                    .sum();
-                let comb_total: f64 = netlist
-                    .cells()
-                    .filter(|(_, c)| c.class.is_gate())
-                    .map(|(id, _)| pseudo_areas[id.index()])
-                    .sum();
-                let headroom = ((comb_total + macro_total) * 0.5 - macro_total).max(0.0)
-                    / comb_total.max(1e-9);
-                let cap = options.timing_partition_cap.min(headroom);
-                let assignment = timing_driven_assignment(
+        let timing_assignment = if partition_reads_period(state.config, options) {
+            let pseudo_sta = {
+                let _s = span.child("sta");
+                run_sta(
                     &netlist,
-                    &criticality,
-                    &pseudo_areas,
-                    cap,
-                    stack.fast_tier(),
-                    &mut tiers,
-                );
-                for id in &assignment.locked_cells {
-                    locked[id.index()] = true;
-                }
-                Some(assignment)
-            } else {
-                None
+                    &pseudo.stack,
+                    &tiers,
+                    &pseudo.parasitics,
+                    state.period_ns,
+                    None,
+                )
             };
+            let criticality: Vec<f64> = (0..n)
+                .map(|i| pseudo_sta.cell_criticality(CellId::from_index(i)))
+                .collect();
+            // Macros already occupy the fast/bottom tier; shrink the
+            // lockable budget so locked cells + macros still fit in the
+            // bottom's half of the shared outline (otherwise the footprint
+            // must grow and the heterogeneous area win evaporates).
+            let macro_total: f64 = netlist
+                .cells()
+                .filter(|(_, c)| c.class.is_macro())
+                .map(|(id, _)| pseudo_areas[id.index()])
+                .sum();
+            let comb_total: f64 = netlist
+                .cells()
+                .filter(|(_, c)| c.class.is_gate())
+                .map(|(id, _)| pseudo_areas[id.index()])
+                .sum();
+            let headroom =
+                ((comb_total + macro_total) * 0.5 - macro_total).max(0.0) / comb_total.max(1e-9);
+            let cap = options.timing_partition_cap.min(headroom);
+            let assignment = timing_driven_assignment(
+                &netlist,
+                &criticality,
+                &pseudo_areas,
+                cap,
+                stack.fast_tier(),
+                &mut tiers,
+            );
+            for id in &assignment.locked_cells {
+                locked[id.index()] = true;
+            }
+            Some(assignment)
+        } else {
+            None
+        };
         let (_cut, fm_stats) = bin_min_cut_with_stats(
             &netlist,
             &pseudo.placement.positions,
@@ -1038,7 +1276,15 @@ impl Stage for Size {
     }
 }
 
-/// Sign-off STA and power from the database's current artifacts.
+/// Sign-off STA and power from the database's current artifacts, once
+/// per live lane: the typical corner on the pass's incremental timer,
+/// every other corner a live lane asks for on one fresh
+/// [`MultiCornerTimer`], and each lane's result the worst of its own
+/// set. Results are written through the database — one journaled
+/// `ReplaceSta` per sign-off, as a single-corner run always made — and
+/// the lane keeps the handle. Power sign-off stays at the typical
+/// corner: the paper's Table IV comparisons are typical-corner power,
+/// and only the timing sign-off is corner-dependent.
 pub struct SignOff;
 
 impl Stage for SignOff {
@@ -1063,29 +1309,30 @@ impl Stage for SignOff {
             .db
             .clock_tree_arc()
             .ok_or(missing("sta_signoff", "clock tree"))?;
-        let sta = state.timer.update_journaled(
-            &timing_context(
-                &netlist,
-                &stack,
-                &tiers,
-                &parasitics,
-                clock_spec(state.period_ns, Some(&clock_tree)),
-            ),
+        let clock = clock_spec(state.period_ns, Some(&clock_tree));
+        let typical = Arc::new(state.timer.update_journaled(
+            &timing_context(&netlist, &stack, &tiers, &parasitics, clock.clone()),
             &[],
-        );
-        let sta = if options.tech.corners.is_typical_only() {
-            sta
-        } else {
-            worst_corner_sta(
-                state,
-                options,
-                sta,
-                &netlist,
-                &tiers,
-                &parasitics,
-                &clock_tree,
-            )
+        ));
+        let wanted = |corner: Corner| {
+            state
+                .lanes
+                .iter()
+                .any(|lane| lane.is_live() && lane.corners.corners().contains(&corner))
         };
+        let extra: Vec<Corner> = Corner::ALL
+            .into_iter()
+            .filter(|&corner| corner != Corner::Typical && wanted(corner))
+            .collect();
+        let analyzed = analyze_corners(
+            state.config,
+            options,
+            &extra,
+            &netlist,
+            &tiers,
+            &parasitics,
+            clock,
+        );
         let power = analyze_power(
             &netlist,
             &stack,
@@ -1098,54 +1345,58 @@ impl Stage for SignOff {
                 input_probability: 0.5,
             },
         );
-        state.db.set_sta(sta);
+        for lane in state.lanes.iter_mut().filter(|lane| lane.is_live()) {
+            // The worst corner of the lane's set: minimum WNS, ties
+            // toward the earlier corner (`CornerResults::worst`'s rule).
+            let mut worst: Option<&Arc<StaResult>> = None;
+            for &corner in lane.corners.corners() {
+                let result = if corner == Corner::Typical {
+                    &typical
+                } else {
+                    analyzed
+                        .iter()
+                        .find(|(c, _)| *c == corner)
+                        .map(|(_, r)| r)
+                        .ok_or(missing("sta_signoff", "corner analysis"))?
+                };
+                if worst.is_none_or(|w| result.wns < w.wns) {
+                    worst = Some(result);
+                }
+            }
+            let worst = worst.ok_or(missing("sta_signoff", "corner set"))?;
+            state.db.set_sta(Arc::clone(worst));
+            lane.sta = Some(Arc::clone(worst));
+        }
         state.db.set_power(power);
         Ok(())
     }
 }
 
-/// Re-analyzes the signed-off artifacts at every corner of the
-/// configured set and returns the worst (minimum-WNS) result.
+/// Analyzes the signed-off artifacts at each of `corners` (non-typical;
+/// none for a typical-only sign-off).
 ///
-/// Each extra corner gets its own derated stack ([`Config::stack_at`])
-/// with the scenario's stacking style applied; the netlist, tier
-/// assignment, parasitics and clock tree are shared — a process corner
-/// moves cell timing, not wires. The typical result computed by the
-/// flow's incremental timer is reused verbatim, so the default
-/// scenario's numbers are untouched; the extra corners run on a fresh
-/// [`MultiCornerTimer`], whose first update is bit-identical to a cold
-/// analysis at any thread count. Power sign-off stays at the typical
-/// corner: the paper's Table IV comparisons are typical-corner power,
-/// and only the timing sign-off is corner-dependent.
-#[allow(clippy::too_many_arguments)]
-fn worst_corner_sta(
-    state: &FlowState,
+/// Each corner gets its own derated stack ([`Config::stack_at`]) with
+/// the scenario's stacking style applied; the netlist, tier assignment,
+/// parasitics and clock tree are shared — a process corner moves cell
+/// timing, not wires. They run on a fresh [`MultiCornerTimer`], whose
+/// first update is bit-identical to a cold analysis at any thread count,
+/// so a corner's result does not depend on which others ride along.
+fn analyze_corners(
+    config: Config,
     options: &FlowOptions,
-    typical: StaResult,
+    corners: &[Corner],
     netlist: &Netlist,
     tiers: &[Tier],
     parasitics: &Parasitics,
-    clock_tree: &ClockTree,
-) -> StaResult {
-    let corners = options.tech.corners.corners();
-    let extra: Vec<Corner> = corners
+    clock: ClockSpec,
+) -> Vec<(Corner, Arc<StaResult>)> {
+    if corners.is_empty() {
+        return Vec::new();
+    }
+    let stacks: Vec<(Corner, TierStack)> = corners
         .iter()
-        .copied()
-        .filter(|&c| c != Corner::Typical)
+        .map(|&c| (c, config.stack_at(c).with_stacking(options.tech.stacking)))
         .collect();
-    let stacks: Vec<(Corner, TierStack)> = extra
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                state
-                    .config
-                    .stack_at(c)
-                    .with_stacking(options.tech.stacking),
-            )
-        })
-        .collect();
-    let clock = clock_spec(state.period_ns, Some(clock_tree));
     let ctxs: Vec<(Corner, TimingContext)> = stacks
         .iter()
         .map(|(c, stack)| {
@@ -1155,24 +1406,14 @@ fn worst_corner_sta(
             )
         })
         .collect();
-    let mut timers = MultiCornerTimer::new(&extra);
-    let analyzed = timers.update_journaled(&ctxs, &[]);
+    let analyzed = MultiCornerTimer::new(corners).update_journaled(&ctxs, &[]);
     options
         .obs
-        .counter_add("sta/corner_analyses", extra.len() as u64);
-    let mut results = Vec::with_capacity(corners.len());
-    for &corner in corners {
-        if corner == Corner::Typical {
-            results.push((corner, typical.clone()));
-        } else {
-            let r = analyzed
-                .get(corner)
-                .expect("every non-typical corner was analyzed")
-                .clone();
-            results.push((corner, r));
-        }
-    }
-    CornerResults::new(results).into_worst().1
+        .counter_add("sta/corner_analyses", corners.len() as u64);
+    analyzed
+        .into_iter()
+        .map(|(corner, result)| (corner, Arc::new(result)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1248,9 +1489,12 @@ mod tests {
         ] {
             let netlist = bench.generate(0.1, 7);
             let base = prepare_base(&netlist, &options).expect("base");
-            let mut state = FlowState::new(&base, None, Config::Hetero3d, 1.0 / ghz, &options);
             let span = options.obs.span("test");
-            finish_3d(&mut state, &options, &span).expect("finish pass");
+            let period = 1.0 / ghz;
+            let prefix = Prefix::build(&base, None, Config::Hetero3d, period, &options, &span)
+                .expect("prefix");
+            let mut state = first_pass(prefix, period, &[CornerSet::Typical], &options, &span)
+                .expect("finish pass");
             for round in 1..=3 {
                 let when = format!("{bench:?} round {round}");
                 assert_live_timing_is_cold_timing(&state, &when);
@@ -1265,5 +1509,135 @@ mod tests {
             }
         }
         assert!(resized_reentries > 0, "no round re-entered after sizing");
+    }
+
+    /// The configurations whose prefix is shared, with the options that
+    /// make it so: everything but Hetero-3D under timing partitioning,
+    /// plus Hetero-3D without it — once with the ECO, once as the
+    /// Pin-3-D baseline.
+    fn shareable_cases() -> Vec<(Config, FlowOptions)> {
+        let mut quick = FlowOptions::default();
+        quick.placer_mut().iterations = 6;
+        let mut cases: Vec<(Config, FlowOptions)> = Config::ALL
+            .into_iter()
+            .filter(|c| !c.is_heterogeneous())
+            .map(|c| (c, quick.clone()))
+            .collect();
+        cases.push((
+            Config::Hetero3d,
+            FlowOptions {
+                enable_timing_partition: false,
+                ..quick.clone()
+            },
+        ));
+        cases.push((
+            Config::Hetero3d,
+            FlowOptions {
+                placer: quick.placer.clone(),
+                ..FlowOptions::pin3d_baseline()
+            },
+        ));
+        cases
+    }
+
+    #[test]
+    fn a_run_forked_off_a_shared_prefix_is_the_cold_run() {
+        use m3d_tech::StackingStyle;
+        let netlist = Benchmark::Aes.generate(0.03, 7);
+        let (mut eco_moves, mut second_passes) = (0, 0);
+        for (config, options) in shareable_cases() {
+            for stacking in StackingStyle::ALL {
+                let mut options = options.clone();
+                options.tech.stacking = stacking;
+                options.obs = Obs::enabled();
+                let base = prepare_base(&netlist, &options).expect("base");
+                let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
+                let pseudo = Some(&pseudo).filter(|_| config.is_3d());
+                let shared = shared_prefix(&base, pseudo, config, &options)
+                    .expect("prefix")
+                    .expect("a period-invariant partition shares its prefix");
+                let sets = [options.tech.corners];
+                for ghz in [0.9, 2.2] {
+                    let what = format!("{config} {stacking} {ghz} GHz");
+                    let (span, period) = (options.obs.span("test"), 1.0 / ghz);
+                    let own = Prefix::build(&base, pseudo, config, period, &options, &span)
+                        .expect("own prefix");
+                    let cold = finish(own, period, &sets, &options, &span).expect("cold");
+                    let forked = finish(shared.fork(&options), period, &sets, &options, &span)
+                        .expect("forked");
+                    assert_eq!(
+                        forked.db.state_fingerprint(),
+                        cold.db.state_fingerprint(),
+                        "{what}: state fingerprint"
+                    );
+                    let (forked, cold) = (&forked.lanes[0], &cold.lanes[0]);
+                    let (forked, cold) = (
+                        forked.retired.as_ref().expect("retired"),
+                        cold.retired.as_ref().expect("retired"),
+                    );
+                    for ((name, a), (_, b)) in forked.bits().iter().zip(cold.bits()) {
+                        assert_eq!(a, &b, "{what}: {name}");
+                    }
+                    eco_moves += forked.eco.as_ref().map_or(0, |e| e.cells_moved);
+                }
+                // Two cold walks: one `impl2d` each, plus one per
+                // re-implementation pass.
+                if let Some(row) = options.obs.manifest().span("test/impl2d") {
+                    second_passes += row.calls - 4;
+                }
+            }
+        }
+        assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
+        assert!(second_passes > 0, "no 2-D walk took the second pass");
+        // The one case that is not shared.
+        let options = FlowOptions::default();
+        let base = prepare_base(&netlist, &options).expect("base");
+        let shared = shared_prefix(&base, None, Config::Hetero3d, &options).expect("prefix");
+        assert!(shared.is_none(), "timing partitioning reads the period");
+    }
+
+    /// The guard behind the prefix boundary: built under two different
+    /// periods, a prefix holds the same design — so a stage that starts
+    /// reading the period in front of [`Size`] fails here, as
+    /// [`Partition`] under timing partitioning does.
+    #[test]
+    fn prefix_does_not_read_the_period() {
+        let netlist = Benchmark::Aes.generate(0.03, 7);
+        let design = |mut state: FlowState| {
+            state.db.set_period(1.0);
+            let (routing, tree) = (
+                state.db.routing_arc().expect("routing"),
+                state.db.clock_tree_arc().expect("clock tree"),
+            );
+            (
+                state.db.state_fingerprint(),
+                routing.total_wirelength_um.to_bits(),
+                routing.total_mivs,
+                tree.sink_latency
+                    .iter()
+                    .map(|l| l.to_bits())
+                    .collect::<Vec<u64>>(),
+            )
+        };
+        for (config, options) in shareable_cases() {
+            let base = prepare_base(&netlist, &options).expect("base");
+            let span = options.obs.span("test");
+            let at = |period: f64| {
+                let prefix = Prefix::build(&base, None, config, period, &options, &span);
+                design(prefix.expect("prefix").state)
+            };
+            assert_eq!(at(0.4), at(2.5), "{config}: the prefix read the period");
+        }
+        // With teeth: the same stages under timing partitioning.
+        let mut options = FlowOptions::default();
+        options.placer_mut().iterations = 6;
+        let base = prepare_base(&netlist, &options).expect("base");
+        let span = options.obs.span("test");
+        let at = |period: f64| {
+            let mut state = FlowState::new(&base, None, Config::Hetero3d, period, &options);
+            implement(&mut state, &options, &span).expect("implement");
+            design(state)
+        };
+        assert_ne!(at(0.4), at(2.5), "timing partitioning reads the period");
     }
 }

@@ -1,6 +1,5 @@
 //! The protocol-v2 design-space sweep: configurations × stacking styles
-//! × sign-off corners × a frequency grid, executed as independent
-//! single-shot points.
+//! × sign-off corners × a frequency grid.
 //!
 //! A [`SweepSpec`] is the wire description of a grid a client wants
 //! explored. Its defining property is that the grid **decomposes**: every
@@ -10,25 +9,29 @@
 //! jobs — each point hitting the shared checkpoint cache under its
 //! scenario's cache key — and [`sweep_from_base`] is the in-process
 //! mirror used by [`crate::FlowSession::execute`], bit-identical to
-//! running the decomposed points one by one.
+//! running the decomposed points one by one without redoing what they
+//! have in common.
 //!
 //! This module owns the grid: [`SweepSpec::validate`] is the one grid
 //! validator and `run_grid` the one stacking × corner × frequency
-//! fan-out. [`crate::pareto_from_base`] is a client of both — it builds
-//! the spec for one configuration, runs the executor with its own
+//! fan-out. [`crate::pareto::pareto_from_base`] is a client of both — it
+//! builds the spec for one configuration, runs the executor with its own
 //! per-point projection and folds the frontier.
 //!
 //! Point order is deterministic and scenario-major: stacking styles in
 //! spec order, corners within a style, configurations within a corner,
-//! the frequency grid ascending innermost. One pseudo-3-D checkpoint is
-//! computed per distinct scenario (never per point), so
-//! `flow/pseudo3d_runs` equals the number of scenarios whenever the
-//! config axis contains a 3-D configuration.
+//! the frequency grid ascending innermost. The executor implements each
+//! axis-invariant prefix once: one pseudo-3-D checkpoint for the whole
+//! grid (`flow/pseudo3d_runs` is 1 whenever the config axis contains a
+//! 3-D configuration — the session's own, through a session), one
+//! pre-sizing prefix per `(config, stacking)` where partitioning does
+//! not read the period, and one implementation walk per `(config,
+//! stacking, frequency)` whose sign-off fans out over the corner axis.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::Implementation;
-use crate::stage::{pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
+use crate::stage::{run_lanes, shared_prefix, BaseDesign, Prefix, PseudoCheckpoint};
 use crate::wire::PpacSummary;
 use m3d_cost::CostModel;
 use m3d_json::DecodeError;
@@ -109,19 +112,6 @@ fn has_duplicates<T: PartialEq>(items: &[T]) -> bool {
 }
 
 impl SweepSpec {
-    /// The distinct technology scenarios the sweep visits, in point
-    /// order: stacking styles outer, corners inner.
-    #[must_use]
-    pub fn scenarios(&self) -> Vec<(StackingStyle, Corner)> {
-        let mut out = Vec::with_capacity(self.stacking.len() * self.corners.len());
-        for &style in &self.stacking {
-            for &corner in &self.corners {
-                out.push((style, corner));
-            }
-        }
-        out
-    }
-
     /// The shared frequency grid, ascending.
     #[must_use]
     pub fn frequencies(&self) -> Vec<f64> {
@@ -221,24 +211,27 @@ impl SweepSpec {
 /// already-prepared base and returns `project(point, implementation)` per
 /// grid point, in point order.
 ///
-/// Each scenario forks the caller's options under a `<scope>/<scenario>`
-/// telemetry scope with its own [`TechContext`] (single-corner sign-off
-/// — the scenario *is* the corner). The per-scenario pseudo-3-D
-/// checkpoints are computed concurrently, one per scenario and only when
-/// the config axis contains a 3-D configuration: checkpoints belong to
-/// the scenario options that minted them (the store's cache-pairing
-/// discipline), so a grid computes one per distinct scenario, never one
-/// per point. Then all points fan out through [`m3d_par::par_invoke`],
-/// each projected and dropped inside its job; input-order results make
-/// the point list bit-identical at any thread count.
+/// `pseudo` supplies the grid's one pseudo-3-D checkpoint (nothing in it
+/// reads the scenario) and is asked only when the config axis contains a
+/// 3-D configuration. Each stacking style forks the caller's options
+/// under a `<scope>/<style>` telemetry scope; each `(config, style)`
+/// builds its pre-sizing prefix once where that is period-invariant
+/// ([`shared_prefix`]); each `(config, style, frequency)` is then one
+/// walk forked off it, signed off at every corner of the spec — a point
+/// is its walk's lane for the point's corner, which retires in the ECO
+/// round its own single-corner run would have stopped in. Prefixes and
+/// walks fan out through [`m3d_par::par_invoke`], each point projected
+/// and dropped inside its job; input-order results make the point list
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::InvalidSweep`] with the validator's verdict for a
-/// malformed grid and propagates the first failure of any checkpoint or
-/// point run.
+/// malformed grid and propagates the first failure of the checkpoint, a
+/// prefix or a walk.
 pub(crate) fn run_grid<T: Send>(
     base: &BaseDesign,
+    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
     spec: &SweepSpec,
     options: &FlowOptions,
     scope: &str,
@@ -247,79 +240,110 @@ pub(crate) fn run_grid<T: Send>(
     spec.validate().map_err(FlowError::InvalidSweep)?;
     let obs = &options.obs;
     let _span = obs.span(scope);
-    let scenario_options: Vec<FlowOptions> = spec
-        .scenarios()
+    let pseudo = if spec.configs.iter().any(|c| c.is_3d()) {
+        Some(pseudo()?)
+    } else {
+        None
+    };
+    let pseudo = pseudo.as_ref();
+    let style_options: Vec<FlowOptions> = spec
+        .stacking
         .iter()
-        .map(|&(style, corner)| {
-            let mut o = options.fork_for(&format!("{scope}/{style}-{corner}"));
+        .map(|&stacking| {
+            let mut o = options.fork_for(&format!("{scope}/{stacking}"));
             o.tech = TechContext {
-                stacking: style,
-                corners: CornerSet::single(corner),
+                stacking,
+                corners: CornerSet::default(),
             };
             o
         })
         .collect();
+    // A line is one (style, config), by index into the spec's axes.
+    let n_configs = spec.configs.len();
+    let lines: Vec<(usize, usize)> = (0..spec.stacking.len())
+        .flat_map(|s| (0..n_configs).map(move |k| (s, k)))
+        .collect();
+    let style_options = &style_options;
+    let prefixes: Vec<Option<Prefix>> = m3d_par::par_invoke(
+        options.threads,
+        lines
+            .iter()
+            .map(|&(s, k)| move || shared_prefix(base, pseudo, spec.configs[k], &style_options[s]))
+            .collect(),
+    )
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
-    let needs_pseudo = spec.configs.iter().any(|c| c.is_3d());
-    let pseudos: Vec<Option<PseudoCheckpoint>> = if needs_pseudo {
-        m3d_par::par_invoke(
-            options.threads,
-            scenario_options
-                .iter()
-                .map(|o| move || pseudo_checkpoint(base, o).map(Some))
-                .collect(),
-        )
-        .into_iter()
-        .collect::<Result<_, _>>()?
-    } else {
-        vec![None; scenario_options.len()]
-    };
-
-    // Points are scenario-major, so a point's scenario is its index
-    // divided by the points per scenario.
-    let points = spec.points();
-    let per_scenario = spec.configs.len() * spec.freq_steps;
-    let project = &project;
-    let jobs = points
+    let corner_sets: Vec<CornerSet> = spec
+        .corners
         .iter()
-        .map(|point| {
-            let scenario = point.index / per_scenario;
-            let scenario_options = &scenario_options[scenario];
-            let pseudo = pseudos[scenario].as_ref().filter(|_| point.config.is_3d());
-            move || {
-                run_from_base(
-                    base,
-                    pseudo,
-                    point.config,
-                    point.frequency_ghz,
-                    scenario_options,
-                )
-                .map(|imp| project(point, &imp))
-            }
+        .map(|&corner| CornerSet::single(corner))
+        .collect();
+    let points = spec.points();
+    let walk = |(s, k): (usize, usize), step: usize, ghz: f64, prefix: Option<&Prefix>| {
+        let lanes = run_lanes(
+            base,
+            pseudo,
+            spec.configs[k],
+            prefix,
+            ghz,
+            &corner_sets,
+            &style_options[s],
+        )?;
+        Ok(lanes
+            .iter()
+            .enumerate()
+            .map(|(c, imp)| {
+                // The lane's point, in the spec's scenario-major order.
+                let point = &points
+                    [((s * spec.corners.len() + c) * n_configs + k) * spec.freq_steps + step];
+                (point.index, project(point, imp))
+            })
+            .collect::<Vec<(usize, T)>>())
+    };
+    let walk = &walk;
+    let frequencies = spec.frequencies();
+    let jobs = lines
+        .iter()
+        .zip(&prefixes)
+        .flat_map(|(&line, prefix)| {
+            frequencies
+                .iter()
+                .enumerate()
+                .map(move |(step, &ghz)| move || walk(line, step, ghz, prefix.as_ref()))
         })
         .collect();
-    let projected = m3d_par::par_invoke(options.threads, jobs)
-        .into_iter()
-        .collect::<Result<Vec<T>, _>>()?;
+    let walked: Vec<Result<_, FlowError>> = m3d_par::par_invoke(options.threads, jobs);
+    let mut projected: Vec<Option<T>> = points.iter().map(|_| None).collect();
+    for lanes in walked {
+        for (index, value) in lanes? {
+            projected[index] = Some(value);
+        }
+    }
     obs.counter_add(&format!("{scope}/points"), projected.len() as u64);
-    Ok(projected)
+    Ok(projected
+        .into_iter()
+        .map(|p| p.expect("every grid point is one lane of one walk"))
+        .collect())
 }
 
 /// Executes a whole sweep off an already-prepared base and returns one
 /// PPAC roll-up per grid point, in point order — bit-identical to
-/// executing the decomposed v1 single-shot requests one by one.
+/// executing the decomposed v1 single-shot requests one by one. `pseudo`
+/// as for `run_grid`.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::InvalidSweep`] for a malformed grid and
 /// propagates the first failure of any checkpoint or point run.
-pub fn sweep_from_base(
+pub(crate) fn sweep_from_base(
     base: &BaseDesign,
+    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
     spec: &SweepSpec,
     options: &FlowOptions,
     cost: &CostModel,
 ) -> Result<Vec<PpacSummary>, FlowError> {
-    run_grid(base, spec, options, "sweep", |_, imp| {
+    run_grid(base, pseudo, spec, options, "sweep", |_, imp| {
         PpacSummary::from(&imp.ppac(cost))
     })
 }
@@ -357,8 +381,10 @@ mod tests {
         assert_eq!(points[2].frequency_ghz, 1.2);
         assert_eq!(points[3].config, Config::TwoD12T);
         // Scenario order is stacking-outer, corners inner.
+        let mut scenarios: Vec<_> = points.iter().map(|p| (p.stacking, p.corner)).collect();
+        scenarios.dedup();
         assert_eq!(
-            s.scenarios(),
+            scenarios,
             vec![
                 (StackingStyle::Monolithic, Corner::Typical),
                 (StackingStyle::Monolithic, Corner::Slow),
@@ -425,5 +451,75 @@ mod tests {
             ..oversized
         };
         assert!(trimmed.validate().is_ok());
+    }
+
+    /// The corner axis as a sign-off fan-out of one walk against what it
+    /// replaces: the AES Pareto grid (the benchmark's, and a CI-sized
+    /// one), point by point, equals its decomposed single-corner runs by
+    /// bits — and the larger includes walks whose corners retired in
+    /// different ECO rounds, which is where signing every corner off on
+    /// the final design would differ.
+    #[test]
+    fn corner_fanout_equals_the_decomposed_single_shots() {
+        use crate::pareto::pareto_spec;
+        use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base};
+        use m3d_netgen::Benchmark;
+
+        let mut options = FlowOptions::default();
+        options.placer_mut().iterations = 12;
+        let spec = pareto_spec(Config::Hetero3d, 0.8, 1.0, 3);
+        let mut split_walks = 0;
+        for scale in [0.25, 0.05] {
+            let netlist = Benchmark::Aes.generate(scale, 7);
+            let base = prepare_base(&netlist, &options).expect("base");
+            let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
+            let grid = run_grid(
+                &base,
+                || Ok(pseudo.clone()),
+                &spec,
+                &options,
+                "sweep",
+                |_, imp| imp.clone(),
+            )
+            .expect("grid");
+            let points = spec.points();
+            assert_eq!(grid.len(), 18);
+            for (point, imp) in points.iter().zip(&grid) {
+                let what = format!(
+                    "scale {scale} {}-{} @ {} GHz",
+                    point.stacking, point.corner, point.frequency_ghz
+                );
+                let mut single_options = options.clone();
+                single_options.tech = point.tech();
+                let single = run_from_base(
+                    &base,
+                    Some(&pseudo),
+                    point.config,
+                    point.frequency_ghz,
+                    &single_options,
+                )
+                .expect("single-shot run");
+                assert_eq!(imp.tech, single.tech, "{what}");
+                assert!(imp.eco.is_some(), "{what}: the ECO ran");
+                for ((name, a), (_, b)) in imp.bits().iter().zip(single.bits()) {
+                    assert_eq!(a, &b, "{what}: {name}");
+                }
+            }
+            // Lanes of one walk share every ECO round they were live in:
+            // unequal iteration counts mean they retired in different
+            // rounds.
+            for a in 0..points.len() {
+                let rounds = |i: usize| grid[i].eco.as_ref().map(|e| e.iterations);
+                let same_walk = |b: usize| {
+                    points[a].stacking == points[b].stacking
+                        && points[a].frequency_ghz == points[b].frequency_ghz
+                };
+                split_walks += usize::from((0..a).any(|b| same_walk(b) && rounds(a) != rounds(b)));
+            }
+        }
+        assert!(
+            split_walks > 0,
+            "no walk's corners retired in different rounds"
+        );
     }
 }

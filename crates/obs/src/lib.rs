@@ -298,6 +298,19 @@ impl Manifest {
         lookup(&self.counters, name).copied()
     }
 
+    /// The counter `name` summed over every scope: the keys that are
+    /// `name` or end in `/name`. How "exactly once per command" counts
+    /// (`flow/pseudo3d_runs`, `flow/prefix_runs`) are read when the
+    /// work may be booked under any branch's prefix.
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        let scoped = format!("/{name}");
+        self.counters
+            .iter()
+            .filter(|(k, _)| k == name || k.ends_with(&scoped))
+            .map(|&(_, v)| v)
+            .sum()
+    }
+
     pub fn gauge(&self, name: &str) -> Option<f64> {
         lookup(&self.gauges, name).copied()
     }
@@ -591,6 +604,9 @@ mod tests {
         let m = obs.manifest();
         assert_eq!(m.counter("cfg/a/moves"), Some(3));
         assert_eq!(m.counter("cfg/b/moves"), Some(7));
+        obs.counter_add("moves", 10);
+        obs.counter_add("removes", 100);
+        assert_eq!(obs.manifest().counter_sum("moves"), 20);
         assert_eq!(a, obs.scope("cfg/a"));
         assert_ne!(a, b);
         assert_ne!(a, Obs::enabled().scope("cfg/a"));

@@ -85,6 +85,17 @@ impl CornerResults {
     }
 }
 
+/// Consumes the set into its `(corner, result)` pairs, in analysis
+/// order, so a caller can keep several results without copying them.
+impl IntoIterator for CornerResults {
+    type Item = (Corner, StaResult);
+    type IntoIter = std::vec::IntoIter<(Corner, StaResult)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.results.into_iter()
+    }
+}
+
 /// One persistent incremental [`Timer`] per corner.
 pub struct MultiCornerTimer {
     timers: Vec<(Corner, Timer)>,

@@ -69,7 +69,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
         .collect();
 
     // The edit script: a deterministic mix of the flow's edit vocabulary.
-    // Each step returns the journal entry the timer is fed for it.
+    // Each step returns the edit the timer is fed for it.
     let edits = 24usize;
     let apply = |netlist: &mut hetero3d::netlist::Netlist,
                  tiers: &mut Vec<Tier>,

@@ -24,7 +24,7 @@
 //! | [`partition`] | `m3d-partition` | FM min-cut, timing partitioning, ECO |
 //! | [`power`] | `m3d-power` | activity propagation, power roll-up |
 //! | [`cost`] | `m3d-cost` | Table IV cost model, PDP, PPC |
-//! | [`db`] | `m3d-db` | copy-on-write design database + change journal |
+//! | [`db`] | `m3d-db` | copy-on-write design database (snapshot + `fork`) |
 //! | [`opt`] | `m3d-opt` | sizing, buffering |
 //! | [`par`] | `m3d-par` | deterministic parallel primitives |
 //! | [`json`] | `m3d-json` | zero-dependency JSON reader/writer (wire format) |

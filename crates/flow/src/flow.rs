@@ -76,9 +76,9 @@ impl Implementation {
                 what,
             })
         }
-        let db = state.db();
+        let db = &state.db;
         Ok(Implementation {
-            config: state.config(),
+            config: state.config,
             tech: TechContext {
                 stacking: options.tech.stacking,
                 corners: lane.corners,

@@ -61,10 +61,7 @@ pub use flow::{try_find_fmax, try_run_flow, Implementation};
 pub use pareto::{ParetoPoint, ParetoSummary};
 pub use ppac::{percent_delta, DeltaRow, Ppac};
 pub use session::{FlowSession, FlowSessionBuilder};
-pub use stage::{
-    prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, Cts, FlowState, Partition,
-    PseudoCheckpoint, PseudoThreeD, Route, SignOff, Size, Stage, TierLegalize,
-};
+pub use stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
 pub use sweep::{SweepPoint, SweepSpec, MAX_PARETO_STEPS, MAX_SWEEP_POINTS};
 pub use wire::{
     ComparisonSummary, FlowCommand, FlowReport, FlowRequest, NetlistSpec, PpacSummary, Proto,

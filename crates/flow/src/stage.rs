@@ -6,10 +6,7 @@
 //! TierLegalize → Route → Cts → Size → SignOff` for the 3-D
 //! configurations, `TierLegalize → Route → Cts → Size → SignOff` per
 //! pass for the 2-D ones. Each stage reads copy-on-write snapshots out
-//! of the database, computes, and writes its artifacts back; the
-//! database's change journal is drained between stages into
-//! `db/journal/<stage>` counters, so the manifest records exactly how
-//! much state each stage touched.
+//! of the database, computes, and writes its artifacts back.
 //!
 //! Three checkpoints make the expensive prefixes shareable, each holding
 //! what no later axis reads (DESIGN §12 has the stage × axis table):
@@ -46,7 +43,7 @@ use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::Implementation;
 use m3d_cts::{synthesize, ClockTree, CtsMode};
-use m3d_db::{DesignDb, DesignEdit};
+use m3d_db::DesignDb;
 use m3d_geom::{Point, Rect};
 use m3d_netlist::{CellClass, CellId, Netlist};
 use m3d_obs::{Obs, Span};
@@ -113,9 +110,8 @@ impl Lane {
 /// not design data: the persistent incremental [`Timer`] (reset at each
 /// pass boundary), the pseudo-3-D checkpoint, the sign-off lanes and the
 /// per-pass control flags.
-pub struct FlowState {
+pub(crate) struct FlowState {
     pub(crate) config: Config,
-    pub(crate) period_ns: f64,
     pub(crate) db: DesignDb,
     pub(crate) pseudo: Option<PseudoCheckpoint>,
     pub(crate) timing_assignment: Option<TimingAssignment>,
@@ -143,13 +139,11 @@ impl FlowState {
     ) -> FlowState {
         FlowState {
             config,
-            period_ns,
             db: DesignDb::from_shared(
                 base.netlist.clone(),
                 config.stack_for(&options.tech),
                 period_ns,
-            )
-            .with_tech(options.tech),
+            ),
             pseudo: pseudo.cloned(),
             timing_assignment: None,
             lanes: Vec::new(),
@@ -176,22 +170,9 @@ impl FlowState {
         Ok(())
     }
 
-    /// The configuration being implemented.
-    #[must_use]
-    pub fn config(&self) -> Config {
-        self.config
-    }
-
-    /// The clock period the run targets, ns.
-    #[must_use]
-    pub fn period_ns(&self) -> f64 {
-        self.period_ns
-    }
-
-    /// The design database the stages read from and write to.
-    #[must_use]
-    pub fn db(&self) -> &DesignDb {
-        &self.db
+    /// The clock period the run targets, ns: the database's.
+    pub(crate) fn period_ns(&self) -> f64 {
+        self.db.period_ns()
     }
 }
 
@@ -199,14 +180,13 @@ impl FlowState {
 ///
 /// Contract: a stage reads its inputs from `state.db` (returning
 /// [`FlowError::MissingStageOutput`] when a required artifact is
-/// absent), computes, and writes its outputs back through the journaling
+/// absent), computes, and writes its outputs back through the database's
 /// setters. It must be a pure function of `(state, options)` — no
 /// ambient randomness, no wall-clock — so a pipeline is bit-identical at
 /// any thread count. `span` is the stage's own telemetry span; child
 /// spans mark interesting sub-steps.
-pub trait Stage {
-    /// Stable stage name: the telemetry span and the journal-traffic
-    /// counter (`db/journal/<name>`) key.
+pub(crate) trait Stage {
+    /// Stable stage name: the telemetry span's key.
     fn name(&self) -> &'static str;
     /// Runs the stage against the shared state.
     ///
@@ -222,8 +202,7 @@ pub trait Stage {
     ) -> Result<(), FlowError>;
 }
 
-/// Runs `stages` in order under `parent`, draining the database journal
-/// into a `db/journal/<stage>` counter after each one.
+/// Runs `stages` in order, each under its own child span of `parent`.
 pub(crate) fn run_stages(
     state: &mut FlowState,
     options: &FlowOptions,
@@ -231,17 +210,8 @@ pub(crate) fn run_stages(
     stages: &[&dyn Stage],
 ) -> Result<(), FlowError> {
     for stage in stages {
-        {
-            let span = parent.child(stage.name());
-            stage.run(state, options, &span)?;
-        }
-        let journal = state.db.take_journal();
-        if options.obs.is_enabled() && !journal.is_empty() {
-            options.obs.counter_add(
-                &format!("db/journal/{}", stage.name()),
-                journal.len() as u64,
-            );
-        }
+        let span = parent.child(stage.name());
+        stage.run(state, options, &span)?;
     }
     Ok(())
 }
@@ -561,7 +531,6 @@ impl Prefix {
         Prefix {
             state: FlowState {
                 config: state.config,
-                period_ns: state.period_ns,
                 db: state.db.fork(),
                 pseudo: state.pseudo.clone(),
                 timing_assignment: state.timing_assignment.clone(),
@@ -658,10 +627,7 @@ fn first_pass(
     root: &Span,
 ) -> Result<FlowState, FlowError> {
     let Prefix { mut state, pass } = prefix;
-    state.period_ns = period_ns;
     state.db.set_period(period_ns);
-    // Setting the period is the fork's bookkeeping, not a stage's edit.
-    let _ = state.db.take_journal();
     state.lanes = corner_sets
         .iter()
         .map(|&corners| Lane {
@@ -780,7 +746,7 @@ fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Res
 /// database's parasitics (extraction reads topology, placement and
 /// routing, none of which changed since the [`Route`] stage wrote them)
 /// and the live [`Timer`], which [`SignOff`] left at exactly this
-/// design. The first evaluate is therefore an empty-journal update and
+/// design. The first evaluate is therefore an empty-edit-list update and
 /// every candidate batch (and every undo carry, which restores
 /// already-cached arcs) re-propagates only the cone of the reported
 /// cells. Writes the resulting tier assignment back.
@@ -800,7 +766,7 @@ fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> 
         .clock_tree_arc()
         .ok_or(missing("eco", "clock tree"))?;
     let areas = cell_areas(&netlist, &stack, state.db.tiers());
-    let clock_template = clock_spec(state.period_ns, Some(&clock_tree));
+    let clock_template = clock_spec(state.period_ns(), Some(&clock_tree));
     let mut tiers_work = state.db.tiers().to_vec();
     let config = EcoConfig::default();
     let timer = &mut state.timer;
@@ -829,10 +795,6 @@ fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> 
         obs.counter_add("eco/cells_moved", outcome.cells_moved as u64);
     }
     state.db.set_tiers(tiers_work);
-    let journal = state.db.take_journal();
-    if obs.is_enabled() && !journal.is_empty() {
-        obs.counter_add("db/journal/eco", journal.len() as u64);
-    }
     Ok(outcome)
 }
 
@@ -889,7 +851,7 @@ fn refinish(state: &mut FlowState, options: &FlowOptions, parent: &Span) -> Resu
 /// Pseudo-3-D: flat 2-D implementation in the canonical technology on
 /// the halved 3-D footprint (cells may overlap — Shrunk-2D style).
 /// Skipped when the state was forked from a shared [`PseudoCheckpoint`].
-pub struct PseudoThreeD;
+pub(crate) struct PseudoThreeD;
 
 impl Stage for PseudoThreeD {
     fn name(&self) -> &'static str {
@@ -963,7 +925,7 @@ fn compute_pseudo(
 /// enhancement #1) followed by placement-driven bin-based FM min-cut.
 /// Balance accounting includes macro area (macros are locked to the
 /// bottom tier, so FM shifts logic toward the top to compensate).
-pub struct Partition;
+pub(crate) struct Partition;
 
 impl Stage for Partition {
     fn name(&self) -> &'static str {
@@ -1007,7 +969,7 @@ impl Stage for Partition {
                     &pseudo.stack,
                     &tiers,
                     &pseudo.parasitics,
-                    state.period_ns,
+                    state.period_ns(),
                     None,
                 )
             };
@@ -1074,7 +1036,7 @@ impl Stage for Partition {
 /// transfer the pseudo placement into the (possibly resized) die, heal
 /// the displacement with a short warm-start refinement and legalize onto
 /// the per-tier rows; 2-D runs place from scratch.
-pub struct TierLegalize;
+pub(crate) struct TierLegalize;
 
 impl Stage for TierLegalize {
     fn name(&self) -> &'static str {
@@ -1138,7 +1100,7 @@ impl Stage for TierLegalize {
 }
 
 /// Global routing + parasitic extraction.
-pub struct Route;
+pub(crate) struct Route;
 
 impl Stage for Route {
     fn name(&self) -> &'static str {
@@ -1173,7 +1135,7 @@ impl Stage for Route {
 
 /// Clock tree synthesis: flat for 2-D, COVER-cell (or legacy, per the
 /// baseline flow) for 3-D.
-pub struct Cts;
+pub(crate) struct Cts;
 
 impl Stage for Cts {
     fn name(&self) -> &'static str {
@@ -1212,10 +1174,11 @@ impl Stage for Cts {
 }
 
 /// Timing closure: upsize violating cells, then recover power on the
-/// comfortable ones. Every applied (and rolled-back) drive change is
-/// journaled, and the persistent timer consumes those edits directly —
-/// no full-design diff scan per evaluate.
-pub struct Size {
+/// comfortable ones. The kernels report every applied (and rolled-back)
+/// drive change to the evaluate closure, which hands the persistent timer
+/// exactly those cells — no full-design diff scan per evaluate — and
+/// books their count as `sizing/drive_edits`.
+pub(crate) struct Size {
     /// Rounds of slack-driven upsizing.
     pub timing_rounds: usize,
     /// Rounds of power-recovery downsizing.
@@ -1232,7 +1195,7 @@ impl Stage for Size {
     fn run(
         &self,
         state: &mut FlowState,
-        _options: &FlowOptions,
+        options: &FlowOptions,
         _span: &Span,
     ) -> Result<(), FlowError> {
         if !state.reoptimize {
@@ -1248,30 +1211,32 @@ impl Stage for Size {
             .db
             .clock_tree_arc()
             .ok_or(missing("sizing", "clock tree"))?;
-        let clock_template = clock_spec(state.period_ns, Some(&clock_tree));
-        let period = state.period_ns;
-        let timing_rounds = self.timing_rounds;
-        let power_rounds = self.power_rounds;
-        let power_margin = self.power_margin;
+        let period = state.period_ns();
+        let clock_template = clock_spec(period, Some(&clock_tree));
+        let power_slack = period * self.power_margin;
         let timer = &mut state.timer;
-        let changed = state.db.with_netlist_mut(|nl, journal| {
-            let mut eval = |nl: &Netlist, edits: &[DriveEdit]| {
-                let mut timing_edits = Vec::with_capacity(edits.len());
-                for &(cell, from, to) in edits {
-                    journal.push(DesignEdit::ResizeCell { cell, from, to });
-                    timing_edits.push(TimingEdit::ResizeCell(cell));
-                }
-                timer.update_journaled(
-                    &timing_context(nl, &stack, &tiers, &parasitics, clock_template.clone()),
-                    &timing_edits,
-                )
-            };
-            let up = m3d_opt::resize_for_timing_with(nl, 0.0, timing_rounds, &mut eval);
+        let mut drive_edits = 0;
+        let mut eval = |nl: &Netlist, edits: &[DriveEdit]| {
+            drive_edits += edits.len() as u64;
+            let timing_edits: Vec<TimingEdit> = edits
+                .iter()
+                .map(|&(cell, _, _)| TimingEdit::ResizeCell(cell))
+                .collect();
+            timer.update_journaled(
+                &timing_context(nl, &stack, &tiers, &parasitics, clock_template.clone()),
+                &timing_edits,
+            )
+        };
+        state.sizing_changed = state.db.with_netlist_mut(|nl| {
+            let up = m3d_opt::resize_for_timing_with(nl, 0.0, self.timing_rounds, &mut eval);
             let down =
-                m3d_opt::resize_for_power_with(nl, period * power_margin, power_rounds, &mut eval);
+                m3d_opt::resize_for_power_with(nl, power_slack, self.power_rounds, &mut eval);
             up.cells_changed + down.cells_changed
         });
-        state.sizing_changed = changed;
+        // No key when no edit reached the timer, as when sizing was skipped.
+        if drive_edits > 0 {
+            options.obs.counter_add("sizing/drive_edits", drive_edits);
+        }
         Ok(())
     }
 }
@@ -1280,12 +1245,11 @@ impl Stage for Size {
 /// per live lane: the typical corner on the pass's incremental timer,
 /// every other corner a live lane asks for on one fresh
 /// [`MultiCornerTimer`], and each lane's result the worst of its own
-/// set. Results are written through the database — one journaled
-/// `ReplaceSta` per sign-off, as a single-corner run always made — and
-/// the lane keeps the handle. Power sign-off stays at the typical
-/// corner: the paper's Table IV comparisons are typical-corner power,
-/// and only the timing sign-off is corner-dependent.
-pub struct SignOff;
+/// set, which the lane keeps as an `Arc`; the power result goes to the
+/// database. Power sign-off stays at the typical corner: the paper's
+/// Table IV comparisons are typical-corner power, and only the timing
+/// sign-off is corner-dependent.
+pub(crate) struct SignOff;
 
 impl Stage for SignOff {
     fn name(&self) -> &'static str {
@@ -1309,7 +1273,7 @@ impl Stage for SignOff {
             .db
             .clock_tree_arc()
             .ok_or(missing("sta_signoff", "clock tree"))?;
-        let clock = clock_spec(state.period_ns, Some(&clock_tree));
+        let clock = clock_spec(state.period_ns(), Some(&clock_tree));
         let typical = Arc::new(state.timer.update_journaled(
             &timing_context(&netlist, &stack, &tiers, &parasitics, clock.clone()),
             &[],
@@ -1341,7 +1305,7 @@ impl Stage for SignOff {
             Some(&clock_tree),
             &PowerConfig {
                 input_activity: options.input_activity,
-                frequency_ghz: 1.0 / state.period_ns,
+                frequency_ghz: 1.0 / state.period_ns(),
                 input_probability: 0.5,
             },
         );
@@ -1364,7 +1328,6 @@ impl Stage for SignOff {
                 }
             }
             let worst = worst.ok_or(missing("sta_signoff", "corner set"))?;
-            state.db.set_sta(Arc::clone(worst));
             lane.sta = Some(Arc::clone(worst));
         }
         state.db.set_power(power);
@@ -1452,7 +1415,7 @@ mod tests {
             &stack,
             db.tiers(),
             &fresh,
-            state.period_ns,
+            state.period_ns(),
             Some(&clock_tree),
         );
         let live = state.timer.result().expect("sign-off ran on this timer");

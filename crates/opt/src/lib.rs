@@ -35,7 +35,7 @@ pub struct ResizeOutcome {
 }
 
 /// A drive change applied between two `evaluate` calls: `(cell, from, to)`.
-/// Journal-aware callers (an incremental timer fed from a change journal)
+/// Edit-aware callers (an incremental timer fed a complete edit list)
 /// use the list to dirty exactly the touched cells; callers that
 /// re-analyze from scratch ignore it.
 pub type DriveEdit = (CellId, Drive, Drive);
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn edit_stream_replays_to_identical_drives() {
         // The edit lists handed to an edit-aware evaluator must be a
-        // complete journal: replaying them onto an untouched clone of the
+        // complete record: replaying them onto an untouched clone of the
         // input yields the optimized netlist, including rollback flushes.
         let mut n = m3d_netgen::Benchmark::Netcard.generate(0.015, 13);
         let loose = evaluate(&n, 10.0);

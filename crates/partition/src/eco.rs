@@ -95,7 +95,7 @@ pub enum EcoStop {
 /// `evaluate` runs timing under the given assignment; `areas` is per-cell
 /// area used for the unbalance bookkeeping. Each `evaluate` call also
 /// receives the cells whose tier changed since the previous call (empty on
-/// the first call), so a journal-fed incremental timer can dirty exactly
+/// the first call), so an edit-list-fed incremental timer can dirty exactly
 /// those cells. An undone round's cells are *not* re-evaluated immediately
 /// (the algorithm proceeds straight to the next round); instead they are
 /// carried over and prepended to the next call's edit list, which keeps a

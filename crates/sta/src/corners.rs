@@ -124,9 +124,9 @@ impl MultiCornerTimer {
             .map(|(_, t)| t)
     }
 
-    /// Runs one journaled update per corner against that corner's
+    /// Runs one incremental update per corner against that corner's
     /// context and returns the per-corner results. Every corner gets
-    /// the same edit journal (an edit is corner-independent: it names
+    /// the same edit list (an edit is corner-independent: it names
     /// *what* changed, not the delays).
     ///
     /// # Panics
@@ -206,7 +206,7 @@ mod tests {
         assert!(slow < typ && typ < fast, "{slow} {typ} {fast}");
         assert_eq!(first.worst().0, Corner::Slow);
 
-        // Journaled edits stay bit-identical to cold per corner, with
+        // Listed edits stay bit-identical to cold per corner, with
         // each corner's timer updating incrementally (one build each).
         let gates: Vec<_> = netlist
             .cells()
@@ -235,7 +235,7 @@ mod tests {
         }
         for corner in Corner::ALL {
             let stats = multi.timer(corner).unwrap().stats();
-            assert_eq!(stats.full_rebuilds, 1, "{corner}: journal avoids rebuilds");
+            assert_eq!(stats.full_rebuilds, 1, "{corner}: edits avoid rebuilds");
         }
     }
 

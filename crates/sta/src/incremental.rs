@@ -44,7 +44,7 @@
 //! `analyze` of the same context, at any thread count (dirty level
 //! slices reuse `m3d-par`'s fixed-decomposition chunking).
 //!
-//! **What the journal must cover.** The timer does not diff the design:
+//! **What the edit list must cover.** The timer does not diff the design:
 //! every drive, tier, net-model or clock-latency change since the last
 //! update must appear in the edit list, and anything that changes
 //! connectivity or cell/net counts (rewired nets, inserted buffers) as
@@ -52,9 +52,9 @@
 //! re-propagates cold. Over-reporting is harmless. Only O(1) facts are
 //! re-checked on every call: cell/net counts, the stack's identity, the
 //! period and the global clock constants. Completeness is the caller's
-//! contract (the flow generates the list from the `DesignDb` change
-//! journal); the property tests hold it against cold `analyze`, which
-//! stays the reference.
+//! contract (the flow's sizing and ECO loops build the list where they
+//! make the edit); the property tests hold it against cold `analyze`,
+//! which stays the reference.
 
 use crate::context::{ClockSpec, TimingContext};
 use crate::engine::{
@@ -101,12 +101,12 @@ impl TimerStats {
     }
 }
 
-/// One timing-relevant design change, as reported by a change journal.
+/// One timing-relevant design change, as reported by the caller.
 ///
 /// This is the [`Timer`]'s whole input vocabulary:
 /// [`Timer::update_journaled`] takes a complete edit list and scans
-/// nothing else. The caller (normally a `DesignDb` change journal)
-/// guarantees the list covers every change since the previous update.
+/// nothing else. The caller's complete edit list covers every change
+/// since the previous update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingEdit {
     /// `cell`'s drive strength changed.
@@ -269,7 +269,7 @@ impl Timer {
     /// count.
     ///
     /// Only the listed cells and nets are re-seeded, and the
-    /// clock-latency vector is only diffed when the journal says so. An
+    /// clock-latency vector is only diffed when the edit list says so. An
     /// empty `edits` list re-checks nothing but the O(1) fields (counts,
     /// stack identity, period and global clock constants — those stay
     /// checked because they are cheap and their drift would otherwise
@@ -277,9 +277,9 @@ impl Timer {
     ///
     /// The caller contract: every change to the netlist, tiers,
     /// parasitics or clock latencies since the last update appears in
-    /// `edits` (duplicates and over-reporting are harmless). The flow
-    /// upholds this by generating `edits` from the `DesignDb` change
-    /// journal. A violated contract loses the bit-identity guarantee.
+    /// `edits` (duplicates and over-reporting are harmless): it is the
+    /// caller's complete edit list, built by the loop that makes the
+    /// edits. A violated contract loses the bit-identity guarantee.
     pub fn update_journaled(&mut self, ctx: &TimingContext<'_>, edits: &[TimingEdit]) -> StaResult {
         if edits.contains(&TimingEdit::Structural) || !self.matches_structure(ctx) {
             self.rebuild(ctx);
@@ -307,7 +307,7 @@ impl Timer {
         {
             return false;
         }
-        // The journal vouches for connectivity: absent a `Structural`
+        // The edit list vouches for connectivity: absent a `Structural`
         // edit (checked by the caller) the levelization is still valid.
         true
     }
@@ -375,7 +375,7 @@ impl Timer {
         let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
         self.stats.incremental_updates += 1;
 
-        // ---- seeds, from the journal --------------------------------------
+        // ---- seeds, from the edit list ------------------------------------
         // Seeds dirty conservatively — both the load and the wire-delay
         // cone of every reported net — which can only over-propagate,
         // never change bits.
@@ -794,7 +794,7 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
 
-        // Build once, then feed every edit through the journal: the
+        // Build once, then feed every edit through the edit list: the
         // Timer must never fall back to a rebuild.
         for step in 0..12 {
             let mut edits: Vec<TimingEdit> = Vec::new();
@@ -835,7 +835,7 @@ mod tests {
             assert_bit_identical(&incr, &cold);
         }
         let stats = timer.stats();
-        assert_eq!(stats.full_rebuilds, 1, "journal must avoid rebuilds");
+        assert_eq!(stats.full_rebuilds, 1, "edit lists must avoid rebuilds");
         assert_eq!(stats.incremental_updates, 11);
         assert!(
             stats.propagated_evals() < 12 * timer.full_pass_evals(),
@@ -844,7 +844,7 @@ mod tests {
             12 * timer.full_pass_evals()
         );
 
-        // An empty journal is a pure re-confirmation: bit-identical result,
+        // An empty edit list is a pure re-confirmation: bit-identical result,
         // no propagation work at all.
         let ctx = TimingContext {
             netlist: &netlist,

@@ -7,18 +7,12 @@
 //! change wall-clock time but never a single output bit.
 
 use hetero3d::cost::CostModel;
-use hetero3d::db::DesignDb;
 use hetero3d::flow::{
     try_compare_configs, try_run_flow, Comparison, Config, FlowOptions, Implementation,
 };
-use hetero3d::geom::{Point, Rect};
 use hetero3d::netgen::Benchmark;
-use hetero3d::netlist::{CellId, NetId};
 use hetero3d::par;
-use hetero3d::place::Placement;
-use hetero3d::sta::{NetModel, Parasitics};
-use hetero3d::tech::{Drive, Tier, TierStack};
-use proptest::prelude::*;
+use hetero3d::tech::Tier;
 
 const ALL_CONFIGS: [Config; 5] = [
     Config::TwoD9T,
@@ -163,100 +157,4 @@ fn global_thread_setting_is_also_invisible() {
     ));
     par::set_threads(0);
     assert_eq!(seq, par_run, "global set_threads changed flow results");
-}
-
-/// A design database with every journalable artifact installed, so a
-/// random edit script can exercise all five fine-grained edit kinds.
-fn journaled_db(seed: u64) -> DesignDb {
-    let netlist = Benchmark::Aes.generate(0.012, seed);
-    let die = Rect::new(0.0, 0.0, 40.0, 40.0);
-    let placement = Placement::centered(&netlist, die);
-    let parasitics = Parasitics::zero_wire(&netlist);
-    let mut db = DesignDb::new(netlist, TierStack::heterogeneous(), 1.0);
-    db.set_placement(placement);
-    db.set_parasitics(parasitics);
-    let _ = db.take_journal();
-    db
-}
-
-/// Applies one decoded `(op, index, mag)` edit through the database's
-/// journaling mutators.
-fn apply_db_edit(db: &mut DesignDb, op: u8, index: usize, mag: f64) {
-    let gates: Vec<CellId> = db
-        .netlist()
-        .cells()
-        .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
-        .map(|(id, _)| id)
-        .collect();
-    match op {
-        0 => {
-            let g = gates[index % gates.len()];
-            let d = db.netlist().cell(g).class.gate_drive().expect("gate");
-            let to = if mag < 0.5 {
-                d.upsized().unwrap_or(Drive::X1)
-            } else {
-                d.downsized().unwrap_or(Drive::X8)
-            };
-            db.set_drive(g, to);
-        }
-        1 => {
-            let g = gates[index % gates.len()];
-            let to = db.tiers()[g.index()].other();
-            db.set_tier(g, to);
-        }
-        2 => {
-            let g = gates[index % gates.len()];
-            db.move_cell(
-                g,
-                Point {
-                    x: 40.0 * mag,
-                    y: 40.0 * (1.0 - mag),
-                },
-            );
-        }
-        3 => {
-            let k = NetId::from_index(index % db.netlist().net_count());
-            db.set_net_model(
-                k,
-                NetModel {
-                    wire_cap_ff: 0.5 + 4.0 * mag,
-                    wire_delay_ns: 0.002 * mag,
-                },
-            );
-        }
-        _ => db.set_period((0.4 + mag).max(0.05)),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    // The journal IS the state delta: any random fine-grained edit script
-    // recorded on one database, replayed onto a pre-edit fork, must
-    // reproduce the edited state bit for bit (`state_fingerprint`
-    // hashes drives, tiers, placement bits, net-model bits and period).
-    #[test]
-    fn journal_replay_onto_fork_is_bit_identical(
-        edits in prop::collection::vec((0u8..5, 0usize..4096, 0.0..1.0f64), 1..24),
-        seed in 0u64..32,
-    ) {
-        let mut db = journaled_db(seed);
-        let mut fork = db.fork();
-        for &(op, index, mag) in &edits {
-            apply_db_edit(&mut db, op, index, mag);
-        }
-        let journal = db.take_journal();
-        prop_assert!(journal.is_replayable(), "fine-grained edits only");
-        fork.replay(&journal).expect("replayable journal");
-        prop_assert_eq!(
-            db.state_fingerprint(),
-            fork.state_fingerprint(),
-            "replayed fork diverged from the edited database"
-        );
-        // Replay journals equivalent edits: a second fork replaying the
-        // fork's own journal converges to the same state too.
-        let mut second = journaled_db(seed).fork();
-        second.replay(&fork.take_journal()).expect("replayable journal");
-        prop_assert_eq!(db.state_fingerprint(), second.state_fingerprint());
-    }
 }

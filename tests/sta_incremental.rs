@@ -8,7 +8,6 @@
 //! are a performance knob only; cold `analyze` is the reference that
 //! keeps the edit lists honest.
 
-use hetero3d::db::DesignDb;
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId, Netlist};
 use hetero3d::par;
@@ -86,7 +85,7 @@ fn seeded_parasitics(netlist: &Netlist) -> Parasitics {
 /// 4 threads, which must also agree with each other.
 fn run_edit_script(edits: &[(u8, usize, f64)], seed: u64) {
     let stack = TierStack::heterogeneous();
-    at_1_and_4_threads("hand-journaled", |threads| {
+    at_1_and_4_threads("edit script", |threads| {
         let mut netlist = Benchmark::Aes.generate(0.015, seed);
         let mut positions = vec![hetero3d::geom::Point::ORIGIN; netlist.cell_count()];
         let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
@@ -129,7 +128,7 @@ fn run_edit_script(edits: &[(u8, usize, f64)], seed: u64) {
                 }
                 // Buffer insertion grows the netlist: every per-net and
                 // per-cell binding is re-sized to the result, and the
-                // journal says so.
+                // edit list says so.
                 _ => {
                     let _ =
                         hetero3d::opt::insert_buffers(&mut netlist, &mut positions, 6 + index % 6);
@@ -162,7 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Random edit scripts: resize up/down, tier swap, period change,
-    // parasitics update, buffer insertion — each journaled by hand.
+    // parasitics update, buffer insertion — each reported by hand.
     #[test]
     fn timer_is_bit_identical_to_cold_analyze(
         edits in prop::collection::vec((0u8..6, 0usize..4096, 0.0..1.0f64), 1..10),
@@ -170,87 +169,6 @@ proptest! {
     ) {
         run_edit_script(&edits, seed);
     }
-
-    // The same kind of script recorded through the design database's
-    // journaling mutators, with the timer fed `Journal::timing_edits` —
-    // what the flow does. Checked against a cold analyze after every
-    // step, at 1 and 4 threads.
-    #[test]
-    fn journaled_timer_is_bit_identical_to_cold_analyze(
-        edits in prop::collection::vec((0u8..4, 0usize..4096, 0.0..1.0f64), 1..10),
-        seed in 0u64..32,
-    ) {
-        run_journaled_script(&edits, seed);
-    }
-}
-
-/// Drives a [`DesignDb`] through a random edit script, consuming the
-/// drained journal with [`Timer::update_journaled`] and checking the
-/// result against a cold [`analyze`] bit for bit after every step — at
-/// 1 and 4 threads, which must also agree with each other.
-fn run_journaled_script(edits: &[(u8, usize, f64)], seed: u64) {
-    let netlist = Benchmark::Aes.generate(0.015, seed);
-    let parasitics = Parasitics::zero_wire(&netlist);
-    at_1_and_4_threads("db-journaled", |threads| {
-        let mut db = DesignDb::new(netlist.clone(), TierStack::heterogeneous(), 1.0);
-        db.set_parasitics(parasitics.clone());
-        let _ = db.take_journal();
-        let gates: Vec<CellId> = db
-            .netlist()
-            .cells()
-            .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
-            .map(|(id, _)| id)
-            .collect();
-        let mut timer = Timer::new();
-        let mut results = Vec::new();
-        for (step, &(op, index, mag)) in edits.iter().enumerate() {
-            match op {
-                0 => {
-                    let g = gates[index % gates.len()];
-                    let d = db.netlist().cell(g).class.gate_drive().expect("gate");
-                    let to = if mag < 0.5 {
-                        d.upsized().unwrap_or(Drive::X1)
-                    } else {
-                        d.downsized().unwrap_or(Drive::X8)
-                    };
-                    db.set_drive(g, to);
-                }
-                1 => {
-                    let g = gates[index % gates.len()];
-                    let to = db.tiers()[g.index()].other();
-                    db.set_tier(g, to);
-                }
-                2 => db.set_period((db.period_ns() * (0.85 + 0.3 * mag)).max(0.05)),
-                _ => {
-                    let k = NetId::from_index(index % db.netlist().net_count());
-                    db.set_net_model(
-                        k,
-                        NetModel {
-                            wire_cap_ff: 0.5 + 4.0 * mag,
-                            wire_delay_ns: 0.002 * mag,
-                        },
-                    );
-                }
-            }
-            let timing_edits = db.take_journal().timing_edits();
-            let ctx = TimingContext {
-                netlist: db.netlist(),
-                stack: db.stack(),
-                tiers: db.tiers(),
-                parasitics: db.parasitics().expect("installed above"),
-                clock: ClockSpec::with_period(db.period_ns()),
-            };
-            let incr = timer.update_journaled(&ctx, &timing_edits);
-            let cold = analyze(&ctx);
-            assert_bit_identical(
-                &incr,
-                &cold,
-                &format!("journaled step {step} op {op} threads {threads}"),
-            );
-            results.push(incr);
-        }
-        results
-    });
 }
 
 /// A large (above the parallel threshold) netlist driven through a fixed

@@ -375,7 +375,7 @@ impl Design {
     }
 
     /// Applies one seeded edit of the timer's vocabulary in place and
-    /// returns how the journal reports it.
+    /// returns how the edit list reports it.
     fn edit(&mut self, rng: &mut StdRng) -> TimingEdit {
         let gates: Vec<CellId> = self
             .netlist

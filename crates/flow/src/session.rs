@@ -11,27 +11,53 @@
 //!   caller — the session is `Sync`) forks it in O(1). A session serving
 //!   a design-space sweep runs the pseudo-3-D stage exactly once, which
 //!   is what the serve-layer checkpoint cache is built on.
+//! * The pre-sizing prefix of every `(config, period where partitioning
+//!   reads it)` a [`FlowSession::run`] implements is **kept**: the first
+//!   run of a key builds it inside its own `run_flow` span — booking what
+//!   a one-shot run books — and leaves an O(1) snapshot; every later run
+//!   of the key forks the snapshot and goes straight to sizing (one
+//!   `flow/prefix_forks`). Racing first runs block on the one build; the
+//!   map's lock is never held while flow code runs; at most
+//!   [`PREFIX_SLOTS`] stay, least recently used out first. `fmax`,
+//!   `compare`, `pareto` and `sweep` share a prefix inside themselves.
 //! * Results are bit-identical to the standalone entry points at any
 //!   thread count: forking a checkpoint is observationally equal to
-//!   recomputing it (`shared_checkpoints_reproduce_the_standalone_run`).
+//!   recomputing it (`shared_checkpoints_reproduce_the_standalone_run`,
+//!   `every_later_run_of_a_session_is_its_first_and_the_cold_run`).
 
 use crate::compare::{compare_from_base, Comparison};
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::{fmax_from_base, Implementation};
 use crate::pareto::{pareto_from_base, pareto_spec, ParetoSummary};
-use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
+use crate::stage::{
+    only_lane, prefix_key, prepare_base, pseudo_checkpoint, run_lanes_on, BaseDesign, Prefix,
+    PrefixKey, PseudoCheckpoint,
+};
 use crate::sweep::sweep_from_base;
 use crate::wire::{FlowCommand, FlowReport, PpacSummary};
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
-use std::sync::OnceLock;
+use m3d_obs::Span;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// How many prefixes a session keeps. One is 1.8–2.1 MB resident at
+/// 25 k cells; eight hold the four homogeneous configurations and
+/// Hetero-3-D at four periods.
+const PREFIX_SLOTS: usize = 8;
+
+/// One kept prefix: built at most once, a failure kept like a success
+/// (the build is deterministic — a retry would fail the same way).
+type PrefixSlot = OnceLock<Result<Prefix, FlowError>>;
 
 /// Builder for a [`FlowSession`] (see [`FlowSession::builder`]).
 #[derive(Debug)]
 pub struct FlowSessionBuilder<'a> {
     netlist: &'a Netlist,
     options: FlowOptions,
+    netlist_fingerprint: Option<String>,
+    checkpoints: Option<(BaseDesign, Option<PseudoCheckpoint>)>,
 }
 
 impl FlowSessionBuilder<'_> {
@@ -42,6 +68,25 @@ impl FlowSessionBuilder<'_> {
         self
     }
 
+    /// Hands down the netlist's content fingerprint
+    /// ([`m3d_db::netlist_fingerprint`] as [`m3d_db::fingerprint_hex`])
+    /// from a caller that has already computed it — the serve cache keys
+    /// on it — so that `build` does not hash the netlist a second time.
+    #[must_use]
+    pub fn netlist_fingerprint(mut self, hex: String) -> Self {
+        self.netlist_fingerprint = Some(hex);
+        self
+    }
+
+    /// Rehydrates from previously computed checkpoints instead of
+    /// preparing them, under [`FlowSession::from_parts`]'s pairing
+    /// discipline; `build` then validates nothing and cannot fail.
+    #[must_use]
+    pub fn checkpoints(mut self, base: BaseDesign, pseudo: Option<PseudoCheckpoint>) -> Self {
+        self.checkpoints = Some((base, pseudo));
+        self
+    }
+
     /// Validates the netlist and prepares the shared base checkpoint.
     ///
     /// # Errors
@@ -49,17 +94,23 @@ impl FlowSessionBuilder<'_> {
     /// Returns [`FlowError::InvalidNetlist`] when the netlist fails
     /// validation.
     pub fn build(self) -> Result<FlowSession, FlowError> {
-        let netlist_fingerprint =
-            m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(self.netlist));
-        let options_fingerprint = self.options.fingerprint();
-        let base = prepare_base(self.netlist, &self.options)?;
+        let (base, pseudo) = match self.checkpoints {
+            Some(checkpoints) => checkpoints,
+            None => (prepare_base(self.netlist, &self.options)?, None),
+        };
+        let netlist_fingerprint = self
+            .netlist_fingerprint
+            .unwrap_or_else(|| m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(self.netlist)));
         Ok(FlowSession {
             design: self.netlist.name.clone(),
             netlist_fingerprint,
-            options_fingerprint,
+            options_fingerprint: self.options.fingerprint(),
             options: self.options,
             base,
-            pseudo: OnceLock::new(),
+            pseudo: pseudo.map_or_else(OnceLock::new, |p| OnceLock::from(Ok(p))),
+            prefixes: Mutex::default(),
+            prefix_builds: AtomicU64::new(0),
+            prefix_forks: AtomicU64::new(0),
         })
     }
 }
@@ -87,6 +138,11 @@ pub struct FlowSession {
     options: FlowOptions,
     base: BaseDesign,
     pseudo: OnceLock<Result<PseudoCheckpoint, FlowError>>,
+    /// The prefixes [`FlowSession::run`] keeps, least recently used
+    /// first, at most [`PREFIX_SLOTS`] of them.
+    prefixes: Mutex<Vec<(PrefixKey, Arc<PrefixSlot>)>>,
+    prefix_builds: AtomicU64,
+    prefix_forks: AtomicU64,
 }
 
 impl FlowSession {
@@ -96,6 +152,8 @@ impl FlowSession {
         FlowSessionBuilder {
             netlist,
             options: FlowOptions::default(),
+            netlist_fingerprint: None,
+            checkpoints: None,
         }
     }
 
@@ -118,20 +176,11 @@ impl FlowSession {
         base: BaseDesign,
         pseudo: Option<PseudoCheckpoint>,
     ) -> FlowSession {
-        let netlist_fingerprint = m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(netlist));
-        let options_fingerprint = options.fingerprint();
-        let slot = OnceLock::new();
-        if let Some(p) = pseudo {
-            let _ = slot.set(Ok(p));
-        }
-        FlowSession {
-            design: netlist.name.clone(),
-            netlist_fingerprint,
-            options_fingerprint,
-            options,
-            base,
-            pseudo: slot,
-        }
+        FlowSession::builder(netlist)
+            .options(options)
+            .checkpoints(base, pseudo)
+            .build()
+            .expect("a build from given checkpoints has no failing step")
     }
 
     /// The design's name.
@@ -211,12 +260,72 @@ impl FlowSession {
         if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
             return Err(FlowError::InvalidFrequency { frequency_ghz });
         }
-        run_from_base(
-            &self.base,
-            self.pseudo_for(config)?,
-            config,
-            frequency_ghz,
-            &self.options,
+        let (base, options) = (&self.base, &self.options);
+        let pseudo = self.pseudo_for(config)?;
+        let slot = self.prefix_slot(prefix_key(config, frequency_ghz, options));
+        let prefix = |period, root: &Span| {
+            let build = || Prefix::build(base, pseudo, config, period, options, root);
+            self.prefix_from(&slot, build)
+        };
+        let corner_sets = [options.tech.corners];
+        run_lanes_on(base, config, frequency_ghz, &corner_sets, options, prefix).and_then(only_lane)
+    }
+
+    /// One run's prefix out of `slot`: the first caller runs `build`,
+    /// walks on with what it built — open pass span and all, as a
+    /// one-shot run does — and leaves a snapshot behind; callers racing
+    /// it block on that one build; they and every later caller fork the
+    /// snapshot, or hear the build's failure.
+    fn prefix_from(
+        &self,
+        slot: &PrefixSlot,
+        build: impl FnOnce() -> Result<Prefix, FlowError>,
+    ) -> Result<Prefix, FlowError> {
+        let options = &self.options;
+        let mut own = None;
+        let kept = slot.get_or_init(|| {
+            self.prefix_builds.fetch_add(1, Ordering::Relaxed);
+            // Perf, not a counter: a first run's deterministic manifest
+            // stays a one-shot run's.
+            options.obs.perf_add("flow/prefix_runs", 1);
+            let prefix = build()?;
+            let kept = prefix.snapshot();
+            own = Some(prefix);
+            Ok(kept)
+        });
+        match (own, kept) {
+            (Some(prefix), _) => Ok(prefix),
+            (None, Ok(kept)) => {
+                self.prefix_forks.fetch_add(1, Ordering::Relaxed);
+                Ok(kept.fork(options))
+            }
+            (None, Err(e)) => Err(e.clone()),
+        }
+    }
+
+    /// The slot `key`'s prefix lives in, now the most recently used; a
+    /// new key may push the least recently used one out (runs still
+    /// inside it keep it alive through their `Arc`).
+    fn prefix_slot(&self, key: PrefixKey) -> Arc<PrefixSlot> {
+        let mut slots = self.prefixes.lock().expect("prefix map poisoned");
+        let slot = match slots.iter().position(|(k, _)| *k == key) {
+            Some(i) => slots.remove(i).1,
+            None => Arc::default(),
+        };
+        slots.push((key, Arc::clone(&slot)));
+        if slots.len() > PREFIX_SLOTS {
+            slots.remove(0);
+        }
+        slot
+    }
+
+    /// Prefix builds and forks by [`FlowSession::run`] since the last
+    /// call (plain atomics, counted with telemetry off). Draining lets a
+    /// holder of many short-lived sessions keep exact totals.
+    pub fn take_prefix_counts(&self) -> (u64, u64) {
+        (
+            self.prefix_builds.swap(0, Ordering::Relaxed),
+            self.prefix_forks.swap(0, Ordering::Relaxed),
         )
     }
 
@@ -621,6 +730,218 @@ mod tests {
             0,
             "rehydrated pseudo checkpoint must suppress the pseudo-3-D stage"
         );
+    }
+
+    /// `state_fingerprint` of the design `imp` signs off: its database
+    /// rebuilt from the implementation's artifacts, the parasitics
+    /// re-extracted from its routing.
+    fn state_fingerprint(imp: &Implementation) -> u64 {
+        let (parasitics, _) = m3d_route::try_extract_parasitics_with_stats(
+            &imp.netlist,
+            &imp.placement,
+            &imp.stack,
+            Some(&imp.routing),
+        )
+        .expect("extract");
+        let mut db = m3d_db::DesignDb::from_shared(
+            imp.netlist.clone(),
+            (*imp.stack).clone(),
+            1.0 / imp.frequency_ghz,
+        );
+        db.set_tiers((*imp.tiers).clone());
+        db.set_placement((*imp.placement).clone());
+        db.set_parasitics(parasitics);
+        db.state_fingerprint()
+    }
+
+    fn assert_same_run(a: &Implementation, b: &Implementation, what: &str) {
+        for ((name, x), (_, y)) in a.bits().iter().zip(b.bits()) {
+            assert_eq!(x, &y, "{what}: {name}");
+        }
+        assert_eq!(
+            state_fingerprint(a),
+            state_fingerprint(b),
+            "{what}: state fingerprint"
+        );
+    }
+
+    #[test]
+    fn every_later_run_of_a_session_is_its_first_and_the_cold_run() {
+        use m3d_tech::StackingStyle;
+        let netlist = Benchmark::Aes.generate(0.03, 7);
+        let mut quick = FlowOptions::default();
+        quick.placer_mut().iterations = 6;
+        let (mut eco_moves, mut second_passes) = (0, 0);
+        for config in Config::ALL {
+            for stacking in StackingStyle::ALL {
+                let mut options = quick.clone();
+                options.tech.stacking = stacking;
+                let cold: Vec<Implementation> = [0.9, 2.2]
+                    .iter()
+                    .map(|&ghz| crate::flow::try_run_flow(&netlist, config, ghz, &options))
+                    .collect::<Result<_, _>>()
+                    .expect("cold runs");
+                options.obs = m3d_obs::Obs::enabled();
+                let session = FlowSession::builder(&netlist)
+                    .options(options.clone())
+                    .build()
+                    .expect("session");
+                // The two periods interleaved: a period-keyed entry
+                // answering for the other period would show here.
+                for round in 0..3 {
+                    for (ghz, cold) in [0.9, 2.2].into_iter().zip(&cold) {
+                        let what = format!("{config} {stacking} {ghz} GHz, run {round}");
+                        let run = session.run(config, ghz).expect("session run");
+                        assert_same_run(&run, cold, &what);
+                        if round > 0 {
+                            eco_moves += run.eco.as_ref().map_or(0, |e| e.cells_moved);
+                        }
+                    }
+                }
+                // Default Hetero-3-D keeps one prefix per period.
+                let builds = if config.is_heterogeneous() { 2 } else { 1 };
+                assert_eq!(session.take_prefix_counts(), (builds, 6 - builds));
+                let manifest = options.obs.manifest();
+                assert_eq!(manifest.counter("flow/prefix_forks"), Some(6 - builds));
+                assert_eq!(manifest.counter("flow/prefix_runs"), None);
+                // One `impl2d` per walk, plus one per re-implementation.
+                if let Some(row) = manifest.span("run_flow/impl2d") {
+                    second_passes += row.calls - 6;
+                }
+            }
+        }
+        assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
+        // A first run that re-implements has two forked twins.
+        assert!(
+            second_passes >= 3,
+            "no forked 2-D walk took the second pass"
+        );
+    }
+
+    #[test]
+    fn racing_first_runs_build_one_prefix() {
+        let netlist = Benchmark::Aes.generate(0.02, 31);
+        let mut options = quick_options();
+        options.obs = m3d_obs::Obs::enabled();
+        let session = FlowSession::builder(&netlist)
+            .options(options.clone())
+            .build()
+            .expect("session");
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<Implementation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        session.run(Config::ThreeD12T, 1.0).expect("run")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("runner"))
+                .collect()
+        });
+        for run in &runs[1..] {
+            assert_same_run(run, &runs[0], "racing runs");
+        }
+        assert_eq!(session.take_prefix_counts(), (1, 3));
+        assert_eq!(session.take_prefix_counts(), (0, 0), "counts drain");
+        let manifest = options.obs.manifest();
+        assert_eq!(manifest.perf("flow/prefix_runs"), Some(1));
+        assert_eq!(manifest.counter("flow/prefix_forks"), Some(3));
+        assert_eq!(manifest.counter("flow/pseudo3d_runs"), Some(1));
+        // Exactly one walk built under its own pass span; the stages
+        // ahead of sizing ran once.
+        assert_eq!(manifest.span("run_flow/finish3d").map(|r| r.calls), Some(4));
+        assert_eq!(
+            manifest.span("run_flow/finish3d/route").map(|r| r.calls),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn the_prefix_memo_is_bounded_and_an_evicted_key_rebuilds_to_the_same_bits() {
+        let netlist = Benchmark::Aes.generate(0.012, 31);
+        let session = FlowSession::builder(&netlist)
+            .options(quick_options())
+            .build()
+            .expect("session");
+        // Default Hetero-3-D: every period is a key of its own.
+        let ghz = |k: usize| 0.8 + 0.05 * k as f64;
+        let first = session.run(Config::Hetero3d, ghz(0)).expect("first");
+        let mut last = None;
+        for k in 1..=PREFIX_SLOTS {
+            last = Some(session.run(Config::Hetero3d, ghz(k)).expect("filler"));
+        }
+        let resident = || session.prefixes.lock().expect("prefix map").len();
+        assert_eq!(resident(), PREFIX_SLOTS);
+        assert_eq!(
+            session.take_prefix_counts(),
+            (PREFIX_SLOTS as u64 + 1, 0),
+            "distinct keys never fork"
+        );
+        // The most recent key is resident, the oldest was pushed out.
+        let again = session
+            .run(Config::Hetero3d, ghz(PREFIX_SLOTS))
+            .expect("hit");
+        assert_eq!(session.take_prefix_counts(), (0, 1));
+        assert_same_run(&again, &last.expect("a filler ran"), "resident key");
+        let rebuilt = session.run(Config::Hetero3d, ghz(0)).expect("rebuilt");
+        assert_eq!(session.take_prefix_counts(), (1, 0));
+        assert_eq!(resident(), PREFIX_SLOTS);
+        assert_same_run(&rebuilt, &first, "evicted key");
+    }
+
+    #[test]
+    fn a_failed_prefix_build_reaches_every_waiter_and_a_panic_leaves_the_slot_usable() {
+        use std::sync::atomic::AtomicUsize;
+        let netlist = Benchmark::Aes.generate(0.012, 31);
+        let options = quick_options();
+        let session = FlowSession::builder(&netlist)
+            .options(options.clone())
+            .build()
+            .expect("session");
+        let failure = FlowError::MissingImplementation(Config::TwoD12T);
+
+        let (slot, attempts) = (PrefixSlot::new(), AtomicUsize::new(0));
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<Result<(), FlowError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let failing = || {
+                            attempts.fetch_add(1, Ordering::Relaxed);
+                            Err(failure.clone())
+                        };
+                        session.prefix_from(&slot, failing).map(|_| ())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("waiter"))
+                .collect()
+        });
+        assert_eq!(answers, vec![Err(failure.clone()); 4]);
+        assert_eq!(attempts.load(Ordering::Relaxed), 1, "one build for all");
+        assert_eq!(session.take_prefix_counts(), (1, 0));
+
+        // A build that unwinds leaves the slot empty, not poisoned: the
+        // next caller builds, the one after forks.
+        let slot = PrefixSlot::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session
+                .prefix_from(&slot, || panic!("a stage panicked"))
+                .map(|_| ())
+        }));
+        assert!(unwound.is_err() && slot.get().is_none());
+        let span = options.obs.span("test");
+        let build = || Prefix::build(session.base(), None, Config::TwoD12T, 1.0, &options, &span);
+        assert!(session.prefix_from(&slot, build).is_ok());
+        assert!(session.prefix_from(&slot, || Err(failure)).is_ok());
+        assert_eq!(session.take_prefix_counts(), (2, 1));
     }
 
     #[test]

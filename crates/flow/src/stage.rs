@@ -23,14 +23,17 @@
 //!   counter records each computation — a five-way comparison or a whole
 //!   Pareto grid must show exactly one.
 //! * `Prefix` — the pre-sizing prefix of one `(config, stacking)`: the
-//!   first pass up to the clock tree. No stage in it reads the clock
-//!   period (unless `partition_reads_period`, which empties it) or the
-//!   sign-off corners, so a command that runs one configuration at many
-//!   periods — the fmax ladder, a grid's frequency axis — builds it once
-//!   (`shared_prefix`) and forks it per run. Every run is
-//!   `finish(prefix, period, corner sets)`; a single-shot
-//!   [`run_from_base`] is the one-period case that builds a prefix and
-//!   consumes it. No prefix outlives the command that built it.
+//!   first pass up to the clock tree. No stage in it reads the sign-off
+//!   corners, and none the clock period unless `partition_reads_period`
+//!   (the prefix then holds for the one period it was built at), so a
+//!   command that runs one configuration at many periods — the fmax
+//!   ladder, a grid's frequency axis — builds it once (`shared_prefix`)
+//!   and forks it per run. Every run is `finish(prefix, period, corner
+//!   sets)`; a single-shot [`run_from_base`] is the one-period case that
+//!   builds a prefix and consumes it. A command's shared prefix dies with
+//!   the command; the one a [`FlowSession`](crate::FlowSession) run
+//!   builds is kept by the session under its `prefix_key` and forked by
+//!   the session's later runs.
 //!
 //! The corner axis is a sign-off fan-out of one walk: `finish` takes a
 //! list of corner sets and yields one [`Implementation`] per set. The
@@ -421,7 +424,7 @@ pub(crate) fn run_single(
     options: &FlowOptions,
 ) -> Result<Implementation, FlowError> {
     let corner_sets = [options.tech.corners];
-    let mut lanes = run_lanes(
+    run_lanes(
         base,
         pseudo,
         config,
@@ -429,7 +432,12 @@ pub(crate) fn run_single(
         frequency_ghz,
         &corner_sets,
         options,
-    )?;
+    )
+    .and_then(only_lane)
+}
+
+/// The implementation of a run signed off at one corner set.
+pub(crate) fn only_lane(mut lanes: Vec<Implementation>) -> Result<Implementation, FlowError> {
     lanes.pop().ok_or(missing("assemble", "implementation"))
 }
 
@@ -451,6 +459,23 @@ pub(crate) fn run_lanes(
     corner_sets: &[CornerSet],
     options: &FlowOptions,
 ) -> Result<Vec<Implementation>, FlowError> {
+    let prefix = |period, root: &Span| match shared {
+        Some(prefix) => Ok(prefix.fork(options)),
+        None => Prefix::build(base, pseudo, config, period, options, root),
+    };
+    run_lanes_on(base, config, frequency_ghz, corner_sets, options, prefix)
+}
+
+/// [`run_lanes`] over any source of the run's prefix: `prefix(period_ns,
+/// run span)` is asked once, inside the run's span, after its labels.
+pub(crate) fn run_lanes_on(
+    base: &BaseDesign,
+    config: Config,
+    frequency_ghz: f64,
+    corner_sets: &[CornerSet],
+    options: &FlowOptions,
+    prefix: impl FnOnce(f64, &Span) -> Result<Prefix, FlowError>,
+) -> Result<Vec<Implementation>, FlowError> {
     if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
         return Err(FlowError::InvalidFrequency { frequency_ghz });
     }
@@ -464,10 +489,7 @@ pub(crate) fn run_lanes(
         obs.label_set("input/config", &config.to_string());
         obs.perf_add("threads_resolved", m3d_par::resolve(options.threads) as u64);
     }
-    let prefix = match shared {
-        Some(prefix) => prefix.fork(options),
-        None => Prefix::build(base, pseudo, config, period, options, &run_span)?,
-    };
+    let prefix = prefix(period, &run_span)?;
     finish(prefix, period, corner_sets, options, &run_span)?
         .lanes
         .into_iter()
@@ -488,10 +510,21 @@ fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
     config.is_heterogeneous() && options.enable_timing_partition
 }
 
+/// What a session files a prefix under (the stacking style is the
+/// session's own): the period's bits belong to the key exactly where
+/// [`partition_reads_period`] — that prefix is good for one period only.
+pub(crate) type PrefixKey = (Config, Option<u64>);
+
+pub(crate) fn prefix_key(config: Config, frequency_ghz: f64, options: &FlowOptions) -> PrefixKey {
+    let period = partition_reads_period(config, options).then(|| (1.0 / frequency_ghz).to_bits());
+    (config, period)
+}
+
 /// The pre-sizing prefix of one `(config, stacking)`: a [`FlowState`]
-/// stopped in front of the first stage that reads the clock period —
-/// [`Size`] after `(Partition →) TierLegalize → Route → Cts`, or
-/// [`Partition`] itself where [`partition_reads_period`].
+/// stopped in front of [`Size`], after `(Partition →) TierLegalize →
+/// Route → Cts`. No stage in it reads the clock period unless
+/// [`partition_reads_period`]; it then holds for the period it was built
+/// at and no other.
 pub(crate) struct Prefix {
     state: FlowState,
     /// The first pass's span while the run that built the prefix is
@@ -501,11 +534,18 @@ pub(crate) struct Prefix {
     pass: Option<Span>,
 }
 
+impl std::fmt::Debug for Prefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Prefix({})", self.state.config)
+    }
+}
+
 impl Prefix {
     /// Runs the prefix stages of `config` under `root`, booking them on
     /// `options.obs`. `period_ns` is what the database is born with; no
-    /// stage in here reads it (`prefix_does_not_read_the_period`).
-    fn build(
+    /// stage in here reads it (`prefix_does_not_read_the_period`) unless
+    /// [`partition_reads_period`], where it must be the run's own.
+    pub(crate) fn build(
         base: &BaseDesign,
         pseudo: Option<&PseudoCheckpoint>,
         config: Config,
@@ -514,19 +554,14 @@ impl Prefix {
         root: &Span,
     ) -> Result<Prefix, FlowError> {
         let mut state = FlowState::new(base, pseudo, config, period_ns, options);
-        let pass = if partition_reads_period(config, options) {
-            None
-        } else {
-            Some(implement(&mut state, options, root)?)
-        };
+        let pass = Some(implement(&mut state, options, root)?);
         Ok(Prefix { state, pass })
     }
 
-    /// An O(1) copy-on-write fork for one more [`finish`]: the database's
+    /// An O(1) copy-on-write copy for one more [`finish`]: the database's
     /// `Arc` handles, a fresh timer (no prefix stage touches it), no
-    /// open span. Books one `flow/prefix_forks` on the forking run.
-    fn fork(&self, options: &FlowOptions) -> Prefix {
-        options.obs.counter_add("flow/prefix_forks", 1);
+    /// open span. What a session keeps of the prefix its run consumes.
+    pub(crate) fn snapshot(&self) -> Prefix {
         let state = &self.state;
         Prefix {
             state: FlowState {
@@ -542,12 +577,19 @@ impl Prefix {
             pass: None,
         }
     }
+
+    /// A [`Prefix::snapshot`] that books one `flow/prefix_forks` on the
+    /// forking run.
+    pub(crate) fn fork(&self, options: &FlowOptions) -> Prefix {
+        options.obs.counter_add("flow/prefix_forks", 1);
+        self.snapshot()
+    }
 }
 
 /// Builds the prefix a command's runs of `config` under
 /// `options.tech.stacking` will fork, booking the shared work once under
-/// `<scope>/prefix/…` — or `None` where [`partition_reads_period`]: the
-/// prefix would be empty, so each run builds (and consumes) its own.
+/// `<scope>/prefix/…` — or `None` where [`partition_reads_period`]: no
+/// two periods share one, so each run builds (and consumes) its own.
 /// The database is born without a period: a prefix stage that read one
 /// would poison every number downstream.
 pub(crate) fn shared_prefix(
@@ -615,10 +657,9 @@ fn eco_enabled(state: &FlowState, options: &FlowOptions) -> bool {
     state.config.is_heterogeneous() && options.enable_repartition
 }
 
-/// Takes `prefix` through its first sign-off at `period_ns`: whatever
-/// of [`implement`] the prefix stopped short of, sizing, and — for the
-/// 2-D flow — one re-implementation pass when sizing grew the design
-/// (the paper's 9-track "over-correction" effect).
+/// Takes `prefix` through its first sign-off at `period_ns`: sizing,
+/// and — for the 2-D flow — one re-implementation pass when sizing grew
+/// the design (the paper's 9-track "over-correction" effect).
 fn first_pass(
     prefix: Prefix,
     period_ns: f64,
@@ -637,13 +678,7 @@ fn first_pass(
             retired: None,
         })
         .collect();
-    let pass = match pass {
-        Some(pass) => pass,
-        None if partition_reads_period(state.config, options) => {
-            implement(&mut state, options, root)?
-        }
-        None => root.child(pass_name(state.config)),
-    };
+    let pass = pass.unwrap_or_else(|| root.child(pass_name(state.config)));
     if state.config.is_3d() {
         // When the repartitioning ECO will run, defer sizing until after
         // it: critical cells should first be *moved* to the fast tier;

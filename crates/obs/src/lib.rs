@@ -315,6 +315,11 @@ impl Manifest {
         lookup(&self.gauges, name).copied()
     }
 
+    /// A performance-only counter ([`Obs::perf_add`]).
+    pub fn perf(&self, name: &str) -> Option<u64> {
+        lookup(&self.perf, name).copied()
+    }
+
     pub fn label(&self, name: &str) -> Option<&str> {
         lookup(&self.labels, name).map(String::as_str)
     }

@@ -25,6 +25,12 @@
 //! `load` is the pipelined mixed-workload generator the earlier
 //! flag-only CLI exposed (that spelling, with no subcommand, still
 //! works).
+//!
+//! A response's `cache hit` says its session was resident. What else
+//! the server saved — a kept pre-sizing prefix forked instead of built,
+//! a netlist not regenerated — is not on the wire; the server counts it
+//! in `StatsSnapshot::{prefix_builds, prefix_forks,
+//! netlists_materialized}`.
 
 use m3d_flow::{
     Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, NetlistSpec, Proto, SweepSpec,

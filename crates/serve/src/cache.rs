@@ -2,7 +2,8 @@
 //! options fingerprint)` to a shared [`FlowSession`].
 //!
 //! A session holds the expensive flow prefixes — the validated,
-//! buffered base design and (lazily) the pseudo-3-D checkpoint — so a
+//! buffered base design, (lazily) the pseudo-3-D checkpoint and the
+//! pre-sizing prefix of every configuration it has implemented — so a
 //! cache hit answers a repeated design-space query by forking those
 //! snapshots in O(1) instead of recomputing them. The cache guarantees:
 //!
@@ -20,6 +21,14 @@
 //!   options half is [`FlowOptions::fingerprint`] (thread count and
 //!   telemetry excluded) — two requests that would produce bit-identical
 //!   results share a key even if they arrived spelled differently.
+//! * **a recipe index**: requests name their netlist by generator recipe
+//!   ([`NetlistSpec`]) and the generators are deterministic, so the cache
+//!   learns `recipe → netlist fingerprint` on first sight. A request on
+//!   a resident key then neither regenerates nor re-hashes its netlist;
+//!   only a lookup that has to *build* a session generates one
+//!   (`serve/netlist_materialized`). Bounded like the persist ledger;
+//!   forgetting a recipe, or racing to its first sight, costs one
+//!   regeneration.
 //! * **an optional disk tier**: with a [`Store`] attached
 //!   ([`SessionCache::with_store`]) a miss first tries to rehydrate the
 //!   session from the persistent store (so a restarted server answers
@@ -31,10 +40,12 @@
 //!   perf, not the deterministic section, because disk state depends on
 //!   what earlier processes left behind.
 
-use m3d_flow::{FlowError, FlowOptions, FlowSession};
+use m3d_flow::{FlowError, FlowOptions, FlowSession, NetlistSpec};
+use m3d_netgen::Benchmark;
 use m3d_netlist::Netlist;
 use m3d_obs::Obs;
 use m3d_store::{SessionArtifact, Store, StoreKey};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,6 +70,9 @@ impl SessionKey {
     }
 }
 
+/// A [`NetlistSpec`] as a hashable key (the scale by its bits).
+type Recipe = (Benchmark, u64, u64);
+
 /// One cache slot: built at most once, shared by every request that
 /// maps to its key while it is resident.
 struct Slot {
@@ -77,10 +91,15 @@ pub struct SessionCache {
     obs: Obs,
     store: Option<Arc<Store>>,
     inner: Mutex<Inner>,
-    /// What the disk tier already holds, keyed like the cache; the bool
-    /// records whether the persisted artifact includes the pseudo-3-D
-    /// checkpoint (so a base-only record is upgraded exactly once).
-    persisted: Mutex<HashMap<SessionKey, bool>>,
+    /// What the disk tier already holds, netlist → options fingerprint
+    /// (nested, so a lookup borrows a session's two strings instead of
+    /// allocating a key); the bool records whether the record includes
+    /// the pseudo-3-D checkpoint (a base-only one is upgraded once).
+    persisted: Mutex<HashMap<String, HashMap<String, bool>>>,
+    /// The netlist fingerprint of every recipe seen, at most
+    /// `8 × capacity` of them.
+    recipes: Mutex<HashMap<Recipe, String>>,
+    netlists_materialized: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -122,6 +141,8 @@ impl SessionCache {
                 tick: 0,
             }),
             persisted: Mutex::new(HashMap::new()),
+            recipes: Mutex::new(HashMap::new()),
+            netlists_materialized: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -149,7 +170,63 @@ impl SessionCache {
         netlist: &Netlist,
         options: &FlowOptions,
     ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
-        let key = SessionKey::of(netlist, options);
+        self.session_for(SessionKey::of(netlist, options), options, || netlist)
+    }
+
+    /// [`SessionCache::get_or_build`] for a netlist named by recipe: it
+    /// is generated only when a session has to be built or the recipe is
+    /// new, and hashed only when the recipe is new.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the session build's [`FlowError`].
+    pub fn get_or_build_recipe(
+        &self,
+        spec: &NetlistSpec,
+        options: &FlowOptions,
+    ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
+        let recipe = (spec.benchmark, spec.scale.to_bits(), spec.seed);
+        let known = self
+            .recipes
+            .lock()
+            .expect("recipe index poisoned")
+            .get(&recipe)
+            .cloned();
+        let mut fresh = None;
+        let netlist_fp = known.unwrap_or_else(|| {
+            let netlist = self.materialize(spec);
+            let fp = m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(&netlist));
+            fresh = Some(netlist);
+            let mut recipes = self.recipes.lock().expect("recipe index poisoned");
+            if recipes.len() >= self.capacity.saturating_mul(8) {
+                recipes.clear();
+            }
+            recipes.insert(recipe, fp.clone());
+            fp
+        });
+        let key = SessionKey {
+            netlist_fp,
+            options_fp: options.fingerprint(),
+        };
+        self.session_for(key, options, || {
+            fresh.unwrap_or_else(|| self.materialize(spec))
+        })
+    }
+
+    fn materialize(&self, spec: &NetlistSpec) -> Netlist {
+        self.netlists_materialized.fetch_add(1, Ordering::Relaxed);
+        self.obs.perf_add("serve/netlist_materialized", 1);
+        spec.materialize()
+    }
+
+    /// The slot of `key`, built by the one caller that finds it empty;
+    /// `netlist` is asked only by that caller.
+    fn session_for<N: Borrow<Netlist>>(
+        &self,
+        key: SessionKey,
+        options: &FlowOptions,
+        netlist: impl FnOnce() -> N,
+    ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
         let (slot, hit, evicted) = self.lookup_slot(key.clone());
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -165,13 +242,17 @@ impl SessionCache {
             // not perturb the key (or the results).
             let mut options = options.clone();
             options.obs = self.obs.clone();
-            if let Some(session) = self.rehydrate(&key, netlist, &options) {
-                return Ok(session);
-            }
-            FlowSession::builder(netlist)
+            let netlist = netlist();
+            // The fingerprint is the key's: handed down, not recomputed.
+            let builder = FlowSession::builder(netlist.borrow())
                 .options(options)
-                .build()
-                .map(Arc::new)
+                .netlist_fingerprint(key.netlist_fp.clone());
+            match self.rehydrate(&key) {
+                Some(artifact) => builder.checkpoints(artifact.base, artifact.pseudo),
+                None => builder,
+            }
+            .build()
+            .map(Arc::new)
         });
         // Spill the LRU victim only after the map lock is long released:
         // persisting encodes the artifact and touches disk.
@@ -183,36 +264,26 @@ impl SessionCache {
         (built.clone(), hit)
     }
 
-    /// Tries the disk tier for `key`. A verified record rehydrates into
-    /// a ready session ([`FlowSession::from_parts`] pre-seeds the
-    /// pseudo-3-D slot, so the expensive stage never re-runs); a miss or
-    /// any store failure returns `None` and the caller builds cold. A
-    /// corrupt record was already evicted by the store itself, so the
-    /// rebuild below repairs the disk tier too.
-    fn rehydrate(
-        &self,
-        key: &SessionKey,
-        netlist: &Netlist,
-        options: &FlowOptions,
-    ) -> Option<Arc<FlowSession>> {
+    /// Tries the disk tier for `key`. A verified record comes back for
+    /// the session builder to start from (its pseudo-3-D checkpoint
+    /// pre-seeds the lazy slot, so the expensive stage never re-runs); a
+    /// miss or any store failure returns `None` and the caller builds
+    /// cold. A corrupt record was already evicted by the store itself,
+    /// so the rebuild repairs the disk tier too.
+    fn rehydrate(&self, key: &SessionKey) -> Option<SessionArtifact> {
         let store = self.store.as_deref()?;
         let skey = StoreKey::new(key.netlist_fp.clone(), key.options_fp.clone()).ok()?;
         match store.get_session(&skey) {
             Ok(Some(artifact)) => {
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
                 self.obs.perf_add("store/hit", 1);
-                let has_pseudo = artifact.pseudo.is_some();
-                let session = Arc::new(FlowSession::from_parts(
-                    netlist,
-                    options.clone(),
-                    artifact.base,
-                    artifact.pseudo,
-                ));
                 self.persisted
                     .lock()
                     .expect("persist ledger poisoned")
-                    .insert(key.clone(), has_pseudo);
-                Some(session)
+                    .entry(key.netlist_fp.clone())
+                    .or_default()
+                    .insert(key.options_fp.clone(), artifact.pseudo.is_some());
+                Some(artifact)
             }
             Ok(None) => {
                 self.store_misses.fetch_add(1, Ordering::Relaxed);
@@ -237,31 +308,35 @@ impl SessionCache {
         let Some(store) = self.store.as_deref() else {
             return;
         };
-        let key = SessionKey {
-            netlist_fp: session.netlist_fingerprint().to_string(),
-            options_fp: session.options_fingerprint().to_string(),
-        };
-        let pseudo = session.pseudo_checkpoint().cloned();
-        let has_pseudo = pseudo.is_some();
+        // The ledger first: this runs after every successful request,
+        // and nearly always finds the record already written.
+        let (netlist_fp, options_fp) =
+            (session.netlist_fingerprint(), session.options_fingerprint());
+        let has_pseudo = session.pseudo_ready();
         {
             let mut persisted = self.persisted.lock().expect("persist ledger poisoned");
-            if persisted.get(&key).is_some_and(|&full| full || !has_pseudo) {
+            let written = persisted.get(netlist_fp).and_then(|o| o.get(options_fp));
+            if written.is_some_and(|&full| full || !has_pseudo) {
                 return;
             }
             // Bound the ledger: it tracks keys, not sessions, so it
             // outlives evictions. Clearing merely re-persists — an
             // idempotent rewrite of identical records.
-            if persisted.len() >= self.capacity.saturating_mul(8) {
+            let keys: usize = persisted.values().map(HashMap::len).sum();
+            if keys >= self.capacity.saturating_mul(8) {
                 persisted.clear();
             }
-            persisted.insert(key.clone(), has_pseudo);
+            persisted
+                .entry(netlist_fp.to_string())
+                .or_default()
+                .insert(options_fp.to_string(), has_pseudo);
         }
-        let Ok(skey) = StoreKey::new(key.netlist_fp, key.options_fp) else {
+        let Ok(skey) = StoreKey::new(netlist_fp.to_string(), options_fp.to_string()) else {
             return;
         };
         let artifact = SessionArtifact {
             base: session.base().clone(),
-            pseudo,
+            pseudo: session.pseudo_checkpoint().cloned(),
         };
         if store.put_session(&skey, &artifact).is_ok() {
             self.store_spills.fetch_add(1, Ordering::Relaxed);
@@ -317,6 +392,14 @@ impl SessionCache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// How many netlists were generated from their recipe: one per
+    /// session built (cold or from the store) or recipe first seen, none
+    /// for a known recipe whose session is resident.
+    #[must_use]
+    pub fn netlists_materialized(&self) -> u64 {
+        self.netlists_materialized.load(Ordering::Relaxed)
     }
 
     /// How many slots the LRU policy dropped.
@@ -464,6 +547,39 @@ mod tests {
             session.options_fingerprint()
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_recipe_index_is_bounded_and_a_known_recipe_is_not_regenerated() {
+        let cache = SessionCache::new(1, Obs::disabled());
+        let o = FlowOptions::default();
+        let spec = |seed| NetlistSpec {
+            benchmark: Benchmark::Aes,
+            scale: 0.01,
+            seed,
+        };
+        let recipes = || cache.recipes.lock().unwrap().len();
+        for seed in 0..8 {
+            let _ = cache.get_or_build_recipe(&spec(seed), &o);
+            assert_eq!(recipes(), seed as usize + 1);
+        }
+        // Resident (capacity 1 holds the last key) and known: no netlist.
+        let (_, hit) = cache.get_or_build_recipe(&spec(7), &o);
+        assert!(hit);
+        assert_eq!(cache.netlists_materialized(), 8);
+        // Known but evicted: generated to rebuild, not to be hashed.
+        let (rebuilt, hit) = cache.get_or_build_recipe(&spec(0), &o);
+        assert!(!hit);
+        assert_eq!(cache.netlists_materialized(), 9);
+        assert_eq!(
+            SessionKey::of(&spec(0).materialize(), &o).netlist_fp,
+            rebuilt.unwrap().netlist_fingerprint(),
+            "the handed-down fingerprint is the netlist's"
+        );
+        // The ninth recipe finds the index full: it starts over.
+        let _ = cache.get_or_build_recipe(&spec(8), &o);
+        assert_eq!(recipes(), 1);
+        assert_eq!(cache.misses(), 10, "one slot per lookup that found none");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!    [`RejectKind::Deadline`] and never run — queue time is the thing
 //!    deadlines bound; execution, once started, always completes.
 //! 3. **Execution**: one function runs every job, whole request or
-//!    sweep point: it materializes the netlist, obtains the shared
-//!    session from the [`SessionCache`], runs
+//!    sweep point: it obtains the shared session from the
+//!    [`SessionCache`] by the request's netlist *recipe* (the netlist is
+//!    generated only when a session has to be built), runs
 //!    [`m3d_flow::FlowSession::execute`] — the same code path a direct
 //!    library caller uses, which is why service responses are
 //!    bit-identical to library calls at any worker count — and writes
@@ -197,6 +198,15 @@ pub struct StatsSnapshot {
     pub store_spills: u64,
     /// Corrupt store records detected (and evicted) during lookups.
     pub store_corrupt_evicted: u64,
+    /// Netlists generated from their recipe: by lookups that had to
+    /// build a session or met a new recipe, never on a resident key.
+    pub netlists_materialized: u64,
+    /// Pre-sizing prefixes built by `run_flow` requests and sweep points
+    /// (a session's first of a configuration, or of a Hetero-3-D period).
+    pub prefix_builds: u64,
+    /// `run_flow` requests and sweep points that forked a prefix their
+    /// session already held and went straight to sizing.
+    pub prefix_forks: u64,
     /// Protocol-v2 sweep requests admitted. Sweeps and their points are
     /// counted here and in the `sweep_*` fields only — never in the v1
     /// counters above, whose values stay comparable across protocol
@@ -226,6 +236,8 @@ struct Stats {
     rejected_deadline: AtomicU64,
     rejected_shutdown: AtomicU64,
     rejected_protocol: AtomicU64,
+    prefix_builds: AtomicU64,
+    prefix_forks: AtomicU64,
     sweeps: AtomicU64,
     sweep_points: AtomicU64,
     sweep_point_errors: AtomicU64,
@@ -756,8 +768,9 @@ impl Server {
         // unwind barrier makes them survivable. The cache's lock is
         // released before any flow code runs, so no lock is poisoned.
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            let netlist = request.netlist.materialize();
-            let (session, cache_hit) = self.inner.cache.get_or_build(&netlist, &request.options);
+            let cache = &self.inner.cache;
+            let (session, cache_hit) =
+                cache.get_or_build_recipe(&request.netlist, &request.options);
             obs.perf_add(
                 if cache_hit {
                     "serve/cache_hit"
@@ -768,13 +781,17 @@ impl Server {
             );
             let outcome = session.and_then(|s| {
                 let outcome = s.execute(&request.command);
+                let (builds, forks) = s.take_prefix_counts();
+                let stats = &self.inner.stats;
+                stats.prefix_builds.fetch_add(builds, Ordering::Relaxed);
+                stats.prefix_forks.fetch_add(forks, Ordering::Relaxed);
                 if outcome.is_ok() {
                     // Write-through: the session (now warm, possibly
                     // with a freshly computed pseudo-3-D checkpoint)
                     // reaches the disk tier before the client hears
                     // back, so a restart after this response can always
                     // answer the same key from the store.
-                    self.inner.cache.persist(&s);
+                    cache.persist(&s);
                 }
                 outcome
             });
@@ -956,6 +973,9 @@ impl Server {
             store_misses: self.inner.cache.store_misses(),
             store_spills: self.inner.cache.store_spills(),
             store_corrupt_evicted: self.inner.cache.store_corrupt_evicted(),
+            netlists_materialized: self.inner.cache.netlists_materialized(),
+            prefix_builds: s.prefix_builds.load(Ordering::Relaxed),
+            prefix_forks: s.prefix_forks.load(Ordering::Relaxed),
             sweeps: s.sweeps.load(Ordering::Relaxed),
             sweep_points: s.sweep_points.load(Ordering::Relaxed),
             sweep_point_errors: s.sweep_point_errors.load(Ordering::Relaxed),

@@ -53,8 +53,9 @@
 //! A **streaming-sweep** phase runs a protocol-v2 design-space sweep
 //! (configs × stacking × corners × frequencies) through the engine at
 //! one and four workers. Deterministically: `sweep_points` points all
-//! stream, `sweep_pseudo3d_runs == sweep_scenarios` (one shared
-//! checkpoint per technology scenario, never per grid point),
+//! stream, `sweep_pseudo3d_runs == 1` (no scenario axis is read in
+//! front of the pseudo-3-D checkpoint, so the `sweep_scenarios`
+//! technology scenarios share one session — never one per grid point),
 //! `sweep_quota_deferred == points - cap` (fairness admission is
 //! scheduling-independent for a lone sweep), and the streamed reports
 //! are byte-identical to the sweep's own v1 single-shot decomposition
@@ -773,8 +774,8 @@ fn main() {
     );
     assert_eq!(
         (sweep_1w.pseudo3d, sweep_4w.pseudo3d),
-        (SWEEP_SCENARIOS, SWEEP_SCENARIOS),
-        "the pseudo-3-D stage must run once per technology scenario"
+        (1, 1),
+        "the pseudo-3-D stage must run once for all {SWEEP_SCENARIOS} technology scenarios"
     );
     assert_eq!(
         sweep_1w.deferred, sweep_4w.deferred,

@@ -105,6 +105,21 @@ impl fmt::Display for Config {
     }
 }
 
+/// The flow's checkpoint boundaries, by what the stages in front of each
+/// read of [`FlowOptions`] ([`FlowOptions::read_set`]); each contains the
+/// one before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ReadSet {
+    /// `prepare_base`: validation and fanout buffering.
+    Base,
+    /// … and the pseudo-3-D stage: what a `FlowSession`, its cache slot
+    /// and its store record are keyed by.
+    Pseudo,
+    /// … and `(Partition →) TierLegalize → Route → Cts`: the pre-sizing
+    /// prefix, the third part of a session's prefix key.
+    Prefix,
+}
+
 /// Knobs of a flow run.
 ///
 /// The three `enable_*` flags distinguish the Pin-3-D baseline from the
@@ -253,23 +268,104 @@ impl FlowOptions {
         }
     }
 
+    /// FNV-1a over the bits of every field a stage in front of `boundary`
+    /// reads — the identity of that boundary's checkpoint. The one
+    /// declaration of who reads what: the destructuring is exhaustive,
+    /// so a new field does not compile until it is placed.
+    #[must_use]
+    pub fn read_set(&self, boundary: ReadSet) -> u64 {
+        let FlowOptions {
+            // `prepare_base`.
+            max_fanout,
+            // `PseudoThreeD` (and `TierLegalize`, which reads them again).
+            utilization,
+            placer,
+            // `Partition`, `Route`, `Cts`.
+            seed,
+            route,
+            cts,
+            timing_partition_cap,
+            enable_timing_partition,
+            enable_3d_cts,
+            partition_bins,
+            // The stack a run is born with; the corners are `SignOff`'s.
+            tech: TechContext {
+                stacking,
+                corners: _,
+            },
+            // Read from `Size` on: the ECO and the sign-off.
+            enable_repartition: _,
+            wns_tolerance: _,
+            input_activity: _,
+            // Never in a key: neither may change a result.
+            threads: _,
+            obs: _,
+        } = self;
+        let PlacerConfig {
+            iterations,
+            relax_sweeps,
+            bins,
+            target_fill,
+            seed: scatter,
+        } = &**placer;
+        let RouteConfig {
+            bins: grid,
+            congestion_exponent,
+            overflow_threshold,
+        } = &**route;
+        let CtsConfig {
+            max_fanout: clock_fanout,
+            fast_drive,
+            slow_drive,
+        } = &**cts;
+        let base = [*max_fanout as u64];
+        let pseudo = [
+            utilization.to_bits(),
+            *iterations as u64,
+            *relax_sweeps as u64,
+            *bins as u64,
+            target_fill.to_bits(),
+            *scatter,
+        ];
+        let prefix = [
+            *seed,
+            *grid as u64,
+            congestion_exponent.to_bits(),
+            overflow_threshold.to_bits(),
+            *clock_fanout as u64,
+            *fast_drive as u64,
+            *slow_drive as u64,
+            timing_partition_cap.to_bits(),
+            u64::from(*enable_timing_partition),
+            u64::from(*enable_3d_cts),
+            *partition_bins as u64,
+            *stacking as u64,
+        ];
+        let sets: [&[u64]; 3] = [&base, &pseudo, &prefix];
+        let words = sets[..=boundary as usize].iter().copied().flatten();
+        fnv1a(words.flat_map(|w| w.to_le_bytes()))
+    }
+
     /// Stable fingerprint of the result-affecting knobs, as 16 hex
     /// digits. The thread count and the telemetry handle are excluded:
     /// by the determinism contract neither may change results, so two
-    /// runs comparable for bit-identity fingerprint identically.
+    /// runs comparable for bit-identity fingerprint identically. The
+    /// whole-options identity of a manifest (`input/options_fp`); what a
+    /// checkpoint is keyed by is [`FlowOptions::read_set`].
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let mut canon = self.clone();
         canon.threads = 0;
         canon.obs = Obs::disabled();
         // FNV-1a over the debug rendering.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{canon:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv1a(format!("{canon:?}").bytes()))
     }
+}
+
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ mod sweep;
 mod wire;
 
 pub use compare::{pin3d_baseline_comparison, try_compare_configs, BaselineComparison, Comparison};
-pub use config::{Config, FlowOptions};
+pub use config::{Config, FlowOptions, ReadSet};
 pub use error::FlowError;
 pub use flow::{try_find_fmax, try_run_flow, Implementation};
 pub use pareto::{ParetoPoint, ParetoSummary};

@@ -3,6 +3,11 @@
 //! then answers any number of commands — each forking the session's
 //! shared checkpoints instead of redoing the prefix work.
 //!
+//! * The checkpoints are keyed by what they read of the options
+//!   ([`ReadSet::Pseudo`]), not by the options whole:
+//!   [`FlowSession::bind`] hands the same checkpoints — behind one `Arc`
+//!   — to any options that agree on that set, and every command runs on
+//!   the options of the binding it was asked of.
 //! * [`FlowSession::build`] runs [`prepare_base`] eagerly: validation
 //!   errors surface at construction, and every later command forks the
 //!   same buffered base snapshot.
@@ -12,7 +17,8 @@
 //!   a design-space sweep runs the pseudo-3-D stage exactly once, which
 //!   is what the serve-layer checkpoint cache is built on.
 //! * The pre-sizing prefix of every `(config, period where partitioning
-//!   reads it)` a [`FlowSession::run`] implements is **kept**: the first
+//!   reads it, [`ReadSet::Prefix`] of the binding's options)` a
+//!   [`FlowSession::run`] implements is **kept**: the first
 //!   run of a key builds it inside its own `run_flow` span — booking what
 //!   a one-shot run books — and leaves an O(1) snapshot; every later run
 //!   of the key forks the snapshot and goes straight to sizing (one
@@ -26,7 +32,7 @@
 //!   `every_later_run_of_a_session_is_its_first_and_the_cold_run`).
 
 use crate::compare::{compare_from_base, Comparison};
-use crate::config::{Config, FlowOptions};
+use crate::config::{Config, FlowOptions, ReadSet};
 use crate::error::FlowError;
 use crate::flow::{fmax_from_base, Implementation};
 use crate::pareto::{pareto_from_base, pareto_spec, ParetoSummary};
@@ -102,15 +108,20 @@ impl FlowSessionBuilder<'_> {
             .netlist_fingerprint
             .unwrap_or_else(|| m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(self.netlist)));
         Ok(FlowSession {
-            design: self.netlist.name.clone(),
-            netlist_fingerprint,
-            options_fingerprint: self.options.fingerprint(),
+            shared: Arc::new(Checkpoints {
+                design: self.netlist.name.clone(),
+                netlist_fingerprint,
+                options_fingerprint: m3d_db::fingerprint_hex(
+                    self.options.read_set(ReadSet::Pseudo),
+                ),
+                base,
+                pseudo: pseudo.map_or_else(OnceLock::new, |p| OnceLock::from(Ok(p))),
+                prefixes: Mutex::default(),
+                pseudo_builds: AtomicU64::new(0),
+                prefix_builds: AtomicU64::new(0),
+                prefix_forks: AtomicU64::new(0),
+            }),
             options: self.options,
-            base,
-            pseudo: pseudo.map_or_else(OnceLock::new, |p| OnceLock::from(Ok(p))),
-            prefixes: Mutex::default(),
-            prefix_builds: AtomicU64::new(0),
-            prefix_forks: AtomicU64::new(0),
         })
     }
 }
@@ -132,15 +143,25 @@ impl FlowSessionBuilder<'_> {
 /// ```
 #[derive(Debug)]
 pub struct FlowSession {
+    shared: Arc<Checkpoints>,
+    /// What this binding's commands run on.
+    options: FlowOptions,
+}
+
+/// What every binding of a session shares: the checkpoints of one
+/// netlist under one [`ReadSet::Pseudo`], and the tallies of the runs
+/// that built and forked them.
+#[derive(Debug)]
+struct Checkpoints {
     design: String,
     netlist_fingerprint: String,
     options_fingerprint: String,
-    options: FlowOptions,
     base: BaseDesign,
     pseudo: OnceLock<Result<PseudoCheckpoint, FlowError>>,
     /// The prefixes [`FlowSession::run`] keeps, least recently used
     /// first, at most [`PREFIX_SLOTS`] of them.
     prefixes: Mutex<Vec<(PrefixKey, Arc<PrefixSlot>)>>,
+    pseudo_builds: AtomicU64,
     prefix_builds: AtomicU64,
     prefix_forks: AtomicU64,
 }
@@ -183,27 +204,43 @@ impl FlowSession {
             .expect("a build from given checkpoints has no failing step")
     }
 
+    /// The same checkpoints answering for `options`: `None` unless they
+    /// agree with the session's on [`ReadSet::Pseudo`] — everything the
+    /// checkpoints read. The binding's commands run on `options`, its
+    /// `threads` included, and book on the session's telemetry handle.
+    #[must_use]
+    pub fn bind(&self, options: &FlowOptions) -> Option<FlowSession> {
+        let agree = options.read_set(ReadSet::Pseudo) == self.options.read_set(ReadSet::Pseudo);
+        agree.then(|| FlowSession {
+            shared: Arc::clone(&self.shared),
+            options: FlowOptions {
+                obs: self.options.obs.clone(),
+                ..options.clone()
+            },
+        })
+    }
+
     /// The design's name.
     #[must_use]
     pub fn design(&self) -> &str {
-        &self.design
+        &self.shared.design
     }
 
     /// Content fingerprint of the input netlist (16 hex digits) — one
     /// half of the serve-layer checkpoint-cache key.
     #[must_use]
     pub fn netlist_fingerprint(&self) -> &str {
-        &self.netlist_fingerprint
+        &self.shared.netlist_fingerprint
     }
 
-    /// Fingerprint of the result-affecting options — the other half of
-    /// the cache key.
+    /// [`ReadSet::Pseudo`] of the options (16 hex digits) — the other
+    /// half of the cache key, the same for every binding.
     #[must_use]
     pub fn options_fingerprint(&self) -> &str {
-        &self.options_fingerprint
+        &self.shared.options_fingerprint
     }
 
-    /// The session's options.
+    /// The options this binding runs on.
     #[must_use]
     pub fn options(&self) -> &FlowOptions {
         &self.options
@@ -212,20 +249,20 @@ impl FlowSession {
     /// Whether the pseudo-3-D checkpoint has been computed yet.
     #[must_use]
     pub fn pseudo_ready(&self) -> bool {
-        matches!(self.pseudo.get(), Some(Ok(_)))
+        self.pseudo_checkpoint().is_some()
     }
 
     /// The shared base checkpoint (for persisting the session).
     #[must_use]
     pub fn base(&self) -> &BaseDesign {
-        &self.base
+        &self.shared.base
     }
 
     /// The pseudo-3-D checkpoint, if it has been computed successfully —
     /// does *not* trigger the computation (for persisting the session).
     #[must_use]
     pub fn pseudo_checkpoint(&self) -> Option<&PseudoCheckpoint> {
-        match self.pseudo.get() {
+        match self.shared.pseudo.get() {
             Some(Ok(p)) => Some(p),
             _ => None,
         }
@@ -234,8 +271,14 @@ impl FlowSession {
     /// The shared pseudo-3-D checkpoint, computed on first use. Racing
     /// callers block on the one computation instead of duplicating it.
     fn pseudo(&self) -> Result<&PseudoCheckpoint, FlowError> {
-        self.pseudo
-            .get_or_init(|| pseudo_checkpoint(&self.base, &self.options))
+        let shared = &self.shared;
+        let build = || {
+            shared.pseudo_builds.fetch_add(1, Ordering::Relaxed);
+            pseudo_checkpoint(&shared.base, &self.options)
+        };
+        shared
+            .pseudo
+            .get_or_init(build)
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -260,7 +303,7 @@ impl FlowSession {
         if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
             return Err(FlowError::InvalidFrequency { frequency_ghz });
         }
-        let (base, options) = (&self.base, &self.options);
+        let (base, options) = (&self.shared.base, &self.options);
         let pseudo = self.pseudo_for(config)?;
         let slot = self.prefix_slot(prefix_key(config, frequency_ghz, options));
         let prefix = |period, root: &Span| {
@@ -284,7 +327,7 @@ impl FlowSession {
         let options = &self.options;
         let mut own = None;
         let kept = slot.get_or_init(|| {
-            self.prefix_builds.fetch_add(1, Ordering::Relaxed);
+            self.shared.prefix_builds.fetch_add(1, Ordering::Relaxed);
             // Perf, not a counter: a first run's deterministic manifest
             // stays a one-shot run's.
             options.obs.perf_add("flow/prefix_runs", 1);
@@ -296,7 +339,7 @@ impl FlowSession {
         match (own, kept) {
             (Some(prefix), _) => Ok(prefix),
             (None, Ok(kept)) => {
-                self.prefix_forks.fetch_add(1, Ordering::Relaxed);
+                self.shared.prefix_forks.fetch_add(1, Ordering::Relaxed);
                 Ok(kept.fork(options))
             }
             (None, Err(e)) => Err(e.clone()),
@@ -307,7 +350,7 @@ impl FlowSession {
     /// new key may push the least recently used one out (runs still
     /// inside it keep it alive through their `Arc`).
     fn prefix_slot(&self, key: PrefixKey) -> Arc<PrefixSlot> {
-        let mut slots = self.prefixes.lock().expect("prefix map poisoned");
+        let mut slots = self.shared.prefixes.lock().expect("prefix map poisoned");
         let slot = match slots.iter().position(|(k, _)| *k == key) {
             Some(i) => slots.remove(i).1,
             None => Arc::default(),
@@ -320,13 +363,21 @@ impl FlowSession {
     }
 
     /// Prefix builds and forks by [`FlowSession::run`] since the last
-    /// call (plain atomics, counted with telemetry off). Draining lets a
-    /// holder of many short-lived sessions keep exact totals.
+    /// call, over every binding (plain atomics, counted with telemetry
+    /// off). Draining lets a holder of many short-lived sessions keep
+    /// exact totals.
     pub fn take_prefix_counts(&self) -> (u64, u64) {
         (
-            self.prefix_builds.swap(0, Ordering::Relaxed),
-            self.prefix_forks.swap(0, Ordering::Relaxed),
+            self.shared.prefix_builds.swap(0, Ordering::Relaxed),
+            self.shared.prefix_forks.swap(0, Ordering::Relaxed),
         )
+    }
+
+    /// Pseudo-3-D stages run since the last call, drained like
+    /// [`FlowSession::take_prefix_counts`]: at most one per session, none
+    /// for one rehydrated with its checkpoint.
+    pub fn take_pseudo_builds(&self) -> u64 {
+        self.shared.pseudo_builds.swap(0, Ordering::Relaxed)
     }
 
     /// Sweeps `config` to its maximum met frequency, starting the probe
@@ -344,7 +395,7 @@ impl FlowSession {
             });
         }
         fmax_from_base(
-            &self.base,
+            &self.shared.base,
             self.pseudo_for(config)?,
             config,
             &self.options,
@@ -359,7 +410,7 @@ impl FlowSession {
     /// Propagates the first failure of the fmax sweep or any
     /// configuration job.
     pub fn compare(&self, cost: &CostModel) -> Result<Comparison, FlowError> {
-        compare_from_base(&self.base, self.pseudo()?, &self.options, cost)
+        compare_from_base(&self.shared.base, self.pseudo()?, &self.options, cost)
     }
 
     /// Sweeps `config` over stacking style × sign-off corner ×
@@ -384,7 +435,7 @@ impl FlowSession {
         cost: &CostModel,
     ) -> Result<ParetoSummary, FlowError> {
         pareto_from_base(
-            &self.base,
+            &self.shared.base,
             || self.pseudo().cloned(),
             &pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps),
             &self.options,
@@ -437,7 +488,7 @@ impl FlowSession {
             }
             FlowCommand::Sweep { spec } => {
                 let points = sweep_from_base(
-                    &self.base,
+                    &self.shared.base,
                     || self.pseudo().cloned(),
                     spec,
                     &self.options,
@@ -819,6 +870,60 @@ mod tests {
     }
 
     #[test]
+    fn a_binding_runs_on_its_own_options_off_the_shared_checkpoints() {
+        use m3d_tech::{CornerSet, StackingStyle};
+        let netlist = Benchmark::Aes.generate(0.02, 31);
+        let mut options = quick_options();
+        options.obs = m3d_obs::Obs::enabled();
+        let session = FlowSession::builder(&netlist)
+            .options(options.clone())
+            .build()
+            .expect("session");
+        let first = session.run(Config::Hetero3d, 1.0).expect("first run");
+        assert_eq!(session.take_prefix_counts(), (1, 0));
+
+        // Read behind the prefix: the variant forks the first run's.
+        let mut variant = quick_options();
+        variant.input_activity = 0.3;
+        variant.tech.corners = CornerSet::Worst;
+        variant.threads = 1;
+        let bound = session
+            .bind(&variant)
+            .expect("agrees on the pseudo read-set");
+        assert_eq!(bound.options().threads, 1);
+        assert_eq!(
+            bound.options().obs,
+            options.obs,
+            "books on the session's handle"
+        );
+        assert_eq!(bound.options_fingerprint(), session.options_fingerprint());
+        let run = bound.run(Config::Hetero3d, 1.0).expect("bound run");
+        let cold = crate::flow::try_run_flow(&netlist, Config::Hetero3d, 1.0, &variant);
+        assert_same_run(&run, &cold.expect("cold run"), "bound variant");
+        assert_ne!(
+            run.power.total_mw().to_bits(),
+            first.power.total_mw().to_bits()
+        );
+        assert_eq!(session.take_prefix_counts(), (0, 1), "one memo for both");
+
+        // Read by a prefix stage: the same checkpoints, its own prefix.
+        variant.tech.stacking = StackingStyle::F2fHybridBond;
+        let f2f = session.bind(&variant).expect("binding");
+        let run = f2f.run(Config::Hetero3d, 1.0).expect("f2f run");
+        let cold = crate::flow::try_run_flow(&netlist, Config::Hetero3d, 1.0, &variant);
+        assert_same_run(&run, &cold.expect("cold run"), "f2f variant");
+        assert_eq!(f2f.take_prefix_counts(), (1, 0));
+        assert_eq!(
+            (session.take_pseudo_builds(), f2f.take_pseudo_builds()),
+            (1, 0)
+        );
+
+        // Read by a checkpoint: another session's business.
+        variant.utilization = 0.6;
+        assert!(session.bind(&variant).is_none());
+    }
+
+    #[test]
     fn racing_first_runs_build_one_prefix() {
         let netlist = Benchmark::Aes.generate(0.02, 31);
         let mut options = quick_options();
@@ -874,7 +979,7 @@ mod tests {
         for k in 1..=PREFIX_SLOTS {
             last = Some(session.run(Config::Hetero3d, ghz(k)).expect("filler"));
         }
-        let resident = || session.prefixes.lock().expect("prefix map").len();
+        let resident = || session.shared.prefixes.lock().expect("prefix map").len();
         assert_eq!(resident(), PREFIX_SLOTS);
         assert_eq!(
             session.take_prefix_counts(),

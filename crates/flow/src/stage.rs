@@ -9,7 +9,9 @@
 //! of the database, computes, and writes its artifacts back.
 //!
 //! Three checkpoints make the expensive prefixes shareable, each holding
-//! what no later axis reads (DESIGN §12 has the stage × axis table):
+//! what no later axis reads ([`FlowOptions::read_set`] declares which
+//! options are read in front of each; DESIGN §12 has the stage × axis
+//! table):
 //!
 //! * [`BaseDesign`] — the validated, fanout-buffered netlist. Built once
 //!   by [`prepare_base`]; every configuration, fmax rung and comparison
@@ -42,7 +44,7 @@
 //! stop*: a lane whose stop test fires keeps the database as it stands
 //! and the walk goes on for the rest.
 
-use crate::config::{Config, FlowOptions};
+use crate::config::{Config, FlowOptions, ReadSet};
 use crate::error::FlowError;
 use crate::flow::Implementation;
 use m3d_cts::{synthesize, ClockTree, CtsMode};
@@ -510,14 +512,15 @@ fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
     config.is_heterogeneous() && options.enable_timing_partition
 }
 
-/// What a session files a prefix under (the stacking style is the
-/// session's own): the period's bits belong to the key exactly where
-/// [`partition_reads_period`] — that prefix is good for one period only.
-pub(crate) type PrefixKey = (Config, Option<u64>);
+/// What a session files a prefix under: the configuration, the period's
+/// bits exactly where [`partition_reads_period`] — that prefix is good
+/// for one period only — and the options its stages read
+/// ([`ReadSet::Prefix`], the stacking style among them).
+pub(crate) type PrefixKey = (Config, Option<u64>, u64);
 
 pub(crate) fn prefix_key(config: Config, frequency_ghz: f64, options: &FlowOptions) -> PrefixKey {
     let period = partition_reads_period(config, options).then(|| (1.0 / frequency_ghz).to_bits());
-    (config, period)
+    (config, period, options.read_set(ReadSet::Prefix))
 }
 
 /// The pre-sizing prefix of one `(config, stacking)`: a [`FlowState`]
@@ -1594,6 +1597,21 @@ mod tests {
         assert!(shared.is_none(), "timing partitioning reads the period");
     }
 
+    /// The design a prefix state holds, by bits, at a common period.
+    fn design(mut state: FlowState) -> (u64, u64, usize, Vec<u64>) {
+        state.db.set_period(1.0);
+        let (routing, tree) = (
+            state.db.routing_arc().expect("routing"),
+            state.db.clock_tree_arc().expect("clock tree"),
+        );
+        (
+            state.db.state_fingerprint(),
+            routing.total_wirelength_um.to_bits(),
+            routing.total_mivs,
+            tree.sink_latency.iter().map(|l| l.to_bits()).collect(),
+        )
+    }
+
     /// The guard behind the prefix boundary: built under two different
     /// periods, a prefix holds the same design — so a stage that starts
     /// reading the period in front of [`Size`] fails here, as
@@ -1601,22 +1619,6 @@ mod tests {
     #[test]
     fn prefix_does_not_read_the_period() {
         let netlist = Benchmark::Aes.generate(0.03, 7);
-        let design = |mut state: FlowState| {
-            state.db.set_period(1.0);
-            let (routing, tree) = (
-                state.db.routing_arc().expect("routing"),
-                state.db.clock_tree_arc().expect("clock tree"),
-            );
-            (
-                state.db.state_fingerprint(),
-                routing.total_wirelength_um.to_bits(),
-                routing.total_mivs,
-                tree.sink_latency
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<u64>>(),
-            )
-        };
         for (config, options) in shareable_cases() {
             let base = prepare_base(&netlist, &options).expect("base");
             let span = options.obs.span("test");
@@ -1637,5 +1639,185 @@ mod tests {
             design(state)
         };
         assert_ne!(at(0.4), at(2.5), "timing partitioning reads the period");
+    }
+
+    /// One case per leaf field of [`FlowOptions`]: its name, the boundary
+    /// [`FlowOptions::read_set`] declares it read in front of (`None`:
+    /// read from `Size` on, or never), and `quick` with the field at a
+    /// second value.
+    fn read_set_cases(quick: &FlowOptions) -> Vec<(&'static str, Option<ReadSet>, FlowOptions)> {
+        use m3d_tech::{Drive, StackingStyle, TechContext};
+        // Exhaustive, so that a new field does not compile until it has a
+        // case below.
+        let FlowOptions {
+            utilization: _,
+            seed: _,
+            placer,
+            route,
+            cts,
+            timing_partition_cap: _,
+            enable_timing_partition: _,
+            enable_3d_cts: _,
+            enable_repartition: _,
+            input_activity: _,
+            max_fanout: _,
+            partition_bins: _,
+            wns_tolerance: _,
+            threads: _,
+            obs: _,
+            tech:
+                TechContext {
+                    stacking: _,
+                    corners: _,
+                },
+        } = quick;
+        let m3d_place::PlacerConfig {
+            iterations: _,
+            relax_sweeps: _,
+            bins: _,
+            target_fill: _,
+            seed: _,
+        } = **placer;
+        let m3d_route::RouteConfig {
+            bins: _,
+            congestion_exponent: _,
+            overflow_threshold: _,
+        } = **route;
+        let m3d_cts::CtsConfig {
+            max_fanout: _,
+            fast_drive: _,
+            slow_drive: _,
+        } = **cts;
+        let case = |name, boundary, edit: &dyn Fn(&mut FlowOptions)| {
+            let mut options = quick.clone();
+            edit(&mut options);
+            (name, boundary, options)
+        };
+        let (base, pseudo, prefix) = (
+            Some(ReadSet::Base),
+            Some(ReadSet::Pseudo),
+            Some(ReadSet::Prefix),
+        );
+        vec![
+            case("max_fanout", base, &|o| o.max_fanout = 12),
+            case("utilization", pseudo, &|o| o.utilization = 0.6),
+            case("placer.iterations", pseudo, &|o| {
+                o.placer_mut().iterations += 1
+            }),
+            case("placer.relax_sweeps", pseudo, &|o| {
+                o.placer_mut().relax_sweeps = 3
+            }),
+            case("placer.bins", pseudo, &|o| o.placer_mut().bins = 16),
+            case("placer.target_fill", pseudo, &|o| {
+                o.placer_mut().target_fill = 0.7
+            }),
+            case("placer.seed", pseudo, &|o| o.placer_mut().seed = 0xBEEF),
+            case("seed", prefix, &|o| o.seed = 2),
+            case("route.bins", prefix, &|o| o.route_mut().bins = 24),
+            case("route.congestion_exponent", prefix, &|o| {
+                o.route_mut().congestion_exponent = 2.0;
+            }),
+            case("route.overflow_threshold", prefix, &|o| {
+                o.route_mut().overflow_threshold = 0.5;
+            }),
+            case("cts.max_fanout", prefix, &|o| o.cts_mut().max_fanout = 12),
+            case("cts.fast_drive", prefix, &|o| {
+                o.cts_mut().fast_drive = Drive::X8
+            }),
+            case("cts.slow_drive", prefix, &|o| {
+                o.cts_mut().slow_drive = Drive::X8
+            }),
+            case("timing_partition_cap", prefix, &|o| {
+                o.timing_partition_cap = 0.1
+            }),
+            case("enable_timing_partition", prefix, &|o| {
+                o.enable_timing_partition = false;
+            }),
+            case("enable_3d_cts", prefix, &|o| o.enable_3d_cts = false),
+            case("partition_bins", prefix, &|o| o.partition_bins = 5),
+            case("tech.stacking", prefix, &|o| {
+                o.tech.stacking = StackingStyle::F2fHybridBond;
+            }),
+            case("enable_repartition", None, &|o| {
+                o.enable_repartition = false
+            }),
+            case("wns_tolerance", None, &|o| o.wns_tolerance = 0.0),
+            case("input_activity", None, &|o| o.input_activity = 0.3),
+            case("tech.corners", None, &|o| o.tech.corners = CornerSet::Worst),
+            case("threads", None, &|o| o.threads = 1),
+            case("obs", None, &|o| o.obs = Obs::enabled()),
+        ]
+    }
+
+    /// The read-set declaration against the stages themselves: what a
+    /// boundary's checkpoint holds moves only with a field declared read
+    /// in front of it, and the three keys move with exactly those — an
+    /// undeclared read fails here before it can serve a wrong answer.
+    #[test]
+    fn a_checkpoint_moves_only_with_a_field_of_its_declared_read_set() {
+        let netlist = Benchmark::Aes.generate(0.12, 7);
+        assert!((1_500..3_000).contains(&netlist.cell_count()));
+        let mut quick = FlowOptions::default();
+        quick.placer_mut().iterations = 6;
+        // The three checkpoints under `options`, by bits; the prefix for
+        // the heterogeneous flow (off its own pseudo checkpoint) and for
+        // a 2-D one.
+        let checkpoints = |options: &FlowOptions| {
+            let base = prepare_base(&netlist, options).expect("base");
+            let pseudo = pseudo_checkpoint(&base, options).expect("pseudo");
+            let span = options.obs.span("test");
+            let prefixes = [Config::Hetero3d, Config::TwoD12T].map(|config| {
+                let pseudo = Some(&pseudo).filter(|_| config.is_3d());
+                let prefix = Prefix::build(&base, pseudo, config, 1.0, options, &span);
+                design(prefix.expect("prefix").state)
+            });
+            let nets = (0..base.netlist.net_count()).map(|k| {
+                let net = pseudo.parasitics.net(NetId::from_index(k));
+                (net.wire_cap_ff.to_bits(), net.wire_delay_ns.to_bits())
+            });
+            let cells = pseudo.placement.positions.iter();
+            (
+                m3d_db::netlist_fingerprint(&base.netlist),
+                (
+                    cells
+                        .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                        .collect::<Vec<_>>(),
+                    nets.collect::<Vec<_>>(),
+                ),
+                prefixes,
+            )
+        };
+        let boundaries = [ReadSet::Base, ReadSet::Pseudo, ReadSet::Prefix];
+        let keys = |options: &FlowOptions| boundaries.map(|b| options.read_set(b));
+        let (reference, reference_keys) = (checkpoints(&quick), keys(&quick));
+        let mut unmoved = Vec::new();
+        for (field, declared, options) in read_set_cases(&quick) {
+            let (held, held_keys) = (checkpoints(&options), keys(&options));
+            let moved = [
+                held.0 != reference.0,
+                held.1 != reference.1,
+                held.2 != reference.2,
+            ];
+            for (k, boundary) in boundaries.into_iter().enumerate() {
+                let in_read_set = declared.is_some_and(|d| d <= boundary);
+                assert_eq!(
+                    held_keys[k] != reference_keys[k],
+                    in_read_set,
+                    "{field}: the {boundary:?} key moves iff the field is declared"
+                );
+                assert!(
+                    in_read_set || !moved[k],
+                    "{field} moved the {boundary:?} checkpoint and is not in its read-set"
+                );
+            }
+            if declared.is_some_and(|d| !moved[d as usize]) {
+                unmoved.push(field);
+            }
+        }
+        // With teeth: a declared field does move its own boundary's
+        // checkpoint — but for a placer knob no placer code reads, and
+        // one no artifact compared here records (overflow marks are a
+        // routing report, not a design bit).
+        assert_eq!(unmoved, ["placer.target_fill", "route.overflow_threshold"]);
     }
 }

@@ -6,8 +6,9 @@
 //! point is exactly equivalent to one v1 `run_flow` request whose options
 //! carry the point's technology scenario. The flow service exploits that
 //! to fan a sweep out across its worker pool as individually schedulable
-//! jobs — each point hitting the shared checkpoint cache under its
-//! scenario's cache key — and [`sweep_from_base`] is the in-process
+//! jobs — every point hitting the shared checkpoint cache under one
+//! key, no scenario axis being read in front of the session's
+//! checkpoints — and [`sweep_from_base`] is the in-process
 //! mirror used by [`crate::FlowSession::execute`], bit-identical to
 //! running the decomposed points one by one without redoing what they
 //! have in common.

@@ -1,11 +1,15 @@
 //! The checkpoint cache: an LRU map from `(netlist fingerprint,
-//! options fingerprint)` to a shared [`FlowSession`].
+//! pseudo read-set of the options)` to a shared [`FlowSession`].
 //!
 //! A session holds the expensive flow prefixes — the validated,
 //! buffered base design, (lazily) the pseudo-3-D checkpoint and the
 //! pre-sizing prefix of every configuration it has implemented — so a
 //! cache hit answers a repeated design-space query by forking those
-//! snapshots in O(1) instead of recomputing them. The cache guarantees:
+//! snapshots in O(1) instead of recomputing them. Requests that differ
+//! only in what is read behind those checkpoints (`input_activity`,
+//! `wns_tolerance`, the sign-off corners, …) share one session, and each
+//! lookup hands it back **bound to the caller's own options**
+//! ([`FlowSession::bind`]). The cache guarantees:
 //!
 //! * **one build per key**: racing requests for the same key share one
 //!   slot whose `OnceLock` admits exactly one builder; the losers block
@@ -18,9 +22,8 @@
 //!   findable, so a later request for that key rebuilds.
 //! * **content-based keys**: the netlist half is
 //!   [`m3d_db::netlist_fingerprint`] over the materialized circuit, the
-//!   options half is [`FlowOptions::fingerprint`] (thread count and
-//!   telemetry excluded) — two requests that would produce bit-identical
-//!   results share a key even if they arrived spelled differently.
+//!   options half is [`FlowOptions::read_set`] at [`ReadSet::Pseudo`] —
+//!   the fields a session's checkpoints read, and no other.
 //! * **a recipe index**: requests name their netlist by generator recipe
 //!   ([`NetlistSpec`]) and the generators are deterministic, so the cache
 //!   learns `recipe → netlist fingerprint` on first sight. A request on
@@ -40,7 +43,7 @@
 //!   perf, not the deterministic section, because disk state depends on
 //!   what earlier processes left behind.
 
-use m3d_flow::{FlowError, FlowOptions, FlowSession, NetlistSpec};
+use m3d_flow::{FlowError, FlowOptions, FlowSession, NetlistSpec, ReadSet};
 use m3d_netgen::Benchmark;
 use m3d_netlist::Netlist;
 use m3d_obs::Obs;
@@ -55,7 +58,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct SessionKey {
     /// Content fingerprint of the netlist.
     pub netlist_fp: String,
-    /// Fingerprint of the result-affecting options.
+    /// [`ReadSet::Pseudo`] of the options: what the checkpoints read.
     pub options_fp: String,
 }
 
@@ -63,9 +66,14 @@ impl SessionKey {
     /// Computes the key for one (netlist, options) pair.
     #[must_use]
     pub fn of(netlist: &Netlist, options: &FlowOptions) -> SessionKey {
+        let netlist_fp = m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(netlist));
+        SessionKey::with_netlist_fp(netlist_fp, options)
+    }
+
+    fn with_netlist_fp(netlist_fp: String, options: &FlowOptions) -> SessionKey {
         SessionKey {
-            netlist_fp: m3d_db::fingerprint_hex(m3d_db::netlist_fingerprint(netlist)),
-            options_fp: options.fingerprint(),
+            netlist_fp,
+            options_fp: m3d_db::fingerprint_hex(options.read_set(ReadSet::Pseudo)),
         }
     }
 }
@@ -76,7 +84,7 @@ type Recipe = (Benchmark, u64, u64);
 /// One cache slot: built at most once, shared by every request that
 /// maps to its key while it is resident.
 struct Slot {
-    cell: OnceLock<Result<Arc<FlowSession>, FlowError>>,
+    cell: OnceLock<Result<FlowSession, FlowError>>,
 }
 
 struct Entry {
@@ -91,7 +99,7 @@ pub struct SessionCache {
     obs: Obs,
     store: Option<Arc<Store>>,
     inner: Mutex<Inner>,
-    /// What the disk tier already holds, netlist → options fingerprint
+    /// What the disk tier already holds, netlist → pseudo read-set
     /// (nested, so a lookup borrows a session's two strings instead of
     /// allocating a key); the bool records whether the record includes
     /// the pseudo-3-D checkpoint (a base-only one is upgraded once).
@@ -154,11 +162,13 @@ impl SessionCache {
     }
 
     /// Looks up (or builds) the session for `(netlist, options)`.
-    /// Returns the shared session and whether this was a cache hit.
+    /// Returns the shared session bound to `options` and whether this
+    /// was a cache hit.
     ///
-    /// A hit means the slot already existed — including slots still
-    /// being built by another thread, which this call then blocks on
-    /// and shares. A failed build is cached too (same query, same
+    /// A hit means the slot already existed — for these options or any
+    /// that agree with them on [`ReadSet::Pseudo`], and including slots
+    /// still being built by another thread, which this call then blocks
+    /// on and shares. A failed build is cached too (same query, same
     /// failure) until its slot is evicted.
     ///
     /// # Errors
@@ -169,7 +179,7 @@ impl SessionCache {
         &self,
         netlist: &Netlist,
         options: &FlowOptions,
-    ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
+    ) -> (Result<FlowSession, FlowError>, bool) {
         self.session_for(SessionKey::of(netlist, options), options, || netlist)
     }
 
@@ -184,7 +194,7 @@ impl SessionCache {
         &self,
         spec: &NetlistSpec,
         options: &FlowOptions,
-    ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
+    ) -> (Result<FlowSession, FlowError>, bool) {
         let recipe = (spec.benchmark, spec.scale.to_bits(), spec.seed);
         let known = self
             .recipes
@@ -204,10 +214,7 @@ impl SessionCache {
             recipes.insert(recipe, fp.clone());
             fp
         });
-        let key = SessionKey {
-            netlist_fp,
-            options_fp: options.fingerprint(),
-        };
+        let key = SessionKey::with_netlist_fp(netlist_fp, options);
         self.session_for(key, options, || {
             fresh.unwrap_or_else(|| self.materialize(spec))
         })
@@ -226,7 +233,7 @@ impl SessionCache {
         key: SessionKey,
         options: &FlowOptions,
         netlist: impl FnOnce() -> N,
-    ) -> (Result<Arc<FlowSession>, FlowError>, bool) {
+    ) -> (Result<FlowSession, FlowError>, bool) {
         let (slot, hit, evicted) = self.lookup_slot(key.clone());
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -238,8 +245,8 @@ impl SessionCache {
             // under the flow's native key space (`flow/pseudo3d_runs`,
             // `sta/...`): counters accumulate across sessions, so the
             // totals cover the whole service lifetime. The obs handle
-            // is excluded from the options fingerprint, so this does
-            // not perturb the key (or the results).
+            // is in no read-set, so this does not perturb the key (or
+            // the results).
             let mut options = options.clone();
             options.obs = self.obs.clone();
             let netlist = netlist();
@@ -252,7 +259,6 @@ impl SessionCache {
                 None => builder,
             }
             .build()
-            .map(Arc::new)
         });
         // Spill the LRU victim only after the map lock is long released:
         // persisting encodes the artifact and touches disk.
@@ -261,7 +267,10 @@ impl SessionCache {
                 self.persist(session);
             }
         }
-        (built.clone(), hit)
+        // Equal keys agree on the pseudo read-set, so the binding exists.
+        let bound = built.as_ref().map_err(Clone::clone);
+        let bound = bound.map(|s| s.bind(options).expect("one key, one pseudo read-set"));
+        (bound, hit)
     }
 
     /// Tries the disk tier for `key`. A verified record comes back for
@@ -455,6 +464,11 @@ mod tests {
         Benchmark::Aes.generate(0.01, 5)
     }
 
+    /// Whether two bindings stand on one set of checkpoints.
+    fn same_checkpoints(a: &FlowSession, b: &FlowSession) -> bool {
+        Arc::ptr_eq(&a.base().netlist, &b.base().netlist)
+    }
+
     #[test]
     fn repeated_keys_share_one_session() {
         let cache = SessionCache::new(4, Obs::disabled());
@@ -463,7 +477,7 @@ mod tests {
         let (a, hit_a) = cache.get_or_build(&n, &o);
         let (b, hit_b) = cache.get_or_build(&n, &o);
         assert!(!hit_a && hit_b);
-        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        assert!(same_checkpoints(&a.unwrap(), &b.unwrap()));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -476,13 +490,22 @@ mod tests {
         b.placer_mut().iterations += 1;
         let (sa, _) = cache.get_or_build(&n, &a);
         let (sb, _) = cache.get_or_build(&n, &b);
-        assert!(!Arc::ptr_eq(&sa.unwrap(), &sb.unwrap()));
+        let sa = sa.unwrap();
+        assert!(!same_checkpoints(&sa, &sb.unwrap()));
         assert_eq!(cache.misses(), 2);
-        // threads is not result-affecting, so it shares the first slot.
-        let mut c = a.clone();
-        c.threads = 7;
-        let (_, hit) = cache.get_or_build(&n, &c);
-        assert!(hit);
+        // Nothing the checkpoints read: the first slot, bound to the
+        // caller's own options (the cache's telemetry handle aside).
+        let c = FlowOptions {
+            threads: 7,
+            input_activity: 0.11,
+            wns_tolerance: 0.05,
+            enable_repartition: false,
+            ..a.clone()
+        };
+        let (sc, hit) = cache.get_or_build(&n, &c);
+        let sc = sc.unwrap();
+        assert!(hit && same_checkpoints(&sa, &sc));
+        assert_eq!((sa.options(), sc.options()), (&a, &c));
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub enum Response {
     Ok {
         /// Echo of the request's correlation id.
         id: u64,
-        /// Whether the checkpoint cache already held the request's
-        /// `(netlist fingerprint, options fingerprint)` session.
+        /// Whether the checkpoint cache already held a session for the
+        /// request's `(netlist fingerprint, pseudo read-set)` — built
+        /// by this request's options or by any that agree on that set.
         cache_hit: bool,
         /// The command's result (boxed: a report dwarfs a rejection).
         report: Box<FlowReport>,

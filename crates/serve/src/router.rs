@@ -5,23 +5,22 @@
 //! # Why a router
 //!
 //! The checkpoint cache is the expensive thing a service holds: one
-//! pseudo-3-D build per `(netlist fingerprint, options fingerprint)`
-//! key. Behind a naive load balancer, K shards each build every hot key
-//! — K builds cluster-wide. This router hashes the *key* instead of the
-//! connection: a request for a given `(netlist recipe, result-affecting
-//! options)` pair always lands on the same shard, so each key is built
-//! exactly once across the whole cluster, and byte-identical answers
-//! come back no matter how many shards stand behind the front (the
-//! flow is a pure function of the key plus the command — placement
-//! cannot change bytes, only *where* the cache lives).
+//! pseudo-3-D build per `(netlist fingerprint, pseudo read-set of the
+//! options)` key. Behind a naive load balancer, K shards each build
+//! every hot key — K builds cluster-wide. This router hashes the *key*
+//! instead of the connection: a request for a given `(netlist recipe,
+//! options the checkpoints read)` pair always lands on the same shard,
+//! so each key is built exactly once across the whole cluster, and
+//! byte-identical answers come back no matter how many shards stand
+//! behind the front (the flow is a pure function of the request —
+//! placement cannot change bytes, only *where* the cache lives).
 //!
 //! # Routing
 //!
 //! The ring is classic consistent hashing: [`RouterConfig::vnodes`]
 //! virtual nodes per backend, FNV-1a hashed, sorted; a request's
-//! [`route_key`] — benchmark, scale bits, seed, and
-//! [`m3d_flow::FlowOptions::fingerprint`] — walks clockwise to the
-//! first vnode. Adding a shard moves only the keys that now belong to
+//! [`route_key`] — benchmark, scale bits, seed, and the options'
+//! [`ReadSet::Pseudo`] — walks clockwise to the first vnode. Adding a shard moves only the keys that now belong to
 //! it. Routing never materializes a netlist: the key is built from the
 //! request's recipe fields alone.
 //!
@@ -32,8 +31,8 @@
 //!   response line bytes untouched. Byte identity with a direct
 //!   connection holds by construction.
 //! * **v2 sweeps decompose at the router**: each grid point is its own
-//!   v1 request routed by its own key (points of one technology
-//!   scenario share a key and therefore a shard). The router
+//!   v1 request routed by its own key (no scenario axis is in it, so
+//!   the points of one sweep share a key and therefore a shard). The router
 //!   synthesizes the stream — `progress` up front, one `point`/`error`
 //!   per grid point with the index remapped into scenario-major order,
 //!   and an aggregate `done` — so a streaming client cannot tell a
@@ -61,7 +60,7 @@ use crate::conn::{FrameEnd, Framer, MAX_LINE_BYTES};
 use crate::protocol::{
     decode_or_reject, decode_response, encode_line, RejectKind, Response, StreamEvent,
 };
-use m3d_flow::{FlowCommand, FlowRequest};
+use m3d_flow::{FlowCommand, FlowRequest, ReadSet};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -116,15 +115,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The request property the ring hashes: everything that determines
 /// the checkpoint key, readable off the request without materializing
 /// the netlist. Two requests with equal route keys have equal cache
-/// keys, so key-affinity routing is build-affinity routing.
+/// keys — requests that differ only behind the pseudo-3-D checkpoint
+/// among them — so key-affinity routing is build-affinity routing.
 #[must_use]
 pub fn route_key(request: &FlowRequest) -> String {
     format!(
-        "{:?}|{:016x}|{}|{}",
+        "{:?}|{:016x}|{}|{:016x}",
         request.netlist.benchmark,
         request.netlist.scale.to_bits(),
         request.netlist.seed,
-        request.options.fingerprint()
+        request.options.read_set(ReadSet::Pseudo)
     )
 }
 

@@ -23,8 +23,9 @@
 //! 3. **Execution**: one function runs every job, whole request or
 //!    sweep point: it obtains the shared session from the
 //!    [`SessionCache`] by the request's netlist *recipe* (the netlist is
-//!    generated only when a session has to be built), runs
-//!    [`m3d_flow::FlowSession::execute`] — the same code path a direct
+//!    generated only when a session has to be built) and by what the
+//!    session's checkpoints read of its options, bound to the request's
+//!    own options, runs [`m3d_flow::FlowSession::execute`] — the same code path a direct
 //!    library caller uses, which is why service responses are
 //!    bit-identical to library calls at any worker count — and writes
 //!    the session through to the store, all inside `catch_unwind`: a
@@ -186,7 +187,8 @@ pub struct StatsSnapshot {
     /// requests whose numbers fall outside [`FlowRequest::validate`]'s
     /// bounds at admission.
     pub rejected_protocol: u64,
-    /// Checkpoint-cache hits.
+    /// Checkpoint-cache hits: a session for the request's netlist and
+    /// pseudo read-set was resident, whatever its other options.
     pub cache_hits: u64,
     /// Checkpoint-cache misses (== distinct keys built).
     pub cache_misses: u64,
@@ -201,6 +203,9 @@ pub struct StatsSnapshot {
     /// Netlists generated from their recipe: by lookups that had to
     /// build a session or met a new recipe, never on a resident key.
     pub netlists_materialized: u64,
+    /// Pseudo-3-D stages run: one per session built cold that met a 3-D
+    /// command — distinct pseudo read-set keys, while none is evicted.
+    pub pseudo_builds: u64,
     /// Pre-sizing prefixes built by `run_flow` requests and sweep points
     /// (a session's first of a configuration, or of a Hetero-3-D period).
     pub prefix_builds: u64,
@@ -236,6 +241,7 @@ struct Stats {
     rejected_deadline: AtomicU64,
     rejected_shutdown: AtomicU64,
     rejected_protocol: AtomicU64,
+    pseudo_builds: AtomicU64,
     prefix_builds: AtomicU64,
     prefix_forks: AtomicU64,
     sweeps: AtomicU64,
@@ -783,6 +789,10 @@ impl Server {
                 let outcome = s.execute(&request.command);
                 let (builds, forks) = s.take_prefix_counts();
                 let stats = &self.inner.stats;
+                let pseudo_builds = s.take_pseudo_builds();
+                stats
+                    .pseudo_builds
+                    .fetch_add(pseudo_builds, Ordering::Relaxed);
                 stats.prefix_builds.fetch_add(builds, Ordering::Relaxed);
                 stats.prefix_forks.fetch_add(forks, Ordering::Relaxed);
                 if outcome.is_ok() {
@@ -974,6 +984,7 @@ impl Server {
             store_spills: self.inner.cache.store_spills(),
             store_corrupt_evicted: self.inner.cache.store_corrupt_evicted(),
             netlists_materialized: self.inner.cache.netlists_materialized(),
+            pseudo_builds: s.pseudo_builds.load(Ordering::Relaxed),
             prefix_builds: s.prefix_builds.load(Ordering::Relaxed),
             prefix_forks: s.prefix_forks.load(Ordering::Relaxed),
             sweeps: s.sweeps.load(Ordering::Relaxed),

@@ -1,10 +1,13 @@
 //! Shard-router integration: responses through the router are
 //! byte-identical to a direct connection at 1 and at 4 shards, every
-//! checkpoint key is built on exactly one shard cluster-wide, routed
-//! sweeps stream the same bytes a single server would, and a dead
-//! backend answers `overloaded` instead of hanging the client.
+//! checkpoint key is built on exactly one shard cluster-wide — option
+//! variants that differ only behind the pseudo-3-D checkpoint are one
+//! key —, routed sweeps stream the same bytes a single server would, and
+//! a dead backend answers `overloaded` instead of hanging the client.
 
-use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto, SweepSpec};
+use m3d_flow::{
+    Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, NetlistSpec, Proto, SweepSpec,
+};
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{
@@ -59,10 +62,21 @@ fn server_config(workers: usize) -> ServerConfig {
     }
 }
 
+/// Key C under five `input_activity` values: five whole-options
+/// fingerprints, one checkpoint key.
+const ACTIVITIES: [f64; 5] = [0.15, 0.14, 0.13, 0.12, 0.11];
+
+fn activity_variant(activity: f64) -> FlowOptions {
+    FlowOptions {
+        input_activity: activity,
+        ..quick_options(8)
+    }
+}
+
 /// The identity workload as raw protocol lines: six flow requests over
-/// three distinct checkpoint keys (with a duplicate), one malformed
-/// line, and one *invalid* sweep (v1 protocol) that must reject as a
-/// single line everywhere.
+/// three distinct checkpoint keys (with a duplicate), the five activity
+/// variants of key C, one malformed line, and one *invalid* sweep (v1
+/// protocol) that must reject as a single line everywhere.
 fn workload_lines() -> Vec<String> {
     let key_a = (spec(31), quick_options(8));
     let key_b = (spec(31), quick_options(9));
@@ -90,6 +104,15 @@ fn workload_lines() -> Vec<String> {
         ),
     ];
     let mut lines: Vec<String> = requests.iter().map(encode_line).collect();
+    lines.extend(ACTIVITIES.iter().enumerate().map(|(k, &activity)| {
+        let options = activity_variant(activity);
+        encode_line(&request(
+            10 + k as u64,
+            spec(32),
+            options,
+            run(Config::Hetero3d, 1.0),
+        ))
+    }));
     lines.push("{\"id\":42,\"benchmark\":\"nope\"}\n".to_string());
     // A sweep on protocol v1 is invalid: the backend (not the router)
     // must answer it, with the same typed rejection a direct server
@@ -195,12 +218,31 @@ fn routed_responses_are_byte_identical_to_direct_at_1_and_4_shards() {
 
     assert_eq!(direct, routed1, "1-shard router must be invisible");
     assert_eq!(direct, routed4, "4-shard router must be invisible");
+    // The variants were answered under their own knobs: five powers.
+    let mut powers: Vec<u64> = direct[6..6 + ACTIVITIES.len()]
+        .iter()
+        .map(|line| match decode_message(line.trim_end()) {
+            Ok(ServerMessage::Response(Response::Ok { report, .. })) => match *report {
+                FlowReport::Run { ppac } => ppac.total_power_mw.to_bits(),
+                other => panic!("expected a run report, got {other:?}"),
+            },
+            other => panic!("expected an ok response, got {other:?}"),
+        })
+        .collect();
+    powers.sort_unstable();
+    powers.dedup();
+    assert_eq!(powers.len(), ACTIVITIES.len(), "one power per activity");
 
     // Every checkpoint key is built exactly once, cluster-wide, no
     // matter the shard count — and on exactly the shard the ring says
-    // owns it.
+    // owns it. The five variants of key C are that one key: one slot,
+    // one pseudo-3-D checkpoint, on one shard.
     let distinct_keys = 3u64;
     assert_eq!(direct_stats.cache_misses, distinct_keys);
+    for stats in [&[direct_stats][..], &stats1, &stats4] {
+        let pseudo_builds: u64 = stats.iter().map(|s| s.pseudo_builds).sum();
+        assert_eq!(pseudo_builds, distinct_keys, "one checkpoint per key");
+    }
     assert_eq!(
         stats1.iter().map(|s| s.cache_misses).sum::<u64>(),
         distinct_keys
@@ -232,6 +274,13 @@ fn routed_responses_are_byte_identical_to_direct_at_1_and_4_shards() {
         )),
     ] {
         expected_misses[ring.route(&key)] += 1;
+    }
+    let variant_key = |activity| {
+        let options = activity_variant(activity);
+        route_key(&request(0, spec(32), options, FlowCommand::CompareConfigs))
+    };
+    for activity in ACTIVITIES {
+        assert_eq!(variant_key(activity), variant_key(ACTIVITIES[0]));
     }
     let actual_misses: Vec<u64> = stats4.iter().map(|s| s.cache_misses).collect();
     assert_eq!(
@@ -283,8 +332,8 @@ fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
     assert_eq!(direct.len(), total + 2, "progress + points + done");
     assert_eq!(direct, routed, "a routed sweep must stream identical bytes");
 
-    // The router decomposed: backends saw only v1 singles, one
-    // checkpoint build per technology scenario across the cluster.
+    // The router decomposed: backends saw only v1 singles, and the two
+    // stacking scenarios are one checkpoint key — one build, one shard.
     assert_eq!(router_stats.sweeps, 1);
     assert_eq!(router_stats.sweep_points, total as u64);
     assert_eq!(router_stats.relayed, 0);
@@ -293,7 +342,9 @@ fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
         backend_stats.iter().map(|s| s.completed_ok).sum::<u64>(),
         total as u64
     );
-    assert_eq!(backend_stats.iter().map(|s| s.cache_misses).sum::<u64>(), 2);
+    assert_eq!(backend_stats.iter().map(|s| s.cache_misses).sum::<u64>(), 1);
+    let pseudo_builds: Vec<u64> = backend_stats.iter().map(|s| s.pseudo_builds).collect();
+    assert_eq!(pseudo_builds.iter().sum::<u64>(), 1, "{pseudo_builds:?}");
 }
 
 /// A hostile peer on the router's front gets exactly what it would get

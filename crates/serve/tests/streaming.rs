@@ -1,7 +1,8 @@
 //! Protocol-v2 streaming sweeps through the service: stream shape
 //! (`progress` → `point`* → `done`), field-identity with the
 //! equivalent v1 single-shot sequence at multiple worker counts,
-//! exactly one pseudo-3-D build per scenario, fairness quota
+//! exactly one pseudo-3-D build per sweep (no scenario axis is read in
+//! front of that checkpoint, so every scenario shares it), fairness quota
 //! accounting, and mid-stream disconnect cancellation over real TCP.
 
 use m3d_flow::{
@@ -48,7 +49,8 @@ fn sweep_request(id: u64, spec_: SweepSpec) -> FlowRequest {
 }
 
 /// Two scenarios (stacking × corner), two configs, two frequencies:
-/// 8 points over 2 distinct cache keys.
+/// 8 points over one cache key (the scenario is read behind the
+/// session's checkpoints).
 fn small_sweep() -> SweepSpec {
     SweepSpec {
         configs: vec![Config::Hetero3d, Config::TwoD12T],
@@ -129,7 +131,6 @@ fn streamed_sweeps_match_v1_singles_at_any_worker_count() {
     let request = sweep_request(7, small_sweep());
     let points = request.decompose_sweep().expect("sweep decomposes");
     let expected = direct_reports(&points);
-    let scenarios = 2u64;
     for workers in [1, 4] {
         let obs = Obs::enabled();
         let server = Server::start(config(workers, &obs));
@@ -156,13 +157,16 @@ fn streamed_sweeps_match_v1_singles_at_any_worker_count() {
         assert_eq!(stats.sweeps, 1);
         assert_eq!(stats.sweep_points, points.len() as u64);
         assert_eq!(stats.sweep_point_errors, 0);
-        // One checkpoint per scenario, built exactly once each.
-        assert_eq!(stats.cache_misses, scenarios, "at {workers} workers");
+        // One checkpoint for both stacking scenarios, built exactly
+        // once; one prefix per (config, stacking, Hetero-3-D period).
+        assert_eq!(stats.cache_misses, 1, "at {workers} workers");
+        assert_eq!(stats.pseudo_builds, 1, "at {workers} workers");
         assert_eq!(
             obs.manifest().counter("flow/pseudo3d_runs"),
-            Some(scenarios),
-            "pseudo-3-D must run once per scenario at {workers} workers"
+            Some(1),
+            "pseudo-3-D must run once per sweep at {workers} workers"
         );
+        assert_eq!((stats.prefix_builds, stats.prefix_forks), (6, 2));
     }
 }
 

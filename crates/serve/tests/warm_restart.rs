@@ -4,12 +4,19 @@
 //! byte-for-byte identically — from disk, without re-running the
 //! pseudo-3-D stage. Also covers the corruption path: a damaged record
 //! is evicted, the request is still answered (cold), and the store is
-//! repaired by the write-through.
+//! repaired by the write-through. And key continuity: a record filed
+//! under the whole-options fingerprint (the scheme before records were
+//! keyed by the pseudo read-set) is never asked for, and one record
+//! rehydrates every option variant of its netlist.
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto};
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
-use m3d_serve::{encode_line, Client, Response, ServerConfig, Store, TcpServer};
+use m3d_serve::{
+    encode_line, Client, Response, ServerConfig, SessionKey, StatsSnapshot, Store, StoreKey,
+    TcpServer,
+};
+use m3d_tech::CornerSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,13 +67,25 @@ fn config(obs: &Obs, store: &Arc<Store>) -> ServerConfig {
     }
 }
 
-fn serve_one(dir: &PathBuf, obs: &Obs) -> (Response, m3d_serve::StatsSnapshot) {
+fn serve_all(dir: &PathBuf, obs: &Obs, requests: &[FlowRequest]) -> (Vec<Response>, StatsSnapshot) {
     let store = Arc::new(Store::open(dir).expect("open store"));
     let server = TcpServer::bind("127.0.0.1:0", config(obs, &store)).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let response = client.call(&request(1)).expect("call");
+    let responses = requests
+        .iter()
+        .map(|request| client.call(request).expect("call"))
+        .collect();
     drop(client);
-    (response, server.shutdown())
+    (responses, server.shutdown())
+}
+
+fn serve_one(dir: &PathBuf, obs: &Obs) -> (Response, StatsSnapshot) {
+    let (mut responses, stats) = serve_all(dir, obs, &[request(1)]);
+    (responses.remove(0), stats)
+}
+
+fn records(dir: &PathBuf) -> usize {
+    std::fs::read_dir(dir).expect("read store dir").count()
 }
 
 #[test]
@@ -155,6 +174,120 @@ fn corrupt_store_records_are_evicted_and_repaired() {
     assert_eq!(encode_line(&repaired), encode_line(&cold));
     assert_eq!(repaired_stats.store_hits, 1);
     assert_eq!(repaired_stats.store_corrupt_evicted, 0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_record_under_a_whole_options_key_is_a_clean_miss() {
+    let (dir, old_dir) = (scratch_dir("rekey-new"), scratch_dir("rekey-old"));
+    let obs = Obs::enabled();
+    let (cold, _) = serve_one(&dir, &obs);
+    assert!(cold.is_ok());
+    // The cold run's record, re-filed in a second directory under the
+    // key the parent scheme gave it: the whole-options fingerprint, read
+    // off the run's own manifest.
+    let request = request(1);
+    let key = SessionKey::of(&request.netlist.materialize(), &request.options);
+    let manifest = obs.manifest();
+    let whole_options_fp = manifest.label("input/options_fp").expect("label");
+    assert_ne!(whole_options_fp, key.options_fp);
+    let store_key =
+        |options_fp: &str| StoreKey::new(key.netlist_fp.clone(), options_fp.to_string());
+    let record = Store::open(&dir)
+        .and_then(|store| store.get_session(&store_key(&key.options_fp)?))
+        .expect("read the cold run's record")
+        .expect("filed under the pseudo read-set");
+    Store::open(&old_dir)
+        .and_then(|store| store.put_session(&store_key(whole_options_fp)?, &record))
+        .expect("file it under the old key");
+    assert_eq!(records(&old_dir), 1);
+
+    let (after, stats) = serve_one(&old_dir, &Obs::disabled());
+    assert_eq!(encode_line(&after), encode_line(&cold));
+    assert_eq!((stats.store_hits, stats.store_misses), (0, 1));
+    assert_eq!(
+        stats.store_corrupt_evicted, 0,
+        "never asked for, never judged"
+    );
+    assert_eq!(stats.store_spills, 1);
+    assert_eq!(records(&old_dir), 2, "the new record lies beside the old");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&old_dir).unwrap();
+}
+
+#[test]
+fn one_record_rehydrates_every_option_variant_of_its_netlist() {
+    let dir = scratch_dir("variants");
+    let variants: Vec<FlowRequest> = [
+        FlowOptions::default(),
+        FlowOptions {
+            input_activity: 0.1,
+            ..Default::default()
+        },
+        FlowOptions {
+            wns_tolerance: 0.0,
+            enable_repartition: false,
+            ..Default::default()
+        },
+        FlowOptions {
+            tech: m3d_tech::TechContext {
+                corners: CornerSet::Worst,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ]
+    .into_iter()
+    .zip(2..)
+    .map(|(knobs, id)| {
+        let mut variant = request(id);
+        variant.options = FlowOptions {
+            placer: variant.options.placer.clone(),
+            ..knobs
+        };
+        variant
+    })
+    .collect();
+    // What a server with nothing on disk answers each variant.
+    let expected: Vec<String> = variants
+        .iter()
+        .map(|variant| {
+            let fresh_dir = scratch_dir("fresh");
+            let (fresh, _) = serve_all(&fresh_dir, &Obs::disabled(), std::slice::from_ref(variant));
+            std::fs::remove_dir_all(&fresh_dir).unwrap();
+            encode_line(&fresh[0])
+        })
+        .collect();
+    let mut distinct = expected.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert_eq!(distinct.len(), variants.len(), "every knob must show");
+
+    let (cold, cold_stats) = serve_one(&dir, &Obs::disabled());
+    assert!(cold.is_ok());
+    assert_eq!((cold_stats.store_spills, records(&dir)), (1, 1));
+    let warm_obs = Obs::enabled();
+    let (warm, stats) = serve_all(&dir, &warm_obs, &variants);
+    for ((response, expected), variant) in warm.into_iter().zip(&expected).zip(&variants) {
+        // Only the first variant created the slot.
+        let Response::Ok { id, report, .. } = response else {
+            panic!("variant {}: {response:?}", variant.id);
+        };
+        let cold_spelling = Response::Ok {
+            id,
+            cache_hit: false,
+            report,
+        };
+        assert_eq!(&encode_line(&cold_spelling), expected, "variant {id}");
+    }
+    assert_eq!((stats.store_hits, stats.store_misses), (1, 0));
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 3));
+    assert_eq!((stats.pseudo_builds, stats.store_spills), (0, 0));
+    let pseudo3d_runs = warm_obs.manifest().counter("flow/pseudo3d_runs");
+    assert_eq!(pseudo3d_runs.unwrap_or(0), 0);
+    assert_eq!(records(&dir), 1);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

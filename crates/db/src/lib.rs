@@ -18,7 +18,7 @@
 //!   when a fork still shares it. Nothing else moves, on either side.
 
 use m3d_cts::ClockTree;
-use m3d_netlist::{NetId, Netlist};
+use m3d_netlist::{NetId, Netlist, NO_NET};
 use m3d_place::{Floorplan, Placement};
 use m3d_power::PowerResult;
 use m3d_route::RoutingResult;
@@ -45,7 +45,7 @@ pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
     let mut eat = |v: u64| eat_bytes(&v.to_le_bytes());
     eat(netlist.cell_count() as u64);
     eat(netlist.net_count() as u64);
-    for (_, cell) in netlist.cells() {
+    for (id, cell) in netlist.cells() {
         match &cell.class {
             m3d_netlist::CellClass::Gate { kind, drive } => {
                 eat(1);
@@ -60,8 +60,12 @@ pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
             m3d_netlist::CellClass::PrimaryOutput => eat(4),
         }
         eat(u64::from(cell.block));
-        for net in cell.inputs.iter().chain(cell.outputs.iter()) {
-            eat(net.map_or(u64::MAX, |n| n.index() as u64));
+        for &raw in netlist.cell_pins(id) {
+            eat(if raw == NO_NET {
+                u64::MAX
+            } else {
+                u64::from(raw)
+            });
         }
     }
     for (_, net) in netlist.nets() {

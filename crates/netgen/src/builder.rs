@@ -19,6 +19,10 @@ use rand::{Rng, SeedableRng};
 pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut n = Netlist::new(spec.name.clone());
+    // Every `(net, sink, pin)` connection, in the order it is decided.
+    // Nothing below reads a sink list, so they are wired in one batch at
+    // the end, which sizes each net's sink list exactly once.
+    let mut wires: Vec<(NetId, CellId, u8)> = Vec::new();
 
     // Clock.
     let clk_port = n.add_input("clk");
@@ -54,7 +58,7 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
                     Drive::X1,
                     tag,
                 );
-                n.connect(clk, ff, 1);
+                wires.push((clk, ff, 1));
                 let q = n.add_net(format!("{}_{rep}_q{r}", b.name), ff, 0);
                 regs.push(ff);
                 reg_q.push(q);
@@ -82,7 +86,7 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
             s.outputs,
             tag,
         );
-        n.connect(clk, id, s.inputs as u8);
+        wires.push((clk, id, s.inputs as u8));
         for o in 0..s.outputs {
             let q = n.add_net(format!("{}_o{o}", s.name), id, o as u8);
             ctxs[ctx_idx].sram_outs.push(q);
@@ -127,7 +131,7 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
                 for pin in 0..kind.input_count() {
                     let src =
                         pick_source(&mut rng, b.locality, &prev_level, &local_pool, &global_pool);
-                    n.connect(src, id, pin as u8);
+                    wires.push((src, id, pin as u8));
                     mark(&mut consumed, src);
                 }
                 let out = n.add_net(format!("{}_n{}", n.block_name(ctx.tag), made + g), id, 0);
@@ -153,7 +157,7 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
                 all_outputs[rng.gen_range(lo..all_outputs.len())]
             };
             let _ = i;
-            n.connect(src, ff, 0);
+            wires.push((src, ff, 0));
             mark(&mut consumed, src);
         }
         dangling.extend(all_outputs);
@@ -168,7 +172,7 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
         };
         for pin in 0..n_in {
             let src = pool[rng.gen_range(0..pool.len())];
-            n.connect(src, id, pin as u8);
+            wires.push((src, id, pin as u8));
             mark(&mut consumed, src);
         }
     }
@@ -192,8 +196,8 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
         for pair in it.by_ref() {
             let x = n.add_gate(format!("collect_x{tree_idx}"), CellKind::Xor2, Drive::X1, 0);
             tree_idx += 1;
-            n.connect(pair[0], x, 0);
-            n.connect(pair[1], x, 1);
+            wires.push((pair[0], x, 0));
+            wires.push((pair[1], x, 1));
             next.push(n.add_net(format!("collect_n{tree_idx}"), x, 0));
         }
         next.extend(it.remainder().iter().copied());
@@ -206,9 +210,11 @@ pub fn generate(spec: &DesignSpec, seed: u64) -> Netlist {
         } else {
             frontier[i % frontier.len()]
         };
-        n.connect(src, po, 0);
+        wires.push((src, po, 0));
     }
 
+    n.connect_all(&wires);
+    n.shrink_to_fit();
     n
 }
 

@@ -1,19 +1,25 @@
 #![recursion_limit = "1024"]
 //! Equivalence proof for the flat [`Topology`] view: on every generator
 //! family — the four paper benchmarks *and* the synthetic scale family —
-//! the SoA/CSR/arena accessors must agree with the legacy AoS accessors
-//! entry for entry, **in the same iteration order**, and the two views
-//! must produce the same connectivity fingerprint. Iteration order is
-//! part of the workspace's determinism contract: a kernel that swaps
-//! `Vec<Cell>` chasing for CSR slices may not move a single bit.
+//! the flat accessors must agree with an independent derivation entry
+//! for entry, **in the same iteration order**, and the two must produce
+//! the same connectivity fingerprint. Iteration order is part of the
+//! workspace's determinism contract: a kernel that reads CSR slices may
+//! not move a single bit.
+//!
+//! The topology shares the netlist's pin array and name arena, so
+//! comparing those against the netlist would compare one array with
+//! itself. The independent path is the *net side*: every cell's pin
+//! slots are rebuilt from the nets' own driver and sink lists (laid out
+//! by each cell's pin counts, not the pin array's offsets), and the
+//! topology's CSR sink arrays are held against the per-net lists.
 
 use m3d_netgen::{scale_netlist, Benchmark};
 use m3d_netlist::{NetId, Netlist, PinRef, Topology, NO_NET};
 use proptest::prelude::*;
 
 /// FNV-1a over a connectivity walk. The walk is written once and fed by
-/// either view, so any ordering or content difference between the views
-/// changes the hash.
+/// either path, so any ordering or content difference changes the hash.
 struct Fnv(u64);
 
 impl Fnv {
@@ -28,12 +34,35 @@ impl Fnv {
     }
 }
 
-/// Connectivity fingerprint from the **legacy** accessors.
-fn legacy_fingerprint(n: &Netlist) -> u64 {
+/// Every cell's pin slots (inputs, then outputs), rebuilt from the nets'
+/// driver and sink lists alone.
+fn slots_from_nets(n: &Netlist) -> Vec<Vec<u32>> {
+    let mut slots: Vec<Vec<u32>> = n
+        .cells()
+        .map(|(_, c)| vec![NO_NET; c.input_count() + c.output_count()])
+        .collect();
+    for (id, net) in n.nets() {
+        if let Some(d) = net.driver {
+            let c = n.cell(d.cell);
+            slots[d.cell.index()][c.input_count() + usize::from(d.pin)] = id.index() as u32;
+        }
+        for s in &net.sinks {
+            slots[s.cell.index()][usize::from(s.pin)] = id.index() as u32;
+        }
+    }
+    slots
+}
+
+/// Connectivity fingerprint from the **net side**.
+fn net_side_fingerprint(n: &Netlist) -> u64 {
     let mut h = Fnv::new();
-    for (_, cell) in n.cells() {
-        for slot in cell.inputs.iter().chain(cell.outputs.iter()) {
-            h.eat(slot.map_or(u64::MAX, |id| id.index() as u64));
+    for cell in slots_from_nets(n) {
+        for raw in cell {
+            h.eat(if raw == NO_NET {
+                u64::MAX
+            } else {
+                u64::from(raw)
+            });
         }
     }
     for (_, net) in n.nets() {
@@ -70,49 +99,55 @@ fn topo_fingerprint(n: &Netlist, t: &Topology) -> u64 {
     h.0
 }
 
-/// Full element-wise agreement between the two views, iteration order
+/// Full element-wise agreement between the two paths, iteration order
 /// included.
 fn assert_views_agree(n: &Netlist) {
     let t = n.topology();
     assert_eq!(t.cell_count(), n.cell_count());
     assert_eq!(t.net_count(), n.net_count());
 
+    let expected = slots_from_nets(n);
     let mut arena = 0usize;
     for id in n.cell_ids() {
+        let name = n.cell_name(id);
+        assert_eq!(t.cell_name(id), name, "cell name");
+        arena += name.len();
         let c = n.cell(id);
-        assert_eq!(t.cell_name(id), c.name, "cell name");
-        arena += c.name.len();
-        let ins: Vec<Option<NetId>> = t
-            .cell_inputs(id)
-            .iter()
-            .map(|&r| (r != NO_NET).then(|| NetId::from_index(r as usize)))
-            .collect();
-        assert_eq!(ins, c.inputs, "input slots of {}", c.name);
-        let outs: Vec<Option<NetId>> = t
-            .cell_outputs(id)
-            .iter()
-            .map(|&r| (r != NO_NET).then(|| NetId::from_index(r as usize)))
-            .collect();
-        assert_eq!(outs, c.outputs, "output slots of {}", c.name);
+        let want = &expected[id.index()];
+        assert_eq!(t.cell_pins(id), &want[..], "pin slots of {name}");
         assert_eq!(
-            t.cell_pins(id).len(),
-            c.inputs.len() + c.outputs.len(),
-            "pin slot count of {}",
-            c.name
+            t.cell_inputs(id),
+            &want[..c.input_count()],
+            "inputs of {name}"
         );
+        assert_eq!(
+            t.cell_outputs(id),
+            &want[c.input_count()..],
+            "outputs of {name}"
+        );
+        for (pin, &raw) in want[..c.input_count()].iter().enumerate() {
+            let net = (raw != NO_NET).then(|| NetId::from_index(raw as usize));
+            assert_eq!(t.input_net(id, pin), net, "input {pin} of {name}");
+        }
     }
     for id in n.net_ids() {
         let net = n.net(id);
-        assert_eq!(t.net_name(id), net.name, "net name");
-        arena += net.name.len();
-        assert_eq!(t.driver(id), net.driver, "driver of {}", net.name);
+        let name = n.net_name(id);
+        assert_eq!(t.net_name(id), name, "net name");
+        arena += name.len();
+        assert_eq!(t.driver(id), net.driver, "driver of {name}");
         let sinks: Vec<PinRef> = t.sinks(id).collect();
-        assert_eq!(sinks, net.sinks, "sink order of {}", net.name);
+        assert_eq!(sinks, net.sinks, "sink order of {name}");
         assert_eq!(t.fanout(id), net.fanout());
         assert_eq!(t.degree(id), net.degree());
         assert_eq!(t.is_clock(id), net.is_clock);
     }
     assert_eq!(t.name_arena_bytes(), arena, "arena holds exactly the names");
+    assert_eq!(
+        t.pin_count(),
+        expected.iter().map(Vec::len).sum::<usize>(),
+        "pin array holds exactly the cells' slots"
+    );
 
     assert_eq!(
         t.combinational_order()
@@ -123,9 +158,9 @@ fn assert_views_agree(n: &Netlist) {
     );
 
     assert_eq!(
-        legacy_fingerprint(n),
+        net_side_fingerprint(n),
         topo_fingerprint(n, &t),
-        "connectivity fingerprints diverge between the views"
+        "connectivity fingerprints diverge between the paths"
     );
 }
 

@@ -1,4 +1,3 @@
-use crate::net::NetId;
 use m3d_tech::{CellKind, Drive};
 use std::fmt;
 
@@ -83,8 +82,9 @@ pub enum CellClass {
         /// Drive strength.
         drive: Drive,
     },
-    /// A hard macro (SRAM).
-    Macro(MacroSpec),
+    /// A hard macro (SRAM). Boxed: the seven `f64`s would otherwise make
+    /// every gate's class 64 bytes instead of 16.
+    Macro(Box<MacroSpec>),
     /// Primary input port: drives one net, has no inputs.
     PrimaryInput,
     /// Primary output port: sinks one net, has no outputs.
@@ -140,52 +140,42 @@ impl CellClass {
 }
 
 /// One instance in the netlist.
+///
+/// A cell holds only what it *is*; its name lives in the netlist's name
+/// arena ([`crate::Netlist::cell_name`]) and its pin-to-net bindings in
+/// the netlist's flat pin array ([`crate::Netlist::cell_inputs`] /
+/// [`crate::Netlist::cell_outputs`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Instance name (unique within the netlist).
-    pub name: String,
     /// What the cell is.
     pub class: CellClass,
     /// Hierarchy block index (see [`crate::Netlist::block_name`]); used by
     /// the workload generators to tag functional blocks with distinct
     /// timing criticality.
     pub block: u16,
-    /// Nets connected to this cell's input pins, by pin index. A `None`
-    /// entry is an unconnected pin (invalid in a validated netlist).
-    pub inputs: Vec<Option<NetId>>,
-    /// Nets driven by this cell's output pins, by pin index.
-    pub outputs: Vec<Option<NetId>>,
     /// `true` if the placer must not move this cell (macros, pre-placed).
     pub fixed: bool,
+    pub(crate) n_in: u8,
+    pub(crate) n_out: u8,
 }
 
 impl Cell {
     /// Number of input pins.
     #[must_use]
     pub fn input_count(&self) -> usize {
-        self.inputs.len()
+        usize::from(self.n_in)
     }
 
     /// Number of output pins.
     #[must_use]
     pub fn output_count(&self) -> usize {
-        self.outputs.len()
+        usize::from(self.n_out)
     }
 
     /// Is this a sequential gate (DFF)?
     #[must_use]
     pub fn is_sequential(&self) -> bool {
         self.class.gate_kind().is_some_and(CellKind::is_sequential)
-    }
-
-    /// Iterates over connected input nets.
-    pub fn input_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.inputs.iter().filter_map(|n| *n)
-    }
-
-    /// Iterates over driven output nets.
-    pub fn output_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.outputs.iter().filter_map(|n| *n)
     }
 }
 
@@ -224,9 +214,15 @@ mod tests {
         assert!(port.is_timing_boundary());
         assert_eq!(port.gate_kind(), None);
 
-        let mac = CellClass::Macro(MacroSpec::sram(1024));
+        let mac = CellClass::Macro(Box::new(MacroSpec::sram(1024)));
         assert!(mac.is_macro());
         assert!(mac.is_timing_boundary());
+    }
+
+    #[test]
+    fn a_class_is_sixteen_bytes_and_a_cell_twenty_four() {
+        assert_eq!(std::mem::size_of::<CellClass>(), 16);
+        assert_eq!(std::mem::size_of::<Cell>(), 24);
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //! * [`NetlistStats`] — size/fanout/composition summaries,
 //! * [`verilog`] — a structural-Verilog writer and parser for the cell set,
 //! * validation ([`Netlist::validate`]) that enforces the single-driver
-//!   rule, full connectivity and acyclicity between registers.
+//!   rule, full connectivity and acyclicity between registers,
+//! * [`Topology`] — the CSR view the hot kernels read.
+//!
+//! Storage is flat: a 24-byte [`Cell`] per instance, one name arena, one
+//! pin array sliced per cell and a sink list per [`Net`]; a clone shares
+//! everything but the cell table.
 //!
 //! # Examples
 //!
@@ -38,11 +43,12 @@ mod net;
 #[allow(clippy::module_inception)]
 mod netlist;
 mod stats;
+mod tables;
 mod topo;
 pub mod verilog;
 
 pub use cell::{Cell, CellClass, CellId, MacroSpec};
 pub use net::{Net, NetId, PinRef};
-pub use netlist::{Netlist, NetlistPartsError, ValidateNetlistError};
+pub use netlist::{Netlist, NetlistParts, NetlistPartsError, ValidateNetlistError};
 pub use stats::NetlistStats;
 pub use topo::{TopoRole, Topology, NO_NET};

@@ -52,11 +52,10 @@ impl fmt::Display for PinRef {
     }
 }
 
-/// One net: a single driver pin fanning out to sink pins.
-#[derive(Debug, Clone, PartialEq)]
+/// One net: a single driver pin fanning out to sink pins. Its name lives
+/// in the netlist's name arena ([`crate::Netlist::net_name`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Net {
-    /// Net name (unique within the netlist).
-    pub name: String,
     /// The driving output pin. `None` only during construction.
     pub driver: Option<PinRef>,
     /// Sink input pins.
@@ -67,17 +66,6 @@ pub struct Net {
 }
 
 impl Net {
-    /// Creates an undriven net.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Net {
-            name: name.into(),
-            driver: None,
-            sinks: Vec::new(),
-            is_clock: false,
-        }
-    }
-
     /// Number of pins (driver + sinks).
     #[must_use]
     pub fn degree(&self) -> usize {
@@ -106,7 +94,7 @@ mod tests {
 
     #[test]
     fn degree_counts_driver_and_sinks() {
-        let mut net = Net::new("n");
+        let mut net = Net::default();
         assert_eq!(net.degree(), 0);
         net.driver = Some(PinRef::new(CellId(0), 0));
         net.sinks.push(PinRef::new(CellId(1), 0));

@@ -1,9 +1,12 @@
 use crate::cell::{Cell, CellClass, CellId, MacroSpec};
 use crate::net::{Net, NetId, PinRef};
 use crate::stats::NetlistStats;
+use crate::tables::{net_of, Pins, Structure};
+use crate::topo::NO_NET;
 use m3d_tech::{CellKind, Drive};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error returned by [`Netlist::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +40,8 @@ impl fmt::Display for ValidateNetlistError {
 
 impl std::error::Error for ValidateNetlistError {}
 
-/// Error returned by [`Netlist::from_parts`]: the supplied pieces do not
-/// form a structurally consistent netlist.
+/// Error returned by [`Netlist::from_parts`] and [`NetlistParts::push_cell`]:
+/// the supplied pieces do not form a structurally consistent netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistPartsError {
     /// The block table is empty (a netlist always has at least `"top"`).
@@ -49,6 +52,11 @@ pub enum NetlistPartsError {
         cell: usize,
         /// The out-of-range tag.
         block: u16,
+    },
+    /// A cell has more input or output pins than a pin index can address.
+    TooManyPins {
+        /// Offending cell index.
+        cell: usize,
     },
     /// A cell pin references a net index outside the net table.
     NetOutOfRange {
@@ -83,6 +91,9 @@ impl fmt::Display for NetlistPartsError {
             NetlistPartsError::BlockOutOfRange { cell, block } => {
                 write!(f, "cell {cell} references unknown block {block}")
             }
+            NetlistPartsError::TooManyPins { cell } => {
+                write!(f, "cell {cell} has more pins than a pin index addresses")
+            }
             NetlistPartsError::NetOutOfRange { cell } => {
                 write!(f, "cell {cell} references an out-of-range net")
             }
@@ -109,15 +120,62 @@ impl std::error::Error for NetlistPartsError {}
 
 /// A gate-level netlist: cells, nets, hierarchy blocks and a clock.
 ///
+/// Storage is flat. Cells (what each instance *is*, 24 bytes) are the
+/// only per-netlist copy; nets, the pin array and the name arena sit
+/// behind one `Arc`, so a clone shares them and costs one `memcpy` of the
+/// cell table. Sizing ([`Netlist::set_drive`]) touches cells only; a
+/// structural edit copies the table it writes when a clone or a
+/// [`crate::Topology`] still shares it.
+///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Netlist {
     /// Design name.
     pub name: String,
     cells: Vec<Cell>,
-    nets: Vec<Net>,
+    pub(crate) structure: Arc<Structure>,
     blocks: Vec<String>,
     clock: Option<NetId>,
+}
+
+fn pin_count(count: usize) -> Option<u8> {
+    u8::try_from(count).ok()
+}
+
+/// Where input (`input`) or output pin `pin` of cell `cell` sits in the
+/// pin array, if the cell has that pin.
+fn slot_at(cells: &[Cell], pins: &Pins, cell: usize, input: bool, pin: u8) -> Option<usize> {
+    let c = &cells[cell];
+    let (base, count) = if input {
+        (0, c.n_in)
+    } else {
+        (c.n_in, c.n_out)
+    };
+    (pin < count).then(|| pins.off[cell] as usize + usize::from(base) + usize::from(pin))
+}
+
+/// The pin slot behind input (`input`) or output pin `pin` of `cell`.
+fn slot_mut<'p>(
+    cells: &[Cell],
+    pins: &'p mut Pins,
+    cell: CellId,
+    input: bool,
+    pin: u8,
+) -> &'p mut u32 {
+    let Some(at) = slot_at(cells, pins, cell.index(), input, pin) else {
+        let kind = if input { "input" } else { "output" };
+        panic!("{kind} pin {pin} out of range on {cell}");
+    };
+    &mut pins.slot[at]
+}
+
+/// [`Netlist::connect`] on an already-unshared structure.
+fn connect(cells: &[Cell], s: &mut Structure, (net, sink, pin): (NetId, CellId, u8)) {
+    assert!(net.index() < s.nets.len(), "net {net} out of range");
+    let slot = slot_mut(cells, &mut s.pins, sink, true, pin);
+    assert!(*slot == NO_NET, "input pin already connected");
+    *slot = net.0;
+    s.nets[net.index()].sinks.push(PinRef::new(sink, pin));
 }
 
 impl Netlist {
@@ -127,7 +185,7 @@ impl Netlist {
         Netlist {
             name: name.into(),
             cells: Vec::new(),
-            nets: Vec::new(),
+            structure: Arc::new(Structure::new()),
             blocks: vec!["top".to_string()],
             clock: None,
         }
@@ -161,69 +219,76 @@ impl Netlist {
     /// for the clock (always the last pin).
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         kind: CellKind,
         drive: Drive,
         block: u16,
     ) -> CellId {
         let n_in = kind.input_count() + usize::from(kind.is_sequential());
-        self.push_cell(Cell {
-            name: name.into(),
-            class: CellClass::Gate { kind, drive },
+        self.push_cell(
+            name.as_ref(),
+            CellClass::Gate { kind, drive },
             block,
-            inputs: vec![None; n_in],
-            outputs: vec![None; 1],
-            fixed: false,
-        })
+            (n_in, 1),
+            false,
+        )
     }
 
     /// Adds a hard macro with `n_inputs` data inputs, `n_outputs` outputs,
     /// plus a trailing clock pin. Macros are fixed (not moved by placement).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either pin count exceeds what a `u8` pin index addresses.
     pub fn add_macro(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         spec: MacroSpec,
         n_inputs: usize,
         n_outputs: usize,
         block: u16,
     ) -> CellId {
-        self.push_cell(Cell {
-            name: name.into(),
-            class: CellClass::Macro(spec),
+        self.push_cell(
+            name.as_ref(),
+            CellClass::Macro(Box::new(spec)),
             block,
-            inputs: vec![None; n_inputs + 1],
-            outputs: vec![None; n_outputs],
-            fixed: true,
-        })
+            (n_inputs + 1, n_outputs),
+            true,
+        )
     }
 
     /// Adds a primary input port (one output pin, no inputs).
-    pub fn add_input(&mut self, name: impl Into<String>) -> CellId {
-        self.push_cell(Cell {
-            name: name.into(),
-            class: CellClass::PrimaryInput,
-            block: 0,
-            inputs: Vec::new(),
-            outputs: vec![None; 1],
-            fixed: false,
-        })
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> CellId {
+        self.push_cell(name.as_ref(), CellClass::PrimaryInput, 0, (0, 1), false)
     }
 
     /// Adds a primary output port (one input pin, no outputs).
-    pub fn add_output(&mut self, name: impl Into<String>) -> CellId {
-        self.push_cell(Cell {
-            name: name.into(),
-            class: CellClass::PrimaryOutput,
-            block: 0,
-            inputs: vec![None; 1],
-            outputs: Vec::new(),
-            fixed: false,
-        })
+    pub fn add_output(&mut self, name: impl AsRef<str>) -> CellId {
+        self.push_cell(name.as_ref(), CellClass::PrimaryOutput, 0, (1, 0), false)
     }
 
-    fn push_cell(&mut self, cell: Cell) -> CellId {
+    fn push_cell(
+        &mut self,
+        name: &str,
+        class: CellClass,
+        block: u16,
+        (n_in, n_out): (usize, usize),
+        fixed: bool,
+    ) -> CellId {
+        let (Some(n_in), Some(n_out)) = (pin_count(n_in), pin_count(n_out)) else {
+            panic!("cell `{name}` has more pins than a pin index addresses");
+        };
         let id = CellId(self.cells.len() as u32);
-        self.cells.push(cell);
+        let s = Arc::make_mut(&mut self.structure);
+        s.pins.push_cell(usize::from(n_in) + usize::from(n_out));
+        s.names.cells.push(name);
+        self.cells.push(Cell {
+            class,
+            block,
+            fixed,
+            n_in,
+            n_out,
+        });
         id
     }
 
@@ -244,12 +309,16 @@ impl Netlist {
     ///
     /// Returns the first [`NetlistPartsError`] violation found.
     pub fn from_parts(
-        name: impl Into<String>,
-        blocks: Vec<String>,
-        cells: Vec<Cell>,
-        nets: Vec<Net>,
+        parts: NetlistParts,
         clock: Option<NetId>,
     ) -> Result<Self, NetlistPartsError> {
+        let NetlistParts {
+            name,
+            blocks,
+            cells,
+            mut structure,
+        } = parts;
+        let Structure { nets, pins, .. } = &structure;
         if blocks.is_empty() {
             return Err(NetlistPartsError::NoBlocks);
         }
@@ -262,31 +331,37 @@ impl Netlist {
                     block: cell.block,
                 });
             }
-            let in_range = |slot: &Option<NetId>| slot.is_none_or(|n| n.index() < n_nets);
-            if !cell.inputs.iter().all(in_range) || !cell.outputs.iter().all(in_range) {
+            if !pins
+                .of(i)
+                .iter()
+                .all(|&r| r == NO_NET || (r as usize) < n_nets)
+            {
                 return Err(NetlistPartsError::NetOutOfRange { cell: i });
             }
         }
+        let slot = |pin: PinRef, input: bool| {
+            (pin.cell.index() < n_cells)
+                .then(|| slot_at(&cells, pins, pin.cell.index(), input, pin.pin))
+                .flatten()
+                .map(|at| pins.slot[at])
+        };
         for (i, net) in nets.iter().enumerate() {
-            let id = NetId(i as u32);
             if let Some(drv) = net.driver {
-                let ok = drv.cell.index() < n_cells
-                    && (drv.pin as usize) < cells[drv.cell.index()].outputs.len();
-                if !ok {
-                    return Err(NetlistPartsError::PinOutOfRange { net: i });
-                }
-                if cells[drv.cell.index()].outputs[drv.pin as usize] != Some(id) {
-                    return Err(NetlistPartsError::DriverMismatch { net: i });
+                match slot(drv, false) {
+                    None => return Err(NetlistPartsError::PinOutOfRange { net: i }),
+                    Some(raw) if raw != i as u32 => {
+                        return Err(NetlistPartsError::DriverMismatch { net: i })
+                    }
+                    Some(_) => {}
                 }
             }
             for sink in &net.sinks {
-                let ok = sink.cell.index() < n_cells
-                    && (sink.pin as usize) < cells[sink.cell.index()].inputs.len();
-                if !ok {
-                    return Err(NetlistPartsError::PinOutOfRange { net: i });
-                }
-                if cells[sink.cell.index()].inputs[sink.pin as usize] != Some(id) {
-                    return Err(NetlistPartsError::SinkMismatch { net: i });
+                match slot(*sink, true) {
+                    None => return Err(NetlistPartsError::PinOutOfRange { net: i }),
+                    Some(raw) if raw != i as u32 => {
+                        return Err(NetlistPartsError::SinkMismatch { net: i })
+                    }
+                    Some(_) => {}
                 }
             }
         }
@@ -294,12 +369,13 @@ impl Netlist {
         // its net's driver/sink records (counting handles duplicates).
         let mut input_refs = vec![0usize; n_nets];
         let mut output_refs = vec![0usize; n_nets];
-        for cell in &cells {
-            for net in cell.inputs.iter().flatten() {
-                input_refs[net.index()] += 1;
+        for (i, cell) in cells.iter().enumerate() {
+            let (ins, outs) = pins.of(i).split_at(usize::from(cell.n_in));
+            for &raw in ins.iter().filter(|&&r| r != NO_NET) {
+                input_refs[raw as usize] += 1;
             }
-            for net in cell.outputs.iter().flatten() {
-                output_refs[net.index()] += 1;
+            for &raw in outs.iter().filter(|&&r| r != NO_NET) {
+                output_refs[raw as usize] += 1;
             }
         }
         for (i, net) in nets.iter().enumerate() {
@@ -323,10 +399,11 @@ impl Netlist {
         {
             return Err(NetlistPartsError::ClockMismatch);
         }
+        structure.shrink_to_fit();
         Ok(Netlist {
-            name: name.into(),
+            name,
             cells,
-            nets,
+            structure: Arc::new(structure),
             blocks,
             clock,
         })
@@ -337,14 +414,17 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the pin index is out of range or already drives a net.
-    pub fn add_net(&mut self, name: impl Into<String>, driver: CellId, pin: u8) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        let mut net = Net::new(name);
-        net.driver = Some(PinRef::new(driver, pin));
-        let slot = &mut self.cells[driver.index()].outputs[pin as usize];
-        assert!(slot.is_none(), "output pin already drives a net");
-        *slot = Some(id);
-        self.nets.push(net);
+    pub fn add_net(&mut self, name: impl AsRef<str>, driver: CellId, pin: u8) -> NetId {
+        let s = Arc::make_mut(&mut self.structure);
+        let id = NetId(s.nets.len() as u32);
+        let slot = slot_mut(&self.cells, &mut s.pins, driver, false, pin);
+        assert!(*slot == NO_NET, "output pin already drives a net");
+        *slot = id.0;
+        s.names.nets.push(name.as_ref());
+        s.nets.push(Net {
+            driver: Some(PinRef::new(driver, pin)),
+            ..Net::default()
+        });
         id
     }
 
@@ -352,20 +432,77 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if the pin index is out of range or already connected.
+    /// Panics if the net or pin index is out of range or the pin is
+    /// already connected.
     pub fn connect(&mut self, net: NetId, sink: CellId, pin: u8) {
-        let slot = &mut self.cells[sink.index()].inputs[pin as usize];
-        assert!(slot.is_none(), "input pin already connected");
-        *slot = Some(net);
-        self.nets[net.index()].sinks.push(PinRef::new(sink, pin));
+        connect(
+            &self.cells,
+            Arc::make_mut(&mut self.structure),
+            (net, sink, pin),
+        );
+    }
+
+    /// Connects every `(net, sink, pin)` edge in order — the netlist
+    /// [`Netlist::connect`] would build edge by edge — but grows each
+    /// net's sink list once, to its exact final length, so a bulk builder
+    /// leaves no capacity slack behind. An empty batch is no edit: a
+    /// structure shared with a clone stays shared.
+    ///
+    /// # Panics
+    ///
+    /// As [`Netlist::connect`], on the first offending edge.
+    pub fn connect_all(&mut self, edges: &[(NetId, CellId, u8)]) {
+        if edges.is_empty() {
+            return;
+        }
+        let s = Arc::make_mut(&mut self.structure);
+        let mut added = vec![0u32; s.nets.len()];
+        for (net, ..) in edges {
+            added[net.index()] += 1;
+        }
+        for (net, &n) in s.nets.iter_mut().zip(&added) {
+            if n > 0 {
+                net.sinks.reserve_exact(n as usize);
+            }
+        }
+        for &edge in edges {
+            connect(&self.cells, s, edge);
+        }
+    }
+
+    /// Disconnects every sink of `net` past its first `keep` and returns
+    /// them in sink order. Their input pins are left unconnected for the
+    /// caller to reconnect (net splitting: fanout buffering).
+    pub fn detach_sinks(&mut self, net: NetId, keep: usize) -> Vec<PinRef> {
+        let s = Arc::make_mut(&mut self.structure);
+        let sinks = &mut s.nets[net.index()].sinks;
+        let spill = sinks.split_off(keep.min(sinks.len()));
+        sinks.shrink_to_fit();
+        for pin in &spill {
+            *slot_mut(&self.cells, &mut s.pins, pin.cell, true, pin.pin) = NO_NET;
+        }
+        spill
+    }
+
+    /// Drops the capacity slack bulk construction leaves in the flat
+    /// tables (cells, nets, pins, names): a handful of reallocations,
+    /// none per cell or net. A structure still shared with a clone came
+    /// from that clone and is already exact.
+    pub fn shrink_to_fit(&mut self) {
+        self.cells.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+        if let Some(s) = Arc::get_mut(&mut self.structure) {
+            s.shrink_to_fit();
+        }
     }
 
     /// Marks `net` as the clock net.
     pub fn set_clock(&mut self, net: NetId) {
+        let nets = &mut Arc::make_mut(&mut self.structure).nets;
         if let Some(old) = self.clock {
-            self.nets[old.index()].is_clock = false;
+            nets[old.index()].is_clock = false;
         }
-        self.nets[net.index()].is_clock = true;
+        nets[net.index()].is_clock = true;
         self.clock = Some(net);
     }
 
@@ -395,20 +532,64 @@ impl Netlist {
         &self.cells[id.index()]
     }
 
-    /// Mutable access to a cell.
-    pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        &mut self.cells[id.index()]
+    /// Name of `cell`.
+    #[must_use]
+    pub fn cell_name(&self, cell: CellId) -> &str {
+        self.structure.names.cells.get(cell.index())
+    }
+
+    /// All pin slots of `cell`: input slots in pin order, then output
+    /// slots in pin order. Entries are raw net indices, [`NO_NET`] for an
+    /// unconnected pin.
+    #[must_use]
+    pub fn cell_pins(&self, cell: CellId) -> &[u32] {
+        self.structure.pins.of(cell.index())
+    }
+
+    /// The input pin slots of `cell` (raw, [`NO_NET`] = unconnected).
+    #[must_use]
+    pub fn cell_inputs(&self, cell: CellId) -> &[u32] {
+        &self.cell_pins(cell)[..self.cell(cell).input_count()]
+    }
+
+    /// The output pin slots of `cell` (raw, [`NO_NET`] = unconnected).
+    #[must_use]
+    pub fn cell_outputs(&self, cell: CellId) -> &[u32] {
+        &self.cell_pins(cell)[self.cell(cell).input_count()..]
+    }
+
+    /// The net on input pin `pin` of `cell`, if connected.
+    #[must_use]
+    pub fn input_net(&self, cell: CellId, pin: usize) -> Option<NetId> {
+        net_of(*self.cell_inputs(cell).get(pin)?)
+    }
+
+    /// The net driven by output pin `pin` of `cell`, if any.
+    #[must_use]
+    pub fn output_net(&self, cell: CellId, pin: usize) -> Option<NetId> {
+        net_of(*self.cell_outputs(cell).get(pin)?)
+    }
+
+    /// Iterates over the nets on `cell`'s connected input pins.
+    pub fn input_nets(&self, cell: CellId) -> impl Iterator<Item = NetId> + '_ {
+        self.cell_inputs(cell).iter().filter_map(|&r| net_of(r))
+    }
+
+    /// Iterates over the nets `cell` drives.
+    pub fn output_nets(&self, cell: CellId) -> impl Iterator<Item = NetId> + '_ {
+        self.cell_outputs(cell).iter().filter_map(|&r| net_of(r))
     }
 
     /// The net behind `id`.
     #[must_use]
     pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+        &self.structure.nets[id.index()]
     }
 
-    /// Mutable access to a net.
-    pub fn net_mut(&mut self, id: NetId) -> &mut Net {
-        &mut self.nets[id.index()]
+    /// Name of `net`.
+    #[must_use]
+    pub fn net_name(&self, net: NetId) -> &str {
+        self.structure.names.nets.get(net.index())
     }
 
     /// Number of cells (gates + macros + ports).
@@ -420,7 +601,7 @@ impl Netlist {
     /// Number of nets.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.structure.nets.len()
     }
 
     /// Number of standard-cell gates.
@@ -442,7 +623,7 @@ impl Netlist {
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
-        (0..self.nets.len() as u32).map(NetId)
+        (0..self.net_count() as u32).map(NetId)
     }
 
     /// Iterates over `(CellId, &Cell)` pairs.
@@ -455,7 +636,8 @@ impl Netlist {
 
     /// Iterates over `(NetId, &Net)` pairs.
     pub fn nets(&self) -> impl Iterator<Item = (NetId, &Net)> {
-        self.nets
+        self.structure
+            .nets
             .iter()
             .enumerate()
             .map(|(i, n)| (NetId(i as u32), n))
@@ -476,7 +658,7 @@ impl Netlist {
     pub fn is_clock_pin(&self, cell: CellId, pin: u8) -> bool {
         let c = self.cell(cell);
         let clocked = c.is_sequential() || c.class.is_macro();
-        clocked && pin as usize == c.inputs.len() - 1
+        clocked && pin as usize == c.input_count() - 1
     }
 
     /// Computes summary statistics.
@@ -495,33 +677,32 @@ impl Netlist {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), ValidateNetlistError> {
-        for net in &self.nets {
+        for (id, net) in self.nets() {
             if net.driver.is_none() {
-                return Err(ValidateNetlistError::UndrivenNet(net.name.clone()));
+                return Err(ValidateNetlistError::UndrivenNet(
+                    self.net_name(id).to_string(),
+                ));
             }
         }
-        for cell in &self.cells {
-            for (pin, slot) in cell.inputs.iter().enumerate() {
-                if slot.is_none() {
-                    return Err(ValidateNetlistError::UnconnectedPin(
-                        cell.name.clone(),
-                        pin as u8,
-                    ));
-                }
+        for id in self.cell_ids() {
+            if let Some(pin) = self.cell_inputs(id).iter().position(|&r| r == NO_NET) {
+                return Err(ValidateNetlistError::UnconnectedPin(
+                    self.cell_name(id).to_string(),
+                    pin as u8,
+                ));
             }
         }
         if self.clock.is_some() {
             for (id, cell) in self.cells() {
                 if cell.is_sequential() {
-                    let clk_pin = cell.inputs.len() - 1;
-                    let net = cell.inputs[clk_pin];
+                    let net = self.input_net(id, cell.input_count() - 1);
                     let clocked = net.is_some_and(|n| self.net(n).is_clock) || {
                         // Clock may arrive through a clock-buffer tree.
                         net.is_some_and(|n| self.net_in_clock_tree(n))
                     };
                     if !clocked {
                         return Err(ValidateNetlistError::UnclockedRegister(
-                            self.cell(id).name.clone(),
+                            self.cell_name(id).to_string(),
                         ));
                     }
                 }
@@ -539,9 +720,8 @@ impl Netlist {
             let Some(drv) = self.net(net).driver else {
                 return false;
             };
-            let cell = self.cell(drv.cell);
-            match cell.class.gate_kind() {
-                Some(k) if k.is_clock_cell() => match cell.inputs.first().copied().flatten() {
+            match self.cell(drv.cell).class.gate_kind() {
+                Some(k) if k.is_clock_cell() => match self.input_net(drv.cell, 0) {
                     Some(up) => net = up,
                     None => return false,
                 },
@@ -563,18 +743,13 @@ impl Netlist {
         let n = self.cells.len();
         let is_comb = |c: &Cell| c.class.is_gate() && !c.is_sequential();
         let mut indegree = vec![0u32; n];
-        for cell in &self.cells {
-            if !is_comb(cell) {
-                continue;
-            }
-        }
         // Count combinational predecessors for each combinational gate.
         for (i, cell) in self.cells.iter().enumerate() {
             if !is_comb(cell) {
                 continue;
             }
             let mut deg = 0;
-            for net in cell.input_nets() {
+            for net in self.input_nets(CellId(i as u32)) {
                 if let Some(drv) = self.net(net).driver {
                     if is_comb(self.cell(drv.cell)) {
                         deg += 1;
@@ -589,7 +764,7 @@ impl Netlist {
         let mut order = Vec::new();
         while let Some(i) = queue.pop_front() {
             order.push(CellId(i as u32));
-            for net in self.cells[i].output_nets() {
+            for net in self.output_nets(CellId(i as u32)) {
                 for sink in &self.net(net).sinks {
                     let j = sink.cell.index();
                     if is_comb(&self.cells[j]) {
@@ -606,11 +781,88 @@ impl Netlist {
             // Find a cell still carrying indegree for the error message.
             let culprit = (0..n)
                 .find(|&i| is_comb(&self.cells[i]) && indegree[i] > 0)
-                .map(|i| self.cells[i].name.clone())
+                .map(|i| self.cell_name(CellId(i as u32)).to_string())
                 .unwrap_or_default();
             return Err(ValidateNetlistError::CombinationalCycle(culprit));
         }
         Ok(order)
+    }
+}
+
+/// The raw tables of a netlist in storage order, filled cell by cell and
+/// net by net and checked by [`Netlist::from_parts`] — the staging form a
+/// decoder writes into. Names go straight into the arena and pin slots
+/// into the flat pin array; nothing is allocated per cell.
+#[derive(Debug, Clone)]
+pub struct NetlistParts {
+    name: String,
+    blocks: Vec<String>,
+    cells: Vec<Cell>,
+    structure: Structure,
+}
+
+impl NetlistParts {
+    /// Empty tables for a design with the given block table.
+    #[must_use]
+    pub fn new(name: impl Into<String>, blocks: Vec<String>) -> Self {
+        NetlistParts {
+            name: name.into(),
+            blocks,
+            cells: Vec::new(),
+            structure: Structure::new(),
+        }
+    }
+
+    /// Reserves room for exactly `cells` more cells and `nets` more nets.
+    pub fn reserve(&mut self, cells: usize, nets: usize) {
+        self.cells.reserve_exact(cells);
+        self.structure.nets.reserve_exact(nets);
+        self.structure.pins.reserve(cells);
+        self.structure.names.reserve(cells, nets);
+    }
+
+    /// Appends the next cell: its name, what it is, and its input and
+    /// output pin slots in pin order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistPartsError::TooManyPins`] when either slot list is longer
+    /// than a `u8` pin index addresses.
+    pub fn push_cell(
+        &mut self,
+        name: &str,
+        class: CellClass,
+        block: u16,
+        fixed: bool,
+        inputs: &[Option<NetId>],
+        outputs: &[Option<NetId>],
+    ) -> Result<(), NetlistPartsError> {
+        let (Some(n_in), Some(n_out)) = (pin_count(inputs.len()), pin_count(outputs.len())) else {
+            return Err(NetlistPartsError::TooManyPins {
+                cell: self.cells.len(),
+            });
+        };
+        let raw = |slot: &Option<NetId>| slot.map_or(NO_NET, |n| n.0);
+        let s = &mut self.structure;
+        s.pins.slot.extend(inputs.iter().chain(outputs).map(raw));
+        s.pins
+            .off
+            .push(u32::try_from(s.pins.slot.len()).expect("pin array exceeds 4 Gi slots"));
+        s.names.cells.push(name);
+        self.cells.push(Cell {
+            class,
+            block,
+            fixed,
+            n_in,
+            n_out,
+        });
+        Ok(())
+    }
+
+    /// Appends the next net.
+    pub fn push_net(&mut self, name: &str, net: Net) {
+        self.structure.names.nets.push(name);
+        self.structure.nets.push(net);
     }
 }
 
@@ -641,7 +893,7 @@ mod tests {
         let order = n.combinational_order().unwrap();
         assert_eq!(order.len(), 2);
         // g1 must precede g2.
-        assert!(n.cell(order[0]).name == "g1");
+        assert_eq!(n.cell_name(order[0]), "g1");
     }
 
     #[test]
@@ -742,79 +994,217 @@ mod tests {
     #[test]
     fn set_drive_changes_gate() {
         let mut n = chain();
-        let g1 = n.cells().find(|(_, c)| c.name == "g1").unwrap().0;
+        let g1 = n.cell_ids().find(|&id| n.cell_name(id) == "g1").unwrap();
         n.set_drive(g1, Drive::X8);
         assert_eq!(n.cell(g1).class.gate_drive(), Some(Drive::X8));
     }
 
-    /// Tears a netlist into the raw tables `from_parts` accepts.
-    fn into_parts(n: &Netlist) -> (Vec<String>, Vec<Cell>, Vec<Net>, Option<NetId>) {
-        (
-            (0..n.block_count() as u16)
-                .map(|t| n.block_name(t).to_string())
-                .collect(),
-            n.cells().map(|(_, c)| c.clone()).collect(),
-            n.nets().map(|(_, net)| net.clone()).collect(),
-            n.clock(),
-        )
+    type Slots = Vec<Option<NetId>>;
+
+    /// Tears a netlist into the tables `from_parts` accepts, letting the
+    /// caller corrupt cells (with their input/output slots) and nets.
+    fn parts_of(
+        n: &Netlist,
+        blocks: Vec<String>,
+        mut cell_edit: impl FnMut(usize, &mut Cell, &mut Slots, &mut Slots),
+        mut net_edit: impl FnMut(usize, &mut Net),
+    ) -> NetlistParts {
+        let mut parts = NetlistParts::new(n.name.clone(), blocks);
+        parts.reserve(n.cell_count(), n.net_count());
+        let slots = |raw: &[u32]| raw.iter().map(|&r| net_of(r)).collect::<Slots>();
+        for (id, c) in n.cells() {
+            let (mut cell, mut ins, mut outs) = (
+                c.clone(),
+                slots(n.cell_inputs(id)),
+                slots(n.cell_outputs(id)),
+            );
+            cell_edit(id.index(), &mut cell, &mut ins, &mut outs);
+            parts
+                .push_cell(
+                    n.cell_name(id),
+                    cell.class,
+                    cell.block,
+                    cell.fixed,
+                    &ins,
+                    &outs,
+                )
+                .unwrap();
+        }
+        for (id, net) in n.nets() {
+            let mut net = net.clone();
+            net_edit(id.index(), &mut net);
+            parts.push_net(n.net_name(id), net);
+        }
+        parts
+    }
+
+    fn blocks_of(n: &Netlist) -> Vec<String> {
+        (0..n.block_count() as u16)
+            .map(|t| n.block_name(t).to_string())
+            .collect()
+    }
+
+    fn intact(n: &Netlist) -> NetlistParts {
+        parts_of(n, blocks_of(n), |_, _, _, _| {}, |_, _| {})
     }
 
     #[test]
     fn from_parts_round_trips_a_built_netlist() {
         let n = chain();
-        let (blocks, cells, nets, clock) = into_parts(&n);
-        let rebuilt = Netlist::from_parts(n.name.clone(), blocks, cells, nets, clock).unwrap();
+        let rebuilt = Netlist::from_parts(intact(&n), n.clock()).unwrap();
         assert_eq!(rebuilt.cell_count(), n.cell_count());
         assert_eq!(rebuilt.net_count(), n.net_count());
         assert!(rebuilt.validate().is_ok());
         for id in n.cell_ids() {
             assert_eq!(rebuilt.cell(id), n.cell(id));
+            assert_eq!(rebuilt.cell_name(id), n.cell_name(id));
+            assert_eq!(rebuilt.cell_pins(id), n.cell_pins(id));
+        }
+        for id in n.net_ids() {
+            assert_eq!(rebuilt.net(id), n.net(id));
+            assert_eq!(rebuilt.net_name(id), n.net_name(id));
         }
     }
 
     #[test]
     fn from_parts_rejects_inconsistent_tables() {
         let n = chain();
-        let (blocks, cells, nets, clock) = into_parts(&n);
+        let blocks = blocks_of(&n);
+        let clock = n.clock();
+        let cells = |edit: &dyn Fn(usize, &mut Cell, &mut Slots)| {
+            parts_of(
+                &n,
+                blocks.clone(),
+                |i, c, ins, _| edit(i, c, ins),
+                |_, _| {},
+            )
+        };
+        let nets = |edit: &dyn Fn(usize, &mut Net)| {
+            parts_of(&n, blocks.clone(), |_, _, _, _| {}, |i, net| edit(i, net))
+        };
 
         // Empty block table.
         assert!(matches!(
-            Netlist::from_parts("x", Vec::new(), cells.clone(), nets.clone(), clock),
+            Netlist::from_parts(parts_of(&n, Vec::new(), |_, _, _, _| {}, |_, _| {}), clock),
             Err(NetlistPartsError::NoBlocks)
         ));
         // Out-of-range block tag.
-        let mut bad = cells.clone();
-        bad[0].block = 7;
+        let bad = cells(&|i, c, _| {
+            if i == 0 {
+                c.block = 7;
+            }
+        });
         assert!(matches!(
-            Netlist::from_parts("x", blocks.clone(), bad, nets.clone(), clock),
+            Netlist::from_parts(bad, clock),
             Err(NetlistPartsError::BlockOutOfRange { cell: 0, block: 7 })
         ));
         // Out-of-range net index in a pin slot.
-        let mut bad = cells.clone();
-        bad[1].inputs[0] = Some(NetId(99));
+        let bad = cells(&|i, _, ins| {
+            if i == 1 {
+                ins[0] = Some(NetId(99));
+            }
+        });
         assert!(matches!(
-            Netlist::from_parts("x", blocks.clone(), bad, nets.clone(), clock),
+            Netlist::from_parts(bad, clock),
             Err(NetlistPartsError::NetOutOfRange { cell: 1 })
         ));
         // Driver pointing at a non-existent cell.
-        let mut bad = nets.clone();
-        bad[0].driver = Some(PinRef::new(CellId(42), 0));
+        let bad = nets(&|i, net| {
+            if i == 0 {
+                net.driver = Some(PinRef::new(CellId(42), 0));
+            }
+        });
         assert!(matches!(
-            Netlist::from_parts("x", blocks.clone(), cells.clone(), bad, clock),
+            Netlist::from_parts(bad, clock),
             Err(NetlistPartsError::PinOutOfRange { net: 0 })
         ));
         // Sink list that the cells' input slots do not mirror.
-        let mut bad = nets.clone();
-        bad[0].sinks.clear();
+        let bad = nets(&|i, net| {
+            if i == 0 {
+                net.sinks.clear();
+            }
+        });
         assert!(matches!(
-            Netlist::from_parts("x", blocks.clone(), cells.clone(), bad, clock),
+            Netlist::from_parts(bad, clock),
             Err(NetlistPartsError::SinkMismatch { net: 0 })
         ));
         // Clock designating a net whose flag disagrees.
         assert!(matches!(
-            Netlist::from_parts("x", blocks, cells, nets, Some(NetId(0))),
+            Netlist::from_parts(intact(&n), Some(NetId(0))),
             Err(NetlistPartsError::ClockMismatch)
         ));
+        // A pin list no `u8` pin index can address.
+        let mut parts = NetlistParts::new("x", blocks_of(&n));
+        assert_eq!(
+            parts.push_cell(
+                "wide",
+                CellClass::PrimaryOutput,
+                0,
+                false,
+                &[None; 256],
+                &[]
+            ),
+            Err(NetlistPartsError::TooManyPins { cell: 0 })
+        );
+    }
+
+    #[test]
+    fn clones_share_structure_and_edits_copy_it() {
+        let n = chain();
+        let mut m = n.clone();
+        assert!(Arc::ptr_eq(&n.structure, &m.structure));
+        m.set_drive(CellId(1), Drive::X4);
+        assert!(
+            Arc::ptr_eq(&n.structure, &m.structure),
+            "sizing leaves structure shared"
+        );
+        m.connect_all(&[]);
+        m.shrink_to_fit();
+        assert!(
+            Arc::ptr_eq(&n.structure, &m.structure),
+            "an empty batch and a trim are no edits"
+        );
+        let spill = m.detach_sinks(NetId(0), 0);
+        assert_eq!(spill, vec![PinRef::new(CellId(1), 0)]);
+        assert!(
+            !Arc::ptr_eq(&n.structure, &m.structure),
+            "a structural edit copies"
+        );
+        assert_eq!(m.input_net(CellId(1), 0), None);
+        assert_eq!(
+            n.input_net(CellId(1), 0),
+            Some(NetId(0)),
+            "the original is untouched"
+        );
+        m.connect(NetId(0), CellId(1), 0);
+        assert_eq!(m.net(NetId(0)), n.net(NetId(0)));
+    }
+
+    #[test]
+    fn connect_all_builds_what_connect_builds_without_slack() {
+        let mut a = Netlist::new("a");
+        let src = a.add_input("s");
+        let sinks: Vec<CellId> = (0..5).map(|i| a.add_output(format!("o{i}"))).collect();
+        let net = a.add_net("s", src, 0);
+        let mut b = a.clone();
+        for &c in &sinks {
+            a.connect(net, c, 0);
+        }
+        let edges: Vec<_> = sinks.iter().map(|&c| (net, c, 0)).collect();
+        b.connect_all(&edges);
+        assert_eq!(a.net(net), b.net(net));
+        assert_eq!(b.net(net).sinks.capacity(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_pin_past_the_cell_panics_instead_of_writing_its_neighbour() {
+        let mut n = Netlist::new("oob");
+        let a = n.add_input("a");
+        let g = n.add_gate("g", CellKind::Inv, Drive::X1, 0);
+        let _next = n.add_gate("h", CellKind::Inv, Drive::X1, 0);
+        let na = n.add_net("na", a, 0);
+        n.connect(na, g, 1);
     }
 
     #[test]

@@ -1,36 +1,32 @@
 //! Flat, index-dense topology view over a [`Netlist`].
 //!
-//! The canonical netlist storage stays array-of-structs (`Vec<Cell>` /
-//! `Vec<Net>`) because construction and ECO passes mutate individual pin
-//! slots in place. The hot kernels, however, want structure-of-arrays:
-//! one contiguous buffer per attribute, CSR offset arrays instead of
-//! per-cell/per-net `Vec`s, and a single string arena instead of millions
-//! of small `String` allocations.
+//! The netlist itself is already flat where it can be: one name arena,
+//! one pin array sliced per cell. What it keeps per net is a `Vec` of
+//! sinks, because fanout buffering edits sink lists in place. The hot
+//! kernels want the rest flat too, plus a little precomputation:
 //!
-//! [`Topology`] is that view: built in one pass over the netlist, it
-//! packs
-//!
-//! - every cell and net name into **one** string arena (`names`) with
-//!   offset arrays, so name lookups are slice indexing;
-//! - every pin slot into **one** `Vec<u32>` (`pin_net`): a cell's slice
-//!   is its input slots followed by its output slots, `u32::MAX` marking
-//!   an unconnected pin;
-//! - every net's sink list into CSR arrays (`sink_off` / `sink_cell` /
+//! - the netlist's name arena and pin array, **shared** (`Arc`), not
+//!   copied: a cell's pin slice is its input slots followed by its output
+//!   slots, [`NO_NET`] marking an unconnected pin;
+//! - every net's sink list in CSR arrays (`sink_off` / `sink_cell` /
 //!   `sink_pin`), mirroring `Net::sinks` order exactly;
-//! - per-cell roles and per-net clock flags into dense byte arrays so
+//! - per-cell roles and per-net clock flags in dense byte arrays so
 //!   kernels stop chasing `CellClass` enums.
 //!
 //! **Iteration order is part of the repo's determinism contract**: every
-//! slice in this view preserves the exact order of the legacy accessors
-//! (`Cell::inputs`, `Cell::outputs`, `Net::sinks`), and
-//! [`Topology::combinational_order`] reproduces the Kahn order of
-//! [`Netlist::combinational_order`] bit for bit. The property suite in
-//! `tests/csr_equivalence.rs` holds the two views equal on every
-//! generator family.
+//! slice in this view preserves the exact order of the netlist's
+//! accessors (`Netlist::cell_inputs`, `Netlist::cell_outputs`,
+//! `Net::sinks`), and [`Topology::combinational_order`] reproduces the
+//! Kahn order of [`Netlist::combinational_order`] bit for bit. The
+//! property suite in `tests/csr_equivalence.rs` holds the CSR sink arrays
+//! against the per-net lists, and the shared pin array against the nets'
+//! drivers and sinks, on every generator family.
 
 use crate::cell::{CellClass, CellId};
 use crate::net::{NetId, PinRef};
 use crate::netlist::{Netlist, ValidateNetlistError};
+use crate::tables::{net_of, Structure};
+use std::sync::Arc;
 
 /// Sentinel for an unconnected pin slot in [`Topology::cell_pins`].
 pub const NO_NET: u32 = u32::MAX;
@@ -71,23 +67,19 @@ impl TopoRole {
 
 /// Flat SoA/CSR snapshot of a netlist's connectivity and names.
 ///
-/// Build once with [`Netlist::topology`]; the view borrows nothing, so it
-/// can be kept alongside the netlist (the incremental STA does) and
-/// rebuilt only on structural change.
+/// Build once with [`Netlist::topology`]; the view borrows nothing (it
+/// holds the netlist's name arena and pin array by `Arc`, which the
+/// netlist copies before any structural edit), so it can be kept
+/// alongside the netlist (the incremental STA does) and rebuilt only on
+/// structural change.
 #[derive(Debug, Clone)]
 pub struct Topology {
     cell_count: usize,
     net_count: usize,
 
-    // ---- string arena ----
-    names: String,
-    cell_name_off: Vec<u32>, // cell_count + 1
-    net_name_off: Vec<u32>,  // net_count + 1
-
-    // ---- cell → pins CSR ----
-    pin_off: Vec<u32>,   // cell_count + 1, into `pin_net`
-    out_start: Vec<u32>, // cell_count, absolute index of first output slot
-    pin_net: Vec<u32>,   // inputs then outputs per cell; NO_NET = unconnected
+    // ---- shared with the netlist: name arena and pin array ----
+    structure: Arc<Structure>,
+    n_in: Vec<u8>, // cell_count: input slots lead each cell's pin slice
 
     // ---- net → pins CSR ----
     sink_off: Vec<u32>, // net_count + 1, into `sink_cell` / `sink_pin`
@@ -102,55 +94,29 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the flat view from a netlist in one pass.
+    /// Builds the flat view from a netlist in one pass over its cells and
+    /// one over its nets.
     #[must_use]
     pub fn build(netlist: &Netlist) -> Topology {
         let cell_count = netlist.cell_count();
         let net_count = netlist.net_count();
 
-        let mut name_bytes = 0usize;
-        let mut pin_total = 0usize;
-        let mut sink_total = 0usize;
-        for (_, cell) in netlist.cells() {
-            name_bytes += cell.name.len();
-            pin_total += cell.inputs.len() + cell.outputs.len();
-        }
-        for (_, net) in netlist.nets() {
-            name_bytes += net.name.len();
-            sink_total += net.sinks.len();
-        }
-
-        let mut names = String::with_capacity(name_bytes);
-        let mut cell_name_off = Vec::with_capacity(cell_count + 1);
-        let mut pin_off = Vec::with_capacity(cell_count + 1);
-        let mut out_start = Vec::with_capacity(cell_count);
-        let mut pin_net = Vec::with_capacity(pin_total);
+        let mut n_in = Vec::with_capacity(cell_count);
         let mut role = Vec::with_capacity(cell_count);
-        cell_name_off.push(0);
-        pin_off.push(0);
-        let slot = |s: &Option<NetId>| s.map_or(NO_NET, |n| n.index() as u32);
         for (_, cell) in netlist.cells() {
-            names.push_str(&cell.name);
-            cell_name_off.push(names.len() as u32);
-            pin_net.extend(cell.inputs.iter().map(slot));
-            out_start.push(pin_net.len() as u32);
-            pin_net.extend(cell.outputs.iter().map(slot));
-            pin_off.push(pin_net.len() as u32);
+            n_in.push(cell.n_in);
             role.push(TopoRole::of(&cell.class));
         }
 
-        let mut net_name_off = Vec::with_capacity(net_count + 1);
+        let sink_total = netlist.nets().map(|(_, net)| net.sinks.len()).sum();
         let mut sink_off = Vec::with_capacity(net_count + 1);
         let mut sink_cell = Vec::with_capacity(sink_total);
         let mut sink_pin = Vec::with_capacity(sink_total);
         let mut driver_cell = Vec::with_capacity(net_count);
         let mut driver_pin = Vec::with_capacity(net_count);
         let mut net_clock = Vec::with_capacity(net_count);
-        net_name_off.push(names.len() as u32);
         sink_off.push(0);
         for (_, net) in netlist.nets() {
-            names.push_str(&net.name);
-            net_name_off.push(names.len() as u32);
             for s in &net.sinks {
                 sink_cell.push(s.cell.index() as u32);
                 sink_pin.push(s.pin);
@@ -172,12 +138,8 @@ impl Topology {
         Topology {
             cell_count,
             net_count,
-            names,
-            cell_name_off,
-            net_name_off,
-            pin_off,
-            out_start,
-            pin_net,
+            structure: Arc::clone(&netlist.structure),
+            n_in,
             sink_off,
             sink_cell,
             sink_pin,
@@ -203,27 +165,25 @@ impl Topology {
     /// Total number of pin slots (connected or not) across all cells.
     #[must_use]
     pub fn pin_count(&self) -> usize {
-        self.pin_net.len()
+        self.structure.pins.slot.len()
     }
 
-    /// Interned name of `cell` — equal to `netlist.cell(cell).name`.
+    /// Name of `cell` — the netlist's own arena entry.
     #[must_use]
     pub fn cell_name(&self, cell: CellId) -> &str {
-        let i = cell.index();
-        &self.names[self.cell_name_off[i] as usize..self.cell_name_off[i + 1] as usize]
+        self.structure.names.cells.get(cell.index())
     }
 
-    /// Interned name of `net` — equal to `netlist.net(net).name`.
+    /// Name of `net` — the netlist's own arena entry.
     #[must_use]
     pub fn net_name(&self, net: NetId) -> &str {
-        let i = net.index();
-        &self.names[self.net_name_off[i] as usize..self.net_name_off[i + 1] as usize]
+        self.structure.names.nets.get(net.index())
     }
 
-    /// Total bytes held by the string arena.
+    /// Total bytes of name text in the arena.
     #[must_use]
     pub fn name_arena_bytes(&self) -> usize {
-        self.names.len()
+        self.structure.names.text_bytes()
     }
 
     /// Role of `cell`.
@@ -243,29 +203,25 @@ impl Topology {
     /// unconnected pin.
     #[must_use]
     pub fn cell_pins(&self, cell: CellId) -> &[u32] {
-        let i = cell.index();
-        &self.pin_net[self.pin_off[i] as usize..self.pin_off[i + 1] as usize]
+        self.structure.pins.of(cell.index())
     }
 
-    /// The input pin slots of `cell` — mirrors `Cell::inputs`.
+    /// The input pin slots of `cell` — mirrors [`Netlist::cell_inputs`].
     #[must_use]
     pub fn cell_inputs(&self, cell: CellId) -> &[u32] {
-        let i = cell.index();
-        &self.pin_net[self.pin_off[i] as usize..self.out_start[i] as usize]
+        &self.cell_pins(cell)[..usize::from(self.n_in[cell.index()])]
     }
 
-    /// The output pin slots of `cell` — mirrors `Cell::outputs`.
+    /// The output pin slots of `cell` — mirrors [`Netlist::cell_outputs`].
     #[must_use]
     pub fn cell_outputs(&self, cell: CellId) -> &[u32] {
-        let i = cell.index();
-        &self.pin_net[self.out_start[i] as usize..self.pin_off[i + 1] as usize]
+        &self.cell_pins(cell)[usize::from(self.n_in[cell.index()])..]
     }
 
     /// The net on input pin `pin` of `cell`, if connected.
     #[must_use]
     pub fn input_net(&self, cell: CellId, pin: usize) -> Option<NetId> {
-        let raw = *self.cell_inputs(cell).get(pin)?;
-        (raw != NO_NET).then(|| NetId::from_index(raw as usize))
+        net_of(*self.cell_inputs(cell).get(pin)?)
     }
 
     /// The driver pin of `net`, if driven — equal to
@@ -423,24 +379,13 @@ mod tests {
         assert_eq!(t.cell_count(), n.cell_count());
         assert_eq!(t.net_count(), n.net_count());
         for id in n.cell_ids() {
-            let c = n.cell(id);
-            assert_eq!(t.cell_name(id), c.name);
-            let ins: Vec<Option<NetId>> = t
-                .cell_inputs(id)
-                .iter()
-                .map(|&r| (r != NO_NET).then(|| NetId::from_index(r as usize)))
-                .collect();
-            assert_eq!(ins, c.inputs);
-            let outs: Vec<Option<NetId>> = t
-                .cell_outputs(id)
-                .iter()
-                .map(|&r| (r != NO_NET).then(|| NetId::from_index(r as usize)))
-                .collect();
-            assert_eq!(outs, c.outputs);
+            assert_eq!(t.cell_name(id), n.cell_name(id));
+            assert_eq!(t.cell_inputs(id), n.cell_inputs(id));
+            assert_eq!(t.cell_outputs(id), n.cell_outputs(id));
         }
         for id in n.net_ids() {
             let net = n.net(id);
-            assert_eq!(t.net_name(id), net.name);
+            assert_eq!(t.net_name(id), n.net_name(id));
             assert_eq!(t.driver(id), net.driver);
             let sinks: Vec<PinRef> = t.sinks(id).collect();
             assert_eq!(sinks, net.sinks);
@@ -448,6 +393,21 @@ mod tests {
             assert_eq!(t.fanout(id), net.fanout());
             assert_eq!(t.is_clock(id), net.is_clock);
         }
+    }
+
+    #[test]
+    fn the_view_is_a_snapshot_across_structural_edits() {
+        let mut n = sample();
+        let t = n.topology();
+        let cells = n.cell_count();
+        let extra = n.add_gate("late", CellKind::Buf, Drive::X1, 0);
+        let _ = n.add_net("late_y", extra, 0);
+        assert_eq!(t.cell_count(), cells);
+        assert_eq!(t.pin_count() + 2, n.topology().pin_count());
+        assert_eq!(
+            t.name_arena_bytes() + "late".len() + "late_y".len(),
+            n.topology().name_arena_bytes()
+        );
     }
 
     #[test]
@@ -477,13 +437,12 @@ mod tests {
     fn roles_and_arena_are_dense() {
         let n = sample();
         let t = n.topology();
-        let names: usize = n.cells().map(|(_, c)| c.name.len()).sum::<usize>()
-            + n.nets().map(|(_, net)| net.name.len()).sum::<usize>();
+        let names: usize = n.cell_ids().map(|id| n.cell_name(id).len()).sum::<usize>()
+            + n.net_ids().map(|id| n.net_name(id).len()).sum::<usize>();
         assert_eq!(t.name_arena_bytes(), names);
         assert_eq!(t.role(CellId::from_index(0)), TopoRole::Pi);
-        let ff = n.cells().find(|(_, c)| c.name == "ff").unwrap().0;
-        assert_eq!(t.role(ff), TopoRole::Seq);
-        let y = n.cells().find(|(_, c)| c.name == "y").unwrap().0;
-        assert_eq!(t.role(y), TopoRole::Po);
+        let named = |name: &str| n.cell_ids().find(|&id| n.cell_name(id) == name).unwrap();
+        assert_eq!(t.role(named("ff")), TopoRole::Seq);
+        assert_eq!(t.role(named("y")), TopoRole::Po);
     }
 }

@@ -203,6 +203,9 @@ pub fn insert_buffers(
 ) -> Vec<(CellId, CellId)> {
     let max_fanout = max_fanout.max(2);
     let mut inserted = Vec::new();
+    // Sinks are re-wired in one batch at the end, which sizes every sink
+    // list it touches exactly once.
+    let mut wires = Vec::new();
     let net_ids: Vec<NetId> = netlist.net_ids().collect();
     for net_id in net_ids {
         let net = netlist.net(net_id);
@@ -210,17 +213,8 @@ pub fn insert_buffers(
             continue;
         }
         let Some(driver) = net.driver else { continue };
-        let sinks = net.sinks.clone();
-        // Group sinks beyond the first `max_fanout` into buffered chunks.
-        let (keep, spill) = sinks.split_at(max_fanout.min(sinks.len()));
-        if spill.is_empty() {
-            continue;
-        }
-        // Rebuild the net's sink list with only the kept sinks.
-        {
-            let net_mut = netlist.net_mut(net_id);
-            net_mut.sinks = keep.to_vec();
-        }
+        // Keep the first `max_fanout` sinks; buffer the rest in chunks.
+        let spill = netlist.detach_sinks(net_id, max_fanout);
         for (gi, group) in spill.chunks(max_fanout).enumerate() {
             let buf = netlist.add_gate(
                 format!("fobuf_{}_{}", net_id.index(), gi),
@@ -228,16 +222,11 @@ pub fn insert_buffers(
                 Drive::X4,
                 0,
             );
-            // Buffer input from the original net.
-            netlist.connect(net_id, buf, 0);
+            // Buffer input from the original net; the group moves to the
+            // buffer's output.
+            wires.push((net_id, buf, 0));
             let new_net = netlist.add_net(format!("fonet_{}_{}", net_id.index(), gi), buf, 0);
-            // Re-point the group's sinks at the new net (their input slots
-            // still reference net_id; patch them).
-            for pin in group {
-                let cell = netlist.cell_mut(pin.cell);
-                cell.inputs[pin.pin as usize] = Some(new_net);
-                netlist.net_mut(new_net).sinks.push(*pin);
-            }
+            wires.extend(group.iter().map(|pin| (new_net, pin.cell, pin.pin)));
             // Position: centroid of the group's sinks.
             let centroid = group
                 .iter()
@@ -247,6 +236,8 @@ pub fn insert_buffers(
             inserted.push((buf, driver.cell));
         }
     }
+    netlist.connect_all(&wires);
+    netlist.shrink_to_fit();
     inserted
 }
 
@@ -367,12 +358,12 @@ mod tests {
         n.validate().expect("still valid after buffering");
         // All original nets now obey the cap; buffer nets may cascade but
         // each individual net obeys it too.
-        for (_, net) in n.nets() {
+        for (id, net) in n.nets() {
             if !net.is_clock {
                 assert!(
                     net.fanout() <= 16 + 1,
                     "net {} fanout {}",
-                    net.name,
+                    n.net_name(id),
                     net.fanout()
                 );
             }

@@ -111,7 +111,7 @@ fn place_loop(
     let areas: Vec<f64> = netlist
         .cells()
         .map(|(_, c)| match &c.class {
-            CellClass::Gate { .. } => 1.0 + 0.3 * c.inputs.len() as f64,
+            CellClass::Gate { .. } => 1.0 + 0.3 * c.input_count() as f64,
             CellClass::Macro(spec) => spec.area_um2(),
             _ => 0.0,
         })

@@ -26,7 +26,7 @@
 //! ```
 
 use m3d_cts::ClockTree;
-use m3d_netlist::{CellClass, Netlist};
+use m3d_netlist::{CellClass, Netlist, NO_NET};
 use m3d_sta::Parasitics;
 use m3d_tech::{CellKind, Tier, TierStack};
 
@@ -92,9 +92,9 @@ pub fn analyze_power(
     let mut prob = vec![config.input_probability; n_nets];
     let mut activity = vec![config.input_activity; n_nets];
     // Launch points: register/macro outputs toggle with data-like activity.
-    for (_, cell) in netlist.cells() {
+    for (id, cell) in netlist.cells() {
         if cell.is_sequential() || cell.class.is_macro() {
-            for net in cell.output_nets() {
+            for net in netlist.output_nets(id) {
                 prob[net.index()] = 0.5;
                 activity[net.index()] = config.input_activity;
             }
@@ -108,20 +108,29 @@ pub fn analyze_power(
         let Some(kind) = cell.class.gate_kind() else {
             continue;
         };
-        let in_probs: Vec<f64> = cell
-            .inputs
+        let inputs = &netlist.cell_inputs(id)[..kind.input_count()];
+        let in_probs: Vec<f64> = inputs
             .iter()
-            .take(kind.input_count())
-            .map(|slot| slot.map_or(0.5, |net| prob[net.index()]))
+            .map(|&raw| {
+                if raw == NO_NET {
+                    0.5
+                } else {
+                    prob[raw as usize]
+                }
+            })
             .collect();
-        let in_act: f64 = cell
-            .inputs
+        let in_act: f64 = inputs
             .iter()
-            .take(kind.input_count())
-            .map(|slot| slot.map_or(0.0, |net| activity[net.index()]))
+            .map(|&raw| {
+                if raw == NO_NET {
+                    0.0
+                } else {
+                    activity[raw as usize]
+                }
+            })
             .sum::<f64>()
             / kind.input_count().max(1) as f64;
-        if let Some(out) = cell.outputs.first().copied().flatten() {
+        if let Some(out) = netlist.output_net(id, 0) {
             let p = kind.output_probability(&in_probs);
             prob[out.index()] = p;
             // Statistical propagation: transition density scaled by output
@@ -167,11 +176,8 @@ pub fn analyze_power(
                 let lib = stack.library(tiers[id.index()]);
                 if let Some(m) = lib.cell(*kind, *drive) {
                     leakage_uw += m.leakage_uw;
-                    let act = cell
-                        .outputs
-                        .first()
-                        .copied()
-                        .flatten()
+                    let act = netlist
+                        .output_net(id, 0)
                         .map_or(config.input_activity, |net| activity[net.index()]);
                     // Sequential cells switch internally every clock.
                     let act = if kind.is_sequential() {

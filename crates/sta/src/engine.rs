@@ -80,11 +80,9 @@ pub(crate) fn net_load_ff(ctx: &TimingContext<'_>, net: NetId) -> f64 {
 }
 
 /// Load on a cell's (first) output net, fF; zero when it drives nothing.
-fn output_load(cell: &m3d_netlist::Cell, net_load: &[f64]) -> f64 {
-    cell.outputs
-        .first()
-        .copied()
-        .flatten()
+fn output_load(netlist: &Netlist, cell: CellId, net_load: &[f64]) -> f64 {
+    netlist
+        .output_net(cell, 0)
         .map_or(0.0, |net| net_load[net.index()])
 }
 
@@ -121,7 +119,7 @@ impl Forward<'_, '_> {
             CellClass::Gate { kind, drive } => ctx.library(i).cell(*kind, *drive),
             _ => unreachable!("combinational order yields gates"),
         };
-        let load = output_load(cell, self.net_load);
+        let load = output_load(ctx.netlist, id, self.net_load);
 
         let mut best_at = 0.0_f64;
         let mut best_pin = u8::MAX;
@@ -236,11 +234,11 @@ impl Backward<'_, '_> {
     /// slew `slew_i`, for the one case the forward pass never times: the
     /// pin sits on a clock net.
     fn untimed_arc(&self, slew_i: f64, j: usize) -> f64 {
-        let cell = self.ctx.netlist.cell(CellId::from_index(j));
-        let CellClass::Gate { kind, drive } = &cell.class else {
+        let id = CellId::from_index(j);
+        let CellClass::Gate { kind, drive } = &self.ctx.netlist.cell(id).class else {
             unreachable!("only combinational gates are untimed comb sinks");
         };
-        let load = output_load(cell, self.net_load);
+        let load = output_load(self.ctx.netlist, id, self.net_load);
         self.ctx
             .library(j)
             .cell(*kind, *drive)
@@ -250,8 +248,7 @@ impl Backward<'_, '_> {
     /// Required time on a combinational gate's output, from its (already
     /// final) sinks. `None` when the gate drives nothing.
     pub(crate) fn gate(&self, id: CellId) -> Option<f64> {
-        let cell = self.ctx.netlist.cell(id);
-        let out_net = cell.outputs.first().copied().flatten()?;
+        let out_net = self.ctx.netlist.output_net(id, 0)?;
         Some(self.net(self.slew[id.index()], out_net))
     }
 
@@ -266,7 +263,7 @@ impl Backward<'_, '_> {
             return None;
         }
         let mut rat = f64::INFINITY;
-        for out_net in cell.output_nets() {
+        for out_net in self.ctx.netlist.output_nets(CellId::from_index(i)) {
             if !self.ctx.netlist.net(out_net).is_clock {
                 rat = rat.min(self.net(self.slew[i], out_net));
             }
@@ -289,7 +286,7 @@ pub(crate) fn launch_point(
         CellClass::Gate { kind, drive } if kind.is_sequential() => {
             let (clk_q, out_slew) = match ctx.library(i).cell(*kind, *drive) {
                 Some(m) => {
-                    let load = output_load(cell, net_load);
+                    let load = output_load(ctx.netlist, id, net_load);
                     (
                         m.clk_to_q_ns + m.delay(0.02, load) * 0.3,
                         m.output_slew(0.02, load),
@@ -311,17 +308,16 @@ pub(crate) fn input_arrival(
     cell: CellId,
     pin: usize,
 ) -> f64 {
-    let c = ctx.netlist.cell(cell);
-    let Some(Some(net)) = c.inputs.get(pin) else {
+    let Some(net) = ctx.netlist.input_net(cell, pin) else {
         return 0.0;
     };
-    if ctx.netlist.net(*net).is_clock {
+    if ctx.netlist.net(net).is_clock {
         return 0.0;
     }
-    let Some(drv) = ctx.netlist.net(*net).driver else {
+    let Some(drv) = ctx.netlist.net(net).driver else {
         return 0.0;
     };
-    arrival[drv.cell.index()] + ctx.parasitics.net(*net).wire_delay_ns
+    arrival[drv.cell.index()] + ctx.parasitics.net(net).wire_delay_ns
 }
 
 /// Endpoint view of cell `i`: `(rat, worst data-pin arrival, is_po)`, or
@@ -339,10 +335,10 @@ pub(crate) fn endpoint_point(
                 .library(i)
                 .cell(*kind, *drive)
                 .map_or(0.03, |m| m.setup_ns);
-            (setup, cell.inputs.len().saturating_sub(1))
+            (setup, cell.input_count().saturating_sub(1))
         }
-        CellClass::Macro(spec) => (spec.setup_ns, cell.inputs.len().saturating_sub(1)),
-        CellClass::PrimaryOutput => (0.0, cell.inputs.len()),
+        CellClass::Macro(spec) => (spec.setup_ns, cell.input_count().saturating_sub(1)),
+        CellClass::PrimaryOutput => (0.0, cell.input_count()),
         _ => return None,
     };
     let is_po = matches!(cell.class, CellClass::PrimaryOutput);
@@ -1011,7 +1007,7 @@ mod tests {
         // Give the capture FF extra clock latency -> more time -> better WNS.
         let mut clock = ClockSpec::with_period(0.2);
         clock.latency_ns = vec![0.0; n.cell_count()];
-        let ff2 = n.cells().find(|(_, c)| c.name == "ff2").unwrap().0;
+        let ff2 = n.cell_ids().find(|&id| n.cell_name(id) == "ff2").unwrap();
         clock.latency_ns[ff2.index()] = 0.1;
         let ctx = TimingContext {
             netlist: &n,
@@ -1075,11 +1071,12 @@ mod tests {
 
         for k in 0..levels.comb_count() {
             let id = levels.cell_at(k);
-            let cell = n.cell(id);
             let (pins, drivers, nets) = levels.arcs(k);
             let mut want = Vec::new();
-            for (pin, slot) in cell.inputs.iter().enumerate() {
-                let Some(net) = *slot else { continue };
+            for pin in 0..n.cell(id).input_count() {
+                let Some(net) = n.input_net(id, pin) else {
+                    continue;
+                };
                 if n.net(net).is_clock {
                     continue;
                 }
@@ -1094,7 +1091,7 @@ mod tests {
                 .zip(nets)
                 .map(|((&p, &d), &nn)| (p, d, nn))
                 .collect();
-            assert_eq!(got, want, "arc slice of {}", cell.name);
+            assert_eq!(got, want, "arc slice of {}", n.cell_name(id));
             for &d in drivers {
                 let dl = level_of[d as usize];
                 if dl != usize::MAX {

@@ -433,7 +433,7 @@ impl Timer {
             }
             // A gate's input capacitance sits in its input nets' loads.
             if matches!(s.roles[i], Role::Comb | Role::Seq) {
-                for net in netlist.cell(id).input_nets() {
+                for net in netlist.input_nets(id) {
                     if !netlist.net(net).is_clock {
                         s.dirty_load[net.index()] = true;
                     }
@@ -709,7 +709,7 @@ fn mark_sinks(
     dirty_ep: &mut [bool],
     id: CellId,
 ) {
-    for net in netlist.cell(id).output_nets() {
+    for net in netlist.output_nets(id) {
         if netlist.net(net).is_clock {
             continue;
         }
@@ -730,14 +730,12 @@ fn mark_sinks(
 /// net is skipped unless a combinational (gating) cell drives it, because
 /// launch required times never traverse clock nets.
 fn mark_fanin(netlist: &Netlist, roles: &[Role], dirty_bwd: &mut [bool], id: CellId) {
-    let cell = netlist.cell(id);
-    for slot in &cell.inputs {
-        let Some(net) = slot else { continue };
-        let Some(drv) = netlist.net(*net).driver else {
+    for net in netlist.input_nets(id) {
+        let Some(drv) = netlist.net(net).driver else {
             continue;
         };
         let d = drv.cell.index();
-        if !netlist.net(*net).is_clock || roles[d] == Role::Comb {
+        if !netlist.net(net).is_clock || roles[d] == Role::Comb {
             dirty_bwd[d] = true;
         }
     }
@@ -951,9 +949,7 @@ mod tests {
             if net.is_clock || net.fanout() <= 8 {
                 continue;
             }
-            let sinks = net.sinks.clone();
-            let (keep, spill) = sinks.split_at(8);
-            netlist.net_mut(net_id).sinks = keep.to_vec();
+            let spill = netlist.detach_sinks(net_id, 8);
             let buf = netlist.add_gate(
                 format!("tbuf{}", net_id.index()),
                 CellKind::Buf,
@@ -963,9 +959,7 @@ mod tests {
             netlist.connect(net_id, buf, 0);
             let new_net = netlist.add_net(format!("tnet{}", net_id.index()), buf, 0);
             for pin in spill {
-                let cell = netlist.cell_mut(pin.cell);
-                cell.inputs[pin.pin as usize] = Some(new_net);
-                netlist.net_mut(new_net).sinks.push(*pin);
+                netlist.connect(new_net, pin.cell, pin.pin);
             }
             positions.push(m3d_geom::Point::ORIGIN);
             inserted += 1;

@@ -98,22 +98,22 @@ fn backtrack(ctx: &TimingContext<'_>, result: &StaResult, endpoint: CellId) -> T
     // Find the worst data input of the endpoint.
     let ep_cell = netlist.cell(endpoint);
     let data_pins = match &ep_cell.class {
-        CellClass::Gate { kind, .. } if kind.is_sequential() => ep_cell.inputs.len() - 1,
-        CellClass::Macro(_) => ep_cell.inputs.len() - 1,
-        _ => ep_cell.inputs.len(),
+        CellClass::Gate { kind, .. } if kind.is_sequential() => ep_cell.input_count() - 1,
+        CellClass::Macro(_) => ep_cell.input_count() - 1,
+        _ => ep_cell.input_count(),
     };
     let mut worst: Option<(CellId, f64)> = None; // (driver, wire delay)
     for pin in 0..data_pins {
-        let Some(Some(net)) = ep_cell.inputs.get(pin) else {
+        let Some(net) = netlist.input_net(endpoint, pin) else {
             continue;
         };
-        if netlist.net(*net).is_clock {
+        if netlist.net(net).is_clock {
             continue;
         }
-        let Some(drv) = netlist.net(*net).driver else {
+        let Some(drv) = netlist.net(net).driver else {
             continue;
         };
-        let wire = ctx.parasitics.net(*net).wire_delay_ns;
+        let wire = ctx.parasitics.net(net).wire_delay_ns;
         let at = result.arrival[drv.cell.index()] + wire;
         if worst.is_none_or(|(c, w)| at > result.arrival[c.index()] + w) {
             worst = Some((drv.cell, wire));
@@ -151,7 +151,7 @@ fn backtrack(ctx: &TimingContext<'_>, result: &StaResult, endpoint: CellId) -> T
         let (prev, wire, arc) = if pin == u8::MAX {
             (None, 0.0, 0.0)
         } else {
-            match cell.inputs.get(pin as usize).copied().flatten() {
+            match netlist.input_net(id, pin as usize) {
                 Some(net) => {
                     let wire = ctx.parasitics.net(net).wire_delay_ns;
                     let prev = netlist.net(net).driver.map(|p| p.cell);

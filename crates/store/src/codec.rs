@@ -157,9 +157,15 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed UTF-8 string. The declared length is
     /// bounded by the remaining payload before any bytes are copied.
     pub fn get_str(&mut self) -> Result<String, DecodeError> {
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, borrowing it from
+    /// the payload.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.get_len(1)?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
     }
 
     /// Reads a length/count field and validates it against the remaining

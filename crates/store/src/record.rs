@@ -17,7 +17,9 @@ use crate::codec::{Reader, Writer};
 use crate::error::{DecodeError, StoreError};
 use m3d_flow::{BaseDesign, PseudoCheckpoint};
 use m3d_geom::{Point, Rect};
-use m3d_netlist::{Cell, CellClass, CellId, MacroSpec, Net, NetId, Netlist, PinRef};
+use m3d_netlist::{
+    CellClass, CellId, MacroSpec, Net, NetId, Netlist, NetlistParts, PinRef, NO_NET,
+};
 use m3d_place::Placement;
 use m3d_sta::{NetModel, Parasitics};
 use m3d_tech::{CellKind, Drive, Library, Tier, TierStack, TrackHeight};
@@ -233,8 +235,25 @@ fn get_pin_ref(r: &mut Reader<'_>) -> Result<PinRef, DecodeError> {
     Ok(PinRef::new(cell, pin))
 }
 
-fn put_cell(w: &mut Writer, cell: &Cell) {
-    w.put_str(&cell.name);
+fn put_slots(w: &mut Writer, slots: &[u32]) {
+    w.put_seq(slots, |w, &raw| {
+        let net = (raw != NO_NET).then(|| NetId::from_index(raw as usize));
+        w.put_opt(net.as_ref(), |w, id| put_net_id(w, *id));
+    });
+}
+
+/// Reads one pin-slot list into `out` (a buffer reused across cells).
+fn get_slots(r: &mut Reader<'_>, out: &mut Vec<Option<NetId>>) -> Result<(), DecodeError> {
+    out.clear();
+    for _ in 0..r.get_len(1)? {
+        out.push(r.get_opt(get_net_id)?);
+    }
+    Ok(())
+}
+
+fn put_cell(w: &mut Writer, netlist: &Netlist, id: CellId) {
+    let cell = netlist.cell(id);
+    w.put_str(netlist.cell_name(id));
     match &cell.class {
         CellClass::Gate { kind, drive } => {
             w.put_u8(0);
@@ -255,23 +274,26 @@ fn put_cell(w: &mut Writer, cell: &Cell) {
         CellClass::PrimaryOutput => w.put_u8(3),
     }
     w.put_u16(cell.block);
-    w.put_seq(&cell.inputs, |w, slot| {
-        w.put_opt(slot.as_ref(), |w, id| put_net_id(w, *id));
-    });
-    w.put_seq(&cell.outputs, |w, slot| {
-        w.put_opt(slot.as_ref(), |w, id| put_net_id(w, *id));
-    });
+    put_slots(w, netlist.cell_inputs(id));
+    put_slots(w, netlist.cell_outputs(id));
     w.put_bool(cell.fixed);
 }
 
-fn get_cell(r: &mut Reader<'_>) -> Result<Cell, DecodeError> {
-    let name = r.get_str()?;
+/// Scratch pin-slot buffers, reused across every cell of one decode.
+type SlotBuffers = (Vec<Option<NetId>>, Vec<Option<NetId>>);
+
+fn get_cell(
+    r: &mut Reader<'_>,
+    parts: &mut NetlistParts,
+    (inputs, outputs): &mut SlotBuffers,
+) -> Result<(), DecodeError> {
+    let name = r.get_str_ref()?;
     let class = match r.get_u8()? {
         0 => CellClass::Gate {
             kind: cell_kind_from_tag(r.get_u8()?)?,
             drive: drive_from_tag(r.get_u8()?)?,
         },
-        1 => CellClass::Macro(MacroSpec {
+        1 => CellClass::Macro(Box::new(MacroSpec {
             width_um: r.get_f64()?,
             height_um: r.get_f64()?,
             input_cap_ff: r.get_f64()?,
@@ -279,7 +301,7 @@ fn get_cell(r: &mut Reader<'_>) -> Result<Cell, DecodeError> {
             setup_ns: r.get_f64()?,
             leakage_uw: r.get_f64()?,
             internal_energy_fj: r.get_f64()?,
-        }),
+        })),
         2 => CellClass::PrimaryInput,
         3 => CellClass::PrimaryOutput,
         found => {
@@ -290,36 +312,31 @@ fn get_cell(r: &mut Reader<'_>) -> Result<Cell, DecodeError> {
         }
     };
     let block = r.get_u16()?;
-    let inputs = r.get_seq(1, |r| r.get_opt(get_net_id))?;
-    let outputs = r.get_seq(1, |r| r.get_opt(get_net_id))?;
+    get_slots(r, inputs)?;
+    get_slots(r, outputs)?;
     let fixed = r.get_bool()?;
-    Ok(Cell {
-        name,
-        class,
-        block,
-        inputs,
-        outputs,
-        fixed,
-    })
+    parts
+        .push_cell(name, class, block, fixed, inputs, outputs)
+        .map_err(|e| DecodeError::Invalid(e.to_string()))
 }
 
-fn put_net(w: &mut Writer, net: &Net) {
-    w.put_str(&net.name);
+fn put_net(w: &mut Writer, netlist: &Netlist, id: NetId) {
+    let net = netlist.net(id);
+    w.put_str(netlist.net_name(id));
     w.put_opt(net.driver.as_ref(), put_pin_ref);
     w.put_seq(&net.sinks, put_pin_ref);
     w.put_bool(net.is_clock);
 }
 
-fn get_net(r: &mut Reader<'_>) -> Result<Net, DecodeError> {
-    let name = r.get_str()?;
-    let driver = r.get_opt(get_pin_ref)?;
-    let sinks = r.get_seq(5, get_pin_ref)?;
-    let is_clock = r.get_bool()?;
-    let mut net = Net::new(name);
-    net.driver = driver;
-    net.sinks = sinks;
-    net.is_clock = is_clock;
-    Ok(net)
+fn get_net(r: &mut Reader<'_>, parts: &mut NetlistParts) -> Result<(), DecodeError> {
+    let name = r.get_str_ref()?;
+    let net = Net {
+        driver: r.get_opt(get_pin_ref)?,
+        sinks: r.get_seq(5, get_pin_ref)?,
+        is_clock: r.get_bool()?,
+    };
+    parts.push_net(name, net);
+    Ok(())
 }
 
 pub(crate) fn put_netlist(w: &mut Writer, netlist: &Netlist) {
@@ -329,12 +346,12 @@ pub(crate) fn put_netlist(w: &mut Writer, netlist: &Netlist) {
         .collect();
     w.put_seq(&blocks, |w, b| w.put_str(b));
     w.put_u64(netlist.cell_count() as u64);
-    for (_, cell) in netlist.cells() {
-        put_cell(w, cell);
+    for id in netlist.cell_ids() {
+        put_cell(w, netlist, id);
     }
     w.put_u64(netlist.net_count() as u64);
-    for (_, net) in netlist.nets() {
-        put_net(w, net);
+    for id in netlist.net_ids() {
+        put_net(w, netlist, id);
     }
     w.put_opt(netlist.clock().as_ref(), |w, id| put_net_id(w, *id));
 }
@@ -342,22 +359,23 @@ pub(crate) fn put_netlist(w: &mut Writer, netlist: &Netlist) {
 pub(crate) fn get_netlist(r: &mut Reader<'_>) -> Result<Netlist, DecodeError> {
     let name = r.get_str()?;
     let blocks = r.get_seq(8, |r| r.get_str())?;
+    let mut parts = NetlistParts::new(name, blocks);
     let n_cells = r.get_len(1)?;
-    let mut cells = Vec::with_capacity(n_cells);
+    parts.reserve(n_cells, 0);
+    let mut slots = SlotBuffers::default();
     for _ in 0..n_cells {
-        cells.push(get_cell(r)?);
+        get_cell(r, &mut parts, &mut slots)?;
     }
     let n_nets = r.get_len(1)?;
-    let mut nets = Vec::with_capacity(n_nets);
+    parts.reserve(0, n_nets);
     for _ in 0..n_nets {
-        nets.push(get_net(r)?);
+        get_net(r, &mut parts)?;
     }
     let clock = r.get_opt(get_net_id)?;
     // from_parts re-checks every cross-reference, so indices corrupted
     // in-range (same length, different target) still cannot build a
     // netlist whose accessors would panic.
-    Netlist::from_parts(name, blocks, cells, nets, clock)
-        .map_err(|e| DecodeError::Invalid(e.to_string()))
+    Netlist::from_parts(parts, clock).map_err(|e| DecodeError::Invalid(e.to_string()))
 }
 
 // ---------------------------------------------------------------------

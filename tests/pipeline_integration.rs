@@ -76,7 +76,7 @@ fn every_register_gets_clock_latency() {
         assert!(
             imp.clock_tree.sink_latency[id.index()] > 0.0,
             "register {:?} missing clock latency",
-            imp.netlist.cell(id).name
+            imp.netlist.cell_name(id)
         );
     }
 }
@@ -103,7 +103,11 @@ fn all_cells_stay_inside_the_die() {
     for (id, cell) in imp.netlist.cells() {
         if cell.class.is_gate() {
             let p = imp.placement.positions[id.index()];
-            assert!(die.contains(p), "cell {} at {p} escaped the die", cell.name);
+            assert!(
+                die.contains(p),
+                "cell {} at {p} escaped the die",
+                imp.netlist.cell_name(id)
+            );
         }
     }
 }
@@ -118,7 +122,7 @@ fn ports_and_macros_stay_on_bottom_tier() {
                 imp.tiers[id.index()],
                 Tier::Bottom,
                 "{} should be on the bottom tier",
-                cell.name
+                imp.netlist.cell_name(id)
             );
         }
     }

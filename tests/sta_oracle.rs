@@ -100,19 +100,18 @@ impl<'a> Oracle<'a> {
 
     /// Load on the cell's first output pin (the one pin gates have).
     fn output_load(&self, cell: CellId) -> f64 {
-        match self.netlist().cell(cell).outputs.first() {
-            Some(Some(net)) => self.load(*net),
-            _ => 0.0,
+        match self.netlist().output_net(cell, 0) {
+            Some(net) => self.load(net),
+            None => 0.0,
         }
     }
 
     /// The timed input pins of `cell`: `(driver, net)` of every connected
     /// pin whose net is driven and not the clock, by ascending pin.
     fn timed_inputs(&self, cell: CellId, pins: usize) -> Vec<(CellId, NetId)> {
-        self.netlist().cell(cell).inputs[..pins]
-            .iter()
-            .filter_map(|slot| {
-                let net = (*slot)?;
+        (0..pins)
+            .filter_map(|pin| {
+                let net = self.netlist().input_net(cell, pin)?;
                 let n = self.netlist().net(net);
                 if n.is_clock {
                     return None;
@@ -152,7 +151,7 @@ impl<'a> Oracle<'a> {
                 let master = self.master(cell);
                 let load = self.output_load(cell);
                 let mut best: Option<(f64, f64)> = None;
-                for (driver, net) in self.timed_inputs(cell, c.inputs.len()) {
+                for (driver, net) in self.timed_inputs(cell, c.input_count()) {
                     let (at, slew_in) = self.launch(driver);
                     let at_in = at + self.ctx.parasitics.net(net).wire_delay_ns;
                     let (delay, slew_out) = match master {
@@ -178,16 +177,16 @@ impl<'a> Oracle<'a> {
         let clock = &self.ctx.clock;
         match &c.class {
             CellClass::Gate { kind, .. } if kind.is_sequential() => Some((
-                c.inputs.len().saturating_sub(1),
+                c.input_count().saturating_sub(1),
                 self.master(cell).map_or(0.03, |m| m.setup_ns),
                 self.clock_latency(cell),
             )),
             CellClass::Macro(spec) => Some((
-                c.inputs.len().saturating_sub(1),
+                c.input_count().saturating_sub(1),
                 spec.setup_ns,
                 self.clock_latency(cell),
             )),
-            CellClass::PrimaryOutput => Some((c.inputs.len(), 0.0, clock.virtual_io_latency_ns)),
+            CellClass::PrimaryOutput => Some((c.input_count(), 0.0, clock.virtual_io_latency_ns)),
             _ => None,
         }
     }
@@ -238,18 +237,18 @@ impl<'a> Oracle<'a> {
         let c = self.netlist().cell(cell);
         let v = if self.is_comb(cell) {
             // A gate is judged through its one output, clock net or not.
-            match c.outputs.first() {
-                Some(Some(net)) => self.required_through(cell, *net),
-                _ => f64::INFINITY,
+            match self.netlist().output_net(cell, 0) {
+                Some(net) => self.required_through(cell, net),
+                None => f64::INFINITY,
             }
         } else if matches!(c.class, CellClass::PrimaryOutput) {
             self.capture_rat(cell).expect("endpoint")
         } else {
             // Launch cells: every output, but never down the clock tree.
             let mut rat = f64::INFINITY;
-            for net in c.outputs.iter().flatten() {
-                if !self.netlist().net(*net).is_clock {
-                    rat = rat.min(self.required_through(cell, *net));
+            for net in self.netlist().output_nets(cell) {
+                if !self.netlist().net(net).is_clock {
+                    rat = rat.min(self.required_through(cell, net));
                 }
             }
             rat
@@ -505,18 +504,13 @@ fn gated_clock_netlist() -> Netlist {
 #[test]
 fn combinational_sink_on_a_clock_net_matches_the_oracle() {
     let mut design = Design::seeded(gated_clock_netlist(), 3);
-    let icg = design
-        .netlist
-        .cells()
-        .find(|(_, c)| c.name == "icg")
-        .expect("built above")
-        .0;
-    let inv = design
-        .netlist
-        .cells()
-        .find(|(_, c)| c.name == "clk_as_data")
-        .expect("built above")
-        .0;
+    let named = |name: &str| {
+        let n = &design.netlist;
+        n.cell_ids()
+            .find(|&id| n.cell_name(id) == name)
+            .expect("built above")
+    };
+    let (icg, inv) = (named("icg"), named("clk_as_data"));
     for (corner, stack) in &stacks() {
         let ctx = design.ctx(stack);
         let cold = analyze(&ctx);
@@ -529,7 +523,7 @@ fn combinational_sink_on_a_clock_net_matches_the_oracle() {
     // Everything the gating cell's required time reads, moved by name —
     // the inverter's master, the gating cell's slew, the clock net's wire,
     // the flops' RATs — then a seeded script over the whole vocabulary.
-    let gclk = design.netlist.cell(inv).inputs[0].expect("connected");
+    let gclk = design.netlist.input_net(inv, 0).expect("connected");
     let (_, stack) = &stacks()[0];
     let mut timer = Timer::new();
     let _ = timer.update_journaled(&design.ctx(stack), &[]);

@@ -263,15 +263,16 @@ const SERVE_EXACT: &[&str] = &[
 const SERVE_HIT_RATE_FLOOR: f64 = 0.5;
 
 /// Ceiling on the connection-scaling ratio: active-path p99 with a
-/// thousand idle connections parked on the reactor, over the idle-free
-/// p99. A reactor that walks or wakes per connection blows through
-/// this; a readiness poller leaves the active path untouched.
+/// thousand idle connections parked on the TCP front, over the
+/// idle-free p99. A front that walks or wakes per connection blows
+/// through this; connections parked in blocking calls leave the active
+/// path untouched.
 const CONN_P99_RATIO_CEILING: f64 = 1.5;
 
 /// Noise escape hatch for the ratio check: when the probe is fast, a
 /// few milliseconds of scheduler jitter can swing a p99 ratio on a
 /// shared CI runner, so an absolute regression this small passes even
-/// above the ceiling. Real reactor regressions (a wakeup or walk per
+/// above the ceiling. Real front regressions (a wakeup or walk per
 /// idle connection) cost tens of milliseconds at a thousand parked
 /// connections and still trip the check.
 const CONN_P99_ABS_SLACK_MS: f64 = 5.0;

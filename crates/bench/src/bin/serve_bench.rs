@@ -39,13 +39,13 @@
 //! land in `decode_churn_borrowed_bytes`; the gate holds them under the
 //! committed baseline.
 //!
-//! A **connection-scaling** phase exercises the event-driven TCP front
-//! end to end: at one and four workers it serves the workload over a
-//! single reused [`Client`] connection, measures the p99 of a probe
+//! A **connection-scaling** phase exercises the TCP front end to end:
+//! at one and four workers it serves the workload over a single reused
+//! [`Client`] connection, measures the p99 of a probe
 //! request stream with no other connections, then parks
-//! `conn_idle_connections` idle sockets on the reactor and measures the
-//! same stream again. The reactor multiplexes every socket over one
-//! poller per shard, so the idle herd must not move the active path:
+//! `conn_idle_connections` idle sockets on the front and measures the
+//! same stream again. An idle connection is two threads parked in
+//! blocking calls, so the idle herd must not move the active path:
 //! the gate ceilings `conn_p99_ratio_*` and requires the served
 //! responses byte-identical across worker counts *and* to the
 //! in-process engine.
@@ -106,7 +106,7 @@ static ALLOC: hetero3d::obs::CountingAlloc = hetero3d::obs::CountingAlloc;
 /// Distinct cache keys in the workload (option variants of one netlist).
 const KEYS: usize = 2;
 
-/// Idle connections parked on the reactor during the scaling phase.
+/// Idle connections parked on the front during the scaling phase.
 const IDLE_CONNS: usize = 1000;
 
 /// Timed probe calls per p99 sample set in the scaling phase. At 120
@@ -269,12 +269,13 @@ fn timed_calls(client: &mut Client, probe: &FlowRequest, n: usize) -> Vec<f64> {
 /// The connection-scaling phase at one worker count: serve the workload
 /// and two probe sample sets over a **single reused client connection**
 /// (the active stream never reconnects per request), parking
-/// [`IDLE_CONNS`] idle sockets on the reactor between the sample sets.
+/// [`IDLE_CONNS`] idle sockets on the front between the sample sets.
 fn conn_scale(requests: &[FlowRequest], workers: usize) -> ConnScale {
     use hetero3d::json::ToJson;
-    let limit = raise_nofile_limit((IDLE_CONNS + 512) as u64);
+    // Both ends of every idle socket are open in this process.
+    let limit = raise_nofile_limit((2 * IDLE_CONNS + 512) as u64);
     assert!(
-        limit >= (IDLE_CONNS + 64) as u64,
+        limit >= (2 * IDLE_CONNS + 64) as u64,
         "cannot raise the open-file limit past {limit} — too low for {IDLE_CONNS} idle sockets"
     );
     let obs = Obs::enabled();
@@ -310,8 +311,8 @@ fn conn_scale(requests: &[FlowRequest], workers: usize) -> ConnScale {
     let idle: Vec<TcpStream> = (0..IDLE_CONNS)
         .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}")))
         .collect();
-    // Wait until the reactor has accepted and registered the whole herd,
-    // so the loaded sample set really runs against IDLE_CONNS sockets.
+    // Wait until the front has accepted the whole herd, so the loaded
+    // sample set really runs against IDLE_CONNS sockets.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let accepted = obs
@@ -325,7 +326,7 @@ fn conn_scale(requests: &[FlowRequest], workers: usize) -> ConnScale {
         }
         assert!(
             Instant::now() < deadline,
-            "reactor accepted only {accepted} of {} connections",
+            "the front accepted only {accepted} of {} connections",
             IDLE_CONNS + 1
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -674,7 +675,7 @@ fn main() {
     let requests = workload(args.scale, args.seed);
 
     // Decode-churn first: single-threaded, before any worker pool or
-    // reactor thread can contribute allocator traffic.
+    // connection thread can contribute allocator traffic.
     let churn_borrowed = decode_churn(&requests);
 
     // Cold baseline for the reuse story: the same workload with a

@@ -380,6 +380,7 @@ pub fn parse_borrowed(src: &str) -> Result<borrow::Value<'_>, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -389,9 +390,18 @@ pub fn parse_borrowed(src: &str) -> Result<borrow::Value<'_>, String> {
     Ok(v)
 }
 
+/// The deepest nesting of arrays and objects the parser accepts. The
+/// parser recurses once per level, so without a bound one line of
+/// `[[[[…` overflows the stack of whatever thread decodes it. The
+/// documents this workspace writes — requests, responses, stream events,
+/// `BENCH_*.json` manifests — nest at most five levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -433,14 +443,32 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<borrow::Value<'a>, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(borrow::Value::Str(self.string()?)),
             b't' => self.literal("true", borrow::Value::Bool(true)),
             b'f' => self.literal("false", borrow::Value::Bool(false)),
             b'n' => self.literal("null", borrow::Value::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object a level down, refusing to open more
+    /// than [`MAX_DEPTH`] of them.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<borrow::Value<'a>, String>,
+    ) -> Result<borrow::Value<'a>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<borrow::Value<'a>, String> {
@@ -726,6 +754,31 @@ mod tests {
         let inf = borrow::Value::Num(f64::INFINITY);
         let err = Cur::root(&inf).f64().unwrap_err();
         assert!(err.to_string().contains("finite"));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_naming_the_byte() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        // One level more fails at the bracket that opens it; a line
+        // far deeper (which used to overflow the stack) fails the same
+        // way, on a small thread stack.
+        let err = parse(&format!("[{at_cap}]")).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let deep = "[".repeat(100_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || parse_borrowed(&deep).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+            .unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

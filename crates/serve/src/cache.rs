@@ -101,9 +101,8 @@ pub struct SessionCache {
     inner: Mutex<Inner>,
     /// What the disk tier already holds, netlist → pseudo read-set
     /// (nested, so a lookup borrows a session's two strings instead of
-    /// allocating a key); the bool records whether the record includes
-    /// the pseudo-3-D checkpoint (a base-only one is upgraded once).
-    persisted: Mutex<HashMap<String, HashMap<String, bool>>>,
+    /// allocating a key).
+    persisted: Mutex<HashMap<String, HashMap<String, Ledger>>>,
     /// The netlist fingerprint of every recipe seen, at most
     /// `8 × capacity` of them.
     recipes: Mutex<HashMap<Recipe, String>>,
@@ -121,6 +120,13 @@ struct Inner {
     map: HashMap<SessionKey, Entry>,
     tick: u64,
 }
+
+/// One key's line in the persist ledger: `None` until a record is
+/// written, then whether it includes the pseudo-3-D checkpoint (a
+/// base-only record is upgraded once). Held locked across the check and
+/// the store write, so two persists of one key land in ledger order and
+/// a base-only write can never overwrite a full one.
+type Ledger = Arc<Mutex<Option<bool>>>;
 
 impl SessionCache {
     /// A cache holding at most `capacity` sessions (floored at 1).
@@ -286,12 +292,10 @@ impl SessionCache {
             Ok(Some(artifact)) => {
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
                 self.obs.perf_add("store/hit", 1);
-                self.persisted
-                    .lock()
-                    .expect("persist ledger poisoned")
-                    .entry(key.netlist_fp.clone())
-                    .or_default()
-                    .insert(key.options_fp.clone(), artifact.pseudo.is_some());
+                let ledger = self.ledger(&key.netlist_fp, &key.options_fp);
+                let mut written = ledger.lock().expect("persist ledger poisoned");
+                // A full write this process made since the read stands.
+                *written = Some(written.unwrap_or(false) || artifact.pseudo.is_some());
                 Some(artifact)
             }
             Ok(None) => {
@@ -321,36 +325,49 @@ impl SessionCache {
         // and nearly always finds the record already written.
         let (netlist_fp, options_fp) =
             (session.netlist_fingerprint(), session.options_fingerprint());
-        let has_pseudo = session.pseudo_ready();
-        {
-            let mut persisted = self.persisted.lock().expect("persist ledger poisoned");
-            let written = persisted.get(netlist_fp).and_then(|o| o.get(options_fp));
-            if written.is_some_and(|&full| full || !has_pseudo) {
-                return;
-            }
-            // Bound the ledger: it tracks keys, not sessions, so it
-            // outlives evictions. Clearing merely re-persists — an
-            // idempotent rewrite of identical records.
-            let keys: usize = persisted.values().map(HashMap::len).sum();
-            if keys >= self.capacity.saturating_mul(8) {
-                persisted.clear();
-            }
-            persisted
-                .entry(netlist_fp.to_string())
-                .or_default()
-                .insert(options_fp.to_string(), has_pseudo);
-        }
-        let Ok(skey) = StoreKey::new(netlist_fp.to_string(), options_fp.to_string()) else {
+        let ledger = self.ledger(netlist_fp, options_fp);
+        let mut written = ledger.lock().expect("persist ledger poisoned");
+        if written.is_some_and(|full| full || !session.pseudo_ready()) {
             return;
-        };
+        }
         let artifact = SessionArtifact {
             base: session.base().clone(),
             pseudo: session.pseudo_checkpoint().cloned(),
+        };
+        *written = Some(artifact.pseudo.is_some());
+        let Ok(skey) = StoreKey::new(netlist_fp.to_string(), options_fp.to_string()) else {
+            return;
         };
         if store.put_session(&skey, &artifact).is_ok() {
             self.store_spills.fetch_add(1, Ordering::Relaxed);
             self.obs.perf_add("store/spill", 1);
         }
+    }
+
+    /// The ledger line of one key, created empty on first sight.
+    fn ledger(&self, netlist_fp: &str, options_fp: &str) -> Ledger {
+        let mut persisted = self.persisted.lock().expect("persist ledger poisoned");
+        if let Some(ledger) = persisted.get(netlist_fp).and_then(|o| o.get(options_fp)) {
+            return Arc::clone(ledger);
+        }
+        // Bound the ledger: it tracks keys, not sessions, so it outlives
+        // evictions. Forgetting a key merely re-persists it — a rewrite
+        // of the same record. A line some persist holds is kept, so one
+        // key never has two locks.
+        let keys: usize = persisted.values().map(HashMap::len).sum();
+        if keys >= self.capacity.saturating_mul(8) {
+            persisted.retain(|_, by_options| {
+                by_options.retain(|_, ledger| Arc::strong_count(ledger) > 1);
+                !by_options.is_empty()
+            });
+        }
+        Arc::clone(
+            persisted
+                .entry(netlist_fp.to_string())
+                .or_default()
+                .entry(options_fp.to_string())
+                .or_default(),
+        )
     }
 
     /// Finds or creates the slot for `key`, bumping its recency. The
@@ -569,6 +586,49 @@ mod tests {
             rehydrated.options_fingerprint(),
             session.options_fingerprint()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_racing_base_only_persist_never_replaces_a_full_record() {
+        let n = small();
+        let o = FlowOptions::default();
+        let base = m3d_flow::prepare_base(&n, &o).expect("base");
+        let pseudo = m3d_flow::pseudo_checkpoint(&base, &o).expect("pseudo");
+        let full = FlowSession::from_parts(&n, o.clone(), base, Some(pseudo));
+        // The base-only side carries a larger design's base, so its write
+        // is the slow one: begun first and landing last is the order that
+        // used to leave a base-only record behind a full ledger line.
+        let large = Benchmark::Aes.generate(0.1, 5);
+        let large_base = m3d_flow::prepare_base(&large, &o).expect("base");
+        let base_only = FlowSession::from_parts(&n, o, large_base, None);
+        let key = StoreKey::new(
+            full.netlist_fingerprint().to_string(),
+            full.options_fingerprint().to_string(),
+        )
+        .expect("key");
+        let dir =
+            std::env::temp_dir().join(format!("m3d-serve-persist-race-{}", std::process::id()));
+        for round in 0..16 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Arc::new(Store::open(&dir).expect("open store"));
+            let cache = SessionCache::with_store(4, Obs::disabled(), Some(Arc::clone(&store)));
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for session in [&base_only, &full] {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        cache.persist(session);
+                    });
+                }
+            });
+            let record = store.get_session(&key).expect("readable").expect("written");
+            assert!(
+                record.pseudo.is_some(),
+                "round {round}: a base-only record won"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

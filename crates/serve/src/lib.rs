@@ -22,16 +22,16 @@
 //!   persistent [`m3d_store::Store`] tier that survives restarts
 //!   (misses rehydrate from disk, completed sessions write through,
 //!   evictions spill).
-//! * [`reactor`] + per-connection framing — a vendored,
-//!   zero-dependency readiness poller (epoll on Linux, poll(2)
-//!   fallback) that the TCP front's shard threads multiplex all
-//!   connections over: no thread per connection, bounded per-tick work,
-//!   write backpressure that pauses reads instead of buffering without
-//!   limit. Requests decode on `m3d-json`'s borrowed zero-copy path.
+//! * the TCP front (private `conn` module) — one front for the server
+//!   and the router: an accept thread, and per connection a reader
+//!   thread that frames and decodes lines (on `m3d-json`'s borrowed
+//!   zero-copy path) and a writer thread that sends the rendered
+//!   answers, with write backpressure that pauses reads instead of
+//!   buffering without limit.
 //! * [`server`] — the [`Server`] engine (bounded queue, explicit
 //!   `overloaded` backpressure, per-request deadlines, graceful
-//!   drain-on-shutdown) and its event-driven [`TcpServer`] front
-//!   (tunable via [`TcpTuning`]).
+//!   drain-on-shutdown) and its [`TcpServer`] front (tunable via
+//!   [`TcpTuning`]).
 //! * [`client`] — a blocking pipelined [`Client`], also the substrate
 //!   of the `serve_client` load generator.
 //! * [`router`] — a consistent-hash shard [`Router`] front: N backend
@@ -72,19 +72,18 @@ pub mod cache;
 pub mod client;
 mod conn;
 pub mod protocol;
-pub mod reactor;
 pub mod router;
 pub mod server;
 
 pub use cache::{SessionCache, SessionKey};
 pub use client::{Client, ClientError};
+pub use conn::raise_nofile_limit;
 pub use m3d_flow::{FlowCommand, FlowReport, FlowRequest, NetlistSpec};
 pub use m3d_store::{Store, StoreError, StoreKey};
 pub use protocol::{
     decode_message, decode_request, decode_response, encode_line, ProtocolError, RejectKind,
     Response, ServerMessage, StreamEvent,
 };
-pub use reactor::{raise_nofile_limit, set_send_buffer, ReactorKind};
 pub use router::{route_key, Ring, Router, RouterConfig, RouterStatsSnapshot};
 pub use server::{
     Pending, PendingStream, Server, ServerConfig, StatsSnapshot, TcpServer, TcpTuning,

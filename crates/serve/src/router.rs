@@ -38,35 +38,33 @@
 //!   and an aggregate `done` — so a streaming client cannot tell a
 //!   routed sweep from a single-server one.
 //!
-//! * **Framing is the server's**: client lines are cut by the framer a
-//!   direct server's shard uses, under the same 1 MiB cap — an oversize
-//!   line gets the same `protocol` rejection bytes, then a close.
+//! * **The front is the server's**: accepting, framing (the same 1 MiB
+//!   cap — an oversize line gets the same `protocol` rejection bytes,
+//!   then a close), decoding, write backpressure and drain are one code
+//!   path shared with [`crate::TcpServer`].
 //!
 //! # Threading and health
 //!
-//! One blocking thread per client connection, deliberately not a second
-//! reactor: a connection's requests are answered in order and each is a
-//! blocking call on a backend [`Client`], so the thread *is* the
-//! per-connection state machine (DESIGN §16 has the argument, and names
-//! `router.hop_ms` under many clients as what would reopen it). Backend
-//! connections are lazy and per-client-connection (pipelined requests
-//! stay ordered per backend). A failed call reconnects and retries
-//! once; a backend that stays down answers that request `overloaded`
-//! (or an `error` event for a sweep point) instead of hanging the
-//! client.
+//! A client connection's reader thread makes the backend calls itself: a
+//! connection's requests are answered in order and each is a blocking
+//! call on a backend [`Client`], so the thread *is* the per-connection
+//! state machine (DESIGN §16). Backend connections are lazy and
+//! per-client-connection (pipelined requests stay ordered per backend).
+//! A failed call reconnects and retries once; a backend that stays down
+//! answers that request `overloaded` (or an `error` event for a sweep
+//! point) instead of hanging the client.
 
 use crate::client::{Client, ClientError};
-use crate::conn::{FrameEnd, Framer, MAX_LINE_BYTES};
-use crate::protocol::{
-    decode_or_reject, decode_response, encode_line, RejectKind, Response, StreamEvent,
-};
+use crate::conn::{Front, Outbox, Service};
+use crate::protocol::{decode_response, encode_line, RejectKind, Response, StreamEvent};
+use crate::server::TcpTuning;
 use m3d_flow::{FlowCommand, FlowRequest, ReadSet};
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use m3d_obs::Obs;
+use std::collections::hash_map::{Entry, HashMap};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Router tuning.
 #[derive(Debug, Clone)]
@@ -195,46 +193,44 @@ struct RouterStats {
     rejected_protocol: AtomicU64,
 }
 
-/// The per-client-connection relay state: the ring plus this
-/// connection's private, lazily-opened backend connections (one
-/// order-preserving [`Client`] per backend).
+/// The router's half of the shared front: the ring, the backend list
+/// and the counters. Each client connection keeps its own lazily opened
+/// backend connections (one order-preserving [`Client`] per backend).
 struct Relay {
     ring: Ring,
     backends: Vec<SocketAddr>,
-    conns: HashMap<usize, Client>,
     stats: Arc<RouterStats>,
 }
+
+type BackendConns = HashMap<usize, Client>;
 
 impl Relay {
     /// Calls `line` (no newline) on backend `idx` and returns the
     /// response line (with its newline): lazy connect, one reconnect-
     /// and-retry on failure — a clean backend EOF included — and `Err`
     /// once the backend stayed down.
-    fn backend_call(&mut self, idx: usize, line: &str) -> Result<String, ()> {
+    fn backend_call(&self, conns: &mut BackendConns, idx: usize, line: &str) -> Result<String, ()> {
         for attempt in 0..2 {
             if attempt > 0 {
                 self.stats.backend_retries.fetch_add(1, Ordering::Relaxed);
             }
-            if !self.conns.contains_key(&idx) {
-                match Client::connect(self.backends[idx]) {
-                    Ok(conn) => {
-                        self.conns.insert(idx, conn);
-                    }
+            let conn = match conns.entry(idx) {
+                Entry::Occupied(open) => open.into_mut(),
+                Entry::Vacant(slot) => match Client::connect(self.backends[idx]) {
+                    Ok(conn) => slot.insert(conn),
                     Err(_) => continue,
-                }
-            }
-            if let Some(conn) = self.conns.get_mut(&idx) {
-                let called = conn
-                    .send_raw(line)
-                    .map_err(ClientError::from)
-                    .and_then(|()| conn.recv_raw());
-                match called {
-                    Ok(response) => return Ok(response),
-                    Err(_) => {
-                        // Stale or broken pipe: drop it; the retry
-                        // reconnects from scratch.
-                        self.conns.remove(&idx);
-                    }
+                },
+            };
+            let called = conn
+                .send_raw(line)
+                .map_err(ClientError::from)
+                .and_then(|()| conn.recv_raw());
+            match called {
+                Ok(response) => return Ok(response),
+                Err(_) => {
+                    // Stale or broken pipe: drop it; the retry
+                    // reconnects from scratch.
+                    conns.remove(&idx);
                 }
             }
         }
@@ -247,10 +243,10 @@ impl Relay {
     /// Relays one v1 request verbatim: the client's exact line goes to
     /// the owning backend, the backend's exact response line comes
     /// back. Returns the line to write to the client.
-    fn relay_single(&mut self, line: &str, request: &FlowRequest) -> String {
+    fn relay_single(&self, conns: &mut BackendConns, line: &str, request: &FlowRequest) -> String {
         self.stats.relayed.fetch_add(1, Ordering::Relaxed);
         let backend = self.ring.route(&route_key(request));
-        match self.backend_call(backend, line) {
+        match self.backend_call(conns, backend, line) {
             Ok(response) => response,
             Err(()) => encode_line(&Response::reject(
                 Some(request.id),
@@ -261,16 +257,16 @@ impl Relay {
     }
 
     /// Decomposes a sweep, routes every point by its own key, and
-    /// synthesizes the client-facing stream. Writes events to `out` as
+    /// synthesizes the client-facing stream. Sends events to `out` as
     /// points come back so the client streams instead of waiting.
-    fn relay_sweep(&mut self, request: &FlowRequest, out: &mut TcpStream) -> io::Result<()> {
+    fn relay_sweep(&self, conns: &mut BackendConns, request: &FlowRequest, out: &Outbox) {
         self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
         let id = request.id;
         let points = request
             .decompose_sweep()
             .expect("a validated sweep decomposes");
         let total = points.len() as u64;
-        write_line(out, &encode_line(&StreamEvent::Progress { id, total }))?;
+        out.send(encode_line(&StreamEvent::Progress { id, total }));
         let mut delivered = 0u64;
         let mut errors = 0u64;
         for (index, mut point) in points.into_iter().enumerate() {
@@ -281,7 +277,8 @@ impl Relay {
             point.id = index;
             self.stats.sweep_points.fetch_add(1, Ordering::Relaxed);
             let backend = self.ring.route(&route_key(&point));
-            let outcome = match self.backend_call(backend, encode_line(&point).trim_end()) {
+            let called = self.backend_call(conns, backend, encode_line(&point).trim_end());
+            let outcome = match called {
                 Ok(response_line) => match decode_response(&response_line) {
                     Ok(Response::Ok {
                         cache_hit, report, ..
@@ -317,54 +314,44 @@ impl Relay {
                     }
                 }
             };
-            write_line(out, &encode_line(&event))?;
+            out.send(encode_line(&event));
         }
-        let done = StreamEvent::Done {
+        out.send(encode_line(&StreamEvent::Done {
             id,
             points: delivered,
             errors,
-        };
-        write_line(out, &encode_line(&done))
-    }
-
-    /// Answers one framed client line on `out`.
-    fn serve_line(&mut self, line: &str, out: &mut TcpStream) -> io::Result<()> {
-        let answer = match decode_or_reject(line) {
-            // Only a *valid* sweep streams. An invalid one (bad grid,
-            // wrong protocol version) relays verbatim so the backend
-            // answers the exact single-line rejection a direct
-            // connection would see.
-            Ok(request)
-                if matches!(request.command, FlowCommand::Sweep { .. })
-                    && request.validate().is_ok() =>
-            {
-                return self.relay_sweep(&request, out);
-            }
-            Ok(request) => self.relay_single(line, &request),
-            Err(rejection) => {
-                self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
-                encode_line(&rejection)
-            }
-        };
-        write_line(out, &answer)
+        }));
     }
 }
 
-/// Writes one rendered line to a client and flushes it.
-fn write_line(out: &mut TcpStream, line: &str) -> io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.flush()
+impl Service for Relay {
+    type Conn = BackendConns;
+
+    fn open(&self) -> BackendConns {
+        HashMap::new()
+    }
+
+    fn request(&self, conns: &mut BackendConns, line: &str, request: FlowRequest, out: &Outbox) {
+        // Only a *valid* sweep streams. An invalid one (bad grid, wrong
+        // protocol version) relays verbatim so the backend answers the
+        // exact single-line rejection a direct connection would see.
+        if matches!(request.command, FlowCommand::Sweep { .. }) && request.validate().is_ok() {
+            self.relay_sweep(conns, &request, out);
+        } else {
+            out.send(self.relay_single(conns, line, &request));
+        }
+    }
+
+    fn rejected(&self) {
+        self.stats.rejected_protocol.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// The router front: a listener plus one relay thread per client
-/// connection (the router does no flow work — a thread here only
-/// shuttles lines, so thread-per-connection is cheap at the client
-/// counts a front sees).
+/// The router front: the front [`crate::TcpServer`] uses, relaying each
+/// connection's requests instead of executing them.
 pub struct Router {
-    local_addr: SocketAddr,
     stats: Arc<RouterStats>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    front: Front,
 }
 
 impl Router {
@@ -382,48 +369,20 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let ring = Ring::new(config.backends.len(), config.vnodes);
         let stats = Arc::new(RouterStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let backends = config.backends.clone();
-            std::thread::spawn(move || {
-                let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                for accepted in listener.incoming() {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = accepted else { continue };
-                    let relay = Relay {
-                        ring: ring.clone(),
-                        backends: backends.clone(),
-                        conns: HashMap::new(),
-                        stats: Arc::clone(&stats),
-                    };
-                    let handle = std::thread::spawn(move || serve_conn(stream, relay));
-                    conn_threads.lock().expect("router threads").push(handle);
-                }
-                for handle in conn_threads.lock().expect("router threads").drain(..) {
-                    let _ = handle.join();
-                }
-            })
+        let relay = Relay {
+            ring: Ring::new(config.backends.len(), config.vnodes),
+            backends: config.backends,
+            stats: Arc::clone(&stats),
         };
-        Ok(Router {
-            local_addr,
-            stats,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
+        let front = Front::serve(listener, relay, TcpTuning::default(), Obs::disabled())?;
+        Ok(Router { stats, front })
     }
 
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Current counters.
@@ -440,65 +399,18 @@ impl Router {
         }
     }
 
-    /// Stops accepting and waits for the accept thread (which waits for
-    /// the relay threads of connections that have already hung up;
-    /// clients should disconnect first). Returns the final counters.
+    /// Drains like a server: stops accepting, closes every client's
+    /// read half (an idle client sees EOF), answers the lines already
+    /// read, and returns the final counters.
     pub fn shutdown(mut self) -> RouterStatsSnapshot {
-        self.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.front.drain();
         self.stats()
     }
 
     /// Blocks forever routing requests (the `m3d-router` binary's main
     /// loop).
     pub fn join(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One client connection's loop: frame lines exactly as a direct
-/// server's shard does (same [`Framer`], same [`MAX_LINE_BYTES`]),
-/// decode, relay.
-fn serve_conn(stream: TcpStream, mut relay: Relay) {
-    stream.set_nodelay(true).ok();
-    let Ok(mut read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut out = stream;
-    let mut framer = Framer::default();
-    let mut chunk = [0u8; 8 * 1024];
-    loop {
-        match read_half.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => framer.push(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        let mut lines: Vec<String> = Vec::new();
-        let end = framer.extract_lines(MAX_LINE_BYTES, &mut |line| lines.push(line.to_string()));
-        for line in &lines {
-            if relay.serve_line(line, &mut out).is_err() {
-                return;
-            }
-        }
-        if end != FrameEnd::Clean {
-            // As on a direct connection: one rejection if the violation
-            // is owed one, then no more reads.
-            if let Some(rejection) = end.rejection() {
-                relay
-                    .stats
-                    .rejected_protocol
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_line(&mut out, &encode_line(&rejection));
-            }
-            return;
-        }
+        self.front.join();
     }
 }
 

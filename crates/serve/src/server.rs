@@ -1,21 +1,22 @@
 //! The service engine: a bounded worker pool over a backpressured
-//! queue, with graceful drain-on-shutdown — plus the event-driven TCP
-//! front that feeds it newline-delimited JSON.
+//! queue, with graceful drain-on-shutdown — plus the TCP front that
+//! feeds it newline-delimited JSON.
 //!
 //! # Life of a request
 //!
 //! 1. **Admission**: every request — from [`Server::submit`],
-//!    [`Server::submit_stream`] or a TCP shard — enters through one
-//!    private `admit`, carrying the one route its lines will take. It is
-//!    first held to the numeric bounds of [`FlowRequest::validate`] — an
-//!    absurd netlist scale or grid-sizing knob is rejected
-//!    [`RejectKind::Protocol`] before it can reach a worker, even from
-//!    in-process callers. Then, under the queue lock, the request is
-//!    either queued or rejected — with [`RejectKind::Overloaded`] when
-//!    the queue is at `queue_depth` (explicit backpressure, never
-//!    silent blocking) or [`RejectKind::Shutdown`] once draining has
-//!    begun. Admission is the only place requests are dropped for
-//!    capacity. A v2 sweep is admitted as its per-point v1 requests.
+//!    [`Server::submit_stream`] or a TCP connection's reader — enters
+//!    through one private `admit`, carrying the one route its lines will
+//!    take. It is first held to the numeric bounds of
+//!    [`FlowRequest::validate`] — an absurd netlist scale or grid-sizing
+//!    knob is rejected [`RejectKind::Protocol`] before it can reach a
+//!    worker, even from in-process callers. Then, under the queue lock,
+//!    the request is either queued or rejected — with
+//!    [`RejectKind::Overloaded`] when the queue is at `queue_depth`
+//!    (explicit backpressure, never silent blocking) or
+//!    [`RejectKind::Shutdown`] once draining has begun. Admission is the
+//!    only place requests are dropped for capacity. A v2 sweep is
+//!    admitted as its per-point v1 requests.
 //! 2. **Dequeue**: a worker pops the oldest job. A job whose deadline
 //!    elapsed while it sat in the queue is answered with
 //!    [`RejectKind::Deadline`] and never run — queue time is the thing
@@ -35,52 +36,39 @@
 //!    message they build and the counters they book (v1 vs `sweep_*`).
 //! 4. **Reply**: every line goes back through the job's one route — an
 //!    in-process [`ServerMessage`] channel ([`PendingStream`], which
-//!    [`Pending`] narrows to its terminal response), or a message to
-//!    the reactor shard that owns the connection. Lines bound for a
-//!    socket are rendered to their wire form *on the worker thread*, so
-//!    a shard's event loop never serializes a large report.
+//!    [`Pending`] narrows to its terminal response), or the outbox of
+//!    the connection the request arrived on. Lines bound for a socket
+//!    are rendered to their wire form *on the worker thread*; the
+//!    connection's writer thread only copies bytes, and no worker ever
+//!    writes to a socket, so a slow reader cannot stall the pool.
 //!
 //! # The TCP front
 //!
-//! [`TcpServer`] runs a small fixed number of **shard** threads, each
-//! owning a readiness poller (see [`crate::reactor`]), a clone of the
-//! nonblocking listener, and the full state of the connections it
-//! accepted. Nothing in a shard blocks on a socket: reads, writes and
-//! accepts are all readiness-driven and partial, so thousands of idle
-//! connections cost a shard nothing but registered fds, and one slow
-//! peer cannot stall the others. Flow execution stays on the worker
-//! pool — a shard only frames lines, decodes requests (on `m3d-json`'s
-//! borrowed zero-copy path) and shuttles rendered response lines.
-//! Per-connection write buffers are bounded: past
-//! [`TcpTuning::write_high_water`] the shard stops *reading* from that
-//! connection (natural TCP backpressure) instead of buffering without
-//! limit, resuming below half the mark.
+//! [`TcpServer`] serves through the front it shares with the router
+//! (`conn.rs`): per connection — one fairness client — a reader thread
+//! admits each decoded request and a writer thread sends the rendered
+//! lines. Past [`TcpTuning::write_high_water`] queued bytes the reader
+//! stops *reading* (natural TCP backpressure) until they drain to half.
 //!
 //! # Shutdown
 //!
 //! [`Server::begin_drain`] atomically stops admission; workers keep
 //! draining until the queue is empty, then exit. Every accepted request
 //! is answered — the drain test in `tests/service.rs` holds the server
-//! to that. [`TcpServer::shutdown`] first tells every shard to drain:
-//! the shard stops accepting, stops reading (idle clients see EOF when
-//! their connection closes), answers and flushes everything in flight,
-//! and only then does the engine itself drain — the same
-//! everything-admitted-is-answered guarantee as the old
-//! thread-per-connection front, at thousands of connections.
+//! to that. [`TcpServer::shutdown`] first drains the front: it stops
+//! accepting, closes every connection's read half (idle clients see
+//! EOF), waits until each connection has sent everything in flight, and
+//! only then does the engine itself drain.
 
 use crate::cache::SessionCache;
-use crate::conn::{Conn, FrameEnd, MAX_LINE_BYTES};
-use crate::protocol::{
-    decode_or_reject, encode_line, RejectKind, Response, ServerMessage, StreamEvent,
-};
-use crate::reactor::{wake_pair, Event, Interest, Poller, ReactorKind, WakeReader, Waker};
+use crate::conn::{Front, Outbox, Service};
+use crate::protocol::{encode_line, RejectKind, Response, ServerMessage, StreamEvent};
 use m3d_flow::{FlowCommand, FlowReport, FlowRequest};
 use m3d_obs::Obs;
 use m3d_store::Store;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -127,40 +115,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Tuning for the TCP front's reactor shards. Separate from
-/// [`ServerConfig`] so the engine's knobs stay orthogonal to the
-/// socket-facing ones (and existing `ServerConfig` literals keep
-/// compiling).
+/// Tuning for the TCP front. Separate from [`ServerConfig`] so the
+/// engine's knobs stay orthogonal to the socket-facing ones (and
+/// existing `ServerConfig` literals keep compiling).
 #[derive(Debug, Clone)]
 pub struct TcpTuning {
-    /// Reactor shard threads. Each owns a poller and its accepted
-    /// connections; connections are distributed by whichever shard's
-    /// accept wins.
-    pub shards: usize,
-    /// Hard cap on one request line; a longer line is answered with a
-    /// `protocol` rejection and the connection's read half ends.
-    pub max_line_bytes: usize,
-    /// Per-connection outbound buffer level above which the shard stops
-    /// reading from that connection until the peer drains (resumes at
-    /// half this mark).
+    /// Bytes queued for one connection's writer above which its reader
+    /// stops reading until the peer drains them (resumes at half this
+    /// mark).
     pub write_high_water: usize,
-    /// Shrink each accepted socket's kernel send buffer (`SO_SNDBUF`).
-    /// Tests use this to make write backpressure reachable with small
-    /// data volumes; production leaves it `None`.
-    pub send_buffer_bytes: Option<usize>,
-    /// Which poller backend to use (`Auto`: epoll on Linux unless
-    /// `M3D_REACTOR=poll`).
-    pub reactor: ReactorKind,
 }
 
 impl Default for TcpTuning {
     fn default() -> TcpTuning {
         TcpTuning {
-            shards: 2,
-            max_line_bytes: MAX_LINE_BYTES,
             write_high_water: 256 << 10,
-            send_buffer_bytes: None,
-            reactor: ReactorKind::Auto,
         }
     }
 }
@@ -252,39 +221,34 @@ struct Stats {
 }
 
 /// Where a request's lines go: back to an in-process caller's message
-/// stream, or to the reactor shard owning the connection it arrived on.
+/// stream, or to the outbox of the connection it arrived on.
 enum Route {
     Stream(Sender<ServerMessage>),
-    Conn { shard: ShardHandle, conn: u64 },
+    Conn(Outbox),
 }
 
 impl Route {
-    /// Ships one message. `last` marks the request's terminal line (its
-    /// single response, or a sweep's `done`) so the owning shard can
-    /// balance its in-flight accounting exactly once per request,
-    /// however many event lines precede it.
-    fn send(&self, message: ServerMessage, last: bool) {
+    /// Ships one message.
+    fn send(&self, message: ServerMessage) {
         match self {
             Route::Stream(tx) => {
                 let _ = tx.send(message);
             }
-            Route::Conn { shard, conn } => {
-                // Render on this (worker or rejecting caller) thread:
-                // shard event loops never serialize reports.
-                shard.reply(*conn, encode_line(&message), last);
-            }
+            // Rendered on this (worker or admitting reader) thread: the
+            // connection's writer never serializes a report.
+            Route::Conn(out) => out.send(encode_line(&message)),
         }
     }
 
     /// Answers a request with its single response — also how a sweep
     /// that never started (admission rejection) ends.
     fn respond(&self, response: Response) {
-        self.send(ServerMessage::Response(response), true);
+        self.send(ServerMessage::Response(response));
     }
 
     /// Ships one event of a sweep's stream.
-    fn event(&self, event: StreamEvent, last: bool) {
-        self.send(ServerMessage::Event(event), last);
+    fn event(&self, event: StreamEvent) {
+        self.send(ServerMessage::Event(event));
     }
 }
 
@@ -308,51 +272,15 @@ impl SweepShared {
     fn finish_point(&self) -> bool {
         let remaining = self.remaining.fetch_sub(1, Ordering::AcqRel) - 1;
         if remaining == 0 {
-            self.route.event(
-                StreamEvent::Done {
-                    id: self.id,
-                    points: self.delivered.load(Ordering::Acquire),
-                    errors: self.errors.load(Ordering::Acquire),
-                },
-                true,
-            );
+            self.route.event(StreamEvent::Done {
+                id: self.id,
+                points: self.delivered.load(Ordering::Acquire),
+                errors: self.errors.load(Ordering::Acquire),
+            });
             return true;
         }
         false
     }
-}
-
-/// A shard's mailbox address: messages plus the waker that pops its
-/// poller out of `wait`.
-#[derive(Clone)]
-struct ShardHandle {
-    tx: Sender<ShardMsg>,
-    waker: Arc<Waker>,
-}
-
-impl ShardHandle {
-    fn reply(&self, conn: u64, line: String, last: bool) {
-        if self.tx.send(ShardMsg::Reply { conn, line, last }).is_ok() {
-            self.waker.wake();
-        }
-    }
-
-    fn drain(&self) {
-        if self.tx.send(ShardMsg::Drain).is_ok() {
-            self.waker.wake();
-        }
-    }
-}
-
-enum ShardMsg {
-    /// A rendered server line for one of the shard's connections.
-    /// `last` is set on the terminal line of a request (the single
-    /// response, or a sweep's `done`), which is what balances the
-    /// shard's and connection's in-flight counters.
-    Reply { conn: u64, line: String, last: bool },
-    /// Stop accepting and reading; answer and flush what's in flight,
-    /// then exit.
-    Drain,
 }
 
 /// How a job answers: a whole request, or one point of a sweep.
@@ -389,9 +317,8 @@ struct Inner {
     available: Condvar,
     stats: Stats,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Fairness client ids for in-process streaming submitters. TCP
-    /// clients get ids derived from their shard and connection token
-    /// instead (disjoint: those have the shard index in the high bits).
+    /// Fairness client ids: one per in-process streaming submission and
+    /// one per TCP connection.
     next_client: AtomicU64,
 }
 
@@ -508,8 +435,7 @@ impl Server {
     #[must_use]
     pub fn submit_stream(&self, request: FlowRequest) -> PendingStream {
         let (tx, rx) = channel();
-        let client = self.inner.next_client.fetch_add(1, Ordering::Relaxed);
-        self.admit(request, Route::Stream(tx), client);
+        self.admit(request, Route::Stream(tx), self.open());
         PendingStream { rx }
     }
 
@@ -627,9 +553,7 @@ impl Server {
                 .push(Arc::clone(&shared));
             // Emitted under the lock, before any point job is visible
             // to a worker: `progress` is always the stream's first line.
-            shared
-                .route
-                .event(StreamEvent::Progress { id, total }, false);
+            shared.route.event(StreamEvent::Progress { id, total });
             let now = Instant::now();
             let mut deferred = 0u64;
             for (index, point) in points.into_iter().enumerate() {
@@ -690,15 +614,15 @@ impl Server {
             .perf_add("serve/sweep_cancelled_points", dropped.len() as u64);
         for job in dropped {
             if let JobReply::SweepPoint { shared, .. } = job.reply {
-                // May emit `done` to a dead route — discarded there,
-                // but it keeps the shard's in-flight books balanced.
+                // May emit `done` to a dead route — discarded there.
+                // Dropping the job releases its hold on the outbox.
                 let _ = shared.finish_point();
             }
         }
     }
 
     /// Counts one `protocol` rejection that never became a request
-    /// (malformed wire lines — the shards answer those in-line).
+    /// (malformed wire lines — the front answers those in-line).
     fn note_rejected_protocol(&self) {
         self.inner
             .stats
@@ -895,7 +819,7 @@ impl Server {
                 }
             }
         };
-        shared.route.event(event, false);
+        shared.route.event(event);
     }
 
     /// Books one finished point: emits `done` (and unregisters the
@@ -1002,22 +926,11 @@ impl Server {
     }
 }
 
-// ---------------------------------------------------------------------
-// TCP front: reactor shards
-// ---------------------------------------------------------------------
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// The TCP face of a [`Server`]: a fixed set of reactor shard threads
-/// multiplexing all connections over readiness polling, feeding the
-/// shared worker pool.
+/// The TCP face of a [`Server`]: the front shared with the router,
+/// admitting every connection's requests to the worker pool.
 pub struct TcpServer {
     server: Server,
-    local_addr: SocketAddr,
-    shards: Vec<ShardHandle>,
-    threads: Vec<JoinHandle<()>>,
+    front: Front,
 }
 
 impl TcpServer {
@@ -1031,65 +944,27 @@ impl TcpServer {
         Self::bind_with(addr, config, TcpTuning::default())
     }
 
-    /// [`TcpServer::bind`] with explicit reactor tuning.
+    /// [`TcpServer::bind`] with explicit front tuning.
     ///
     /// # Errors
     ///
-    /// Propagates socket bind and poller setup failures.
+    /// Propagates socket bind failures.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
         tuning: TcpTuning,
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let server = Server::start(config);
-        let shard_count = tuning.shards.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut threads = Vec::with_capacity(shard_count);
-        for shard_id in 0..shard_count {
-            let poller = Poller::new(tuning.reactor)?;
-            if shards.is_empty() {
-                server
-                    .obs()
-                    .label_set("serve/reactor", poller.backend_name());
-            }
-            let (waker, wake_reader) = wake_pair()?;
-            let (tx, rx) = channel();
-            let handle = ShardHandle {
-                tx,
-                waker: Arc::new(waker),
-            };
-            shards.push(handle.clone());
-            let shard = Shard {
-                shard_id: shard_id as u64,
-                server: server.clone(),
-                tuning: tuning.clone(),
-                listener: listener.try_clone()?,
-                poller,
-                wake_reader,
-                rx,
-                handle,
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                inflight: 0,
-                draining: false,
-            };
-            threads.push(std::thread::spawn(move || shard.run()));
-        }
-        Ok(TcpServer {
-            server,
-            local_addr,
-            shards,
-            threads,
-        })
+        let obs = server.obs().clone();
+        let front = Front::serve(listener, server.clone(), tuning, obs)?;
+        Ok(TcpServer { server, front })
     }
 
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The engine behind the socket.
@@ -1098,310 +973,44 @@ impl TcpServer {
         &self.server
     }
 
-    /// Graceful shutdown: every shard stops accepting and reading,
-    /// answers and flushes everything in flight (idle clients see EOF —
-    /// they cannot stall the drain), then the engine drains its queue.
-    /// Returns the final counters.
+    /// Graceful shutdown: the front stops accepting and reading, sends
+    /// everything in flight (idle clients see EOF — they cannot stall
+    /// the drain), then the engine drains its queue. Returns the final
+    /// counters.
     #[must_use]
     pub fn shutdown(mut self) -> StatsSnapshot {
-        for shard in &self.shards {
-            shard.drain();
-        }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        self.front.drain();
         self.server.shutdown()
     }
 
     /// Blocks forever serving requests (the `serve` binary's main
     /// loop).
     pub fn join(mut self) {
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        self.front.join();
     }
 }
 
-/// One reactor shard: a poller, a listener clone, the connections this
-/// shard accepted, and the mailbox workers answer through.
-struct Shard {
-    /// This shard's index, folded into its connections' fairness client
-    /// ids (high bits) so they can never collide across shards or with
-    /// in-process `submit_stream` clients (whose high bits are zero).
-    shard_id: u64,
-    server: Server,
-    tuning: TcpTuning,
-    listener: TcpListener,
-    poller: Poller,
-    wake_reader: WakeReader,
-    rx: Receiver<ShardMsg>,
-    handle: ShardHandle,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    /// Requests handed to the engine from this shard's connections
-    /// whose replies have not yet come back. Counted per-shard (not
-    /// per-connection) so replies to connections that died early still
-    /// balance the books.
-    inflight: u64,
-    draining: bool,
-}
+/// Each TCP connection is one fairness client; its requests are
+/// admitted like in-process ones, answered through its outbox.
+impl Service for Server {
+    type Conn = u64;
 
-impl Shard {
-    fn run(mut self) {
-        let listener_ok = self
-            .poller
-            .register(
-                self.listener.as_raw_fd(),
-                TOKEN_LISTENER,
-                Interest {
-                    read: true,
-                    write: false,
-                },
-            )
-            .is_ok();
-        let waker_ok = self
-            .poller
-            .register(
-                self.wake_reader.fd(),
-                TOKEN_WAKER,
-                Interest {
-                    read: true,
-                    write: false,
-                },
-            )
-            .is_ok();
-        if !listener_ok || !waker_ok {
-            return;
-        }
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            events.clear();
-            if self.poller.wait(&mut events, -1).is_err() {
-                return;
-            }
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.wake_reader.drain(),
-                    token => self.conn_event(token, ev),
-                }
-            }
-            self.drain_messages();
-            if self.draining && self.inflight == 0 && self.conns.is_empty() {
-                return;
-            }
-        }
+    /// A fresh fairness client id: one per connection, and one per
+    /// [`Server::submit_stream`] call.
+    fn open(&self) -> u64 {
+        self.inner.next_client.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Accepts until the listener would block. All shards poll the same
-    /// listener; whoever wins the `accept` race owns the connection.
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.draining {
-                        continue; // dropped: no new connections while draining
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if let Some(bytes) = self.tuning.send_buffer_bytes {
-                        let _ = crate::reactor::set_send_buffer(&stream, bytes);
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = Conn::new(stream);
-                    let want = Interest {
-                        read: true,
-                        write: false,
-                    };
-                    if self.poller.register(conn.fd(), token, want).is_ok() {
-                        conn.registered = want;
-                        self.conns.insert(token, conn);
-                        self.server.obs().perf_add("serve/conns_accepted", 1);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
+    fn request(&self, client: &mut u64, _line: &str, request: FlowRequest, out: &Outbox) {
+        self.admit(request, Route::Conn(out.clone()), *client);
     }
 
-    fn conn_event(&mut self, token: u64, ev: Event) {
-        if !self.conns.contains_key(&token) {
-            return; // closed earlier in this batch
-        }
-        if ev.error {
-            // Peer is gone (reset/hangup): nothing written here can
-            // arrive, and any in-flight replies will be discarded when
-            // they come back.
-            self.close_conn(token);
-            return;
-        }
-        if ev.writable {
-            let flushed = self.conns.get_mut(&token).map_or(Ok(()), Conn::flush);
-            if flushed.is_err() {
-                self.close_conn(token);
-                return;
-            }
-        }
-        if ev.readable {
-            let wants_read = self
-                .conns
-                .get(&token)
-                .is_some_and(|c| !c.read_closed && !c.paused);
-            if wants_read && !self.read_conn(token) {
-                return;
-            }
-        }
-        self.refresh(token);
+    fn rejected(&self) {
+        self.note_rejected_protocol();
     }
 
-    /// One bounded read pass: fill the buffer, frame complete lines,
-    /// decode each on the borrowed zero-copy path, and either enqueue
-    /// the request or answer the malformed line in-line. Returns
-    /// `false` when the connection died during the pass.
-    fn read_conn(&mut self, token: u64) -> bool {
-        let conn = self.conns.get_mut(&token).expect("conn lookup");
-        let eof = match conn.fill() {
-            Ok(eof) => eof,
-            Err(_) => {
-                self.close_conn(token);
-                return false;
-            }
-        };
-        let mut parsed: Vec<Result<FlowRequest, Response>> = Vec::new();
-        let end = conn
-            .read
-            .extract_lines(self.tuning.max_line_bytes, &mut |line| {
-                parsed.push(decode_or_reject(line));
-            });
-        // A framing violation ends the reader like EOF does, after the
-        // one rejection an over-long line is owed.
-        if eof || end != FrameEnd::Clean {
-            conn.read_closed = true;
-        }
-        parsed.extend(end.rejection().map(Err));
-        for item in parsed {
-            match item {
-                Ok(request) => {
-                    self.inflight += 1;
-                    self.conns.get_mut(&token).expect("conn lookup").inflight += 1;
-                    self.server.admit(
-                        request,
-                        Route::Conn {
-                            shard: self.handle.clone(),
-                            conn: token,
-                        },
-                        self.client_of(token),
-                    );
-                }
-                Err(response) => {
-                    self.server.note_rejected_protocol();
-                    let line = encode_line(&response);
-                    let conn = self.conns.get_mut(&token).expect("conn lookup");
-                    conn.queue_write(line.as_bytes());
-                    if conn.flush().is_err() {
-                        self.close_conn(token);
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// The fairness client id of one of this shard's connections.
-    fn client_of(&self, token: u64) -> u64 {
-        ((self.shard_id + 1) << 32) | token
-    }
-
-    fn drain_messages(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            match msg {
-                ShardMsg::Reply { conn, line, last } => {
-                    // Only a request's terminal line balances the
-                    // in-flight books; a sweep's event lines don't.
-                    if last {
-                        self.inflight = self.inflight.saturating_sub(1);
-                    }
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        if last {
-                            c.inflight = c.inflight.saturating_sub(1);
-                        }
-                        c.queue_write(line.as_bytes());
-                        if c.flush().is_err() {
-                            self.close_conn(conn);
-                            continue;
-                        }
-                        self.refresh(conn);
-                    }
-                    // else: the connection died before its reply —
-                    // discarded, exactly as the old writer thread did.
-                }
-                ShardMsg::Drain => self.begin_shard_drain(),
-            }
-        }
-    }
-
-    fn begin_shard_drain(&mut self) {
-        if self.draining {
-            return;
-        }
-        self.draining = true;
-        self.poller
-            .deregister(self.listener.as_raw_fd(), TOKEN_LISTENER);
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.read_closed = true;
-            }
-            self.refresh(token);
-        }
-    }
-
-    /// Re-derives a connection's lifecycle state after any change:
-    /// write backpressure (pause reads over the high-water mark, resume
-    /// below half), close-when-finished, and the poller interest set.
-    fn refresh(&mut self, token: u64) {
-        let high = self.tuning.write_high_water;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if !conn.paused && conn.write_pending() > high {
-            conn.paused = true;
-            self.server.obs().perf_add("serve/read_paused", 1);
-        } else if conn.paused && conn.write_pending() <= high / 2 {
-            conn.paused = false;
-        }
-        self.server
-            .obs()
-            .gauge_max("serve/write_buffer_peak", conn.write_pending() as f64);
-        if conn.read_closed && conn.inflight == 0 && conn.write_pending() == 0 {
-            self.close_conn(token);
-            return;
-        }
-        let want = Interest {
-            read: !conn.read_closed && !conn.paused,
-            write: conn.write_pending() > 0,
-        };
-        if want != conn.registered {
-            conn.registered = want;
-            let fd = conn.fd();
-            let _ = self.poller.reregister(fd, token, want);
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.poller.deregister(conn.fd(), token);
-            self.server.obs().perf_add("serve/conns_closed", 1);
-            // A mid-stream disconnect cancels the connection's sweeps:
-            // its queued points retire unrun, its deferred points drop.
-            self.server.cancel_client(self.client_of(token));
-        }
+    fn abort(&self, client: &u64) {
+        self.cancel_client(*client);
     }
 }
 

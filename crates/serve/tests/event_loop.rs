@@ -1,9 +1,8 @@
-//! Edge cases of the event-driven TCP front: arbitrary TCP
-//! fragmentation and coalescing of request lines, write backpressure
-//! against a slow reader (bounded buffering, never unbounded),
-//! mid-request disconnects, graceful drain under a thousand idle
-//! connections, and the poll(2) fallback backend serving identically
-//! to epoll.
+//! Edge cases of the TCP front the server and the router share:
+//! arbitrary TCP fragmentation and coalescing of request lines, write
+//! backpressure against a slow reader (bounded buffering, never
+//! unbounded), mid-request disconnects, a line nested past the JSON
+//! depth cap, and graceful drain under a thousand idle connections.
 
 use m3d_flow::{
     Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, FlowSession, NetlistSpec, Proto,
@@ -11,8 +10,8 @@ use m3d_flow::{
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{
-    encode_line, raise_nofile_limit, Client, ReactorKind, Response, ServerConfig, TcpServer,
-    TcpTuning,
+    encode_line, raise_nofile_limit, Client, RejectKind, Response, Router, RouterConfig,
+    ServerConfig, TcpServer, TcpTuning,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -73,8 +72,8 @@ fn a_request_split_across_many_tcp_segments_still_decodes() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     // Dribble the line out a few bytes at a time with pauses, so the
-    // server's reactor sees the request as dozens of separate readable
-    // events, each delivering a fragment of one line.
+    // front's reader sees the request as dozens of separate reads, each
+    // delivering a fragment of one line.
     for chunk in line.as_bytes().chunks(7) {
         stream.write_all(chunk).expect("write");
         stream.flush().expect("flush");
@@ -105,8 +104,8 @@ fn requests_coalesced_into_one_segment_are_all_answered() {
     let expected: Vec<FlowReport> = reqs.iter().map(direct_report).collect();
 
     // Three requests (plus framing noise: blank and whitespace-only
-    // lines) delivered to the reactor in a single write — one readable
-    // event carrying several complete lines.
+    // lines) delivered to the front in a single write — one read
+    // carrying several complete lines.
     let mut batch = String::new();
     for req in &reqs {
         batch.push_str(&encode_line(req));
@@ -149,10 +148,6 @@ fn a_slow_reader_pauses_reads_instead_of_buffering_without_bound() {
         },
         TcpTuning {
             write_high_water: high_water,
-            // A small kernel send buffer makes the write path hit
-            // backpressure at test-sized volumes.
-            send_buffer_bytes: Some(4096),
-            ..TcpTuning::default()
         },
     )
     .expect("bind");
@@ -177,6 +172,18 @@ fn a_slow_reader_pauses_reads_instead_of_buffering_without_bound() {
     await_condition("the server to pause reads", || {
         perf(&obs, "serve/read_paused") >= 1
     });
+    // Keep refusing until the server stops answering: a front that kept
+    // reading would answer the rest of the flood into its own buffer.
+    let engine = server.server().clone();
+    let mut answered = engine.stats().rejected_protocol;
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = engine.stats().rejected_protocol;
+        if now == answered {
+            break;
+        }
+        answered = now;
+    }
 
     // Now drain everything: all LINES rejections arrive, in order.
     let mut reader = BufReader::new(&stream);
@@ -293,37 +300,44 @@ fn drain_completes_under_a_thousand_idle_connections() {
     }
 }
 
+/// One line of 100 000 `[` — a tenth of the line cap — used to overflow
+/// the decoding thread's stack and abort the process. Both fronts now
+/// answer it `protocol`, naming where the nesting passed the cap, and
+/// serve the connection's next request.
 #[test]
-fn the_poll_fallback_backend_serves_identically() {
-    let server = TcpServer::bind_with(
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        TcpTuning {
-            reactor: ReactorKind::Poll,
-            ..TcpTuning::default()
-        },
-    )
-    .expect("bind");
-    let req = request(21, 31);
+fn a_line_nested_past_the_depth_cap_is_a_protocol_rejection_on_both_fronts() {
+    let server = TcpServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![server.local_addr()]))
+        .expect("router bind");
+    let req = request(5, 31);
     let expected = direct_report(&req);
-
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    // Malformed line first: in-line rejection, connection stays usable.
-    client.send_raw("definitely not json").expect("send");
-    let rejection = client.recv().expect("recv");
-    assert_eq!(
-        rejection.reject_kind(),
-        Some(m3d_serve::RejectKind::Protocol)
-    );
-    match client.call(&req).expect("call") {
-        Response::Ok { id, report, .. } => {
-            assert_eq!(id, 21);
-            assert_eq!(*report, expected, "poll backend diverged from the library");
+    for addr in [server.local_addr(), router.local_addr()] {
+        let mut client = Client::connect(addr).expect("connect");
+        client.send_raw(&"[".repeat(100_000)).expect("send");
+        match client.recv().expect("an answer, not a dead peer") {
+            Response::Rejected { id, kind, message } => {
+                assert_eq!((id, kind), (None, RejectKind::Protocol));
+                assert_eq!(
+                    message,
+                    format!(
+                        "request is not JSON: nesting deeper than {} levels at byte {}",
+                        m3d_json::MAX_DEPTH,
+                        m3d_json::MAX_DEPTH
+                    )
+                );
+            }
+            ok => panic!("expected a protocol rejection, got {ok:?}"),
         }
-        Response::Rejected { kind, message, .. } => panic!("rejected [{kind}]: {message}"),
+        match client.call(&req).expect("call") {
+            Response::Ok { id, report, .. } => {
+                assert_eq!(id, 5);
+                assert_eq!(*report, expected);
+            }
+            Response::Rejected { kind, message, .. } => panic!("rejected [{kind}]: {message}"),
+        }
     }
-    drop(client);
+    assert_eq!(router.shutdown().rejected_protocol, 1);
     let stats = server.shutdown();
-    assert_eq!(stats.completed_ok, 1);
     assert_eq!(stats.rejected_protocol, 1);
+    assert_eq!(stats.completed_ok, 2);
 }

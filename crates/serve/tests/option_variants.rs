@@ -2,15 +2,13 @@
 //! in options read behind the pseudo-3-D checkpoint share one session,
 //! one store record and one prefix memo — and every one of them is still
 //! answered under its own knobs, byte for byte what a server that holds
-//! nothing answers. On both reactor backends, with the store on and off,
-//! interleaved over two connections.
+//! nothing answers. With the store on and off, interleaved over two
+//! connections.
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, NetlistSpec, Proto};
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
-use m3d_serve::{
-    encode_line, Client, ReactorKind, Response, Server, ServerConfig, Store, TcpServer, TcpTuning,
-};
+use m3d_serve::{encode_line, Client, Response, Server, ServerConfig, Store, TcpServer};
 use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -175,70 +173,61 @@ fn option_variants_share_one_session_and_are_answered_under_their_own_knobs() {
     );
     let expected: Vec<String> = fresh.into_iter().map(cold_spelling).collect();
 
-    for reactor in [ReactorKind::Auto, ReactorKind::Poll] {
-        for with_store in [false, true] {
-            let what = format!("{reactor:?}, store {with_store}");
-            let dir = std::env::temp_dir().join(format!(
-                "m3d-variants-{}-{reactor:?}-{with_store}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
-            let tuning = TcpTuning {
-                reactor,
-                ..TcpTuning::default()
-            };
-            let server = TcpServer::bind_with("127.0.0.1:0", config(store), tuning).expect("bind");
-            // Two connections, each taking the list's next request when
-            // its last answer has arrived.
-            let next = AtomicUsize::new(0);
-            let mut served: Vec<(usize, String)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..2)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut client = Client::connect(server.local_addr()).expect("connect");
-                            let mut mine = Vec::new();
-                            while let Some(request) =
-                                requests.get(next.fetch_add(1, Ordering::Relaxed))
-                            {
-                                let response = client.call(request).expect("call");
-                                mine.push((request.id as usize, cold_spelling(response)));
-                            }
-                            mine
-                        })
+    for with_store in [false, true] {
+        let what = format!("store {with_store}");
+        let dir =
+            std::env::temp_dir().join(format!("m3d-variants-{}-{with_store}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
+        let server = TcpServer::bind("127.0.0.1:0", config(store)).expect("bind");
+        // Two connections, each taking the list's next request when
+        // its last answer has arrived.
+        let next = AtomicUsize::new(0);
+        let mut served: Vec<(usize, String)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut client = Client::connect(server.local_addr()).expect("connect");
+                        let mut mine = Vec::new();
+                        while let Some(request) = requests.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let response = client.call(request).expect("call");
+                            mine.push((request.id as usize, cold_spelling(response)));
+                        }
+                        mine
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("connection thread"))
-                    .collect()
-            });
-            served.sort();
-            assert_eq!(served.len(), requests.len(), "{what}");
-            for (index, line) in &served {
-                let variant = variants()[index % variants().len()].0;
-                assert_eq!(
-                    line, &expected[*index],
-                    "{what}: request {index} ({variant})"
-                );
-            }
-            let stats = server.shutdown();
-            assert_eq!(stats.cache_misses, 1, "{what}: one session for all");
-            assert_eq!(stats.cache_hits, requests.len() as u64 - 1, "{what}");
-            assert_eq!(stats.pseudo_builds, 1, "{what}");
-            // Per configuration: the base variant's prefix, forked by the
-            // six that differ behind it, and one each for `f2f`/`seed 2`.
-            assert_eq!((stats.prefix_builds, stats.prefix_forks), (6, 12), "{what}");
-            if with_store {
-                assert_eq!((stats.store_hits, stats.store_misses), (0, 1), "{what}");
-                // Base-only after the first request, upgraded once the
-                // pseudo-3-D checkpoint exists: one record, two writes
-                // at most.
-                assert!((1..=2).contains(&stats.store_spills), "{what}: {stats:?}");
-                let records = std::fs::read_dir(&dir).expect("store dir").count();
-                assert_eq!(records, 1, "{what}: one record for every variant");
-                std::fs::remove_dir_all(&dir).expect("remove the store directory");
-            }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("connection thread"))
+                .collect()
+        });
+        served.sort();
+        assert_eq!(served.len(), requests.len(), "{what}");
+        for (index, line) in &served {
+            let variant = variants()[index % variants().len()].0;
+            assert_eq!(
+                line, &expected[*index],
+                "{what}: request {index} ({variant})"
+            );
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.cache_misses, 1, "{what}: one session for all");
+        assert_eq!(stats.cache_hits, requests.len() as u64 - 1, "{what}");
+        assert_eq!(stats.pseudo_builds, 1, "{what}");
+        // Per configuration: the base variant's prefix, forked by the
+        // six that differ behind it, and one each for `f2f`/`seed 2`.
+        assert_eq!((stats.prefix_builds, stats.prefix_forks), (6, 12), "{what}");
+        if with_store {
+            assert_eq!((stats.store_hits, stats.store_misses), (0, 1), "{what}");
+            // Base-only after the first request, upgraded once the
+            // pseudo-3-D checkpoint exists: one record, two writes
+            // at most.
+            assert!((1..=2).contains(&stats.store_spills), "{what}: {stats:?}");
+            let records = std::fs::read_dir(&dir).expect("store dir").count();
+            assert_eq!(records, 1, "{what}: one record for every variant");
+            std::fs::remove_dir_all(&dir).expect("remove the store directory");
         }
     }
 }

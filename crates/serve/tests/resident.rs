@@ -3,15 +3,14 @@
 //! request whose key is resident — and a `run_flow` on a prefix the
 //! session already holds forks it, with answers byte-identical to a
 //! server that has to build everything. Also the cache's bookkeeping
-//! around it: `misses == distinct keys` with the store on and off, on
-//! both reactor backends.
+//! around it: `misses == distinct keys` with the store on and off.
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto};
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{
-    encode_line, Client, ReactorKind, Response, Server, ServerConfig, SessionKey, StatsSnapshot,
-    Store, TcpServer, TcpTuning,
+    encode_line, Client, Response, Server, ServerConfig, SessionKey, StatsSnapshot, Store,
+    TcpServer,
 };
 use std::sync::Arc;
 
@@ -96,70 +95,61 @@ fn requests_on_a_resident_key_generate_its_netlist_once_and_answer_like_a_fresh_
         .enumerate()
         .map(|(i, r)| fresh_line(r, i > 0))
         .collect();
-    for reactor in [ReactorKind::Auto, ReactorKind::Poll] {
-        for with_store in [false, true] {
-            let what = format!("{reactor:?}, store {with_store}");
-            let dir = std::env::temp_dir().join(format!(
-                "m3d-resident-{}-{reactor:?}-{with_store}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
-            let obs = Obs::enabled();
-            let tuning = TcpTuning {
-                reactor,
-                ..TcpTuning::default()
-            };
-            let server =
-                TcpServer::bind_with("127.0.0.1:0", config(&obs, store), tuning).expect("bind");
-            let mut client = Client::connect(server.local_addr()).expect("connect");
-            for (request, expected) in requests.iter().zip(&expected) {
-                let response = client.call(request).expect("call");
-                assert_eq!(
-                    &encode_line(&response),
-                    expected,
-                    "{what}: id {}",
-                    request.id
-                );
-            }
-
-            let resident = server.server().stats();
-            assert_eq!(resident.netlists_materialized, 1, "{what}: once for six");
-            assert_eq!(perf(&obs, "serve/netlist_materialized"), 1, "{what}");
-
-            // Two more keys, raced from four connections: one slot each
-            // (racing first sights of a recipe may each generate it).
-            let others = [spec(0.012, 32), spec(0.012, 33)];
-            std::thread::scope(|scope| {
-                for k in 0..4 {
-                    let addr = server.local_addr();
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
-                        let request = run(10 + k, others[k as usize % 2], Config::ThreeD12T, 1.0);
-                        assert!(client.call(&request).expect("call").is_ok());
-                    });
-                }
-            });
-            drop(client);
-            let stats: StatsSnapshot = server.shutdown();
+    for with_store in [false, true] {
+        let what = format!("store {with_store}");
+        let dir =
+            std::env::temp_dir().join(format!("m3d-resident-{}-{with_store}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
+        let obs = Obs::enabled();
+        let server = TcpServer::bind("127.0.0.1:0", config(&obs, store)).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for (request, expected) in requests.iter().zip(&expected) {
+            let response = client.call(request).expect("call");
             assert_eq!(
-                (stats.cache_misses, stats.cache_hits),
-                (3, 7),
-                "{what}: misses == distinct keys"
+                &encode_line(&response),
+                expected,
+                "{what}: id {}",
+                request.id
             );
-            assert!((3..=5).contains(&stats.netlists_materialized), "{what}");
-            // 2-D 12T, Hetero at two periods, and 3-D 12T on two keys.
-            assert_eq!((stats.prefix_builds, stats.prefix_forks), (5, 5), "{what}");
-            assert_eq!(perf(&obs, "flow/prefix_runs"), 5, "{what}");
-            assert_eq!(
-                obs.manifest().counter("flow/prefix_forks"),
-                Some(5),
-                "{what}"
-            );
-            if with_store {
-                assert_eq!((stats.store_hits, stats.store_misses), (0, 3), "{what}");
-                std::fs::remove_dir_all(&dir).expect("remove the store directory");
+        }
+
+        let resident = server.server().stats();
+        assert_eq!(resident.netlists_materialized, 1, "{what}: once for six");
+        assert_eq!(perf(&obs, "serve/netlist_materialized"), 1, "{what}");
+
+        // Two more keys, raced from four connections: one slot each
+        // (racing first sights of a recipe may each generate it).
+        let others = [spec(0.012, 32), spec(0.012, 33)];
+        std::thread::scope(|scope| {
+            for k in 0..4 {
+                let addr = server.local_addr();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let request = run(10 + k, others[k as usize % 2], Config::ThreeD12T, 1.0);
+                    assert!(client.call(&request).expect("call").is_ok());
+                });
             }
+        });
+        drop(client);
+        let stats: StatsSnapshot = server.shutdown();
+        assert_eq!(
+            (stats.cache_misses, stats.cache_hits),
+            (3, 7),
+            "{what}: misses == distinct keys"
+        );
+        assert!((3..=5).contains(&stats.netlists_materialized), "{what}");
+        // 2-D 12T, Hetero at two periods, and 3-D 12T on two keys.
+        assert_eq!((stats.prefix_builds, stats.prefix_forks), (5, 5), "{what}");
+        assert_eq!(perf(&obs, "flow/prefix_runs"), 5, "{what}");
+        assert_eq!(
+            obs.manifest().counter("flow/prefix_forks"),
+            Some(5),
+            "{what}"
+        );
+        if with_store {
+            assert_eq!((stats.store_hits, stats.store_misses), (0, 3), "{what}");
+            std::fs::remove_dir_all(&dir).expect("remove the store directory");
         }
     }
 }

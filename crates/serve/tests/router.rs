@@ -451,10 +451,28 @@ fn a_dead_backend_answers_overloaded_not_a_hang() {
         other => panic!("expected done, got {other:?}"),
     }
 
-    // The relay thread parks in `read_line` until its client hangs up,
-    // and shutdown joins relay threads — disconnect first.
     drop(client);
     let stats = router.shutdown();
     assert!(stats.backend_unavailable > total);
     assert!(stats.backend_retries >= 1);
+}
+
+/// The router drains like a server: shutdown closes an idle client's
+/// read half instead of waiting for it to hang up, and the client reads
+/// EOF.
+#[test]
+fn shutdown_is_not_blocked_by_an_idle_client() {
+    let (backends, router) = cluster(1);
+    let mut idle = RawConn::connect(router.local_addr());
+    let answer = idle.call(&workload_lines()[0]);
+    assert!(decode_message(answer.trim_end()).is_ok());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(teardown(backends, router));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("router shutdown must not wait for an idle client");
+    let mut rest = String::new();
+    let n = idle.reader.read_line(&mut rest).expect("a clean EOF");
+    assert_eq!(n, 0, "the idle client must see EOF, got {rest:?}");
 }

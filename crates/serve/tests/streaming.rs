@@ -18,7 +18,7 @@ use m3d_serve::{
 use m3d_tech::{Corner, StackingStyle};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.012;
@@ -273,6 +273,20 @@ fn tcp_sweeps_stream_alongside_v1_requests_on_one_connection() {
 
 #[test]
 fn mid_stream_disconnect_cancels_remaining_points_and_pool_survives() {
+    mid_stream_disconnect(false);
+}
+
+/// The client ends its write half first, so the server's reader has
+/// already met a clean EOF: only the connection's writer can notice the
+/// hangup, and its write error must cancel the sweep just the same.
+#[test]
+fn a_hangup_after_a_half_close_cancels_the_sweep_through_the_writer() {
+    mid_stream_disconnect(true);
+}
+
+/// Sends a sweep on a raw connection, hangs up once it is admitted, and
+/// checks that the remaining points are cancelled and the pool survives.
+fn mid_stream_disconnect(half_close: bool) {
     let obs = Obs::enabled();
     let server = TcpServer::bind(
         "127.0.0.1:0",
@@ -298,6 +312,16 @@ fn mid_stream_disconnect_cancels_remaining_points_and_pool_survives() {
         while engine.stats().sweeps == 0 {
             assert!(Instant::now() < deadline, "sweep was never admitted");
             std::thread::sleep(Duration::from_millis(1));
+        }
+        if half_close {
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half close");
+            let mut progress = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut progress)
+                .expect("the progress line");
+            assert!(progress.contains("\"progress\""), "{progress}");
         }
     } // <- disconnect
     let engine = server.server().clone();

@@ -2,7 +2,7 @@
 //! three Hetero-Pin-3-D enhancements toggled independently, plus a sweep
 //! of the timing-partitioning area cap (the paper's 20–30 % guidance).
 
-use hetero3d::flow::{try_find_fmax, try_run_flow, Config, FlowOptions};
+use hetero3d::flow::{Config, FlowOptions, FlowSession};
 use hetero3d::netgen::Benchmark;
 use m3d_bench::{bench_options, emit, parse_args};
 use std::fmt::Write as _;
@@ -12,9 +12,19 @@ fn main() {
     let options = bench_options();
     let netlist = Benchmark::Cpu.generate(args.scale, args.seed);
     eprintln!("[cpu: {} gates]", netlist.gate_count());
-    let (fmax, _) = try_find_fmax(&netlist, Config::TwoD12T, &options, 1.0).expect("fmax sweep");
+    // Every variant is a binding of one session: they differ only behind
+    // the pseudo-3-D checkpoint, which is computed once.
+    let session = FlowSession::builder(&netlist)
+        .options(options.clone())
+        .build()
+        .expect("valid netlist");
+    let (fmax, _) = session.fmax(Config::TwoD12T, 1.0).expect("fmax sweep");
     let frequency = (fmax * 1.1 * 100.0).round() / 100.0;
     eprintln!("[ablating at {frequency:.2} GHz]");
+    let run = |o: &FlowOptions| {
+        let variant = session.bind(o).expect("a variant shares the checkpoints");
+        variant.run(Config::Hetero3d, frequency).expect("flow")
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -68,7 +78,7 @@ fn main() {
         ("all three (Hetero-Pin-3D)", options.clone()),
     ];
     for (name, o) in &variants {
-        let imp = try_run_flow(&netlist, Config::Hetero3d, frequency, o).expect("flow");
+        let imp = run(o);
         let _ = writeln!(
             out,
             "{:<34} {:>8.3} {:>8.3} {:>9.2} {:>7}",
@@ -92,7 +102,7 @@ fn main() {
             timing_partition_cap: cap,
             ..options.clone()
         };
-        let imp = try_run_flow(&netlist, Config::Hetero3d, frequency, &o).expect("flow");
+        let imp = run(&o);
         let locked = imp
             .timing_assignment
             .as_ref()

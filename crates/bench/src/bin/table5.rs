@@ -19,7 +19,8 @@ fn main() {
     let (fmax, _) = try_find_fmax(&netlist, Config::TwoD12T, &options, 1.0).expect("fmax sweep");
     let frequency = (fmax * 1.1 * 100.0).round() / 100.0;
     eprintln!("[12T-2D fmax {fmax:.2} GHz -> Table V target {frequency:.2} GHz]");
-    let cmp = pin3d_baseline_comparison(&netlist, frequency, &options, &CostModel::default());
+    let cmp = pin3d_baseline_comparison(&netlist, frequency, &options, &CostModel::default())
+        .expect("Table V flows");
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -1,8 +1,8 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::flow::{fmax_from_base, try_run_flow, Implementation};
+use crate::flow::Implementation;
 use crate::ppac::{percent_delta, DeltaRow, Ppac};
-use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base};
+use crate::FlowSession;
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
 
@@ -39,109 +39,112 @@ fn take_implementation(
         .ok_or(FlowError::MissingImplementation(config))
 }
 
-/// Runs the full evaluation methodology on one netlist:
-///
-/// 1. sweep the 12-track 2-D implementation to its fmax,
-/// 2. implement all five configurations at that frequency,
-/// 3. compute PPAC and the Table VII percent deltas.
-///
-/// This is the expensive entry point — a full run executes the flow seven
-/// or more times, but the shared prefixes are computed exactly once: one
-/// buffered base netlist feeds every run, one pseudo-3-D checkpoint
-/// feeds all three 3-D configurations (the `flow/pseudo3d_runs` counter
-/// records exactly 1), and one pre-sizing prefix feeds the probe and
-/// every rung of the fmax ladder (`flow/prefix_runs` records exactly 1).
-/// Independent configurations are implemented concurrently
-/// (`options.threads` workers); results are assembled back in Fig. 1
-/// order, so the output is identical at any thread count.
+/// Runs the full evaluation methodology on one netlist — a thin adapter
+/// over [`FlowSession::compare`].
 ///
 /// # Errors
 ///
-/// Propagates the first [`FlowError`] the sweep or any configuration job
+/// Returns [`FlowError::InvalidNetlist`] for an invalid netlist and
+/// propagates the first [`FlowError`] the sweep or any configuration job
 /// reports.
 pub fn try_compare_configs(
     netlist: &Netlist,
     options: &FlowOptions,
     cost: &CostModel,
 ) -> Result<Comparison, FlowError> {
-    let base = prepare_base(netlist, options)?;
-    let pseudo = pseudo_checkpoint(&base, options)?;
-    compare_from_base(&base, &pseudo, options, cost)
+    FlowSession::builder(netlist)
+        .options(options.clone())
+        .build()?
+        .compare(cost)
 }
 
-/// [`try_compare_configs`] over already-prepared checkpoints: the shared
-/// entry for sessions, which hold the base and the pseudo-3-D snapshot
-/// across many commands (and many service requests).
-pub(crate) fn compare_from_base(
-    base: &crate::stage::BaseDesign,
-    pseudo: &crate::stage::PseudoCheckpoint,
-    options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<Comparison, FlowError> {
-    let compare_span = options.obs.span("compare_configs");
-    let (target_ghz, base_imp) = fmax_from_base(base, None, Config::TwoD12T, options, 1.0)?;
+impl FlowSession {
+    /// Runs the five-way iso-performance comparison (Tables VI/VII):
+    ///
+    /// 1. sweep the 12-track 2-D implementation to its fmax,
+    /// 2. implement all five configurations at that frequency,
+    /// 3. compute PPAC and the Table VII percent deltas.
+    ///
+    /// This is the expensive command — a full run executes the flow seven
+    /// or more times, but off the session's checkpoints: one buffered
+    /// base netlist feeds every run, one pseudo-3-D checkpoint all three
+    /// 3-D configurations (`flow/pseudo3d_runs` records at most 1), and
+    /// each run's pre-sizing prefix comes out of the session's memo — the
+    /// fmax probe builds one that every rung forks, and a second
+    /// comparison builds none. Independent configurations are implemented
+    /// concurrently (`options.threads` workers); results are assembled
+    /// back in Fig. 1 order, so the output is identical at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failure of the fmax sweep or any
+    /// configuration job.
+    pub fn compare(&self, cost: &CostModel) -> Result<Comparison, FlowError> {
+        // Ahead of the fan-out, so no 3-D job waits on another for it.
+        self.pseudo()?;
+        let options = self.options();
+        let compare_span = options.obs.span("compare_configs");
+        let (target_ghz, base_imp) = self.fmax(Config::TwoD12T, 1.0)?;
 
-    // One job per configuration that still needs an implementation: the
-    // homogeneous configurations other than 12-track 2-D (which reuses the
-    // fmax sweep's implementation) plus the heterogeneous proposal. Every
-    // job forks the shared base; the 3-D jobs additionally fork the one
-    // pseudo-3-D checkpoint. Each `run_from_base` is a pure function of
-    // its arguments, so running them concurrently and reading results back
-    // in job order is deterministic. Each job writes its telemetry under
-    // its own `cfg/<name>` prefix, so concurrent jobs never share a
-    // manifest key.
-    let jobs: Vec<Config> = Config::HOMOGENEOUS
-        .iter()
-        .copied()
-        .filter(|&c| c != Config::TwoD12T)
-        .chain(std::iter::once(Config::Hetero3d))
-        .collect();
-    let job_options: Vec<FlowOptions> = jobs
-        .iter()
-        .map(|&config| options.fork_for(&format!("cfg/{config:?}")))
-        .collect();
-    let results = m3d_par::par_invoke(
-        options.threads,
-        jobs.iter()
-            .zip(&job_options)
-            .map(|(&config, o)| {
-                let pseudo = config.is_3d().then_some(pseudo);
-                move || run_from_base(base, pseudo, config, target_ghz, o)
-            })
-            .collect(),
-    );
-    let mut pool: Vec<Option<Implementation>> = Vec::with_capacity(results.len());
-    for r in results {
-        pool.push(Some(r?));
-    }
-    let hetero_implementation = take_implementation(&jobs, &mut pool, Config::Hetero3d)?;
-    let mut homogeneous = Vec::with_capacity(Config::HOMOGENEOUS.len());
-    let mut implementations = Vec::with_capacity(Config::HOMOGENEOUS.len());
-    for config in Config::HOMOGENEOUS {
-        let imp = if config == Config::TwoD12T {
-            base_imp.clone()
-        } else {
-            take_implementation(&jobs, &mut pool, config)?
-        };
-        homogeneous.push(imp.ppac(cost));
-        implementations.push(imp);
-    }
-    let hetero = hetero_implementation.ppac(cost);
-    let deltas = homogeneous
-        .iter()
-        .map(|h| percent_delta(&hetero, h))
-        .collect();
-    drop(compare_span);
+        // One job per configuration that still needs an implementation:
+        // the homogeneous configurations other than 12-track 2-D (which
+        // reuses the fmax sweep's implementation) plus the heterogeneous
+        // proposal. Every job is a pure function of its arguments, so
+        // running them concurrently and reading results back in job order
+        // is deterministic. Each job writes its telemetry under its own
+        // `cfg/<name>` prefix, so concurrent jobs never share a manifest
+        // key.
+        let jobs: Vec<Config> = Config::HOMOGENEOUS
+            .iter()
+            .copied()
+            .filter(|&c| c != Config::TwoD12T)
+            .chain(std::iter::once(Config::Hetero3d))
+            .collect();
+        let job_options: Vec<FlowOptions> = jobs
+            .iter()
+            .map(|&config| options.fork_for(&format!("cfg/{config:?}")))
+            .collect();
+        let results = m3d_par::par_invoke(
+            options.threads,
+            jobs.iter()
+                .zip(&job_options)
+                .map(|(&config, o)| move || self.run_with(config, target_ghz, o))
+                .collect(),
+        );
+        let mut pool: Vec<Option<Implementation>> = Vec::with_capacity(results.len());
+        for r in results {
+            pool.push(Some(r?));
+        }
+        let hetero_implementation = take_implementation(&jobs, &mut pool, Config::Hetero3d)?;
+        let mut homogeneous = Vec::with_capacity(Config::HOMOGENEOUS.len());
+        let mut implementations = Vec::with_capacity(Config::HOMOGENEOUS.len());
+        for config in Config::HOMOGENEOUS {
+            let imp = if config == Config::TwoD12T {
+                base_imp.clone()
+            } else {
+                take_implementation(&jobs, &mut pool, config)?
+            };
+            homogeneous.push(imp.ppac(cost));
+            implementations.push(imp);
+        }
+        let hetero = hetero_implementation.ppac(cost);
+        let deltas = homogeneous
+            .iter()
+            .map(|h| percent_delta(&hetero, h))
+            .collect();
+        drop(compare_span);
 
-    Ok(Comparison {
-        design: base.netlist.name.clone(),
-        target_ghz,
-        hetero,
-        homogeneous,
-        deltas,
-        hetero_implementation,
-        implementations,
-    })
+        Ok(Comparison {
+            design: self.design().to_string(),
+            target_ghz,
+            hetero,
+            homogeneous,
+            deltas,
+            hetero_implementation,
+            implementations,
+        })
+    }
 }
 
 /// Table V: the same heterogeneous design through the Pin-3-D baseline
@@ -162,32 +165,40 @@ pub struct BaselineComparison {
 
 /// Runs the Table V experiment: heterogeneous configuration under the
 /// baseline flow (no timing partitioning, legacy CTS, no ECO) vs the
-/// enhanced flow, at the same frequency.
-#[must_use]
+/// enhanced flow, at the same frequency — both on one session, the
+/// baseline a [binding](FlowSession::bind) of its options, so the
+/// pseudo-3-D stage runs once.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidNetlist`] for an invalid netlist and
+/// propagates the first failure of either flow.
 pub fn pin3d_baseline_comparison(
     netlist: &Netlist,
     frequency_ghz: f64,
     options: &FlowOptions,
     cost: &CostModel,
-) -> BaselineComparison {
-    let baseline_options = FlowOptions {
-        enable_timing_partition: false,
-        enable_3d_cts: false,
-        enable_repartition: false,
-        ..options.clone()
-    };
-    let pin3d_implementation =
-        try_run_flow(netlist, Config::Hetero3d, frequency_ghz, &baseline_options)
-            .unwrap_or_else(|e| panic!("pin3d baseline flow failed: {e}"));
-    let hetero_implementation = try_run_flow(netlist, Config::Hetero3d, frequency_ghz, options)
-        .unwrap_or_else(|e| panic!("hetero flow failed: {e}"));
-    BaselineComparison {
+) -> Result<BaselineComparison, FlowError> {
+    let session = FlowSession::builder(netlist)
+        .options(options.clone())
+        .build()?;
+    let baseline = session
+        .bind(&FlowOptions {
+            enable_timing_partition: false,
+            enable_3d_cts: false,
+            enable_repartition: false,
+            ..options.clone()
+        })
+        .expect("the baseline flow differs only behind the pseudo-3-D checkpoint");
+    let pin3d_implementation = baseline.run(Config::Hetero3d, frequency_ghz)?;
+    let hetero_implementation = session.run(Config::Hetero3d, frequency_ghz)?;
+    Ok(BaselineComparison {
         frequency_ghz,
         pin3d: pin3d_implementation.ppac(cost),
         hetero_pin3d: hetero_implementation.ppac(cost),
         pin3d_implementation,
         hetero_implementation,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -207,7 +218,8 @@ mod tests {
         // flow misses timing, the enhanced flow recovers most of the WNS
         // and cuts power.
         let n = Benchmark::Cpu.generate(0.015, 1);
-        let cmp = pin3d_baseline_comparison(&n, 1.6, &quick_options(), &CostModel::default());
+        let cmp = pin3d_baseline_comparison(&n, 1.6, &quick_options(), &CostModel::default())
+            .expect("both flows");
         assert!(
             cmp.pin3d.wns_ns < -0.02,
             "baseline should violate at 1.6 GHz: {}",
@@ -256,7 +268,7 @@ mod tests {
         // configuration reports the missing implementation instead of
         // panicking.
         let n = Benchmark::Aes.generate(0.05, 7);
-        let imp = try_run_flow(&n, Config::TwoD9T, 0.8, &quick_options()).expect("flow");
+        let imp = crate::try_run_flow(&n, Config::TwoD9T, 0.8, &quick_options()).expect("flow");
         let jobs = [Config::TwoD9T];
         let mut pool = vec![Some(imp)];
         assert!(take_implementation(&jobs, &mut pool, Config::TwoD9T).is_ok());

@@ -1,7 +1,8 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::ppac::Ppac;
-use crate::stage::{run_single, shared_prefix, BaseDesign, FlowState, Lane, PseudoCheckpoint};
+use crate::stage::{period_ns, FlowState, Lane};
+use crate::FlowSession;
 use m3d_cost::CostModel;
 use m3d_cts::ClockTree;
 use m3d_netlist::Netlist;
@@ -199,9 +200,9 @@ impl Implementation {
 /// partitioning, tier legalization, 3-D CTS and (optionally) the
 /// repartitioning ECO.
 ///
-/// This is a thin adapter over [`crate::FlowSession`]: callers running
-/// more than one command against the same netlist should build a session
-/// once and query it, so the expensive prefix work is shared.
+/// This is a thin adapter over [`FlowSession`]: callers running more
+/// than one command against the same netlist should build a session once
+/// and query it, so the expensive prefix work is shared.
 ///
 /// # Errors
 ///
@@ -213,10 +214,8 @@ pub fn try_run_flow(
     frequency_ghz: f64,
     options: &FlowOptions,
 ) -> Result<Implementation, FlowError> {
-    if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
-        return Err(FlowError::InvalidFrequency { frequency_ghz });
-    }
-    crate::FlowSession::builder(netlist)
+    period_ns(frequency_ghz)?;
+    FlowSession::builder(netlist)
         .options(options.clone())
         .build()?
         .run(config, frequency_ghz)
@@ -228,32 +227,31 @@ pub fn try_run_flow(
 /// is identical at any thread count.
 const FMAX_LADDER: [f64; 5] = [1.18, 1.08, 1.0, 0.92, 0.85];
 
-/// [`try_find_fmax`] over an already-prepared base (and, for 3-D
-/// configurations, an already-computed pseudo checkpoint): the
-/// pre-sizing prefix is built once, under `fmax/prefix`, and the probe,
-/// every ladder rung and the relaxed retry fork it — each still sizes,
-/// signs off and (Hetero-3D) repartitions on a timer of its own. Where
-/// partitioning itself reads the period there is no such prefix and
-/// every run implements the design from the checkpoints.
-pub(crate) fn fmax_from_base(
-    base: &BaseDesign,
-    pseudo: Option<&PseudoCheckpoint>,
-    config: Config,
-    options: &FlowOptions,
-    start_ghz: f64,
-) -> Result<(f64, Implementation), FlowError> {
-    let _span = options.obs.span("find_fmax");
-    let shared = shared_prefix(base, pseudo, config, &options.fork_for("fmax"))?;
-    fmax_ladder(options, start_ghz, |period_ns, options| {
-        run_single(
-            base,
-            pseudo,
-            config,
-            shared.as_ref(),
-            1.0 / period_ns,
-            options,
-        )
-    })
+impl FlowSession {
+    /// Sweeps `config` to its maximum met frequency, starting the probe
+    /// at `start_ghz`, as [`try_find_fmax`] describes. Every candidate is
+    /// a walk of the session: where partitioning does not read the period
+    /// the probe's pre-sizing prefix (or the one an earlier command left)
+    /// is forked by every rung and the relaxed retry — each still sizes,
+    /// signs off and (Hetero-3D) repartitions on a timer of its own.
+    /// Returns `(fmax_ghz, implementation_at_fmax)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidFrequency`] for a non-finite starting
+    /// point (too-low or negative starts are merely clamped) and
+    /// propagates the first failure of any probe or ladder rung.
+    pub fn fmax(&self, config: Config, start_ghz: f64) -> Result<(f64, Implementation), FlowError> {
+        if !start_ghz.is_finite() {
+            return Err(FlowError::InvalidFrequency {
+                frequency_ghz: start_ghz,
+            });
+        }
+        let _span = self.options().obs.span("find_fmax");
+        fmax_ladder(self.options(), start_ghz, |period_ns, options| {
+            self.run_with(config, 1.0 / period_ns, options)
+        })
+    }
 }
 
 /// The fmax search itself, over any way of implementing one period:
@@ -318,15 +316,16 @@ fn fmax_ladder(
 /// configuration — the paper's criterion: WNS no worse than ~`tolerance ×
 /// period` (5–7 %).
 ///
-/// Structure: the base, the pseudo-3-D checkpoint (3-D configurations)
-/// and the configuration's pre-sizing prefix are prepared once; one
-/// sequential probe run at `start_ghz` yields a Newton period estimate
-/// (`period - 0.85 × WNS`); a fixed ladder of candidate periods around
-/// that estimate is then finished **concurrently** (`options.threads`
-/// workers), every rung forking from the same snapshots. The winner is the highest-frequency candidate that
+/// Structure: the base and the pseudo-3-D checkpoint (3-D
+/// configurations) are prepared once; one sequential probe run at
+/// `start_ghz` builds the configuration's pre-sizing prefix and yields a
+/// Newton period estimate (`period - 0.85 × WNS`); a fixed ladder of
+/// candidate periods around that estimate is then finished
+/// **concurrently** (`options.threads` workers), every rung forking from
+/// the same snapshots. The winner is the highest-frequency candidate that
 /// met timing, chosen by scanning candidates in ladder order — a rule
 /// that depends only on the (deterministic) per-candidate results, never
-/// on completion order.
+/// on completion order. A thin adapter over [`FlowSession::fmax`].
 ///
 /// Returns `(fmax_ghz, implementation_at_fmax)`.
 ///
@@ -339,7 +338,7 @@ pub fn try_find_fmax(
     options: &FlowOptions,
     start_ghz: f64,
 ) -> Result<(f64, Implementation), FlowError> {
-    crate::FlowSession::builder(netlist)
+    FlowSession::builder(netlist)
         .options(options.clone())
         .build()?
         .fmax(config, start_ghz)
@@ -458,11 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn fmax_off_the_shared_prefix_is_the_cold_ladder() {
-        // The ladder over forks of one prefix against the same ladder
-        // with every candidate implemented from the checkpoints, on the
-        // four paper netlists; some searches must end in the never-met
-        // `relaxed` retry.
+    fn fmax_off_the_probes_prefix_is_the_cold_ladder() {
+        // A session's ladder, whose rungs fork the probe's prefix,
+        // against the same ladder with every candidate implemented from
+        // the checkpoints on a prefix of its own, on the four paper
+        // netlists; some searches must end in the never-met `relaxed`
+        // retry.
         let mut relaxed = 0;
         for bench in Benchmark::ALL {
             let n = bench.generate(0.05, 7);
@@ -473,25 +473,27 @@ mod tests {
             ] {
                 let mut options = quick_options();
                 options.obs = m3d_obs::Obs::enabled();
-                let base = prepare_base(&n, &options).expect("base");
-                let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
-                let pseudo = Some(&pseudo).filter(|_| config.is_3d());
-                let (fmax, imp) =
-                    fmax_from_base(&base, pseudo, config, &options, start_ghz).expect("fmax");
+                let session = FlowSession::builder(&n)
+                    .options(options.clone())
+                    .build()
+                    .expect("session");
+                let (fmax, imp) = session.fmax(config, start_ghz).expect("fmax");
                 let manifest = options.obs.manifest();
-                assert_eq!(manifest.counter("fmax/prefix/flow/prefix_runs"), Some(1));
-                assert!(manifest.span("fmax/prefix/run_flow").is_none());
+                assert_eq!(manifest.perf("fmax/probe/flow/prefix_runs"), Some(1));
                 let went_relaxed = manifest.span("fmax/relaxed/run_flow").is_some();
                 relaxed += usize::from(went_relaxed);
+                let forks = 5 + u64::from(went_relaxed);
                 assert_eq!(
                     manifest.counter_sum("flow/prefix_forks"),
-                    6 + u64::from(went_relaxed),
-                    "probe, five rungs, retry"
+                    forks,
+                    "five rungs, retry"
                 );
+                assert_eq!(session.take_prefix_counts(), (1, forks));
 
+                let (base, pseudo) = (session.base(), session.pseudo_checkpoint());
                 let cold_options = quick_options();
                 let (cold_fmax, cold) = fmax_ladder(&cold_options, start_ghz, |period_ns, o| {
-                    run_from_base(&base, pseudo, config, 1.0 / period_ns, o)
+                    run_from_base(base, pseudo, config, 1.0 / period_ns, o)
                 })
                 .expect("cold ladder");
                 let what = format!("{bench:?} {config} from {start_ghz} GHz");

@@ -1,21 +1,21 @@
 //! The technology-axis sweep: stacking style × sign-off corner ×
 //! frequency, rolled up into a power–performance–cost Pareto frontier.
 //!
-//! [`pareto_from_base`] implements one [`Config`] at every point of a
+//! [`FlowSession::pareto`] implements one [`Config`] at every point of a
 //! frequency grid under every technology scenario — each stacking style
 //! the configuration supports, signed off at each process corner — and
 //! marks the points no other point dominates on (total power, effective
 //! delay, die cost). It owns only the projection and the fold: the grid
 //! is a [`SweepSpec`] and the fan-out is the sweep executor's
-//! ([`crate::sweep`]), which runs the pseudo-3-D stage at most once per
-//! grid, walks each `(stacking, frequency)` once for all its corners,
-//! and returns points in input order, so the frontier is bit-identical
-//! at any thread count.
+//! ([`crate::sweep`]), which runs on the session's one pseudo-3-D
+//! checkpoint and prefix memo, walks each `(stacking, frequency)` once
+//! for all its corners, and returns points in input order, so the
+//! frontier is bit-identical at any thread count.
 
-use crate::config::{Config, FlowOptions};
+use crate::config::Config;
 use crate::error::FlowError;
-use crate::stage::{BaseDesign, PseudoCheckpoint};
 use crate::sweep::{run_grid, SweepSpec};
+use crate::FlowSession;
 use m3d_cost::CostModel;
 use m3d_tech::{Corner, StackingStyle};
 
@@ -117,48 +117,53 @@ pub(crate) fn pareto_spec(
     }
 }
 
-/// Sweeps `spec` — a [`pareto_spec`], one configuration — off an
-/// already-prepared base and returns the marked point set: scenarios in
-/// `StackingStyle::ALL` × `Corner::ALL` order, frequencies ascending
-/// within each. `pseudo` supplies the pseudo-3-D checkpoint if the grid
-/// turns out to need one.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidSweep`] for a malformed grid and
-/// propagates the first failure of any checkpoint or run.
-pub(crate) fn pareto_from_base(
-    base: &BaseDesign,
-    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
-    spec: &SweepSpec,
-    options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<ParetoSummary, FlowError> {
-    let mut points = run_grid(base, pseudo, spec, options, "pareto", |point, imp| {
-        let ppac = imp.ppac(cost);
-        ParetoPoint {
-            stacking: point.stacking,
-            corner: point.corner,
-            frequency_ghz: imp.frequency_ghz,
-            total_power_mw: ppac.total_power_mw,
-            effective_delay_ns: ppac.effective_delay_ns,
-            die_cost_uc: ppac.die_cost_uc,
-            pdp_pj: ppac.pdp_pj,
-            ppc: ppac.ppc,
-            wns_ns: ppac.wns_ns,
-            timing_met: imp.sta.timing_met(options.wns_tolerance),
-            on_frontier: false,
-        }
-    })?;
-    mark_frontier(&mut points);
-    options.obs.counter_add(
-        "pareto/frontier",
-        points.iter().filter(|p| p.on_frontier).count() as u64,
-    );
-    Ok(ParetoSummary {
-        config: spec.configs[0],
-        points,
-    })
+impl FlowSession {
+    /// Sweeps `config` over stacking style × sign-off corner ×
+    /// frequency and returns the power–performance–cost frontier: the
+    /// `pareto_spec` grid on the sweep executor, the marked point set
+    /// in `StackingStyle::ALL` × `Corner::ALL` order, frequencies
+    /// ascending within each scenario. Every walk is the session's, so
+    /// the pseudo-3-D checkpoint is computed here if this is the
+    /// session's first 3-D command (it reads nothing of the scenario) and
+    /// the grid's prefixes stay in the session's memo.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidSweep`] for a malformed grid and
+    /// propagates the first failure of any scenario run.
+    pub fn pareto(
+        &self,
+        config: Config,
+        freq_min_ghz: f64,
+        freq_max_ghz: f64,
+        freq_steps: usize,
+        cost: &CostModel,
+    ) -> Result<ParetoSummary, FlowError> {
+        let spec = pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps);
+        let tolerance = self.options().wns_tolerance;
+        let mut points = run_grid(self, &spec, "pareto", |point, imp| {
+            let ppac = imp.ppac(cost);
+            ParetoPoint {
+                stacking: point.stacking,
+                corner: point.corner,
+                frequency_ghz: imp.frequency_ghz,
+                total_power_mw: ppac.total_power_mw,
+                effective_delay_ns: ppac.effective_delay_ns,
+                die_cost_uc: ppac.die_cost_uc,
+                pdp_pj: ppac.pdp_pj,
+                ppc: ppac.ppc,
+                wns_ns: ppac.wns_ns,
+                timing_met: imp.sta.timing_met(tolerance),
+                on_frontier: false,
+            }
+        })?;
+        mark_frontier(&mut points);
+        self.options().obs.counter_add(
+            "pareto/frontier",
+            points.iter().filter(|p| p.on_frontier).count() as u64,
+        );
+        Ok(ParetoSummary { config, points })
+    }
 }
 
 #[cfg(test)]

@@ -16,41 +16,41 @@
 //!   caller — the session is `Sync`) forks it in O(1). A session serving
 //!   a design-space sweep runs the pseudo-3-D stage exactly once, which
 //!   is what the serve-layer checkpoint cache is built on.
-//! * The pre-sizing prefix of every `(config, period where partitioning
-//!   reads it, [`ReadSet::Prefix`] of the binding's options)` a
-//!   [`FlowSession::run`] implements is **kept**: the first
-//!   run of a key builds it inside its own `run_flow` span — booking what
-//!   a one-shot run books — and leaves an O(1) snapshot; every later run
-//!   of the key forks the snapshot and goes straight to sizing (one
-//!   `flow/prefix_forks`). Racing first runs block on the one build; the
-//!   map's lock is never held while flow code runs; at most
-//!   [`PREFIX_SLOTS`] stay, least recently used out first. `fmax`,
-//!   `compare`, `pareto` and `sweep` share a prefix inside themselves.
+//! * Every run of every command — `run`, each fmax probe, rung and
+//!   retry, each `compare` job, each walk of a `pareto` or `sweep` grid —
+//!   is one `FlowSession::walk`, and the pre-sizing prefix of every
+//!   `(config, period where partitioning reads it, [`ReadSet::Prefix`]
+//!   of the walk's options)` is **kept**: the first walk of a key builds
+//!   it inside its own `run_flow` span — booking what a one-shot run
+//!   books — and leaves an O(1) snapshot; every later walk of the key
+//!   forks the snapshot and goes straight to sizing (one
+//!   `flow/prefix_forks`). Racing first walks block on the one build; the
+//!   map's lock is never held while flow code runs; of the slots no walk
+//!   or grid holds, at most [`PREFIX_SLOTS`] stay, least recently used
+//!   out first.
 //! * Results are bit-identical to the standalone entry points at any
 //!   thread count: forking a checkpoint is observationally equal to
 //!   recomputing it (`shared_checkpoints_reproduce_the_standalone_run`,
 //!   `every_later_run_of_a_session_is_its_first_and_the_cold_run`).
 
-use crate::compare::{compare_from_base, Comparison};
 use crate::config::{Config, FlowOptions, ReadSet};
 use crate::error::FlowError;
-use crate::flow::{fmax_from_base, Implementation};
-use crate::pareto::{pareto_from_base, pareto_spec, ParetoSummary};
+use crate::flow::Implementation;
 use crate::stage::{
-    only_lane, prefix_key, prepare_base, pseudo_checkpoint, run_lanes_on, BaseDesign, Prefix,
+    drive, only_lane, period_ns, prefix_key, prepare_base, pseudo_checkpoint, BaseDesign, Prefix,
     PrefixKey, PseudoCheckpoint,
 };
-use crate::sweep::sweep_from_base;
+use crate::sweep::run_grid;
 use crate::wire::{FlowCommand, FlowReport, PpacSummary};
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
-use m3d_obs::Span;
+use m3d_tech::CornerSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// How many prefixes a session keeps. One is 1.8–2.1 MB resident at
-/// 25 k cells; eight hold the four homogeneous configurations and
-/// Hetero-3-D at four periods.
+/// How many prefixes a session keeps besides those a walk or a grid
+/// still holds. One is 1.8–2.1 MB resident at 25 k cells; eight hold the
+/// four homogeneous configurations and Hetero-3-D at four periods.
 const PREFIX_SLOTS: usize = 8;
 
 /// One kept prefix: built at most once, a failure kept like a success
@@ -158,8 +158,8 @@ struct Checkpoints {
     options_fingerprint: String,
     base: BaseDesign,
     pseudo: OnceLock<Result<PseudoCheckpoint, FlowError>>,
-    /// The prefixes [`FlowSession::run`] keeps, least recently used
-    /// first, at most [`PREFIX_SLOTS`] of them.
+    /// The prefixes the session's walks keep, least recently used first:
+    /// at most [`PREFIX_SLOTS`] besides those a walk or a grid holds.
     prefixes: Mutex<Vec<(PrefixKey, Arc<PrefixSlot>)>>,
     pseudo_builds: AtomicU64,
     prefix_builds: AtomicU64,
@@ -270,7 +270,7 @@ impl FlowSession {
 
     /// The shared pseudo-3-D checkpoint, computed on first use. Racing
     /// callers block on the one computation instead of duplicating it.
-    fn pseudo(&self) -> Result<&PseudoCheckpoint, FlowError> {
+    pub(crate) fn pseudo(&self) -> Result<&PseudoCheckpoint, FlowError> {
         let shared = &self.shared;
         let build = || {
             shared.pseudo_builds.fetch_add(1, Ordering::Relaxed);
@@ -300,31 +300,57 @@ impl FlowSession {
     /// Returns [`FlowError::InvalidFrequency`] for a non-positive or
     /// non-finite target and propagates any stage failure.
     pub fn run(&self, config: Config, frequency_ghz: f64) -> Result<Implementation, FlowError> {
-        if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
-            return Err(FlowError::InvalidFrequency { frequency_ghz });
-        }
-        let (base, options) = (&self.shared.base, &self.options);
-        let pseudo = self.pseudo_for(config)?;
-        let slot = self.prefix_slot(prefix_key(config, frequency_ghz, options));
-        let prefix = |period, root: &Span| {
-            let build = || Prefix::build(base, pseudo, config, period, options, root);
-            self.prefix_from(&slot, build)
-        };
-        let corner_sets = [options.tech.corners];
-        run_lanes_on(base, config, frequency_ghz, &corner_sets, options, prefix).and_then(only_lane)
+        self.run_with(config, frequency_ghz, &self.options)
     }
 
-    /// One run's prefix out of `slot`: the first caller runs `build`,
-    /// walks on with what it built — open pass span and all, as a
-    /// one-shot run does — and leaves a snapshot behind; callers racing
-    /// it block on that one build; they and every later caller fork the
-    /// snapshot, or hear the build's failure.
+    /// [`FlowSession::walk`] signed off at `options.tech.corners` alone.
+    pub(crate) fn run_with(
+        &self,
+        config: Config,
+        frequency_ghz: f64,
+        options: &FlowOptions,
+    ) -> Result<Implementation, FlowError> {
+        self.walk(config, frequency_ghz, &[options.tech.corners], options)
+            .and_then(only_lane)
+    }
+
+    /// The one run every command is made of: `config` at `frequency_ghz`
+    /// on `options` — this binding's, or a scoped copy of them that
+    /// agrees on [`ReadSet::Pseudo`] — signed off once per entry of
+    /// `corner_sets`, off the session's checkpoints, with the prefix out
+    /// of the memo slot of its `prefix_key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidFrequency`] for a non-positive or
+    /// non-finite target and propagates any stage failure.
+    pub(crate) fn walk(
+        &self,
+        config: Config,
+        frequency_ghz: f64,
+        corner_sets: &[CornerSet],
+        options: &FlowOptions,
+    ) -> Result<Vec<Implementation>, FlowError> {
+        let period = period_ns(frequency_ghz)?;
+        let (base, pseudo) = (&self.shared.base, self.pseudo_for(config)?);
+        let slot = self.prefix_slot(prefix_key(config, period, options));
+        drive(base, config, period, corner_sets, options, |root| {
+            let build = || Prefix::build(base, pseudo, config, period, options, root);
+            self.prefix_from(&slot, options, build)
+        })
+    }
+
+    /// One walk's prefix out of `slot`, booked on the walk's `options`:
+    /// the first caller runs `build`, walks on with what it built — open
+    /// pass span and all, as a one-shot run does — and leaves a snapshot
+    /// behind; callers racing it block on that one build; they and every
+    /// later caller fork the snapshot, or hear the build's failure.
     fn prefix_from(
         &self,
         slot: &PrefixSlot,
+        options: &FlowOptions,
         build: impl FnOnce() -> Result<Prefix, FlowError>,
     ) -> Result<Prefix, FlowError> {
-        let options = &self.options;
         let mut own = None;
         let kept = slot.get_or_init(|| {
             self.shared.prefix_builds.fetch_add(1, Ordering::Relaxed);
@@ -347,25 +373,29 @@ impl FlowSession {
     }
 
     /// The slot `key`'s prefix lives in, now the most recently used; a
-    /// new key may push the least recently used one out (runs still
-    /// inside it keep it alive through their `Arc`).
-    fn prefix_slot(&self, key: PrefixKey) -> Arc<PrefixSlot> {
+    /// new key may push out the least recently used slots nobody holds.
+    /// A slot held — by a walk inside it, or by a grid that will walk it
+    /// again — stays, so no key is built twice while it is in use.
+    pub(crate) fn prefix_slot(&self, key: PrefixKey) -> Arc<PrefixSlot> {
         let mut slots = self.shared.prefixes.lock().expect("prefix map poisoned");
         let slot = match slots.iter().position(|(k, _)| *k == key) {
             Some(i) => slots.remove(i).1,
             None => Arc::default(),
         };
         slots.push((key, Arc::clone(&slot)));
-        if slots.len() > PREFIX_SLOTS {
-            slots.remove(0);
+        while slots.len() > PREFIX_SLOTS {
+            let Some(i) = slots.iter().position(|(_, s)| Arc::strong_count(s) == 1) else {
+                break;
+            };
+            slots.remove(i);
         }
         slot
     }
 
-    /// Prefix builds and forks by [`FlowSession::run`] since the last
-    /// call, over every binding (plain atomics, counted with telemetry
-    /// off). Draining lets a holder of many short-lived sessions keep
-    /// exact totals.
+    /// Prefix builds and forks by the session's walks — every command's
+    /// — since the last call, over every binding (plain atomics, counted
+    /// with telemetry off). Draining lets a holder of many short-lived
+    /// sessions keep exact totals.
     pub fn take_prefix_counts(&self) -> (u64, u64) {
         (
             self.shared.prefix_builds.swap(0, Ordering::Relaxed),
@@ -378,69 +408,6 @@ impl FlowSession {
     /// for one rehydrated with its checkpoint.
     pub fn take_pseudo_builds(&self) -> u64 {
         self.shared.pseudo_builds.swap(0, Ordering::Relaxed)
-    }
-
-    /// Sweeps `config` to its maximum met frequency, starting the probe
-    /// at `start_ghz`. Returns `(fmax_ghz, implementation_at_fmax)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidFrequency`] for a non-finite starting
-    /// point (too-low or negative starts are merely clamped) and
-    /// propagates the first failure of any probe or ladder rung.
-    pub fn fmax(&self, config: Config, start_ghz: f64) -> Result<(f64, Implementation), FlowError> {
-        if !start_ghz.is_finite() {
-            return Err(FlowError::InvalidFrequency {
-                frequency_ghz: start_ghz,
-            });
-        }
-        fmax_from_base(
-            &self.shared.base,
-            self.pseudo_for(config)?,
-            config,
-            &self.options,
-            start_ghz,
-        )
-    }
-
-    /// Runs the five-way iso-performance comparison (Tables VI/VII).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failure of the fmax sweep or any
-    /// configuration job.
-    pub fn compare(&self, cost: &CostModel) -> Result<Comparison, FlowError> {
-        compare_from_base(&self.shared.base, self.pseudo()?, &self.options, cost)
-    }
-
-    /// Sweeps `config` over stacking style × sign-off corner ×
-    /// frequency and returns the power–performance–cost frontier.
-    ///
-    /// Runs on the sweep executor off the session's base and its one
-    /// pseudo-3-D checkpoint (computed here if this is the session's
-    /// first 3-D command, reused otherwise — it reads nothing of the
-    /// scenario); prefixes shared along the grid's axes live only as
-    /// long as this call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidSweep`] for a malformed grid and
-    /// propagates the first failure of any scenario run.
-    pub fn pareto(
-        &self,
-        config: Config,
-        freq_min_ghz: f64,
-        freq_max_ghz: f64,
-        freq_steps: usize,
-        cost: &CostModel,
-    ) -> Result<ParetoSummary, FlowError> {
-        pareto_from_base(
-            &self.shared.base,
-            || self.pseudo().cloned(),
-            &pareto_spec(config, freq_min_ghz, freq_max_ghz, freq_steps),
-            &self.options,
-            cost,
-        )
     }
 
     /// Executes one wire-format command and rolls the result up into its
@@ -487,13 +454,9 @@ impl FlowSession {
                 Ok(FlowReport::Pareto { summary })
             }
             FlowCommand::Sweep { spec } => {
-                let points = sweep_from_base(
-                    &self.shared.base,
-                    || self.pseudo().cloned(),
-                    spec,
-                    &self.options,
-                    &cost,
-                )?;
+                let points = run_grid(self, spec, "sweep", |_, imp| {
+                    PpacSummary::from(&imp.ppac(&cost))
+                })?;
                 Ok(FlowReport::Sweep { points })
             }
         }
@@ -1020,7 +983,7 @@ mod tests {
                             attempts.fetch_add(1, Ordering::Relaxed);
                             Err(failure.clone())
                         };
-                        session.prefix_from(&slot, failing).map(|_| ())
+                        session.prefix_from(&slot, &options, failing).map(|_| ())
                     })
                 })
                 .collect();
@@ -1038,15 +1001,95 @@ mod tests {
         let slot = PrefixSlot::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             session
-                .prefix_from(&slot, || panic!("a stage panicked"))
+                .prefix_from(&slot, &options, || panic!("a stage panicked"))
                 .map(|_| ())
         }));
         assert!(unwound.is_err() && slot.get().is_none());
         let span = options.obs.span("test");
         let build = || Prefix::build(session.base(), None, Config::TwoD12T, 1.0, &options, &span);
-        assert!(session.prefix_from(&slot, build).is_ok());
-        assert!(session.prefix_from(&slot, || Err(failure)).is_ok());
+        assert!(session.prefix_from(&slot, &options, build).is_ok());
+        assert!(session
+            .prefix_from(&slot, &options, || Err(failure))
+            .is_ok());
         assert_eq!(session.take_prefix_counts(), (2, 1));
+    }
+
+    /// Every command reads and fills the one memo: each key is built once
+    /// across them, a repeated comparison builds nothing, and every
+    /// report is what a fresh session answers.
+    #[test]
+    fn every_command_builds_each_prefix_key_once_and_answers_like_a_fresh_session() {
+        let netlist = Benchmark::Aes.generate(0.02, 31);
+        let session_of = || {
+            FlowSession::builder(&netlist)
+                .options(quick_options())
+                .build()
+                .expect("session")
+        };
+        let session = session_of();
+        let mut builds = Vec::new();
+        for command in [
+            FlowCommand::RunFlow {
+                config: Config::TwoD9T,
+                frequency_ghz: 1.0,
+            },
+            FlowCommand::FindFmax {
+                config: Config::ThreeD9T,
+                start_ghz: 3.0,
+            },
+            FlowCommand::CompareConfigs,
+            FlowCommand::CompareConfigs,
+        ] {
+            let report = session.execute(&command).expect("command");
+            assert_eq!(report, session_of().execute(&command).expect("fresh"));
+            builds.push(session.take_prefix_counts().0);
+        }
+        // The run's key, fmax's, then the comparison's 12-track probe,
+        // 3-D 12-track and Hetero-3-D at the target: its two 9-track
+        // jobs fork the first two.
+        assert_eq!(builds, [1, 1, 3, 0]);
+    }
+
+    /// A grid with more prefix keys than the memo keeps besides held
+    /// slots: a key its frequencies share is held until the grid ends and
+    /// built by its first walk, so each key is built once and the
+    /// manifest is the same at any thread count.
+    #[test]
+    fn a_grid_past_the_memo_bound_builds_each_key_once_at_any_thread_count() {
+        use crate::sweep::SweepSpec;
+        use m3d_tech::{Corner, StackingStyle};
+        let netlist = Benchmark::Aes.generate(0.012, 31);
+        let spec = SweepSpec {
+            configs: Config::ALL.to_vec(),
+            stacking: StackingStyle::ALL.to_vec(),
+            corners: vec![Corner::Typical],
+            freq_min_ghz: 0.9,
+            freq_max_ghz: 1.1,
+            freq_steps: 2,
+        };
+        // A key per homogeneous configuration and style; default
+        // Hetero-3-D one per style and period.
+        let keys = 4 * 2 + 2 * 2;
+        assert!(keys > PREFIX_SLOTS);
+        let at = |threads| {
+            let mut options = quick_options();
+            options.threads = threads;
+            options.obs = m3d_obs::Obs::enabled();
+            let session = FlowSession::builder(&netlist)
+                .options(options.clone())
+                .build()
+                .expect("session");
+            let command = FlowCommand::Sweep { spec: spec.clone() };
+            (
+                session.execute(&command).expect("sweep"),
+                session.take_prefix_counts(),
+                options.obs.manifest().deterministic_json(),
+            )
+        };
+        let one = at(1);
+        assert_eq!(one.1, (keys as u64, (spec.point_count() - keys) as u64));
+        assert!(one.2.contains("sweep/f2f/Hetero3d/f1/run_flow"));
+        assert_eq!(at(4), one);
     }
 
     #[test]

@@ -27,15 +27,12 @@
 //! * `Prefix` — the pre-sizing prefix of one `(config, stacking)`: the
 //!   first pass up to the clock tree. No stage in it reads the sign-off
 //!   corners, and none the clock period unless `partition_reads_period`
-//!   (the prefix then holds for the one period it was built at), so a
-//!   command that runs one configuration at many periods — the fmax
-//!   ladder, a grid's frequency axis — builds it once (`shared_prefix`)
-//!   and forks it per run. Every run is `finish(prefix, period, corner
-//!   sets)`; a single-shot [`run_from_base`] is the one-period case that
-//!   builds a prefix and consumes it. A command's shared prefix dies with
-//!   the command; the one a [`FlowSession`](crate::FlowSession) run
-//!   builds is kept by the session under its `prefix_key` and forked by
-//!   the session's later runs.
+//!   (the prefix then holds for the one period it was built at). Every
+//!   run is `finish(prefix, period, corner sets)`. A one-shot
+//!   [`run_from_base`] builds its prefix and consumes it; every run of a
+//!   [`FlowSession`](crate::FlowSession) — whatever the command — keeps
+//!   the one it builds under its `prefix_key`, and the session's later
+//!   runs of the key, at any period the key admits, fork it.
 //!
 //! The corner axis is a sign-off fan-out of one walk: `finish` takes a
 //! list of corner sets and yields one [`Implementation`] per set. The
@@ -399,7 +396,8 @@ pub fn pseudo_checkpoint(
 
 /// Implements `config` at `frequency_ghz`, forking off `base` (and off
 /// `pseudo`, when given, skipping the pseudo-3-D stage) and signing off
-/// at `options.tech.corners`, on a prefix of its own.
+/// at `options.tech.corners`, on a prefix it builds and consumes — the
+/// one-shot run, which keeps nothing.
 ///
 /// # Errors
 ///
@@ -412,30 +410,26 @@ pub fn run_from_base(
     frequency_ghz: f64,
     options: &FlowOptions,
 ) -> Result<Implementation, FlowError> {
-    run_single(base, pseudo, config, None, frequency_ghz, options)
+    let period = period_ns(frequency_ghz)?;
+    let corner_sets = [options.tech.corners];
+    drive(base, config, period, &corner_sets, options, |root| {
+        Prefix::build(base, pseudo, config, period, options, root)
+    })
+    .and_then(only_lane)
 }
 
-/// The one-corner-set case of [`run_lanes`]: signs off at
-/// `options.tech.corners`.
-pub(crate) fn run_single(
-    base: &BaseDesign,
-    pseudo: Option<&PseudoCheckpoint>,
-    config: Config,
-    shared: Option<&Prefix>,
-    frequency_ghz: f64,
-    options: &FlowOptions,
-) -> Result<Implementation, FlowError> {
-    let corner_sets = [options.tech.corners];
-    run_lanes(
-        base,
-        pseudo,
-        config,
-        shared,
-        frequency_ghz,
-        &corner_sets,
-        options,
-    )
-    .and_then(only_lane)
+/// The clock period of a target frequency, ns.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidFrequency`] for a non-positive or
+/// non-finite target.
+pub(crate) fn period_ns(frequency_ghz: f64) -> Result<f64, FlowError> {
+    if frequency_ghz.is_finite() && frequency_ghz > 0.0 {
+        Ok(1.0 / frequency_ghz)
+    } else {
+        Err(FlowError::InvalidFrequency { frequency_ghz })
+    }
 }
 
 /// The implementation of a run signed off at one corner set.
@@ -443,45 +437,19 @@ pub(crate) fn only_lane(mut lanes: Vec<Implementation>) -> Result<Implementation
     lanes.pop().ok_or(missing("assemble", "implementation"))
 }
 
-/// One run of `config` at `frequency_ghz` under `options.tech.stacking`,
-/// signed off once per entry of `corner_sets` (the result order): forked
-/// off `shared` when the command built one, else on a prefix of its own,
-/// which it consumes. `options.tech.corners` is not read.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidFrequency`] for a non-positive or
-/// non-finite target and propagates any stage failure.
-pub(crate) fn run_lanes(
-    base: &BaseDesign,
-    pseudo: Option<&PseudoCheckpoint>,
-    config: Config,
-    shared: Option<&Prefix>,
-    frequency_ghz: f64,
-    corner_sets: &[CornerSet],
-    options: &FlowOptions,
-) -> Result<Vec<Implementation>, FlowError> {
-    let prefix = |period, root: &Span| match shared {
-        Some(prefix) => Ok(prefix.fork(options)),
-        None => Prefix::build(base, pseudo, config, period, options, root),
-    };
-    run_lanes_on(base, config, frequency_ghz, corner_sets, options, prefix)
-}
-
-/// [`run_lanes`] over any source of the run's prefix: `prefix(period_ns,
-/// run span)` is asked once, inside the run's span, after its labels.
-pub(crate) fn run_lanes_on(
+/// One run of `config` at `period` under `options.tech.stacking`, signed
+/// off once per entry of `corner_sets` (the result order;
+/// `options.tech.corners` is not read), over any source of its prefix:
+/// `prefix(run span)` is asked once, inside the run's span, after its
+/// labels.
+pub(crate) fn drive(
     base: &BaseDesign,
     config: Config,
-    frequency_ghz: f64,
+    period: f64,
     corner_sets: &[CornerSet],
     options: &FlowOptions,
-    prefix: impl FnOnce(f64, &Span) -> Result<Prefix, FlowError>,
+    prefix: impl FnOnce(&Span) -> Result<Prefix, FlowError>,
 ) -> Result<Vec<Implementation>, FlowError> {
-    if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
-        return Err(FlowError::InvalidFrequency { frequency_ghz });
-    }
-    let period = 1.0 / frequency_ghz;
     let obs = &options.obs;
     let run_span = obs.span("run_flow");
     if obs.is_enabled() {
@@ -491,7 +459,7 @@ pub(crate) fn run_lanes_on(
         obs.label_set("input/config", &config.to_string());
         obs.perf_add("threads_resolved", m3d_par::resolve(options.threads) as u64);
     }
-    let prefix = prefix(period, &run_span)?;
+    let prefix = prefix(&run_span)?;
     finish(prefix, period, corner_sets, options, &run_span)?
         .lanes
         .into_iter()
@@ -518,8 +486,8 @@ fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
 /// ([`ReadSet::Prefix`], the stacking style among them).
 pub(crate) type PrefixKey = (Config, Option<u64>, u64);
 
-pub(crate) fn prefix_key(config: Config, frequency_ghz: f64, options: &FlowOptions) -> PrefixKey {
-    let period = partition_reads_period(config, options).then(|| (1.0 / frequency_ghz).to_bits());
+pub(crate) fn prefix_key(config: Config, period_ns: f64, options: &FlowOptions) -> PrefixKey {
+    let period = partition_reads_period(config, options).then(|| period_ns.to_bits());
     (config, period, options.read_set(ReadSet::Prefix))
 }
 
@@ -587,30 +555,6 @@ impl Prefix {
         options.obs.counter_add("flow/prefix_forks", 1);
         self.snapshot()
     }
-}
-
-/// Builds the prefix a command's runs of `config` under
-/// `options.tech.stacking` will fork, booking the shared work once under
-/// `<scope>/prefix/…` — or `None` where [`partition_reads_period`]: no
-/// two periods share one, so each run builds (and consumes) its own.
-/// The database is born without a period: a prefix stage that read one
-/// would poison every number downstream.
-pub(crate) fn shared_prefix(
-    base: &BaseDesign,
-    pseudo: Option<&PseudoCheckpoint>,
-    config: Config,
-    options: &FlowOptions,
-) -> Result<Option<Prefix>, FlowError> {
-    if partition_reads_period(config, options) {
-        return Ok(None);
-    }
-    let root = options.obs.span("prefix");
-    let options = options.fork_for("prefix");
-    options.obs.counter_add("flow/prefix_runs", 1);
-    let mut prefix = Prefix::build(base, pseudo, config, f64::NAN, &options, &root)?;
-    // The pass span closes with the build, not with the command.
-    prefix.pass = None;
-    Ok(Some(prefix))
 }
 
 /// The first pass's span name.
@@ -1541,26 +1485,31 @@ mod tests {
         cases
     }
 
+    /// A prefix built at one period and forked at the other against the
+    /// cold run at the other, for every configuration a session files
+    /// under one key for both periods.
     #[test]
-    fn a_run_forked_off_a_shared_prefix_is_the_cold_run() {
+    fn a_run_forked_off_a_prefix_built_at_another_period_is_the_cold_run() {
         use m3d_tech::StackingStyle;
         let netlist = Benchmark::Aes.generate(0.03, 7);
         let (mut eco_moves, mut second_passes) = (0, 0);
+        let periods = [1.0 / 0.9, 1.0 / 2.2];
         for (config, options) in shareable_cases() {
             for stacking in StackingStyle::ALL {
                 let mut options = options.clone();
                 options.tech.stacking = stacking;
                 options.obs = Obs::enabled();
+                let [a, b] = periods.map(|p| prefix_key(config, p, &options));
+                assert_eq!(a, b, "{config} {stacking}: one key for both periods");
                 let base = prepare_base(&netlist, &options).expect("base");
                 let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
                 let pseudo = Some(&pseudo).filter(|_| config.is_3d());
-                let shared = shared_prefix(&base, pseudo, config, &options)
-                    .expect("prefix")
-                    .expect("a period-invariant partition shares its prefix");
                 let sets = [options.tech.corners];
-                for ghz in [0.9, 2.2] {
-                    let what = format!("{config} {stacking} {ghz} GHz");
-                    let (span, period) = (options.obs.span("test"), 1.0 / ghz);
+                for (period, other) in [(periods[0], periods[1]), (periods[1], periods[0])] {
+                    let what = format!("{config} {stacking} {:.2} GHz", 1.0 / period);
+                    let (root, span) = (options.obs.span("shared"), options.obs.span("test"));
+                    let shared = Prefix::build(&base, pseudo, config, other, &options, &root)
+                        .expect("prefix at the other period");
                     let own = Prefix::build(&base, pseudo, config, period, &options, &span)
                         .expect("own prefix");
                     let cold = finish(own, period, &sets, &options, &span).expect("cold");
@@ -1581,8 +1530,8 @@ mod tests {
                     }
                     eco_moves += forked.eco.as_ref().map_or(0, |e| e.cells_moved);
                 }
-                // Two cold walks: one `impl2d` each, plus one per
-                // re-implementation pass.
+                // Two cold and two forked walks: one `impl2d` each, plus
+                // one per re-implementation pass.
                 if let Some(row) = options.obs.manifest().span("test/impl2d") {
                     second_passes += row.calls - 4;
                 }
@@ -1590,11 +1539,10 @@ mod tests {
         }
         assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
         assert!(second_passes > 0, "no 2-D walk took the second pass");
-        // The one case that is not shared.
+        // The one case that is not shared: a key per period.
         let options = FlowOptions::default();
-        let base = prepare_base(&netlist, &options).expect("base");
-        let shared = shared_prefix(&base, None, Config::Hetero3d, &options).expect("prefix");
-        assert!(shared.is_none(), "timing partitioning reads the period");
+        let [a, b] = periods.map(|p| prefix_key(Config::Hetero3d, p, &options));
+        assert_ne!(a, b, "timing partitioning reads the period");
     }
 
     /// The design a prefix state holds, by bits, at a common period.

@@ -8,33 +8,32 @@
 //! to fan a sweep out across its worker pool as individually schedulable
 //! jobs — every point hitting the shared checkpoint cache under one
 //! key, no scenario axis being read in front of the session's
-//! checkpoints — and [`sweep_from_base`] is the in-process
-//! mirror used by [`crate::FlowSession::execute`], bit-identical to
-//! running the decomposed points one by one without redoing what they
-//! have in common.
+//! checkpoints — and `run_grid` is the in-process mirror used by
+//! [`crate::FlowSession::execute`], bit-identical to running the
+//! decomposed points one by one without redoing what they have in
+//! common.
 //!
 //! This module owns the grid: [`SweepSpec::validate`] is the one grid
 //! validator and `run_grid` the one stacking × corner × frequency
-//! fan-out. [`crate::pareto::pareto_from_base`] is a client of both — it
+//! fan-out. [`crate::FlowSession::pareto`] is a client of both — it
 //! builds the spec for one configuration, runs the executor with its own
 //! per-point projection and folds the frontier.
 //!
 //! Point order is deterministic and scenario-major: stacking styles in
 //! spec order, corners within a style, configurations within a corner,
-//! the frequency grid ascending innermost. The executor implements each
-//! axis-invariant prefix once: one pseudo-3-D checkpoint for the whole
-//! grid (`flow/pseudo3d_runs` is 1 whenever the config axis contains a
-//! 3-D configuration — the session's own, through a session), one
+//! the frequency grid ascending innermost. The executor runs on a
+//! session and implements each axis-invariant prefix once: the session's
+//! one pseudo-3-D checkpoint (`flow/pseudo3d_runs` is at most 1), one
 //! pre-sizing prefix per `(config, stacking)` where partitioning does
-//! not read the period, and one implementation walk per `(config,
-//! stacking, frequency)` whose sign-off fans out over the corner axis.
+//! not read the period — out of the session's memo, like every other
+//! run's — and one implementation walk per `(config, stacking,
+//! frequency)` whose sign-off fans out over the corner axis.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::Implementation;
-use crate::stage::{run_lanes, shared_prefix, BaseDesign, Prefix, PseudoCheckpoint};
-use crate::wire::PpacSummary;
-use m3d_cost::CostModel;
+use crate::stage::{prefix_key, PrefixKey};
+use crate::FlowSession;
 use m3d_json::DecodeError;
 use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
 
@@ -208,145 +207,101 @@ impl SweepSpec {
     }
 }
 
-/// The one grid executor: implements every point of `spec` off an
-/// already-prepared base and returns `project(point, implementation)` per
-/// grid point, in point order.
+/// The one grid executor: implements every point of `spec` on `session`
+/// and returns `project(point, implementation)` per grid point, in point
+/// order.
 ///
-/// `pseudo` supplies the grid's one pseudo-3-D checkpoint (nothing in it
-/// reads the scenario) and is asked only when the config axis contains a
-/// 3-D configuration. Each stacking style forks the caller's options
-/// under a `<scope>/<style>` telemetry scope; each `(config, style)`
-/// builds its pre-sizing prefix once where that is period-invariant
-/// ([`shared_prefix`]); each `(config, style, frequency)` is then one
-/// walk forked off it, signed off at every corner of the spec — a point
-/// is its walk's lane for the point's corner, which retires in the ECO
-/// round its own single-corner run would have stopped in. Prefixes and
-/// walks fan out through [`m3d_par::par_invoke`], each point projected
-/// and dropped inside its job; input-order results make the point list
-/// bit-identical at any thread count.
+/// A walk is one `(config, style, frequency)`: a [`FlowSession::walk`]
+/// on the session's options under the style's scenario and a telemetry
+/// scope of its own (`<scope>/<style>/<config>/f<step>`), signed off at
+/// every corner of the spec — a point is its walk's lane for the point's
+/// corner, which retires in the ECO round its own single-corner run
+/// would have stopped in. Walks that share a prefix key (those of one
+/// `(config, style)` where partitioning does not read the period) fork
+/// one prefix: the key's first walk builds it, the others fork it in a
+/// second wave, and the grid holds the key's memo slot until it ends, so
+/// the walks of other keys cannot push it out in between. Which walk
+/// builds is thereby the same at any thread count, and so is the
+/// manifest. Each wave fans out through [`m3d_par::par_invoke`], each
+/// point projected and dropped inside its job; input-order results make
+/// the point list bit-identical at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::InvalidSweep`] with the validator's verdict for a
-/// malformed grid and propagates the first failure of the checkpoint, a
-/// prefix or a walk.
+/// malformed grid and propagates the first failure of a walk.
 pub(crate) fn run_grid<T: Send>(
-    base: &BaseDesign,
-    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
+    session: &FlowSession,
     spec: &SweepSpec,
-    options: &FlowOptions,
     scope: &str,
     project: impl Fn(&SweepPoint, &Implementation) -> T + Sync,
 ) -> Result<Vec<T>, FlowError> {
     spec.validate().map_err(FlowError::InvalidSweep)?;
-    let obs = &options.obs;
-    let _span = obs.span(scope);
-    let pseudo = if spec.configs.iter().any(|c| c.is_3d()) {
-        Some(pseudo()?)
-    } else {
-        None
-    };
-    let pseudo = pseudo.as_ref();
-    let style_options: Vec<FlowOptions> = spec
-        .stacking
-        .iter()
-        .map(|&stacking| {
-            let mut o = options.fork_for(&format!("{scope}/{stacking}"));
-            o.tech = TechContext {
-                stacking,
-                corners: CornerSet::default(),
-            };
-            o
-        })
-        .collect();
-    // A line is one (style, config), by index into the spec's axes.
-    let n_configs = spec.configs.len();
-    let lines: Vec<(usize, usize)> = (0..spec.stacking.len())
-        .flat_map(|s| (0..n_configs).map(move |k| (s, k)))
-        .collect();
-    let style_options = &style_options;
-    let prefixes: Vec<Option<Prefix>> = m3d_par::par_invoke(
-        options.threads,
-        lines
-            .iter()
-            .map(|&(s, k)| move || shared_prefix(base, pseudo, spec.configs[k], &style_options[s]))
-            .collect(),
-    )
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-
+    let options = session.options();
+    let _span = options.obs.span(scope);
+    let points = spec.points();
     let corner_sets: Vec<CornerSet> = spec
         .corners
         .iter()
         .map(|&corner| CornerSet::single(corner))
         .collect();
-    let points = spec.points();
-    let walk = |(s, k): (usize, usize), step: usize, ghz: f64, prefix: Option<&Prefix>| {
-        let lanes = run_lanes(
-            base,
-            pseudo,
-            spec.configs[k],
-            prefix,
-            ghz,
-            &corner_sets,
-            &style_options[s],
-        )?;
+    // A walk per `(style, config, frequency)` — its first corner's point —
+    // on options of its own: the style's scenario under the walk's scope.
+    let walks: Vec<(&SweepPoint, FlowOptions)> = points
+        .iter()
+        .filter(|p| p.corner == spec.corners[0])
+        .map(|p| {
+            let step = p.index % spec.freq_steps;
+            let mut o = options.fork_for(&format!("{scope}/{}/{:?}/f{step}", p.stacking, p.config));
+            o.tech = TechContext {
+                stacking: p.stacking,
+                corners: CornerSet::default(),
+            };
+            (p, o)
+        })
+        .collect();
+    let keys: Vec<PrefixKey> = walks
+        .iter()
+        .map(|(p, o)| prefix_key(p.config, 1.0 / p.frequency_ghz, o))
+        .collect();
+    let first = |i: usize| !keys[..i].contains(&keys[i]);
+    let _held: Vec<_> = (0..keys.len())
+        .filter(|&i| !first(i))
+        .map(|i| session.prefix_slot(keys[i]))
+        .collect();
+
+    // Lane `c` of a walk is the point of the spec's `c`-th corner.
+    let stride = spec.configs.len() * spec.freq_steps;
+    let walk = |i: usize| -> Result<Vec<(usize, T)>, FlowError> {
+        let (point, o) = &walks[i];
+        let lanes = session.walk(point.config, point.frequency_ghz, &corner_sets, o)?;
         Ok(lanes
             .iter()
             .enumerate()
             .map(|(c, imp)| {
-                // The lane's point, in the spec's scenario-major order.
-                let point = &points
-                    [((s * spec.corners.len() + c) * n_configs + k) * spec.freq_steps + step];
+                let point = &points[point.index + c * stride];
                 (point.index, project(point, imp))
             })
-            .collect::<Vec<(usize, T)>>())
+            .collect())
     };
     let walk = &walk;
-    let frequencies = spec.frequencies();
-    let jobs = lines
-        .iter()
-        .zip(&prefixes)
-        .flat_map(|(&line, prefix)| {
-            frequencies
-                .iter()
-                .enumerate()
-                .map(move |(step, &ghz)| move || walk(line, step, ghz, prefix.as_ref()))
-        })
-        .collect();
-    let walked: Vec<Result<_, FlowError>> = m3d_par::par_invoke(options.threads, jobs);
+    let (builds, forks): (Vec<usize>, Vec<usize>) = (0..walks.len()).partition(|&i| first(i));
     let mut projected: Vec<Option<T>> = points.iter().map(|_| None).collect();
-    for lanes in walked {
-        for (index, value) in lanes? {
-            projected[index] = Some(value);
+    for wave in [builds, forks] {
+        let jobs = wave.into_iter().map(|i| move || walk(i)).collect();
+        for lanes in m3d_par::par_invoke(options.threads, jobs) {
+            for (index, value) in lanes? {
+                projected[index] = Some(value);
+            }
         }
     }
-    obs.counter_add(&format!("{scope}/points"), projected.len() as u64);
+    options
+        .obs
+        .counter_add(&format!("{scope}/points"), projected.len() as u64);
     Ok(projected
         .into_iter()
         .map(|p| p.expect("every grid point is one lane of one walk"))
         .collect())
-}
-
-/// Executes a whole sweep off an already-prepared base and returns one
-/// PPAC roll-up per grid point, in point order — bit-identical to
-/// executing the decomposed v1 single-shot requests one by one. `pseudo`
-/// as for `run_grid`.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidSweep`] for a malformed grid and
-/// propagates the first failure of any checkpoint or point run.
-pub(crate) fn sweep_from_base(
-    base: &BaseDesign,
-    pseudo: impl FnOnce() -> Result<PseudoCheckpoint, FlowError>,
-    spec: &SweepSpec,
-    options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<Vec<PpacSummary>, FlowError> {
-    run_grid(base, pseudo, spec, options, "sweep", |_, imp| {
-        PpacSummary::from(&imp.ppac(cost))
-    })
 }
 
 #[cfg(test)]
@@ -463,7 +418,7 @@ mod tests {
     #[test]
     fn corner_fanout_equals_the_decomposed_single_shots() {
         use crate::pareto::pareto_spec;
-        use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base};
+        use crate::stage::run_from_base;
         use m3d_netgen::Benchmark;
 
         let mut options = FlowOptions::default();
@@ -472,17 +427,12 @@ mod tests {
         let mut split_walks = 0;
         for scale in [0.25, 0.05] {
             let netlist = Benchmark::Aes.generate(scale, 7);
-            let base = prepare_base(&netlist, &options).expect("base");
-            let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
-            let grid = run_grid(
-                &base,
-                || Ok(pseudo.clone()),
-                &spec,
-                &options,
-                "sweep",
-                |_, imp| imp.clone(),
-            )
-            .expect("grid");
+            let session = FlowSession::builder(&netlist)
+                .options(options.clone())
+                .build()
+                .expect("session");
+            let grid = run_grid(&session, &spec, "sweep", |_, imp| imp.clone()).expect("grid");
+            let (base, pseudo) = (session.base(), session.pseudo_checkpoint());
             let points = spec.points();
             assert_eq!(grid.len(), 18);
             for (point, imp) in points.iter().zip(&grid) {
@@ -493,8 +443,8 @@ mod tests {
                 let mut single_options = options.clone();
                 single_options.tech = point.tech();
                 let single = run_from_base(
-                    &base,
-                    Some(&pseudo),
+                    base,
+                    pseudo,
                     point.config,
                     point.frequency_ghz,
                     &single_options,

@@ -222,7 +222,7 @@ fn print_event(event: &StreamEvent, json: bool) {
 
 /// One-shot subcommands (`run`, `fmax`, `compare`, `pareto`): build,
 /// send, print, exit.
-fn run_single(common: &Common, command: FlowCommand) -> ! {
+fn run_one(common: &Common, command: FlowCommand) -> ! {
     let mut client = common.connect();
     let request = common.build_request(0, FlowOptions::default(), command);
     let started = Instant::now();
@@ -409,22 +409,22 @@ fn main() {
     }
 
     match subcommand.as_str() {
-        "run" => run_single(
+        "run" => run_one(
             &common,
             FlowCommand::RunFlow {
                 config,
                 frequency_ghz: freq,
             },
         ),
-        "fmax" => run_single(
+        "fmax" => run_one(
             &common,
             FlowCommand::FindFmax {
                 config,
                 start_ghz: start,
             },
         ),
-        "compare" => run_single(&common, FlowCommand::CompareConfigs),
-        "pareto" => run_single(
+        "compare" => run_one(&common, FlowCommand::CompareConfigs),
+        "pareto" => run_one(
             &common,
             FlowCommand::Pareto {
                 config,

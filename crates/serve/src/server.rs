@@ -175,11 +175,14 @@ pub struct StatsSnapshot {
     /// Pseudo-3-D stages run: one per session built cold that met a 3-D
     /// command — distinct pseudo read-set keys, while none is evicted.
     pub pseudo_builds: u64,
-    /// Pre-sizing prefixes built by `run_flow` requests and sweep points
-    /// (a session's first of a configuration, or of a Hetero-3-D period).
+    /// Pre-sizing prefixes built by requests of every command — a
+    /// `run_flow`, a sweep point, an fmax probe or rung, a comparison
+    /// job, a Pareto walk: a session's first of a configuration, or of a
+    /// Hetero-3-D period.
     pub prefix_builds: u64,
-    /// `run_flow` requests and sweep points that forked a prefix their
-    /// session already held and went straight to sizing.
+    /// Runs of every command that forked a prefix their session already
+    /// held and went straight to sizing (each fmax rung that forks its
+    /// probe's prefix counts one).
     pub prefix_forks: u64,
     /// Protocol-v2 sweep requests admitted. Sweeps and their points are
     /// counted here and in the `sweep_*` fields only — never in the v1

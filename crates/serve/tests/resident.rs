@@ -1,8 +1,8 @@
 //! What a resident session saves a request: the netlist is generated
 //! when a session has to be built or a recipe is new — never for a
-//! request whose key is resident — and a `run_flow` on a prefix the
-//! session already holds forks it, with answers byte-identical to a
-//! server that has to build everything. Also the cache's bookkeeping
+//! request whose key is resident — and a `run_flow` or `find_fmax` on a
+//! prefix the session already holds forks it, with answers
+//! byte-identical to a server that has to build everything. Also the cache's bookkeeping
 //! around it: `misses == distinct keys` with the store on and off.
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto};
@@ -83,7 +83,9 @@ fn fresh_line(request: &FlowRequest, resident: bool) -> String {
     }
     let line = encode_line(&server.submit(request.clone()).wait());
     let stats = server.shutdown();
-    assert_eq!(stats.prefix_forks, 0, "a fresh server builds every prefix");
+    if matches!(request.command, FlowCommand::RunFlow { .. }) {
+        assert_eq!(stats.prefix_forks, 0, "a fresh server builds every prefix");
+    }
     line
 }
 
@@ -186,4 +188,26 @@ fn a_second_spelling_of_a_circuit_is_generated_once_and_then_shares_the_session(
     // `a` to build the session, `b` to learn what it spells; then none.
     assert_eq!(stats.netlists_materialized, 2);
     assert_eq!((stats.prefix_builds, stats.prefix_forks), (1, 3));
+}
+
+#[test]
+fn find_fmax_forks_the_prefix_a_run_flow_left_and_answers_like_a_fresh_server() {
+    let run_flow = run(0, spec(0.012, 31), Config::TwoD12T, 1.0);
+    let find_fmax = FlowRequest {
+        id: 1,
+        command: FlowCommand::FindFmax {
+            config: Config::TwoD12T,
+            start_ghz: 1.0,
+        },
+        ..run_flow.clone()
+    };
+    let server = Server::start(config(&Obs::disabled(), None));
+    for (request, resident) in [(&run_flow, false), (&find_fmax, true)] {
+        let line = encode_line(&server.submit(request.clone()).wait());
+        assert_eq!(line, fresh_line(request, resident), "id {}", request.id);
+    }
+    let stats = server.shutdown();
+    // The run builds; the probe and all five rungs fork.
+    assert_eq!(stats.prefix_builds, 1, "{stats:?}");
+    assert!(stats.prefix_forks >= 6, "{stats:?}");
 }

@@ -7,6 +7,11 @@
 //! asserting **bit-identical** results at every step, then records
 //! wall-clock and propagated-arc numbers to `results/BENCH_sta.json`.
 //!
+//! The levelization is the netlist's memo (`Netlist::levels`), built
+//! once per structure, which none of the script's edits changes: both
+//! passes and the ladder time propagation over a memoized levelization,
+//! and the one build is recorded on its own as `t_levelize_ms`.
+//!
 //! Usage: `sta_incr [--scale <f64>|tiny] [--seed <u64>] [--out <dir>]`.
 //! `--scale tiny` is the CI smoke setting. Thread count follows
 //! `HETERO3D_THREADS` (the results must not change with it — that is
@@ -47,6 +52,7 @@ struct Datapoint {
     bench: &'static str,
     cells: usize,
     edits: usize,
+    t_levelize_ms: f64,
     t_full_ms: f64,
     t_incr_ms: f64,
     cold_equiv_evals: u64,
@@ -102,6 +108,10 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
         }
     };
 
+    let t0 = Instant::now();
+    let _ = netlist.levels();
+    let t_levelize = t0.elapsed().as_secs_f64();
+
     // Pass 1: cold analyze per edit (timed), results kept for comparison.
     let mut cold_results = Vec::with_capacity(edits);
     let t0 = Instant::now();
@@ -124,6 +134,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
     let mut netlist = bench.generate(scale, seed);
     let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
     let mut parasitics = Parasitics::zero_wire(&netlist);
+    let _ = netlist.levels();
 
     // Pass 2: incremental Timer per edit (timed), checked bit-for-bit.
     let mut timer = Timer::new();
@@ -178,6 +189,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
         bench: name,
         cells,
         edits,
+        t_levelize_ms: t_levelize * 1e3,
         t_full_ms: t_full * 1e3,
         t_incr_ms: t_incr * 1e3,
         cold_equiv_evals: cold_equiv,
@@ -212,12 +224,14 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"cells\": {}, \"edits\": {}, \
-             \"t_full_ms\": {:.3}, \"t_incr_ms\": {:.3}, \"speedup\": {:.2}, \
+             \"t_levelize_ms\": {:.3}, \"t_full_ms\": {:.3}, \"t_incr_ms\": {:.3}, \
+             \"speedup\": {:.2}, \
              \"cold_equiv_evals\": {}, \"propagated_evals\": {}, \"arc_reduction\": {:.1}, \
              \"ladder_full_ms\": {:.3}, \"ladder_incr_ms\": {:.3}, \"ladder_speedup\": {:.2}}}{}",
             p.bench,
             p.cells,
             p.edits,
+            p.t_levelize_ms,
             p.t_full_ms,
             p.t_incr_ms,
             p.t_full_ms / p.t_incr_ms.max(1e-9),

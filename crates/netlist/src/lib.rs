@@ -14,7 +14,10 @@
 //! * [`verilog`] — a structural-Verilog writer and parser for the cell set,
 //! * validation ([`Netlist::validate`]) that enforces the single-driver
 //!   rule, full connectivity and acyclicity between registers,
-//! * [`Topology`] — the CSR view the hot kernels read.
+//! * [`Topology`] — the CSR view the hot kernels read,
+//! * [`Levels`] — the combinational levelization, a memo of the netlist
+//!   ([`Netlist::levels`]) every timer and power pass on one structure
+//!   shares.
 //!
 //! Storage is flat: a 24-byte [`Cell`] per instance, one name arena, one
 //! pin array sliced per cell and a sink list per [`Net`]; a clone shares
@@ -39,6 +42,7 @@
 //! ```
 
 mod cell;
+mod levels;
 mod net;
 #[allow(clippy::module_inception)]
 mod netlist;
@@ -48,6 +52,7 @@ mod topo;
 pub mod verilog;
 
 pub use cell::{Cell, CellClass, CellId, MacroSpec};
+pub use levels::{Levels, ENDPOINT_SINK, UNTIMED_COMB_SINK};
 pub use net::{Net, NetId, PinRef};
 pub use netlist::{Netlist, NetlistParts, NetlistPartsError, ValidateNetlistError};
 pub use stats::NetlistStats;

@@ -1,10 +1,10 @@
 use crate::cell::{Cell, CellClass, CellId, MacroSpec};
+use crate::levels::LevelsMemo;
 use crate::net::{Net, NetId, PinRef};
 use crate::stats::NetlistStats;
 use crate::tables::{net_of, Pins, Structure};
 use crate::topo::NO_NET;
 use m3d_tech::{CellKind, Drive};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -125,7 +125,8 @@ impl std::error::Error for NetlistPartsError {}
 /// behind one `Arc`, so a clone shares them and costs one `memcpy` of the
 /// cell table. Sizing ([`Netlist::set_drive`]) touches cells only; a
 /// structural edit copies the table it writes when a clone or a
-/// [`crate::Topology`] still shares it.
+/// [`crate::Topology`] still shares it, and starts a fresh
+/// [`Netlist::levels`] memo.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
@@ -136,6 +137,22 @@ pub struct Netlist {
     pub(crate) structure: Arc<Structure>,
     blocks: Vec<String>,
     clock: Option<NetId>,
+    pub(crate) levels: LevelsMemo,
+}
+
+/// The structure behind `structure`, unshared, for an edit that changes
+/// connectivity or the cell set: the levelization memo starts over. Only
+/// a memo a clone shares is replaced, so bulk construction allocates no
+/// memo per edit.
+fn restructure<'s>(
+    structure: &'s mut Arc<Structure>,
+    levels: &mut LevelsMemo,
+) -> &'s mut Structure {
+    match Arc::get_mut(levels) {
+        Some(own) => drop(own.take()),
+        None => *levels = LevelsMemo::default(),
+    }
+    Arc::make_mut(structure)
 }
 
 fn pin_count(count: usize) -> Option<u8> {
@@ -188,6 +205,7 @@ impl Netlist {
             structure: Arc::new(Structure::new()),
             blocks: vec!["top".to_string()],
             clock: None,
+            levels: LevelsMemo::default(),
         }
     }
 
@@ -279,7 +297,7 @@ impl Netlist {
             panic!("cell `{name}` has more pins than a pin index addresses");
         };
         let id = CellId(self.cells.len() as u32);
-        let s = Arc::make_mut(&mut self.structure);
+        let s = restructure(&mut self.structure, &mut self.levels);
         s.pins.push_cell(usize::from(n_in) + usize::from(n_out));
         s.names.cells.push(name);
         self.cells.push(Cell {
@@ -406,6 +424,7 @@ impl Netlist {
             structure: Arc::new(structure),
             blocks,
             clock,
+            levels: LevelsMemo::default(),
         })
     }
 
@@ -415,7 +434,7 @@ impl Netlist {
     ///
     /// Panics if the pin index is out of range or already drives a net.
     pub fn add_net(&mut self, name: impl AsRef<str>, driver: CellId, pin: u8) -> NetId {
-        let s = Arc::make_mut(&mut self.structure);
+        let s = restructure(&mut self.structure, &mut self.levels);
         let id = NetId(s.nets.len() as u32);
         let slot = slot_mut(&self.cells, &mut s.pins, driver, false, pin);
         assert!(*slot == NO_NET, "output pin already drives a net");
@@ -437,7 +456,7 @@ impl Netlist {
     pub fn connect(&mut self, net: NetId, sink: CellId, pin: u8) {
         connect(
             &self.cells,
-            Arc::make_mut(&mut self.structure),
+            restructure(&mut self.structure, &mut self.levels),
             (net, sink, pin),
         );
     }
@@ -455,7 +474,7 @@ impl Netlist {
         if edges.is_empty() {
             return;
         }
-        let s = Arc::make_mut(&mut self.structure);
+        let s = restructure(&mut self.structure, &mut self.levels);
         let mut added = vec![0u32; s.nets.len()];
         for (net, ..) in edges {
             added[net.index()] += 1;
@@ -474,7 +493,7 @@ impl Netlist {
     /// them in sink order. Their input pins are left unconnected for the
     /// caller to reconnect (net splitting: fanout buffering).
     pub fn detach_sinks(&mut self, net: NetId, keep: usize) -> Vec<PinRef> {
-        let s = Arc::make_mut(&mut self.structure);
+        let s = restructure(&mut self.structure, &mut self.levels);
         let sinks = &mut s.nets[net.index()].sinks;
         let spill = sinks.split_off(keep.min(sinks.len()));
         sinks.shrink_to_fit();
@@ -498,7 +517,7 @@ impl Netlist {
 
     /// Marks `net` as the clock net.
     pub fn set_clock(&mut self, net: NetId) {
-        let nets = &mut Arc::make_mut(&mut self.structure).nets;
+        let nets = &mut restructure(&mut self.structure, &mut self.levels).nets;
         if let Some(old) = self.clock {
             nets[old.index()].is_clock = false;
         }
@@ -731,7 +750,8 @@ impl Netlist {
         false
     }
 
-    /// Topological order of the *combinational* gates (Kahn's algorithm).
+    /// Topological order of the *combinational* gates (Kahn's algorithm)
+    /// — [`crate::Topology::combinational_order`] over this netlist.
     /// Sequential cells, macros and ports act as sources/sinks and are not
     /// included in the returned order.
     ///
@@ -740,52 +760,7 @@ impl Netlist {
     /// Returns [`ValidateNetlistError::CombinationalCycle`] if the
     /// combinational logic is cyclic.
     pub fn combinational_order(&self) -> Result<Vec<CellId>, ValidateNetlistError> {
-        let n = self.cells.len();
-        let is_comb = |c: &Cell| c.class.is_gate() && !c.is_sequential();
-        let mut indegree = vec![0u32; n];
-        // Count combinational predecessors for each combinational gate.
-        for (i, cell) in self.cells.iter().enumerate() {
-            if !is_comb(cell) {
-                continue;
-            }
-            let mut deg = 0;
-            for net in self.input_nets(CellId(i as u32)) {
-                if let Some(drv) = self.net(net).driver {
-                    if is_comb(self.cell(drv.cell)) {
-                        deg += 1;
-                    }
-                }
-            }
-            indegree[i] = deg;
-        }
-        let mut queue: VecDeque<usize> = (0..n)
-            .filter(|&i| is_comb(&self.cells[i]) && indegree[i] == 0)
-            .collect();
-        let mut order = Vec::new();
-        while let Some(i) = queue.pop_front() {
-            order.push(CellId(i as u32));
-            for net in self.output_nets(CellId(i as u32)) {
-                for sink in &self.net(net).sinks {
-                    let j = sink.cell.index();
-                    if is_comb(&self.cells[j]) {
-                        indegree[j] -= 1;
-                        if indegree[j] == 0 {
-                            queue.push_back(j);
-                        }
-                    }
-                }
-            }
-        }
-        let comb_total = self.cells.iter().filter(|c| is_comb(c)).count();
-        if order.len() != comb_total {
-            // Find a cell still carrying indegree for the error message.
-            let culprit = (0..n)
-                .find(|&i| is_comb(&self.cells[i]) && indegree[i] > 0)
-                .map(|i| self.cell_name(CellId(i as u32)).to_string())
-                .unwrap_or_default();
-            return Err(ValidateNetlistError::CombinationalCycle(culprit));
-        }
-        Ok(order)
+        self.topology().combinational_order()
     }
 }
 
@@ -1052,6 +1027,8 @@ mod tests {
     fn from_parts_round_trips_a_built_netlist() {
         let n = chain();
         let rebuilt = Netlist::from_parts(intact(&n), n.clock()).unwrap();
+        assert!(!Arc::ptr_eq(&rebuilt.levels(), &n.levels()), "a fresh memo");
+        assert_eq!(*rebuilt.levels(), *n.levels());
         assert_eq!(rebuilt.cell_count(), n.cell_count());
         assert_eq!(rebuilt.net_count(), n.net_count());
         assert!(rebuilt.validate().is_ok());
@@ -1153,6 +1130,11 @@ mod tests {
         let n = chain();
         let mut m = n.clone();
         assert!(Arc::ptr_eq(&n.structure, &m.structure));
+        let memo = m.levels();
+        assert!(
+            Arc::ptr_eq(&n.levels(), &memo),
+            "a memo built after the clone is shared"
+        );
         m.set_drive(CellId(1), Drive::X4);
         assert!(
             Arc::ptr_eq(&n.structure, &m.structure),
@@ -1164,7 +1146,9 @@ mod tests {
             Arc::ptr_eq(&n.structure, &m.structure),
             "an empty batch and a trim are no edits"
         );
+        assert!(Arc::ptr_eq(&m.levels(), &memo), "nor is sizing");
         let spill = m.detach_sinks(NetId(0), 0);
+        assert!(!Arc::ptr_eq(&m.levels(), &memo) && Arc::ptr_eq(&n.levels(), &memo));
         assert_eq!(spill, vec![PinRef::new(CellId(1), 0)]);
         assert!(
             !Arc::ptr_eq(&n.structure, &m.structure),

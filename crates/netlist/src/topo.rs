@@ -16,11 +16,13 @@
 //! **Iteration order is part of the repo's determinism contract**: every
 //! slice in this view preserves the exact order of the netlist's
 //! accessors (`Netlist::cell_inputs`, `Netlist::cell_outputs`,
-//! `Net::sinks`), and [`Topology::combinational_order`] reproduces the
-//! Kahn order of [`Netlist::combinational_order`] bit for bit. The
+//! `Net::sinks`), and [`Topology::combinational_order`] — the one Kahn
+//! order, which [`Netlist::combinational_order`] and every levelization
+//! read — reproduces a Kahn walk over the per-net lists bit for bit. The
 //! property suite in `tests/csr_equivalence.rs` holds the CSR sink arrays
-//! against the per-net lists, and the shared pin array against the nets'
-//! drivers and sinks, on every generator family.
+//! against the per-net lists, the shared pin array against the nets'
+//! drivers and sinks, and the Kahn order against that walk, on every
+//! generator family.
 
 use crate::cell::{CellClass, CellId};
 use crate::net::{NetId, PinRef};
@@ -70,8 +72,7 @@ impl TopoRole {
 /// Build once with [`Netlist::topology`]; the view borrows nothing (it
 /// holds the netlist's name arena and pin array by `Arc`, which the
 /// netlist copies before any structural edit), so it can be kept
-/// alongside the netlist (the incremental STA does) and rebuilt only on
-/// structural change.
+/// alongside the netlist and rebuilt only on structural change.
 #[derive(Debug, Clone)]
 pub struct Topology {
     cell_count: usize,
@@ -270,10 +271,10 @@ impl Topology {
             .map(|(&c, &p)| PinRef::new(CellId::from_index(c as usize), p))
     }
 
-    /// Topological order of the combinational gates — **the same Kahn
-    /// order as [`Netlist::combinational_order`]**, computed over the CSR
-    /// arrays: the ready queue is seeded in ascending cell index and
-    /// successors are released in output-pin, then sink-list order.
+    /// Topological order of the combinational gates (Kahn's algorithm)
+    /// over the CSR arrays: the ready queue is seeded in ascending cell
+    /// index and successors are released in output-pin, then sink-list
+    /// order.
     ///
     /// # Errors
     ///
@@ -410,13 +411,62 @@ mod tests {
         );
     }
 
+    /// The oracle: Kahn's algorithm over the netlist's per-net driver and
+    /// sink lists (no CSR array), seeded and released in the order the
+    /// CSR walk documents. `Err` carries the first cell left with
+    /// indegree.
+    fn kahn_over_nets(n: &Netlist) -> Result<Vec<CellId>, String> {
+        let is_comb = |id: CellId| {
+            let c = n.cell(id);
+            c.class.is_gate() && !c.is_sequential()
+        };
+        let mut indegree: Vec<u32> = n
+            .cell_ids()
+            .map(|id| {
+                let comb_drivers = n
+                    .input_nets(id)
+                    .filter_map(|net| n.net(net).driver)
+                    .filter(|d| is_comb(d.cell));
+                if is_comb(id) {
+                    comb_drivers.count() as u32
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut queue: std::collections::VecDeque<CellId> = n
+            .cell_ids()
+            .filter(|&id| is_comb(id) && indegree[id.index()] == 0)
+            .collect();
+        let mut order = Vec::new();
+        while let Some(id) = queue.pop_front() {
+            order.push(id);
+            for net in n.output_nets(id) {
+                for sink in &n.net(net).sinks {
+                    if is_comb(sink.cell) {
+                        indegree[sink.cell.index()] -= 1;
+                        if indegree[sink.cell.index()] == 0 {
+                            queue.push_back(sink.cell);
+                        }
+                    }
+                }
+            }
+        }
+        match n
+            .cell_ids()
+            .find(|&id| is_comb(id) && indegree[id.index()] > 0)
+        {
+            Some(culprit) => Err(n.cell_name(culprit).to_string()),
+            None => Ok(order),
+        }
+    }
+
     #[test]
-    fn combinational_order_matches_legacy() {
+    fn combinational_order_matches_a_walk_over_the_nets() {
         let n = sample();
-        assert_eq!(
-            n.topology().combinational_order().unwrap(),
-            n.combinational_order().unwrap()
-        );
+        let order = n.combinational_order().unwrap();
+        assert_eq!(order, kahn_over_nets(&n).unwrap());
+        assert_eq!(order, n.topology().combinational_order().unwrap());
     }
 
     #[test]
@@ -428,9 +478,12 @@ mod tests {
         let n2 = n.add_net("n2", g2, 0);
         n.connect(n1, g2, 0);
         n.connect(n2, g1, 0);
-        let legacy = n.combinational_order().unwrap_err();
-        let csr = n.topology().combinational_order().unwrap_err();
-        assert_eq!(legacy, csr);
+        assert_eq!(
+            n.combinational_order(),
+            Err(ValidateNetlistError::CombinationalCycle(
+                kahn_over_nets(&n).unwrap_err()
+            ))
+        );
     }
 
     #[test]

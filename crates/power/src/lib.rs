@@ -9,6 +9,12 @@
 //! 0.81 V tier burn ~19 % less `CV²` energy than at 0.90 V, and 9-track
 //! pins are smaller loads).
 //!
+//! Probabilities propagate in the level-major order of the netlist's
+//! levelization memo ([`Netlist::levels`]) — the one every timer on the
+//! structure reads — so a power pass does no ordering work of its own.
+//! Any topological order gives the same bits: each gate reads only its
+//! inputs' values and writes only its own output net's.
+//!
 //! # Examples
 //!
 //! ```
@@ -100,25 +106,20 @@ pub fn analyze_power(
             }
         }
     }
-    let order = netlist
-        .combinational_order()
-        .expect("validated netlist expected for power analysis");
-    for id in order {
-        let cell = netlist.cell(id);
-        let Some(kind) = cell.class.gate_kind() else {
+    for &id in netlist.levels().order() {
+        let Some(kind) = netlist.cell(id).class.gate_kind() else {
             continue;
         };
         let inputs = &netlist.cell_inputs(id)[..kind.input_count()];
-        let in_probs: Vec<f64> = inputs
-            .iter()
-            .map(|&raw| {
-                if raw == NO_NET {
-                    0.5
-                } else {
-                    prob[raw as usize]
-                }
-            })
-            .collect();
+        // No library kind has more than three inputs.
+        let mut in_probs = [0.0; 3];
+        for (p, &raw) in in_probs.iter_mut().zip(inputs) {
+            *p = if raw == NO_NET {
+                0.5
+            } else {
+                prob[raw as usize]
+            };
+        }
         let in_act: f64 = inputs
             .iter()
             .map(|&raw| {
@@ -131,7 +132,7 @@ pub fn analyze_power(
             .sum::<f64>()
             / kind.input_count().max(1) as f64;
         if let Some(out) = netlist.output_net(id, 0) {
-            let p = kind.output_probability(&in_probs);
+            let p = kind.output_probability(&in_probs[..inputs.len()]);
             prob[out.index()] = p;
             // Statistical propagation: transition density scaled by output
             // uncertainty (2p(1-p) = 1 at p=0.5, 0 at constant outputs).
@@ -241,6 +242,23 @@ mod tests {
 
     fn cell_count() -> usize {
         m3d_netgen::Benchmark::Aes.generate(0.02, 6).cell_count()
+    }
+
+    /// Kahn's FIFO pops gates in nondecreasing level — a gate is
+    /// released by its deepest driver — so the memo's level-major order
+    /// is the Kahn order itself, and a power pass over it reproduces the
+    /// Kahn-ordered pass by bits.
+    #[test]
+    fn the_level_order_is_the_kahn_order() {
+        for bench in m3d_netgen::Benchmark::ALL {
+            for scale in [0.02, 0.05] {
+                let n = bench.generate(scale, 3);
+                let kahn = n
+                    .combinational_order()
+                    .expect("generated designs are acyclic");
+                assert_eq!(n.levels().order(), &kahn[..], "{bench:?} @ {scale}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! binding, and a [`Timer`]'s propagated arrays (arrivals, slews, stored
 //! arc delays) belong to the one binding they were computed under. The
 //! [`MultiCornerTimer`] therefore owns one `Timer` per corner, preserving
-//! the incremental == cold bit-identity contract corner by corner.
+//! the incremental == cold bit-identity contract corner by corner. The
+//! levelization is not per corner: it depends on connectivity alone, and
+//! every corner's timer holds the netlist's one memo
+//! ([`m3d_netlist::Netlist::levels`]), so a sign-off at any number of
+//! corners levelizes its structure at most once.
 
 use crate::context::TimingContext;
 use crate::engine::StaResult;
@@ -156,6 +160,7 @@ mod tests {
     use crate::context::{ClockSpec, Parasitics};
     use crate::engine::analyze;
     use m3d_tech::{Tier, TierStack};
+    use std::sync::Arc;
 
     fn contexts<'a>(
         netlist: &'a m3d_netlist::Netlist,
@@ -194,6 +199,11 @@ mod tests {
 
         let ctxs = contexts(&netlist, &stacks, &tiers, &parasitics, 1.0);
         let first = multi.update_journaled(&ctxs, &[]);
+        let memo = netlist.levels();
+        for corner in Corner::ALL {
+            let held = multi.timer(corner).and_then(Timer::levels).unwrap();
+            assert!(Arc::ptr_eq(held, &memo), "{corner}: one levelization");
+        }
         for (corner, incr) in first.iter() {
             let cold = analyze(first_ctx(&ctxs, *corner));
             assert_eq!(incr.wns.to_bits(), cold.wns.to_bits(), "{corner}");

@@ -1,5 +1,11 @@
+//! The cold timing pass ([`analyze`]) and the per-gate kernels the
+//! incremental [`crate::Timer`] shares with it. Neither owns a
+//! levelization: both read the netlist's memo ([`Netlist::levels`]),
+//! built on the first analysis of a structure and shared by every later
+//! one — every timer, corner and power pass on that structure.
+
 use crate::context::TimingContext;
-use m3d_netlist::{CellClass, CellId, NetId, Netlist, Topology, NO_NET};
+use m3d_netlist::{CellClass, CellId, Levels, NetId, Netlist, ENDPOINT_SINK, UNTIMED_COMB_SINK};
 
 /// Result of one full timing analysis.
 ///
@@ -124,10 +130,11 @@ impl Forward<'_, '_> {
         let mut best_at = 0.0_f64;
         let mut best_pin = u8::MAX;
         let mut best_slew = ctx.clock.input_slew_ns;
-        let (pins, drivers, nets) = self.levels.arcs(k);
+        let inputs = ctx.netlist.cell_inputs(id);
+        let (pins, drivers) = self.levels.arcs(k);
         for a in 0..pins.len() {
             let j = drivers[a] as usize;
-            let net = NetId::from_index(nets[a] as usize);
+            let net = NetId::from_index(inputs[usize::from(pins[a])] as usize);
             let wire = ctx.parasitics.net(net).wire_delay_ns;
             let at_in = self.arrival[j] + wire;
             let slew_in = self.slew[j];
@@ -355,257 +362,6 @@ pub(crate) fn endpoint_point(
     Some((rat, worst_at, is_po))
 }
 
-/// Combinational gates grouped by logic depth: `level(g) = 1 + max` level
-/// over `g`'s combinational drivers (launch points are level 0). Gates
-/// within one level never feed each other, so a level can be evaluated
-/// concurrently — each gate reading only finalized lower-level values —
-/// producing exactly the sequential pass's arrays.
-///
-/// Stored flat (CSR), not as a `Vec<Vec<CellId>>`: `order` holds every
-/// combinational gate in level-major topological order, `level_off`
-/// delimits the levels, and the fanin timing arcs of `order[k]` — its
-/// non-clock, driven input pins, in ascending pin order — occupy the
-/// contiguous slice `arc_off[k]..arc_off[k+1]` of the parallel
-/// `arc_pin`/`arc_driver`/`arc_net` arrays. Forward propagation sweeps
-/// these dense slices instead of chasing per-cell pin `Vec`s and per-net
-/// driver lookups.
-///
-/// The backward pass walks nets, not gates, so the same arcs are also
-/// indexed from the other end: `sink_cell`/`sink_arc` list every net's
-/// sinks in `Net::sinks` order, each with the slot of the forward arc on
-/// that pin (or [`ENDPOINT_SINK`] / [`UNTIMED_COMB_SINK`]). One
-/// arc-ordered `Vec<f64>` of delays, filled by the forward pass, is
-/// thereby readable from either direction.
-///
-/// Built once per netlist structure; the incremental [`crate::Timer`]
-/// reuses it across edits (levelization is pure integer work, so it only
-/// depends on connectivity, never on drives, tiers or parasitics).
-#[derive(Debug, Clone)]
-pub(crate) struct Levels {
-    /// Every combinational gate, level-major, topological-order position
-    /// within each level (the exact order the legacy `Vec<Vec<CellId>>`
-    /// iteration produced).
-    order: Vec<CellId>,
-    /// `level l` is `order[level_off[l] .. level_off[l + 1]]`.
-    level_off: Vec<u32>,
-    /// Fanin arcs of `order[k]` are `arc_off[k] .. arc_off[k + 1]`.
-    arc_off: Vec<u32>,
-    /// Input pin index on the gate, per arc.
-    arc_pin: Vec<u8>,
-    /// Driver cell index, per arc.
-    arc_driver: Vec<u32>,
-    /// Net index, per arc.
-    arc_net: Vec<u32>,
-    /// Sinks of `net n` are `sink_off[n] .. sink_off[n + 1]`.
-    sink_off: Vec<u32>,
-    /// Sink cell index, per (net, sink).
-    sink_cell: Vec<u32>,
-    /// Arc slot of the sink pin, per (net, sink), or one of the sentinels.
-    sink_arc: Vec<u32>,
-}
-
-/// [`Levels`] sink slot of an endpoint (register, macro, primary output):
-/// it has no arc, its required time is its own RAT.
-const ENDPOINT_SINK: u32 = u32::MAX;
-/// [`Levels`] sink slot of a combinational gate's pin the forward pass
-/// does not time — a pin on a clock net.
-const UNTIMED_COMB_SINK: u32 = u32::MAX - 1;
-
-impl Default for Levels {
-    fn default() -> Self {
-        Levels {
-            order: Vec::new(),
-            level_off: vec![0],
-            arc_off: vec![0],
-            arc_pin: Vec::new(),
-            arc_driver: Vec::new(),
-            arc_net: Vec::new(),
-            sink_off: vec![0],
-            sink_cell: Vec::new(),
-            sink_arc: Vec::new(),
-        }
-    }
-}
-
-impl Levels {
-    /// Number of levels.
-    pub(crate) fn level_count(&self) -> usize {
-        self.level_off.len() - 1
-    }
-
-    /// Total number of combinational gates across all levels.
-    pub(crate) fn comb_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// The order-index range of level `l`.
-    pub(crate) fn level_range(&self, l: usize) -> std::ops::Range<usize> {
-        self.level_off[l] as usize..self.level_off[l + 1] as usize
-    }
-
-    /// The gates of level `l`, in topological-order position.
-    pub(crate) fn level(&self, l: usize) -> &[CellId] {
-        &self.order[self.level_range(l)]
-    }
-
-    /// The gate at order position `k`.
-    pub(crate) fn cell_at(&self, k: usize) -> CellId {
-        self.order[k]
-    }
-
-    /// Total number of timing arcs (the length of an arc-delay array).
-    pub(crate) fn arc_count(&self) -> usize {
-        self.arc_pin.len()
-    }
-
-    /// The arc slots of the gate at order position `k`.
-    pub(crate) fn arc_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.arc_off[k] as usize..self.arc_off[k + 1] as usize
-    }
-
-    /// The fanin arc slices `(pins, drivers, nets)` of the gate at order
-    /// position `k`.
-    pub(crate) fn arcs(&self, k: usize) -> (&[u8], &[u32], &[u32]) {
-        let r = self.arc_range(k);
-        (
-            &self.arc_pin[r.clone()],
-            &self.arc_driver[r.clone()],
-            &self.arc_net[r],
-        )
-    }
-
-    /// The sinks of `net` as `(cells, arc slots)`, in `Net::sinks` order.
-    pub(crate) fn sinks(&self, net: NetId) -> (&[u32], &[u32]) {
-        let n = net.index();
-        let r = self.sink_off[n] as usize..self.sink_off[n + 1] as usize;
-        (&self.sink_cell[r.clone()], &self.sink_arc[r])
-    }
-}
-
-/// Levelizes the combinational portion of `netlist` over its flat
-/// [`Topology`] view and packs the per-gate fanin arcs.
-///
-/// # Panics
-///
-/// Panics if the netlist has a combinational cycle (validated netlists
-/// never do).
-pub(crate) fn levelize(netlist: &Netlist) -> Levels {
-    levelize_topo(&netlist.topology())
-}
-
-/// [`levelize`] over an already-built topology view.
-pub(crate) fn levelize_topo(topo: &Topology) -> Levels {
-    let order_topo = topo
-        .combinational_order()
-        .expect("netlist validated before timing");
-    let n = topo.cell_count();
-    let mut comb_level = vec![u32::MAX; n];
-    let mut level_counts: Vec<u32> = Vec::new();
-    for &id in &order_topo {
-        let mut level = 0u32;
-        for &raw in topo.cell_inputs(id) {
-            if raw == NO_NET {
-                continue;
-            }
-            // A clock net carries no timing arc, but a gate fed from a
-            // gated clock must still sit above the gating cell: that
-            // cell's required time reads this gate's.
-            let net = NetId::from_index(raw as usize);
-            let Some(drv) = topo.driver(net) else {
-                continue;
-            };
-            let j = drv.cell.index();
-            if comb_level[j] != u32::MAX {
-                level = level.max(comb_level[j] + 1);
-            }
-        }
-        comb_level[id.index()] = level;
-        if level_counts.len() <= level as usize {
-            level_counts.resize(level as usize + 1, 0);
-        }
-        level_counts[level as usize] += 1;
-    }
-    // Counting sort by level, stable over the topological order — the
-    // same per-level sequence the legacy `levels[level].push(id)` built.
-    let mut level_off = Vec::with_capacity(level_counts.len() + 1);
-    level_off.push(0u32);
-    for &c in &level_counts {
-        level_off.push(level_off.last().unwrap() + c);
-    }
-    let mut next: Vec<u32> = level_off[..level_counts.len()].to_vec();
-    let mut order = vec![CellId::from_index(0); order_topo.len()];
-    for &id in &order_topo {
-        let l = comb_level[id.index()] as usize;
-        order[next[l] as usize] = id;
-        next[l] += 1;
-    }
-    // Fanin arcs, aligned with `order`: the non-clock, driven input pins
-    // of each gate in ascending pin order (exactly the pins the forward
-    // kernel evaluates).
-    let mut arc_off = Vec::with_capacity(order.len() + 1);
-    let mut arc_pin = Vec::new();
-    let mut arc_driver = Vec::new();
-    let mut arc_net = Vec::new();
-    arc_off.push(0u32);
-    for &id in &order {
-        for (pin, &raw) in topo.cell_inputs(id).iter().enumerate() {
-            if raw == NO_NET {
-                continue;
-            }
-            let net = NetId::from_index(raw as usize);
-            if topo.is_clock(net) {
-                continue;
-            }
-            let Some(drv) = topo.driver(net) else {
-                continue;
-            };
-            arc_pin.push(pin as u8);
-            arc_driver.push(drv.cell.index() as u32);
-            arc_net.push(raw);
-        }
-        arc_off.push(arc_pin.len() as u32);
-    }
-    // The same arcs indexed by (net, sink): a combinational sink maps to
-    // the slot of the arc on that pin, found in its gate's (short) slice.
-    let mut position = vec![u32::MAX; n];
-    for (k, id) in order.iter().enumerate() {
-        position[id.index()] = k as u32;
-    }
-    let mut sink_off = Vec::with_capacity(topo.net_count() + 1);
-    let mut sink_cell = Vec::new();
-    let mut sink_arc = Vec::new();
-    sink_off.push(0u32);
-    for raw in 0..topo.net_count() {
-        let net = NetId::from_index(raw);
-        for (&cell, &pin) in topo.sink_cells(net).iter().zip(topo.sink_pins(net)) {
-            let k = position[cell as usize];
-            let slot = if k == u32::MAX {
-                ENDPOINT_SINK
-            } else {
-                let lo = arc_off[k as usize] as usize;
-                let hi = arc_off[k as usize + 1] as usize;
-                (lo..hi)
-                    .find(|&a| arc_pin[a] == pin && arc_net[a] as usize == raw)
-                    .map_or(UNTIMED_COMB_SINK, |a| a as u32)
-            };
-            sink_cell.push(cell);
-            sink_arc.push(slot);
-        }
-        sink_off.push(sink_cell.len() as u32);
-    }
-    Levels {
-        order,
-        level_off,
-        arc_off,
-        arc_pin,
-        arc_driver,
-        arc_net,
-        sink_off,
-        sink_cell,
-        sink_arc,
-    }
-}
-
 /// Everything one full propagation produces: the public [`StaResult`]
 /// plus the intermediate arrays the incremental engine snapshots.
 pub(crate) struct FullPass {
@@ -825,13 +581,15 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
     }
 }
 
-/// Runs a full (cold) timing analysis: levelize, propagate forward and
-/// backward, fold endpoint slacks. See [`crate::Timer`] for the
-/// incremental engine that reuses the graph across edits; both produce
-/// bit-identical results at any thread count.
+/// Runs a full (cold) timing analysis: propagate forward and backward
+/// over the netlist's levelization ([`Netlist::levels`], built on the
+/// structure's first analysis and shared by every later one), fold
+/// endpoint slacks. See [`crate::Timer`] for the incremental engine that
+/// reuses the propagated arrays across edits; both produce bit-identical
+/// results at any thread count.
 #[must_use]
 pub fn analyze(ctx: &TimingContext<'_>) -> StaResult {
-    analyze_full(ctx, &levelize(ctx.netlist)).result
+    analyze_full(ctx, &ctx.netlist.levels()).result
 }
 
 #[cfg(test)]
@@ -1048,7 +806,7 @@ mod tests {
         // gate's packed arc slice must equal a direct scan of that gate's
         // input pins (non-clock, driven, ascending pin order).
         let n = m3d_netgen::Benchmark::Cpu.generate(0.03, 11);
-        let levels = levelize(&n);
+        let levels = n.levels();
 
         let comb: Vec<CellId> = n
             .cells()
@@ -1071,7 +829,7 @@ mod tests {
 
         for k in 0..levels.comb_count() {
             let id = levels.cell_at(k);
-            let (pins, drivers, nets) = levels.arcs(k);
+            let (pins, drivers) = levels.arcs(k);
             let mut want = Vec::new();
             for pin in 0..n.cell(id).input_count() {
                 let Some(net) = n.input_net(id, pin) else {
@@ -1083,14 +841,9 @@ mod tests {
                 let Some(drv) = n.net(net).driver else {
                     continue;
                 };
-                want.push((pin as u8, drv.cell.index() as u32, net.index() as u32));
+                want.push((pin as u8, drv.cell.index() as u32));
             }
-            let got: Vec<(u8, u32, u32)> = pins
-                .iter()
-                .zip(drivers)
-                .zip(nets)
-                .map(|((&p, &d), &nn)| (p, d, nn))
-                .collect();
+            let got: Vec<(u8, u32)> = pins.iter().copied().zip(drivers.iter().copied()).collect();
             assert_eq!(got, want, "arc slice of {}", n.cell_name(id));
             for &d in drivers {
                 let dl = level_of[d as usize];

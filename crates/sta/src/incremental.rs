@@ -2,11 +2,12 @@
 //!
 //! The flow's optimization loops (sizing, the repartitioning ECO, the
 //! fmax ladder) call timing after every small batch of edits; a cold
-//! [`crate::analyze`] rebuilds the levelized graph and re-propagates every
-//! arc each time. [`Timer`] keeps the graph and all propagated arrays
-//! alive between calls. [`Timer::update_journaled`] — the one update
-//! path — takes the list of [`TimingEdit`]s since the previous call and
-//! re-evaluates only:
+//! [`crate::analyze`] re-propagates every arc each time. [`Timer`] keeps
+//! all propagated arrays alive between calls. Neither owns the levelized
+//! graph: both read the netlist's memo ([`Netlist::levels`]), which one
+//! structure builds once for every timer, corner and power pass on it.
+//! [`Timer::update_journaled`] — the one update path — takes the list of
+//! [`TimingEdit`]s since the previous call and re-evaluates only:
 //!
 //! * **forward** (arrival/slew) — the fan-out cone of cells whose master
 //!   changed (drive/tier) plus sinks of nets whose load or wire delay
@@ -46,22 +47,25 @@
 //!
 //! **What the edit list must cover.** The timer does not diff the design:
 //! every drive, tier, net-model or clock-latency change since the last
-//! update must appear in the edit list, and anything that changes
-//! connectivity or cell/net counts (rewired nets, inserted buffers) as
-//! [`TimingEdit::Structural`], which rebuilds the levelization and
-//! re-propagates cold. Over-reporting is harmless. Only O(1) facts are
-//! re-checked on every call: cell/net counts, the stack's identity, the
-//! period and the global clock constants. Completeness is the caller's
-//! contract (the flow's sizing and ECO loops build the list where they
-//! make the edit); the property tests hold it against cold `analyze`,
-//! which stays the reference.
+//! update must appear in the edit list. A connectivity change (rewired
+//! nets, inserted buffers) should be reported as
+//! [`TimingEdit::Structural`], which re-propagates cold; one reported
+//! without it is still caught, because the structure is identified, not
+//! counted: a structural edit gives the netlist a fresh levelization
+//! memo, and the timer rebuilds whenever the memo it holds is not the
+//! context netlist's (`Arc::ptr_eq`). Over-reporting is harmless. Only
+//! O(1) facts are re-checked on every call: that pointer, the stack's
+//! identity, the period and the global clock constants. Completeness is
+//! the caller's contract (the flow's sizing and ECO loops build the list
+//! where they make the edit); the property tests hold it against cold
+//! `analyze`, which stays the reference.
 
 use crate::context::{ClockSpec, TimingContext};
 use crate::engine::{
-    analyze_full, endpoint_point, launch_point, levelize, net_load_ff, Backward, Forward, Levels,
-    StaResult,
+    analyze_full, endpoint_point, launch_point, net_load_ff, Backward, Forward, StaResult,
 };
-use m3d_netlist::{CellClass, CellId, NetId, Netlist};
+use m3d_netlist::{CellClass, CellId, Levels, NetId, Netlist};
+use std::sync::Arc;
 
 /// Work counters of a [`Timer`], in units of "cell evaluations" (one
 /// forward, backward, endpoint or launch kernel call each). A cold pass
@@ -166,10 +170,10 @@ const INCR_PAR_MIN: usize = 64;
 
 /// Everything the `Timer` snapshots between updates.
 struct State {
-    levels: Levels,
+    /// The netlist's levelization memo, shared, never copied; its
+    /// identity is the structure's.
+    levels: Arc<Levels>,
     roles: Vec<Role>,
-    cell_count: usize,
-    net_count: usize,
     /// Indices of endpoint cells, ascending (the scalar-fold order).
     endpoint_cells: Vec<u32>,
     // ---- O(1) input fingerprints ---------------------------------------
@@ -257,6 +261,12 @@ impl Timer {
         }
     }
 
+    /// The levelization the snapshot was built on.
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> Option<&Arc<Levels>> {
+        self.state.as_ref().map(|s| &s.levels)
+    }
+
     /// The most recent result, if any update has run.
     #[must_use]
     pub fn result(&self) -> Option<&StaResult> {
@@ -293,7 +303,9 @@ impl Timer {
     /// structure and global constraints (so an incremental pass is valid).
     fn matches_structure(&self, ctx: &TimingContext<'_>) -> bool {
         let Some(s) = &self.state else { return false };
-        if s.cell_count != ctx.netlist.cell_count() || s.net_count != ctx.netlist.net_count() {
+        // A structural edit replaces the netlist's memo, so a rewiring
+        // that keeps every count still reads as a new structure.
+        if !Arc::ptr_eq(&s.levels, &ctx.netlist.levels()) {
             return false;
         }
         if s.stack_addr != std::ptr::from_ref(ctx.stack) as usize {
@@ -307,18 +319,16 @@ impl Timer {
         {
             return false;
         }
-        // The edit list vouches for connectivity: absent a `Structural`
-        // edit (checked by the caller) the levelization is still valid.
         true
     }
 
-    /// Full build: levelize, cold-propagate and snapshot the O(1)
-    /// fingerprints.
+    /// Full build: cold-propagate over the netlist's levelization and
+    /// snapshot the O(1) fingerprints.
     fn rebuild(&mut self, ctx: &TimingContext<'_>) {
         let netlist = ctx.netlist;
         let n = netlist.cell_count();
         let nets = netlist.net_count();
-        let levels = levelize(netlist);
+        let levels = netlist.levels();
         let pass = analyze_full(ctx, &levels);
 
         let roles: Vec<Role> = netlist.cells().map(|(_, c)| Role::of(&c.class)).collect();
@@ -343,8 +353,6 @@ impl Timer {
 
         self.state = Some(State {
             roles,
-            cell_count: n,
-            net_count: nets,
             endpoint_cells,
             clock: ctx.clock.clone(),
             stack_addr: std::ptr::from_ref(ctx.stack) as usize,
@@ -370,7 +378,7 @@ impl Timer {
     fn incremental(&mut self, ctx: &TimingContext<'_>, edits: &[TimingEdit]) {
         let s = self.state.as_mut().expect("matches_structure checked");
         let netlist = ctx.netlist;
-        let n = s.cell_count;
+        let n = s.roles.len();
         let threads = m3d_par::resolve(0);
         let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
         self.stats.incremental_updates += 1;
@@ -463,7 +471,7 @@ impl Timer {
         }
 
         // ---- phase A: net loads -----------------------------------------
-        for k in 0..s.net_count {
+        for k in 0..s.net_load.len() {
             if !s.dirty_load[k] {
                 continue;
             }
@@ -932,6 +940,64 @@ mod tests {
         };
         let incr = timer.update_journaled(&ctx, &[TimingEdit::Structural]);
         assert_bit_identical(&incr, &analyze(&ctx));
+        assert_eq!(timer.stats().full_rebuilds, 2);
+    }
+
+    #[test]
+    fn a_rewiring_that_keeps_every_count_rebuilds_without_a_structural_edit() {
+        let mut netlist = m3d_netgen::Benchmark::Aes.generate(0.02, 5);
+        let stack = TierStack::two_d(Library::twelve_track());
+        let tiers = vec![Tier::Bottom; netlist.cell_count()];
+        let parasitics = Parasitics::zero_wire(&netlist);
+        let ctx = |netlist: &Netlist, f: &mut dyn FnMut(&TimingContext<'_>) -> StaResult| {
+            f(&TimingContext {
+                netlist,
+                stack: &stack,
+                tiers: &tiers,
+                parasitics: &parasitics,
+                clock: ClockSpec::with_period(1.0),
+            })
+        };
+        let mut timer = Timer::new();
+        let before = ctx(&netlist, &mut |c| timer.update_journaled(c, &[]));
+        // A primary output that is its net's last sink, on a gate-driven
+        // net, moves to a net a primary input drives: the same cell and
+        // net counts, another design.
+        let driver_class = |netlist: &Netlist, net: NetId| {
+            netlist
+                .net(net)
+                .driver
+                .map(|d| Role::of(&netlist.cell(d.cell).class))
+        };
+        let (po, from) = netlist
+            .cells()
+            .filter(|(_, c)| matches!(c.class, CellClass::PrimaryOutput))
+            .find_map(|(id, _)| {
+                let net = netlist.input_net(id, 0)?;
+                let last = netlist.net(net).sinks.last()?.cell == id;
+                (last && driver_class(&netlist, net) == Some(Role::Comb)).then_some((id, net))
+            })
+            .expect("a gate-driven primary output");
+        let to = netlist
+            .net_ids()
+            .find(|&n| !netlist.net(n).is_clock && driver_class(&netlist, n) == Some(Role::Pi))
+            .expect("a primary-input net");
+        let (cells, nets) = (netlist.cell_count(), netlist.net_count());
+        let keep = netlist.net(from).fanout() - 1;
+        assert_eq!(netlist.detach_sinks(from, keep).len(), 1);
+        netlist.connect(to, po, 0);
+        assert_eq!((netlist.cell_count(), netlist.net_count()), (cells, nets));
+
+        // No `Structural` edit in the list: the timer must notice anyway.
+        let incr = ctx(&netlist, &mut |c| timer.update_journaled(c, &[]));
+        let cold = ctx(&netlist, &mut |c| analyze(c));
+        let i = po.index();
+        assert_ne!(
+            before.endpoint_slack[i].to_bits(),
+            cold.endpoint_slack[i].to_bits(),
+            "the rewiring moves the output's slack"
+        );
+        assert_bit_identical(&incr, &cold);
         assert_eq!(timer.stats().full_rebuilds, 2);
     }
 

@@ -9,6 +9,11 @@
 //!   within 5 %, so nothing grows faster than the design;
 //! * **compact** — at most 150 bytes per cell.
 //!
+//! The levelization memo ([`hetero3d::netlist::Netlist::levels`]) is held
+//! to the same standard: at most 64 bytes per cell, flat from 20 k to
+//! 100 k cells, and freed with the last netlist sharing it (no `Arc`
+//! cycle keeps it alive).
+//!
 //! One test function only: the counters are process-global, so a second
 //! test running on another harness thread would pollute the readings.
 
@@ -19,8 +24,9 @@ use hetero3d::obs::{alloc, CountingAlloc};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Live bytes of a generated netlist and of its clone, each measured on
-/// its own (the clone after the original is dropped).
-fn generated_and_cloned(target: usize) -> (usize, f64, f64) {
+/// its own (the clone after the original is dropped), and of the
+/// levelization memo the clone then builds.
+fn generated_cloned_and_memo(target: usize) -> (usize, f64, f64, f64) {
     let base = alloc::current_bytes();
     let netlist = scale_netlist(target, 7);
     let generated = alloc::current_bytes() - base;
@@ -28,17 +34,34 @@ fn generated_and_cloned(target: usize) -> (usize, f64, f64) {
     let cells = netlist.cell_count();
     drop(netlist);
     let cloned = alloc::current_bytes() - base;
-    drop(clone);
-    (cells, generated as f64, cloned as f64)
+    let levels = clone.levels();
+    let memo = alloc::current_bytes() - base - cloned;
+    let sharer = clone.clone();
+    drop((clone, levels, sharer));
+    assert_eq!(
+        alloc::current_bytes(),
+        base,
+        "{cells} cells: the last netlist sharing the memo frees it"
+    );
+    (cells, generated as f64, cloned as f64, memo as f64)
 }
 
 #[test]
 fn a_netlist_costs_what_it_holds() {
-    let mut per_cell = Vec::new();
+    let (mut per_cell, mut memo_per_cell) = (Vec::new(), Vec::new());
     for target in [20_000, 100_000] {
-        let (cells, generated, cloned) = generated_and_cloned(target);
+        let (cells, generated, cloned, memo) = generated_cloned_and_memo(target);
         let (gen_b, clone_b) = (generated / cells as f64, cloned / cells as f64);
-        eprintln!("{cells} cells: generated {gen_b:.1} B/cell, cloned {clone_b:.1} B/cell");
+        let memo_b = memo / cells as f64;
+        eprintln!(
+            "{cells} cells: generated {gen_b:.1} B/cell, cloned {clone_b:.1} B/cell, \
+             levelization {memo_b:.1} B/cell"
+        );
+        assert!(
+            memo_b <= 64.0,
+            "{cells} cells: levelization {memo_b:.1} B/cell exceeds 64"
+        );
+        memo_per_cell.push(memo_b);
         assert!(
             (generated - cloned).abs() <= 0.05 * cloned,
             "{cells} cells: generated {gen_b:.1} B/cell vs clone {clone_b:.1}: construction slack"
@@ -49,9 +72,11 @@ fn a_netlist_costs_what_it_holds() {
         );
         per_cell.push(gen_b);
     }
-    let (small, large) = (per_cell[0], per_cell[1]);
-    assert!(
-        (large - small).abs() <= 0.05 * small,
-        "bytes per cell drift with size: {small:.1} at 20k vs {large:.1} at 100k"
-    );
+    for (what, v) in [("netlist", &per_cell), ("levelization", &memo_per_cell)] {
+        let (small, large) = (v[0], v[1]);
+        assert!(
+            (large - small).abs() <= 0.05 * small,
+            "{what} bytes per cell drift with size: {small:.1} at 20k vs {large:.1} at 100k"
+        );
+    }
 }

@@ -503,7 +503,7 @@ fn gate_serve(gate: &mut Gate, fresh: &Value, baseline: &Value) {
 }
 
 /// Per-rung fields of the scale ladder that must match the baseline bit
-/// for bit: generation, the flat views and the flow itself are all
+/// for bit: generation, the flat netlist and the flow itself are all
 /// deterministic, so the design — and its sign-off timing — may not move
 /// unless the algorithms changed.
 const SCALE_EXACT_U64: &[&str] = &["target_cells", "cells", "nets", "pins", "arena_bytes"];

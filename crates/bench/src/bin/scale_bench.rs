@@ -2,8 +2,8 @@
 //! synthetic scale family, emitting `results/BENCH_scale.json`.
 //!
 //! Each rung generates a scale-family netlist (100 k+ cells at the
-//! default setting), builds the flat [`Topology`] view, and pushes the
-//! design through the complete heterogeneous flow — partitioning,
+//! default setting) and pushes the design through the complete
+//! heterogeneous flow — partitioning,
 //! placement, routing, CTS, sign-off STA and power — at one target
 //! frequency. Per rung the manifest records:
 //!
@@ -21,7 +21,6 @@
 
 use hetero3d::flow::{try_run_flow, Config};
 use hetero3d::netgen::scale_netlist;
-use hetero3d::netlist::Topology;
 use hetero3d::obs::alloc;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,21 +56,16 @@ fn main() {
         let gen_s = t0.elapsed().as_secs_f64();
         let (cells, nets) = (netlist.cell_count(), netlist.net_count());
         let pins = netlist.stats().pins;
+        let arena_bytes = netlist.name_arena_bytes();
 
         let t1 = Instant::now();
-        let topo = Topology::build(&netlist);
-        let topo_s = t1.elapsed().as_secs_f64();
-        let arena_bytes = topo.name_arena_bytes();
-        drop(topo);
-
-        let t2 = Instant::now();
         let imp =
             try_run_flow(&netlist, Config::Hetero3d, LADDER_GHZ, &options).expect("ladder flow");
-        let flow_s = t2.elapsed().as_secs_f64();
+        let flow_s = t1.elapsed().as_secs_f64();
         let throughput = cells as f64 / flow_s;
         let peak = alloc::peak_bytes();
         println!(
-            "   {cells} cells, {nets} nets | gen {gen_s:.2}s topo {topo_s:.3}s \
+            "   {cells} cells, {nets} nets | gen {gen_s:.2}s \
              flow {flow_s:.2}s ({throughput:.0} cells/s) | peak {:.1} MiB | wns {:.4} ns",
             peak as f64 / (1024.0 * 1024.0),
             imp.sta.wns
@@ -86,7 +80,6 @@ fn main() {
         let _ = writeln!(r, "      \"arena_bytes\": {arena_bytes},");
         let _ = writeln!(r, "      \"wns_ns\": {:.6},", imp.sta.wns);
         let _ = writeln!(r, "      \"gen_s\": {gen_s:.3},");
-        let _ = writeln!(r, "      \"topo_s\": {topo_s:.4},");
         let _ = writeln!(r, "      \"flow_s\": {flow_s:.3},");
         let _ = writeln!(r, "      \"flow_cells_per_sec\": {throughput:.1},");
         let _ = writeln!(r, "      \"peak_heap_bytes\": {peak}");

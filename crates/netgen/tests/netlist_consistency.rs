@@ -1,19 +1,15 @@
 #![recursion_limit = "1024"]
-//! Equivalence proof for the flat [`Topology`] view: on every generator
-//! family — the four paper benchmarks *and* the synthetic scale family —
-//! the flat accessors must agree with an independent derivation entry
-//! for entry, **in the same iteration order**, and the two must produce
-//! the same connectivity fingerprint. Iteration order is part of the
-//! workspace's determinism contract: a kernel that reads CSR slices may
-//! not move a single bit.
+//! Consistency of the netlist's two connectivity records — the flat pin
+//! array (each cell's input then output slots) and the nets' driver and
+//! sink lists — and of what is derived from them, on every generator
+//! family: the four paper benchmarks *and* the synthetic scale family.
 //!
-//! The topology shares the netlist's pin array and name arena, so
-//! comparing those against the netlist would compare one array with
-//! itself. The independent path is the *net side*: every cell's pin
-//! slots are rebuilt from the nets' own driver and sink lists (laid out
-//! by each cell's pin counts, not the pin array's offsets), and the
-//! topology's CSR sink arrays are held against the per-net lists, and
-//! its Kahn order against a walk over the per-net lists.
+//! The independent path is the *net side*: every cell's pin slots are
+//! rebuilt from the nets' own driver and sink lists (laid out by each
+//! cell's pin counts, not the pin array's offsets) and held against
+//! [`Netlist::cell_pins`], entry for entry; the Kahn order
+//! ([`Netlist::combinational_order`]) is held against a walk over the
+//! per-net lists written separately here.
 //!
 //! The levelization memo ([`Netlist::levels`]) rides along: clones and
 //! sizing share it, and every structural edit leaves a fresh memo equal
@@ -21,27 +17,11 @@
 
 use m3d_geom::Point;
 use m3d_netgen::{scale_netlist, Benchmark};
-use m3d_netlist::{CellId, Levels, MacroSpec, NetId, Netlist, PinRef, Topology, NO_NET};
+use m3d_netlist::{CellId, Levels, MacroSpec, NetId, Netlist, NO_NET};
 use m3d_tech::{CellKind, Drive};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// FNV-1a over a connectivity walk. The walk is written once and fed by
-/// either path, so any ordering or content difference changes the hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
 
 /// Every cell's pin slots (inputs, then outputs), rebuilt from the nets'
 /// driver and sink lists alone.
@@ -62,54 +42,8 @@ fn slots_from_nets(n: &Netlist) -> Vec<Vec<u32>> {
     slots
 }
 
-/// Connectivity fingerprint from the **net side**.
-fn net_side_fingerprint(n: &Netlist) -> u64 {
-    let mut h = Fnv::new();
-    for cell in slots_from_nets(n) {
-        for raw in cell {
-            h.eat(if raw == NO_NET {
-                u64::MAX
-            } else {
-                u64::from(raw)
-            });
-        }
-    }
-    for (_, net) in n.nets() {
-        h.eat(net.driver.map_or(u64::MAX, |p| p.cell.index() as u64));
-        for s in &net.sinks {
-            h.eat(s.cell.index() as u64);
-            h.eat(u64::from(s.pin));
-        }
-        h.eat(u64::from(net.is_clock));
-    }
-    h.0
-}
-
-/// The same walk from the **flat** view.
-fn topo_fingerprint(n: &Netlist, t: &Topology) -> u64 {
-    let mut h = Fnv::new();
-    for id in n.cell_ids() {
-        for &raw in t.cell_pins(id) {
-            h.eat(if raw == NO_NET {
-                u64::MAX
-            } else {
-                u64::from(raw)
-            });
-        }
-    }
-    for id in n.net_ids() {
-        h.eat(t.driver(id).map_or(u64::MAX, |p| p.cell.index() as u64));
-        for (&c, &p) in t.sink_cells(id).iter().zip(t.sink_pins(id)) {
-            h.eat(u64::from(c));
-            h.eat(u64::from(p));
-        }
-        h.eat(u64::from(t.is_clock(id)));
-    }
-    h.0
-}
-
 /// Kahn's algorithm over the per-net driver and sink lists alone — the
-/// oracle for [`Topology::combinational_order`]: ready queue seeded in
+/// oracle for [`Netlist::combinational_order`]: ready queue seeded in
 /// ascending cell index, successors released in output-pin, then sink
 /// order.
 fn kahn_over_nets(n: &Netlist) -> Vec<CellId> {
@@ -147,67 +81,40 @@ fn kahn_over_nets(n: &Netlist) -> Vec<CellId> {
     order
 }
 
-/// Full element-wise agreement between the two paths, iteration order
-/// included.
-fn assert_views_agree(n: &Netlist) {
-    let t = n.topology();
-    assert_eq!(t.cell_count(), n.cell_count());
-    assert_eq!(t.net_count(), n.net_count());
-
+/// The pin array against the net-side rebuild, entry for entry, and the
+/// Kahn order against the oracle.
+fn assert_records_agree(n: &Netlist) {
     let expected = slots_from_nets(n);
     let mut arena = 0usize;
     for id in n.cell_ids() {
         let name = n.cell_name(id);
-        assert_eq!(t.cell_name(id), name, "cell name");
         arena += name.len();
         let c = n.cell(id);
         let want = &expected[id.index()];
-        assert_eq!(t.cell_pins(id), &want[..], "pin slots of {name}");
+        assert_eq!(n.cell_pins(id), &want[..], "pin slots of {name}");
         assert_eq!(
-            t.cell_inputs(id),
+            n.cell_inputs(id),
             &want[..c.input_count()],
             "inputs of {name}"
         );
         assert_eq!(
-            t.cell_outputs(id),
+            n.cell_outputs(id),
             &want[c.input_count()..],
             "outputs of {name}"
         );
         for (pin, &raw) in want[..c.input_count()].iter().enumerate() {
             let net = (raw != NO_NET).then(|| NetId::from_index(raw as usize));
-            assert_eq!(t.input_net(id, pin), net, "input {pin} of {name}");
+            assert_eq!(n.input_net(id, pin), net, "input {pin} of {name}");
         }
     }
-    for id in n.net_ids() {
-        let net = n.net(id);
-        let name = n.net_name(id);
-        assert_eq!(t.net_name(id), name, "net name");
-        arena += name.len();
-        assert_eq!(t.driver(id), net.driver, "driver of {name}");
-        let sinks: Vec<PinRef> = t.sinks(id).collect();
-        assert_eq!(sinks, net.sinks, "sink order of {name}");
-        assert_eq!(t.fanout(id), net.fanout());
-        assert_eq!(t.degree(id), net.degree());
-        assert_eq!(t.is_clock(id), net.is_clock);
-    }
-    assert_eq!(t.name_arena_bytes(), arena, "arena holds exactly the names");
-    assert_eq!(
-        t.pin_count(),
-        expected.iter().map(Vec::len).sum::<usize>(),
-        "pin array holds exactly the cells' slots"
-    );
+    arena += n.net_ids().map(|id| n.net_name(id).len()).sum::<usize>();
+    assert_eq!(n.name_arena_bytes(), arena, "arena holds exactly the names");
 
     assert_eq!(
-        t.combinational_order()
+        n.combinational_order()
             .expect("generated designs are acyclic"),
         kahn_over_nets(n),
         "Kahn order must be reproduced bit for bit"
-    );
-
-    assert_eq!(
-        net_side_fingerprint(n),
-        topo_fingerprint(n, &t),
-        "connectivity fingerprints diverge between the paths"
     );
 }
 
@@ -221,7 +128,7 @@ type Edit<'a> = (&'a str, &'a dyn Fn(&mut Netlist), &'a dyn Fn(&mut Netlist));
 /// was cloned from its own.
 fn assert_memo_follows_edits(n: &Netlist) {
     let memo = n.levels();
-    assert_eq!(*memo, Levels::build(&n.topology()), "memo = fresh build");
+    assert_eq!(*memo, Levels::build(n), "memo = fresh build");
     let mut kept = n.clone();
     let gate = kept
         .cell_ids()
@@ -290,7 +197,7 @@ fn assert_memo_follows_edits(n: &Netlist) {
         edit(&mut edited);
         let after = edited.levels();
         assert!(!Arc::ptr_eq(&after, &before), "{what}: a fresh memo");
-        assert_eq!(*after, Levels::build(&edited.topology()), "{what}");
+        assert_eq!(*after, Levels::build(&edited), "{what}");
         assert!(
             Arc::ptr_eq(&n.levels(), &memo),
             "{what}: the original keeps its memo"
@@ -307,7 +214,7 @@ proptest! {
         let (family, scale, seed) = case;
         let n = Benchmark::ALL[family].generate(scale, seed);
         n.validate().expect("generated netlists validate");
-        assert_views_agree(&n);
+        assert_records_agree(&n);
         assert_memo_follows_edits(&n);
     }
 
@@ -317,7 +224,7 @@ proptest! {
         let (target, seed) = case;
         let n = scale_netlist(target, seed);
         n.validate().expect("scale netlists validate");
-        assert_views_agree(&n);
+        assert_records_agree(&n);
         assert_memo_follows_edits(&n);
     }
 }
@@ -328,5 +235,5 @@ proptest! {
 fn ladder_rung_agrees_at_one_hundred_thousand_cells() {
     let n = scale_netlist(100_000, 7);
     assert!(n.cell_count() >= 100_000, "rung must clear 100k cells");
-    assert_views_agree(&n);
+    assert_records_agree(&n);
 }

@@ -11,7 +11,7 @@
 use crate::cell::CellId;
 use crate::net::NetId;
 use crate::netlist::Netlist;
-use crate::topo::{Topology, NO_NET};
+use crate::tables::net_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -78,44 +78,53 @@ pub const ENDPOINT_SINK: u32 = u32::MAX;
 pub const UNTIMED_COMB_SINK: u32 = u32::MAX - 1;
 
 impl Levels {
-    /// Levelizes the combinational portion of a netlist over its flat
-    /// [`Topology`] view and packs the per-gate fanin arcs — a fresh
-    /// build, outside any memo.
+    /// Levelizes the combinational portion of a netlist — reading its pin
+    /// slots and its nets' drivers, clock flags and sink lists — and packs
+    /// the per-gate fanin arcs: a fresh build, outside any memo.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has a combinational cycle (validated
     /// netlists never do).
     #[must_use]
-    pub fn build(topo: &Topology) -> Levels {
+    pub fn build(netlist: &Netlist) -> Levels {
         BUILDS.fetch_add(1, Ordering::Relaxed);
-        let order = topo
+        let order = netlist
             .combinational_order()
             .expect("netlist validated before levelization");
-        let n = topo.cell_count();
+        let n = netlist.cell_count();
         let mut comb_level = vec![u32::MAX; n];
         // Kahn's FIFO pops gates in nondecreasing level — a gate is released
         // by its last, hence deepest, driver — so the topological order is
-        // already level-major and each level is one run of it.
+        // already level-major and each level is one run of it. The fanin
+        // arcs of `order[k]` are its non-clock, driven input pins in
+        // ascending pin order (exactly the pins the forward kernel
+        // evaluates).
         let mut level_off = Vec::new();
+        let mut arc_off = Vec::with_capacity(order.len() + 1);
+        let mut arc_pin = Vec::new();
+        let mut arc_driver = Vec::new();
+        arc_off.push(0u32);
         for (k, &id) in order.iter().enumerate() {
             let mut level = 0u32;
-            for &raw in topo.cell_inputs(id) {
-                if raw == NO_NET {
+            for (pin, &raw) in netlist.cell_inputs(id).iter().enumerate() {
+                let Some(net) = net_of(raw).map(|net| netlist.net(net)) else {
                     continue;
-                }
+                };
+                let Some(drv) = net.driver else { continue };
+                let j = drv.cell.index();
                 // A clock net carries no timing arc, but a gate fed from a
                 // gated clock must still sit above the gating cell: that
                 // cell's required time reads this gate's.
-                let net = NetId::from_index(raw as usize);
-                let Some(drv) = topo.driver(net) else {
-                    continue;
-                };
-                let j = drv.cell.index();
                 if comb_level[j] != u32::MAX {
                     level = level.max(comb_level[j] + 1);
                 }
+                if !net.is_clock {
+                    arc_pin.push(pin as u8);
+                    arc_driver.push(j as u32);
+                }
             }
+            arc_off.push(arc_pin.len() as u32);
             comb_level[id.index()] = level;
             if level as usize == level_off.len() {
                 level_off.push(k as u32);
@@ -127,54 +136,30 @@ impl Levels {
             );
         }
         level_off.push(order.len() as u32);
-        // Fanin arcs, aligned with `order`: the non-clock, driven input pins
-        // of each gate in ascending pin order (exactly the pins the forward
-        // kernel evaluates).
-        let mut arc_off = Vec::with_capacity(order.len() + 1);
-        let mut arc_pin = Vec::new();
-        let mut arc_driver = Vec::new();
-        arc_off.push(0u32);
-        for &id in &order {
-            for (pin, &raw) in topo.cell_inputs(id).iter().enumerate() {
-                if raw == NO_NET {
-                    continue;
-                }
-                let net = NetId::from_index(raw as usize);
-                if topo.is_clock(net) {
-                    continue;
-                }
-                let Some(drv) = topo.driver(net) else {
-                    continue;
-                };
-                arc_pin.push(pin as u8);
-                arc_driver.push(drv.cell.index() as u32);
-            }
-            arc_off.push(arc_pin.len() as u32);
-        }
         // The same arcs indexed by (net, sink): a combinational sink maps to
         // the slot of the arc on that pin, found in its gate's (short) slice.
         let mut position = vec![u32::MAX; n];
         for (k, id) in order.iter().enumerate() {
             position[id.index()] = k as u32;
         }
-        let mut sink_off = Vec::with_capacity(topo.net_count() + 1);
+        let mut sink_off = Vec::with_capacity(netlist.net_count() + 1);
         let mut sink_cell = Vec::new();
         let mut sink_arc = Vec::new();
         sink_off.push(0u32);
-        for raw in 0..topo.net_count() {
-            let net = NetId::from_index(raw);
-            for (&cell, &pin) in topo.sink_cells(net).iter().zip(topo.sink_pins(net)) {
-                let k = position[cell as usize];
+        for (_, net) in netlist.nets() {
+            for sink in &net.sinks {
+                let cell = sink.cell.index();
+                let k = position[cell];
                 let slot = if k == u32::MAX {
                     ENDPOINT_SINK
                 } else {
                     let lo = arc_off[k as usize] as usize;
                     let hi = arc_off[k as usize + 1] as usize;
                     (lo..hi)
-                        .find(|&a| arc_pin[a] == pin)
+                        .find(|&a| arc_pin[a] == sink.pin)
                         .map_or(UNTIMED_COMB_SINK, |a| a as u32)
                 };
-                sink_cell.push(cell);
+                sink_cell.push(cell as u32);
                 sink_arc.push(slot);
             }
             sink_off.push(sink_cell.len() as u32);
@@ -279,9 +264,6 @@ impl Netlist {
     /// netlists never do).
     #[must_use]
     pub fn levels(&self) -> Arc<Levels> {
-        Arc::clone(
-            self.levels
-                .get_or_init(|| Arc::new(Levels::build(&self.topology()))),
-        )
+        Arc::clone(self.levels.get_or_init(|| Arc::new(Levels::build(self))))
     }
 }

@@ -14,14 +14,18 @@
 //! * [`verilog`] — a structural-Verilog writer and parser for the cell set,
 //! * validation ([`Netlist::validate`]) that enforces the single-driver
 //!   rule, full connectivity and acyclicity between registers,
-//! * [`Topology`] — the CSR view the hot kernels read,
 //! * [`Levels`] — the combinational levelization, a memo of the netlist
 //!   ([`Netlist::levels`]) every timer and power pass on one structure
-//!   shares.
+//!   shares,
+//! * [`Incidence`] — the net↔cell incidence FM partitioning and global
+//!   placement read.
 //!
 //! Storage is flat: a 24-byte [`Cell`] per instance, one name arena, one
 //! pin array sliced per cell and a sink list per [`Net`]; a clone shares
-//! everything but the cell table.
+//! everything but the cell table. The netlist is the one holder of
+//! connectivity: kernels read the pin array and the sink lists directly,
+//! and the two derived structures above are built from them. ([`Topology`]
+//! is an empty adapter kept for the benchmark harness.)
 //!
 //! # Examples
 //!
@@ -42,6 +46,7 @@
 //! ```
 
 mod cell;
+mod incidence;
 mod levels;
 mod net;
 #[allow(clippy::module_inception)]
@@ -52,8 +57,10 @@ mod topo;
 pub mod verilog;
 
 pub use cell::{Cell, CellClass, CellId, MacroSpec};
+pub use incidence::Incidence;
 pub use levels::{Levels, ENDPOINT_SINK, UNTIMED_COMB_SINK};
 pub use net::{Net, NetId, PinRef};
 pub use netlist::{Netlist, NetlistParts, NetlistPartsError, ValidateNetlistError};
 pub use stats::NetlistStats;
-pub use topo::{TopoRole, Topology, NO_NET};
+pub use tables::NO_NET;
+pub use topo::Topology;

@@ -2,8 +2,7 @@ use crate::cell::{Cell, CellClass, CellId, MacroSpec};
 use crate::levels::LevelsMemo;
 use crate::net::{Net, NetId, PinRef};
 use crate::stats::NetlistStats;
-use crate::tables::{net_of, Pins, Structure};
-use crate::topo::NO_NET;
+use crate::tables::{net_of, Pins, Structure, NO_NET};
 use m3d_tech::{CellKind, Drive};
 use std::fmt;
 use std::sync::Arc;
@@ -124,9 +123,12 @@ impl std::error::Error for NetlistPartsError {}
 /// only per-netlist copy; nets, the pin array and the name arena sit
 /// behind one `Arc`, so a clone shares them and costs one `memcpy` of the
 /// cell table. Sizing ([`Netlist::set_drive`]) touches cells only; a
-/// structural edit copies the table it writes when a clone or a
-/// [`crate::Topology`] still shares it, and starts a fresh
-/// [`Netlist::levels`] memo.
+/// structural edit copies the table it writes when a clone still shares
+/// it, and starts a fresh [`Netlist::levels`] memo.
+///
+/// The netlist is the one holder of connectivity: every kernel reads its
+/// pin array and its nets directly, and what they derive from it — the
+/// levelization and the net↔cell [`crate::Incidence`] — is built from it.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Clone)]
@@ -611,6 +613,13 @@ impl Netlist {
         self.structure.names.nets.get(net.index())
     }
 
+    /// Total bytes of name text in the arena (cell and net names; offsets
+    /// excluded).
+    #[must_use]
+    pub fn name_arena_bytes(&self) -> usize {
+        self.structure.names.text_bytes()
+    }
+
     /// Number of cells (gates + macros + ports).
     #[must_use]
     pub fn cell_count(&self) -> usize {
@@ -750,17 +759,67 @@ impl Netlist {
         false
     }
 
-    /// Topological order of the *combinational* gates (Kahn's algorithm)
-    /// — [`crate::Topology::combinational_order`] over this netlist.
-    /// Sequential cells, macros and ports act as sources/sinks and are not
-    /// included in the returned order.
+    /// Topological order of the *combinational* gates (Kahn's algorithm
+    /// over the pin array and the nets' sink lists): the ready queue is
+    /// seeded in ascending cell index and successors are released in
+    /// output-pin, then sink-list order. Sequential cells, macros and ports
+    /// act as sources/sinks and are not included in the returned order.
+    /// This is the one order every levelization reads.
     ///
     /// # Errors
     ///
     /// Returns [`ValidateNetlistError::CombinationalCycle`] if the
-    /// combinational logic is cyclic.
+    /// combinational logic is cyclic (the culprit is reported by name).
     pub fn combinational_order(&self) -> Result<Vec<CellId>, ValidateNetlistError> {
-        self.topology().combinational_order()
+        let n = self.cell_count();
+        let nets = &self.structure.nets;
+        let is_comb: Vec<bool> = self
+            .cells
+            .iter()
+            .map(|c| !c.class.is_timing_boundary())
+            .collect();
+        let comb_total = is_comb.iter().filter(|&&c| c).count();
+        // A gate's indegree counts its input pins driven by a gate — one
+        // per sink entry of a net with a combinational driver.
+        let mut indegree = vec![0u32; n];
+        for net in nets {
+            if net.driver.is_some_and(|d| is_comb[d.cell.index()]) {
+                for sink in &net.sinks {
+                    indegree[sink.cell.index()] += 1;
+                }
+            }
+        }
+        // The order is its own FIFO ready queue: a gate is appended when
+        // its last driver is popped, and popped at `head`.
+        let mut order = Vec::with_capacity(comb_total);
+        order.extend(
+            (0..n)
+                .filter(|&i| is_comb[i] && indegree[i] == 0)
+                .map(|i| CellId(i as u32)),
+        );
+        let mut head = 0;
+        while let Some(&id) = order.get(head) {
+            head += 1;
+            for net in self.output_nets(id) {
+                for sink in &nets[net.index()].sinks {
+                    let j = sink.cell.index();
+                    if is_comb[j] {
+                        indegree[j] -= 1;
+                        if indegree[j] == 0 {
+                            order.push(sink.cell);
+                        }
+                    }
+                }
+            }
+        }
+        if order.len() != comb_total {
+            let culprit = (0..n)
+                .find(|&i| is_comb[i] && indegree[i] > 0)
+                .map(|i| self.cell_name(CellId(i as u32)).to_string())
+                .unwrap_or_default();
+            return Err(ValidateNetlistError::CombinationalCycle(culprit));
+        }
+        Ok(order)
     }
 }
 
@@ -895,10 +954,11 @@ mod tests {
         let n2 = n.add_net("n2", g2, 0);
         n.connect(n1, g2, 0);
         n.connect(n2, g1, 0);
-        assert!(matches!(
+        assert_eq!(
             n.validate(),
-            Err(ValidateNetlistError::CombinationalCycle(_))
-        ));
+            Err(ValidateNetlistError::CombinationalCycle("g1".into())),
+            "the first cell left with indegree, by name"
+        );
     }
 
     #[test]
@@ -964,6 +1024,13 @@ mod tests {
         assert_eq!(n.net_count(), 3);
         assert_eq!(n.cell_ids().count(), 4);
         assert_eq!(n.nets().count(), 3);
+        let names: usize = n.cell_ids().map(|id| n.cell_name(id).len()).sum::<usize>()
+            + n.net_ids().map(|id| n.net_name(id).len()).sum::<usize>();
+        assert_eq!(
+            n.name_arena_bytes(),
+            names,
+            "the arena holds exactly the names"
+        );
     }
 
     #[test]

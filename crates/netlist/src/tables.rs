@@ -1,12 +1,13 @@
-//! What a [`crate::Netlist`] shares with its clones and with every
-//! [`crate::Topology`] built from it: the nets, the pin array and the
-//! name arena, behind one `Arc` ([`Structure`]). An edit through a shared
-//! handle copies the structure first (`Arc::make_mut`), so a snapshot
-//! never moves; one handle (not three) keeps construction to one
-//! uniqueness check per call.
+//! What a [`crate::Netlist`] shares with its clones: the nets, the pin
+//! array and the name arena, behind one `Arc` ([`Structure`]). An edit
+//! through a shared handle copies the structure first (`Arc::make_mut`),
+//! so a clone never moves; one handle (not three) keeps construction to
+//! one uniqueness check per call.
 
 use crate::net::{Net, NetId};
-use crate::topo::NO_NET;
+
+/// Sentinel for an unconnected pin slot in [`crate::Netlist::cell_pins`].
+pub const NO_NET: u32 = u32::MAX;
 
 /// A netlist's connectivity and names: everything but the cell table.
 #[derive(Debug, Clone)]

@@ -28,7 +28,7 @@
 use crate::cell::{CellClass, MacroSpec};
 use crate::net::NetId;
 use crate::netlist::Netlist;
-use crate::topo::NO_NET;
+use crate::tables::NO_NET;
 use m3d_tech::{CellKind, Drive};
 use std::collections::HashMap;
 use std::fmt::Write as _;

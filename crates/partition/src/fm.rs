@@ -1,5 +1,5 @@
 use m3d_geom::Point;
-use m3d_netlist::{CellClass, Netlist};
+use m3d_netlist::{CellClass, Incidence, Netlist};
 use m3d_tech::Tier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -7,7 +7,8 @@ use rand::{Rng, SeedableRng};
 /// Fiduccia–Mattheyses parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
-    /// Maximum relative area unbalance `|A0 − A1| / total` allowed.
+    /// Relative area unbalance `|A0 − A1| / total` the per-bin bound of
+    /// [`bin_min_cut_with_stats`] is derived from.
     pub balance_tolerance: f64,
     /// Maximum FM passes (each pass visits every free cell once).
     pub passes: usize,
@@ -37,39 +38,19 @@ pub struct FmStats {
     pub cut: u64,
 }
 
-/// Classic FM min-cut bipartitioning with area balancing.
+/// Bin-based FM min-cut bipartitioning (Section III-A1): area balance is
+/// enforced *per placement bin*, so the partition stays consistent with
+/// the pseudo-3-D placement (each bin contributes half its area to each
+/// tier and tier legalization barely perturbs the placement).
 ///
 /// `areas` gives each cell's area (use the pseudo-3-D/fast-library area:
 /// partitioning happens before the 9-track shrink, exactly as in the
 /// paper's flow). `locked` cells keep whatever tier `tiers` holds on
 /// entry — the timing-driven pre-assignment locks critical cells to the
 /// fast tier this way. Free cells are re-seeded into a balanced random
-/// split first.
-///
-/// Returns the final cut size.
-pub fn min_cut(
-    netlist: &Netlist,
-    areas: &[f64],
-    locked: &[bool],
-    tiers: &mut [Tier],
-    config: &PartitionConfig,
-) -> usize {
-    seed_balanced(netlist, areas, locked, tiers, config.seed);
-    let total: f64 = areas.iter().sum();
-    let tol = config.balance_tolerance;
-    let balance_ok = |tier_area: &[f64; 2], from: Tier, to: Tier, a: f64| {
-        let mut ta = *tier_area;
-        ta[from.index()] -= a;
-        ta[to.index()] += a;
-        (ta[0] - ta[1]).abs() / total.max(1e-12) <= tol
-    };
-    run_fm(netlist, areas, locked, tiers, config.passes, balance_ok)
-}
-
-/// Bin-based FM min-cut (Section III-A1): like [`min_cut`] but the area
-/// balance is enforced *per placement bin*, so the partition stays
-/// consistent with the pseudo-3-D placement (each bin contributes half its
-/// area to each tier and tier legalization barely perturbs the placement).
+/// split first; FM then makes only moves that leave the moved cell's bin
+/// within relative unbalance `|A0 − A1| / A ≤ max(balance_tolerance,
+/// 0.05) + 0.25`, so every bin ends within that bound or as seeded.
 ///
 /// Returns the final cut size plus the [`FmStats`] counters of the run.
 #[allow(clippy::too_many_arguments)]
@@ -121,7 +102,15 @@ pub fn bin_min_cut_with_stats(
         bt[b][from.index()] -= areas[cell];
         bt[b][to.index()] += areas[cell];
     };
-    run_fm_with(netlist, locked, tiers, config.passes, can_move, on_move)
+    run_fm_engine(
+        netlist,
+        locked,
+        tiers,
+        config.passes,
+        can_move,
+        on_move,
+        update_gains_by_delta,
+    )
 }
 
 /// Seeds free cells into a random balanced split (locked cells untouched).
@@ -159,81 +148,34 @@ fn seed_balanced(netlist: &Netlist, areas: &[f64], locked: &[bool], tiers: &mut 
     }
 }
 
-/// Runs FM passes with a global balance predicate.
-fn run_fm(
-    netlist: &Netlist,
-    areas: &[f64],
-    locked: &[bool],
-    tiers: &mut [Tier],
-    passes: usize,
-    balance_ok: impl Fn(&[f64; 2], Tier, Tier, f64) -> bool,
-) -> usize {
-    let tier_area = std::cell::RefCell::new({
-        let mut ta = [0.0_f64; 2];
-        for (i, &t) in tiers.iter().enumerate() {
-            ta[t.index()] += areas[i];
-        }
-        ta
-    });
-    let can_move =
-        |cell: usize, from: Tier, to: Tier| balance_ok(&tier_area.borrow(), from, to, areas[cell]);
-    let on_move = |cell: usize, from: Tier, to: Tier| {
-        let mut ta = tier_area.borrow_mut();
-        ta[from.index()] -= areas[cell];
-        ta[to.index()] += areas[cell];
-    };
-    run_fm_with(netlist, locked, tiers, passes, can_move, on_move).0
-}
-
 /// Sentinel for "no node" in the flat gain-list links.
 const NIL: u32 = u32::MAX;
 
-/// The FM hypergraph, CSR in both directions: `net_off` / `net_cell` for
-/// net→cells (driver first, then sinks — `Net::cells` order; clock nets
-/// get empty slices) and `cell_net_off` / `cell_net` for cell→nets (by
-/// counting sort over the nets in index order, so a cell's nets ascend).
-/// Both orders are part of the deterministic gain-update order. Entries
-/// are *pins*: a cell on two pins of a net is listed twice in both
-/// directions, and side counts count it twice.
+/// The FM hypergraph: the netlist's [`Incidence`] over its signal nets
+/// (clock nets get empty slices), whose net→cells and cell→nets orders
+/// are part of the deterministic gain-update order, plus a pin count per
+/// entry.
 struct Hypergraph {
-    net_off: Vec<u32>,
-    net_cell: Vec<u32>,
-    /// Per `net_cell` entry: how many pins its cell has on the net, on the
+    inc: Incidence,
+    /// Per net→cells entry: how many pins its cell has on the net, on the
     /// cell's first entry in the net's slice; zero on its later entries.
     pin_mult: Vec<u8>,
-    cell_net_off: Vec<u32>,
-    cell_net: Vec<u32>,
 }
 
 impl Hypergraph {
     fn build(netlist: &Netlist) -> Hypergraph {
+        let inc = Incidence::build(netlist, |net| !net.is_clock);
         let n = netlist.cell_count();
-        let net_count = netlist.net_count();
-        let mut net_off: Vec<u32> = Vec::with_capacity(net_count + 1);
-        net_off.push(0);
-        let mut pin_total = 0u32;
-        for (_, net) in netlist.nets() {
-            if !net.is_clock {
-                pin_total += net.degree() as u32;
-            }
-            net_off.push(pin_total);
-        }
-        let mut net_cell: Vec<u32> = vec![0; pin_total as usize];
-        let mut pin_mult: Vec<u8> = vec![0; pin_total as usize];
-        // `first_pin[c]` is c's first entry in the net being filled, valid
+        let mut pin_mult: Vec<u8> = vec![0; inc.entries()];
+        // `first_pin[c]` is c's first entry in the net being walked, valid
         // while `seen_in[c]` names that net.
         let mut seen_in: Vec<u32> = vec![u32::MAX; n];
         let mut first_pin: Vec<u32> = vec![0; n];
-        for (id, net) in netlist.nets() {
-            if net.is_clock {
-                continue;
-            }
-            let k = id.index() as u32;
-            for (w, c) in (net_off[id.index()] as usize..).zip(net.cells()) {
-                let c = c.index();
-                net_cell[w] = c as u32;
-                if seen_in[c] != k {
-                    seen_in[c] = k;
+        for k in 0..inc.net_count() {
+            for (w, &c) in inc.net_range(k).zip(inc.net_cells(k)) {
+                let c = c as usize;
+                if seen_in[c] != k as u32 {
+                    seen_in[c] = k as u32;
                     first_pin[c] = w as u32;
                 }
                 // A movable gate has a handful of pins; saturation can
@@ -242,40 +184,7 @@ impl Hypergraph {
                 *first = first.saturating_add(1);
             }
         }
-        let mut cell_net_off: Vec<u32> = vec![0; n + 1];
-        for &c in &net_cell {
-            cell_net_off[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            cell_net_off[i + 1] += cell_net_off[i];
-        }
-        let mut next_slot: Vec<u32> = cell_net_off[..n].to_vec();
-        let mut cell_net: Vec<u32> = vec![0; pin_total as usize];
-        for k in 0..net_count {
-            for &c in &net_cell[net_off[k] as usize..net_off[k + 1] as usize] {
-                cell_net[next_slot[c as usize] as usize] = k as u32;
-                next_slot[c as usize] += 1;
-            }
-        }
-        Hypergraph {
-            net_off,
-            net_cell,
-            pin_mult,
-            cell_net_off,
-            cell_net,
-        }
-    }
-
-    fn net_range(&self, k: usize) -> std::ops::Range<usize> {
-        self.net_off[k] as usize..self.net_off[k + 1] as usize
-    }
-
-    fn net_of(&self, k: usize) -> &[u32] {
-        &self.net_cell[self.net_range(k)]
-    }
-
-    fn nets_of(&self, c: usize) -> &[u32] {
-        &self.cell_net[self.cell_net_off[c] as usize..self.cell_net_off[c + 1] as usize]
+        Hypergraph { inc, pin_mult }
     }
 
     /// FM gain of moving `cell` to the other side: nets it would uncut
@@ -284,7 +193,7 @@ impl Hypergraph {
         let from = tiers[cell].index();
         let to = 1 - from;
         let mut g = 0i64;
-        for &ni in self.nets_of(cell) {
+        for &ni in self.inc.cell_nets(cell) {
             let sc = side_count[ni as usize];
             if sc[from] == 1 {
                 g += 1; // moving uncuts this net
@@ -393,7 +302,7 @@ fn update_gains_by_delta(
     from: Tier,
 ) {
     let (from_i, to_i) = (from.index(), from.other().index());
-    for &ni in graph.nets_of(c) {
+    for &ni in graph.inc.cell_nets(c) {
         let ni = ni as usize;
         let sc = &mut side_count[ni];
         let (f, t) = (sc[from_i], sc[to_i]);
@@ -404,13 +313,13 @@ fn update_gains_by_delta(
         if same == 0 && other == 0 {
             continue;
         }
-        for w in graph.net_range(ni) {
-            let nb = graph.net_cell[w] as usize;
-            let pins = i64::from(graph.pin_mult[w]);
+        let range = graph.inc.net_range(ni);
+        for (&nb, &pins) in graph.inc.net_cells(ni).iter().zip(&graph.pin_mult[range]) {
+            let nb = nb as usize;
             if pins == 0 || !free[nb] {
                 continue;
             }
-            let delta = pins * if tiers[nb] == from { same } else { other };
+            let delta = i64::from(pins) * if tiers[nb] == from { same } else { other };
             if delta != 0 {
                 list.relink(nb, list.gains[nb] + delta);
             }
@@ -430,11 +339,11 @@ fn update_gains_by_recompute(
     c: usize,
     from: Tier,
 ) {
-    for &ni in graph.nets_of(c) {
+    for &ni in graph.inc.cell_nets(c) {
         let ni = ni as usize;
         side_count[ni][from.index()] -= 1;
         side_count[ni][from.other().index()] += 1;
-        for &nb in graph.net_of(ni) {
+        for &nb in graph.inc.net_cells(ni) {
             let nb = nb as usize;
             if !free[nb] {
                 continue;
@@ -445,26 +354,6 @@ fn update_gains_by_recompute(
             }
         }
     }
-}
-
-/// The FM engine with the production gain update.
-fn run_fm_with(
-    netlist: &Netlist,
-    locked: &[bool],
-    tiers: &mut [Tier],
-    passes: usize,
-    can_move: impl Fn(usize, Tier, Tier) -> bool,
-    on_move: impl Fn(usize, Tier, Tier),
-) -> (usize, FmStats) {
-    run_fm_engine(
-        netlist,
-        locked,
-        tiers,
-        passes,
-        can_move,
-        on_move,
-        update_gains_by_delta,
-    )
 }
 
 /// The FM engine: a flat doubly-linked gain list, tentative move
@@ -522,19 +411,19 @@ fn run_fm_engine(
         };
         if parallel {
             m3d_par::par_ranges(threads, net_count, |r| {
-                r.filter(|&ni| is_cut(graph.net_of(ni))).count()
+                r.filter(|&ni| is_cut(graph.inc.net_cells(ni))).count()
             })
             .into_iter()
             .sum()
         } else {
             (0..net_count)
-                .filter(|&ni| is_cut(graph.net_of(ni)))
+                .filter(|&ni| is_cut(graph.inc.net_cells(ni)))
                 .count()
         }
     };
 
     let max_deg = (0..n)
-        .map(|c| graph.nets_of(c).len())
+        .map(|c| graph.inc.cell_nets(c).len())
         .max()
         .unwrap_or(1)
         .max(1) as i64;
@@ -569,13 +458,13 @@ fn run_fm_engine(
         if parallel {
             let tiers_ref = &*tiers;
             let chunks = m3d_par::par_ranges(threads, net_count, |r| {
-                r.map(|ni| side_count_of(graph.net_of(ni), tiers_ref))
+                r.map(|ni| side_count_of(graph.inc.net_cells(ni), tiers_ref))
                     .collect::<Vec<[i32; 2]>>()
             });
             m3d_par::store_chunks(&mut side_count, chunks);
         } else {
             for (ni, sc) in side_count.iter_mut().enumerate() {
-                *sc = side_count_of(graph.net_of(ni), tiers);
+                *sc = side_count_of(graph.inc.net_cells(ni), tiers);
             }
         }
 
@@ -685,49 +574,92 @@ mod tests {
             .collect()
     }
 
+    /// Synthetic positions: cells hashed around a 100 × 100 die.
+    fn spread(n: &Netlist, (fx, fy): (f64, f64)) -> (Vec<Point>, m3d_geom::Rect) {
+        let positions = (0..n.cell_count())
+            .map(|i| Point::new((i as f64 * fx) % 100.0, (i as f64 * fy) % 100.0))
+            .collect();
+        (positions, m3d_geom::Rect::new(0.0, 0.0, 100.0, 100.0))
+    }
+
+    /// One bin FM run on a 4 × 4 grid over [`spread`] positions.
+    fn bin_fm(
+        n: &Netlist,
+        locked: &[bool],
+        tiers: &mut [Tier],
+        config: &PartitionConfig,
+    ) -> (usize, FmStats) {
+        let (positions, die) = spread(n, (37.3, 53.7));
+        bin_min_cut_with_stats(n, &positions, die, 4, &areas_of(n), locked, tiers, config)
+    }
+
+    /// Each bin's relative unbalance under `tiers` on [`bin_fm`]'s grid.
+    fn bin_unbalance(n: &Netlist, tiers: &[Tier]) -> Vec<f64> {
+        let (positions, die) = spread(n, (37.3, 53.7));
+        let grid = m3d_geom::BinGrid::new(die, 4, 4);
+        let areas = areas_of(n);
+        let mut bin_tier = vec![[0.0_f64; 2]; 16];
+        for (i, &p) in positions.iter().enumerate() {
+            let (x, y) = grid.bin_of(p);
+            bin_tier[y * 4 + x][tiers[i].index()] += areas[i];
+        }
+        bin_tier
+            .iter()
+            .map(|[a, b]| (a - b).abs() / (a + b).max(1e-12))
+            .collect()
+    }
+
     #[test]
     fn fm_improves_over_random_split() {
         let n = m3d_netgen::Benchmark::Aes.generate(0.03, 9);
-        let areas = areas_of(&n);
         let locked = vec![false; n.cell_count()];
-        let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        seed_balanced(&n, &areas, &locked, &mut tiers, 42);
-        let random_cut = cut_size(&n, &tiers);
+        let mut seeded = vec![Tier::Bottom; n.cell_count()];
+        let config = PartitionConfig::default();
+        let zero = PartitionConfig {
+            passes: 0,
+            ..config.clone()
+        };
+        let (random_cut, _) = bin_fm(&n, &locked, &mut seeded, &zero);
+        assert_eq!(random_cut, cut_size(&n, &seeded));
 
-        let mut tiers2 = vec![Tier::Bottom; n.cell_count()];
-        let fm_cut = min_cut(
-            &n,
-            &areas,
-            &locked,
-            &mut tiers2,
-            &PartitionConfig::default(),
-        );
+        let mut tiers = vec![Tier::Bottom; n.cell_count()];
+        let (fm_cut, stats) = bin_fm(&n, &locked, &mut tiers, &config);
         assert!(
             fm_cut < random_cut / 2,
             "FM cut {fm_cut} vs random {random_cut}"
         );
-        assert_eq!(fm_cut, cut_size(&n, &tiers2));
+        assert_eq!(fm_cut, cut_size(&n, &tiers));
+        assert_eq!(stats.cut, fm_cut as u64);
     }
 
     #[test]
-    fn fm_respects_balance() {
+    fn every_bin_ends_within_its_bound_or_as_seeded() {
         let n = m3d_netgen::Benchmark::Netcard.generate(0.02, 9);
-        let areas = areas_of(&n);
         let locked = vec![false; n.cell_count()];
-        let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        let config = PartitionConfig {
-            balance_tolerance: 0.08,
-            ..Default::default()
+        let config = PartitionConfig::default();
+        let bound = config.balance_tolerance.max(0.05) + 0.25;
+        let mut seeded = vec![Tier::Bottom; n.cell_count()];
+        let zero = PartitionConfig {
+            passes: 0,
+            ..config.clone()
         };
-        min_cut(&n, &areas, &locked, &mut tiers, &config);
-        let u = crate::unbalance(&areas, &tiers);
-        assert!(u <= 0.1, "unbalance {u}");
+        let _ = bin_fm(&n, &locked, &mut seeded, &zero);
+        let mut tiers = vec![Tier::Bottom; n.cell_count()];
+        let (_, stats) = bin_fm(&n, &locked, &mut tiers, &config);
+        assert!(stats.moves > 0, "FM moved cells");
+        let before = bin_unbalance(&n, &seeded);
+        let after = bin_unbalance(&n, &tiers);
+        for (b, (&u, &seed_u)) in after.iter().zip(&before).enumerate() {
+            assert!(
+                u <= bound || u == seed_u,
+                "bin {b} unbalance {u} (seeded {seed_u}, bound {bound})"
+            );
+        }
     }
 
     #[test]
     fn locked_cells_do_not_move() {
         let n = m3d_netgen::Benchmark::Aes.generate(0.02, 9);
-        let areas = areas_of(&n);
         let mut locked = vec![false; n.cell_count()];
         let mut tiers = vec![Tier::Bottom; n.cell_count()];
         // Lock every 5th gate to the top tier.
@@ -738,7 +670,7 @@ mod tests {
             }
         }
         let snapshot = tiers.clone();
-        min_cut(&n, &areas, &locked, &mut tiers, &PartitionConfig::default());
+        let _ = bin_fm(&n, &locked, &mut tiers, &PartitionConfig::default());
         for i in 0..tiers.len() {
             if locked[i] {
                 assert_eq!(tiers[i], snapshot[i], "locked cell {i} moved");
@@ -749,58 +681,13 @@ mod tests {
     #[test]
     fn fm_is_deterministic() {
         let n = m3d_netgen::Benchmark::Ldpc.generate(0.015, 3);
-        let areas = areas_of(&n);
         let locked = vec![false; n.cell_count()];
         let mut a = vec![Tier::Bottom; n.cell_count()];
         let mut b = vec![Tier::Bottom; n.cell_count()];
-        let c1 = min_cut(&n, &areas, &locked, &mut a, &PartitionConfig::default());
-        let c2 = min_cut(&n, &areas, &locked, &mut b, &PartitionConfig::default());
-        assert_eq!(c1, c2);
+        let r1 = bin_fm(&n, &locked, &mut a, &PartitionConfig::default());
+        let r2 = bin_fm(&n, &locked, &mut b, &PartitionConfig::default());
+        assert_eq!(r1, r2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bin_fm_keeps_bins_balanced() {
-        let n = m3d_netgen::Benchmark::Aes.generate(0.02, 9);
-        let areas = areas_of(&n);
-        let locked = vec![false; n.cell_count()];
-        let die = m3d_geom::Rect::new(0.0, 0.0, 100.0, 100.0);
-        // Synthetic positions: hash cells around the die.
-        let positions: Vec<Point> = (0..n.cell_count())
-            .map(|i| Point::new((i as f64 * 37.3) % 100.0, (i as f64 * 53.7) % 100.0))
-            .collect();
-        let mut tiers = vec![Tier::Bottom; n.cell_count()];
-        let (cut, _) = bin_min_cut_with_stats(
-            &n,
-            &positions,
-            die,
-            4,
-            &areas,
-            &locked,
-            &mut tiers,
-            &PartitionConfig::default(),
-        );
-        assert!(cut > 0);
-        // Check each bin's balance is not absurd.
-        let grid = m3d_geom::BinGrid::new(die, 4, 4);
-        let mut bin_tier = vec![[0.0_f64; 2]; 16];
-        let mut bin_total = [0.0_f64; 16];
-        for (id, cell) in n.cells() {
-            if !cell.class.is_gate() {
-                continue;
-            }
-            let (x, y) = grid.bin_of(positions[id.index()]);
-            let b = y * 4 + x;
-            bin_tier[b][tiers[id.index()].index()] += areas[id.index()];
-            bin_total[b] += areas[id.index()];
-        }
-        for b in 0..16 {
-            if bin_total[b] < 20.0 {
-                continue; // tiny bins can be lopsided
-            }
-            let u = (bin_tier[b][0] - bin_tier[b][1]).abs() / bin_total[b];
-            assert!(u <= 0.55, "bin {b} unbalance {u}");
-        }
     }
 
     #[test]
@@ -809,10 +696,7 @@ mod tests {
         let n = m3d_netgen::Benchmark::Netcard.generate(0.015, 9);
         let areas = areas_of(&n);
         let locked = vec![false; n.cell_count()];
-        let die = m3d_geom::Rect::new(0.0, 0.0, 100.0, 100.0);
-        let positions: Vec<Point> = (0..n.cell_count())
-            .map(|i| Point::new((i as f64 * 17.9) % 100.0, (i as f64 * 71.3) % 100.0))
-            .collect();
+        let (positions, die) = spread(&n, (17.9, 71.3));
         let mut tiers = vec![Tier::Bottom; n.cell_count()];
         let _ = bin_min_cut_with_stats(
             &n,

@@ -1,5 +1,5 @@
-//! Tier partitioning: FM min-cut, bin-based FM, timing-driven assignment
-//! and the repartitioning ECO of the heterogeneous flow.
+//! Tier partitioning: bin-based FM min-cut, timing-driven assignment and
+//! the repartitioning ECO of the heterogeneous flow.
 //!
 //! This crate is the heart of the paper's contribution. The homogeneous
 //! Pin-3-D flow partitions with placement-driven (bin-based) FM min-cut
@@ -18,16 +18,25 @@
 //! # Examples
 //!
 //! ```
+//! use m3d_geom::{Point, Rect};
 //! use m3d_netgen::Benchmark;
-//! use m3d_partition::{cut_size, min_cut, PartitionConfig};
+//! use m3d_partition::{bin_min_cut_with_stats, cut_size, PartitionConfig};
 //! use m3d_tech::Tier;
 //!
 //! let netlist = Benchmark::Aes.generate(0.02, 1);
-//! let areas = vec![1.0; netlist.cell_count()];
-//! let locked = vec![false; netlist.cell_count()];
-//! let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
-//! let cut = min_cut(&netlist, &areas, &locked, &mut tiers, &PartitionConfig::default());
+//! let n = netlist.cell_count();
+//! // Cells spread over a 4 × 4 bin grid on a 100 µm die.
+//! let die = Rect::new(0.0, 0.0, 100.0, 100.0);
+//! let positions: Vec<Point> = (0..n)
+//!     .map(|i| Point::new((i as f64 * 37.3) % 100.0, (i as f64 * 53.7) % 100.0))
+//!     .collect();
+//! let (areas, locked) = (vec![1.0; n], vec![false; n]);
+//! let mut tiers = vec![Tier::Bottom; n];
+//! let config = PartitionConfig::default();
+//! let (cut, stats) =
+//!     bin_min_cut_with_stats(&netlist, &positions, die, 4, &areas, &locked, &mut tiers, &config);
 //! assert_eq!(cut, cut_size(&netlist, &tiers));
+//! assert_eq!(stats.cut, cut as u64);
 //! ```
 
 mod eco;
@@ -35,7 +44,7 @@ mod fm;
 mod timing;
 
 pub use eco::{repartition_eco_with, EcoConfig, EcoOutcome, EcoStop, EcoTimingView};
-pub use fm::{bin_min_cut_with_stats, min_cut, FmStats, PartitionConfig};
+pub use fm::{bin_min_cut_with_stats, FmStats, PartitionConfig};
 pub use timing::{timing_driven_assignment, TimingAssignment};
 
 use m3d_netlist::Netlist;

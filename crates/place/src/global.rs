@@ -1,7 +1,7 @@
 use crate::floorplan::Floorplan;
 use crate::placement::Placement;
 use m3d_geom::Point;
-use m3d_netlist::{CellClass, Netlist};
+use m3d_netlist::{CellClass, Incidence, Net, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,55 +123,24 @@ fn place_loop(
     // keeping float accumulation orders fixed.
     let eff_threads = if n >= m3d_par::PAR_THRESHOLD { 0 } else { 1 };
 
-    // Relaxation connectivity, built once as CSR — two flat arrays per
-    // direction instead of a Vec-of-Vecs per net/cell: per-net pin slices
-    // and weights, and the cell → net incidence in net-index order. The
-    // incidence order IS the accumulation order of the centroid gather
-    // below, so per-cell float sums are reproduced exactly regardless of
-    // how many workers computed the per-net centroids.
+    // Relaxation connectivity: the netlist's incidence over the signal
+    // nets with two or more pins, plus a weight per net. The cell → net
+    // order IS the accumulation order of the centroid gather below, so
+    // per-cell float sums are reproduced exactly regardless of how many
+    // workers computed the per-net centroids.
+    let relaxed = |net: &Net| !net.is_clock && net.degree() >= 2;
+    let graph = Incidence::build(netlist, relaxed);
+    let net_w: Vec<f64> = netlist
+        .nets()
+        .map(|(_, net)| {
+            if relaxed(net) {
+                1.0 / (net.degree() as f64 - 1.0)
+            } else {
+                0.0
+            }
+        })
+        .collect();
     let net_count = netlist.net_count();
-    let mut net_off: Vec<u32> = Vec::with_capacity(net_count + 1);
-    net_off.push(0);
-    let mut net_w: Vec<f64> = Vec::with_capacity(net_count);
-    let mut pin_total = 0u32;
-    for (_, net) in netlist.nets() {
-        if net.is_clock || net.degree() < 2 {
-            net_w.push(0.0);
-        } else {
-            pin_total += net.degree() as u32;
-            net_w.push(1.0 / (net.degree() as f64 - 1.0));
-        }
-        net_off.push(pin_total);
-    }
-    let mut net_cell: Vec<u32> = vec![0; pin_total as usize];
-    for (id, net) in netlist.nets() {
-        if net.is_clock || net.degree() < 2 {
-            continue;
-        }
-        for (w, c) in (net_off[id.index()] as usize..).zip(net.cells()) {
-            net_cell[w] = c.index() as u32;
-        }
-    }
-    let net_of = |k: usize| &net_cell[net_off[k] as usize..net_off[k + 1] as usize];
-    // Cell → incident nets by counting sort over the nets in index order
-    // (the same per-cell sequence the legacy push loop produced).
-    let mut inc_off: Vec<u32> = vec![0; n + 1];
-    for &c in &net_cell {
-        inc_off[c as usize + 1] += 1;
-    }
-    for i in 0..n {
-        inc_off[i + 1] += inc_off[i];
-    }
-    let mut next_slot: Vec<u32> = inc_off[..n].to_vec();
-    let mut inc_net: Vec<u32> = vec![0; pin_total as usize];
-    for k in 0..net_count {
-        for &c in net_of(k) {
-            inc_net[next_slot[c as usize] as usize] = k as u32;
-            next_slot[c as usize] += 1;
-        }
-    }
-    drop(next_slot);
-    let nets_of = |c: usize| &inc_net[inc_off[c] as usize..inc_off[c + 1] as usize];
 
     // Standing buffer of the relaxation sweeps: chunk results are copied
     // into place, so a sweep makes no design-sized allocation.
@@ -187,7 +156,7 @@ fn place_loop(
             let snap = &placement.positions;
             let chunks = m3d_par::par_ranges(eff_threads, net_count, |nets| {
                 nets.map(|k| {
-                    let pins = net_of(k);
+                    let pins = graph.net_cells(k);
                     if pins.is_empty() {
                         return Point::ORIGIN;
                     }
@@ -216,7 +185,7 @@ fn place_loop(
                         }
                         let mut sum = Point::ORIGIN;
                         let mut weight = 0.0_f64;
-                        for &ni in nets_of(i) {
+                        for &ni in graph.cell_nets(i) {
                             let ni = ni as usize;
                             sum += centroids_ref[ni] * net_w_ref[ni];
                             weight += net_w_ref[ni];

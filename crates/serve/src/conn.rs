@@ -13,11 +13,11 @@
 //! `protocol` rejection; a line longer than the cap gets one, and a
 //! non-UTF-8 line none, before the reader stops.
 //!
-//! The outbox counts its queued bytes. Past
-//! [`crate::TcpTuning::write_high_water`] the reader stops reading until
-//! the writer has drained them to half the mark, so TCP pushes back on a
-//! client that sends faster than it reads instead of the server buffering
-//! without bound (`serve/read_paused`, `serve/write_buffer_peak`).
+//! The outbox counts its queued bytes. Past [`WRITE_HIGH_WATER`] the
+//! reader stops reading until the writer has drained them to half the
+//! mark, so TCP pushes back on a client that sends faster than it reads
+//! instead of the server buffering without bound (`serve/read_paused`,
+//! `serve/write_buffer_peak`).
 //!
 //! [`Front::drain`] stops the accept thread, closes every connection's
 //! read half (an idle client sees EOF) and waits until each writer has
@@ -35,12 +35,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::protocol::{decode_or_reject, encode_line, RejectKind, Response};
-use crate::server::TcpTuning;
 use m3d_flow::FlowRequest;
 use m3d_obs::Obs;
 
 /// The cap on one request line (1 MiB), on every front.
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Bytes queued for one connection's writer (256 KiB) above which its
+/// reader stops reading until the peer drains them; reading resumes at
+/// half this mark.
+pub const WRITE_HIGH_WATER: usize = 256 << 10;
 
 /// The stack of each connection thread. Nothing on one recurses deeper
 /// than the JSON parser, which `m3d_json::MAX_DEPTH` bounds, so a
@@ -192,7 +196,6 @@ struct Queue {
     state: Mutex<QueueState>,
     /// Signalled when a paused reader may read again.
     room: Condvar,
-    high_water: usize,
     obs: Obs,
 }
 
@@ -221,7 +224,7 @@ impl Queue {
     fn written(&self, len: usize) {
         let mut q = self.lock();
         q.bytes -= len;
-        if q.paused && q.bytes <= self.high_water / 2 {
+        if q.paused && q.bytes <= WRITE_HIGH_WATER / 2 {
             q.paused = false;
             self.room.notify_one();
         }
@@ -236,7 +239,7 @@ impl Queue {
     /// writer has drained it to half. `false` once the writer stopped.
     fn wait_for_room(&self) -> bool {
         let mut q = self.lock();
-        if q.bytes > self.high_water && !q.closed {
+        if q.bytes > WRITE_HIGH_WATER && !q.closed {
             q.paused = true;
             self.obs.perf_add("serve/read_paused", 1);
             while q.paused && !q.closed {
@@ -255,7 +258,6 @@ pub(crate) struct Front {
 }
 
 struct Shared {
-    tuning: TcpTuning,
     obs: Obs,
     draining: AtomicBool,
     /// Open connections by id, so drain can close their read halves.
@@ -287,15 +289,9 @@ impl Front {
     /// # Errors
     ///
     /// Propagates a failure to read the listener's address.
-    pub fn serve<S: Service>(
-        listener: TcpListener,
-        service: S,
-        tuning: TcpTuning,
-        obs: Obs,
-    ) -> io::Result<Front> {
+    pub fn serve<S: Service>(listener: TcpListener, service: S, obs: Obs) -> io::Result<Front> {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            tuning,
             obs,
             draining: AtomicBool::new(false),
             open: Mutex::new(HashMap::new()),
@@ -317,9 +313,12 @@ impl Front {
     }
 
     /// Stops accepting, closes every connection's read half and waits
-    /// until each connection has sent what was in flight and closed.
+    /// until each connection has sent what was in flight and closed. A
+    /// second call finds the front drained and returns at once.
     pub fn drain(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
+        if self.shared.draining.swap(true, Ordering::AcqRel) {
+            return;
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         self.join();
@@ -355,7 +354,6 @@ fn accept_loop<S: Service>(listener: &TcpListener, service: &Arc<S>, shared: &Ar
         let queue = Arc::new(Queue {
             state: Mutex::new(QueueState::default()),
             room: Condvar::new(),
-            high_water: shared.tuning.write_high_water,
             obs: shared.obs.clone(),
         });
         let (tx, rx) = channel();

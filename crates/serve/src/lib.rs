@@ -30,8 +30,8 @@
 //!   buffering without limit.
 //! * [`server`] — the [`Server`] engine (bounded queue, explicit
 //!   `overloaded` backpressure, per-request deadlines, graceful
-//!   drain-on-shutdown) and its [`TcpServer`] front (tunable via
-//!   [`TcpTuning`]).
+//!   drain-on-shutdown) and its [`TcpServer`] front (a connection's
+//!   reader pauses past [`WRITE_HIGH_WATER`] queued reply bytes).
 //! * [`client`] — a blocking pipelined [`Client`], also the substrate
 //!   of the `serve_client` load generator.
 //! * [`router`] — a consistent-hash shard [`Router`] front: N backend
@@ -77,7 +77,7 @@ pub mod server;
 
 pub use cache::{SessionCache, SessionKey};
 pub use client::{Client, ClientError};
-pub use conn::raise_nofile_limit;
+pub use conn::{raise_nofile_limit, WRITE_HIGH_WATER};
 pub use m3d_flow::{FlowCommand, FlowReport, FlowRequest, NetlistSpec};
 pub use m3d_store::{Store, StoreError, StoreKey};
 pub use protocol::{
@@ -85,6 +85,4 @@ pub use protocol::{
     Response, ServerMessage, StreamEvent,
 };
 pub use router::{route_key, Ring, Router, RouterConfig, RouterStatsSnapshot};
-pub use server::{
-    Pending, PendingStream, Server, ServerConfig, StatsSnapshot, TcpServer, TcpTuning,
-};
+pub use server::{Pending, PendingStream, Server, ServerConfig, StatsSnapshot, TcpServer};

@@ -57,7 +57,6 @@
 use crate::client::{Client, ClientError};
 use crate::conn::{Front, Outbox, Service};
 use crate::protocol::{decode_response, encode_line, RejectKind, Response, StreamEvent};
-use crate::server::TcpTuning;
 use m3d_flow::{FlowCommand, FlowRequest, ReadSet};
 use m3d_obs::Obs;
 use std::collections::hash_map::{Entry, HashMap};
@@ -375,7 +374,7 @@ impl Router {
             backends: config.backends,
             stats: Arc::clone(&stats),
         };
-        let front = Front::serve(listener, relay, TcpTuning::default(), Obs::disabled())?;
+        let front = Front::serve(listener, relay, Obs::disabled())?;
         Ok(Router { stats, front })
     }
 

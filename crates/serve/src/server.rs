@@ -47,8 +47,8 @@
 //! [`TcpServer`] serves through the front it shares with the router
 //! (`conn.rs`): per connection — one fairness client — a reader thread
 //! admits each decoded request and a writer thread sends the rendered
-//! lines. Past [`TcpTuning::write_high_water`] queued bytes the reader
-//! stops *reading* (natural TCP backpressure) until they drain to half.
+//! lines. Past [`crate::WRITE_HIGH_WATER`] queued bytes the reader stops
+//! *reading* (natural TCP backpressure) until they drain to half.
 //!
 //! # Shutdown
 //!
@@ -58,7 +58,8 @@
 //! to that. [`TcpServer::shutdown`] first drains the front: it stops
 //! accepting, closes every connection's read half (idle clients see
 //! EOF), waits until each connection has sent everything in flight, and
-//! only then does the engine itself drain.
+//! only then does the engine itself drain. A [`TcpServer`] dropped
+//! without `shutdown` drains the same way.
 
 use crate::cache::SessionCache;
 use crate::conn::{Front, Outbox, Service};
@@ -111,25 +112,6 @@ impl Default for ServerConfig {
             obs: Obs::disabled(),
             store: None,
             sweep_inflight_cap: 4,
-        }
-    }
-}
-
-/// Tuning for the TCP front. Separate from [`ServerConfig`] so the
-/// engine's knobs stay orthogonal to the socket-facing ones (and
-/// existing `ServerConfig` literals keep compiling).
-#[derive(Debug, Clone)]
-pub struct TcpTuning {
-    /// Bytes queued for one connection's writer above which its reader
-    /// stops reading until the peer drains them (resumes at half this
-    /// mark).
-    pub write_high_water: usize,
-}
-
-impl Default for TcpTuning {
-    fn default() -> TcpTuning {
-        TcpTuning {
-            write_high_water: 256 << 10,
         }
     }
 }
@@ -938,29 +920,16 @@ pub struct TcpServer {
 
 impl TcpServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving with default [`TcpTuning`].
+    /// serving.
     ///
     /// # Errors
     ///
     /// Propagates socket bind failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<TcpServer> {
-        Self::bind_with(addr, config, TcpTuning::default())
-    }
-
-    /// [`TcpServer::bind`] with explicit front tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind failures.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        tuning: TcpTuning,
-    ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let server = Server::start(config);
         let obs = server.obs().clone();
-        let front = Front::serve(listener, server.clone(), tuning, obs)?;
+        let front = Front::serve(listener, server.clone(), obs)?;
         Ok(TcpServer { server, front })
     }
 
@@ -990,6 +959,22 @@ impl TcpServer {
     /// loop).
     pub fn join(mut self) {
         self.front.join();
+    }
+}
+
+/// A server dropped without [`TcpServer::shutdown`] drains the same way,
+/// so its accept thread, its workers and — unless a [`Server`] clone is
+/// kept — its resident sessions do not outlive it. After a shutdown this
+/// finds both halves drained and does nothing.
+impl Drop for TcpServer {
+    fn drop(&mut self) {
+        // While unwinding, a poisoned lock would abort the process and a
+        // peer that stopped reading would hang the drain: leave it be.
+        if std::thread::panicking() {
+            return;
+        }
+        self.front.drain();
+        let _ = self.server.shutdown();
     }
 }
 

@@ -2,7 +2,8 @@
 //! arbitrary TCP fragmentation and coalescing of request lines, write
 //! backpressure against a slow reader (bounded buffering, never
 //! unbounded), mid-request disconnects, a line nested past the JSON
-//! depth cap, and graceful drain under a thousand idle connections.
+//! depth cap, graceful drain under a thousand idle connections, and a
+//! server dropped without a shutdown.
 
 use m3d_flow::{
     Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, FlowSession, NetlistSpec, Proto,
@@ -11,7 +12,7 @@ use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{
     encode_line, raise_nofile_limit, Client, RejectKind, Response, Router, RouterConfig,
-    ServerConfig, TcpServer, TcpTuning,
+    ServerConfig, TcpServer, WRITE_HIGH_WATER,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -139,15 +140,11 @@ fn requests_coalesced_into_one_segment_are_all_answered() {
 fn a_slow_reader_pauses_reads_instead_of_buffering_without_bound() {
     const LINES: usize = 80_000;
     let obs = Obs::enabled();
-    let high_water = 1024;
-    let server = TcpServer::bind_with(
+    let server = TcpServer::bind(
         "127.0.0.1:0",
         ServerConfig {
             obs: obs.clone(),
             ..ServerConfig::default()
-        },
-        TcpTuning {
-            write_high_water: high_water,
         },
     )
     .expect("bind");
@@ -157,9 +154,9 @@ fn a_slow_reader_pauses_reads_instead_of_buffering_without_bound() {
     let writer = std::thread::spawn(move || {
         // ~8 MB of malformed lines, each answered in-line with a
         // `protocol` rejection of similar size — far more than the
-        // kernel's socket buffers can absorb while this test refuses to
-        // read, so an unbounded server-side buffer would grow by
-        // megabytes here.
+        // kernel's socket buffers and the 256 KiB high-water mark can
+        // absorb while this test refuses to read, so an unbounded
+        // server-side buffer would grow by megabytes here.
         let mut flood = String::with_capacity(LINES * 101);
         for i in 0..LINES {
             flood.push_str(&format!("not json {i:090}\n"));
@@ -212,7 +209,7 @@ fn a_slow_reader_pauses_reads_instead_of_buffering_without_bound() {
         .gauge("serve/write_buffer_peak")
         .expect("peak gauge");
     assert!(
-        peak <= (high_water + 256 * 1024) as f64,
+        peak <= (WRITE_HIGH_WATER + 256 * 1024) as f64,
         "write buffer peaked at {peak} bytes — backpressure did not engage"
     );
 }
@@ -340,4 +337,30 @@ fn a_line_nested_past_the_depth_cap_is_a_protocol_rejection_on_both_fronts() {
     let stats = server.shutdown();
     assert_eq!(stats.rejected_protocol, 1);
     assert_eq!(stats.completed_ok, 2);
+}
+
+/// A server dropped without `shutdown` drains the way `shutdown` does:
+/// its port stops accepting, its connections see EOF, and an engine
+/// handle kept past the drop refuses new work as a drained server.
+#[test]
+fn a_dropped_server_drains_like_a_shut_down_one() {
+    let server = TcpServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let engine = server.server().clone();
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(client.call(&request(6, 31)).expect("call").is_ok());
+
+    drop(server);
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "a dropped server's address refuses connections"
+    );
+    assert!(client.recv().is_err(), "the open connection sees EOF");
+    let rejected = engine.submit(request(7, 31)).wait();
+    assert_eq!(rejected.reject_kind(), Some(RejectKind::Shutdown));
+    let stats = engine.stats();
+    assert_eq!((stats.completed_ok, stats.rejected_shutdown), (1, 1));
+    // The drop's work is done: an explicit shutdown afterwards finds
+    // nothing left to drain.
+    assert_eq!(engine.shutdown(), stats);
 }

@@ -4,10 +4,10 @@
 use hetero3d::flow::{try_run_flow, Config};
 use hetero3d::netgen::Benchmark;
 use hetero3d::report::render_overlays;
-use m3d_bench::{bench_options, emit, parse_args};
+use m3d_bench::{bench_options, emit, parse_args, TABLE_SCALE};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let options = bench_options();
     let netlist = Benchmark::Cpu.generate(args.scale, args.seed);
     eprintln!("[cpu: {} gates]", netlist.gate_count());

@@ -10,9 +10,10 @@
 //! to measure checkpoint reuse (per comparison the pseudo-3-D stage must
 //! run exactly once; the fmax ladder's probe builds its pre-sizing prefix
 //! — a perf-only `flow/prefix_runs` — and every rung forks it, in the
-//! sweep as in the comparison), and emits one combined JSON document
-//! with the deterministic section, the wall-clock/perf sections of both
-//! runs, the fmax sweep manifest and the comparison manifest. The binary
+//! sweep as in the comparison), and writes one manifest: its
+//! `deterministic` section holds the flow run's, the fmax sweep's and the
+//! comparison's deterministic telemetry, its `perf` section the full
+//! manifests (wall times, allocator gauges) of both runs and the sweep. The binary
 //! installs [`hetero3d::obs::CountingAlloc`], so each instrumented flow
 //! run also reports `alloc/peak_bytes` and `alloc/churn_bytes` in its
 //! performance section.
@@ -26,7 +27,6 @@ use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_compare_configs, try_find_fmax, try_run_flow, Config, FlowOptions};
 use hetero3d::netgen::Benchmark;
 use hetero3d::obs::{alloc, Obs};
-use std::fmt::Write as _;
 
 #[global_allocator]
 static ALLOC: hetero3d::obs::CountingAlloc = hetero3d::obs::CountingAlloc;
@@ -52,23 +52,8 @@ fn instrumented(base: &FlowOptions, threads: usize) -> FlowOptions {
     }
 }
 
-/// Splices a nested JSON document under `key`, indenting it two spaces.
-fn push_nested(out: &mut String, key: &str, nested: &str, last: bool) {
-    let _ = write!(out, "  \"{key}\": ");
-    for (i, line) in nested.lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str(if last { "\n" } else { ",\n" });
-}
-
 fn main() {
-    let mut args = m3d_bench::parse_args();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.02;
-    }
+    let args = m3d_bench::parse_args(0.02);
     let netlist = Benchmark::Aes.generate(args.scale, args.seed);
     let base = m3d_bench::bench_options();
 
@@ -83,12 +68,10 @@ fn main() {
     });
     let seq = seq_options.obs.manifest();
     let par = par_options.obs.manifest();
-    let identical = seq.deterministic_json() == par.deterministic_json();
-    assert!(
-        identical,
-        "telemetry determinism violated: 1-thread and 4-thread manifests differ\n--- 1 thread ---\n{}\n--- 4 threads ---\n{}",
+    assert_eq!(
         seq.deterministic_json(),
-        par.deterministic_json()
+        par.deterministic_json(),
+        "telemetry determinism violated: 1-thread and 4-thread manifests differ"
     );
 
     // Fmax sweep coverage: probe/rung/relaxed spans under one handle.
@@ -130,31 +113,23 @@ fn main() {
         "compare_configs must fork the fmax probe's prefix for every rung"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"flow_obs\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": {}, \"seed\": {}, \"threads\": {},",
-        args.scale,
-        args.seed,
-        hetero3d::par::resolve(0)
+    let doc = |text: String| m3d_json::parse(&text).expect("a manifest renders valid JSON");
+    m3d_bench::write_manifest(
+        &args,
+        "flow",
+        [
+            ("fmax_ghz", fmax_ghz.into()),
+            ("prefix_reuse", prefix_reuse.into()),
+            ("run_flow", doc(seq.deterministic_json())),
+            ("fmax_sweep", doc(fmax.deterministic_json())),
+            ("compare_configs", doc(cmp.deterministic_json())),
+        ],
+        [
+            ("runtime_1t", doc(seq.json())),
+            ("runtime_4t", doc(par.json())),
+            ("fmax_sweep", doc(fmax.json())),
+        ],
     );
-    let _ = writeln!(json, "  \"deterministic_identity\": {identical},");
-    let _ = writeln!(json, "  \"fmax_ghz\": {fmax_ghz:.4},");
-    let _ = writeln!(json, "  \"prefix_reuse\": {prefix_reuse},");
-    push_nested(&mut json, "deterministic", &seq.deterministic_json(), false);
-    push_nested(&mut json, "runtime_1t", &seq.json(), false);
-    push_nested(&mut json, "runtime_4t", &par.json(), false);
-    push_nested(&mut json, "fmax_sweep", &fmax.json(), false);
-    push_nested(
-        &mut json,
-        "compare_configs",
-        &cmp.deterministic_json(),
-        true,
-    );
-    json.push_str("}\n");
-
-    m3d_bench::emit(&args, "BENCH_flow.json", &json);
     let wall =
         |m: &hetero3d::obs::Manifest| m.span("run_flow").map_or(0, |s| s.wall_ns) as f64 / 1e6;
     println!(

@@ -8,10 +8,10 @@
 //! make the frontier independent of the thread count. It also asserts
 //! the checkpoint economics of the sweep: the pseudo-3-D stage runs
 //! exactly once for the whole grid (it reads nothing of the scenario),
-//! counted from the telemetry manifest across every scope. The emitted
-//! document carries the exact swept points (frontier flags included) for
-//! the bench gate's bit-for-bit comparison, plus wall-derived scenario
-//! throughput for an absolute floor check.
+//! counted from the telemetry manifest across every scope. The manifest's
+//! `deterministic` section carries the exact swept points (frontier flags
+//! included) for the bench gate's bit-for-bit comparison; `perf` carries
+//! the wall-derived scenario throughput.
 //!
 //! Usage: `pareto_bench [--scale <f64>] [--seed <u64>] [--out <dir>]`.
 //! The default scale is the CI smoke setting (0.02): the gate needs a
@@ -19,11 +19,11 @@
 
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{Config, FlowOptions, FlowSession, ParetoSummary};
+use hetero3d::json::ToJson;
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
 use hetero3d::obs::Obs;
 use hetero3d::tech::{Corner, StackingStyle};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The swept configuration and grid: heterogeneous 3-D (the richest
@@ -67,19 +67,15 @@ fn sweep(netlist: &Netlist, base: &FlowOptions, threads: usize) -> (ParetoSummar
 }
 
 fn main() {
-    let mut args = m3d_bench::parse_args();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.02;
-    }
+    let args = m3d_bench::parse_args(0.02);
     let netlist = Benchmark::Aes.generate(args.scale, args.seed);
     let base = m3d_bench::bench_options();
 
     // The identity check: one worker vs four, same netlist, same knobs.
     let (seq, seq_pseudo, _) = sweep(&netlist, &base, 1);
     let (par, par_pseudo, par_wall_s) = sweep(&netlist, &base, 4);
-    let identical = seq == par;
     assert!(
-        identical,
+        seq == par,
         "pareto determinism violated: 1-thread and 4-thread sweeps differ"
     );
 
@@ -96,50 +92,28 @@ fn main() {
 
     let frontier = par.frontier().count();
     let scenarios_per_sec = scenarios as f64 / par_wall_s;
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"pareto_bench\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": {}, \"seed\": {}, \"threads\": {},",
-        args.scale,
-        args.seed,
-        hetero3d::par::resolve(0)
+    m3d_bench::write_manifest(
+        &args,
+        "pareto",
+        [
+            ("config", CONFIG.to_json()),
+            ("freq_min_ghz", FREQ_MIN_GHZ.into()),
+            ("freq_max_ghz", FREQ_MAX_GHZ.into()),
+            ("freq_steps", FREQ_STEPS.into()),
+            ("scenarios", scenarios.into()),
+            ("pseudo3d_runs", par_pseudo.into()),
+            ("frontier_points", frontier.into()),
+            (
+                "points",
+                par.points
+                    .iter()
+                    .map(ToJson::to_json)
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+        ],
+        [("scenarios_per_sec", scenarios_per_sec.into())],
     );
-    let _ = writeln!(
-        json,
-        "  \"config\": \"{CONFIG}\", \"freq_min_ghz\": {FREQ_MIN_GHZ}, \
-         \"freq_max_ghz\": {FREQ_MAX_GHZ}, \"freq_steps\": {FREQ_STEPS},"
-    );
-    let _ = writeln!(json, "  \"deterministic_identity\": {identical},");
-    let _ = writeln!(json, "  \"scenarios\": {scenarios},");
-    let _ = writeln!(json, "  \"pseudo3d_runs\": {par_pseudo},");
-    let _ = writeln!(json, "  \"frontier_points\": {frontier},");
-    let _ = writeln!(json, "  \"scenarios_per_sec\": {scenarios_per_sec:.3},");
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in par.points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"stacking\": \"{}\", \"corner\": \"{}\", \"frequency_ghz\": {}, \
-             \"total_power_mw\": {}, \"effective_delay_ns\": {}, \"die_cost_uc\": {}, \
-             \"pdp_pj\": {}, \"ppc\": {}, \"wns_ns\": {}, \"timing_met\": {}, \
-             \"on_frontier\": {}}}{}",
-            p.stacking,
-            p.corner,
-            p.frequency_ghz,
-            p.total_power_mw,
-            p.effective_delay_ns,
-            p.die_cost_uc,
-            p.pdp_pj,
-            p.ppc,
-            p.wns_ns,
-            p.timing_met,
-            p.on_frontier,
-            if i + 1 == par.points.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    m3d_bench::emit(&args, "BENCH_pareto.json", &json);
     println!(
         "pareto_bench: {} points bit-identical at 1 and 4 threads | {} scenarios, \
          {} pseudo-3D runs | {} frontier points | {:.2} scenarios/s",

@@ -7,12 +7,11 @@
 //! placement, routing, CTS, sign-off STA and power — at one target
 //! frequency. Per rung the manifest records:
 //!
-//! * **deterministic** metrics (cell/net/pin counts, name-arena bytes,
-//!   sign-off WNS bits) that `bench_gate` diffs against the committed
-//!   baseline exactly, and
-//! * **throughput** metrics (`flow_cells_per_sec`, stage walls, peak
-//!   heap) that `bench_gate` checks against absolute floors only — CI
-//!   wall clocks are too noisy for relative comparisons.
+//! * in `deterministic`, the cell/net/pin counts, name-arena bytes and
+//!   sign-off WNS that `bench_gate` diffs against the committed baseline
+//!   exactly, and
+//! * in `perf`, the generation and flow walls, `flow_cells_per_sec` and
+//!   peak heap, which no gate reads — CI wall clocks are too noisy.
 //!
 //! Usage: `scale_bench [--scale <f64>] [--seed <u64>] [--out <dir>]`.
 //! `--scale` multiplies every rung's cell target; the default 1.0 ladder
@@ -22,7 +21,7 @@
 use hetero3d::flow::{try_run_flow, Config};
 use hetero3d::netgen::scale_netlist;
 use hetero3d::obs::alloc;
-use std::fmt::Write as _;
+use m3d_json::Obj;
 use std::time::Instant;
 
 #[global_allocator]
@@ -38,13 +37,10 @@ const BASE_RUNGS: [usize; 3] = [100_000, 160_000, 250_000];
 const LADDER_GHZ: f64 = 0.5;
 
 fn main() {
-    let mut args = m3d_bench::parse_args();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 1.0;
-    }
+    let args = m3d_bench::parse_args(1.0);
     let options = m3d_bench::bench_options();
 
-    let mut rungs_json = Vec::new();
+    let (mut deterministic, mut perf) = (Vec::new(), Vec::new());
     for base in BASE_RUNGS {
         let target = ((base as f64 * args.scale).round() as usize).max(5_000);
         let name = format!("scale{}k", target / 1000);
@@ -71,37 +67,37 @@ fn main() {
             imp.sta.wns
         );
 
-        let mut r = String::from("    {\n");
-        let _ = writeln!(r, "      \"name\": \"{name}\",");
-        let _ = writeln!(r, "      \"target_cells\": {target},");
-        let _ = writeln!(r, "      \"cells\": {cells},");
-        let _ = writeln!(r, "      \"nets\": {nets},");
-        let _ = writeln!(r, "      \"pins\": {pins},");
-        let _ = writeln!(r, "      \"arena_bytes\": {arena_bytes},");
-        let _ = writeln!(r, "      \"wns_ns\": {:.6},", imp.sta.wns);
-        let _ = writeln!(r, "      \"gen_s\": {gen_s:.3},");
-        let _ = writeln!(r, "      \"flow_s\": {flow_s:.3},");
-        let _ = writeln!(r, "      \"flow_cells_per_sec\": {throughput:.1},");
-        let _ = writeln!(r, "      \"peak_heap_bytes\": {peak}");
-        r.push_str("    }");
-        rungs_json.push(r);
+        deterministic.push(
+            Obj::new()
+                .put("name", name.as_str())
+                .put("target_cells", target)
+                .put("cells", cells)
+                .put("nets", nets)
+                .put("pins", pins)
+                .put("arena_bytes", arena_bytes)
+                .put("wns_ns", imp.sta.wns)
+                .build(),
+        );
+        perf.push(
+            Obj::new()
+                .put("name", name)
+                .put("gen_s", gen_s)
+                .put("flow_s", flow_s)
+                .put("flow_cells_per_sec", throughput)
+                .put("peak_heap_bytes", peak)
+                .build(),
+        );
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"scale\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": {}, \"seed\": {}, \"threads\": {},",
-        args.scale,
-        args.seed,
-        hetero3d::par::resolve(0)
+    let manifest = m3d_bench::write_manifest(
+        &args,
+        "scale",
+        [
+            ("frequency_ghz", LADDER_GHZ.into()),
+            ("rungs", deterministic.into()),
+        ],
+        [("rungs", perf.into())],
     );
-    let _ = writeln!(json, "  \"frequency_ghz\": {LADDER_GHZ},");
-    let _ = writeln!(json, "  \"rungs\": [");
-    json.push_str(&rungs_json.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    m3d_bench::emit(&args, "BENCH_scale.json", &json);
-    let manifest = m3d_bench::json::parse(&json).expect("the manifest just written parses");
     println!(
         "README \"Running at scale\" table:\n{}",
         m3d_bench::scale_table_markdown(&manifest)

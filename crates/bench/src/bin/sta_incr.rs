@@ -5,15 +5,17 @@
 //! and a persistent incremental `Timer` fed the matching `TimingEdit`
 //! list through `Timer::update_journaled` — the path the flow runs —
 //! asserting **bit-identical** results at every step, then records
-//! wall-clock and propagated-arc numbers to `results/BENCH_sta.json`.
+//! the propagated-arc counts (deterministic) and wall-clock numbers (perf)
+//! to `results/BENCH_sta.json`.
 //!
 //! The levelization is the netlist's memo (`Netlist::levels`), built
 //! once per structure, which none of the script's edits changes: both
 //! passes and the ladder time propagation over a memoized levelization,
 //! and the one build is recorded on its own as `t_levelize_ms`.
 //!
-//! Usage: `sta_incr [--scale <f64>|tiny] [--seed <u64>] [--out <dir>]`.
-//! `--scale tiny` is the CI smoke setting. Thread count follows
+//! Usage: `sta_incr [--scale <f64>] [--seed <u64>] [--out <dir>]`.
+//! `--scale 0.02` is the CI smoke setting and the committed baseline's
+//! (`--scale` defaults to the tables' 0.06). Thread count follows
 //! `HETERO3D_THREADS` (the results must not change with it — that is
 //! part of what this binary checks).
 
@@ -21,7 +23,7 @@ use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId};
 use hetero3d::sta::{analyze, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit};
 use hetero3d::tech::{Drive, Tier, TierStack};
-use std::fmt::Write as _;
+use m3d_json::Obj;
 use std::time::Instant;
 
 const LADDER: [f64; 5] = [1.18, 1.08, 1.0, 0.92, 0.85];
@@ -200,72 +202,59 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
 }
 
 fn main() {
-    let mut args = m3d_bench::parse_args();
-    if std::env::args().any(|a| a == "tiny") {
-        // CI smoke setting: `--scale tiny`.
-        args.scale = 0.02;
-    }
-    let threads = hetero3d::par::resolve(0);
-
+    let args = m3d_bench::parse_args(m3d_bench::TABLE_SCALE);
     let points = [
         run_bench(Benchmark::Aes, "aes", args.scale, args.seed),
         run_bench(Benchmark::Cpu, "cpu", args.scale, args.seed),
     ];
 
-    let mut json = String::from("{\n  \"bench\": \"sta_incremental\",\n");
-    let _ = writeln!(
-        json,
-        "  \"scale\": {}, \"seed\": {}, \"threads\": {},",
-        args.scale, args.seed, threads
-    );
-    json.push_str("  \"designs\": [\n");
-    for (i, p) in points.iter().enumerate() {
+    let (mut deterministic, mut perf) = (Vec::new(), Vec::new());
+    for p in &points {
         let arc_reduction = p.cold_equiv_evals as f64 / p.propagated_evals.max(1) as f64;
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"cells\": {}, \"edits\": {}, \
-             \"t_levelize_ms\": {:.3}, \"t_full_ms\": {:.3}, \"t_incr_ms\": {:.3}, \
-             \"speedup\": {:.2}, \
-             \"cold_equiv_evals\": {}, \"propagated_evals\": {}, \"arc_reduction\": {:.1}, \
-             \"ladder_full_ms\": {:.3}, \"ladder_incr_ms\": {:.3}, \"ladder_speedup\": {:.2}}}{}",
-            p.bench,
-            p.cells,
-            p.edits,
-            p.t_levelize_ms,
-            p.t_full_ms,
-            p.t_incr_ms,
-            p.t_full_ms / p.t_incr_ms.max(1e-9),
-            p.cold_equiv_evals,
-            p.propagated_evals,
-            arc_reduction,
-            p.ladder_full_ms,
-            p.ladder_incr_ms,
-            p.ladder_full_ms / p.ladder_incr_ms.max(1e-9),
-            if i + 1 < points.len() { "," } else { "" },
-        );
+        let speedup = p.t_full_ms / p.t_incr_ms.max(1e-9);
         // The acceptance bar: the incremental engine must propagate at
         // least 3x fewer arcs than cold re-analysis over the edit script.
         assert!(
             arc_reduction >= 3.0,
-            "{}: propagated-arc reduction {:.1}x is below the 3x bar",
-            p.bench,
-            arc_reduction
+            "{}: propagated-arc reduction {arc_reduction:.1}x is below the 3x bar",
+            p.bench
         );
         println!(
-            "{}: {} cells, {} edits | full {:.2} ms vs incremental {:.2} ms ({:.1}x) | \
-             arcs {:.1}x fewer | ladder {:.2} ms vs {:.2} ms",
-            p.bench,
-            p.cells,
-            p.edits,
-            p.t_full_ms,
-            p.t_incr_ms,
-            p.t_full_ms / p.t_incr_ms.max(1e-9),
-            arc_reduction,
-            p.ladder_full_ms,
-            p.ladder_incr_ms,
+            "{}: {} cells, {} edits | full {:.2} ms vs incremental {:.2} ms ({speedup:.1}x) | \
+             arcs {arc_reduction:.1}x fewer | ladder {:.2} ms vs {:.2} ms",
+            p.bench, p.cells, p.edits, p.t_full_ms, p.t_incr_ms, p.ladder_full_ms, p.ladder_incr_ms,
+        );
+        deterministic.push(
+            Obj::new()
+                .put("name", p.bench)
+                .put("cells", p.cells)
+                .put("edits", p.edits)
+                .put("cold_equiv_evals", p.cold_equiv_evals)
+                .put("propagated_evals", p.propagated_evals)
+                .put("arc_reduction", arc_reduction)
+                .build(),
+        );
+        perf.push(
+            Obj::new()
+                .put("name", p.bench)
+                .put("t_levelize_ms", p.t_levelize_ms)
+                .put("t_full_ms", p.t_full_ms)
+                .put("t_incr_ms", p.t_incr_ms)
+                .put("speedup", speedup)
+                .put("ladder_full_ms", p.ladder_full_ms)
+                .put("ladder_incr_ms", p.ladder_incr_ms)
+                .put(
+                    "ladder_speedup",
+                    p.ladder_full_ms / p.ladder_incr_ms.max(1e-9),
+                )
+                .build(),
         );
     }
-    json.push_str("  ]\n}\n");
-    m3d_bench::emit(&args, "BENCH_sta.json", &json);
+    m3d_bench::write_manifest(
+        &args,
+        "sta",
+        [("designs", deterministic.into())],
+        [("designs", perf.into())],
+    );
     println!("sta_incr smoke: all incremental results bit-identical to cold analyze");
 }

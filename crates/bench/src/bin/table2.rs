@@ -3,11 +3,11 @@
 //! other, simulated at transistor level.
 
 use hetero3d::circuit::fo4;
-use m3d_bench::{emit, parse_args};
+use m3d_bench::{emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let cases = fo4::table2_cases();
     let labels = ["Case-I", "Case-II", "Case-III", "Case-IV"];
     let tiers = [

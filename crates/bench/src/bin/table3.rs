@@ -4,11 +4,11 @@
 //! leaks dramatically more (paper: +250 %), an over-driven one leaks less.
 
 use hetero3d::circuit::fo4;
-use m3d_bench::{emit, parse_args};
+use m3d_bench::{emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let cases = fo4::table3_cases();
 
     let mut out = String::new();

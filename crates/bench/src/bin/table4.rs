@@ -3,11 +3,11 @@
 //! 2-D / 3-D / heterogeneous-3-D crossover at paper-scale die areas.
 
 use hetero3d::cost::CostModel;
-use m3d_bench::{emit, parse_args};
+use m3d_bench::{emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let m = CostModel::default();
 
     let mut out = String::new();

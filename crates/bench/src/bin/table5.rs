@@ -6,11 +6,11 @@ use hetero3d::cost::CostModel;
 use hetero3d::flow::{pin3d_baseline_comparison, try_find_fmax, Config};
 use hetero3d::netgen::Benchmark;
 use hetero3d::report::format_table5;
-use m3d_bench::{bench_options, emit, parse_args};
+use m3d_bench::{bench_options, emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let options = bench_options();
     let netlist = Benchmark::Cpu.generate(args.scale, args.seed);
     // The paper captured Table V at the CPU's iso-performance target,

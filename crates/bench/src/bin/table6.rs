@@ -6,11 +6,11 @@ use hetero3d::cost::CostModel;
 use hetero3d::flow::try_compare_configs;
 use hetero3d::netgen::Benchmark;
 use hetero3d::report::format_comparison;
-use m3d_bench::{bench_options, emit, parse_args};
+use m3d_bench::{bench_options, emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let options = bench_options();
     let cost = CostModel::default();
     let mut comparisons = Vec::new();

@@ -10,11 +10,11 @@ use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_find_fmax, try_run_flow, Config};
 use hetero3d::netgen::Benchmark;
 use hetero3d::report::{deep_dive, format_deep_dive};
-use m3d_bench::{bench_options, emit, parse_args};
+use m3d_bench::{bench_options, emit, parse_args, TABLE_SCALE};
 use std::fmt::Write as _;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(TABLE_SCALE);
     let options = bench_options();
     let netlist = Benchmark::Cpu.generate(args.scale, args.seed);
     eprintln!("[cpu: {} gates]", netlist.gate_count());

@@ -8,11 +8,10 @@
 //!
 //! - **Deterministic**: counters, gauges, labels, and the set of span
 //!   paths with their call counts. These must be bit-identical across
-//!   thread counts for the same inputs. Parallel stages get there by
-//!   accumulating per-chunk [`ChunkStats`] and merging them in
-//!   chunk-index order via [`par_chunk_stats`] (built on
-//!   `m3d_par::par_ranges`, whose chunking is independent of the worker
-//!   count).
+//!   thread counts for the same inputs. Stages get there by recording
+//!   totals they computed themselves (the parallel kernels return their
+//!   results in input order), from one thread after the parallel work —
+//!   racing threads never sum floats in the collector.
 //! - **Performance-only**: span wall times, the thread count, and
 //!   anything recorded through [`Obs::perf_add`] (e.g. the serve
 //!   layer's store hit/miss tallies, which depend on scheduling). These
@@ -34,7 +33,6 @@ pub use alloc::CountingAlloc;
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -160,8 +158,8 @@ impl Obs {
     }
 
     /// Adds to a gauge (deterministic section). Callers on parallel
-    /// paths must fold their partial sums in a fixed order first — see
-    /// [`ChunkStats`] — because float addition does not commute in bits.
+    /// paths must fold their partial sums in a fixed order first, because
+    /// float addition does not commute in bits.
     pub fn gauge_add(&self, name: &str, value: f64) {
         if let Some(c) = &self.inner {
             *c.gauges
@@ -470,84 +468,6 @@ impl fmt::Display for Manifest {
     }
 }
 
-/// Per-chunk statistics for deterministic parallel aggregation: integer
-/// counts and float sums keyed by static names. Workers fill one
-/// `ChunkStats` per chunk; [`ChunkStats::merge_ordered`] folds them in
-/// chunk-index order, so float sums see the same addition sequence at
-/// any thread count.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct ChunkStats {
-    counts: BTreeMap<&'static str, u64>,
-    sums: BTreeMap<&'static str, f64>,
-}
-
-impl ChunkStats {
-    pub fn new() -> ChunkStats {
-        ChunkStats::default()
-    }
-
-    pub fn count(&mut self, name: &'static str, value: u64) {
-        *self.counts.entry(name).or_insert(0) += value;
-    }
-
-    pub fn sum(&mut self, name: &'static str, value: f64) {
-        *self.sums.entry(name).or_insert(0.0) += value;
-    }
-
-    pub fn get_count(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn get_sum(&self, name: &str) -> f64 {
-        self.sums.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// Left-fold of `next` into `self`; the merge order is the caller's
-    /// responsibility (see [`ChunkStats::merge_ordered`]).
-    pub fn absorb(&mut self, next: &ChunkStats) {
-        for (name, v) in &next.counts {
-            *self.counts.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in &next.sums {
-            *self.sums.entry(name).or_insert(0.0) += v;
-        }
-    }
-
-    /// Folds per-chunk stats in vector (= chunk-index) order.
-    pub fn merge_ordered(parts: Vec<ChunkStats>) -> ChunkStats {
-        let mut total = ChunkStats::new();
-        for part in &parts {
-            total.absorb(part);
-        }
-        total
-    }
-
-    /// Publishes counts as counters and sums as gauges on `obs`.
-    pub fn record(&self, obs: &Obs) {
-        for (name, v) in &self.counts {
-            obs.counter_add(name, *v);
-        }
-        for (name, v) in &self.sums {
-            obs.gauge_add(name, *v);
-        }
-    }
-}
-
-/// Runs `fill` over fixed index chunks of `0..len` in parallel and
-/// merges the per-chunk stats in chunk-index order. The chunking comes
-/// from `m3d_par::par_ranges` and depends only on `len`, so the merged
-/// result — float sums included — is bit-identical at any `threads`.
-pub fn par_chunk_stats<F>(threads: usize, len: usize, fill: F) -> ChunkStats
-where
-    F: Fn(Range<usize>, &mut ChunkStats) + Sync,
-{
-    ChunkStats::merge_ordered(m3d_par::par_ranges(threads, len, |range| {
-        let mut stats = ChunkStats::new();
-        fill(range, &mut stats);
-        stats
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,44 +565,6 @@ mod tests {
         let full = obs.manifest().json();
         assert!(full.contains("wall_us"));
         assert!(full.contains("\"cache_hits\": 99"));
-    }
-
-    /// Floats folded in chunk order must be bit-identical at any thread
-    /// count — the core of the manifest determinism contract.
-    #[test]
-    fn chunk_merge_is_bit_identical_across_thread_counts() {
-        let n = 10_000;
-        let fill = |range: Range<usize>, stats: &mut ChunkStats| {
-            for i in range {
-                // Sums chosen to be order-sensitive in the last bits.
-                stats.sum("wirelength", (i as f64).sqrt() * 0.1);
-                stats.count("nets", 1);
-            }
-        };
-        let one = par_chunk_stats(1, n, fill);
-        let four = par_chunk_stats(4, n, fill);
-        assert_eq!(one.get_count("nets"), n as u64);
-        assert_eq!(
-            one.get_sum("wirelength").to_bits(),
-            four.get_sum("wirelength").to_bits()
-        );
-        assert_eq!(one, four);
-    }
-
-    #[test]
-    fn merge_ordered_is_a_left_fold() {
-        let mut a = ChunkStats::new();
-        a.sum("x", 0.1);
-        let mut b = ChunkStats::new();
-        b.sum("x", 0.2);
-        let mut c = ChunkStats::new();
-        c.sum("x", 0.3);
-        let merged = ChunkStats::merge_ordered(vec![a.clone(), b.clone(), c.clone()]);
-        let mut manual = ChunkStats::new();
-        manual.absorb(&a);
-        manual.absorb(&b);
-        manual.absorb(&c);
-        assert_eq!(merged.get_sum("x").to_bits(), manual.get_sum("x").to_bits());
     }
 
     #[test]

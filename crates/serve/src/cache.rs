@@ -15,7 +15,8 @@
 //!   slot whose `OnceLock` admits exactly one builder; the losers block
 //!   on that build instead of duplicating it. Misses are counted at
 //!   slot creation, so `misses == distinct keys seen` regardless of
-//!   scheduling — the invariant `bench_gate` enforces.
+//!   scheduling — the invariant `tests/service.rs` asserts at 1 and 4
+//!   workers.
 //! * **bounded residency**: beyond `capacity` entries the
 //!   least-recently-used slot is dropped from the map. In-flight
 //!   holders keep it alive through their `Arc`; it is simply no longer

@@ -22,9 +22,7 @@
 //! streams `progress`/`point`/`done` events as they arrive; everything
 //! else is v1 and byte-compatible with older servers.
 //!
-//! `load` is the pipelined mixed-workload generator the earlier
-//! flag-only CLI exposed (that spelling, with no subcommand, still
-//! works).
+//! `load` is the pipelined mixed-workload generator.
 //!
 //! A response's `cache hit` says its session was resident. What else
 //! the server saved — a kept pre-sizing prefix forked instead of built,
@@ -365,13 +363,7 @@ fn run_load(common: &Common, requests: usize, keys: usize) -> ! {
 fn main() {
     let mut args = std::env::args();
     let _argv0 = args.next();
-    let first = args.next().unwrap_or_else(|| usage());
-    // Flag-only invocations (the old CLI shape) mean `load`.
-    let (subcommand, mut pending) = if first.starts_with("--") {
-        ("load".to_string(), Some(first))
-    } else {
-        (first, None)
-    };
+    let subcommand = args.next().unwrap_or_else(|| usage());
 
     let mut common = Common::new();
     // Subcommand-specific knobs, all optional.
@@ -387,7 +379,7 @@ fn main() {
     let mut requests = 12usize;
     let mut keys = 2usize;
 
-    while let Some(flag) = pending.take().or_else(|| args.next()) {
+    while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         if common.take_flag(&flag, &mut value) {
             continue;

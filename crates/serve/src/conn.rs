@@ -189,6 +189,12 @@ impl Outbox {
         // A dead writer (the peer is gone) discards the line.
         let _ = self.tx.send(line);
     }
+
+    /// Blocks while more than [`WRITE_HIGH_WATER`] is queued, until the
+    /// writer has drained it to half; `false` once the writer stopped.
+    pub fn wait_for_room(&self) -> bool {
+        self.queue.wait_for_room()
+    }
 }
 
 /// The byte count shared by a connection's reader, writer and outboxes.
@@ -424,7 +430,7 @@ fn read_lines<S: Service>(
     let mut framer = Framer::default();
     let mut chunk = [0u8; READ_CHUNK];
     loop {
-        if !out.queue.wait_for_room() || shared.draining.load(Ordering::Acquire) {
+        if !out.wait_for_room() || shared.draining.load(Ordering::Acquire) {
             return Ok(());
         }
         let n = match stream.read(&mut chunk) {

@@ -26,38 +26,43 @@
 //!
 //! # Protocol handling
 //!
-//! * **v1 single-shot requests relay verbatim**: the router forwards
-//!   the client's original line bytes and returns the backend's
-//!   response line bytes untouched. Byte identity with a direct
-//!   connection holds by construction.
-//! * **v2 sweeps decompose at the router**: each grid point is its own
-//!   v1 request routed by its own key (no scenario axis is in it, so
-//!   the points of one sweep share a key and therefore a shard). The router
-//!   synthesizes the stream — `progress` up front, one `point`/`error`
-//!   per grid point with the index remapped into scenario-major order,
-//!   and an aggregate `done` — so a streaming client cannot tell a
-//!   routed sweep from a single-server one.
+//! Every request relays **verbatim**: the router forwards the client's
+//! original line to the shard its [`route_key`] names and returns the
+//! backend's lines untouched, so byte identity with a direct connection
+//! holds by construction. A v1 request's answer is one line, never
+//! decoded. A v2 sweep's answer is the backend's own stream — no scenario
+//! axis is in the key, so a sweep is one key and one shard, where the
+//! backend runs it under its in-flight cap and fairness rules; the router
+//! decodes each line only to find the terminal one and to note which
+//! grid indices it has delivered.
 //!
-//! * **The front is the server's**: accepting, framing (the same 1 MiB
-//!   cap — an oversize line gets the same `protocol` rejection bytes,
-//!   then a close), decoding, write backpressure and drain are one code
-//!   path shared with [`crate::TcpServer`].
+//! The front is the server's: accepting, framing (the same 1 MiB cap —
+//! an oversize line gets the same `protocol` rejection bytes, then a
+//! close), decoding, write backpressure and drain are one code path
+//! shared with [`crate::TcpServer`].
 //!
 //! # Threading and health
 //!
-//! A client connection's reader thread makes the backend calls itself: a
-//! connection's requests are answered in order and each is a blocking
-//! call on a backend [`Client`], so the thread *is* the per-connection
-//! state machine (DESIGN §16). Backend connections are lazy and
-//! per-client-connection (pipelined requests stay ordered per backend).
-//! A failed call reconnects and retries once; a backend that stays down
-//! answers that request `overloaded` (or an `error` event for a sweep
-//! point) instead of hanging the client.
+//! A client connection's reader thread relays its requests itself, one
+//! at a time and in order, each over a blocking backend [`Client`], so
+//! the thread *is* the per-connection state machine (DESIGN §16).
+//! Backend connections are lazy and per-client-connection. Between the
+//! lines of a stream the relay waits for room in the client's outbox;
+//! once the client's writer has stopped, it drops the backend
+//! connection, and the backend's disconnect path cancels the sweep's
+//! remaining points. A backend lost before any line was forwarded is
+//! reconnected and retried once, then the request is answered with one
+//! `overloaded` rejection line; one lost mid-stream has the sweep closed
+//! out with an `overloaded` `error` per undelivered point and a `done`
+//! that totals the grid. There is no timeout: a live backend that stalls
+//! parks the relaying thread.
 
-use crate::client::{Client, ClientError};
+use crate::client::Client;
 use crate::conn::{Front, Outbox, Service};
-use crate::protocol::{decode_response, encode_line, RejectKind, Response, StreamEvent};
-use m3d_flow::{FlowCommand, FlowRequest, ReadSet};
+use crate::protocol::{
+    decode_message, encode_line, RejectKind, Response, ServerMessage, StreamEvent,
+};
+use m3d_flow::{FlowCommand, FlowRequest, ReadSet, MAX_SWEEP_POINTS};
 use m3d_obs::Obs;
 use std::collections::hash_map::{Entry, HashMap};
 use std::io;
@@ -163,20 +168,18 @@ impl Ring {
     }
 }
 
-/// Monotonic router counters, readable via [`Router::stats`].
+/// Monotonic router counters, readable via [`Router::stats`]. What a
+/// relayed request did on its backend — sweeps and their points
+/// included — is the backend's [`crate::StatsSnapshot`] to count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStatsSnapshot {
-    /// v1 requests relayed verbatim to a backend.
+    /// Requests relayed to a backend, v1 lines and sweeps alike.
     pub relayed: u64,
-    /// v2 sweeps decomposed and streamed.
-    pub sweeps: u64,
-    /// Sweep points fanned out to backends.
-    pub sweep_points: u64,
-    /// Backend calls that failed once and were retried on a fresh
-    /// connection.
+    /// Backend calls that failed before any answer line was forwarded
+    /// and were retried on a fresh connection.
     pub backend_retries: u64,
-    /// Requests (or sweep points) answered `overloaded` because their
-    /// backend stayed unreachable through the retry.
+    /// Requests answered `overloaded` (a sweep: closed out) because
+    /// their backend was lost before their terminal line.
     pub backend_unavailable: u64,
     /// Malformed client lines answered `protocol` at the router.
     pub rejected_protocol: u64,
@@ -185,8 +188,6 @@ pub struct RouterStatsSnapshot {
 #[derive(Default)]
 struct RouterStats {
     relayed: AtomicU64,
-    sweeps: AtomicU64,
-    sweep_points: AtomicU64,
     backend_retries: AtomicU64,
     backend_unavailable: AtomicU64,
     rejected_protocol: AtomicU64,
@@ -203,122 +204,61 @@ struct Relay {
 
 type BackendConns = HashMap<usize, Client>;
 
-impl Relay {
-    /// Calls `line` (no newline) on backend `idx` and returns the
-    /// response line (with its newline): lazy connect, one reconnect-
-    /// and-retry on failure — a clean backend EOF included — and `Err`
-    /// once the backend stayed down.
-    fn backend_call(&self, conns: &mut BackendConns, idx: usize, line: &str) -> Result<String, ()> {
-        for attempt in 0..2 {
-            if attempt > 0 {
-                self.stats.backend_retries.fetch_add(1, Ordering::Relaxed);
+/// What a relayed sweep has forwarded so far: enough to close it out if
+/// its backend is lost mid-stream.
+#[derive(Default)]
+struct Forwarded {
+    /// Whether any line reached the client (a retry is then too late).
+    any: bool,
+    /// Per grid index (sized by `progress`), whether its `point` or
+    /// `error` was forwarded.
+    settled: Vec<bool>,
+    /// `point` events forwarded.
+    points: u64,
+}
+
+impl Forwarded {
+    /// Notes one forwarded sweep line; `true` when it ends the answer (a
+    /// `done`, or a single rejection line).
+    fn note(&mut self, message: &ServerMessage) -> bool {
+        self.any = true;
+        let index = match message {
+            ServerMessage::Event(StreamEvent::Progress { total, .. }) => {
+                // No valid sweep is larger: a backend's line cannot make
+                // the router allocate past it.
+                self.settled = vec![false; (*total).min(MAX_SWEEP_POINTS as u64) as usize];
+                return false;
             }
-            let conn = match conns.entry(idx) {
-                Entry::Occupied(open) => open.into_mut(),
-                Entry::Vacant(slot) => match Client::connect(self.backends[idx]) {
-                    Ok(conn) => slot.insert(conn),
-                    Err(_) => continue,
-                },
-            };
-            let called = conn
-                .send_raw(line)
-                .map_err(ClientError::from)
-                .and_then(|()| conn.recv_raw());
-            match called {
-                Ok(response) => return Ok(response),
-                Err(_) => {
-                    // Stale or broken pipe: drop it; the retry
-                    // reconnects from scratch.
-                    conns.remove(&idx);
-                }
+            ServerMessage::Event(StreamEvent::Point { index, .. }) => {
+                self.points += 1;
+                *index
             }
+            ServerMessage::Event(StreamEvent::Error { index, .. }) => *index,
+            ServerMessage::Event(StreamEvent::Done { .. }) | ServerMessage::Response(_) => {
+                return true
+            }
+        };
+        if let Some(settled) = self.settled.get_mut(index as usize) {
+            *settled = true;
         }
-        self.stats
-            .backend_unavailable
-            .fetch_add(1, Ordering::Relaxed);
-        Err(())
+        false
     }
 
-    /// Relays one v1 request verbatim: the client's exact line goes to
-    /// the owning backend, the backend's exact response line comes
-    /// back. Returns the line to write to the client.
-    fn relay_single(&self, conns: &mut BackendConns, line: &str, request: &FlowRequest) -> String {
-        self.stats.relayed.fetch_add(1, Ordering::Relaxed);
-        let backend = self.ring.route(&route_key(request));
-        match self.backend_call(conns, backend, line) {
-            Ok(response) => response,
-            Err(()) => encode_line(&Response::reject(
-                Some(request.id),
-                RejectKind::Overloaded,
-                format!("backend shard {backend} is unavailable; retry later"),
-            )),
-        }
-    }
-
-    /// Decomposes a sweep, routes every point by its own key, and
-    /// synthesizes the client-facing stream. Sends events to `out` as
-    /// points come back so the client streams instead of waiting.
-    fn relay_sweep(&self, conns: &mut BackendConns, request: &FlowRequest, out: &Outbox) {
-        self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        let id = request.id;
-        let points = request
-            .decompose_sweep()
-            .expect("a validated sweep decomposes");
-        let total = points.len() as u64;
-        out.send(encode_line(&StreamEvent::Progress { id, total }));
-        let mut delivered = 0u64;
-        let mut errors = 0u64;
-        for (index, mut point) in points.into_iter().enumerate() {
-            let index = index as u64;
-            // The point's wire id is its scenario-major index: unique
-            // per in-flight sweep on each backend connection, and the
-            // natural correlation token for the event we synthesize.
-            point.id = index;
-            self.stats.sweep_points.fetch_add(1, Ordering::Relaxed);
-            let backend = self.ring.route(&route_key(&point));
-            let called = self.backend_call(conns, backend, encode_line(&point).trim_end());
-            let outcome = match called {
-                Ok(response_line) => match decode_response(&response_line) {
-                    Ok(Response::Ok {
-                        cache_hit, report, ..
-                    }) => Ok((cache_hit, report)),
-                    Ok(Response::Rejected { kind, message, .. }) => Err((kind, message)),
-                    Err(e) => Err((
-                        RejectKind::Protocol,
-                        format!("undecodable backend response: {e}"),
-                    )),
-                },
-                Err(()) => Err((
-                    RejectKind::Overloaded,
-                    format!("backend shard {backend} is unavailable; retry later"),
-                )),
-            };
-            let event = match outcome {
-                Ok((cache_hit, report)) => {
-                    delivered += 1;
-                    StreamEvent::Point {
-                        id,
-                        index,
-                        cache_hit,
-                        report,
-                    }
-                }
-                Err((kind, message)) => {
-                    errors += 1;
-                    StreamEvent::Error {
-                        id,
-                        index,
-                        kind,
-                        message,
-                    }
-                }
-            };
-            out.send(encode_line(&event));
+    /// Ends a stream whose backend was lost: one `error` per index not
+    /// yet settled, then a `done` whose totals add up to the grid.
+    fn close_out(self, id: u64, message: &str, out: &Outbox) {
+        for (index, _) in self.settled.iter().enumerate().filter(|(_, s)| !**s) {
+            out.send(encode_line(&StreamEvent::Error {
+                id,
+                index: index as u64,
+                kind: RejectKind::Overloaded,
+                message: message.to_string(),
+            }));
         }
         out.send(encode_line(&StreamEvent::Done {
             id,
-            points: delivered,
-            errors,
+            points: self.points,
+            errors: (self.settled.len() as u64).saturating_sub(self.points),
         }));
     }
 }
@@ -330,14 +270,67 @@ impl Service for Relay {
         HashMap::new()
     }
 
+    /// Relays one request to the shard that owns its key: the client's
+    /// exact line goes out, and the backend's lines come back verbatim
+    /// up to the answer's terminal one — a v1 request's one response
+    /// line (never decoded), a sweep's `done` or its single rejection.
+    /// A backend lost before any line was forwarded is reconnected and
+    /// retried once, then the request is answered `overloaded`; one lost
+    /// mid-stream has the sweep closed out by [`Forwarded::close_out`].
     fn request(&self, conns: &mut BackendConns, line: &str, request: FlowRequest, out: &Outbox) {
-        // Only a *valid* sweep streams. An invalid one (bad grid, wrong
-        // protocol version) relays verbatim so the backend answers the
-        // exact single-line rejection a direct connection would see.
-        if matches!(request.command, FlowCommand::Sweep { .. }) && request.validate().is_ok() {
-            self.relay_sweep(conns, &request, out);
+        self.stats.relayed.fetch_add(1, Ordering::Relaxed);
+        let backend = self.ring.route(&route_key(&request));
+        let sweep = matches!(request.command, FlowCommand::Sweep { .. });
+        let mut forwarded = Forwarded::default();
+        for attempt in 0..2 {
+            if attempt > 0 {
+                self.stats.backend_retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let conn = match conns.entry(backend) {
+                Entry::Occupied(open) => open.into_mut(),
+                Entry::Vacant(slot) => match Client::connect(self.backends[backend]) {
+                    Ok(conn) => slot.insert(conn),
+                    Err(_) => continue,
+                },
+            };
+            if conn.send_raw(line).is_ok() {
+                while let Ok(answer) = conn.recv_raw() {
+                    if !sweep {
+                        out.send(answer);
+                        return;
+                    }
+                    // An undecodable line is a lost backend too.
+                    let Ok(message) = decode_message(&answer) else {
+                        break;
+                    };
+                    let terminal = forwarded.note(&message);
+                    out.send(answer);
+                    if terminal {
+                        return;
+                    }
+                    if !out.wait_for_room() {
+                        // The client is gone: closing the backend
+                        // connection cancels the sweep's remaining points.
+                        conns.remove(&backend);
+                        return;
+                    }
+                }
+            }
+            // Stale, broken or lost: drop it; a retry reconnects.
+            conns.remove(&backend);
+            if forwarded.any {
+                break;
+            }
+        }
+        self.stats
+            .backend_unavailable
+            .fetch_add(1, Ordering::Relaxed);
+        let message = format!("backend shard {backend} is unavailable; retry later");
+        if forwarded.any {
+            forwarded.close_out(request.id, &message, out);
         } else {
-            out.send(self.relay_single(conns, line, &request));
+            let reject = Response::reject(Some(request.id), RejectKind::Overloaded, message);
+            out.send(encode_line(&reject));
         }
     }
 
@@ -390,8 +383,6 @@ impl Router {
         let s = &self.stats;
         RouterStatsSnapshot {
             relayed: s.relayed.load(Ordering::Relaxed),
-            sweeps: s.sweeps.load(Ordering::Relaxed),
-            sweep_points: s.sweep_points.load(Ordering::Relaxed),
             backend_retries: s.backend_retries.load(Ordering::Relaxed),
             backend_unavailable: s.backend_unavailable.load(Ordering::Relaxed),
             rejected_protocol: s.rejected_protocol.load(Ordering::Relaxed),

@@ -2,12 +2,16 @@
 //! byte-identical to a direct connection at 1 and at 4 shards, every
 //! checkpoint key is built on exactly one shard cluster-wide — option
 //! variants that differ only behind the pseudo-3-D checkpoint are one
-//! key —, routed sweeps stream the same bytes a single server would, and
-//! a dead backend answers `overloaded` instead of hanging the client.
+//! key —, a routed sweep is its backend's own stream (the same bytes a
+//! single server sends, counted as one sweep there), a dead backend
+//! answers `overloaded` instead of hanging the client, one lost
+//! mid-stream has its sweep closed out, and a client that hangs up
+//! mid-sweep cancels the rest of it on the backend.
 
 use m3d_flow::{
     Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, NetlistSpec, Proto, SweepSpec,
 };
+use m3d_json::ToJson;
 use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{
@@ -17,6 +21,7 @@ use m3d_serve::{
 use m3d_tech::{Corner, StackingStyle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.012;
 const VNODES: usize = 64;
@@ -178,10 +183,10 @@ fn call_all(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     lines.iter().map(|line| conn.call(line)).collect()
 }
 
-/// Spawns `shards` fresh single-worker backends plus a router in front.
-fn cluster(shards: usize) -> (Vec<TcpServer>, Router) {
+/// Spawns `shards` fresh `workers`-worker backends plus a router in front.
+fn cluster(shards: usize, workers: usize) -> (Vec<TcpServer>, Router) {
     let backends: Vec<TcpServer> = (0..shards)
-        .map(|_| TcpServer::bind("127.0.0.1:0", server_config(1)).expect("backend bind"))
+        .map(|_| TcpServer::bind("127.0.0.1:0", server_config(workers)).expect("backend bind"))
         .collect();
     let addrs: Vec<SocketAddr> = backends.iter().map(TcpServer::local_addr).collect();
     let router = Router::bind(
@@ -208,11 +213,11 @@ fn routed_responses_are_byte_identical_to_direct_at_1_and_4_shards() {
     let direct = call_all(direct_server.local_addr(), &lines);
     let direct_stats = direct_server.shutdown();
 
-    let (backends1, router1) = cluster(1);
+    let (backends1, router1) = cluster(1, 1);
     let routed1 = call_all(router1.local_addr(), &lines);
     let stats1 = teardown(backends1, router1);
 
-    let (backends4, router4) = cluster(4);
+    let (backends4, router4) = cluster(4, 1);
     let routed4 = call_all(router4.local_addr(), &lines);
     let stats4 = teardown(backends4, router4);
 
@@ -289,10 +294,9 @@ fn routed_responses_are_byte_identical_to_direct_at_1_and_4_shards() {
     );
 }
 
-#[test]
-fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
-    let sweep = FlowRequest {
-        id: 17,
+fn small_sweep_request(id: u64) -> FlowRequest {
+    FlowRequest {
+        id,
         netlist: spec(31),
         options: quick_options(8),
         command: FlowCommand::Sweep {
@@ -300,51 +304,108 @@ fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
         },
         deadline_ms: None,
         proto: Proto::V2,
-    };
+    }
+}
+
+/// Sends `line` on a fresh connection and reads every line of its
+/// answer, through the terminal one.
+fn stream_of(addr: SocketAddr, line: &str) -> Vec<String> {
+    let mut conn = RawConn::connect(addr);
+    conn.writer.write_all(line.as_bytes()).expect("send");
+    conn.writer.flush().expect("flush");
+    let mut collected = Vec::new();
+    loop {
+        let event_line = conn.read_line();
+        let message = decode_message(event_line.trim_end()).expect("decodable event");
+        collected.push(event_line);
+        match message {
+            ServerMessage::Event(event) if !event.is_terminal() => {}
+            _ => return collected,
+        }
+    }
+}
+
+/// A stream's points as `(index, report JSON)` sorted by index, and
+/// how many of them were cache misses.
+fn points_by_index(stream: &[String]) -> (Vec<(u64, String)>, usize) {
+    let mut misses = 0;
+    let mut points: Vec<(u64, String)> = stream
+        .iter()
+        .filter_map(|line| match decode_message(line.trim_end()) {
+            Ok(ServerMessage::Event(StreamEvent::Point {
+                index,
+                cache_hit,
+                report,
+                ..
+            })) => {
+                misses += usize::from(!cache_hit);
+                Some((index, report.to_json().render()))
+            }
+            _ => None,
+        })
+        .collect();
+    points.sort_by_key(|(index, _)| *index);
+    (points, misses)
+}
+
+#[test]
+fn routed_sweeps_stream_the_same_bytes_as_a_direct_server() {
+    let sweep = small_sweep_request(17);
     let line = encode_line(&sweep);
     let total = sweep.decompose_sweep().expect("sweep decomposes").len();
 
-    let stream_of = |addr: SocketAddr| -> Vec<String> {
-        let mut conn = RawConn::connect(addr);
-        conn.writer.write_all(line.as_bytes()).expect("send");
-        conn.writer.flush().expect("flush");
-        let mut collected = Vec::new();
-        loop {
-            let event_line = conn.read_line();
-            let message = decode_message(event_line.trim_end()).expect("decodable event");
-            collected.push(event_line);
-            match message {
-                ServerMessage::Event(event) if !event.is_terminal() => {}
-                _ => return collected,
-            }
-        }
-    };
-
     let direct_server = TcpServer::bind("127.0.0.1:0", server_config(1)).expect("bind");
-    let direct = stream_of(direct_server.local_addr());
+    let direct = stream_of(direct_server.local_addr(), &line);
     let _ = direct_server.shutdown();
 
-    let (backends, router) = cluster(4);
-    let routed = stream_of(router.local_addr());
+    let (backends, router) = cluster(4, 1);
+    let routed = stream_of(router.local_addr(), &line);
     let router_stats = router.stats();
     let backend_stats = teardown(backends, router);
 
     assert_eq!(direct.len(), total + 2, "progress + points + done");
     assert_eq!(direct, routed, "a routed sweep must stream identical bytes");
 
-    // The router decomposed: backends saw only v1 singles, and the two
-    // stacking scenarios are one checkpoint key — one build, one shard.
-    assert_eq!(router_stats.sweeps, 1);
-    assert_eq!(router_stats.sweep_points, total as u64);
-    assert_eq!(router_stats.relayed, 0);
-    assert_eq!(backend_stats.iter().map(|s| s.sweeps).sum::<u64>(), 0);
+    // The router relayed the one sweep line: its shard ran it as a
+    // sweep — sweep counters only, no v1 work — and the two stacking
+    // scenarios are one checkpoint key: one build, one shard.
+    assert_eq!(router_stats.relayed, 1);
+    assert_eq!(backend_stats.iter().map(|s| s.sweeps).sum::<u64>(), 1);
     assert_eq!(
-        backend_stats.iter().map(|s| s.completed_ok).sum::<u64>(),
+        backend_stats.iter().map(|s| s.sweep_points).sum::<u64>(),
         total as u64
     );
+    assert_eq!(backend_stats.iter().map(|s| s.completed_ok).sum::<u64>(), 0);
     assert_eq!(backend_stats.iter().map(|s| s.cache_misses).sum::<u64>(), 1);
     let pseudo_builds: Vec<u64> = backend_stats.iter().map(|s| s.pseudo_builds).collect();
     assert_eq!(pseudo_builds.iter().sum::<u64>(), 1, "{pseudo_builds:?}");
+
+    // Two workers finish points out of order, and which of the first two
+    // is charged the one cache miss is scheduling: compare the points by
+    // index, their reports exactly and their misses in aggregate.
+    let direct_server = TcpServer::bind("127.0.0.1:0", server_config(2)).expect("bind");
+    let direct2 = stream_of(direct_server.local_addr(), &line);
+    let _ = direct_server.shutdown();
+    let (backends, router) = cluster(4, 2);
+    let routed2 = stream_of(router.local_addr(), &line);
+    let backend_stats = teardown(backends, router);
+    assert_eq!(routed2.len(), total + 2);
+    assert_eq!(routed2.first(), direct2.first(), "the same progress line");
+    assert_eq!(routed2.last(), direct2.last(), "the same done line");
+    let (direct_points, direct_misses) = points_by_index(&direct2);
+    let (routed_points, routed_misses) = points_by_index(&routed2);
+    assert!(routed_points
+        .iter()
+        .map(|(index, _)| *index)
+        .eq(0..total as u64));
+    assert_eq!(routed_points, direct_points);
+    assert_eq!((direct_misses, routed_misses), (1, 1));
+    assert_eq!(backend_stats.iter().map(|s| s.sweeps).sum::<u64>(), 1);
+    assert_eq!(backend_stats.iter().map(|s| s.completed_ok).sum::<u64>(), 0);
+    assert_eq!(
+        backend_stats.iter().map(|s| s.pseudo_builds).sum::<u64>(),
+        1
+    );
 }
 
 /// A hostile peer on the router's front gets exactly what it would get
@@ -374,7 +435,7 @@ fn an_oversize_line_is_rejected_like_a_direct_server_and_the_router_lives_on() {
 
     let direct_server = TcpServer::bind("127.0.0.1:0", server_config(1)).expect("bind");
     let direct = transcript_of(direct_server.local_addr());
-    let (backends, router) = cluster(1);
+    let (backends, router) = cluster(1, 1);
     let routed = transcript_of(router.local_addr());
 
     assert_eq!(routed, direct, "the router must answer the direct bytes");
@@ -431,30 +492,180 @@ fn a_dead_backend_answers_overloaded_not_a_hang() {
         Response::Ok { .. } => panic!("a dead backend cannot answer ok"),
     }
 
-    // A sweep toward the dead shard degrades per point: the stream
-    // still completes, every point an `error` event.
-    let mut sweep = request(
-        2,
-        spec(31),
-        quick_options(8),
-        FlowCommand::Sweep {
-            spec: small_sweep(),
-        },
-    );
-    sweep.proto = Proto::V2;
-    let total = sweep.decompose_sweep().expect("sweep decomposes").len() as u64;
-    let messages = client.call_stream(&sweep).expect("sweep stream");
-    match messages.last() {
-        Some(ServerMessage::Event(StreamEvent::Done { points, errors, .. })) => {
-            assert_eq!((*points, *errors), (0, total));
+    // A sweep toward the dead shard gets the single rejection line a
+    // v1 request gets: no stream was ever started.
+    let messages = client
+        .call_stream(&small_sweep_request(2))
+        .expect("sweep answer");
+    match messages.as_slice() {
+        [ServerMessage::Response(Response::Rejected { id, kind, .. })] => {
+            assert_eq!((*id, *kind), (Some(2), RejectKind::Overloaded));
         }
-        other => panic!("expected done, got {other:?}"),
+        other => panic!("expected one overloaded rejection, got {other:?}"),
     }
 
     drop(client);
     let stats = router.shutdown();
-    assert!(stats.backend_unavailable > total);
-    assert!(stats.backend_retries >= 1);
+    assert_eq!(stats.backend_unavailable, 2);
+    assert_eq!(stats.backend_retries, 2, "one reconnect per request");
+}
+
+/// A backend lost mid-stream: the scripted shard answers the sweep with
+/// `progress` and one `error`, then hangs up. The router ends the stream
+/// itself — an `overloaded` error for every other index and a `done`
+/// that totals the grid — and relays the connection's next request to
+/// the shard on a fresh backend connection.
+#[test]
+fn a_backend_lost_mid_stream_closes_the_sweep_and_the_connection_lives_on() {
+    let sweep = small_sweep_request(5);
+    let total = sweep.decompose_sweep().expect("sweep decomposes").len() as u64;
+    let next_answer = encode_line(&Response::reject(Some(6), RejectKind::Flow, "scripted"));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let backend = listener.local_addr().expect("addr");
+    let script = {
+        let next_answer = next_answer.clone();
+        std::thread::spawn(move || {
+            let answer = |lines: &[String]| {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut request = String::new();
+                BufReader::new(&stream)
+                    .read_line(&mut request)
+                    .expect("request line");
+                for line in lines {
+                    (&stream).write_all(line.as_bytes()).expect("answer");
+                }
+                request
+            };
+            let sweep_line = answer(&[
+                encode_line(&StreamEvent::Progress { id: 5, total }),
+                encode_line(&StreamEvent::Error {
+                    id: 5,
+                    index: 3,
+                    kind: RejectKind::Flow,
+                    message: "scripted".to_string(),
+                }),
+            ]);
+            let next_line = answer(&[next_answer]);
+            (sweep_line, next_line)
+        })
+    };
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            backends: vec![backend],
+            vnodes: 8,
+        },
+    )
+    .expect("router bind");
+
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let messages = client.call_stream(&sweep).expect("sweep stream");
+    let mut errored = Vec::new();
+    for message in &messages[1..messages.len() - 1] {
+        match message {
+            ServerMessage::Event(StreamEvent::Error {
+                id: 5, index, kind, ..
+            }) => errored.push((*index, *kind)),
+            other => panic!("expected only error events, got {other:?}"),
+        }
+    }
+    let mut expected = vec![(3, RejectKind::Flow)];
+    expected.extend(
+        (0..total)
+            .filter(|&index| index != 3)
+            .map(|index| (index, RejectKind::Overloaded)),
+    );
+    assert_eq!(errored, expected);
+    assert_eq!(
+        messages.last(),
+        Some(&ServerMessage::Event(StreamEvent::Done {
+            id: 5,
+            points: 0,
+            errors: total,
+        }))
+    );
+
+    // The same connection goes on: the next request is relayed.
+    let next = request(
+        6,
+        spec(31),
+        quick_options(8),
+        FlowCommand::RunFlow {
+            config: Config::Hetero3d,
+            frequency_ghz: 1.0,
+        },
+    );
+    client.send(&next).expect("next request");
+    assert_eq!(client.recv_raw().expect("next answer"), next_answer);
+    let (sweep_line, next_line) = script.join().expect("scripted backend");
+    assert_eq!(sweep_line, encode_line(&sweep), "the client's exact line");
+    assert_eq!(next_line, encode_line(&next));
+
+    drop(client);
+    let stats = router.shutdown();
+    assert_eq!((stats.relayed, stats.backend_unavailable), (2, 1));
+    assert_eq!(stats.backend_retries, 0, "a started stream is not retried");
+}
+
+/// A client that hangs up mid-sweep stops its sweep on the backend: the
+/// relay drops its backend connection once the client's writer has
+/// stopped, and the backend's disconnect path cancels the rest.
+#[test]
+fn a_routed_client_that_hangs_up_mid_sweep_cancels_its_backend_points() {
+    // Four configurations × two stackings × two frequencies: 16 points
+    // on one single-worker backend with cap 4.
+    let mut sweep = small_sweep_request(11);
+    if let FlowCommand::Sweep { spec } = &mut sweep.command {
+        spec.configs = vec![
+            Config::Hetero3d,
+            Config::TwoD12T,
+            Config::ThreeD9T,
+            Config::TwoD9T,
+        ];
+    }
+    let total = sweep.decompose_sweep().expect("sweep decomposes").len() as u64;
+    assert!(total >= 8);
+    let (backends, router) = cluster(1, 1);
+    let engine = backends[0].server().clone();
+    {
+        let mut stream = TcpStream::connect(router.local_addr()).expect("connect");
+        stream
+            .write_all(encode_line(&sweep).as_bytes())
+            .expect("send sweep");
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while engine.stats().sweeps == 0 {
+            assert!(Instant::now() < deadline, "sweep was never admitted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    } // <- hang up
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let stats = engine.stats();
+        if stats.sweep_points + stats.sweep_point_errors + stats.sweep_cancelled_points == total {
+            assert!(
+                stats.sweep_cancelled_points > 0,
+                "the hangup must cancel points on the backend: {stats:?}"
+            );
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "sweep accounting never settled: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The router and the backend serve on.
+    let next = &workload_lines()[..1];
+    let answer = call_all(router.local_addr(), next);
+    assert!(
+        matches!(
+            decode_message(answer[0].trim_end()),
+            Ok(ServerMessage::Response(Response::Ok { .. }))
+        ),
+        "{answer:?}"
+    );
+    let stats = teardown(backends, router);
+    assert_eq!(stats[0].completed_ok, 1);
 }
 
 /// The router drains like a server: shutdown closes an idle client's
@@ -462,7 +673,7 @@ fn a_dead_backend_answers_overloaded_not_a_hang() {
 /// EOF.
 #[test]
 fn shutdown_is_not_blocked_by_an_idle_client() {
-    let (backends, router) = cluster(1);
+    let (backends, router) = cluster(1, 1);
     let mut idle = RawConn::connect(router.local_addr());
     let answer = idle.call(&workload_lines()[0]);
     assert!(decode_message(answer.trim_end()).is_ok());

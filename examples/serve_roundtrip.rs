@@ -9,7 +9,7 @@
 //!
 //! The same binary-level protocol works across machines: run
 //! `cargo run --release --bin serve` on one host and point
-//! `serve_client --addr HOST:PORT` (or your own newline-delimited JSON
+//! `serve_client load --addr HOST:PORT` (or your own newline-delimited JSON
 //! speaker) at it.
 
 use hetero3d::flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto};

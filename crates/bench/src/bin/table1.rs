@@ -18,7 +18,9 @@ fn main() {
     // netcard is the largest and least quirky of the four).
     let netlist = Benchmark::Netcard.generate(args.scale, args.seed);
     eprintln!("[netcard: {} gates]", netlist.gate_count());
-    let cmp = try_compare_configs(&netlist, &options, &cost).expect("comparison");
+    let cmp = try_compare_configs(&netlist, &options, &cost)
+        .expect("comparison")
+        .summary;
     let mut all = cmp.homogeneous.clone();
     all.push(cmp.hetero.clone());
     let table = qualitative_ranking(&all);

@@ -17,7 +17,11 @@ fn main() {
     for bench in Benchmark::ALL {
         let netlist = bench.generate(args.scale, args.seed);
         eprintln!("[{bench}: {} gates]", netlist.gate_count());
-        comparisons.push(try_compare_configs(&netlist, &options, &cost).expect("comparison"));
+        comparisons.push(
+            try_compare_configs(&netlist, &options, &cost)
+                .expect("comparison")
+                .summary,
+        );
     }
     let refs: Vec<&_> = comparisons.iter().collect();
     let mut out = String::new();

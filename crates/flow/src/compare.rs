@@ -1,28 +1,37 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
 use crate::flow::Implementation;
-use crate::ppac::{percent_delta, DeltaRow, Ppac};
+use crate::ppac::{percent_delta, DeltaRow, PpacSummary};
 use crate::FlowSession;
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
 
-/// Five-way comparison of one netlist across all configurations at the
-/// iso-performance target (Tables VI and VII).
-#[derive(Debug, Clone)]
-pub struct Comparison {
+/// The five-way comparison's metric tables (Tables VI and VII) — what
+/// the service returns for it, without the full implementations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ComparisonSummary {
     /// Design name.
     pub design: String,
     /// The iso-performance frequency target (the 12-track 2-D fmax), GHz.
     pub target_ghz: f64,
     /// The heterogeneous implementation's metrics (Table VI).
-    pub hetero: Ppac,
+    pub hetero: PpacSummary,
     /// Metrics of every homogeneous configuration.
-    pub homogeneous: Vec<Ppac>,
+    pub homogeneous: Vec<PpacSummary>,
     /// Table VII columns: hetero vs each homogeneous configuration.
     pub deltas: Vec<DeltaRow>,
+}
+
+/// Five-way comparison of one netlist across all configurations at the
+/// iso-performance target (Tables VI and VII).
+#[derive(Debug, Clone)]
+pub struct Comparison {
+    /// The metric tables.
+    pub summary: ComparisonSummary,
     /// The heterogeneous implementation itself (for deep-dive reports).
     pub hetero_implementation: Implementation,
-    /// The homogeneous implementations (same order as `homogeneous`).
+    /// The homogeneous implementations (same order as
+    /// `summary.homogeneous`).
     pub implementations: Vec<Implementation>,
 }
 
@@ -136,11 +145,13 @@ impl FlowSession {
         drop(compare_span);
 
         Ok(Comparison {
-            design: self.design().to_string(),
-            target_ghz,
-            hetero,
-            homogeneous,
-            deltas,
+            summary: ComparisonSummary {
+                design: self.design().to_string(),
+                target_ghz,
+                hetero,
+                homogeneous,
+                deltas,
+            },
             hetero_implementation,
             implementations,
         })
@@ -154,9 +165,9 @@ pub struct BaselineComparison {
     /// Frequency both flows ran at, GHz.
     pub frequency_ghz: f64,
     /// Metrics from the unmodified Pin-3-D flow.
-    pub pin3d: Ppac,
+    pub pin3d: PpacSummary,
     /// Metrics from the enhanced flow.
-    pub hetero_pin3d: Ppac,
+    pub hetero_pin3d: PpacSummary,
     /// The baseline implementation.
     pub pin3d_implementation: Implementation,
     /// The enhanced implementation.
@@ -243,7 +254,9 @@ mod tests {
     #[test]
     fn five_way_comparison_produces_all_rows() {
         let n = Benchmark::Aes.generate(0.012, 41);
-        let cmp = try_compare_configs(&n, &quick_options(), &CostModel::default()).expect("flow");
+        let cmp = try_compare_configs(&n, &quick_options(), &CostModel::default())
+            .expect("flow")
+            .summary;
         assert_eq!(cmp.homogeneous.len(), 4);
         assert_eq!(cmp.deltas.len(), 4);
         assert!(cmp.target_ghz > 0.0);

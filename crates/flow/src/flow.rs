@@ -1,9 +1,7 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::ppac::Ppac;
 use crate::stage::{period_ns, FlowState, Lane};
 use crate::FlowSession;
-use m3d_cost::CostModel;
 use m3d_cts::ClockTree;
 use m3d_netlist::Netlist;
 use m3d_partition::{EcoOutcome, TimingAssignment};
@@ -57,12 +55,6 @@ pub struct Implementation {
 }
 
 impl Implementation {
-    /// Rolls the implementation up into the paper's PPAC metric set.
-    #[must_use]
-    pub fn ppac(&self, cost: &CostModel) -> Ppac {
-        Ppac::from_implementation(self, cost)
-    }
-
     /// Assembles the read-only view of `lane`'s sign-off over the
     /// pipeline state as it stands, sharing every artifact with the
     /// database (no copies).

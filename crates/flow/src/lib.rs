@@ -14,7 +14,7 @@
 //! * post-route optimization (upsizing to close timing, downsizing
 //!   non-critical cells for power),
 //! * the **repartitioning ECO** (Algorithm 1),
-//! * sign-off STA/power and the PPAC roll-up ([`Ppac`]) including die
+//! * sign-off STA/power and the PPAC roll-up ([`PpacSummary`]) including die
 //!   cost, PDP and PPC,
 //! * the fmax sweep used to set the iso-performance target
 //!   ([`try_find_fmax`]), and five-way comparison helpers
@@ -54,15 +54,16 @@ mod stage;
 mod sweep;
 mod wire;
 
-pub use compare::{pin3d_baseline_comparison, try_compare_configs, BaselineComparison, Comparison};
+pub use compare::{
+    pin3d_baseline_comparison, try_compare_configs, BaselineComparison, Comparison,
+    ComparisonSummary,
+};
 pub use config::{Config, FlowOptions, ReadSet};
 pub use error::FlowError;
 pub use flow::{try_find_fmax, try_run_flow, Implementation};
 pub use pareto::{ParetoPoint, ParetoSummary};
-pub use ppac::{percent_delta, DeltaRow, Ppac};
+pub use ppac::{percent_delta, DeltaRow, PpacSummary};
 pub use session::{FlowSession, FlowSessionBuilder};
 pub use stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
 pub use sweep::{SweepPoint, SweepSpec, MAX_PARETO_STEPS, MAX_SWEEP_POINTS};
-pub use wire::{
-    ComparisonSummary, FlowCommand, FlowReport, FlowRequest, NetlistSpec, PpacSummary, Proto,
-};
+pub use wire::{FlowCommand, FlowReport, FlowRequest, NetlistSpec, Proto};

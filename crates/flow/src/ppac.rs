@@ -1,12 +1,13 @@
 use crate::config::Config;
 use crate::flow::Implementation;
 use m3d_cost::{pdp_pj, ppc, CostModel};
-use m3d_power::PowerResult;
 
 /// The paper's full PPAC metric set for one implementation (the rows of
-/// Table VI).
+/// Table VI) — the one row type every report, table and wire response
+/// reads, without the megabytes of placement/routing the full
+/// [`Implementation`] carries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ppac {
+pub struct PpacSummary {
     /// Configuration the metrics belong to.
     pub config: Config,
     /// Achieved/target clock frequency, GHz.
@@ -23,8 +24,14 @@ pub struct Ppac {
     pub wirelength_mm: f64,
     /// Monolithic inter-tier via count.
     pub mivs: usize,
-    /// Power breakdown.
-    pub power: PowerResult,
+    /// Net switching power, mW.
+    pub switching_mw: f64,
+    /// Cell-internal power, mW.
+    pub internal_mw: f64,
+    /// Leakage power, mW.
+    pub leakage_mw: f64,
+    /// Clock network power, mW.
+    pub clock_mw: f64,
     /// Total power, mW.
     pub total_power_mw: f64,
     /// Worst negative slack, ns.
@@ -43,45 +50,49 @@ pub struct Ppac {
     pub ppc: f64,
 }
 
-impl Ppac {
-    /// Derives the metric set from a finished implementation.
+impl Implementation {
+    /// Rolls the implementation up into the paper's PPAC metric set.
     ///
     /// Area/cost metrics are computed from a *report floorplan* rebuilt
     /// over the final (post-sizing) netlist, so every configuration is
     /// measured on the same basis regardless of how much the optimizer
     /// grew it.
     #[must_use]
-    pub fn from_implementation(imp: &Implementation, cost: &CostModel) -> Self {
-        let is_3d = imp.config.is_3d();
+    pub fn ppac(&self, cost: &CostModel) -> PpacSummary {
+        let is_3d = self.config.is_3d();
         let report_fp =
-            m3d_place::Floorplan::new(&imp.netlist, &imp.stack, &imp.tiers, imp.utilization);
+            m3d_place::Floorplan::new(&self.netlist, &self.stack, &self.tiers, self.utilization);
         let footprint_mm2 = report_fp.die.area() * 1e-6;
         let si_area_mm2 = report_fp.silicon_area_um2(is_3d) * 1e-6;
-        let total_power_mw = imp.power.total_mw();
-        let effective_delay_ns = imp.sta.effective_delay_ns();
+        let total_power_mw = self.power.total_mw();
+        let effective_delay_ns = self.sta.effective_delay_ns();
         // An F2F hybrid-bonded stack swaps the monolithic wafer premium
         // for a per-bond cost on every inter-tier connection; a 2-D
         // implementation has no bonded stack, so it always prices as
         // plain 2-D regardless of the scenario's stacking style.
-        let die_cost = if is_3d && imp.tech.stacking.is_bonded() {
-            cost.die_cost_f2f(footprint_mm2.max(1e-6), imp.routing.total_mivs)
+        let die_cost = if is_3d && self.tech.stacking.is_bonded() {
+            cost.die_cost_f2f(footprint_mm2.max(1e-6), self.routing.total_mivs)
         } else {
             cost.die_cost(footprint_mm2.max(1e-6), is_3d)
         };
         let die_cost_uc = die_cost * 1e6;
-        Ppac {
-            config: imp.config,
-            frequency_ghz: imp.frequency_ghz,
+        PpacSummary {
+            config: self.config,
+            frequency_ghz: self.frequency_ghz,
             footprint_mm2,
             si_area_mm2,
             chip_width_um: report_fp.width_um(),
             density_pct: report_fp.overall_density(is_3d) * 100.0,
-            wirelength_mm: imp.routing.total_wirelength_mm() + imp.clock_tree.wirelength_um * 1e-3,
-            mivs: imp.routing.total_mivs,
-            power: *imp.power,
+            wirelength_mm: self.routing.total_wirelength_mm()
+                + self.clock_tree.wirelength_um * 1e-3,
+            mivs: self.routing.total_mivs,
+            switching_mw: self.power.switching_mw,
+            internal_mw: self.power.internal_mw,
+            leakage_mw: self.power.leakage_mw,
+            clock_mw: self.power.clock_mw,
             total_power_mw,
-            wns_ns: imp.sta.wns,
-            tns_ns: imp.sta.tns,
+            wns_ns: self.sta.wns,
+            tns_ns: self.sta.tns,
             effective_delay_ns,
             pdp_pj: pdp_pj(total_power_mw, effective_delay_ns),
             die_cost_uc,
@@ -133,7 +144,7 @@ pub struct DeltaRow {
 
 /// Computes the Table VII column for `hetero` against `other`.
 #[must_use]
-pub fn percent_delta(hetero: &Ppac, other: &Ppac) -> DeltaRow {
+pub fn percent_delta(hetero: &PpacSummary, other: &PpacSummary) -> DeltaRow {
     let pct = |h: f64, o: f64| if o != 0.0 { (h - o) / o * 100.0 } else { 0.0 };
     DeltaRow {
         config: other.config,
@@ -156,8 +167,8 @@ pub fn percent_delta(hetero: &Ppac, other: &Ppac) -> DeltaRow {
 mod tests {
     use super::*;
 
-    fn fake(config: Config, power: f64, cost: f64, freq: f64) -> Ppac {
-        Ppac {
+    fn fake(config: Config, power: f64, cost: f64, freq: f64) -> PpacSummary {
+        PpacSummary {
             config,
             frequency_ghz: freq,
             footprint_mm2: 0.2,
@@ -166,7 +177,10 @@ mod tests {
             density_pct: 80.0,
             wirelength_mm: 5.0,
             mivs: 0,
-            power: PowerResult::default(),
+            switching_mw: 0.0,
+            internal_mw: 0.0,
+            leakage_mw: 0.0,
+            clock_mw: 0.0,
             total_power_mw: power,
             wns_ns: -0.02,
             tns_ns: -1.0,

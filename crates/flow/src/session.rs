@@ -41,7 +41,7 @@ use crate::stage::{
     PrefixKey, PseudoCheckpoint,
 };
 use crate::sweep::run_grid;
-use crate::wire::{FlowCommand, FlowReport, PpacSummary};
+use crate::wire::{FlowCommand, FlowReport};
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
 use m3d_tech::CornerSet;
@@ -427,21 +427,19 @@ impl FlowSession {
             } => {
                 let imp = self.run(*config, *frequency_ghz)?;
                 Ok(FlowReport::Run {
-                    ppac: PpacSummary::from(&imp.ppac(&cost)),
+                    ppac: imp.ppac(&cost),
                 })
             }
             FlowCommand::FindFmax { config, start_ghz } => {
                 let (fmax_ghz, imp) = self.fmax(*config, *start_ghz)?;
                 Ok(FlowReport::Fmax {
                     fmax_ghz,
-                    ppac: PpacSummary::from(&imp.ppac(&cost)),
+                    ppac: imp.ppac(&cost),
                 })
             }
             FlowCommand::CompareConfigs => {
-                let comparison = self.compare(&cost)?;
-                Ok(FlowReport::Compare {
-                    comparison: (&comparison).into(),
-                })
+                let comparison = self.compare(&cost)?.summary;
+                Ok(FlowReport::Compare { comparison })
             }
             FlowCommand::Pareto {
                 config,
@@ -454,9 +452,7 @@ impl FlowSession {
                 Ok(FlowReport::Pareto { summary })
             }
             FlowCommand::Sweep { spec } => {
-                let points = run_grid(self, spec, "sweep", |_, imp| {
-                    PpacSummary::from(&imp.ppac(&cost))
-                })?;
+                let points = run_grid(self, spec, "sweep", |_, imp| imp.ppac(&cost))?;
                 Ok(FlowReport::Sweep { points })
             }
         }
@@ -548,7 +544,7 @@ mod tests {
             .unwrap();
         let imp = session.run(Config::ThreeD9T, 0.9).unwrap();
         let expected = FlowReport::Run {
-            ppac: PpacSummary::from(&imp.ppac(&CostModel::default())),
+            ppac: imp.ppac(&CostModel::default()),
         };
         assert_eq!(report, expected);
     }

@@ -58,8 +58,7 @@ use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Pl
 use m3d_power::{analyze_power, PowerConfig};
 use m3d_route::{global_route, try_extract_parasitics_with_stats, ExtractStats, RoutingResult};
 use m3d_sta::{
-    analyze, worst_paths, ClockSpec, MultiCornerTimer, Parasitics, StaResult, Timer, TimingContext,
-    TimingEdit,
+    analyze, worst_paths, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit,
 };
 use m3d_tech::{Corner, CornerSet, Library, Tier, TierStack};
 use std::sync::Arc;
@@ -1225,12 +1224,12 @@ impl Stage for Size {
 
 /// Sign-off STA and power from the database's current artifacts, once
 /// per live lane: the typical corner on the pass's incremental timer,
-/// every other corner a live lane asks for on one fresh
-/// [`MultiCornerTimer`], and each lane's result the worst of its own
-/// set, which the lane keeps as an `Arc`; the power result goes to the
-/// database. Power sign-off stays at the typical corner: the paper's
-/// Table IV comparisons are typical-corner power, and only the timing
-/// sign-off is corner-dependent.
+/// every other corner a live lane asks for by one cold [`analyze`], and
+/// each lane's result the worst of its own set, which the lane keeps as
+/// an `Arc`; the power result goes to the database. Power sign-off stays
+/// at the typical corner: the paper's Table IV comparisons are
+/// typical-corner power, and only the timing sign-off is
+/// corner-dependent.
 pub(crate) struct SignOff;
 
 impl Stage for SignOff {
@@ -1277,7 +1276,7 @@ impl Stage for SignOff {
             &netlist,
             &tiers,
             &parasitics,
-            clock,
+            &clock,
         );
         let power = analyze_power(
             &netlist,
@@ -1323,9 +1322,8 @@ impl Stage for SignOff {
 /// Each corner gets its own derated stack ([`Config::stack_at`]) with
 /// the scenario's stacking style applied; the netlist, tier assignment,
 /// parasitics and clock tree are shared — a process corner moves cell
-/// timing, not wires. They run on a fresh [`MultiCornerTimer`], whose
-/// first update is bit-identical to a cold analysis at any thread count,
-/// so a corner's result does not depend on which others ride along.
+/// timing, not wires. Each is one cold [`analyze`], so a corner's
+/// result does not depend on which others ride along.
 fn analyze_corners(
     config: Config,
     options: &FlowOptions,
@@ -1333,32 +1331,23 @@ fn analyze_corners(
     netlist: &Netlist,
     tiers: &[Tier],
     parasitics: &Parasitics,
-    clock: ClockSpec,
+    clock: &ClockSpec,
 ) -> Vec<(Corner, Arc<StaResult>)> {
     if corners.is_empty() {
         return Vec::new();
     }
-    let stacks: Vec<(Corner, TierStack)> = corners
+    let analyzed = corners
         .iter()
-        .map(|&c| (c, config.stack_at(c).with_stacking(options.tech.stacking)))
-        .collect();
-    let ctxs: Vec<(Corner, TimingContext)> = stacks
-        .iter()
-        .map(|(c, stack)| {
-            (
-                *c,
-                timing_context(netlist, stack, tiers, parasitics, clock.clone()),
-            )
+        .map(|&corner| {
+            let stack = config.stack_at(corner).with_stacking(options.tech.stacking);
+            let ctx = timing_context(netlist, &stack, tiers, parasitics, clock.clone());
+            (corner, Arc::new(analyze(&ctx)))
         })
         .collect();
-    let analyzed = MultiCornerTimer::new(corners).update_journaled(&ctxs, &[]);
     options
         .obs
         .counter_add("sta/corner_analyses", corners.len() as u64);
     analyzed
-        .into_iter()
-        .map(|(corner, result)| (corner, Arc::new(result)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //! [`m3d_obs::Obs::disabled`] — which compares equal to any other
 //! disabled handle.
 
-use crate::compare::Comparison;
+use crate::compare::ComparisonSummary;
 use crate::config::{Config, FlowOptions};
 use crate::pareto::{pareto_spec, ParetoPoint, ParetoSummary};
-use crate::ppac::{DeltaRow, Ppac};
+use crate::ppac::{DeltaRow, PpacSummary};
 use crate::sweep::SweepSpec;
 use m3d_json::{Cur, DecodeError, FromJson, Obj, ToJson, Value};
 use m3d_netgen::Benchmark;
@@ -725,80 +725,6 @@ impl FromJson for FlowOptions {
 // reports
 // ---------------------------------------------------------------------
 
-/// The scalar PPAC roll-up of one implementation — everything a client
-/// needs from Table VI, without the megabytes of placement/routing the
-/// full [`crate::Implementation`] carries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PpacSummary {
-    /// Configuration the metrics belong to.
-    pub config: Config,
-    /// Achieved/target clock frequency, GHz.
-    pub frequency_ghz: f64,
-    /// Die footprint, mm².
-    pub footprint_mm2: f64,
-    /// Total silicon area, mm².
-    pub si_area_mm2: f64,
-    /// Chip width, µm.
-    pub chip_width_um: f64,
-    /// Standard-cell density, %.
-    pub density_pct: f64,
-    /// Total signal wirelength, mm.
-    pub wirelength_mm: f64,
-    /// Monolithic inter-tier via count.
-    pub mivs: usize,
-    /// Net switching power, mW.
-    pub switching_mw: f64,
-    /// Cell-internal power, mW.
-    pub internal_mw: f64,
-    /// Leakage power, mW.
-    pub leakage_mw: f64,
-    /// Clock network power, mW.
-    pub clock_mw: f64,
-    /// Total power, mW.
-    pub total_power_mw: f64,
-    /// Worst negative slack, ns.
-    pub wns_ns: f64,
-    /// Total negative slack, ns.
-    pub tns_ns: f64,
-    /// Effective delay = period − WNS, ns.
-    pub effective_delay_ns: f64,
-    /// Power-delay product, pJ.
-    pub pdp_pj: f64,
-    /// Die cost, `10⁻⁶ C'`.
-    pub die_cost_uc: f64,
-    /// Cost per cm² of silicon, `10⁻⁶ C'/cm²`.
-    pub cost_per_cm2_uc: f64,
-    /// Performance per cost.
-    pub ppc: f64,
-}
-
-impl From<&Ppac> for PpacSummary {
-    fn from(p: &Ppac) -> Self {
-        PpacSummary {
-            config: p.config,
-            frequency_ghz: p.frequency_ghz,
-            footprint_mm2: p.footprint_mm2,
-            si_area_mm2: p.si_area_mm2,
-            chip_width_um: p.chip_width_um,
-            density_pct: p.density_pct,
-            wirelength_mm: p.wirelength_mm,
-            mivs: p.mivs,
-            switching_mw: p.power.switching_mw,
-            internal_mw: p.power.internal_mw,
-            leakage_mw: p.power.leakage_mw,
-            clock_mw: p.power.clock_mw,
-            total_power_mw: p.total_power_mw,
-            wns_ns: p.wns_ns,
-            tns_ns: p.tns_ns,
-            effective_delay_ns: p.effective_delay_ns,
-            pdp_pj: p.pdp_pj,
-            die_cost_uc: p.die_cost_uc,
-            cost_per_cm2_uc: p.cost_per_cm2_uc,
-            ppc: p.ppc,
-        }
-    }
-}
-
 impl ToJson for PpacSummary {
     fn to_json(&self) -> Value {
         Obj::new()
@@ -893,34 +819,6 @@ impl FromJson for DeltaRow {
     }
 }
 
-/// The wire form of a [`Comparison`]: the metric tables without the full
-/// implementations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonSummary {
-    /// Design name.
-    pub design: String,
-    /// Iso-performance target, GHz.
-    pub target_ghz: f64,
-    /// The heterogeneous row.
-    pub hetero: PpacSummary,
-    /// Every homogeneous configuration's row.
-    pub homogeneous: Vec<PpacSummary>,
-    /// Table VII columns.
-    pub deltas: Vec<DeltaRow>,
-}
-
-impl From<&Comparison> for ComparisonSummary {
-    fn from(c: &Comparison) -> Self {
-        ComparisonSummary {
-            design: c.design.clone(),
-            target_ghz: c.target_ghz,
-            hetero: PpacSummary::from(&c.hetero),
-            homogeneous: c.homogeneous.iter().map(PpacSummary::from).collect(),
-            deltas: c.deltas.clone(),
-        }
-    }
-}
-
 impl ToJson for ComparisonSummary {
     fn to_json(&self) -> Value {
         Obj::new()
@@ -948,14 +846,6 @@ impl FromJson for ComparisonSummary {
             homogeneous: list(cur, "homogeneous", PpacSummary::from_json)?,
             deltas: list(cur, "deltas", DeltaRow::from_json)?,
         })
-    }
-}
-
-/// A [`Comparison`] serializes as its summary (the implementations stay
-/// on the server).
-impl ToJson for Comparison {
-    fn to_json(&self) -> Value {
-        ComparisonSummary::from(self).to_json()
     }
 }
 
@@ -1155,6 +1045,32 @@ mod tests {
         }
     }
 
+    /// One PPAC row whose floats exercise the shortest-roundtrip writer.
+    fn sample_ppac() -> PpacSummary {
+        PpacSummary {
+            config: Config::Hetero3d,
+            frequency_ghz: 1.0 / 3.0,
+            footprint_mm2: 0.123_456_789,
+            si_area_mm2: 0.2,
+            chip_width_um: 351.0,
+            density_pct: 81.25,
+            wirelength_mm: 5.5,
+            mivs: 1234,
+            switching_mw: 1.0,
+            internal_mw: 2.0,
+            leakage_mw: 0.5,
+            clock_mw: 0.75,
+            total_power_mw: 4.25,
+            wns_ns: -0.012_345,
+            tns_ns: -1.5,
+            effective_delay_ns: 1.012,
+            pdp_pj: 4.301,
+            die_cost_uc: 3.21,
+            cost_per_cm2_uc: 16.05,
+            ppc: 0.072,
+        }
+    }
+
     #[test]
     fn options_round_trip_default_and_modified() {
         roundtrip(&FlowOptions::default());
@@ -1190,28 +1106,7 @@ mod tests {
         for cfg in Config::ALL {
             roundtrip(&cfg);
         }
-        let ppac = PpacSummary {
-            config: Config::Hetero3d,
-            frequency_ghz: 1.0 / 3.0,
-            footprint_mm2: 0.123_456_789,
-            si_area_mm2: 0.2,
-            chip_width_um: 351.0,
-            density_pct: 81.25,
-            wirelength_mm: 5.5,
-            mivs: 1234,
-            switching_mw: 1.0,
-            internal_mw: 2.0,
-            leakage_mw: 0.5,
-            clock_mw: 0.75,
-            total_power_mw: 4.25,
-            wns_ns: -0.012_345,
-            tns_ns: -1.5,
-            effective_delay_ns: 1.012,
-            pdp_pj: 4.301,
-            die_cost_uc: 3.21,
-            cost_per_cm2_uc: 16.05,
-            ppc: 0.072,
-        };
+        let ppac = sample_ppac();
         roundtrip(&ppac);
         roundtrip(&FlowReport::Fmax {
             fmax_ghz: 1.37,
@@ -1512,28 +1407,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_round_trip() {
-        let ppac = PpacSummary {
-            config: Config::Hetero3d,
-            frequency_ghz: 1.0,
-            footprint_mm2: 0.1,
-            si_area_mm2: 0.2,
-            chip_width_um: 351.0,
-            density_pct: 81.25,
-            wirelength_mm: 5.5,
-            mivs: 1234,
-            switching_mw: 1.0,
-            internal_mw: 2.0,
-            leakage_mw: 0.5,
-            clock_mw: 0.75,
-            total_power_mw: 4.25,
-            wns_ns: -0.012,
-            tns_ns: -1.5,
-            effective_delay_ns: 1.012,
-            pdp_pj: 4.301,
-            die_cost_uc: 3.21,
-            cost_per_cm2_uc: 16.05,
-            ppc: 0.072,
-        };
+        let ppac = sample_ppac();
         let report = FlowReport::Sweep {
             points: vec![ppac.clone(), ppac],
         };

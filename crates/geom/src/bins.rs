@@ -79,12 +79,6 @@ impl BinGrid {
         self.region.height() / self.ny as f64
     }
 
-    /// Area of one bin in square microns.
-    #[must_use]
-    pub fn bin_area(&self) -> f64 {
-        self.bin_width() * self.bin_height()
-    }
-
     /// Maps a point to the bin containing it; points outside the region are
     /// clamped to the nearest boundary bin.
     #[must_use]
@@ -109,16 +103,6 @@ impl BinGrid {
         let llx = self.region.llx() + idx.0 as f64 * w;
         let lly = self.region.lly() + idx.1 as f64 * h;
         Rect::new(llx, lly, llx + w, lly + h)
-    }
-
-    /// Center point of bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn bin_center(&self, idx: BinIdx) -> Point {
-        self.bin_rect(idx).center()
     }
 
     fn flat(&self, idx: BinIdx) -> usize {
@@ -206,7 +190,6 @@ mod tests {
         let g = grid();
         assert_eq!(g.bin_width(), 10.0);
         assert_eq!(g.bin_height(), 10.0);
-        assert_eq!(g.bin_area(), 100.0);
     }
 
     #[test]

@@ -680,15 +680,6 @@ impl Netlist {
             .collect()
     }
 
-    /// Is `pin` the clock pin of `cell` (the trailing input of a
-    /// sequential gate or macro)?
-    #[must_use]
-    pub fn is_clock_pin(&self, cell: CellId, pin: u8) -> bool {
-        let c = self.cell(cell);
-        let clocked = c.is_sequential() || c.class.is_macro();
-        clocked && pin as usize == c.input_count() - 1
-    }
-
     /// Computes summary statistics.
     #[must_use]
     pub fn stats(&self) -> NetlistStats {

@@ -148,15 +148,6 @@ impl Floorplan {
         self.die.width()
     }
 
-    /// The fixed position (center) of a macro, if `cell` is one.
-    #[must_use]
-    pub fn macro_position(&self, cell: CellId) -> Option<Point> {
-        self.macros
-            .iter()
-            .find(|(id, _, _)| *id == cell)
-            .map(|(_, _, r)| r.center())
-    }
-
     /// Keep-out rectangles on `tier`.
     #[must_use]
     pub fn keepouts(&self, tier: Tier) -> Vec<Rect> {

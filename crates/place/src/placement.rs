@@ -85,17 +85,6 @@ impl Placement {
             .sum()
     }
 
-    /// Total Steiner wirelength over all signal nets, µm.
-    #[must_use]
-    pub fn steiner_wirelength(&self, netlist: &Netlist) -> f64 {
-        let mut buf = Vec::new();
-        netlist
-            .nets()
-            .filter(|(_, n)| !n.is_clock)
-            .map(|(id, _)| self.net_steiner_with(netlist, id, &mut buf))
-            .sum()
-    }
-
     /// Clamps every position into the die outline.
     pub fn clamp_to_die(&mut self) {
         for p in &mut self.positions {

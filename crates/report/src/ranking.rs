@@ -1,6 +1,6 @@
 //! Table I: qualitative 1–5 ranking of the five configurations.
 
-use m3d_flow::{Config, Ppac};
+use m3d_flow::{Config, PpacSummary};
 
 /// A rank table: metric name → per-configuration rank (1 = worst,
 /// 5 = best), in [`Config::ALL`] order.
@@ -40,17 +40,17 @@ impl RankTable {
 ///
 /// Panics if `ppacs` does not contain all five configurations.
 #[must_use]
-pub fn qualitative_ranking(ppacs: &[Ppac]) -> RankTable {
-    let get = |config: Config| -> &Ppac {
+pub fn qualitative_ranking(ppacs: &[PpacSummary]) -> RankTable {
+    let get = |config: Config| -> &PpacSummary {
         ppacs
             .iter()
             .find(|p| p.config == config)
             .unwrap_or_else(|| panic!("missing configuration {config}"))
     };
-    let ordered: Vec<&Ppac> = Config::ALL.iter().map(|&c| get(c)).collect();
+    let ordered: Vec<&PpacSummary> = Config::ALL.iter().map(|&c| get(c)).collect();
 
     // Rank helper: score per config; higher score -> higher rank.
-    let rank_by = |score: &dyn Fn(&Ppac) -> f64| -> [u8; 5] {
+    let rank_by = |score: &dyn Fn(&PpacSummary) -> f64| -> [u8; 5] {
         let scores: Vec<f64> = ordered.iter().map(|p| score(p)).collect();
         let mut idx: Vec<usize> = (0..5).collect();
         idx.sort_by(|&a, &b| {
@@ -73,7 +73,7 @@ pub fn qualitative_ranking(ppacs: &[Ppac]) -> RankTable {
         "Si Area",
         "Die Cost",
     ];
-    let achieved = |p: &Ppac| 1.0 / p.effective_delay_ns.max(1e-9);
+    let achieved = |p: &PpacSummary| 1.0 / p.effective_delay_ns.max(1e-9);
     let ranks = vec![
         rank_by(&|p| achieved(p)),
         rank_by(&|p| -p.total_power_mw),
@@ -88,10 +88,16 @@ pub fn qualitative_ranking(ppacs: &[Ppac]) -> RankTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_power::PowerResult;
 
-    fn fake(config: Config, freq_eff: f64, power: f64, footprint: f64, si: f64, cost: f64) -> Ppac {
-        Ppac {
+    fn fake(
+        config: Config,
+        freq_eff: f64,
+        power: f64,
+        footprint: f64,
+        si: f64,
+        cost: f64,
+    ) -> PpacSummary {
+        PpacSummary {
             config,
             frequency_ghz: 1.0,
             footprint_mm2: footprint,
@@ -100,7 +106,10 @@ mod tests {
             density_pct: 80.0,
             wirelength_mm: 1.0,
             mivs: 0,
-            power: PowerResult::default(),
+            switching_mw: 0.0,
+            internal_mw: 0.0,
+            leakage_mw: 0.0,
+            clock_mw: 0.0,
             total_power_mw: power,
             wns_ns: 0.0,
             tns_ns: 0.0,

@@ -1,4 +1,4 @@
-use m3d_flow::{BaselineComparison, Comparison, Ppac};
+use m3d_flow::{BaselineComparison, ComparisonSummary, DeltaRow, PpacSummary};
 use std::fmt::Write as _;
 
 /// A minimal fixed-width text-table builder.
@@ -69,7 +69,7 @@ fn f(v: f64, digits: usize) -> String {
 
 /// Formats one configuration's PPAC metrics as a Table VI column block.
 #[must_use]
-pub fn format_ppac(p: &Ppac) -> TextTable {
+pub fn format_ppac(p: &PpacSummary) -> TextTable {
     let mut t = TextTable::new(vec!["Metric", "Units", p.config.to_string().as_str()]);
     t.row(vec![
         "Frequency".into(),
@@ -114,11 +114,11 @@ pub fn format_ppac(p: &Ppac) -> TextTable {
 
 /// Formats Table VI: raw hetero PPAC for several designs side by side.
 #[must_use]
-pub fn format_comparison(comparisons: &[&Comparison]) -> String {
+pub fn format_comparison(comparisons: &[&ComparisonSummary]) -> String {
     let mut header: Vec<String> = vec!["Metric".into(), "Units".into()];
     header.extend(comparisons.iter().map(|c| c.design.clone()));
     let mut t = TextTable::new(header);
-    let row = |name: &str, unit: &str, get: &dyn Fn(&Ppac) -> String| {
+    let row = |name: &str, unit: &str, get: &dyn Fn(&PpacSummary) -> String| {
         let mut cells = vec![name.to_string(), unit.to_string()];
         cells.extend(comparisons.iter().map(|c| get(&c.hetero)));
         cells
@@ -144,14 +144,14 @@ pub fn format_comparison(comparisons: &[&Comparison]) -> String {
 /// Formats Table VII: percent deltas of hetero vs each homogeneous config
 /// for a set of designs.
 #[must_use]
-pub fn format_table7(comparisons: &[&Comparison]) -> String {
+pub fn format_table7(comparisons: &[&ComparisonSummary]) -> String {
     let mut out = String::new();
     for (ci, config) in m3d_flow::Config::HOMOGENEOUS.iter().enumerate() {
         let _ = writeln!(out, "### vs {config}");
         let mut header: Vec<String> = vec!["Metric".into()];
         header.extend(comparisons.iter().map(|c| c.design.clone()));
         let mut t = TextTable::new(header);
-        let row = |name: &str, get: &dyn Fn(&m3d_flow::DeltaRow) -> String| {
+        let row = |name: &str, get: &dyn Fn(&DeltaRow) -> String| {
             let mut cells = vec![name.to_string()];
             cells.extend(comparisons.iter().map(|c| get(&c.deltas[ci])));
             cells

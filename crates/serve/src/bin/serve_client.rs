@@ -1,4 +1,4 @@
-//! The `serve_client` CLI: one connection, five subcommands, one shared
+//! The `serve_client` CLI: one connection, six subcommands, one shared
 //! request builder and one shared printer.
 //!
 //! ```text

@@ -146,18 +146,6 @@ impl<'a> TimingContext<'a> {
     }
 }
 
-// TimingContext.clock is small; Copy via Clone of ClockSpec is not possible
-// (Vec). Provide an explicit constructor-friendly clone instead.
-impl ClockSpec {
-    /// Returns a copy with a different period (latencies preserved).
-    #[must_use]
-    pub fn with_new_period(&self, period_ns: f64) -> Self {
-        let mut c = self.clone();
-        c.period_ns = period_ns;
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,15 +156,6 @@ mod tests {
         assert_eq!(c.period_ns, 0.8);
         assert_eq!(c.latency(0), 0.0);
         assert_eq!(c.latency(1000), 0.0);
-    }
-
-    #[test]
-    fn with_new_period_preserves_latency() {
-        let mut c = ClockSpec::with_period(1.0);
-        c.latency_ns = vec![0.1, 0.2];
-        let c2 = c.with_new_period(0.5);
-        assert_eq!(c2.period_ns, 0.5);
-        assert_eq!(c2.latency(1), 0.2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Multi-corner analysis: one persistent [`Timer`] per corner, and the
-//! worst-corner selection used for sign-off.
+//! worst-corner rule sign-off follows.
 //!
 //! A corner is, to the timing engine, simply a different library
 //! binding, and a [`Timer`]'s propagated arrays (arrivals, slews, stored
@@ -74,30 +74,6 @@ impl CornerResults {
         }
         (best.0, &best.1)
     }
-
-    /// Consumes the set, returning the worst corner's result
-    /// (same selection rule as [`CornerResults::worst`]).
-    #[must_use]
-    pub fn into_worst(mut self) -> (Corner, StaResult) {
-        let mut idx = 0;
-        for (i, entry) in self.results.iter().enumerate().skip(1) {
-            if entry.1.wns < self.results[idx].1.wns {
-                idx = i;
-            }
-        }
-        self.results.swap_remove(idx)
-    }
-}
-
-/// Consumes the set into its `(corner, result)` pairs, in analysis
-/// order, so a caller can keep several results without copying them.
-impl IntoIterator for CornerResults {
-    type Item = (Corner, StaResult);
-    type IntoIter = std::vec::IntoIter<(Corner, StaResult)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.results.into_iter()
-    }
 }
 
 /// One persistent incremental [`Timer`] per corner.
@@ -112,11 +88,6 @@ impl MultiCornerTimer {
         MultiCornerTimer {
             timers: corners.iter().map(|&c| (c, Timer::new())).collect(),
         }
-    }
-
-    /// The corners this set analyzes, in order.
-    pub fn corners(&self) -> impl Iterator<Item = Corner> + '_ {
-        self.timers.iter().map(|(c, _)| *c)
     }
 
     /// The persistent timer bound to `corner`.
@@ -279,7 +250,6 @@ mod tests {
         ]);
         // Identical WNS at two corners: the earlier one wins.
         assert_eq!(results.worst().0, Corner::Slow);
-        assert_eq!(results.into_worst().0, Corner::Slow);
         assert!(!CornerResults::new(vec![(Corner::Typical, r)]).is_empty());
     }
 }

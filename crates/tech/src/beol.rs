@@ -67,17 +67,6 @@ impl Default for Miv {
     }
 }
 
-impl Miv {
-    /// Parasitics of one MIV crossing as a [`WireRc`].
-    #[must_use]
-    pub fn as_wire_rc(&self) -> WireRc {
-        WireRc {
-            r_kohm: self.r_kohm,
-            c_ff: self.c_ff,
-        }
-    }
-}
-
 /// A six-layer signal routing stack, shared (per the paper's setup) between
 /// 2-D designs and each tier of the 3-D designs.
 #[derive(Debug, Clone, PartialEq)]

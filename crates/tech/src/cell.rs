@@ -353,12 +353,6 @@ impl MasterCell {
     pub fn output_slew(&self, slew_ns: f64, load_ff: f64) -> f64 {
         self.arc.slew.lookup(slew_ns, load_ff)
     }
-
-    /// Maximum load (fF) this cell can drive within its characterized range.
-    #[must_use]
-    pub fn max_load_ff(&self) -> f64 {
-        self.arc.delay.load_range().1
-    }
 }
 
 #[cfg(test)]

@@ -195,16 +195,6 @@ impl TierStack {
             None => b,
         }
     }
-
-    /// Lower of the two supply voltages.
-    #[must_use]
-    pub fn vdd_low(&self) -> f64 {
-        let b = self.bottom.vdd;
-        match &self.top {
-            Some(t) => b.min(t.vdd),
-            None => b,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,6 +256,5 @@ mod tests {
         assert_eq!(s.fast_tier(), Tier::Bottom);
         assert_eq!(s.slow_tier(), Tier::Top);
         assert_eq!(s.vdd_high(), 0.90);
-        assert_eq!(s.vdd_low(), 0.81);
     }
 }

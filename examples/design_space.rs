@@ -25,7 +25,7 @@ fn main() -> Result<(), FlowError> {
     let session = FlowSession::builder(&netlist)
         .options(FlowOptions::default())
         .build()?;
-    let cmp = session.compare(&CostModel::default())?;
+    let cmp = session.compare(&CostModel::default())?.summary;
     println!(
         "iso-performance target (12-track 2-D fmax): {:.2} GHz\n",
         cmp.target_ghz

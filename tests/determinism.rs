@@ -78,7 +78,10 @@ fn compare_configs_is_bit_identical_across_thread_counts() {
         let base = compare_configs(&netlist, &quick_options(1), &cost);
         let par = compare_configs(&netlist, &quick_options(4), &cost);
 
-        assert_eq!(base.target_ghz.to_bits(), par.target_ghz.to_bits());
+        assert_eq!(
+            base.summary.target_ghz.to_bits(),
+            par.summary.target_ghz.to_bits()
+        );
         let pairs = base
             .implementations
             .iter()
@@ -95,7 +98,7 @@ fn compare_configs_is_bit_identical_across_thread_counts() {
                 a.config
             );
         }
-        for (a, b) in base.deltas.iter().zip(&par.deltas) {
+        for (a, b) in base.summary.deltas.iter().zip(&par.summary.deltas) {
             assert_eq!(a.total_power.to_bits(), b.total_power.to_bits());
             assert_eq!(a.die_cost.to_bits(), b.die_cost.to_bits());
             assert_eq!(a.ppc.to_bits(), b.ppc.to_bits());

@@ -5,7 +5,7 @@
 
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{
-    try_compare_configs, try_run_flow, Comparison, Config, FlowOptions, Implementation,
+    try_compare_configs, try_run_flow, ComparisonSummary, Config, FlowOptions, Implementation,
 };
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
@@ -21,8 +21,10 @@ fn run_flow(n: &Netlist, c: Config, f: f64, o: &FlowOptions) -> Implementation {
     try_run_flow(n, c, f, o).expect("flow succeeds on a valid netlist")
 }
 
-fn compare_configs(n: &Netlist, o: &FlowOptions, cost: &CostModel) -> Comparison {
-    try_compare_configs(n, o, cost).expect("comparison succeeds on a valid netlist")
+fn compare_configs(n: &Netlist, o: &FlowOptions, cost: &CostModel) -> ComparisonSummary {
+    try_compare_configs(n, o, cost)
+        .expect("comparison succeeds on a valid netlist")
+        .summary
 }
 
 #[test]

@@ -482,3 +482,33 @@ fn tcp_round_trip_handles_malformed_lines_and_real_requests() {
     assert_eq!(stats.cache_misses, 1, "both clients shared one session");
     assert_eq!(stats.cache_hits, 1);
 }
+
+/// The exact line a front answers a malformed request with, for a line
+/// that is not JSON and for JSON of the wrong shape (id salvaged).
+#[test]
+fn served_rejection_lines_are_pinned_byte_for_byte() {
+    let server = TcpServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut probe = Client::connect(server.local_addr()).expect("connect");
+    let mut served = |line: &str| {
+        probe.send_raw(line).expect("send");
+        probe.recv_raw().expect("recv")
+    };
+    assert_eq!(
+        served("this is not json"),
+        concat!(
+            r#"{"status":"rejected","kind":"protocol","#,
+            r#""message":"request is not JSON: bad literal at byte 0"}"#,
+            "\n"
+        )
+    );
+    assert_eq!(
+        served(r#"{"id": 9, "netlist": 4}"#),
+        concat!(
+            r#"{"id":9,"status":"rejected","kind":"protocol","#,
+            r#""message":"request is not a FlowRequest: netlist: expected an object"}"#,
+            "\n"
+        )
+    );
+    drop(probe);
+    assert_eq!(server.shutdown().rejected_protocol, 2);
+}

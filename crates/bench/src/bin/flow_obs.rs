@@ -113,21 +113,20 @@ fn main() {
         "compare_configs must fork the fmax probe's prefix for every rung"
     );
 
-    let doc = |text: String| m3d_json::parse(&text).expect("a manifest renders valid JSON");
     m3d_bench::write_manifest(
         &args,
         "flow",
         [
             ("fmax_ghz", fmax_ghz.into()),
             ("prefix_reuse", prefix_reuse.into()),
-            ("run_flow", doc(seq.deterministic_json())),
-            ("fmax_sweep", doc(fmax.deterministic_json())),
-            ("compare_configs", doc(cmp.deterministic_json())),
+            ("run_flow", seq.deterministic_json()),
+            ("fmax_sweep", fmax.deterministic_json()),
+            ("compare_configs", cmp.deterministic_json()),
         ],
         [
-            ("runtime_1t", doc(seq.json())),
-            ("runtime_4t", doc(par.json())),
-            ("fmax_sweep", doc(fmax.json())),
+            ("runtime_1t", seq.json()),
+            ("runtime_4t", par.json()),
+            ("fmax_sweep", fmax.json()),
         ],
     );
     let wall =

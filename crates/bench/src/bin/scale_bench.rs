@@ -69,7 +69,7 @@ fn main() {
 
         deterministic.push(
             Obj::new()
-                .put("name", name.as_str())
+                .put("name", name.clone())
                 .put("target_cells", target)
                 .put("cells", cells)
                 .put("nets", nets)

@@ -1079,7 +1079,7 @@ mod tests {
             (
                 session.execute(&command).expect("sweep"),
                 session.take_prefix_counts(),
-                options.obs.manifest().deterministic_json(),
+                options.obs.manifest().deterministic_json().render(),
             )
         };
         let one = at(1);

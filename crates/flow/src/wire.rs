@@ -118,7 +118,7 @@ const BENCHMARKS: WireNames<Benchmark> = WireNames {
 };
 
 impl ToJson for Config {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Value::from(CONFIGS.name(*self))
     }
 }
@@ -131,7 +131,7 @@ impl FromJson for Config {
 
 // `TechContext` lives in `m3d_tech` and the JSON traits in `m3d_json`,
 // so the orphan rule forces free functions here instead of trait impls.
-fn tech_to_json(tech: &TechContext) -> Value {
+fn tech_to_json(tech: &TechContext) -> Value<'_> {
     let corners = match tech.corners {
         CornerSet::Single(corner) => CornerSet::single(corner),
         set => set,
@@ -241,7 +241,7 @@ impl NetlistSpec {
 }
 
 impl ToJson for NetlistSpec {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("benchmark", BENCHMARKS.name(self.benchmark))
             .put("scale", self.scale)
@@ -324,7 +324,7 @@ impl FlowCommand {
 }
 
 impl ToJson for FlowCommand {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         match self {
             FlowCommand::RunFlow {
                 config,
@@ -438,7 +438,7 @@ pub struct FlowRequest {
 }
 
 impl ToJson for FlowRequest {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         let mut o = Obj::new()
             .put("id", self.id)
             .put("netlist", self.netlist.to_json())
@@ -628,7 +628,7 @@ impl FlowOptions {
 }
 
 impl ToJson for FlowOptions {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         // The `tech` key is omitted for the default scenario, mirroring
         // the fingerprint's Debug rendering: requests minted before the
         // technology axis existed decode (and hash) unchanged, and the
@@ -726,7 +726,7 @@ impl FromJson for FlowOptions {
 // ---------------------------------------------------------------------
 
 impl ToJson for PpacSummary {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("config", self.config.to_json())
             .put("frequency_ghz", self.frequency_ghz)
@@ -780,7 +780,7 @@ impl FromJson for PpacSummary {
 }
 
 impl ToJson for DeltaRow {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("config", self.config.to_json())
             .put("si_area", self.si_area)
@@ -820,7 +820,7 @@ impl FromJson for DeltaRow {
 }
 
 impl ToJson for ComparisonSummary {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("design", self.design.as_str())
             .put("target_ghz", self.target_ghz)
@@ -850,7 +850,7 @@ impl FromJson for ComparisonSummary {
 }
 
 impl ToJson for ParetoPoint {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("stacking", STACKINGS.name(self.stacking))
             .put("corner", CORNERS.name(self.corner))
@@ -886,7 +886,7 @@ impl FromJson for ParetoPoint {
 }
 
 impl ToJson for ParetoSummary {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         Obj::new()
             .put("config", self.config.to_json())
             .put(
@@ -971,7 +971,7 @@ impl FlowReport {
 }
 
 impl ToJson for FlowReport {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         match self {
             FlowReport::Run { ppac } => Obj::new()
                 .put("kind", "run")

@@ -1,6 +1,8 @@
-//! Zero-dependency JSON for the hetero3d workspace: a strict reader (the
-//! bench-regression gate compares manifests with it) and a writer half
-//! (the flow service's wire format is built from [`Value`]s).
+//! The workspace's one JSON implementation: one value tree, one parser,
+//! one compact writer and one indented layout. The flow service's wire
+//! format, the `m3d-obs` run manifests and the `results/BENCH_*.json`
+//! files are all [`Value`] trees rendered here. The crate has no
+//! dependencies.
 //!
 //! The dialect is the JSON subset this workspace emits: objects, arrays,
 //! strings with standard escapes (including `\uXXXX` surrogate pairs),
@@ -14,39 +16,57 @@
 //! are doubles on the wire), so [`Value::as_u64`] rejects anything
 //! larger instead of silently rounding it.
 //!
-//! There is one parser and one decoding cursor. [`parse_borrowed`] returns
-//! a [`borrow::Value`] whose strings point into the input buffer —
-//! escape-free strings (everything this workspace's writer emits) cost
-//! zero per-field allocations — and [`Cur`] walks that tree, building its
-//! error path only when a decode fails, so shape errors ([`DecodeError`])
-//! name the offending member (`options/placer/iterations: expected u64`).
-//! [`FromJson`] is the one decode trait and [`decode`] the one
-//! text-to-type entry point; requests and responses alike go through
-//! them. [`parse`] runs the same parser and detaches the tree with
-//! [`borrow::Value::into_owned`] for callers that inspect or compare
-//! documents (the bench gate, manifests).
+//! Every string in a [`Value`] — member keys and string values alike — is
+//! a [`Cow`]. [`parse_borrowed`] points escape-free strings (everything
+//! this writer emits) straight into the input buffer, and [`ToJson`]
+//! borrows keys and strings from the value it renders, so neither
+//! direction allocates per key or per string. [`Value::into_owned`]
+//! detaches a tree from its input when one must outlive it. [`Cur`] walks
+//! a tree, building its error path only when a decode fails, so shape
+//! errors ([`DecodeError`]) name the offending member
+//! (`options/placer/iterations: expected u64`). [`FromJson`] is the one
+//! decode trait and [`decode`] the one text-to-type entry point; requests
+//! and responses alike go through them.
 
-pub mod borrow;
+mod cur;
 
-pub use borrow::Cur;
+pub use cur::Cur;
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+/// A JSON value whose strings either borrow (from a parsed input or a
+/// rendered value) or own their text.
+#[derive(Debug, Clone)]
+pub enum Value<'a> {
     Null,
     Bool(bool),
     Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+    Str(Cow<'a, str>),
+    Arr(Vec<Value<'a>>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+/// Numbers compare by bits, so two trees are equal exactly when they
+/// render to the same bytes (`-0` is not `0`; a NaN equals itself).
+impl PartialEq for Value<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl<'a> Value<'a> {
     /// Object member lookup.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -55,7 +75,7 @@ impl Value {
 
     /// Walks a `/`-separated member path from this value.
     #[must_use]
-    pub fn path(&self, dotted: &str) -> Option<&Value> {
+    pub fn path(&self, dotted: &str) -> Option<&Value<'a>> {
         dotted.split('/').try_fold(self, |v, key| v.get(key))
     }
 
@@ -73,8 +93,9 @@ impl Value {
     /// than returned off by one.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
         match self {
-            Value::Num(v) => num_to_u64(*v),
+            Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < MAX_EXACT => Some(*v as u64),
             _ => None,
         }
     }
@@ -96,10 +117,29 @@ impl Value {
     }
 
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub fn as_arr(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// Detaches the tree from whatever its strings borrow.
+    #[must_use]
+    pub fn into_owned(self) -> Value<'static> {
+        let own = |s: Cow<'a, str>| Cow::Owned(s.into_owned());
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(b),
+            Value::Num(v) => Value::Num(v),
+            Value::Str(s) => Value::Str(own(s)),
+            Value::Arr(items) => Value::Arr(items.into_iter().map(Value::into_owned).collect()),
+            Value::Obj(members) => Value::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (own(k), v.into_owned()))
+                    .collect(),
+            ),
         }
     }
 
@@ -117,12 +157,9 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(v) => out.push_str(&fmt_f64(*v)),
-            Value::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Value::Num(v) if v.is_finite() => write!(out, "{v}").expect("String writes"),
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => write_str(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -139,9 +176,8 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
+                    write_str(k, out);
+                    out.push(':');
                     v.render_into(out);
                 }
                 out.push('}');
@@ -150,116 +186,133 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
+/// Writes `s` between JSON quotes, escaping quotes, backslashes and
+/// control characters; runs that need no escape are copied whole.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            write!(out, "\\u{b:04x}").expect("String writes");
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// The one indented layout (committed manifests): `v` as if nested
+/// `indent` columns deep. A container that fits in 100 columns stays on
+/// one line; a wider object puts each member on a line of its own, a
+/// wider array each element, flat.
+pub fn pretty(v: &Value<'_>, indent: usize, out: &mut String) {
+    let flat = v.render();
+    let (open, close, members) = match v {
+        _ if indent + flat.len() <= 100 => return out.push_str(&flat),
+        Value::Obj(m) => ('{', '}', m.iter().map(|(k, v)| (Some(k), v)).collect()),
+        Value::Arr(a) => ('[', ']', a.iter().map(|v| (None, v)).collect::<Vec<_>>()),
+        _ => return out.push_str(&flat),
+    };
+    out.push(open);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&" ".repeat(indent + 2));
+        match key {
+            Some(key) => {
+                write_str(key, out);
+                out.push_str(": ");
+                pretty(member, indent + 2, out);
+            }
+            None => member.render_into(out),
+        }
+    }
+    out.push('\n');
+    out.push_str(&" ".repeat(indent));
+    out.push(close);
+}
+
+impl fmt::Display for Value<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
 }
 
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
+impl From<f64> for Value<'_> {
+    fn from(v: f64) -> Self {
         Value::Num(v)
     }
 }
 
-impl From<u64> for Value {
-    fn from(v: u64) -> Value {
+impl From<u64> for Value<'_> {
+    fn from(v: u64) -> Self {
         Value::Num(v as f64)
     }
 }
 
-impl From<usize> for Value {
-    fn from(v: usize) -> Value {
+impl From<usize> for Value<'_> {
+    fn from(v: usize) -> Self {
         Value::Num(v as f64)
     }
 }
 
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
+impl From<bool> for Value<'_> {
+    fn from(v: bool) -> Self {
         Value::Bool(v)
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
+impl<'a> From<&'a str> for Value<'a> {
+    fn from(v: &'a str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::Str(v)
+impl From<String> for Value<'_> {
+    fn from(v: String) -> Self {
+        Value::Str(Cow::Owned(v))
     }
 }
 
-impl From<Vec<Value>> for Value {
-    fn from(v: Vec<Value>) -> Value {
+impl<'a> From<Vec<Value<'a>>> for Value<'a> {
+    fn from(v: Vec<Value<'a>>) -> Self {
         Value::Arr(v)
     }
 }
 
-/// The shared u64 view of a JSON number: non-negative, integral, below
-/// 2^53 — the first integer a double cannot distinguish from its
-/// successor.
-pub(crate) fn num_to_u64(v: f64) -> Option<u64> {
-    const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
-    if v >= 0.0 && v.fract() == 0.0 && v < MAX_EXACT {
-        Some(v as u64)
-    } else {
-        None
-    }
-}
-
-/// Ordered object builder: `Obj::new().put("k", 1u64).build()`.
+/// Ordered object builder: `Obj::new().put("k", 1u64).build()`. Keys
+/// are borrowed, never copied.
 #[derive(Debug, Default)]
-pub struct Obj(Vec<(String, Value)>);
+pub struct Obj<'a>(Vec<(Cow<'a, str>, Value<'a>)>);
 
-impl Obj {
+impl<'a> Obj<'a> {
     #[must_use]
-    pub fn new() -> Obj {
+    pub fn new() -> Obj<'a> {
         Obj(Vec::new())
     }
 
     /// Appends one member (keys are kept in insertion order).
     #[must_use]
-    pub fn put(mut self, key: &str, value: impl Into<Value>) -> Obj {
-        self.0.push((key.to_string(), value.into()));
+    pub fn put(mut self, key: &'a str, value: impl Into<Value<'a>>) -> Obj<'a> {
+        self.0.push((Cow::Borrowed(key), value.into()));
         self
     }
 
     #[must_use]
-    pub fn build(self) -> Value {
+    pub fn build(self) -> Value<'a> {
         Value::Obj(self.0)
     }
-}
-
-/// Shortest-roundtrip float formatting for the writer. Integral finite
-/// values render without a fractional part; non-finite values render as
-/// `null` (JSON has no NaN/Inf).
-#[must_use]
-pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    format!("{v}")
-}
-
-/// Escapes a string for inclusion between JSON quotes.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -299,9 +352,10 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Types that render themselves as a JSON [`Value`].
+/// Types that render themselves as a JSON [`Value`], borrowing keys and
+/// strings from `self`.
 pub trait ToJson {
-    fn to_json(&self) -> Value;
+    fn to_json(&self) -> Value<'_>;
 }
 
 /// Types that decode themselves from a JSON cursor, without allocating
@@ -341,8 +395,7 @@ impl From<DecodeError> for JsonError {
     }
 }
 
-/// Parses `text` on the borrowed surface and decodes it into `T` in one
-/// step.
+/// Parses `text` and decodes it into `T` in one step.
 ///
 /// # Errors
 ///
@@ -357,26 +410,15 @@ pub fn decode<T: FromJson>(text: &str) -> Result<T, JsonError> {
 // parsing
 // ---------------------------------------------------------------------
 
-/// Parses one JSON document into the owned [`Value`]. Errors carry a
-/// byte offset.
+/// Parses one JSON document into a [`Value`] whose strings borrow from
+/// `src` (escape-free strings allocate nothing). Errors carry a byte
+/// offset.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending byte for malformed input
 /// (including trailing garbage after the document).
-pub fn parse(src: &str) -> Result<Value, String> {
-    parse_borrowed(src).map(borrow::Value::into_owned)
-}
-
-/// Parses one JSON document into a [`borrow::Value`] whose strings
-/// borrow from `src` (escape-free strings allocate nothing). Same
-/// strictness and error messages as [`parse`] — it *is* the same parser.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending byte for malformed input
-/// (including trailing garbage after the document).
-pub fn parse_borrowed(src: &str) -> Result<borrow::Value<'_>, String> {
+pub fn parse_borrowed(src: &str) -> Result<Value<'_>, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
@@ -432,7 +474,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: borrow::Value<'a>) -> Result<borrow::Value<'a>, String> {
+    fn literal(&mut self, word: &str, v: Value<'a>) -> Result<Value<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -441,14 +483,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<borrow::Value<'a>, String> {
+    fn value(&mut self) -> Result<Value<'a>, String> {
         match self.peek()? {
             b'{' => self.nested(Self::object),
             b'[' => self.nested(Self::array),
-            b'"' => Ok(borrow::Value::Str(self.string()?)),
-            b't' => self.literal("true", borrow::Value::Bool(true)),
-            b'f' => self.literal("false", borrow::Value::Bool(false)),
-            b'n' => self.literal("null", borrow::Value::Null),
+            b'"' => Ok(Value::Str(self.string()?)),
+            b't' => self.literal("true", Value::Bool(true)),
+            b'f' => self.literal("false", Value::Bool(false)),
+            b'n' => self.literal("null", Value::Null),
             _ => self.number(),
         }
     }
@@ -457,8 +499,8 @@ impl<'a> Parser<'a> {
     /// than [`MAX_DEPTH`] of them.
     fn nested(
         &mut self,
-        parse: fn(&mut Self) -> Result<borrow::Value<'a>, String>,
-    ) -> Result<borrow::Value<'a>, String> {
+        parse: fn(&mut Self) -> Result<Value<'a>, String>,
+    ) -> Result<Value<'a>, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -471,12 +513,12 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn object(&mut self) -> Result<borrow::Value<'a>, String> {
+    fn object(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         if self.peek()? == b'}' {
             self.pos += 1;
-            return Ok(borrow::Value::Obj(members));
+            return Ok(Value::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -487,19 +529,19 @@ impl<'a> Parser<'a> {
                 b',' => self.pos += 1,
                 b'}' => {
                     self.pos += 1;
-                    return Ok(borrow::Value::Obj(members));
+                    return Ok(Value::Obj(members));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<borrow::Value<'a>, String> {
+    fn array(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek()? == b']' {
             self.pos += 1;
-            return Ok(borrow::Value::Arr(items));
+            return Ok(Value::Arr(items));
         }
         loop {
             items.push(self.value()?);
@@ -507,7 +549,7 @@ impl<'a> Parser<'a> {
                 b',' => self.pos += 1,
                 b']' => {
                     self.pos += 1;
-                    return Ok(borrow::Value::Arr(items));
+                    return Ok(Value::Arr(items));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
@@ -517,7 +559,7 @@ impl<'a> Parser<'a> {
     /// Reads one string. Escape-free strings — every string the
     /// workspace's own writer produces — come back as a borrowed slice
     /// of the input; the first escape falls into the owned builder.
-    fn string(&mut self) -> Result<std::borrow::Cow<'a, str>, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let start = self.pos;
         while let Some(b) = self.bytes.get(self.pos) {
@@ -526,14 +568,12 @@ impl<'a> Parser<'a> {
                     let s = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|e| e.to_string())?;
                     self.pos += 1;
-                    return Ok(std::borrow::Cow::Borrowed(s));
+                    return Ok(Cow::Borrowed(s));
                 }
                 b'\\' => {
                     let prefix = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|e| e.to_string())?;
-                    return self
-                        .string_tail(prefix.to_string())
-                        .map(std::borrow::Cow::Owned);
+                    return self.string_tail(prefix.to_string()).map(Cow::Owned);
                 }
                 _ => self.pos += 1,
             }
@@ -633,7 +673,7 @@ impl<'a> Parser<'a> {
         u32::from_str_radix(text, 16).map_err(|e| e.to_string())
     }
 
-    fn number(&mut self) -> Result<borrow::Value<'a>, String> {
+    fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.pos;
         while let Some(b) = self.bytes.get(self.pos) {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -652,7 +692,7 @@ impl<'a> Parser<'a> {
         if !v.is_finite() {
             return Err(format!("number out of range at byte {start}"));
         }
-        Ok(borrow::Value::Num(v))
+        Ok(Value::Num(v))
     }
 }
 
@@ -661,8 +701,70 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escape_free_strings_borrow_from_the_input() {
+        let src = r#"{"benchmark": "aes", "n": 3, "nested": {"k": "v"}}"#;
+        let v = parse_borrowed(src).expect("parse");
+        let Value::Obj(members) = &v else {
+            panic!("expected object")
+        };
+        assert!(members.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        match v.get("benchmark") {
+            Some(Value::Str(Cow::Borrowed(s))) => assert_eq!(*s, "aes"),
+            other => panic!("expected borrowed str, got {other:?}"),
+        }
+        let nested = v.get("nested").expect("nested");
+        match nested.get("k") {
+            Some(Value::Str(Cow::Borrowed(s))) => assert_eq!(*s, "v"),
+            other => panic!("expected borrowed str, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn escaped_strings_fall_back_to_owned() {
+        let v = parse_borrowed(r#"{"s": "a\nb"}"#).expect("parse");
+        match v.get("s") {
+            Some(Value::Str(Cow::Owned(s))) => assert_eq!(s, "a\nb"),
+            other => panic!("expected owned str, got {other:?}"),
+        }
+        // A partial prefix before the escape survives.
+        let v = parse_borrowed(r#""prefix\tsuffix""#).expect("parse");
+        assert_eq!(v.as_str(), Some("prefix\tsuffix"));
+    }
+
+    #[test]
+    fn into_owned_detaches_every_kind_of_value() {
+        let src = r#"{
+  "id": 42, "ok": true, "x": null, "ratio": 0.30000000000000004,
+  "s": "plain", "esc": "a\"b\\cA😀",
+  "arr": [1, "two", {"three": 3}]
+}"#;
+        let expected = Obj::new()
+            .put("id", 42u64)
+            .put("ok", true)
+            .put("x", Value::Null)
+            .put("ratio", 0.1 + 0.2)
+            .put("s", "plain")
+            .put("esc", "a\"b\\cA😀")
+            .put(
+                "arr",
+                vec![
+                    Value::Num(1.0),
+                    Value::from("two"),
+                    Obj::new().put("three", 3u64).build(),
+                ],
+            )
+            .build();
+        // The detached tree outlives the text it was parsed from.
+        let owned: Value<'static> = {
+            let text = src.to_string();
+            parse_borrowed(&text).expect("parse").into_owned()
+        };
+        assert_eq!(owned, expected);
+    }
+
+    #[test]
     fn parses_manifest_shaped_documents() {
-        let v = parse(
+        let v = parse_borrowed(
             r#"{
   "bench": "flow_obs", "scale": 0.02, "ok": true,
   "designs": [{"name": "aes", "speedup": 4.5}, {"name": "cpu", "speedup": 3.0}],
@@ -682,15 +784,15 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        assert!(parse("{\"a\": }").is_err());
-        assert!(parse("[1, 2,]").is_err());
-        assert!(parse("{} trailing").is_err());
-        assert!(parse("\"open").is_err());
+        assert!(parse_borrowed("{\"a\": }").is_err());
+        assert!(parse_borrowed("[1, 2,]").is_err());
+        assert!(parse_borrowed("{} trailing").is_err());
+        assert!(parse_borrowed("\"open").is_err());
     }
 
     #[test]
     fn handles_escapes_and_negatives() {
-        let v = parse(r#"{"s": "a\"b\\c\nd", "n": -3.25e2}"#).expect("parse");
+        let v = parse_borrowed(r#"{"s": "a\"b\\c\nd", "n": -3.25e2}"#).expect("parse");
         assert_eq!(v.get("s").and_then(Value::as_str), Some("a\"b\\c\nd"));
         assert_eq!(v.get("n").and_then(Value::as_f64), Some(-325.0));
         assert_eq!(v.get("n").and_then(Value::as_u64), None);
@@ -710,13 +812,41 @@ mod tests {
             )
             .build();
         let text = v.render();
-        let back = parse(&text).expect("reparse");
+        let back = parse_borrowed(&text).expect("reparse");
         assert_eq!(back, v);
         // Floats survive bit for bit.
         assert_eq!(
             back.get("ratio").and_then(Value::as_f64).map(f64::to_bits),
             Some((0.1f64 + 0.2).to_bits())
         );
+    }
+
+    #[test]
+    fn writer_escapes_into_the_output() {
+        let v = Value::from("tab\there \"q\" back\\ bell\u{7} é");
+        assert_eq!(v.render(), r#""tab\there \"q\" back\\ bell\u0007 é""#);
+        assert_eq!(parse_borrowed(&v.render()).expect("reparse"), v);
+    }
+
+    #[test]
+    fn pretty_breaks_only_containers_wider_than_the_page() {
+        let narrow = Obj::new()
+            .put("a", 1u64)
+            .put("b", vec![Value::Null])
+            .build();
+        let mut out = String::new();
+        pretty(&narrow, 0, &mut out);
+        assert_eq!(out, r#"{"a":1,"b":[null]}"#);
+        let long = "x".repeat(100);
+        let wide = Obj::new()
+            .put("k", long.as_str())
+            .put("arr", vec![Value::from(long.as_str()), Value::from(2u64)])
+            .build();
+        let mut out = String::new();
+        pretty(&wide, 0, &mut out);
+        let expected =
+            format!("{{\n  \"k\": \"{long}\",\n  \"arr\": [\n    \"{long}\",\n    2\n  ]\n}}");
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -730,28 +860,31 @@ mod tests {
     #[test]
     fn surrogate_pairs_decode_to_supplementary_code_points() {
         let escaped = "\"\\ud83d\\ude00\"";
-        let v = parse(escaped).expect("parse");
+        let v = parse_borrowed(escaped).expect("parse");
         assert_eq!(v.as_str(), Some("\u{1f600}"));
         // Raw (unescaped) UTF-8 passes through unchanged too.
-        let raw = parse("\"\u{1f600}\"").expect("parse");
+        let raw = parse_borrowed("\"\u{1f600}\"").expect("parse");
         assert_eq!(raw.as_str(), Some("\u{1f600}"));
         // Lone or mismatched surrogates are errors, not U+FFFD soup.
-        assert!(parse(r#""\ud83d""#).is_err());
-        assert!(parse(r#""\ud83dx""#).is_err());
-        assert!(parse(r#""\ude00""#).is_err());
-        assert!(parse(r#""\ud83dA""#).is_err());
+        assert!(parse_borrowed(r#""\ud83d""#).is_err());
+        assert!(parse_borrowed(r#""\ud83dx""#).is_err());
+        assert!(parse_borrowed(r#""\ude00""#).is_err());
+        assert!(parse_borrowed(r#""\ud83dA""#).is_err());
         // Plain BMP escapes still work, signs are not hex digits.
-        assert_eq!(parse(r#""A""#).expect("parse").as_str(), Some("A"));
-        assert!(parse(r#""\u+12f""#).is_err());
+        assert_eq!(parse_borrowed(r#""A""#).expect("parse").as_str(), Some("A"));
+        assert!(parse_borrowed(r#""\u+12f""#).is_err());
     }
 
     #[test]
     fn overflowing_literals_and_non_finite_numbers_are_rejected() {
-        assert!(parse("1e999").is_err());
-        assert!(parse("-1e999").is_err());
-        assert_eq!(parse("1e308").expect("parse").as_f64(), Some(1e308));
+        assert!(parse_borrowed("1e999").is_err());
+        assert!(parse_borrowed("-1e999").is_err());
+        assert_eq!(
+            parse_borrowed("1e308").expect("parse").as_f64(),
+            Some(1e308)
+        );
         // A hand-built non-finite Value is stopped at the cursor.
-        let inf = borrow::Value::Num(f64::INFINITY);
+        let inf = Value::Num(f64::INFINITY);
         let err = Cur::root(&inf).f64().unwrap_err();
         assert!(err.to_string().contains("finite"));
     }
@@ -759,13 +892,13 @@ mod tests {
     #[test]
     fn nesting_past_the_depth_cap_is_an_error_naming_the_byte() {
         let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(parse(&at_cap).is_ok());
+        assert!(parse_borrowed(&at_cap).is_ok());
         let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
-        assert!(parse(&objects).is_ok());
+        assert!(parse_borrowed(&objects).is_ok());
         // One level more fails at the bracket that opens it; a line
         // far deeper (which used to overflow the stack) fails the same
         // way, on a small thread stack.
-        let err = parse(&format!("[{at_cap}]")).unwrap_err();
+        let err = parse_borrowed(&format!("[{at_cap}]")).unwrap_err();
         assert_eq!(
             err,
             format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")

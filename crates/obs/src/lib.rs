@@ -17,6 +17,10 @@
 //!   layer's store hit/miss tallies, which depend on scheduling). These
 //!   are reported but excluded from [`Manifest::deterministic_json`].
 //!
+//! [`Manifest::deterministic_json`] and [`Manifest::json`] build
+//! `m3d-json` trees whose keys and labels borrow from the manifest; this
+//! crate has no escaping, number-formatting or layout code of its own.
+//!
 //! # Usage
 //!
 //! An [`Obs`] handle is cheap to clone and disabled by default, so
@@ -31,8 +35,8 @@ pub mod alloc;
 
 pub use alloc::CountingAlloc;
 
+use m3d_json::{Obj, Value};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -329,82 +333,55 @@ impl Manifest {
             .map(|i| &self.spans[i])
     }
 
-    /// JSON of the deterministic section only: span paths with call
+    /// The deterministic section as a JSON tree: span paths with call
     /// counts (no wall times), counters, gauges, labels. Bit-identical
-    /// across thread counts for the same inputs — this is the string
-    /// the determinism tests compare.
-    pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{\n  \"spans\": {");
-        push_entries(
-            &mut out,
-            self.spans
-                .iter()
-                .map(|s| (s.path.as_str(), s.calls.to_string())),
-        );
-        out.push_str("},\n  \"counters\": {");
-        push_entries(
-            &mut out,
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k.as_str(), fmt_f64(*v))),
-        );
-        out.push_str("},\n  \"labels\": {");
-        push_entries(
-            &mut out,
-            self.labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), format!("\"{}\"", escape(v)))),
-        );
-        out.push_str("}\n}");
-        out
+    /// across thread counts for the same inputs — this is the tree the
+    /// determinism tests compare. Keys and labels borrow from `self`.
+    pub fn deterministic_json(&self) -> Value<'_> {
+        let spans = section(&self.spans, |s| (&s.path, s.calls.into()));
+        self.sections(spans).build()
     }
 
-    /// Full JSON: the deterministic section plus wall times (µs, three
-    /// decimal places) and performance-only counters.
-    pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"spans\": {");
-        push_entries(
-            &mut out,
-            self.spans.iter().map(|s| {
-                let wall_us = s.wall_ns as f64 / 1e3;
-                (
-                    s.path.as_str(),
-                    format!("{{\"calls\": {}, \"wall_us\": {:.3}}}", s.calls, wall_us),
-                )
-            }),
-        );
-        out.push_str("},\n  \"counters\": {");
-        push_entries(
-            &mut out,
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k.as_str(), fmt_f64(*v))),
-        );
-        out.push_str("},\n  \"labels\": {");
-        push_entries(
-            &mut out,
-            self.labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), format!("\"{}\"", escape(v)))),
-        );
-        out.push_str("},\n  \"perf\": {");
-        push_entries(
-            &mut out,
-            self.perf.iter().map(|(k, v)| (k.as_str(), v.to_string())),
-        );
-        out.push_str("}\n}");
-        out
+    /// The full manifest as a JSON tree: the deterministic section with
+    /// each span's wall time (µs) beside its calls, plus the
+    /// performance-only counters.
+    pub fn json(&self) -> Value<'_> {
+        let spans = section(&self.spans, |s| {
+            let wall_us = s.wall_ns as f64 / 1e3;
+            let row = Obj::new().put("calls", s.calls).put("wall_us", wall_us);
+            (&s.path, row.build())
+        });
+        self.sections(spans)
+            .put("perf", section(&self.perf, |(k, v)| (k, (*v).into())))
+            .build()
     }
+
+    /// `spans` followed by the counters, gauges and labels.
+    fn sections<'a>(&'a self, spans: Value<'a>) -> Obj<'a> {
+        Obj::new()
+            .put("spans", spans)
+            .put(
+                "counters",
+                section(&self.counters, |(k, v)| (k, (*v).into())),
+            )
+            .put("gauges", section(&self.gauges, |(k, v)| (k, (*v).into())))
+            .put(
+                "labels",
+                section(&self.labels, |(k, v)| (k, v.as_str().into())),
+            )
+    }
+}
+
+/// One manifest section as a JSON object, in the section's (key) order.
+fn section<'a, T>(rows: &'a [T], entry: impl Fn(&'a T) -> (&'a String, Value<'a>)) -> Value<'a> {
+    Value::Obj(
+        rows.iter()
+            .map(|row| {
+                let (key, value) = entry(row);
+                (key.as_str().into(), value)
+            })
+            .collect(),
+    )
 }
 
 fn lookup<'a, V>(entries: &'a [(String, V)], name: &str) -> Option<&'a V> {
@@ -412,60 +389,6 @@ fn lookup<'a, V>(entries: &'a [(String, V)], name: &str) -> Option<&'a V> {
         .binary_search_by(|(k, _)| k.as_str().cmp(name))
         .ok()
         .map(|i| &entries[i].1)
-}
-
-fn push_entries<'a, I>(out: &mut String, entries: I)
-where
-    I: Iterator<Item = (&'a str, String)>,
-{
-    let mut first = true;
-    for (key, value) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    \"");
-        out.push_str(&escape(key));
-        out.push_str("\": ");
-        out.push_str(&value);
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-}
-
-/// Shortest-roundtrip float formatting; whole floats keep a `.0` so the
-/// output stays a JSON number with an unambiguous type.
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl fmt::Display for Manifest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.json())
-    }
 }
 
 #[cfg(test)]
@@ -557,14 +480,15 @@ mod tests {
         }
         obs.counter_add("arcs", 12);
         obs.perf_add("cache_hits", 99);
-        let det = obs.manifest().deterministic_json();
-        assert!(det.contains("\"stage\": 1"));
-        assert!(det.contains("\"arcs\": 12"));
-        assert!(!det.contains("wall"));
-        assert!(!det.contains("cache_hits"));
-        let full = obs.manifest().json();
-        assert!(full.contains("wall_us"));
-        assert!(full.contains("\"cache_hits\": 99"));
+        let m = obs.manifest();
+        let det = m.deterministic_json();
+        assert_eq!(det.path("spans/stage"), Some(&Value::Num(1.0)));
+        assert_eq!(det.path("counters/arcs"), Some(&Value::Num(12.0)));
+        assert!(!det.render().contains("wall"));
+        assert!(!det.render().contains("cache_hits"));
+        let full = m.json();
+        assert!(full.path("spans/stage/wall_us").is_some());
+        assert_eq!(full.path("perf/cache_hits"), Some(&Value::Num(99.0)));
     }
 
     #[test]
@@ -573,9 +497,20 @@ mod tests {
         obs.label_set("path", "a\"b\\c");
         obs.gauge_set("whole", 3.0);
         obs.gauge_set("frac", 0.25);
-        let json = obs.manifest().json();
-        assert!(json.contains("\"a\\\"b\\\\c\""));
-        assert!(json.contains("\"whole\": 3.0"));
-        assert!(json.contains("\"frac\": 0.25"));
+        let text = obs.manifest().json().render();
+        assert!(text.contains(r#""path":"a\"b\\c""#), "{text}");
+        let parsed = m3d_json::parse_borrowed(&text).expect("the manifest is JSON");
+        assert_eq!(
+            parsed.path("labels/path").and_then(Value::as_str),
+            Some("a\"b\\c")
+        );
+        assert_eq!(
+            parsed.path("gauges/whole").and_then(Value::as_f64),
+            Some(3.0)
+        );
+        assert_eq!(
+            parsed.path("gauges/frac").and_then(Value::as_f64),
+            Some(0.25)
+        );
     }
 }

@@ -306,56 +306,6 @@ pub fn format_deep_dive(labels: &[&str], dives: &[&DeepDive]) -> String {
     t.render()
 }
 
-/// Formats a telemetry [`Manifest`](m3d_obs::Manifest) as the deep dive's
-/// runtime section: the stage-span tree with call counts, wall time and
-/// share of the total, followed by the deterministic counters and gauges.
-///
-/// Collect the manifest by attaching [`m3d_obs::Obs::enabled`] to
-/// `FlowOptions::obs` before the run; an empty manifest (telemetry
-/// disabled) renders as a note instead of empty tables.
-#[must_use]
-pub fn format_runtime(manifest: &m3d_obs::Manifest) -> String {
-    use crate::tables::TextTable;
-    if manifest.spans.is_empty() && manifest.counters.is_empty() {
-        return "Runtime: no telemetry collected (FlowOptions::obs disabled)\n".to_string();
-    }
-    // Share is relative to the longest recorded span: the outermost stage
-    // of whatever entry point ran (run_flow, find_fmax, compare_configs).
-    let total_ns = manifest
-        .spans
-        .iter()
-        .map(|s| s.wall_ns)
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let mut spans = TextTable::new(vec!["Stage", "Calls", "Wall ms", "Share %"]);
-    for s in &manifest.spans {
-        let depth = s.path.matches('/').count();
-        let leaf = s.path.rsplit('/').next().unwrap_or(&s.path);
-        spans.row(vec![
-            format!("{}{leaf}", "  ".repeat(depth)),
-            s.calls.to_string(),
-            format!("{:.3}", s.wall_ns as f64 / 1e6),
-            format!("{:.1}", 100.0 * s.wall_ns as f64 / total_ns as f64),
-        ]);
-    }
-    let mut metrics = TextTable::new(vec!["Metric", "Value"]);
-    for (k, v) in &manifest.counters {
-        metrics.row(vec![k.clone(), v.to_string()]);
-    }
-    for (k, v) in &manifest.gauges {
-        metrics.row(vec![k.clone(), format!("{v:.3}")]);
-    }
-    for (k, v) in &manifest.labels {
-        metrics.row(vec![k.clone(), v.clone()]);
-    }
-    format!(
-        "Runtime (stage spans)\n{}\nRuntime (metrics)\n{}",
-        spans.render(),
-        metrics.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,25 +326,6 @@ mod tests {
         let text = format_deep_dive(&["Hetero 3D"], &[&dive]);
         assert!(text.contains("Buffer Count"));
         assert!(text.contains("Avg. Top Delay"));
-    }
-
-    #[test]
-    fn runtime_section_formats_an_instrumented_run() {
-        let n = m3d_netgen::Benchmark::Aes.generate(0.01, 3);
-        let mut o = FlowOptions::default();
-        o.placer_mut().iterations = 6;
-        o.obs = m3d_obs::Obs::enabled();
-        let obs = o.obs.clone();
-        let _ = try_run_flow(&n, Config::Hetero3d, 1.0, &o).expect("flow");
-        let text = format_runtime(&obs.manifest());
-        assert!(text.contains("run_flow"), "span tree lists the flow root");
-        assert!(
-            text.contains("partition/final_cut"),
-            "counters listed:\n{text}"
-        );
-        assert!(text.contains("Share %"));
-        let empty = format_runtime(&m3d_obs::Manifest::default());
-        assert!(empty.contains("no telemetry"));
     }
 
     #[test]

@@ -20,8 +20,7 @@ mod svg;
 mod tables;
 
 pub use deep_dive::{
-    deep_dive, format_deep_dive, format_runtime, ClockReport, CriticalPathReport, DeepDive,
-    MemoryReport,
+    deep_dive, format_deep_dive, ClockReport, CriticalPathReport, DeepDive, MemoryReport,
 };
 pub use ranking::{qualitative_ranking, RankTable};
 pub use svg::{render_config_cartoon, render_layout, render_overlays, LayerChoice};

@@ -15,7 +15,7 @@
 //!
 //! * [`protocol`] — newline-delimited JSON framing: [`FlowRequest`] in,
 //!   [`Response`] out, malformed input answered with a typed
-//!   [`ProtocolError`]-derived rejection (never a panic or a hang).
+//!   [`JsonError`]-derived rejection (never a panic or a hang).
 //! * [`cache`] — the [`SessionCache`]: one [`m3d_flow::FlowSession`]
 //!   per distinct key, built exactly once (racing requests share the
 //!   build), evicted least-recently-used — optionally backed by a
@@ -81,8 +81,8 @@ pub use conn::{raise_nofile_limit, WRITE_HIGH_WATER};
 pub use m3d_flow::{FlowCommand, FlowReport, FlowRequest, NetlistSpec};
 pub use m3d_store::{Store, StoreError, StoreKey};
 pub use protocol::{
-    decode_message, decode_request, decode_response, encode_line, ProtocolError, RejectKind,
-    Response, ServerMessage, StreamEvent,
+    decode_message, decode_request, decode_response, encode_line, JsonError, RejectKind, Response,
+    ServerMessage, StreamEvent,
 };
 pub use router::{route_key, Ring, Router, RouterConfig, RouterStatsSnapshot};
 pub use server::{Pending, PendingStream, Server, ServerConfig, StatsSnapshot, TcpServer};

@@ -1,5 +1,5 @@
 //! The wire protocol: newline-delimited JSON framing over a byte
-//! stream, a typed [`ProtocolError`] for malformed input, and the
+//! stream, a typed [`JsonError`] for malformed input, and the
 //! [`Response`] envelope every request is answered with.
 //!
 //! One request per line, one response per line. Responses carry the
@@ -20,7 +20,9 @@
 //! decodes either shape.
 
 use m3d_flow::{FlowReport, FlowRequest};
-use m3d_json::{decode, parse_borrowed, Cur, DecodeError, FromJson, JsonError, Obj, ToJson, Value};
+pub use m3d_json::JsonError;
+
+use m3d_json::{decode, parse_borrowed, Cur, DecodeError, FromJson, Obj, ToJson, Value};
 use std::fmt;
 
 /// Why the service rejected a request (the `kind` of a rejection).
@@ -134,7 +136,7 @@ impl Response {
 }
 
 impl ToJson for Response {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         match self {
             Response::Ok {
                 id,
@@ -246,7 +248,7 @@ impl StreamEvent {
 }
 
 impl ToJson for StreamEvent {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         let o = Obj::new();
         match self {
             StreamEvent::Progress { id, total } => o
@@ -345,7 +347,7 @@ impl ServerMessage {
 }
 
 impl ToJson for ServerMessage {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value<'_> {
         match self {
             ServerMessage::Response(r) => r.to_json(),
             ServerMessage::Event(e) => e.to_json(),
@@ -363,42 +365,18 @@ impl FromJson for ServerMessage {
     }
 }
 
-/// A malformed request line, as a typed error: JSON-level failures keep
-/// the parser's message, shape-level failures keep the offending path
-/// and what was expected there.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProtocolError {
-    /// The line was not JSON.
-    Parse(String),
-    /// The line was JSON but not a [`FlowRequest`].
-    Decode(DecodeError),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::Parse(msg) => write!(f, "request is not JSON: {msg}"),
-            ProtocolError::Decode(e) => write!(f, "request is not a FlowRequest: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
 /// Decodes one request line on the zero-copy path: the JSON tree
 /// borrows its strings from `line`, and a well-formed request decodes
 /// without a single per-field allocation.
 ///
 /// # Errors
 ///
-/// Returns a [`ProtocolError`] for anything that is not a well-formed
-/// [`FlowRequest`]; decoding never panics. Errors (and only errors)
-/// allocate their path/message strings.
-pub fn decode_request(line: &str) -> Result<FlowRequest, ProtocolError> {
-    decode(line).map_err(|e| match e {
-        JsonError::Parse(msg) => ProtocolError::Parse(msg),
-        JsonError::Decode(err) => ProtocolError::Decode(err),
-    })
+/// Returns a [`JsonError`] for anything that is not a well-formed
+/// [`FlowRequest`]: [`JsonError::Parse`] for a line that is not JSON,
+/// [`JsonError::Decode`] for JSON of the wrong shape. Decoding never
+/// panics. Errors (and only errors) allocate their path/message strings.
+pub fn decode_request(line: &str) -> Result<FlowRequest, JsonError> {
+    decode(line)
 }
 
 /// Best-effort extraction of the `id` field from a line that failed to
@@ -414,8 +392,13 @@ pub fn salvage_id(line: &str) -> Option<u64> {
 /// `protocol` rejection (carrying whatever `id` could be salvaged) a
 /// malformed line is answered with.
 pub(crate) fn decode_or_reject(line: &str) -> Result<FlowRequest, Response> {
-    decode_request(line)
-        .map_err(|e| Response::reject(salvage_id(line), RejectKind::Protocol, e.to_string()))
+    decode_request(line).map_err(|e| {
+        let message = match e {
+            JsonError::Parse(msg) => format!("request is not JSON: {msg}"),
+            JsonError::Decode(err) => format!("request is not a FlowRequest: {err}"),
+        };
+        Response::reject(salvage_id(line), RejectKind::Protocol, message)
+    })
 }
 
 /// Decodes one response line — the client side of the wire, on the same

@@ -2,12 +2,12 @@
 //! [`FlowRequest`] round-trips through its JSON line losslessly, and
 //! no truncation or corruption of a request line can make the decoder
 //! panic or hang — malformed input always comes back as a typed
-//! [`ProtocolError`].
+//! [`JsonError`].
 
 use m3d_flow::{Config, FlowCommand, FlowOptions, FlowRequest, NetlistSpec, Proto, SweepSpec};
 use m3d_json::ToJson;
 use m3d_netgen::Benchmark;
-use m3d_serve::protocol::{decode_request, decode_response, salvage_id, ProtocolError};
+use m3d_serve::protocol::{decode_request, decode_response, salvage_id, JsonError};
 use m3d_tech::{Corner, Drive, StackingStyle};
 use proptest::prelude::*;
 
@@ -156,8 +156,8 @@ proptest! {
         }
         let truncated = &line[..at];
         match decode_request(truncated) {
-            Err(ProtocolError::Parse(msg)) => prop_assert!(!msg.is_empty()),
-            Err(ProtocolError::Decode(e)) => prop_assert!(!e.path.is_empty() || !e.expected.is_empty()),
+            Err(JsonError::Parse(msg)) => prop_assert!(!msg.is_empty()),
+            Err(JsonError::Decode(e)) => prop_assert!(!e.path.is_empty() || !e.expected.is_empty()),
             Ok(_) => prop_assert!(false, "a strict parser cannot accept a strict prefix: {truncated}"),
         }
     }
@@ -205,7 +205,7 @@ fn ids_at_or_above_2_pow_53_are_rejected_not_rounded() {
     request.id = (1 << 53) + 1; // rounds to exactly 2^53 on the wire
     let line = request.to_json().render();
     match decode_request(&line) {
-        Err(ProtocolError::Decode(e)) => assert_eq!(e.path, "id"),
+        Err(JsonError::Decode(e)) => assert_eq!(e.path, "id"),
         other => panic!("expected a decode error on `id`, got {other:?}"),
     }
     assert_eq!(salvage_id(&line), None);
@@ -219,7 +219,7 @@ fn out_of_range_scales_are_rejected_at_decode() {
     request.netlist.scale = 1e18;
     let line = request.to_json().render();
     match decode_request(&line) {
-        Err(ProtocolError::Decode(e)) => assert_eq!(e.path, "netlist/scale"),
+        Err(JsonError::Decode(e)) => assert_eq!(e.path, "netlist/scale"),
         other => panic!("expected a decode error on `netlist/scale`, got {other:?}"),
     }
     // The id itself is fine, so a server can still echo it.

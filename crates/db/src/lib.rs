@@ -3,7 +3,7 @@
 //! Real EDA stacks (OpenDB, OpenAccess) center the flow on one evolving
 //! design database; this crate is that center for the hetero-3-D flow. A
 //! [`DesignDb`] holds every design artifact — netlist, technology stack,
-//! tier assignment, floorplan, placements, routing, clock tree,
+//! tier assignment, floorplan, placement, routing, clock tree,
 //! parasitics, sign-off power — each behind its own `Arc`:
 //!
 //! * **A snapshot, not a log.** The database is the design as it stands
@@ -99,7 +99,6 @@ pub struct DesignDb {
     period_ns: f64,
     floorplan: Option<Arc<Floorplan>>,
     placement: Option<Arc<Placement>>,
-    global_placement: Option<Arc<Placement>>,
     routing: Option<Arc<RoutingResult>>,
     clock_tree: Option<Arc<ClockTree>>,
     parasitics: Option<Arc<Parasitics>>,
@@ -119,7 +118,6 @@ impl DesignDb {
             period_ns,
             floorplan: None,
             placement: None,
-            global_placement: None,
             routing: None,
             clock_tree: None,
             parasitics: None,
@@ -182,12 +180,6 @@ impl DesignDb {
         self.placement.clone()
     }
 
-    /// Shared handle to the pre-legalization (global) placement.
-    #[must_use]
-    pub fn global_placement_arc(&self) -> Option<Arc<Placement>> {
-        self.global_placement.clone()
-    }
-
     /// Shared handle to the routing result.
     #[must_use]
     pub fn routing_arc(&self) -> Option<Arc<RoutingResult>> {
@@ -245,11 +237,6 @@ impl DesignDb {
     /// Installs a legalized placement.
     pub fn set_placement(&mut self, placement: Placement) {
         self.placement = Some(Arc::new(placement));
-    }
-
-    /// Installs a global (pre-legalization) placement.
-    pub fn set_global_placement(&mut self, placement: Placement) {
-        self.global_placement = Some(Arc::new(placement));
     }
 
     /// Installs a routing result.
@@ -327,7 +314,6 @@ mod tests {
         db.set_routing(global_route(&netlist, &placement, &tiers, &stack, &route));
         db.set_clock_tree(synthesize(&netlist, &placement, &tiers, &stack, mode, &cts));
         db.set_floorplan(fp);
-        db.set_global_placement(placement.clone());
         db.set_placement(placement);
         db.set_parasitics(Parasitics::zero_wire(&netlist));
         db.set_power(PowerResult::default());
@@ -345,7 +331,6 @@ mod tests {
             ("tiers", at(Some(db.tiers_arc()))),
             ("floorplan", at(db.floorplan_arc())),
             ("placement", at(db.placement_arc())),
-            ("global placement", at(db.global_placement_arc())),
             ("routing", at(db.routing_arc())),
             ("clock tree", at(db.clock_tree_arc())),
             ("parasitics", at(db.parasitics_arc())),
@@ -435,7 +420,10 @@ mod tests {
         same.set_parasitics((*parasitics).clone());
         same.set_period(db.period_ns());
         same.with_netlist_mut(|_| ());
-        same.set_global_placement(shifted.clone());
+        same.set_power(PowerResult {
+            leakage_mw: 1.0,
+            ..PowerResult::default()
+        });
         assert_eq!(same.state_fingerprint(), fingerprint);
 
         let moves = |edit: &dyn Fn(&mut DesignDb)| {

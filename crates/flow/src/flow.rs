@@ -35,9 +35,6 @@ pub struct Implementation {
     pub floorplan: Arc<Floorplan>,
     /// Legalized placement.
     pub placement: Arc<Placement>,
-    /// The pre-legalization (refined global) placement — the seed used
-    /// for incremental re-finish passes.
-    pub global_placement: Arc<Placement>,
     /// Routing result.
     pub routing: Arc<RoutingResult>,
     /// Synthesized clock tree.
@@ -82,7 +79,6 @@ impl Implementation {
             tiers: db.tiers_arc(),
             floorplan: need(db.floorplan_arc(), "floorplan")?,
             placement: need(db.placement_arc(), "placement")?,
-            global_placement: need(db.global_placement_arc(), "global placement")?,
             routing: need(db.routing_arc(), "routing")?,
             clock_tree: need(db.clock_tree_arc(), "clock tree")?,
             sta: need(lane.sta.clone(), "sign-off timing")?,
@@ -119,7 +115,6 @@ impl Implementation {
             ),
             ("tiers", self.tiers.iter().map(|&t| t as u64).collect()),
             ("placement", xy(&self.placement)),
-            ("global placement", xy(&self.global_placement)),
             (
                 "routing",
                 vec![

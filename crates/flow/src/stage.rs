@@ -1074,7 +1074,6 @@ impl Stage for TierLegalize {
         };
         record_legalize(&options.obs, &legal_stats);
         state.db.set_floorplan(fp);
-        state.db.set_global_placement(global_placement);
         state.db.set_placement(placement);
         Ok(())
     }

@@ -90,21 +90,6 @@ impl BinGrid {
         (cx, cy)
     }
 
-    /// Geometric outline of bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn bin_rect(&self, idx: BinIdx) -> Rect {
-        assert!(idx.0 < self.nx && idx.1 < self.ny, "bin index out of range");
-        let w = self.bin_width();
-        let h = self.bin_height();
-        let llx = self.region.llx() + idx.0 as f64 * w;
-        let lly = self.region.lly() + idx.1 as f64 * h;
-        Rect::new(llx, lly, llx + w, lly + h)
-    }
-
     fn flat(&self, idx: BinIdx) -> usize {
         idx.1 * self.nx + idx.0
     }
@@ -200,16 +185,6 @@ mod tests {
         // Clamping outside the region.
         assert_eq!(g.bin_of(Point::new(-5.0, 500.0)), (0, 4));
         assert_eq!(g.bin_of(Point::new(200.0, -1.0)), (9, 0));
-    }
-
-    #[test]
-    fn bin_rect_tiles_region() {
-        let g = grid();
-        let mut area = 0.0;
-        for (idx, _) in g.iter() {
-            area += g.bin_rect(idx).area();
-        }
-        assert!((area - g.region().area()).abs() < 1e-9);
     }
 
     #[test]

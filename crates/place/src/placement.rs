@@ -30,44 +30,24 @@ impl Placement {
         self.positions[cell]
     }
 
-    /// Pin locations of a net (cell centers; pin offsets are below the
-    /// fidelity of a global flow).
-    #[must_use]
-    pub fn net_pins(&self, netlist: &Netlist, net: NetId) -> Vec<Point> {
-        let mut buf = Vec::new();
-        self.net_pins_into(netlist, net, &mut buf);
-        buf
-    }
-
-    /// Gathers a net's pin locations into `buf` (cleared first) — the
-    /// allocation-free core of [`Placement::net_pins`] for callers that
-    /// sweep many nets with one scratch buffer.
+    /// Gathers a net's pin locations (cell centers; pin offsets are below
+    /// the fidelity of a global flow) into `buf`, cleared first, so
+    /// callers that sweep many nets share one scratch buffer.
     pub fn net_pins_into(&self, netlist: &Netlist, net: NetId, buf: &mut Vec<Point>) {
         buf.clear();
         buf.extend(netlist.net(net).cells().map(|c| self.positions[c.index()]));
     }
 
-    /// Half-perimeter wirelength of one net, µm.
-    #[must_use]
-    pub fn net_hpwl(&self, netlist: &Netlist, net: NetId) -> f64 {
-        steiner::hpwl(&self.net_pins(netlist, net))
-    }
-
-    /// [`Placement::net_hpwl`] with a caller-provided pin scratch buffer.
+    /// Half-perimeter wirelength of one net, µm, with a caller-provided
+    /// pin scratch buffer.
     #[must_use]
     pub fn net_hpwl_with(&self, netlist: &Netlist, net: NetId, buf: &mut Vec<Point>) -> f64 {
         self.net_pins_into(netlist, net, buf);
         steiner::hpwl(buf)
     }
 
-    /// Steiner-estimate length of one net, µm.
-    #[must_use]
-    pub fn net_steiner(&self, netlist: &Netlist, net: NetId) -> f64 {
-        steiner::steiner_estimate(&self.net_pins(netlist, net))
-    }
-
-    /// [`Placement::net_steiner`] with a caller-provided pin scratch
-    /// buffer.
+    /// Steiner-estimate length of one net, µm, with a caller-provided pin
+    /// scratch buffer.
     #[must_use]
     pub fn net_steiner_with(&self, netlist: &Netlist, net: NetId, buf: &mut Vec<Point>) -> f64 {
         self.net_pins_into(netlist, net, buf);

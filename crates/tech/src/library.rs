@@ -61,7 +61,6 @@ pub struct Library {
     /// Dense `[kind][drive]` table: `LIBRARY_KINDS` × `Drive::ALL` in
     /// declaration order, so [`Library::cell`] is one multiply-add.
     cells: Vec<MasterCell>,
-    model: DeviceModel,
 }
 
 impl Library {
@@ -94,7 +93,6 @@ impl Library {
             cell_height_um: params.cell_height_um,
             site_width_um: params.site_width_um,
             cells,
-            model,
         }
     }
 
@@ -141,12 +139,6 @@ impl Library {
     /// Iterates over every characterized cell.
     pub fn iter(&self) -> impl Iterator<Item = &MasterCell> {
         self.cells.iter()
-    }
-
-    /// The device model behind this library (used by the FO-4 experiments).
-    #[must_use]
-    pub fn device_model(&self) -> &DeviceModel {
-        &self.model
     }
 
     /// Characterized input-slew range `(min, max)` in ns.

@@ -6,14 +6,20 @@
 //! manifest sections (span call counts, counters, gauges, labels) are
 //! **byte-identical**, the observability half of the workspace's
 //! determinism contract. It then sweeps the 12-track 2-D configuration to
-//! fmax under a scoped handle, runs the five-way configuration comparison
-//! to measure checkpoint reuse (per comparison the pseudo-3-D stage must
-//! run exactly once; the fmax ladder's probe builds its pre-sizing prefix
-//! — a perf-only `flow/prefix_runs` — and every rung forks it, in the
-//! sweep as in the comparison), and writes one manifest: its
+//! fmax under a scoped handle, at one worker and at four, and asserts the
+//! two sweeps' deterministic sections equal too (the ladder walks rungs
+//! one at a time, fastest first, and stops at the first that meets
+//! timing, so a rung schedule that read the thread count would show
+//! here). It runs the five-way configuration comparison to measure
+//! checkpoint reuse (per comparison the pseudo-3-D stage must run exactly
+//! once; the fmax ladder's probe builds its pre-sizing prefix — a
+//! perf-only `flow/prefix_runs` — and every rung walked plus the
+//! never-met retry forks it, exactly, in the sweep as in the
+//! comparison), and writes one manifest: its
 //! `deterministic` section holds the flow run's, the fmax sweep's and the
 //! comparison's deterministic telemetry, its `perf` section the full
-//! manifests (wall times, allocator gauges) of both runs and the sweep. The binary
+//! manifests (wall times, allocator gauges) of both runs and the 1-thread
+//! sweep. The binary
 //! installs [`hetero3d::obs::CountingAlloc`], so each instrumented flow
 //! run also reports `alloc/peak_bytes` and `alloc/churn_bytes` in its
 //! performance section.
@@ -26,7 +32,7 @@
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_compare_configs, try_find_fmax, try_run_flow, Config, FlowOptions};
 use hetero3d::netgen::Benchmark;
-use hetero3d::obs::{alloc, Obs};
+use hetero3d::obs::{alloc, Manifest, Obs};
 
 #[global_allocator]
 static ALLOC: hetero3d::obs::CountingAlloc = hetero3d::obs::CountingAlloc;
@@ -52,6 +58,23 @@ fn instrumented(base: &FlowOptions, threads: usize) -> FlowOptions {
     }
 }
 
+/// The prefix forks an fmax sweep books: one per ladder rung it walked
+/// (a `fmax/rung<i>/run_flow` span) plus the never-met retry.
+fn ladder_forks(m: &Manifest) -> u64 {
+    let walked: u64 = m
+        .spans
+        .iter()
+        .filter(|s| {
+            s.path
+                .strip_prefix("fmax/rung")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(i, span)| i.parse::<usize>().is_ok() && span == "run_flow")
+        })
+        .map(|s| s.calls)
+        .sum();
+    walked + m.span("fmax/relaxed/run_flow").map_or(0, |s| s.calls)
+}
+
 fn main() {
     let args = m3d_bench::parse_args(0.02);
     let netlist = Benchmark::Aes.generate(args.scale, args.seed);
@@ -74,11 +97,24 @@ fn main() {
         "telemetry determinism violated: 1-thread and 4-thread manifests differ"
     );
 
-    // Fmax sweep coverage: probe/rung/relaxed spans under one handle.
-    let fmax_options = instrumented(&base, 0);
+    // Fmax sweep coverage: probe/rung/relaxed spans under one handle,
+    // at one worker and at four. Which rungs the ladder walks depends on
+    // their results alone, so the two manifests must agree.
+    let fmax_options = instrumented(&base, 1);
+    let fmax_par_options = instrumented(&base, 4);
     let (fmax_ghz, _) =
         try_find_fmax(&netlist, Config::TwoD12T, &fmax_options, 1.0).expect("fmax sweep");
+    let (fmax_par_ghz, _) =
+        try_find_fmax(&netlist, Config::TwoD12T, &fmax_par_options, 1.0).expect("fmax sweep");
     let fmax = fmax_options.obs.manifest();
+    assert_eq!(
+        (fmax_ghz.to_bits(), fmax.deterministic_json()),
+        (
+            fmax_par_ghz.to_bits(),
+            fmax_par_options.obs.manifest().deterministic_json()
+        ),
+        "fmax determinism violated: the 1-thread and 4-thread sweeps differ"
+    );
     let built: u64 = fmax
         .perf
         .iter()
@@ -89,16 +125,17 @@ fn main() {
         built, 1,
         "the fmax ladder must build its pre-sizing prefix exactly once"
     );
-    assert!(
-        fmax.counter_sum("flow/prefix_forks") >= 5,
-        "every rung of the fmax ladder must fork the probe's prefix"
+    assert_eq!(
+        fmax.counter_sum("flow/prefix_forks"),
+        ladder_forks(&fmax),
+        "every rung the fmax ladder walks, and its retry, must fork the probe's prefix"
     );
 
     // Prefix reuse: a five-config comparison must run the pseudo-3-D
     // stage exactly once (all 3-D configs fork from one checkpoint) and
-    // fork the fmax probe's pre-sizing prefix for every rung — summed
-    // over every scope, so a run that silently recomputed its own shows
-    // up whatever prefix it booked under.
+    // fork the fmax probe's pre-sizing prefix for every rung it walks —
+    // summed over every scope, so a run that silently recomputed its own
+    // shows up whatever prefix it booked under.
     let cmp_options = instrumented(&base, 0);
     let _ = try_compare_configs(&netlist, &cmp_options, &CostModel::default()).expect("comparison");
     let cmp = cmp_options.obs.manifest();
@@ -108,9 +145,10 @@ fn main() {
         "compare_configs ran the pseudo-3-D stage {prefix_reuse} times; \
          the shared checkpoint should make it exactly 1"
     );
-    assert!(
-        cmp.counter_sum("flow/prefix_forks") >= 5,
-        "compare_configs must fork the fmax probe's prefix for every rung"
+    assert_eq!(
+        cmp.counter_sum("flow/prefix_forks"),
+        ladder_forks(&cmp),
+        "compare_configs must fork the fmax probe's prefix for every rung it walks"
     );
 
     m3d_bench::write_manifest(
@@ -129,8 +167,7 @@ fn main() {
             ("fmax_sweep", fmax.json()),
         ],
     );
-    let wall =
-        |m: &hetero3d::obs::Manifest| m.span("run_flow").map_or(0, |s| s.wall_ns) as f64 / 1e6;
+    let wall = |m: &Manifest| m.span("run_flow").map_or(0, |s| s.wall_ns) as f64 / 1e6;
     println!(
         "flow_obs: deterministic sections bit-identical at 1 and 4 threads \
          ({} spans, {} counters) | run_flow {:.1} ms seq vs {:.1} ms par | fmax {:.3} GHz \

@@ -77,15 +77,47 @@ struct Grid {
     v_demand: Vec<f64>,
     h_cap: f64,
     v_cap: f64,
-    /// Congestion-cost exponent `k`.
-    k: f64,
     /// Cost of crossing each horizontal edge at its current demand. Every
     /// routed tree edge prices two to four candidate paths but commits
-    /// one, so the `powf` is paid when [`Grid::add_h`] moves an edge's
+    /// one, so the cost is looked up when [`Grid::add_h`] moves an edge's
     /// demand, not each time a candidate looks at it.
     h_cost: Vec<f64>,
     /// Likewise per vertical edge, refreshed by [`Grid::add_v`].
     v_cost: Vec<f64>,
+    /// `edge_cost(d, h_cap, k)` at index `d`. Demand only ever grows by
+    /// one track (nothing is ripped up), so it is an exact integer count
+    /// and each level's `powf` is paid once per grid, not once per edge
+    /// that reaches it.
+    h_cost_at: CostTable,
+    /// Likewise against `v_cap`.
+    v_cost_at: CostTable,
+}
+
+/// [`edge_cost`] at every integer demand met so far, for one capacity.
+struct CostTable {
+    cap: f64,
+    k: f64,
+    costs: Vec<f64>,
+}
+
+impl CostTable {
+    fn new(cap: f64, k: f64) -> Self {
+        CostTable {
+            cap,
+            k,
+            costs: vec![edge_cost(0.0, cap, k)],
+        }
+    }
+
+    /// The cost at demand `d`, a whole number of tracks.
+    fn at(&mut self, d: f64) -> f64 {
+        let i = d as usize;
+        while self.costs.len() <= i {
+            let next = self.costs.len() as f64;
+            self.costs.push(edge_cost(next, self.cap, self.k));
+        }
+        self.costs[i]
+    }
 }
 
 /// Congestion cost of an edge carrying demand `d` against capacity `cap`.
@@ -116,9 +148,10 @@ impl Grid {
             v_demand: vec![0.0; nx * (ny - 1)],
             h_cap,
             v_cap,
-            k,
             h_cost: vec![edge_cost(0.0, h_cap, k); (nx - 1) * ny],
             v_cost: vec![edge_cost(0.0, v_cap, k); nx * (ny - 1)],
+            h_cost_at: CostTable::new(h_cap, k),
+            v_cost_at: CostTable::new(v_cap, k),
         }
     }
 
@@ -144,7 +177,7 @@ impl Grid {
         for x in a..b {
             let e = self.h_edge(x, y);
             self.h_demand[e] += 1.0;
-            self.h_cost[e] = edge_cost(self.h_demand[e], self.h_cap, self.k);
+            self.h_cost[e] = self.h_cost_at.at(self.h_demand[e]);
         }
     }
 
@@ -153,7 +186,7 @@ impl Grid {
         for y in a..b {
             let e = self.v_edge(x, y);
             self.v_demand[e] += 1.0;
-            self.v_cost[e] = edge_cost(self.v_demand[e], self.v_cap, self.k);
+            self.v_cost[e] = self.v_cost_at.at(self.v_demand[e]);
         }
     }
 

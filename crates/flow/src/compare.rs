@@ -79,8 +79,10 @@ impl FlowSession {
     /// base netlist feeds every run, one pseudo-3-D checkpoint all three
     /// 3-D configurations (`flow/pseudo3d_runs` records at most 1), and
     /// each run's pre-sizing prefix comes out of the session's memo — the
-    /// fmax probe builds one that every rung forks, and a second
-    /// comparison builds none. Independent configurations are implemented
+    /// fmax probe builds one that every rung the ladder walks forks (the
+    /// rungs run one at a time, fastest first, and the walk stops at the
+    /// first that meets timing), and a second comparison builds none.
+    /// Independent configurations are implemented
     /// concurrently (`options.threads` workers); results are assembled
     /// back in Fig. 1 order, so the output is identical at any thread
     /// count.

@@ -199,8 +199,10 @@ pub fn store_chunks<T: Copy>(out: &mut [T], chunks: Vec<Vec<T>>) {
 }
 
 /// Runs independent thunks concurrently, returning their results in call
-/// order. Used for the flow's coarse fan-out (one thunk per
-/// configuration / per fmax-ladder rung).
+/// order. Used for the flow's coarse fan-out: one thunk per configuration
+/// of a comparison, one per walk of a grid wave. (The fmax ladder's rungs
+/// are not fanned out: they run one at a time, so the sweep can stop at
+/// the first that meets timing.)
 pub fn par_invoke<R, F>(threads: usize, thunks: Vec<F>) -> Vec<R>
 where
     R: Send,

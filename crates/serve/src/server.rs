@@ -163,8 +163,8 @@ pub struct StatsSnapshot {
     /// Hetero-3-D period.
     pub prefix_builds: u64,
     /// Runs of every command that forked a prefix their session already
-    /// held and went straight to sizing (each fmax rung that forks its
-    /// probe's prefix counts one).
+    /// held and went straight to sizing (each fmax rung the ladder walks
+    /// counts one; the walk stops at the first rung that meets timing).
     pub prefix_forks: u64,
     /// Protocol-v2 sweep requests admitted. Sweeps and their points are
     /// counted here and in the `sweep_*` fields only — never in the v1

@@ -759,7 +759,7 @@ fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> 
         |t, moved| {
             let edits: Vec<TimingEdit> = moved.iter().map(|&c| TimingEdit::SwapTier(c)).collect();
             let ctx = timing_context(&netlist, &stack, t, &parasitics, clock_template.clone());
-            let result = timer.update_journaled(&ctx, &edits);
+            let result = timer.update(&ctx, &edits);
             let paths = worst_paths(&ctx, &result, config.n0);
             EcoTimingView {
                 wns: result.wns,
@@ -1202,7 +1202,7 @@ impl Stage for Size {
                 .iter()
                 .map(|&(cell, _, _)| TimingEdit::ResizeCell(cell))
                 .collect();
-            timer.update_journaled(
+            timer.update(
                 &timing_context(nl, &stack, &tiers, &parasitics, clock_template.clone()),
                 &timing_edits,
             )
@@ -1225,7 +1225,8 @@ impl Stage for Size {
 /// per live lane: the typical corner on the pass's incremental timer,
 /// every other corner a live lane asks for by one cold [`analyze`], and
 /// each lane's result the worst of its own set, which the lane keeps as
-/// an `Arc`; the power result goes to the database. Power sign-off stays
+/// an `Arc` — for the typical corner, the timer's own published result,
+/// not a copy; the power result goes to the database. Power sign-off stays
 /// at the typical corner: the paper's Table IV comparisons are
 /// typical-corner power, and only the timing sign-off is
 /// corner-dependent.
@@ -1254,10 +1255,10 @@ impl Stage for SignOff {
             .clock_tree_arc()
             .ok_or(missing("sta_signoff", "clock tree"))?;
         let clock = clock_spec(state.period_ns(), Some(&clock_tree));
-        let typical = Arc::new(state.timer.update_journaled(
+        let typical = state.timer.update(
             &timing_context(&netlist, &stack, &tiers, &parasitics, clock.clone()),
             &[],
-        ));
+        );
         let wanted = |corner: Corner| {
             state
                 .lanes

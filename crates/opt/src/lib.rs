@@ -20,6 +20,7 @@ use m3d_geom::Point;
 use m3d_netlist::{CellId, NetId, Netlist};
 use m3d_sta::StaResult;
 use m3d_tech::{CellKind, Drive};
+use std::borrow::Borrow;
 
 /// Outcome of a sizing loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,23 +54,29 @@ pub type DriveEdit = (CellId, Drive, Drive);
 /// stateful evaluator never goes stale; that result is discarded
 /// (`evaluate` must be a pure function of the netlist, so the flush is
 /// bit-identical to the pre-batch result).
-pub fn resize_for_timing_with(
+///
+/// `evaluate` may return the result owned or shared (an
+/// `Arc<StaResult>` an incremental timer publishes): the loop drops
+/// each result before the next call, keeping only its WNS and TNS, so
+/// a timer that hands out its own result is never made to copy it.
+pub fn resize_for_timing_with<R: Borrow<StaResult>>(
     netlist: &mut Netlist,
     slack_floor: f64,
     max_rounds: usize,
-    mut evaluate: impl FnMut(&Netlist, &[DriveEdit]) -> StaResult,
+    mut evaluate: impl FnMut(&Netlist, &[DriveEdit]) -> R,
 ) -> ResizeOutcome {
     let mut result = evaluate(netlist, &[]);
-    let initial_wns = result.wns;
+    let initial_wns = result.borrow().wns;
+    let (mut wns, mut tns) = (initial_wns, result.borrow().tns);
     let mut rounds = 0;
     let mut cells_changed = 0usize;
 
-    while rounds < max_rounds && result.wns < 0.0 {
+    while rounds < max_rounds && wns < 0.0 {
         rounds += 1;
         // Selective sizing: only the most critical cone (worst half of the
         // violating slack range) — blanket upsizing of every violating
         // cell explodes area the way no commercial optimizer would.
-        let threshold = slack_floor.min(result.wns * 0.5);
+        let threshold = slack_floor.min(wns * 0.5);
         let mut batch: Vec<(CellId, Drive)> = Vec::new();
         for (id, cell) in netlist.cells() {
             let Some(kind) = cell.class.gate_kind() else {
@@ -78,7 +85,7 @@ pub fn resize_for_timing_with(
             if kind.is_clock_cell() {
                 continue;
             }
-            if result.cell_criticality(id) < threshold {
+            if result.borrow().cell_criticality(id) < threshold {
                 if let Some(up) = cell.class.gate_drive().and_then(Drive::upsized) {
                     batch.push((id, up));
                 }
@@ -87,6 +94,7 @@ pub fn resize_for_timing_with(
         if batch.is_empty() {
             break;
         }
+        drop(result);
         let edits: Vec<DriveEdit> = batch
             .iter()
             .map(|&(id, up)| (id, netlist.cell(id).class.gate_drive().expect("gate"), up))
@@ -95,21 +103,20 @@ pub fn resize_for_timing_with(
             netlist.set_drive(id, up);
         }
         let new_result = evaluate(netlist, &edits);
+        let (new_wns, new_tns) = (new_result.borrow().wns, new_result.borrow().tns);
         // Accept on WNS improvement, or on meaningful TNS improvement —
         // the tool keeps pushing the whole violating population even when
         // the single worst path is stuck (the paper's "over-correction"
         // behavior of slow libraries at aggressive targets).
-        let wns_better = new_result.wns > result.wns + 1e-9;
-        let tns_better = new_result.tns > result.tns - result.tns.abs() * 0.02 + 1e-9;
+        let wns_better = new_wns > wns + 1e-9;
+        let tns_better = new_tns > tns - tns.abs() * 0.02 + 1e-9;
         if wns_better || tns_better {
             cells_changed += batch.len();
+            (wns, tns) = (new_wns, new_tns);
             result = new_result;
         } else {
-            let undo: Vec<DriveEdit> = edits.iter().map(|&(id, from, to)| (id, to, from)).collect();
-            for &(id, _, from) in &undo {
-                netlist.set_drive(id, from);
-            }
-            let _ = evaluate(netlist, &undo);
+            drop(new_result);
+            undo(netlist, &edits, &mut evaluate);
             break;
         }
     }
@@ -118,7 +125,7 @@ pub fn resize_for_timing_with(
         rounds,
         cells_changed,
         initial_wns,
-        final_wns: result.wns,
+        final_wns: wns,
     }
 }
 
@@ -126,16 +133,18 @@ pub fn resize_for_timing_with(
 /// verifying WNS does not degrade below `wns_floor` (typically the current
 /// WNS minus a small tolerance). Batches that violate are rolled back.
 ///
-/// `evaluate` follows the edit-list contract of [`resize_for_timing_with`].
-pub fn resize_for_power_with(
+/// `evaluate` follows the edit-list and result-release contract of
+/// [`resize_for_timing_with`].
+pub fn resize_for_power_with<R: Borrow<StaResult>>(
     netlist: &mut Netlist,
     slack_margin: f64,
     max_rounds: usize,
-    mut evaluate: impl FnMut(&Netlist, &[DriveEdit]) -> StaResult,
+    mut evaluate: impl FnMut(&Netlist, &[DriveEdit]) -> R,
 ) -> ResizeOutcome {
     let mut result = evaluate(netlist, &[]);
-    let initial_wns = result.wns;
-    let wns_floor = result.wns - 0.002;
+    let initial_wns = result.borrow().wns;
+    let mut wns = initial_wns;
+    let wns_floor = initial_wns - 0.002;
     let mut rounds = 0;
     let mut cells_changed = 0usize;
 
@@ -149,7 +158,7 @@ pub fn resize_for_power_with(
             if kind.is_clock_cell() || kind.is_sequential() {
                 continue;
             }
-            if result.cell_criticality(id) > slack_margin {
+            if result.borrow().cell_criticality(id) > slack_margin {
                 if let Some(down) = cell.class.gate_drive().and_then(Drive::downsized) {
                     batch.push((id, down));
                 }
@@ -158,6 +167,7 @@ pub fn resize_for_power_with(
         if batch.is_empty() {
             break;
         }
+        drop(result);
         let edits: Vec<DriveEdit> = batch
             .iter()
             .map(|&(id, down)| (id, netlist.cell(id).class.gate_drive().expect("gate"), down))
@@ -166,15 +176,14 @@ pub fn resize_for_power_with(
             netlist.set_drive(id, down);
         }
         let new_result = evaluate(netlist, &edits);
-        if new_result.wns >= wns_floor {
+        let new_wns = new_result.borrow().wns;
+        if new_wns >= wns_floor {
             cells_changed += batch.len();
+            wns = new_wns;
             result = new_result;
         } else {
-            let undo: Vec<DriveEdit> = edits.iter().map(|&(id, from, to)| (id, to, from)).collect();
-            for &(id, _, from) in &undo {
-                netlist.set_drive(id, from);
-            }
-            let _ = evaluate(netlist, &undo);
+            drop(new_result);
+            undo(netlist, &edits, &mut evaluate);
             break;
         }
     }
@@ -183,8 +192,22 @@ pub fn resize_for_power_with(
         rounds,
         cells_changed,
         initial_wns,
-        final_wns: result.wns,
+        final_wns: wns,
     }
+}
+
+/// Rolls `edits` back and flushes the undo through `evaluate`,
+/// discarding its result.
+fn undo<R>(
+    netlist: &mut Netlist,
+    edits: &[DriveEdit],
+    evaluate: &mut impl FnMut(&Netlist, &[DriveEdit]) -> R,
+) {
+    let undo: Vec<DriveEdit> = edits.iter().map(|&(id, from, to)| (id, to, from)).collect();
+    for &(id, _, from) in &undo {
+        netlist.set_drive(id, from);
+    }
+    let _ = evaluate(netlist, &undo);
 }
 
 /// Splits every signal net with fanout above `max_fanout` by inserting a

@@ -267,11 +267,21 @@ fn route_on_grid(
     // Phase 1 (parallel): per-net topology — Prim tree and MIV count. None
     // of it depends on congestion, so every net's plan can be built
     // concurrently. Each chunk of `order` plans into one flat edge array
-    // through one set of scratch buffers, reused across its nets.
+    // through one set of scratch buffers, reused across its nets. Both
+    // arrays are sized exactly up front — one plan and `degree − 1` tree
+    // edges per net — so they carry no growth slack.
     let chunks = m3d_par::par_ranges(workers, order.len(), |range| {
-        let mut chunk = PlanChunk::default();
+        let ixs = &order[range];
+        let edges = ixs
+            .iter()
+            .map(|&ix| netlist.net(candidates[ix]).degree() - 1)
+            .sum();
+        let mut chunk = PlanChunk {
+            nets: Vec::with_capacity(ixs.len()),
+            edges: Vec::with_capacity(edges),
+        };
         let mut scratch = PlanScratch::default();
-        for &ix in &order[range] {
+        for &ix in ixs {
             plan_net(
                 netlist,
                 placement,
@@ -353,7 +363,6 @@ struct NetPlan {
 }
 
 /// The plans of one contiguous slice of the routing order.
-#[derive(Default)]
 struct PlanChunk {
     nets: Vec<NetPlan>,
     /// Tree edges of every net in `nets`, back to back, as endpoint pairs.

@@ -455,18 +455,11 @@ fn run_fm_engine(
             }
             sc
         };
-        if parallel {
-            let tiers_ref = &*tiers;
-            let chunks = m3d_par::par_ranges(threads, net_count, |r| {
-                r.map(|ni| side_count_of(graph.inc.net_cells(ni), tiers_ref))
-                    .collect::<Vec<[i32; 2]>>()
-            });
-            m3d_par::store_chunks(&mut side_count, chunks);
-        } else {
-            for (ni, sc) in side_count.iter_mut().enumerate() {
-                *sc = side_count_of(graph.inc.net_cells(ni), tiers);
-            }
-        }
+        let fill_threads = if parallel { threads } else { 1 };
+        let tiers_ref = &*tiers;
+        m3d_par::par_fill(fill_threads, &mut side_count, |ni, sc| {
+            *sc = side_count_of(graph.inc.net_cells(ni), tiers_ref);
+        });
 
         // Initial gains.
         let initial_gain = |c: usize, tiers: &[Tier], side_count: &[[i32; 2]]| -> i64 {
@@ -476,19 +469,10 @@ fn run_fm_engine(
                 i64::MIN
             }
         };
-        if parallel {
-            let tiers_ref = &*tiers;
-            let side_count_ref = &side_count;
-            let chunks = m3d_par::par_ranges(threads, n, |r| {
-                r.map(|c| initial_gain(c, tiers_ref, side_count_ref))
-                    .collect::<Vec<i64>>()
-            });
-            m3d_par::store_chunks(&mut list.gains, chunks);
-        } else {
-            for (c, g) in list.gains.iter_mut().enumerate() {
-                *g = initial_gain(c, tiers, &side_count);
-            }
-        }
+        let side_count_ref = &side_count;
+        m3d_par::par_fill(fill_threads, &mut list.gains, |c, g| {
+            *g = initial_gain(c, tiers_ref, side_count_ref);
+        });
 
         // Gain list: gains in [-max_deg, +max_deg]. Filling in ascending
         // cell index puts the highest index at each list's front — the

@@ -141,10 +141,26 @@ fn place_loop(
         })
         .collect();
     let net_count = netlist.net_count();
+    // Per-net pin count and per-cell weight sum: fixed for the whole run,
+    // and each the exact value the sweep used to accumulate (the same
+    // additions in the same order), so they are folded once up front.
+    let net_pins: Vec<f64> = (0..net_count)
+        .map(|k| graph.net_cells(k).len() as f64)
+        .collect();
+    let cell_weight: Vec<f64> = (0..n)
+        .map(|i| {
+            let mut weight = 0.0_f64;
+            for &ni in graph.cell_nets(i) {
+                weight += net_w[ni as usize];
+            }
+            weight
+        })
+        .collect();
 
-    // Standing buffer of the relaxation sweeps: chunk results are copied
-    // into place, so a sweep makes no design-sized allocation.
+    // Standing buffers of the relaxation sweeps, filled in place: a sweep
+    // makes no design-sized allocation.
     let mut centroids = vec![Point::ORIGIN; net_count];
+    let mut next = vec![Point::ORIGIN; n];
 
     for iter in 0..iterations {
         // --- net-centroid relaxation --------------------------------
@@ -154,52 +170,37 @@ fn place_loop(
         // in either phase.
         for _ in 0..config.relax_sweeps {
             let snap = &placement.positions;
-            let chunks = m3d_par::par_ranges(eff_threads, net_count, |nets| {
-                nets.map(|k| {
-                    let pins = graph.net_cells(k);
-                    if pins.is_empty() {
-                        return Point::ORIGIN;
-                    }
-                    let mut centroid = Point::ORIGIN;
-                    let mut count = 0.0;
-                    for &c in pins {
-                        centroid += snap[c as usize];
-                        count += 1.0;
-                    }
-                    centroid / count
-                })
-                .collect::<Vec<Point>>()
+            m3d_par::par_fill(eff_threads, &mut centroids, |k, centroid| {
+                let pins = graph.net_cells(k);
+                *centroid = Point::ORIGIN;
+                if pins.is_empty() {
+                    return;
+                }
+                for &c in pins {
+                    *centroid += snap[c as usize];
+                }
+                *centroid = *centroid / net_pins[k];
             });
-            m3d_par::store_chunks(&mut centroids, chunks);
-            let centroids_ref = &centroids;
-            let net_w_ref = &net_w;
-            let fixed_ref = &fixed;
+            let centroids = &centroids;
             // Each cell's next position, all read from the snapshot before
             // any is stored; fixed and unconnected cells stay.
-            let chunks = m3d_par::par_ranges(eff_threads, n, |cells| {
-                cells
-                    .map(|i| {
-                        let cur = snap[i];
-                        if fixed_ref[i] {
-                            return cur;
-                        }
-                        let mut sum = Point::ORIGIN;
-                        let mut weight = 0.0_f64;
-                        for &ni in graph.cell_nets(i) {
-                            let ni = ni as usize;
-                            sum += centroids_ref[ni] * net_w_ref[ni];
-                            weight += net_w_ref[ni];
-                        }
-                        if weight == 0.0 {
-                            return cur;
-                        }
-                        let target = sum / weight;
-                        // Damped move toward the connectivity centroid.
-                        cur + (target - cur) * 0.7
-                    })
-                    .collect::<Vec<Point>>()
+            m3d_par::par_fill(eff_threads, &mut next, |i, next| {
+                let cur = snap[i];
+                let weight = cell_weight[i];
+                *next = if fixed[i] || weight == 0.0 {
+                    cur
+                } else {
+                    let mut sum = Point::ORIGIN;
+                    for &ni in graph.cell_nets(i) {
+                        let ni = ni as usize;
+                        sum += centroids[ni] * net_w[ni];
+                    }
+                    let target = sum / weight;
+                    // Damped move toward the connectivity centroid.
+                    cur + (target - cur) * 0.7
+                };
             });
-            m3d_par::store_chunks(&mut placement.positions, chunks);
+            std::mem::swap(&mut placement.positions, &mut next);
             placement.clamp_to_die();
         }
 
@@ -245,29 +246,25 @@ fn place_loop(
             for i in 0..k {
                 cum[i + 1] = cum[i] + fill[i];
             }
-            let fill_ref = &fill;
-            let cum_ref = &cum;
-            let fixed_ref = &fixed;
-            let new_coords: Vec<Option<f64>> = m3d_par::par_map_indices(eff_threads, n, |i| {
-                if fixed_ref[i] {
-                    return None;
+            // Each movable cell's coordinate moves toward its warped
+            // target, in place: a cell reads only its own position.
+            m3d_par::par_fill(eff_threads, &mut placement.positions, |i, p| {
+                if fixed[i] {
+                    return;
                 }
-                let c = coord(positions[i]);
+                let c = coord(*p);
                 let f = ((c - lo) / span).clamp(0.0, 0.999_999);
                 let bin = (f * k as f64) as usize;
                 let frac = f * k as f64 - bin as f64;
-                let new_f = (cum_ref[bin] + frac * fill_ref[bin]) / total;
+                let new_f = (cum[bin] + frac * fill[bin]) / total;
                 let target = lo + new_f * span;
-                Some(c + (target - c) * lambda)
-            });
-            for (i, c) in new_coords.into_iter().enumerate() {
-                let Some(moved) = c else { continue };
+                let moved = c + (target - c) * lambda;
                 if axis == 0 {
-                    placement.positions[i].x = moved;
+                    p.x = moved;
                 } else {
-                    placement.positions[i].y = moved;
+                    p.y = moved;
                 }
-            }
+            });
         }
         // Small jitter breaks exact coincidences so Tetris rows pack well.
         if iter + 1 == iterations {

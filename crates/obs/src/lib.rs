@@ -12,10 +12,21 @@
 //!   totals they computed themselves (the parallel kernels return their
 //!   results in input order), from one thread after the parallel work —
 //!   racing threads never sum floats in the collector.
-//! - **Performance-only**: span wall times, the thread count, and
-//!   anything recorded through [`Obs::perf_add`] (e.g. the serve
-//!   layer's store hit/miss tallies, which depend on scheduling). These
-//!   are reported but excluded from [`Manifest::deterministic_json`].
+//! - **Performance-only**: span wall times, the thread count, each
+//!   span's allocation (below), and anything recorded through
+//!   [`Obs::perf_add`] (e.g. the serve layer's store hit/miss tallies,
+//!   which depend on scheduling). These are reported but excluded from
+//!   [`Manifest::deterministic_json`].
+//!
+//! # Per-span allocation
+//!
+//! Every span also books, into the performance-only counters, the bytes
+//! allocated while it ran (`<path>/alloc_bytes`) and how far the
+//! process heap high-water rose while it ran (`<path>/heap_rise_bytes`),
+//! both read from [`alloc`]'s counters. They are process-wide, so a span
+//! that runs beside another also counts that one's traffic, and they
+//! read zero unless the binary installs [`CountingAlloc`]. The spans
+//! whose `heap_rise_bytes` is non-zero are where a run's peak was set.
 //!
 //! [`Manifest::deterministic_json`] and [`Manifest::json`] build
 //! `m3d-json` trees whose keys and labels borrow from the manifest; this
@@ -115,13 +126,10 @@ impl Obs {
     }
 
     /// Opens a timed span; the span records itself when dropped.
-    /// Re-entering the same path accumulates calls and wall time.
+    /// Re-entering the same path accumulates calls, wall time and
+    /// allocation.
     pub fn span(&self, name: &str) -> Span {
-        Span {
-            collector: self.inner.clone(),
-            path: self.key(name),
-            start: Instant::now(),
-        }
+        Span::open(self.inner.clone(), self.key(name))
     }
 
     /// Adds to a monotonic counter (deterministic section).
@@ -241,21 +249,37 @@ fn clone_map<V: Clone>(m: &Mutex<BTreeMap<String, V>>) -> Vec<(String, V)> {
 }
 
 /// RAII stage timer returned by [`Obs::span`]. Dropping it folds the
-/// elapsed wall time into the collector under the span's path.
+/// elapsed wall time into the collector under the span's path, and the
+/// span's allocation into the performance-only counters.
 pub struct Span {
     collector: Option<Arc<Collector>>,
     path: String,
     start: Instant,
+    /// [`alloc::total_allocated_bytes`] at open.
+    allocated: u64,
+    /// [`alloc::peak_bytes`] at open.
+    peak: u64,
 }
 
 impl Span {
+    fn open(collector: Option<Arc<Collector>>, path: String) -> Span {
+        let (allocated, peak) = if collector.is_some() {
+            (alloc::total_allocated_bytes(), alloc::peak_bytes())
+        } else {
+            (0, 0)
+        };
+        Span {
+            collector,
+            path,
+            start: Instant::now(),
+            allocated,
+            peak,
+        }
+    }
+
     /// Opens a nested span at `self.path/name`.
     pub fn child(&self, name: &str) -> Span {
-        Span {
-            collector: self.collector.clone(),
-            path: join(&self.path, name),
-            start: Instant::now(),
-        }
+        Span::open(self.collector.clone(), join(&self.path, name))
     }
 
     pub fn path(&self) -> &str {
@@ -267,6 +291,14 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(c) = &self.collector else { return };
         let elapsed = self.start.elapsed().as_nanos();
+        let allocated = alloc::total_allocated_bytes().saturating_sub(self.allocated);
+        let rise = alloc::peak_bytes().saturating_sub(self.peak);
+        {
+            let mut perf = c.perf.lock().expect("obs perf poisoned");
+            for (what, bytes) in [("alloc_bytes", allocated), ("heap_rise_bytes", rise)] {
+                *perf.entry(join(&self.path, what)).or_insert(0) += bytes;
+            }
+        }
         let mut spans = c.spans.lock().expect("obs spans poisoned");
         let agg = spans.entry(std::mem::take(&mut self.path)).or_default();
         agg.calls += 1;
@@ -489,6 +521,10 @@ mod tests {
         let full = m.json();
         assert!(full.path("spans/stage/wall_us").is_some());
         assert_eq!(full.path("perf/cache_hits"), Some(&Value::Num(99.0)));
+        // Without `CountingAlloc` installed a span allocates nothing.
+        assert_eq!(m.perf("stage/alloc_bytes"), Some(0));
+        assert_eq!(m.perf("stage/heap_rise_bytes"), Some(0));
+        assert!(!det.render().contains("alloc_bytes"));
     }
 
     #[test]

@@ -26,6 +26,46 @@ use m3d_sta::Parasitics;
 use m3d_tech::{Tier, TierStack};
 use std::sync::Arc;
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// 64-bit FNV-1a, fed incrementally: the one byte hash behind the
+/// netlist fingerprint, the options read-sets and fingerprints, and so
+/// every cache key, store key and router ring position.
+///
+/// `Fnv1a::default()` is the empty hash (the FNV offset basis).
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(FNV_OFFSET)
+    }
+}
+
+/// FNV-1a of one byte string.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
 /// Content-based fingerprint of a netlist: FNV-1a over the design name,
 /// the full cell list (class, gate kind/drive, block tag, pin-to-net
 /// bindings) and the full net list (driver, sinks, clock flag). Equal
@@ -34,15 +74,9 @@ use std::sync::Arc;
 /// the *mutable* flow state (placement, parasitics, period) of one db.
 #[must_use]
 pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat_bytes = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    eat_bytes(netlist.name.as_bytes());
-    let mut eat = |v: u64| eat_bytes(&v.to_le_bytes());
+    let mut h = Fnv1a::default();
+    h.write(netlist.name.as_bytes());
+    let mut eat = |v: u64| h.write(&v.to_le_bytes());
     eat(netlist.cell_count() as u64);
     eat(netlist.net_count() as u64);
     for (id, cell) in netlist.cells() {
@@ -77,7 +111,7 @@ pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
         }
         eat(u64::from(net.is_clock));
     }
-    h
+    h.finish()
 }
 
 /// Renders a fingerprint in the canonical 16-hex-digit form used by
@@ -259,14 +293,14 @@ impl DesignDb {
         self.power = Some(Arc::new(power));
     }
 
-    /// Exact fingerprint of the mutable design state: FNV-1a over the
-    /// gate drives, tier assignment, period, placement and net-model bits.
-    /// Equal fingerprints mean bit-identical design state.
+    /// Exact fingerprint of the mutable design state: FNV-1a's constants
+    /// over whole words (not bytes) of the gate drives, tier assignment,
+    /// period, placement and net-model bits. Equal fingerprints mean
+    /// bit-identical design state.
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
-        const FNV: u64 = 0x0000_0100_0000_01B3;
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(FNV);
+        let mut h = FNV_OFFSET;
+        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(FNV_PRIME);
         eat(self.netlist.cell_count() as u64);
         eat(self.netlist.net_count() as u64);
         for (_, cell) in self.netlist.cells() {

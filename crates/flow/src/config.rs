@@ -342,8 +342,11 @@ impl FlowOptions {
             *stacking as u64,
         ];
         let sets: [&[u64]; 3] = [&base, &pseudo, &prefix];
-        let words = sets[..=boundary as usize].iter().copied().flatten();
-        fnv1a(words.flat_map(|w| w.to_le_bytes()))
+        let mut h = m3d_db::Fnv1a::default();
+        for w in sets[..=boundary as usize].iter().copied().flatten() {
+            h.write(&w.to_le_bytes());
+        }
+        h.finish()
     }
 
     /// Stable fingerprint of the result-affecting knobs, as 16 hex
@@ -358,14 +361,8 @@ impl FlowOptions {
         canon.threads = 0;
         canon.obs = Obs::disabled();
         // FNV-1a over the debug rendering.
-        format!("{:016x}", fnv1a(format!("{canon:?}").bytes()))
+        format!("{:016x}", m3d_db::fnv1a(format!("{canon:?}").as_bytes()))
     }
-}
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
 }
 
 #[cfg(test)]

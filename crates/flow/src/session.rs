@@ -84,9 +84,18 @@ impl FlowSessionBuilder<'_> {
         self
     }
 
-    /// Rehydrates from previously computed checkpoints instead of
-    /// preparing them, under [`FlowSession::from_parts`]'s pairing
-    /// discipline; `build` then validates nothing and cannot fail.
+    /// Rehydrates from previously computed checkpoints (the
+    /// persistent-store warm path) instead of preparing them; `build`
+    /// then validates nothing and cannot fail. `base` is the buffered
+    /// checkpoint [`prepare_base`] produced for this netlist and options,
+    /// and `pseudo` an optional pseudo-3-D checkpoint that pre-seeds the
+    /// lazy slot — a session rehydrated with one never re-runs the
+    /// pseudo-3-D stage.
+    ///
+    /// The caller owes the same pairing discipline as the checkpoint
+    /// cache: both must have been computed from exactly this
+    /// `(netlist, options)` pair, or session answers will not match a
+    /// cold build.
     #[must_use]
     pub fn checkpoints(mut self, base: BaseDesign, pseudo: Option<PseudoCheckpoint>) -> Self {
         self.checkpoints = Some((base, pseudo));
@@ -178,18 +187,9 @@ impl FlowSession {
         }
     }
 
-    /// Rehydrates a session from previously computed checkpoints (the
-    /// persistent-store warm path). `netlist` is the *input* netlist the
-    /// fingerprints key on, `base` the buffered checkpoint previously
-    /// produced by [`prepare_base`] for that netlist and options, and
-    /// `pseudo` an optional already-computed pseudo-3-D checkpoint to
-    /// pre-seed the lazy slot with — a rehydrated session with a pseudo
-    /// checkpoint never re-runs the pseudo-3-D stage.
-    ///
-    /// The caller owes the same pairing discipline as the checkpoint
-    /// cache: `base`/`pseudo` must have been computed from exactly this
-    /// `(netlist, options)` pair, or session answers will not match a
-    /// cold build.
+    /// `builder(netlist).options(options).checkpoints(base, pseudo)`,
+    /// built. The workspace calls the builder; this adapter stays only
+    /// because the `benchmark/` package compiles against it.
     #[must_use]
     pub fn from_parts(
         netlist: &Netlist,
@@ -728,7 +728,11 @@ mod tests {
         let obs = m3d_obs::Obs::enabled();
         let mut warm_options = options.clone();
         warm_options.obs = obs.clone();
-        let warm = FlowSession::from_parts(&n, warm_options, base, pseudo);
+        let warm = FlowSession::builder(&n)
+            .options(warm_options)
+            .checkpoints(base, pseudo)
+            .build()
+            .unwrap();
         assert!(warm.pseudo_ready());
         assert_eq!(warm.netlist_fingerprint(), cold.netlist_fingerprint());
         assert_eq!(warm.options_fingerprint(), cold.options_fingerprint());

@@ -39,19 +39,31 @@
 //!   its first repeat request without re-running the flow prefix),
 //!   completed sessions are written through after execution, and
 //!   LRU-evicted sessions are spilled to disk before they become
-//!   unreachable. Store traffic lands on the perf section of the
-//!   telemetry manifest as `store/{hit,miss,spill,corrupt_evicted}` —
-//!   perf, not the deterministic section, because disk state depends on
-//!   what earlier processes left behind.
+//!   unreachable.
+//!
+//! # Counting
+//!
+//! The cache holds the service's one counter ledger (`ledger.rs`); the
+//! [`crate::Server`] in front of it books its own events there too. A
+//! lookup books its hit or miss and any netlist it generates or slot it
+//! evicts. Store traffic is booked here, once, from the typed outcome of
+//! [`Store::get_session`] and [`Store::put_session`] — the store keeps
+//! no counts of its own: a record is a store hit, `Ok(None)` or an I/O
+//! failure a store miss, [`StoreError::Corrupt`] (the store already
+//! evicted the record) a corrupt eviction, and a committed write a
+//! spill. Each also lands on the perf section of the telemetry manifest
+//! as `store/{hit,miss,corrupt_evicted,spill}` — perf, not the
+//! deterministic section, because disk state depends on what earlier
+//! processes left behind.
 
+use crate::ledger::{Counter, Ledger};
 use m3d_flow::{FlowError, FlowOptions, FlowSession, NetlistSpec, ReadSet};
 use m3d_netgen::Benchmark;
 use m3d_netlist::Netlist;
 use m3d_obs::Obs;
-use m3d_store::{SessionArtifact, Store, StoreKey};
+use m3d_store::{SessionArtifact, Store, StoreError, StoreKey};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The cache key: both halves are fingerprint strings (16 hex digits).
@@ -97,24 +109,17 @@ struct Entry {
 /// across the worker pool behind one `Arc`.
 pub struct SessionCache {
     capacity: usize,
-    obs: Obs,
+    /// The service's counts, the server's included.
+    pub(crate) ledger: Ledger,
     store: Option<Arc<Store>>,
     inner: Mutex<Inner>,
     /// What the disk tier already holds, netlist → pseudo read-set
     /// (nested, so a lookup borrows a session's two strings instead of
     /// allocating a key).
-    persisted: Mutex<HashMap<String, HashMap<String, Ledger>>>,
+    persisted: Mutex<HashMap<String, HashMap<String, PersistLine>>>,
     /// The netlist fingerprint of every recipe seen, at most
     /// `8 × capacity` of them.
     recipes: Mutex<HashMap<Recipe, String>>,
-    netlists_materialized: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_spills: AtomicU64,
-    store_corrupt: AtomicU64,
 }
 
 struct Inner {
@@ -127,7 +132,7 @@ struct Inner {
 /// base-only record is upgraded once). Held locked across the check and
 /// the store write, so two persists of one key land in ledger order and
 /// a base-only write can never overwrite a full one.
-type Ledger = Arc<Mutex<Option<bool>>>;
+type PersistLine = Arc<Mutex<Option<bool>>>;
 
 impl SessionCache {
     /// A cache holding at most `capacity` sessions (floored at 1).
@@ -149,7 +154,7 @@ impl SessionCache {
     pub fn with_store(capacity: usize, obs: Obs, store: Option<Arc<Store>>) -> SessionCache {
         SessionCache {
             capacity: capacity.max(1),
-            obs,
+            ledger: Ledger::new(obs),
             store,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -157,14 +162,6 @@ impl SessionCache {
             }),
             persisted: Mutex::new(HashMap::new()),
             recipes: Mutex::new(HashMap::new()),
-            netlists_materialized: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_spills: AtomicU64::new(0),
-            store_corrupt: AtomicU64::new(0),
         }
     }
 
@@ -228,8 +225,7 @@ impl SessionCache {
     }
 
     fn materialize(&self, spec: &NetlistSpec) -> Netlist {
-        self.netlists_materialized.fetch_add(1, Ordering::Relaxed);
-        self.obs.perf_add("serve/netlist_materialized", 1);
+        self.ledger.add(Counter::NetlistsMaterialized, 1);
         spec.materialize()
     }
 
@@ -242,11 +238,12 @@ impl SessionCache {
         netlist: impl FnOnce() -> N,
     ) -> (Result<FlowSession, FlowError>, bool) {
         let (slot, hit, evicted) = self.lookup_slot(key.clone());
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let lookup = if hit {
+            Counter::CacheHits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            Counter::CacheMisses
+        };
+        self.ledger.add(lookup, 1);
         let built = slot.cell.get_or_init(|| {
             // The session's own telemetry feeds the server's collector
             // under the flow's native key space (`flow/pseudo3d_runs`,
@@ -255,7 +252,7 @@ impl SessionCache {
             // is in no read-set, so this does not perturb the key (or
             // the results).
             let mut options = options.clone();
-            options.obs = self.obs.clone();
+            options.obs = self.ledger.obs().clone();
             let netlist = netlist();
             // The fingerprint is the key's: handed down, not recomputed.
             let builder = FlowSession::builder(netlist.borrow())
@@ -285,28 +282,26 @@ impl SessionCache {
     /// pre-seeds the lazy slot, so the expensive stage never re-runs); a
     /// miss or any store failure returns `None` and the caller builds
     /// cold. A corrupt record was already evicted by the store itself,
-    /// so the rebuild repairs the disk tier too.
+    /// so the rebuild repairs the disk tier too; an I/O failure evicted
+    /// nothing and is counted as a miss.
     fn rehydrate(&self, key: &SessionKey) -> Option<SessionArtifact> {
         let store = self.store.as_deref()?;
         let skey = StoreKey::new(key.netlist_fp.clone(), key.options_fp.clone()).ok()?;
         match store.get_session(&skey) {
             Ok(Some(artifact)) => {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.perf_add("store/hit", 1);
-                let ledger = self.ledger(&key.netlist_fp, &key.options_fp);
-                let mut written = ledger.lock().expect("persist ledger poisoned");
+                self.ledger.add(Counter::StoreHits, 1);
+                let line = self.persist_line(&key.netlist_fp, &key.options_fp);
+                let mut written = line.lock().expect("persist ledger poisoned");
                 // A full write this process made since the read stands.
                 *written = Some(written.unwrap_or(false) || artifact.pseudo.is_some());
                 Some(artifact)
             }
-            Ok(None) => {
-                self.store_misses.fetch_add(1, Ordering::Relaxed);
-                self.obs.perf_add("store/miss", 1);
+            Err(StoreError::Corrupt { .. }) => {
+                self.ledger.add(Counter::StoreCorruptEvicted, 1);
                 None
             }
-            Err(_) => {
-                self.store_corrupt.fetch_add(1, Ordering::Relaxed);
-                self.obs.perf_add("store/corrupt_evicted", 1);
+            Ok(None) | Err(_) => {
+                self.ledger.add(Counter::StoreMisses, 1);
                 None
             }
         }
@@ -322,12 +317,12 @@ impl SessionCache {
         let Some(store) = self.store.as_deref() else {
             return;
         };
-        // The ledger first: this runs after every successful request,
+        // The persist ledger first: this runs after every successful request,
         // and nearly always finds the record already written.
         let (netlist_fp, options_fp) =
             (session.netlist_fingerprint(), session.options_fingerprint());
-        let ledger = self.ledger(netlist_fp, options_fp);
-        let mut written = ledger.lock().expect("persist ledger poisoned");
+        let line = self.persist_line(netlist_fp, options_fp);
+        let mut written = line.lock().expect("persist ledger poisoned");
         if written.is_some_and(|full| full || !session.pseudo_ready()) {
             return;
         }
@@ -340,25 +335,24 @@ impl SessionCache {
             return;
         };
         if store.put_session(&skey, &artifact).is_ok() {
-            self.store_spills.fetch_add(1, Ordering::Relaxed);
-            self.obs.perf_add("store/spill", 1);
+            self.ledger.add(Counter::StoreSpills, 1);
         }
     }
 
-    /// The ledger line of one key, created empty on first sight.
-    fn ledger(&self, netlist_fp: &str, options_fp: &str) -> Ledger {
+    /// The persist-ledger line of one key, created empty on first sight.
+    fn persist_line(&self, netlist_fp: &str, options_fp: &str) -> PersistLine {
         let mut persisted = self.persisted.lock().expect("persist ledger poisoned");
-        if let Some(ledger) = persisted.get(netlist_fp).and_then(|o| o.get(options_fp)) {
-            return Arc::clone(ledger);
+        if let Some(line) = persisted.get(netlist_fp).and_then(|o| o.get(options_fp)) {
+            return Arc::clone(line);
         }
-        // Bound the ledger: it tracks keys, not sessions, so it outlives
+        // Bound the persist ledger: it tracks keys, not sessions, so it outlives
         // evictions. Forgetting a key merely re-persists it — a rewrite
         // of the same record. A line some persist holds is kept, so one
         // key never has two locks.
         let keys: usize = persisted.values().map(HashMap::len).sum();
         if keys >= self.capacity.saturating_mul(8) {
             persisted.retain(|_, by_options| {
-                by_options.retain(|_, ledger| Arc::strong_count(ledger) > 1);
+                by_options.retain(|_, line| Arc::strong_count(line) > 1);
                 !by_options.is_empty()
             });
         }
@@ -402,62 +396,16 @@ impl SessionCache {
                 .map(|(k, _)| k.clone())
             {
                 evicted = inner.map.remove(&lru).map(|e| e.slot);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.ledger.add(Counter::Evictions, 1);
             }
         }
         (slot, false, evicted)
     }
 
-    /// How many lookups found a resident slot.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many lookups created a slot (== distinct keys seen, minus
-    /// rebuilds of evicted keys).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// How many netlists were generated from their recipe: one per
-    /// session built (cold or from the store) or recipe first seen, none
-    /// for a known recipe whose session is resident.
-    #[must_use]
-    pub fn netlists_materialized(&self) -> u64 {
-        self.netlists_materialized.load(Ordering::Relaxed)
-    }
-
     /// How many slots the LRU policy dropped.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// How many misses rehydrated a session from the disk tier.
-    #[must_use]
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
-    }
-
-    /// How many misses consulted the disk tier and found nothing.
-    #[must_use]
-    pub fn store_misses(&self) -> u64 {
-        self.store_misses.load(Ordering::Relaxed)
-    }
-
-    /// How many session artifacts were written to the disk tier
-    /// (write-through after execution plus LRU spills).
-    #[must_use]
-    pub fn store_spills(&self) -> u64 {
-        self.store_spills.load(Ordering::Relaxed)
-    }
-
-    /// How many disk-tier lookups hit a corrupt (now evicted) record.
-    #[must_use]
-    pub fn store_corrupt_evicted(&self) -> u64 {
-        self.store_corrupt.load(Ordering::Relaxed)
+        self.ledger.get(Counter::Evictions)
     }
 
     /// Number of resident sessions.
@@ -476,10 +424,15 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatsSnapshot;
     use m3d_netgen::Benchmark;
 
     fn small() -> Netlist {
         Benchmark::Aes.generate(0.01, 5)
+    }
+
+    fn stats(cache: &SessionCache) -> StatsSnapshot {
+        cache.ledger.snapshot()
     }
 
     /// Whether two bindings stand on one set of checkpoints.
@@ -496,7 +449,8 @@ mod tests {
         let (b, hit_b) = cache.get_or_build(&n, &o);
         assert!(!hit_a && hit_b);
         assert!(same_checkpoints(&a.unwrap(), &b.unwrap()));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let s = stats(&cache);
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
     }
 
     #[test]
@@ -510,7 +464,7 @@ mod tests {
         let (sb, _) = cache.get_or_build(&n, &b);
         let sa = sa.unwrap();
         assert!(!same_checkpoints(&sa, &sb.unwrap()));
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(stats(&cache).cache_misses, 2);
         // Nothing the checkpoints read: the first slot, bound to the
         // caller's own options (the cache's telemetry handle aside).
         let c = FlowOptions {
@@ -561,16 +515,17 @@ mod tests {
         let cold = SessionCache::with_store(4, Obs::disabled(), Some(Arc::clone(&store)));
         let (session, _) = cold.get_or_build(&n, &o);
         let session = session.unwrap();
+        let s = stats(&cold);
         assert_eq!(
-            (cold.store_hits(), cold.store_misses()),
+            (s.store_hits, s.store_misses),
             (0, 1),
             "an empty store answers the first miss with a store miss"
         );
         cold.persist(&session);
-        assert_eq!(cold.store_spills(), 1);
-        // Same state again: the ledger makes the write-through a no-op.
+        assert_eq!(stats(&cold).store_spills, 1);
+        // Same state again: the persist ledger makes the write-through a no-op.
         cold.persist(&session);
-        assert_eq!(cold.store_spills(), 1);
+        assert_eq!(stats(&cold).store_spills, 1);
 
         // A fresh cache over the same directory — a simulated restart —
         // rehydrates instead of rebuilding.
@@ -578,7 +533,8 @@ mod tests {
         let (rehydrated, hit) = warm.get_or_build(&n, &o);
         let rehydrated = rehydrated.unwrap();
         assert!(!hit, "a fresh cache still creates the slot");
-        assert_eq!((warm.store_hits(), warm.store_misses()), (1, 0));
+        let s = stats(&warm);
+        assert_eq!((s.store_hits, s.store_misses), (1, 0));
         assert_eq!(
             rehydrated.netlist_fingerprint(),
             session.netlist_fingerprint()
@@ -596,13 +552,21 @@ mod tests {
         let o = FlowOptions::default();
         let base = m3d_flow::prepare_base(&n, &o).expect("base");
         let pseudo = m3d_flow::pseudo_checkpoint(&base, &o).expect("pseudo");
-        let full = FlowSession::from_parts(&n, o.clone(), base, Some(pseudo));
+        let full = FlowSession::builder(&n)
+            .options(o.clone())
+            .checkpoints(base, Some(pseudo))
+            .build()
+            .expect("built from checkpoints");
         // The base-only side carries a larger design's base, so its write
         // is the slow one: begun first and landing last is the order that
         // used to leave a base-only record behind a full ledger line.
         let large = Benchmark::Aes.generate(0.1, 5);
         let large_base = m3d_flow::prepare_base(&large, &o).expect("base");
-        let base_only = FlowSession::from_parts(&n, o, large_base, None);
+        let base_only = FlowSession::builder(&n)
+            .options(o)
+            .checkpoints(large_base, None)
+            .build()
+            .expect("built from checkpoints");
         let key = StoreKey::new(
             full.netlist_fingerprint().to_string(),
             full.options_fingerprint().to_string(),
@@ -650,11 +614,11 @@ mod tests {
         // Resident (capacity 1 holds the last key) and known: no netlist.
         let (_, hit) = cache.get_or_build_recipe(&spec(7), &o);
         assert!(hit);
-        assert_eq!(cache.netlists_materialized(), 8);
+        assert_eq!(stats(&cache).netlists_materialized, 8);
         // Known but evicted: generated to rebuild, not to be hashed.
         let (rebuilt, hit) = cache.get_or_build_recipe(&spec(0), &o);
         assert!(!hit);
-        assert_eq!(cache.netlists_materialized(), 9);
+        assert_eq!(stats(&cache).netlists_materialized, 9);
         assert_eq!(
             SessionKey::of(&spec(0).materialize(), &o).netlist_fp,
             rebuilt.unwrap().netlist_fingerprint(),
@@ -663,7 +627,11 @@ mod tests {
         // The ninth recipe finds the index full: it starts over.
         let _ = cache.get_or_build_recipe(&spec(8), &o);
         assert_eq!(recipes(), 1);
-        assert_eq!(cache.misses(), 10, "one slot per lookup that found none");
+        assert_eq!(
+            stats(&cache).cache_misses,
+            10,
+            "one slot per lookup that found none"
+        );
     }
 
     #[test]

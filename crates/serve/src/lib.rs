@@ -71,6 +71,7 @@
 pub mod cache;
 pub mod client;
 mod conn;
+mod ledger;
 pub mod protocol;
 pub mod router;
 pub mod server;

@@ -94,19 +94,13 @@ impl RouterConfig {
     }
 }
 
-/// 64-bit FNV-1a with an avalanche finalizer: tiny and
-/// dependency-free. Raw FNV-1a clusters badly in the *upper* bits for
-/// short, similar strings (vnode labels, sequential fingerprints) —
-/// enough to hand one backend most of the ring — so the FNV state is
-/// run through a murmur3-style fmix64 before it is used as a ring
-/// position.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// A ring position: [`m3d_db::fnv1a`] with an avalanche finalizer. Raw
+/// FNV-1a clusters badly in the *upper* bits for short, similar strings
+/// (vnode labels, sequential fingerprints) — enough to hand one backend
+/// most of the ring — so the FNV state is run through a murmur3-style
+/// fmix64 before it is used as a ring position.
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut hash = m3d_db::fnv1a(bytes);
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
     hash ^= hash >> 33;
@@ -147,7 +141,7 @@ impl Ring {
         for backend in 0..backends {
             for vnode in 0..per {
                 ring.push((
-                    fnv1a(format!("shard-{backend}/vnode-{vnode}").as_bytes()),
+                    ring_hash(format!("shard-{backend}/vnode-{vnode}").as_bytes()),
                     backend,
                 ));
             }
@@ -162,7 +156,7 @@ impl Ring {
     /// The backend owning `key`: the first vnode clockwise of its hash.
     #[must_use]
     pub fn route(&self, key: &str) -> usize {
-        let hash = fnv1a(key.as_bytes());
+        let hash = ring_hash(key.as_bytes());
         let at = self.vnodes.partition_point(|&(h, _)| h < hash);
         self.vnodes[at % self.vnodes.len()].1
     }

@@ -42,6 +42,15 @@
 //!    connection's writer thread only copies bytes, and no worker ever
 //!    writes to a socket, so a slow reader cannot stall the pool.
 //!
+//! # Counting
+//!
+//! Every event the server counts — admissions, rejections, outcomes,
+//! sweep points, the prefix tallies drained from each session — is
+//! booked by one call into the counter ledger its [`SessionCache`]
+//! holds, the ledger the cache books its lookups and store traffic
+//! into. That call bumps the [`StatsSnapshot`] field and its perf key
+//! together; [`Server::stats`] reads the ledger.
+//!
 //! # The TCP front
 //!
 //! [`TcpServer`] serves through the front it shares with the router
@@ -63,6 +72,8 @@
 
 use crate::cache::SessionCache;
 use crate::conn::{Front, Outbox, Service};
+use crate::ledger::Counter;
+pub use crate::ledger::StatsSnapshot;
 use crate::protocol::{encode_line, RejectKind, Response, ServerMessage, StreamEvent};
 use m3d_flow::{FlowCommand, FlowReport, FlowRequest};
 use m3d_obs::Obs;
@@ -114,95 +125,6 @@ impl Default for ServerConfig {
             sweep_inflight_cap: 4,
         }
     }
-}
-
-/// Monotonic service counters, readable at any time via
-/// [`Server::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Requests admitted to the queue.
-    pub accepted: u64,
-    /// Requests a worker started executing (deadline checks included).
-    pub started: u64,
-    /// Requests answered `ok`.
-    pub completed_ok: u64,
-    /// Requests answered with a `flow` rejection.
-    pub failed_flow: u64,
-    /// Requests rejected `overloaded` at admission.
-    pub rejected_overloaded: u64,
-    /// Requests rejected `deadline` at dequeue.
-    pub rejected_deadline: u64,
-    /// Requests rejected `shutdown` at admission.
-    pub rejected_shutdown: u64,
-    /// Requests rejected `protocol` — malformed lines on the wire, and
-    /// requests whose numbers fall outside [`FlowRequest::validate`]'s
-    /// bounds at admission.
-    pub rejected_protocol: u64,
-    /// Checkpoint-cache hits: a session for the request's netlist and
-    /// pseudo read-set was resident, whatever its other options.
-    pub cache_hits: u64,
-    /// Checkpoint-cache misses (== distinct keys built).
-    pub cache_misses: u64,
-    /// Cache misses rehydrated from the persistent store (warm hits).
-    pub store_hits: u64,
-    /// Cache misses the persistent store could not answer.
-    pub store_misses: u64,
-    /// Session artifacts written to the persistent store.
-    pub store_spills: u64,
-    /// Corrupt store records detected (and evicted) during lookups.
-    pub store_corrupt_evicted: u64,
-    /// Netlists generated from their recipe: by lookups that had to
-    /// build a session or met a new recipe, never on a resident key.
-    pub netlists_materialized: u64,
-    /// Pseudo-3-D stages run: one per session built cold that met a 3-D
-    /// command — distinct pseudo read-set keys, while none is evicted.
-    pub pseudo_builds: u64,
-    /// Pre-sizing prefixes built by requests of every command — a
-    /// `run_flow`, a sweep point, an fmax probe or rung, a comparison
-    /// job, a Pareto walk: a session's first of a configuration, or of a
-    /// Hetero-3-D period.
-    pub prefix_builds: u64,
-    /// Runs of every command that forked a prefix their session already
-    /// held and went straight to sizing (each fmax rung the ladder walks
-    /// counts one; the walk stops at the first rung that meets timing).
-    pub prefix_forks: u64,
-    /// Protocol-v2 sweep requests admitted. Sweeps and their points are
-    /// counted here and in the `sweep_*` fields only — never in the v1
-    /// counters above, whose values stay comparable across protocol
-    /// versions.
-    pub sweeps: u64,
-    /// Sweep points that completed and streamed a `point` event.
-    pub sweep_points: u64,
-    /// Sweep points that failed and streamed an `error` event.
-    pub sweep_point_errors: u64,
-    /// Sweep points deferred at admission or promotion because their
-    /// client was at [`ServerConfig::sweep_inflight_cap`]. Deterministic
-    /// for a lone sweep: `total points - cap` when the sweep is larger
-    /// than the cap.
-    pub quota_deferred: u64,
-    /// Sweep points dropped without running because their client
-    /// disconnected (or its sweep was otherwise cancelled) mid-stream.
-    pub sweep_cancelled_points: u64,
-}
-
-#[derive(Default)]
-struct Stats {
-    accepted: AtomicU64,
-    started: AtomicU64,
-    completed_ok: AtomicU64,
-    failed_flow: AtomicU64,
-    rejected_overloaded: AtomicU64,
-    rejected_deadline: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    rejected_protocol: AtomicU64,
-    pseudo_builds: AtomicU64,
-    prefix_builds: AtomicU64,
-    prefix_forks: AtomicU64,
-    sweeps: AtomicU64,
-    sweep_points: AtomicU64,
-    sweep_point_errors: AtomicU64,
-    quota_deferred: AtomicU64,
-    sweep_cancelled_points: AtomicU64,
 }
 
 /// Where a request's lines go: back to an in-process caller's message
@@ -300,7 +222,6 @@ struct Inner {
     cache: SessionCache,
     state: Mutex<QueueState>,
     available: Condvar,
-    stats: Stats,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Fairness client ids: one per in-process streaming submission and
     /// one per TCP connection.
@@ -377,7 +298,6 @@ impl Server {
                 sweeps: HashMap::new(),
             }),
             available: Condvar::new(),
-            stats: Stats::default(),
             workers: Mutex::new(Vec::new()),
             next_client: AtomicU64::new(1),
         });
@@ -399,7 +319,7 @@ impl Server {
     pub fn submit(&self, request: FlowRequest) -> Pending {
         let stream = if matches!(request.command, FlowCommand::Sweep { .. }) {
             // A caller error, not a capacity condition.
-            self.note_rejected_protocol();
+            self.add(Counter::RejectedProtocol, 1);
             let (tx, rx) = channel();
             Route::Stream(tx).respond(Response::reject(
                 Some(request.id),
@@ -433,7 +353,7 @@ impl Server {
         let obs = &self.inner.config.obs;
         let id = request.id;
         if let Err(e) = request.validate() {
-            self.note_rejected_protocol();
+            self.add(Counter::RejectedProtocol, 1);
             route.respond(Response::reject(
                 Some(id),
                 RejectKind::Protocol,
@@ -463,8 +383,7 @@ impl Server {
         };
         match verdict {
             Ok(()) => {
-                self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/accepted", 1);
+                self.add(Counter::Accepted, 1);
                 self.inner.available.notify_one();
             }
             Err((kind, route)) => self.reject_capacity(&route, id, kind),
@@ -474,22 +393,20 @@ impl Server {
     /// Answers a request refused for capacity — `overloaded`, or
     /// `shutdown` once draining — outside the queue lock.
     fn reject_capacity(&self, route: &Route, id: u64, kind: RejectKind) {
-        let (stat, message) = match kind {
+        let (counter, message) = match kind {
             RejectKind::Overloaded => (
-                &self.inner.stats.rejected_overloaded,
+                Counter::RejectedOverloaded,
                 format!(
                     "queue is at capacity ({}); retry later",
                     self.inner.config.queue_depth
                 ),
             ),
             _ => (
-                &self.inner.stats.rejected_shutdown,
+                Counter::RejectedShutdown,
                 "server is draining; no new work accepted".to_string(),
             ),
         };
-        stat.fetch_add(1, Ordering::Relaxed);
-        let obs = &self.inner.config.obs;
-        obs.perf_add(&format!("serve/rejected_{kind}"), 1);
+        self.add(counter, 1);
         route.respond(Response::reject(Some(id), kind, message));
     }
 
@@ -529,8 +446,7 @@ impl Server {
                 errors: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
             });
-            self.inner.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-            obs.perf_add("serve/sweeps", 1);
+            self.add(Counter::Sweeps, 1);
             state
                 .sweeps
                 .entry(client)
@@ -562,13 +478,7 @@ impl Server {
             obs.gauge_max("serve/queue_depth_peak", state.queue.len() as f64);
             deferred
         };
-        if deferred_count > 0 {
-            self.inner
-                .stats
-                .quota_deferred
-                .fetch_add(deferred_count, Ordering::Relaxed);
-            obs.perf_add("serve/quota_deferred", deferred_count);
-        }
+        self.add(Counter::QuotaDeferred, deferred_count);
         self.inner.available.notify_all();
     }
 
@@ -586,17 +496,7 @@ impl Server {
         for shared in &sweeps {
             shared.cancelled.store(true, Ordering::Release);
         }
-        if dropped.is_empty() {
-            return;
-        }
-        self.inner
-            .stats
-            .sweep_cancelled_points
-            .fetch_add(dropped.len() as u64, Ordering::Relaxed);
-        self.inner
-            .config
-            .obs
-            .perf_add("serve/sweep_cancelled_points", dropped.len() as u64);
+        self.add(Counter::SweepCancelledPoints, dropped.len() as u64);
         for job in dropped {
             if let JobReply::SweepPoint { shared, .. } = job.reply {
                 // May emit `done` to a dead route — discarded there.
@@ -606,14 +506,9 @@ impl Server {
         }
     }
 
-    /// Counts one `protocol` rejection that never became a request
-    /// (malformed wire lines — the front answers those in-line).
-    fn note_rejected_protocol(&self) {
-        self.inner
-            .stats
-            .rejected_protocol
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner.config.obs.perf_add("serve/rejected_protocol", 1);
+    /// Books `n` events of `counter` in the ledger the cache shares.
+    fn add(&self, counter: Counter, n: u64) {
+        self.inner.cache.ledger.add(counter, n);
     }
 
     fn obs(&self) -> &Obs {
@@ -669,7 +564,6 @@ impl Server {
         request: &FlowRequest,
         enqueued: Instant,
     ) -> Result<(FlowReport, bool), (RejectKind, String)> {
-        let obs = &self.inner.config.obs;
         if let Some(deadline_ms) = request.deadline_ms {
             if enqueued.elapsed() > Duration::from_millis(deadline_ms) {
                 return Err((
@@ -686,24 +580,12 @@ impl Server {
             let cache = &self.inner.cache;
             let (session, cache_hit) =
                 cache.get_or_build_recipe(&request.netlist, &request.options);
-            obs.perf_add(
-                if cache_hit {
-                    "serve/cache_hit"
-                } else {
-                    "serve/cache_miss"
-                },
-                1,
-            );
             let outcome = session.and_then(|s| {
                 let outcome = s.execute(&request.command);
                 let (builds, forks) = s.take_prefix_counts();
-                let stats = &self.inner.stats;
-                let pseudo_builds = s.take_pseudo_builds();
-                stats
-                    .pseudo_builds
-                    .fetch_add(pseudo_builds, Ordering::Relaxed);
-                stats.prefix_builds.fetch_add(builds, Ordering::Relaxed);
-                stats.prefix_forks.fetch_add(forks, Ordering::Relaxed);
+                self.add(Counter::PseudoBuilds, s.take_pseudo_builds());
+                self.add(Counter::PrefixBuilds, builds);
+                self.add(Counter::PrefixForks, forks);
                 if outcome.is_ok() {
                     // Write-through: the session (now warm, possibly
                     // with a freshly computed pseudo-3-D checkpoint)
@@ -720,7 +602,7 @@ impl Server {
             Ok((Ok(report), cache_hit)) => Ok((report, cache_hit)),
             Ok((Err(e), _)) => Err((RejectKind::Flow, e.to_string())),
             Err(payload) => {
-                obs.perf_add("serve/panicked", 1);
+                self.add(Counter::Panicked, 1);
                 Err((
                     RejectKind::Flow,
                     format!("flow execution panicked: {}", panic_text(&payload)),
@@ -730,14 +612,12 @@ impl Server {
     }
 
     fn process_single(&self, request: &FlowRequest, enqueued: Instant, route: &Route) {
-        let obs = &self.inner.config.obs;
-        let stats = &self.inner.stats;
-        stats.started.fetch_add(1, Ordering::Relaxed);
-        let _span = obs.span("serve/request");
+        self.add(Counter::Started, 1);
+        let _span = self.obs().span("serve/request");
         let id = request.id;
         let response = match self.run_request(request, enqueued) {
             Ok((report, cache_hit)) => {
-                stats.completed_ok.fetch_add(1, Ordering::Relaxed);
+                self.add(Counter::CompletedOk, 1);
                 Response::Ok {
                     id,
                     cache_hit,
@@ -745,13 +625,14 @@ impl Server {
                 }
             }
             Err((kind, message)) => {
-                if kind == RejectKind::Deadline {
-                    stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-                    obs.perf_add("serve/rejected_deadline", 1);
-                } else {
-                    stats.failed_flow.fetch_add(1, Ordering::Relaxed);
-                    obs.perf_add("serve/failed_flow", 1);
-                }
+                self.add(
+                    if kind == RejectKind::Deadline {
+                        Counter::RejectedDeadline
+                    } else {
+                        Counter::FailedFlow
+                    },
+                    1,
+                );
                 Response::reject(Some(id), kind, message)
             }
         };
@@ -769,21 +650,17 @@ impl Server {
         request: &FlowRequest,
         enqueued: Instant,
     ) {
-        let obs = &self.inner.config.obs;
-        let stats = &self.inner.stats;
         if shared.cancelled.load(Ordering::Acquire) {
             // Individually preemptible: a cancelled sweep's queued
             // points retire here without running.
-            stats.sweep_cancelled_points.fetch_add(1, Ordering::Relaxed);
-            obs.perf_add("serve/sweep_cancelled_points", 1);
+            self.add(Counter::SweepCancelledPoints, 1);
             return;
         }
-        let _span = obs.span("serve/sweep_point");
+        let _span = self.obs().span("serve/sweep_point");
         let id = shared.id;
         let event = match self.run_request(request, enqueued) {
             Ok((report, cache_hit)) => {
-                stats.sweep_points.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/sweep_points", 1);
+                self.add(Counter::SweepPoints, 1);
                 shared.delivered.fetch_add(1, Ordering::Release);
                 StreamEvent::Point {
                     id,
@@ -793,8 +670,7 @@ impl Server {
                 }
             }
             Err((kind, message)) => {
-                stats.sweep_point_errors.fetch_add(1, Ordering::Relaxed);
-                obs.perf_add("serve/sweep_point_errors", 1);
+                self.add(Counter::SweepPointErrors, 1);
                 shared.errors.fetch_add(1, Ordering::Release);
                 StreamEvent::Error {
                     id,
@@ -876,35 +752,10 @@ impl Server {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        let s = &self.inner.stats;
-        StatsSnapshot {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            started: s.started.load(Ordering::Relaxed),
-            completed_ok: s.completed_ok.load(Ordering::Relaxed),
-            failed_flow: s.failed_flow.load(Ordering::Relaxed),
-            rejected_overloaded: s.rejected_overloaded.load(Ordering::Relaxed),
-            rejected_deadline: s.rejected_deadline.load(Ordering::Relaxed),
-            rejected_shutdown: s.rejected_shutdown.load(Ordering::Relaxed),
-            rejected_protocol: s.rejected_protocol.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache.hits(),
-            cache_misses: self.inner.cache.misses(),
-            store_hits: self.inner.cache.store_hits(),
-            store_misses: self.inner.cache.store_misses(),
-            store_spills: self.inner.cache.store_spills(),
-            store_corrupt_evicted: self.inner.cache.store_corrupt_evicted(),
-            netlists_materialized: self.inner.cache.netlists_materialized(),
-            pseudo_builds: s.pseudo_builds.load(Ordering::Relaxed),
-            prefix_builds: s.prefix_builds.load(Ordering::Relaxed),
-            prefix_forks: s.prefix_forks.load(Ordering::Relaxed),
-            sweeps: s.sweeps.load(Ordering::Relaxed),
-            sweep_points: s.sweep_points.load(Ordering::Relaxed),
-            sweep_point_errors: s.sweep_point_errors.load(Ordering::Relaxed),
-            quota_deferred: s.quota_deferred.load(Ordering::Relaxed),
-            sweep_cancelled_points: s.sweep_cancelled_points.load(Ordering::Relaxed),
-        }
+        self.inner.cache.ledger.snapshot()
     }
 
-    /// The checkpoint cache (stats and residency introspection).
+    /// The checkpoint cache (residency and eviction introspection).
     #[must_use]
     pub fn cache(&self) -> &SessionCache {
         &self.inner.cache
@@ -993,8 +844,10 @@ impl Service for Server {
         self.admit(request, Route::Conn(out.clone()), *client);
     }
 
+    /// Counts one `protocol` rejection that never became a request
+    /// (malformed wire lines — the front answers those in-line).
     fn rejected(&self) {
-        self.note_rejected_protocol();
+        self.add(Counter::RejectedProtocol, 1);
     }
 
     fn abort(&self, client: &u64) {

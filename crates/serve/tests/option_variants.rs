@@ -10,8 +10,18 @@ use m3d_netgen::Benchmark;
 use m3d_obs::Obs;
 use m3d_serve::{encode_line, Client, Response, Server, ServerConfig, Store, TcpServer};
 use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Where this suite's stores go: under `M3D_STORE_TEST_ROOT` when set
+/// (CI uploads that root as an artifact on failure), else the temp dir.
+/// A failing run leaves its store behind for inspection.
+fn store_root() -> PathBuf {
+    std::env::var_os("M3D_STORE_TEST_ROOT")
+        .map(PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir)
+}
 
 fn base_options() -> FlowOptions {
     let mut o = FlowOptions::default();
@@ -175,8 +185,7 @@ fn option_variants_share_one_session_and_are_answered_under_their_own_knobs() {
 
     for with_store in [false, true] {
         let what = format!("store {with_store}");
-        let dir =
-            std::env::temp_dir().join(format!("m3d-variants-{}-{with_store}", std::process::id()));
+        let dir = store_root().join(format!("m3d-variants-{}-{with_store}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
         let server = TcpServer::bind("127.0.0.1:0", config(store)).expect("bind");

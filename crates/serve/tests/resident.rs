@@ -12,7 +12,17 @@ use m3d_serve::{
     encode_line, Client, Response, Server, ServerConfig, SessionKey, StatsSnapshot, Store,
     TcpServer,
 };
+use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Where this suite's stores go: under `M3D_STORE_TEST_ROOT` when set
+/// (CI uploads that root as an artifact on failure), else the temp dir.
+/// A failing run leaves its store behind for inspection.
+fn store_root() -> PathBuf {
+    std::env::var_os("M3D_STORE_TEST_ROOT")
+        .map(PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir)
+}
 
 fn spec(scale: f64, seed: u64) -> NetlistSpec {
     NetlistSpec {
@@ -99,8 +109,7 @@ fn requests_on_a_resident_key_generate_its_netlist_once_and_answer_like_a_fresh_
         .collect();
     for with_store in [false, true] {
         let what = format!("store {with_store}");
-        let dir =
-            std::env::temp_dir().join(format!("m3d-resident-{}-{with_store}", std::process::id()));
+        let dir = store_root().join(format!("m3d-resident-{}-{with_store}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = with_store.then(|| Arc::new(Store::open(&dir).expect("open store")));
         let obs = Obs::enabled();

@@ -4,7 +4,8 @@
 //! byte-for-byte identically — from disk, without re-running the
 //! pseudo-3-D stage. Also covers the corruption path: a damaged record
 //! is evicted, the request is still answered (cold), and the store is
-//! repaired by the write-through. And key continuity: a record filed
+//! repaired by the write-through; a record that cannot be read at all
+//! is a plain store miss, never a corrupt eviction. And key continuity: a record filed
 //! under the whole-options fingerprint (the scheme before records were
 //! keyed by the pseudo read-set) is never asked for, and one record
 //! rehydrates every option variant of its netlist.
@@ -174,6 +175,35 @@ fn corrupt_store_records_are_evicted_and_repaired() {
     assert_eq!(encode_line(&repaired), encode_line(&cold));
     assert_eq!(repaired_stats.store_hits, 1);
     assert_eq!(repaired_stats.store_corrupt_evicted, 0);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_unreadable_record_is_a_store_miss_not_a_corrupt_eviction() {
+    let dir = scratch_dir("io");
+    let (cold, _) = serve_one(&dir, &Obs::disabled());
+    assert!(cold.is_ok());
+    // A directory where the record was: reading it fails with an I/O
+    // error other than NotFound, and no write can rename onto it.
+    let record = std::fs::read_dir(&dir)
+        .expect("read store dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect::<Vec<_>>();
+    assert_eq!(record.len(), 1, "the cold pass persisted one record");
+    std::fs::remove_file(&record[0]).expect("remove the record");
+    std::fs::create_dir(&record[0]).expect("put a directory in its place");
+
+    let (after, stats) = serve_one(&dir, &Obs::disabled());
+    assert_eq!(
+        encode_line(&after),
+        encode_line(&cold),
+        "an unreadable store must not change answers"
+    );
+    assert_eq!(stats.store_corrupt_evicted, 0, "nothing was evicted");
+    assert_eq!(stats.store_misses, 1, "the store could not answer");
+    assert_eq!(stats.store_spills, 0, "the write-through failed");
+    assert!(record[0].is_dir());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

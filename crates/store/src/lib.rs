@@ -25,6 +25,12 @@
 //!   as it is reported, so the next lookup of that key is a clean miss
 //!   and the caller rebuilds transparently.
 //!
+//! A [`Store`] counts nothing. Every outcome comes back typed — a
+//! record, `Ok(None)`, [`StoreError::Corrupt`] after the eviction,
+//! [`StoreError::Io`] when the disk could not answer — and the caller
+//! books it: the serve layer's cache counts each lookup and write once,
+//! in the service's counter ledger.
+//!
 //! One artifact kind is stored, the one the service reads back:
 //! [`SessionArtifact`]s ([`Store::put_session`]/[`Store::get_session`] —
 //! the buffered base netlist plus the pseudo-3-D checkpoint, which is
@@ -51,4 +57,4 @@ mod store;
 pub use codec::{Reader, Writer};
 pub use error::{Corruption, DecodeError, StoreError};
 pub use record::{SessionArtifact, StackSpec};
-pub use store::{crc32, Store, StoreKey, StoreStats, FORMAT_VERSION};
+pub use store::{crc32, Store, StoreKey, FORMAT_VERSION};

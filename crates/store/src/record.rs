@@ -453,8 +453,9 @@ fn get_parasitics(r: &mut Reader<'_>, netlist: &Netlist) -> Result<Parasitics, D
 
 /// The persistent form of a flow session's computed prefix: the buffered
 /// base netlist plus, when it has been computed, the pseudo-3-D
-/// checkpoint. Rehydrating one via `FlowSession::from_parts` skips both
-/// `prepare_base` and the pseudo-3-D stage on the warm path.
+/// checkpoint. Rehydrating one through the session builder's
+/// `checkpoints(base, pseudo)` skips both `prepare_base` and the
+/// pseudo-3-D stage on the warm path.
 #[derive(Debug, Clone)]
 pub struct SessionArtifact {
     /// The buffered base checkpoint.

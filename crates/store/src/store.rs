@@ -136,32 +136,17 @@ impl StoreKey {
 // the store
 // ---------------------------------------------------------------------
 
-/// Running totals of one handle's store traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Successful writes committed.
-    pub puts: u64,
-    /// Reads that found and verified a record.
-    pub hits: u64,
-    /// Reads that found no record.
-    pub misses: u64,
-    /// Records evicted after failing an integrity check.
-    pub corrupt_evicted: u64,
-}
-
 /// A content-addressed checkpoint store rooted at one directory.
 ///
 /// Handles are cheap and share nothing but the directory: any number of
 /// processes (or threads) may point handles at the same root and
 /// put/get concurrently — the commit protocol guarantees readers never
-/// observe torn records.
+/// observe torn records. A handle counts nothing: every outcome comes
+/// back typed from [`Store::get_session`] and [`Store::put_session`],
+/// and the caller books it.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    puts: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt_evicted: AtomicU64,
 }
 
 impl Store {
@@ -174,30 +159,13 @@ impl Store {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(&root)
             .map_err(|e| StoreError::io(format!("create store dir {}", root.display()), e))?;
-        Ok(Store {
-            root,
-            puts: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt_evicted: AtomicU64::new(0),
-        })
+        Ok(Store { root })
     }
 
     /// The store's root directory.
     #[must_use]
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// This handle's traffic totals.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            puts: self.puts.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt_evicted: self.corrupt_evicted.load(Ordering::Relaxed),
-        }
     }
 
     /// Persists a session artifact under `key`.
@@ -228,10 +196,7 @@ impl Store {
             return Ok(None);
         };
         match SessionArtifact::decode(&payload) {
-            Ok(artifact) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(artifact))
-            }
+            Ok(artifact) => Ok(Some(artifact)),
             Err(e) => Err(self.evict(&name, Corruption::Payload(e))),
         }
     }
@@ -275,7 +240,6 @@ impl Store {
                 e,
             ));
         }
-        self.puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -285,10 +249,7 @@ impl Store {
         let path = self.root.join(name);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::io(format!("read record {}", path.display()), e)),
         };
         if bytes.len() < HEADER_LEN + TRAILER_LEN {
@@ -332,7 +293,6 @@ impl Store {
     fn evict(&self, name: &str, detail: Corruption) -> StoreError {
         let path = self.root.join(name);
         let _ = fs::remove_file(&path);
-        self.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
         StoreError::Corrupt { path, detail }
     }
 }

@@ -1,10 +1,15 @@
-//! Unified copy-on-write design database.
+//! Copy-on-write design database.
 //!
 //! Real EDA stacks (OpenDB, OpenAccess) center the flow on one evolving
-//! design database; this crate is that center for the hetero-3-D flow. A
-//! [`DesignDb`] holds every design artifact — netlist, technology stack,
-//! tier assignment, floorplan, placement, routing, clock tree,
-//! parasitics, sign-off power — each behind its own `Arc`:
+//! design database; this crate is that center for the hetero-3-D flow's
+//! mutable design. A [`DesignDb`] holds the netlist (whose drives sizing
+//! edits in place), the technology stack, the tier assignment and the
+//! clock period, each behind its own `Arc`; the physical artifacts of a
+//! pass (placement, routing, clock tree, parasitics) are the flow's,
+//! handed stage to stage by value. A placement and net models installed
+//! with [`DesignDb::set_placement`] / [`DesignDb::set_parasitics`] join
+//! the [`DesignDb::state_fingerprint`] — how a caller fingerprints an
+//! implementation's design state:
 //!
 //! * **A snapshot, not a log.** The database is the design as it stands
 //!   and keeps no record of how it got there. A loop that must tell an
@@ -17,11 +22,8 @@
 //!   [`DesignDb::with_netlist_mut`] copies the netlist at first write
 //!   when a fork still shares it. Nothing else moves, on either side.
 
-use m3d_cts::ClockTree;
 use m3d_netlist::{NetId, Netlist, NO_NET};
-use m3d_place::{Floorplan, Placement};
-use m3d_power::PowerResult;
-use m3d_route::RoutingResult;
+use m3d_place::Placement;
 use m3d_sta::Parasitics;
 use m3d_tech::{Tier, TierStack};
 use std::sync::Arc;
@@ -121,22 +123,19 @@ pub fn fingerprint_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
 
-/// The unified design database: every artifact of one implementation in
-/// flight, each behind a copy-on-write `Arc`. What later stages produce
-/// (floorplan, placement, routing, ...) is `Option`: a fresh database
-/// holds the netlist, the technology and an all-bottom tier assignment.
+/// The design database: the mutable design of one implementation in
+/// flight, each artifact behind a copy-on-write `Arc`. A fresh database
+/// holds the netlist, the technology and an all-bottom tier assignment;
+/// a placement and net models are `Option`, there only for the
+/// fingerprint when a caller installs them.
 #[derive(Debug, Clone)]
 pub struct DesignDb {
     netlist: Arc<Netlist>,
     stack: Arc<TierStack>,
     tiers: Arc<Vec<Tier>>,
     period_ns: f64,
-    floorplan: Option<Arc<Floorplan>>,
     placement: Option<Arc<Placement>>,
-    routing: Option<Arc<RoutingResult>>,
-    clock_tree: Option<Arc<ClockTree>>,
     parasitics: Option<Arc<Parasitics>>,
-    power: Option<Arc<PowerResult>>,
 }
 
 impl DesignDb {
@@ -150,12 +149,8 @@ impl DesignDb {
             netlist,
             stack: Arc::new(stack),
             period_ns,
-            floorplan: None,
             placement: None,
-            routing: None,
-            clock_tree: None,
             parasitics: None,
-            power: None,
         }
     }
 
@@ -202,42 +197,6 @@ impl DesignDb {
         self.period_ns
     }
 
-    /// Shared handle to the floorplan, once a floorplanning stage ran.
-    #[must_use]
-    pub fn floorplan_arc(&self) -> Option<Arc<Floorplan>> {
-        self.floorplan.clone()
-    }
-
-    /// Shared handle to the legalized placement.
-    #[must_use]
-    pub fn placement_arc(&self) -> Option<Arc<Placement>> {
-        self.placement.clone()
-    }
-
-    /// Shared handle to the routing result.
-    #[must_use]
-    pub fn routing_arc(&self) -> Option<Arc<RoutingResult>> {
-        self.routing.clone()
-    }
-
-    /// Shared handle to the synthesized clock tree.
-    #[must_use]
-    pub fn clock_tree_arc(&self) -> Option<Arc<ClockTree>> {
-        self.clock_tree.clone()
-    }
-
-    /// Shared handle to the extracted parasitics.
-    #[must_use]
-    pub fn parasitics_arc(&self) -> Option<Arc<Parasitics>> {
-        self.parasitics.clone()
-    }
-
-    /// Shared handle to the sign-off power result.
-    #[must_use]
-    pub fn power_arc(&self) -> Option<Arc<PowerResult>> {
-        self.power.clone()
-    }
-
     /// Runs `f` on the netlist in place (the sizing loops' batch drive
     /// edits), copying it first when a fork still shares it.
     pub fn with_netlist_mut<R>(&mut self, f: impl FnOnce(&mut Netlist) -> R) -> R {
@@ -263,34 +222,14 @@ impl DesignDb {
         self.tiers = Arc::new(tiers);
     }
 
-    /// Installs a floorplan.
-    pub fn set_floorplan(&mut self, fp: Floorplan) {
-        self.floorplan = Some(Arc::new(fp));
-    }
-
-    /// Installs a legalized placement.
+    /// Installs a legalized placement (for the fingerprint).
     pub fn set_placement(&mut self, placement: Placement) {
         self.placement = Some(Arc::new(placement));
     }
 
-    /// Installs a routing result.
-    pub fn set_routing(&mut self, routing: RoutingResult) {
-        self.routing = Some(Arc::new(routing));
-    }
-
-    /// Installs a clock tree.
-    pub fn set_clock_tree(&mut self, tree: ClockTree) {
-        self.clock_tree = Some(Arc::new(tree));
-    }
-
-    /// Installs extracted parasitics.
+    /// Installs extracted parasitics (for the fingerprint).
     pub fn set_parasitics(&mut self, parasitics: Parasitics) {
         self.parasitics = Some(Arc::new(parasitics));
-    }
-
-    /// Installs a sign-off power result.
-    pub fn set_power(&mut self, power: PowerResult) {
-        self.power = Some(Arc::new(power));
     }
 
     /// Exact fingerprint of the mutable design state: FNV-1a's constants
@@ -330,45 +269,36 @@ impl DesignDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_cts::{synthesize, CtsConfig, CtsMode};
     use m3d_netgen::Benchmark;
-    use m3d_route::{global_route, RouteConfig};
     use m3d_tech::Drive;
 
-    /// A database with every artifact installed.
-    fn full_db() -> DesignDb {
+    /// A database with a placement and net models installed, and the
+    /// two as installed.
+    fn full_db() -> (DesignDb, Placement, Parasitics) {
         let netlist = Arc::new(Benchmark::Aes.generate(0.01, 3));
         let mut db = DesignDb::from_shared(Arc::clone(&netlist), TierStack::heterogeneous(), 1.0);
-        assert!(db.floorplan_arc().is_none() && db.power_arc().is_none());
-        let (stack, tiers) = (db.stack_arc(), db.tiers_arc());
-        let fp = Floorplan::new(&netlist, &stack, &tiers, 0.7);
-        let placement = Placement::centered(&netlist, fp.die);
-        let route = RouteConfig::default();
-        let (mode, cts) = (CtsMode::Cover3d, CtsConfig::default());
-        db.set_routing(global_route(&netlist, &placement, &tiers, &stack, &route));
-        db.set_clock_tree(synthesize(&netlist, &placement, &tiers, &stack, mode, &cts));
-        db.set_floorplan(fp);
-        db.set_placement(placement);
-        db.set_parasitics(Parasitics::zero_wire(&netlist));
-        db.set_power(PowerResult::default());
-        db
+        let die = m3d_place::Floorplan::new(&netlist, &db.stack_arc(), db.tiers(), 0.7).die;
+        let (placement, parasitics) = (
+            Placement::centered(&netlist, die),
+            Parasitics::zero_wire(&netlist),
+        );
+        db.set_placement(placement.clone());
+        db.set_parasitics(parasitics.clone());
+        (db, placement, parasitics)
     }
 
     /// The address behind every artifact handle, by name.
     fn handles(db: &DesignDb) -> Vec<(&'static str, *const ())> {
-        fn at<T>(a: Option<Arc<T>>) -> *const () {
-            a.map_or(std::ptr::null(), |a| Arc::as_ptr(&a).cast())
+        fn at<T>(a: &Option<Arc<T>>) -> *const () {
+            a.as_ref()
+                .map_or(std::ptr::null(), |a| Arc::as_ptr(a).cast())
         }
         vec![
-            ("netlist", at(Some(db.netlist_arc()))),
-            ("stack", at(Some(db.stack_arc()))),
-            ("tiers", at(Some(db.tiers_arc()))),
-            ("floorplan", at(db.floorplan_arc())),
-            ("placement", at(db.placement_arc())),
-            ("routing", at(db.routing_arc())),
-            ("clock tree", at(db.clock_tree_arc())),
-            ("parasitics", at(db.parasitics_arc())),
-            ("power", at(db.power_arc())),
+            ("netlist", Arc::as_ptr(&db.netlist).cast()),
+            ("stack", Arc::as_ptr(&db.stack).cast()),
+            ("tiers", Arc::as_ptr(&db.tiers).cast()),
+            ("placement", at(&db.placement)),
+            ("parasitics", at(&db.parasitics)),
         ]
     }
 
@@ -405,7 +335,7 @@ mod tests {
 
     #[test]
     fn a_fork_shares_every_handle_and_a_write_copies_one_artifact() {
-        let parent = full_db();
+        let (parent, _, _) = full_db();
         let shared = handles(&parent);
         assert!(shared.iter().all(|(_, p)| !p.is_null()));
         let parent_netlist = netlist_fingerprint(parent.netlist());
@@ -434,30 +364,23 @@ mod tests {
 
     #[test]
     fn state_fingerprint_moves_iff_the_design_state_moves() {
-        let db = full_db();
+        let (db, placement, parasitics) = full_db();
         let fingerprint = db.state_fingerprint();
         let (gate, drive) = resizable_gate(db.netlist());
-        let placement = db.placement_arc().expect("placement");
-        let parasitics = db.parasitics_arc().expect("parasitics");
         let mut flipped = db.tiers().to_vec();
         flipped[gate.index()] = Tier::Top;
-        let mut shifted = (*placement).clone();
+        let mut shifted = placement.clone();
         shifted.positions[gate.index()].x += 1.0;
-        let mut loaded = (*parasitics).clone();
+        let mut loaded = parasitics.clone();
         loaded.net_mut(NetId::from_index(0)).wire_cap_ff = 3.0;
 
-        // Equal state behind fresh handles, and an artifact the
-        // fingerprint does not cover, leave it where it was.
+        // Equal state behind fresh handles leaves it where it was.
         let mut same = db.fork();
         same.set_tiers(db.tiers().to_vec());
-        same.set_placement((*placement).clone());
-        same.set_parasitics((*parasitics).clone());
+        same.set_placement(placement.clone());
+        same.set_parasitics(parasitics.clone());
         same.set_period(db.period_ns());
         same.with_netlist_mut(|_| ());
-        same.set_power(PowerResult {
-            leakage_mw: 1.0,
-            ..PowerResult::default()
-        });
         assert_eq!(same.state_fingerprint(), fingerprint);
 
         let moves = |edit: &dyn Fn(&mut DesignDb)| {

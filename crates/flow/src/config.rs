@@ -115,7 +115,7 @@ pub enum ReadSet {
     /// … and the pseudo-3-D stage: what a `FlowSession`, its cache slot
     /// and its store record are keyed by.
     Pseudo,
-    /// … and `(Partition →) TierLegalize → Route → Cts`: the pre-sizing
+    /// … and `(partition →) tier_legalize → route → cts`: the pre-sizing
     /// prefix, the third part of a session's prefix key.
     Prefix,
 }
@@ -277,10 +277,10 @@ impl FlowOptions {
         let FlowOptions {
             // `prepare_base`.
             max_fanout,
-            // `PseudoThreeD` (and `TierLegalize`, which reads them again).
+            // `pseudo3d` (and `tier_legalize`, which reads them again).
             utilization,
             placer,
-            // `Partition`, `Route`, `Cts`.
+            // `partition`, `route`, `cts`.
             seed,
             route,
             cts,
@@ -288,12 +288,12 @@ impl FlowOptions {
             enable_timing_partition,
             enable_3d_cts,
             partition_bins,
-            // The stack a run is born with; the corners are `SignOff`'s.
+            // The stack a run is born with; the corners are `sign_off`'s.
             tech: TechContext {
                 stacking,
                 corners: _,
             },
-            // Read from `Size` on: the ECO and the sign-off.
+            // Read from `size` on: the ECO and the sign-off.
             enable_repartition: _,
             wns_tolerance: _,
             input_activity: _,

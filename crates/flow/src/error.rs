@@ -2,12 +2,14 @@
 //!
 //! Every stage of the pipeline reports failure through [`FlowError`]
 //! instead of panicking: input validation ([`FlowError::InvalidNetlist`],
-//! [`FlowError::InvalidFrequency`]), the fallible substrate passes
-//! ([`FlowError::Legalize`], [`FlowError::Extract`]) and the pipeline's
-//! own sequencing invariants ([`FlowError::MissingStageOutput`],
-//! [`FlowError::MissingImplementation`]). Every entry point — the
-//! `try_*` free functions, [`FlowSession`](crate::FlowSession) commands
-//! and the wire layer — surfaces these errors instead of panicking.
+//! [`FlowError::InvalidFrequency`], [`FlowError::InvalidSweep`]), the
+//! fallible substrate passes ([`FlowError::Legalize`],
+//! [`FlowError::Extract`]) and a comparison job that never arrived
+//! ([`FlowError::MissingImplementation`]). Stage ordering is not among
+//! them: each stage takes its inputs as arguments, so none can run
+//! before what it reads exists. Every entry point — the `try_*` free
+//! functions, [`FlowSession`](crate::FlowSession) commands and the wire
+//! layer — surfaces these errors instead of panicking.
 
 use crate::config::Config;
 use m3d_json::DecodeError;
@@ -30,14 +32,6 @@ pub enum FlowError {
     Legalize(LegalizeError),
     /// Parasitic extraction rejected its inputs.
     Extract(ExtractError),
-    /// A stage ran before the artifact it consumes was produced — a
-    /// pipeline-sequencing bug, not a data problem.
-    MissingStageOutput {
-        /// The stage that found the hole.
-        stage: &'static str,
-        /// The artifact it needed.
-        what: &'static str,
-    },
     /// A comparison job's implementation never arrived (the parallel
     /// fan-out returned fewer results than configurations).
     MissingImplementation(Config),
@@ -59,12 +53,6 @@ impl fmt::Display for FlowError {
             FlowError::InvalidNetlist(e) => write!(f, "input netlist failed validation: {e}"),
             FlowError::Legalize(e) => write!(f, "legalization failed: {e}"),
             FlowError::Extract(e) => write!(f, "parasitic extraction failed: {e}"),
-            FlowError::MissingStageOutput { stage, what } => {
-                write!(
-                    f,
-                    "stage `{stage}` needs `{what}`, which no earlier stage produced"
-                )
-            }
             FlowError::MissingImplementation(config) => {
                 write!(f, "no implementation was produced for {config}")
             }
@@ -112,11 +100,6 @@ mod tests {
             frequency_ghz: -1.0,
         };
         assert!(e.to_string().contains("-1"));
-        let e = FlowError::MissingStageOutput {
-            stage: "route",
-            what: "placement",
-        };
-        assert!(e.to_string().contains("route") && e.to_string().contains("placement"));
         let e = FlowError::MissingImplementation(Config::Hetero3d);
         assert!(e.to_string().contains("Hetero"));
         let e = FlowError::InvalidSweep(DecodeError::new("command/configs", "a non-empty list"));

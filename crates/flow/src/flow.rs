@@ -1,6 +1,6 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::stage::{period_ns, FlowState, Lane};
+use crate::stage::period_ns;
 use crate::FlowSession;
 use m3d_cts::ClockTree;
 use m3d_netlist::Netlist;
@@ -12,10 +12,10 @@ use m3d_sta::StaResult;
 use m3d_tech::{TechContext, Tier, TierStack};
 use std::sync::Arc;
 
-/// A finished implementation of one configuration: a read-only view over
-/// the final [`m3d_db::DesignDb`] snapshot the pipeline produced. Every
-/// artifact is behind an `Arc`, so cloning an implementation (the fmax
-/// sweep keeps several alive) is O(1).
+/// A finished implementation of one configuration: a read-only view of
+/// the design and layout the pipeline signed off. Every artifact is
+/// behind an `Arc`, so cloning an implementation (the fmax sweep keeps
+/// several alive) is O(1).
 #[derive(Debug, Clone)]
 pub struct Implementation {
     /// Which configuration this is.
@@ -49,45 +49,6 @@ pub struct Implementation {
     pub eco: Option<EcoOutcome>,
     /// Timing-based partitioning outcome (heterogeneous flow only).
     pub timing_assignment: Option<TimingAssignment>,
-}
-
-impl Implementation {
-    /// Assembles the read-only view of `lane`'s sign-off over the
-    /// pipeline state as it stands, sharing every artifact with the
-    /// database (no copies).
-    pub(crate) fn from_state(
-        state: &FlowState,
-        lane: &Lane,
-        options: &FlowOptions,
-    ) -> Result<Implementation, FlowError> {
-        fn need<T>(v: Option<T>, what: &'static str) -> Result<T, FlowError> {
-            v.ok_or(FlowError::MissingStageOutput {
-                stage: "assemble",
-                what,
-            })
-        }
-        let db = &state.db;
-        Ok(Implementation {
-            config: state.config,
-            tech: TechContext {
-                stacking: options.tech.stacking,
-                corners: lane.corners,
-            },
-            frequency_ghz: 1.0 / state.period_ns(),
-            netlist: db.netlist_arc(),
-            stack: db.stack_arc(),
-            tiers: db.tiers_arc(),
-            floorplan: need(db.floorplan_arc(), "floorplan")?,
-            placement: need(db.placement_arc(), "placement")?,
-            routing: need(db.routing_arc(), "routing")?,
-            clock_tree: need(db.clock_tree_arc(), "clock tree")?,
-            sta: need(lane.sta.clone(), "sign-off timing")?,
-            power: need(db.power_arc(), "sign-off power")?,
-            utilization: options.utilization,
-            eco: lane.eco.clone(),
-            timing_assignment: state.timing_assignment.clone(),
-        })
-    }
 }
 
 #[cfg(test)]

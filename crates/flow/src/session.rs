@@ -311,7 +311,7 @@ impl FlowSession {
         options: &FlowOptions,
     ) -> Result<Implementation, FlowError> {
         self.walk(config, frequency_ghz, &[options.tech.corners], options)
-            .and_then(only_lane)
+            .map(only_lane)
     }
 
     /// The one run every command is made of: `config` at `frequency_ghz`

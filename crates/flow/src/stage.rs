@@ -1,12 +1,14 @@
-//! The stage pipeline: an explicit [`Stage`] sequence over one shared
-//! [`DesignDb`].
+//! The pass pipeline: stage functions over one fixed order.
 //!
-//! Every configuration is implemented by threading a [`FlowState`]
-//! through a fixed list of stages — `PseudoThreeD → Partition →
-//! TierLegalize → Route → Cts → Size → SignOff` for the 3-D
-//! configurations, `TierLegalize → Route → Cts → Size → SignOff` per
-//! pass for the 2-D ones. Each stage reads copy-on-write snapshots out
-//! of the database, computes, and writes its artifacts back.
+//! Every configuration runs `pseudo3d → partition → tier_legalize →
+//! route → cts → size → sign_off` (3-D) or `tier_legalize → route → cts
+//! → size → sign_off` per pass (2-D). A stage is a plain function that
+//! takes its inputs as arguments and returns its artifact by value; the
+//! pass drivers ([`implement`], [`first_pass`], [`refinish`],
+//! [`run_eco`]) hand each to the next, so the order holds by
+//! construction. The mutable design (drives, tiers, period) lives in the
+//! copy-on-write [`DesignDb`], a pass's physical artifacts in its
+//! [`Layout`].
 //!
 //! Three checkpoints make the expensive prefixes shareable, each holding
 //! what no later axis reads ([`FlowOptions::read_set`] declares which
@@ -21,9 +23,8 @@
 //!   technology). It reads neither the period nor the technology
 //!   scenario, so [`pseudo_checkpoint`] computes it once and every 3-D
 //!   run of the netlist forks from it; a run without one computes its
-//!   own through the [`PseudoThreeD`] stage. The `flow/pseudo3d_runs`
-//!   counter records each computation — a five-way comparison or a whole
-//!   Pareto grid must show exactly one.
+//!   own. The `flow/pseudo3d_runs` counter records each computation — a
+//!   five-way comparison or a whole Pareto grid must show exactly one.
 //! * `Prefix` — the pre-sizing prefix of one `(config, stacking)`: the
 //!   first pass up to the clock tree. No stage in it reads the sign-off
 //!   corners, and none the clock period unless `partition_reads_period`
@@ -36,10 +37,10 @@
 //!
 //! The corner axis is a sign-off fan-out of one walk: `finish` takes a
 //! list of corner sets and yields one [`Implementation`] per set. The
-//! corners are read by [`SignOff`] and by the repartitioning ECO's stop
+//! corners are read by [`sign_off`] and by the repartitioning ECO's stop
 //! test only, so the lanes share every stage and differ in *when they
-//! stop*: a lane whose stop test fires keeps the database as it stands
-//! and the walk goes on for the rest.
+//! stop*: a lane whose stop test fires keeps the design as it stands and
+//! the walk goes on for the rest.
 
 use crate::config::{Config, FlowOptions, ReadSet};
 use crate::error::FlowError;
@@ -55,12 +56,12 @@ use m3d_partition::{
     EcoStop, EcoTimingView, PartitionConfig, TimingAssignment,
 };
 use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Placement};
-use m3d_power::{analyze_power, PowerConfig};
+use m3d_power::{analyze_power, PowerConfig, PowerResult};
 use m3d_route::{global_route, try_extract_parasitics_with_stats, ExtractStats, RoutingResult};
 use m3d_sta::{
     analyze, worst_paths, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit,
 };
-use m3d_tech::{Corner, CornerSet, Library, Tier, TierStack};
+use m3d_tech::{Corner, CornerSet, Library, TechContext, Tier, TierStack};
 use std::sync::Arc;
 
 /// The flow's immutable starting point: the validated, fanout-buffered
@@ -87,134 +88,167 @@ pub struct PseudoCheckpoint {
     pub stack: Arc<TierStack>,
 }
 
-/// One sign-off the walk owes: a corner set, the result of its latest
-/// [`SignOff`] and — under the repartitioning ECO — its own outcome.
-/// Everything else about the design is the walk's. A lane is live until
-/// it retires; it then holds the database's artifacts as they stood (an
-/// O(1) copy-on-write snapshot) and the walk goes on for the rest.
-pub(crate) struct Lane {
-    pub(crate) corners: CornerSet,
-    pub(crate) sta: Option<Arc<StaResult>>,
-    pub(crate) eco: Option<EcoOutcome>,
-    retired: Option<Implementation>,
+/// The physical artifacts of one pass, from legalization through CTS:
+/// their one owner (the database holds none of them). Cheap to clone.
+#[derive(Clone)]
+struct Layout {
+    floorplan: Arc<Floorplan>,
+    placement: Arc<Placement>,
+    routing: Arc<RoutingResult>,
+    parasitics: Arc<Parasitics>,
+    clock_tree: Arc<ClockTree>,
+}
+
+/// One sign-off the walk owes, born at the walk's first sign-off: a
+/// corner set, the result of its latest [`sign_off`] and its running
+/// repartitioning-ECO outcome. Everything else about the design is the
+/// walk's. A lane is live until it retires; it then holds the design as
+/// it stood (O(1) `Arc` copies) and the walk goes on for the rest.
+struct Lane {
+    corners: CornerSet,
+    sta: Arc<StaResult>,
+    power: Arc<PowerResult>,
+    /// The ECO totals since the first sign-off (reported only when the
+    /// ECO runs).
+    eco: EcoOutcome,
+    retired: Option<Retired>,
+}
+
+/// A retired lane's implementation under the sized witness: whether the
+/// last sizing ran against the tier assignment it signs off.
+enum Retired {
+    Sized(Implementation),
+    Unsized(Implementation),
+}
+
+impl Retired {
+    fn into_implementation(self) -> Implementation {
+        match self {
+            Retired::Sized(imp) | Retired::Unsized(imp) => imp,
+        }
+    }
 }
 
 impl Lane {
+    fn new(corners: CornerSet, sta: Arc<StaResult>, power: Arc<PowerResult>) -> Lane {
+        let eco = EcoOutcome {
+            iterations: 0,
+            cells_moved: 0,
+            rounds_undone: 0,
+            initial_wns: sta.wns,
+            final_wns: sta.wns,
+            final_tns: sta.tns,
+            stop_reason: EcoStop::Converged,
+        };
+        Lane {
+            corners,
+            sta,
+            power,
+            eco,
+            retired: None,
+        }
+    }
+
     fn is_live(&self) -> bool {
         self.retired.is_none()
     }
 }
 
-/// Mutable pipeline state threaded through the stages of one run.
-///
-/// Owns the copy-on-write [`DesignDb`] plus the bits of context that are
-/// not design data: the persistent incremental [`Timer`] (reset at each
-/// pass boundary), the pseudo-3-D checkpoint, the sign-off lanes and the
-/// per-pass control flags.
-pub(crate) struct FlowState {
-    pub(crate) config: Config,
-    pub(crate) db: DesignDb,
-    pub(crate) pseudo: Option<PseudoCheckpoint>,
-    pub(crate) timing_assignment: Option<TimingAssignment>,
-    /// One lane per corner set the run signs off at (set by `finish`).
-    pub(crate) lanes: Vec<Lane>,
-    /// Whether the [`Size`] stage should run in the current pass. The
-    /// main 3-D finish pass defers sizing to the post-ECO re-finish when
-    /// the repartitioning ECO is enabled (move first, size the residue).
-    pub(crate) reoptimize: bool,
-    /// Cells the last [`Size`] stage changed (drives the 2-D
-    /// re-implementation heuristic).
-    pub(crate) sizing_changed: usize,
-    pub(crate) timer: Timer,
+/// The design state threaded through the passes of one run: the
+/// copy-on-write [`DesignDb`] (netlist, stack, tiers, period), the
+/// partitioner's locked set, the persistent incremental [`Timer`]
+/// (reset at each pass boundary) and the sized witness.
+struct FlowState {
+    config: Config,
+    db: DesignDb,
+    timing_assignment: Option<TimingAssignment>,
+    timer: Timer,
+    /// The tier assignment the last [`size`] ran against (`None` before
+    /// any): the design is sized while this is the database's own `Arc`.
+    sized_tiers: Option<Arc<Vec<Tier>>>,
 }
 
 impl FlowState {
-    /// The state every run of `config` starts from: a database forked
-    /// off `base` at `period_ns`, and `pseudo` when the caller has one.
-    fn new(
-        base: &BaseDesign,
-        pseudo: Option<&PseudoCheckpoint>,
-        config: Config,
-        period_ns: f64,
-        options: &FlowOptions,
-    ) -> FlowState {
+    /// A state over `db` with a fresh timer, sized never.
+    fn new(config: Config, db: DesignDb, timing_assignment: Option<TimingAssignment>) -> FlowState {
         FlowState {
             config,
-            db: DesignDb::from_shared(
-                base.netlist.clone(),
-                config.stack_for(&options.tech),
-                period_ns,
-            ),
-            pseudo: pseudo.cloned(),
-            timing_assignment: None,
-            lanes: Vec::new(),
-            reoptimize: true,
-            sizing_changed: 0,
+            db,
+            timing_assignment,
             timer: Timer::new(),
+            sized_tiers: None,
         }
     }
 
-    /// Retires every live lane `stop` holds for: the lane's
-    /// [`Implementation`] is assembled from the database as it stands
-    /// and the lane's own sign-off, and later stages pass it by.
-    fn retire(
-        &mut self,
-        options: &FlowOptions,
-        stop: impl Fn(&Lane) -> bool,
-    ) -> Result<(), FlowError> {
+    /// Whether the last sizing ran against the current tier assignment.
+    fn is_sized(&self) -> bool {
+        let tiers = self.db.tiers_arc();
+        self.sized_tiers
+            .as_ref()
+            .is_some_and(|t| Arc::ptr_eq(t, &tiers))
+    }
+}
+
+/// A walk past its first sign-off: the design, the current pass's
+/// layout and one lane per corner set the run signs off at.
+struct Walk {
+    state: FlowState,
+    layout: Layout,
+    lanes: Vec<Lane>,
+}
+
+impl Walk {
+    /// The [`Implementation`] `lane` signs off: the design and layout as
+    /// they stand with the lane's own sign-off, sharing every artifact.
+    fn implementation(&self, lane: &Lane, options: &FlowOptions) -> Implementation {
+        let (state, layout) = (&self.state, &self.layout);
+        Implementation {
+            config: state.config,
+            tech: TechContext {
+                stacking: options.tech.stacking,
+                corners: lane.corners,
+            },
+            frequency_ghz: 1.0 / state.db.period_ns(),
+            netlist: state.db.netlist_arc(),
+            stack: state.db.stack_arc(),
+            tiers: state.db.tiers_arc(),
+            floorplan: Arc::clone(&layout.floorplan),
+            placement: Arc::clone(&layout.placement),
+            routing: Arc::clone(&layout.routing),
+            clock_tree: Arc::clone(&layout.clock_tree),
+            sta: Arc::clone(&lane.sta),
+            power: Arc::clone(&lane.power),
+            utilization: options.utilization,
+            eco: eco_enabled(state.config, options).then(|| lane.eco.clone()),
+            timing_assignment: state.timing_assignment.clone(),
+        }
+    }
+
+    /// Retires every live lane `stop` holds for, recording its
+    /// [`Implementation`] under the sized witness; later passes skip it.
+    /// Until the enhanced flow sizes before it signs off unmoved tiers,
+    /// the witness reports an unsized sign-off and does not refuse it.
+    fn retire(&mut self, options: &FlowOptions, stop: impl Fn(&Lane) -> bool) {
+        let sized = self.state.is_sized();
         for i in 0..self.lanes.len() {
             if self.lanes[i].is_live() && stop(&self.lanes[i]) {
-                let imp = Implementation::from_state(self, &self.lanes[i], options)?;
-                self.lanes[i].retired = Some(imp);
+                let imp = self.implementation(&self.lanes[i], options);
+                self.lanes[i].retired = Some(if sized {
+                    Retired::Sized(imp)
+                } else {
+                    Retired::Unsized(imp)
+                });
             }
         }
-        Ok(())
     }
 
-    /// The clock period the run targets, ns: the database's.
-    pub(crate) fn period_ns(&self) -> f64 {
-        self.db.period_ns()
+    /// The implementations of a finished walk, one per lane in order.
+    fn into_implementations(self) -> Vec<Implementation> {
+        let retired = self.lanes.into_iter().map(|lane| lane.retired);
+        retired
+            .map(|r| r.expect("finish retires every lane").into_implementation())
+            .collect()
     }
-}
-
-/// One step of the implementation pipeline.
-///
-/// Contract: a stage reads its inputs from `state.db` (returning
-/// [`FlowError::MissingStageOutput`] when a required artifact is
-/// absent), computes, and writes its outputs back through the database's
-/// setters. It must be a pure function of `(state, options)` — no
-/// ambient randomness, no wall-clock — so a pipeline is bit-identical at
-/// any thread count. `span` is the stage's own telemetry span; child
-/// spans mark interesting sub-steps.
-pub(crate) trait Stage {
-    /// Stable stage name: the telemetry span's key.
-    fn name(&self) -> &'static str;
-    /// Runs the stage against the shared state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FlowError`] when a required input artifact is missing
-    /// or a substrate pass rejects its inputs.
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        span: &Span,
-    ) -> Result<(), FlowError>;
-}
-
-/// Runs `stages` in order, each under its own child span of `parent`.
-pub(crate) fn run_stages(
-    state: &mut FlowState,
-    options: &FlowOptions,
-    parent: &Span,
-    stages: &[&dyn Stage],
-) -> Result<(), FlowError> {
-    for stage in stages {
-        let span = parent.child(stage.name());
-        stage.run(state, options, &span)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -350,10 +384,6 @@ fn clock_spec(period_ns: f64, latency: Option<&ClockTree>) -> ClockSpec {
     clock
 }
 
-fn missing(stage: &'static str, what: &'static str) -> FlowError {
-    FlowError::MissingStageOutput { stage, what }
-}
-
 // ---------------------------------------------------------------------
 // entry points
 // ---------------------------------------------------------------------
@@ -389,14 +419,13 @@ pub fn pseudo_checkpoint(
     base: &BaseDesign,
     options: &FlowOptions,
 ) -> Result<PseudoCheckpoint, FlowError> {
-    let span = options.obs.span("pseudo3d");
-    compute_pseudo(&base.netlist, options, &span)
+    pseudo3d(&base.netlist, options, &options.obs.span("pseudo3d"))
 }
 
 /// Implements `config` at `frequency_ghz`, forking off `base` (and off
-/// `pseudo`, when given, skipping the pseudo-3-D stage) and signing off
-/// at `options.tech.corners`, on a prefix it builds and consumes — the
-/// one-shot run, which keeps nothing.
+/// `pseudo`, when given, skipping the pseudo-3-D computation) and
+/// signing off at `options.tech.corners`, on a prefix it builds and
+/// consumes — the one-shot run, which keeps nothing.
 ///
 /// # Errors
 ///
@@ -414,7 +443,7 @@ pub fn run_from_base(
     drive(base, config, period, &corner_sets, options, |root| {
         Prefix::build(base, pseudo, config, period, options, root)
     })
-    .and_then(only_lane)
+    .map(only_lane)
 }
 
 /// The clock period of a target frequency, ns.
@@ -432,8 +461,8 @@ pub(crate) fn period_ns(frequency_ghz: f64) -> Result<f64, FlowError> {
 }
 
 /// The implementation of a run signed off at one corner set.
-pub(crate) fn only_lane(mut lanes: Vec<Implementation>) -> Result<Implementation, FlowError> {
-    lanes.pop().ok_or(missing("assemble", "implementation"))
+pub(crate) fn only_lane(mut lanes: Vec<Implementation>) -> Implementation {
+    lanes.pop().expect("one corner set signs off one lane")
 }
 
 /// One run of `config` at `period` under `options.tech.stacking`, signed
@@ -459,22 +488,18 @@ pub(crate) fn drive(
         obs.perf_add("threads_resolved", m3d_par::resolve(options.threads) as u64);
     }
     let prefix = prefix(&run_span)?;
-    finish(prefix, period, corner_sets, options, &run_span)?
-        .lanes
-        .into_iter()
-        .map(|lane| lane.retired.ok_or(missing("assemble", "implementation")))
-        .collect()
+    Ok(finish(prefix, period, corner_sets, options, &run_span)?.into_implementations())
 }
 
 // ---------------------------------------------------------------------
-// pipeline drivers
+// pass drivers
 // ---------------------------------------------------------------------
 
-/// Whether the [`Partition`] stage reads the clock period: only the
-/// heterogeneous flow's timing-driven locking does (it ranks cells by a
-/// pseudo-3-D STA at the target period, and ulp-level slack ties make
-/// that ranking period-unstable — EXPERIMENTS.md). The one predicate
-/// behind both the stage's branch and the prefix boundary.
+/// Whether [`partition`] reads the clock period: only the heterogeneous
+/// flow's timing-driven locking does (it ranks cells by a pseudo-3-D STA
+/// at the target period, and ulp-level slack ties make that ranking
+/// period-unstable — EXPERIMENTS.md). The one predicate behind both the
+/// stage's branch and the prefix boundary.
 fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
     config.is_heterogeneous() && options.enable_timing_partition
 }
@@ -490,13 +515,13 @@ pub(crate) fn prefix_key(config: Config, period_ns: f64, options: &FlowOptions) 
     (config, period, options.read_set(ReadSet::Prefix))
 }
 
-/// The pre-sizing prefix of one `(config, stacking)`: a [`FlowState`]
-/// stopped in front of [`Size`], after `(Partition →) TierLegalize →
-/// Route → Cts`. No stage in it reads the clock period unless
-/// [`partition_reads_period`]; it then holds for the period it was built
-/// at and no other.
+/// The pre-sizing prefix of one `(config, stacking)`: the design and the
+/// layout of the first pass through `cts`, in front of [`size`]. No
+/// stage in it reads the clock period unless [`partition_reads_period`];
+/// it then holds for the period it was built at and no other.
 pub(crate) struct Prefix {
     state: FlowState,
+    layout: Layout,
     /// The first pass's span while the run that built the prefix is
     /// still inside that pass: a run that consumes its own prefix keeps
     /// one `impl2d`/`finish3d` span around the whole pass, a fork opens
@@ -523,27 +548,29 @@ impl Prefix {
         options: &FlowOptions,
         root: &Span,
     ) -> Result<Prefix, FlowError> {
-        let mut state = FlowState::new(base, pseudo, config, period_ns, options);
-        let pass = Some(implement(&mut state, options, root)?);
-        Ok(Prefix { state, pass })
+        let stack = config.stack_for(&options.tech);
+        let db = DesignDb::from_shared(base.netlist.clone(), stack, period_ns);
+        let mut state = FlowState::new(config, db, None);
+        let (pass, layout) = implement(&mut state, pseudo, options, root)?;
+        Ok(Prefix {
+            state,
+            layout,
+            pass: Some(pass),
+        })
     }
 
-    /// An O(1) copy-on-write copy for one more [`finish`]: the database's
-    /// `Arc` handles, a fresh timer (no prefix stage touches it), no
-    /// open span. What a session keeps of the prefix its run consumes.
+    /// An O(1) copy-on-write copy for one more [`finish`]: the `Arc`
+    /// handles, a fresh timer (no prefix stage touches it), no open
+    /// span. What a session keeps of the prefix its run consumes.
     pub(crate) fn snapshot(&self) -> Prefix {
         let state = &self.state;
         Prefix {
-            state: FlowState {
-                config: state.config,
-                db: state.db.fork(),
-                pseudo: state.pseudo.clone(),
-                timing_assignment: state.timing_assignment.clone(),
-                lanes: Vec::new(),
-                reoptimize: true,
-                sizing_changed: 0,
-                timer: Timer::new(),
-            },
+            state: FlowState::new(
+                state.config,
+                state.db.fork(),
+                state.timing_assignment.clone(),
+            ),
+            layout: self.layout.clone(),
             pass: None,
         }
     }
@@ -565,22 +592,71 @@ fn pass_name(config: Config) -> &'static str {
     }
 }
 
-/// One implementation pass up to the clock tree — pseudo-3-D and
-/// partitioning under `root` for the 3-D configurations, then
-/// `TierLegalize → Route → Cts` under a fresh pass span, which is
-/// returned open for the sizing and sign-off that follow.
-fn implement(state: &mut FlowState, options: &FlowOptions, root: &Span) -> Result<Span, FlowError> {
-    if state.config.is_3d() {
-        run_stages(state, options, root, &[&PseudoThreeD, &Partition])?;
-    }
+/// Sizing effort: rounds of slack-driven upsizing, rounds of
+/// power-recovery downsizing, and the downsizing slack margin as a
+/// fraction of the period — the 3-D first pass's, each 2-D pass's, and
+/// the ECO re-finish's short pass.
+type Effort = (usize, usize, f64);
+const SIZE_3D: Effort = (4, 3, 0.15);
+const SIZE_2D: Effort = (4, 2, 0.25);
+const SIZE_REFINISH: Effort = (3, 2, 0.15);
+
+/// One implementation pass up to the clock tree — `pseudo3d` (skipped
+/// when `pseudo` is given; its span stays) and `partition` under `root`
+/// for the 3-D configurations, then `tier_legalize → route → cts` under
+/// a fresh pass span, which is returned open for the sizing and sign-off
+/// that follow.
+fn implement(
+    state: &mut FlowState,
+    pseudo: Option<&PseudoCheckpoint>,
+    options: &FlowOptions,
+    root: &Span,
+) -> Result<(Span, Layout), FlowError> {
+    let seed = if state.config.is_3d() {
+        // The span opens either way: a forked run books it empty.
+        let span = root.child("pseudo3d");
+        let pseudo = match pseudo {
+            Some(pseudo) => pseudo.clone(),
+            None => pseudo3d(state.db.netlist(), options, &span)?,
+        };
+        drop(span);
+        let (tiers, assignment) = partition(state, &pseudo, options, &root.child("partition"));
+        state.db.set_tiers(tiers);
+        state.timing_assignment = assignment;
+        Some(pseudo)
+    } else {
+        None
+    };
     let pass = root.child(pass_name(state.config));
-    run_stages(state, options, &pass, &[&TierLegalize, &Route, &Cts])?;
-    Ok(pass)
+    let span = pass.child("tier_legalize");
+    let (floorplan, placement) = tier_legalize(&state.db, seed.as_ref(), options, &span)?;
+    drop(span);
+    let layout = route_and_cts(state, Arc::new(floorplan), placement, options, &pass)?;
+    Ok((pass, layout))
+}
+
+/// `route → cts` over `placement` under `parent`: the pass's layout.
+fn route_and_cts(
+    state: &FlowState,
+    floorplan: Arc<Floorplan>,
+    placement: Placement,
+    options: &FlowOptions,
+    parent: &Span,
+) -> Result<Layout, FlowError> {
+    let (routing, parasitics) = route(&state.db, &placement, options, &parent.child("route"))?;
+    let clock_tree = cts(state, &placement, options, &parent.child("cts"));
+    Ok(Layout {
+        floorplan,
+        placement: Arc::new(placement),
+        routing: Arc::new(routing),
+        parasitics: Arc::new(parasitics),
+        clock_tree: Arc::new(clock_tree),
+    })
 }
 
 /// Finishes `prefix` at `period_ns`: the rest of the first pass, then
-/// the repartitioning ECO for the enhanced heterogeneous flow. The state
-/// comes back with one retired lane — one [`Implementation`] — per entry
+/// the repartitioning ECO for the enhanced heterogeneous flow. The walk
+/// comes back with every lane retired — one [`Implementation`] per entry
 /// of `corner_sets`, in that order.
 fn finish(
     prefix: Prefix,
@@ -588,78 +664,75 @@ fn finish(
     corner_sets: &[CornerSet],
     options: &FlowOptions,
     root: &Span,
-) -> Result<FlowState, FlowError> {
-    let mut state = first_pass(prefix, period_ns, corner_sets, options, root)?;
-    if eco_enabled(&state, options) {
-        run_eco(&mut state, options, root)?;
+) -> Result<Walk, FlowError> {
+    let mut walk = first_pass(prefix, period_ns, corner_sets, options, root)?;
+    if eco_enabled(walk.state.config, options) {
+        run_eco(&mut walk, options, root)?;
     }
-    record_timer(&options.obs, &state.timer);
-    state.retire(options, |_| true)?;
-    Ok(state)
+    record_timer(&options.obs, &walk.state.timer);
+    walk.retire(options, |_| true);
+    Ok(walk)
 }
 
 /// Whether the repartitioning ECO follows the main finish pass.
-fn eco_enabled(state: &FlowState, options: &FlowOptions) -> bool {
-    state.config.is_heterogeneous() && options.enable_repartition
+fn eco_enabled(config: Config, options: &FlowOptions) -> bool {
+    config.is_heterogeneous() && options.enable_repartition
 }
 
-/// Takes `prefix` through its first sign-off at `period_ns`: sizing,
-/// and — for the 2-D flow — one re-implementation pass when sizing grew
-/// the design (the paper's 9-track "over-correction" effect).
+/// Takes `prefix` through its first sign-off at `period_ns`, where its
+/// lanes are born: sizing, and — for the 2-D flow — one
+/// re-implementation pass when sizing grew the design (the paper's
+/// 9-track "over-correction" effect).
 fn first_pass(
     prefix: Prefix,
     period_ns: f64,
     corner_sets: &[CornerSet],
     options: &FlowOptions,
     root: &Span,
-) -> Result<FlowState, FlowError> {
-    let Prefix { mut state, pass } = prefix;
+) -> Result<Walk, FlowError> {
+    let Prefix {
+        mut state,
+        mut layout,
+        pass,
+    } = prefix;
     state.db.set_period(period_ns);
-    state.lanes = corner_sets
-        .iter()
-        .map(|&corners| Lane {
-            corners,
-            sta: None,
-            eco: None,
-            retired: None,
-        })
-        .collect();
-    let pass = pass.unwrap_or_else(|| root.child(pass_name(state.config)));
+    let mut pass = pass.unwrap_or_else(|| root.child(pass_name(state.config)));
     if state.config.is_3d() {
-        // When the repartitioning ECO will run, defer sizing until after
-        // it: critical cells should first be *moved* to the fast tier;
-        // only the residue is then upsized (this preserves the
-        // heterogeneous area win).
-        state.reoptimize = !eco_enabled(&state, options);
-        let size = Size {
-            timing_rounds: 4,
-            power_rounds: 3,
-            power_margin: 0.15,
-        };
-        run_stages(&mut state, options, &pass, &[&size, &SignOff])?;
-        return Ok(state);
-    }
-    let gate_count = state.db.netlist().gate_count();
-    let size = Size {
-        timing_rounds: 4,
-        power_rounds: 2,
-        power_margin: 0.25,
-    };
-    run_stages(&mut state, options, &pass, &[&size])?;
-    // Re-implement once if sizing moved a meaningful chunk of area;
-    // otherwise sign off this pass.
-    let pass = if state.sizing_changed > gate_count / 20 {
-        record_timer(&options.obs, &state.timer);
-        state.timer = Timer::new();
-        drop(pass);
-        let pass = implement(&mut state, options, root)?;
-        run_stages(&mut state, options, &pass, &[&size])?;
-        pass
+        // With the repartitioning ECO on, sizing waits for `refinish`:
+        // critical cells are first *moved* to the fast tier and only the
+        // residue is upsized (this preserves the heterogeneous area
+        // win). The span opens either way.
+        let span = pass.child("sizing");
+        if !eco_enabled(state.config, options) {
+            size(&mut state, &layout, SIZE_3D, options, &span);
+        }
     } else {
-        pass
-    };
-    run_stages(&mut state, options, &pass, &[&SignOff])?;
-    Ok(state)
+        let gate_count = state.db.netlist().gate_count();
+        let changed = size(&mut state, &layout, SIZE_2D, options, &pass.child("sizing"));
+        // Re-implement once if sizing moved a meaningful chunk of area;
+        // otherwise sign off this pass.
+        if changed > gate_count / 20 {
+            record_timer(&options.obs, &state.timer);
+            state.timer = Timer::new();
+            drop(pass);
+            (pass, layout) = implement(&mut state, None, options, root)?;
+            size(&mut state, &layout, SIZE_2D, options, &pass.child("sizing"));
+        }
+    }
+    let (stas, power) = sign_off(
+        &mut state,
+        &layout,
+        corner_sets,
+        options,
+        &pass.child("sta_signoff"),
+    );
+    let lanes = corner_sets.iter().zip(stas);
+    let lanes = lanes.map(|(&corners, sta)| Lane::new(corners, sta, Arc::clone(&power)));
+    Ok(Walk {
+        lanes: lanes.collect(),
+        state,
+        layout,
+    })
 }
 
 /// Repartitioning ECO outer loop: after each ECO round the design is
@@ -671,52 +744,29 @@ fn first_pass(
 /// test reads each lane's own sign-off, so lanes retire independently:
 /// one whose sign-off meets timing keeps the design of that round with
 /// its own [`EcoOutcome`], and the walk continues for the rest.
-fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
+fn run_eco(walk: &mut Walk, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
     let eco_span = run_span.child("eco");
-    for lane in &mut state.lanes {
-        let initial = lane
-            .sta
-            .as_deref()
-            .ok_or(missing("eco", "sign-off timing"))?;
-        lane.eco = Some(EcoOutcome {
-            iterations: 0,
-            cells_moved: 0,
-            rounds_undone: 0,
-            initial_wns: initial.wns,
-            final_wns: initial.wns,
-            final_tns: initial.tns,
-            stop_reason: EcoStop::Converged,
-        });
-    }
     for _outer in 0..3 {
         let round_span = eco_span.child("round");
-        let outcome = eco_round(state, &options.obs)?;
+        let outcome = eco_round(&mut walk.state, &walk.layout, &options.obs);
         let moved = outcome.cells_moved;
         if moved > 0 {
-            refinish(state, options, &round_span)?;
+            refinish(walk, options, &round_span)?;
         }
         drop(round_span);
-        for lane in state.lanes.iter_mut().filter(|lane| lane.is_live()) {
-            let (sta, total) = lane
-                .sta
-                .as_deref()
-                .zip(lane.eco.as_mut())
-                .ok_or(missing("eco", "sign-off timing"))?;
+        for lane in walk.lanes.iter_mut().filter(|lane| lane.is_live()) {
+            let total = &mut lane.eco;
             total.iterations += outcome.iterations;
             total.cells_moved += outcome.cells_moved;
             total.rounds_undone += outcome.rounds_undone;
             total.stop_reason = outcome.stop_reason;
-            total.final_wns = sta.wns;
-            total.final_tns = sta.tns;
+            total.final_wns = lane.sta.wns;
+            total.final_tns = lane.sta.tns;
         }
-        state.retire(options, |lane| {
-            moved == 0
-                || lane
-                    .sta
-                    .as_deref()
-                    .is_some_and(|sta| sta.timing_met(options.wns_tolerance))
-        })?;
-        if !state.lanes.iter().any(Lane::is_live) {
+        walk.retire(options, |lane| {
+            moved == 0 || lane.sta.timing_met(options.wns_tolerance)
+        });
+        if !walk.lanes.iter().any(Lane::is_live) {
             break;
         }
     }
@@ -724,30 +774,22 @@ fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Res
 }
 
 /// One run of Algorithm 1 on the pass's own sign-off artifacts: the
-/// database's parasitics (extraction reads topology, placement and
-/// routing, none of which changed since the [`Route`] stage wrote them)
-/// and the live [`Timer`], which [`SignOff`] left at exactly this
-/// design. The first evaluate is therefore an empty-edit-list update and
-/// every candidate batch (and every undo carry, which restores
-/// already-cached arcs) re-propagates only the cone of the reported
-/// cells. Writes the resulting tier assignment back.
+/// layout's parasitics (extraction reads topology, placement and
+/// routing, none of which changed since [`route`] produced them) and the
+/// live [`Timer`], which [`sign_off`] left at exactly this design. The
+/// first evaluate is therefore an empty-edit-list update and every
+/// candidate batch (and every undo carry, which restores already-cached
+/// arcs) re-propagates only the cone of the reported cells. Installs the
+/// resulting tier assignment when the round moved a cell.
 ///
 /// A run that ends on an undone batch leaves the timer one carry behind
 /// the restored tiers; nothing reads it again — the caller either stops
 /// (no cell moved) or re-finishes, which starts a fresh timer.
-fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> {
+fn eco_round(state: &mut FlowState, layout: &Layout, obs: &Obs) -> EcoOutcome {
     let netlist = state.db.netlist_arc();
     let stack = state.db.stack_arc();
-    let parasitics = state
-        .db
-        .parasitics_arc()
-        .ok_or(missing("eco", "parasitics"))?;
-    let clock_tree = state
-        .db
-        .clock_tree_arc()
-        .ok_or(missing("eco", "clock tree"))?;
     let areas = cell_areas(&netlist, &stack, state.db.tiers());
-    let clock_template = clock_spec(state.period_ns(), Some(&clock_tree));
+    let clock_template = clock_spec(state.db.period_ns(), Some(&layout.clock_tree));
     let mut tiers_work = state.db.tiers().to_vec();
     let config = EcoConfig::default();
     let timer = &mut state.timer;
@@ -758,7 +800,13 @@ fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> 
         &config,
         |t, moved| {
             let edits: Vec<TimingEdit> = moved.iter().map(|&c| TimingEdit::SwapTier(c)).collect();
-            let ctx = timing_context(&netlist, &stack, t, &parasitics, clock_template.clone());
+            let ctx = timing_context(
+                &netlist,
+                &stack,
+                t,
+                &layout.parasitics,
+                clock_template.clone(),
+            );
             let result = timer.update(&ctx, &edits);
             let paths = worst_paths(&ctx, &result, config.n0);
             EcoTimingView {
@@ -775,25 +823,33 @@ fn eco_round(state: &mut FlowState, obs: &Obs) -> Result<EcoOutcome, FlowError> 
         obs.counter_add("eco/iterations", outcome.iterations as u64);
         obs.counter_add("eco/cells_moved", outcome.cells_moved as u64);
     }
-    state.db.set_tiers(tiers_work);
-    Ok(outcome)
+    // Algorithm 1 moves cells slow → fast only and restores every undone
+    // batch, so a round that moved nothing leaves the tiers as they were
+    // — and keeps their `Arc`, which the sized witness compares.
+    if outcome.cells_moved > 0 {
+        state.db.set_tiers(tiers_work);
+    } else {
+        assert!(
+            tiers_work == state.db.tiers(),
+            "an ECO round that moved no cell changed tiers"
+        );
+    }
+    outcome
 }
 
-/// Incremental ECO placement + re-sign-off: moved cells keep their (x, y)
-/// and only snap onto the nearest row of their new tier (real ECO flows
-/// resolve the residual overlap in detailed placement, which is below
-/// this model's fidelity). Routing, CTS, a short sizing pass and
-/// STA/power are refreshed through the regular stages.
-fn refinish(state: &mut FlowState, options: &FlowOptions, parent: &Span) -> Result<(), FlowError> {
+/// Incremental ECO placement + re-sign-off of the live lanes: moved
+/// cells keep their (x, y) and only snap onto the nearest row of their
+/// new tier (real ECO flows resolve the residual overlap in detailed
+/// placement, which is below this model's fidelity). Routing, CTS, a
+/// short sizing pass and STA/power are refreshed through the regular
+/// stages.
+fn refinish(walk: &mut Walk, options: &FlowOptions, parent: &Span) -> Result<(), FlowError> {
     let span = parent.child("eco_refinish");
+    let (state, layout) = (&mut walk.state, &mut walk.layout);
     let netlist = state.db.netlist_arc();
     let stack = state.db.stack_arc();
     let tiers = state.db.tiers_arc();
-    let mut placement = (*state
-        .db
-        .placement_arc()
-        .ok_or(missing("eco_refinish", "placement"))?)
-    .clone();
+    let mut placement = (*layout.placement).clone();
     let die = placement.die;
     for i in 0..netlist.cell_count() {
         let t = tiers[i];
@@ -804,59 +860,32 @@ fn refinish(state: &mut FlowState, options: &FlowOptions, parent: &Span) -> Resu
         placement.positions[i].y = die.lly() + (row as f64 + 0.5) * row_h;
     }
     placement.clamp_to_die();
-    state.db.set_placement(placement);
     record_timer(&options.obs, &state.timer);
     state.timer = Timer::new();
-    state.reoptimize = true;
-    run_stages(
-        state,
-        options,
-        &span,
-        &[
-            &Route,
-            &Cts,
-            &Size {
-                timing_rounds: 3,
-                power_rounds: 2,
-                power_margin: 0.15,
-            },
-            &SignOff,
-        ],
-    )
+    let floorplan = Arc::clone(&layout.floorplan);
+    *layout = route_and_cts(state, floorplan, placement, options, &span)?;
+    size(state, layout, SIZE_REFINISH, options, &span.child("sizing"));
+    let live = walk.lanes.iter_mut().filter(|lane| lane.is_live());
+    let live: Vec<&mut Lane> = live.collect();
+    let sets: Vec<CornerSet> = live.iter().map(|lane| lane.corners).collect();
+    let (stas, power) = sign_off(state, layout, &sets, options, &span.child("sta_signoff"));
+    for (lane, sta) in live.into_iter().zip(stas) {
+        lane.sta = sta;
+        lane.power = Arc::clone(&power);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
-// stages
+// stages: each takes its inputs, returns its artifact, and is handed its
+// own span last
 // ---------------------------------------------------------------------
 
 /// Pseudo-3-D: flat 2-D implementation in the canonical technology on
-/// the halved 3-D footprint (cells may overlap — Shrunk-2D style).
-/// Skipped when the state was forked from a shared [`PseudoCheckpoint`].
-pub(crate) struct PseudoThreeD;
-
-impl Stage for PseudoThreeD {
-    fn name(&self) -> &'static str {
-        "pseudo3d"
-    }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        span: &Span,
-    ) -> Result<(), FlowError> {
-        if state.pseudo.is_some() {
-            return Ok(());
-        }
-        let netlist = state.db.netlist_arc();
-        state.pseudo = Some(compute_pseudo(&netlist, options, span)?);
-        Ok(())
-    }
-}
-
-/// The pseudo-3-D computation itself. Counts one `flow/pseudo3d_runs`:
-/// the prefix-reuse metric is this counter summed over a whole manifest.
-fn compute_pseudo(
+/// the halved 3-D footprint (cells may overlap — Shrunk-2D style). Counts
+/// one `flow/pseudo3d_runs`: the prefix-reuse metric is this counter
+/// summed over a whole manifest.
+fn pseudo3d(
     netlist: &Netlist,
     options: &FlowOptions,
     span: &Span,
@@ -906,414 +935,304 @@ fn compute_pseudo(
 /// enhancement #1) followed by placement-driven bin-based FM min-cut.
 /// Balance accounting includes macro area (macros are locked to the
 /// bottom tier, so FM shifts logic toward the top to compensate).
-pub(crate) struct Partition;
-
-impl Stage for Partition {
-    fn name(&self) -> &'static str {
-        "partition"
+/// Returns the tier assignment and the locked set.
+fn partition(
+    state: &FlowState,
+    pseudo: &PseudoCheckpoint,
+    options: &FlowOptions,
+    span: &Span,
+) -> (Vec<Tier>, Option<TimingAssignment>) {
+    let obs = &options.obs;
+    let netlist = state.db.netlist();
+    let stack = state.db.stack_arc();
+    let n = netlist.cell_count();
+    let mut tiers = state.db.tiers().to_vec();
+    let mut pseudo_areas = cell_areas(netlist, &pseudo.stack, &tiers);
+    for (id, cell) in netlist.cells() {
+        if let CellClass::Macro(spec) = &cell.class {
+            pseudo_areas[id.index()] = spec.area_um2();
+        }
     }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        span: &Span,
-    ) -> Result<(), FlowError> {
-        let obs = &options.obs;
-        let pseudo = state
-            .pseudo
-            .clone()
-            .ok_or(missing("partition", "pseudo-3-D checkpoint"))?;
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let n = netlist.cell_count();
-        let mut tiers = state.db.tiers().to_vec();
-        let mut pseudo_areas = cell_areas(&netlist, &pseudo.stack, &tiers);
-        for (id, cell) in netlist.cells() {
-            if let CellClass::Macro(spec) = &cell.class {
-                pseudo_areas[id.index()] = spec.area_um2();
-            }
+    let mut locked = vec![false; n];
+    // Macros and ports stay on the bottom tier.
+    for (id, cell) in netlist.cells() {
+        if cell.class.is_macro() || cell.class.is_port() {
+            locked[id.index()] = true;
+            tiers[id.index()] = Tier::Bottom;
         }
-        let mut locked = vec![false; n];
-        // Macros and ports stay on the bottom tier.
-        for (id, cell) in netlist.cells() {
-            if cell.class.is_macro() || cell.class.is_port() {
-                locked[id.index()] = true;
-                tiers[id.index()] = Tier::Bottom;
-            }
-        }
-        let timing_assignment = if partition_reads_period(state.config, options) {
-            let pseudo_sta = {
-                let _s = span.child("sta");
-                run_sta(
-                    &netlist,
-                    &pseudo.stack,
-                    &tiers,
-                    &pseudo.parasitics,
-                    state.period_ns(),
-                    None,
-                )
-            };
-            let criticality: Vec<f64> = (0..n)
-                .map(|i| pseudo_sta.cell_criticality(CellId::from_index(i)))
-                .collect();
-            // Macros already occupy the fast/bottom tier; shrink the
-            // lockable budget so locked cells + macros still fit in the
-            // bottom's half of the shared outline (otherwise the footprint
-            // must grow and the heterogeneous area win evaporates).
-            let macro_total: f64 = netlist
-                .cells()
-                .filter(|(_, c)| c.class.is_macro())
-                .map(|(id, _)| pseudo_areas[id.index()])
-                .sum();
-            let comb_total: f64 = netlist
-                .cells()
-                .filter(|(_, c)| c.class.is_gate())
-                .map(|(id, _)| pseudo_areas[id.index()])
-                .sum();
-            let headroom =
-                ((comb_total + macro_total) * 0.5 - macro_total).max(0.0) / comb_total.max(1e-9);
-            let cap = options.timing_partition_cap.min(headroom);
-            let assignment = timing_driven_assignment(
-                &netlist,
-                &criticality,
-                &pseudo_areas,
-                cap,
-                stack.fast_tier(),
-                &mut tiers,
-            );
-            for id in &assignment.locked_cells {
-                locked[id.index()] = true;
-            }
-            Some(assignment)
-        } else {
-            None
+    }
+    let timing_assignment = if partition_reads_period(state.config, options) {
+        let pseudo_sta = {
+            let _s = span.child("sta");
+            run_sta(
+                netlist,
+                &pseudo.stack,
+                &tiers,
+                &pseudo.parasitics,
+                state.db.period_ns(),
+                None,
+            )
         };
-        let (_cut, fm_stats) = bin_min_cut_with_stats(
-            &netlist,
-            &pseudo.placement.positions,
-            pseudo.die,
-            options.partition_bins,
+        let criticality: Vec<f64> = (0..n)
+            .map(|i| pseudo_sta.cell_criticality(CellId::from_index(i)))
+            .collect();
+        // Macros already occupy the fast/bottom tier; shrink the
+        // lockable budget so locked cells + macros still fit in the
+        // bottom's half of the shared outline (otherwise the footprint
+        // must grow and the heterogeneous area win evaporates).
+        let macro_total: f64 = netlist
+            .cells()
+            .filter(|(_, c)| c.class.is_macro())
+            .map(|(id, _)| pseudo_areas[id.index()])
+            .sum();
+        let comb_total: f64 = netlist
+            .cells()
+            .filter(|(_, c)| c.class.is_gate())
+            .map(|(id, _)| pseudo_areas[id.index()])
+            .sum();
+        let headroom =
+            ((comb_total + macro_total) * 0.5 - macro_total).max(0.0) / comb_total.max(1e-9);
+        let cap = options.timing_partition_cap.min(headroom);
+        let assignment = timing_driven_assignment(
+            netlist,
+            &criticality,
             &pseudo_areas,
-            &locked,
+            cap,
+            stack.fast_tier(),
             &mut tiers,
-            &PartitionConfig {
-                seed: options.seed,
-                ..Default::default()
-            },
         );
-        if obs.is_enabled() {
-            obs.counter_add("partition/fm_passes", fm_stats.passes);
-            obs.counter_add("partition/fm_moves", fm_stats.moves);
-            obs.counter_add("partition/final_cut", fm_stats.cut);
+        for id in &assignment.locked_cells {
+            locked[id.index()] = true;
         }
-        state.timing_assignment = timing_assignment;
-        state.db.set_tiers(tiers);
-        Ok(())
+        Some(assignment)
+    } else {
+        None
+    };
+    let (_cut, fm_stats) = bin_min_cut_with_stats(
+        netlist,
+        &pseudo.placement.positions,
+        pseudo.die,
+        options.partition_bins,
+        &pseudo_areas,
+        &locked,
+        &mut tiers,
+        &PartitionConfig {
+            seed: options.seed,
+            ..Default::default()
+        },
+    );
+    if obs.is_enabled() {
+        obs.counter_add("partition/fm_passes", fm_stats.passes);
+        obs.counter_add("partition/fm_moves", fm_stats.moves);
+        obs.counter_add("partition/final_cut", fm_stats.cut);
     }
+    (tiers, timing_assignment)
 }
 
 /// Floorplan + placement under the current tier assignment. 3-D runs
-/// transfer the pseudo placement into the (possibly resized) die, heal
-/// the displacement with a short warm-start refinement and legalize onto
-/// the per-tier rows; 2-D runs place from scratch.
-pub(crate) struct TierLegalize;
+/// (`seed` given) transfer the pseudo placement into the (possibly
+/// resized) die, heal the displacement with a short warm-start
+/// refinement and legalize onto the per-tier rows; 2-D runs place from
+/// scratch.
+fn tier_legalize(
+    db: &DesignDb,
+    seed: Option<&PseudoCheckpoint>,
+    options: &FlowOptions,
+    span: &Span,
+) -> Result<(Floorplan, Placement), FlowError> {
+    let netlist = db.netlist();
+    let stack = db.stack_arc();
+    let tiers = db.tiers();
+    let fp = Floorplan::new(netlist, &stack, tiers, options.utilization);
+    let global_placement = if let Some(pseudo) = seed {
+        // Transfer the seed placement into the (possibly resized) die.
+        let sx = fp.die.width() / pseudo.die.width();
+        let sy = fp.die.height() / pseudo.die.height();
+        let mut placement = Placement::centered(netlist, fp.die);
+        for i in 0..netlist.cell_count() {
+            let p = pseudo.placement.positions[i];
+            placement.positions[i] = Point::new(
+                fp.die.llx() + (p.x - pseudo.die.llx()) * sx,
+                fp.die.lly() + (p.y - pseudo.die.lly()) * sy,
+            );
+        }
+        // Fixed cells to their floorplan slots.
+        for (id, _, rect) in &fp.macros {
+            placement.positions[id.index()] = rect.center();
+        }
+        let ports: Vec<usize> = netlist
+            .cells()
+            .filter(|(_, c)| c.class.is_port())
+            .map(|(id, _)| id.index())
+            .collect();
+        for (k, &i) in ports.iter().enumerate() {
+            placement.positions[i] = fp.io_position(k, ports.len());
+        }
+        let _s = span.child("refine_place");
+        m3d_place::refine_place(netlist, &fp, &placement, &options.placer, 4)
+    } else {
+        let _s = span.child("global_place");
+        global_place(netlist, &fp, &options.placer)
+    };
+    let (placement, legal_stats) = {
+        let _s = span.child("legalize");
+        try_legalize_with_stats(netlist, &global_placement, &fp, &stack, tiers)?
+    };
+    record_legalize(&options.obs, &legal_stats);
+    Ok((fp, placement))
+}
 
-impl Stage for TierLegalize {
-    fn name(&self) -> &'static str {
-        "tier_legalize"
-    }
+/// Global routing + parasitic extraction of `placement`.
+fn route(
+    db: &DesignDb,
+    placement: &Placement,
+    options: &FlowOptions,
+    span: &Span,
+) -> Result<(RoutingResult, Parasitics), FlowError> {
+    let (netlist, stack) = (db.netlist(), db.stack_arc());
+    let routing = global_route(netlist, placement, db.tiers(), &stack, &options.route);
+    record_routing(&options.obs, &routing);
+    let (parasitics, px) = {
+        let _s = span.child("extract");
+        try_extract_parasitics_with_stats(netlist, placement, &stack, Some(&routing))?
+    };
+    record_extract(&options.obs, &px);
+    Ok((routing, parasitics))
+}
 
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        span: &Span,
-    ) -> Result<(), FlowError> {
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let tiers = state.db.tiers_arc();
-        let fp = Floorplan::new(&netlist, &stack, &tiers, options.utilization);
-        let global_placement = if state.config.is_3d() {
-            let pseudo = state
-                .pseudo
-                .clone()
-                .ok_or(missing("tier_legalize", "pseudo-3-D checkpoint"))?;
-            // Transfer the seed placement into the (possibly resized) die.
-            let sx = fp.die.width() / pseudo.die.width();
-            let sy = fp.die.height() / pseudo.die.height();
-            let mut placement = Placement::centered(&netlist, fp.die);
-            for i in 0..netlist.cell_count() {
-                let p = pseudo.placement.positions[i];
-                placement.positions[i] = Point::new(
-                    fp.die.llx() + (p.x - pseudo.die.llx()) * sx,
-                    fp.die.lly() + (p.y - pseudo.die.lly()) * sy,
-                );
-            }
-            // Fixed cells to their floorplan slots.
-            for (id, _, rect) in &fp.macros {
-                placement.positions[id.index()] = rect.center();
-            }
-            let ports: Vec<usize> = netlist
-                .cells()
-                .filter(|(_, c)| c.class.is_port())
-                .map(|(id, _)| id.index())
-                .collect();
-            for (k, &i) in ports.iter().enumerate() {
-                placement.positions[i] = fp.io_position(k, ports.len());
-            }
-            let _s = span.child("refine_place");
-            m3d_place::refine_place(&netlist, &fp, &placement, &options.placer, 4)
+/// Clock tree synthesis over `placement`: flat for 2-D, COVER-cell (or
+/// legacy, per the baseline flow) for 3-D.
+fn cts(state: &FlowState, placement: &Placement, options: &FlowOptions, _span: &Span) -> ClockTree {
+    let mode = if state.config.is_3d() {
+        if options.enable_3d_cts {
+            CtsMode::Cover3d
         } else {
-            let _s = span.child("global_place");
-            global_place(&netlist, &fp, &options.placer)
-        };
-        let (placement, legal_stats) = {
-            let _s = span.child("legalize");
-            try_legalize_with_stats(&netlist, &global_placement, &fp, &stack, &tiers)?
-        };
-        record_legalize(&options.obs, &legal_stats);
-        state.db.set_floorplan(fp);
-        state.db.set_placement(placement);
-        Ok(())
-    }
+            CtsMode::Legacy3d
+        }
+    } else {
+        CtsMode::Flat2d
+    };
+    let (netlist, tiers, stack) = (state.db.netlist(), state.db.tiers(), state.db.stack_arc());
+    let clock_tree = synthesize(netlist, placement, tiers, &stack, mode, &options.cts);
+    options
+        .obs
+        .counter_add("cts/buffers", clock_tree.buffer_count() as u64);
+    clock_tree
 }
 
-/// Global routing + parasitic extraction.
-pub(crate) struct Route;
-
-impl Stage for Route {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        span: &Span,
-    ) -> Result<(), FlowError> {
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let tiers = state.db.tiers_arc();
-        let placement = state
-            .db
-            .placement_arc()
-            .ok_or(missing("route", "placement"))?;
-        let routing = global_route(&netlist, &placement, &tiers, &stack, &options.route);
-        record_routing(&options.obs, &routing);
-        let (parasitics, px) = {
-            let _s = span.child("extract");
-            try_extract_parasitics_with_stats(&netlist, &placement, &stack, Some(&routing))?
-        };
-        record_extract(&options.obs, &px);
-        state.db.set_routing(routing);
-        state.db.set_parasitics(parasitics);
-        Ok(())
-    }
-}
-
-/// Clock tree synthesis: flat for 2-D, COVER-cell (or legacy, per the
-/// baseline flow) for 3-D.
-pub(crate) struct Cts;
-
-impl Stage for Cts {
-    fn name(&self) -> &'static str {
-        "cts"
-    }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        _span: &Span,
-    ) -> Result<(), FlowError> {
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let tiers = state.db.tiers_arc();
-        let placement = state
-            .db
-            .placement_arc()
-            .ok_or(missing("cts", "placement"))?;
-        let mode = if state.config.is_3d() {
-            if options.enable_3d_cts {
-                CtsMode::Cover3d
-            } else {
-                CtsMode::Legacy3d
-            }
-        } else {
-            CtsMode::Flat2d
-        };
-        let clock_tree = synthesize(&netlist, &placement, &tiers, &stack, mode, &options.cts);
-        options
-            .obs
-            .counter_add("cts/buffers", clock_tree.buffer_count() as u64);
-        state.db.set_clock_tree(clock_tree);
-        Ok(())
-    }
-}
-
-/// Timing closure: upsize violating cells, then recover power on the
-/// comfortable ones. The kernels report every applied (and rolled-back)
-/// drive change to the evaluate closure, which hands the persistent timer
+/// Timing closure on `layout`: upsize violating cells, then recover
+/// power on the comfortable ones, resizing the database's netlist in
+/// place. The kernels report every applied (and rolled-back) drive
+/// change to the evaluate closure, which hands the persistent timer
 /// exactly those cells — no full-design diff scan per evaluate — and
-/// books their count as `sizing/drive_edits`.
-pub(crate) struct Size {
-    /// Rounds of slack-driven upsizing.
-    pub timing_rounds: usize,
-    /// Rounds of power-recovery downsizing.
-    pub power_rounds: usize,
-    /// Slack margin for downsizing, as a fraction of the period.
-    pub power_margin: f64,
+/// books their count as `sizing/drive_edits`. Records the tiers it sized
+/// against (the sized witness) and returns the cells it changed.
+fn size(
+    state: &mut FlowState,
+    layout: &Layout,
+    (timing_rounds, power_rounds, power_margin): Effort,
+    options: &FlowOptions,
+    _span: &Span,
+) -> usize {
+    let stack = state.db.stack_arc();
+    let tiers = state.db.tiers_arc();
+    let period = state.db.period_ns();
+    let (parasitics, clock_tree) = (&layout.parasitics, &layout.clock_tree);
+    let clock_template = clock_spec(period, Some(clock_tree));
+    let power_slack = period * power_margin;
+    let timer = &mut state.timer;
+    let mut drive_edits = 0;
+    let mut eval = |nl: &Netlist, edits: &[DriveEdit]| {
+        drive_edits += edits.len() as u64;
+        let timing_edits: Vec<TimingEdit> = edits
+            .iter()
+            .map(|&(cell, _, _)| TimingEdit::ResizeCell(cell))
+            .collect();
+        timer.update(
+            &timing_context(nl, &stack, &tiers, parasitics, clock_template.clone()),
+            &timing_edits,
+        )
+    };
+    let changed = state.db.with_netlist_mut(|nl| {
+        let up = m3d_opt::resize_for_timing_with(nl, 0.0, timing_rounds, &mut eval);
+        let down = m3d_opt::resize_for_power_with(nl, power_slack, power_rounds, &mut eval);
+        up.cells_changed + down.cells_changed
+    });
+    // No key when no edit reached the timer.
+    if drive_edits > 0 {
+        options.obs.counter_add("sizing/drive_edits", drive_edits);
+    }
+    state.sized_tiers = Some(tiers);
+    changed
 }
 
-impl Stage for Size {
-    fn name(&self) -> &'static str {
-        "sizing"
-    }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        _span: &Span,
-    ) -> Result<(), FlowError> {
-        if !state.reoptimize {
-            return Ok(());
-        }
-        let stack = state.db.stack_arc();
-        let tiers = state.db.tiers_arc();
-        let parasitics = state
-            .db
-            .parasitics_arc()
-            .ok_or(missing("sizing", "parasitics"))?;
-        let clock_tree = state
-            .db
-            .clock_tree_arc()
-            .ok_or(missing("sizing", "clock tree"))?;
-        let period = state.period_ns();
-        let clock_template = clock_spec(period, Some(&clock_tree));
-        let power_slack = period * self.power_margin;
-        let timer = &mut state.timer;
-        let mut drive_edits = 0;
-        let mut eval = |nl: &Netlist, edits: &[DriveEdit]| {
-            drive_edits += edits.len() as u64;
-            let timing_edits: Vec<TimingEdit> = edits
-                .iter()
-                .map(|&(cell, _, _)| TimingEdit::ResizeCell(cell))
-                .collect();
-            timer.update(
-                &timing_context(nl, &stack, &tiers, &parasitics, clock_template.clone()),
-                &timing_edits,
-            )
-        };
-        state.sizing_changed = state.db.with_netlist_mut(|nl| {
-            let up = m3d_opt::resize_for_timing_with(nl, 0.0, self.timing_rounds, &mut eval);
-            let down =
-                m3d_opt::resize_for_power_with(nl, power_slack, self.power_rounds, &mut eval);
-            up.cells_changed + down.cells_changed
-        });
-        // No key when no edit reached the timer, as when sizing was skipped.
-        if drive_edits > 0 {
-            options.obs.counter_add("sizing/drive_edits", drive_edits);
-        }
-        Ok(())
-    }
-}
-
-/// Sign-off STA and power from the database's current artifacts, once
-/// per live lane: the typical corner on the pass's incremental timer,
-/// every other corner a live lane asks for by one cold [`analyze`], and
-/// each lane's result the worst of its own set, which the lane keeps as
-/// an `Arc` — for the typical corner, the timer's own published result,
-/// not a copy; the power result goes to the database. Power sign-off stays
-/// at the typical corner: the paper's Table IV comparisons are
+/// Sign-off STA and power of `layout`, once per entry of `corner_sets`:
+/// the typical corner on the pass's incremental timer, every other
+/// corner a set asks for by one cold [`analyze`], and each set's result
+/// the worst of its own corners — for the typical corner, the timer's
+/// own published result, not a copy. Power sign-off stays at the typical
+/// corner, shared by every set: the paper's Table IV comparisons are
 /// typical-corner power, and only the timing sign-off is
 /// corner-dependent.
-pub(crate) struct SignOff;
-
-impl Stage for SignOff {
-    fn name(&self) -> &'static str {
-        "sta_signoff"
-    }
-
-    fn run(
-        &self,
-        state: &mut FlowState,
-        options: &FlowOptions,
-        _span: &Span,
-    ) -> Result<(), FlowError> {
-        let netlist = state.db.netlist_arc();
-        let stack = state.db.stack_arc();
-        let tiers = state.db.tiers_arc();
-        let parasitics = state
-            .db
-            .parasitics_arc()
-            .ok_or(missing("sta_signoff", "parasitics"))?;
-        let clock_tree = state
-            .db
-            .clock_tree_arc()
-            .ok_or(missing("sta_signoff", "clock tree"))?;
-        let clock = clock_spec(state.period_ns(), Some(&clock_tree));
-        let typical = state.timer.update(
-            &timing_context(&netlist, &stack, &tiers, &parasitics, clock.clone()),
-            &[],
-        );
-        let wanted = |corner: Corner| {
-            state
-                .lanes
-                .iter()
-                .any(|lane| lane.is_live() && lane.corners.corners().contains(&corner))
-        };
-        let extra: Vec<Corner> = Corner::ALL
-            .into_iter()
-            .filter(|&corner| corner != Corner::Typical && wanted(corner))
-            .collect();
-        let analyzed = analyze_corners(
-            state.config,
-            options,
-            &extra,
-            &netlist,
-            &tiers,
-            &parasitics,
-            &clock,
-        );
-        let power = analyze_power(
-            &netlist,
-            &stack,
-            &tiers,
-            &parasitics,
-            Some(&clock_tree),
-            &PowerConfig {
-                input_activity: options.input_activity,
-                frequency_ghz: 1.0 / state.period_ns(),
-                input_probability: 0.5,
-            },
-        );
-        for lane in state.lanes.iter_mut().filter(|lane| lane.is_live()) {
-            // The worst corner of the lane's set: minimum WNS, ties
-            // toward the earlier corner (`CornerResults::worst`'s rule).
-            let mut worst: Option<&Arc<StaResult>> = None;
-            for &corner in lane.corners.corners() {
-                let result = if corner == Corner::Typical {
-                    &typical
-                } else {
-                    analyzed
-                        .iter()
-                        .find(|(c, _)| *c == corner)
-                        .map(|(_, r)| r)
-                        .ok_or(missing("sta_signoff", "corner analysis"))?
-                };
-                if worst.is_none_or(|w| result.wns < w.wns) {
-                    worst = Some(result);
-                }
-            }
-            let worst = worst.ok_or(missing("sta_signoff", "corner set"))?;
-            lane.sta = Some(Arc::clone(worst));
-        }
-        state.db.set_power(power);
-        Ok(())
-    }
+fn sign_off(
+    state: &mut FlowState,
+    layout: &Layout,
+    corner_sets: &[CornerSet],
+    options: &FlowOptions,
+    _span: &Span,
+) -> (Vec<Arc<StaResult>>, Arc<PowerResult>) {
+    let netlist = state.db.netlist_arc();
+    let stack = state.db.stack_arc();
+    let tiers = state.db.tiers_arc();
+    let parasitics = &layout.parasitics;
+    let clock = clock_spec(state.db.period_ns(), Some(&layout.clock_tree));
+    let typical = state.timer.update(
+        &timing_context(&netlist, &stack, &tiers, parasitics, clock.clone()),
+        &[],
+    );
+    let wanted = |corner: Corner| {
+        corner_sets
+            .iter()
+            .any(|set| set.corners().contains(&corner))
+    };
+    let extra: Vec<Corner> = Corner::ALL
+        .into_iter()
+        .filter(|&corner| corner != Corner::Typical && wanted(corner))
+        .collect();
+    let mut analyzed = analyze_corners(
+        state.config,
+        options,
+        &extra,
+        &netlist,
+        &tiers,
+        parasitics,
+        &clock,
+    );
+    let power = analyze_power(
+        &netlist,
+        &stack,
+        &tiers,
+        parasitics,
+        Some(&layout.clock_tree),
+        &PowerConfig {
+            input_activity: options.input_activity,
+            frequency_ghz: 1.0 / state.db.period_ns(),
+            input_probability: 0.5,
+        },
+    );
+    analyzed.push((Corner::Typical, typical));
+    let at = |corner: Corner| {
+        let found = analyzed.iter().find(|(c, _)| *c == corner);
+        &found.expect("every corner a set asks for is analyzed").1
+    };
+    // The worst corner of each set: minimum WNS, ties toward the earlier
+    // corner (`CornerResults::worst`'s rule).
+    let worst = |set: &CornerSet| {
+        let results = set.corners().iter().map(|&corner| at(corner));
+        let worst = results.reduce(|w, r| if r.wns < w.wns { r } else { w });
+        Arc::clone(worst.expect("a corner set is never empty"))
+    };
+    (corner_sets.iter().map(worst).collect(), Arc::new(power))
 }
 
 /// Analyzes the signed-off artifacts at each of `corners` (non-typical;
@@ -1356,20 +1275,22 @@ mod tests {
     use m3d_netgen::Benchmark;
     use m3d_netlist::NetId;
 
-    /// Asserts that the pass's live timer and the database's parasitics
-    /// are what a cold start from the database's other artifacts gives:
+    /// Asserts that the pass's live timer and the layout's parasitics
+    /// are what a cold start from the walk's other artifacts gives:
     /// re-extracted parasitics and a fresh `analyze`, bit for bit.
-    fn assert_live_timing_is_cold_timing(state: &FlowState, when: &str) {
+    fn assert_live_timing_is_cold_timing(walk: &Walk, when: &str) {
+        let (state, layout) = (&walk.state, &walk.layout);
         let db = &state.db;
         let netlist = db.netlist_arc();
         let stack = db.stack_arc();
-        let placement = db.placement_arc().expect("placement");
-        let routing = db.routing_arc().expect("routing");
-        let clock_tree = db.clock_tree_arc().expect("clock tree");
-        let kept = db.parasitics_arc().expect("parasitics");
-        let (fresh, _) =
-            try_extract_parasitics_with_stats(&netlist, &placement, &stack, Some(&routing))
-                .expect("extract");
+        let kept = &layout.parasitics;
+        let (fresh, _) = try_extract_parasitics_with_stats(
+            &netlist,
+            &layout.placement,
+            &stack,
+            Some(&layout.routing),
+        )
+        .expect("extract");
         for k in 0..netlist.net_count() {
             let (a, b) = (
                 kept.net(NetId::from_index(k)),
@@ -1386,8 +1307,8 @@ mod tests {
             &stack,
             db.tiers(),
             &fresh,
-            state.period_ns(),
-            Some(&clock_tree),
+            db.period_ns(),
+            Some(&layout.clock_tree),
         );
         let live = state.timer.result().expect("sign-off ran on this timer");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -1427,22 +1348,100 @@ mod tests {
             let period = 1.0 / ghz;
             let prefix = Prefix::build(&base, None, Config::Hetero3d, period, &options, &span)
                 .expect("prefix");
-            let mut state = first_pass(prefix, period, &[CornerSet::Typical], &options, &span)
+            let mut walk = first_pass(prefix, period, &[CornerSet::Typical], &options, &span)
                 .expect("finish pass");
+            let mut resized = false;
             for round in 1..=3 {
                 let when = format!("{bench:?} round {round}");
-                assert_live_timing_is_cold_timing(&state, &when);
-                if round > 1 && state.sizing_changed > 0 {
+                assert_live_timing_is_cold_timing(&walk, &when);
+                if resized {
                     resized_reentries += 1;
                 }
-                let outcome = eco_round(&mut state, &options.obs).expect("eco round");
+                let outcome = eco_round(&mut walk.state, &walk.layout, &options.obs);
                 if outcome.cells_moved == 0 {
                     break;
                 }
-                refinish(&mut state, &options, &span).expect("re-finish");
+                let drives = m3d_db::netlist_fingerprint(walk.state.db.netlist());
+                refinish(&mut walk, &options, &span).expect("re-finish");
+                resized = m3d_db::netlist_fingerprint(walk.state.db.netlist()) != drives;
             }
         }
         assert!(resized_reentries > 0, "no round re-entered after sizing");
+    }
+
+    /// The one lane of a cold `config` run of `base` at `ghz` under
+    /// `options`, its walk's spans booked under `test`.
+    fn signed_off_walk(
+        base: &BaseDesign,
+        pseudo: Option<&PseudoCheckpoint>,
+        config: Config,
+        ghz: f64,
+        options: &FlowOptions,
+    ) -> Walk {
+        let (span, period) = (options.obs.span("test"), 1.0 / ghz);
+        let prefix = Prefix::build(base, pseudo, config, period, options, &span);
+        let walk = prefix.and_then(|p| finish(p, period, &[CornerSet::Typical], options, &span));
+        walk.expect("walk")
+    }
+
+    /// The sized witness over the paper's four netlists × five
+    /// configurations × ECO on/off at scales 0.06 and 0.25 (seed 7,
+    /// 1.0 GHz, default options): the sign-offs it reports unsized, each
+    /// cross-checked against its ECO's own count of moved cells — a lane
+    /// is unsized exactly when the repartitioning ECO ran and moved
+    /// nothing, so no re-finish sized it. Sizing before the first ECO
+    /// round (ROADMAP item 1) turns the list into none.
+    #[test]
+    fn the_sized_witness_reports_exactly_the_unsized_sign_offs() {
+        let mut listed = Vec::new();
+        for scale in [0.06, 0.25] {
+            for bench in Benchmark::ALL {
+                let netlist = bench.generate(scale, 7);
+                for repartition in [true, false] {
+                    let options = FlowOptions {
+                        enable_repartition: repartition,
+                        ..FlowOptions::default()
+                    };
+                    let base = prepare_base(&netlist, &options).expect("base");
+                    let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
+                    for config in Config::ALL {
+                        let pseudo = Some(&pseudo).filter(|_| config.is_3d());
+                        let walk = signed_off_walk(&base, pseudo, config, 1.0, &options);
+                        let lane = &walk.lanes[0];
+                        let eco = signed_off(lane).eco.as_ref();
+                        let unmoved = eco.map(|eco| eco.cells_moved == 0);
+                        let not_sized = matches!(lane.retired, Some(Retired::Unsized(_)));
+                        let what = format!("{bench:?} @ {scale} {config} ECO {repartition}");
+                        assert_eq!(not_sized, unmoved == Some(true), "{what}");
+                        if not_sized {
+                            listed.push(what);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(listed, ["Cpu @ 0.25 Hetero 3D (9+12) ECO true"]);
+        // A round that moves nothing after one that re-finished leaves
+        // the tiers' `Arc` alone, so the lane stays sized: CPU @ 0.06 at
+        // 1.5 GHz moves cells in round 1 and none in round 2.
+        let options = FlowOptions {
+            obs: Obs::enabled(),
+            ..FlowOptions::default()
+        };
+        let base = prepare_base(&Benchmark::Cpu.generate(0.06, 7), &options).expect("base");
+        let walk = signed_off_walk(&base, None, Config::Hetero3d, 1.5, &options);
+        let manifest = options.obs.manifest();
+        let calls = |path| manifest.span(path).map_or(0, |row| row.calls);
+        let rounds = (
+            calls("test/eco/round"),
+            calls("test/eco/round/eco_refinish"),
+        );
+        assert_eq!(
+            rounds,
+            (2, 1),
+            "a re-finish, then a round that moved nothing"
+        );
+        assert!(matches!(walk.lanes[0].retired, Some(Retired::Sized(_))));
     }
 
     /// The configurations whose prefix is shared, with the options that
@@ -1505,15 +1504,11 @@ mod tests {
                     let forked = finish(shared.fork(&options), period, &sets, &options, &span)
                         .expect("forked");
                     assert_eq!(
-                        forked.db.state_fingerprint(),
-                        cold.db.state_fingerprint(),
+                        fingerprint(&forked.state, &forked.layout),
+                        fingerprint(&cold.state, &cold.layout),
                         "{what}: state fingerprint"
                     );
-                    let (forked, cold) = (&forked.lanes[0], &cold.lanes[0]);
-                    let (forked, cold) = (
-                        forked.retired.as_ref().expect("retired"),
-                        cold.retired.as_ref().expect("retired"),
-                    );
+                    let (forked, cold) = (signed_off(&forked.lanes[0]), signed_off(&cold.lanes[0]));
                     for ((name, a), (_, b)) in forked.bits().iter().zip(cold.bits()) {
                         assert_eq!(a, &b, "{what}: {name}");
                     }
@@ -1534,15 +1529,28 @@ mod tests {
         assert_ne!(a, b, "timing partitioning reads the period");
     }
 
-    /// The design a prefix state holds, by bits, at a common period.
-    fn design(mut state: FlowState) -> (u64, u64, usize, Vec<u64>) {
-        state.db.set_period(1.0);
-        let (routing, tree) = (
-            state.db.routing_arc().expect("routing"),
-            state.db.clock_tree_arc().expect("clock tree"),
-        );
+    /// The database's `state_fingerprint` with the layout's placement
+    /// and parasitics installed.
+    fn fingerprint(state: &FlowState, layout: &Layout) -> u64 {
+        let mut db = state.db.fork();
+        db.set_placement((*layout.placement).clone());
+        db.set_parasitics((*layout.parasitics).clone());
+        db.state_fingerprint()
+    }
+
+    /// The implementation a retired lane signs off, sized or not.
+    fn signed_off(lane: &Lane) -> &Implementation {
+        match lane.retired.as_ref().expect("retired") {
+            Retired::Sized(imp) | Retired::Unsized(imp) => imp,
+        }
+    }
+
+    /// The design a prefix holds, by bits, at a common period.
+    fn design(mut prefix: Prefix) -> (u64, u64, usize, Vec<u64>) {
+        prefix.state.db.set_period(1.0);
+        let (routing, tree) = (&prefix.layout.routing, &prefix.layout.clock_tree);
         (
-            state.db.state_fingerprint(),
+            fingerprint(&prefix.state, &prefix.layout),
             routing.total_wirelength_um.to_bits(),
             routing.total_mivs,
             tree.sink_latency.iter().map(|l| l.to_bits()).collect(),
@@ -1551,8 +1559,8 @@ mod tests {
 
     /// The guard behind the prefix boundary: built under two different
     /// periods, a prefix holds the same design — so a stage that starts
-    /// reading the period in front of [`Size`] fails here, as
-    /// [`Partition`] under timing partitioning does.
+    /// reading the period in front of [`size`] fails here, as
+    /// [`partition`] under timing partitioning does.
     #[test]
     fn prefix_does_not_read_the_period() {
         let netlist = Benchmark::Aes.generate(0.03, 7);
@@ -1561,7 +1569,7 @@ mod tests {
             let span = options.obs.span("test");
             let at = |period: f64| {
                 let prefix = Prefix::build(&base, None, config, period, &options, &span);
-                design(prefix.expect("prefix").state)
+                design(prefix.expect("prefix"))
             };
             assert_eq!(at(0.4), at(2.5), "{config}: the prefix read the period");
         }
@@ -1571,16 +1579,15 @@ mod tests {
         let base = prepare_base(&netlist, &options).expect("base");
         let span = options.obs.span("test");
         let at = |period: f64| {
-            let mut state = FlowState::new(&base, None, Config::Hetero3d, period, &options);
-            implement(&mut state, &options, &span).expect("implement");
-            design(state)
+            let prefix = Prefix::build(&base, None, Config::Hetero3d, period, &options, &span);
+            design(prefix.expect("prefix"))
         };
         assert_ne!(at(0.4), at(2.5), "timing partitioning reads the period");
     }
 
     /// One case per leaf field of [`FlowOptions`]: its name, the boundary
     /// [`FlowOptions::read_set`] declares it read in front of (`None`:
-    /// read from `Size` on, or never), and `quick` with the field at a
+    /// read from `size` on, or never), and `quick` with the field at a
     /// second value.
     fn read_set_cases(quick: &FlowOptions) -> Vec<(&'static str, Option<ReadSet>, FlowOptions)> {
         use m3d_tech::{Drive, StackingStyle, TechContext};
@@ -1706,7 +1713,7 @@ mod tests {
             let prefixes = [Config::Hetero3d, Config::TwoD12T].map(|config| {
                 let pseudo = Some(&pseudo).filter(|_| config.is_3d());
                 let prefix = Prefix::build(&base, pseudo, config, 1.0, options, &span);
-                design(prefix.expect("prefix").state)
+                design(prefix.expect("prefix"))
             });
             let nets = (0..base.netlist.net_count()).map(|k| {
                 let net = pseudo.parasitics.net(NetId::from_index(k));

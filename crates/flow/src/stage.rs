@@ -318,7 +318,8 @@ fn record_extract(obs: &Obs, stats: &ExtractStats) {
     obs.gauge_add("extract/wire_cap_ff", stats.total_wire_cap_ff);
 }
 
-/// Publishes a legalization run's deterministic displacement figures.
+/// Publishes a legalization run's deterministic displacement figures,
+/// and its search effort as perf-only counters.
 fn record_legalize(obs: &Obs, stats: &LegalStats) {
     if !obs.is_enabled() {
         return;
@@ -329,6 +330,8 @@ fn record_legalize(obs: &Obs, stats: &LegalStats) {
         stats.total_displacement_um,
     );
     obs.gauge_set("legalize/max_displacement_um", stats.max_displacement_um);
+    obs.perf_add("legalize/row_probes", stats.row_probes);
+    obs.perf_add("legalize/fallbacks", stats.fallbacks);
 }
 
 /// The one place a [`TimingContext`] is assembled in this crate: every

@@ -231,7 +231,8 @@ where
 
 /// Runs independent thunks concurrently, returning their results in call
 /// order. Used for the flow's coarse fan-out: one thunk per configuration
-/// of a comparison, one per walk of a grid wave. (The fmax ladder's rungs
+/// of a comparison, one per walk of a grid wave, one per die of a 3-D
+/// legalization. (The fmax ladder's rungs
 /// are not fanned out: they run one at a time, so the sweep can stop at
 /// the first that meets timing.)
 pub fn par_invoke<R, F>(threads: usize, thunks: Vec<F>) -> Vec<R>

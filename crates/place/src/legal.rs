@@ -3,10 +3,12 @@ use crate::placement::Placement;
 use m3d_geom::{Point, Rect};
 use m3d_netlist::{CellClass, Netlist};
 use m3d_tech::{Tier, TierStack};
+use std::cell::Cell;
 
-/// Displacement counters from one legalization run, surfaced for run
-/// telemetry. Deterministic: legalization is a sequential sweep and the
-/// sums fold in cell-index order.
+/// Displacement and search counters from one legalization run, surfaced
+/// for run telemetry. Deterministic: each tier's sweep is sequential, the
+/// displacement sums fold in cell-index order and the search counts are
+/// integer sums over the tiers.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct LegalStats {
     /// Movable gates the sweep placed.
@@ -15,6 +17,11 @@ pub struct LegalStats {
     pub total_displacement_um: f64,
     /// Largest single-cell displacement, in µm.
     pub max_displacement_um: f64,
+    /// Rows the slot search looked into, both tiers.
+    pub row_probes: u64,
+    /// Cells whose ±24-row window was full, so the search covered the
+    /// whole die.
+    pub fallbacks: u64,
 }
 
 /// Why a legalization input cannot be processed. Each variant corresponds
@@ -106,8 +113,7 @@ pub fn try_legalize_with_stats(
             height_um: fp.die.height(),
         });
     }
-    let out = legalize_tiers(netlist, placement, fp, stack, tiers, find_slot);
-    let mut stats = LegalStats::default();
+    let (out, mut stats) = legalize_tiers(netlist, placement, fp, stack, tiers, find_slot);
     for (id, c) in netlist.cells() {
         if c.fixed || !c.class.is_gate() {
             continue;
@@ -122,11 +128,18 @@ pub fn try_legalize_with_stats(
 }
 
 /// Row search used by the sweep: `(rows, desired, width, ideal_row, lo,
-/// hi)` → `(row, slot, left edge)` of the cheapest slot in rows `lo..=hi`.
-/// A parameter only so the tests can run the whole sweep on the
-/// exhaustive reference search.
-type SlotSearch = fn(&[Row], Point, f64, usize, usize, usize) -> Option<(usize, usize, f64)>;
+/// hi, probes)` → `(row, slot, left edge)` of the cheapest slot in rows
+/// `lo..=hi`, adding the rows it looked into to `probes`. A parameter
+/// only so the tests can run the whole sweep on the exhaustive reference
+/// search.
+type SlotSearch =
+    fn(&[Row], Point, f64, usize, usize, usize, &mut u64) -> Option<(usize, usize, f64)>;
 
+/// Legalizes each die on its own rows, the two dies as two concurrent
+/// jobs. A sweep reads only its own tier's cells and rows and returns
+/// only its own cells' positions, so the merged result is the sequential
+/// sweeps' at any thread count. Returns the placement and the search
+/// counters; the displacement fields are left to the caller.
 fn legalize_tiers(
     netlist: &Netlist,
     placement: &Placement,
@@ -134,15 +147,26 @@ fn legalize_tiers(
     stack: &TierStack,
     tiers: &[Tier],
     search: SlotSearch,
-) -> Placement {
+) -> (Placement, LegalStats) {
+    let dies = if stack.is_3d() {
+        &Tier::BOTH[..]
+    } else {
+        &Tier::BOTH[..1]
+    };
+    let jobs: Vec<_> = dies
+        .iter()
+        .map(|&tier| move || legalize_tier(netlist, placement, fp, stack, tiers, tier, search))
+        .collect();
     let mut out = placement.clone();
-    for tier in Tier::BOTH {
-        legalize_tier(netlist, &mut out, fp, stack, tiers, tier, search);
-        if !stack.is_3d() {
-            break;
+    let mut stats = LegalStats::default();
+    for (positions, tier_stats) in m3d_par::par_invoke(0, jobs) {
+        for (i, p) in positions {
+            out.positions[i] = p;
         }
+        stats.row_probes += tier_stats.row_probes;
+        stats.fallbacks += tier_stats.fallbacks;
     }
-    out
+    (out, stats)
 }
 
 struct Row {
@@ -157,6 +181,15 @@ struct Row {
     /// slot at or left of `i` — the sweep runs left to right, which makes
     /// that side of a row the packed one.
     widest_upto: Vec<f64>,
+    /// `widest_upto`'s last entry (−∞ with no free interval left), kept
+    /// inline so a row with no wide-enough gap is rejected without
+    /// touching the heap.
+    widest: f64,
+    /// `free.partition_point(|&(s, _)| s <= x)` for the largest `x` asked
+    /// so far, or less. The sweep asks in ascending `x`, so the answer
+    /// only moves right; an edit at interval `i` clamps the cursor to
+    /// `i`, since everything before `i` is untouched.
+    cursor: Cell<usize>,
 }
 
 impl Row {
@@ -165,20 +198,51 @@ impl Row {
             y_center,
             free,
             widest_upto: Vec::new(),
+            widest: f64::NEG_INFINITY,
+            cursor: Cell::new(0),
         };
         row.reindex(0);
         row
     }
 
     /// Rebuilds `widest_upto` from interval `from` on, after an edit of
-    /// `free` at that position.
+    /// `free` at that position, and clamps the cursor to the edit.
     fn reindex(&mut self, from: usize) {
+        self.cursor.set(self.cursor.get().min(from));
         self.widest_upto.truncate(from);
         let mut widest = from.checked_sub(1).map_or(0.0, |i| self.widest_upto[i]);
         for &(s, e) in &self.free[from..] {
             widest = widest.max(e - s);
             self.widest_upto.push(widest);
         }
+        self.widest = self
+            .widest_upto
+            .last()
+            .copied()
+            .unwrap_or(f64::NEG_INFINITY);
+    }
+
+    /// Drops interval `slot` whole: the capacity-exhaustion overlap.
+    fn take(&mut self, slot: usize) {
+        self.free.remove(slot);
+        self.reindex(slot);
+    }
+
+    /// Index of the first interval starting right of `x`:
+    /// `free.partition_point(|&(s, _)| s <= x)`, found by advancing the
+    /// cursor. Amortised O(1) for a sweep asking in ascending `x`.
+    fn seek(&self, x: f64) -> usize {
+        let mut p = self.cursor.get();
+        while p < self.free.len() && self.free[p].0 <= x {
+            p += 1;
+        }
+        self.cursor.set(p);
+        debug_assert_eq!(
+            p,
+            self.free.partition_point(|&(s, _)| s <= x),
+            "row cursor ahead of the sweep"
+        );
+        p
     }
 }
 
@@ -202,13 +266,15 @@ impl Row {
 /// * `widest_upto` ends the left walk where nothing at or left of it is
 ///   wide enough, and skips a row with no wide-enough interval at all.
 ///
-/// With `max_dx = ∞` the result is that of two exhaustive walks.
+/// With `max_dx = ∞` the result is that of two exhaustive walks. The
+/// walks start at [`Row::seek`]'s split, so `desired_x` must be at least
+/// every earlier query's on this row.
 fn best_slot(row: &Row, desired_x: f64, width: f64, max_dx: f64) -> Option<(usize, f64, f64)> {
-    let free = &row.free;
-    debug_assert_eq!(row.widest_upto.len(), free.len(), "stale row index");
-    if row.widest_upto.last().is_none_or(|&widest| widest < width) {
+    if row.widest < width {
         return None;
     }
+    let free = &row.free;
+    debug_assert_eq!(row.widest_upto.len(), free.len(), "stale row index");
     let fit = |i: usize| {
         let (s, e) = free[i];
         (e - s >= width).then(|| {
@@ -216,7 +282,7 @@ fn best_slot(row: &Row, desired_x: f64, width: f64, max_dx: f64) -> Option<(usiz
             (i, x, (x + width * 0.5 - desired_x).abs())
         })
     };
-    let p = free.partition_point(|&(s, _)| s <= desired_x);
+    let p = row.seek(desired_x);
     let mut bound = max_dx;
     let mut right = None;
     for (i, &(s, _)) in free.iter().enumerate().skip(p) {
@@ -244,7 +310,8 @@ fn best_slot(row: &Row, desired_x: f64, width: f64, max_dx: f64) -> Option<(usiz
 }
 
 /// Cheapest slot (cost = `dx + dy`) for a cell in rows `lo..=hi`, ties to
-/// the lowest row index: `(row, slot, left edge)`.
+/// the lowest row index: `(row, slot, left edge)`. Counts every
+/// [`best_slot`] call in `probes`.
 ///
 /// Rows are visited outward from `ideal_row`, alternating below/above.
 /// Row centers ascend with the row index and `ideal_row` is the row
@@ -262,6 +329,7 @@ fn find_slot(
     ideal_row: usize,
     lo: usize,
     hi: usize,
+    probes: &mut u64,
 ) -> Option<(usize, usize, f64)> {
     // (row, slot, x, cost) of the incumbent.
     let mut best: Option<(usize, usize, f64, f64)> = None;
@@ -273,6 +341,7 @@ fn find_slot(
         if dy > budget {
             return false;
         }
+        *probes += 1;
         if let Some((slot, x, dx)) = best_slot(row, desired.x, width, budget - dy) {
             let cost = dx + dy;
             if best.is_none_or(|(br, _, _, c)| cost < c || (cost == c && r < br)) {
@@ -293,7 +362,8 @@ fn find_slot(
 }
 
 /// Carves `[x, x + width)` out of `row.free[slot]`, keeping the interval
-/// list sorted and disjoint.
+/// list sorted and disjoint (and, through `reindex`, the cursor at or
+/// left of `slot`).
 fn occupy(row: &mut Row, slot: usize, x: f64, width: f64) {
     let (s, e) = row.free[slot];
     let eps = 1e-9;
@@ -309,15 +379,17 @@ fn occupy(row: &mut Row, slot: usize, x: f64, width: f64) {
     row.reindex(slot);
 }
 
+/// One die's sweep: its movable gates' legal positions, by cell index,
+/// and its search counters (the displacement fields stay zero).
 fn legalize_tier(
     netlist: &Netlist,
-    placement: &mut Placement,
+    placement: &Placement,
     fp: &Floorplan,
     stack: &TierStack,
     tiers: &[Tier],
     tier: Tier,
     search: SlotSearch,
-) {
+) -> (Vec<(usize, Point)>, LegalStats) {
     let lib = stack.library(tier);
     let row_h = lib.cell_height_um;
     let die = fp.die;
@@ -371,6 +443,8 @@ fn legalize_tier(
     });
 
     let search_span = 24usize;
+    let mut positions = Vec::with_capacity(cells.len());
+    let mut stats = LegalStats::default();
     for (idx, width) in cells {
         let desired = placement.positions[idx];
         let ideal_row = (((desired.y - die.lly()) / row_h).floor() as isize)
@@ -378,12 +452,15 @@ fn legalize_tier(
         let lo = ideal_row.saturating_sub(search_span);
         let hi = (ideal_row + search_span).min(n_rows - 1);
         // Nearby rows first; when every one of them is full, the whole die.
-        let best = search(&rows, desired, width, ideal_row, lo, hi)
-            .or_else(|| search(&rows, desired, width, ideal_row, 0, n_rows - 1));
-        match best {
+        let probes = &mut stats.row_probes;
+        let best = search(&rows, desired, width, ideal_row, lo, hi, probes).or_else(|| {
+            stats.fallbacks += 1;
+            search(&rows, desired, width, ideal_row, 0, n_rows - 1, probes)
+        });
+        let at = match best {
             Some((r, slot, x)) => {
-                placement.positions[idx] = Point::new(x + width * 0.5, rows[r].y_center);
                 occupy(&mut rows[r], slot, x, width);
+                Point::new(x + width * 0.5, rows[r].y_center)
             }
             None => {
                 // No free slot fits the cell anywhere: true capacity
@@ -404,18 +481,18 @@ fn legalize_tier(
                     // Not even a gap left; pin to the die edge of the
                     // ideal row.
                     let x = (desired.x - width * 0.5).clamp(die.llx(), die.urx() - width);
-                    placement.positions[idx] =
-                        Point::new(x + width * 0.5, rows[ideal_row].y_center);
+                    Point::new(x + width * 0.5, rows[ideal_row].y_center)
                 } else {
                     let (s, _) = rows[r].free[slot];
                     let x = s.min(die.urx() - width).max(die.llx());
-                    placement.positions[idx] = Point::new(x + width * 0.5, rows[r].y_center);
-                    rows[r].free.remove(slot);
-                    rows[r].reindex(slot);
+                    rows[r].take(slot);
+                    Point::new(x + width * 0.5, rows[r].y_center)
                 }
             }
-        }
+        };
+        positions.push((idx, at));
     }
+    (positions, stats)
 }
 
 #[cfg(test)]
@@ -572,9 +649,11 @@ mod tests {
         _ideal_row: usize,
         lo: usize,
         hi: usize,
+        probes: &mut u64,
     ) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64, f64)> = None;
         for (r, row) in rows.iter().enumerate().take(hi + 1).skip(lo) {
+            *probes += 1;
             let free = &row.free;
             let dy = (row.y_center - desired.y).abs();
             let p = free.partition_point(|&(s, _)| s <= desired.x);
@@ -598,6 +677,124 @@ mod tests {
             }
         }
         best.map(|(r, i, x, _)| (r, i, x))
+    }
+
+    /// Checks `best_slot` on `row` at each `(x, width)` query, in order,
+    /// against a fresh row's (cursor at 0, so the split is a full
+    /// `partition_point`) and the exhaustive search's.
+    fn assert_queries_match(row: &Row, queries: &[(f64, f64)]) {
+        for &(x, width) in queries {
+            let got = best_slot(row, x, width, f64::INFINITY);
+            let fresh = Row::new(row.y_center, row.free.clone());
+            assert_eq!(
+                got,
+                best_slot(&fresh, x, width, f64::INFINITY),
+                "x {x}, width {width}"
+            );
+            let desired = Point::new(x, row.y_center);
+            let reference =
+                find_slot_exhaustive(std::slice::from_ref(row), desired, width, 0, 0, 0, &mut 0);
+            assert_eq!(
+                got.map(|(slot, left, _)| (slot, left.to_bits())),
+                reference.map(|(_, slot, left)| (slot, left.to_bits())),
+                "x {x}, width {width}"
+            );
+            if got.is_some() {
+                assert_eq!(row.cursor.get(), row.free.partition_point(|&(s, _)| s <= x));
+            }
+        }
+    }
+
+    #[test]
+    fn row_cursor_survives_splits_and_removals_left_of_it() {
+        // A placement splits an interval; the queries after it step
+        // across both fragments and the next interval.
+        let mut row = Row::new(0.5, vec![(0.0, 10.0), (12.0, 20.0)]);
+        assert_eq!(
+            best_slot(&row, 2.0, 1.0, f64::INFINITY),
+            Some((0, 1.5, 0.0))
+        );
+        occupy(&mut row, 0, 1.5, 1.0);
+        assert_eq!(row.free, [(0.0, 1.5), (2.5, 10.0), (12.0, 20.0)]);
+        assert_queries_match(
+            &row,
+            &[
+                (2.0, 1.0),
+                (2.0, 0.5),
+                (3.0, 2.0),
+                (11.0, 1.0),
+                (12.5, 9.0),
+                (19.0, 1.0),
+            ],
+        );
+
+        // A fragment fill consumes a whole interval left of the cursor,
+        // then the exhaustion branch drops another one left of it: the
+        // cursor must follow both back, or the next query splits the
+        // list two intervals too far right and takes (7, 8) for (5, 6).
+        let mut row = Row::new(
+            0.5,
+            vec![(0.0, 1.0), (2.0, 3.0), (5.0, 6.0), (7.0, 8.0), (20.0, 30.0)],
+        );
+        let (slot, left, _) = best_slot(&row, 3.9, 1.0, f64::INFINITY).unwrap();
+        assert_eq!((slot, left, row.cursor.get()), (1, 2.0, 2));
+        occupy(&mut row, slot, left, 1.0);
+        row.take(0);
+        assert_eq!(row.free, [(5.0, 6.0), (7.0, 8.0), (20.0, 30.0)]);
+        assert_eq!(
+            best_slot(&row, 4.0, 1.0, f64::INFINITY),
+            Some((0, 5.0, 1.5))
+        );
+        assert_queries_match(
+            &row,
+            &[
+                (4.0, 1.0),
+                (6.5, 1.0),
+                (7.5, 2.0),
+                (21.0, 1.0),
+                (40.0, 11.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn two_dies_legalize_alike_at_any_thread_count() {
+        let stack = TierStack::heterogeneous();
+        let n = m3d_netgen::Benchmark::Cpu.generate(0.05, 4);
+        let tiers: Vec<Tier> = (0..n.cell_count())
+            .map(|i| if i % 2 == 0 { Tier::Top } else { Tier::Bottom })
+            .collect();
+        let mut fp = Floorplan::new(&n, &stack, &tiers, 0.65);
+        let die = fp.die;
+        let (w, h) = (die.width() * 0.1, die.height() * 0.1);
+        let top = Rect::new(
+            die.llx() + 4.0 * w,
+            die.lly() + 4.0 * h,
+            die.llx() + 5.0 * w,
+            die.lly() + 5.0 * h,
+        );
+        fp.macros.push((CellId::from_index(0), Tier::Top, top));
+        assert!(!fp.keepouts(Tier::Bottom).is_empty() && !fp.keepouts(Tier::Top).is_empty());
+        let p = global_place(&n, &fp, &PlacerConfig::default());
+
+        let run = |threads: usize| {
+            m3d_par::set_threads(threads);
+            let result = try_legalize_with_stats(&n, &p, &fp, &stack, &tiers).unwrap();
+            m3d_par::set_threads(0);
+            result
+        };
+        let (one, one_stats) = run(1);
+        let (four, four_stats) = run(4);
+        assert_eq!(one_stats, four_stats);
+        assert!(one_stats.row_probes >= one_stats.moved_cells);
+        let bits = |p: &Placement| -> Vec<(u64, u64)> {
+            p.positions
+                .iter()
+                .map(|q| (q.x.to_bits(), q.y.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&one), bits(&four));
+        assert_eq!(check_legality(&n, &one, &fp, &stack, &tiers), Ok(()));
     }
 
     /// A legalizer input of the drawn shape. Tall dies have more rows
@@ -684,8 +881,8 @@ mod tests {
             ),
         ) {
             let (n, tiers, fp, stack, p) = random_input(seed, kind, die, spread, &keepouts, &coords);
-            let pruned = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot);
-            let reference = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot_exhaustive);
+            let (pruned, _) = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot);
+            let (reference, _) = legalize_tiers(&n, &p, &fp, &stack, &tiers, find_slot_exhaustive);
             for (i, (a, b)) in pruned.positions.iter().zip(&reference.positions).enumerate() {
                 prop_assert_eq!(
                     (a.x.to_bits(), a.y.to_bits()),

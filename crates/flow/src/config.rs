@@ -156,10 +156,15 @@ pub struct FlowOptions {
     pub partition_bins: usize,
     /// Timing-met tolerance: |WNS| within this fraction of the period.
     pub wns_tolerance: f64,
-    /// Worker threads for the parallel flow engine. `0` defers to the
-    /// process-global setting (`m3d_par::set_threads`), which itself falls
-    /// back to `HETERO3D_THREADS` and then the machine's parallelism.
-    /// Results are identical at any value; `1` forces the sequential path.
+    /// Workers for the run-level fan-outs this call starts: the
+    /// configurations of a comparison and the walks of a grid wave. `0`
+    /// defers to the process-global setting (`m3d_par::set_threads`),
+    /// which itself falls back to `HETERO3D_THREADS` and then the
+    /// machine's parallelism. The kernels (the placer's sweeps, the
+    /// router's Prim planning, the cold STA pass's forward levels) and
+    /// the two dies' legalization jobs never read this field: they read
+    /// only the process-global setting. Results are identical at any
+    /// value.
     pub threads: usize,
     /// Telemetry sink for the run. Disabled by default (every record is
     /// one branch); attach [`Obs::enabled`] to collect spans and counters

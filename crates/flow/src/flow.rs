@@ -247,8 +247,8 @@ fn choose<E>(
 
 /// The fmax search itself, over any way of implementing one period:
 /// `run(period_ns, options)` under the rung's scoped options. The probe
-/// and the rungs [`choose`] walks run one after another, each with all
-/// of `options.threads` for its own stages.
+/// and the rungs [`choose`] walks run one after another, each rung's
+/// kernels using the process-wide worker count.
 fn fmax_ladder(
     options: &FlowOptions,
     start_ghz: f64,
@@ -305,7 +305,7 @@ fn fmax_ladder(
 /// period estimate (`period - 0.85 × WNS`); a fixed ladder of candidate
 /// periods around that estimate is then walked **sequentially**, fastest
 /// rung first (ties by rung index), every rung forking from the same
-/// snapshots and using all `options.threads` workers for its own stages.
+/// snapshots, its kernels using the process-wide worker count.
 /// The walk stops at the first rung that meets timing or — the probe
 /// having met — before the first rung strictly slower than the probe;
 /// a ladder that meets nothing walks every rung and then retries once

@@ -99,142 +99,71 @@ fn chunk_bounds(len: usize, max_chunks: usize) -> Vec<Range<usize>> {
     bounds
 }
 
+/// The fixed decomposition of `len` items: `len.min(MAX_CHUNKS)`
+/// contiguous ranges, whatever the worker count. A sequential fold that
+/// must reproduce a chunk-ordered merge walks these ranges.
+#[must_use]
+pub fn chunks(len: usize) -> Vec<Range<usize>> {
+    chunk_bounds(len, MAX_CHUNKS)
+}
+
 /// Applies `f` to fixed index ranges covering `0..len` and returns the
 /// per-chunk results **in chunk order**.
 ///
-/// The chunking is `len.min(MAX_CHUNKS)` ranges regardless of `threads`,
-/// so a caller folding the returned vector performs the same merge
-/// sequence at any thread count. `threads` only controls how many workers
-/// race to claim chunks; `threads <= 1` (after [`resolve`]) runs the same
-/// chunks sequentially on the calling thread.
+/// The chunking is [`chunks`]`(len)` regardless of `threads`, so a caller
+/// folding the returned vector performs the same merge sequence at any
+/// thread count. `threads` only controls how many workers race to claim
+/// chunks ([`par_invoke`]); `threads <= 1` (after [`resolve`]) runs the
+/// same chunks sequentially on the calling thread.
 pub fn par_ranges<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let bounds = chunk_bounds(len, MAX_CHUNKS);
-    let workers = resolve(threads).min(bounds.len().max(1));
-    if workers <= 1 || bounds.len() <= 1 {
-        return bounds.into_iter().map(f).collect();
-    }
-
-    let slots: Vec<Mutex<Option<R>>> = (0..bounds.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let bounds_ref = &bounds;
-    let slots_ref = &slots;
-    let next_ref = &next;
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        let work = move || loop {
-            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-            if i >= bounds_ref.len() {
-                break;
-            }
-            let r = f_ref(bounds_ref[i].clone());
-            *slots_ref[i].lock().expect("chunk slot poisoned") = Some(r);
-        };
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        // The calling thread is worker zero.
-        work();
-    });
-    slots
+    let f = &f;
+    let jobs = chunks(len)
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("chunk slot poisoned")
-                .expect("every chunk claimed exactly once")
-        })
-        .collect()
-}
-
-/// Deterministic parallel map: `f(i, &items[i])` for every index, results
-/// in input order. Equivalent to a sequential `map` at any thread count.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunks = par_ranges(threads, items.len(), |range| {
-        range.map(|i| f(i, &items[i])).collect::<Vec<R>>()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Deterministic parallel map over an index range (for call sites that
-/// index several slices instead of holding one).
-pub fn par_map_indices<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let chunks = par_ranges(threads, len, |range| range.map(&f).collect::<Vec<R>>());
-    let mut out = Vec::with_capacity(len);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+        .map(|range| move || f(range))
+        .collect();
+    par_invoke(threads, jobs)
 }
 
 /// Deterministic parallel in-place update: `f(i, &mut items[i])` for
 /// every index, over disjoint `&mut` chunks with [`par_ranges`]'s fixed
-/// decomposition. A repeated bulk pass fills its standing buffer this
-/// way instead of collecting a fresh design-sized `Vec` per chunk: it
-/// allocates nothing per item. Each call sees only its own item, so the
-/// result equals a sequential `iter_mut` loop at any thread count.
+/// decomposition, claimed through [`par_invoke`]. A repeated bulk pass
+/// fills its standing buffer this way instead of collecting a fresh
+/// design-sized `Vec` per chunk: it allocates nothing per item. Each call
+/// sees only its own item, so the result equals a sequential `iter_mut`
+/// loop at any thread count.
 pub fn par_fill<T, F>(threads: usize, items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    if resolve(threads) <= 1 || items.len() <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let bounds = chunk_bounds(items.len(), MAX_CHUNKS);
-    let workers = resolve(threads).min(bounds.len());
-    let mut chunks = Vec::with_capacity(bounds.len());
+    let f = &f;
+    let mut jobs = Vec::new();
     let mut rest = items;
-    for range in &bounds {
+    for range in chunks(rest.len()) {
         let (chunk, tail) = rest.split_at_mut(range.len());
-        chunks.push((range.start, chunk));
         rest = tail;
-    }
-    // Workers pull the next unclaimed chunk; each is handed out once.
-    let queue = Mutex::new(chunks.into_iter());
-    let queue_ref = &queue;
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        let work = move || loop {
-            let claimed = queue_ref.lock().expect("chunk queue poisoned").next();
-            let Some((start, chunk)) = claimed else {
-                break;
-            };
+        jobs.push(move || {
             for (k, item) in chunk.iter_mut().enumerate() {
-                f_ref(start + k, item);
+                f(range.start + k, item);
             }
-        };
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        work();
-    });
+        });
+    }
+    par_invoke(threads, jobs);
 }
 
 /// Runs independent thunks concurrently, returning their results in call
-/// order. Used for the flow's coarse fan-out: one thunk per configuration
-/// of a comparison, one per walk of a grid wave, one per die of a 3-D
-/// legalization. (The fmax ladder's rungs
-/// are not fanned out: they run one at a time, so the sweep can stop at
-/// the first that meets timing.)
+/// order: the one scheduler. Workers claim the next unclaimed thunk from
+/// a shared counter, so each runs once; `threads <= 1` (after
+/// [`resolve`]) runs them in order on the calling thread. Besides the
+/// chunks of [`par_ranges`] and [`par_fill`], it carries the flow's
+/// coarse fan-out: one thunk per configuration of a comparison, one per
+/// walk of a grid wave, one per die of a 3-D legalization. (The fmax
+/// ladder's rungs are not fanned out: they run one at a time, so the
+/// sweep can stop at the first that meets timing.)
 pub fn par_invoke<R, F>(threads: usize, thunks: Vec<F>) -> Vec<R>
 where
     R: Send,
@@ -267,6 +196,7 @@ where
         for _ in 1..workers {
             scope.spawn(work);
         }
+        // The calling thread is worker zero.
         work();
     });
     slots
@@ -305,16 +235,6 @@ mod tests {
         let a = chunk_bounds(1000, MAX_CHUNKS);
         let b = chunk_bounds(1000, MAX_CHUNKS);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_map_matches_sequential_map() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for t in [1, 2, 3, 8] {
-            let par = par_map(t, &items, |_, &x| x * x + 1);
-            assert_eq!(par, seq, "threads = {t}");
-        }
     }
 
     #[test]
@@ -370,11 +290,5 @@ mod tests {
         }
         let mut empty: Vec<u8> = Vec::new();
         par_fill(4, &mut empty, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn par_map_indices_matches() {
-        let seq: Vec<usize> = (0..5000).map(|i| i * 3).collect();
-        assert_eq!(par_map_indices(4, 5000, |i| i * 3), seq);
     }
 }

@@ -367,11 +367,8 @@ fn update_gains_by_recompute(
 /// journal) is allocated once and reset in place, so a pass costs no heap
 /// churn.
 ///
-/// The per-pass setup — side counts, initial gains, cut evaluation — is
-/// embarrassingly parallel and runs on `m3d_par` workers for large
-/// designs; each item's value is independent, so the scattered results
-/// are identical to the sequential loops. The move sequence itself stays
-/// sequential: it *defines* the deterministic order of the pass.
+/// The move sequence is sequential: it *defines* the deterministic order
+/// of the pass.
 ///
 /// Cuts are always a true recount (`cut_of`), never the running
 /// `cur_cut`: gains count a double-pinned cell's net once per pin, so the
@@ -389,8 +386,6 @@ fn run_fm_engine(
     let mut stats = FmStats::default();
     let n = netlist.cell_count();
     let net_count = netlist.net_count();
-    let threads = m3d_par::resolve(0);
-    let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
     // Movable = not locked, not a port, not a macro (macros sit on the
     // bottom tier per the flow).
     let movable: Vec<bool> = netlist
@@ -409,17 +404,9 @@ fn run_fm_engine(
             }
             seen[0] && seen[1]
         };
-        if parallel {
-            m3d_par::par_ranges(threads, net_count, |r| {
-                r.filter(|&ni| is_cut(graph.inc.net_cells(ni))).count()
-            })
-            .into_iter()
-            .sum()
-        } else {
-            (0..net_count)
-                .filter(|&ni| is_cut(graph.inc.net_cells(ni)))
-                .count()
-        }
+        (0..net_count)
+            .filter(|&ni| is_cut(graph.inc.net_cells(ni)))
+            .count()
     };
 
     let max_deg = (0..n)
@@ -455,11 +442,9 @@ fn run_fm_engine(
             }
             sc
         };
-        let fill_threads = if parallel { threads } else { 1 };
-        let tiers_ref = &*tiers;
-        m3d_par::par_fill(fill_threads, &mut side_count, |ni, sc| {
-            *sc = side_count_of(graph.inc.net_cells(ni), tiers_ref);
-        });
+        for (ni, sc) in side_count.iter_mut().enumerate() {
+            *sc = side_count_of(graph.inc.net_cells(ni), tiers);
+        }
 
         // Initial gains.
         let initial_gain = |c: usize, tiers: &[Tier], side_count: &[[i32; 2]]| -> i64 {
@@ -469,10 +454,9 @@ fn run_fm_engine(
                 i64::MIN
             }
         };
-        let side_count_ref = &side_count;
-        m3d_par::par_fill(fill_threads, &mut list.gains, |c, g| {
-            *g = initial_gain(c, tiers_ref, side_count_ref);
-        });
+        for (c, g) in list.gains.iter_mut().enumerate() {
+            *g = initial_gain(c, tiers, &side_count);
+        }
 
         // Gain list: gains in [-max_deg, +max_deg]. Filling in ascending
         // cell index puts the highest index at each list's front — the
@@ -781,8 +765,7 @@ mod tests {
     // The delta rule against the full recompute it replaced: same move
     // journal, tiers, stats and cut — on hypergraphs where up to half the
     // pins repeat their gate's previous net, with locked cells and per-bin
-    // balance rejections, below and above the parallel threshold, at 1 and
-    // 4 threads.
+    // balance rejections, on small and 2 100-gate-plus graphs.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -794,7 +777,7 @@ mod tests {
             bins in 1usize..9,
             tol in 0.05..0.6f64,
         ) {
-            // One case in four sits above `m3d_par::PAR_THRESHOLD`.
+            // One case in four is a large graph.
             let gates = if big == 0 { gates + 2100 } else { gates };
             let netlist = random_hypergraph(seed, gates, repeat_pct);
             let n = netlist.cell_count();
@@ -816,17 +799,10 @@ mod tests {
                 "the generator must produce double-pinned nets"
             );
 
-            m3d_par::set_threads(1);
             let reference =
                 journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_recompute);
-            let delta_1t =
-                journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_delta);
-            m3d_par::set_threads(4);
-            let delta_4t =
-                journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_delta);
-            m3d_par::set_threads(0);
-            proptest::prop_assert_eq!(&delta_1t, &reference);
-            proptest::prop_assert_eq!(&delta_4t, &reference);
+            let delta = journaled_run(&netlist, &locked, &start, bins, tol, update_gains_by_delta);
+            proptest::prop_assert_eq!(&delta, &reference);
             // The reported cut is a true recount whatever the gain model
             // believed about double-pinned nets.
             proptest::prop_assert_eq!(reference.3, cut_size(&netlist, &reference.1));

@@ -68,20 +68,15 @@ pub fn try_extract_parasitics_with_stats(
     let per_um = stack.metal.estimate_rc_per_um();
     let miv = stack.metal.miv;
     let n = netlist.net_count();
-    // Each model is a pure function of one net, so the map fans out across
-    // threads; chunks come back in net-id order either way.
-    let workers = if n >= m3d_par::PAR_THRESHOLD {
-        m3d_par::resolve(0)
-    } else {
-        1
-    };
-    let chunks = m3d_par::par_ranges(workers, n, |range| {
-        let mut models = Vec::with_capacity(range.len());
-        let mut stats = ExtractStats::default();
-        // One pin scratch buffer per chunk — the Steiner estimate reuses
-        // it across every net in the range instead of collecting a fresh
-        // `Vec<Point>` per net.
-        let mut pins = Vec::new();
+    let mut models = Vec::with_capacity(n);
+    let mut stats = ExtractStats::default();
+    // One pin scratch buffer — the Steiner estimate reuses it across every
+    // net instead of collecting a fresh `Vec<Point>` per net.
+    let mut pins = Vec::new();
+    // The float totals fold per chunk of `m3d_par`'s fixed decomposition,
+    // then chunk by chunk: the summation order the reported gauges carry.
+    for range in m3d_par::chunks(n) {
+        let mut chunk = ExtractStats::default();
         for k in range {
             let id = m3d_netlist::NetId::from_index(k);
             let net = netlist.net(id);
@@ -98,24 +93,18 @@ pub fn try_extract_parasitics_with_stats(
             };
             let r_kohm = per_um.r_kohm * length + miv.r_kohm * mivs as f64;
             let c_ff = per_um.c_ff * length + miv.c_ff * mivs as f64;
-            stats.rc_segments += 1;
-            stats.total_length_um += length;
-            stats.total_wire_cap_ff += c_ff;
+            chunk.rc_segments += 1;
+            chunk.total_length_um += length;
+            chunk.total_wire_cap_ff += c_ff;
             models.push(NetModel {
                 wire_cap_ff: c_ff,
                 // Distributed line: Elmore ≈ R·C/2; kΩ·fF = ps.
                 wire_delay_ns: 0.5 * r_kohm * c_ff * 1e-3,
             });
         }
-        (models, stats)
-    });
-    let mut models = Vec::with_capacity(n);
-    let mut stats = ExtractStats::default();
-    for (chunk_models, chunk_stats) in chunks {
-        models.extend(chunk_models);
-        stats.rc_segments += chunk_stats.rc_segments;
-        stats.total_length_um += chunk_stats.total_length_um;
-        stats.total_wire_cap_ff += chunk_stats.total_wire_cap_ff;
+        stats.rc_segments += chunk.rc_segments;
+        stats.total_length_um += chunk.total_length_um;
+        stats.total_wire_cap_ff += chunk.total_wire_cap_ff;
     }
     Ok((Parasitics::from_models(netlist, models), stats))
 }

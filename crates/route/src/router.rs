@@ -238,25 +238,14 @@ fn route_on_grid(
         .filter(|(_, n)| !n.is_clock && n.degree() >= 2)
         .map(|(id, _)| id)
         .collect();
-    // Per-net work below is pure, so thread-gating it is determinism-safe:
-    // parallel and sequential paths produce identical values per item.
-    let workers = if candidates.len() >= m3d_par::PAR_THRESHOLD {
-        m3d_par::resolve(0)
-    } else {
-        1
-    };
-
-    // Order: short nets first (they have the least flexibility). The sort
-    // keys are computed in parallel; the stable index sort below yields the
-    // same permutation as sorting the ids directly.
-    let hpwl = m3d_par::par_ranges(workers, candidates.len(), |range| {
-        let mut pins = Vec::new();
-        candidates[range]
-            .iter()
-            .map(|&id| placement.net_hpwl_with(netlist, id, &mut pins))
-            .collect::<Vec<f64>>()
-    })
-    .concat();
+    // Order: short nets first (they have the least flexibility). The
+    // stable index sort below yields the same permutation as sorting the
+    // ids directly.
+    let mut pins = Vec::new();
+    let hpwl: Vec<f64> = candidates
+        .iter()
+        .map(|&id| placement.net_hpwl_with(netlist, id, &mut pins))
+        .collect();
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| {
         hpwl[a]
@@ -266,7 +255,14 @@ fn route_on_grid(
 
     // Phase 1 (parallel): per-net topology — Prim tree and MIV count. None
     // of it depends on congestion, so every net's plan can be built
-    // concurrently. Each chunk of `order` plans into one flat edge array
+    // concurrently. Per-net work is pure, so gating it on the worker count
+    // is determinism-safe: every path plans the same values per net.
+    let workers = if candidates.len() >= m3d_par::PAR_THRESHOLD {
+        m3d_par::resolve(0)
+    } else {
+        1
+    };
+    // Each chunk of `order` plans into one flat edge array
     // through one set of scratch buffers, reused across its nets. Both
     // arrays are sized exactly up front — one plan and `degree − 1` tree
     // edges per net — so they carry no growth slack.

@@ -389,12 +389,13 @@ pub(crate) struct FullPass {
 /// Clock nets are excluded from data timing; sequential cells launch at
 /// their clock latency + clk→Q and capture at `period + latency − setup`.
 ///
-/// Both propagations are **level-parallel**: gates within one level
+/// The forward propagation is **level-parallel**: gates within one level
 /// (which cannot depend on each other) are evaluated concurrently, each
 /// reading only finalized previous-level values. Results are scattered
 /// per gate, so the arrays are bit-identical to the sequential pass at
 /// any thread count; designs below `m3d_par::PAR_THRESHOLD` cells skip
-/// threading entirely.
+/// threading entirely. Every other phase runs on the calling thread: the
+/// forward levels are the one phase a second worker pays for (DESIGN §9).
 pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass {
     let netlist = ctx.netlist;
     let n = netlist.cell_count();
@@ -408,26 +409,13 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
     let mut required = vec![f64::INFINITY; n];
     let mut worst_input = vec![u8::MAX; n];
 
-    // Cache per-net loads (signal nets only). Each net's load is
-    // independent, so the parallel map equals the sequential loop exactly.
-    let net_load: Vec<f64> = if parallel {
-        m3d_par::par_map_indices(threads, netlist.net_count(), |k| {
-            let id = NetId::from_index(k);
-            if netlist.net(id).is_clock {
-                0.0
-            } else {
-                net_load_ff(ctx, id)
-            }
-        })
-    } else {
-        let mut loads = vec![0.0_f64; netlist.net_count()];
-        for (id, net) in netlist.nets() {
-            if !net.is_clock {
-                loads[id.index()] = net_load_ff(ctx, id);
-            }
+    // Cache per-net loads (signal nets only).
+    let mut net_load = vec![0.0_f64; netlist.net_count()];
+    for (id, net) in netlist.nets() {
+        if !net.is_clock {
+            net_load[id.index()] = net_load_ff(ctx, id);
         }
-        loads
-    };
+    }
 
     // ---- launch points -------------------------------------------------
     for (id, _) in netlist.cells() {
@@ -465,10 +453,8 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
     let mut tns = 0.0;
     let mut violations = 0usize;
 
-    // Per-endpoint RAT/arrival pairs are independent; compute them over
-    // the endpoint cells alone (in parallel for large designs), then fold
-    // the scalar statistics in ascending cell index so WNS/TNS accumulate
-    // identically at any thread count.
+    // Per-endpoint RAT/arrival pairs over the endpoint cells alone; the
+    // scalar statistics fold in ascending cell index.
     let endpoint_cells: Vec<u32> = netlist
         .cells()
         .filter(|(_, c)| is_endpoint(&c.class))
@@ -477,11 +463,7 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
     let endpoint_eval = |&e: &u32| {
         endpoint_point(ctx, &arrival, e as usize).expect("an endpoint cell has an endpoint view")
     };
-    let evaluated: Vec<(f64, f64, bool)> = if parallel {
-        m3d_par::par_map(threads, &endpoint_cells, |_, e| endpoint_eval(e))
-    } else {
-        endpoint_cells.iter().map(endpoint_eval).collect()
-    };
+    let evaluated: Vec<(f64, f64, bool)> = endpoint_cells.iter().map(endpoint_eval).collect();
     let mut endpoints_v: Vec<(CellId, f64)> = Vec::with_capacity(endpoint_cells.len());
     for (&e, (rat, worst_at, is_po)) in endpoint_cells.iter().zip(evaluated) {
         let i = e as usize;
@@ -514,8 +496,8 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
     //   comb sink: required(sink output) - arc_delay(sink via that pin) - wire
     // A gate's combinational sinks always sit at a strictly deeper level,
     // so walking the forward levels in reverse gives the same dependency
-    // guarantee as reverse topological order — and within a level the
-    // computations are independent and run concurrently.
+    // guarantee as reverse topological order; a level's results are
+    // collected before any is stored.
     for l in (0..levels.level_count()).rev() {
         let level = levels.level(l);
         let backward = Backward {
@@ -527,11 +509,7 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
             required: &required,
             endpoint_rat: &endpoint_rat,
         };
-        let results: Vec<Option<f64>> = if parallel && level.len() >= 2 {
-            m3d_par::par_map(threads, level, |_, &id| backward.gate(id))
-        } else {
-            level.iter().map(|&id| backward.gate(id)).collect()
-        };
+        let results: Vec<Option<f64>> = level.iter().map(|&id| backward.gate(id)).collect();
         for (&id, rat) in level.iter().zip(results) {
             if let Some(rat) = rat {
                 required[id.index()] = rat;
@@ -550,11 +528,7 @@ pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass
         required: &required,
         endpoint_rat: &endpoint_rat,
     };
-    let launch_req: Vec<Option<f64>> = if parallel {
-        m3d_par::par_map_indices(threads, n, |i| backward.launch(i))
-    } else {
-        (0..n).map(|i| backward.launch(i)).collect()
-    };
+    let launch_req: Vec<Option<f64>> = (0..n).map(|i| backward.launch(i)).collect();
     for (i, rat) in launch_req.into_iter().enumerate() {
         if let Some(rat) = rat {
             required[i] = rat;

@@ -42,8 +42,7 @@
 //! recomputed bits equal the stored bits, at which point every transitive
 //! reader would also recompute identical bits by induction. Given a
 //! complete edit list the result is therefore bit-identical to a cold
-//! `analyze` of the same context, at any thread count (dirty level
-//! slices reuse `m3d-par`'s fixed-decomposition chunking).
+//! `analyze` of the same context.
 //!
 //! **What the edit list must cover.** The timer does not diff the design:
 //! every drive, tier, net-model or clock-latency change since the last
@@ -171,12 +170,6 @@ impl Role {
     }
 }
 
-/// Below this many dirty cells in one level/phase the incremental passes
-/// stay sequential even when the design qualifies for threading — the
-/// fixed-decomposition scatter is thread-count invariant either way, so
-/// this is purely a spawn-overhead knob, never a correctness one.
-const INCR_PAR_MIN: usize = 64;
-
 /// Everything the `Timer` snapshots between updates.
 struct State {
     /// The netlist's levelization memo, shared, never copied; its
@@ -228,7 +221,7 @@ impl State {
 /// Feed every evaluation through [`Timer::update`]; the first call (and
 /// any call after a structural edit) performs a full build, subsequent
 /// calls re-propagate only the dirty cones. Results are bit-identical to
-/// [`crate::analyze`] on the same context at any thread count.
+/// [`crate::analyze`] on the same context.
 ///
 /// [`Timer::update`] publishes the timer's own result as an `Arc` and
 /// the next update edits it in place (`Arc::make_mut`), so it is copied
@@ -295,8 +288,8 @@ impl Timer {
 
     /// Brings the timing database up to date with `ctx` given a
     /// **complete** list of the changes since the previous update, and
-    /// publishes the result — bit-identical to `analyze(ctx)` at any
-    /// thread count — as a shared handle on the timer's own (see the
+    /// publishes the result — bit-identical to `analyze(ctx)` — as a
+    /// shared handle on the timer's own (see the
     /// type docs: no copy is made here).
     ///
     /// Only the listed cells and nets are re-seeded, and the
@@ -415,8 +408,6 @@ impl Timer {
         let r = Arc::make_mut(self.result.as_mut().expect("built with the state"));
         let netlist = ctx.netlist;
         let n = s.roles.len();
-        let threads = m3d_par::resolve(0);
-        let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
         self.stats.incremental_updates += 1;
 
         // ---- seeds, from the edit list ------------------------------------
@@ -598,8 +589,7 @@ impl Timer {
                 arrival: &r.arrival,
                 slew: &r.slew,
             };
-            let level_threads = (parallel && dirty.len() >= INCR_PAR_MIN).then_some(threads);
-            let results = forward.gates(&dirty, &mut s.arc_delay, level_threads);
+            let results = forward.gates(&dirty, &mut s.arc_delay, None);
             for (&k, (at, pin, out_slew)) in dirty.iter().zip(results) {
                 let id = s.levels.cell_at(k);
                 let i = id.index();
@@ -627,19 +617,10 @@ impl Timer {
             .collect();
         if !ep_dirty.is_empty() {
             self.stats.endpoint_evals += ep_dirty.len() as u64;
-            let results: Vec<Option<(f64, f64, bool)>> = {
-                let arrival = &r.arrival;
-                if parallel && ep_dirty.len() >= INCR_PAR_MIN {
-                    m3d_par::par_map(threads, &ep_dirty, |_, &e| {
-                        endpoint_point(ctx, arrival, e as usize)
-                    })
-                } else {
-                    ep_dirty
-                        .iter()
-                        .map(|&e| endpoint_point(ctx, arrival, e as usize))
-                        .collect()
-                }
-            };
+            let results: Vec<Option<(f64, f64, bool)>> = ep_dirty
+                .iter()
+                .map(|&e| endpoint_point(ctx, &r.arrival, e as usize))
+                .collect();
             for (&e, ev) in ep_dirty.iter().zip(results) {
                 let i = e as usize;
                 let (rat, worst_at, is_po) = ev.expect("endpoint role implies endpoint view");
@@ -671,11 +652,7 @@ impl Timer {
             }
             self.stats.backward_evals += dirty.len() as u64;
             let backward = s.backward(ctx, r);
-            let results: Vec<Option<f64>> = if parallel && dirty.len() >= INCR_PAR_MIN {
-                m3d_par::par_map(threads, &dirty, |_, &id| backward.gate(id))
-            } else {
-                dirty.iter().map(|&id| backward.gate(id)).collect()
-            };
+            let results: Vec<Option<f64>> = dirty.iter().map(|&id| backward.gate(id)).collect();
             for (&id, rat) in dirty.iter().zip(results) {
                 let i = id.index();
                 let Some(rat) = rat else { continue };

@@ -2,9 +2,17 @@
 //!
 //! The contract under test: every result produced by `try_run_flow` /
 //! `try_compare_configs` is **bit-identical** at any thread count. Threads
-//! are a performance knob only — `FlowOptions::threads`, the process-global
-//! `par::set_threads`, and the `HETERO3D_THREADS` environment variable may
-//! change wall-clock time but never a single output bit.
+//! are a performance knob only and may change wall-clock time but never a
+//! single output bit.
+//!
+//! Two settings are in play. The kernels read only the process-wide count
+//! (`par::set_threads`, falling back to `HETERO3D_THREADS`) and take their
+//! parallel branches only on designs of at least `par::PAR_THRESHOLD`
+//! cells; the two dies' legalization jobs read the same count at any size.
+//! `FlowOptions::threads` sizes only the comparison's and the grid's
+//! run-level fan-outs. So the kernel tests set the process-wide count,
+//! under [`THREADS`] so that no other test moves it mid-pair, and include
+//! a netlist above the threshold.
 
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{
@@ -13,6 +21,35 @@ use hetero3d::flow::{
 use hetero3d::netgen::Benchmark;
 use hetero3d::par;
 use hetero3d::tech::Tier;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by every test that sets the process-wide thread count, across
+/// both runs of its pair.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// `f` run with the process-wide count at 1 and then at 4, the lock held
+/// throughout.
+fn at_one_and_four<R>(f: impl Fn() -> R) -> (R, R) {
+    let _held = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    par::set_threads(1);
+    let one = f();
+    par::set_threads(4);
+    let four = f();
+    par::set_threads(0);
+    (one, four)
+}
+
+/// Netcard at 0.06 (2 811 cells): above the threshold, so its kernels
+/// take their parallel branches.
+fn above_threshold() -> hetero3d::netlist::Netlist {
+    let netlist = Benchmark::Netcard.generate(0.06, 7);
+    assert!(
+        netlist.cell_count() >= par::PAR_THRESHOLD,
+        "{} cells: below the kernels' parallel threshold",
+        netlist.cell_count()
+    );
+    netlist
+}
 
 const ALL_CONFIGS: [Config; 5] = [
     Config::TwoD9T,
@@ -55,17 +92,20 @@ fn fingerprint(imp: &Implementation) -> (u64, u64, u64, Vec<Tier>) {
 
 #[test]
 fn run_flow_is_bit_identical_across_thread_counts() {
-    for bench in [Benchmark::Aes, Benchmark::Ldpc] {
-        let netlist = bench.generate(0.01, 7);
+    let netlists = [
+        Benchmark::Aes.generate(0.01, 7),
+        Benchmark::Ldpc.generate(0.01, 7),
+        above_threshold(),
+    ];
+    for netlist in &netlists {
         for config in ALL_CONFIGS {
-            let base = fingerprint(&run_flow(&netlist, config, 1.0, &quick_options(1)));
-            for threads in [2usize, 4, 8] {
-                let par = fingerprint(&run_flow(&netlist, config, 1.0, &quick_options(threads)));
-                assert_eq!(
-                    par, base,
-                    "{bench:?}/{config:?}: threads={threads} diverged from threads=1"
-                );
-            }
+            let (one, four) =
+                at_one_and_four(|| fingerprint(&run_flow(netlist, config, 1.0, &quick_options(0))));
+            assert_eq!(
+                four, one,
+                "{}/{config:?}: 4 threads diverged from 1",
+                netlist.name
+            );
         }
     }
 }
@@ -112,16 +152,15 @@ fn telemetry_manifest_is_bit_identical_across_thread_counts() {
     // section (span call counts, counters, gauges, labels) must not move
     // with the worker count either. Wall times and cache hit rates live
     // in the performance-only section, which is excluded here by design.
-    let netlist = Benchmark::Aes.generate(0.01, 7);
-    let manifest_at = |threads: usize| {
-        let mut options = quick_options(threads);
+    let netlist = above_threshold();
+    let manifest = || {
+        let mut options = quick_options(0);
         options.obs = hetero3d::obs::Obs::enabled();
         let obs = options.obs.clone();
         let _ = run_flow(&netlist, Config::Hetero3d, 1.0, &options);
         obs.manifest()
     };
-    let seq = manifest_at(1);
-    let par = manifest_at(4);
+    let (seq, par) = at_one_and_four(manifest);
     assert!(seq.span("run_flow").is_some(), "run_flow span recorded");
     assert!(
         seq.counter("partition/final_cut").is_some(),
@@ -140,24 +179,19 @@ fn telemetry_manifest_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn global_thread_setting_is_also_invisible() {
-    // `threads: 0` defers to the process-global knob; flip it around an
-    // identical pair of runs. (Other tests in this binary may race on the
-    // global — that is exactly the point: it must not matter.)
-    let netlist = Benchmark::Aes.generate(0.01, 7);
-    par::set_threads(1);
-    let seq = fingerprint(&run_flow(
-        &netlist,
-        Config::Hetero3d,
-        1.0,
-        &quick_options(0),
-    ));
-    par::set_threads(4);
-    let par_run = fingerprint(&run_flow(
-        &netlist,
-        Config::Hetero3d,
-        1.0,
-        &quick_options(0),
-    ));
-    par::set_threads(0);
-    assert_eq!(seq, par_run, "global set_threads changed flow results");
+    // `threads: 0` defers the comparison's fan-out to the process-global
+    // knob too, so flipping it moves both levels of parallelism at once:
+    // five configurations side by side, each with parallel kernels.
+    let netlist = above_threshold();
+    let cost = CostModel::default();
+    let (seq, par_run) = at_one_and_four(|| {
+        let c = compare_configs(&netlist, &quick_options(0), &cost);
+        let mut fingerprints: Vec<_> = c.implementations.iter().map(fingerprint).collect();
+        fingerprints.push(fingerprint(&c.hetero_implementation));
+        fingerprints
+    });
+    assert_eq!(
+        seq, par_run,
+        "global set_threads changed comparison results"
+    );
 }

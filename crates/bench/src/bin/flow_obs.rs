@@ -25,8 +25,8 @@
 //! performance section.
 //!
 //! Usage: `flow_obs [--scale <f64>] [--seed <u64>] [--out <dir>]`.
-//! The default scale is the CI smoke setting (0.02), smaller than the
-//! other regeneration binaries: the gate needs a fast, exactly
+//! The default scale is the CI smoke setting (0.02), smaller than
+//! `paper`'s: the gate needs a fast, exactly
 //! reproducible datapoint, not a paper-scale one.
 
 use hetero3d::cost::CostModel;

@@ -1,11 +1,11 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! four manifest benches.
+//! Shared harness for the `paper` binary and the four manifest benches.
 //!
 //! Every binary accepts `--scale <f64>` (netlist size relative to the
 //! workspace defaults; the tables' [`TABLE_SCALE`] keeps a full run within
 //! seconds per config), `--seed <u64>` and `--out <dir>`, and rejects
-//! anything else with a typed [`ArgError`]. A table binary prints its
-//! table to stdout and mirrors it into `results/<name>.txt`.
+//! anything else with a typed [`ArgError`]. `paper` writes every table
+//! and figure [`paper_outputs`] returns: it prints each to stdout and
+//! mirrors it into `results/<name>`.
 //!
 //! The manifest benches (`sta_incr`, `flow_obs`, `scale_bench`,
 //! `pareto_bench`) write `results/BENCH_<stem>.json` through
@@ -16,19 +16,23 @@
 //! clock or an allocator. [`gate`] is the CI rule over them: a fresh
 //! `deterministic` section must equal the committed one.
 
+mod paper;
+
+pub use paper::paper_outputs;
+
 use hetero3d::flow::FlowOptions;
 use m3d_json::{pretty, Obj, Value};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Default `--scale` of the paper table and figure binaries.
+/// Default `--scale` of the `paper` binary.
 pub const TABLE_SCALE: f64 = 0.06;
 
 /// The manifests [`gate`] knows, by stem: `results/BENCH_<stem>.json`.
 pub const MANIFESTS: [&str; 4] = ["sta", "flow", "scale", "pareto"];
 
-/// Parsed command-line arguments of a regeneration binary.
+/// Parsed command-line arguments of a bench binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
     /// Netlist scale factor.
@@ -115,7 +119,7 @@ pub fn parse_args(default_scale: f64) -> BenchArgs {
     })
 }
 
-/// The flow options used by every regeneration binary (slightly reduced
+/// The flow options of every paper table and figure (slightly reduced
 /// placer effort relative to the library default, for runtime).
 #[must_use]
 pub fn bench_options() -> FlowOptions {

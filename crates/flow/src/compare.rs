@@ -176,42 +176,34 @@ pub struct BaselineComparison {
     pub hetero_implementation: Implementation,
 }
 
-/// Runs the Table V experiment: heterogeneous configuration under the
-/// baseline flow (no timing partitioning, legacy CTS, no ECO) vs the
-/// enhanced flow, at the same frequency — both on one session, the
-/// baseline a [binding](FlowSession::bind) of its options, so the
-/// pseudo-3-D stage runs once.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidNetlist`] for an invalid netlist and
-/// propagates the first failure of either flow.
-pub fn pin3d_baseline_comparison(
-    netlist: &Netlist,
-    frequency_ghz: f64,
-    options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<BaselineComparison, FlowError> {
-    let session = FlowSession::builder(netlist)
-        .options(options.clone())
-        .build()?;
-    let baseline = session
-        .bind(&FlowOptions {
-            enable_timing_partition: false,
-            enable_3d_cts: false,
-            enable_repartition: false,
-            ..options.clone()
+impl FlowSession {
+    /// Runs the Table V experiment: the heterogeneous configuration under
+    /// the baseline flow (no timing partitioning, legacy CTS, no ECO) vs
+    /// the enhanced flow, at the same frequency — the baseline a
+    /// [binding](FlowSession::bind) of this session's
+    /// [`FlowOptions::pin3d_baseline`], so the pseudo-3-D stage runs once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failure of either flow.
+    pub fn pin3d_baseline_comparison(
+        &self,
+        frequency_ghz: f64,
+        cost: &CostModel,
+    ) -> Result<BaselineComparison, FlowError> {
+        let baseline = self
+            .bind(&self.options().pin3d_baseline())
+            .expect("the baseline flow differs only behind the pseudo-3-D checkpoint");
+        let pin3d_implementation = baseline.run(Config::Hetero3d, frequency_ghz)?;
+        let hetero_implementation = self.run(Config::Hetero3d, frequency_ghz)?;
+        Ok(BaselineComparison {
+            frequency_ghz,
+            pin3d: pin3d_implementation.ppac(cost),
+            hetero_pin3d: hetero_implementation.ppac(cost),
+            pin3d_implementation,
+            hetero_implementation,
         })
-        .expect("the baseline flow differs only behind the pseudo-3-D checkpoint");
-    let pin3d_implementation = baseline.run(Config::Hetero3d, frequency_ghz)?;
-    let hetero_implementation = session.run(Config::Hetero3d, frequency_ghz)?;
-    Ok(BaselineComparison {
-        frequency_ghz,
-        pin3d: pin3d_implementation.ppac(cost),
-        hetero_pin3d: hetero_implementation.ppac(cost),
-        pin3d_implementation,
-        hetero_implementation,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -231,7 +223,11 @@ mod tests {
         // flow misses timing, the enhanced flow recovers most of the WNS
         // and cuts power.
         let n = Benchmark::Cpu.generate(0.015, 1);
-        let cmp = pin3d_baseline_comparison(&n, 1.6, &quick_options(), &CostModel::default())
+        let cmp = FlowSession::builder(&n)
+            .options(quick_options())
+            .build()
+            .expect("valid netlist")
+            .pin3d_baseline_comparison(1.6, &CostModel::default())
             .expect("both flows");
         assert!(
             cmp.pin3d.wns_ns < -0.02,

@@ -233,15 +233,16 @@ impl Default for FlowOptions {
 }
 
 impl FlowOptions {
-    /// The Pin-3-D baseline: min-cut partitioning only, legacy clock tree,
-    /// no repartitioning — the left column of Table V.
+    /// These options under the Pin-3-D baseline flow: min-cut
+    /// partitioning only, legacy clock tree, no repartitioning — the left
+    /// column of Table V.
     #[must_use]
-    pub fn pin3d_baseline() -> Self {
+    pub fn pin3d_baseline(&self) -> Self {
         FlowOptions {
             enable_timing_partition: false,
             enable_3d_cts: false,
             enable_repartition: false,
-            ..Default::default()
+            ..self.clone()
         }
     }
 
@@ -388,12 +389,20 @@ mod tests {
 
     #[test]
     fn baseline_disables_all_enhancements() {
-        let b = FlowOptions::pin3d_baseline();
+        let b = FlowOptions::default().pin3d_baseline();
         assert!(!b.enable_timing_partition);
         assert!(!b.enable_3d_cts);
         assert!(!b.enable_repartition);
         let full = FlowOptions::default();
         assert!(full.enable_timing_partition && full.enable_3d_cts && full.enable_repartition);
+        // Everything but the three enhancements is the caller's.
+        let tuned = FlowOptions {
+            seed: 99,
+            timing_partition_cap: 0.4,
+            ..FlowOptions::default()
+        };
+        let b = tuned.pin3d_baseline();
+        assert_eq!((b.seed, b.timing_partition_cap), (99, 0.4));
     }
 
     #[test]

@@ -54,10 +54,7 @@ mod stage;
 mod sweep;
 mod wire;
 
-pub use compare::{
-    pin3d_baseline_comparison, try_compare_configs, BaselineComparison, Comparison,
-    ComparisonSummary,
-};
+pub use compare::{try_compare_configs, BaselineComparison, Comparison, ComparisonSummary};
 pub use config::{Config, FlowOptions, ReadSet};
 pub use error::FlowError;
 pub use flow::{try_find_fmax, try_run_flow, Implementation};

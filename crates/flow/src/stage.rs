@@ -1470,7 +1470,7 @@ mod tests {
             Config::Hetero3d,
             FlowOptions {
                 placer: quick.placer.clone(),
-                ..FlowOptions::pin3d_baseline()
+                ..FlowOptions::default().pin3d_baseline()
             },
         ));
         cases

@@ -1074,7 +1074,7 @@ mod tests {
     #[test]
     fn options_round_trip_default_and_modified() {
         roundtrip(&FlowOptions::default());
-        let mut o = FlowOptions::pin3d_baseline();
+        let mut o = FlowOptions::default().pin3d_baseline();
         o.utilization = 0.65;
         o.seed = 99;
         o.placer_mut().iterations = 7;
@@ -1249,7 +1249,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        let mut options = FlowOptions::pin3d_baseline();
+        let mut options = FlowOptions::default().pin3d_baseline();
         options.seed = 123;
         options.cts_mut().fast_drive = Drive::X8;
         roundtrip(&FlowRequest {

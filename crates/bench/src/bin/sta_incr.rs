@@ -3,7 +3,7 @@
 //! Drives a fixed edit script (resizes, tier swaps, parasitics bumps and
 //! an fmax-ladder period sweep) through both a cold `analyze` per edit
 //! and a persistent incremental `Timer` fed the matching `TimingEdit`
-//! list through `Timer::update_journaled` — the path the flow runs —
+//! list through `Timer::update` — the path the flow runs —
 //! asserting **bit-identical** results at every step, then records
 //! the propagated-arc counts (deterministic) and wall-clock numbers (perf)
 //! to `results/BENCH_sta.json`.
@@ -150,7 +150,7 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
             parasitics: &parasitics,
             clock: ClockSpec::with_period(1.0),
         };
-        let incr = timer.update_journaled(&ctx, &[edit]);
+        let incr = timer.update(&ctx, &[edit]);
         assert_bit_identical(&incr, cold, &format!("{name} step {step}"));
     }
     let t_incr = t0.elapsed().as_secs_f64();
@@ -173,11 +173,11 @@ fn run_bench(bench: Benchmark, name: &'static str, scale: f64, seed: u64) -> Dat
     }
     let ladder_full = t0.elapsed().as_secs_f64();
     let mut timer = Timer::new();
-    let _ = timer.update_journaled(&ctx(1.0), &[]);
+    let _ = timer.update(&ctx(1.0), &[]);
     let forward_before = timer.stats().forward_evals;
     let t0 = Instant::now();
     for (i, m) in LADDER.iter().enumerate() {
-        let incr = timer.update_journaled(&ctx(*m), &[TimingEdit::Period]);
+        let incr = timer.update(&ctx(*m), &[TimingEdit::Period]);
         assert_bit_identical(&incr, &cold_ladder[i], &format!("{name} rung {i}"));
     }
     let ladder_incr = t0.elapsed().as_secs_f64();

@@ -1,11 +1,15 @@
-//! The cold timing pass ([`analyze`]) and the per-gate kernels the
-//! incremental [`crate::Timer`] shares with it. Neither owns a
-//! levelization: both read the netlist's memo ([`Netlist::levels`]),
-//! built on the first analysis of a structure and shared by every later
-//! one — every timer, corner and power pass on that structure.
+//! The per-gate timing kernels — forward, backward, launch and endpoint
+//! evaluations — that [`crate::Timer`]'s one propagation loop runs, the
+//! [`StaResult`] it publishes, and [`analyze`], the cold analysis: a
+//! fresh timer's full-seed pass. Nothing here owns a levelization: the
+//! kernels read the netlist's memo ([`Netlist::levels`]), built on the
+//! first analysis of a structure and shared by every later one — every
+//! timer, corner and power pass on that structure.
 
 use crate::context::TimingContext;
+use crate::incremental::Timer;
 use m3d_netlist::{CellClass, CellId, Levels, NetId, Netlist, ENDPOINT_SINK, UNTIMED_COMB_SINK};
+use std::sync::Arc;
 
 /// Result of one full timing analysis.
 ///
@@ -327,16 +331,6 @@ pub(crate) fn input_arrival(
     arrival[drv.cell.index()] + ctx.parasitics.net(net).wire_delay_ns
 }
 
-/// Whether a cell of `class` is a timing endpoint: a register, a macro
-/// or a primary output (exactly the cells [`endpoint_point`] views).
-pub(crate) fn is_endpoint(class: &CellClass) -> bool {
-    match class {
-        CellClass::Gate { kind, .. } => kind.is_sequential(),
-        CellClass::Macro(_) | CellClass::PrimaryOutput => true,
-        CellClass::PrimaryInput => false,
-    }
-}
-
 /// Endpoint view of cell `i`: `(rat, worst data-pin arrival, is_po)`, or
 /// `None` when the cell is not a timing endpoint.
 pub(crate) fn endpoint_point(
@@ -372,216 +366,16 @@ pub(crate) fn endpoint_point(
     Some((rat, worst_at, is_po))
 }
 
-/// Everything one full propagation produces: the public [`StaResult`]
-/// plus the intermediate arrays the incremental engine snapshots.
-pub(crate) struct FullPass {
-    pub result: StaResult,
-    pub net_load: Vec<f64>,
-    pub endpoint_rat: Vec<f64>,
-    /// Delay of every timing arc, in [`Levels`] arc order.
-    pub arc_delay: Vec<f64>,
-    /// Indices of the endpoint cells ([`is_endpoint`]), ascending.
-    pub endpoint_cells: Vec<u32>,
-}
-
-/// Runs a full forward (arrival/slew) and backward (required) propagation.
-///
-/// Clock nets are excluded from data timing; sequential cells launch at
-/// their clock latency + clk→Q and capture at `period + latency − setup`.
-///
-/// The forward propagation is **level-parallel**: gates within one level
-/// (which cannot depend on each other) are evaluated concurrently, each
-/// reading only finalized previous-level values. Results are scattered
-/// per gate, so the arrays are bit-identical to the sequential pass at
-/// any thread count; designs below `m3d_par::PAR_THRESHOLD` cells skip
-/// threading entirely. Every other phase runs on the calling thread: the
-/// forward levels are the one phase a second worker pays for (DESIGN §9).
-pub(crate) fn analyze_full(ctx: &TimingContext<'_>, levels: &Levels) -> FullPass {
-    let netlist = ctx.netlist;
-    let n = netlist.cell_count();
-    let period = ctx.clock.period_ns;
-    let threads = m3d_par::resolve(0);
-    let parallel = threads > 1 && n >= m3d_par::PAR_THRESHOLD;
-
-    let mut arc_delay = vec![0.0_f64; levels.arc_count()];
-    let mut arrival = vec![0.0_f64; n];
-    let mut slew = vec![ctx.clock.input_slew_ns; n];
-    let mut required = vec![f64::INFINITY; n];
-    let mut worst_input = vec![u8::MAX; n];
-
-    // Cache per-net loads (signal nets only).
-    let mut net_load = vec![0.0_f64; netlist.net_count()];
-    for (id, net) in netlist.nets() {
-        if !net.is_clock {
-            net_load[id.index()] = net_load_ff(ctx, id);
-        }
-    }
-
-    // ---- launch points -------------------------------------------------
-    for (id, _) in netlist.cells() {
-        if let Some((at, out_slew)) = launch_point(ctx, &net_load, id) {
-            let i = id.index();
-            arrival[i] = at;
-            slew[i] = out_slew;
-        }
-    }
-
-    // ---- forward pass over combinational gates -------------------------
-    for l in 0..levels.level_count() {
-        let ks: Vec<usize> = levels.level_range(l).collect();
-        let forward = Forward {
-            ctx,
-            levels,
-            net_load: &net_load,
-            arrival: &arrival,
-            slew: &slew,
-        };
-        let level_threads = (parallel && ks.len() >= 2).then_some(threads);
-        let results = forward.gates(&ks, &mut arc_delay, level_threads);
-        for (&id, (at, pin, out_slew)) in levels.level(l).iter().zip(results) {
-            let i = id.index();
-            arrival[i] = at;
-            slew[i] = out_slew;
-            worst_input[i] = pin;
-        }
-    }
-
-    // ---- endpoint arrivals, required times ------------------------------
-    let mut endpoint_rat = vec![f64::INFINITY; n];
-    let mut endpoint_slack = vec![f64::NAN; n];
-    let mut wns = f64::INFINITY;
-    let mut tns = 0.0;
-    let mut violations = 0usize;
-
-    // Per-endpoint RAT/arrival pairs over the endpoint cells alone; the
-    // scalar statistics fold in ascending cell index.
-    let endpoint_cells: Vec<u32> = netlist
-        .cells()
-        .filter(|(_, c)| is_endpoint(&c.class))
-        .map(|(id, _)| id.index() as u32)
-        .collect();
-    let endpoint_eval = |&e: &u32| {
-        endpoint_point(ctx, &arrival, e as usize).expect("an endpoint cell has an endpoint view")
-    };
-    let evaluated: Vec<(f64, f64, bool)> = endpoint_cells.iter().map(endpoint_eval).collect();
-    let mut endpoints_v: Vec<(CellId, f64)> = Vec::with_capacity(endpoint_cells.len());
-    for (&e, (rat, worst_at, is_po)) in endpoint_cells.iter().zip(evaluated) {
-        let i = e as usize;
-        // Endpoint quantities live in their own vectors so launch
-        // arrivals (Q-pin) are not clobbered for registers/macros.
-        endpoint_rat[i] = rat;
-        endpoint_slack[i] = rat - worst_at;
-        if is_po {
-            // POs have no launch side; reuse the shared vectors.
-            arrival[i] = worst_at;
-            required[i] = rat;
-        }
-        let s = rat - worst_at;
-        if s < wns {
-            wns = s;
-        }
-        if s < 0.0 {
-            tns += s;
-            violations += 1;
-        }
-        endpoints_v.push((CellId::from_index(i), s));
-    }
-    if endpoints_v.is_empty() {
-        wns = 0.0;
-    }
-
-    // ---- backward pass: required times on combinational outputs ---------
-    // required(output of cell) = min over sinks of:
-    //   endpoint: rat(endpoint) - wire
-    //   comb sink: required(sink output) - arc_delay(sink via that pin) - wire
-    // A gate's combinational sinks always sit at a strictly deeper level,
-    // so walking the forward levels in reverse gives the same dependency
-    // guarantee as reverse topological order; a level's results are
-    // collected before any is stored.
-    for l in (0..levels.level_count()).rev() {
-        let level = levels.level(l);
-        let backward = Backward {
-            ctx,
-            levels,
-            net_load: &net_load,
-            arc_delay: &arc_delay,
-            slew: &slew,
-            required: &required,
-            endpoint_rat: &endpoint_rat,
-        };
-        let results: Vec<Option<f64>> = level.iter().map(|&id| backward.gate(id)).collect();
-        for (&id, rat) in level.iter().zip(results) {
-            if let Some(rat) = rat {
-                required[id.index()] = rat;
-            }
-        }
-    }
-    // Launch cells (registers' Q, macros' outputs, PIs): required from
-    // their fanout, same formula, so that their slack is also defined.
-    // Independent per cell (they only read combinational required times).
-    let backward = Backward {
-        ctx,
-        levels,
-        net_load: &net_load,
-        arc_delay: &arc_delay,
-        slew: &slew,
-        required: &required,
-        endpoint_rat: &endpoint_rat,
-    };
-    let launch_req: Vec<Option<f64>> = (0..n).map(|i| backward.launch(i)).collect();
-    for (i, rat) in launch_req.into_iter().enumerate() {
-        if let Some(rat) = rat {
-            required[i] = rat;
-        }
-    }
-
-    // Per-cell worst slack through the cell: launch/output side, min'd
-    // with the endpoint (data-capture) side where one exists.
-    let slack: Vec<f64> = (0..n)
-        .map(|i| {
-            let launch = required[i] - arrival[i];
-            if endpoint_slack[i].is_nan() {
-                launch
-            } else {
-                launch.min(endpoint_slack[i])
-            }
-        })
-        .collect();
-
-    endpoints_v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    let critical_endpoints = endpoints_v.iter().map(|&(id, _)| id).collect();
-
-    FullPass {
-        result: StaResult {
-            arrival,
-            slew,
-            required,
-            slack,
-            wns,
-            tns,
-            endpoints: endpoints_v.len(),
-            violations,
-            period_ns: period,
-            critical_endpoints,
-            worst_input,
-            endpoint_slack,
-        },
-        net_load,
-        endpoint_rat,
-        arc_delay,
-        endpoint_cells,
-    }
-}
-
-/// Runs a full (cold) timing analysis: propagate forward and backward
+/// Runs a full (cold) timing analysis: a fresh [`Timer`]'s first update —
+/// the incremental engine's propagation with every cell and net seeded —
 /// over the netlist's levelization ([`Netlist::levels`], built on the
-/// structure's first analysis and shared by every later one), fold
-/// endpoint slacks. See [`crate::Timer`] for the incremental engine that
-/// reuses the propagated arrays across edits; both produce bit-identical
-/// results at any thread count.
+/// structure's first analysis and shared by every later one). The timer is
+/// dropped before the result is unwrapped, so nothing is copied and none
+/// of its snapshot outlives the call.
 #[must_use]
 pub fn analyze(ctx: &TimingContext<'_>) -> StaResult {
-    analyze_full(ctx, &ctx.netlist.levels()).result
+    let result = Timer::new().update(ctx, &[]);
+    Arc::into_inner(result).expect("the dropped timer held the only other handle")
 }
 
 #[cfg(test)]

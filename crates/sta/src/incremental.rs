@@ -1,13 +1,15 @@
-//! Incremental timing: build the graph once, re-propagate only dirty cones.
+//! The timing engine: one propagation loop, seeded in full or by edits.
 //!
-//! The flow's optimization loops (sizing, the repartitioning ECO, the
-//! fmax ladder) call timing after every small batch of edits; a cold
-//! [`crate::analyze`] re-propagates every arc each time. [`Timer`] keeps
-//! all propagated arrays alive between calls. Neither owns the levelized
-//! graph: both read the netlist's memo ([`Netlist::levels`]), which one
-//! structure builds once for every timer, corner and power pass on it.
-//! [`Timer::update`] — the one update path — takes the list of
-//! [`TimingEdit`]s since the previous call and re-evaluates only:
+//! The flow's optimization loops (sizing, the repartitioning ECO) call
+//! timing after every small batch of edits. [`Timer`] keeps all propagated
+//! arrays alive between calls and re-propagates from dirty seeds through
+//! one loop (`Timer::propagate`). A cold analysis — the first update,
+//! a structural edit, or [`crate::analyze`] — is that loop with every cell
+//! and net seeded; [`Timer::update`] with an edit list seeds only what the
+//! edits touch. The levelized graph is not owned here: every timer reads
+//! the netlist's memo ([`Netlist::levels`]), which one structure builds
+//! once for every timer, corner and power pass on it. An edit list
+//! re-evaluates only:
 //!
 //! * **forward** (arrival/slew) — the fan-out cone of cells whose master
 //!   changed (drive/tier) plus sinks of nets whose load or wire delay
@@ -28,27 +30,28 @@
 //! the forward dirty rules above re-evaluate the gate whenever any of the
 //! three changes, so after the forward phase the array is current by
 //! construction: there is nothing to invalidate and no memo to miss. A
-//! period-only edit (the fmax ladder) re-evaluates no gate, so its whole
-//! backward cone is a min-fold over stored delays.
+//! period-only edit re-evaluates no gate, so its whole backward cone is a
+//! min-fold over stored delays.
 //!
 //! Scalar folds (WNS/TNS/violations, the sorted endpoint list and the
-//! per-cell slack vector) are always re-run over all endpoints in fixed
-//! cell-index order — exactly the cold pass's operation sequence.
+//! per-cell slack vector) always re-run over all endpoints in fixed
+//! cell-index order; the loop's fold is the only copy of it.
 //!
-//! **Bit-identity contract.** Every re-evaluated entry is produced by the
-//! same pure kernel the cold pass uses ([`crate::engine`]'s
-//! `Forward::gates` / `Backward::gate` / endpoint and launch evaluations),
-//! reading only already-finalized values; propagation stops when the
-//! recomputed bits equal the stored bits, at which point every transitive
-//! reader would also recompute identical bits by induction. Given a
-//! complete edit list the result is therefore bit-identical to a cold
-//! `analyze` of the same context.
+//! **Bit-identity contract.** Every re-evaluated entry is produced by a
+//! pure kernel of [`crate::engine`] (`Forward::gates` / `Backward::gate` /
+//! endpoint and launch evaluations) reading only already-finalized values;
+//! propagation stops when the recomputed bits equal the stored bits, at
+//! which point every transitive reader would also recompute identical bits
+//! by induction. Given a complete edit list the result is therefore
+//! bit-identical to a full seed of the same context. The reference both
+//! are held to is `tests/sta_oracle.rs`, an independent evaluator that
+//! shares no code with this crate.
 //!
 //! **What the edit list must cover.** The timer does not diff the design:
 //! every drive, tier, net-model or clock-latency change since the last
 //! update must appear in the edit list. A connectivity change (rewired
 //! nets, inserted buffers) should be reported as
-//! [`TimingEdit::Structural`], which re-propagates cold; one reported
+//! [`TimingEdit::Structural`], which re-seeds in full; one reported
 //! without it is still caught, because the structure is identified, not
 //! counted: a structural edit gives the netlist a fresh levelization
 //! memo, and the timer rebuilds whenever the memo it holds is not the
@@ -56,8 +59,8 @@
 //! O(1) facts are re-checked on every call: that pointer, the stack's
 //! identity, the period and the global clock constants. Completeness is
 //! the caller's contract (the flow's sizing and ECO loops build the list
-//! where they make the edit); the property tests hold it against cold
-//! `analyze`, which stays the reference.
+//! where they make the edit); the property tests hold it against a cold
+//! `analyze` and the oracle.
 //!
 //! **The result is published as an `Arc`.** `update` returns a shared
 //! handle on the timer's own result instead of a copy. The next update
@@ -70,9 +73,7 @@
 //! with them.
 
 use crate::context::{ClockSpec, TimingContext};
-use crate::engine::{
-    analyze_full, endpoint_point, launch_point, net_load_ff, Backward, Forward, StaResult,
-};
+use crate::engine::{endpoint_point, launch_point, net_load_ff, Backward, Forward, StaResult};
 use m3d_netlist::{CellClass, CellId, Levels, NetId, Netlist};
 use std::sync::Arc;
 
@@ -187,7 +188,8 @@ struct State {
     /// Delay of every timing arc in `levels` arc order: written by each
     /// forward gate evaluation, read by the backward phases.
     arc_delay: Vec<f64>,
-    // ---- dirty scratch (cleared after every update) --------------------
+    // ---- cone-pass scratch: empty until the first edit list seeds it,
+    // since a full seed reads no flag; cleared after every pass ----------
     dirty_fwd: Vec<bool>,
     dirty_bwd: Vec<bool>,
     dirty_ep: Vec<bool>,
@@ -198,6 +200,19 @@ struct State {
 }
 
 impl State {
+    /// Allocates the dirty flags on the first cone pass.
+    fn cone_scratch(&mut self) {
+        if self.dirty_fwd.len() != self.roles.len() || self.dirty_load.len() != self.net_load.len()
+        {
+            let n = self.roles.len();
+            self.dirty_fwd = vec![false; n];
+            self.dirty_bwd = vec![false; n];
+            self.dirty_ep = vec![false; n];
+            self.dirty_launch = vec![false; n];
+            self.dirty_load = vec![false; self.net_load.len()];
+        }
+    }
+
     /// The backward kernels over the current arrays and `result`'s.
     fn backward<'a, 'c>(
         &'a self,
@@ -219,9 +234,10 @@ impl State {
 /// A persistent incremental timing engine.
 ///
 /// Feed every evaluation through [`Timer::update`]; the first call (and
-/// any call after a structural edit) performs a full build, subsequent
+/// any call after a structural edit) seeds every cell and net, subsequent
 /// calls re-propagate only the dirty cones. Results are bit-identical to
-/// [`crate::analyze`] on the same context.
+/// [`crate::analyze`] — itself a fresh timer's first update — on the same
+/// context.
 ///
 /// [`Timer::update`] publishes the timer's own result as an `Arc` and
 /// the next update edits it in place (`Arc::make_mut`), so it is copied
@@ -350,71 +366,75 @@ impl Timer {
         true
     }
 
-    /// Full build: cold-propagate over the netlist's levelization and
-    /// snapshot the O(1) fingerprints.
+    /// Full build: a fresh snapshot, every array initialised as no
+    /// propagation has touched it, and a full seed — every net load, every
+    /// launch, combinational and endpoint cell forward, every combinational
+    /// and launch cell backward — through [`Timer::propagate`]. This is the
+    /// cold analysis; there is no second propagation loop. The dirty flags
+    /// stay unallocated: a full seed reads none, and a throwaway analysis
+    /// ([`crate::analyze`]) never needs them.
     fn rebuild(&mut self, ctx: &TimingContext<'_>) {
-        // Nothing below reads the old snapshot: free it before the cold
-        // pass allocates the new one.
+        // Nothing below reads the old snapshot: free it before the full
+        // seed allocates the new one.
         self.state = None;
         self.result = None;
         let netlist = ctx.netlist;
         let n = netlist.cell_count();
-        let nets = netlist.net_count();
         let levels = netlist.levels();
-        let pass = analyze_full(ctx, &levels);
-
         let roles: Vec<Role> = netlist.cells().map(|(_, c)| Role::of(&c.class)).collect();
-        let endpoint_cells = pass.endpoint_cells;
-        let comb: u64 = levels.comb_count() as u64;
+        let endpoint_cells: Vec<u32> = (0..n as u32)
+            .filter(|&i| roles[i as usize].is_endpoint())
+            .collect();
+        let comb = levels.comb_count() as u64;
         let launches = roles.iter().filter(|r| r.is_launch()).count() as u64;
-        let endpoints = endpoint_cells.len() as u64;
-        let full_pass = launches + comb + endpoints + comb + launches;
-
+        let full_pass = launches + comb + endpoint_cells.len() as u64 + comb + launches;
         self.stats.full_rebuilds += 1;
-        self.stats.load_evals += nets as u64;
-        self.stats.launch_evals += launches;
-        self.stats.forward_evals += comb;
-        self.stats.endpoint_evals += endpoints;
-        self.stats.backward_evals += comb;
-        self.stats.launch_required_evals += launches;
-
         self.state = Some(State {
             roles,
             endpoint_cells,
             clock: ctx.clock.clone(),
             stack_addr: std::ptr::from_ref(ctx.stack) as usize,
-            net_load: pass.net_load,
-            endpoint_rat: pass.endpoint_rat,
-            arc_delay: pass.arc_delay,
-            dirty_fwd: vec![false; n],
-            dirty_bwd: vec![false; n],
-            dirty_ep: vec![false; n],
-            dirty_launch: vec![false; n],
-            dirty_load: vec![false; nets],
+            net_load: vec![0.0; netlist.net_count()],
+            endpoint_rat: vec![f64::INFINITY; n],
+            arc_delay: vec![0.0; levels.arc_count()],
+            dirty_fwd: Vec::new(),
+            dirty_bwd: Vec::new(),
+            dirty_ep: Vec::new(),
+            dirty_launch: Vec::new(),
+            dirty_load: Vec::new(),
             levels,
             full_pass,
         });
-        self.result = Some(Arc::new(pass.result));
+        self.result = Some(Arc::new(StaResult {
+            arrival: vec![0.0; n],
+            slew: vec![ctx.clock.input_slew_ns; n],
+            required: vec![f64::INFINITY; n],
+            // Written by the scalar fold, after the propagation's peak.
+            slack: Vec::new(),
+            wns: 0.0,
+            tns: 0.0,
+            endpoints: 0,
+            violations: 0,
+            period_ns: ctx.clock.period_ns,
+            critical_endpoints: Vec::new(),
+            worst_input: vec![u8::MAX; n],
+            endpoint_slack: vec![f64::NAN; n],
+        }));
+        self.propagate(ctx, true);
     }
 
-    /// Dirty-cone re-propagation. See the module docs for the
-    /// invalidation rules; phases mirror the cold pass's order exactly
-    /// (loads → launch arrivals → forward by level → endpoints →
-    /// backward by reverse level → launch required → scalar folds).
-    #[allow(clippy::too_many_lines)]
+    /// Dirty-cone re-propagation: seeds from the edit list (see the module
+    /// docs for the invalidation rules), then [`Timer::propagate`].
     fn incremental(&mut self, ctx: &TimingContext<'_>, edits: &[TimingEdit]) {
         let s = self.state.as_mut().expect("matches_structure checked");
-        // Copies only while a holder of the last published result remains.
-        let r = Arc::make_mut(self.result.as_mut().expect("built with the state"));
         let netlist = ctx.netlist;
         let n = s.roles.len();
         self.stats.incremental_updates += 1;
+        s.cone_scratch();
 
-        // ---- seeds, from the edit list ------------------------------------
         // Seeds dirty conservatively — both the load and the wire-delay
         // cone of every reported net — which can only over-propagate,
         // never change bits.
-        let mut wire_delay_nets: Vec<u32> = Vec::new();
         let mut master_cells: Vec<u32> = Vec::new();
         let mut latency_edit = false;
         let mut period_edit = false;
@@ -424,11 +444,24 @@ impl Timer {
                     master_cells.push(c.index() as u32);
                 }
                 TimingEdit::NetModel(id) => {
-                    let k = id.index();
-                    if !netlist.net(id).is_clock {
-                        s.dirty_load[k] = true;
-                        wire_delay_nets.push(k as u32);
-                    } else if let Some(drv) = netlist.net(id).driver {
+                    let net = netlist.net(id);
+                    if !net.is_clock {
+                        s.dirty_load[id.index()] = true;
+                        // Wire delay: sinks re-time forward, endpoint sinks
+                        // re-read their data arrival, the driver re-times
+                        // backward (required subtracts the wire).
+                        for sink in &net.sinks {
+                            let j = sink.cell.index();
+                            match s.roles[j] {
+                                Role::Comb => s.dirty_fwd[j] = true,
+                                r if r.is_endpoint() => s.dirty_ep[j] = true,
+                                _ => {}
+                            }
+                        }
+                        if let Some(drv) = net.driver {
+                            s.dirty_bwd[drv.cell.index()] = true;
+                        }
+                    } else if let Some(drv) = net.driver {
                         // Clock-net parasitics are never read — except the
                         // wire delay, by the required time of a gating
                         // cell that drives the net.
@@ -444,8 +477,6 @@ impl Timer {
         }
         master_cells.sort_unstable();
         master_cells.dedup();
-        wire_delay_nets.sort_unstable();
-        wire_delay_nets.dedup();
 
         for &ci in &master_cells {
             let i = ci as usize;
@@ -496,65 +527,73 @@ impl Timer {
                 s.dirty_ep[e as usize] = true;
             }
         }
+        self.propagate(ctx, false);
+    }
+
+    /// The one propagation loop, over whatever is seeded dirty: loads →
+    /// launch arrivals → forward by level → endpoints → backward by
+    /// reverse level → launch required → scalar folds. Each phase
+    /// re-evaluates its dirty cells with the [`crate::engine`] kernels and
+    /// marks their readers dirty only where the recomputed bits changed.
+    ///
+    /// A `full` seed is the cold analysis: every net load (a clock net's
+    /// booked and left at zero, as no data arc reads it), every launch,
+    /// combinational and endpoint cell forward and every combinational and
+    /// launch cell backward is dirty, so it reads no flag and marks none —
+    /// the mark walks would only re-mark dirty readers (on a 308 k-cell
+    /// design and 2 vCPUs they cost about 60 of 165 ms). Its forward levels
+    /// run on the process-wide thread count when the design reaches
+    /// `m3d_par::PAR_THRESHOLD` cells (DESIGN §9); a cone pass stays on
+    /// the calling thread.
+    #[allow(clippy::too_many_lines)]
+    fn propagate(&mut self, ctx: &TimingContext<'_>, full: bool) {
+        let s = self.state.as_mut().expect("seeded");
+        // Copies only while a holder of the last published result remains.
+        let r = Arc::make_mut(self.result.as_mut().expect("built with the state"));
+        let netlist = ctx.netlist;
+        let n = s.roles.len();
+        let threads = m3d_par::resolve(0);
+        let parallel = full && threads > 1 && n >= m3d_par::PAR_THRESHOLD;
 
         // ---- phase A: net loads -----------------------------------------
         for k in 0..s.net_load.len() {
-            if !s.dirty_load[k] {
+            if !full && !s.dirty_load[k] {
                 continue;
             }
             let id = NetId::from_index(k);
             self.stats.load_evals += 1;
+            if netlist.net(id).is_clock {
+                continue;
+            }
             let load = net_load_ff(ctx, id);
             if load.to_bits() == s.net_load[k].to_bits() {
                 continue;
             }
             s.net_load[k] = load;
+            if full {
+                continue;
+            }
             // The driver's arcs and its fan-in's arcs into it read this
             // load.
             if let Some(drv) = netlist.net(id).driver {
                 let d = drv.cell.index();
                 match s.roles[d] {
-                    Role::Comb => {
-                        s.dirty_fwd[d] = true;
-                        mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, drv.cell);
-                    }
-                    Role::Seq => {
-                        s.dirty_launch[d] = true;
-                        mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, drv.cell);
-                    }
-                    _ => {}
+                    Role::Comb => s.dirty_fwd[d] = true,
+                    Role::Seq => s.dirty_launch[d] = true,
+                    _ => continue,
                 }
-            }
-        }
-        // Wire-delay edits: sinks re-time forward, the driver re-times
-        // backward (required subtracts the wire), endpoint sinks re-read
-        // their data arrival.
-        for &k in &wire_delay_nets {
-            let id = NetId::from_index(k as usize);
-            let net = netlist.net(id);
-            for sink in &net.sinks {
-                let j = sink.cell.index();
-                match s.roles[j] {
-                    Role::Comb => s.dirty_fwd[j] = true,
-                    r if r.is_endpoint() => s.dirty_ep[j] = true,
-                    _ => {}
-                }
-            }
-            if let Some(drv) = net.driver {
-                s.dirty_bwd[drv.cell.index()] = true;
+                mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, drv.cell);
             }
         }
 
         // ---- phase B: launch arrivals -----------------------------------
         for i in 0..n {
-            if !s.dirty_launch[i] {
+            if !s.roles[i].is_launch() || (!full && !s.dirty_launch[i]) {
                 continue;
             }
             let id = CellId::from_index(i);
             self.stats.launch_evals += 1;
-            let Some((at, out_slew)) = launch_point(ctx, &s.net_load, id) else {
-                continue;
-            };
+            let (at, out_slew) = launch_point(ctx, &s.net_load, id).expect("a launch role");
             let at_changed = at.to_bits() != r.arrival[i].to_bits();
             let slew_changed = out_slew.to_bits() != r.slew[i].to_bits();
             if !at_changed && !slew_changed {
@@ -562,10 +601,10 @@ impl Timer {
             }
             r.arrival[i] = at;
             r.slew[i] = out_slew;
-            mark_sinks(netlist, &s.roles, &mut s.dirty_fwd, &mut s.dirty_ep, id);
-            if slew_changed {
+            if !full {
+                mark_sinks(netlist, &s.roles, &mut s.dirty_fwd, &mut s.dirty_ep, id);
                 // The launch cell's own required time reads its slew.
-                s.dirty_bwd[i] = true;
+                s.dirty_bwd[i] |= slew_changed;
             }
         }
 
@@ -576,7 +615,7 @@ impl Timer {
             let dirty: Vec<usize> = s
                 .levels
                 .level_range(li)
-                .filter(|&k| s.dirty_fwd[s.levels.cell_at(k).index()])
+                .filter(|&k| full || s.dirty_fwd[s.levels.cell_at(k).index()])
                 .collect();
             if dirty.is_empty() {
                 continue;
@@ -589,7 +628,8 @@ impl Timer {
                 arrival: &r.arrival,
                 slew: &r.slew,
             };
-            let results = forward.gates(&dirty, &mut s.arc_delay, None);
+            let level_threads = (parallel && dirty.len() >= 2).then_some(threads);
+            let results = forward.gates(&dirty, &mut s.arc_delay, level_threads);
             for (&k, (at, pin, out_slew)) in dirty.iter().zip(results) {
                 let id = s.levels.cell_at(k);
                 let i = id.index();
@@ -601,40 +641,34 @@ impl Timer {
                 }
                 r.arrival[i] = at;
                 r.slew[i] = out_slew;
-                mark_sinks(netlist, &s.roles, &mut s.dirty_fwd, &mut s.dirty_ep, id);
-                if slew_changed {
-                    s.dirty_bwd[i] = true;
+                if !full {
+                    mark_sinks(netlist, &s.roles, &mut s.dirty_fwd, &mut s.dirty_ep, id);
+                    s.dirty_bwd[i] |= slew_changed;
                 }
             }
         }
 
         // ---- phase D: endpoints -----------------------------------------
-        let ep_dirty: Vec<u32> = s
-            .endpoint_cells
-            .iter()
-            .copied()
-            .filter(|&e| s.dirty_ep[e as usize])
-            .collect();
-        if !ep_dirty.is_empty() {
-            self.stats.endpoint_evals += ep_dirty.len() as u64;
-            let results: Vec<Option<(f64, f64, bool)>> = ep_dirty
-                .iter()
-                .map(|&e| endpoint_point(ctx, &r.arrival, e as usize))
-                .collect();
-            for (&e, ev) in ep_dirty.iter().zip(results) {
-                let i = e as usize;
-                let (rat, worst_at, is_po) = ev.expect("endpoint role implies endpoint view");
-                let rat_changed = rat.to_bits() != s.endpoint_rat[i].to_bits();
-                s.endpoint_rat[i] = rat;
-                r.endpoint_slack[i] = rat - worst_at;
-                if is_po {
-                    r.arrival[i] = worst_at;
-                    r.required[i] = rat;
-                }
-                if rat_changed {
-                    // Fan-in required times read this endpoint's RAT.
-                    mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, CellId::from_index(i));
-                }
+        // An endpoint reads its drivers' arrivals, never another
+        // endpoint's, so each is stored as it is evaluated.
+        for &e in &s.endpoint_cells {
+            let i = e as usize;
+            if !full && !s.dirty_ep[i] {
+                continue;
+            }
+            self.stats.endpoint_evals += 1;
+            let (rat, worst_at, is_po) =
+                endpoint_point(ctx, &r.arrival, i).expect("endpoint role implies endpoint view");
+            let rat_changed = rat.to_bits() != s.endpoint_rat[i].to_bits();
+            s.endpoint_rat[i] = rat;
+            r.endpoint_slack[i] = rat - worst_at;
+            if is_po {
+                r.arrival[i] = worst_at;
+                r.required[i] = rat;
+            }
+            if rat_changed && !full {
+                // Fan-in required times read this endpoint's RAT.
+                mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, CellId::from_index(i));
             }
         }
 
@@ -645,7 +679,7 @@ impl Timer {
                 .level(li)
                 .iter()
                 .copied()
-                .filter(|id| s.dirty_bwd[id.index()])
+                .filter(|id| full || s.dirty_bwd[id.index()])
                 .collect();
             if dirty.is_empty() {
                 continue;
@@ -660,13 +694,15 @@ impl Timer {
                     continue;
                 }
                 r.required[i] = rat;
-                mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, id);
+                if !full {
+                    mark_fanin(netlist, &s.roles, &mut s.dirty_bwd, id);
+                }
             }
         }
 
         // ---- phase F: launch required -----------------------------------
         for i in 0..n {
-            if !s.dirty_bwd[i] || !s.roles[i].is_launch() {
+            if !s.roles[i].is_launch() || (!full && !s.dirty_bwd[i]) {
                 continue;
             }
             self.stats.launch_required_evals += 1;
@@ -676,14 +712,15 @@ impl Timer {
         }
 
         // ---- phase G: scalar folds (always full, fixed order) -----------
-        for i in 0..n {
+        r.slack.clear();
+        r.slack.extend((0..n).map(|i| {
             let launch = r.required[i] - r.arrival[i];
-            r.slack[i] = if r.endpoint_slack[i].is_nan() {
+            if r.endpoint_slack[i].is_nan() {
                 launch
             } else {
                 launch.min(r.endpoint_slack[i])
-            };
-        }
+            }
+        }));
         let mut endpoints_v: Vec<(CellId, f64)> = Vec::with_capacity(s.endpoint_cells.len());
         let mut wns = f64::INFINITY;
         let mut tns = 0.0;
@@ -849,7 +886,7 @@ mod tests {
                 parasitics: &parasitics,
                 clock: ClockSpec::with_period(period),
             };
-            let incr = timer.update_journaled(&ctx, &edits);
+            let incr = timer.update(&ctx, &edits);
             let cold = analyze(&ctx);
             assert_bit_identical(&incr, &cold);
         }
@@ -873,9 +910,32 @@ mod tests {
             clock: ClockSpec::with_period(period),
         };
         let before = timer.stats().propagated_evals();
-        let noop = timer.update_journaled(&ctx, &[]);
+        let noop = timer.update(&ctx, &[]);
         assert_bit_identical(&noop, &analyze(&ctx));
         assert_eq!(timer.stats().propagated_evals(), before);
+    }
+
+    #[test]
+    fn a_first_update_books_exactly_one_cold_pass() {
+        let netlist = m3d_netgen::Benchmark::Aes.generate(0.02, 5);
+        let stack = TierStack::heterogeneous();
+        let tiers = vec![Tier::Bottom; netlist.cell_count()];
+        let parasitics = Parasitics::zero_wire(&netlist);
+        let ctx = TimingContext {
+            netlist: &netlist,
+            stack: &stack,
+            tiers: &tiers,
+            parasitics: &parasitics,
+            clock: ClockSpec::with_period(1.0),
+        };
+        let mut timer = Timer::new();
+        let _ = timer.update(&ctx, &[]);
+        let stats = timer.stats();
+        assert!(timer.full_pass_evals() > 0);
+        assert_eq!(stats.propagated_evals(), timer.full_pass_evals());
+        assert_eq!(stats.load_evals, netlist.net_count() as u64);
+        assert_eq!(stats.full_rebuilds, 1);
+        assert_eq!(stats.incremental_updates, 0);
     }
 
     #[test]
@@ -1008,7 +1068,7 @@ mod tests {
         let parasitics = Parasitics::zero_wire(&netlist);
         let mut timer = Timer::new();
         let run = |timer: &mut Timer, period: f64| {
-            timer.update_journaled(
+            timer.update(
                 &TimingContext {
                     netlist: &netlist,
                     stack: &stack,
@@ -1049,7 +1109,7 @@ mod tests {
         {
             let tiers = vec![Tier::Bottom; netlist.cell_count()];
             let parasitics = Parasitics::zero_wire(&netlist);
-            let _ = timer.update_journaled(
+            let _ = timer.update(
                 &TimingContext {
                     netlist: &netlist,
                     stack: &stack,
@@ -1073,7 +1133,7 @@ mod tests {
             parasitics: &parasitics,
             clock: ClockSpec::with_period(1.0),
         };
-        let incr = timer.update_journaled(&ctx, &[TimingEdit::Structural]);
+        let incr = timer.update(&ctx, &[TimingEdit::Structural]);
         assert_bit_identical(&incr, &analyze(&ctx));
         assert_eq!(timer.stats().full_rebuilds, 2);
     }
@@ -1094,7 +1154,7 @@ mod tests {
             })
         };
         let mut timer = Timer::new();
-        let before = ctx(&netlist, &mut |c| timer.update_journaled(c, &[]));
+        let before = ctx(&netlist, &mut |c| StaResult::clone(&timer.update(c, &[])));
         // A primary output that is its net's last sink, on a gate-driven
         // net, moves to a net a primary input drives: the same cell and
         // net counts, another design.
@@ -1124,7 +1184,7 @@ mod tests {
         assert_eq!((netlist.cell_count(), netlist.net_count()), (cells, nets));
 
         // No `Structural` edit in the list: the timer must notice anyway.
-        let incr = ctx(&netlist, &mut |c| timer.update_journaled(c, &[]));
+        let incr = ctx(&netlist, &mut |c| StaResult::clone(&timer.update(c, &[])));
         let cold = ctx(&netlist, &mut |c| analyze(c));
         let i = po.index();
         assert_ne!(

@@ -7,18 +7,21 @@
 //!
 //! * [`TimingContext`] — netlist + per-cell tier assignment + tier
 //!   libraries + net parasitics + clock specification,
-//! * [`analyze`] — full forward/backward propagation producing a
+//! * [`analyze`] — a cold forward/backward propagation (a fresh
+//!   [`Timer`]'s first update, every cell seeded) producing a
 //!   [`StaResult`] with per-cell arrival/required/slack, WNS, TNS,
 //! * [`StaResult::cell_criticality`] — the worst slack among all paths
 //!   through each cell, computed for *every* cell (the paper's complete
 //!   coverage requirement),
 //! * [`worst_paths`] — top-K critical-path extraction with per-tier delay
 //!   breakdowns (Table VIII's critical-path anatomy),
-//! * [`Timer`] — a persistent incremental engine that re-propagates only
-//!   the dirty cones after edits (sizing, tier swaps, parasitics, period
-//!   sweeps), bit-identical to a cold [`analyze`] at any thread count.
-//!   Every arc's delay is evaluated once, by the forward pass, and kept
-//!   as forward state the backward pass reads — there is no memo layer.
+//! * [`Timer`] — the one timing engine: a persistent propagation loop
+//!   that seeds every cell on a cold pass and only the dirty cones after
+//!   edits (sizing, tier swaps, parasitics, period sweeps), bit-identical
+//!   to a cold [`analyze`] at any thread count. Every arc's delay is
+//!   evaluated once, by the forward pass, and kept as forward state the
+//!   backward pass reads — there is no memo layer. The reference it is
+//!   held to is the independent oracle in `tests/sta_oracle.rs`.
 //!
 //! Delays come from the NLDM tables of the bound libraries; wire delays
 //! from per-net [`Parasitics`] (pre-route Steiner estimates or routed RC).

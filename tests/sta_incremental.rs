@@ -3,10 +3,11 @@
 //! The contract under test: after ANY sequence of flow-vocabulary edits —
 //! drive resize, buffer insertion, tier swap, clock-period change, net
 //! parasitics update — reported as [`TimingEdit`]s,
-//! [`Timer::update_journaled`] returns a result **bit-identical** to a
-//! cold [`analyze`] of the same context, at any thread count. Threads
-//! are a performance knob only; cold `analyze` is the reference that
-//! keeps the edit lists honest.
+//! [`Timer::update`] returns a result **bit-identical** to a cold
+//! [`analyze`] (a fresh timer's full-seed pass) of the same context, at
+//! any thread count. Threads are a performance knob only; the cone pass
+//! equals the full seed exactly when the edit lists are complete, and
+//! `tests/sta_oracle.rs` holds both to an independent evaluator.
 
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId, Netlist};
@@ -144,7 +145,7 @@ fn run_edit_script(edits: &[(u8, usize, f64)], seed: u64) {
                 parasitics: &parasitics,
                 clock: ClockSpec::with_period(period),
             };
-            let incr = timer.update_journaled(&ctx, &[edit]);
+            let incr = StaResult::clone(&timer.update(&ctx, &[edit]));
             let cold = analyze(&ctx);
             assert_bit_identical(
                 &incr,
@@ -229,7 +230,7 @@ fn timer_is_thread_count_invariant() {
                 parasitics: &parasitics,
                 clock: ClockSpec::with_period(period),
             };
-            results.push(timer.update_journaled(&ctx, &[edit]));
+            results.push(StaResult::clone(&timer.update(&ctx, &[edit])));
             if threads == 1 && step == 7 {
                 // Anchor the sequence to a cold pass once.
                 assert_bit_identical(results.last().unwrap(), &analyze(&ctx), "anchor");

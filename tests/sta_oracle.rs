@@ -448,14 +448,14 @@ proptest! {
             let mut design = Design::generate(family, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut timer = Timer::new();
-            let built = timer.update_journaled(&design.ctx(stack), &[]);
+            let built = timer.update(&design.ctx(stack), &[]);
             assert_matches_oracle(&design.ctx(stack), &built, &format!("build, {corner}"));
             for step in 0..steps {
                 // One to three edits per update, as the flow batches them.
                 let edits: Vec<TimingEdit> =
                     (0..rng.gen_range(1..4)).map(|_| design.edit(&mut rng)).collect();
                 let ctx = design.ctx(stack);
-                let got = timer.update_journaled(&ctx, &edits);
+                let got = timer.update(&ctx, &edits);
                 assert_matches_oracle(&ctx, &got, &format!("step {step} {edits:?}, {corner}"));
             }
             prop_assert_eq!(timer.stats().full_rebuilds, 1);
@@ -526,7 +526,7 @@ fn combinational_sink_on_a_clock_net_matches_the_oracle() {
     let gclk = design.netlist.input_net(inv, 0).expect("connected");
     let (_, stack) = &stacks()[0];
     let mut timer = Timer::new();
-    let _ = timer.update_journaled(&design.ctx(stack), &[]);
+    let _ = timer.update(&design.ctx(stack), &[]);
     let mut rng = StdRng::seed_from_u64(9);
     for step in 0..40 {
         let edit = match step {
@@ -549,7 +549,7 @@ fn combinational_sink_on_a_clock_net_matches_the_oracle() {
             _ => design.edit(&mut rng),
         };
         let ctx = design.ctx(stack);
-        let got = timer.update_journaled(&ctx, &[edit]);
+        let got = timer.update(&ctx, &[edit]);
         assert_matches_oracle(&ctx, &got, &format!("step {step} {edit:?}"));
     }
     assert_eq!(timer.stats().full_rebuilds, 1);
@@ -560,7 +560,7 @@ fn a_corrupted_stored_arc_delay_fails_the_oracle() {
     let mut design = Design::generate(0, 42);
     let stack = TierStack::heterogeneous();
     let mut timer = Timer::new();
-    let built = timer.update_journaled(&design.ctx(&stack), &[]);
+    let built = timer.update(&design.ctx(&stack), &[]);
     assert_matches_oracle(&design.ctx(&stack), &built, "before corruption");
 
     // A period edit re-derives every required time from the stored arc
@@ -569,7 +569,7 @@ fn a_corrupted_stored_arc_delay_fails_the_oracle() {
     timer.perturb_arc_delay_for_test(7, 1000.0);
     design.clock.period_ns *= 1.1;
     let ctx = design.ctx(&stack);
-    let got = timer.update_journaled(&ctx, &[TimingEdit::Period]);
+    let got = timer.update(&ctx, &[TimingEdit::Period]);
     let verdict = Oracle::new(&ctx).check(&got);
     assert!(
         matches!(&verdict, Err(diff) if diff.starts_with("required") || diff.starts_with("slack")),

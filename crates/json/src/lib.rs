@@ -1,8 +1,8 @@
 //! The workspace's one JSON implementation: one value tree, one parser,
 //! one compact writer and one indented layout. The flow service's wire
-//! format, the `m3d-obs` run manifests and the `results/BENCH_*.json`
-//! files are all [`Value`] trees rendered here. The crate has no
-//! dependencies.
+//! format, the `m3d-obs` run manifests and the tests' committed goldens
+//! (`tests/golden/*.json`) are all [`Value`] trees rendered here. The
+//! crate has no dependencies.
 //!
 //! The dialect is the JSON subset this workspace emits: objects, arrays,
 //! strings with standard escapes (including `\uXXXX` surrogate pairs),
@@ -20,8 +20,7 @@
 //! a [`Cow`]. [`parse_borrowed`] points escape-free strings (everything
 //! this writer emits) straight into the input buffer, and [`ToJson`]
 //! borrows keys and strings from the value it renders, so neither
-//! direction allocates per key or per string. [`Value::into_owned`]
-//! detaches a tree from its input when one must outlive it. [`Cur`] walks
+//! direction allocates per key or per string. [`Cur`] walks
 //! a tree, building its error path only when a decode fails, so shape
 //! errors ([`DecodeError`]) name the offending member
 //! (`options/placer/iterations: expected u64`). [`FromJson`] is the one
@@ -121,25 +120,6 @@ impl<'a> Value<'a> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Detaches the tree from whatever its strings borrow.
-    #[must_use]
-    pub fn into_owned(self) -> Value<'static> {
-        let own = |s: Cow<'a, str>| Cow::Owned(s.into_owned());
-        match self {
-            Value::Null => Value::Null,
-            Value::Bool(b) => Value::Bool(b),
-            Value::Num(v) => Value::Num(v),
-            Value::Str(s) => Value::Str(own(s)),
-            Value::Arr(items) => Value::Arr(items.into_iter().map(Value::into_owned).collect()),
-            Value::Obj(members) => Value::Obj(
-                members
-                    .into_iter()
-                    .map(|(k, v)| (own(k), v.into_owned()))
-                    .collect(),
-            ),
         }
     }
 
@@ -436,7 +416,7 @@ pub fn parse_borrowed(src: &str) -> Result<Value<'_>, String> {
 /// parser recurses once per level, so without a bound one line of
 /// `[[[[…` overflows the stack of whatever thread decodes it. The
 /// documents this workspace writes — requests, responses, stream events,
-/// `BENCH_*.json` manifests — nest at most five levels.
+/// run manifests, test goldens — nest at most five levels.
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
@@ -732,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn into_owned_detaches_every_kind_of_value() {
+    fn parses_every_kind_of_value() {
         let src = r#"{
   "id": 42, "ok": true, "x": null, "ratio": 0.30000000000000004,
   "s": "plain", "esc": "a\"b\\cA😀",
@@ -754,25 +734,20 @@ mod tests {
                 ],
             )
             .build();
-        // The detached tree outlives the text it was parsed from.
-        let owned: Value<'static> = {
-            let text = src.to_string();
-            parse_borrowed(&text).expect("parse").into_owned()
-        };
-        assert_eq!(owned, expected);
+        assert_eq!(parse_borrowed(src).expect("parse"), expected);
     }
 
     #[test]
     fn parses_manifest_shaped_documents() {
         let v = parse_borrowed(
             r#"{
-  "bench": "flow_obs", "scale": 0.02, "ok": true,
+  "bench": "flow", "scale": 0.02, "ok": true,
   "designs": [{"name": "aes", "speedup": 4.5}, {"name": "cpu", "speedup": 3.0}],
   "labels": {"input/netlist": "aes_like"}
 }"#,
         )
         .expect("parse");
-        assert_eq!(v.get("bench").and_then(Value::as_str), Some("flow_obs"));
+        assert_eq!(v.get("bench").and_then(Value::as_str), Some("flow"));
         assert_eq!(v.get("scale").and_then(Value::as_f64), Some(0.02));
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         let designs = v.get("designs").and_then(Value::as_arr).expect("arr");

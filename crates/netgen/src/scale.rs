@@ -12,8 +12,10 @@
 //!
 //! The family is intentionally **not** part of [`crate::Benchmark::ALL`]:
 //! golden Tables VI/VII iterate that set, and their numbers are pinned to
-//! the paper's four designs. Scale rungs live only in the throughput
-//! ladder (`scale_bench`) and in tests that need big inputs.
+//! the paper's four designs. Scale rungs live only in the scale ladder
+//! (`tests/determinism.rs`, against `tests/golden/scale.json`), the
+//! `benchmark/` package's `scale_flow` workload and tests that need big
+//! inputs.
 
 use crate::builder::generate;
 use crate::spec::{BlockSpec, DesignSpec};

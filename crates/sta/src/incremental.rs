@@ -541,10 +541,10 @@ impl Timer {
     /// combinational and endpoint cell forward and every combinational and
     /// launch cell backward is dirty, so it reads no flag and marks none —
     /// the mark walks would only re-mark dirty readers (on a 308 k-cell
-    /// design and 2 vCPUs they cost about 60 of 165 ms). Its forward levels
-    /// run on the process-wide thread count when the design reaches
-    /// `m3d_par::PAR_THRESHOLD` cells (DESIGN §9); a cone pass stays on
-    /// the calling thread.
+    /// design and 2 vCPUs they cost about 60 of 165 ms). Each of its
+    /// forward levels at least `m3d_par::PAR_THRESHOLD` gates wide runs on
+    /// the process-wide thread count (DESIGN §9); a narrower level, and
+    /// every level of a cone pass, stays on the calling thread.
     #[allow(clippy::too_many_lines)]
     fn propagate(&mut self, ctx: &TimingContext<'_>, full: bool) {
         let s = self.state.as_mut().expect("seeded");
@@ -553,7 +553,7 @@ impl Timer {
         let netlist = ctx.netlist;
         let n = s.roles.len();
         let threads = m3d_par::resolve(0);
-        let parallel = full && threads > 1 && n >= m3d_par::PAR_THRESHOLD;
+        let parallel = full && threads > 1;
 
         // ---- phase A: net loads -----------------------------------------
         for k in 0..s.net_load.len() {
@@ -628,7 +628,8 @@ impl Timer {
                 arrival: &r.arrival,
                 slew: &r.slew,
             };
-            let level_threads = (parallel && dirty.len() >= 2).then_some(threads);
+            let level_threads =
+                (parallel && dirty.len() >= m3d_par::PAR_THRESHOLD).then_some(threads);
             let results = forward.gates(&dirty, &mut s.arc_delay, level_threads);
             for (&k, (at, pin, out_slew)) in dirty.iter().zip(results) {
                 let id = s.levels.cell_at(k);

@@ -22,6 +22,7 @@
 
 use hetero3d::cost::CostModel;
 use hetero3d::flow::{try_run_flow, Config, FlowOptions, FlowSession, Implementation};
+use hetero3d::json::{Obj, ToJson};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
 use hetero3d::obs::Obs;
@@ -248,6 +249,41 @@ fn pareto_reuses_one_pseudo_checkpoint_per_scenario() {
         0,
         "a 2-D sweep has no pseudo-3-D stage"
     );
+}
+
+/// The paper options' 18-point grid on AES (scale 0.02, seed 7):
+/// Hetero-3-D over both stacking styles × all three corners × three
+/// rungs from 0.8 to 1.2 GHz. Every point, frontier flag included, and
+/// the grid's one pseudo-3-D run are `tests/golden/pareto.json`.
+#[test]
+fn pareto_grid_points_are_their_golden() {
+    let netlist = Benchmark::Aes.generate(0.02, 7);
+    let options = FlowOptions {
+        obs: Obs::enabled(),
+        ..m3d_bench::bench_options()
+    };
+    let session = FlowSession::builder(&netlist)
+        .options(options)
+        .build()
+        .expect("session");
+    let (min_ghz, max_ghz, steps, cost) = (0.8, 1.2, 3usize, CostModel::default());
+    let summary = session
+        .pareto(Config::Hetero3d, min_ghz, max_ghz, steps, &cost)
+        .expect("pareto sweep");
+    let points: Vec<_> = summary.points.iter().map(ToJson::to_json).collect();
+    let section = Obj::new()
+        .put("scale", 0.02)
+        .put("seed", 7u64)
+        .put("config", Config::Hetero3d.to_json())
+        .put("freq_min_ghz", min_ghz)
+        .put("freq_max_ghz", max_ghz)
+        .put("freq_steps", steps)
+        .put("scenarios", StackingStyle::ALL.len() * Corner::ALL.len())
+        .put("pseudo3d_runs", pseudo3d_runs(&session.options().obs))
+        .put("frontier_points", summary.frontier().count())
+        .put("points", points)
+        .build();
+    m3d_bench::assert_golden("pareto", &section);
 }
 
 /// `pareto` is nothing but a frontier fold over the sweep executor's

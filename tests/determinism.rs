@@ -18,7 +18,8 @@ use hetero3d::cost::CostModel;
 use hetero3d::flow::{
     try_compare_configs, try_run_flow, Comparison, Config, FlowOptions, Implementation,
 };
-use hetero3d::netgen::Benchmark;
+use hetero3d::json::{Obj, Value};
+use hetero3d::netgen::{scale_netlist, Benchmark};
 use hetero3d::par;
 use hetero3d::tech::Tier;
 use std::sync::{Mutex, PoisonError};
@@ -27,16 +28,16 @@ use std::sync::{Mutex, PoisonError};
 /// both runs of its pair.
 static THREADS: Mutex<()> = Mutex::new(());
 
-/// `f` run with the process-wide count at 1 and then at 4, the lock held
-/// throughout.
-fn at_one_and_four<R>(f: impl Fn() -> R) -> (R, R) {
+/// `f` run with the process-wide count at 1 and then at `threads` (`0`:
+/// the default count), the lock held throughout.
+fn at_one_and<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
     let _held = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     par::set_threads(1);
     let one = f();
-    par::set_threads(4);
-    let four = f();
+    par::set_threads(threads);
+    let other = f();
     par::set_threads(0);
-    (one, four)
+    (one, other)
 }
 
 /// Netcard at 0.06 (2 811 cells): above the threshold, so its kernels
@@ -99,8 +100,9 @@ fn run_flow_is_bit_identical_across_thread_counts() {
     ];
     for netlist in &netlists {
         for config in ALL_CONFIGS {
-            let (one, four) =
-                at_one_and_four(|| fingerprint(&run_flow(netlist, config, 1.0, &quick_options(0))));
+            let (one, four) = at_one_and(4, || {
+                fingerprint(&run_flow(netlist, config, 1.0, &quick_options(0)))
+            });
             assert_eq!(
                 four, one,
                 "{}/{config:?}: 4 threads diverged from 1",
@@ -160,7 +162,7 @@ fn telemetry_manifest_is_bit_identical_across_thread_counts() {
         let _ = run_flow(&netlist, Config::Hetero3d, 1.0, &options);
         obs.manifest()
     };
-    let (seq, par) = at_one_and_four(manifest);
+    let (seq, par) = at_one_and(4, manifest);
     assert!(seq.span("run_flow").is_some(), "run_flow span recorded");
     assert!(
         seq.counter("partition/final_cut").is_some(),
@@ -184,7 +186,7 @@ fn global_thread_setting_is_also_invisible() {
     // five configurations side by side, each with parallel kernels.
     let netlist = above_threshold();
     let cost = CostModel::default();
-    let (seq, par_run) = at_one_and_four(|| {
+    let (seq, par_run) = at_one_and(4, || {
         let c = compare_configs(&netlist, &quick_options(0), &cost);
         let mut fingerprints: Vec<_> = c.implementations.iter().map(fingerprint).collect();
         fingerprints.push(fingerprint(&c.hetero_implementation));
@@ -193,5 +195,50 @@ fn global_thread_setting_is_also_invisible() {
     assert_eq!(
         seq, par_run,
         "global set_threads changed comparison results"
+    );
+}
+
+/// The scale ladder: a Hetero-3-D flow at 0.5 GHz on the 100 k-, 160 k-
+/// and 250 k-target `scale_netlist` (seed 7) at the paper's options, at
+/// one thread and at the default count. Only designs this large run every
+/// kept parallel site on several workers — the placer's sweeps, the
+/// router's Prim planning, the full seed's wide forward STA levels, the
+/// two dies' legalization jobs — so this is where 1 thread ≡ n threads
+/// holds for them. Each rung's sizes and sign-off WNS are
+/// `tests/golden/scale.json`.
+#[test]
+#[ignore = "100k–250k-cell flows: run with `cargo test --release --test determinism -- --ignored`"]
+fn scale_ladder_is_its_golden_at_one_and_the_default_thread_count() {
+    let options = m3d_bench::bench_options();
+    let ladder = || {
+        let rungs: Vec<Value> = [100_000usize, 160_000, 250_000]
+            .into_iter()
+            .map(|target| {
+                let netlist = scale_netlist(target, 7);
+                let imp = run_flow(&netlist, Config::Hetero3d, 0.5, &options);
+                Obj::new()
+                    .put("name", format!("scale{}k", target / 1000))
+                    .put("target_cells", target)
+                    .put("cells", netlist.cell_count())
+                    .put("nets", netlist.net_count())
+                    .put("pins", netlist.stats().pins)
+                    .put("arena_bytes", netlist.name_arena_bytes())
+                    .put("wns_ns", imp.sta.wns)
+                    .build()
+            })
+            .collect();
+        Obj::new()
+            .put("scale", 1.0)
+            .put("seed", 7u64)
+            .put("frequency_ghz", 0.5)
+            .put("rungs", rungs)
+            .build()
+    };
+    let (one, default) = at_one_and(0, ladder);
+    m3d_bench::assert_golden("scale", &one);
+    assert_eq!(
+        default.render(),
+        one.render(),
+        "the default thread count diverged from one thread"
     );
 }

@@ -1,7 +1,7 @@
 //! The committed `results/` is what the `paper` binary writes at its
 //! defaults (`TABLE_SCALE`, seed 7): every table and figure regenerated
-//! byte for byte, and no output missing or extra. The `BENCH_*.json`
-//! manifests come from the manifest benches and are gated there.
+//! byte for byte, and no output missing or extra: a stray file in
+//! `results/` fails too.
 
 use m3d_bench::{paper_outputs, TABLE_SCALE};
 use std::fs;
@@ -18,16 +18,12 @@ fn paper_outputs_are_the_committed_results() {
                 .into_string()
                 .expect("UTF-8 name")
         })
-        .filter(|name| !name.starts_with("BENCH_"))
         .collect();
     committed.sort();
     let outputs = paper_outputs(TABLE_SCALE, 7).expect("every flow runs");
     let mut names: Vec<String> = outputs.iter().map(|(name, _)| name.to_string()).collect();
     names.sort();
-    assert_eq!(
-        names, committed,
-        "the outputs are exactly results/ minus BENCH_*"
-    );
+    assert_eq!(names, committed, "the outputs are exactly results/");
     for (name, content) in &outputs {
         let expected = fs::read_to_string(format!("{results}/{name}")).expect("committed output");
         assert!(

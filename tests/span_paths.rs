@@ -1,17 +1,21 @@
-//! The flow's span tree, pinned path by path with call counts.
+//! The flow's span tree and telemetry, pinned path by path.
 //!
-//! A stage's span is the manifest's record that it ran: `bench_gate`
-//! compares the committed `BENCH_flow.json` tree, and this suite holds
-//! the two shapes that tree does not cover at the committed scale on
-//! every `cargo test` — a heterogeneous run whose repartitioning ECO
-//! re-finishes (with the first pass's `sizing` span open and empty, the
-//! ECO sizing instead) and a 2-D run that sizing sends through its
-//! second implementation pass. A stage dropped, renamed, moved or run a
+//! A stage's span is the manifest's record that it ran. The golden
+//! `tests/golden/flow.json` holds the whole deterministic telemetry —
+//! span calls, counters, gauges, labels — of a cold Hetero-3-D run, a
+//! 12-track 2-D fmax search and a five-config comparison at the paper's
+//! options; the two span-tree tests hold the shapes that golden does not
+//! cover — a heterogeneous run whose repartitioning ECO re-finishes
+//! (with the first pass's `sizing` span open and empty, the ECO sizing
+//! instead) and a 2-D run that sizing sends through its second
+//! implementation pass. A stage dropped, renamed, moved or run a
 //! different number of times fails here.
 
-use hetero3d::flow::{try_run_flow, Config, FlowOptions};
+use hetero3d::cost::CostModel;
+use hetero3d::flow::{try_compare_configs, try_find_fmax, try_run_flow, Config, FlowOptions};
+use hetero3d::json::Obj;
 use hetero3d::netgen::Benchmark;
-use hetero3d::obs::Obs;
+use hetero3d::obs::{Manifest, Obs};
 
 /// Every span path of one cold `config` run on AES (scale 0.02, seed 7)
 /// at `ghz`, with its call count.
@@ -95,4 +99,55 @@ fn a_two_d_run_that_takes_the_second_pass_has_the_pinned_span_tree() {
             ("run_flow/impl2d/tier_legalize/legalize", 2),
         ])
     );
+}
+
+/// The prefix forks an fmax search books: one per ladder rung it walked
+/// (a `fmax/rung<i>/run_flow` span) plus the never-met retry.
+fn ladder_forks(m: &Manifest) -> u64 {
+    m.spans
+        .iter()
+        .filter(|s| {
+            s.path
+                .strip_prefix("fmax/rung")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(i, span)| i.parse::<usize>().is_ok() && span == "run_flow")
+        })
+        .chain(m.span("fmax/relaxed/run_flow"))
+        .map(|s| s.calls)
+        .sum()
+}
+
+/// AES (scale 0.02, seed 7) at the paper's options: the deterministic
+/// manifests of a cold Hetero-3-D run at 1 GHz, a 12-track 2-D fmax
+/// search from 1 GHz and a five-config comparison, plus the fmax and the
+/// comparison's pseudo-3-D run count, are `tests/golden/flow.json`.
+#[test]
+fn run_fmax_and_compare_telemetry_is_its_golden() {
+    let netlist = Benchmark::Aes.generate(0.02, 7);
+    let instrumented = || FlowOptions {
+        obs: Obs::enabled(),
+        ..m3d_bench::bench_options()
+    };
+    let (run, fmax, cmp) = (instrumented(), instrumented(), instrumented());
+    try_run_flow(&netlist, Config::Hetero3d, 1.0, &run).expect("flow");
+    let (fmax_ghz, _) = try_find_fmax(&netlist, Config::TwoD12T, &fmax, 1.0).expect("fmax");
+    try_compare_configs(&netlist, &cmp, &CostModel::default()).expect("comparison");
+    let (run, fmax, cmp) = (run.obs.manifest(), fmax.obs.manifest(), cmp.obs.manifest());
+    for m in [&fmax, &cmp] {
+        assert_eq!(
+            m.counter_sum("flow/prefix_forks"),
+            ladder_forks(m),
+            "every rung the fmax ladder walks, and its retry, forks the probe's prefix"
+        );
+    }
+    let section = Obj::new()
+        .put("scale", 0.02)
+        .put("seed", 7u64)
+        .put("fmax_ghz", fmax_ghz)
+        .put("prefix_reuse", cmp.counter_sum("flow/pseudo3d_runs"))
+        .put("run_flow", run.deterministic_json())
+        .put("fmax_sweep", fmax.deterministic_json())
+        .put("compare_configs", cmp.deterministic_json())
+        .build();
+    m3d_bench::assert_golden("flow", &section);
 }

@@ -9,6 +9,7 @@
 //! equals the full seed exactly when the edit lists are complete, and
 //! `tests/sta_oracle.rs` holds both to an independent evaluator.
 
+use hetero3d::json::{Obj, Value};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{CellId, NetId, Netlist};
 use hetero3d::par;
@@ -239,4 +240,81 @@ fn timer_is_thread_count_invariant() {
         results.push(timer.result().expect("updated").clone());
         results
     });
+}
+
+/// A fixed 24-edit script — drive up- and downsizes, tier swaps and wire
+/// model bumps — on AES and CPU (scale 0.02, seed 7), every step checked
+/// against a cold analyze by bits: the timer's propagated evaluations,
+/// against a cold pass per edit, are `tests/golden/sta.json`.
+#[test]
+fn edit_script_evaluation_counts_are_their_golden() {
+    const EDITS: usize = 24;
+    let stack = TierStack::heterogeneous();
+    let designs: Vec<Value> = [(Benchmark::Aes, "aes"), (Benchmark::Cpu, "cpu")]
+        .into_iter()
+        .map(|(bench, name)| {
+            let mut netlist = bench.generate(0.02, 7);
+            let mut tiers = vec![Tier::Bottom; netlist.cell_count()];
+            let mut parasitics = Parasitics::zero_wire(&netlist);
+            let gates: Vec<CellId> = netlist
+                .cells()
+                .filter(|(_, c)| c.class.is_gate() && !c.is_sequential())
+                .map(|(id, _)| id)
+                .collect();
+            let mut timer = Timer::new();
+            for step in 0..EDITS {
+                let edit = match step % 4 {
+                    0 => {
+                        let g = gates[step * 131 % gates.len()];
+                        let d = netlist.cell(g).class.gate_drive().expect("gate");
+                        netlist.set_drive(g, d.upsized().unwrap_or(Drive::X1));
+                        TimingEdit::ResizeCell(g)
+                    }
+                    1 => {
+                        let g = gates[step * 61 % gates.len()];
+                        tiers[g.index()] = tiers[g.index()].other();
+                        TimingEdit::SwapTier(g)
+                    }
+                    2 => {
+                        let k = NetId::from_index(step * 17 % netlist.net_count());
+                        parasitics.net_mut(k).wire_delay_ns += 0.002;
+                        parasitics.net_mut(k).wire_cap_ff += 1.0;
+                        TimingEdit::NetModel(k)
+                    }
+                    _ => {
+                        let g = gates[step * 97 % gates.len()];
+                        let d = netlist.cell(g).class.gate_drive().expect("gate");
+                        netlist.set_drive(g, d.downsized().unwrap_or(Drive::X8));
+                        TimingEdit::ResizeCell(g)
+                    }
+                };
+                let ctx = TimingContext {
+                    netlist: &netlist,
+                    stack: &stack,
+                    tiers: &tiers,
+                    parasitics: &parasitics,
+                    clock: ClockSpec::with_period(1.0),
+                };
+                let incr = timer.update(&ctx, &[edit]);
+                assert_bit_identical(&incr, &analyze(&ctx), &format!("{name} step {step}"));
+            }
+            let stats = timer.stats();
+            let cold = (stats.full_rebuilds + stats.incremental_updates) * timer.full_pass_evals();
+            let propagated = stats.propagated_evals();
+            Obj::new()
+                .put("name", name)
+                .put("cells", netlist.cell_count())
+                .put("edits", EDITS)
+                .put("cold_equiv_evals", cold)
+                .put("propagated_evals", propagated)
+                .put("arc_reduction", cold as f64 / propagated as f64)
+                .build()
+        })
+        .collect();
+    let section = Obj::new()
+        .put("scale", 0.02)
+        .put("seed", 7u64)
+        .put("designs", designs)
+        .build();
+    m3d_bench::assert_golden("sta", &section);
 }

@@ -2,6 +2,7 @@ use m3d_geom::Point;
 use m3d_netlist::{CellClass, CellId, Netlist};
 use m3d_place::Placement;
 use m3d_tech::{CellKind, Drive, Tier, TierStack};
+use std::sync::Arc;
 
 /// CTS parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,8 +69,9 @@ pub struct ClockTree {
     pub nodes: Vec<ClockTreeNode>,
     /// Index of the root buffer in `nodes`.
     pub root: usize,
-    /// Clock arrival latency per netlist cell (0 for unclocked cells), ns.
-    pub sink_latency: Vec<f64>,
+    /// Clock arrival latency per netlist cell (0 for unclocked cells), ns:
+    /// the one copy, which sign-off clocks share.
+    pub sink_latency: Arc<[f64]>,
     /// Total clock wirelength, µm.
     pub wirelength_um: f64,
     /// Total switched capacitance per clock edge (buffers + wire + sink
@@ -385,7 +387,7 @@ pub fn synthesize(
     ClockTree {
         nodes,
         root,
-        sink_latency,
+        sink_latency: sink_latency.into(),
         wirelength_um: wirelength,
         switched_cap_ff: switched_cap,
         sink_ids: sinks.iter().map(|(id, _, _)| *id).collect(),

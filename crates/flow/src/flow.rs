@@ -7,8 +7,8 @@ use m3d_netlist::Netlist;
 use m3d_partition::{EcoOutcome, TimingAssignment};
 use m3d_place::{Floorplan, Placement};
 use m3d_power::PowerResult;
-use m3d_route::RoutingResult;
-use m3d_sta::StaResult;
+use m3d_route::RouteTotals;
+use m3d_sta::{ClockSpec, Parasitics, StaResult};
 use m3d_tech::{TechContext, Tier, TierStack};
 use std::sync::Arc;
 
@@ -35,8 +35,10 @@ pub struct Implementation {
     pub floorplan: Arc<Floorplan>,
     /// Legalized placement.
     pub placement: Arc<Placement>,
-    /// Routing result.
-    pub routing: Arc<RoutingResult>,
+    /// Routing totals (the per-net routes end at extraction).
+    pub routing: RouteTotals,
+    /// The parasitics extracted from the routes, which sign-off read.
+    pub parasitics: Arc<Parasitics>,
     /// Synthesized clock tree.
     pub clock_tree: Arc<ClockTree>,
     /// Sign-off timing.
@@ -49,6 +51,16 @@ pub struct Implementation {
     pub eco: Option<EcoOutcome>,
     /// Timing-based partitioning outcome (heterogeneous flow only).
     pub timing_assignment: Option<TimingAssignment>,
+}
+
+impl Implementation {
+    /// The clock this implementation is timed against at its frequency:
+    /// the clock tree's sink latencies (shared, not copied) plus a
+    /// virtual I/O clock at their mean.
+    #[must_use]
+    pub fn clock_spec(&self) -> ClockSpec {
+        crate::stage::clock_spec(1.0 / self.frequency_ghz, Some(&self.clock_tree))
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +88,15 @@ impl Implementation {
             ),
             ("tiers", self.tiers.iter().map(|&t| t as u64).collect()),
             ("placement", xy(&self.placement)),
+            (
+                "parasitics",
+                (0..self.netlist.net_count())
+                    .flat_map(|k| {
+                        let net = self.parasitics.net(m3d_netlist::NetId::from_index(k));
+                        [net.wire_cap_ff.to_bits(), net.wire_delay_ns.to_bits()]
+                    })
+                    .collect(),
+            ),
             (
                 "routing",
                 vec![

@@ -49,8 +49,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// How many prefixes a session keeps besides those a walk or a grid
-/// still holds. One is 1.8–2.1 MB resident at 25 k cells; eight hold the
-/// four homogeneous configurations and Hetero-3-D at four periods.
+/// still holds. One is about 57 B/cell resident (1.3 MB at 23 k cells,
+/// `tests/flow_footprint.rs`); eight hold the four homogeneous
+/// configurations and Hetero-3-D at four periods.
 const PREFIX_SLOTS: usize = 8;
 
 /// One kept prefix: built at most once, a failure kept like a success
@@ -747,16 +748,9 @@ mod tests {
     }
 
     /// `state_fingerprint` of the design `imp` signs off: its database
-    /// rebuilt from the implementation's artifacts, the parasitics
-    /// re-extracted from its routing.
+    /// rebuilt from the implementation's artifacts, its parasitics among
+    /// them.
     fn state_fingerprint(imp: &Implementation) -> u64 {
-        let (parasitics, _) = m3d_route::try_extract_parasitics_with_stats(
-            &imp.netlist,
-            &imp.placement,
-            &imp.stack,
-            Some(&imp.routing),
-        )
-        .expect("extract");
         let mut db = m3d_db::DesignDb::from_shared(
             imp.netlist.clone(),
             (*imp.stack).clone(),
@@ -764,7 +758,7 @@ mod tests {
         );
         db.set_tiers((*imp.tiers).clone());
         db.set_placement((*imp.placement).clone());
-        db.set_parasitics(parasitics);
+        db.set_parasitics((*imp.parasitics).clone());
         db.state_fingerprint()
     }
 

@@ -57,7 +57,9 @@ use m3d_partition::{
 };
 use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Placement};
 use m3d_power::{analyze_power, PowerConfig, PowerResult};
-use m3d_route::{global_route, try_extract_parasitics_with_stats, ExtractStats, RoutingResult};
+use m3d_route::{
+    global_route, try_extract_parasitics_with_stats, ExtractStats, RouteTotals, RoutingResult,
+};
 use m3d_sta::{
     analyze, worst_paths, ClockSpec, Parasitics, StaResult, Timer, TimingContext, TimingEdit,
 };
@@ -90,11 +92,14 @@ pub struct PseudoCheckpoint {
 
 /// The physical artifacts of one pass, from legalization through CTS:
 /// their one owner (the database holds none of them). Cheap to clone.
+/// It keeps only what a later stage reads: the per-net routes end at
+/// extraction, which folds them into `parasitics`, and only their
+/// totals stay.
 #[derive(Clone)]
 struct Layout {
     floorplan: Arc<Floorplan>,
     placement: Arc<Placement>,
-    routing: Arc<RoutingResult>,
+    routing: RouteTotals,
     parasitics: Arc<Parasitics>,
     clock_tree: Arc<ClockTree>,
 }
@@ -214,7 +219,8 @@ impl Walk {
             tiers: state.db.tiers_arc(),
             floorplan: Arc::clone(&layout.floorplan),
             placement: Arc::clone(&layout.placement),
-            routing: Arc::clone(&layout.routing),
+            routing: layout.routing,
+            parasitics: Arc::clone(&layout.parasitics),
             clock_tree: Arc::clone(&layout.clock_tree),
             sta: Arc::clone(&lane.sta),
             power: Arc::clone(&lane.power),
@@ -373,12 +379,14 @@ fn run_sta(
     ))
 }
 
-/// Clock constraints for sign-off: propagated register latencies plus a
-/// virtual I/O clock at the network's mean insertion delay.
-fn clock_spec(period_ns: f64, latency: Option<&ClockTree>) -> ClockSpec {
+/// Clock constraints for sign-off: propagated register latencies (the
+/// tree's own, shared) plus a virtual I/O clock at the network's mean
+/// insertion delay. The one constructor of a propagated clock: the
+/// stages and [`Implementation::clock_spec`] go through it.
+pub(crate) fn clock_spec(period_ns: f64, latency: Option<&ClockTree>) -> ClockSpec {
     let mut clock = ClockSpec::with_period(period_ns);
     if let Some(tree) = latency {
-        clock.latency_ns = tree.sink_latency.clone();
+        clock.latency_ns = Arc::clone(&tree.sink_latency);
         let lats = tree.latencies();
         if !lats.is_empty() {
             clock.virtual_io_latency_ns = lats.iter().sum::<f64>() / lats.len() as f64;
@@ -651,7 +659,7 @@ fn route_and_cts(
     Ok(Layout {
         floorplan,
         placement: Arc::new(placement),
-        routing: Arc::new(routing),
+        routing,
         parasitics: Arc::new(parasitics),
         clock_tree: Arc::new(clock_tree),
     })
@@ -1098,13 +1106,15 @@ fn tier_legalize(
     Ok((fp, placement))
 }
 
-/// Global routing + parasitic extraction of `placement`.
+/// Global routing + parasitic extraction of `placement`. The per-net
+/// routes end here: extraction folds them into the parasitics, and only
+/// the routing totals are returned beside them.
 fn route(
     db: &DesignDb,
     placement: &Placement,
     options: &FlowOptions,
     span: &Span,
-) -> Result<(RoutingResult, Parasitics), FlowError> {
+) -> Result<(RouteTotals, Parasitics), FlowError> {
     let (netlist, stack) = (db.netlist(), db.stack_arc());
     let routing = global_route(netlist, placement, db.tiers(), &stack, &options.route);
     record_routing(&options.obs, &routing);
@@ -1113,7 +1123,7 @@ fn route(
         try_extract_parasitics_with_stats(netlist, placement, &stack, Some(&routing))?
     };
     record_extract(&options.obs, &px);
-    Ok((routing, parasitics))
+    Ok((routing.totals(), parasitics))
 }
 
 /// Clock tree synthesis over `placement`: flat for 2-D, COVER-cell (or
@@ -1291,22 +1301,27 @@ mod tests {
     use m3d_netgen::Benchmark;
     use m3d_netlist::NetId;
 
-    /// Asserts that the pass's live timer and the layout's parasitics
-    /// are what a cold start from the walk's other artifacts gives:
-    /// re-extracted parasitics and a fresh `analyze`, bit for bit.
-    fn assert_live_timing_is_cold_timing(walk: &Walk, when: &str) {
+    /// Asserts that the pass's live timer, the layout's parasitics and
+    /// its routing totals are what a cold start from the walk's other
+    /// artifacts gives: the layout's placement routed and extracted
+    /// afresh and a fresh `analyze`, bit for bit.
+    fn assert_live_timing_is_cold_timing(walk: &Walk, options: &FlowOptions, when: &str) {
         let (state, layout) = (&walk.state, &walk.layout);
         let db = &state.db;
         let netlist = db.netlist_arc();
         let stack = db.stack_arc();
         let kept = &layout.parasitics;
-        let (fresh, _) = try_extract_parasitics_with_stats(
+        let routing = global_route(
             &netlist,
             &layout.placement,
+            db.tiers(),
             &stack,
-            Some(&layout.routing),
-        )
-        .expect("extract");
+            &options.route,
+        );
+        assert_eq!(routing.totals(), layout.routing, "{when}: routing totals");
+        let (fresh, _) =
+            try_extract_parasitics_with_stats(&netlist, &layout.placement, &stack, Some(&routing))
+                .expect("extract");
         for k in 0..netlist.net_count() {
             let (a, b) = (
                 kept.net(NetId::from_index(k)),
@@ -1401,7 +1416,7 @@ mod tests {
             let mut resized = false;
             for round in 1..=3 {
                 let when = format!("{bench:?} round {round}");
-                assert_live_timing_is_cold_timing(&walk, &when);
+                assert_live_timing_is_cold_timing(&walk, &options, &when);
                 if resized {
                     resized_reentries += 1;
                 }

@@ -2,8 +2,7 @@
 //! analyses of one implementation.
 
 use m3d_flow::Implementation;
-use m3d_route::try_extract_parasitics_with_stats;
-use m3d_sta::{worst_paths, ClockSpec, TimingContext};
+use m3d_sta::{worst_paths, TimingContext};
 use m3d_tech::Tier;
 
 /// Memory-interconnect metrics (Table VIII, first block).
@@ -107,9 +106,7 @@ pub struct DeepDive {
 #[must_use]
 pub fn deep_dive(imp: &Implementation) -> DeepDive {
     let netlist = &imp.netlist;
-    let (parasitics, _) =
-        try_extract_parasitics_with_stats(netlist, &imp.placement, &imp.stack, Some(&imp.routing))
-            .expect("an implementation's routing covers its netlist");
+    let parasitics = &imp.parasitics;
 
     // ---- memory interconnects ------------------------------------------
     let mut in_sq = 0.0;
@@ -163,24 +160,19 @@ pub fn deep_dive(imp: &Implementation) -> DeepDive {
     };
 
     // ---- clock network ----------------------------------------------------
-    // Rebuild the sign-off timing context (cheap) to extract the top
-    // critical paths for the skew and path blocks from `imp.sta`.
-    let mut clock_spec = ClockSpec::with_period(1.0 / imp.frequency_ghz);
-    clock_spec.latency_ns = imp.clock_tree.sink_latency.clone();
-    let lats = imp.clock_tree.latencies();
-    if !lats.is_empty() {
-        clock_spec.virtual_io_latency_ns = lats.iter().sum::<f64>() / lats.len() as f64;
-    }
+    // The sign-off timing context, from what the implementation carries,
+    // to extract the top critical paths for the skew and path blocks from
+    // `imp.sta`.
     let ctx = TimingContext {
         netlist,
         stack: &imp.stack,
         tiers: &imp.tiers,
-        parasitics: &parasitics,
-        clock: clock_spec,
+        parasitics,
+        clock: imp.clock_spec(),
     };
-    // The flow already signed off with this exact context (same netlist,
-    // parasitics extraction and clock construction), so reuse its result
-    // instead of re-running a full analyze.
+    // The flow already signed off with this context (same netlist,
+    // parasitics and clock constructor), so reuse its result instead of
+    // re-running a full analyze.
     let paths = worst_paths(&ctx, &imp.sta, 100);
 
     let mut skew_sum = 0.0;

@@ -4,7 +4,7 @@
 
 use m3d_flow::Implementation;
 use m3d_netlist::CellClass;
-use m3d_sta::{worst_paths, ClockSpec, TimingContext};
+use m3d_sta::{worst_paths, TimingContext};
 use m3d_tech::Tier;
 use std::fmt::Write as _;
 
@@ -185,25 +185,12 @@ pub fn render_overlays(imp: &Implementation, title: &str) -> String {
     }
 
     // Worst critical path (red polyline).
-    let (parasitics, _) = m3d_route::try_extract_parasitics_with_stats(
-        &imp.netlist,
-        &imp.placement,
-        &imp.stack,
-        Some(&imp.routing),
-    )
-    .expect("an implementation's routing covers its netlist");
-    let mut clock = ClockSpec::with_period(1.0 / imp.frequency_ghz);
-    clock.latency_ns = imp.clock_tree.sink_latency.clone();
-    let lats = imp.clock_tree.latencies();
-    if !lats.is_empty() {
-        clock.virtual_io_latency_ns = lats.iter().sum::<f64>() / lats.len() as f64;
-    }
     let ctx = TimingContext {
         netlist: &imp.netlist,
         stack: &imp.stack,
         tiers: &imp.tiers,
-        parasitics: &parasitics,
-        clock,
+        parasitics: &imp.parasitics,
+        clock: imp.clock_spec(),
     };
     // Path extraction reuses the flow's sign-off result (computed with
     // this exact context) instead of re-running a full analyze.

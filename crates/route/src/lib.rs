@@ -14,7 +14,8 @@
 //!   spanning topology (Table VI's `# MIVs` row),
 //! * [`try_extract_parasitics_with_stats`] — per-net RC from routed (or estimated)
 //!   lengths, in the [`m3d_sta::Parasitics`] format the timing engine
-//!   consumes.
+//!   consumes. The per-net routes end there: what a flow keeps of a
+//!   [`RoutingResult`] is its [`RouteTotals`].
 //!
 //! # Examples
 //!
@@ -37,4 +38,4 @@ mod extract;
 mod router;
 
 pub use extract::{try_extract_parasitics_with_stats, ExtractError, ExtractStats};
-pub use router::{global_route, RouteConfig, RoutedNet, RoutingResult};
+pub use router::{global_route, RouteConfig, RouteTotals, RoutedNet, RoutingResult};

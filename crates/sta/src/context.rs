@@ -1,5 +1,6 @@
 use m3d_netlist::{NetId, Netlist};
 use m3d_tech::{Tier, TierStack};
+use std::sync::Arc;
 
 /// Clock constraints for an analysis run.
 #[derive(Debug, Clone, PartialEq)]
@@ -7,8 +8,9 @@ pub struct ClockSpec {
     /// Clock period in ns.
     pub period_ns: f64,
     /// Per-cell clock-arrival latency in ns (indexed by cell id); empty
-    /// means an ideal clock (zero latency everywhere). Filled in by CTS.
-    pub latency_ns: Vec<f64>,
+    /// means an ideal clock (zero latency everywhere). Filled in by CTS,
+    /// and shared with the clock tree rather than copied from it.
+    pub latency_ns: Arc<[f64]>,
     /// Slew assumed at primary inputs, ns.
     pub input_slew_ns: f64,
     /// Virtual clock latency applied to primary I/O: primary inputs
@@ -26,7 +28,7 @@ impl ClockSpec {
     pub fn with_period(period_ns: f64) -> Self {
         ClockSpec {
             period_ns,
-            latency_ns: Vec::new(),
+            latency_ns: Arc::default(),
             input_slew_ns: 0.03,
             virtual_io_latency_ns: 0.0,
             output_load_ff: 3.0,

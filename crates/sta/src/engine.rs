@@ -550,9 +550,10 @@ mod tests {
         let parasitics = Parasitics::zero_wire(&n);
         // Give the capture FF extra clock latency -> more time -> better WNS.
         let mut clock = ClockSpec::with_period(0.2);
-        clock.latency_ns = vec![0.0; n.cell_count()];
+        let mut latency = vec![0.0; n.cell_count()];
         let ff2 = n.cell_ids().find(|&id| n.cell_name(id) == "ff2").unwrap();
-        clock.latency_ns[ff2.index()] = 0.1;
+        latency[ff2.index()] = 0.1;
+        clock.latency_ns = latency.into();
         let ctx = TimingContext {
             netlist: &n,
             stack: &stack,

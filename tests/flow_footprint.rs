@@ -10,14 +10,20 @@
 //!   design's size calls for (three copies of a timing result, say);
 //! * **exactly sized route plans** — the transient heap of
 //!   [`global_route`] on the signed-off design stays under a bound per
-//!   routed net.
+//!   routed net;
+//! * **a kept prefix holds what later stages read** — the bytes one more
+//!   pre-sizing prefix leaves resident in a [`FlowSession`] stay under a
+//!   per-cell bound, which a prefix that still kept its per-net routes
+//!   exceeds.
 //!
 //! Each bound sits a little above the reading the layout gives today,
 //! on one thread, where the allocation sequence is fixed. One test
 //! function only: the counters are process-global, so a second test
 //! running on another harness thread would pollute the readings.
 
-use hetero3d::flow::{prepare_base, pseudo_checkpoint, run_from_base, Config, FlowOptions};
+use hetero3d::flow::{
+    prepare_base, pseudo_checkpoint, run_from_base, Config, FlowOptions, FlowSession,
+};
 use hetero3d::netgen::scale_netlist;
 use hetero3d::obs::{alloc, CountingAlloc};
 use hetero3d::route::global_route;
@@ -26,14 +32,20 @@ use hetero3d::route::global_route;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-cell bound on a cold flow's heap high-water over its entry heap.
-/// Reading: 286.4 B/cell at 20 k cells and 270.9 at 100 k (369.1 and
-/// 353.5 while the timer handed out copies of its result and the route
-/// plans grew by doubling).
-const FLOW_BYTES_PER_CELL: f64 = 300.0;
-/// Per-net bound on `global_route`'s transient heap. Reading: 135.4 B/net
-/// at 20 k cells and 132.8 at 100 k (176.1 and 165.2 with doubling
-/// growth).
-const ROUTE_BYTES_PER_NET: f64 = 140.0;
+/// Reading: 247.0 B/cell at 20 k cells and 232.6 at 100 k (281.4 and
+/// 265.9 while the layout kept its per-net routes, each clock copied the
+/// tree's latencies and route plans stored endpoint positions; 369.1
+/// and 353.5 while the timer handed out copies of its result and the
+/// route plans grew by doubling).
+const FLOW_BYTES_PER_CELL: f64 = 250.0;
+/// Per-net bound on `global_route`'s transient heap. Reading: 87.9 B/net
+/// at 20 k cells and 84.9 at 100 k (135.4 and 132.8 with tree edges as
+/// endpoint positions, 176.1 and 165.2 with doubling growth).
+const ROUTE_BYTES_PER_NET: f64 = 90.0;
+/// Per-cell bound on the bytes one kept prefix leaves resident in a
+/// session. Reading: 57.2 B/cell at 20 k cells (73.2 while a layout kept
+/// its per-net routes).
+const PREFIX_BYTES_PER_CELL: f64 = 60.0;
 
 struct Reading {
     cells: usize,
@@ -82,6 +94,29 @@ fn cold_flow(target: usize, ghz: f64) -> Reading {
     }
 }
 
+/// The bytes one more kept prefix leaves resident in a session, per
+/// cell. A Hetero3d run at a second frequency builds and keeps a second
+/// prefix (timing partitioning reads the period, so each period has its
+/// own), off the pseudo-3-D checkpoint the first run left; each run's
+/// implementation is dropped.
+fn kept_prefix_per_cell(target: usize, ghz: [f64; 2]) -> (usize, f64) {
+    let netlist = scale_netlist(target, 7);
+    let options = FlowOptions {
+        threads: 1,
+        ..FlowOptions::default()
+    };
+    let session = FlowSession::builder(&netlist)
+        .options(options)
+        .build()
+        .expect("session");
+    drop(session.run(Config::Hetero3d, ghz[0]).expect("first run"));
+    let before = alloc::current_bytes();
+    drop(session.run(Config::Hetero3d, ghz[1]).expect("second run"));
+    let kept = alloc::current_bytes() - before;
+    let cells = netlist.cell_count();
+    (cells, kept as f64 / cells as f64)
+}
+
 #[test]
 fn a_flow_costs_what_its_design_holds() {
     hetero3d::par::set_threads(1);
@@ -110,5 +145,11 @@ fn a_flow_costs_what_its_design_holds() {
         "flow high-water per cell drifts with size: {:.1} at 20k vs {:.1} at 100k",
         small.flow_per_cell,
         large.flow_per_cell
+    );
+    let (cells, prefix) = kept_prefix_per_cell(20_000, [0.2, 0.25]);
+    eprintln!("{cells} cells: one kept prefix {prefix:.1} B/cell resident");
+    assert!(
+        prefix <= PREFIX_BYTES_PER_CELL,
+        "{cells} cells: one kept prefix holds {prefix:.1} B/cell, over {PREFIX_BYTES_PER_CELL}"
     );
 }

@@ -29,6 +29,7 @@ use hetero3d::tech::{CellKind, Corner, Drive, MasterCell, Tier, TierStack};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Reference timing of one context. Each quantity is a memoised recursive
 /// function of the netlist: arrivals recurse into fan-in, required times
@@ -413,7 +414,7 @@ impl Design {
             _ => {
                 for _ in 0..3 {
                     let i = rng.gen_range(0..self.clock.latency_ns.len());
-                    self.clock.latency_ns[i] = rng.gen_range(0.0..0.08);
+                    Arc::make_mut(&mut self.clock.latency_ns)[i] = rng.gen_range(0.0..0.08);
                 }
                 TimingEdit::ClockLatency
             }

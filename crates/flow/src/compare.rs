@@ -35,19 +35,6 @@ pub struct Comparison {
     pub implementations: Vec<Implementation>,
 }
 
-/// Takes `config`'s implementation out of the parallel fan-out's result
-/// pool (`pool[i]` holds job `jobs[i]`'s result until consumed).
-fn take_implementation(
-    jobs: &[Config],
-    pool: &mut [Option<Implementation>],
-    config: Config,
-) -> Result<Implementation, FlowError> {
-    jobs.iter()
-        .position(|&c| c == config)
-        .and_then(|i| pool.get_mut(i).and_then(Option::take))
-        .ok_or(FlowError::MissingImplementation(config))
-}
-
 /// Runs the full evaluation methodology on one netlist — a thin adapter
 /// over [`FlowSession::compare`].
 ///
@@ -123,22 +110,17 @@ impl FlowSession {
                 .map(|(&config, o)| move || self.run_with(config, target_ghz, o))
                 .collect(),
         );
-        let mut pool: Vec<Option<Implementation>> = Vec::with_capacity(results.len());
-        for r in results {
-            pool.push(Some(r?));
-        }
-        let hetero_implementation = take_implementation(&jobs, &mut pool, Config::Hetero3d)?;
-        let mut homogeneous = Vec::with_capacity(Config::HOMOGENEOUS.len());
-        let mut implementations = Vec::with_capacity(Config::HOMOGENEOUS.len());
-        for config in Config::HOMOGENEOUS {
-            let imp = if config == Config::TwoD12T {
-                base_imp.clone()
-            } else {
-                take_implementation(&jobs, &mut pool, config)?
-            };
-            homogeneous.push(imp.ppac(cost));
-            implementations.push(imp);
-        }
+        // One result per job, in job order: the heterogeneous one last,
+        // the homogeneous ones in Fig. 1 order but for 12-track 2-D, whose
+        // column is the fmax sweep's implementation.
+        let mut implementations = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let hetero_implementation = implementations.pop().expect("one result per job");
+        let two_d_12t = Config::HOMOGENEOUS
+            .iter()
+            .position(|&c| c == Config::TwoD12T);
+        implementations.insert(two_d_12t.expect("a homogeneous configuration"), base_imp);
+        let homogeneous: Vec<PpacSummary> =
+            implementations.iter().map(|imp| imp.ppac(cost)).collect();
         let hetero = hetero_implementation.ppac(cost);
         let deltas = homogeneous
             .iter()
@@ -263,27 +245,5 @@ mod tests {
         for p in &cmp.homogeneous {
             assert!((p.frequency_ghz - cmp.target_ghz).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn missing_hetero_job_surfaces_as_typed_error() {
-        let jobs = [Config::TwoD9T, Config::ThreeD9T];
-        let mut pool: Vec<Option<Implementation>> = vec![None, None];
-        let err = take_implementation(&jobs, &mut pool, Config::Hetero3d).unwrap_err();
-        assert_eq!(err, FlowError::MissingImplementation(Config::Hetero3d));
-    }
-
-    #[test]
-    fn consumed_job_slot_surfaces_as_typed_error() {
-        // A pool slot can only be taken once; a second claim for the same
-        // configuration reports the missing implementation instead of
-        // panicking.
-        let n = Benchmark::Aes.generate(0.05, 7);
-        let imp = crate::try_run_flow(&n, Config::TwoD9T, 0.8, &quick_options()).expect("flow");
-        let jobs = [Config::TwoD9T];
-        let mut pool = vec![Some(imp)];
-        assert!(take_implementation(&jobs, &mut pool, Config::TwoD9T).is_ok());
-        let err = take_implementation(&jobs, &mut pool, Config::TwoD9T).unwrap_err();
-        assert_eq!(err, FlowError::MissingImplementation(Config::TwoD9T));
     }
 }

@@ -2,16 +2,14 @@
 //!
 //! Every stage of the pipeline reports failure through [`FlowError`]
 //! instead of panicking: input validation ([`FlowError::InvalidNetlist`],
-//! [`FlowError::InvalidFrequency`], [`FlowError::InvalidSweep`]), the
+//! [`FlowError::InvalidFrequency`], [`FlowError::InvalidSweep`]) and the
 //! fallible substrate passes ([`FlowError::Legalize`],
-//! [`FlowError::Extract`]) and a comparison job that never arrived
-//! ([`FlowError::MissingImplementation`]). Stage ordering is not among
-//! them: each stage takes its inputs as arguments, so none can run
-//! before what it reads exists. Every entry point — the `try_*` free
-//! functions, [`FlowSession`](crate::FlowSession) commands and the wire
-//! layer — surfaces these errors instead of panicking.
+//! [`FlowError::Extract`]). Stage ordering is not among them: each stage
+//! takes its inputs as arguments, so none can run before what it reads
+//! exists. Every entry point — the `try_*` free functions,
+//! [`FlowSession`](crate::FlowSession) commands and the wire layer —
+//! surfaces these errors instead of panicking.
 
-use crate::config::Config;
 use m3d_json::DecodeError;
 use m3d_netlist::ValidateNetlistError;
 use m3d_place::LegalizeError;
@@ -32,9 +30,6 @@ pub enum FlowError {
     Legalize(LegalizeError),
     /// Parasitic extraction rejected its inputs.
     Extract(ExtractError),
-    /// A comparison job's implementation never arrived (the parallel
-    /// fan-out returned fewer results than configurations).
-    MissingImplementation(Config),
     /// A `pareto` or `sweep` grid failed
     /// [`SweepSpec::validate`](crate::SweepSpec::validate): the
     /// validator's verdict — which member, and what was expected there.
@@ -53,9 +48,6 @@ impl fmt::Display for FlowError {
             FlowError::InvalidNetlist(e) => write!(f, "input netlist failed validation: {e}"),
             FlowError::Legalize(e) => write!(f, "legalization failed: {e}"),
             FlowError::Extract(e) => write!(f, "parasitic extraction failed: {e}"),
-            FlowError::MissingImplementation(config) => {
-                write!(f, "no implementation was produced for {config}")
-            }
             FlowError::InvalidSweep(e) => write!(f, "invalid sweep grid: {e}"),
         }
     }
@@ -100,8 +92,6 @@ mod tests {
             frequency_ghz: -1.0,
         };
         assert!(e.to_string().contains("-1"));
-        let e = FlowError::MissingImplementation(Config::Hetero3d);
-        assert!(e.to_string().contains("Hetero"));
         let e = FlowError::InvalidSweep(DecodeError::new("command/configs", "a non-empty list"));
         assert_eq!(
             e.to_string(),

@@ -63,4 +63,4 @@ pub use ppac::{percent_delta, DeltaRow, PpacSummary};
 pub use session::{FlowSession, FlowSessionBuilder};
 pub use stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
 pub use sweep::{SweepPoint, SweepSpec, MAX_PARETO_STEPS, MAX_SWEEP_POINTS};
-pub use wire::{FlowCommand, FlowReport, FlowRequest, NetlistSpec, Proto};
+pub use wire::{FlowCommand, FlowReport, FlowRequest, NetlistSpec, Proto, WireName};

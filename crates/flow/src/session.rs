@@ -964,7 +964,7 @@ mod tests {
             .options(options.clone())
             .build()
             .expect("session");
-        let failure = FlowError::MissingImplementation(Config::TwoD12T);
+        let failure = FlowError::InvalidFrequency { frequency_ghz: 0.0 };
 
         let (slot, attempts) = (PrefixSlot::new(), AtomicUsize::new(0));
         let barrier = std::sync::Barrier::new(4);

@@ -42,16 +42,15 @@ impl<T: Copy + PartialEq> WireNames<T> {
             .expect("every variant has a row in its wire-name table")
     }
 
+    fn find(&self, name: &str) -> Option<T> {
+        self.table.iter().find(|(_, n)| *n == name).map(|(v, _)| *v)
+    }
+
     fn decode(&self, cur: &Cur<'_, '_>) -> Result<T, DecodeError> {
-        let name = cur.str()?;
-        self.table
-            .iter()
-            .find(|(_, n)| *n == name)
-            .map(|(v, _)| *v)
-            .ok_or_else(|| {
-                let names: Vec<&str> = self.table.iter().map(|(_, n)| *n).collect();
-                cur.err(format!("{} ({})", self.what, names.join("|")))
-            })
+        self.find(cur.str()?).ok_or_else(|| {
+            let names: Vec<&str> = self.table.iter().map(|(_, n)| *n).collect();
+            cur.err(format!("{} ({})", self.what, names.join("|")))
+        })
     }
 }
 
@@ -106,6 +105,31 @@ const CORNER_SETS: WireNames<CornerSet> = WireNames {
         (CornerSet::Single(Corner::Fast), "fast"),
     ],
 };
+
+/// A leaf enum that command lines spell as the wire does: a
+/// configuration, a stacking style or a corner.
+pub trait WireName: Sized {
+    /// The variant whose wire name is `name`, if any.
+    fn from_wire_name(name: &str) -> Option<Self>;
+}
+
+impl WireName for Config {
+    fn from_wire_name(name: &str) -> Option<Self> {
+        CONFIGS.find(name)
+    }
+}
+
+impl WireName for StackingStyle {
+    fn from_wire_name(name: &str) -> Option<Self> {
+        STACKINGS.find(name)
+    }
+}
+
+impl WireName for Corner {
+    fn from_wire_name(name: &str) -> Option<Self> {
+        CORNERS.find(name)
+    }
+}
 
 const BENCHMARKS: WireNames<Benchmark> = WireNames {
     what: "a benchmark",

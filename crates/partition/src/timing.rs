@@ -6,10 +6,6 @@ use m3d_tech::Tier;
 pub struct TimingAssignment {
     /// Cells locked onto the fast tier, most critical first.
     pub locked_cells: Vec<CellId>,
-    /// Fraction of total gate area the locked set occupies.
-    pub locked_area_fraction: f64,
-    /// The slack of the least-critical locked cell (the cut-off).
-    pub cutoff_slack_ns: f64,
 }
 
 /// Timing-based partitioning (Section III-A1).
@@ -61,27 +57,16 @@ pub fn timing_driven_assignment(
 
     let mut locked_cells = Vec::new();
     let mut used = 0.0;
-    let mut cutoff = f64::NEG_INFINITY;
     for id in gates {
         let a = areas[id.index()];
         if used + a > budget {
             break;
         }
         used += a;
-        cutoff = criticality[id.index()];
         tiers[id.index()] = fast;
         locked_cells.push(id);
     }
-
-    TimingAssignment {
-        locked_cells,
-        locked_area_fraction: if total_area > 0.0 {
-            used / total_area
-        } else {
-            0.0
-        },
-        cutoff_slack_ns: cutoff,
-    }
+    TimingAssignment { locked_cells }
 }
 
 #[cfg(test)]
@@ -101,10 +86,12 @@ mod tests {
         let mut tiers = vec![Tier::Top; count];
         let result =
             timing_driven_assignment(&n, &criticality, &areas, 0.25, Tier::Bottom, &mut tiers);
+        let total: f64 = areas.iter().sum();
+        let locked: f64 = result.locked_cells.iter().map(|c| areas[c.index()]).sum();
         assert!(
-            (result.locked_area_fraction - 0.25).abs() < 0.02,
+            (locked / total - 0.25).abs() < 0.02,
             "locked fraction {}",
-            result.locked_area_fraction
+            locked / total
         );
         // Locked cells are the lowest-slack gates.
         for w in result.locked_cells.windows(2) {
@@ -124,7 +111,6 @@ mod tests {
         let result =
             timing_driven_assignment(&n, &criticality, &areas, 0.0, Tier::Bottom, &mut tiers);
         assert!(result.locked_cells.is_empty());
-        assert_eq!(result.locked_area_fraction, 0.0);
     }
 
     #[test]

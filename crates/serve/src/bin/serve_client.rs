@@ -32,6 +32,7 @@
 
 use m3d_flow::{
     Config, FlowCommand, FlowOptions, FlowReport, FlowRequest, NetlistSpec, Proto, SweepSpec,
+    WireName,
 };
 use m3d_netgen::Benchmark;
 use m3d_serve::protocol::{encode_line, ServerMessage, StreamEvent};
@@ -62,32 +63,9 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-fn config_arg(name: &str) -> Config {
-    match name {
-        "2d9t" => Config::TwoD9T,
-        "2d12t" => Config::TwoD12T,
-        "3d9t" => Config::ThreeD9T,
-        "3d12t" => Config::ThreeD12T,
-        "hetero3d" => Config::Hetero3d,
-        _ => usage(),
-    }
-}
-
-fn stacking_arg(name: &str) -> StackingStyle {
-    match name {
-        "monolithic" => StackingStyle::Monolithic,
-        "f2f" => StackingStyle::F2fHybridBond,
-        _ => usage(),
-    }
-}
-
-fn corner_arg(name: &str) -> Corner {
-    match name {
-        "slow" => Corner::Slow,
-        "typical" => Corner::Typical,
-        "fast" => Corner::Fast,
-        _ => usage(),
-    }
+/// A configuration, stacking style or corner by its wire name.
+fn name_arg<T: WireName>(name: &str) -> T {
+    T::from_wire_name(name).unwrap_or_else(|| usage())
 }
 
 fn list_arg<T>(csv: &str, one: impl Fn(&str) -> T) -> Vec<T> {
@@ -385,15 +363,15 @@ fn main() {
             continue;
         }
         match flag.as_str() {
-            "--config" => config = config_arg(&value()),
+            "--config" => config = name_arg(&value()),
             "--freq" => freq = value().parse().unwrap_or_else(|_| usage()),
             "--start" => start = value().parse().unwrap_or_else(|_| usage()),
             "--freq-min" => freq_min = value().parse().unwrap_or_else(|_| usage()),
             "--freq-max" => freq_max = value().parse().unwrap_or_else(|_| usage()),
             "--steps" => steps = value().parse().unwrap_or_else(|_| usage()),
-            "--configs" => configs = list_arg(&value(), config_arg),
-            "--stacking" => stacking = list_arg(&value(), stacking_arg),
-            "--corners" => corners = list_arg(&value(), corner_arg),
+            "--configs" => configs = list_arg(&value(), name_arg),
+            "--stacking" => stacking = list_arg(&value(), name_arg),
+            "--corners" => corners = list_arg(&value(), name_arg),
             "--requests" => requests = value().parse().unwrap_or_else(|_| usage()),
             "--keys" => keys = value().parse::<usize>().unwrap_or_else(|_| usage()).max(1),
             _ => usage(),

@@ -33,9 +33,12 @@
 //! period-only edit re-evaluates no gate, so its whole backward cone is a
 //! min-fold over stored delays.
 //!
-//! Scalar folds (WNS/TNS/violations, the sorted endpoint list and the
-//! per-cell slack vector) always re-run over all endpoints in fixed
-//! cell-index order; the loop's fold is the only copy of it.
+//! The result is the propagated state (arrival, slew, required, endpoint
+//! slack, worst input pin) plus WNS and TNS. Those two are the only folds:
+//! they re-run over all endpoints in fixed cell-index order, neither
+//! sorting nor allocating. A cell's slack and the endpoint ranking are
+//! derived by their readers ([`StaResult::cell_criticality`],
+//! [`crate::worst_paths`]), so an update pays for neither.
 //!
 //! **Bit-identity contract.** Every re-evaluated entry is produced by a
 //! pure kernel of [`crate::engine`] (`Forward::gates` / `Backward::gate` /
@@ -409,14 +412,9 @@ impl Timer {
             arrival: vec![0.0; n],
             slew: vec![ctx.clock.input_slew_ns; n],
             required: vec![f64::INFINITY; n],
-            // Written by the scalar fold, after the propagation's peak.
-            slack: Vec::new(),
             wns: 0.0,
             tns: 0.0,
-            endpoints: 0,
-            violations: 0,
             period_ns: ctx.clock.period_ns,
-            critical_endpoints: Vec::new(),
             worst_input: vec![u8::MAX; n],
             endpoint_slack: vec![f64::NAN; n],
         }));
@@ -532,7 +530,7 @@ impl Timer {
 
     /// The one propagation loop, over whatever is seeded dirty: loads →
     /// launch arrivals → forward by level → endpoints → backward by
-    /// reverse level → launch required → scalar folds. Each phase
+    /// reverse level → launch required → WNS/TNS. Each phase
     /// re-evaluates its dirty cells with the [`crate::engine`] kernels and
     /// marks their readers dirty only where the recomputed bits changed.
     ///
@@ -712,41 +710,23 @@ impl Timer {
             }
         }
 
-        // ---- phase G: scalar folds (always full, fixed order) -----------
-        r.slack.clear();
-        r.slack.extend((0..n).map(|i| {
-            let launch = r.required[i] - r.arrival[i];
-            if r.endpoint_slack[i].is_nan() {
-                launch
-            } else {
-                launch.min(r.endpoint_slack[i])
-            }
-        }));
-        let mut endpoints_v: Vec<(CellId, f64)> = Vec::with_capacity(s.endpoint_cells.len());
+        // ---- phase G: WNS/TNS over every endpoint, fixed order ----------
         let mut wns = f64::INFINITY;
         let mut tns = 0.0;
-        let mut violations = 0usize;
         for &e in &s.endpoint_cells {
-            let i = e as usize;
-            let slack = r.endpoint_slack[i];
+            let slack = r.endpoint_slack[e as usize];
             if slack < wns {
                 wns = slack;
             }
             if slack < 0.0 {
                 tns += slack;
-                violations += 1;
             }
-            endpoints_v.push((CellId::from_index(i), slack));
         }
-        if endpoints_v.is_empty() {
+        if s.endpoint_cells.is_empty() {
             wns = 0.0;
         }
-        endpoints_v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        r.critical_endpoints = endpoints_v.iter().map(|&(id, _)| id).collect();
         r.wns = wns;
         r.tns = tns;
-        r.violations = violations;
-        r.endpoints = endpoints_v.len();
         r.period_ns = ctx.clock.period_ns;
 
         // ---- reset scratch ----------------------------------------------
@@ -810,10 +790,7 @@ mod tests {
     fn assert_bit_identical(a: &StaResult, b: &StaResult) {
         assert_eq!(a.wns.to_bits(), b.wns.to_bits(), "wns");
         assert_eq!(a.tns.to_bits(), b.tns.to_bits(), "tns");
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.endpoints, b.endpoints);
         assert_eq!(a.period_ns.to_bits(), b.period_ns.to_bits());
-        assert_eq!(a.critical_endpoints, b.critical_endpoints);
         assert_eq!(a.worst_input, b.worst_input);
         for i in 0..a.arrival.len() {
             assert_eq!(
@@ -827,7 +804,6 @@ mod tests {
                 b.required[i].to_bits(),
                 "required[{i}]"
             );
-            assert_eq!(a.slack[i].to_bits(), b.slack[i].to_bits(), "slack[{i}]");
             assert_eq!(
                 a.endpoint_slack[i].to_bits(),
                 b.endpoint_slack[i].to_bits(),

@@ -9,9 +9,10 @@
 //!   libraries + net parasitics + clock specification,
 //! * [`analyze`] — a cold forward/backward propagation (a fresh
 //!   [`Timer`]'s first update, every cell seeded) producing a
-//!   [`StaResult`] with per-cell arrival/required/slack, WNS, TNS,
+//!   [`StaResult`]: per-cell arrival/slew/required and endpoint slack,
+//!   WNS, TNS,
 //! * [`StaResult::cell_criticality`] — the worst slack among all paths
-//!   through each cell, computed for *every* cell (the paper's complete
+//!   through a cell, derivable for *every* cell (the paper's complete
 //!   coverage requirement),
 //! * [`worst_paths`] — top-K critical-path extraction with per-tier delay
 //!   breakdowns (Table VIII's critical-path anatomy),

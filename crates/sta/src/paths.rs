@@ -2,6 +2,7 @@ use crate::context::TimingContext;
 use crate::engine::StaResult;
 use m3d_netlist::{CellClass, CellId};
 use m3d_tech::Tier;
+use std::cmp::Ordering;
 
 /// One stage of a timing path: a cell traversal plus the wire into it.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,29 +72,28 @@ impl TimingPath {
 /// Extracts the worst path ending at each of the `k` most critical
 /// endpoints, worst first.
 ///
+/// The endpoints — the cells whose [`StaResult::endpoint_slack`] is a
+/// number — are ranked by that slack, ties in cell-index order.
 /// Backtracking follows [`StaResult::worst_input`], i.e. the input pin that
 /// set each gate's arrival — the same path the forward pass timed.
 #[must_use]
 pub fn worst_paths(ctx: &TimingContext<'_>, result: &StaResult, k: usize) -> Vec<TimingPath> {
-    result
-        .critical_endpoints
-        .iter()
+    let slack = &result.endpoint_slack;
+    let mut endpoints: Vec<usize> = (0..slack.len()).filter(|&i| !slack[i].is_nan()).collect();
+    // Stable: equal slacks keep their index order.
+    endpoints.sort_by(|&a, &b| slack[a].partial_cmp(&slack[b]).unwrap_or(Ordering::Equal));
+    endpoints
+        .into_iter()
         .take(k)
-        .map(|&ep| backtrack(ctx, result, ep))
+        .map(|i| backtrack(ctx, result, CellId::from_index(i)))
         .collect()
 }
 
+/// The worst path into `endpoint`, which [`worst_paths`] only ever names
+/// from the ranked endpoints, so its endpoint slack is a number.
 fn backtrack(ctx: &TimingContext<'_>, result: &StaResult, endpoint: CellId) -> TimingPath {
     let netlist = ctx.netlist;
     let mut rev_stages: Vec<PathStage> = Vec::new();
-
-    // The endpoint itself (capture cell): no arc delay through it.
-    let ep_slack = result.endpoint_slack[endpoint.index()];
-    let slack = if ep_slack.is_nan() {
-        result.slack[endpoint.index()]
-    } else {
-        ep_slack
-    };
 
     // Find the worst data input of the endpoint.
     let ep_cell = netlist.cell(endpoint);
@@ -119,6 +119,7 @@ fn backtrack(ctx: &TimingContext<'_>, result: &StaResult, endpoint: CellId) -> T
             worst = Some((drv.cell, wire));
         }
     }
+    // The endpoint itself (capture cell): no arc delay through it.
     rev_stages.push(PathStage {
         cell: endpoint,
         tier: ctx.tier(endpoint.index()),
@@ -177,7 +178,7 @@ fn backtrack(ctx: &TimingContext<'_>, result: &StaResult, endpoint: CellId) -> T
     let wire_delay_ns = rev_stages.iter().map(|s| s.wire_delay_ns).sum();
     TimingPath {
         stages: rev_stages,
-        slack_ns: slack,
+        slack_ns: result.endpoint_slack[endpoint.index()],
         cell_delay_ns,
         wire_delay_ns,
     }
@@ -298,5 +299,63 @@ mod tests {
         for w in paths.windows(2) {
             assert!(w[0].slack_ns <= w[1].slack_ns + 1e-9);
         }
+    }
+
+    #[test]
+    fn tied_endpoints_rank_in_cell_index_order() {
+        // The ECO's candidate batches are these paths, in this order.
+        // Registers and primary outputs interleave in index order. Every
+        // register captures the same primary input and every output one
+        // register's Q, so each kind is one tie of bit-equal slacks.
+        let mut n = Netlist::new("ties");
+        let clk_in = n.add_input("clk");
+        let clk = n.add_net("clk", clk_in, 0);
+        n.set_clock(clk);
+        let d_in = n.add_input("d");
+        let d = n.add_net("d", d_in, 0);
+        let (mut regs, mut outs) = (Vec::new(), Vec::new());
+        for i in 0..4 {
+            let ff = n.add_gate(format!("ff{i}"), CellKind::Dff, Drive::X1, 0);
+            n.connect(d, ff, 0);
+            n.connect(clk, ff, 1);
+            let q = n.add_net(format!("q{i}"), ff, 0);
+            let po = n.add_output(format!("y{i}"));
+            n.connect(q, po, 0);
+            regs.push(ff);
+            outs.push(po);
+        }
+        let stack = TierStack::two_d(Library::twelve_track());
+        let tiers = vec![Tier::Bottom; n.cell_count()];
+        let parasitics = Parasitics::zero_wire(&n);
+        let ctx = TimingContext {
+            netlist: &n,
+            stack: &stack,
+            tiers: &tiers,
+            parasitics: &parasitics,
+            clock: ClockSpec::with_period(0.5),
+        };
+        let r = analyze(&ctx);
+        let slack = |id: CellId| r.endpoint_slack[id.index()];
+        for tie in [&regs, &outs] {
+            for &c in tie {
+                assert_eq!(slack(c).to_bits(), slack(tie[0]).to_bits());
+            }
+        }
+        assert_ne!(slack(regs[0]), slack(outs[0]));
+        let (worse, better) = if slack(regs[0]) < slack(outs[0]) {
+            (&regs, &outs)
+        } else {
+            (&outs, &regs)
+        };
+        let want: Vec<CellId> = worse.iter().chain(better).copied().collect();
+        let ends = |k: usize| -> Vec<CellId> {
+            worst_paths(&ctx, &r, k)
+                .iter()
+                .map(|p| p.stages.last().expect("a capture stage").cell)
+                .collect()
+        };
+        assert_eq!(ends(6), want[..6]);
+        // A `k` past the endpoint count returns every endpoint.
+        assert_eq!(ends(100), want);
     }
 }

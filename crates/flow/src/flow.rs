@@ -199,10 +199,9 @@ const FMAX_LADDER: [f64; 5] = [1.18, 1.08, 1.0, 0.92, 0.85];
 impl FlowSession {
     /// Sweeps `config` to its maximum met frequency, starting the probe
     /// at `start_ghz`, as [`try_find_fmax`] describes. Every candidate is
-    /// a walk of the session: where partitioning does not read the period
-    /// the probe's pre-sizing prefix (or the one an earlier command left)
-    /// is forked by every rung walked and the relaxed retry — each still
-    /// sizes, signs off and (Hetero-3D) repartitions on a timer of its
+    /// a walk of the session: the probe's pre-sizing prefix (or the one
+    /// an earlier command left) is forked by every rung walked and the
+    /// relaxed retry — each still sizes, signs off and (Hetero-3D) repartitions on a timer of its
     /// own. Returns `(fmax_ghz, implementation_at_fmax)`.
     ///
     /// # Errors

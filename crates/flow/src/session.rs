@@ -19,8 +19,8 @@
 //! * Every run of every command — `run`, each fmax probe, rung and
 //!   retry, each `compare` job, each walk of a `pareto` or `sweep` grid —
 //!   is one `FlowSession::walk`, and the pre-sizing prefix of every
-//!   `(config, period where partitioning reads it, [`ReadSet::Prefix`]
-//!   of the walk's options)` is **kept**: the first walk of a key builds
+//!   `(config, [`ReadSet::Prefix`] of the walk's options)` is **kept**,
+//!   whatever the walk's period: the first walk of a key builds
 //!   it inside its own `run_flow` span — booking what a one-shot run
 //!   books — and leaves an O(1) snapshot; every later walk of the key
 //!   forks the snapshot and goes straight to sizing (one
@@ -50,8 +50,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// How many prefixes a session keeps besides those a walk or a grid
 /// still holds. One is about 57 B/cell resident (1.3 MB at 23 k cells,
-/// `tests/flow_footprint.rs`); eight hold the four homogeneous
-/// configurations and Hetero-3-D at four periods.
+/// `tests/flow_footprint.rs`); eight hold the five configurations of a
+/// comparison and three more bindings' keys.
 const PREFIX_SLOTS: usize = 8;
 
 /// One kept prefix: built at most once, a failure kept like a success
@@ -334,7 +334,7 @@ impl FlowSession {
     ) -> Result<Vec<Implementation>, FlowError> {
         let period = period_ns(frequency_ghz)?;
         let (base, pseudo) = (&self.shared.base, self.pseudo_for(config)?);
-        let slot = self.prefix_slot(prefix_key(config, period, options));
+        let slot = self.prefix_slot(prefix_key(config, options));
         drive(base, config, period, corner_sets, options, |root| {
             let build = || Prefix::build(base, pseudo, config, period, options, root);
             self.prefix_from(&slot, options, build)
@@ -794,8 +794,8 @@ mod tests {
                     .options(options.clone())
                     .build()
                     .expect("session");
-                // The two periods interleaved: a period-keyed entry
-                // answering for the other period would show here.
+                // The two periods interleaved, off one prefix: a prefix
+                // that held the period it was built at would show here.
                 for round in 0..3 {
                     for (ghz, cold) in [0.9, 2.2].into_iter().zip(&cold) {
                         let what = format!("{config} {stacking} {ghz} GHz, run {round}");
@@ -806,11 +806,10 @@ mod tests {
                         }
                     }
                 }
-                // Default Hetero-3-D keeps one prefix per period.
-                let builds = if config.is_heterogeneous() { 2 } else { 1 };
-                assert_eq!(session.take_prefix_counts(), (builds, 6 - builds));
+                // One prefix for both periods.
+                assert_eq!(session.take_prefix_counts(), (1, 5));
                 let manifest = options.obs.manifest();
-                assert_eq!(manifest.counter("flow/prefix_forks"), Some(6 - builds));
+                assert_eq!(manifest.counter("flow/prefix_forks"), Some(5));
                 assert_eq!(manifest.counter("flow/prefix_runs"), None);
                 // One `impl2d` per walk, plus one per re-implementation.
                 if let Some(row) = manifest.span("run_flow/impl2d") {
@@ -929,12 +928,20 @@ mod tests {
             .options(quick_options())
             .build()
             .expect("session");
-        // Default Hetero-3-D: every period is a key of its own.
-        let ghz = |k: usize| 0.8 + 0.05 * k as f64;
-        let first = session.run(Config::Hetero3d, ghz(0)).expect("first");
+        // The partitioning seed is read by the prefix alone: every seed
+        // is a key of its own on the session's checkpoints.
+        let run = |seed: usize| {
+            let options = FlowOptions {
+                seed: seed as u64,
+                ..quick_options()
+            };
+            let bound = session.bind(&options).expect("binding");
+            bound.run(Config::Hetero3d, 1.0)
+        };
+        let first = run(0).expect("first");
         let mut last = None;
         for k in 1..=PREFIX_SLOTS {
-            last = Some(session.run(Config::Hetero3d, ghz(k)).expect("filler"));
+            last = Some(run(k).expect("filler"));
         }
         let resident = || session.shared.prefixes.lock().expect("prefix map").len();
         assert_eq!(resident(), PREFIX_SLOTS);
@@ -944,12 +951,10 @@ mod tests {
             "distinct keys never fork"
         );
         // The most recent key is resident, the oldest was pushed out.
-        let again = session
-            .run(Config::Hetero3d, ghz(PREFIX_SLOTS))
-            .expect("hit");
+        let again = run(PREFIX_SLOTS).expect("hit");
         assert_eq!(session.take_prefix_counts(), (0, 1));
         assert_same_run(&again, &last.expect("a filler ran"), "resident key");
-        let rebuilt = session.run(Config::Hetero3d, ghz(0)).expect("rebuilt");
+        let rebuilt = run(0).expect("rebuilt");
         assert_eq!(session.take_prefix_counts(), (1, 0));
         assert_eq!(resident(), PREFIX_SLOTS);
         assert_same_run(&rebuilt, &first, "evicted key");
@@ -1061,9 +1066,8 @@ mod tests {
             freq_max_ghz: 1.1,
             freq_steps: 2,
         };
-        // A key per homogeneous configuration and style; default
-        // Hetero-3-D one per style and period.
-        let keys = 4 * 2 + 2 * 2;
+        // A key per configuration and style.
+        let keys = 5 * 2;
         assert!(keys > PREFIX_SLOTS);
         let at = |threads| {
             let mut options = quick_options();

@@ -27,13 +27,13 @@
 //!   five-way comparison or a whole Pareto grid must show exactly one.
 //! * `Prefix` — the pre-sizing prefix of one `(config, stacking)`: the
 //!   first pass up to the clock tree. No stage in it reads the sign-off
-//!   corners, and none the clock period unless `partition_reads_period`
-//!   (the prefix then holds for the one period it was built at). Every
-//!   run is `finish(prefix, period, corner sets)`. A one-shot
-//!   [`run_from_base`] builds its prefix and consumes it; every run of a
-//!   [`FlowSession`](crate::FlowSession) — whatever the command — keeps
-//!   the one it builds under its `prefix_key`, and the session's later
-//!   runs of the key, at any period the key admits, fork it.
+//!   corners or the clock period: timing-driven partitioning ranks cells
+//!   by a pseudo-3-D STA at a fixed zero period, so the prefix holds for
+//!   every frequency. Every run is `finish(prefix, period, corner sets)`.
+//!   A one-shot [`run_from_base`] builds its prefix and consumes it; every
+//!   run of a [`FlowSession`](crate::FlowSession) — whatever the command
+//!   — keeps the one it builds under its `prefix_key`, and the session's
+//!   later runs of the key, at any period, fork it.
 //!
 //! The corner axis is a sign-off fan-out of one walk: `finish` takes a
 //! list of corner sets and yields one [`Implementation`] per set. The
@@ -55,7 +55,9 @@ use m3d_partition::{
     bin_min_cut_with_stats, repartition_eco_with, timing_driven_assignment, EcoConfig, EcoOutcome,
     EcoStop, EcoTimingView, PartitionConfig, TimingAssignment,
 };
-use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Placement};
+use m3d_place::{
+    global_place, row_center, try_legalize_with_stats, Floorplan, LegalStats, Placement,
+};
 use m3d_power::{analyze_power, PowerConfig, PowerResult};
 use m3d_route::{
     global_route, try_extract_parasitics_with_stats, ExtractStats, RouteTotals, RoutingResult,
@@ -506,30 +508,18 @@ pub(crate) fn drive(
 // pass drivers
 // ---------------------------------------------------------------------
 
-/// Whether [`partition`] reads the clock period: only the heterogeneous
-/// flow's timing-driven locking does (it ranks cells by a pseudo-3-D STA
-/// at the target period, and ulp-level slack ties make that ranking
-/// period-unstable — EXPERIMENTS.md). The one predicate behind both the
-/// stage's branch and the prefix boundary.
-fn partition_reads_period(config: Config, options: &FlowOptions) -> bool {
-    config.is_heterogeneous() && options.enable_timing_partition
-}
+/// What a session files a prefix under: the configuration and the
+/// options its stages read ([`ReadSet::Prefix`], the stacking style
+/// among them).
+pub(crate) type PrefixKey = (Config, u64);
 
-/// What a session files a prefix under: the configuration, the period's
-/// bits exactly where [`partition_reads_period`] — that prefix is good
-/// for one period only — and the options its stages read
-/// ([`ReadSet::Prefix`], the stacking style among them).
-pub(crate) type PrefixKey = (Config, Option<u64>, u64);
-
-pub(crate) fn prefix_key(config: Config, period_ns: f64, options: &FlowOptions) -> PrefixKey {
-    let period = partition_reads_period(config, options).then(|| period_ns.to_bits());
-    (config, period, options.read_set(ReadSet::Prefix))
+pub(crate) fn prefix_key(config: Config, options: &FlowOptions) -> PrefixKey {
+    (config, options.read_set(ReadSet::Prefix))
 }
 
 /// The pre-sizing prefix of one `(config, stacking)`: the design and the
 /// layout of the first pass through `cts`, in front of [`size`]. No
-/// stage in it reads the clock period unless [`partition_reads_period`];
-/// it then holds for the period it was built at and no other.
+/// stage in it reads the clock period, so it holds for every period.
 pub(crate) struct Prefix {
     state: FlowState,
     layout: Layout,
@@ -548,9 +538,10 @@ impl std::fmt::Debug for Prefix {
 
 impl Prefix {
     /// Runs the prefix stages of `config` under `root`, booking them on
-    /// `options.obs`. `period_ns` is what the database is born with; no
-    /// stage in here reads it (`prefix_does_not_read_the_period`) unless
-    /// [`partition_reads_period`], where it must be the run's own.
+    /// `options.obs`. `period_ns` is what the database is born with (a
+    /// `DesignDb` always holds a period, and a prefix without the run's
+    /// would have to invent one); no stage in here reads it
+    /// (`prefix_does_not_read_the_period`).
     pub(crate) fn build(
         base: &BaseDesign,
         pseudo: Option<&PseudoCheckpoint>,
@@ -862,13 +853,18 @@ fn refinish(walk: &mut Walk, options: &FlowOptions, parent: &Span) -> Result<(),
     let tiers = state.db.tiers_arc();
     let mut placement = (*layout.placement).clone();
     let die = placement.die;
-    for i in 0..netlist.cell_count() {
-        let t = tiers[i];
-        let row_h = stack.library(t).cell_height_um;
+    // The cells the legalizer rows, each onto its tier's rows: a cell
+    // still on its row keeps its bits, ports and macros stay put.
+    for (id, cell) in netlist.cells() {
+        if cell.fixed || !cell.class.is_gate() {
+            continue;
+        }
+        let i = id.index();
+        let row_h = stack.library(tiers[i]).cell_height_um;
         let n_rows = ((die.height() / row_h).floor() as i64).max(1);
         let y = placement.positions[i].y;
         let row = (((y - die.lly()) / row_h).floor() as i64).clamp(0, n_rows - 1);
-        placement.positions[i].y = die.lly() + (row as f64 + 0.5) * row_h;
+        placement.positions[i].y = row_center(die.lly(), row as usize, row_h);
     }
     placement.clamp_to_die();
     record_timer(&options.obs, &state.timer);
@@ -947,6 +943,11 @@ fn pseudo3d(
 /// Balance accounting includes macro area (macros are locked to the
 /// bottom tier, so FM shifts logic toward the top to compensate).
 /// Returns the tier assignment and the locked set.
+///
+/// The locking ranks cells by the worst slack through each, from a
+/// pseudo-3-D STA at a zero period: there the slack is minus the longest
+/// path through the cell, and at any period it is that plus the period,
+/// so the ranking is the period's own without reading it.
 fn partition(
     state: &FlowState,
     pseudo: &PseudoCheckpoint,
@@ -967,7 +968,7 @@ fn partition(
             tiers[id.index()] = Tier::Bottom;
         }
     }
-    let timing_assignment = if partition_reads_period(state.config, options) {
+    let timing_assignment = if state.config.is_heterogeneous() && options.enable_timing_partition {
         let pseudo_sta = {
             let _s = span.child("sta");
             run_sta(
@@ -975,7 +976,7 @@ fn partition(
                 &pseudo.stack,
                 &tiers,
                 &pseudo.parasitics,
-                state.db.period_ns(),
+                0.0,
                 None,
             )
         };
@@ -1427,6 +1428,48 @@ mod tests {
         assert!(resized_reentries > 0, "no round re-entered after sizing");
     }
 
+    /// A re-finish re-snaps every gate the legalizer rows onto its tier's
+    /// rows with the legalizer's own row centres, and leaves ports and
+    /// macros alone, so a cell the ECO did not move keeps its position
+    /// bits and only the moved cells change.
+    #[test]
+    fn a_refinish_moves_only_the_cells_the_eco_moved() {
+        let mut options = FlowOptions::default();
+        options.placer_mut().iterations = 8;
+        let mut moved = 0;
+        for (bench, ghz) in [
+            (Benchmark::Ldpc, 2.5),
+            (Benchmark::Netcard, 2.5),
+            (Benchmark::Cpu, 1.0),
+            (Benchmark::Aes, 1.0),
+        ] {
+            let base = prepare_base(&bench.generate(0.1, 7), &options).expect("base");
+            let span = options.obs.span("test");
+            let period = 1.0 / ghz;
+            let prefix = Prefix::build(&base, None, Config::Hetero3d, period, &options, &span)
+                .expect("prefix");
+            let mut walk = first_pass(prefix, period, &[CornerSet::Typical], &options, &span)
+                .expect("finish pass");
+            let tiers = walk.state.db.tiers_arc();
+            let placed = Arc::clone(&walk.layout.placement);
+            if eco_round(&mut walk.state, &walk.layout, &options.obs).cells_moved == 0 {
+                continue;
+            }
+            refinish(&mut walk, &options, &span).expect("re-finish");
+            let (now, snapped) = (walk.state.db.tiers(), &walk.layout.placement);
+            let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+            for i in 0..tiers.len() {
+                if now[i] != tiers[i] {
+                    moved += 1;
+                } else {
+                    let (was, is) = (placed.positions[i], snapped.positions[i]);
+                    assert_eq!(bits(is), bits(was), "{bench:?}: cell {i} did not move");
+                }
+            }
+        }
+        assert!(moved > 0, "no ECO moved a cell");
+    }
+
     /// The one lane of a cold `config` run of `base` at `ghz` under
     /// `options`, its walk's spans booked under `test`.
     fn signed_off_walk(
@@ -1478,7 +1521,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(listed, ["Cpu @ 0.25 Hetero 3D (9+12) ECO true"]);
+        assert_eq!(
+            listed,
+            [
+                "Netcard @ 0.25 Hetero 3D (9+12) ECO true",
+                "Cpu @ 0.25 Hetero 3D (9+12) ECO true"
+            ]
+        );
         // A round that moves nothing after one that re-finished leaves
         // the tiers' `Arc` alone, so the lane stays sized: CPU @ 0.06 at
         // 1.5 GHz moves cells in round 1 and none in round 2.
@@ -1502,25 +1551,16 @@ mod tests {
         assert!(matches!(walk.lanes[0].retired, Some(Retired::Sized(_))));
     }
 
-    /// The configurations whose prefix is shared, with the options that
-    /// make it so: everything but Hetero-3D under timing partitioning,
-    /// plus Hetero-3D without it — once with the ECO, once as the
-    /// Pin-3-D baseline.
+    /// The configurations whose prefix is shared across periods, each
+    /// with its options: all five — Hetero-3D with timing partitioning
+    /// and the ECO — plus Hetero-3D as the Pin-3-D baseline.
     fn shareable_cases() -> Vec<(Config, FlowOptions)> {
         let mut quick = FlowOptions::default();
         quick.placer_mut().iterations = 6;
         let mut cases: Vec<(Config, FlowOptions)> = Config::ALL
             .into_iter()
-            .filter(|c| !c.is_heterogeneous())
             .map(|c| (c, quick.clone()))
             .collect();
-        cases.push((
-            Config::Hetero3d,
-            FlowOptions {
-                enable_timing_partition: false,
-                ..quick.clone()
-            },
-        ));
         cases.push((
             Config::Hetero3d,
             FlowOptions {
@@ -1532,8 +1572,8 @@ mod tests {
     }
 
     /// A prefix built at one period and forked at the other against the
-    /// cold run at the other, for every configuration a session files
-    /// under one key for both periods.
+    /// cold run at the other, for every configuration: a session files
+    /// each under one key for both periods.
     #[test]
     fn a_run_forked_off_a_prefix_built_at_another_period_is_the_cold_run() {
         use m3d_tech::StackingStyle;
@@ -1545,8 +1585,6 @@ mod tests {
                 let mut options = options.clone();
                 options.tech.stacking = stacking;
                 options.obs = Obs::enabled();
-                let [a, b] = periods.map(|p| prefix_key(config, p, &options));
-                assert_eq!(a, b, "{config} {stacking}: one key for both periods");
                 let base = prepare_base(&netlist, &options).expect("base");
                 let pseudo = pseudo_checkpoint(&base, &options).expect("pseudo");
                 let pseudo = Some(&pseudo).filter(|_| config.is_3d());
@@ -1581,10 +1619,6 @@ mod tests {
         }
         assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
         assert!(second_passes > 0, "no 2-D walk took the second pass");
-        // The one case that is not shared: a key per period.
-        let options = FlowOptions::default();
-        let [a, b] = periods.map(|p| prefix_key(Config::Hetero3d, p, &options));
-        assert_ne!(a, b, "timing partitioning reads the period");
     }
 
     /// The database's `state_fingerprint` with the layout's placement
@@ -1603,22 +1637,30 @@ mod tests {
         }
     }
 
-    /// The design a prefix holds, by bits, at a common period.
-    fn design(mut prefix: Prefix) -> (u64, u64, usize, Vec<u64>) {
+    /// The design a prefix holds, by bits, at a common period: its
+    /// state fingerprint, routing totals, clock latencies and locked set.
+    type Design = (u64, u64, usize, Vec<u64>, Option<Vec<CellId>>);
+
+    fn design(mut prefix: Prefix) -> Design {
         prefix.state.db.set_period(1.0);
         let (routing, tree) = (&prefix.layout.routing, &prefix.layout.clock_tree);
+        let locked = prefix
+            .state
+            .timing_assignment
+            .take()
+            .map(|a| a.locked_cells);
         (
             fingerprint(&prefix.state, &prefix.layout),
             routing.total_wirelength_um.to_bits(),
             routing.total_mivs,
             tree.sink_latency.iter().map(|l| l.to_bits()).collect(),
+            locked,
         )
     }
 
     /// The guard behind the prefix boundary: built under two different
     /// periods, a prefix holds the same design — so a stage that starts
-    /// reading the period in front of [`size`] fails here, as
-    /// [`partition`] under timing partitioning does.
+    /// reading the period in front of [`size`] fails here.
     #[test]
     fn prefix_does_not_read_the_period() {
         let netlist = Benchmark::Aes.generate(0.03, 7);
@@ -1631,16 +1673,23 @@ mod tests {
             };
             assert_eq!(at(0.4), at(2.5), "{config}: the prefix read the period");
         }
-        // With teeth: the same stages under timing partitioning.
+        // With teeth: a locked set that moves — here with the cap, at one
+        // period — moves the fingerprint the comparison above reads.
         let mut options = FlowOptions::default();
         options.placer_mut().iterations = 6;
         let base = prepare_base(&netlist, &options).expect("base");
         let span = options.obs.span("test");
-        let at = |period: f64| {
-            let prefix = Prefix::build(&base, None, Config::Hetero3d, period, &options, &span);
+        let at_cap = |cap: f64| {
+            let options = FlowOptions {
+                timing_partition_cap: cap,
+                ..options.clone()
+            };
+            let prefix = Prefix::build(&base, None, Config::Hetero3d, 1.0, &options, &span);
             design(prefix.expect("prefix"))
         };
-        assert_ne!(at(0.4), at(2.5), "timing partitioning reads the period");
+        let (a, b) = (at_cap(0.1), at_cap(0.2));
+        assert_ne!(a.4, b.4, "the cap moves the locked set");
+        assert_ne!(a.0, b.0, "the fingerprint sees the locked set");
     }
 
     /// One case per leaf field of [`FlowOptions`]: its name, the boundary

@@ -24,10 +24,10 @@
 //! the frequency grid ascending innermost. The executor runs on a
 //! session and implements each axis-invariant prefix once: the session's
 //! one pseudo-3-D checkpoint (`flow/pseudo3d_runs` is at most 1), one
-//! pre-sizing prefix per `(config, stacking)` where partitioning does
-//! not read the period — out of the session's memo, like every other
-//! run's — and one implementation walk per `(config, stacking,
-//! frequency)` whose sign-off fans out over the corner axis.
+//! pre-sizing prefix per `(config, stacking)` — out of the session's
+//! memo, like every other run's — and one implementation walk per
+//! `(config, stacking, frequency)` whose sign-off fans out over the
+//! corner axis.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
@@ -217,10 +217,10 @@ impl SweepSpec {
 /// every corner of the spec — a point is its walk's lane for the point's
 /// corner, which retires in the ECO round its own single-corner run
 /// would have stopped in. Walks that share a prefix key (those of one
-/// `(config, style)` where partitioning does not read the period) fork
-/// one prefix: the key's first walk builds it, the others fork it in a
-/// second wave, and the grid holds the key's memo slot until it ends, so
-/// the walks of other keys cannot push it out in between. Which walk
+/// `(config, style)`) fork one prefix: the key's first walk builds it,
+/// the others fork it in a second wave, and the grid holds the key's
+/// memo slot until it ends, so the walks of other keys cannot push it
+/// out in between. Which walk
 /// builds is thereby the same at any thread count, and so is the
 /// manifest. Each wave fans out through [`m3d_par::par_invoke`], each
 /// point projected and dropped inside its job; input-order results make
@@ -260,10 +260,7 @@ pub(crate) fn run_grid<T: Send>(
             (p, o)
         })
         .collect();
-    let keys: Vec<PrefixKey> = walks
-        .iter()
-        .map(|(p, o)| prefix_key(p.config, 1.0 / p.frequency_ghz, o))
-        .collect();
+    let keys: Vec<PrefixKey> = walks.iter().map(|(p, o)| prefix_key(p.config, o)).collect();
     let first = |i: usize| !keys[..i].contains(&keys[i]);
     let _held: Vec<_> = (0..keys.len())
         .filter(|&i| !first(i))

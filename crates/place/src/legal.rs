@@ -379,6 +379,14 @@ fn occupy(row: &mut Row, slot: usize, x: f64, width: f64) {
     row.reindex(slot);
 }
 
+/// The y of the centre of row `row` on a grid of pitch `row_h` rising
+/// from `lly`: what the legalizer writes, and the one formula every
+/// re-snap onto a row uses, so re-snapping a legal cell keeps its bits.
+#[must_use]
+pub fn row_center(lly: f64, row: usize, row_h: f64) -> f64 {
+    (lly + row as f64 * row_h) + row_h * 0.5
+}
+
 /// One die's sweep: its movable gates' legal positions, by cell index,
 /// and its search counters (the displacement fields stay zero).
 fn legalize_tier(
@@ -417,7 +425,7 @@ fn legalize_tier(
             if x < die.urx() {
                 free.push((x, die.urx()));
             }
-            Row::new(y0 + row_h * 0.5, free)
+            Row::new(row_center(die.lly(), r, row_h), free)
         })
         .collect();
 

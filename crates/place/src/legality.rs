@@ -199,10 +199,12 @@ mod tests {
             .first()
             .expect("the CPU benchmark has macros");
         let pitch = stack.library(Tier::Bottom).cell_height_um;
-        let row = ((keepout.center().y - fp.die.lly()) / pitch).floor();
+        let row = ((keepout.center().y - fp.die.lly()) / pitch).floor() as usize;
         let mut p = legal.clone();
-        p.positions[bottom] =
-            m3d_geom::Point::new(keepout.center().x, fp.die.lly() + (row + 0.5) * pitch);
+        p.positions[bottom] = m3d_geom::Point::new(
+            keepout.center().x,
+            crate::row_center(fp.die.lly(), row, pitch),
+        );
         assert_eq!(
             check_legality(&n, &p, &fp, &stack, &tiers),
             Err(LegalityViolation::InKeepout { cell: bottom })

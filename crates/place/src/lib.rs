@@ -40,6 +40,6 @@ mod placement;
 
 pub use floorplan::Floorplan;
 pub use global::{global_place, refine_place, PlacerConfig};
-pub use legal::{try_legalize_with_stats, LegalStats, LegalizeError};
+pub use legal::{row_center, try_legalize_with_stats, LegalStats, LegalizeError};
 pub use legality::{check_legality, LegalityViolation};
 pub use placement::Placement;

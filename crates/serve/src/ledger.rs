@@ -96,8 +96,8 @@ counters! {
         PseudoBuilds => pseudo_builds, None;
         /// Pre-sizing prefixes built by requests of every command — a
         /// `run_flow`, a sweep point, an fmax probe or rung, a comparison
-        /// job, a Pareto walk: a session's first of a configuration, or of a
-        /// Hetero-3-D period.
+        /// job, a Pareto walk: a session's first of a configuration under
+        /// the options its prefix stages read, at any period.
         PrefixBuilds => prefix_builds, None;
         /// Runs of every command that forked a prefix their session already
         /// held and went straight to sizing (each fmax rung the ladder walks

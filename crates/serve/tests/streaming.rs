@@ -164,7 +164,8 @@ fn streamed_sweeps_match_v1_singles_at_any_worker_count() {
         // count.
         assert_eq!(stats.quota_deferred, (points.len() - SWEEP_CAP) as u64);
         // One checkpoint for both stacking scenarios, built exactly
-        // once; one prefix per (config, stacking, Hetero-3-D period).
+        // once; one prefix per (config, stacking), forked by its second
+        // frequency.
         assert_eq!(stats.cache_misses, 1, "at {workers} workers");
         assert_eq!(stats.pseudo_builds, 1, "at {workers} workers");
         assert_eq!(
@@ -172,7 +173,7 @@ fn streamed_sweeps_match_v1_singles_at_any_worker_count() {
             Some(1),
             "pseudo-3-D must run once per sweep at {workers} workers"
         );
-        assert_eq!((stats.prefix_builds, stats.prefix_forks), (6, 2));
+        assert_eq!((stats.prefix_builds, stats.prefix_forks), (4, 4));
     }
 }
 

@@ -27,6 +27,7 @@ use hetero3d::flow::{
 use hetero3d::netgen::scale_netlist;
 use hetero3d::obs::{alloc, CountingAlloc};
 use hetero3d::route::global_route;
+use hetero3d::tech::StackingStyle;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -95,10 +96,10 @@ fn cold_flow(target: usize, ghz: f64) -> Reading {
 }
 
 /// The bytes one more kept prefix leaves resident in a session, per
-/// cell. A Hetero3d run at a second frequency builds and keeps a second
-/// prefix (timing partitioning reads the period, so each period has its
-/// own), off the pseudo-3-D checkpoint the first run left; each run's
-/// implementation is dropped.
+/// cell. A Hetero3d run at a second frequency forks the first run's
+/// prefix; the same configuration under the other stacking style, bound
+/// to the session, builds and keeps a second one off the pseudo-3-D
+/// checkpoint the first run left. Each run's implementation is dropped.
 fn kept_prefix_per_cell(target: usize, ghz: [f64; 2]) -> (usize, f64) {
     let netlist = scale_netlist(target, 7);
     let options = FlowOptions {
@@ -106,13 +107,35 @@ fn kept_prefix_per_cell(target: usize, ghz: [f64; 2]) -> (usize, f64) {
         ..FlowOptions::default()
     };
     let session = FlowSession::builder(&netlist)
-        .options(options)
+        .options(options.clone())
         .build()
         .expect("session");
     drop(session.run(Config::Hetero3d, ghz[0]).expect("first run"));
+    assert_eq!(session.take_prefix_counts(), (1, 0));
+    drop(
+        session
+            .run(Config::Hetero3d, ghz[1])
+            .expect("second frequency"),
+    );
+    assert_eq!(
+        session.take_prefix_counts(),
+        (0, 1),
+        "a second frequency forks the prefix"
+    );
+    // The default style is monolithic.
+    let mut other = options;
+    other.tech.stacking = StackingStyle::F2fHybridBond;
+    let bound = session
+        .bind(&other)
+        .expect("stacking is read behind the checkpoint");
     let before = alloc::current_bytes();
-    drop(session.run(Config::Hetero3d, ghz[1]).expect("second run"));
+    drop(
+        bound
+            .run(Config::Hetero3d, ghz[0])
+            .expect("other stacking style"),
+    );
     let kept = alloc::current_bytes() - before;
+    assert_eq!(session.take_prefix_counts(), (1, 0), "a prefix of its own");
     let cells = netlist.cell_count();
     (cells, kept as f64 / cells as f64)
 }

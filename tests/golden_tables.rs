@@ -51,33 +51,33 @@ const GOLDEN_TABLE6: &str = "\
 Metric             Units         aes
 ------------------------------------
 Frequency            GHz       2.565
-Area                 mm2      0.0005
-Chip Width            um          16
-Density                %          66
-WL                    mm        2.49
-# MIVs                           131
-Total Power           mW        0.68
-WNS                   ns      -0.001
-TNS                   ns       -0.00
-Effective Delay       ns       0.391
-PDP                   pJ        0.27
-Die Cost         1e-6 C'       0.009
-PPC                       433252.295
+Area                 mm2      0.0006
+Chip Width            um          17
+Density                %          65
+WL                    mm        2.64
+# MIVs                           129
+Total Power           mW        0.73
+WNS                   ns      -0.003
+TNS                   ns       -0.01
+Effective Delay       ns       0.393
+PDP                   pJ        0.29
+Die Cost         1e-6 C'       0.010
+PPC                       368874.785
 ";
 
 const GOLDEN_TABLE7: &str = "\
 ### vs 2D 9-Track
 Metric             aes
 ----------------------
-Si Area %        -56.7
-Density %         -5.4
-WL %             -29.3
-Total Power %    -30.9
-Eff. Delay %     -13.8
-PDP %            -40.4
-Die Cost %       -50.7
+Si Area %        -52.6
+Density %         -7.5
+WL %             -25.0
+Total Power %    -26.0
+Eff. Delay %     -13.4
+PDP %            -35.9
+Die Cost %       -46.2
 Cost per cm2 %   13.63
-PPC %            240.5
+PPC %            189.9
 Width (um)          34
 WNS (ns)        -0.064
 TNS (ns)         -0.45
@@ -85,15 +85,15 @@ TNS (ns)         -0.45
 ### vs 2D 12-Track
 Metric            aes
 ---------------------
-Si Area %         0.8
-Density %        -5.4
-WL %             -8.3
-Total Power %   -15.5
-Eff. Delay %      7.7
-PDP %            -8.9
-Die Cost %       14.6
+Si Area %        10.2
+Density %        -7.5
+WL %             -2.8
+Total Power %    -9.5
+Eff. Delay %      8.1
+PDP %            -2.1
+Die Cost %       25.3
 Cost per cm2 %  13.67
-PPC %            -4.2
+PPC %           -18.4
 Width (um)         22
 WNS (ns)        0.027
 TNS (ns)         0.00
@@ -101,15 +101,15 @@ TNS (ns)         0.00
 ### vs M3D 9-Track
 Metric             aes
 ----------------------
-Si Area %        -31.3
-Density %         -5.4
-WL %              37.2
-Total Power %     24.2
-Eff. Delay %     -22.6
-PDP %             -3.8
-Die Cost %       -31.3
+Si Area %        -24.9
+Density %         -7.5
+WL %              45.4
+Total Power %     33.0
+Eff. Delay %     -22.3
+PDP %              3.4
+Die Cost %       -24.9
 Cost per cm2 %   -0.01
-PPC %             51.4
+PPC %             28.9
 Width (um)          19
 WNS (ns)        -0.115
 TNS (ns)         -0.53
@@ -117,15 +117,15 @@ TNS (ns)         -0.53
 ### vs M3D 12-Track
 Metric            aes
 ---------------------
-Si Area %         0.8
-Density %        -5.4
-WL %             18.6
-Total Power %   -15.1
-Eff. Delay %     10.9
-PDP %            -5.8
-Die Cost %        0.8
+Si Area %        10.2
+Density %        -7.5
+WL %             25.7
+Total Power %    -9.1
+Eff. Delay %     11.3
+PDP %             1.2
+Die Cost %       10.2
 Cost per cm2 %   0.00
-PPC %             5.3
+PPC %           -10.3
 Width (um)         16
 WNS (ns)        0.037
 TNS (ns)         0.00
@@ -138,24 +138,24 @@ const GOLDEN_COMPARE_REPORT: &str = "\
 \"target_ghz\":2.5651576728205336,\
 \"hetero\":{\"config\":\"hetero3d\",\
 \"frequency_ghz\":2.5651576728205336,\
-\"footprint_mm2\":0.0002541089739130437,\
-\"si_area_mm2\":0.0005082179478260874,\
-\"chip_width_um\":15.94079589961065,\
-\"density_pct\":66.18617021276594,\
-\"wirelength_mm\":2.486672027020702,\
-\"mivs\":131,\
-\"switching_mw\":0.1627873068003494,\
-\"internal_mw\":0.09763847563643692,\
-\"leakage_mw\":0.040628242967614074,\
-\"clock_mw\":0.3773550176799867,\
-\"total_power_mw\":0.6784090430843871,\
-\"wns_ns\":-0.0013602527248954277,\
-\"tns_ns\":-0.0013602527248954277,\
-\"effective_delay_ns\":0.3911998366988678,\
-\"pdp_pj\":0.2653935068696474,\
-\"die_cost_uc\":0.00869698728199887,\
-\"cost_per_cm2_uc\":1711.2711818227613,\
-\"ppc\":433252.29491241736},\
+\"footprint_mm2\":0.00027766236521739157,\
+\"si_area_mm2\":0.0005553247304347831,\
+\"chip_width_um\":16.663203930138753,\
+\"density_pct\":64.7664835164835,\
+\"wirelength_mm\":2.635679519718877,\
+\"mivs\":129,\
+\"switching_mw\":0.17988311960322123,\
+\"internal_mw\":0.10997893627009328,\
+\"leakage_mw\":0.04666881019128495,\
+\"clock_mw\":0.38992694311397574,\
+\"total_power_mw\":0.7264578091785752,\
+\"wns_ns\":-0.0028394672384839392,\
+\"tns_ns\":-0.0056789344769678785,\
+\"effective_delay_ns\":0.39267905121245633,\
+\"pdp_pj\":0.28526476325412253,\
+\"die_cost_uc\":0.009503266343507823,\
+\"cost_per_cm2_uc\":1711.2989612523438,\
+\"ppc\":368874.78482116264},\
 \"homogeneous\":[{\"config\":\"2d9t\",\
 \"frequency_ghz\":2.5651576728205336,\
 \"footprint_mm2\":0.0011724805542857146,\
@@ -237,54 +237,54 @@ const GOLDEN_COMPARE_REPORT: &str = "\
 \"cost_per_cm2_uc\":1711.2686514222307,\
 \"ppc\":411440.24093408266}],\
 \"deltas\":[{\"config\":\"2d9t\",\
-\"si_area\":-56.65446680813413,\
-\"density\":-5.448328267477242,\
-\"wirelength\":-29.266931589006546,\
-\"total_power\":-30.851436561980584,\
-\"effective_delay\":-13.755747384580339,\
-\"pdp\":-40.36333826858082,\
-\"die_cost\":-50.74757037625488,\
-\"cost_per_cm2\":13.627462847746735,\
-\"ppc\":240.45445055960815,\
+\"si_area\":-52.63676413182888,\
+\"density\":-7.4764521193092985,\
+\"wirelength\":-25.028432478450995,\
+\"total_power\":-25.953944135764157,\
+\"effective_delay\":-13.42963848009088,\
+\"pdp\":-35.89806174709717,\
+\"die_cost\":-46.18148312713774,\
+\"cost_per_cm2\":13.629307386552943,\
+\"ppc\":189.86589030525468,\
 \"width_um\":34.2415033882234,\
 \"wns_ns\":-0.06375567001159577,\
 \"tns_ns\":-0.4502058885586554},\
 {\"config\":\"2d12t\",\
-\"si_area\":0.8426568474720451,\
-\"density\":-5.448328267477223,\
-\"wirelength\":-8.327232136291357,\
-\"total_power\":-15.480459867014162,\
-\"effective_delay\":7.738938109688378,\
-\"pdp\":-8.939544965529162,\
-\"die_cost\":14.628341257211257,\
-\"cost_per_cm2\":13.670489097278079,\
-\"ppc\":-4.197205818671704,\
+\"si_area\":10.1897748194307,\
+\"density\":-7.476452119309281,\
+\"wirelength\":-2.8339748270678764,\
+\"total_power\":-9.49430791984293,\
+\"effective_delay\":8.14632325144942,\
+\"pdp\":-2.1214216820318805,\
+\"die_cost\":25.25528923521846,\
+\"cost_per_cm2\":13.672334334538563,\
+\"ppc\":-18.43266497631019,\
 \"width_um\":22.449302884499563,\
 \"wns_ns\":0.02673981376778234,\
 \"tns_ns\":0},\
 {\"config\":\"3d9t\",\
-\"si_area\":-31.31002220656911,\
-\"density\":-5.448328267477223,\
-\"wirelength\":37.20436113630607,\
-\"total_power\":24.18357703962005,\
-\"effective_delay\":-22.567566174944346,\
-\"pdp\":-3.841633887209194,\
-\"die_cost\":-31.31533726712484,\
-\"cost_per_cm2\":-0.007737752619030517,\
-\"ppc\":51.40951022305684,\
+\"si_area\":-24.943139916889397,\
+\"density\":-7.476452119309281,\
+\"wirelength\":45.42598329557028,\
+\"total_power\":32.978960454304385,\
+\"effective_delay\":-22.274776737957254,\
+\"pdp\":3.358193904651617,\
+\"die_cost\":-24.94772931132782,\
+\"cost_per_cm2\":-0.006114556928361288,\
+\"ppc\":28.911378333721498,\
 \"width_um\":19.233721057410754,\
 \"wns_ns\":-0.1153748557305988,\
 \"tns_ns\":-0.528233015326099},\
 {\"config\":\"3d12t\",\
-\"si_area\":0.8426568474720234,\
-\"density\":-5.448328267477204,\
-\"wirelength\":18.554924853737827,\
-\"total_power\":-15.072416165069521,\
-\"effective_delay\":10.884847528714998,\
-\"pdp\":-5.828178154815743,\
-\"die_cost\":0.8428059604194087,\
-\"cost_per_cm2\":0.00014786693652271037,\
-\"ppc\":5.301390532150023,\
+\"si_area\":10.189774819430674,\
+\"density\":-7.476452119309261,\
+\"wirelength\":25.659027006139983,\
+\"total_power\":-9.057364254681694,\
+\"effective_delay\":11.304128061103826,\
+\"pdp\":1.222907752112262,\
+\"die_cost\":10.191726490404257,\
+\"cost_per_cm2\":0.0017711906361337635,\
+\"ppc\":-10.345477150286687,\
 \"width_um\":15.874054302540364,\
 \"wns_ns\":0.037041302317353975,\
 \"tns_ns\":0}]}}";

@@ -4,7 +4,6 @@ use crate::flow::Implementation;
 use crate::ppac::{percent_delta, DeltaRow, PpacSummary};
 use crate::FlowSession;
 use m3d_cost::CostModel;
-use m3d_netlist::Netlist;
 
 /// The five-way comparison's metric tables (Tables VI and VII) — what
 /// the service returns for it, without the full implementations.
@@ -33,25 +32,6 @@ pub struct Comparison {
     /// The homogeneous implementations (same order as
     /// `summary.homogeneous`).
     pub implementations: Vec<Implementation>,
-}
-
-/// Runs the full evaluation methodology on one netlist — a thin adapter
-/// over [`FlowSession::compare`].
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidNetlist`] for an invalid netlist and
-/// propagates the first [`FlowError`] the sweep or any configuration job
-/// reports.
-pub fn try_compare_configs(
-    netlist: &Netlist,
-    options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<Comparison, FlowError> {
-    FlowSession::builder(netlist)
-        .options(options.clone())
-        .build()?
-        .compare(cost)
 }
 
 impl FlowSession {
@@ -234,7 +214,12 @@ mod tests {
     #[test]
     fn five_way_comparison_produces_all_rows() {
         let n = Benchmark::Aes.generate(0.012, 41);
-        let cmp = try_compare_configs(&n, &quick_options(), &CostModel::default())
+        let session = FlowSession::builder(&n)
+            .options(quick_options())
+            .build()
+            .expect("valid netlist");
+        let cmp = session
+            .compare(&CostModel::default())
             .expect("flow")
             .summary;
         assert_eq!(cmp.homogeneous.len(), 4);

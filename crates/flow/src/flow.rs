@@ -1,6 +1,5 @@
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::stage::period_ns;
 use crate::FlowSession;
 use m3d_cts::ClockTree;
 use m3d_netlist::Netlist;
@@ -13,9 +12,14 @@ use m3d_tech::{TechContext, Tier, TierStack};
 use std::sync::Arc;
 
 /// A finished implementation of one configuration: a read-only view of
-/// the design and layout the pipeline signed off. Every artifact is
-/// behind an `Arc`, so cloning an implementation (the fmax sweep keeps
-/// several alive) is O(1).
+/// the design and layout the pipeline signed off. Every configuration
+/// is implemented in one pass — floorplan → place → route → CTS →
+/// sizing → sign-off, behind the pseudo-3-D stage and (optionally
+/// timing-based) partitioning for the 3-D ones — and sized by one
+/// recipe; the enhanced heterogeneous flow then re-finishes after each
+/// repartitioning ECO round that moved cells. Every artifact is behind
+/// an `Arc`, so cloning an implementation (the fmax sweep keeps several
+/// alive) is O(1).
 #[derive(Debug, Clone)]
 pub struct Implementation {
     /// Which configuration this is.
@@ -158,36 +162,6 @@ impl Implementation {
     }
 }
 
-/// Runs the complete flow for one configuration at a target frequency,
-/// reporting failures as typed [`FlowError`]s.
-///
-/// 2-D configurations go through floorplan → place → route → CTS → STA →
-/// sizing (and a re-implementation pass when sizing grew the design).
-/// 3-D configurations add the pseudo-3-D stage, (optionally timing-based)
-/// partitioning, tier legalization, 3-D CTS and (optionally) the
-/// repartitioning ECO.
-///
-/// This is a thin adapter over [`FlowSession`]: callers running more
-/// than one command against the same netlist should build a session once
-/// and query it, so the expensive prefix work is shared.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidFrequency`] / [`FlowError::InvalidNetlist`]
-/// for bad inputs and propagates any stage failure.
-pub fn try_run_flow(
-    netlist: &Netlist,
-    config: Config,
-    frequency_ghz: f64,
-    options: &FlowOptions,
-) -> Result<Implementation, FlowError> {
-    period_ns(frequency_ghz)?;
-    FlowSession::builder(netlist)
-        .options(options.clone())
-        .build()?
-        .run(config, frequency_ghz)
-}
-
 /// Fixed ladder of period multipliers evaluated around the Newton
 /// estimate during the fmax sweep, slowest first (rung `i` is
 /// `fmax/rung{i}` in the manifest). Constant (never derived from the
@@ -197,12 +171,28 @@ pub fn try_run_flow(
 const FMAX_LADDER: [f64; 5] = [1.18, 1.08, 1.0, 0.92, 0.85];
 
 impl FlowSession {
-    /// Sweeps `config` to its maximum met frequency, starting the probe
-    /// at `start_ghz`, as [`try_find_fmax`] describes. Every candidate is
-    /// a walk of the session: the probe's pre-sizing prefix (or the one
-    /// an earlier command left) is forked by every rung walked and the
-    /// relaxed retry — each still sizes, signs off and (Hetero-3D) repartitions on a timer of its
-    /// own. Returns `(fmax_ghz, implementation_at_fmax)`.
+    /// Sweeps `config` to its maximum achievable frequency, starting the
+    /// probe at `start_ghz` — the paper's criterion: WNS no worse than
+    /// ~`tolerance × period` (5–7 %).
+    ///
+    /// One probe run at `start_ghz` yields a Newton period estimate
+    /// (`period - 0.85 × WNS`); a fixed ladder of candidate periods
+    /// around it is then walked **sequentially**, fastest rung first
+    /// (ties by rung index), its kernels using the process-wide worker
+    /// count. The walk stops at the first rung that meets timing or —
+    /// the probe having met — before the first rung strictly slower than
+    /// the probe; a ladder that meets nothing walks every rung and then
+    /// retries once from the most relaxed one. The result is the
+    /// highest-frequency candidate that met timing (rungs before the
+    /// probe, lower rung index on ties), as if every rung had been
+    /// implemented, and which rungs run depends only on their results,
+    /// never on the thread count.
+    ///
+    /// Every candidate is a walk of the session: the probe's pre-sizing
+    /// prefix (or the one an earlier command left) is forked by every
+    /// rung walked and the relaxed retry — each still sizes, signs off
+    /// and (Hetero-3D) repartitions on a timer of its own. Returns
+    /// `(fmax_ghz, implementation_at_fmax)`.
     ///
     /// # Errors
     ///
@@ -313,44 +303,6 @@ fn fmax_ladder(
     }
 }
 
-/// Sweeps the clock target to find the maximum achievable frequency of a
-/// configuration — the paper's criterion: WNS no worse than ~`tolerance ×
-/// period` (5–7 %).
-///
-/// Structure: the base and the pseudo-3-D checkpoint (3-D
-/// configurations) are prepared once; one probe run at `start_ghz`
-/// builds the configuration's pre-sizing prefix and yields a Newton
-/// period estimate (`period - 0.85 × WNS`); a fixed ladder of candidate
-/// periods around that estimate is then walked **sequentially**, fastest
-/// rung first (ties by rung index), every rung forking from the same
-/// snapshots, its kernels using the process-wide worker count.
-/// The walk stops at the first rung that meets timing or — the probe
-/// having met — before the first rung strictly slower than the probe;
-/// a ladder that meets nothing walks every rung and then retries once
-/// from the most relaxed one. The result is the highest-frequency
-/// candidate that met timing (rungs before the probe, lower rung index
-/// on ties), as if every rung had been implemented, and which rungs run
-/// depends only on their results, never on the thread count. A thin
-/// adapter over [`FlowSession::fmax`].
-///
-/// Returns `(fmax_ghz, implementation_at_fmax)`.
-///
-/// # Errors
-///
-/// Propagates the first [`FlowError`] of the probe or of any rung the
-/// walk reaches.
-pub fn try_find_fmax(
-    netlist: &Netlist,
-    config: Config,
-    options: &FlowOptions,
-    start_ghz: f64,
-) -> Result<(f64, Implementation), FlowError> {
-    FlowSession::builder(netlist)
-        .options(options.clone())
-        .build()?
-        .fmax(config, start_ghz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,8 +315,13 @@ mod tests {
         o
     }
 
+    fn session(n: &Netlist, o: &FlowOptions) -> FlowSession {
+        let builder = FlowSession::builder(n).options(o.clone());
+        builder.build().expect("valid netlist")
+    }
+
     fn run(n: &Netlist, c: Config, f: f64, o: &FlowOptions) -> Implementation {
-        try_run_flow(n, c, f, o).expect("flow")
+        session(n, o).run(c, f).expect("flow")
     }
 
     #[test]
@@ -421,25 +378,14 @@ mod tests {
     #[test]
     fn find_fmax_returns_met_implementation() {
         let n = Benchmark::Aes.generate(0.015, 31);
-        let (f, imp) = try_find_fmax(&n, Config::TwoD12T, &quick_options(), 1.0).expect("fmax");
+        let fmax = session(&n, &quick_options()).fmax(Config::TwoD12T, 1.0);
+        let (f, imp) = fmax.expect("fmax");
         assert!(f > 0.0);
         assert!(
             imp.sta.timing_met(FlowOptions::default().wns_tolerance) || imp.sta.wns > -0.2,
             "fmax implementation should be near-met (wns {})",
             imp.sta.wns
         );
-    }
-
-    #[test]
-    fn try_run_flow_rejects_nonpositive_frequency() {
-        let n = Benchmark::Aes.generate(0.02, 31);
-        for bad in [0.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = try_run_flow(&n, Config::TwoD12T, bad, &quick_options()).unwrap_err();
-            assert!(
-                matches!(err, FlowError::InvalidFrequency { .. }),
-                "{bad} should be rejected as a frequency"
-            );
-        }
     }
 
     #[test]

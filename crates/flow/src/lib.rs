@@ -17,16 +17,15 @@
 //! * sign-off STA/power and the PPAC roll-up ([`PpacSummary`]) including die
 //!   cost, PDP and PPC,
 //! * the fmax sweep used to set the iso-performance target
-//!   ([`try_find_fmax`]), and five-way comparison helpers
-//!   ([`try_compare_configs`]).
+//!   ([`FlowSession::fmax`]), and the five-way comparison
+//!   ([`FlowSession::compare`]).
 //!
 //! # Examples
 //!
-//! The primary entry point is a [`FlowSession`]: one netlist + one
-//! option set, validated and buffered once, queried many times (every
-//! command forks the session's shared checkpoints). The free functions
-//! [`try_run_flow`]/[`try_find_fmax`]/[`try_compare_configs`] are thin
-//! one-shot adapters over it.
+//! The one entry point is a [`FlowSession`]: one netlist + one option
+//! set, validated and buffered once, queried many times (every command
+//! forks the session's shared checkpoints). [`run_from_base`] is the
+//! cold one-shot run the session's results are held equal to.
 //!
 //! ```no_run
 //! use m3d_flow::{Config, FlowOptions, FlowSession};
@@ -54,10 +53,10 @@ mod stage;
 mod sweep;
 mod wire;
 
-pub use compare::{try_compare_configs, BaselineComparison, Comparison, ComparisonSummary};
+pub use compare::{BaselineComparison, Comparison, ComparisonSummary};
 pub use config::{Config, FlowOptions, ReadSet};
 pub use error::FlowError;
-pub use flow::{try_find_fmax, try_run_flow, Implementation};
+pub use flow::Implementation;
 pub use pareto::{ParetoPoint, ParetoSummary};
 pub use ppac::{percent_delta, DeltaRow, PpacSummary};
 pub use session::{FlowSession, FlowSessionBuilder};

@@ -28,8 +28,8 @@
 //!   map's lock is never held while flow code runs; of the slots no walk
 //!   or grid holds, at most [`PREFIX_SLOTS`] stay, least recently used
 //!   out first.
-//! * Results are bit-identical to the standalone entry points at any
-//!   thread count: forking a checkpoint is observationally equal to
+//! * Results are bit-identical to a cold one-shot
+//!   [`run_from_base`](crate::run_from_base) at any thread count: forking a checkpoint is observationally equal to
 //!   recomputing it (`shared_checkpoints_reproduce_the_standalone_run`,
 //!   `every_later_run_of_a_session_is_its_first_and_the_cold_run`).
 
@@ -463,6 +463,7 @@ impl FlowSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::run_from_base;
     use crate::wire::NetlistSpec;
     use m3d_netgen::Benchmark;
 
@@ -470,6 +471,18 @@ mod tests {
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 8;
         o
+    }
+
+    /// The cold one-shot reference: a base of its own and a prefix built
+    /// and consumed by [`run_from_base`], no session.
+    fn cold_run(
+        netlist: &Netlist,
+        config: Config,
+        ghz: f64,
+        options: &FlowOptions,
+    ) -> Implementation {
+        let base = prepare_base(netlist, options).expect("valid netlist");
+        run_from_base(&base, None, config, ghz, options).expect("cold run")
     }
 
     #[test]
@@ -482,7 +495,7 @@ mod tests {
             .expect("valid netlist");
         assert!(!session.pseudo_ready(), "pseudo must be lazy");
 
-        let direct = crate::flow::try_run_flow(&n, Config::Hetero3d, 1.0, &options).unwrap();
+        let direct = cold_run(&n, Config::Hetero3d, 1.0, &options);
         let via_session = session.run(Config::Hetero3d, 1.0).unwrap();
         assert!(session.pseudo_ready());
         assert_eq!(direct.tiers, via_session.tiers);
@@ -494,7 +507,7 @@ mod tests {
         assert_eq!(direct.placement.positions, via_session.placement.positions);
 
         // A 2-D run through the same session agrees with the library too.
-        let d2 = crate::flow::try_run_flow(&n, Config::TwoD12T, 1.0, &options).unwrap();
+        let d2 = cold_run(&n, Config::TwoD12T, 1.0, &options);
         let d2s = session.run(Config::TwoD12T, 1.0).unwrap();
         assert_eq!(d2.sta.wns.to_bits(), d2s.sta.wns.to_bits());
     }
@@ -503,12 +516,15 @@ mod tests {
     fn session_rejects_bad_frequency_and_bad_netlist() {
         let n = Benchmark::Aes.generate(0.02, 31);
         let session = FlowSession::builder(&n).build().expect("valid netlist");
-        let err = session.run(Config::TwoD9T, f64::NAN).unwrap_err();
-        assert!(matches!(err, FlowError::InvalidFrequency { .. }));
         // An infinite target would otherwise run with period 0 and
         // return garbage metrics instead of an error.
-        let err = session.run(Config::TwoD9T, f64::INFINITY).unwrap_err();
-        assert!(matches!(err, FlowError::InvalidFrequency { .. }));
+        for bad in [0.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = session.run(Config::TwoD9T, bad).unwrap_err();
+            assert!(
+                matches!(err, FlowError::InvalidFrequency { .. }),
+                "{bad} should be rejected as a frequency"
+            );
+        }
         let err = session.fmax(Config::TwoD9T, f64::INFINITY).unwrap_err();
         assert!(matches!(err, FlowError::InvalidFrequency { .. }));
 
@@ -779,16 +795,12 @@ mod tests {
         let netlist = Benchmark::Aes.generate(0.03, 7);
         let mut quick = FlowOptions::default();
         quick.placer_mut().iterations = 6;
-        let (mut eco_moves, mut second_passes) = (0, 0);
+        let mut eco_moves = 0;
         for config in Config::ALL {
             for stacking in StackingStyle::ALL {
                 let mut options = quick.clone();
                 options.tech.stacking = stacking;
-                let cold: Vec<Implementation> = [0.9, 2.2]
-                    .iter()
-                    .map(|&ghz| crate::flow::try_run_flow(&netlist, config, ghz, &options))
-                    .collect::<Result<_, _>>()
-                    .expect("cold runs");
+                let cold = [0.9, 2.2].map(|ghz| cold_run(&netlist, config, ghz, &options));
                 options.obs = m3d_obs::Obs::enabled();
                 let session = FlowSession::builder(&netlist)
                     .options(options.clone())
@@ -811,18 +823,17 @@ mod tests {
                 let manifest = options.obs.manifest();
                 assert_eq!(manifest.counter("flow/prefix_forks"), Some(5));
                 assert_eq!(manifest.counter("flow/prefix_runs"), None);
-                // One `impl2d` per walk, plus one per re-implementation.
-                if let Some(row) = manifest.span("run_flow/impl2d") {
-                    second_passes += row.calls - 6;
-                }
+                // One `impl2d` per walk, and only the first one places.
+                let calls = |path| manifest.span(path).map_or(0, |row| row.calls);
+                let passes = (
+                    calls("run_flow/impl2d"),
+                    calls("run_flow/impl2d/tier_legalize"),
+                );
+                let one_each = if config.is_3d() { (0, 0) } else { (6, 1) };
+                assert_eq!(passes, one_each, "{config} {stacking}: one pass per walk");
             }
         }
         assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
-        // A first run that re-implements has two forked twins.
-        assert!(
-            second_passes >= 3,
-            "no forked 2-D walk took the second pass"
-        );
     }
 
     #[test]
@@ -854,8 +865,8 @@ mod tests {
         );
         assert_eq!(bound.options_fingerprint(), session.options_fingerprint());
         let run = bound.run(Config::Hetero3d, 1.0).expect("bound run");
-        let cold = crate::flow::try_run_flow(&netlist, Config::Hetero3d, 1.0, &variant);
-        assert_same_run(&run, &cold.expect("cold run"), "bound variant");
+        let cold = cold_run(&netlist, Config::Hetero3d, 1.0, &variant);
+        assert_same_run(&run, &cold, "bound variant");
         assert_ne!(
             run.power.total_mw().to_bits(),
             first.power.total_mw().to_bits()
@@ -866,8 +877,8 @@ mod tests {
         variant.tech.stacking = StackingStyle::F2fHybridBond;
         let f2f = session.bind(&variant).expect("binding");
         let run = f2f.run(Config::Hetero3d, 1.0).expect("f2f run");
-        let cold = crate::flow::try_run_flow(&netlist, Config::Hetero3d, 1.0, &variant);
-        assert_same_run(&run, &cold.expect("cold run"), "f2f variant");
+        let cold = cold_run(&netlist, Config::Hetero3d, 1.0, &variant);
+        assert_same_run(&run, &cold, "f2f variant");
         assert_eq!(f2f.take_prefix_counts(), (1, 0));
         assert_eq!(
             (session.take_pseudo_builds(), f2f.take_pseudo_builds()),

@@ -2,9 +2,9 @@
 //!
 //! Every configuration runs `pseudo3d → partition → tier_legalize →
 //! route → cts → size → sign_off` (3-D) or `tier_legalize → route → cts
-//! → size → sign_off` per pass (2-D). A stage is a plain function that
-//! takes its inputs as arguments and returns its artifact by value; the
-//! pass drivers ([`implement`], [`first_pass`], [`refinish`],
+//! → size → sign_off` (2-D), in one pass. A stage is a plain function
+//! that takes its inputs as arguments and returns its artifact by value;
+//! the pass drivers ([`Prefix::build`], [`first_pass`], [`refinish`],
 //! [`run_eco`]) hand each to the next, so the order holds by
 //! construction. The mutable design (drives, tiers, period) lives in the
 //! copy-on-write [`DesignDb`], a pass's physical artifacts in its
@@ -537,10 +537,14 @@ impl std::fmt::Debug for Prefix {
 }
 
 impl Prefix {
-    /// Runs the prefix stages of `config` under `root`, booking them on
-    /// `options.obs`. `period_ns` is what the database is born with (a
-    /// `DesignDb` always holds a period, and a prefix without the run's
-    /// would have to invent one); no stage in here reads it
+    /// Runs the prefix stages of `config`, booking them on
+    /// `options.obs`: `pseudo3d` (skipped when `pseudo` is given; its
+    /// span stays) and `partition` under `root` for the 3-D
+    /// configurations, then `tier_legalize → route → cts` under a fresh
+    /// pass span, kept open for the sizing and sign-off that follow.
+    /// `period_ns` is what the database is born with (a `DesignDb` always
+    /// holds a period, and a prefix without the run's would have to
+    /// invent one); no stage in here reads it
     /// (`prefix_does_not_read_the_period`).
     pub(crate) fn build(
         base: &BaseDesign,
@@ -553,7 +557,26 @@ impl Prefix {
         let stack = config.stack_for(&options.tech);
         let db = DesignDb::from_shared(base.netlist.clone(), stack, period_ns);
         let mut state = FlowState::new(config, db, None);
-        let (pass, layout) = implement(&mut state, pseudo, options, root)?;
+        let seed = if config.is_3d() {
+            // The span opens either way: a forked run books it empty.
+            let span = root.child("pseudo3d");
+            let pseudo = match pseudo {
+                Some(pseudo) => pseudo.clone(),
+                None => pseudo3d(state.db.netlist(), options, &span)?,
+            };
+            drop(span);
+            let (tiers, assignment) = partition(&state, &pseudo, options, &root.child("partition"));
+            state.db.set_tiers(tiers);
+            state.timing_assignment = assignment;
+            Some(pseudo)
+        } else {
+            None
+        };
+        let pass = root.child(pass_name(config));
+        let span = pass.child("tier_legalize");
+        let (floorplan, placement) = tier_legalize(&state.db, seed.as_ref(), options, &span)?;
+        drop(span);
+        let layout = route_and_cts(&state, Arc::new(floorplan), placement, options, &pass)?;
         Ok(Prefix {
             state,
             layout,
@@ -592,49 +615,6 @@ fn pass_name(config: Config) -> &'static str {
     } else {
         "impl2d"
     }
-}
-
-/// Sizing effort: rounds of slack-driven upsizing, rounds of
-/// power-recovery downsizing, and the downsizing slack margin as a
-/// fraction of the period — the 3-D first pass's, each 2-D pass's, and
-/// the ECO re-finish's short pass.
-type Effort = (usize, usize, f64);
-const SIZE_3D: Effort = (4, 3, 0.15);
-const SIZE_2D: Effort = (4, 2, 0.25);
-const SIZE_REFINISH: Effort = (3, 2, 0.15);
-
-/// One implementation pass up to the clock tree — `pseudo3d` (skipped
-/// when `pseudo` is given; its span stays) and `partition` under `root`
-/// for the 3-D configurations, then `tier_legalize → route → cts` under
-/// a fresh pass span, which is returned open for the sizing and sign-off
-/// that follow.
-fn implement(
-    state: &mut FlowState,
-    pseudo: Option<&PseudoCheckpoint>,
-    options: &FlowOptions,
-    root: &Span,
-) -> Result<(Span, Layout), FlowError> {
-    let seed = if state.config.is_3d() {
-        // The span opens either way: a forked run books it empty.
-        let span = root.child("pseudo3d");
-        let pseudo = match pseudo {
-            Some(pseudo) => pseudo.clone(),
-            None => pseudo3d(state.db.netlist(), options, &span)?,
-        };
-        drop(span);
-        let (tiers, assignment) = partition(state, &pseudo, options, &root.child("partition"));
-        state.db.set_tiers(tiers);
-        state.timing_assignment = assignment;
-        Some(pseudo)
-    } else {
-        None
-    };
-    let pass = root.child(pass_name(state.config));
-    let span = pass.child("tier_legalize");
-    let (floorplan, placement) = tier_legalize(&state.db, seed.as_ref(), options, &span)?;
-    drop(span);
-    let layout = route_and_cts(state, Arc::new(floorplan), placement, options, &pass)?;
-    Ok((pass, layout))
 }
 
 /// `route → cts` over `placement` under `parent`: the pass's layout.
@@ -682,9 +662,8 @@ fn eco_enabled(config: Config, options: &FlowOptions) -> bool {
 }
 
 /// Takes `prefix` through its first sign-off at `period_ns`, where its
-/// lanes are born: sizing, and — for the 2-D flow — one
-/// re-implementation pass when sizing grew the design (the paper's
-/// 9-track "over-correction" effect).
+/// lanes are born: sizing (unless the ECO will size instead), then
+/// sign-off, under the pass span the prefix kept open or a fresh one.
 fn first_pass(
     prefix: Prefix,
     period_ns: f64,
@@ -694,33 +673,20 @@ fn first_pass(
 ) -> Result<Walk, FlowError> {
     let Prefix {
         mut state,
-        mut layout,
+        layout,
         pass,
     } = prefix;
     state.db.set_period(period_ns);
-    let mut pass = pass.unwrap_or_else(|| root.child(pass_name(state.config)));
-    if state.config.is_3d() {
-        // With the repartitioning ECO on, sizing waits for `refinish`:
-        // critical cells are first *moved* to the fast tier and only the
-        // residue is upsized (this preserves the heterogeneous area
-        // win). The span opens either way.
-        let span = pass.child("sizing");
-        if !eco_enabled(state.config, options) {
-            size(&mut state, &layout, SIZE_3D, options, &span);
-        }
-    } else {
-        let gate_count = state.db.netlist().gate_count();
-        let changed = size(&mut state, &layout, SIZE_2D, options, &pass.child("sizing"));
-        // Re-implement once if sizing moved a meaningful chunk of area;
-        // otherwise sign off this pass.
-        if changed > gate_count / 20 {
-            record_timer(&options.obs, &state.timer);
-            state.timer = Timer::new();
-            drop(pass);
-            (pass, layout) = implement(&mut state, None, options, root)?;
-            size(&mut state, &layout, SIZE_2D, options, &pass.child("sizing"));
-        }
+    let pass = pass.unwrap_or_else(|| root.child(pass_name(state.config)));
+    // With the repartitioning ECO on, sizing waits for `refinish`:
+    // critical cells are first *moved* to the fast tier and only the
+    // residue is upsized (this preserves the heterogeneous area win).
+    // The span opens either way.
+    let span = pass.child("sizing");
+    if !eco_enabled(state.config, options) {
+        size(&mut state, &layout, options, &span);
     }
+    drop(span);
     let (stas, power) = sign_off(
         &mut state,
         &layout,
@@ -871,7 +837,7 @@ fn refinish(walk: &mut Walk, options: &FlowOptions, parent: &Span) -> Result<(),
     state.timer = Timer::new();
     let floorplan = Arc::clone(&layout.floorplan);
     *layout = route_and_cts(state, floorplan, placement, options, &span)?;
-    size(state, layout, SIZE_REFINISH, options, &span.child("sizing"));
+    size(state, layout, options, &span.child("sizing"));
     let live = walk.lanes.iter_mut().filter(|lane| lane.is_live());
     let live: Vec<&mut Lane> = live.collect();
     let sets: Vec<CornerSet> = live.iter().map(|lane| lane.corners).collect();
@@ -1147,20 +1113,21 @@ fn cts(state: &FlowState, placement: &Placement, options: &FlowOptions, _span: &
     clock_tree
 }
 
+/// Rounds of slack-driven upsizing, rounds of power-recovery
+/// downsizing, and the downsizing slack margin as a fraction of the
+/// period: the one sizing recipe every configuration and every ECO
+/// re-finish runs, so an iso-performance delta is never a recipe's.
+const SIZE_EFFORT: (usize, usize, f64) = (4, 3, 0.15);
+
 /// Timing closure on `layout`: upsize violating cells, then recover
 /// power on the comfortable ones, resizing the database's netlist in
 /// place. The kernels report every applied (and rolled-back) drive
 /// change to the evaluate closure, which hands the persistent timer
 /// exactly those cells — no full-design diff scan per evaluate — and
 /// books their count as `sizing/drive_edits`. Records the tiers it sized
-/// against (the sized witness) and returns the cells it changed.
-fn size(
-    state: &mut FlowState,
-    layout: &Layout,
-    (timing_rounds, power_rounds, power_margin): Effort,
-    options: &FlowOptions,
-    _span: &Span,
-) -> usize {
+/// against (the sized witness).
+fn size(state: &mut FlowState, layout: &Layout, options: &FlowOptions, _span: &Span) {
+    let (timing_rounds, power_rounds, power_margin) = SIZE_EFFORT;
     let stack = state.db.stack_arc();
     let tiers = state.db.tiers_arc();
     let period = state.db.period_ns();
@@ -1180,17 +1147,15 @@ fn size(
             &timing_edits,
         )
     };
-    let changed = state.db.with_netlist_mut(|nl| {
-        let up = m3d_opt::resize_for_timing_with(nl, 0.0, timing_rounds, &mut eval);
-        let down = m3d_opt::resize_for_power_with(nl, power_slack, power_rounds, &mut eval);
-        up.cells_changed + down.cells_changed
+    state.db.with_netlist_mut(|nl| {
+        m3d_opt::resize_for_timing_with(nl, 0.0, timing_rounds, &mut eval);
+        m3d_opt::resize_for_power_with(nl, power_slack, power_rounds, &mut eval);
     });
     // No key when no edit reached the timer.
     if drive_edits > 0 {
         options.obs.counter_add("sizing/drive_edits", drive_edits);
     }
     state.sized_tiers = Some(tiers);
-    changed
 }
 
 /// Sign-off STA and power of `layout`, once per entry of `corner_sets`:
@@ -1491,7 +1456,8 @@ mod tests {
     /// cross-checked against its ECO's own count of moved cells — a lane
     /// is unsized exactly when the repartitioning ECO ran and moved
     /// nothing, so no re-finish sized it. Sizing before the first ECO
-    /// round (ROADMAP item 1) turns the list into none.
+    /// round (the second half of ROADMAP item 19: the ECO gate goes)
+    /// turns the list into none.
     #[test]
     fn the_sized_witness_reports_exactly_the_unsized_sign_offs() {
         let mut listed = Vec::new();
@@ -1578,7 +1544,7 @@ mod tests {
     fn a_run_forked_off_a_prefix_built_at_another_period_is_the_cold_run() {
         use m3d_tech::StackingStyle;
         let netlist = Benchmark::Aes.generate(0.03, 7);
-        let (mut eco_moves, mut second_passes) = (0, 0);
+        let mut eco_moves = 0;
         let periods = [1.0 / 0.9, 1.0 / 2.2];
         for (config, options) in shareable_cases() {
             for stacking in StackingStyle::ALL {
@@ -1610,15 +1576,16 @@ mod tests {
                     }
                     eco_moves += forked.eco.as_ref().map_or(0, |e| e.cells_moved);
                 }
-                // Two cold and two forked walks: one `impl2d` each, plus
-                // one per re-implementation pass.
-                if let Some(row) = options.obs.manifest().span("test/impl2d") {
-                    second_passes += row.calls - 4;
-                }
+                // Two cold and two forked walks: one `impl2d` each, and
+                // only the two cold ones place.
+                let manifest = options.obs.manifest();
+                let calls = |path| manifest.span(path).map_or(0, |row| row.calls);
+                let passes = (calls("test/impl2d"), calls("test/impl2d/tier_legalize"));
+                let one_each = if config.is_3d() { (0, 0) } else { (4, 2) };
+                assert_eq!(passes, one_each, "{config} {stacking}: one pass per walk");
             }
         }
         assert!(eco_moves > 0, "no forked walk moved a cell in the ECO");
-        assert!(second_passes > 0, "no 2-D walk took the second pass");
     }
 
     /// The database's `state_fingerprint` with the layout's placement

@@ -301,14 +301,18 @@ pub fn format_deep_dive(labels: &[&str], dives: &[&DeepDive]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_flow::{try_run_flow, Config, FlowOptions};
+    use m3d_flow::{Config, FlowOptions, FlowSession};
 
     #[test]
     fn deep_dive_on_cpu_populates_all_blocks() {
         let n = m3d_netgen::Benchmark::Cpu.generate(0.02, 51);
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 6;
-        let imp = try_run_flow(&n, Config::Hetero3d, 1.0, &o).expect("flow");
+        let imp = FlowSession::builder(&n)
+            .options(o)
+            .build()
+            .and_then(|s| s.run(Config::Hetero3d, 1.0))
+            .expect("flow");
         let dive = deep_dive(&imp);
         assert!(dive.memory.net_count > 0, "CPU has macro nets");
         assert!(dive.memory.input_net_latency_ps >= 0.0);
@@ -328,7 +332,11 @@ mod tests {
         let n = m3d_netgen::Benchmark::Cpu.generate(0.025, 51);
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 6;
-        let imp = try_run_flow(&n, Config::Hetero3d, 1.3, &o).expect("flow");
+        let imp = FlowSession::builder(&n)
+            .options(o)
+            .build()
+            .and_then(|s| s.run(Config::Hetero3d, 1.3))
+            .expect("flow");
         let dive = deep_dive(&imp);
         assert!(
             dive.path.bottom_cells >= dive.path.top_cells,

@@ -265,14 +265,18 @@ pub fn render_config_cartoon() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_flow::{try_run_flow, Config, FlowOptions};
+    use m3d_flow::{Config, FlowOptions, FlowSession};
 
     #[test]
     fn layout_svg_is_well_formed() {
         let n = m3d_netgen::Benchmark::Aes.generate(0.01, 61);
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 4;
-        let imp = try_run_flow(&n, Config::Hetero3d, 1.0, &o).expect("flow");
+        let imp = FlowSession::builder(&n)
+            .options(o)
+            .build()
+            .and_then(|s| s.run(Config::Hetero3d, 1.0))
+            .expect("flow");
         let svg = render_layout(&imp, LayerChoice::Both, "aes hetero");
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
@@ -287,7 +291,11 @@ mod tests {
         let n = m3d_netgen::Benchmark::Cpu.generate(0.012, 61);
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 4;
-        let imp = try_run_flow(&n, Config::Hetero3d, 1.0, &o).expect("flow");
+        let imp = FlowSession::builder(&n)
+            .options(o)
+            .build()
+            .and_then(|s| s.run(Config::Hetero3d, 1.0))
+            .expect("flow");
         let svg = render_overlays(&imp, "cpu overlays");
         assert!(svg.contains("polyline"), "critical path missing");
         assert!(svg.contains("#3a9e4c"), "clock tree missing");

@@ -21,12 +21,25 @@
 //!   equivalent `sweep`, point for point and bit for bit.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{try_run_flow, Config, FlowOptions, FlowSession, Implementation};
+use hetero3d::flow::{Config, FlowError, FlowOptions, FlowSession, Implementation};
 use hetero3d::json::{Obj, ToJson};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
 use hetero3d::obs::Obs;
 use hetero3d::tech::{Corner, CornerSet, StackingStyle, TechContext, Tier};
+
+/// `config` at `ghz` on a fresh session: a single-shot run.
+fn single_run(
+    netlist: &Netlist,
+    config: Config,
+    ghz: f64,
+    options: &FlowOptions,
+) -> Result<Implementation, FlowError> {
+    let session = FlowSession::builder(netlist)
+        .options(options.clone())
+        .build()?;
+    session.run(config, ghz)
+}
 
 fn quick_options(threads: usize, tech: TechContext) -> FlowOptions {
     let mut o = FlowOptions::default();
@@ -54,14 +67,14 @@ fn design_fingerprint(imp: &Implementation) -> (u64, u64, Vec<Tier>) {
 #[test]
 fn monolithic_worst_corner_run_is_the_same_design_as_the_default_run() {
     let netlist = Benchmark::Aes.generate(0.01, 7);
-    let default_run = try_run_flow(
+    let default_run = single_run(
         &netlist,
         Config::Hetero3d,
         1.0,
         &quick_options(0, TechContext::default()),
     )
     .expect("default flow");
-    let worst_run = try_run_flow(
+    let worst_run = single_run(
         &netlist,
         Config::Hetero3d,
         1.0,
@@ -92,14 +105,14 @@ fn worst_corner_signoff_equals_the_slow_single_corner_run() {
     // threshold), so worst-corner sign-off must reproduce the dedicated
     // slow-corner run's analysis bit for bit.
     let netlist = Benchmark::Aes.generate(0.01, 7);
-    let worst = try_run_flow(
+    let worst = single_run(
         &netlist,
         Config::Hetero3d,
         1.0,
         &quick_options(0, tech(StackingStyle::Monolithic, CornerSet::Worst)),
     )
     .expect("worst-corner flow");
-    let slow = try_run_flow(
+    let slow = single_run(
         &netlist,
         Config::Hetero3d,
         1.0,
@@ -122,7 +135,7 @@ fn worst_corner_signoff_is_bit_identical_across_thread_counts() {
     let netlist = Benchmark::Aes.generate(0.01, 7);
     for stacking in StackingStyle::ALL {
         let run = |threads: usize| {
-            try_run_flow(
+            single_run(
                 &netlist,
                 Config::Hetero3d,
                 1.0,
@@ -157,7 +170,7 @@ fn stacking_style_reaches_the_signoff_and_the_cost_model() {
     let netlist = Benchmark::Aes.generate(0.01, 7);
     let cost = CostModel::default();
     let at = |stacking| {
-        let imp = try_run_flow(
+        let imp = single_run(
             &netlist,
             Config::Hetero3d,
             1.0,
@@ -361,7 +374,7 @@ fn pareto_is_a_frontier_fold_over_the_sweep_executor() {
 
                 let options = quick_options(threads, grid.tech());
                 let tolerance = options.wns_tolerance;
-                let single = try_run_flow(&netlist, config, grid.frequency_ghz, &options)
+                let single = single_run(&netlist, config, grid.frequency_ghz, &options)
                     .expect("single-shot run");
                 assert_eq!(single.sta.wns.to_bits(), point.wns_ns.to_bits(), "{what}");
                 assert_eq!(

@@ -1,7 +1,8 @@
 //! Determinism regression tests for the parallel flow engine.
 //!
-//! The contract under test: every result produced by `try_run_flow` /
-//! `try_compare_configs` is **bit-identical** at any thread count. Threads
+//! The contract under test: every result a `FlowSession` produces —
+//! a run or a five-way comparison — is **bit-identical** at any thread
+//! count. Threads
 //! are a performance knob only and may change wall-clock time but never a
 //! single output bit.
 //!
@@ -15,9 +16,7 @@
 //! a netlist above the threshold.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{
-    try_compare_configs, try_run_flow, Comparison, Config, FlowOptions, Implementation,
-};
+use hetero3d::flow::{Comparison, Config, FlowOptions, FlowSession, Implementation};
 use hetero3d::json::{Obj, Value};
 use hetero3d::netgen::{scale_netlist, Benchmark};
 use hetero3d::par;
@@ -68,7 +67,11 @@ fn quick_options(threads: usize) -> FlowOptions {
 }
 
 fn run_flow(n: &hetero3d::netlist::Netlist, c: Config, f: f64, o: &FlowOptions) -> Implementation {
-    try_run_flow(n, c, f, o).expect("flow succeeds on a valid netlist")
+    FlowSession::builder(n)
+        .options(o.clone())
+        .build()
+        .and_then(|s| s.run(c, f))
+        .expect("flow succeeds on a valid netlist")
 }
 
 fn compare_configs(
@@ -76,7 +79,11 @@ fn compare_configs(
     o: &FlowOptions,
     cost: &CostModel,
 ) -> Comparison {
-    try_compare_configs(n, o, cost).expect("comparison succeeds on a valid netlist")
+    FlowSession::builder(n)
+        .options(o.clone())
+        .build()
+        .and_then(|s| s.compare(cost))
+        .expect("comparison succeeds on a valid netlist")
 }
 
 /// Exact fingerprint of an implementation: float metrics as raw bits plus

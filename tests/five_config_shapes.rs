@@ -4,9 +4,7 @@
 //! → cost → flow.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{
-    try_compare_configs, try_run_flow, ComparisonSummary, Config, FlowOptions, Implementation,
-};
+use hetero3d::flow::{ComparisonSummary, Config, FlowOptions, FlowSession, Implementation};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
 use hetero3d::tech::Tier;
@@ -18,11 +16,18 @@ fn options() -> FlowOptions {
 }
 
 fn run_flow(n: &Netlist, c: Config, f: f64, o: &FlowOptions) -> Implementation {
-    try_run_flow(n, c, f, o).expect("flow succeeds on a valid netlist")
+    FlowSession::builder(n)
+        .options(o.clone())
+        .build()
+        .and_then(|s| s.run(c, f))
+        .expect("flow succeeds on a valid netlist")
 }
 
 fn compare_configs(n: &Netlist, o: &FlowOptions, cost: &CostModel) -> ComparisonSummary {
-    try_compare_configs(n, o, cost)
+    FlowSession::builder(n)
+        .options(o.clone())
+        .build()
+        .and_then(|s| s.compare(cost))
         .expect("comparison succeeds on a valid netlist")
         .summary
 }

@@ -12,9 +12,7 @@
 //! silence an unexplained change.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{
-    try_compare_configs, ComparisonSummary, FlowCommand, FlowOptions, FlowSession,
-};
+use hetero3d::flow::{ComparisonSummary, FlowCommand, FlowOptions, FlowSession};
 use hetero3d::json::ToJson;
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
@@ -29,7 +27,10 @@ fn design() -> (Netlist, FlowOptions) {
 
 fn comparison() -> ComparisonSummary {
     let (netlist, options) = design();
-    try_compare_configs(&netlist, &options, &CostModel::default())
+    FlowSession::builder(&netlist)
+        .options(options)
+        .build()
+        .and_then(|s| s.compare(&CostModel::default()))
         .expect("comparison succeeds on a valid netlist")
         .summary
 }
@@ -56,44 +57,44 @@ Chip Width            um          17
 Density                %          65
 WL                    mm        2.64
 # MIVs                           129
-Total Power           mW        0.73
-WNS                   ns      -0.003
-TNS                   ns       -0.01
-Effective Delay       ns       0.393
-PDP                   pJ        0.29
+Total Power           mW        0.74
+WNS                   ns       0.004
+TNS                   ns        0.00
+Effective Delay       ns       0.386
+PDP                   pJ        0.28
 Die Cost         1e-6 C'       0.010
-PPC                       368874.785
+PPC                       364276.967
 ";
 
 const GOLDEN_TABLE7: &str = "\
 ### vs 2D 9-Track
 Metric             aes
 ----------------------
-Si Area %        -52.6
-Density %         -7.5
-WL %             -25.0
-Total Power %    -26.0
-Eff. Delay %     -13.4
-PDP %            -35.9
-Die Cost %       -46.2
-Cost per cm2 %   13.63
-PPC %            189.9
-Width (um)          34
-WNS (ns)        -0.064
-TNS (ns)         -0.45
+Si Area %        -29.0
+Density %         -7.8
+WL %              10.5
+Total Power %     27.9
+Eff. Delay %     -24.4
+PDP %             -3.3
+Die Cost %       -19.3
+Cost per cm2 %   13.65
+PPC %             28.2
+Width (um)          28
+WNS (ns)        -0.121
+TNS (ns)         -0.53
 
 ### vs 2D 12-Track
 Metric            aes
 ---------------------
-Si Area %        10.2
-Density %        -7.5
+Si Area %        12.3
+Density %        -7.8
 WL %             -2.8
-Total Power %    -9.5
-Eff. Delay %      8.1
-PDP %            -2.1
-Die Cost %       25.3
+Total Power %    -8.4
+Eff. Delay %      6.2
+PDP %            -2.7
+Die Cost %       27.6
 Cost per cm2 %  13.67
-PPC %           -18.4
+PPC %           -19.4
 Width (um)         22
 WNS (ns)        0.027
 TNS (ns)         0.00
@@ -101,15 +102,15 @@ TNS (ns)         0.00
 ### vs M3D 9-Track
 Metric             aes
 ----------------------
-Si Area %        -24.9
-Density %         -7.5
+Si Area %        -23.5
+Density %         -7.8
 WL %              45.4
-Total Power %     33.0
-Eff. Delay %     -22.3
-PDP %              3.4
-Die Cost %       -24.9
+Total Power %     34.5
+Eff. Delay %     -23.6
+PDP %              2.7
+Die Cost %       -23.5
 Cost per cm2 %   -0.01
-PPC %             28.9
+PPC %             27.3
 Width (um)          19
 WNS (ns)        -0.115
 TNS (ns)         -0.53
@@ -117,15 +118,15 @@ TNS (ns)         -0.53
 ### vs M3D 12-Track
 Metric            aes
 ---------------------
-Si Area %        10.2
-Density %        -7.5
+Si Area %        12.3
+Density %        -7.8
 WL %             25.7
-Total Power %    -9.1
-Eff. Delay %     11.3
-PDP %             1.2
-Die Cost %       10.2
+Total Power %    -8.0
+Eff. Delay %      9.3
+PDP %             0.6
+Die Cost %       12.3
 Cost per cm2 %   0.00
-PPC %           -10.3
+PPC %           -11.5
 Width (um)         16
 WNS (ns)        0.037
 TNS (ns)         0.00
@@ -138,44 +139,44 @@ const GOLDEN_COMPARE_REPORT: &str = "\
 \"target_ghz\":2.5651576728205336,\
 \"hetero\":{\"config\":\"hetero3d\",\
 \"frequency_ghz\":2.5651576728205336,\
-\"footprint_mm2\":0.00027766236521739157,\
-\"si_area_mm2\":0.0005553247304347831,\
-\"chip_width_um\":16.663203930138753,\
-\"density_pct\":64.7664835164835,\
+\"footprint_mm2\":0.0002828637391304351,\
+\"si_area_mm2\":0.0005657274782608702,\
+\"chip_width_um\":16.81855341967421,\
+\"density_pct\":64.55306733953634,\
 \"wirelength_mm\":2.635679519718877,\
 \"mivs\":129,\
-\"switching_mw\":0.17988311960322123,\
-\"internal_mw\":0.10997893627009328,\
-\"leakage_mw\":0.04666881019128495,\
+\"switching_mw\":0.18392163309942705,\
+\"internal_mw\":0.11297042722085944,\
+\"leakage_mw\":0.04820102934313578,\
 \"clock_mw\":0.38992694311397574,\
-\"total_power_mw\":0.7264578091785752,\
-\"wns_ns\":-0.0028394672384839392,\
-\"tns_ns\":-0.0056789344769678785,\
-\"effective_delay_ns\":0.39267905121245633,\
-\"pdp_pj\":0.28526476325412253,\
-\"die_cost_uc\":0.009503266343507823,\
-\"cost_per_cm2_uc\":1711.2989612523438,\
-\"ppc\":368874.78482116264},\
+\"total_power_mw\":0.735020032777398,\
+\"wns_ns\":0.004064289155949086,\
+\"tns_ns\":0,\
+\"effective_delay_ns\":0.3857752948180233,\
+\"pdp_pj\":0.2835525698418539,\
+\"die_cost_uc\":0.00968132278282236,\
+\"cost_per_cm2_uc\":1711.3050284536605,\
+\"ppc\":364276.9672634654},\
 \"homogeneous\":[{\"config\":\"2d9t\",\
 \"frequency_ghz\":2.5651576728205336,\
-\"footprint_mm2\":0.0011724805542857146,\
-\"si_area_mm2\":0.0011724805542857146,\
-\"chip_width_um\":34.2415033882234,\
-\"density_pct\":70.00000000000001,\
-\"wirelength_mm\":3.5155721120027352,\
+\"footprint_mm2\":0.0007966567542857136,\
+\"si_area_mm2\":0.0007966567542857136,\
+\"chip_width_um\":28.225108578811767,\
+\"density_pct\":69.99999999999999,\
+\"wirelength_mm\":2.385196909507619,\
 \"mivs\":0,\
-\"switching_mw\":0.30633445849457414,\
-\"internal_mw\":0.23156007871509918,\
-\"leakage_mw\":0.007714397311701048,\
-\"clock_mw\":0.4354802007467384,\
-\"total_power_mw\":0.9810891352681128,\
-\"wns_ns\":-0.06375567001159577,\
-\"tns_ns\":-0.4502058885586554,\
-\"effective_delay_ns\":0.45359525398556816,\
-\"pdp_pj\":0.44501737549442105,\
-\"die_cost_uc\":0.017657986313442616,\
-\"cost_per_cm2_uc\":1506.036603242432,\
-\"ppc\":127257.05133249881},\
+\"switching_mw\":0.19407176439148668,\
+\"internal_mw\":0.14233713739370224,\
+\"leakage_mw\":0.004840984233505621,\
+\"clock_mw\":0.2332453817884227,\
+\"total_power_mw\":0.5744952678071171,\
+\"wns_ns\":-0.12073884236943544,\
+\"tns_ns\":-0.5267530860251204,\
+\"effective_delay_ns\":0.5105784263434079,\
+\"pdp_pj\":0.29332488977869253,\
+\"die_cost_uc\":0.01199545835044976,\
+\"cost_per_cm2_uc\":1505.72480380273,\
+\"ppc\":284206.65075649106},\
 {\"config\":\"2d12t\",\
 \"frequency_ghz\":2.5651576728205336,\
 \"footprint_mm2\":0.0005039712000000004,\
@@ -237,54 +238,54 @@ const GOLDEN_COMPARE_REPORT: &str = "\
 \"cost_per_cm2_uc\":1711.2686514222307,\
 \"ppc\":411440.24093408266}],\
 \"deltas\":[{\"config\":\"2d9t\",\
-\"si_area\":-52.63676413182888,\
-\"density\":-7.4764521193092985,\
-\"wirelength\":-25.028432478450995,\
-\"total_power\":-25.953944135764157,\
-\"effective_delay\":-13.42963848009088,\
-\"pdp\":-35.89806174709717,\
-\"die_cost\":-46.18148312713774,\
-\"cost_per_cm2\":13.629307386552943,\
-\"ppc\":189.86589030525468,\
-\"width_um\":34.2415033882234,\
-\"wns_ns\":-0.06375567001159577,\
-\"tns_ns\":-0.4502058885586554},\
+\"si_area\":-28.987299082387846,\
+\"density\":-7.781332372090922,\
+\"wirelength\":10.501548497434765,\
+\"total_power\":27.941877673425154,\
+\"effective_delay\":-24.443479216147637,\
+\"pdp\":-3.3315686044275497,\
+\"die_cost\":-19.29176443300004,\
+\"cost_per_cm2\":13.653240229006954,\
+\"ppc\":28.173273318497667,\
+\"width_um\":28.225108578811767,\
+\"wns_ns\":-0.12073884236943544,\
+\"tns_ns\":-0.5267530860251204},\
 {\"config\":\"2d12t\",\
-\"si_area\":10.1897748194307,\
-\"density\":-7.476452119309281,\
+\"si_area\":12.253930038238249,\
+\"density\":-7.781332372090942,\
 \"wirelength\":-2.8339748270678764,\
-\"total_power\":-9.49430791984293,\
-\"effective_delay\":8.14632325144942,\
-\"pdp\":-2.1214216820318805,\
-\"die_cost\":25.25528923521846,\
-\"cost_per_cm2\":13.672334334538563,\
-\"ppc\":-18.43266497631019,\
+\"total_power\":-8.427583930141793,\
+\"effective_delay\":6.2449845669020165,\
+\"pdp\":-2.7089006790398398,\
+\"die_cost\":27.602115052825,\
+\"cost_per_cm2\":13.672737345907215,\
+\"ppc\":-19.449356115251327,\
 \"width_um\":22.449302884499563,\
 \"wns_ns\":0.02673981376778234,\
 \"tns_ns\":0},\
 {\"config\":\"3d9t\",\
-\"si_area\":-24.943139916889397,\
-\"density\":-7.476452119309281,\
+\"si_area\":-23.53712007791845,\
+\"density\":-7.781332372090942,\
 \"wirelength\":45.42598329557028,\
-\"total_power\":32.978960454304385,\
-\"effective_delay\":-22.274776737957254,\
-\"pdp\":3.358193904651617,\
-\"die_cost\":-24.94772931132782,\
-\"cost_per_cm2\":-0.006114556928361288,\
-\"ppc\":28.911378333721498,\
+\"total_power\":34.54628560239002,\
+\"effective_delay\":-23.641276950910402,\
+\"pdp\":2.7378255959661195,\
+\"die_cost\":-23.541524371020625,\
+\"cost_per_cm2\":-0.00576004082851138,\
+\"ppc\":27.30457021595576,\
 \"width_um\":19.233721057410754,\
 \"wns_ns\":-0.1153748557305988,\
 \"tns_ns\":-0.528233015326099},\
 {\"config\":\"3d12t\",\
-\"si_area\":10.189774819430674,\
-\"density\":-7.476452119309261,\
+\"si_area\":12.253930038238222,\
+\"density\":-7.781332372090922,\
 \"wirelength\":25.659027006139983,\
-\"total_power\":-9.057364254681694,\
-\"effective_delay\":11.304128061103826,\
-\"pdp\":1.222907752112262,\
-\"die_cost\":10.191726490404257,\
-\"cost_per_cm2\":0.0017711906361337635,\
-\"ppc\":-10.345477150286687,\
+\"total_power\":-7.98549033154474,\
+\"effective_delay\":9.347271479485746,\
+\"pdp\":0.6153556876834357,\
+\"die_cost\":12.256316258974348,\
+\"cost_per_cm2\":0.0021257346939378857,\
+\"ppc\":-11.462970555224166,\
 \"width_um\":15.874054302540364,\
 \"wns_ns\":0.037041302317353975,\
 \"tns_ns\":0}]}}";

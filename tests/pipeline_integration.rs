@@ -3,7 +3,7 @@
 //! independently computed quantities (MIVs vs cut size, clock sinks vs
 //! registers, power vs frequency).
 
-use hetero3d::flow::{try_run_flow, Config, FlowOptions, Implementation};
+use hetero3d::flow::{Config, FlowOptions, FlowSession, Implementation};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::{verilog, Netlist};
 use hetero3d::partition::cut_size;
@@ -16,7 +16,11 @@ fn options() -> FlowOptions {
 }
 
 fn run_flow(n: &Netlist, c: Config, f: f64, o: &FlowOptions) -> Implementation {
-    try_run_flow(n, c, f, o).expect("flow succeeds on a valid netlist")
+    FlowSession::builder(n)
+        .options(o.clone())
+        .build()
+        .and_then(|s| s.run(c, f))
+        .expect("flow succeeds on a valid netlist")
 }
 
 #[test]

@@ -7,12 +7,12 @@
 //! options; the two span-tree tests hold the shapes that golden does not
 //! cover — a heterogeneous run whose repartitioning ECO re-finishes
 //! (with the first pass's `sizing` span open and empty, the ECO sizing
-//! instead) and a 2-D run that sizing sends through its second
-//! implementation pass. A stage dropped, renamed, moved or run a
-//! different number of times fails here.
+//! instead) and a cold 9-track 2-D run, one pass like every 2-D run. A
+//! stage dropped, renamed, moved or run a different number of times
+//! fails here.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{try_compare_configs, try_find_fmax, try_run_flow, Config, FlowOptions};
+use hetero3d::flow::{Config, FlowOptions, FlowSession};
 use hetero3d::json::Obj;
 use hetero3d::netgen::Benchmark;
 use hetero3d::obs::{Manifest, Obs};
@@ -24,7 +24,7 @@ fn span_tree(config: Config, ghz: f64) -> Vec<(String, u64)> {
     options.placer_mut().iterations = 6;
     options.obs = Obs::enabled();
     let netlist = Benchmark::Aes.generate(0.02, 7);
-    let imp = try_run_flow(&netlist, config, ghz, &options).expect("flow");
+    let imp = session(&netlist, &options).run(config, ghz).expect("flow");
     if config == Config::Hetero3d {
         assert!(
             imp.eco.expect("ECO outcome").cells_moved > 0,
@@ -37,6 +37,11 @@ fn span_tree(config: Config, ghz: f64) -> Vec<(String, u64)> {
         .iter()
         .map(|row| (row.path.clone(), row.calls))
         .collect()
+}
+
+fn session(netlist: &hetero3d::netlist::Netlist, options: &FlowOptions) -> FlowSession {
+    let builder = FlowSession::builder(netlist).options(options.clone());
+    builder.build().expect("valid netlist")
 }
 
 fn pinned(rows: &[(&str, u64)]) -> Vec<(String, u64)> {
@@ -81,22 +86,24 @@ fn a_hetero_run_whose_eco_refinishes_has_the_pinned_span_tree() {
     );
 }
 
+/// A cold 9-track 2-D run at 2.2 GHz: one pass, each stage once —
+/// sizing never sends a run back through placement.
 #[test]
-fn a_two_d_run_that_takes_the_second_pass_has_the_pinned_span_tree() {
+fn a_two_d_run_has_the_pinned_one_pass_span_tree() {
     assert_eq!(
         span_tree(Config::TwoD9T, 2.2),
         pinned(&[
             ("buffering", 1),
             ("run_flow", 1),
-            ("run_flow/impl2d", 2),
-            ("run_flow/impl2d/cts", 2),
-            ("run_flow/impl2d/route", 2),
-            ("run_flow/impl2d/route/extract", 2),
-            ("run_flow/impl2d/sizing", 2),
+            ("run_flow/impl2d", 1),
+            ("run_flow/impl2d/cts", 1),
+            ("run_flow/impl2d/route", 1),
+            ("run_flow/impl2d/route/extract", 1),
+            ("run_flow/impl2d/sizing", 1),
             ("run_flow/impl2d/sta_signoff", 1),
-            ("run_flow/impl2d/tier_legalize", 2),
-            ("run_flow/impl2d/tier_legalize/global_place", 2),
-            ("run_flow/impl2d/tier_legalize/legalize", 2),
+            ("run_flow/impl2d/tier_legalize", 1),
+            ("run_flow/impl2d/tier_legalize/global_place", 1),
+            ("run_flow/impl2d/tier_legalize/legalize", 1),
         ])
     );
 }
@@ -129,9 +136,15 @@ fn run_fmax_and_compare_telemetry_is_its_golden() {
         ..m3d_bench::bench_options()
     };
     let (run, fmax, cmp) = (instrumented(), instrumented(), instrumented());
-    try_run_flow(&netlist, Config::Hetero3d, 1.0, &run).expect("flow");
-    let (fmax_ghz, _) = try_find_fmax(&netlist, Config::TwoD12T, &fmax, 1.0).expect("fmax");
-    try_compare_configs(&netlist, &cmp, &CostModel::default()).expect("comparison");
+    session(&netlist, &run)
+        .run(Config::Hetero3d, 1.0)
+        .expect("flow");
+    let (fmax_ghz, _) = session(&netlist, &fmax)
+        .fmax(Config::TwoD12T, 1.0)
+        .expect("fmax");
+    session(&netlist, &cmp)
+        .compare(&CostModel::default())
+        .expect("comparison");
     let (run, fmax, cmp) = (run.obs.manifest(), fmax.obs.manifest(), cmp.obs.manifest());
     for m in [&fmax, &cmp] {
         assert_eq!(

@@ -3,10 +3,10 @@
 //! once (see [`m3d_bench::paper_outputs`]) — printing each and mirroring
 //! it into `<out>/<name>`.
 
-use m3d_bench::{emit, paper_outputs, parse_args, TABLE_SCALE};
+use m3d_bench::{emit, paper_outputs, parse_args};
 
 fn main() {
-    let args = parse_args(TABLE_SCALE);
+    let args = parse_args();
     let outputs = paper_outputs(args.scale, args.seed).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1)

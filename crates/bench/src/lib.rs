@@ -63,17 +63,14 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Parses `--scale`, `--seed` and `--out` from `args` (program name
-/// excluded), starting from `default_scale`, seed 7 and `results/`.
+/// excluded), starting from [`TABLE_SCALE`], seed 7 and `results/`.
 ///
 /// # Errors
 ///
 /// Returns the first [`ArgError`] on the line.
-pub fn try_parse_args(
-    args: impl IntoIterator<Item = String>,
-    default_scale: f64,
-) -> Result<BenchArgs, ArgError> {
+pub fn try_parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, ArgError> {
     let mut out = BenchArgs {
-        scale: default_scale,
+        scale: TABLE_SCALE,
         seed: 7,
         out_dir: PathBuf::from("results"),
     };
@@ -105,8 +102,8 @@ pub fn try_parse_args(
 /// [`try_parse_args`] over `std::env::args`; on an error, prints it and
 /// exits with status 2.
 #[must_use]
-pub fn parse_args(default_scale: f64) -> BenchArgs {
-    try_parse_args(std::env::args().skip(1), default_scale).unwrap_or_else(|e| {
+pub fn parse_args() -> BenchArgs {
+    try_parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("error: {e}\nusage: [--scale <f64>] [--seed <u64>] [--out <dir>]");
         std::process::exit(2)
     })
@@ -140,8 +137,8 @@ pub fn emit(args: &BenchArgs, name: &str, content: &str) {
 ///
 /// # Panics
 ///
-/// Panics if the golden is missing or differs, naming the first
-/// differing line; the fresh layout is then written to
+/// Panics if the golden is missing or differs, naming the
+/// [`first_difference`]; the fresh layout is then written to
 /// `<temp dir>/golden-<name>.json`, to copy over the golden after an
 /// intentional change.
 pub fn assert_golden(name: &str, section: &Value) {
@@ -158,20 +155,33 @@ pub fn assert_golden(name: &str, section: &Value) {
     }
     let fresh_path = std::env::temp_dir().join(format!("golden-{name}.json"));
     fs::write(&fresh_path, &fresh).expect("write the fresh layout");
-    let line = |text: &str, i: usize| text.lines().nth(i).unwrap_or("<end>").to_owned();
-    let i = fresh
-        .lines()
-        .zip(golden.lines())
-        .take_while(|(a, b)| a == b)
-        .count();
     panic!(
-        "tests/golden/{name}.json differs at line {}:\n  fresh:  {}\n  golden: {}\n\
-         the fresh layout is in {}",
-        i + 1,
-        line(&fresh, i),
-        line(&golden, i),
+        "tests/golden/{name}.json differs at {}\nthe fresh layout is in {}",
+        first_difference(&fresh, &golden),
         fresh_path.display()
     );
+}
+
+/// Where `fresh` first differs from `committed`: the 1-based line and
+/// both sides' text on it, `<end>` for a side that has no such line
+/// (one text is a prefix of the other).
+#[must_use]
+pub fn first_difference(fresh: &str, committed: &str) -> String {
+    let (mut a, mut b) = (fresh.lines(), committed.lines());
+    let mut line = 1;
+    loop {
+        match (a.next(), b.next()) {
+            (Some(x), Some(y)) if x == y => line += 1,
+            (None, None) => return format!("line {line}: only the line endings differ"),
+            (x, y) => {
+                return format!(
+                    "line {line}:\n  fresh:     {}\n  committed: {}",
+                    x.unwrap_or("<end>"),
+                    y.unwrap_or("<end>")
+                )
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -179,7 +189,23 @@ mod tests {
     use super::*;
 
     fn args(line: &str) -> Result<BenchArgs, ArgError> {
-        try_parse_args(line.split_whitespace().map(String::from), 0.5)
+        try_parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn first_difference_names_the_line_and_an_end_for_a_prefix() {
+        assert_eq!(
+            first_difference("a\nb\nc\n", "a\nx\nc\n"),
+            "line 2:\n  fresh:     b\n  committed: x"
+        );
+        assert_eq!(
+            first_difference("a\nb\n", "a\nb\nc\n"),
+            "line 3:\n  fresh:     <end>\n  committed: c"
+        );
+        assert_eq!(
+            first_difference("a\nb", "a\nb\n"),
+            "line 3: only the line endings differ"
+        );
     }
 
     #[test]
@@ -187,7 +213,7 @@ mod tests {
         assert_eq!(
             args(""),
             Ok(BenchArgs {
-                scale: 0.5,
+                scale: TABLE_SCALE,
                 seed: 7,
                 out_dir: PathBuf::from("results"),
             })

@@ -43,7 +43,7 @@ pub struct DcOperatingPoint {
 ///     Inverter::new(TechFlavor::Fast, 1.0),
 /// );
 /// let waves = sim.run(2.2, 1.0, 0.02);
-/// assert_eq!(waves.len(), sim.stage_count());
+/// assert_eq!(waves.len(), sim.stages().len());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChainSim {
@@ -103,12 +103,6 @@ impl ChainSim {
             extra_load_ff: 0.0,
         };
         ChainSim::new(vec![shaping, drv, loads, term], driver.vdd)
-    }
-
-    /// Number of stages (and of output waveforms).
-    #[must_use]
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
     }
 
     /// The stages.

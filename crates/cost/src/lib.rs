@@ -373,80 +373,4 @@ mod tests {
     fn f2f_zero_area_panics_like_monolithic() {
         let _ = CostModel::default().die_cost_f2f(0.0, 0);
     }
-
-    /// Formats one Table IV cost row: per-footprint wafer cost, yield
-    /// and die cost (µC') for a stacking style.
-    fn table_iv_row(m: &CostModel, style: &str, area: f64, bonds: usize) -> String {
-        let (wafer, yield_, die_uc) = match style {
-            "2d" => (
-                m.wafer_cost_2d(),
-                m.die_yield_2d(area),
-                m.die_cost(area, false) * 1e6,
-            ),
-            "monolithic" => (
-                m.wafer_cost_3d(),
-                m.die_yield_3d(area),
-                m.die_cost(area, true) * 1e6,
-            ),
-            "f2f" => (
-                m.wafer_cost_3d_f2f(),
-                m.die_yield_3d_f2f(area),
-                m.die_cost_f2f(area, bonds) * 1e6,
-            ),
-            _ => unreachable!(),
-        };
-        format!("{style:<10} {area:>8.3} {bonds:>6} {wafer:>8.3} {yield_:>8.5} {die_uc:>12.6}")
-    }
-
-    fn render_table_iv(m: &CostModel) -> String {
-        let mut out = String::from("style       area_mm2  bonds  wafer_c    yield  die_cost_uc\n");
-        for &(area, bonds) in &[(0.1, 64), (0.2, 128), (0.4, 256)] {
-            for style in ["2d", "monolithic", "f2f"] {
-                out.push_str(&table_iv_row(
-                    m,
-                    style,
-                    area,
-                    if style == "f2f" { bonds } else { 0 },
-                ));
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    const GOLDEN_TABLE4: &str = "\
-style       area_mm2  bonds  wafer_c    yield  die_cost_uc
-2d            0.100      0    0.960  0.93128     1.570630
-monolithic    0.100      0    1.970  0.88472     3.571262
-f2f           0.100     64    1.950  0.88472     3.535069
-2d            0.200      0    0.960  0.91311     3.271578
-monolithic    0.200      0    1.970  0.86745     7.438838
-f2f           0.200    128    1.950  0.86745     7.363445
-2d            0.400      0    0.960  0.87833     7.084062
-monolithic    0.400      0    1.970  0.83441    16.107574
-f2f           0.400    256    1.950  0.83441    15.944302
-";
-
-    /// Golden snapshot of the Table IV cost rows for all stacking
-    /// styles — catches cost-model drift the way Tables VI/VII do for
-    /// the flow. Regenerate with
-    /// `cargo test -p m3d-cost -- --ignored print_golden --nocapture`.
-    #[test]
-    fn table_iv_rows_match_golden() {
-        let actual = render_table_iv(&CostModel::default());
-        for (line, (a, g)) in actual.lines().zip(GOLDEN_TABLE4.lines()).enumerate() {
-            assert_eq!(a, g, "table4 line {line} drifted");
-        }
-        assert_eq!(
-            actual.lines().count(),
-            GOLDEN_TABLE4.lines().count(),
-            "table4 row count drifted"
-        );
-    }
-
-    #[test]
-    #[ignore = "golden regenerator"]
-    fn print_golden_table4() {
-        println!("{}", render_table_iv(&CostModel::default()));
-    }
 }

@@ -105,9 +105,9 @@ impl fmt::Display for Config {
     }
 }
 
-/// The flow's checkpoint boundaries, by what the stages in front of each
-/// read of [`FlowOptions`] ([`FlowOptions::read_set`]); each contains the
-/// one before.
+/// The flow's checkpoint boundaries and the whole run, by what the stages
+/// in front of each read of [`FlowOptions`] ([`FlowOptions::read_set`]);
+/// each contains the one before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReadSet {
     /// `prepare_base`: validation and fanout buffering.
@@ -118,6 +118,10 @@ pub enum ReadSet {
     /// … and `(partition →) tier_legalize → route → cts`: the pre-sizing
     /// prefix, the third part of a session's prefix key.
     Prefix,
+    /// … and everything from `size` on (the ECO, the sign-off, power):
+    /// every result-affecting knob, the whole-options identity
+    /// [`FlowOptions::fingerprint`]. No checkpoint is kept here.
+    Run,
 }
 
 /// Knobs of a flow run.
@@ -125,7 +129,7 @@ pub enum ReadSet {
 /// The three `enable_*` flags distinguish the Pin-3-D baseline from the
 /// enhanced heterogeneous flow (Table V): the baseline runs with all three
 /// disabled, the Hetero-Pin-3-D flow with all three enabled.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowOptions {
     /// Target standard-cell utilization.
     pub utilization: f64,
@@ -173,40 +177,8 @@ pub struct FlowOptions {
     pub obs: Obs,
     /// The technology scenario: stacking style + sign-off corners.
     /// Defaults to monolithic/typical, which reproduces the
-    /// pre-scenario flow (and its fingerprints) bit for bit.
+    /// pre-scenario flow bit for bit.
     pub tech: TechContext,
-}
-
-/// Hand-rolled to render exactly like the pre-`tech` derived `Debug`
-/// when the scenario is the default: [`FlowOptions::fingerprint`]
-/// hashes this rendering, and every existing checkpoint/cache key and
-/// committed benchmark baseline was minted from the field list below.
-/// The `tech` field is appended only when it deviates from the
-/// default, so new scenarios get new fingerprints and the default
-/// scenario keeps the historical ones.
-impl fmt::Debug for FlowOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("FlowOptions");
-        d.field("utilization", &self.utilization)
-            .field("seed", &self.seed)
-            .field("placer", &self.placer)
-            .field("route", &self.route)
-            .field("cts", &self.cts)
-            .field("timing_partition_cap", &self.timing_partition_cap)
-            .field("enable_timing_partition", &self.enable_timing_partition)
-            .field("enable_3d_cts", &self.enable_3d_cts)
-            .field("enable_repartition", &self.enable_repartition)
-            .field("input_activity", &self.input_activity)
-            .field("max_fanout", &self.max_fanout)
-            .field("partition_bins", &self.partition_bins)
-            .field("wns_tolerance", &self.wns_tolerance)
-            .field("threads", &self.threads)
-            .field("obs", &self.obs);
-        if !self.tech.is_default() {
-            d.field("tech", &self.tech);
-        }
-        d.finish()
-    }
 }
 
 impl Default for FlowOptions {
@@ -295,14 +267,11 @@ impl FlowOptions {
             enable_3d_cts,
             partition_bins,
             // The stack a run is born with; the corners are `sign_off`'s.
-            tech: TechContext {
-                stacking,
-                corners: _,
-            },
+            tech: TechContext { stacking, corners },
             // Read from `size` on: the ECO and the sign-off.
-            enable_repartition: _,
-            wns_tolerance: _,
-            input_activity: _,
+            enable_repartition,
+            wns_tolerance,
+            input_activity,
             // Never in a key: neither may change a result.
             threads: _,
             obs: _,
@@ -347,7 +316,18 @@ impl FlowOptions {
             *partition_bins as u64,
             *stacking as u64,
         ];
-        let sets: [&[u64]; 3] = [&base, &pseudo, &prefix];
+        let run = [
+            u64::from(*enable_repartition),
+            wns_tolerance.to_bits(),
+            input_activity.to_bits(),
+            // The analyzed corners as a mask: the two spellings of one
+            // set are one identity.
+            corners
+                .corners()
+                .iter()
+                .fold(0, |mask, &corner| mask | 1 << corner as u64),
+        ];
+        let sets: [&[u64]; 4] = [&base, &pseudo, &prefix, &run];
         let mut h = m3d_db::Fnv1a::default();
         for w in sets[..=boundary as usize].iter().copied().flatten() {
             h.write(&w.to_le_bytes());
@@ -355,19 +335,13 @@ impl FlowOptions {
         h.finish()
     }
 
-    /// Stable fingerprint of the result-affecting knobs, as 16 hex
-    /// digits. The thread count and the telemetry handle are excluded:
-    /// by the determinism contract neither may change results, so two
-    /// runs comparable for bit-identity fingerprint identically. The
-    /// whole-options identity of a manifest (`input/options_fp`); what a
-    /// checkpoint is keyed by is [`FlowOptions::read_set`].
+    /// [`ReadSet::Run`] as 16 hex digits: the whole-options identity of
+    /// a manifest (`input/options_fp`). The thread count and the
+    /// telemetry handle are outside it, as they are outside every read
+    /// set: neither may change a result.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        let mut canon = self.clone();
-        canon.threads = 0;
-        canon.obs = Obs::disabled();
-        // FNV-1a over the debug rendering.
-        format!("{:016x}", m3d_db::fnv1a(format!("{canon:?}").as_bytes()))
+        m3d_db::fingerprint_hex(self.read_set(ReadSet::Run))
     }
 }
 
@@ -406,22 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_threads_and_telemetry() {
-        let a = FlowOptions::default();
-        let b = FlowOptions {
-            threads: 4,
-            obs: Obs::enabled(),
-            ..Default::default()
-        };
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = FlowOptions {
-            seed: 2,
-            ..Default::default()
-        };
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
     fn fork_shares_subconfigs_copy_on_write() {
         let mut o = FlowOptions::default();
         o.placer_mut().iterations = 9;
@@ -435,39 +393,6 @@ mod tests {
         g.placer_mut().iterations = 10;
         assert_eq!(f.placer.iterations, 9, "mutating a fork must not leak back");
         assert_eq!(g.placer.iterations, 10);
-    }
-
-    #[test]
-    fn default_scenario_keeps_the_historical_debug_rendering() {
-        // The fingerprint hashes the Debug rendering; the default
-        // scenario must not mention `tech` at all, so every cache key
-        // and committed baseline minted before the scenario axis
-        // existed stays valid.
-        let d = FlowOptions::default();
-        let rendered = format!("{d:?}");
-        assert!(
-            !rendered.contains("tech"),
-            "default options must render without the tech field: {rendered}"
-        );
-        let scenario = FlowOptions {
-            tech: TechContext {
-                stacking: m3d_tech::StackingStyle::F2fHybridBond,
-                corners: m3d_tech::CornerSet::Worst,
-            },
-            ..Default::default()
-        };
-        assert!(format!("{scenario:?}").contains("tech"));
-        assert_ne!(d.fingerprint(), scenario.fingerprint());
-        // Corner-set and stacking each get distinct fingerprints.
-        let worst_only = FlowOptions {
-            tech: TechContext {
-                corners: m3d_tech::CornerSet::Worst,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert_ne!(scenario.fingerprint(), worst_only.fingerprint());
-        assert_ne!(d.fingerprint(), worst_only.fingerprint());
     }
 
     #[test]

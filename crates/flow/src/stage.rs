@@ -1661,8 +1661,8 @@ mod tests {
 
     /// One case per leaf field of [`FlowOptions`]: its name, the boundary
     /// [`FlowOptions::read_set`] declares it read in front of (`None`:
-    /// read from `size` on, or never), and `quick` with the field at a
-    /// second value.
+    /// never read, so in no key), and `quick` with the field at a second
+    /// value.
     fn read_set_cases(quick: &FlowOptions) -> Vec<(&'static str, Option<ReadSet>, FlowOptions)> {
         use m3d_tech::{Drive, StackingStyle, TechContext};
         // Exhaustive, so that a new field does not compile until it has a
@@ -1711,10 +1711,11 @@ mod tests {
             edit(&mut options);
             (name, boundary, options)
         };
-        let (base, pseudo, prefix) = (
+        let (base, pseudo, prefix, run) = (
             Some(ReadSet::Base),
             Some(ReadSet::Pseudo),
             Some(ReadSet::Prefix),
+            Some(ReadSet::Run),
         );
         vec![
             case("max_fanout", base, &|o| o.max_fanout = 12),
@@ -1756,12 +1757,10 @@ mod tests {
             case("tech.stacking", prefix, &|o| {
                 o.tech.stacking = StackingStyle::F2fHybridBond;
             }),
-            case("enable_repartition", None, &|o| {
-                o.enable_repartition = false
-            }),
-            case("wns_tolerance", None, &|o| o.wns_tolerance = 0.0),
-            case("input_activity", None, &|o| o.input_activity = 0.3),
-            case("tech.corners", None, &|o| o.tech.corners = CornerSet::Worst),
+            case("enable_repartition", run, &|o| o.enable_repartition = false),
+            case("wns_tolerance", run, &|o| o.wns_tolerance = 0.0),
+            case("input_activity", run, &|o| o.input_activity = 0.3),
+            case("tech.corners", run, &|o| o.tech.corners = CornerSet::Worst),
             case("threads", None, &|o| o.threads = 1),
             case("obs", None, &|o| o.obs = Obs::enabled()),
         ]
@@ -1769,8 +1768,9 @@ mod tests {
 
     /// The read-set declaration against the stages themselves: what a
     /// boundary's checkpoint holds moves only with a field declared read
-    /// in front of it, and the three keys move with exactly those — an
+    /// in front of it, and the four keys move with exactly those — an
     /// undeclared read fails here before it can serve a wrong answer.
+    /// `Run` keeps no checkpoint: only its key is held.
     #[test]
     fn a_checkpoint_moves_only_with_a_field_of_its_declared_read_set() {
         let netlist = Benchmark::Aes.generate(0.12, 7);
@@ -1805,7 +1805,12 @@ mod tests {
                 prefixes,
             )
         };
-        let boundaries = [ReadSet::Base, ReadSet::Pseudo, ReadSet::Prefix];
+        let boundaries = [
+            ReadSet::Base,
+            ReadSet::Pseudo,
+            ReadSet::Prefix,
+            ReadSet::Run,
+        ];
         let keys = |options: &FlowOptions| boundaries.map(|b| options.read_set(b));
         let (reference, reference_keys) = (checkpoints(&quick), keys(&quick));
         let mut unmoved = Vec::new();
@@ -1824,11 +1829,11 @@ mod tests {
                     "{field}: the {boundary:?} key moves iff the field is declared"
                 );
                 assert!(
-                    in_read_set || !moved[k],
+                    in_read_set || moved.get(k) != Some(&true),
                     "{field} moved the {boundary:?} checkpoint and is not in its read-set"
                 );
             }
-            if declared.is_some_and(|d| !moved[d as usize]) {
+            if declared.is_some_and(|d| moved.get(d as usize) == Some(&false)) {
                 unmoved.push(field);
             }
         }

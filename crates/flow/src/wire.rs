@@ -449,7 +449,8 @@ pub struct FlowRequest {
     pub id: u64,
     /// The design to implement.
     pub netlist: NetlistSpec,
-    /// Flow knobs (the checkpoint-cache key includes their fingerprint).
+    /// Flow knobs (the checkpoint-cache key includes their
+    /// [`ReadSet::Pseudo`](crate::ReadSet::Pseudo) read set).
     pub options: FlowOptions,
     /// What to do.
     pub command: FlowCommand,
@@ -653,10 +654,9 @@ impl FlowOptions {
 
 impl ToJson for FlowOptions {
     fn to_json(&self) -> Value<'_> {
-        // The `tech` key is omitted for the default scenario, mirroring
-        // the fingerprint's Debug rendering: requests minted before the
-        // technology axis existed decode (and hash) unchanged, and the
-        // default scenario's rendered requests stay byte-identical.
+        // The `tech` key is omitted for the default scenario: requests
+        // minted before the technology axis existed decode unchanged, and
+        // the default scenario's rendered requests stay byte-identical.
         let mut o = Obj::new()
             .put("utilization", self.utilization)
             .put("seed", self.seed)

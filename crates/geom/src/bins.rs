@@ -141,25 +141,6 @@ impl BinGrid {
             .enumerate()
             .map(move |(i, &v)| ((i % nx, i / nx), v))
     }
-
-    /// Indices of the (up to four) edge-adjacent neighbours of `idx`.
-    #[must_use]
-    pub fn neighbors(&self, idx: BinIdx) -> Vec<BinIdx> {
-        let mut out = Vec::with_capacity(4);
-        if idx.0 > 0 {
-            out.push((idx.0 - 1, idx.1));
-        }
-        if idx.0 + 1 < self.nx {
-            out.push((idx.0 + 1, idx.1));
-        }
-        if idx.1 > 0 {
-            out.push((idx.0, idx.1 - 1));
-        }
-        if idx.1 + 1 < self.ny {
-            out.push((idx.0, idx.1 + 1));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -198,14 +179,6 @@ mod tests {
         assert_eq!(g.max(), 7.5);
         g.clear();
         assert_eq!(g.total(), 0.0);
-    }
-
-    #[test]
-    fn corner_bins_have_two_neighbors() {
-        let g = grid();
-        assert_eq!(g.neighbors((0, 0)).len(), 2);
-        assert_eq!(g.neighbors((9, 4)).len(), 2);
-        assert_eq!(g.neighbors((5, 2)).len(), 4);
     }
 
     #[test]

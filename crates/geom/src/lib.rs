@@ -6,7 +6,7 @@
 //! * [`BBox`] — accumulating bounding boxes and half-perimeter wirelength,
 //! * [`BinGrid`] — uniform spatial binning used by placement spreading,
 //!   bin-based FM partitioning and global routing,
-//! * [`steiner`] — net-length estimators (HPWL, star, rectilinear MST).
+//! * [`steiner`] — net-length estimators (HPWL, rectilinear MST).
 //!
 //! Coordinates are `f64` microns throughout the workspace. Determinism matters
 //! more than raw speed for a reproduction flow, so every algorithm here is

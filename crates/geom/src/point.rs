@@ -46,12 +46,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Midpoint between `self` and `other`.
-    #[must_use]
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Returns `true` if both coordinates are finite.
     #[must_use]
     pub fn is_finite(self) -> bool {
@@ -125,7 +119,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.manhattan(b), 7.0);
-        assert_eq!(a.midpoint(b), Point::new(1.5, 2.0));
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Net-length estimators.
 //!
 //! Routing engines need a fast estimate of how much wire a net will consume
-//! before (and sometimes instead of) actually routing it. Three estimators
+//! before (and sometimes instead of) actually routing it. Two estimators
 //! are provided, in increasing fidelity and cost:
 //!
 //! * [`hpwl`] — half-perimeter of the pin bounding box; exact for 2- and
 //!   3-pin nets, a lower bound otherwise,
-//! * [`star`] — sum of Manhattan distances from the centroid; pessimistic
-//!   for short nets but captures fanout growth,
 //! * [`rmst`] — rectilinear minimum spanning tree via Prim's algorithm; a
 //!   1.5-approximation upper bound on the rectilinear Steiner minimal tree,
 //!   which is the standard pre-route estimate in timing-driven flows.
@@ -26,19 +24,6 @@ use crate::{BBox, Point};
 #[must_use]
 pub fn hpwl(pins: &[Point]) -> f64 {
     pins.iter().copied().collect::<BBox>().hpwl()
-}
-
-/// Star-model wirelength: sum of Manhattan distances from the pin centroid.
-///
-/// Returns zero for nets with fewer than two pins.
-#[must_use]
-pub fn star(pins: &[Point]) -> f64 {
-    if pins.len() < 2 {
-        return 0.0;
-    }
-    let n = pins.len() as f64;
-    let centroid = pins.iter().fold(Point::ORIGIN, |acc, &p| acc + p) / n;
-    pins.iter().map(|&p| p.manhattan(centroid)).sum()
 }
 
 /// Rectilinear minimum spanning tree length over `pins` (Prim's algorithm,
@@ -113,11 +98,9 @@ mod tests {
     #[test]
     fn empty_and_single_pin_nets_have_zero_length() {
         assert_eq!(hpwl(&[]), 0.0);
-        assert_eq!(star(&[]), 0.0);
         assert_eq!(rmst(&[]), 0.0);
         let one = [Point::new(1.0, 1.0)];
         assert_eq!(hpwl(&one), 0.0);
-        assert_eq!(star(&one), 0.0);
         assert_eq!(rmst(&one), 0.0);
     }
 
@@ -142,18 +125,6 @@ mod tests {
             Point::new(5.0, 5.0),
         ];
         assert!(rmst(&pins) >= hpwl(&pins));
-    }
-
-    #[test]
-    fn star_centroid_symmetry() {
-        let pins = [
-            Point::new(-1.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(0.0, -1.0),
-            Point::new(0.0, 1.0),
-        ];
-        // Centroid at origin; each pin 1 away.
-        assert_eq!(star(&pins), 4.0);
     }
 
     #[test]

@@ -22,25 +22,6 @@ pub struct WireRc {
     pub c_ff: f64,
 }
 
-impl WireRc {
-    /// Sums two segments in series.
-    #[must_use]
-    pub fn series(self, other: WireRc) -> WireRc {
-        WireRc {
-            r_kohm: self.r_kohm + other.r_kohm,
-            c_ff: self.c_ff + other.c_ff,
-        }
-    }
-
-    /// Elmore delay (ns) of this lumped segment driving `load_ff`
-    /// downstream: `R·(C/2 + C_load)`.
-    #[must_use]
-    pub fn elmore_ns(self, load_ff: f64) -> f64 {
-        // kΩ·fF = ps → /1000 for ns.
-        self.r_kohm * (self.c_ff * 0.5 + load_ff) * 1e-3
-    }
-}
-
 /// A monolithic inter-tier via (MIV).
 ///
 /// Sequential fabrication makes these nano-scale: negligible area,
@@ -131,12 +112,6 @@ impl MetalStack {
         }
     }
 
-    /// Number of routing layers.
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Layer by 1-based metal index.
     #[must_use]
     pub fn layer(&self, index: u8) -> Option<&MetalLayer> {
@@ -167,23 +142,6 @@ impl MetalStack {
         }
     }
 
-    /// Parasitics of `length_um` of wire on layer `index` (falls back to
-    /// the estimate layer when the index is unknown).
-    #[must_use]
-    pub fn wire_rc(&self, index: u8, length_um: f64) -> WireRc {
-        let per_um = match self.layer(index) {
-            Some(l) => WireRc {
-                r_kohm: l.r_per_um * 1e-3,
-                c_ff: l.c_per_um,
-            },
-            None => self.estimate_rc_per_um(),
-        };
-        WireRc {
-            r_kohm: per_um.r_kohm * length_um,
-            c_ff: per_um.c_ff * length_um,
-        }
-    }
-
     /// Routing capacity of one global-routing bin edge of width
     /// `bin_span_um`: total tracks across layers of the given direction.
     #[must_use]
@@ -203,7 +161,7 @@ mod tests {
     #[test]
     fn stack_has_six_layers_alternating_direction() {
         let s = MetalStack::six_layer_28nm();
-        assert_eq!(s.layer_count(), 6);
+        assert_eq!(s.iter().count(), 6);
         for w in s.iter().collect::<Vec<_>>().windows(2) {
             assert_ne!(w[0].horizontal, w[1].horizontal);
         }
@@ -212,51 +170,16 @@ mod tests {
     #[test]
     fn upper_layers_are_faster() {
         let s = MetalStack::six_layer_28nm();
-        let low = s.wire_rc(1, 100.0);
-        let high = s.wire_rc(5, 100.0);
-        assert!(high.r_kohm < low.r_kohm);
-    }
-
-    #[test]
-    fn wire_rc_scales_linearly_with_length() {
-        let s = MetalStack::six_layer_28nm();
-        let a = s.wire_rc(3, 10.0);
-        let b = s.wire_rc(3, 20.0);
-        assert!((b.r_kohm / a.r_kohm - 2.0).abs() < 1e-9);
-        assert!((b.c_ff / a.c_ff - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn elmore_delay_is_positive_and_monotone_in_load() {
-        let s = MetalStack::six_layer_28nm();
-        let rc = s.wire_rc(3, 50.0);
-        let d0 = rc.elmore_ns(0.0);
-        let d1 = rc.elmore_ns(10.0);
-        assert!(d0 > 0.0);
-        assert!(d1 > d0);
+        let r = |index| s.layer(index).expect("layer").r_per_um;
+        assert!(r(5) < r(1));
     }
 
     #[test]
     fn miv_is_nearly_free() {
         let miv = Miv::default();
-        let wire = MetalStack::six_layer_28nm().wire_rc(3, 1.0);
+        let m3 = MetalStack::six_layer_28nm().layer(3).expect("M3").r_per_um;
         // One MIV costs less than a micron of intermediate wire (R).
-        assert!(miv.r_kohm < wire.r_kohm);
-    }
-
-    #[test]
-    fn series_composition_adds() {
-        let a = WireRc {
-            r_kohm: 1.0,
-            c_ff: 2.0,
-        };
-        let b = WireRc {
-            r_kohm: 0.5,
-            c_ff: 1.0,
-        };
-        let s = a.series(b);
-        assert_eq!(s.r_kohm, 1.5);
-        assert_eq!(s.c_ff, 3.0);
+        assert!(miv.r_kohm < m3 * 1e-3);
     }
 
     #[test]

@@ -101,23 +101,6 @@ impl CellKind {
         matches!(self, CellKind::ClkBuf | CellKind::ClkInv)
     }
 
-    /// Returns `true` if the output logically inverts (affects glitch and
-    /// activity propagation).
-    #[must_use]
-    pub fn inverting(self) -> bool {
-        matches!(
-            self,
-            CellKind::Inv
-                | CellKind::Nand2
-                | CellKind::Nand3
-                | CellKind::Nor2
-                | CellKind::Nor3
-                | CellKind::Aoi21
-                | CellKind::Oai21
-                | CellKind::ClkInv
-        )
-    }
-
     /// Logical effort relative to an inverter (Sutherland-style); used to
     /// derive per-kind delay tables from the inverter model.
     #[must_use]

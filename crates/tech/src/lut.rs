@@ -142,15 +142,6 @@ impl Lut2d {
         let b = v10 + (v11 - v10) * tj;
         a + (b - a) * ti
     }
-
-    /// Returns `true` if `(slew, load)` falls inside the characterized
-    /// range (no clamping needed).
-    #[must_use]
-    pub fn in_range(&self, slew: f64, load: f64) -> bool {
-        let (s0, s1) = self.slew_range();
-        let (l0, l1) = self.load_range();
-        slew >= s0 && slew <= s1 && load >= l0 && load <= l1
-    }
 }
 
 fn strictly_increasing(axis: &[f64]) -> bool {
@@ -222,8 +213,6 @@ mod tests {
         let l = simple();
         assert_eq!(l.lookup(-5.0, -5.0), 0.0);
         assert_eq!(l.lookup(5.0, 5.0), 3.0);
-        assert!(!l.in_range(5.0, 0.5));
-        assert!(l.in_range(0.5, 0.5));
     }
 
     #[test]

@@ -113,13 +113,6 @@ impl CornerSet {
             CornerSet::Single(Corner::Fast) => &[Corner::Fast],
         }
     }
-
-    /// Whether this set analyzes only the typical corner (the default
-    /// single-corner path).
-    #[must_use]
-    pub fn is_typical_only(self) -> bool {
-        matches!(self.corners(), [Corner::Typical])
-    }
 }
 
 impl fmt::Display for CornerSet {
@@ -194,9 +187,6 @@ mod tests {
             CornerSet::single(Corner::Slow),
             CornerSet::Single(Corner::Slow)
         );
-        assert!(CornerSet::Typical.is_typical_only());
-        assert!(!CornerSet::Worst.is_typical_only());
-        assert!(!CornerSet::single(Corner::Fast).is_typical_only());
         assert_eq!(CornerSet::Worst.corners(), &Corner::ALL[..]);
     }
 

@@ -233,7 +233,7 @@ mod tests {
         let f2f = TierStack::heterogeneous().with_stacking(StackingStyle::F2fHybridBond);
         assert_eq!(f2f.metal.miv, StackingStyle::F2fHybridBond.via());
         // The routing layers themselves are untouched.
-        assert_eq!(f2f.metal.layer_count(), base.metal.layer_count());
+        assert!(f2f.metal.iter().eq(base.metal.iter()));
     }
 
     #[test]

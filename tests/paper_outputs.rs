@@ -3,7 +3,7 @@
 //! byte for byte, and no output missing or extra: a stray file in
 //! `results/` fails too.
 
-use m3d_bench::{paper_outputs, TABLE_SCALE};
+use m3d_bench::{first_difference, paper_outputs, TABLE_SCALE};
 use std::fs;
 
 #[test]
@@ -28,11 +28,8 @@ fn paper_outputs_are_the_committed_results() {
         let expected = fs::read_to_string(format!("{results}/{name}")).expect("committed output");
         assert!(
             *content == expected,
-            "{name} differs from results/{name}; first differing line {:?}",
-            content
-                .lines()
-                .zip(expected.lines())
-                .position(|(a, b)| a != b)
+            "{name} differs from results/{name} at {}",
+            first_difference(content, &expected)
         );
     }
 }

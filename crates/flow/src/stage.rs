@@ -983,6 +983,7 @@ fn partition(
     if obs.is_enabled() {
         obs.counter_add("partition/fm_passes", fm_stats.passes);
         obs.counter_add("partition/fm_moves", fm_stats.moves);
+        obs.counter_add("partition/fm_kept_moves", fm_stats.kept);
         obs.counter_add("partition/final_cut", fm_stats.cut);
     }
     (tiers, timing_assignment)

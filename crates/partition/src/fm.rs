@@ -32,8 +32,11 @@ impl Default for PartitionConfig {
 pub struct FmStats {
     /// FM passes executed (including the final non-improving one).
     pub passes: u64,
-    /// Tentative gain-bucket moves across all passes (before rollback).
+    /// Tentative gain-bucket moves made across all passes (before rollback).
     pub moves: u64,
+    /// Moves kept: the summed best-prefix lengths, so `moves − kept` were
+    /// rolled back.
+    pub kept: u64,
     /// Final cut size.
     pub cut: u64,
 }
@@ -63,6 +66,25 @@ pub fn bin_min_cut_with_stats(
     locked: &[bool],
     tiers: &mut [Tier],
     config: &PartitionConfig,
+) -> (usize, FmStats) {
+    bin_min_cut_until(
+        netlist, positions, die, bins, areas, locked, tiers, config, stop_rise,
+    )
+}
+
+/// [`bin_min_cut_with_stats`] with the pass stop rule `stop`, so the tests
+/// can run the [`run_to_the_end`] reference through the same engine.
+#[allow(clippy::too_many_arguments)]
+fn bin_min_cut_until(
+    netlist: &Netlist,
+    positions: &[Point],
+    die: m3d_geom::Rect,
+    bins: usize,
+    areas: &[f64],
+    locked: &[bool],
+    tiers: &mut [Tier],
+    config: &PartitionConfig,
+    stop: StopRule,
 ) -> (usize, FmStats) {
     seed_balanced(netlist, areas, locked, tiers, config.seed);
     let grid = m3d_geom::BinGrid::new(die, bins.max(1), bins.max(1));
@@ -110,6 +132,7 @@ pub fn bin_min_cut_with_stats(
         can_move,
         on_move,
         update_gains_by_delta,
+        stop,
     )
 }
 
@@ -356,11 +379,36 @@ fn update_gains_by_recompute(
     }
 }
 
+/// A pass ends once its running cut has climbed more than
+/// `max(STOP_RISE_FLOOR, best prefix cut / STOP_RISE_DIVISOR)` above the
+/// pass's best prefix: past that, measured passes never came back to a
+/// new best (DESIGN §15, "Flat gain list in the partitioner").
+const STOP_RISE_FLOOR: i64 = 20;
+const STOP_RISE_DIVISOR: i64 = 10;
+
+/// How far a pass's running cut may rise above its best prefix cut
+/// (the argument) before the pass ends.
+type StopRule = fn(i64) -> i64;
+
+/// The stop rule FM runs with.
+fn stop_rise(best_prefix_cut: i64) -> i64 {
+    (best_prefix_cut / STOP_RISE_DIVISOR).max(STOP_RISE_FLOOR)
+}
+
+/// The reference [`stop_rise`] is tested against: every pass runs until
+/// no free cell can move.
+#[cfg(test)]
+fn run_to_the_end(_best_prefix_cut: i64) -> i64 {
+    i64::MAX
+}
+
 /// The FM engine: a flat doubly-linked gain list, tentative move
 /// sequence, best-prefix rollback; repeated for `passes` passes or until
-/// no pass improves. `update_gains` is [`update_gains_by_delta`]; it is a
-/// parameter so the tests can run the full-recompute reference through
-/// the same engine.
+/// no pass improves. A pass ends when no free cell can move or when its
+/// running cut has risen more than `stop(best prefix cut)` above its best
+/// prefix. `update_gains` is [`update_gains_by_delta`] and `stop` is
+/// [`stop_rise`]; they are parameters so the tests can run the
+/// full-recompute and run-to-the-end references through the same engine.
 ///
 /// Data layout is flat throughout ([`Hypergraph`], [`GainList`]), and all
 /// per-pass scratch (side counts, gains, pass locks, list links, the move
@@ -373,7 +421,9 @@ fn update_gains_by_recompute(
 /// Cuts are always a true recount (`cut_of`), never the running
 /// `cur_cut`: gains count a double-pinned cell's net once per pin, so the
 /// gain model can misjudge such nets, and the recount is what keeps the
-/// reported cut exact.
+/// reported cut exact. One recount per pass suffices: the tiers do not
+/// change between a pass's rollback and the next pass's start.
+#[allow(clippy::too_many_arguments)]
 fn run_fm_engine(
     netlist: &Netlist,
     locked: &[bool],
@@ -382,6 +432,7 @@ fn run_fm_engine(
     can_move: impl Fn(usize, Tier, Tier) -> bool,
     on_move: impl Fn(usize, Tier, Tier),
     update_gains: UpdateGains,
+    stop: StopRule,
 ) -> (usize, FmStats) {
     let mut stats = FmStats::default();
     let n = netlist.cell_count();
@@ -414,6 +465,7 @@ fn run_fm_engine(
         .max()
         .unwrap_or(1)
         .max(1) as i64;
+    // The cut of `tiers` as they stand: each pass starts from it.
     let mut best_cut = cut_of(tiers);
 
     // ---- per-pass scratch, allocated once -------------------------------
@@ -470,8 +522,7 @@ fn run_fm_engine(
             list.push_front(c);
         }
 
-        let start_cut = cut_of(tiers);
-        let mut cur_cut = start_cut as i64;
+        let mut cur_cut = best_cut as i64;
         let mut best_prefix_cut = cur_cut;
         let mut best_prefix_len = 0usize;
 
@@ -509,12 +560,15 @@ fn run_fm_engine(
             if cur_cut < best_prefix_cut {
                 best_prefix_cut = cur_cut;
                 best_prefix_len = moves.len();
+            } else if cur_cut - best_prefix_cut > stop(best_prefix_cut) {
+                break;
             }
         }
 
-        // Roll back to the best prefix.
+        // Roll back to the best prefix, last move first.
         stats.moves += moves.len() as u64;
-        for &c in moves.iter().skip(best_prefix_len).rev() {
+        stats.kept += best_prefix_len as u64;
+        for &c in moves[best_prefix_len..].iter().rev() {
             let cur = tiers[c];
             tiers[c] = cur.other();
             on_move(c, cur, cur.other());
@@ -522,7 +576,6 @@ fn run_fm_engine(
 
         let new_cut = cut_of(tiers);
         if new_cut >= best_cut {
-            best_cut = best_cut.min(new_cut);
             break;
         }
         best_cut = new_cut;
@@ -559,6 +612,83 @@ mod tests {
     ) -> (usize, FmStats) {
         let (positions, die) = spread(n, (37.3, 53.7));
         bin_min_cut_with_stats(n, &positions, die, 4, &areas_of(n), locked, tiers, config)
+    }
+
+    /// [`bin_fm`] with timing-partition-style locks (every 7th gate to
+    /// the top tier) through the stop rule `stop`.
+    fn bin_fm_until(n: &Netlist, stop: StopRule) -> (Vec<Tier>, usize, FmStats) {
+        let mut tiers = vec![Tier::Bottom; n.cell_count()];
+        let locked: Vec<bool> = n
+            .cells()
+            .map(|(id, c)| c.class.is_gate() && id.index() % 7 == 0)
+            .collect();
+        for (i, _) in locked.iter().enumerate().filter(|(_, &l)| l) {
+            tiers[i] = Tier::Top;
+        }
+        let (positions, die) = spread(n, (37.3, 53.7));
+        let (cut, stats) = bin_min_cut_until(
+            n,
+            &positions,
+            die,
+            4,
+            &areas_of(n),
+            &locked,
+            &mut tiers,
+            &PartitionConfig::default(),
+            stop,
+        );
+        (tiers, cut, stats)
+    }
+
+    /// The designs the stop rule is held to the full pass on: the four
+    /// paper netlists at small scales, LDPC also at full scale (it is the
+    /// plateau case: its passes climb furthest before a later best
+    /// prefix), and a 20 k-gate synthetic one.
+    fn stop_rule_designs() -> Vec<(String, Netlist)> {
+        use m3d_netgen::Benchmark;
+        let mut designs: Vec<(String, Netlist)> = [
+            (Benchmark::Aes, 0.05),
+            (Benchmark::Ldpc, 0.05),
+            (Benchmark::Ldpc, 0.1),
+            (Benchmark::Ldpc, 1.0),
+            (Benchmark::Netcard, 0.03),
+            (Benchmark::Cpu, 0.05),
+        ]
+        .into_iter()
+        .map(|(b, scale)| (format!("{b:?}@{scale}"), b.generate(scale, 7)))
+        .collect();
+        designs.push((
+            "scale_netlist(20_000, 9)".into(),
+            m3d_netgen::scale_netlist(20_000, 9),
+        ));
+        designs
+    }
+
+    #[test]
+    fn stopping_passes_keep_the_full_passes_partition() {
+        for (what, n) in stop_rule_designs() {
+            let (tiers, cut, stats) = bin_fm_until(&n, stop_rise);
+            let (ref_tiers, ref_cut, ref_stats) = bin_fm_until(&n, run_to_the_end);
+            assert!(tiers == ref_tiers, "{what}: tiers differ");
+            assert_eq!(
+                (cut, stats.cut, stats.passes, stats.kept),
+                (ref_cut, ref_stats.cut, ref_stats.passes, ref_stats.kept),
+                "{what}: (cut, stats.cut, passes, kept)"
+            );
+            // The rule fires: the 20 k-gate design keeps the same
+            // partition from under half the moves.
+            let most = if what.starts_with("scale_netlist") {
+                ref_stats.moves / 2
+            } else {
+                ref_stats.moves
+            };
+            assert!(
+                stats.moves <= most,
+                "{what}: moves {} vs {} run to the end",
+                stats.moves,
+                ref_stats.moves
+            );
+        }
     }
 
     /// Each bin's relative unbalance under `tiers` on [`bin_fm`]'s grid.
@@ -758,6 +888,7 @@ mod tests {
             can_move,
             on_move,
             update_gains,
+            run_to_the_end,
         );
         (journal.into_inner(), tiers, stats, cut)
     }

@@ -137,20 +137,25 @@ fn placement_and_partition_are_pinned() {
             "AES@0.05 seed 7",
             0x9d86_7680_3f68_f653u64,
             0xdd5e_f59f_ccb1_aa25u64,
-            fm_stats(3, 1_438, 220),
+            fm_stats(3, 463, 234, 220),
         ),
         (
             "scale_netlist(20_000, 9)",
             0x9b0c_0b06_0e29_de35,
             0x1274_cc7f_709f_6065,
-            fm_stats(6, 123_690, 4_908),
+            fm_stats(6, 26_728, 13_283, 4_908),
         ),
     ];
     assert_eq!(got, want, "(positions, tiers, stats): {got:#x?}");
 }
 
-fn fm_stats(passes: u64, moves: u64, cut: u64) -> FmStats {
-    FmStats { passes, moves, cut }
+fn fm_stats(passes: u64, moves: u64, kept: u64, cut: u64) -> FmStats {
+    FmStats {
+        passes,
+        moves,
+        kept,
+        cut,
+    }
 }
 
 #[test]
